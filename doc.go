@@ -151,6 +151,20 @@
 // practical only for SUM/COUNT). A query can also fail explicitly with
 // ErrNoLevel — the FAIL output of Algorithm 3 — with probability at most δ.
 //
+// # Space accounting
+//
+// Space reports stored counters and tuples, the metric of the paper's
+// figures. For the CountSketch-backed summaries (F2, Fk, heavy hitters)
+// it counts what each bucket's sketch actually holds. A sketch starts
+// sparse, storing only its nonzero counters at two words each (index and
+// value), and promotes itself once to the full width × depth array when
+// it would hold more than an eighth of that many nonzero counters; most
+// buckets of the reduction hold a few items and never get there. The form
+// changes no estimate and no marshaled byte, and Space is the same before
+// and after a MarshalBinary → UnmarshalBinary round trip (marshaling also
+// returns a dense sketch whose counters have cancelled back under the
+// promotion point to the sparse form its image decodes into).
+//
 // # Mergeability and distribution
 //
 // Summaries built from identical Options (Seed included: it regenerates

@@ -94,7 +94,10 @@ func BenchmarkCoreAddBatch(b *testing.B) {
 
 // BenchmarkCoreQuery measures cutoff queries against a built summary;
 // composed sketches are drawn from and recycled back to the maker pool,
-// so steady-state queries are allocation-free too.
+// so steady-state queries are allocation-free too. "levels" spreads its
+// cutoffs over the domain, which the bucket-tree levels serve; "S0" asks
+// just below the singleton level's watermark, so Algorithm 3 merges every
+// stored singleton — α small sketches — into one.
 func BenchmarkCoreQuery(b *testing.B) {
 	tuples := benchTuples(200_000, 11)
 	s := benchSummary(b, F2Aggregate(), uint64(len(tuples))+1)
@@ -103,15 +106,31 @@ func BenchmarkCoreQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	cutoffs := [8]uint64{}
-	for i := range cutoffs {
-		cutoffs[i] = uint64(i+1) * benchYMax / 8
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(cutoffs[i%len(cutoffs)]); err != nil && err != ErrNoLevel {
-			b.Fatal(err)
+	b.Run("levels", func(b *testing.B) {
+		cutoffs := [8]uint64{}
+		for i := range cutoffs {
+			cutoffs[i] = uint64(i+1) * benchYMax / 8
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Query(cutoffs[i%len(cutoffs)]); err != nil && err != ErrNoLevel {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("S0", func(b *testing.B) {
+		c := s.Watermark(0) - 1
+		if _, lvl, err := s.QueryWithLevel(c); err != nil || lvl != 0 {
+			b.Fatalf("cutoff %d served by level %d, err %v", c, lvl, err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Query(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(s.s0.buckets)), "singletons")
+	})
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/streamagg/correlated/internal/hash"
+	"github.com/streamagg/correlated/internal/sketch"
 )
 
 // FuzzUnmarshalBinary hardens the core wire format against hostile
@@ -61,6 +63,37 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	}
 	f.Add(img)
 	f.Add([]byte{})
+	// A sketch decodes into its sparse form and promotes on the way once
+	// it has read enough nonzero counters. Seed an image whose first
+	// sketch (the shared one) crosses that point in mid-payload: whole,
+	// cut after the crossing, and corrupted after it.
+	edge := newSum(f)
+	dense := 0
+	for x := uint64(0); dense == 0 || x < 2*uint64(dense); x++ {
+		if err := edge.AddWeighted(x, 1, 1); err != nil {
+			f.Fatal(err)
+		}
+		fm := edge.maker.(*sketch.F2Maker)
+		if dense == 0 && edge.shared.Size() == fm.Width()*fm.Depth() {
+			dense = int(x) + 1 // items it took to promote
+		}
+	}
+	if img, err = edge.MarshalBinary(); err != nil {
+		f.Fatal(err)
+	}
+	payload, err := edge.shared.(*sketch.CountSketch).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	at := bytes.Index(img, payload)
+	if at < 0 {
+		f.Fatal("shared sketch payload not found in the image")
+	}
+	f.Add(img)
+	f.Add(img[:at+len(payload)*3/4])
+	corrupt = append([]byte(nil), img...)
+	corrupt[at+len(payload)*3/4] ^= 0x81
+	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newSum(t)

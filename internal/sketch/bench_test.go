@@ -14,28 +14,62 @@ func benchF2Maker() *F2Maker {
 	return NewF2Maker(50, 4, hash.New(1))
 }
 
-func BenchmarkCountSketchAdd(b *testing.B) {
-	m := benchF2Maker()
-	cs := m.New().(*CountSketch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.Add(uint64(i), 1)
+// addRegimes are the three lives a CountSketch can lead, at the geometry
+// corrd runs with ε = 0.15 (356×4, promotion past 178 nonzero counters).
+// Each fixes how many distinct items a sketch sees, so every iteration
+// count measures the same form: b.N only repeats the cycle.
+var addRegimes = []struct {
+	name  string
+	items int // distinct items per sketch
+	renew bool
+}{
+	{"sparse", 32, false},  // ≤ 128 counters: never promotes
+	{"promote", 64, true},  // a new sketch every 64 adds: table growth, promotion, reset
+	{"dense", 4096, false}, // promoted during warm-up: the dense loop
+}
+
+func benchAddRegimes(b *testing.B, slotted bool) {
+	for _, r := range addRegimes {
+		b.Run(r.name, func(b *testing.B) {
+			m := NewF2Maker(356, 4, hash.New(1))
+			var slab Slots
+			for x := 0; x < r.items; x++ {
+				slab = m.Slots(uint64(x), slab)
+			}
+			d := m.SlotWidth()
+			add := func(cs *CountSketch, x int) {
+				if slotted {
+					cs.AddSlots(slab[x*d:(x+1)*d], 1)
+				} else {
+					cs.Add(uint64(x), 1)
+				}
+			}
+			cs := m.New().(*CountSketch)
+			for x := 0; x < r.items && !r.renew; x++ {
+				add(cs, x) // warm-up: reach the regime's form
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x := i % r.items
+				if r.renew && x == 0 {
+					m.Recycle(cs)
+					cs = m.New().(*CountSketch)
+				}
+				add(cs, x)
+			}
+		})
 	}
 }
 
+// BenchmarkCountSketchAdd measures plain Add (one hash per row) in each
+// regime.
+func BenchmarkCountSketchAdd(b *testing.B) { benchAddRegimes(b, false) }
+
 // BenchmarkCountSketchAddSlots measures the fan-out side alone: slots are
-// precomputed once, as they are when one tuple updates many sketches.
-func BenchmarkCountSketchAddSlots(b *testing.B) {
-	m := benchF2Maker()
-	cs := m.New().(*CountSketch)
-	slots := m.Slots(12345, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.AddSlots(slots, 1)
-	}
-}
+// precomputed, as they are when one tuple updates many sketches. Its dense
+// regime is the innermost loop of the ingest path.
+func BenchmarkCountSketchAddSlots(b *testing.B) { benchAddRegimes(b, true) }
 
 // BenchmarkCountSketchSlots measures the hash-once side alone.
 func BenchmarkCountSketchSlots(b *testing.B) {

@@ -106,19 +106,37 @@ func (c *counter) UnmarshalBinary(data []byte) error {
 	return err
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler. The image is the
+// dense one — every counter in index order — whichever form holds them, so
+// equal counters give equal bytes. The state it encodes is untouched, but
+// a dense sketch found to hold no more than sparseMax nonzero counters is
+// demoted on the way out: afterwards Size equals that of the decoded copy.
 func (c *CountSketch) MarshalBinary() ([]byte, error) {
-	buf := appendHeader(nil, kindCountSketch)
+	data := c.densified()
+	// One byte per counter is the floor, and most counters are small.
+	buf := appendHeader(make([]byte, 0, 2*binary.MaxVarintLen64+2+len(data)), kindCountSketch)
 	buf = appendU64(buf, uint64(c.maker.depth))
 	buf = appendU64(buf, uint64(c.maker.width))
-	for _, v := range c.data {
+	nonzero := 0
+	for _, v := range data {
 		buf = appendI64(buf, v)
+		if v != 0 {
+			nonzero++
+		}
+	}
+	c.undensify()
+	if c.mode != modeSparse && nonzero <= c.maker.sparseMax {
+		c.demote()
 	}
 	return buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The receiver must
-// come from a Maker with the same geometry and seed as the source.
+// come from a Maker with the same geometry and seed as the source. The
+// restored form follows the number of nonzero counters, as the live one
+// does, so Size depends on the counter values alone. A first pass over the
+// payload counts them, which lets the decode go straight into a dense
+// array or a table of the right size instead of growing through both.
 func (c *CountSketch) UnmarshalBinary(data []byte) error {
 	rest, err := readHeader(data, kindCountSketch)
 	if err != nil {
@@ -131,23 +149,64 @@ func (c *CountSketch) UnmarshalBinary(data []byte) error {
 	if w, rest, err = readU64(rest); err != nil {
 		return err
 	}
-	if int(d) != c.maker.depth || int(w) != c.maker.width {
+	m := c.maker
+	if int(d) != m.depth || int(w) != m.width {
 		return fmt.Errorf("%w: geometry %dx%d vs %dx%d",
-			ErrBadEncoding, d, w, c.maker.depth, c.maker.width)
+			ErrBadEncoding, d, w, m.depth, m.width)
 	}
-	for i := 0; i < c.maker.depth; i++ {
+	c.Reset()
+	if expect := countNonzeroVarints(rest, m.depth*m.width); expect > m.sparseMax {
+		c.promote()
+	} else {
+		c.resize(expect)
+	}
+	nonzero := 0
+	for i := 0; i < m.depth; i++ {
 		var f2 float64
-		for j := i * c.maker.width; j < (i+1)*c.maker.width; j++ {
+		for j := 0; j < m.width; j++ {
+			if len(rest) > 0 && rest[0] == 0 {
+				rest = rest[1:] // most counters: zero, in its one-byte form
+				continue
+			}
 			var v int64
 			if v, rest, err = readI64(rest); err != nil {
 				return err
 			}
-			c.data[j] = v
+			if v == 0 {
+				continue
+			}
+			nonzero++
+			if c.mode == modeSparse {
+				c.sparseAdd(m.key(i, j), v)
+			} else {
+				c.data[i*m.width+j] = v
+			}
 			f2 += float64(v) * float64(v)
 		}
 		c.rowF2[i] = f2
 	}
+	if c.mode != modeSparse && nonzero <= m.sparseMax {
+		c.demote() // the first pass was misled by a zero encoded long
+	}
+	c.settle()
 	return nil
+}
+
+// countNonzeroVarints returns how many of the first n varints in data are
+// not the single byte 0x00. Every nonzero value is counted; so is a zero in
+// a padded encoding, which MarshalBinary never emits.
+func countNonzeroVarints(data []byte, n int) int {
+	nonzero := 0
+	for pos := 0; n > 0 && pos < len(data); n-- {
+		if data[pos] != 0 {
+			nonzero++
+		}
+		for pos < len(data) && data[pos]&0x80 != 0 {
+			pos++
+		}
+		pos++
+	}
+	return nonzero
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

@@ -9,6 +9,17 @@
 // R2, Merge(sk(R1), sk(R2)) is distributed identically to sk(R1 ∪ R2)
 // (Condition V(b) of the paper). Merging sketches from different Makers is
 // an error.
+//
+// The reduction keeps one sketch per bucket, and by construction most
+// buckets — the singletons, the low levels — hold a handful of items. A
+// CountSketch therefore starts in a sparse form, a small hash table of its
+// nonzero counters, and promotes itself to the dense width × depth array
+// when it would hold more than an eighth of that many nonzero counters
+// (sparseDivisor, a constant: there is nothing to tune, and no second
+// sketch type or Maker). Every observable — estimates, closing budgets,
+// merges, marshaled bytes — is the same in either form; only Size differs,
+// reporting what is stored (two words, index and value, per sparse entry),
+// and that is what the Space figures of every layer above add up.
 package sketch
 
 import "errors"

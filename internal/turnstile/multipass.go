@@ -80,12 +80,17 @@ func RunMultipass(tape *Tape, cfg MultipassConfig) (*MultipassResult, error) {
 	// υ = ε/3, est/(1−υ) lands in [f, (1+ε)f].
 	upsilon := cfg.Eps / 3
 	gamma := cfg.Delta / float64(ymax+1)
+	// skSize is the counters one probe sketch can grow to. It comes from
+	// the maker's geometry: an empty CountSketch stores nothing yet.
 	var maker sketch.Maker
+	var skSize int
 	switch cfg.F {
 	case MultipassF2:
-		maker = sketch.NewF2MakerError(upsilon, gamma, hash.New(cfg.Seed))
+		m := sketch.NewF2MakerError(upsilon, gamma, hash.New(cfg.Seed))
+		maker, skSize = m, m.Width()*m.Depth()
 	case MultipassF1:
 		maker = sketch.NewL1MakerError(upsilon, gamma, hash.New(cfg.Seed))
+		skSize = maker.New().Size()
 	default:
 		return nil, errors.New("turnstile: unknown MultipassF")
 	}
@@ -121,7 +126,6 @@ func RunMultipass(tape *Tape, cfg MultipassConfig) (*MultipassResult, error) {
 	for i := range thr {
 		thr[i] = math.Pow(1+cfg.Eps, float64(i))
 	}
-	skSize := maker.New().Size()
 	for j := 2; j <= beta; j++ {
 		off := (ymax + 1) >> uint(j)
 		ests, segs := probePrefixes(tape, maker, p)

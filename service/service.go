@@ -196,7 +196,11 @@ type Config struct {
 	MaxTenants int
 	// MaxTenantBytes caps the summed per-tenant memory footprint
 	// (sampled at commit and spill time); creating a tenant past it is
-	// rejected with HTTP 413. 0 means unlimited.
+	// rejected with HTTP 413. 0 means unlimited. A live tenant's sample
+	// is its engine's Space() — stored counters, not bytes — and a sparse
+	// sketch counts two per nonzero entry where it used to count its whole
+	// width × depth array, so the same traffic now samples 2–4× lower and
+	// a cap chosen before that admits correspondingly more tenants.
 	MaxTenantBytes int64
 	// TenantIdleSpill, when positive, spills tenants untouched for at
 	// least that long: the engine is marshaled to an in-memory image

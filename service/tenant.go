@@ -34,7 +34,9 @@ import (
 // Governance: MaxTenants caps the namespace count (HTTP 429 past it),
 // MaxTenantBytes caps the summed per-tenant footprint (HTTP 413) —
 // sampled at commit and spill time, so enforcement is approximate by
-// one group. TenantIdleSpill reclaims idle tenants' memory: the engine
+// one group. The sample of a live tenant is Space() in counters (two per
+// entry of a sparse sketch, width × depth per dense one), that of a
+// spilled tenant its image length in bytes. TenantIdleSpill reclaims idle tenants' memory: the engine
 // is marshaled into an in-memory image (its snapshot form — cursors
 // included, so restore is bit-identical), the engine parks on the free
 // list, and the next touch lazily materializes the same bytes back.
