@@ -60,9 +60,11 @@ type Stats struct {
 	PushesMerged   uint64 `json:"pushes_merged"`
 	QueriesServed  uint64 `json:"queries_served"`
 
-	// Group commit and epoch cache: requests/groups is the live fsync
-	// amortization factor, hits/(hits+rebuilds) the fraction of queries
-	// that skipped the shard merge entirely.
+	// Group commit and answer memo: requests/groups is the live fsync
+	// amortization factor, hits/(hits+rebuilds) the fraction of query
+	// requests served wholly from memoized answers, without the
+	// server's driver lock. Shards (above) always reads 1: corrd keeps
+	// one summary per tenant.
 	IngestGroups       uint64 `json:"ingest_groups,omitempty"`
 	IngestGroupReqs    uint64 `json:"ingest_group_requests,omitempty"`
 	QueryCacheHits     uint64 `json:"query_cache_hits,omitempty"`

@@ -1,12 +1,12 @@
 // Command corrd is the correlated-aggregation network daemon: the
 // paper's site/coordinator model as an HTTP service over the mergeable
-// summaries and the sharded ingest engine.
+// summaries, one per tenant.
 //
 // Coordinator (the default role) — ingest tuples, merge site pushes,
 // answer queries:
 //
 //	corrd -addr :7070 -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 \
-//	      -shards 4 -snapshot /var/lib/corrd/f2.snapshot \
+//	      -snapshot /var/lib/corrd/f2.snapshot \
 //	      -wal-dir /var/lib/corrd/wal -wal-fsync always
 //
 // With -wal-dir set, every acknowledged ingest batch and push image is
@@ -14,12 +14,15 @@
 // the snapshot and replays the log suffix, so a kill -9 loses nothing
 // that was acknowledged (under -wal-fsync=always). Snapshots checkpoint
 // and prune the log. Concurrent ingest requests are group-committed:
-// everything queued while the previous group was fsyncing is applied,
-// drained, and made durable as one unit (one fsync, one engine drain,
-// up to -ingest-group-max requests), so acknowledged throughput under
-// -wal-fsync=always scales with the offered concurrency instead of
-// being gated by fsync latency times request count. Queries are served
-// from an epoch-keyed merged-summary cache and do not block ingest.
+// everything queued while the previous group was fsyncing is applied
+// (one AddBatch per touched tenant) and made durable as one unit (one
+// fsync, up to -ingest-group-max requests), so acknowledged throughput
+// under -wal-fsync=always scales with the offered concurrency instead of
+// being gated by fsync latency times request count. Query answers are
+// memoized per tenant until its state moves (or for -query-max-stale),
+// so a repeated query does not block ingest. -shards is accepted and
+// ignored: it selected the worker count of a per-tenant sharded engine
+// this daemon no longer has.
 //
 // With -stream-addr set, the daemon also serves the persistent
 // length-framed streaming-ingest transport on that address: clients
@@ -56,7 +59,7 @@
 //
 // A replica replays the primary's log continuously into a live engine
 // registry (every tenant, byte-exact), answers /v1/query, /v1/stats,
-// and /v1/summary from the same epoch-cached read path as a primary,
+// and /v1/summary through the same read path as a primary,
 // and rejects writes with HTTP 503. /v1/stats and /metrics expose the
 // replication lag in records and seconds. Failover: POST /v1/promote
 // (gated by -admin-token) — or -primary-timeout of total primary
@@ -85,8 +88,8 @@
 // (corrd_pipeline_stage_seconds) alongside WAL, snapshot, tenant, and
 // Go runtime series.
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: drain HTTP, flush the
-// shards, final push (site role), final snapshot.
+// SIGINT/SIGTERM trigger a graceful shutdown: drain HTTP, commit what
+// is queued, final push (site role), final snapshot.
 package main
 
 import (
@@ -108,87 +111,115 @@ import (
 	"github.com/streamagg/correlated/service"
 )
 
-func main() {
+// options is everything the command line selects: the service
+// configuration, plus what main wires around it (listeners, HTTP
+// timeouts, and the two destinations it opens before service.New — the
+// access log and the fault plan's injector).
+type options struct {
+	svc service.Config
+
+	addr, streamAddr, debugAddr  string
+	readHeaderTO, readTO, idleTO time.Duration
+	accessLog, faultPlan         string
+}
+
+// parseFlags turns the command line into options. Usage and parse
+// errors go to stderr; a flag combination that names no valid role is an
+// error here, before anything is opened.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("corrd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", ":7070", "listen address")
-		streamAddr = flag.String("stream-addr", "", "streaming-ingest listen address (empty = disabled); serves the persistent length-framed transport")
-		agg        = flag.String("agg", "f2", "aggregate: f2, fk, count, or sum")
-		k          = flag.Int("k", 3, "moment order for -agg fk")
-		eps        = flag.Float64("eps", 0.15, "target relative error ε ∈ (0,1)")
-		delta      = flag.Float64("delta", 0.1, "failure probability δ ∈ (0,1)")
-		ymax       = flag.Uint64("ymax", 1<<20-1, "largest y value")
-		maxn       = flag.Uint64("maxn", 1<<32, "stream length bound")
-		maxx       = flag.Uint64("maxx", 1<<32, "identifier bound (SUM/F0 sizing)")
-		seed       = flag.Uint64("seed", 1, "hash seed; must match across sites and coordinator")
-		pred       = flag.String("pred", "both", "query directions: le, ge, or both")
-		alpha      = flag.Int("alpha", 0, "per-level bucket capacity override (0 = derive)")
-		shards     = flag.Int("shards", 1, "parallel ingest shards")
-		groupMax   = flag.Int("ingest-group-max", 256, "max ingest requests committed (and fsynced) as one group")
-		maxStale   = flag.Duration("query-max-stale", 0, "serve queries from a cached merged summary up to this old (0 = rebuild whenever state moved)")
+		o options
+		c = &o.svc
 
-		snapshot     = flag.String("snapshot", "", "snapshot file path (empty = no durability)")
-		snapInterval = flag.Duration("snapshot-interval", 30*time.Second, "time between snapshots")
-		snapKeep     = flag.Int("snapshot-keep", 2, "snapshot retention slots (path, path.1, ...); restore falls back past a corrupt newest")
-
-		walDir      = flag.String("wal-dir", "", "write-ahead log directory (empty = no WAL); with a WAL every acknowledged ingest/push survives kill -9")
-		walFsync    = flag.String("wal-fsync", "always", "WAL fsync policy: always, interval, or off")
-		walFsyncInt = flag.Duration("wal-fsync-interval", 100*time.Millisecond, "fsync ticker period for -wal-fsync=interval")
-		walSegBytes = flag.Int64("wal-segment-bytes", 64<<20, "WAL segment rotation threshold")
-
-		pushTo       = flag.String("push-to", "", "coordinator base URL; setting it makes this daemon a site")
-		pushInterval = flag.Duration("push-interval", 5*time.Second, "time between site pushes")
-
-		roleFlag       = flag.String("role", "", `force the role: "replica" follows -primary and serves reads only (empty = coordinator, or site with -push-to)`)
-		primary        = flag.String("primary", "", "primary's stream address (host:port) to replicate the WAL from; requires -role=replica")
-		primaryTimeout = flag.Duration("primary-timeout", 0, "replica auto-promotes itself after this much total primary silence (0 = promote only on POST /v1/promote)")
-		heartbeatInt   = flag.Duration("heartbeat-interval", time.Second, "primary→replica heartbeat period on replication connections")
-		adminToken     = flag.String("admin-token", "", "X-Admin-Token required on POST /v1/promote (empty = promotion over HTTP disabled)")
-
-		maxBody = flag.Int64("max-body", 64<<20, "request body cap in bytes")
-
-		readHeaderTO = flag.Duration("http-read-header-timeout", 10*time.Second, "time allowed to read a request's headers on the main and debug listeners")
-		readTO       = flag.Duration("http-read-timeout", 0, "time allowed to read a full request including body (0 = unlimited; bodies are capped by -max-body)")
-		idleTO       = flag.Duration("http-idle-timeout", 2*time.Minute, "keep-alive connections idle longer than this are closed (0 = unlimited)")
-
-		accessLog = flag.String("access-log", "", `structured access-log file path ("-" = stderr, empty = disabled); one JSON line per HTTP request and stream frame`)
-		slowReq   = flag.Duration("slow-request", 0, "also log requests slower than this to the main logger (0 = never)")
-		debugAddr = flag.String("debug-addr", "", "net/http/pprof listen address (empty = disabled); keep it loopback-only in production")
-
-		maxTenants     = flag.Int("max-tenants", 0, "tenant count cap (0 = unlimited); creation past it gets HTTP 429")
-		maxTenantBytes = flag.Int64("max-tenant-bytes", 0, "aggregate tenant memory cap in bytes (0 = unlimited); creation past it gets HTTP 413")
-		tenantIdle     = flag.Duration("tenant-idle-spill", 0, "spill tenants idle longer than this to compact in-memory images (0 = never)")
-
-		queueMax  = flag.Int("ingest-queue-max", 4096, "commit-pipeline queue bound; requests past it are shed with HTTP 429 / AckBusy (0 = unbounded)")
-		faultPlan = flag.String("fault-plan", "", `fault-injection plan for WAL/snapshot I/O, e.g. "sync:err@3+;write:enospc@4096" (testing only; empty = disabled, "off" = injector armed but idle, reconfigurable via POST /v1/fault)`)
+		pred     = fs.String("pred", "both", "query directions: le, ge, or both")
+		roleFlag = fs.String("role", "", `force the role: "replica" follows -primary and serves reads only (empty = coordinator, or site with -push-to)`)
 	)
-	flag.Parse()
+	fs.StringVar(&o.addr, "addr", ":7070", "listen address")
+	fs.StringVar(&o.streamAddr, "stream-addr", "", "streaming-ingest listen address (empty = disabled); serves the persistent length-framed transport")
+	fs.StringVar(&c.Aggregate, "agg", "f2", "aggregate: f2, fk, count, or sum")
+	fs.IntVar(&c.K, "k", 3, "moment order for -agg fk")
+	fs.Float64Var(&c.Options.Eps, "eps", 0.15, "target relative error ε ∈ (0,1)")
+	fs.Float64Var(&c.Options.Delta, "delta", 0.1, "failure probability δ ∈ (0,1)")
+	fs.Uint64Var(&c.Options.YMax, "ymax", 1<<20-1, "largest y value")
+	fs.Uint64Var(&c.Options.MaxStreamLen, "maxn", 1<<32, "stream length bound")
+	fs.Uint64Var(&c.Options.MaxX, "maxx", 1<<32, "identifier bound (SUM/F0 sizing)")
+	fs.Uint64Var(&c.Options.Seed, "seed", 1, "hash seed; must match across sites and coordinator")
+	fs.IntVar(&c.Options.Alpha, "alpha", 0, "per-level bucket capacity override (0 = derive)")
+	fs.IntVar(&c.Shards, "shards", 1, "ignored: each tenant is one summary, applied by the committer (accepted so existing command lines keep working)")
+	fs.IntVar(&c.IngestGroupMax, "ingest-group-max", 256, "max ingest requests committed (and fsynced) as one group")
+	fs.DurationVar(&c.QueryMaxStale, "query-max-stale", 0, "serve a memoized query answer up to this old even though the tenant's state moved (0 = only while it has not)")
 
-	var predicate correlated.Predicate
-	switch *pred {
-	case "le":
-		predicate = correlated.LE
-	case "ge":
-		predicate = correlated.GE
-	case "both":
-		predicate = correlated.Both
-	default:
-		fmt.Fprintf(os.Stderr, "corrd: bad -pred %q (want le, ge, or both)\n", *pred)
-		os.Exit(2)
+	fs.StringVar(&c.SnapshotPath, "snapshot", "", "snapshot file path (empty = no durability)")
+	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", 30*time.Second, "time between snapshots")
+	fs.IntVar(&c.SnapshotKeep, "snapshot-keep", 2, "snapshot retention slots (path, path.1, ...); restore falls back past a corrupt newest")
+
+	fs.StringVar(&c.WALDir, "wal-dir", "", "write-ahead log directory (empty = no WAL); with a WAL every acknowledged ingest/push survives kill -9")
+	fs.StringVar(&c.WALFsync, "wal-fsync", "always", "WAL fsync policy: always, interval, or off")
+	fs.DurationVar(&c.WALFsyncInterval, "wal-fsync-interval", 100*time.Millisecond, "fsync ticker period for -wal-fsync=interval")
+	fs.Int64Var(&c.WALSegmentBytes, "wal-segment-bytes", 64<<20, "WAL segment rotation threshold")
+
+	fs.StringVar(&c.PushTo, "push-to", "", "coordinator base URL; setting it makes this daemon a site")
+	fs.DurationVar(&c.PushInterval, "push-interval", 5*time.Second, "time between site pushes")
+
+	fs.StringVar(&c.PrimaryAddr, "primary", "", "primary's stream address (host:port) to replicate the WAL from; requires -role=replica")
+	fs.DurationVar(&c.PrimaryTimeout, "primary-timeout", 0, "replica auto-promotes itself after this much total primary silence (0 = promote only on POST /v1/promote)")
+	fs.DurationVar(&c.HeartbeatInterval, "heartbeat-interval", time.Second, "primary→replica heartbeat period on replication connections")
+	fs.StringVar(&c.AdminToken, "admin-token", "", "X-Admin-Token required on POST /v1/promote (empty = promotion over HTTP disabled)")
+
+	fs.Int64Var(&c.MaxBodyBytes, "max-body", 64<<20, "request body cap in bytes")
+
+	fs.DurationVar(&o.readHeaderTO, "http-read-header-timeout", 10*time.Second, "time allowed to read a request's headers on the main and debug listeners")
+	fs.DurationVar(&o.readTO, "http-read-timeout", 0, "time allowed to read a full request including body (0 = unlimited; bodies are capped by -max-body)")
+	fs.DurationVar(&o.idleTO, "http-idle-timeout", 2*time.Minute, "keep-alive connections idle longer than this are closed (0 = unlimited)")
+
+	fs.StringVar(&o.accessLog, "access-log", "", `structured access-log file path ("-" = stderr, empty = disabled); one JSON line per HTTP request and stream frame`)
+	fs.DurationVar(&c.SlowRequest, "slow-request", 0, "also log requests slower than this to the main logger (0 = never)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "net/http/pprof listen address (empty = disabled); keep it loopback-only in production")
+
+	fs.IntVar(&c.MaxTenants, "max-tenants", 0, "tenant count cap (0 = unlimited); creation past it gets HTTP 429")
+	fs.Int64Var(&c.MaxTenantBytes, "max-tenant-bytes", 0, "aggregate tenant memory cap in bytes (0 = unlimited); creation past it gets HTTP 413")
+	fs.DurationVar(&c.TenantIdleSpill, "tenant-idle-spill", 0, "spill tenants idle longer than this to compact in-memory images (0 = never)")
+
+	fs.IntVar(&c.IngestQueueMax, "ingest-queue-max", 4096, "commit-pipeline queue bound; requests past it are shed with HTTP 429 / AckBusy (0 = unbounded)")
+	fs.StringVar(&o.faultPlan, "fault-plan", "", `fault-injection plan for WAL/snapshot I/O, e.g. "sync:err@3+;write:enospc@4096" (testing only; empty = disabled, "off" = injector armed but idle, reconfigurable via POST /v1/fault)`)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 
+	switch *pred {
+	case "le":
+		c.Options.Predicate = correlated.LE
+	case "ge":
+		c.Options.Predicate = correlated.GE
+	case "both":
+		c.Options.Predicate = correlated.Both
+	default:
+		return nil, fmt.Errorf("bad -pred %q (want le, ge, or both)", *pred)
+	}
 	switch *roleFlag {
 	case "":
-		if *primary != "" {
-			fmt.Fprintln(os.Stderr, "corrd: -primary requires -role=replica")
-			os.Exit(2)
+		if c.PrimaryAddr != "" {
+			return nil, errors.New("-primary requires -role=replica")
 		}
 	case "replica":
-		if *primary == "" {
-			fmt.Fprintln(os.Stderr, "corrd: -role=replica requires -primary=HOST:PORT")
-			os.Exit(2)
+		if c.PrimaryAddr == "" {
+			return nil, errors.New("-role=replica requires -primary=HOST:PORT")
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "corrd: bad -role %q (want replica or empty)\n", *roleFlag)
+		return nil, fmt.Errorf("bad -role %q (want replica or empty)", *roleFlag)
+	}
+	return &o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "corrd: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -198,116 +229,82 @@ func main() {
 	// real filesystem — "off" arms it with no active rules, so a test
 	// harness can inject later through POST /v1/fault. An armed injector
 	// is loudly logged: it exists to break durability on purpose.
-	var faultFS fault.FS
-	if *faultPlan != "" {
-		plan, err := fault.ParsePlan(*faultPlan)
+	if o.faultPlan != "" {
+		plan, err := fault.ParsePlan(o.faultPlan)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "corrd: -fault-plan: %v\n", err)
 			os.Exit(2)
 		}
 		inj := fault.NewInjector(fault.OS())
 		inj.SetPlan(plan)
-		faultFS = inj
-		logger.Printf("corrd: FAULT INJECTION ARMED (testing only): plan %q", *faultPlan)
+		o.svc.FS = inj
+		logger.Printf("corrd: FAULT INJECTION ARMED (testing only): plan %q", o.faultPlan)
 	}
 
-	var accessW io.Writer
 	var accessFile *os.File
-	switch *accessLog {
+	switch o.accessLog {
 	case "":
 	case "-":
-		accessW = os.Stderr
+		o.svc.AccessLog = os.Stderr
 	default:
-		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(o.accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "corrd: access log: %v\n", err)
 			os.Exit(1)
 		}
-		accessW, accessFile = f, f
+		o.svc.AccessLog, accessFile = f, f
 	}
+	o.svc.Logger = logger
 
-	svc, err := service.New(service.Config{
-		Aggregate: *agg,
-		K:         *k,
-		Options: correlated.Options{
-			Eps: *eps, Delta: *delta, YMax: *ymax,
-			MaxStreamLen: *maxn, MaxX: *maxx, Seed: *seed,
-			Predicate: predicate, Alpha: *alpha,
-		},
-		Shards:            *shards,
-		IngestGroupMax:    *groupMax,
-		QueryMaxStale:     *maxStale,
-		SnapshotPath:      *snapshot,
-		SnapshotInterval:  *snapInterval,
-		SnapshotKeep:      *snapKeep,
-		WALDir:            *walDir,
-		WALFsync:          *walFsync,
-		WALFsyncInterval:  *walFsyncInt,
-		WALSegmentBytes:   *walSegBytes,
-		PushTo:            *pushTo,
-		PushInterval:      *pushInterval,
-		PrimaryAddr:       *primary,
-		PrimaryTimeout:    *primaryTimeout,
-		HeartbeatInterval: *heartbeatInt,
-		AdminToken:        *adminToken,
-		MaxBodyBytes:      *maxBody,
-		IngestQueueMax:    *queueMax,
-		FS:                faultFS,
-		MaxTenants:        *maxTenants,
-		MaxTenantBytes:    *maxTenantBytes,
-		TenantIdleSpill:   *tenantIdle,
-		AccessLog:         accessW,
-		SlowRequest:       *slowReq,
-		Logger:            logger,
-	})
+	svc, err := service.New(o.svc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "corrd: %v\n", err)
 		os.Exit(1)
 	}
 	if svc.Restored() {
-		logger.Printf("corrd: restored state from %s", *snapshot)
+		logger.Printf("corrd: restored state from %s", o.svc.SnapshotPath)
 	}
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           svc.Handler(),
-		ReadHeaderTimeout: *readHeaderTO,
-		ReadTimeout:       *readTO,
-		IdleTimeout:       *idleTO,
+		ReadHeaderTimeout: o.readHeaderTO,
+		ReadTimeout:       o.readTO,
+		IdleTimeout:       o.idleTO,
 	}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("corrd: %s role listening on %s (agg=%s shards=%d)",
-			roleOf(*pushTo, *primary), *addr, *agg, *shards)
+		logger.Printf("corrd: %s role listening on %s (agg=%s)",
+			roleOf(o.svc.PushTo, o.svc.PrimaryAddr), o.addr, o.svc.Aggregate)
 		errc <- httpSrv.ListenAndServe()
 	}()
-	if *streamAddr != "" {
-		ln, err := net.Listen("tcp", *streamAddr)
+	if o.streamAddr != "" {
+		ln, err := net.Listen("tcp", o.streamAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "corrd: stream listen: %v\n", err)
 			svc.Close()
 			os.Exit(1)
 		}
 		go func() {
-			logger.Printf("corrd: streaming ingest listening on %s", *streamAddr)
+			logger.Printf("corrd: streaming ingest listening on %s", o.streamAddr)
 			if err := svc.ServeStream(ln); err != nil {
 				errc <- fmt.Errorf("stream serve: %w", err)
 			}
 		}()
 	}
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		// The profiling surface is its own listener on purpose: the
 		// serving address never exposes pprof, and a debug-listener
 		// failure only loses profiling, never the daemon.
 		debugSrv := &http.Server{
-			Addr:              *debugAddr,
+			Addr:              o.debugAddr,
 			Handler:           service.DebugHandler(),
-			ReadHeaderTimeout: *readHeaderTO,
-			ReadTimeout:       *readTO,
-			IdleTimeout:       *idleTO,
+			ReadHeaderTimeout: o.readHeaderTO,
+			ReadTimeout:       o.readTO,
+			IdleTimeout:       o.idleTO,
 		}
 		go func() {
-			logger.Printf("corrd: debug (pprof) listening on %s", *debugAddr)
+			logger.Printf("corrd: debug (pprof) listening on %s", o.debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Printf("corrd: debug serve: %v", err)
 			}
@@ -325,7 +322,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Drain in-flight requests, then flush/push/snapshot via Close.
+	// Drain in-flight requests, then commit/push/snapshot via Close.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {

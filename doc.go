@@ -50,20 +50,24 @@
 //	§4 turnstile/multipass    internal/turnstile  MULTIPASS, GREATER-THAN bounds
 //	distributed model         shard             P worker-owned summaries, channel-fed
 //	                                            ingest, merge-then-query coordinator,
-//	                                            engine snapshots and push images
+//	                                            engine snapshots and push images (a
+//	                                            library feature; corrd does not use it)
 //	                          service, client   corrd, the site/coordinator network
 //	                                            daemon (cmd/corrd): HTTP ingest and
 //	                                            wire-image pushes, snapshot
 //	                                            durability, Prometheus metrics, and
 //	                                            the Go client driving it
 //	concurrent serving        service           group-commit ingest pipeline (one
-//	                                            fsync + one engine drain per group
-//	                                            of concurrent requests) and the
-//	                                            epoch-cached query path (merged
-//	                                            summary rebuilt only when state
-//	                                            moved, served outside the ingest
-//	                                            lock; -query-max-stale bounds the
-//	                                            rebuild rate)
+//	                                            fsync and one AddBatch per touched
+//	                                            tenant per group of concurrent
+//	                                            requests, GE applied beside LE on a
+//	                                            second goroutine) and the memoized
+//	                                            query path ((op, cutoff) answers
+//	                                            evaluated on the live summary under
+//	                                            the driver lock, then served
+//	                                            lock-free until the tenant's state
+//	                                            moves; -query-max-stale bounds the
+//	                                            evaluation rate)
 //	streaming ingest          service, client   persistent length-framed ingest
 //	                                            transport (corrd -stream-addr):
 //	                                            counted tupleio frames pipelined
@@ -73,7 +77,7 @@
 //	                                            client.DialStream handle driving
 //	                                            it (corrgen -stream for load)
 //	multi-tenancy             service, client   keyed namespaces (?tenant=,
-//	                                            keyed stream frames): one engine
+//	                                            keyed stream frames): one summary
 //	                                            per tenant behind the shared WAL
 //	                                            and group-commit pipeline,
 //	                                            tenant-tagged log records and
@@ -100,7 +104,7 @@
 //	                                            heartbeats, snapshot re-seeds for
 //	                                            pruned positions); the replica
 //	                                            replays through the crash-recovery
-//	                                            grammar and serves epoch-cached
+//	                                            grammar and serves memoized
 //	                                            reads, rejecting writes with 503;
 //	                                            POST /v1/promote (admin-gated) or
 //	                                            heartbeat-loss auto-promotion seals
@@ -189,9 +193,14 @@
 // Summaries are not safe for concurrent use. Both ingestion and queries
 // mutate internal state (sketch free lists and scratch buffers are pooled
 // per summary for allocation-free steady-state operation), so all access —
-// including read-only queries — must be serialized by the caller. For
-// multi-core ingest, use the shard subpackage, which owns one summary per
-// worker goroutine and merges at query time.
+// including read-only queries — must be serialized by the caller. One
+// summary already uses a second core on its own: with Predicate Both, an
+// AddBatch of 64 tuples or more applies the mirrored GE structure on a
+// goroutine of its own beside LE (the two share no state, so the result is
+// bit-identical to applying them in turn) and returns when both are done.
+// To spread one stream over more cores than that, use the shard
+// subpackage, which owns one summary per worker goroutine and merges at
+// query time — at close to one summary's memory per worker.
 //
 // # Quick example
 //

@@ -43,7 +43,7 @@ func main() {
 	ctx := context.Background()
 
 	// ---- Coordinator ----------------------------------------------------
-	coord, err := service.New(service.Config{Options: opts, Shards: 2})
+	coord, err := service.New(service.Config{Options: opts})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func main() {
 	var siteClients []*client.Client
 	for i := 0; i < 2; i++ {
 		site, err := service.New(service.Config{
-			Options: opts, Shards: 2,
-			PushTo: coordSrv.URL, PushInterval: 100 * time.Millisecond,
+			Options: opts,
+			PushTo:  coordSrv.URL, PushInterval: 100 * time.Millisecond,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -136,7 +136,7 @@ func main() {
 		log.Fatal(err)
 	}
 	restoredSvc, err := service.New(service.Config{
-		Options: opts, Shards: 2, SnapshotPath: snap, SnapshotInterval: time.Hour,
+		Options: opts, SnapshotPath: snap, SnapshotInterval: time.Hour,
 	})
 	if err != nil {
 		log.Fatal(err)

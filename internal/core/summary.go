@@ -604,6 +604,18 @@ type Tuple struct {
 // carrying the same guarantees. The batch is rejected up front (summary
 // untouched) if any tuple is invalid.
 func (s *Summary) AddBatch(batch []Tuple) error {
+	if err := s.SortBatch(batch); err != nil {
+		return err
+	}
+	s.AddSorted(batch)
+	return nil
+}
+
+// SortBatch is AddBatch's first half: it validates the batch, normalizes
+// zero weights to 1 and sorts it by y in place, leaving the summary
+// untouched. A caller that derives a second batch from the sorted order
+// (the root package's mirrored GE direction) calls the halves itself.
+func (s *Summary) SortBatch(batch []Tuple) error {
 	for i := range batch {
 		if batch[i].Y > s.cfg.YMax {
 			return fmt.Errorf("core: y = %d exceeds YMax = %d", batch[i].Y, s.cfg.YMax)
@@ -616,6 +628,12 @@ func (s *Summary) AddBatch(batch []Tuple) error {
 		}
 	}
 	sort.Slice(batch, func(i, j int) bool { return batch[i].Y < batch[j].Y })
+	return nil
+}
+
+// AddSorted is AddBatch's second half: it inserts a batch that SortBatch
+// accepted, one equal-y group at a time.
+func (s *Summary) AddSorted(batch []Tuple) {
 	for start := 0; start < len(batch); {
 		end := start + 1
 		for end < len(batch) && batch[end].Y == batch[start].Y {
@@ -624,7 +642,6 @@ func (s *Summary) AddBatch(batch []Tuple) error {
 		s.addGroup(batch[start:end])
 		start = end
 	}
-	return nil
 }
 
 // addGroup inserts one equal-y run of a sorted batch. Mirrors AddWeighted,

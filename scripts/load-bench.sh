@@ -10,10 +10,9 @@
 #           but fsyncs-per-request drops to the group-commit ratio).
 #   mixed   the same ingest with 4 hot multi-cutoff query loops and a
 #           500ms query staleness budget — the serving scenario where
-#           the epoch cache keeps queries from taxing ingest with one
-#           cross-shard merge per query (the pre-group-commit server
-#           collapses here: every query held the ingest lock for a
-#           full merge).
+#           memoized answers keep a hot query loop off the commit path
+#           (the pre-group-commit server collapses here: every query
+#           held the ingest lock for a full cross-shard merge).
 #   stream  the same tuples over the persistent length-framed streaming
 #           transport (corrd -stream-addr, corrgen -stream) next to an
 #           HTTP run at the same chunking — both at wire-speed

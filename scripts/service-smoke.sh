@@ -134,10 +134,9 @@ kill -TERM "$CORRD_PID"; wait "$CORRD_PID" || true
 CORRD_PID=""
 
 echo "== WAL crash-exact recovery (kill -9 mid-ingest, -wal-fsync=always)"
-# A two-shard daemon with a WAL (snapshots serialize the routing
-# cursors, so recovery is exact even across shards); the snapshot
-# ticker runs so the restart exercises restore-snapshot-then-replay-
-# suffix.
+# A daemon with a WAL (-shards 2 is passed on purpose: the flag is
+# accepted and ignored); the snapshot ticker runs so the restart
+# exercises restore-snapshot-then-replay-suffix.
 WAL_ADDR="127.0.0.1:17074"; WBASE="http://$WAL_ADDR"
 ORACLE_ADDR="127.0.0.1:17075"; OBASE="http://$ORACLE_ADDR"
 WAL_N=200000

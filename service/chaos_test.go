@@ -48,25 +48,6 @@ func mustPlan(t *testing.T, s string) *fault.Plan {
 	return p
 }
 
-// chaosCrash simulates kill -9 for a fault-injected in-process server:
-// drop the listener, stop the background loops (the recovery prober
-// must not keep appending to WAL files a restarted server now owns),
-// and kill the engine goroutines. No graceful flush, no final snapshot,
-// no WAL close — the disk is left exactly as a SIGKILL would leave it.
-func chaosCrash(ts *httptest.Server, svc *Server) {
-	if ts != nil {
-		ts.Close()
-	}
-	svc.closeMu.Lock()
-	if !svc.closed {
-		svc.closed = true // a later Close() becomes a no-op
-		svc.closing.Store(true)
-		close(svc.done)
-	}
-	svc.closeMu.Unlock()
-	svc.Engine().Close()
-}
-
 // ingestOutcome is one sequential batch's fate during a fault run.
 type ingestOutcome struct {
 	batch int
@@ -130,7 +111,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 			if acked < 5 {
 				t.Fatalf("fault nacked pre-fault batches: %+v", outcomes)
 			}
-			chaosCrash(ts, svc)
+			crash(ts, svc)
 			inj.SetPlan(nil) // the disk heals before the restart
 
 			svc2, err := New(cfg)
@@ -138,7 +119,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 				t.Fatalf("restart after %s: %v", tc.name, err)
 			}
 			t.Cleanup(func() { svc2.Close() })
-			got, err := svc2.Engine().MarshalMerged()
+			got, err := svc2.Engine().MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +141,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want, err := oracle.Engine().MarshalMerged()
+			want, err := oracle.Engine().MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -528,7 +509,7 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	if err := cl.AddBatch(ctx, c); err != nil { // WAL suffix past both
 		t.Fatal(err)
 	}
-	chaosCrash(ts, svc)
+	crash(ts, svc)
 
 	if _, err := os.Stat(cfg.SnapshotPath + ".1"); err != nil {
 		t.Fatalf("retention slot 1 missing after two snapshots: %v", err)
@@ -561,7 +542,7 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	if svc2.walReplayed == 0 {
 		t.Fatal("fallback restart replayed no WAL suffix")
 	}
-	got, err := svc2.Engine().MarshalMerged()
+	got, err := svc2.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,14 +564,14 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	if err := ocl.AddBatch(ctx, c); err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Engine().MarshalMerged()
+	want, err := oracle.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fallback-restored state differs from oracle (%d vs %d bytes)", len(got), len(want))
 	}
-	chaosCrash(nil, svc2)
+	crash(nil, svc2)
 
 	// Both slots corrupt: startup must fail loudly, not serve emptiness.
 	flip(cfg.SnapshotPath + ".1")

@@ -15,7 +15,6 @@ import (
 	"github.com/streamagg/correlated/internal/fault"
 	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
-	"github.com/streamagg/correlated/shard"
 )
 
 // routes wires the HTTP surface. Method-qualified patterns (Go 1.22
@@ -66,6 +65,15 @@ func (s *Server) handleFault(inj *fault.Injector) http.HandlerFunc {
 // by the next large request instead.
 const maxPooledBuffer = 4 << 20
 
+// pooledTuples returns b for reuse, or nil when a rare huge batch grew it
+// past what a long-lived scratch buffer may pin.
+func pooledTuples(b []correlated.Tuple) []correlated.Tuple {
+	if cap(b)*24 > maxPooledBuffer { // 24 bytes per Tuple
+		return nil
+	}
+	return b
+}
+
 // putDecodeState recycles d unless a large request inflated it. The
 // job's tuple reference is always dropped: it aliases d.tuples, and
 // leaving it set would keep an oversized backing array alive through
@@ -76,9 +84,7 @@ func (s *Server) putDecodeState(d *decodeState) {
 	if cap(d.body) > maxPooledBuffer {
 		d.body = nil
 	}
-	if cap(d.tuples)*24 > maxPooledBuffer { // 24 bytes per Tuple
-		d.tuples = nil
-	}
+	d.tuples = pooledTuples(d.tuples)
 	s.dec.Put(d)
 }
 
@@ -203,8 +209,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, dst []byte) ([
 
 // handleIngest accepts a batch of tuples — the binary tupleio stream
 // from the Go client, or text lines "x,y[,w]" for curl-friendly ingest —
-// and drives it through the shard engine's atomic AddBatch: a rejected
-// batch has ingested nothing.
+// and hands it to the commit pipeline: a rejected batch has ingested
+// nothing.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ingestRequests.Inc()
 	if s.replicaMode.Load() {
@@ -254,8 +260,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// Hand the decoded batch to the commit pipeline and wait for its
 	// group to commit: the committer applies the whole group's members
-	// under one driver-lock critical section, drains each touched
-	// tenant's engine once, and makes them durable behind one WAL fsync —
+	// under one driver-lock critical section, one AddBatch per touched
+	// tenant, and makes them durable behind one WAL fsync —
 	// so under concurrent clients the per-request ack cost is the group
 	// cost divided by the group size (see pipeline.go). The reply below
 	// is sent only after that group-wide durability barrier.
@@ -275,21 +281,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.stages[stageAck].Observe(time.Since(d.job.wakeAt).Seconds())
 	switch d.job.kind {
 	case ingestErrValidate:
-		// AddBatch fails only on synchronous validation (y bound,
-		// weight) — the batch was rejected atomically, so this is the
-		// client's error; a closed engine is the exception.
+		// Validation (y bound, weight) rejected the batch before any of
+		// it was applied: the client's error.
 		s.metrics.ingestErrors.Inc()
-		status := http.StatusBadRequest
-		if errors.Is(d.job.err, shard.ErrClosed) {
-			status = http.StatusServiceUnavailable
-		}
-		s.httpError(w, status, d.job.err)
+		s.httpError(w, http.StatusBadRequest, d.job.err)
 		return
 	case ingestErrEngine:
-		// A worker rejected part of the group (or the engine died):
-		// not logged, not acknowledged.
+		// The tenant's engine could not be restored from its spilled
+		// image (or refused the batch): not logged, not acknowledged.
 		s.metrics.ingestErrors.Inc()
-		s.httpError(w, statusForEngine(d.job.err), d.job.err)
+		s.httpError(w, http.StatusInternalServerError, d.job.err)
 		return
 	case ingestErrWAL:
 		// The engine holds the group but the log does not: the tuples
@@ -376,7 +377,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	if engErr != nil {
 		s.mu.Unlock()
 		s.metrics.pushErrors.Inc()
-		s.httpError(w, statusForEngine(engErr), engErr)
+		s.httpError(w, http.StatusInternalServerError, engErr)
 		return
 	}
 	err := eng.MergeMarshaled(d.body)
@@ -414,15 +415,15 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 // single c keeps the original wire shape; multiple return
 // {"op":...,"results":[...]}.
 //
-// Queries are served from the epoch cache: a merged summary rebuilt
-// (one barrier + one shard merge, under the driver lock) only when the
-// engine state has actually moved since the cache was built, and read
-// without the driver lock otherwise. Repeated queries against unmoved
-// state cost zero merges and never block ingest; under sustained ingest
-// the rebuild happens at most once per committed group, shared by every
-// query that arrives within the epoch. Read-your-writes holds: an
-// acknowledged ingest bumped the epoch before its ack, so a later query
-// sees a stale cache and rebuilds.
+// Answers are memoized per tenant: an (op, cutoff) estimate is evaluated
+// on the live summary, under the driver lock, and then served without
+// any lock on an engine for as long as the tenant's state has not moved
+// (or, with Config.QueryMaxStale, for that long regardless). Repeated
+// queries against unmoved state never block ingest; a request that
+// repeats some cutoffs and adds others evaluates only the new ones.
+// Read-your-writes holds: an acknowledged ingest bumped the tenant's
+// epoch before its ack, so a later query finds its memoized answers
+// stale and evaluates again.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	op := q.Get("op")
@@ -461,51 +462,33 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.metrics.queryErrors.Inc()
 		return
 	}
-	// Serve from the tenant's cached merged summary, rebuilding it first
-	// if its epoch moved. queryMu serializes queries among themselves
-	// per tenant (the cached summary's query path uses pooled scratch);
-	// the driver lock is taken only for the rebuild — which also
-	// materializes a spilled tenant — so evaluation never blocks ingest.
-	// A spilled tenant always rebuilds: its spill invalidated the cache
-	// under this same queryMu.
+	// Serve what the tenant's memo can; take the driver lock — which
+	// also materializes a spilled tenant — only for the rest. The memo is
+	// consulted again under the lock: concurrent queries for the same
+	// cutoffs queue on it, and all but the first find the answer there,
+	// so the evaluation rate is bounded per cutoff, not per client.
 	estimates := make([]float64, len(cutoffs))
-	var err error
-	tn.queryMu.Lock()
-	eng := tn.cacheEng
-	stale := !tn.cacheValid || tn.cacheEpoch != tn.epoch.Load()
-	if stale && tn.cacheValid && s.cfg.QueryMaxStale > 0 &&
-		time.Since(tn.cacheBuilt) < s.cfg.QueryMaxStale {
-		// The state moved, but the cache is within the configured
-		// staleness budget: keep serving it, so a hot query loop costs
-		// at most one rebuild per window instead of one per commit.
-		stale = false
+	missing := make([]int, len(cutoffs))
+	for i := range missing {
+		missing[i] = i
 	}
-	if stale {
+	ge, now := op == "ge", time.Now()
+	missing = tn.memoServe(ge, cutoffs, estimates, missing, now, s.cfg.QueryMaxStale)
+	var err error
+	if len(missing) > 0 {
 		s.mu.Lock()
-		eng, err = s.ensureEngineLocked(tn)
-		if err == nil {
-			err = eng.RefreshCached()
+		var eng Engine
+		if eng, err = s.ensureEngineLocked(tn); err == nil {
+			missing = tn.memoServe(ge, cutoffs, estimates, missing, now, s.cfg.QueryMaxStale)
+			err = tn.memoEvaluate(eng, ge, cutoffs, estimates, missing, now)
 		}
-		epoch := tn.epoch.Load() // stable while mu is held: bumps happen under mu
 		s.mu.Unlock()
-		if err != nil {
-			tn.queryMu.Unlock()
-			s.metrics.queryErrors.Inc()
-			s.httpError(w, statusForQuery(err), err)
-			return
-		}
-		tn.cacheEpoch, tn.cacheValid, tn.cacheBuilt = epoch, true, time.Now()
-		tn.cacheEng = eng
+	}
+	if len(missing) > 0 {
 		s.metrics.queryCacheRebuilds.Inc()
 	} else {
 		s.metrics.queryCacheHits.Inc()
 	}
-	if op == "le" {
-		err = eng.CachedQueryLEBatch(cutoffs, estimates)
-	} else {
-		err = eng.CachedQueryGEBatch(cutoffs, estimates)
-	}
-	tn.queryMu.Unlock()
 	tn.touch()
 	tn.queries.Add(uint64(len(cutoffs)))
 	if err != nil {
@@ -530,32 +513,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxCutoffsPerQuery bounds the per-request work of a multi-cutoff
-// query; each cutoff costs a merge-composed query on the engine.
+// query; each cutoff not memoized costs one query on the live summary
+// under the driver lock.
 const maxCutoffsPerQuery = 1024
 
 // statusForQuery maps query errors: misuse is 400, the paper's FAIL
 // output (ErrNoLevel, probability <= Delta) is 503 — the client may
-// retry a nearby cutoff — and a closed engine is 503 too.
+// retry a nearby cutoff.
 func statusForQuery(err error) int {
 	switch {
 	case errors.Is(err, correlated.ErrDirection):
 		return http.StatusBadRequest
-	case errors.Is(err, correlated.ErrNoLevel), errors.Is(err, shard.ErrClosed):
+	case errors.Is(err, correlated.ErrNoLevel):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-// statusForEngine maps errors surfacing from engine barriers (stats,
-// summary): a closed engine is 503, anything else is server state gone
-// wrong — e.g. a worker's sticky async ingest error — not the caller's
-// fault.
-func statusForEngine(err error) int {
-	if errors.Is(err, shard.ErrClosed) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
 }
 
 // handleStats reports the serving-state counters as JSON. Without a
@@ -576,18 +549,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var count uint64
 	var space int64
 	if err == nil {
-		count, err = eng.Count()
-	}
-	if err == nil {
-		space, err = eng.Space()
-	}
-	var shards int
-	if err == nil {
-		shards = eng.Shards()
+		count, space = eng.Count(), eng.Space()
 	}
 	s.mu.Unlock()
 	if err != nil {
-		s.httpError(w, statusForEngine(err), err)
+		s.httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if named {
@@ -597,7 +563,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := client.Stats{
 		Role:           s.roleNow(),
 		Aggregate:      s.cfg.aggregate(),
-		Shards:         shards,
+		Shards:         1, // one summary per tenant; the field predates that
 		Count:          count,
 		Space:          space,
 		TuplesIngested: s.metrics.tuplesIngested.Load(),
@@ -660,7 +626,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleSummary serves a tenant's merged summary image — the same
+// handleSummary serves a tenant's summary image — the same
 // bytes a site would push, so a downstream coordinator (or an offline
 // tool) can pull instead of being pushed to. ?tenant= selects the
 // namespace; unknown keys are 404, and a spilled tenant materializes.
@@ -673,11 +639,11 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	eng, err := s.ensureEngineLocked(tn)
 	var img []byte
 	if err == nil {
-		img, err = eng.MarshalMerged()
+		img, err = eng.MarshalBinary()
 	}
 	s.mu.Unlock()
 	if err != nil {
-		s.httpError(w, statusForEngine(err), err)
+		s.httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	tn.touch()
@@ -695,19 +661,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// handleMetrics renders the Prometheus text exposition. Engine gauges
-// are sampled under the driver lock (a drain barrier — scrape-rate
-// traffic, not hot-path traffic).
+// handleMetrics renders the Prometheus text exposition. The default
+// tenant's engine gauges are sampled under the driver lock (Space walks
+// the summary — scrape-rate traffic, not hot-path traffic).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var es engineStats
 	s.mu.Lock()
-	if n, err := s.def.eng.Count(); err == nil {
-		es.count = n
-	}
-	if sp, err := s.def.eng.Space(); err == nil {
-		es.space = sp
-	}
-	es.shards = s.def.eng.Shards()
+	es := engineStats{count: s.def.eng.Count(), space: s.def.eng.Space()}
 	s.mu.Unlock()
 	var ts tenantStats
 	ts.total, ts.live = s.tenantCounts()

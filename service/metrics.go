@@ -120,11 +120,12 @@ type metrics struct {
 
 	// Group commit: groups committed and the requests they carried —
 	// requests/groups is the live amortization factor (how many acks
-	// each fsync + engine drain bought).
+	// each fsync bought).
 	ingestGroups       counter
 	ingestGroupMembers counter
 
-	// Epoch cache: queries served without a merge vs rebuilds paid.
+	// Answer memo: query requests served wholly from it vs requests that
+	// took the driver lock to evaluate on the live summary.
 	queryCacheHits     counter
 	queryCacheRebuilds counter
 
@@ -164,7 +165,6 @@ type metrics struct {
 	tenantsRestored      counter
 	tenantRejectedLimit  counter // creations refused by MaxTenants (429)
 	tenantRejectedMemory counter // creations refused by MaxTenantBytes (413)
-	tenantEnginesReused  counter // engines taken from the cross-tenant free list
 	tenantBytes          gauge   // sampled summed per-tenant footprint
 
 	// Pipeline-stage tracing (trace.go): where an acknowledged ingest's
@@ -240,9 +240,8 @@ func (m *metrics) observe(handler string, d time.Duration) {
 // under the server's lock just before rendering. It describes the
 // default tenant's engine (the single-tenant shape, unchanged).
 type engineStats struct {
-	count  uint64
-	space  int64
-	shards int
+	count uint64
+	space int64
 }
 
 // tenantStats is the registry-derived part of the exposition.
@@ -293,10 +292,10 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	c("corrd_tuples_ingested_total", "Tuples accepted through /v1/ingest.", m.tuplesIngested.Load())
 	c("corrd_ingest_requests_total", "Requests to /v1/ingest.", m.ingestRequests.Load())
 	c("corrd_ingest_errors_total", "Rejected /v1/ingest requests.", m.ingestErrors.Load())
-	c("corrd_ingest_groups_total", "Commit groups applied (each pays one engine drain and, with a WAL, one fsync).", m.ingestGroups.Load())
+	c("corrd_ingest_groups_total", "Commit groups applied (each pays one AddBatch per touched tenant and, with a WAL, one fsync).", m.ingestGroups.Load())
 	c("corrd_ingest_group_requests_total", "Ingest requests carried by commit groups (divide by groups for the amortization factor).", m.ingestGroupMembers.Load())
-	c("corrd_query_cache_hits_total", "Queries served from the epoch cache without a shard merge.", m.queryCacheHits.Load())
-	c("corrd_query_cache_rebuilds_total", "Epoch-cache rebuilds (one barrier + shard merge each).", m.queryCacheRebuilds.Load())
+	c("corrd_query_cache_hits_total", "Query requests answered wholly from the tenant's answer memo.", m.queryCacheHits.Load())
+	c("corrd_query_cache_rebuilds_total", "Query requests that took the driver lock to evaluate on the live summary.", m.queryCacheRebuilds.Load())
 	g("corrd_stream_conns", "Live streaming-ingest connections.", m.streamConns.Load())
 	c("corrd_stream_conns_total", "Streaming-ingest connections accepted.", m.streamConnsTotal.Load())
 	c("corrd_stream_frames_total", "Stream frames decoded and committed through the ingest pipeline.", m.streamFrames.Load())
@@ -320,8 +319,8 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	c("corrd_site_pushes_sent_total", "Images this site pushed upstream.", m.pushesSent.Load())
 	c("corrd_site_push_send_errors_total", "Failed upstream pushes (re-queued locally).", m.pushSendErrors.Load())
 	g("corrd_engine_tuples", "Tuples held by the engine (Count).", int64(es.count))
-	g("corrd_engine_space", "Stored counters/tuples across shard summaries (Space).", es.space)
-	g("corrd_engine_shards", "Shard workers in the engine.", int64(es.shards))
+	g("corrd_engine_space", "Stored counters/tuples in the default tenant's summary (Space).", es.space)
+	g("corrd_engine_shards", "Always 1: each tenant is one summary (-shards is ignored).", 1)
 	g("corrd_uptime_seconds", "Seconds since the server was created.", int64(time.Since(m.start).Seconds()))
 	g("corrd_tenants", "Keyed namespaces registered (the default tenant included).", int64(ts.total))
 	g("corrd_tenants_live", "Tenants with a materialized engine (the rest are spilled images).", int64(ts.live))
@@ -333,7 +332,6 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	fmt.Fprintf(w, "# TYPE corrd_tenant_rejected_total counter\n")
 	fmt.Fprintf(w, "corrd_tenant_rejected_total{reason=\"limit\"} %d\n", m.tenantRejectedLimit.Load())
 	fmt.Fprintf(w, "corrd_tenant_rejected_total{reason=\"memory\"} %d\n", m.tenantRejectedMemory.Load())
-	c("corrd_tenant_engines_reused_total", "Tenant engines taken warm from the cross-tenant free list.", m.tenantEnginesReused.Load())
 
 	// Replication series are emitted unconditionally: a dashboard built
 	// against a primary keeps working when the host is redeployed as a

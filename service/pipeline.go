@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -12,26 +13,26 @@ import (
 )
 
 // Group commit: the serving core's answer to "every acknowledged ingest
-// pays its own fsync and its own engine drain". Ingest handlers no
-// longer touch the engine; they decode, enqueue an ingestJob, and block
-// until the committer — a single goroutine owning the ingest side of the
-// driver lock — has committed the group their job rode in. The committer
-// drains everything queued (up to the group caps), applies the member
-// batches in queue order under one critical section, drains the engine
-// once, appends one WAL record for the whole group (one fsync under
-// -wal-fsync=always), and only then wakes the waiters with their
-// outcomes. Under K concurrent clients the fsync and drain cost is paid
-// once per group instead of once per request — the queue refills while
-// the previous group is fsyncing, so the pipeline stays full without any
-// timer or artificial batching delay; a lone client degenerates to
+// pays its own fsync and its own engine call". Ingest handlers never
+// touch an engine; they decode, enqueue an ingestJob, and block until the
+// committer — a single goroutine owning the ingest side of the driver
+// lock — has committed the group their job rode in. The committer takes
+// everything queued (up to the group caps), validates each member, hands
+// every touched tenant its valid members as one AddBatch under one
+// critical section, appends one WAL record for the whole group (one fsync
+// under -wal-fsync=always), and only then wakes the waiters with their
+// outcomes. Under K concurrent clients the fsync and the per-batch sort
+// are paid once per group instead of once per request — the queue refills
+// while the previous group is fsyncing, so the pipeline stays full without
+// any timer or artificial batching delay; a lone client degenerates to
 // groups of one and keeps its old latency.
 //
-// Crash-exactness is preserved because the group boundary itself is
-// durable: the group's single WAL record (RecordIngestGroup, or a plain
-// RecordIngest for a group of one) carries the member batches in commit
-// order, and replay re-applies them and then flushes once — the same
-// worker batch boundaries as the live run, which is what keeps recovered
-// state byte-identical (see wal.go).
+// Crash-exactness holds by construction: a summary's state depends on
+// where its AddBatch calls were cut, and the only cut there is is the
+// group's WAL record (RecordIngestGroup, or a plain RecordIngest for a
+// group of one), which carries the member batches in client order. Replay
+// turns a record back into the member list and runs the live commit's own
+// apply on it (applyGroupLocked).
 
 // errShuttingDown rejects ingest that arrives after Close began.
 var errShuttingDown = errors.New("service: shutting down")
@@ -46,8 +47,8 @@ type ingestErrKind uint8
 
 const (
 	ingestOK          ingestErrKind = iota
-	ingestErrValidate               // AddBatch rejected the member (client's error)
-	ingestErrEngine                 // the group flush surfaced an engine error
+	ingestErrValidate               // the member failed validation (client's error)
+	ingestErrEngine                 // the tenant's engine could not be restored or refused the batch
 	ingestErrWAL                    // the group's WAL append failed (not durable)
 	ingestErrShutdown               // the server is draining; never committed (stream acks only)
 	ingestErrTenant                 // a governance cap refused the tenant (stream acks only)
@@ -62,7 +63,8 @@ const (
 // writes of err/kind/lsn to the handler's reads. lsn is the WAL LSN of
 // the group record the job's batch rode in (0 without a WAL) — what a
 // stream ack reports back to the client. tn is the tenant the batch
-// addresses; nil means the default tenant.
+// addresses; nil means the default tenant. The committer only reads
+// tuples — the WAL record and the ack path see the client's order.
 type ingestJob struct {
 	tuples []correlated.Tuple
 	tn     *tenant
@@ -123,8 +125,8 @@ func (s *Server) enqueueIngest(j *ingestJob) error {
 }
 
 // closePipeline stops accepting new ingest and wakes the committer so it
-// drains what is already queued (the engine is still open: queued
-// requests are committed and acknowledged, not dropped) and exits.
+// drains what is already queued (queued requests are committed and
+// acknowledged, not dropped) and exits.
 func (s *Server) closePipeline() {
 	p := &s.pipe
 	p.mu.Lock()
@@ -171,96 +173,128 @@ func (s *Server) committer() {
 	}
 }
 
-// commitGroup applies, drains, and logs one group under a single
-// critical section of the driver lock, then wakes every member with its
-// outcome. Members that fail the engine's synchronous validation are
-// rejected individually and excluded from the group record; a flush or
-// WAL failure is group-wide (those members were applied together, so
-// they are un-acknowledged together).
-//
-// A group may span tenants: each member applies to its own tenant's
-// engine, and each touched tenant flushes exactly once, in first-touch
-// order — the keyed group record preserves member order, so replay
-// re-applies the same per-tenant AddBatch sequence and flushes the same
-// tenants in the same order. Worker batch boundaries stay a pure
-// function of the log, now per tenant. One WAL append and one fsync
-// still cover the whole group, however many tenants it touched.
+// validateBatch is the check a summary's AddBatch would make, run per
+// member before anything is applied, so one bad member is rejected alone
+// instead of failing the concatenated batch it would have ridden in.
+func (s *Server) validateBatch(batch []correlated.Tuple) error {
+	ymax := s.cfg.Options.YMax
+	for i := range batch {
+		if batch[i].Y > ymax {
+			return fmt.Errorf("service: y = %d exceeds YMax = %d", batch[i].Y, ymax)
+		}
+		if batch[i].W < 0 {
+			return fmt.Errorf("service: weight must be positive, got %d", batch[i].W)
+		}
+	}
+	return nil
+}
+
+// applyGroupLocked validates a group's members and applies them: each
+// touched tenant gets exactly one AddBatch, of its valid members in
+// commit order, concatenated into the committer's scratch — never applied
+// from a member's own slice, because AddBatch sorts its argument in place
+// and the log must keep the client's order for replay to feed the sort
+// the same permutation. It sets every member's kind (and err), bumps each
+// touched tenant's epoch, and reports how many members and tuples were
+// applied. The live committer, startup replay and a replica's apply loop
+// all come through here with the same member lists, which is what makes
+// their bytes equal. A member that fails validation is rejected alone; a
+// group may span tenants, which are applied in first-touch order. Callers
+// hold s.mu, or run before any goroutine exists.
+func (s *Server) applyGroupLocked(group []*ingestJob) (applied, tuples int) {
+	touched := s.touchedBuf[:0]
+	for _, j := range group {
+		if j.tn == nil {
+			j.tn = s.def
+		}
+		if err := s.validateBatch(j.tuples); err != nil {
+			j.err, j.kind = err, ingestErrValidate
+			continue
+		}
+		if _, err := s.ensureEngineLocked(j.tn); err != nil {
+			j.err, j.kind = err, ingestErrEngine
+			continue
+		}
+		j.kind = ingestOK
+		if !j.tn.inGroup {
+			j.tn.inGroup = true
+			touched = append(touched, j.tn)
+		}
+	}
+	sample := s.cfg.MaxTenantBytes > 0
+	for _, t := range touched {
+		buf := s.applyBuf[:0]
+		members := 0
+		for _, j := range group {
+			if j.tn == t && j.kind == ingestOK {
+				buf = append(buf, j.tuples...)
+				members++
+			}
+		}
+		err := t.eng.AddBatch(buf)
+		if err != nil {
+			// Every member passed validateBatch, so the summary has no
+			// reason to refuse; if it does, it refused the whole batch
+			// untouched, and the tenant's members are nacked together.
+			for _, j := range group {
+				if j.tn == t && j.kind == ingestOK {
+					j.err, j.kind = err, ingestErrEngine
+				}
+			}
+		} else {
+			applied += members
+			tuples += len(buf)
+		}
+		s.applyBuf = pooledTuples(buf)
+		t.inGroup = false
+		t.epoch.Add(1)
+		t.touch()
+		if sample {
+			// Space walks the summary's buckets; the sample feeds the
+			// MaxTenantBytes cap.
+			t.space.Store(t.eng.Space())
+		}
+	}
+	s.touchedBuf = touched[:0]
+	return applied, tuples
+}
+
+// commitGroup applies and logs one group under a single critical section
+// of the driver lock, then wakes every member with its outcome. Members
+// that fail validation are rejected individually and excluded from the
+// group record; a WAL failure is group-wide (those members were applied
+// together, so they are un-acknowledged together). One WAL append and one
+// fsync cover the whole group, however many tenants it touched.
 func (s *Server) commitGroup(group []*ingestJob) {
 	// Stage tracing (trace.go): the dequeue closes every member's
-	// "enqueue" stage; "apply" runs from here through the touched-tenant
-	// flushes (driver-lock wait included), "append" is the group's WAL
+	// "enqueue" stage; "apply" runs from here through the last tenant's
+	// AddBatch (driver-lock wait included), "append" is the group's WAL
 	// record, "fsync" the durability barrier below.
 	dequeued := time.Now()
 	for _, j := range group {
 		s.metrics.stages[stageEnqueue].Observe(dequeued.Sub(j.enqueuedAt).Seconds())
 	}
 	s.mu.Lock()
-	applied, groupTuples := 0, 0
-	touched := s.touchedBuf[:0]
-	for _, j := range group {
-		if j.tn == nil {
-			j.tn = s.def
-		}
-		eng, err := s.ensureEngineLocked(j.tn)
-		if err != nil {
-			j.err, j.kind = err, ingestErrEngine
-			continue
-		}
-		if err := eng.AddBatch(j.tuples); err != nil {
-			j.err, j.kind = err, ingestErrValidate
-			continue
-		}
-		j.kind = ingestOK
-		applied++
-		groupTuples += len(j.tuples)
-		if !j.tn.inGroup {
-			j.tn.inGroup = true
-			touched = append(touched, j.tn)
-		}
-	}
-	var flushErr, walErr error
+	applied, groupTuples := s.applyGroupLocked(group)
+	var walErr error
 	var groupLSN uint64
 	applyEnd := time.Now()
 	if applied > 0 && s.wal != nil {
-		// One drain per touched tenant pins the group's worker batch
-		// boundaries, one append orders the group in the log. The append
-		// is deliberately not the fsync: that happens below, outside the
-		// driver lock, so the next group's decode and apply (and any
-		// query-cache rebuild) overlap this group's disk wait instead of
-		// queueing behind it.
-		for _, t := range touched {
-			if flushErr = t.eng.Flush(); flushErr != nil {
-				break
-			}
-		}
-		applyEnd = time.Now()
-		if flushErr == nil {
-			groupLSN, walErr = s.logIngestGroup(group)
-			s.metrics.stages[stageAppend].Observe(time.Since(applyEnd).Seconds())
-		}
+		// One append orders the group in the log. It is deliberately not
+		// the fsync: that happens below, outside the driver lock, so the
+		// next group's decode and apply (and any query evaluation)
+		// overlap this group's disk wait instead of queueing behind it.
+		groupLSN, walErr = s.logIngestGroup(group)
+		s.metrics.stages[stageAppend].Observe(time.Since(applyEnd).Seconds())
 	}
 	if applied > 0 {
 		s.metrics.stages[stageApply].Observe(applyEnd.Sub(dequeued).Seconds())
 	}
-	sample := s.cfg.MaxTenantBytes > 0
-	for _, t := range touched {
-		t.inGroup = false
-		t.epoch.Add(1)
-		t.touch()
-		if sample && flushErr == nil {
-			// The engine just drained for the group flush, so Space is a
-			// cheap walk; the sample feeds the MaxTenantBytes cap.
-			if sp, err := t.eng.Space(); err == nil {
-				t.space.Store(sp)
-			}
-		}
-	}
-	s.touchedBuf = touched[:0]
 	s.mu.Unlock()
-	if sample && applied > 0 {
+	if s.cfg.MaxTenantBytes > 0 && applied > 0 {
 		s.recomputeFootprint()
 	}
-	if applied > 0 && flushErr == nil && walErr == nil && s.walSyncAlways {
+	if applied > 0 && walErr == nil && s.walSyncAlways {
 		// The group-wide durability barrier the acks below stand behind:
 		// one fsync for the whole group. (Under fsync=interval/off the
 		// ack never promised durability, so there is nothing to wait on.)
@@ -275,7 +309,7 @@ func (s *Server) commitGroup(group []*ingestJob) {
 			s.wal.RewindUnsynced()
 		}
 	}
-	if applied > 0 && flushErr == nil && walErr == nil {
+	if applied > 0 && walErr == nil {
 		s.metrics.ingestGroups.Inc()
 		s.metrics.ingestGroupMembers.Add(uint64(applied))
 		s.metrics.groupSize.Observe(float64(applied))
@@ -288,7 +322,7 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		// overload Retry-After hint.
 		if walErr != nil {
 			s.noteWALError(walErr)
-		} else if flushErr == nil {
+		} else {
 			s.noteWALOK()
 		}
 		obs := time.Since(dequeued).Seconds()
@@ -300,9 +334,7 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	wake := time.Now()
 	for _, j := range group {
 		if j.kind == ingestOK {
-			if flushErr != nil {
-				j.err, j.kind = flushErr, ingestErrEngine
-			} else if walErr != nil {
+			if walErr != nil {
 				j.err, j.kind = walErr, ingestErrWAL
 			} else {
 				j.lsn = groupLSN

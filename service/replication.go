@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/internal/replica"
 	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
@@ -37,10 +36,10 @@ import (
 //
 // The replica (Config.PrimaryAddr) applies each shipped record under
 // the driver lock through the exact applyRecord switch its own startup
-// replay uses — same entry points, same per-record flush discipline —
-// so its state is always "the primary replayed to LSN N". It serves
-// reads (/v1/query, /v1/stats, /v1/summary) from the same epoch caches
-// as a primary and rejects writes with 503 (AckReadOnly on the
+// replay uses — same entry points, same one AddBatch per tenant per
+// group record — so its state is always "the primary replayed to LSN N".
+// It serves reads (/v1/query, /v1/stats, /v1/summary) through the same
+// answer memo as a primary and rejects writes with 503 (AckReadOnly on the
 // stream). Promotion — POST /v1/promote, or automatic on primary
 // silence (Config.PrimaryTimeout) — detaches the follower, seals the
 // applied LSN, folds back any push round the primary had in flight
@@ -61,33 +60,53 @@ var (
 // the startup replayer (service/wal.go) and a replica's live apply
 // loop each own one. startup toggles the checkpoint staleness witness
 // (live replicas ignore the primary's checkpoint markers) and the
-// epoch bumps (startup replay runs before any reader exists; live
-// apply must invalidate query caches as it goes).
+// epoch bumps of non-ingest records (startup replay runs before any
+// reader exists; live apply must invalidate memoized answers as it
+// goes).
 type replayState struct {
-	inFlight []byte             // image of an open push round, nil when none
-	tuples   []correlated.Tuple // decode scratch
-	touched  []*tenant          // keyed-group first-touch scratch
-	covered  uint64             // snapshot baseline (startup staleness check)
+	inFlight []byte       // image of an open push round, nil when none
+	jobs     []*ingestJob // a group record's members, rebuilt as the jobs the live commit saw
+	covered  uint64       // snapshot baseline (startup staleness check)
 	startup  bool
 	fallback bool // restore fell back to an older retention slot
 }
 
 func newReplayState(covered uint64, startup bool) *replayState {
-	return &replayState{
-		tuples:  make([]correlated.Tuple, 0, 4096),
-		covered: covered,
-		startup: startup,
-	}
+	return &replayState{covered: covered, startup: startup}
 }
 
-// noteTouch records that a record mutated t. Startup replay needs
-// nothing (no concurrent readers yet); live replica apply bumps the
-// epoch so the next query rebuilds its cached merge.
+// members returns n jobs to decode a group record into; the jobs and
+// their tuple buffers are reused from record to record.
+func (st *replayState) members(n int) []*ingestJob {
+	for len(st.jobs) < n {
+		st.jobs = append(st.jobs, &ingestJob{})
+	}
+	return st.jobs[:n]
+}
+
+// noteTouch records that a push, reset or fold-back record mutated t
+// (ingest records bump the epoch inside applyGroupLocked). Startup
+// replay needs nothing (no concurrent readers yet); live replica apply
+// bumps the epoch so memoized answers stop being served.
 func (st *replayState) noteTouch(t *tenant) {
 	if !st.startup {
 		t.epoch.Add(1)
 		t.touch()
 	}
+}
+
+// replayGroup applies a decoded group record through the live commit's
+// own applyGroupLocked. The log holds only members the live commit
+// applied, so any member refused here is fatal to the replay.
+func (s *Server) replayGroup(lsn uint64, group []*ingestJob) error {
+	s.applyGroupLocked(group)
+	for i, j := range group {
+		if j.kind != ingestOK {
+			return fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, j.err)
+		}
+		j.tuples = pooledTuples(j.tuples)
+	}
+	return nil
 }
 
 // replayTenantEngine resolves a replayed tenant key to its live
@@ -111,87 +130,54 @@ func (s *Server) replayTenantEngine(name []byte) (*tenant, Engine, error) {
 // a replica's live apply speak, which is what makes a promoted
 // replica's state byte-identical to a crash-free primary replayed to
 // the same LSN. counted reports whether the record carried state (a
-// checkpoint marker does not). The per-record flush discipline mirrors
-// the live commit exactly: one drain per touched tenant per group, in
-// first-touch order, so worker batch boundaries stay a pure function
-// of the log.
+// checkpoint marker does not). An ingest record is decoded back into
+// the member list the live commit held and applied by the same function,
+// so each touched tenant gets the same one AddBatch it got live.
 func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st *replayState) (counted bool, err error) {
 	switch typ {
 	case wal.RecordIngest:
-		if st.tuples, err = tupleio.DecodeCounted(st.tuples, payload); err != nil {
+		group := st.members(1)
+		j := group[0]
+		j.tn = s.def
+		if j.tuples, err = tupleio.DecodeCounted(j.tuples, payload); err != nil {
 			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 		}
-		if err := s.def.eng.AddBatch(st.tuples); err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
+		if err := s.replayGroup(lsn, group); err != nil {
+			return false, err
 		}
-		// Drain per record, mirroring the live commit of a group of
-		// one: worker batch boundaries replay exactly as they ran.
-		if err := s.def.eng.Flush(); err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
-		st.noteTouch(s.def)
-	case wal.RecordIngestGroup:
-		// One commit group: apply every member batch in commit order,
-		// then flush once — the same single drain the live group paid.
+	case wal.RecordIngestGroup, wal.RecordKeyedIngestGroup:
+		// One commit group: the member count, then each member as a
+		// counted batch (tenant-prefixed in the keyed form), in commit
+		// order.
 		n, sz := binary.Uvarint(payload)
 		if sz <= 0 {
 			return false, fmt.Errorf("service: wal replay: record %d: bad group header", lsn)
 		}
 		rest := payload[sz:]
-		for i := uint64(0); i < n; i++ {
-			if st.tuples, rest, err = tupleio.DecodeCountedPrefix(st.tuples, rest); err != nil {
-				return false, fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, err)
+		if n > uint64(len(rest)) {
+			return false, fmt.Errorf("service: wal replay: record %d: group claims %d members in %d bytes", lsn, n, len(rest))
+		}
+		group := st.members(int(n))
+		for i, j := range group {
+			j.tn = s.def
+			if typ == wal.RecordKeyedIngestGroup {
+				var name []byte
+				name, j.tuples, rest, err = tupleio.DecodeKeyedPrefix(j.tuples, rest)
+				if err == nil {
+					j.tn, err = s.getOrCreateTenant(name, true)
+				}
+			} else {
+				j.tuples, rest, err = tupleio.DecodeCountedPrefix(j.tuples, rest)
 			}
-			if err := s.def.eng.AddBatch(st.tuples); err != nil {
+			if err != nil {
 				return false, fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, err)
 			}
 		}
 		if len(rest) != 0 {
 			return false, fmt.Errorf("service: wal replay: record %d: %d trailing bytes after %d members", lsn, len(rest), n)
 		}
-		if err := s.def.eng.Flush(); err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
-		st.noteTouch(s.def)
-	case wal.RecordKeyedIngestGroup:
-		// A commit group that touched keyed tenants: apply every member
-		// to its tenant in commit order, then flush each touched tenant
-		// once, in first-touch order — exactly the sequence the live
-		// commitGroup ran.
-		n, sz := binary.Uvarint(payload)
-		if sz <= 0 {
-			return false, fmt.Errorf("service: wal replay: record %d: bad group header", lsn)
-		}
-		rest := payload[sz:]
-		st.touched = st.touched[:0]
-		for i := uint64(0); i < n; i++ {
-			var name, batchRest []byte
-			name, st.tuples, batchRest, err = tupleio.DecodeKeyedPrefix(st.tuples, rest)
-			if err != nil {
-				return false, fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, err)
-			}
-			rest = batchRest
-			t, eng, err := s.replayTenantEngine(name)
-			if err != nil {
-				return false, fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, err)
-			}
-			if err := eng.AddBatch(st.tuples); err != nil {
-				return false, fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, err)
-			}
-			if !t.inGroup {
-				t.inGroup = true
-				st.touched = append(st.touched, t)
-			}
-		}
-		if len(rest) != 0 {
-			return false, fmt.Errorf("service: wal replay: record %d: %d trailing bytes after %d members", lsn, len(rest), n)
-		}
-		for _, t := range st.touched {
-			t.inGroup = false
-			if err := t.eng.Flush(); err != nil {
-				return false, fmt.Errorf("service: wal replay: record %d tenant %q: %w", lsn, t.name, err)
-			}
-			st.noteTouch(t)
+		if err := s.replayGroup(lsn, group); err != nil {
+			return false, err
 		}
 	case wal.RecordPush:
 		if err := s.def.eng.MergeMarshaled(payload); err != nil {
@@ -212,9 +198,7 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 		}
 		st.noteTouch(t)
 	case wal.RecordReset:
-		if err := s.def.eng.Reset(); err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
+		s.def.eng.Reset()
 		st.inFlight = append(st.inFlight[:0], payload...)
 		st.noteTouch(s.def)
 	case wal.RecordPushAck:
@@ -502,9 +486,7 @@ func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
 		// Present locally, absent from the primary's image: empty it.
 		t.pending = nil
 		if t.eng != nil {
-			if err := t.eng.Reset(); err != nil {
-				return fmt.Errorf("service: install snapshot: reset tenant %q: %w", t.name, err)
-			}
+			t.eng.Reset()
 		}
 		t.epoch.Add(1)
 	}
@@ -514,7 +496,7 @@ func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
 			return fmt.Errorf("service: install snapshot: tenant %q: %w", ti.name, err)
 		}
 		if t.eng != nil {
-			if err := t.eng.UnmarshalBinary(ti.image); err != nil {
+			if err := unmarshalImage(t.eng, ti.image); err != nil {
 				return fmt.Errorf("service: install snapshot: tenant %q: %w", ti.name, err)
 			}
 		} else {

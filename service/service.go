@@ -2,8 +2,8 @@
 // service: the paper's distributed model (remote sites streaming tuples,
 // a coordinator answering AGG{x : y <= c} queries over merged site
 // summaries) as an HTTP daemon built entirely on the repo's mergeable
-// summaries and the shard parallel-ingest engine — standard library
-// only, zero new dependencies.
+// summaries — one per tenant — with the standard library only, zero new
+// dependencies.
 //
 // One Server plays either role:
 //
@@ -12,7 +12,7 @@
 //     via MergeMarshaled, no full decode round-trip), and answers
 //     GET /v1/query?op=le|ge&c=... from the merged state.
 //   - site (Config.PushTo set): ingests locally like a coordinator and
-//     ships its merged summary image upstream on a ticker, resetting the
+//     ships its summary image upstream on a ticker, resetting the
 //     local engine after each acknowledged push — the delta-push
 //     protocol; mergeability makes the coordinator's state the summary
 //     of the union stream.
@@ -26,7 +26,7 @@
 // and the recovered state is bit-identical to a crash-free run (see
 // wal.go). Observability is a dependency-free Prometheus-text /metrics
 // plus /healthz and /v1/stats, and shutdown is graceful: drain HTTP,
-// flush the shards, final push (site role), final snapshot.
+// commit what is queued, final push (site role), final snapshot.
 //
 // The HTTP surface is deliberately small and wire-stable; see the
 // README's "Running the service" section for the endpoint catalogue and
@@ -50,32 +50,24 @@ import (
 	"github.com/streamagg/correlated/internal/fault"
 	"github.com/streamagg/correlated/internal/replica"
 	"github.com/streamagg/correlated/internal/wal"
-	"github.com/streamagg/correlated/shard"
 )
 
-// Engine is what the service needs from the sharded engine: batched
-// ingest, dual-direction queries, merge-in of pushed images, and the two
-// wire forms (per-shard snapshot, merged push image). *shard.Sharded[S]
-// satisfies it for every root summary type.
+// Engine is what the service needs from a tenant's summary: batched
+// ingest, dual-direction queries, merge-in of pushed images, and the one
+// wire form that serves snapshot, push and /v1/summary alike. Every root
+// summary type (*F2Summary, *FkSummary, *CountSummary, *SumSummary)
+// satisfies it as is. An Engine is not safe for concurrent use; the
+// server drives each one under its driver lock.
 type Engine interface {
 	AddBatch(batch []correlated.Tuple) error
 	QueryLE(c uint64) (float64, error)
 	QueryGE(c uint64) (float64, error)
-	QueryLEBatch(cutoffs []uint64, out []float64) error
-	QueryGEBatch(cutoffs []uint64, out []float64) error
-	RefreshCached() error
-	CachedQueryLEBatch(cutoffs []uint64, out []float64) error
-	CachedQueryGEBatch(cutoffs []uint64, out []float64) error
-	Count() (uint64, error)
-	Space() (int64, error)
-	Flush() error
-	Reset() error
-	Shards() int
+	Count() uint64
+	Space() int64
+	Reset()
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary(data []byte) error
-	MarshalMerged() ([]byte, error)
 	MergeMarshaled(data []byte) error
-	Close() error
 }
 
 // Config configures a Server. The zero value is not usable: Options
@@ -87,31 +79,32 @@ type Config struct {
 	Aggregate string
 	// K is the moment order when Aggregate is "fk".
 	K int
-	// Options configures every shard summary. All sites and their
+	// Options configures every tenant's summary. All sites and their
 	// coordinator must share it verbatim — Seed included — or pushes
 	// are rejected as incompatible.
 	Options correlated.Options
-	// Shards is the engine's worker count; < 1 means 1.
-	Shards int
-	// BatchSize overrides the shard handoff granularity; 0 keeps the
-	// shard package default.
+	// Shards and BatchSize are accepted and ignored: a tenant's engine
+	// is one summary, applied by the committer (with the GE direction on
+	// a second goroutine), so there is nothing to shard or hand off. The
+	// fields stay so existing configurations keep compiling; New logs
+	// one line when either is set.
+	Shards    int
 	BatchSize int
 	// IngestGroupMax caps how many queued ingest requests one commit
-	// group may carry (the group shares one WAL fsync and one engine
-	// drain); <= 0 means 256. See pipeline.go.
+	// group may carry (the group shares one WAL fsync and one AddBatch
+	// per touched tenant); <= 0 means 256. See pipeline.go.
 	IngestGroupMax int
-	// QueryMaxStale bounds how old the epoch-cached merged summary may
-	// be before a query forces a rebuild. 0 (the default) rebuilds
-	// whenever the engine state moved since the cache was built —
-	// every query sees every acknowledged write. A positive value lets
-	// queries keep serving the existing cache for up to that long even
-	// though the state moved, capping the rebuild rate at one per
-	// window no matter how hot the query side runs: under sustained
-	// ingest each rebuild is a full cross-shard merge holding the
-	// driver lock, so a hot query loop with QueryMaxStale=0 taxes
-	// ingest with one merge per committed group. Estimates are
-	// approximate by construction; operators who can absorb a bounded
-	// staleness window buy back the entire merge tax.
+	// QueryMaxStale bounds how old a memoized query answer may be. 0
+	// (the default) serves a memoized (op, cutoff) answer only while the
+	// tenant's state has not moved since it was evaluated — every query
+	// sees every acknowledged write. A positive value keeps serving an
+	// answer for up to that long even though the state moved, capping
+	// the evaluation rate at one per (op, cutoff) per window no matter
+	// how hot the query side runs: an evaluation reads the live summary
+	// under the driver lock, so a hot query loop with QueryMaxStale=0
+	// under sustained ingest takes that lock once per request. Estimates
+	// are approximate by construction; operators who can absorb a
+	// bounded staleness window take the query side off the commit path.
 	QueryMaxStale time.Duration
 
 	// SnapshotPath enables durability: the engine state is persisted
@@ -160,7 +153,7 @@ type Config struct {
 	IngestQueueMax int
 
 	// PushTo switches the server into the site role: the base URL of
-	// the coordinator to push merged summary images to. The site role
+	// the coordinator to push summary images to. The site role
 	// pushes the default tenant's summary only; keyed tenants are a
 	// coordinator-side namespace (see tenant.go).
 	PushTo string
@@ -197,15 +190,15 @@ type Config struct {
 	// MaxTenantBytes caps the summed per-tenant memory footprint
 	// (sampled at commit and spill time); creating a tenant past it is
 	// rejected with HTTP 413. 0 means unlimited. A live tenant's sample
-	// is its engine's Space() — stored counters, not bytes — and a sparse
+	// is its summary's Space() — stored counters, not bytes — and a sparse
 	// sketch counts two per nonzero entry where it used to count its whole
 	// width × depth array, so the same traffic now samples 2–4× lower and
 	// a cap chosen before that admits correspondingly more tenants.
 	MaxTenantBytes int64
 	// TenantIdleSpill, when positive, spills tenants untouched for at
-	// least that long: the engine is marshaled to an in-memory image
-	// and parked on the cross-tenant free list, and the next touch
-	// restores it bit-identically. 0 disables idle spill.
+	// least that long: the summary is marshaled to an in-memory image
+	// and dropped, and the next touch restores it bit-identically. 0
+	// disables idle spill.
 	TenantIdleSpill time.Duration
 
 	// MaxBodyBytes caps request bodies; 0 means 64 MiB.
@@ -253,25 +246,20 @@ func (c *Config) aggregate() string {
 	return c.Aggregate
 }
 
-// newEngine builds the sharded engine for the configured aggregate.
+// newEngine builds one tenant's summary for the configured aggregate.
 func newEngine(cfg *Config) (Engine, error) {
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	var opts []shard.Option
-	if cfg.BatchSize > 0 {
-		opts = append(opts, shard.WithBatchSize(cfg.BatchSize))
-	}
 	switch cfg.aggregate() {
 	case "f2":
-		return shard.NewF2(cfg.Options, shards, opts...)
+		return correlated.NewF2Summary(cfg.Options)
 	case "fk":
-		return shard.NewFk(cfg.K, cfg.Options, shards, opts...)
+		if cfg.K < 2 {
+			return nil, fmt.Errorf("service: moment order K = %d (want >= 2)", cfg.K)
+		}
+		return correlated.NewFkSummary(cfg.K, cfg.Options)
 	case "count":
-		return shard.NewCount(cfg.Options, shards, opts...)
+		return correlated.NewCountSummary(cfg.Options)
 	case "sum":
-		return shard.NewSum(cfg.Options, shards, opts...)
+		return correlated.NewSumSummary(cfg.Options)
 	default:
 		return nil, fmt.Errorf("service: unknown aggregate %q (want f2, fk, count, or sum)", cfg.Aggregate)
 	}
@@ -291,7 +279,7 @@ type decodeState struct {
 }
 
 // Server is one corrd instance. Create it with New, serve its Handler,
-// and Close it to flush, final-push, and final-snapshot.
+// and Close it to drain, final-push, and final-snapshot.
 type Server struct {
 	cfg     Config
 	metrics *metrics
@@ -299,36 +287,39 @@ type Server struct {
 	logger  *log.Logger
 	access  *accessLog // nil without Config.AccessLog
 
-	// mu is the engine driver lock: the shard engines are single-driver
-	// by contract, so every engine mutation — a commit group applied by
-	// the committer, a push merge, a snapshot marshal, a tenant spill
-	// or restore — happens under it, across all tenants. Ingest
-	// handlers never take it themselves: they queue into the commit
-	// pipeline (pipe) and the committer goroutine commits whole groups
-	// under one critical section (see pipeline.go). WAL appends happen
-	// in the same critical section as their engine apply, so log order
-	// always equals apply order (what makes replay crash-exact).
-	// Queries do not take mu either, except to rebuild a tenant's
-	// epoch cache (tenant.go) when that tenant's state has moved.
+	// mu is the engine driver lock: a summary is single-driver by
+	// contract, so every read or write of one — a commit group applied
+	// by the committer, a push merge, a snapshot marshal, a tenant spill
+	// or restore, a query evaluation — happens under it, across all
+	// tenants. Ingest handlers never take it themselves: they queue into
+	// the commit pipeline (pipe) and the committer goroutine commits
+	// whole groups under one critical section (see pipeline.go). WAL
+	// appends happen in the same critical section as their engine apply,
+	// so log order always equals apply order (what makes replay
+	// crash-exact). A query takes mu only for the cutoffs its tenant's
+	// answer memo (tenant.go) cannot serve.
 	mu       sync.Mutex
 	restored bool
 
 	// Tenant registry (tenant.go): def is the default (empty-key)
 	// tenant, whose engine never spills; tenants maps every key
-	// (including "") to its namespace; engFree parks reset engines for
-	// cross-tenant reuse. regMu is the innermost lock — never acquire
-	// mu or a tenant's queryMu while holding it.
+	// (including "") to its namespace. regMu is the innermost lock —
+	// never acquire mu or a tenant's memoMu while holding it.
+	// tenantsLive counts tenants holding a materialized engine (the
+	// rest are spilled images), kept at create, spill and restore so a
+	// scrape never takes the driver lock to count them.
 	regMu       sync.RWMutex
 	tenants     map[string]*tenant
 	def         *tenant
-	engFree     []Engine
 	tenantBytes atomic.Int64 // footprint sample for the MaxTenantBytes cap
+	tenantsLive atomic.Int64
 
 	// pipe, committer state: ingest group commit (pipeline.go).
 	pipe       commitPipeline
 	groupMax   int
-	groupBuf   []byte    // committer-owned WAL group encode scratch
-	touchedBuf []*tenant // committer-owned touched-tenant scratch
+	groupBuf   []byte             // committer-owned WAL group encode scratch
+	touchedBuf []*tenant          // committer-owned touched-tenant scratch
+	applyBuf   []correlated.Tuple // committer-owned copy of one tenant's members
 
 	// fs routes WAL and snapshot filesystem calls (fault.OS() unless
 	// Config.FS injects faults); health is the degraded-mode state
@@ -433,6 +424,7 @@ func New(cfg Config) (*Server, error) {
 	s.def = &tenant{eng: eng}
 	s.def.touch()
 	s.tenants = map[string]*tenant{"": s.def}
+	s.tenantsLive.Store(1)
 	if s.logger == nil {
 		s.logger = log.New(io.Discard, "", 0)
 	}
@@ -444,7 +436,6 @@ func New(cfg Config) (*Server, error) {
 	// continues the primary's LSN space.
 	if cfg.WALDir != "" && cfg.PrimaryAddr == "" {
 		if err := s.openWAL(); err != nil {
-			eng.Close()
 			return nil, err
 		}
 	}
@@ -458,7 +449,6 @@ func New(cfg Config) (*Server, error) {
 		var err error
 		if covered, err = s.restoreSnapshot(); err != nil {
 			s.shutdownStorage()
-			s.closeEngines()
 			return nil, err
 		}
 	}
@@ -468,7 +458,6 @@ func New(cfg Config) (*Server, error) {
 	if s.wal != nil {
 		if err := s.replayWAL(covered); err != nil {
 			s.shutdownStorage()
-			s.closeEngines()
 			return nil, err
 		}
 	}
@@ -483,9 +472,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WALDir != "" {
 		walDesc = fmt.Sprintf("%s (fsync=%s)", cfg.WALDir, cfg.walFsync())
 	}
-	s.logf("configured: role=%s agg=%s shards=%d group-max=%d snapshot=%q wal=%s access-log=%t slow-request=%s",
-		cfg.role(), cfg.aggregate(), cfg.Shards, s.groupMax, cfg.SnapshotPath, walDesc,
+	s.logf("configured: role=%s agg=%s group-max=%d snapshot=%q wal=%s access-log=%t slow-request=%s",
+		cfg.role(), cfg.aggregate(), s.groupMax, cfg.SnapshotPath, walDesc,
 		s.access != nil, cfg.SlowRequest)
+	if cfg.Shards > 1 || cfg.BatchSize > 0 {
+		s.logf("configured: Shards=%d BatchSize=%d ignored: each tenant is one summary", cfg.Shards, cfg.BatchSize)
+	}
 	s.wg.Add(1)
 	go s.committer()
 	s.wg.Add(1)
@@ -517,8 +509,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Restored() bool { return s.restored }
 
 // Engine exposes the default tenant's engine for in-process use
-// (examples, tests). Serialize access with the same care as any shard
-// engine; the server's handlers take their own lock.
+// (examples, tests). It is not safe for concurrent use, and the server's
+// own lock is not the caller's: use it only while the server is quiet.
 func (s *Server) Engine() Engine { return s.def.eng }
 
 func (s *Server) logf(format string, args ...any) { s.logger.Printf("corrd: "+format, args...) }
@@ -533,38 +525,11 @@ func (s *Server) shutdownStorage() {
 	}
 }
 
-// closeEngines closes every live tenant engine and the free list (used
-// on construction failures and at the tail of Close).
-func (s *Server) closeEngines() []error {
-	var errs []error
-	s.mu.Lock()
-	for _, t := range s.tenantList() {
-		if t.eng == nil {
-			continue
-		}
-		if err := t.eng.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("tenant %q: %w", t.name, err))
-		}
-		t.eng = nil
-	}
-	s.mu.Unlock()
-	s.regMu.Lock()
-	free := s.engFree
-	s.engFree = nil
-	s.regMu.Unlock()
-	for _, e := range free {
-		if err := e.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errs
-}
-
 // Close shuts the server down gracefully: stop the background loops,
-// push any remaining local state upstream (site role), write a final
-// snapshot, and close the engine (which flushes its workers). Safe to
-// call more than once; later calls return the first result. Callers
-// should stop their http.Server first so no handler is mid-flight.
+// push any remaining local state upstream (site role) and write a final
+// snapshot. Safe to call more than once; later calls return the first
+// result. Callers should stop their http.Server first so no handler is
+// mid-flight.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	defer s.closeMu.Unlock()
@@ -577,7 +542,7 @@ func (s *Server) Close() error {
 	close(s.done)
 	// Replication first: fence out any in-flight promotion (closing is
 	// set, so attempts after this lock cycle refuse), then detach from
-	// the primary so no record applies while the engines drain.
+	// the primary so no record applies while the pipeline drains.
 	s.promoteMu.Lock()
 	s.promoteMu.Unlock() //nolint:staticcheck // empty critical section is the fence
 	if s.follower != nil {
@@ -599,20 +564,9 @@ func (s *Server) Close() error {
 			errs = append(errs, fmt.Errorf("final push: %w", err))
 		}
 	}
-	s.mu.Lock()
-	for _, t := range s.tenantList() {
-		if t.eng == nil {
-			continue // spilled: already flushed and marshaled
-		}
-		if err := t.eng.Flush(); err != nil {
-			errs = append(errs, fmt.Errorf("tenant %q flush: %w", t.name, err))
-		}
-	}
-	s.mu.Unlock()
 	if err := s.Snapshot(); err != nil {
 		errs = append(errs, err)
 	}
-	errs = append(errs, s.closeEngines()...)
 	if s.wal != nil {
 		if err := s.wal.Close(); err != nil {
 			errs = append(errs, err)
@@ -651,7 +605,7 @@ func (s *Server) pushLoop(interval time.Duration) {
 }
 
 // pushOnce implements one round of the site's delta-push protocol:
-// marshal the merged local summary, reset the engine, ship the image.
+// marshal the local summary, reset the engine, ship the image.
 // If the coordinator is unreachable the image is folded back into the
 // local engine — nothing is lost locally, and the next tick pushes the
 // union. The whole round holds the transfer lock, so a concurrent
@@ -675,19 +629,14 @@ func (s *Server) pushOnce() error {
 	defer s.xferMu.Unlock()
 	def := s.def
 	s.mu.Lock()
-	n, err := def.eng.Count()
-	if err == nil && n == 0 {
+	n := def.eng.Count()
+	if n == 0 {
 		s.mu.Unlock()
 		return nil // nothing accumulated since the last push
 	}
-	var img []byte
+	img, err := def.eng.MarshalBinary()
 	if err == nil {
-		img, err = def.eng.MarshalMerged()
-	}
-	if err == nil {
-		err = def.eng.Reset()
-	}
-	if err == nil {
+		def.eng.Reset()
 		if err = s.logReset(img); err != nil {
 			// The engine is already reset but the round never reached
 			// the log: fold the image straight back so the live state

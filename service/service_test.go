@@ -104,7 +104,8 @@ func TestIngestQueryStatsRoundTrip(t *testing.T) {
 	if st.Count != uint64(len(stream)) || st.TuplesIngested != uint64(len(stream)) {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.Role != "coordinator" || st.Aggregate != "f2" || st.Shards != 2 {
+	// Shards: 2 in the config selects nothing; the stat reads 1.
+	if st.Role != "coordinator" || st.Aggregate != "f2" || st.Shards != 1 {
 		t.Fatalf("stats identity: %+v", st)
 	}
 	if st.QueriesServed == 0 || st.Space <= 0 {
@@ -257,14 +258,13 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep ingesting past the snapshot, then crash: engine goroutines
-	// die, no final snapshot is written — disk still holds the old
-	// image, exactly like a SIGKILL mid-ingest.
+	// Keep ingesting past the snapshot, then crash: no final snapshot
+	// is written — disk still holds the old image, exactly like a
+	// SIGKILL mid-ingest.
 	if err := cl.AddBatch(ctx, testStream(2_000, 6)); err != nil {
 		t.Fatal(err)
 	}
-	ts.Close()
-	svc.Engine().Close()
+	crash(ts, svc)
 
 	svc2, err := New(cfg)
 	if err != nil {
@@ -301,14 +301,13 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownFlush: Close flushes shard buffers and writes a
-// final snapshot, so a restart serves every accepted tuple.
+// TestGracefulShutdownFlush: Close commits what the pipeline holds and
+// writes a final snapshot, so a restart serves every accepted tuple.
 func TestGracefulShutdownFlush(t *testing.T) {
 	o := testOptions()
 	snap := filepath.Join(t.TempDir(), "corrd.snapshot")
 	cfg := Config{
-		Options: o, Shards: 2,
-		BatchSize:    4096, // large: tuples sit in pending buffers until a barrier
+		Options:      o,
 		SnapshotPath: snap, SnapshotInterval: time.Hour,
 	}
 	svc, err := New(cfg)
@@ -331,10 +330,7 @@ func TestGracefulShutdownFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	n, err := svc2.Engine().Count()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := svc2.Engine().Count()
 	if n != 500 {
 		t.Fatalf("restart after graceful shutdown: count %d, want 500", n)
 	}
@@ -473,17 +469,31 @@ func walConfig(t *testing.T, shards int) Config {
 }
 
 // crash simulates kill -9 for an in-process server: drop the listener
-// and kill the engine goroutines. No graceful Close, no final snapshot,
-// no WAL close — exactly the state a SIGKILL leaves on disk.
+// (when there is one) and stop the background loops — a dead process
+// must not keep snapshotting, checkpointing or probing files the
+// restarted server now owns. No drain, no final snapshot, no WAL close:
+// the disk is left exactly as a SIGKILL would leave it. The transfer
+// lock is taken and never released, so no snapshot or push is in flight
+// when crash returns and none can start afterwards; a later Close is a
+// no-op.
 func crash(ts *httptest.Server, svc *Server) {
-	ts.Close()
-	svc.Engine().Close()
+	if ts != nil {
+		ts.Close()
+	}
+	svc.closeMu.Lock()
+	if !svc.closed {
+		svc.closed = true
+		svc.closing.Store(true)
+		close(svc.done)
+	}
+	svc.closeMu.Unlock()
+	svc.xferMu.Lock()
 }
 
 // TestWALCrashRecoveryExact is the acceptance contract: a server killed
 // without warning restarts — restore snapshot, replay WAL suffix — to
-// a merged summary byte-identical to a crash-free oracle that performed
-// the same acknowledged operations.
+// a summary byte-identical to a crash-free oracle that performed the
+// same acknowledged operations.
 func TestWALCrashRecoveryExact(t *testing.T) {
 	o := testOptions()
 	cfg := walConfig(t, 2)
@@ -496,9 +506,6 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	ctx := context.Background()
 
 	// Phase 1: ingest, then snapshot (covers a WAL prefix and prunes).
-	// The odd count leaves the engine's round-robin cursor mid-cycle at
-	// the snapshot, so this test also proves the cursor is restored —
-	// otherwise replayed tuples would route to the opposite shards.
 	s1 := testStream(2_999, 11)
 	if err := cl.AddBatch(ctx, s1); err != nil {
 		t.Fatal(err)
@@ -540,14 +547,13 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	if svc2.walReplayed == 0 {
 		t.Fatal("restart replayed no WAL records")
 	}
-	got, err := svc2.Engine().MarshalMerged()
+	got, err := svc2.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Crash-free oracle: the same configuration (WAL included — the
-	// durable ingest path drains per request) fed the same acknowledged
-	// operations, never killed.
+	// Crash-free oracle: the same configuration fed the same
+	// acknowledged operations, never killed.
 	oracle, err := New(walConfig(t, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -565,28 +571,13 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	if err := ocl.Push(ctx, img); err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Engine().MarshalMerged()
+	want, err := oracle.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("recovered merged summary differs from crash-free oracle (%d vs %d bytes)",
+		t.Fatalf("recovered summary differs from crash-free oracle (%d vs %d bytes)",
 			len(got), len(want))
-	}
-	// Stronger than the merged image: the per-shard snapshot form must
-	// match too, which requires replayed tuples to have routed to the
-	// same shards as the crash-free run (restored round-robin cursors).
-	gotShards, err := svc2.Engine().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantShards, err := oracle.Engine().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotShards, wantShards) {
-		t.Fatalf("recovered per-shard state differs from crash-free oracle (%d vs %d bytes): shard routing diverged",
-			len(gotShards), len(wantShards))
 	}
 
 	// The recovered server keeps serving: /v1/summary equals the oracle
@@ -630,7 +621,7 @@ func TestWALRecoveryWithoutSnapshot(t *testing.T) {
 	if err := cl.AddBatch(context.Background(), stream); err != nil {
 		t.Fatal(err)
 	}
-	want, err := svc.Engine().MarshalMerged()
+	want, err := svc.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +634,7 @@ func TestWALRecoveryWithoutSnapshot(t *testing.T) {
 	if svc2.Restored() {
 		t.Fatal("no snapshot existed, yet Restored reports true")
 	}
-	got, err := svc2.Engine().MarshalMerged()
+	got, err := svc2.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,10 +687,7 @@ func TestWALSitePushRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := site2.Engine().Count()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := site2.Engine().Count()
 	if n != uint64(len(post)) {
 		t.Fatalf("recovered site count %d, want %d (acknowledged push must not be replayed locally)",
 			n, len(post))
@@ -737,11 +725,9 @@ func TestWALInFlightPushFoldsBack(t *testing.T) {
 	// what pushOnce does before shipping — then "crash" before any
 	// fold-back or ack is logged.
 	site.mu.Lock()
-	img, err := site.def.eng.MarshalMerged()
+	img, err := site.def.eng.MarshalBinary()
 	if err == nil {
-		err = site.def.eng.Reset()
-	}
-	if err == nil {
+		site.def.eng.Reset()
 		err = site.logReset(img)
 	}
 	site.mu.Unlock()
@@ -755,10 +741,7 @@ func TestWALInFlightPushFoldsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer site2.Close()
-	n, err := site2.Engine().Count()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := site2.Engine().Count()
 	if n != uint64(len(stream)) {
 		t.Fatalf("recovered count %d, want %d (in-flight image must fold back)", n, len(stream))
 	}
@@ -868,10 +851,7 @@ func TestWALFoldbackRoundSurvivesCrash(t *testing.T) {
 	if err := site.pushOnce(); err == nil {
 		t.Fatal("push to an unreachable coordinator succeeded")
 	}
-	n, err := site.Engine().Count()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := site.Engine().Count()
 	if n != uint64(len(stream)) {
 		t.Fatalf("live fold-back count %d, want %d", n, len(stream))
 	}
@@ -881,10 +861,7 @@ func TestWALFoldbackRoundSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer site2.Close()
-	n2, err := site2.Engine().Count()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n2 := site2.Engine().Count()
 	if n2 != uint64(len(stream)) {
 		t.Fatalf("recovered count %d, want %d (fold-back must apply exactly once)", n2, len(stream))
 	}
@@ -923,5 +900,31 @@ func TestWALRefusesStaleSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "stale or missing") {
 		t.Fatalf("unexpected refusal error: %v", err)
+	}
+}
+
+// TestSnapshotShardFramedRefused: a snapshot whose tenant image was
+// written by the per-tenant sharded engine (framing version 2, one frame
+// per worker plus two cursors) cannot load into one summary, and startup
+// says so instead of reporting a bare decode error — in both snapshot
+// forms, across every retention slot.
+func TestSnapshotShardFramedRefused(t *testing.T) {
+	shardFramed := []byte{2, 2, 1, 0, 1, 0, 0, 1} // version, shard count, two frames, cursors
+	for name, file := range map[string][]byte{
+		"v1 file": encodeSnapshotFile(7, shardFramed),
+		"v2 file": encodeSnapshotFileV2(7, []tenantImage{{name: "", image: shardFramed}, {name: "a", image: shardFramed}}),
+	} {
+		snap := filepath.Join(t.TempDir(), "corrd.snapshot")
+		if err := os.WriteFile(snap, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := New(Config{Options: testOptions(), SnapshotPath: snap})
+		if err == nil {
+			svc.Close()
+			t.Fatalf("%s: a shard-framed snapshot was accepted", name)
+		}
+		if !strings.Contains(err.Error(), "shard-framed") || !errors.Is(err, correlated.ErrBadEncoding) {
+			t.Fatalf("%s: refusal does not name the cause: %v", name, err)
+		}
 	}
 }

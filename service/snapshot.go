@@ -13,11 +13,12 @@ import (
 	"github.com/streamagg/correlated/internal/tupleio"
 )
 
-// Durability: the engine's snapshot form (per-shard framed, see
-// shard.Sharded.MarshalBinary) is written to disk on a ticker and again
-// on graceful shutdown, via the classic temp-file-then-rename dance so a
-// crash mid-write can never corrupt the previous snapshot. Restore
-// happens once, at startup, before the listener opens.
+// Durability: every tenant's summary image (its MarshalBinary — the same
+// bytes /v1/summary serves and a site pushes) is written to disk on a
+// ticker and again on graceful shutdown, via the classic
+// temp-file-then-rename dance so a crash mid-write can never corrupt the
+// previous snapshot. Restore happens once, at startup, before the
+// listener opens.
 //
 // The file is wrapped in a small header that records the WAL position
 // the snapshot covers (0 without a WAL), so startup knows exactly which
@@ -27,8 +28,8 @@ import (
 
 // snapshotMagic prefixes the single-tenant wrapped snapshot file
 // format; snapshotMagicV2 prefixes the multi-tenant one. Legacy files
-// (raw engine bytes, which start with the shard framing version 0x01)
-// can never collide with either and are still restorable. A daemon
+// (raw engine bytes, which start with an image version byte) can never
+// collide with either and are still restorable. A daemon
 // holding only the default tenant writes the v1 form, so single-tenant
 // deployments keep byte-identical snapshot files across this change.
 var (
@@ -354,7 +355,7 @@ func (s *Server) restoreSnapshotData(path string, data []byte) (covered uint64, 
 		}
 		for _, ti := range images {
 			if ti.name == "" {
-				if err := s.def.eng.UnmarshalBinary(ti.image); err != nil {
+				if err := unmarshalImage(s.def.eng, ti.image); err != nil {
 					return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
 				}
 			} else {
@@ -372,7 +373,7 @@ func (s *Server) restoreSnapshotData(path string, data []byte) (covered uint64, 
 	if err != nil {
 		return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
 	}
-	if err := s.def.eng.UnmarshalBinary(engine); err != nil {
+	if err := unmarshalImage(s.def.eng, engine); err != nil {
 		return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
 	}
 	s.restored = true
@@ -384,10 +385,9 @@ func (s *Server) restoreSnapshotData(path string, data []byte) (covered uint64, 
 // retention slot starts from a clean engine. Startup-only, before any
 // goroutine exists, so no locks are needed.
 func (s *Server) resetRestoredState() {
-	if err := s.def.eng.Reset(); err != nil {
-		s.logf("snapshot: engine reset after failed restore: %v", err)
-	}
+	s.def.eng.Reset()
 	s.tenants = map[string]*tenant{"": s.def}
+	s.tenantsLive.Store(1)
 	s.tenantBytes.Store(0)
 	s.restored = false
 }

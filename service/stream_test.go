@@ -190,8 +190,8 @@ func TestStreamBadPayloadNacked(t *testing.T) {
 	if err != nil || seq != 2 || status != tupleio.AckOK {
 		t.Fatalf("second ack: seq=%d status=%d err=%v", seq, status, err)
 	}
-	if n, err := svc.Engine().Count(); err != nil || n != 1 {
-		t.Fatalf("engine holds %d tuples (err %v), want 1", n, err)
+	if n := svc.Engine().Count(); n != 1 {
+		t.Fatalf("engine holds %d tuples, want 1", n)
 	}
 }
 
@@ -223,7 +223,7 @@ func TestStreamSeqGapClosesConn(t *testing.T) {
 	if _, err := io.ReadFull(conn, one[:]); err != io.EOF {
 		t.Fatalf("read after gap: %v (want EOF)", err)
 	}
-	if n, _ := svc.Engine().Count(); n != 0 {
+	if n := svc.Engine().Count(); n != 0 {
 		t.Fatalf("engine ingested %d tuples from a desynced conn", n)
 	}
 }
@@ -381,7 +381,7 @@ func TestMixedHTTPStreamCrashRecoveryExact(t *testing.T) {
 	}
 
 	// Kill -9 and recover: restored bytes must equal the pre-crash state.
-	pre, err := svc.Engine().MarshalMerged()
+	pre, err := svc.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,17 +391,14 @@ func TestMixedHTTPStreamCrashRecoveryExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	recovered, err := svc2.Engine().MarshalMerged()
+	recovered, err := svc2.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(recovered, pre) {
 		t.Fatalf("recovery differs from pre-crash state (%d vs %d bytes)", len(recovered), len(pre))
 	}
-	n, err := svc2.Engine().Count()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := svc2.Engine().Count()
 	if n != total {
 		t.Fatalf("recovered count %d, want %d", n, total)
 	}

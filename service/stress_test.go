@@ -3,32 +3,35 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
+	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
 // The tests here pin the concurrent serving core: the commit pipeline's
 // group boundaries must stay a pure function of the log (crash-exact
 // recovery under concurrency — recovered bytes equal pre-crash bytes),
-// and the epoch-cached read path must never corrupt state while ingest,
+// and the memoized read path must never corrupt state while ingest,
 // pushes, snapshots, and queries overlap. Every stream keeps its
 // distinct y count under Alpha, so the singleton level holds exact
 // per-y state and query answers are float-exact against a serial
-// oracle regardless of arrival order or shard partition.
+// oracle regardless of arrival order.
 
 // TestWALCrashRecoveryExactConcurrent is the tentpole's acceptance
 // contract under concurrency: 8 clients ingest in parallel (their
 // requests landing in whatever commit groups the pipeline forms), the
 // server is killed without warning, and the restart — restore snapshot,
 // replay the group records — rebuilds the exact bytes of the pre-crash
-// state, per-shard form included. The group boundary is durable in the
-// log, so replay flushes exactly where the live run flushed.
+// state. The group boundary is durable in the log, so replay cuts each
+// tenant's batches exactly where the live run cut them.
 func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 	const ingesters = 8
 	cfg := walConfig(t, 2)
@@ -75,14 +78,9 @@ func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Every request is acknowledged, so every group is committed and the
-	// engine is drained (WAL mode flushes per group): capture the exact
-	// pre-crash bytes as the recovery oracle.
-	preMerged, err := svc.Engine().MarshalMerged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	preShards, err := svc.Engine().MarshalBinary()
+	// Every request is acknowledged, so every group is committed:
+	// capture the exact pre-crash bytes as the recovery oracle.
+	pre, err := svc.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,30 +94,19 @@ func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 	if svc2.walReplayed == 0 {
 		t.Fatal("restart replayed no WAL records")
 	}
-	gotMerged, err := svc2.Engine().MarshalMerged()
+	got, err := svc2.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotMerged, preMerged) {
-		t.Fatalf("recovered merged summary differs from pre-crash state (%d vs %d bytes)",
-			len(gotMerged), len(preMerged))
-	}
-	gotShards, err := svc2.Engine().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotShards, preShards) {
-		t.Fatalf("recovered per-shard state differs from pre-crash state (%d vs %d bytes): group replay moved a worker batch boundary",
-			len(gotShards), len(preShards))
+	if !bytes.Equal(got, pre) {
+		t.Fatalf("recovered summary differs from pre-crash state (%d vs %d bytes): group replay moved a batch boundary",
+			len(got), len(pre))
 	}
 
 	// Value-level serial oracle: the singleton level's composition is a
-	// sum of per-y sketches, independent of arrival order and shard
-	// partition, so the recovered server must answer float-exactly like
-	// one offline summary fed every acknowledged batch serially. (Whole-
-	// marshal byte identity against an offline oracle is not defined
-	// here: which dyadic levels materialize depends on per-shard mass,
-	// which the concurrent arrival order perturbs.)
+	// sum of per-y sketches, independent of arrival order and batch
+	// boundaries, so the recovered server must answer float-exactly like
+	// one offline summary fed every acknowledged batch serially.
 	offline, err := correlated.NewF2Summary(testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +116,7 @@ func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := svc2.Engine().Count()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := svc2.Engine().Count()
 	if n != uint64(ingesters)*1_000 {
 		t.Fatalf("recovered count %d, want %d", n, ingesters*1_000)
 	}
@@ -157,7 +141,7 @@ func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 // serial oracle over the same acknowledged batches and images: exact
 // count, and float-exact query answers in both directions (the singleton
 // level's composition is a sum of per-y sketches, so it is independent
-// of ingest order and shard partition — byte-identity of the whole
+// of ingest order and batch boundaries — byte-identity of the whole
 // marshal additionally requires the dyadic levels to stay virgin, which
 // only the smaller crash-exactness streams guarantee). A kill -9 and
 // recovery at the end must reproduce the pre-crash bytes exactly. Run
@@ -184,7 +168,7 @@ func TestServiceStressRace(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Query loops: multi-cutoff, continuously, against the epoch cache.
+	// Query loops: multi-cutoff, continuously, against the answer memo.
 	for q := 0; q < 2; q++ {
 		wg.Add(1)
 		go func() {
@@ -303,28 +287,22 @@ func TestServiceStressRace(t *testing.T) {
 	}
 
 	// And the whole thing survives a kill -9: the recovered bytes must
-	// reproduce the pre-crash state exactly (group replay).
-	pre, err := svc.Engine().MarshalMerged()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// reproduce the pre-crash state exactly (group replay). The snapshot
+	// ticker is still marshaling the same summary, so take the lock.
+	pre := tenantBytes(t, svc, "")
 	crash(ts, svc)
 	svc2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	recovered, err := svc2.Engine().MarshalMerged()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered := tenantBytes(t, svc2, "")
 	if !bytes.Equal(recovered, pre) {
 		t.Fatalf("post-crash recovery differs from pre-crash state (%d vs %d bytes)", len(recovered), len(pre))
 	}
-	n2, err := svc2.Engine().Count()
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc2.mu.Lock()
+	n2 := svc2.def.eng.Count()
+	svc2.mu.Unlock()
 	if n2 != ackedTuples {
 		t.Fatalf("recovered count %d, want %d", n2, ackedTuples)
 	}
@@ -358,14 +336,10 @@ func TestCommitGroupMixedValidation(t *testing.T) {
 			t.Fatalf("job %d: kind %d, err %v", i, j.kind, j.err)
 		}
 	}
-	n, err := svc.def.eng.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 600 {
+	if n := svc.def.eng.Count(); n != 600 {
 		t.Fatalf("engine holds %d tuples, want 600", n)
 	}
-	pre, err := svc.def.eng.MarshalMerged()
+	pre, err := svc.def.eng.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +355,6 @@ func TestCommitGroupMixedValidation(t *testing.T) {
 	if len(types) != 1 || types[0] != wal.RecordIngestGroup {
 		t.Fatalf("log records %v, want one RecordIngestGroup", types)
 	}
-	svc.def.eng.Close()
 	svc.shutdownStorage()
 
 	svc2, err := New(cfg)
@@ -389,7 +362,7 @@ func TestCommitGroupMixedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	got, err := svc2.Engine().MarshalMerged()
+	got, err := svc2.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,16 +371,198 @@ func TestCommitGroupMixedValidation(t *testing.T) {
 	}
 }
 
-// TestQueryMaxStale: with a staleness budget the cache keeps serving
-// through state changes until the window expires, then catches up.
+// tenantBytes marshals one tenant's summary under the driver lock,
+// restoring it first if it is spilled — what /v1/summary serves.
+func tenantBytes(t *testing.T, svc *Server, name string) []byte {
+	t.Helper()
+	tn := svc.tenantByName(name)
+	if tn == nil {
+		t.Fatalf("tenant %q does not exist", name)
+	}
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	eng, err := svc.ensureEngineLocked(tn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := eng.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestCommitGroupOneBatchPerTenant pins the apply path's contract on a
+// group [A1, B1, A2 (y > YMax), A3]: only A2 is nacked; tenant A holds
+// exactly what one offline AddBatch(A1‖A3) leaves and B what
+// AddBatch(B1) leaves; the members' own slices and the WAL record keep
+// the client's tuple order (AddBatch sorts only the committer's copy);
+// and every other way to reach the state — spill → restore, a replica
+// applying the shipped record, a restart replaying it — reproduces the
+// same bytes.
+func TestCommitGroupOneBatchPerTenant(t *testing.T) {
+	cfg := walConfig(t, 2)
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenantOf := func(name string) *tenant {
+		tn, err := svc.getOrCreateTenant([]byte(name), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tn
+	}
+	clone := func(b []correlated.Tuple) []correlated.Tuple { return append([]correlated.Tuple(nil), b...) }
+	a1, b1, a3 := testStream(300, 1), testStream(200, 2), testStream(250, 3)
+	a2 := []correlated.Tuple{{X: 1, Y: 5, W: 1}, {X: 2, Y: cfg.Options.YMax + 1, W: 1}}
+	members := []struct {
+		tenant string
+		tuples []correlated.Tuple
+		kind   ingestErrKind
+	}{
+		{"a", a1, ingestOK},
+		{"b", b1, ingestOK},
+		{"a", a2, ingestErrValidate},
+		{"a", a3, ingestOK},
+	}
+	jobs := make([]*ingestJob, len(members))
+	for i, m := range members {
+		jobs[i] = &ingestJob{tuples: clone(m.tuples), tn: tenantOf(m.tenant), done: make(chan struct{}, 1)}
+	}
+	svc.commitGroup(jobs)
+	for i, j := range jobs {
+		<-j.done
+		if j.kind != members[i].kind {
+			t.Fatalf("member %d: kind %d (err %v), want %d", i, j.kind, j.err, members[i].kind)
+		}
+		if !slices.Equal(j.tuples, members[i].tuples) {
+			t.Fatalf("member %d: the commit reordered the job's own slice", i)
+		}
+	}
+
+	want := map[string][]byte{}
+	for name, batch := range map[string][]correlated.Tuple{
+		"a": append(clone(a1), a3...),
+		"b": clone(b1),
+	} {
+		offline, err := correlated.NewF2Summary(cfg.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := offline.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if want[name], err = offline.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(path string, srv *Server) {
+		t.Helper()
+		for name, img := range want {
+			if got := tenantBytes(t, srv, name); !bytes.Equal(got, img) {
+				t.Fatalf("%s: tenant %q differs from its one offline AddBatch (%d vs %d bytes)", path, name, len(got), len(img))
+			}
+		}
+	}
+	check("live commit", svc)
+
+	// The log: one keyed group record, the three applied members in
+	// client order, tuple order untouched.
+	type logged struct {
+		tenant string
+		tuples []correlated.Tuple
+	}
+	var record []logged
+	var records int
+	if err := svc.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+		records++
+		if typ != wal.RecordKeyedIngestGroup {
+			t.Fatalf("record %d has type %d, want a keyed ingest group", lsn, typ)
+		}
+		n, sz := binary.Uvarint(payload)
+		rest := payload[sz:]
+		for i := uint64(0); i < n; i++ {
+			name, batch, r, err := tupleio.DecodeKeyedPrefix(nil, rest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			record = append(record, logged{string(name), batch})
+			rest = r
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if records != 1 || len(record) != 3 {
+		t.Fatalf("log holds %d records with %d members, want 1 with 3", records, len(record))
+	}
+	for i, m := range []int{0, 1, 3} {
+		if record[i].tenant != members[m].tenant || !slices.Equal(record[i].tuples, members[m].tuples) {
+			t.Fatalf("logged member %d is not member %d as the client sent it", i, m)
+		}
+	}
+
+	for _, path := range []struct {
+		name  string
+		reach func() *Server
+	}{
+		{"spill → restore", func() *Server {
+			if n := svc.spillIdle(0); n != 2 {
+				t.Fatalf("spilled %d tenants, want 2", n)
+			}
+			return svc
+		}},
+		{"replica apply", func() *Server {
+			replica, err := New(Config{Options: cfg.Options})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { replica.Close() })
+			replica.replState = newReplayState(0, false)
+			if err := svc.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+				return replica.replicaApply(lsn, uint8(typ), payload)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return replica
+		}},
+		{"restart", func() *Server {
+			svc.shutdownStorage()
+			svc2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { svc2.Close() })
+			return svc2
+		}},
+	} {
+		check(path.name, path.reach())
+	}
+}
+
+// ageMemo backdates every memoized answer of t by d: deterministic
+// expiry of the QueryMaxStale window.
+func ageMemo(t *tenant, d time.Duration) {
+	t.memoMu.Lock()
+	for k, e := range t.memo {
+		e.at = e.at.Add(-d)
+		t.memo[k] = e
+	}
+	t.memoMu.Unlock()
+}
+
+// TestQueryMaxStale: with a staleness budget a memoized answer keeps
+// being served through state changes until the window expires, then
+// catches up.
 func TestQueryMaxStale(t *testing.T) {
-	cfg := Config{Options: testOptions(), Shards: 1, QueryMaxStale: time.Hour}
+	cfg := Config{Options: testOptions(), QueryMaxStale: time.Hour}
 	svc, _, cl := newTestServer(t, cfg)
 	ctx := context.Background()
 	if err := cl.AddBatch(ctx, testStream(1_000, 61)); err != nil {
 		t.Fatal(err)
 	}
-	first, err := cl.QueryLE(ctx, distinctY) // builds the cache
+	first, err := cl.QueryLE(ctx, distinctY) // evaluates and memoizes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,20 +574,20 @@ func TestQueryMaxStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	if within != first {
-		t.Fatalf("query inside the staleness window rebuilt: %v vs %v", within, first)
+		t.Fatalf("query inside the staleness window evaluated again: %v vs %v", within, first)
 	}
-	// Deterministic expiry: age the cache past the window by hand.
-	svc.def.queryMu.Lock()
-	svc.def.cacheBuilt = time.Now().Add(-2 * time.Hour)
-	svc.def.queryMu.Unlock()
+	ageMemo(svc.def, 2*time.Hour)
 	after, err := cl.QueryLE(ctx, distinctY)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after == first {
-		t.Fatalf("query after the window still served the stale cache: %v", after)
+		t.Fatalf("query after the window still served the stale answer: %v", after)
 	}
 	if got := svc.metrics.queryCacheRebuilds.Load(); got != 2 {
-		t.Fatalf("rebuilds = %d, want 2 (initial build + post-expiry)", got)
+		t.Fatalf("rebuilds = %d, want 2 (first evaluation + post-expiry)", got)
+	}
+	if got := svc.metrics.queryCacheHits.Load(); got != 1 {
+		t.Fatalf("hits = %d, want 1 (the query inside the window)", got)
 	}
 }

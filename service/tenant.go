@@ -21,29 +21,24 @@ import (
 // change, on the wire or on disk.
 //
 // Sharing, not duplication: all tenants ride one commit pipeline (one
-// group commit, one WAL, one fsync covers batches for many tenants),
-// one decode pool, and a cross-tenant free list of reset engines — a
-// spilled or failed tenant's engine parks with its warm per-maker
-// sketch pools intact and the next tenant creation reuses it, so the
-// per-tenant setup cost amortizes the same way the per-request fsync
-// does. Every tenant engine is driven under the same single driver
-// lock (s.mu): the committer is one goroutine regardless of tenant
-// count, so per-tenant locks would buy parallelism nothing and cost a
-// lock-order minefield.
+// group commit, one WAL, one fsync covers batches for many tenants) and
+// one decode pool. Every tenant's summary is driven under the same
+// single driver lock (s.mu): the committer is one goroutine regardless
+// of tenant count, so per-tenant locks would buy parallelism nothing and
+// cost a lock-order minefield.
 //
 // Governance: MaxTenants caps the namespace count (HTTP 429 past it),
 // MaxTenantBytes caps the summed per-tenant footprint (HTTP 413) —
 // sampled at commit and spill time, so enforcement is approximate by
 // one group. The sample of a live tenant is Space() in counters (two per
 // entry of a sparse sketch, width × depth per dense one), that of a
-// spilled tenant its image length in bytes. TenantIdleSpill reclaims idle tenants' memory: the engine
-// is marshaled into an in-memory image (its snapshot form — cursors
-// included, so restore is bit-identical), the engine parks on the free
-// list, and the next touch lazily materializes the same bytes back.
-// Spill is pure memory reclamation, never durability: the snapshot and
-// the WAL remain the only recovery sources, and snapshots embed a
-// spilled tenant's image verbatim (consistent by construction — a
-// spilled tenant is untouched since its spill).
+// spilled tenant its image length in bytes. TenantIdleSpill reclaims
+// idle tenants' memory: the summary is marshaled into an in-memory image
+// and dropped, and the next touch lazily unmarshals the same bytes into
+// a fresh one. Spill is pure memory reclamation, never durability: the
+// snapshot and the WAL remain the only recovery sources, and snapshots
+// embed a spilled tenant's image verbatim (consistent by construction —
+// a spilled tenant is untouched since its spill).
 
 // Tenant governance rejections, surfaced as typed HTTP statuses
 // (429 and 413 respectively).
@@ -54,13 +49,27 @@ var (
 	ErrTenantMemory = errors.New("service: tenant memory cap reached")
 )
 
-// engineFreeListCap bounds the cross-tenant free list of reset engines.
-// A parked engine keeps its worker goroutines and warm sketch pools, so
-// the cap trades reuse against idle goroutines; beyond it engines close.
-const engineFreeListCap = 16
+// memoCap bounds a tenant's answer memo. A dashboard polls a handful of
+// cutoffs; a scan over thousands would otherwise grow the map without
+// bound, so inserting into a full memo clears it first.
+const memoCap = 4096
+
+// memoKey names one memoized answer: the query direction and cutoff.
+type memoKey struct {
+	ge bool
+	c  uint64
+}
+
+// memoEntry is one memoized estimate, stamped with the tenant epoch and
+// the time it was evaluated at.
+type memoEntry struct {
+	estimate float64
+	epoch    uint64
+	at       time.Time
+}
 
 // tenant is one keyed namespace: an independent engine plus the
-// per-tenant serving state (epoch, query cache, stats) that a
+// per-tenant serving state (epoch, answer memo, stats) that a
 // single-tenant server kept on itself.
 type tenant struct {
 	name string
@@ -68,26 +77,23 @@ type tenant struct {
 	// eng is the live engine; nil while the tenant is spilled, in which
 	// case pending holds the marshaled image the next touch restores.
 	// Both fields are guarded by the server's driver lock (s.mu), like
-	// every engine mutation.
+	// every engine read and write.
 	eng     Engine
 	pending []byte
 
-	// epoch counts this tenant's state changes (bumped under s.mu); the
-	// query path caches the merged summary keyed by it. queryMu
-	// serializes this tenant's cache rebuilds and cached reads — and
-	// orders before s.mu, which is why spill takes it first.
-	epoch      atomic.Uint64
-	queryMu    sync.Mutex
-	cacheEpoch uint64    // under queryMu
-	cacheValid bool      // under queryMu
-	cacheBuilt time.Time // under queryMu; for the QueryMaxStale window
-	cacheEng   Engine    // under queryMu: the engine the cache was built on;
-	// the cached read path uses it instead of eng so it never races a
-	// restore writing eng under s.mu (spill nils it under this queryMu)
+	// epoch counts this tenant's state changes (bumped under s.mu). memo
+	// holds the answers queries have evaluated, each valid while the
+	// epoch it was evaluated at is still current, or for QueryMaxStale.
+	// memoMu is a leaf lock apart from one nesting: the query path takes
+	// it inside s.mu (never the reverse) to re-check for answers another
+	// query filled while it waited for the driver lock.
+	epoch  atomic.Uint64
+	memoMu sync.Mutex
+	memo   map[memoKey]memoEntry
 
 	// inGroup marks the tenant as touched by the commit group being
-	// built (under s.mu): the committer's first-touch dedup, so each
-	// group flushes and epoch-bumps every touched tenant exactly once.
+	// applied (under s.mu): the first-touch dedup, so each group gives
+	// every touched tenant one AddBatch and one epoch bump.
 	inGroup bool
 
 	lastTouch atomic.Int64 // unix nanos of the last ingest/push/query
@@ -102,6 +108,53 @@ type tenant struct {
 }
 
 func (t *tenant) touch() { t.lastTouch.Store(time.Now().UnixNano()) }
+
+// memoServe fills out[i], for each index i in idx, from a memoized
+// answer that may still be served — evaluated at the current epoch, or
+// less than maxStale ago — and returns the indexes left unanswered
+// (reusing idx).
+func (t *tenant) memoServe(ge bool, cutoffs []uint64, out []float64, idx []int, now time.Time, maxStale time.Duration) []int {
+	epoch := t.epoch.Load()
+	rest := idx[:0]
+	t.memoMu.Lock()
+	for _, i := range idx {
+		e, ok := t.memo[memoKey{ge, cutoffs[i]}]
+		if ok && (e.epoch == epoch || (maxStale > 0 && now.Sub(e.at) < maxStale)) {
+			out[i] = e.estimate
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	t.memoMu.Unlock()
+	return rest
+}
+
+// memoEvaluate answers the cutoffs at idx on the live engine and
+// memoizes them. Callers hold s.mu, which is what makes the epoch read
+// here the epoch of the state the answers describe.
+func (t *tenant) memoEvaluate(eng Engine, ge bool, cutoffs []uint64, out []float64, idx []int, now time.Time) error {
+	query := eng.QueryLE
+	if ge {
+		query = eng.QueryGE
+	}
+	for _, i := range idx {
+		est, err := query(cutoffs[i])
+		if err != nil {
+			return err
+		}
+		out[i] = est
+	}
+	epoch := t.epoch.Load()
+	t.memoMu.Lock()
+	if t.memo == nil || len(t.memo)+len(idx) > memoCap {
+		t.memo = make(map[memoKey]memoEntry, len(idx))
+	}
+	for _, i := range idx {
+		t.memo[memoKey{ge, cutoffs[i]}] = memoEntry{estimate: out[i], epoch: epoch, at: now}
+	}
+	t.memoMu.Unlock()
+	return nil
+}
 
 // spilled reports whether the tenant currently lives as a marshaled
 // image. Callers hold s.mu.
@@ -165,13 +218,14 @@ func (s *Server) getOrCreateTenant(name []byte, replay bool) (*tenant, error) {
 				ErrTenantMemory, s.tenantBytes.Load(), len(s.tenants), s.cfg.MaxTenantBytes)
 		}
 	}
-	eng, err := s.takeEngineLocked()
+	eng, err := newEngine(&s.cfg)
 	if err != nil {
 		return nil, err
 	}
 	t := &tenant{name: string(name), eng: eng}
 	t.touch()
 	s.tenants[t.name] = t
+	s.tenantsLive.Add(1)
 	s.metrics.tenantsCreated.Inc()
 	return t, nil
 }
@@ -188,88 +242,60 @@ func (s *Server) addRestoredTenant(name string, image []byte) *tenant {
 	return t
 }
 
+// shardFramedImage is the first byte of an image written by the
+// in-tenant shard engine this daemon used to run (shard.Sharded's
+// snapshot framing, version 2); a summary's own image starts with 1.
+const shardFramedImage = 2
+
+// unmarshalImage restores a tenant image into eng, and names the one
+// failure an upgrade produces by itself: an image a sharded corrd wrote,
+// whose per-shard frames no single summary can load.
+func unmarshalImage(eng Engine, image []byte) error {
+	err := eng.UnmarshalBinary(image)
+	if err != nil && len(image) > 0 && image[0] == shardFramedImage {
+		return fmt.Errorf("image is shard-framed (written by a corrd that ran -shards workers per tenant; this version keeps one summary per tenant and cannot load it — see README \"Durability\"): %w", err)
+	}
+	return err
+}
+
 // ensureEngineLocked materializes a spilled tenant's engine from its
-// pending image (a free-list engine when one is parked, a fresh one
-// otherwise). Callers hold s.mu — engine state only ever changes under
-// the driver lock.
+// pending image. Callers hold s.mu — engine state only ever changes
+// under the driver lock.
 func (s *Server) ensureEngineLocked(t *tenant) (Engine, error) {
 	if t.eng != nil {
 		return t.eng, nil
 	}
-	eng, err := s.takeEngine()
+	eng, err := newEngine(&s.cfg)
 	if err != nil {
 		return nil, err
 	}
 	if len(t.pending) > 0 {
-		if err := eng.UnmarshalBinary(t.pending); err != nil {
-			s.parkEngine(eng)
+		if err := unmarshalImage(eng, t.pending); err != nil {
 			return nil, fmt.Errorf("service: tenant %q restore: %w", t.name, err)
 		}
 	}
 	t.eng = eng
 	t.pending = nil
 	t.restores.Add(1)
+	s.tenantsLive.Add(1)
 	s.metrics.tenantsRestored.Inc()
 	return eng, nil
 }
 
-// takeEngine pops a parked engine or builds a fresh one.
-func (s *Server) takeEngine() (Engine, error) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	return s.takeEngineLocked()
-}
-
-// takeEngineLocked is takeEngine under an already-held regMu.
-func (s *Server) takeEngineLocked() (Engine, error) {
-	if n := len(s.engFree); n > 0 {
-		e := s.engFree[n-1]
-		s.engFree[n-1] = nil
-		s.engFree = s.engFree[:n-1]
-		s.metrics.tenantEnginesReused.Inc()
-		return e, nil
-	}
-	return newEngine(&s.cfg)
-}
-
-// parkEngine resets e and returns it to the cross-tenant free list —
-// worker goroutines stay up and the per-maker sketch free lists stay
-// warm for the next tenant. A full list (or a failed reset) closes the
-// engine instead.
-func (s *Server) parkEngine(e Engine) {
-	if err := e.Reset(); err != nil {
-		e.Close()
-		return
-	}
-	s.regMu.Lock()
-	if len(s.engFree) < engineFreeListCap {
-		s.engFree = append(s.engFree, e)
-		s.regMu.Unlock()
-		return
-	}
-	s.regMu.Unlock()
-	e.Close()
-}
-
 // spillTenant marshals an idle tenant into its in-memory image and
-// parks the engine. Lock order is the query path's (queryMu before
-// s.mu), so a query can never observe a half-spilled tenant: the cache
-// invalidation below happens under the same queryMu the cached read
-// path holds. The default tenant never spills — its engine doubles as
+// drops the engine. The memo goes with it — the point of a spill is the
+// memory. The default tenant never spills — its engine doubles as
 // Engine() and the site role's push source.
 func (s *Server) spillTenant(t *tenant) bool {
 	if t == s.def {
 		return false
 	}
-	t.queryMu.Lock()
-	defer t.queryMu.Unlock()
 	s.mu.Lock()
-	eng := t.eng
-	if eng == nil {
+	if t.eng == nil {
 		s.mu.Unlock()
 		return false
 	}
-	img, err := eng.MarshalBinary()
+	img, err := t.eng.MarshalBinary()
 	if err != nil {
 		s.mu.Unlock()
 		s.logf("tenant %q spill: %v", t.name, err)
@@ -277,11 +303,12 @@ func (s *Server) spillTenant(t *tenant) bool {
 	}
 	t.pending = img
 	t.eng = nil
-	t.cacheValid = false
-	t.cacheEng = nil
 	t.space.Store(int64(len(img)))
+	s.tenantsLive.Add(-1)
+	t.memoMu.Lock()
+	t.memo = nil
+	t.memoMu.Unlock()
 	s.mu.Unlock()
-	s.parkEngine(eng)
 	t.spills.Add(1)
 	s.metrics.tenantsSpilled.Inc()
 	return true
@@ -336,17 +363,7 @@ func (s *Server) recomputeFootprint() int64 {
 // tenantCounts summarizes the registry for /metrics and /v1/stats.
 func (s *Server) tenantCounts() (total, live int) {
 	s.regMu.RLock()
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
+	total = len(s.tenants)
 	s.regMu.RUnlock()
-	s.mu.Lock()
-	for _, t := range tenants {
-		if !t.spilledLocked() {
-			live++
-		}
-	}
-	s.mu.Unlock()
-	return len(tenants), live
+	return total, int(s.tenantsLive.Load())
 }

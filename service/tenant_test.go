@@ -27,21 +27,6 @@ import (
 // tenantKey names the i-th test tenant.
 func tenantKey(i int) string { return fmt.Sprintf("t%03d", i) }
 
-// crashAll simulates kill -9 for a multi-tenant server: drop the
-// listener and kill every live tenant engine — no graceful Close, no
-// final snapshot, no WAL close.
-func crashAll(ts *httptest.Server, svc *Server) {
-	ts.Close()
-	for _, tn := range svc.tenantList() {
-		svc.mu.Lock()
-		eng := tn.eng
-		svc.mu.Unlock()
-		if eng != nil {
-			eng.Close()
-		}
-	}
-}
-
 // tenantSummary fetches one tenant's /v1/summary bytes.
 func tenantSummary(t *testing.T, url, name string) []byte {
 	t.Helper()
@@ -64,9 +49,9 @@ func tenantSummary(t *testing.T, url, name string) []byte {
 // Per-tenant ingest is sequential (each request/frame awaited before
 // the next — stream clients run a window of 1) while tenants proceed
 // concurrently, so each commit group carries at most one batch per
-// tenant and the per-tenant apply/flush sequence is exactly the serial
-// oracle's: worker batch boundaries stay a pure function of the log,
-// per tenant.
+// tenant and the per-tenant AddBatch sequence is exactly the serial
+// oracle's: batch boundaries stay a pure function of the log, per
+// tenant.
 func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 	const (
 		tenantsN = 8
@@ -168,7 +153,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 		pre[tenantKey(i)] = tenantSummary(t, ts.URL, tenantKey(i))
 	}
 	pre[""] = tenantSummary(t, ts.URL, "")
-	crashAll(ts, svc)
+	crash(ts, svc)
 
 	svc2, err := New(cfg)
 	if err != nil {
@@ -482,7 +467,7 @@ func TestTenantReplayBypassesCaps(t *testing.T) {
 		}
 		pre[i] = tenantSummary(t, ts.URL, tenantKey(i))
 	}
-	crashAll(ts, svc)
+	crash(ts, svc)
 
 	cfg2 := cfg
 	cfg2.MaxTenants = 2 // would refuse all three keyed tenants today
@@ -511,7 +496,7 @@ func TestTenantReplayBypassesCaps(t *testing.T) {
 // spills and restores tenants and creations race the count cap — then
 // checks every tenant float-exact against its serial oracle. Run with
 // -race this is the data-race acceptance test for the registry, the
-// spill path, and the per-tenant query cache.
+// spill path, and the per-tenant answer memo.
 func TestTenantChurnStressRace(t *testing.T) {
 	const (
 		tenantsN = 6

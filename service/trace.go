@@ -20,9 +20,8 @@ import (
 //
 //	enqueue  handler enqueues the job → the committer dequeues its
 //	         group (queue wait; per job)
-//	apply    group dequeue → engine AddBatch for every member plus the
-//	         touched-tenant flushes, driver-lock wait included (per
-//	         group)
+//	apply    group dequeue → member validation and one AddBatch per
+//	         touched tenant, driver-lock wait included (per group)
 //	append   the group's single WAL record append (per group)
 //	fsync    the group-wide durability barrier, wal.Sync outside the
 //	         driver lock — only under fsync=always, so its histogram

@@ -19,19 +19,16 @@ import (
 // order": the engine apply and the WAL append for one commit group (or
 // push) happen under the same critical section of the driver lock
 // (s.mu), so the replayer — which re-applies records through the very
-// same engine entry points (AddBatch, MergeMarshaled, Reset) —
-// reconstructs the identical sequence of engine calls. Second,
-// "boundaries are a function of the log": the shard summaries' state
-// depends on where worker batch handoffs fall, and untimed barriers (a
-// snapshot tick, a query) would move those boundaries in ways no log
-// can reproduce — so with the WAL on, every commit group drains the
-// engine before its members are acknowledged, and the group boundary
-// itself is durable: the group's one record carries its member batches
-// in commit order, and replay re-applies them and then flushes once,
-// exactly as the live group did. Together with the canonical marshaling
-// ("equal state ⇒ equal bytes"), a recovered server's /v1/summary is
-// byte-identical to a crash-free run over the same acknowledged
-// requests grouped the same way.
+// same entry points (applyGroupLocked, MergeMarshaled, Reset) —
+// reconstructs the identical sequence of engine calls. Second, "batch
+// boundaries are the log's": a summary's state depends on where its
+// AddBatch calls were cut, and each tenant gets exactly one AddBatch per
+// group record — its members of that record, in the client order the
+// record keeps — live and on replay alike. Nothing else (a snapshot
+// tick, a query, a stats read) ever cuts a batch. Together with the
+// canonical marshaling ("equal state ⇒ equal bytes"), a recovered
+// server's /v1/summary is byte-identical to a crash-free run over the
+// same acknowledged requests grouped the same way.
 //
 // Snapshots and the WAL compose rather than compete: the snapshot file
 // embeds the LSN it covers, a completed snapshot appends a checkpoint
@@ -187,14 +184,6 @@ func (s *Server) replayWAL(covered uint64) error {
 			return fmt.Errorf("service: wal replay: fold back in-flight push image: %w", err)
 		}
 		s.logf("wal: push round was in flight at crash; image folded back for re-push")
-	}
-	for _, t := range s.tenantList() {
-		if t.eng == nil {
-			continue // restored spilled and never touched by the log suffix
-		}
-		if err := t.eng.Flush(); err != nil {
-			return fmt.Errorf("service: wal replay: tenant %q: %w", t.name, err)
-		}
 	}
 	dur := time.Since(start)
 	s.walReplayed = records
