@@ -18,6 +18,8 @@
 //	corrbench -table sharded-scaling        # tuples/sec at P = 1, 2, 4, 8
 //	corrbench -table greater-than
 //	corrbench -table multipass
+//	corrbench -table occupancy              # per-level buckets, forms and counters for corrdbench's four shapes
+//	corrbench -table occupancy -n 1000000   # ... for that stream length, uniform and zipf
 //	corrbench -all              # everything, at the default sizes
 //
 // The paper ran 40–50M-tuple streams; the defaults here are scaled down
@@ -113,6 +115,8 @@ func runTable(table string, n int) {
 		multipassF1Table(orDefault(n, 100_000))
 	case "sharded-scaling":
 		shardedScaling(orDefault(n, 2_000_000))
+	case "occupancy":
+		occupancyTable(n)
 	default:
 		fmt.Fprintf(os.Stderr, "corrbench: unknown table %q\n", table)
 		os.Exit(2)

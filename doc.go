@@ -159,15 +159,17 @@
 //
 // Space reports stored counters and tuples, the metric of the paper's
 // figures. For the CountSketch-backed summaries (F2, Fk, heavy hitters)
-// it counts what each bucket's sketch actually holds. A sketch starts
-// sparse, storing only its nonzero counters at two words each (index and
-// value), and promotes itself once to the full width × depth array when
-// it would hold more than an eighth of that many nonzero counters; most
-// buckets of the reduction hold a few items and never get there. The form
-// changes no estimate and no marshaled byte, and Space is the same before
-// and after a MarshalBinary → UnmarshalBinary round trip (marshaling also
-// returns a dense sketch whose counters have cancelled back under the
-// promotion point to the sparse form its image decodes into).
+// it counts what each bucket's sketch actually holds. A sketch has two
+// forms. It starts in the items form, keeping the distinct (x, weight)
+// pairs it has absorbed at two words each — and answering exactly, so a
+// small bucket closes on its true F2 — and promotes itself once to the
+// full width × depth counter array, by hashing its pairs in, when it would
+// hold more than a quarter of that many pairs; most buckets of the
+// reduction hold few distinct items and never get there. A promoted sketch
+// holds exactly the counters it would have held had it been dense from the
+// start. The marshaled image records the form, so Space is the same before
+// and after a MarshalBinary → UnmarshalBinary round trip and marshaling
+// changes nothing. Occupancy breaks Space down level by level.
 //
 // # Mergeability and distribution
 //

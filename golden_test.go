@@ -3,29 +3,33 @@ package correlated_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/internal/gen"
 )
 
-// Constants generated by running this test at commit 000f2ac (PR 13), the
-// last commit whose CountSketch was dense-only. They pin the summary wire
-// image and the query float bits against the old code, so a change to the
-// sketch's in-memory form is checked against its predecessor and not only
-// against itself. Regenerate them only with a deliberate wire-version bump.
-const (
-	goldenImageSHA256 = "84e6670aa1bbef40e1801c1a34cdee5b955d0e4bb4254124fce3b93679962bf7"
-	goldenImageLen    = 27183358
-)
-
-var goldenQueryBits = [4]uint64{
-	0x4092940000000000, // QueryLE(2 000): singleton level
-	0x418729ba20000000, // QueryLE(600 000)
-	0x408d180000000000, // QueryGE(998 000): singleton level
-	0x41864f0aa0000000, // QueryGE(400 000)
+// golden pins the summary wire image and the query float bits in
+// testdata/f2_wire_golden.json against the code that last wrote that file,
+// so a change to the sketch's in-memory form or its image is checked against
+// its predecessor and not only against itself. Regenerate it only with a
+// deliberate wire-version bump:
+//
+//	go test -run TestF2SummaryWireGolden -update .
+type golden struct {
+	ImageSHA256 string    `json:"image_sha256"`
+	ImageLen    int       `json:"image_len"`
+	QueryBits   [4]string `json:"query_bits"` // QueryLE(2 000), QueryLE(600 000), QueryGE(998 000), QueryGE(400 000)
 }
+
+const goldenPath = "testdata/f2_wire_golden.json"
+
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from this build")
 
 // goldenBatches feeds n zipf tuples through AddBatch in 256-tuple batches,
 // the shape corrdbench's tenants-restart workload sends.
@@ -57,7 +61,7 @@ func goldenBatches(t *testing.T, s *correlated.F2Summary, n int, seed uint64) {
 
 // TestF2SummaryWireGolden builds a summary with corrd's benchmark options,
 // folds a second one in over the wire and live, and compares the marshaled
-// image and four query answers with the parent commit's.
+// image and four query answers with the recorded ones.
 func TestF2SummaryWireGolden(t *testing.T) {
 	o := correlated.Options{
 		Eps: 0.15, Delta: 0.1, YMax: 1_000_000,
@@ -90,12 +94,9 @@ func TestF2SummaryWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(out)
-	if got := hex.EncodeToString(sum[:]); got != goldenImageSHA256 || len(out) != goldenImageLen {
-		t.Errorf("image: sha256 %s len %d, want %s len %d", got, len(out), goldenImageSHA256, goldenImageLen)
-	}
+	got := golden{ImageSHA256: hex.EncodeToString(sum[:]), ImageLen: len(out)}
 
 	// One cutoff per direction inside the singleton level, one past it.
-	var got [4]uint64
 	for i, q := range []struct {
 		ge bool
 		c  uint64
@@ -108,9 +109,29 @@ func TestF2SummaryWireGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		got[i] = math.Float64bits(v)
+		got.QueryBits[i] = fmt.Sprintf("%#016x", math.Float64bits(v))
 	}
-	if got != goldenQueryBits {
-		t.Errorf("query bits %#x, want %#x", got, goldenQueryBits)
+
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s: %+v", goldenPath, got)
+		return
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want golden
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("wire golden:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -243,3 +243,66 @@ func TestBudgetedClosingMatchesEveryInsertCheck(t *testing.T) {
 		walk(s.levels[i], s.levels[i].root)
 	}
 }
+
+// unbudgeted hides everything but the Sketch methods of the sketch it
+// wraps: no ThresholdBudget, so the summary re-checks the closing threshold
+// after every insert, and no slots.
+type unbudgeted struct{ sketch.Sketch }
+
+func (u unbudgeted) Merge(o sketch.Sketch) error { return u.Sketch.Merge(o.(unbudgeted).Sketch) }
+func (u unbudgeted) MarshalBinary() ([]byte, error) {
+	return u.Sketch.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+}
+
+type unbudgetedMaker struct{ sketch.Maker }
+
+func (m unbudgetedMaker) New() sketch.Sketch { return unbudgeted{m.Maker.New()} }
+
+// TestBudgetsNeverMoveAClosing feeds one stream to a summary whose sketches
+// offer closing budgets and to one that checks the threshold after every
+// insert, tuple by tuple and in equal-y groups large enough to promote a
+// bucket's sketch in mid-group. A budget taken while a sketch kept its items
+// must not outlive its promotion — the dense estimator can read above the
+// exact F2 the budget was computed from — so the two must agree on every
+// bucket, closed flag and counter.
+func TestBudgetsNeverMoveAClosing(t *testing.T) {
+	agg := F2Aggregate()
+	checked := agg
+	checked.NewMaker = func(upsilon, gamma float64, rng *hash.RNG) sketch.Maker {
+		return unbudgetedMaker{agg.NewMaker(upsilon, gamma, rng)}
+	}
+	for _, grouped := range []bool{false, true} {
+		cfg := Config{Eps: 0.2, Delta: 0.1, YMax: 1<<12 - 1, MaxStreamLen: 60_000, MaxX: 1 << 20, Seed: 5}
+		a, b := mustSummary(t, agg, cfg), mustSummary(t, checked, cfg)
+		rng := hash.New(77)
+		for i := 0; i < 60; i++ {
+			batch := make([]Tuple, 1000)
+			for j := range batch {
+				// Few distinct y per batch: groups of ~125 tuples, mostly
+				// new x, so buckets cross the promotion point inside one.
+				batch[j] = Tuple{X: rng.Uint64n(1 << 20), Y: rng.Uint64n(8) * 97 * uint64(i%5+1), W: int64(1 + rng.Uint64n(3))}
+			}
+			for _, s := range []*Summary{a, b} {
+				if grouped {
+					if err := s.AddBatch(append([]Tuple(nil), batch...)); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				for _, tp := range batch {
+					if err := s.AddWeighted(tp.X, tp.Y, tp.W); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		requireSummariesEqual(t, a, b)
+		dense := 0
+		for _, o := range a.Occupancy() {
+			dense += o.Dense
+		}
+		if dense == 0 {
+			t.Fatal("no sketch promoted; the test lost its point")
+		}
+	}
+}

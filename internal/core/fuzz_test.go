@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/streamagg/correlated/internal/hash"
@@ -63,37 +64,60 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	}
 	f.Add(img)
 	f.Add([]byte{})
-	// A sketch decodes into its sparse form and promotes on the way once
-	// it has read enough nonzero counters. Seed an image whose first
-	// sketch (the shared one) crosses that point in mid-payload: whole,
-	// cut after the crossing, and corrupted after it.
-	edge := newSum(f)
-	dense := 0
-	for x := uint64(0); dense == 0 || x < 2*uint64(dense); x++ {
-		if err := edge.AddWeighted(x, 1, 1); err != nil {
+	// A sketch's payload records its form. Seed images whose first sketch
+	// (the shared one) sits on either side of the promotion point — as
+	// many pairs as the items form holds, then one more and dense — each
+	// whole, cut inside that payload, and corrupted inside it; and the
+	// dense one re-framed as the version-2 payload it would have been
+	// before sketches kept their items (no form byte), which must still
+	// load.
+	fm := newSum(f).maker.(*sketch.F2Maker)
+	atLimit := fm.Width() * fm.Depth() / 4
+	for _, items := range []int{atLimit, atLimit + 1} {
+		edge := newSum(f)
+		for x := 0; x < items; x++ {
+			if err := edge.AddWeighted(uint64(x), 1, 1); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if dense := edge.shared.Size() == fm.Width()*fm.Depth(); dense != (items > atLimit) {
+			f.Fatalf("%d items left the shared sketch dense=%v", items, dense)
+		}
+		if img, err = edge.MarshalBinary(); err != nil {
 			f.Fatal(err)
 		}
-		fm := edge.maker.(*sketch.F2Maker)
-		if dense == 0 && edge.shared.Size() == fm.Width()*fm.Depth() {
-			dense = int(x) + 1 // items it took to promote
+		payload, err := edge.shared.(*sketch.CountSketch).MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		at := bytes.Index(img, payload)
+		if at < 0 {
+			f.Fatal("shared sketch payload not found in the image")
+		}
+		f.Add(img)
+		f.Add(img[:at+len(payload)*3/4])
+		corrupt = append([]byte(nil), img...)
+		corrupt[at+len(payload)*3/4] ^= 0x81
+		f.Add(corrupt)
+		if items > atLimit {
+			// Version and kind, the two geometry varints, then the form.
+			form := 2
+			for k := 0; k < 2; k++ {
+				_, n := binary.Uvarint(payload[form:])
+				form += n
+			}
+			v2 := append([]byte{2}, payload[1:form]...)
+			v2 = append(v2, payload[form+1:]...)
+			prefix := len(binary.AppendUvarint(nil, uint64(len(payload))))
+			old := append([]byte(nil), img[:at-prefix]...)
+			old = append(binary.AppendUvarint(old, uint64(len(v2))), v2...)
+			old = append(old, img[at+len(payload):]...)
+			if err := newSum(f).UnmarshalBinary(old); err != nil {
+				f.Fatalf("image with a version-2 sketch payload: %v", err)
+			}
+			f.Add(old)
 		}
 	}
-	if img, err = edge.MarshalBinary(); err != nil {
-		f.Fatal(err)
-	}
-	payload, err := edge.shared.(*sketch.CountSketch).MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	at := bytes.Index(img, payload)
-	if at < 0 {
-		f.Fatal("shared sketch payload not found in the image")
-	}
-	f.Add(img)
-	f.Add(img[:at+len(payload)*3/4])
-	corrupt = append([]byte(nil), img...)
-	corrupt[at+len(payload)*3/4] ^= 0x81
-	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newSum(t)

@@ -1,0 +1,75 @@
+package core
+
+import "github.com/streamagg/correlated/internal/sketch"
+
+// LevelOccupancy is what one level of a Summary holds: the breakdown behind
+// Space and Buckets, for sizing α and ℓmax against the streams a deployment
+// actually sees.
+type LevelOccupancy struct {
+	Level  int // 0 is the singleton level S0
+	Virgin bool
+	Stored int // buckets stored, as Buckets counts them
+	Closed int // of those, buckets that have crossed the closing threshold
+	// Untouched buckets hold no sketch: split siblings no tuple has landed
+	// in, or the root of a virgin level, for which the shared sketch stands.
+	Untouched int
+	// Items and Dense count the sketches that report a form (CountSketch):
+	// those still keeping their (x, weight) pairs, and those promoted to
+	// their counter array. Exact counters and composite sketches count in
+	// neither.
+	Items, Dense int
+	// Counters is the level's share of Space: stored words, bucket overhead
+	// included. The shared sketch of the virgin levels is charged to the
+	// first of them (to the top level once none is left), so the rows add
+	// up to Space.
+	Counters  int64
+	Watermark uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
+}
+
+// Occupancy returns one row per level, S0 first. It walks every bucket, like
+// Space.
+func (s *Summary) Occupancy() []LevelOccupancy {
+	rows := make([]LevelOccupancy, s.lmax+1)
+	rows[0] = LevelOccupancy{Stored: len(s.s0.buckets), Watermark: s.s0.y}
+	for _, b := range s.s0.buckets {
+		rows[0].Counters++ // the singleton's y
+		rows[0].visit(b)
+	}
+	for i := 1; i <= s.lmax; i++ {
+		rows[i] = LevelOccupancy{Level: i, Virgin: i >= s.virginFrom, Watermark: s.levels[i].y}
+		rows[i].walk(s.levels[i].root)
+	}
+	rows[min(s.virginFrom, s.lmax)].Counters += int64(s.shared.Size())
+	return rows
+}
+
+func (o *LevelOccupancy) walk(b *bucket) {
+	if b == nil {
+		return
+	}
+	o.Stored++
+	o.Counters += 2 // the bucket's interval
+	o.visit(b)
+	o.walk(b.left)
+	o.walk(b.right)
+}
+
+func (o *LevelOccupancy) visit(b *bucket) {
+	if b.closed {
+		o.Closed++
+	}
+	if b.sk == nil {
+		o.Untouched++
+		return
+	}
+	o.Counters += int64(b.sk.Size())
+	if f, ok := b.sk.(interface{ Dense() bool }); ok {
+		if f.Dense() {
+			o.Dense++
+		} else {
+			o.Items++
+		}
+	}
+}
+
+var _ interface{ Dense() bool } = (*sketch.CountSketch)(nil)

@@ -63,6 +63,8 @@ type Summary struct {
 	slotsOK   bool             // slots describe the tuple being inserted
 	slab      sketch.Slots     // per-batch slot slab (scratch, reused)
 
+	parts []sketch.Sketch // query composition's operands (scratch, reused)
+
 	// sharedBudget plays the bucket closeBudget role for the shared
 	// virgin-level sketch against the next virgin level's threshold.
 	sharedBudget int64
@@ -497,13 +499,21 @@ func (s *Summary) QuerySketch(c uint64) (sketch.Sketch, int, error) {
 // appropriate singletons": sketches here are linear, so composition and
 // summation coincide).
 func (s *Summary) query0(c uint64) sketch.Sketch {
-	out := s.maker.New()
+	parts := s.parts[:0]
 	for y, b := range s.s0.buckets {
 		if y <= c {
-			// Merging sketches from the same maker cannot fail.
-			_ = out.Merge(b.sk)
+			parts = append(parts, b.sk)
 		}
 	}
+	return s.compose(parts)
+}
+
+// compose returns the composition of parts and keeps their slice for the
+// next query.
+func (s *Summary) compose(parts []sketch.Sketch) sketch.Sketch {
+	out := sketch.Compose(s.maker, parts)
+	clear(parts)
+	s.parts = parts
 	return out
 }
 
@@ -511,7 +521,7 @@ func (s *Summary) query0(c uint64) sketch.Sketch {
 // lies inside [0, c]. Buckets straddling c (the set B2 of the analysis)
 // are excluded; Lemma 4 bounds the mass they can hide.
 func (s *Summary) queryLevel(lv *level, c uint64) sketch.Sketch {
-	out := s.maker.New()
+	parts := s.parts[:0]
 	// On a virgin level a sketchless bucket is the root, standing in for
 	// the shared whole-stream sketch; on a materialized level it is an
 	// untouched split sibling holding nothing at all.
@@ -522,10 +532,9 @@ func (s *Summary) queryLevel(lv *level, c uint64) sketch.Sketch {
 			return
 		}
 		if b.sk != nil {
-			// Same-maker merges cannot fail.
-			_ = out.Merge(b.sk)
+			parts = append(parts, b.sk)
 		} else if virgin {
-			_ = out.Merge(s.shared)
+			parts = append(parts, s.shared)
 		}
 		inside(b.left)
 		inside(b.right)
@@ -543,7 +552,7 @@ func (s *Summary) queryLevel(lv *level, c uint64) sketch.Sketch {
 		walk(b.right)
 	}
 	walk(lv.root)
-	return out
+	return s.compose(parts)
 }
 
 // Space returns the stored size in counters/tuples — the space metric of

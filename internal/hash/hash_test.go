@@ -145,6 +145,30 @@ func TestMulmod61AgainstBigIntStyle(t *testing.T) {
 	}
 }
 
+// TestFourWiseHashPowersEqualsHash: summing the terms from shared powers and
+// reducing once must give the value nested evaluation gives — sketch images
+// written under one are read under the other.
+func TestFourWiseHashPowersEqualsHash(t *testing.T) {
+	rng := New(5)
+	edges := []uint64{0, 1, ^uint64(0), mersenne61 - 1, mersenne61, mersenne61 + 1, 1 << 63}
+	for k := 0; k < 100; k++ {
+		f := NewFourWise(rng)
+		if k == 0 { // the largest coefficients: the 128-bit sum's worst case
+			f.a = [4]uint64{mersenne61 - 1, mersenne61 - 1, mersenne61 - 1, mersenne61 - 1}
+		}
+		for i := 0; i < 2000; i++ {
+			x := rng.Uint64()
+			if i < len(edges) {
+				x = edges[i]
+			}
+			v, v2, v3 := Powers61(x)
+			if got, want := f.HashPowers(v, v2, v3), f.Hash(x); got != want {
+				t.Fatalf("x = %d: HashPowers %d, Hash %d", x, got, want)
+			}
+		}
+	}
+}
+
 func TestFourWiseSignBalance(t *testing.T) {
 	f := NewFourWise(New(17))
 	sum := int64(0)

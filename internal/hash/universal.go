@@ -80,6 +80,30 @@ func (f *FourWise) Hash(x uint64) uint64 {
 	return h
 }
 
+// Powers61 returns x folded into the field, with its square and cube: the
+// three values HashPowers needs, shared by every polynomial evaluated at x.
+func Powers61(x uint64) (v, v2, v3 uint64) {
+	v = fold61(x)
+	v2 = mulmod61(v, v)
+	return v, v2, mulmod61(v2, v)
+}
+
+// HashPowers is Hash(x) given Powers61(x). The three products, each below
+// 2^122, are summed as one 128-bit integer and reduced once.
+func (f *FourWise) HashPowers(v, v2, v3 uint64) uint64 {
+	h3, l3 := bits.Mul64(f.a[3], v3)
+	h2, l2 := bits.Mul64(f.a[2], v2)
+	h1, l1 := bits.Mul64(f.a[1], v)
+	lo, c := bits.Add64(l3, l2, 0)
+	hi, _ := bits.Add64(h3, h2, c)
+	lo, c = bits.Add64(lo, l1, 0)
+	hi, _ = bits.Add64(hi, h1, c)
+	lo, c = bits.Add64(lo, f.a[0], 0)
+	hi += c
+	// 2^61 ≡ 1: fold the 125-bit sum to 64 bits, then to the field.
+	return fold61((hi<<3 | lo>>61) + (lo & mersenne61))
+}
+
 // Equal reports whether f and o compute the same function (identical
 // polynomial coefficients). Summaries built from equal seeds draw equal
 // hash functions, which is what makes their sketches mergeable.

@@ -135,15 +135,14 @@ func (m *hhMaker) New() sketch.Sketch {
 	}
 }
 
-// Slots implements sketch.SlotMaker: the inner CountSketch slots plus the
-// raw identifier (the candidate set needs x itself).
+// Slots implements sketch.SlotMaker with the inner CountSketch slots, whose
+// last word is the raw identifier the candidate set needs.
 func (m *hhMaker) Slots(x uint64, scratch sketch.Slots) sketch.Slots {
-	scratch = m.inner.Slots(x, scratch)
-	return append(scratch, x)
+	return m.inner.Slots(x, scratch)
 }
 
 // SlotWidth implements sketch.SlotMaker.
-func (m *hhMaker) SlotWidth() int { return m.inner.SlotWidth() + 1 }
+func (m *hhMaker) SlotWidth() int { return m.inner.SlotWidth() }
 
 // Recycle implements sketch.Recycler.
 func (m *hhMaker) Recycle(sk sketch.Sketch) {
@@ -170,10 +169,10 @@ func (h *hhSketch) Add(x uint64, w int64) {
 	h.track(x, w)
 }
 
-// AddSlots implements sketch.SlotAdder: the leading words are the inner
-// CountSketch slots, the trailing word is x itself.
+// AddSlots implements sketch.SlotAdder: the slots are the inner
+// CountSketch's, and their trailing word is x itself.
 func (h *hhSketch) AddSlots(slots sketch.Slots, w int64) {
-	h.cs.AddSlots(slots[:len(slots)-1], w)
+	h.cs.AddSlots(slots, w)
 	h.track(slots[len(slots)-1], w)
 }
 

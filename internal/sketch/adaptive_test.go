@@ -4,179 +4,271 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/big"
+	"slices"
 	"testing"
 
 	"github.com/streamagg/correlated/internal/hash"
 )
 
-// The sparse and dense forms of CountSketch must be indistinguishable
-// through the API. These tests drive an adaptive sketch (starts sparse,
-// promotes itself) beside a reference forced dense from birth through the
-// same operations and compare everything observable after every step.
+// The items and dense forms of CountSketch must describe the same sketch:
+// while a sketch keeps its pairs every answer is the exact one, and the
+// counters those pairs stand for — the ones it will hold once promoted — are
+// at every step the counters of a sketch that was dense from its first
+// item. These tests drive an adaptive sketch beside such a reference, and
+// beside a plain frequency map, through the same operations.
 
-// forceDense turns c into the reference: dense from birth, and in plain
-// modeDense so that no merge into it takes the sparse-operand shortcut.
-func forceDense(c *CountSketch) *CountSketch {
-	if c.mode == modeSparse {
-		c.promote()
+// denseTwin returns a maker with m's geometry and row hashes whose sketches
+// promote on their first item: the reference the items form is checked
+// against.
+func denseTwin(m *F2Maker) *F2Maker {
+	return &F2Maker{
+		width: m.width, depth: m.depth, rowH: m.rowH,
+		medScratch: make([]float64, m.depth),
 	}
-	c.mode = modeDense
-	return c
 }
 
-// pair is one adaptive sketch and its dense reference.
-type pair struct{ a, r *CountSketch }
-
-func newPair(m *F2Maker) pair {
-	return pair{m.New().(*CountSketch), forceDense(m.New().(*CountSketch))}
+// counters returns the dense counters c holds or, in the items form, the
+// ones its pairs hash to — by evaluating each row's polynomial on its own,
+// not through Slots.
+func counters(c *CountSketch) []int64 {
+	if c.dense {
+		return c.data
+	}
+	m := c.maker
+	out := make([]int64, m.depth*m.width)
+	for _, it := range c.tab {
+		for i := 0; it.f != 0 && i < m.depth; i++ {
+			v := hash.Reduce61(m.rowH[i].Hash(it.x), uint64(2*m.width))
+			out[i*m.width+int(v>>1)] += (int64(v&1)*2 - 1) * it.f
+		}
+	}
+	return out
 }
 
-// check compares everything the API exposes, and re-arms the reference
-// (marshaling may have demoted it).
-func (p pair) check(t *testing.T, m *F2Maker, step string) {
+// pair is one adaptive sketch, its dense reference and the frequencies both
+// were fed.
+type pair struct {
+	a, r *CountSketch
+	freq map[uint64]int64
+	// huge marks a run whose weights leave the range where the dense form's
+	// float64 row sums are exact; there only the counters are compared.
+	huge bool
+}
+
+func newPair(m, ref *F2Maker) pair {
+	return pair{a: m.New().(*CountSketch), r: ref.New().(*CountSketch), freq: map[uint64]int64{}}
+}
+
+func (p pair) add(x uint64, w int64) {
+	p.a.Add(x, w)
+	p.r.Add(x, w)
+	p.freq[x] += w
+}
+
+func (p pair) merge(t *testing.T, q pair) {
 	t.Helper()
-	if p.r.mode == modeSparse {
-		t.Fatalf("%s: reference went sparse", step)
+	if err := p.a.Merge(q.a); err != nil {
+		t.Fatal(err)
 	}
-	forceDense(p.r)
-	defer forceDense(p.r)
-	if a, r := math.Float64bits(p.a.Estimate()), math.Float64bits(p.r.Estimate()); a != r {
-		t.Fatalf("%s: Estimate bits %#x (mode %d), dense %#x", step, a, p.a.mode, r)
+	if err := p.r.Merge(q.r); err != nil {
+		t.Fatal(err)
 	}
-	for i := range p.a.rowF2 {
-		if a, r := math.Float64bits(p.a.rowF2[i]), math.Float64bits(p.r.rowF2[i]); a != r {
-			t.Fatalf("%s: rowF2[%d] bits %#x, dense %#x", step, i, a, r)
+	if p.a == q.a {
+		for x, f := range p.freq {
+			p.freq[x] = 2 * f
+		}
+		return
+	}
+	for x, f := range q.freq {
+		p.freq[x] += f
+	}
+}
+
+// check compares the adaptive sketch with the reference and the brute-force
+// frequencies, then round-trips it through its image.
+func (p pair) check(t *testing.T, step string) {
+	t.Helper()
+	m := p.a.maker
+	if got, want := counters(p.a), counters(p.r); !slices.Equal(got, want) {
+		t.Fatalf("%s: counters differ from the dense reference (dense=%v)", step, p.a.dense)
+	}
+	distinct := 0
+	f2 := new(big.Int)
+	for _, f := range p.freq {
+		if f != 0 {
+			distinct++
+			f2.Add(f2, new(big.Int).Mul(big.NewInt(f), big.NewInt(f)))
 		}
 	}
-	for _, thresh := range []float64{1, 64, 1 << 20, 1e300} {
-		if a, r := p.a.ThresholdBudget(thresh), p.r.ThresholdBudget(thresh); a != r {
-			t.Fatalf("%s: ThresholdBudget(%g) = %d, dense %d", step, thresh, a, r)
+	exact := !p.huge
+	if !p.a.dense {
+		exact = true
+		if p.a.n != distinct || p.a.n > m.itemsMax || p.a.Size() != 2*distinct {
+			t.Fatalf("%s: items form with n=%d Size=%d, %d distinct items, itemsMax %d",
+				step, p.a.n, p.a.Size(), distinct, m.itemsMax)
 		}
-	}
-	for x := uint64(0); x < 12; x++ {
-		if a, r := p.a.EstimateItem(x), p.r.EstimateItem(x); a != r {
-			t.Fatalf("%s: EstimateItem(%d) = %v, dense %v", step, x, a, r)
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(p.a.f2hi), 64)
+		if got.Add(got, new(big.Int).SetUint64(p.a.f2lo)); got.Cmp(f2) != 0 {
+			t.Fatalf("%s: items Σf² = %v, brute force %v", step, got, f2)
 		}
-	}
-	nonzero := 0
-	for i := 0; i < m.depth; i++ {
-		for j := 0; j < m.width; j++ {
-			if p.r.counter(i, j) != 0 {
-				nonzero++
+		want, _ := new(big.Float).SetInt(f2).Float64()
+		if est := p.a.Estimate(); math.Abs(est-want) > want*0x1p-52 {
+			t.Fatalf("%s: items Estimate %v, brute force %v", step, est, want)
+		}
+		for x := uint64(0); x < 12; x++ {
+			if got := p.a.EstimateItem(x); got != float64(p.freq[x]) {
+				t.Fatalf("%s: items EstimateItem(%d) = %v, brute force %d", step, x, got, p.freq[x])
+			}
+		}
+		if b := p.a.ThresholdBudget(1 << 40); b > int64(m.itemsMax-p.a.n) {
+			t.Fatalf("%s: budget %d reaches past the %d pairs left before promotion", step, b, m.itemsMax-p.a.n)
+		}
+	} else {
+		if p.a.Size() != m.width*m.depth || p.a.tab != nil || !p.r.dense {
+			t.Fatalf("%s: dense Size = %d, table %d slots, reference dense=%v",
+				step, p.a.Size(), len(p.a.tab), p.r.dense)
+		}
+		// A float64 sum of squared integers below 2^53 is exact in every
+		// order, so there the promoted sketch and the reference agree to
+		// the bit however each got its rows.
+		for _, v := range p.r.rowF2 {
+			exact = exact && v < 1<<53
+		}
+		if exact {
+			for i, v := range p.a.rowF2 {
+				if r := p.r.rowF2[i]; v != r {
+					t.Fatalf("%s: rowF2[%d] = %v, dense %v", step, i, v, r)
+				}
+			}
+			if a, r := p.a.Estimate(), p.r.Estimate(); a != r {
+				t.Fatalf("%s: Estimate %v, dense %v", step, a, r)
+			}
+			for _, thresh := range []float64{1, 64, 1 << 20, 1 << 60} {
+				if a, r := p.a.ThresholdBudget(thresh), p.r.ThresholdBudget(thresh); a != r {
+					t.Fatalf("%s: ThresholdBudget(%g) = %d, dense %d", step, thresh, a, r)
+				}
+			}
+		}
+		for x := uint64(0); x < 12; x++ {
+			if a, r := p.a.EstimateItem(x), p.r.EstimateItem(x); a != r {
+				t.Fatalf("%s: EstimateItem(%d) = %v, dense %v", step, x, a, r)
 			}
 		}
 	}
-	checkSize := func(when string) {
-		t.Helper()
-		switch {
-		case p.a.mode == modeSparse && (p.a.n != nonzero || nonzero > m.sparseMax || p.a.Size() != 2*nonzero):
-			t.Fatalf("%s %s: sparse with n=%d Size=%d, %d nonzero counters, sparseMax %d",
-				step, when, p.a.n, p.a.Size(), nonzero, m.sparseMax)
-		case p.a.mode != modeSparse && p.a.Size() != m.width*m.depth:
-			t.Fatalf("%s %s: dense Size = %d", step, when, p.a.Size())
+
+	// The image: marshaling leaves the sketch alone, a dense sketch's image
+	// is the reference's, and the decoded copy is the same sketch in the
+	// same form and encodes to the same bytes.
+	dense, n, size := p.a.dense, p.a.n, p.a.Size()
+	img, err := p.a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.a.dense != dense || p.a.n != n || p.a.Size() != size {
+		t.Fatalf("%s: MarshalBinary changed the sketch", step)
+	}
+	if dense {
+		if rimg, _ := p.r.MarshalBinary(); !bytes.Equal(img, rimg) {
+			t.Fatalf("%s: dense image differs from the reference's", step)
 		}
 	}
-	checkSize("live")
-	ab, _ := p.a.MarshalBinary()
-	rb, _ := p.r.MarshalBinary()
-	if !bytes.Equal(ab, rb) {
-		t.Fatalf("%s: marshaled bytes differ", step)
+	// Decode over a populated receiver: the image must replace its state.
+	dst := m.New().(*CountSketch)
+	dst.Add(99, 5)
+	if err := dst.UnmarshalBinary(img); err != nil {
+		t.Fatalf("%s: %v", step, err)
 	}
-	// Marshaling settles the form on what the image will decode into.
-	checkSize("marshaled")
-	if (p.a.mode == modeSparse) != (nonzero <= m.sparseMax) {
-		t.Fatalf("%s: mode %d after marshaling %d nonzero counters, sparseMax %d",
-			step, p.a.mode, nonzero, m.sparseMax)
+	if dst.dense != dense || dst.Size() != size || (exact && dst.Estimate() != p.a.Estimate()) ||
+		!slices.Equal(counters(dst), counters(p.a)) {
+		t.Fatalf("%s: restored dense=%v Size=%d Estimate=%v, live dense=%v Size=%d Estimate=%v",
+			step, dst.dense, dst.Size(), dst.Estimate(), dense, size, p.a.Estimate())
 	}
-	for _, f2 := range p.a.rowF2 {
-		if p.a.mode == modeMerged && (f2 != math.Trunc(f2) || f2 >= exactF2Limit) {
-			t.Fatalf("%s: modeMerged with rowF2 %v", step, f2)
-		}
+	if again, _ := dst.MarshalBinary(); !bytes.Equal(again, img) {
+		t.Fatalf("%s: unmarshal → marshal is not the identity", step)
 	}
-	if len(m.flat) > 0 {
-		for i, v := range m.flat {
-			if v != 0 {
-				t.Fatalf("%s: maker scratch left dirty at %d", step, i)
-			}
-		}
-	}
+	m.Recycle(dst)
 }
 
 // TestCountSketchFormsAgree runs seeded random operation sequences over a
 // few registers, so merges meet every (receiver, operand) form pair.
 func TestCountSketchFormsAgree(t *testing.T) {
-	type formPair struct{ recv, op bool } // true = sparse
+	type formPair struct{ recv, op bool } // true = items form
 	seen := map[formPair]int{}
+	promoted := 0
 	for _, g := range []struct{ width, depth int }{{64, 3}, {356, 4}, {16, 1}, {50, 5}} {
 		for seed := uint64(1); seed <= 12; seed++ {
 			m := NewF2Maker(g.width, g.depth, hash.New(1000+seed))
+			ref := denseTwin(m)
 			rng := hash.New(seed)
-			// Weights: unit inserts, small signed updates, or values large
-			// enough to leave the range where float sums are exact.
+			// Weights: unit inserts, small signed updates, or values whose
+			// squares leave the range where float sums are exact.
 			weight := func() int64 {
 				switch rng.Uint64n(10) {
 				case 0:
-					return int64(rng.Uint64n(1<<40)) - 1<<39
+					if seed%3 == 0 {
+						return int64(rng.Uint64n(1<<40)) - 1<<39
+					}
 				case 1, 2, 3:
 					return int64(rng.Uint64n(7)) - 3
 				}
 				return 1
 			}
-			regs := []pair{newPair(m), newPair(m), newPair(m)}
-			domain := uint64(4 + rng.Uint64n(uint64(g.width)))
+			fresh := func() pair {
+				p := newPair(m, ref)
+				p.huge = seed%3 == 0
+				return p
+			}
+			regs := []pair{fresh(), fresh(), fresh()}
+			domain := 4 + rng.Uint64n(uint64(m.itemsMax))
 			var slots Slots
 			for step := 0; step < 400; step++ {
 				i := int(rng.Uint64n(3))
 				p := &regs[i]
+				wasDense := p.a.dense
 				var what string
-				switch op := rng.Uint64n(20); {
+				switch op := rng.Uint64n(21); {
 				case op < 8:
 					x, w := rng.Uint64n(domain), weight()
 					what = fmt.Sprintf("Add(%d,%d)", x, w)
-					p.a.Add(x, w)
-					p.r.Add(x, w)
+					p.add(x, w)
 				case op < 13:
 					x, w := rng.Uint64n(domain), weight()
 					what = fmt.Sprintf("AddSlots(%d,%d)", x, w)
 					slots = m.Slots(x, slots[:0])
 					p.a.AddSlots(slots, w)
 					p.r.AddSlots(slots, w)
+					p.freq[x] += w
 				case op < 14:
-					// Delete what was just added elsewhere: cancellations
-					// take sparse counters back to zero.
+					// Delete what was just added: a pair whose weight
+					// returns to zero leaves the table.
 					x := rng.Uint64n(domain)
 					what = fmt.Sprintf("Add(%d,±2)", x)
-					for _, w := range []int64{2, -2} {
-						p.a.Add(x, w)
-						p.r.Add(x, w)
-					}
+					p.add(x, 2)
+					p.add(x, -2)
 				case op < 17:
 					q := regs[(i+1+int(rng.Uint64n(2)))%3]
-					what = fmt.Sprintf("Merge(mode %d <- mode %d)", p.a.mode, q.a.mode)
-					seen[formPair{p.a.mode == modeSparse, q.a.mode == modeSparse}]++
-					if err := p.a.Merge(q.a); err != nil {
-						t.Fatal(err)
-					}
-					if err := p.r.Merge(q.r); err != nil {
-						t.Fatal(err)
-					}
+					what = fmt.Sprintf("Merge(dense=%v <- dense=%v)", p.a.dense, q.a.dense)
+					seen[formPair{!p.a.dense, !q.a.dense}]++
+					p.merge(t, q)
 				case op < 18:
 					what = "Recycle+New"
 					m.Recycle(p.a)
-					m.Recycle(p.r)
-					// The pool is LIFO: the reference comes back first.
-					p.r = forceDense(m.New().(*CountSketch))
-					p.a = m.New().(*CountSketch)
-					if p.a.mode != modeSparse || p.a.Size() != 0 || p.a.Estimate() != 0 {
-						t.Fatalf("recycled sketch not empty: mode %d size %d", p.a.mode, p.a.Size())
+					ref.Recycle(p.r)
+					*p = fresh()
+					if p.a.dense || p.a.Size() != 0 || p.a.Estimate() != 0 {
+						t.Fatalf("recycled sketch not empty: dense=%v size %d", p.a.dense, p.a.Size())
 					}
 				case op < 19:
 					what = "Merge(self)"
-					if err := p.a.Merge(p.a); err != nil {
-						t.Fatal(err)
-					}
-					if err := p.r.Merge(p.r); err != nil {
-						t.Fatal(err)
+					p.merge(t, *p)
+				case op < 20:
+					// A burst of fresh items, to cross the promotion point
+					// of the wider geometries.
+					k := rng.Uint64n(64)
+					what = fmt.Sprintf("burst of %d", k)
+					for base := rng.Uint64(); k > 0; k-- {
+						p.add(base+k, 1)
 					}
 				default:
 					what = "Marshal+Unmarshal"
@@ -185,290 +277,369 @@ func TestCountSketchFormsAgree(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						size := (*c).Size() // after marshaling: the settled form
-						// Decode over a populated receiver: the image
-						// must replace its state, not add to it.
-						dst := m.New().(*CountSketch)
-						dst.Add(rng.Uint64(), 5)
+						dst := (*c).maker.New().(*CountSketch)
 						if err := dst.UnmarshalBinary(img); err != nil {
 							t.Fatal(err)
 						}
-						if c == &p.a && dst.Size() != size {
-							t.Fatalf("Size %d became %d across Marshal/Unmarshal", size, dst.Size())
-						}
 						*c = dst
 					}
-					forceDense(p.r)
 				}
-				p.check(t, m, fmt.Sprintf("%dx%d seed %d step %d %s", g.width, g.depth, seed, step, what))
+				if p.a.dense && !wasDense {
+					promoted++
+				}
+				p.check(t, fmt.Sprintf("%dx%d seed %d step %d %s", g.width, g.depth, seed, step, what))
 			}
 		}
 	}
 	for _, fp := range []formPair{{true, true}, {true, false}, {false, true}, {false, false}} {
 		if seen[fp] == 0 {
-			t.Errorf("no merge with receiver sparse=%v, operand sparse=%v was generated", fp.recv, fp.op)
+			t.Errorf("no merge with receiver items=%v, operand items=%v was generated", fp.recv, fp.op)
 		}
+	}
+	if promoted < 20 {
+		t.Errorf("only %d promotions were generated", promoted)
 	}
 }
 
-// TestCountSketchPromotionPoint stops a sketch one nonzero counter below
-// the promotion point, at it and one past it, built from crafted slots so
-// the count is exact, and checks the form on each side of Marshal.
+// TestCountSketchPromotionPoint stops a sketch one pair below the promotion
+// point, at it and one past it, by Add and by AddSlots, and checks the form
+// on each side of Marshal.
 func TestCountSketchPromotionPoint(t *testing.T) {
 	const width, depth = 64, 3
-	for _, target := range []int{-1, 0, 1} { // nonzero counters relative to sparseMax
-		m := NewF2Maker(width, depth, hash.New(77))
-		if m.sparseMax != width*depth/sparseDivisor || m.sparseMax%depth != 0 {
-			t.Fatalf("sparseMax = %d", m.sparseMax)
-		}
-		p := newPair(m)
-		add := func(cols ...uint64) {
-			slots := make(Slots, depth)
-			for i, c := range cols {
-				slots[i] = c<<1 | 1
+	for _, slotted := range []bool{false, true} {
+		for _, target := range []int{-1, 0, 1} { // pairs relative to itemsMax
+			m := NewF2Maker(width, depth, hash.New(77))
+			if m.itemsMax != width*depth/itemsDivisor {
+				t.Fatalf("itemsMax = %d", m.itemsMax)
 			}
-			p.a.AddSlots(slots, 1)
-			p.r.AddSlots(slots, 1)
-		}
-		full := uint64(m.sparseMax / depth)
-		for c := uint64(0); c < full-1; c++ {
-			add(c, c, c) // depth new counters each
-		}
-		switch target {
-		case -1:
-			add(full, full, 0) // two new counters, one revisited
-		case 0:
-			add(full, full, full)
-		case 1:
-			add(full, full, full)
-			add(full+1, 0, 0) // the first row's counter is one too many
-		}
-		want := m.sparseMax + target
-		step := fmt.Sprintf("sparseMax%+d", target)
-		p.check(t, m, step)
-		if sparse := p.a.mode == modeSparse; sparse != (target <= 0) || (sparse && p.a.n != want) {
-			t.Fatalf("%s: mode %d with n=%d", step, p.a.mode, p.a.n)
-		}
-
-		// The restored form follows the nonzero count, like the live one.
-		img, _ := p.a.MarshalBinary()
-		dst := m.New().(*CountSketch)
-		if err := dst.UnmarshalBinary(img); err != nil {
-			t.Fatal(err)
-		}
-		if (dst.mode == modeSparse) != (target <= 0) || dst.Size() != p.a.Size() {
-			t.Fatalf("%s: restored mode %d size %d, live mode %d size %d",
-				step, dst.mode, dst.Size(), p.a.mode, p.a.Size())
-		}
-		restored := pair{dst, p.r}
-		restored.check(t, m, step+" restored")
-
-		// A counter cancelling to zero is not stored: Size follows the
-		// values, so it survives another round trip.
-		if target == 0 {
-			slots := Slots{full << 1, full << 1, full << 1} // sign −1 on the last item's counters
-			p.a.AddSlots(slots, 1)
-			p.r.AddSlots(slots, 1)
-			p.check(t, m, step+" cancelled")
-			if p.a.n != want-depth {
-				t.Fatalf("after cancel n=%d, want %d", p.a.n, want-depth)
+			p := newPair(m, denseTwin(m))
+			add := func(x uint64, w int64) {
+				if !slotted {
+					p.add(x, w)
+					return
+				}
+				slots := m.Slots(x, nil)
+				p.a.AddSlots(slots, w)
+				p.r.AddSlots(slots, w)
+				p.freq[x] += w
 			}
-			add(full+1, full+1, full+1) // room again without promoting
-			p.check(t, m, step+" refilled")
-			if p.a.mode != modeSparse {
-				t.Fatal("cancelled entries still counted toward promotion")
+			want := m.itemsMax + target
+			for x := 0; x < want; x++ {
+				add(uint64(1000+x), int64(1+x%3))
+			}
+			step := fmt.Sprintf("slotted=%v itemsMax%+d", slotted, target)
+			p.check(t, step)
+			if items := !p.a.dense; items != (target <= 0) || (items && p.a.n != want) {
+				t.Fatalf("%s: dense=%v with n=%d", step, p.a.dense, p.a.n)
+			}
+			if target > 0 {
+				continue
+			}
+			// Updating a held pair never promotes, even at the limit.
+			add(1000, 7)
+			p.check(t, step+" revisit")
+			if p.a.dense {
+				t.Fatalf("%s: an update to a held pair promoted", step)
+			}
+			if target < 0 {
+				continue
+			}
+			// A pair cancelling to zero is not stored: it makes room for
+			// another without promoting, and the next one after that
+			// promotes.
+			add(1001, -p.freq[1001])
+			p.check(t, step+" cancelled")
+			if p.a.n != want-1 {
+				t.Fatalf("after cancel n=%d, want %d", p.a.n, want-1)
+			}
+			add(5000, 1)
+			p.check(t, step+" refilled")
+			if p.a.dense {
+				t.Fatal("a cancelled pair still counted toward promotion")
+			}
+			add(5001, 1)
+			p.check(t, step+" promoted")
+			if !p.a.dense {
+				t.Fatal("one pair past itemsMax did not promote")
 			}
 		}
 	}
 }
 
-// TestCountSketchSparseMergeIsCheap pins the point of modeMerged: folding
-// many small sketches into a composition sketch leaves it exact and never
-// takes the full-array pass once it is dense.
-func TestCountSketchSparseMergeIsCheap(t *testing.T) {
+// TestCountSketchItemsMergeComposes folds many small sketches into one, as
+// Algorithm 3 composes a query: the composition is the sketch of the union —
+// exact while it keeps its pairs, the reference's counters and estimate
+// after — and a recycled operand never leaks into it.
+func TestCountSketchItemsMergeComposes(t *testing.T) {
 	m := NewF2Maker(356, 4, hash.New(5))
-	out, ref := m.New().(*CountSketch), forceDense(m.New().(*CountSketch))
+	ref := denseTwin(m)
+	out := newPair(m, ref)
 	for i := uint64(0); i < 400; i++ {
-		sk := m.New().(*CountSketch)
-		sk.Add(i, 1)
-		sk.Add(i*7919, 2)
-		if err := out.Merge(sk); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Merge(sk); err != nil {
-			t.Fatal(err)
-		}
-		if out.mode == modeDense {
-			t.Fatalf("merge %d left the composition sketch in plain dense mode", i)
-		}
-		pair{out, ref}.check(t, m, fmt.Sprintf("merge %d", i))
+		sk := newPair(m, ref)
+		sk.add(i, 1)
+		sk.add(i*7919, 2)
+		out.merge(t, sk)
+		m.Recycle(sk.a)
+		ref.Recycle(sk.r)
+		out.check(t, fmt.Sprintf("merge %d", i))
 	}
-	if out.mode != modeMerged {
-		t.Fatalf("mode %d after 400 merges, want modeMerged", out.mode)
+	if !out.a.dense {
+		t.Fatal("800 pairs left the composition in the items form")
 	}
 }
 
-// TestCountSketchSparseTableBounded: churn that keeps creating and
-// cancelling counters must not grow the table past tabMax.
-func TestCountSketchSparseTableBounded(t *testing.T) {
+// TestCountSketchItemsTableBounded: churn that keeps creating and
+// cancelling pairs must not grow the table, and leaves every probe chain
+// intact.
+func TestCountSketchItemsTableBounded(t *testing.T) {
 	m := NewF2Maker(356, 4, hash.New(9))
-	s := m.New().(*CountSketch)
+	p := newPair(m, denseTwin(m))
+	for x := uint64(0); x < 40; x++ {
+		p.add(x*8, 3) // residents, clustered by the multiplicative hash
+	}
+	size := len(p.a.tab)
 	for x := uint64(0); x < 20_000; x++ {
-		s.Add(x, 1)
-		s.Add(x, -1)
-		if len(s.keys) > m.tabMax {
-			t.Fatalf("table grew to %d slots, tabMax %d", len(s.keys), m.tabMax)
+		p.a.Add(1<<32+x, 1)
+		p.a.Add(1<<32+x, -1)
+		if len(p.a.tab) != size {
+			t.Fatalf("table went from %d to %d slots", size, len(p.a.tab))
 		}
 	}
-	if s.mode != modeSparse || s.Size() != 0 || s.Estimate() != 0 {
-		t.Fatalf("mode %d size %d estimate %v after full cancellation", s.mode, s.Size(), s.Estimate())
+	p.check(t, "after churn")
+	for x := uint64(0); x < 40; x++ {
+		p.add(x*8, -3)
+	}
+	p.check(t, "emptied")
+	if p.a.dense || p.a.Size() != 0 || p.a.Estimate() != 0 {
+		t.Fatalf("dense=%v size %d estimate %v after full cancellation", p.a.dense, p.a.Size(), p.a.Estimate())
+	}
+	for _, it := range p.a.tab {
+		if it != (item{}) {
+			t.Fatalf("slot %+v left behind", it)
+		}
 	}
 }
 
-// TestCountSketchMergeExactnessLimits walks the merge shortcuts up to the
-// magnitudes where their exactness arguments stop holding; past them the
-// index-order pass must take over with no visible seam.
+// TestCountSketchMergeExactnessLimits walks weights up to the magnitudes
+// where float64 sums of squares stop being exact and past where a square
+// fits in 64 bits: the items form keeps Σf² as a 128-bit integer, so its
+// answers stay the brute-force ones, and promotion still lands on the
+// reference's counters.
 func TestCountSketchMergeExactnessLimits(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(21))
-	merge := func(p pair, sk *CountSketch) {
-		t.Helper()
-		forceDense(p.r)
-		for _, c := range []*CountSketch{p.a, p.r} {
-			if err := c.Merge(sk); err != nil {
-				t.Fatal(err)
-			}
-		}
+	ref := denseTwin(m)
+	p := newPair(m, ref)
+	p.huge = true
+	for i, w := range []int64{1<<26 - 1, 1 << 31, 3037000500, -(1 << 40), 1<<61 - 1, -(1<<61 - 1)} {
+		sk := newPair(m, ref)
+		sk.add(uint64(i), w)
+		sk.add(uint64(100+i), -w)
+		p.merge(t, sk)
+		p.check(t, fmt.Sprintf("merge of ±%d", w))
+		p.merge(t, sk)
+		p.check(t, fmt.Sprintf("second merge of ±%d", w))
 	}
-	// composed returns a pair promoted by merges alone, as Algorithm 3's
-	// composition sketch is, so the adaptive side sits in modeMerged.
-	composed := func() pair {
-		p := newPair(m)
-		for x := uint64(0); x < 40; x++ {
-			sk := m.New().(*CountSketch)
-			sk.Add(x, 1)
-			merge(p, sk)
-			m.Recycle(sk)
-		}
-		if p.a.mode != modeMerged {
-			t.Fatalf("mode %d, want modeMerged", p.a.mode)
-		}
-		return p
+	if p.a.dense || p.a.f2hi == 0 {
+		t.Fatalf("dense=%v Σf² high word %d: the test no longer leaves 64 bits", p.a.dense, p.a.f2hi)
 	}
-
-	// Rows that climb through exactF2Limit by many merges of values below
-	// mergeValueLimit.
-	p := composed()
-	big := m.New().(*CountSketch)
-	big.Add(3, mergeValueLimit-1)
-	left := false
-	for i := 0; i < 200; i++ {
-		merge(p, big)
-		p.check(t, m, fmt.Sprintf("big merge %d", i))
-		left = left || p.a.mode == modeDense
-	}
-	if !left {
-		t.Fatal("rows never passed exactF2Limit; the test no longer reaches the fallback")
-	}
-
-	// Operand values past mergeValueLimit overflow the integer shortcut —
-	// these squares wrap int64 to a negative change — and must be refused.
-	for i := int64(0); i < 8; i++ {
-		p = composed()
-		huge := m.New().(*CountSketch)
-		huge.Add(5, 3037000500+i)
-		merge(p, huge)
-		p.check(t, m, fmt.Sprintf("huge merge %d", i))
-	}
-
-	// Sparse receivers whose squares are exact one by one but whose row
-	// totals pass 2^53.
-	q := newPair(m)
-	for x := uint64(0); x < 6; x++ {
-		sk := m.New().(*CountSketch)
-		sk.Add(x, 1<<26-1)
-		merge(q, sk)
-		q.check(t, m, fmt.Sprintf("2^26 merge %d", x))
-	}
-	if q.a.mode != modeSparse {
-		t.Fatalf("mode %d, want sparse", q.a.mode)
+	for x := uint64(1000); !p.a.dense; x++ {
+		p.add(x, 1<<30)
+		p.check(t, fmt.Sprintf("grow to %d", x))
 	}
 }
 
-// TestCountSketchMarshalSettlesForm: a dense sketch whose counters cancel
-// back under the promotion point stays dense — the dense loop does not
-// count zeros — until it is marshaled; from then on it and its restored
-// copy report the same Size.
+// TestCountSketchMarshalSettlesForm: the image records the form. A dense
+// sketch whose counters cancel back under the promotion point stays dense,
+// and so does its restored copy; marshaling changes neither.
 func TestCountSketchMarshalSettlesForm(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(31))
-	p := newPair(m)
-	add := func(x uint64, w int64) {
-		p.a.Add(x, w)
-		p.r.Add(x, w)
+	p := newPair(m, denseTwin(m))
+	for x := uint64(0); x <= uint64(m.itemsMax); x++ {
+		p.add(x, 1)
 	}
-	for x := uint64(0); x < 30; x++ {
-		add(x, 1)
+	if !p.a.dense {
+		t.Fatalf("items form after %d items", m.itemsMax+1)
 	}
-	if p.a.mode != modeDense {
-		t.Fatalf("mode %d after 30 items, want dense", p.a.mode)
+	for x := uint64(5); x <= uint64(m.itemsMax); x++ {
+		p.add(x, -1)
 	}
-	for x := uint64(5); x < 30; x++ {
-		add(x, -1)
-	}
-	if got, want := p.a.Size(), m.width*m.depth; got != want {
-		t.Fatalf("Size %d before marshaling, want the dense %d", got, want)
-	}
+	p.check(t, "cancelled")
 	img, err := p.a.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.a.mode != modeSparse || p.a.Size() > 2*5*m.depth {
-		t.Fatalf("mode %d Size %d after marshaling five items", p.a.mode, p.a.Size())
 	}
 	dst := m.New().(*CountSketch)
 	if err := dst.UnmarshalBinary(img); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Size() != p.a.Size() {
-		t.Fatalf("restored Size %d, live %d", dst.Size(), p.a.Size())
+	if want := m.width * m.depth; !p.a.dense || p.a.Size() != want || !dst.dense || dst.Size() != want {
+		t.Fatalf("live dense=%v Size %d, restored dense=%v Size %d, want dense %d",
+			p.a.dense, p.a.Size(), dst.dense, dst.Size(), want)
 	}
-	p.check(t, m, "demoted")
-	for x := uint64(100); x < 140; x++ { // and back up through promotion
-		add(x, 2)
-		p.check(t, m, fmt.Sprintf("regrow %d", x))
+	// Reset is the one way back.
+	m.Recycle(p.a)
+	if got := m.New().(*CountSketch); got != p.a || got.dense || got.Size() != 0 {
+		t.Fatalf("recycled sketch dense=%v Size %d", got.dense, got.Size())
 	}
 }
 
-// TestCountSketchUnmarshalPaddedZeros: the decode sizes its form from a
-// first pass that takes any varint other than the byte 0x00 for a nonzero
-// counter. An image that pads its zeros misleads that pass; the restored
-// form must follow the values all the same.
+// TestCountSketchCanonicalImage: an items-form image depends on the pairs
+// alone — not on the order they arrived in, the table's size, or pairs that
+// came and went.
+func TestCountSketchCanonicalImage(t *testing.T) {
+	m := NewF2Maker(356, 4, hash.New(41))
+	xs := make([]uint64, 150)
+	rng := hash.New(3)
+	for i := range xs {
+		xs[i] = rng.Uint64()
+	}
+	forward := m.New().(*CountSketch)
+	for i, x := range xs {
+		forward.Add(x, int64(i%5)-7)
+	}
+	backward := m.New().(*CountSketch)
+	for x := uint64(0); x < 150; x++ {
+		backward.Add(x, 4) // grows the table past what 150 pairs need
+	}
+	for i := len(xs) - 1; i >= 0; i-- {
+		backward.Add(xs[i], 1)
+		backward.Add(xs[i], int64(i%5)-8)
+	}
+	for x := uint64(0); x < 150; x++ {
+		backward.Add(x, -4)
+	}
+	if forward.dense || backward.dense {
+		t.Fatal("promoted; the test is about the items form")
+	}
+	if len(forward.tab) == len(backward.tab) {
+		t.Fatal("both tables have the same size; the test lost its point")
+	}
+	a, _ := forward.MarshalBinary()
+	b, _ := backward.MarshalBinary()
+	if !bytes.Equal(a, b) {
+		t.Fatal("two insertion orders of one multiset marshal differently")
+	}
+	appended, _ := forward.AppendBinary([]byte("prefix"))
+	if !bytes.Equal(appended, append([]byte("prefix"), a...)) {
+		t.Fatal("AppendBinary does not append the MarshalBinary image")
+	}
+}
+
+// TestCountSketchUnmarshalVersion2: an image written before the items form
+// existed is every counter in index order. It restores as a dense sketch
+// with the same counters and estimates, and re-marshals in today's format.
+func TestCountSketchUnmarshalVersion2(t *testing.T) {
+	m := NewF2Maker(64, 3, hash.New(43))
+	ref := denseTwin(m).New().(*CountSketch)
+	live := m.New().(*CountSketch)
+	for x := uint64(0); x < 10; x++ {
+		ref.Add(x, int64(x)-3)
+		live.Add(x, int64(x)-3)
+	}
+	v2 := []byte{2, kindCountSketch, byte(m.depth), byte(m.width)}
+	for _, v := range ref.data {
+		v2 = appendI64(v2, v)
+	}
+	dst := m.New().(*CountSketch)
+	if err := dst.UnmarshalBinary(v2); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.dense || !slices.Equal(dst.data, ref.data) || dst.Estimate() != ref.Estimate() {
+		t.Fatalf("restored dense=%v Estimate %v, want dense Estimate %v", dst.dense, dst.Estimate(), ref.Estimate())
+	}
+	for x := uint64(0); x < 12; x++ {
+		if got, want := dst.EstimateItem(x), ref.EstimateItem(x); got != want {
+			t.Fatalf("EstimateItem(%d) = %v, want %v", x, got, want)
+		}
+	}
+	// The restored sketch merges with one that kept its pairs.
+	if err := dst.Merge(live); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Merge(ref); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dst.data, ref.data) {
+		t.Fatal("version-2 sketch merged with an items-form one diverged")
+	}
+	again, _ := dst.MarshalBinary()
+	want, _ := ref.MarshalBinary()
+	if !bytes.Equal(again, want) || again[0] != marshalVersion {
+		t.Fatal("re-marshaled image is not today's dense image")
+	}
+}
+
+// TestCountSketchUnmarshalPaddedZeros: varints may be padded without
+// changing their value. A dense image that pads its zeros, in either
+// version, restores the same counters and re-marshals canonically.
 func TestCountSketchUnmarshalPaddedZeros(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(41))
-	src := m.New().(*CountSketch)
+	src := denseTwin(m).New().(*CountSketch)
 	src.Add(7, 3)
 	src.Add(9, -2)
 	canonical, err := src.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header (2 bytes) and two one-byte geometry varints, then counters.
-	padded := append([]byte(nil), canonical[:4]...)
-	for _, b := range canonical[4:] {
-		if b == 0 {
-			padded = append(padded, 0x80, 0x00)
-		} else {
-			padded = append(padded, b)
+	// Header (2 bytes), two one-byte geometry varints and the form byte,
+	// then counters.
+	for _, version := range []byte{2, marshalVersion} {
+		padded := append([]byte{version}, canonical[1:4]...)
+		if version >= 3 {
+			padded = append(padded, canonical[4])
+		}
+		for _, b := range canonical[5:] {
+			if b == 0 {
+				padded = append(padded, 0x80, 0x00)
+			} else {
+				padded = append(padded, b)
+			}
+		}
+		dst := m.New().(*CountSketch)
+		if err := dst.UnmarshalBinary(padded); err != nil {
+			t.Fatal(err)
+		}
+		again, _ := dst.MarshalBinary()
+		if !bytes.Equal(again, canonical) || dst.Estimate() != src.Estimate() {
+			t.Fatalf("padded version-%d image restored different counters", version)
 		}
 	}
-	dst := m.New().(*CountSketch)
-	if err := dst.UnmarshalBinary(padded); err != nil {
-		t.Fatal(err)
+}
+
+// TestCountSketchUnmarshalRejectsNonCanonicalItems: an items-form image is
+// accepted only as AppendBinary writes it.
+func TestCountSketchUnmarshalRejectsNonCanonicalItems(t *testing.T) {
+	m := NewF2Maker(64, 3, hash.New(47))
+	head := []byte{marshalVersion, kindCountSketch, byte(m.depth), byte(m.width), formItems}
+	image := func(pairs ...int64) []byte {
+		img := appendU64(append([]byte(nil), head...), uint64(len(pairs)/2))
+		for i := 0; i < len(pairs); i += 2 {
+			img = appendI64(appendU64(img, uint64(pairs[i])), pairs[i+1])
+		}
+		return img
 	}
-	if dst.mode != modeSparse || dst.Size() != src.Size() {
-		t.Fatalf("restored mode %d Size %d, want sparse Size %d", dst.mode, dst.Size(), src.Size())
+	tooMany := make([]int64, 0, 2*(m.itemsMax+1))
+	for x := 0; x <= m.itemsMax; x++ {
+		tooMany = append(tooMany, int64(x), 1)
 	}
-	again, _ := dst.MarshalBinary()
-	if !bytes.Equal(again, canonical) || dst.Estimate() != src.Estimate() {
-		t.Fatal("padded image restored different counters")
+	for name, img := range map[string][]byte{
+		"descending x":    image(5, 1, 3, 1),
+		"repeated x":      image(5, 1, 5, 1),
+		"zero weight":     image(5, 0),
+		"past itemsMax":   image(tooMany...),
+		"forged count":    appendU64(append([]byte(nil), head...), 1<<40),
+		"truncated":       image(5, 1, 6, 1)[:len(image(5, 1, 6, 1))-1],
+		"trailing bytes":  append(image(5, 1), 0),
+		"unknown form":    {marshalVersion, kindCountSketch, byte(m.depth), byte(m.width), 2, 0},
+		"future version":  append([]byte{marshalVersion + 1}, image(5, 1)[1:]...),
+		"ancient version": append([]byte{1}, image(5, 1)[1:]...),
+	} {
+		if err := m.New().(*CountSketch).UnmarshalBinary(img); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	ok := m.New().(*CountSketch)
+	if err := ok.UnmarshalBinary(image(3, -2, 5, 1)); err != nil || ok.Estimate() != 5 {
+		t.Fatalf("canonical image: err %v, Estimate %v", err, ok.Estimate())
 	}
 }

@@ -21,62 +21,46 @@ import (
 // tolerates negative weights, so it doubles as the turnstile whole-stream
 // estimator that MULTIPASS (Section 4.2) probes.
 //
-// A sketch has two forms behind one API. It starts sparse — an
-// open-addressed table of the counters that have been touched — and
-// promotes itself once, when it would hold more than the maker's sparseMax
-// nonzero counters, to the dense d×w array. Reset takes it back, and so
-// does MarshalBinary if counters cancelling out have left no more than
-// sparseMax nonzero, so that a sketch and its restored copy agree. The
-// reduction of Section 2 keeps one sketch per bucket and most buckets hold
-// a handful of items, so most sketches never promote. Both forms run the
-// same rowF2 step on the same counter values, so estimates, budgets and
-// marshaled bytes do not depend on the form. Size reports what is stored:
-// two words per nonzero sparse entry, d·w once dense.
+// A sketch has two forms behind one API. It starts in the items form — an
+// open-addressed table of the distinct (x, Σw) pairs it has absorbed, with
+// Σf² kept as an exact integer — in which every answer is exact, and
+// promotes itself once, when it would hold more than the maker's itemsMax
+// pairs, to the dense d×w array by hashing its pairs in. Row hashes are
+// deterministic and the sketch is linear, so a promoted sketch holds exactly
+// the counters it would have held had it been dense from its first item.
+// Only Reset takes a sketch back. The reduction of Section 2 keeps one
+// sketch per bucket and most buckets hold few distinct items, so most
+// sketches never promote. Size reports what is stored: two words per pair,
+// d·w once dense.
 type CountSketch struct {
 	maker *F2Maker
-	mode  uint8
-	shift uint8 // sparse: 32 − log2(len(keys)), the multiplicative-hash shift
-	n     int   // sparse: nonzero counters
-	used  int   // sparse: occupied slots; zeroed entries linger until a rehash
+	dense bool
+	shift uint8 // items: 64 − log2(len(tab)), the multiplicative-hash shift
+	n     int   // items: pairs held
 
-	data []int64 // dense: d*w counters, row-major (flat for locality)
+	// Items form. A slot with f == 0 is empty: a pair whose weight returns
+	// to zero is deleted by backward shift, so probe chains never cross a
+	// stale slot and the table never holds more than n entries.
+	tab        []item
+	f2hi, f2lo uint64 // Σf² over the pairs, a 128-bit integer
 
-	// Sparse table, linear probing. A key packs (row, column) as
-	// row<<colBits | column, plus one so that zero marks an empty slot.
-	keys []uint32
-	vals []int64
-
-	rowF2 []float64 // incrementally maintained sum of squares per row
+	data  []int64   // dense: d*w counters, row-major (flat for locality)
+	rowF2 []float64 // dense: incrementally maintained sum of squares per row
 }
 
-// The forms a sketch moves through. AddSlots tests for modeDense alone, so
-// the dense ingest loop pays one predictable branch for the other two.
-const (
-	modeSparse = iota
-	modeDense
-	// modeMerged is a dense sketch that has not been added to since its
-	// rows were last summed from the counters: every rowF2 entry is then
-	// the exact integer sum of squares, below exactF2Limit, which lets a
-	// sparse operand merge in time proportional to its entries. The
-	// composition sketches of Algorithm 3 live here.
-	modeMerged
-)
+// item is one distinct identifier and its net weight.
+type item struct {
+	x uint64
+	f int64
+}
 
 const (
-	// sparseDivisor sets the promotion point: a sketch goes dense when it
-	// would hold more than width·depth/sparseDivisor nonzero counters. At
-	// 12 bytes a slot and load ≤ 3/4 the table then tops out near a
-	// quarter of the dense array.
-	sparseDivisor = 8
-	sparseMinCap  = 8 // initial table slots; one item touches depth ≤ 4
-
-	// A float64 sum of squared integers that stays below 2^53 is exact in
-	// every order; modeMerged keeps two bits of headroom for the next merge.
-	exactF2Limit = 1 << 51
-	// mergeValueLimit and mergeEntryLimit keep the integer arithmetic of
-	// the O(entries) merge inside int64: |v·(2·old+v)| < 2^48 per entry.
-	mergeValueLimit = 1 << 20
-	mergeEntryLimit = 1 << 14
+	// itemsDivisor sets the promotion point: a sketch goes dense when it
+	// would hold more than width·depth/itemsDivisor pairs. At 16 bytes a
+	// slot and load ≤ 3/4 the table then tops out below three quarters of
+	// the dense array's bytes, and Size at half its counters.
+	itemsDivisor = 4
+	itemsMinCap  = 8 // initial table slots
 )
 
 // F2Maker creates CountSketch instances sharing one set of row hashes.
@@ -88,15 +72,13 @@ type F2Maker struct {
 	width, depth int
 	rowH         []*hash.FourWise
 
-	colBits   uint // bits of a sparse key that hold the column
-	sparseMax int  // most nonzero counters a sparse sketch holds
-	tabMax    int  // largest sparse table, in slots
+	itemsMax int // most pairs an items-form sketch holds
 
-	pool       []*CountSketch // free list of reset (empty, sparse) sketches
-	densePool  [][]int64      // zeroed dense arrays for the next promotions
-	medScratch []float64      // reused by Estimate/EstimateItem
-	accScratch []int64        // per-row integer deltas of the O(entries) merge
-	flat       []int64        // all-zero d*w array lent out by densified
+	pool        []*CountSketch // free list of reset (empty, items-form) sketches
+	densePool   [][]int64      // zeroed dense arrays for the next promotions
+	medScratch  []float64      // reused by Estimate/EstimateItem
+	slotScratch Slots          // reused by slotsOf
+	keyScratch  []uint64       // reused by AppendBinary to order the pairs
 }
 
 // NewF2Maker returns a Maker for CountSketch/AMS sketches with d rows of w
@@ -108,18 +90,8 @@ func NewF2Maker(width, depth int, rng *hash.RNG) *F2Maker {
 	}
 	m := &F2Maker{
 		width: width, depth: depth,
-		colBits:    uint(bits.Len(uint(width - 1))),
+		itemsMax:   width * depth / itemsDivisor,
 		medScratch: make([]float64, depth),
-		accScratch: make([]int64, depth),
-	}
-	// A geometry whose packed keys overflow uint32 is far past what fits
-	// in memory; its sketches go dense on their first update.
-	if uint64(depth)<<m.colBits < math.MaxUint32 {
-		m.sparseMax = width * depth / sparseDivisor
-	}
-	m.tabMax = sparseMinCap
-	for m.tabMax/4*3 < m.sparseMax {
-		m.tabMax *= 2
 	}
 	for i := 0; i < depth; i++ {
 		m.rowH = append(m.rowH, hash.NewFourWise(rng))
@@ -127,24 +99,29 @@ func NewF2Maker(width, depth int, rng *hash.RNG) *F2Maker {
 	return m
 }
 
-// rowSlot returns the packed slot word for x in row i: a value in [0, 2w)
-// whose low bit is the sign and whose remaining bits pick the counter. The
-// reduction is Lemire multiply-shift rather than a modulo, which keeps one
-// integer division out of the innermost ingest loop.
-func (m *F2Maker) rowSlot(i int, x uint64) uint64 {
-	return hash.Reduce61(m.rowH[i].Hash(x), uint64(2*m.width))
+// Slots implements SlotMaker: one packed slot word per row — a value in
+// [0, 2w) whose low bit is the sign and whose remaining bits pick the
+// counter — then x itself, which is all an items-form sketch reads. The
+// rows' polynomials share x's powers, and the reduction to [0, 2w) is Lemire
+// multiply-shift rather than a modulo, which keeps integer division out of
+// the ingest path.
+func (m *F2Maker) Slots(x uint64, scratch Slots) Slots {
+	v, v2, v3 := hash.Powers61(x)
+	for _, h := range m.rowH {
+		scratch = append(scratch, hash.Reduce61(h.HashPowers(v, v2, v3), uint64(2*m.width)))
+	}
+	return append(scratch, x)
 }
 
-// Slots implements SlotMaker: one packed (counter, sign) word per row.
-func (m *F2Maker) Slots(x uint64, scratch Slots) Slots {
-	for i := 0; i < m.depth; i++ {
-		scratch = append(scratch, m.rowSlot(i, x))
-	}
-	return scratch
+// slotsOf returns Slots(x) in the maker's own scratch, valid until the next
+// call.
+func (m *F2Maker) slotsOf(x uint64) Slots {
+	m.slotScratch = m.Slots(x, m.slotScratch[:0])
+	return m.slotScratch
 }
 
 // SlotWidth implements SlotMaker.
-func (m *F2Maker) SlotWidth() int { return m.depth }
+func (m *F2Maker) SlotWidth() int { return m.depth + 1 }
 
 // Recycle implements Recycler.
 func (m *F2Maker) Recycle(sk Sketch) {
@@ -184,8 +161,8 @@ func NewF2MakerError(upsilon, gamma float64, rng *hash.RNG) *F2Maker {
 func (m *F2Maker) Name() string { return "f2/countsketch" }
 
 // New implements Maker. It reuses a pooled sketch when one is available.
-// Either way the sketch is empty and sparse: it allocates its table on the
-// first update, and a dense array only if it promotes.
+// Either way the sketch is empty and in the items form: it allocates its
+// table on the first update, and a dense array only if it promotes.
 func (m *F2Maker) New() Sketch {
 	if n := len(m.pool); n > 0 {
 		cs := m.pool[n-1]
@@ -193,7 +170,7 @@ func (m *F2Maker) New() Sketch {
 		m.pool = m.pool[:n-1]
 		return cs
 	}
-	return &CountSketch{maker: m, rowF2: make([]float64, m.depth)}
+	return &CountSketch{maker: m}
 }
 
 // Width returns the number of counters per row.
@@ -202,190 +179,182 @@ func (m *F2Maker) Width() int { return m.width }
 // Depth returns the number of rows.
 func (m *F2Maker) Depth() int { return m.depth }
 
-// Add implements Sketch. Each update touches d counters and keeps the
-// per-row sum of squares current in O(d) time, so Estimate stays O(d).
+// Dense reports whether the sketch has promoted to its counter array.
+func (c *CountSketch) Dense() bool { return c.dense }
+
+// Add implements Sketch. An items-form update is one table probe; a dense
+// one touches d counters and keeps the per-row sum of squares current in
+// O(d) time, so Estimate stays O(d).
 func (c *CountSketch) Add(x uint64, w int64) {
-	m := c.maker
-	w2 := float64(w) * float64(w)
-	for i := 0; i < m.depth; i++ {
-		c.applySlot(i, m.rowSlot(i, x), w, w2)
+	if c.dense || !c.addItem(x, w) {
+		c.AddSlots(c.maker.slotsOf(x), w)
 	}
 }
 
 // AddSlots implements SlotAdder; the state change is bit-identical to
-// Add(x, w) for the x the slots were computed from. This is the innermost
-// loop of the core structure's ingest path, so locals are hoisted out of
-// the per-row body.
+// Add(x, w) for the x the slots were computed from. The dense loop is the
+// innermost one of the core structure's ingest path, so locals are hoisted
+// out of the per-row body.
 func (c *CountSketch) AddSlots(slots Slots, w int64) {
-	if c.mode != modeDense {
-		c.addSlotsSlow(slots, w)
+	d := len(slots) - 1
+	if !c.dense && c.addItem(slots[d], w) {
 		return
 	}
 	w2 := float64(w) * float64(w)
 	data, rowF2 := c.data, c.rowF2
 	width := c.maker.width
 	base := 0
-	for i, v := range slots {
+	for i, v := range slots[:d] {
 		idx := base + int(v>>1)
 		old := data[idx]
 		delta := (int64(v&1)*2 - 1) * w
 		data[idx] = old + delta
+		// (old+delta)^2 - old^2 = 2*old*delta + delta^2, and delta^2 = w^2.
 		rowF2[i] += float64(2*old*delta) + w2
 		base += width
 	}
 }
 
-// addSlotsSlow is AddSlots for a sketch that is not plain dense. Rows that
-// only move a stored nonzero counter to another nonzero value — most of a
-// sparse sketch's traffic once its items repeat — are applied in place;
-// from the first row that adds or removes an entry, applySlot takes over,
-// and may promote the sketch and finish the item densely.
-func (c *CountSketch) addSlotsSlow(slots Slots, w int64) {
-	w2 := float64(w) * float64(w)
-	i := 0
-	if c.mode == modeSparse && len(c.keys) > 0 {
-		m := c.maker
-		for ; i < len(slots); i++ {
-			v := slots[i]
-			j := c.slot(m.key(i, int(v>>1)))
-			old := c.vals[j]
-			delta := (int64(v&1)*2 - 1) * w
-			if c.keys[j] == 0 || old == 0 || old+delta == 0 {
-				break
-			}
-			c.vals[j] = old + delta
-			c.rowF2[i] += float64(2*old*delta) + w2
-		}
+// addItem applies (x, w) to an items-form sketch. It reports false, having
+// promoted the sketch instead, when x would be one pair more than the form
+// holds — the caller then applies the update densely.
+func (c *CountSketch) addItem(x uint64, w int64) bool {
+	if w == 0 {
+		return true
 	}
-	for ; i < len(slots); i++ {
-		c.applySlot(i, slots[i], w, w2)
-	}
-}
-
-// applySlot adds sign·w to row i's counter, both encoded in the packed
-// slot word v ∈ [0, 2·width); w2 is the caller-hoisted w².
-func (c *CountSketch) applySlot(i int, v uint64, w int64, w2 float64) {
-	delta := (int64(v&1)*2 - 1) * w
+	j := -1
 	var old int64
-	if c.mode == modeSparse {
-		if w == 0 {
-			return // no counter moves, and the dense step adds 0 to rowF2
-		}
-		var stored bool
-		if old, stored = c.sparseAdd(c.maker.key(i, int(v>>1)), delta); !stored {
-			c.promote()
-		}
+	if len(c.tab) > 0 {
+		j = c.probe(x)
+		old = c.tab[j].f
 	}
-	if c.mode != modeSparse {
-		c.mode = modeDense // an update ends modeMerged's exactness guarantee
-		idx := i*c.maker.width + int(v>>1)
-		old = c.data[idx]
-		c.data[idx] = old + delta
+	f := old + w
+	switch {
+	case old != 0 && f != 0:
+		c.tab[j].f = f
+	case old != 0:
+		c.remove(j)
+	case c.n >= c.maker.itemsMax:
+		c.promote()
+		return false
+	default:
+		if (c.n+1)*4 > len(c.tab)*3 {
+			c.grow()
+			j = c.probe(x)
+		}
+		c.tab[j] = item{x, f}
+		c.n++
 	}
-	// (old+delta)^2 - old^2 = 2*old*delta + delta^2, and delta^2 = w^2.
-	c.rowF2[i] += float64(2*old*delta) + w2
+	c.moveF2(old, f)
+	return true
 }
 
-// slot returns the table index holding key k, or the empty one where k
-// belongs. The load cap of 3/4 guarantees an empty slot ends every probe.
-func (c *CountSketch) slot(k uint32) int {
-	mask := len(c.keys) - 1
-	j := int(k * 0x9E3779B1 >> c.shift)
-	for c.keys[j] != k && c.keys[j] != 0 {
+// moveF2 accounts in Σf² for one pair's weight going from old to f: the sum
+// moves by f² − old², taken modulo 2^128.
+func (c *CountSketch) moveF2(old, f int64) {
+	oh, ol := bits.Mul64(magnitude(old), magnitude(old))
+	nh, nl := bits.Mul64(magnitude(f), magnitude(f))
+	lo, carry := bits.Add64(c.f2lo, nl, 0)
+	hi, _ := bits.Add64(c.f2hi, nh, carry)
+	lo, borrow := bits.Sub64(lo, ol, 0)
+	c.f2hi, _ = bits.Sub64(hi, oh, borrow)
+	c.f2lo = lo
+}
+
+// magnitude returns |v| as a uint64 (2^63 for the minimum int64).
+func magnitude(v int64) uint64 {
+	if v < 0 {
+		return -uint64(v)
+	}
+	return uint64(v)
+}
+
+// home returns the slot x hashes to: the top bits of a Fibonacci
+// multiplicative hash.
+func (c *CountSketch) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> c.shift) }
+
+// probe returns the slot holding x, or the empty one where x belongs. The
+// load cap of 3/4 guarantees an empty slot ends every probe.
+func (c *CountSketch) probe(x uint64) int {
+	mask := len(c.tab) - 1
+	j := c.home(x)
+	for c.tab[j].f != 0 && c.tab[j].x != x {
 		j = (j + 1) & mask
 	}
 	return j
 }
 
-// sparseAdd adds delta != 0 to the counter under key k and returns its
-// previous value. It reports false, changing nothing, when the counter
-// would be one nonzero counter more than the sparse form holds — the
-// caller promotes and applies the update densely.
-func (c *CountSketch) sparseAdd(k uint32, delta int64) (old int64, stored bool) {
-	j := -1
-	if len(c.keys) > 0 {
-		if j = c.slot(k); c.keys[j] == k {
-			old = c.vals[j]
+// remove deletes the pair in slot j, shifting back every later entry of the
+// run that would otherwise be cut off from its home slot.
+func (c *CountSketch) remove(j int) {
+	mask := len(c.tab) - 1
+	for k := (j + 1) & mask; c.tab[k].f != 0; k = (k + 1) & mask {
+		home := c.home(c.tab[k].x)
+		// Entry k may fill the hole unless its home lies cyclically in (j, k].
+		if (k-home)&mask >= (k-j)&mask {
+			c.tab[j] = c.tab[k]
+			j = k
 		}
 	}
-	switch {
-	case old == 0 && c.n >= c.maker.sparseMax:
-		return 0, false
-	case old == 0:
-		c.n++
-	case old+delta == 0:
-		c.n--
-	}
-	if j < 0 || c.keys[j] == 0 {
-		if c.used >= len(c.keys)/4*3 {
-			c.rehash()
-			j = c.slot(k)
+	c.tab[j] = item{}
+	c.n--
+}
+
+// grow doubles the table (or allocates the first one) and reinserts.
+func (c *CountSketch) grow() {
+	old := c.tab
+	c.retable(max(itemsMinCap, 2*len(old)))
+	for _, it := range old {
+		if it.f != 0 {
+			c.tab[c.probe(it.x)] = it
 		}
-		c.keys[j] = k
-		c.used++
-	}
-	c.vals[j] = old + delta
-	return old, true
-}
-
-// rehash makes room for one more entry: it rebuilds the table without its
-// zeroed entries, at twice the size when the nonzero ones alone would
-// leave it more than half full. The table never passes tabMax slots:
-// promotion caps n at sparseMax.
-func (c *CountSketch) rehash() {
-	size := len(c.keys)
-	switch {
-	case size == 0:
-		size = sparseMinCap
-	case c.n*2 >= size && size < c.maker.tabMax:
-		size *= 2
-	}
-	c.retable(size)
-}
-
-// resize gives an empty sparse sketch the table that holds n entries
-// without growing.
-func (c *CountSketch) resize(n int) {
-	size := sparseMinCap
-	for size/4*3 < n {
-		size *= 2
-	}
-	if size != len(c.keys) {
-		c.retable(size)
 	}
 }
 
-// retable moves the nonzero entries into a fresh table of size slots.
+// retable gives an empty items-form sketch a fresh table of size slots.
 func (c *CountSketch) retable(size int) {
-	keys, vals := c.keys, c.vals
-	c.keys, c.vals = make([]uint32, size), make([]int64, size)
-	c.shift = uint8(32 - bits.TrailingZeros(uint(size)))
-	c.used = 0
-	for j, k := range keys {
-		if k != 0 && vals[j] != 0 {
-			at := c.slot(k)
-			c.keys[at], c.vals[at] = k, vals[j]
-			c.used++
+	c.tab = make([]item, size)
+	c.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+}
+
+// tableFor returns the table size that holds n pairs without growing.
+func tableFor(n int) int {
+	size := itemsMinCap
+	for n*4 > size*3 {
+		size *= 2
+	}
+	return size
+}
+
+// promote moves an items-form sketch to the dense form: every pair is
+// hashed into a zeroed array with the maker's row hashes and the rows are
+// summed in index order, so the result does not depend on table layout.
+func (c *CountSketch) promote() {
+	tab := c.tab
+	c.allocDense()
+	c.scatter(tab)
+	c.sumSquares()
+}
+
+// scatter adds the pairs of an items table to a dense sketch's counters,
+// leaving rowF2 for the caller to re-sum.
+func (c *CountSketch) scatter(tab []item) {
+	m := c.maker
+	for _, it := range tab {
+		if it.f == 0 {
+			continue
+		}
+		for i, v := range m.slotsOf(it.x)[:m.depth] {
+			c.data[i*m.width+int(v>>1)] += (int64(v&1)*2 - 1) * it.f
 		}
 	}
 }
 
-// key packs a counter's position into a sparse table key; zero is kept for
-// empty slots.
-func (m *F2Maker) key(row, col int) uint32 {
-	return (uint32(row)<<m.colBits | uint32(col)) + 1
-}
-
-// flatIndex converts a sparse key to its dense array index.
-func (m *F2Maker) flatIndex(k uint32) int {
-	k--
-	return int(k>>m.colBits)*m.width + int(k&(1<<m.colBits-1))
-}
-
-// promote moves a sparse sketch's counters into a dense array, leaving
-// rowF2 as it stands, and drops the table.
-func (c *CountSketch) promote() {
+// allocDense switches a sketch to the dense form with zero counters,
+// dropping its table.
+func (c *CountSketch) allocDense() {
 	m := c.maker
+	c.tab, c.n, c.f2hi, c.f2lo = nil, 0, 0, 0
 	if n := len(m.densePool); n > 0 {
 		c.data = m.densePool[n-1]
 		m.densePool[n-1] = nil
@@ -393,94 +362,54 @@ func (c *CountSketch) promote() {
 	} else {
 		c.data = make([]int64, m.depth*m.width)
 	}
-	for j, k := range c.keys {
-		if k != 0 {
-			c.data[m.flatIndex(k)] = c.vals[j]
+	if c.rowF2 == nil {
+		c.rowF2 = make([]float64, m.depth)
+	}
+	clear(c.rowF2)
+	c.dense = true
+}
+
+// sumSquares sets each rowF2 entry to the sum, in index order, of the
+// squares of that row's counters, which also clears any float drift the
+// incremental maintenance accumulated.
+func (c *CountSketch) sumSquares() {
+	w := c.maker.width
+	for i := range c.rowF2 {
+		var f2 float64
+		for _, v := range c.data[i*w : (i+1)*w] {
+			f2 += float64(v) * float64(v)
 		}
-	}
-	c.keys, c.vals, c.n, c.used = nil, nil, 0, 0
-	c.mode = modeDense
-}
-
-// demote is promote's inverse, for a dense sketch that no longer holds
-// more than sparseMax nonzero counters. The dense update loop does not
-// watch for counters cancelling to zero, so this runs where the counters
-// are walked anyway: MarshalBinary, which thereby leaves the sketch in
-// the form UnmarshalBinary will choose for the image.
-func (c *CountSketch) demote() {
-	m := c.maker
-	data := c.data
-	c.data, c.mode = nil, modeSparse
-	for idx, v := range data {
-		if v != 0 {
-			c.sparseAdd(m.key(idx/m.width, idx%m.width), v)
-		}
-	}
-	m.releaseDense(data)
-}
-
-// releaseDense zeroes a dense array and pools it for the next promotion.
-func (m *F2Maker) releaseDense(data []int64) {
-	if len(m.densePool) < maxPool {
-		clear(data)
-		m.densePool = append(m.densePool, data)
+		c.rowF2[i] = f2
 	}
 }
 
-// densified returns the counters as a dense array: the sketch's own, or
-// for a sparse sketch the maker's scratch array with the entries copied
-// in. The caller must hand a borrowed array back through undensify before
-// anything else uses the maker.
-func (c *CountSketch) densified() []int64 {
-	if c.mode != modeSparse {
-		return c.data
-	}
-	m := c.maker
-	if m.flat == nil {
-		m.flat = make([]int64, m.depth*m.width)
-	}
-	for j, k := range c.keys {
-		if k != 0 {
-			m.flat[m.flatIndex(k)] = c.vals[j]
-		}
-	}
-	return m.flat
-}
-
-// undensify zeroes the scratch array densified lent out.
-func (c *CountSketch) undensify() {
-	if c.mode != modeSparse {
-		return
-	}
-	for _, k := range c.keys {
-		if k != 0 {
-			c.maker.flat[c.maker.flatIndex(k)] = 0
-		}
-	}
-}
-
-// Reset implements Resetter: back to the empty sparse form. A dense array
+// Reset implements Resetter: back to the empty items form. A dense array
 // is zeroed and pooled for the next promotion; a table is kept only at
 // its initial size, so a recycled sketch starts as small as a new one.
 func (c *CountSketch) Reset() {
-	m := c.maker
-	if c.data != nil {
-		m.releaseDense(c.data)
-		c.data = nil
+	if c.dense {
+		if m := c.maker; len(m.densePool) < maxPool {
+			clear(c.data)
+			m.densePool = append(m.densePool, c.data)
+		}
+		c.data, c.dense = nil, false
 	}
-	if len(c.keys) > sparseMinCap {
-		c.keys, c.vals = nil, nil
+	if len(c.tab) > itemsMinCap {
+		c.tab = nil
 	}
-	clear(c.keys)
-	clear(c.rowF2)
-	c.mode, c.n, c.used = modeSparse, 0, 0
+	clear(c.tab)
+	c.n, c.f2hi, c.f2lo = 0, 0, 0
 }
 
-// Estimate implements Sketch: the median over rows of the sum of squared
-// counters, which is the AMS estimator of F2. The core structure consults
-// it on bucket-closing checks, so the common small depths are branch-free
-// special cases and nothing ever allocates.
+// Estimate implements Sketch. In the items form it is F2 itself. Once
+// dense it is the median over rows of the sum of squared counters, the AMS
+// estimator of F2. The core structure consults it on bucket-closing checks,
+// so the common small depths are branch-free special cases and nothing
+// ever allocates.
 func (c *CountSketch) Estimate() float64 {
+	if !c.dense {
+		return math.Ldexp(float64(c.f2hi), 64) + float64(c.f2lo)
+	}
 	r := c.rowF2
 	switch len(r) {
 	case 1:
@@ -504,8 +433,18 @@ func (c *CountSketch) Estimate() float64 {
 // counter per row by ±w, so a row's L2 norm grows by at most w and its sum
 // of squares stays below (sqrt(rowF2)+W)² after W total weight. The median
 // over rows is bounded by the max row, giving a safe check-free budget of
-// sqrt(thresh) − sqrt(max rowF2).
+// sqrt(thresh) − sqrt(max rowF2). The frequency vector of the items form
+// obeys the same bound; its budget is also capped at the pairs left before
+// promotion, each of which costs at least one unit of weight, so the sketch
+// cannot change form — and with it its estimator — inside the budget.
 func (c *CountSketch) ThresholdBudget(thresh float64) int64 {
+	if !c.dense {
+		f2 := c.Estimate()
+		if f2 >= thresh {
+			return 0
+		}
+		return min(int64(math.Sqrt(thresh)-math.Sqrt(f2)), int64(c.maker.itemsMax-c.n))
+	}
 	maxRow := 0.0
 	for _, v := range c.rowF2 {
 		if v > maxRow {
@@ -518,162 +457,91 @@ func (c *CountSketch) ThresholdBudget(thresh float64) int64 {
 	return int64(math.Sqrt(thresh) - math.Sqrt(maxRow))
 }
 
-// counter returns the counter at (row, col) in either form.
-func (c *CountSketch) counter(row, col int) int64 {
-	if c.mode != modeSparse {
-		return c.data[row*c.maker.width+col]
-	}
-	if len(c.keys) == 0 {
-		return 0
-	}
-	k := c.maker.key(row, col)
-	if j := c.slot(k); c.keys[j] == k {
-		return c.vals[j]
-	}
-	return 0
-}
-
-// EstimateItem implements ItemEstimator: the median over rows of
-// sign * counter, the CountSketch point estimate of x's net frequency.
+// EstimateItem implements ItemEstimator: x's net frequency itself in the
+// items form, and once dense the median over rows of sign * counter, the
+// CountSketch point estimate of it.
 func (c *CountSketch) EstimateItem(x uint64) float64 {
+	if !c.dense {
+		if len(c.tab) == 0 {
+			return 0
+		}
+		return float64(c.tab[c.probe(x)].f) // an empty slot holds zero
+	}
 	m := c.maker
 	ests := m.medScratch[:m.depth]
-	for i := 0; i < m.depth; i++ {
-		v := m.rowSlot(i, x)
+	for i, v := range m.slotsOf(x)[:m.depth] {
 		sign := int64(v&1)*2 - 1
-		ests[i] = float64(sign * c.counter(i, int(v>>1)))
+		ests[i] = float64(sign * c.data[i*m.width+int(v>>1)])
 	}
 	return median(ests)
 }
 
-// Merge implements Sketch by counter-wise addition. The other sketch may
-// come from the same maker or from an equivalent one (identical geometry
-// and hash functions — the distributed-merge case). The merged rowF2 is
-// the sum of squared counters taken in index order, which also clears any
-// float drift the incremental maintenance accumulated; the sparse paths
-// compute that same value from the touched entries alone whenever the sum
-// is provably exact, and fall back to the ordered pass when it is not.
+// Merge implements Sketch. The other sketch may come from the same maker
+// or from an equivalent one (identical geometry and hash functions — the
+// distributed-merge case). An items-form operand is added pair by pair, so
+// two items-form sketches merge into the union of their pairs and promote
+// as one sketch fed both streams would have; a dense operand promotes the
+// receiver and is added counter-wise, with the rows re-summed in index
+// order.
 func (c *CountSketch) Merge(other Sketch) error {
 	o, ok := other.(*CountSketch)
 	if !ok || !c.maker.equivalent(o.maker) {
 		return ErrIncompatible
 	}
-	m := c.maker
-	if o.mode != modeSparse {
-		if c.mode == modeSparse {
-			c.promote()
-		}
-		w := m.width
-		for i := range c.rowF2 {
-			var f2 float64
-			for j := i * w; j < (i+1)*w; j++ {
-				c.data[j] += o.data[j]
-				f2 += float64(c.data[j]) * float64(c.data[j])
+	if !o.dense {
+		for _, it := range o.tab {
+			if it.f != 0 {
+				c.Add(it.x, it.f)
 			}
-			c.rowF2[i] = f2
-		}
-		c.settle()
-		return nil
-	}
-
-	// Sparse operand. acc collects, per row, the integer change in the
-	// sum of squares; it is used only if the receiver is in modeMerged
-	// throughout and every operand value is small.
-	acc := m.accScratch
-	clear(acc)
-	exact := c.mode == modeMerged && o.n <= mergeEntryLimit
-	for j, k := range o.keys {
-		v := o.vals[j]
-		if k == 0 || v == 0 {
-			continue
-		}
-		if c.mode == modeSparse {
-			if _, stored := c.sparseAdd(k, v); stored {
-				continue
-			}
-			c.promote()
-		}
-		idx := m.flatIndex(k)
-		old := c.data[idx]
-		c.data[idx] = old + v
-		if v <= -mergeValueLimit || v >= mergeValueLimit {
-			exact = false
-		}
-		acc[(k-1)>>m.colBits] += v * (2*old + v)
-	}
-	if exact {
-		for i := range acc {
-			acc[i] += int64(c.rowF2[i]) // the row's new sum of squares
-			exact = exact && acc[i] < exactF2Limit
-		}
-	}
-	if exact {
-		for i, f2 := range acc {
-			c.rowF2[i] = float64(f2)
 		}
 		return nil
 	}
-	if c.mode == modeSparse && c.sumSparse() {
-		return nil
+	if !c.dense {
+		c.promote()
 	}
-	sumSquares(c.densified(), m.width, c.rowF2)
-	c.undensify()
-	c.settle()
+	for j, v := range o.data {
+		c.data[j] += v
+	}
+	c.sumSquares()
 	return nil
 }
 
-// sumSparse sets rowF2 from a sparse sketch's table when the result is
-// provably the index-order sum: a row total below 2^53 means every square
-// and every partial sum, in any order, was an exactly represented integer
-// (rounding is monotone, so an inexact term would have carried the total
-// past 2^53). It reports false, leaving rowF2 unspecified, otherwise.
-func (c *CountSketch) sumSparse() bool {
-	clear(c.rowF2)
-	for j, k := range c.keys {
-		if k != 0 {
-			v := float64(c.vals[j])
-			c.rowF2[(k-1)>>c.maker.colBits] += v * v
+// compose returns the sketch of the union of parts, all sketches of m: the
+// counters that folding them one by one into m.New() gives, for less work.
+// When the result has to be dense anyway, parts are added to it with
+// integer arithmetic alone and the rows are summed once at the end.
+func (m *F2Maker) compose(parts []Sketch) Sketch {
+	out := m.New().(*CountSketch)
+	dense, pairs := false, 0
+	for _, p := range parts {
+		o := p.(*CountSketch)
+		dense = dense || o.dense
+		pairs += o.n
+	}
+	if !dense && pairs <= m.itemsMax {
+		for _, p := range parts {
+			_ = out.Merge(p) // stays in the items form: the answer is exact
+		}
+		return out
+	}
+	out.allocDense()
+	for _, p := range parts {
+		if o := p.(*CountSketch); o.dense {
+			for j, v := range o.data {
+				out.data[j] += v
+			}
+		} else {
+			out.scatter(o.tab)
 		}
 	}
-	for _, f2 := range c.rowF2 {
-		if !(f2 < 1<<53) {
-			return false
-		}
-	}
-	return true
+	out.sumSquares()
+	return out
 }
 
-// sumSquares sets each rowF2 entry to the sum, in index order, of the
-// squares of that row's counters.
-func sumSquares(data []int64, width int, rowF2 []float64) {
-	for i := range rowF2 {
-		var f2 float64
-		for _, v := range data[i*width : (i+1)*width] {
-			f2 += float64(v) * float64(v)
-		}
-		rowF2[i] = f2
-	}
-}
-
-// settle records, after rowF2 was summed from the counters, whether a
-// dense sketch may take the O(entries) merge path: a float64 sum of
-// squares below 2^53 is the exact integer.
-func (c *CountSketch) settle() {
-	if c.mode == modeSparse {
-		return
-	}
-	c.mode = modeMerged
-	for _, f2 := range c.rowF2 {
-		if !(f2 < exactF2Limit) {
-			c.mode = modeDense
-		}
-	}
-}
-
-// Size implements Sketch: the counters stored, two words (key and value)
-// per nonzero entry of the sparse form and width·depth once dense.
+// Size implements Sketch: the counters stored, two words (x and weight)
+// per pair of the items form and width·depth once dense.
 func (c *CountSketch) Size() int {
-	if c.mode == modeSparse {
+	if !c.dense {
 		return 2 * c.n
 	}
 	return c.maker.width * c.maker.depth

@@ -15,7 +15,7 @@ func benchF2Maker() *F2Maker {
 }
 
 // addRegimes are the three lives a CountSketch can lead, at the geometry
-// corrd runs with ε = 0.15 (356×4, promotion past 178 nonzero counters).
+// corrd runs with ε = 0.15 (356×4, promotion past 356 distinct items).
 // Each fixes how many distinct items a sketch sees, so every iteration
 // count measures the same form: b.N only repeats the cycle.
 var addRegimes = []struct {
@@ -23,8 +23,8 @@ var addRegimes = []struct {
 	items int // distinct items per sketch
 	renew bool
 }{
-	{"sparse", 32, false},  // ≤ 128 counters: never promotes
-	{"promote", 64, true},  // a new sketch every 64 adds: table growth, promotion, reset
+	{"items", 32, false},   // never promotes: one table probe per add
+	{"promote", 512, true}, // a new sketch every 512 adds: table growth, promotion, reset
 	{"dense", 4096, false}, // promoted during warm-up: the dense loop
 }
 

@@ -1,0 +1,76 @@
+package sketch
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/streamagg/correlated/internal/hash"
+)
+
+// FuzzCountSketchUnmarshal hardens the CountSketch payload decoder on its
+// own — elsewhere it is reached only through core's framing, which a fuzzer
+// must first get past. Hostile bytes must come back as an error, never a
+// panic and never a table or array larger than the geometry allows; an
+// accepted image must leave a working sketch that re-marshals canonically
+// (a padded varint decodes, so the bytes may change once; after that encode
+// ∘ decode is the identity).
+func FuzzCountSketchUnmarshal(f *testing.F) {
+	m := NewF2Maker(16, 3, hash.New(7)) // itemsMax 12
+	seed := func(items int) *CountSketch {
+		c := m.New().(*CountSketch)
+		for x := 0; x < items; x++ {
+			c.Add(uint64(x)*0x9E3779B9, int64(x%5)-2)
+		}
+		return c
+	}
+	var images [][]byte
+	for _, items := range []int{0, 1, m.itemsMax, m.itemsMax + 1, 200} {
+		img, err := seed(items).MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		images = append(images, img)
+	}
+	// The version-2 rendition of the dense images: no form byte.
+	for _, img := range images[3:] {
+		images = append(images, append([]byte{2}, append(append([]byte(nil), img[1:4]...), img[5:]...)...))
+	}
+	for _, img := range images {
+		f.Add(img)
+		f.Add(img[:len(img)/2])
+		corrupt := append([]byte(nil), img...)
+		corrupt[len(corrupt)*2/3] ^= 0x81
+		f.Add(corrupt)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{marshalVersion, kindCountSketch, 3, 16, formItems, 0xff, 0xff, 0xff, 0xff, 0x0f}) // forged count
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := m.New().(*CountSketch)
+		if err := c.UnmarshalBinary(data); err != nil {
+			return
+		}
+		if len(c.tab) > tableFor(m.itemsMax) || c.n > m.itemsMax || (c.dense && len(c.data) != m.width*m.depth) {
+			t.Fatalf("decoded past the geometry: table %d slots, %d pairs, %d counters", len(c.tab), c.n, len(c.data))
+		}
+		img, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := m.New().(*CountSketch)
+		if err := again.UnmarshalBinary(img); err != nil {
+			t.Fatalf("re-marshaled image rejected: %v", err)
+		}
+		if img2, _ := again.MarshalBinary(); !bytes.Equal(img2, img) || again.Estimate() != c.Estimate() {
+			t.Fatal("decode → encode is not idempotent")
+		}
+		// The restored sketch keeps working, through promotion if need be.
+		for x := uint64(0); x < 20; x++ {
+			c.Add(x, 1)
+			again.Add(x, 1)
+		}
+		if c.Estimate() != again.Estimate() || c.EstimateItem(3) != again.EstimateItem(3) {
+			t.Fatal("copies diverge after further adds")
+		}
+	})
+}

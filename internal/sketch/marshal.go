@@ -21,7 +21,15 @@ import (
 // Version 2: bucket/sign placement switched from modulo to Lemire
 // multiply-shift reduction, so counters serialized by version 1 would
 // decode into incompatible slot mappings.
-const marshalVersion = 2
+//
+// Version 3: a CountSketch records its form — its (x, weight) pairs in
+// ascending x, or every counter in index order. No other kind's payload
+// changed, and a version-2 CountSketch payload (always every counter) still
+// decodes, as a dense sketch.
+const (
+	marshalVersion    = 3
+	minMarshalVersion = 2
+)
 
 // ErrBadEncoding reports malformed or incompatible serialized bytes.
 var ErrBadEncoding = errors.New("sketch: bad or incompatible encoding")
@@ -30,11 +38,46 @@ func appendHeader(buf []byte, kind byte) []byte {
 	return append(buf, marshalVersion, kind)
 }
 
-func readHeader(data []byte, kind byte) ([]byte, error) {
-	if len(data) < 2 || data[0] != marshalVersion || data[1] != kind {
-		return nil, ErrBadEncoding
+// readHeader checks the frame and returns its version with the payload.
+func readHeader(data []byte, kind byte) (version byte, rest []byte, err error) {
+	if len(data) < 2 || data[0] < minMarshalVersion || data[0] > marshalVersion || data[1] != kind {
+		return 0, nil, ErrBadEncoding
 	}
-	return data[2:], nil
+	return data[0], data[2:], nil
+}
+
+// binaryAppender is the append-style encoder every serializable sketch
+// offers; MarshalBinary is AppendBinary(nil).
+type binaryAppender interface {
+	AppendBinary(buf []byte) ([]byte, error)
+}
+
+// AppendPrefixed appends a uvarint length (plus bias) and then the payload
+// that fill appends, without staging the payload in a buffer of its own:
+// room for the longest prefix is reserved, and the payload is moved down
+// over what the actual prefix leaves unused.
+func AppendPrefixed(buf []byte, bias uint64, fill func([]byte) ([]byte, error)) ([]byte, error) {
+	start := len(buf)
+	var room [binary.MaxVarintLen64]byte
+	buf, err := fill(append(buf, room[:]...))
+	if err != nil {
+		return nil, err
+	}
+	payload := buf[start+len(room):]
+	k := binary.PutUvarint(room[:], uint64(len(payload))+bias)
+	copy(buf[start:], room[:k])
+	copy(buf[start+k:], payload)
+	return buf[:start+k+len(payload)], nil
+}
+
+// AppendFramed appends sk's serialized form behind a uvarint length. It
+// fails if the sketch type does not support serialization.
+func AppendFramed(buf []byte, sk Sketch) ([]byte, error) {
+	ba, ok := sk.(binaryAppender)
+	if !ok {
+		return nil, errors.New("sketch: sketch type does not support serialization")
+	}
+	return AppendPrefixed(buf, 0, ba.AppendBinary)
 }
 
 func appendI64(buf []byte, v int64) []byte {
@@ -83,8 +126,11 @@ const (
 )
 
 // MarshalBinary implements encoding.BinaryMarshaler.
-func (c *counter) MarshalBinary() ([]byte, error) {
-	buf := appendHeader(nil, kindCounter)
+func (c *counter) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
+
+// AppendBinary appends the MarshalBinary image to buf.
+func (c *counter) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendHeader(buf, kindCounter)
 	if c.sum {
 		buf = append(buf, 1)
 	} else {
@@ -95,7 +141,7 @@ func (c *counter) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (c *counter) UnmarshalBinary(data []byte) error {
-	rest, err := readHeader(data, kindCounter)
+	_, rest, err := readHeader(data, kindCounter)
 	if err != nil {
 		return err
 	}
@@ -106,39 +152,63 @@ func (c *counter) UnmarshalBinary(data []byte) error {
 	return err
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler. The image is the
-// dense one — every counter in index order — whichever form holds them, so
-// equal counters give equal bytes. The state it encodes is untouched, but
-// a dense sketch found to hold no more than sparseMax nonzero counters is
-// demoted on the way out: afterwards Size equals that of the decoded copy.
+// The forms a CountSketch image records.
+const (
+	formItems = 0
+	formDense = 1
+)
+
+// MarshalBinary implements encoding.BinaryMarshaler.
 func (c *CountSketch) MarshalBinary() ([]byte, error) {
-	data := c.densified()
-	// One byte per counter is the floor, and most counters are small.
-	buf := appendHeader(make([]byte, 0, 2*binary.MaxVarintLen64+2+len(data)), kindCountSketch)
-	buf = appendU64(buf, uint64(c.maker.depth))
-	buf = appendU64(buf, uint64(c.maker.width))
-	nonzero := 0
-	for _, v := range data {
-		buf = appendI64(buf, v)
-		if v != 0 {
-			nonzero++
+	size := 2 * binary.MaxVarintLen64
+	if c.dense {
+		size += len(c.data) // one byte per counter is the floor, and most are small
+	} else {
+		size += 4 * c.n
+	}
+	return c.AppendBinary(make([]byte, 0, size))
+}
+
+// AppendBinary appends the MarshalBinary image to buf and leaves the sketch
+// as it was. The image records the form, so the decoded copy has the live
+// sketch's Size, and it is canonical: a dense sketch writes every counter in
+// index order and an items-form one its pairs in ascending x, whatever the
+// table layout and the order they arrived in.
+func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
+	m := c.maker
+	buf = appendHeader(buf, kindCountSketch)
+	buf = appendU64(buf, uint64(m.depth))
+	buf = appendU64(buf, uint64(m.width))
+	if c.dense {
+		buf = append(buf, formDense)
+		for _, v := range c.data {
+			buf = appendI64(buf, v)
+		}
+		return buf, nil
+	}
+	buf = append(buf, formItems)
+	buf = appendU64(buf, uint64(c.n))
+	xs := m.keyScratch[:0]
+	for _, it := range c.tab {
+		if it.f != 0 {
+			xs = append(xs, it.x)
 		}
 	}
-	c.undensify()
-	if c.mode != modeSparse && nonzero <= c.maker.sparseMax {
-		c.demote()
+	slices.Sort(xs)
+	for _, x := range xs {
+		buf = appendU64(buf, x)
+		buf = appendI64(buf, c.tab[c.probe(x)].f)
 	}
+	m.keyScratch = xs
 	return buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The receiver must
-// come from a Maker with the same geometry and seed as the source. The
-// restored form follows the number of nonzero counters, as the live one
-// does, so Size depends on the counter values alone. A first pass over the
-// payload counts them, which lets the decode go straight into a dense
-// array or a table of the right size instead of growing through both.
+// come from a Maker with the same geometry and seed as the source; its
+// previous contents are replaced. A version-2 image, which predates the
+// items form, is every counter in index order and restores dense.
 func (c *CountSketch) UnmarshalBinary(data []byte) error {
-	rest, err := readHeader(data, kindCountSketch)
+	version, rest, err := readHeader(data, kindCountSketch)
 	if err != nil {
 		return err
 	}
@@ -154,64 +224,72 @@ func (c *CountSketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: geometry %dx%d vs %dx%d",
 			ErrBadEncoding, d, w, m.depth, m.width)
 	}
-	c.Reset()
-	if expect := countNonzeroVarints(rest, m.depth*m.width); expect > m.sparseMax {
-		c.promote()
-	} else {
-		c.resize(expect)
+	form := byte(formDense)
+	if version >= 3 {
+		if len(rest) < 1 {
+			return ErrBadEncoding
+		}
+		form, rest = rest[0], rest[1:]
 	}
-	nonzero := 0
-	for i := 0; i < m.depth; i++ {
-		var f2 float64
-		for j := 0; j < m.width; j++ {
-			if len(rest) > 0 && rest[0] == 0 {
-				rest = rest[1:] // most counters: zero, in its one-byte form
-				continue
-			}
-			var v int64
-			if v, rest, err = readI64(rest); err != nil {
+	c.Reset()
+	switch form {
+	case formItems:
+		rest, err = c.readItems(rest)
+	case formDense:
+		c.allocDense()
+		for j := range c.data {
+			if c.data[j], rest, err = readI64(rest); err != nil {
 				return err
 			}
-			if v == 0 {
-				continue
-			}
-			nonzero++
-			if c.mode == modeSparse {
-				c.sparseAdd(m.key(i, j), v)
-			} else {
-				c.data[i*m.width+j] = v
-			}
-			f2 += float64(v) * float64(v)
 		}
-		c.rowF2[i] = f2
+		c.sumSquares()
+	default:
+		return ErrBadEncoding
 	}
-	if c.mode != modeSparse && nonzero <= m.sparseMax {
-		c.demote() // the first pass was misled by a zero encoded long
+	if err == nil && len(rest) != 0 {
+		err = ErrBadEncoding
 	}
-	c.settle()
-	return nil
+	return err
 }
 
-// countNonzeroVarints returns how many of the first n varints in data are
-// not the single byte 0x00. Every nonzero value is counted; so is a zero in
-// a padded encoding, which MarshalBinary never emits.
-func countNonzeroVarints(data []byte, n int) int {
-	nonzero := 0
-	for pos := 0; n > 0 && pos < len(data); n-- {
-		if data[pos] != 0 {
-			nonzero++
-		}
-		for pos < len(data) && data[pos]&0x80 != 0 {
-			pos++
-		}
-		pos++
+// readItems decodes the pairs of an items-form image into the empty
+// receiver. Pairs must be what AppendBinary writes — no more than the form
+// holds, strictly ascending in x, no zero weight — which bounds the table
+// by the geometry and makes decode-then-encode the identity.
+func (c *CountSketch) readItems(rest []byte) ([]byte, error) {
+	n, rest, err := readU64(rest)
+	if err != nil || n > uint64(c.maker.itemsMax) {
+		return nil, ErrBadEncoding
 	}
-	return nonzero
+	if n > 0 {
+		c.retable(tableFor(int(n)))
+	}
+	var prev uint64
+	for ; n > 0; n-- {
+		var it item
+		if it.x, rest, err = readU64(rest); err != nil {
+			return nil, err
+		}
+		if it.f, rest, err = readI64(rest); err != nil {
+			return nil, err
+		}
+		if it.f == 0 || (c.n > 0 && it.x <= prev) {
+			return nil, ErrBadEncoding
+		}
+		c.tab[c.probe(it.x)] = it
+		c.n++
+		c.moveF2(0, it.f)
+		prev = it.x
+	}
+	return rest, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
-func (c *CountMin) MarshalBinary() ([]byte, error) {
-	buf := appendHeader(nil, kindCountMin)
+func (c *CountMin) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
+
+// AppendBinary appends the MarshalBinary image to buf.
+func (c *CountMin) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendHeader(buf, kindCountMin)
 	buf = appendU64(buf, uint64(c.maker.depth))
 	buf = appendU64(buf, uint64(c.maker.width))
 	buf = appendI64(buf, c.total)
@@ -225,7 +303,7 @@ func (c *CountMin) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (c *CountMin) UnmarshalBinary(data []byte) error {
-	rest, err := readHeader(data, kindCountMin)
+	_, rest, err := readHeader(data, kindCountMin)
 	if err != nil {
 		return err
 	}
@@ -253,8 +331,11 @@ func (c *CountMin) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
-func (s *KMV) MarshalBinary() ([]byte, error) {
-	buf := appendHeader(nil, kindKMV)
+func (s *KMV) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends the MarshalBinary image to buf.
+func (s *KMV) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendHeader(buf, kindKMV)
 	buf = appendU64(buf, uint64(len(s.reps)))
 	for i := range s.reps {
 		buf = appendU64(buf, uint64(len(s.reps[i].vals)))
@@ -267,7 +348,7 @@ func (s *KMV) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *KMV) UnmarshalBinary(data []byte) error {
-	rest, err := readHeader(data, kindKMV)
+	_, rest, err := readHeader(data, kindKMV)
 	if err != nil {
 		return err
 	}
@@ -306,8 +387,11 @@ func (s *KMV) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
-func (s *L1) MarshalBinary() ([]byte, error) {
-	buf := appendHeader(nil, kindL1)
+func (s *L1) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends the MarshalBinary image to buf.
+func (s *L1) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendHeader(buf, kindL1)
 	buf = appendU64(buf, uint64(len(s.cnt)))
 	for _, v := range s.cnt {
 		buf = appendF64(buf, v)
@@ -317,7 +401,7 @@ func (s *L1) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *L1) UnmarshalBinary(data []byte) error {
-	rest, err := readHeader(data, kindL1)
+	_, rest, err := readHeader(data, kindL1)
 	if err != nil {
 		return err
 	}
@@ -337,8 +421,11 @@ func (s *L1) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
-func (f *Fk) MarshalBinary() ([]byte, error) {
-	buf := appendHeader(nil, kindFk)
+func (f *Fk) MarshalBinary() ([]byte, error) { return f.AppendBinary(nil) }
+
+// AppendBinary appends the MarshalBinary image to buf.
+func (f *Fk) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendHeader(buf, kindFk)
 	buf = appendU64(buf, uint64(len(f.levels)))
 	for j := range f.levels {
 		lv := &f.levels[j]
@@ -346,13 +433,10 @@ func (f *Fk) MarshalBinary() ([]byte, error) {
 			buf = append(buf, 0)
 			continue
 		}
-		buf = append(buf, 1)
-		cs, err := lv.cs.MarshalBinary()
-		if err != nil {
+		var err error
+		if buf, err = AppendFramed(append(buf, 1), lv.cs); err != nil {
 			return nil, err
 		}
-		buf = appendU64(buf, uint64(len(cs)))
-		buf = append(buf, cs...)
 		// Ascending x order keeps the encoding canonical (same state,
 		// same bytes), which engine snapshot round-trips rely on.
 		buf = appendU64(buf, uint64(len(lv.cand)))
@@ -377,7 +461,7 @@ func (f *Fk) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (f *Fk) UnmarshalBinary(data []byte) error {
-	rest, err := readHeader(data, kindFk)
+	_, rest, err := readHeader(data, kindFk)
 	if err != nil {
 		return err
 	}

@@ -68,11 +68,9 @@ func TestPropertyCountSketchAddThenDeleteIsIdentity(t *testing.T) {
 		for _, x := range xs {
 			s.Add(x, -1)
 		}
-		for i := 0; i < m.depth; i++ {
-			for j := 0; j < m.width; j++ {
-				if s.counter(i, j) != 0 {
-					return false
-				}
+		for _, c := range counters(s) {
+			if c != 0 {
+				return false
 			}
 		}
 		return s.Estimate() == 0

@@ -11,15 +11,18 @@
 // an error.
 //
 // The reduction keeps one sketch per bucket, and by construction most
-// buckets — the singletons, the low levels — hold a handful of items. A
-// CountSketch therefore starts in a sparse form, a small hash table of its
-// nonzero counters, and promotes itself to the dense width × depth array
-// when it would hold more than an eighth of that many nonzero counters
-// (sparseDivisor, a constant: there is nothing to tune, and no second
-// sketch type or Maker). Every observable — estimates, closing budgets,
-// merges, marshaled bytes — is the same in either form; only Size differs,
-// reporting what is stored (two words, index and value, per sparse entry),
-// and that is what the Space figures of every layer above add up.
+// buckets — the singletons, the low levels — hold few distinct items. A
+// CountSketch therefore has two forms: it starts in the items form, a small
+// hash table of the distinct (x, weight) pairs it has absorbed, in which
+// every answer is exact, and promotes itself once to the dense width × depth
+// array, by hashing its pairs in, when it would hold more than a quarter of
+// that many pairs (itemsDivisor, a constant: there is nothing to tune, and
+// no second sketch type or Maker). The sketch is linear and its row hashes
+// deterministic, so a promoted or merged sketch holds exactly the counters
+// it would have held had it been dense from its first item; what the form
+// changes is that small sketches answer exactly, and Size, which reports
+// what is stored (two words per pair) — that is what the Space figures of
+// every layer above add up. The marshaled image records the form.
 package sketch
 
 import "errors"
@@ -112,6 +115,21 @@ func Recycle(m Maker, sk Sketch) {
 	if r, ok := m.(Recycler); ok {
 		r.Recycle(sk)
 	}
+}
+
+// Compose returns a new sketch of the union of the streams parts summarize:
+// what merging them one by one into m.New() yields. Every part must come
+// from m. Algorithm 3 composes a query's answer from hundreds of buckets,
+// and a maker that can do so for less than that many merges does.
+func Compose(m Maker, parts []Sketch) Sketch {
+	if fm, ok := m.(*F2Maker); ok {
+		return fm.compose(parts)
+	}
+	out := m.New()
+	for _, p := range parts {
+		_ = out.Merge(p) // same-maker merges cannot fail
+	}
+	return out
 }
 
 // maxPool bounds each maker's free list; beyond this, recycled sketches

@@ -139,8 +139,7 @@ func TestCountSketchIncrementalEstimateMatchesRecompute(t *testing.T) {
 	}
 	for i := 0; i < m.depth; i++ {
 		var f2 float64
-		for j := 0; j < m.width; j++ {
-			c := s.counter(i, j)
+		for _, c := range s.data[i*m.width : (i+1)*m.width] {
 			f2 += float64(c) * float64(c)
 		}
 		if math.Abs(f2-s.rowF2[i]) > 1e-6*math.Abs(f2) {
@@ -463,15 +462,15 @@ func TestMedian(t *testing.T) {
 
 func TestSketchSizes(t *testing.T) {
 	rng := hash.New(211)
-	// Size is what is stored: nothing when empty, key and value per
-	// nonzero counter while sparse, the whole array once promoted.
+	// Size is what is stored: nothing when empty, x and weight per pair
+	// in the items form, the whole array once promoted.
 	cs := NewF2Maker(64, 3, rng).New()
 	if cs.Size() != 0 {
 		t.Errorf("empty CountSketch size = %d, want 0", cs.Size())
 	}
 	cs.Add(1, 1)
-	if cs.Size() != 6 {
-		t.Errorf("one-item CountSketch size = %d, want 6", cs.Size())
+	if cs.Size() != 2 {
+		t.Errorf("one-item CountSketch size = %d, want 2", cs.Size())
 	}
 	for x := uint64(2); x < 200; x++ {
 		cs.Add(x, 1)

@@ -7,6 +7,7 @@ import (
 	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/corrf0"
+	"github.com/streamagg/correlated/internal/sketch"
 )
 
 // Binary serialization for the moment and distinct-count summaries, for
@@ -26,15 +27,6 @@ type binaryCodec interface {
 	UnmarshalBinary([]byte) error
 }
 
-// codecOrNil converts a possibly-nil concrete summary into a clean nil
-// interface (a typed nil inside an interface would defeat nil checks).
-func codecOrNil(s *core.Summary) binaryCodec {
-	if s == nil {
-		return nil
-	}
-	return s
-}
-
 func nilF0(s *corrf0.Summary) binaryCodec {
 	if s == nil {
 		return nil
@@ -42,19 +34,26 @@ func nilF0(s *corrf0.Summary) binaryCodec {
 	return s
 }
 
+// marshal frames the two directions' images, each behind its length plus
+// one (zero marks an absent side). Both encode straight into one buffer
+// sized up front.
 func (d *dual) marshal() ([]byte, error) {
-	buf := []byte{apiMarshalVersion, byte(d.pred)}
-	for _, side := range []binaryCodec{codecOrNil(d.le), codecOrNil(d.ge)} {
+	size := 2 + 2*binary.MaxVarintLen64
+	for _, side := range []*core.Summary{d.le, d.ge} {
+		if side != nil {
+			size += side.ImageSizeHint()
+		}
+	}
+	buf := append(make([]byte, 0, size), apiMarshalVersion, byte(d.pred))
+	for _, side := range []*core.Summary{d.le, d.ge} {
 		if side == nil {
 			buf = binary.AppendUvarint(buf, 0)
 			continue
 		}
-		payload, err := side.MarshalBinary()
-		if err != nil {
+		var err error
+		if buf, err = sketch.AppendPrefixed(buf, 1, side.AppendBinary); err != nil {
 			return nil, err
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(payload))+1)
-		buf = append(buf, payload...)
 	}
 	return buf, nil
 }

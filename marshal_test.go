@@ -1,6 +1,11 @@
 package correlated_test
 
 import (
+	"bytes"
+	"compress/gzip"
+	"io"
+	"math"
+	"os"
 	"testing"
 
 	correlated "github.com/streamagg/correlated"
@@ -203,5 +208,91 @@ func TestRoundTripPredicateMismatch(t *testing.T) {
 	dst, _ := correlated.NewF2Summary(opts(correlated.Both, 51))
 	if err := dst.UnmarshalBinary(data); err == nil {
 		t.Fatal("predicate mismatch accepted")
+	}
+}
+
+// TestUnmarshalVersion2SketchImage loads an F2Summary image written by the
+// commit before sketches kept their items (PR 15; sketch payload version 2,
+// every sketch a full counter array) — what a snapshot whose WAL prefix is
+// gone still holds. It must load, every sketch dense, and answer with the
+// bits that commit answered with, since the counters are the same; then
+// keep ingesting and round-trip through today's image.
+func TestUnmarshalVersion2SketchImage(t *testing.T) {
+	f, err := os.Open("testdata/f2_summary_v2.bin.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The options and stream FuzzMergeMarshaled seeds with.
+	o := correlated.Options{
+		Eps: 0.25, Delta: 0.1, YMax: 1<<10 - 1,
+		MaxStreamLen: 1 << 14, MaxX: 1 << 10,
+		Alpha: 8, Seed: 11, Predicate: correlated.Both,
+	}
+	s, err := correlated.NewF2Summary(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UnmarshalBinary(img); err != nil {
+		t.Fatalf("version-2 image: %v", err)
+	}
+	if s.Count() != 4000 {
+		t.Fatalf("restored Count %d, want 4000", s.Count())
+	}
+	le, ge := s.Occupancy()
+	dense := 0
+	for _, o := range append(le, ge...) {
+		dense += o.Dense
+		if o.Items != 0 {
+			t.Fatalf("level %d restored %d sketches in the items form from counters alone", o.Level, o.Items)
+		}
+	}
+	if dense == 0 {
+		t.Fatal("no sketch restored")
+	}
+	for _, q := range []struct{ c, le, ge uint64 }{
+		{5, 0x403b000000000000, 0x40bd8a0000000000},
+		{100, 0x4057800000000000, 0x40bd8a0000000000},
+		{300, 0x40a35c0000000000, 0x40b5f50000000000},
+		{512, 0x40c0648000000000, 0x40bb6f0000000000},
+		{900, 0x40c7bd8000000000, 0x4053c00000000000},
+	} {
+		le, err := s.QueryLE(q.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ge, err := s.QueryGE(q.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(le) != q.le || math.Float64bits(ge) != q.ge {
+			t.Errorf("cutoff %d: LE %#x GE %#x, the writer answered %#x and %#x",
+				q.c, math.Float64bits(le), math.Float64bits(ge), q.le, q.ge)
+		}
+	}
+	if err := s.Add(7, 7); err != nil {
+		t.Fatal(err)
+	}
+	now, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := correlated.NewF2Summary(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.UnmarshalBinary(now); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := back.MarshalBinary(); !bytes.Equal(again, now) {
+		t.Fatal("restored version-2 summary does not round-trip through today's image")
 	}
 }

@@ -83,6 +83,10 @@ func (s *F2Summary) Reset() { s.d.reset() }
 // Space reports stored counters/tuples (the paper's space metric).
 func (s *F2Summary) Space() int64 { return s.d.space() }
 
+// Occupancy breaks Space down by level, per enabled direction; see
+// LevelOccupancy.
+func (s *F2Summary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
+
 // Count reports tuples inserted.
 func (s *F2Summary) Count() uint64 { return s.d.count() }
 
@@ -149,6 +153,10 @@ func (s *FkSummary) Reset() { s.d.reset() }
 // Space reports stored counters/tuples.
 func (s *FkSummary) Space() int64 { return s.d.space() }
 
+// Occupancy breaks Space down by level, per enabled direction; see
+// LevelOccupancy.
+func (s *FkSummary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
+
 // Count reports tuples inserted.
 func (s *FkSummary) Count() uint64 { return s.d.count() }
 
@@ -211,6 +219,10 @@ func (s *CountSummary) Reset() { s.d.reset() }
 // Space reports stored counters/tuples.
 func (s *CountSummary) Space() int64 { return s.d.space() }
 
+// Occupancy breaks Space down by level, per enabled direction; see
+// LevelOccupancy.
+func (s *CountSummary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
+
 // Count reports tuples inserted.
 func (s *CountSummary) Count() uint64 { return s.d.count() }
 
@@ -270,6 +282,10 @@ func (s *SumSummary) Reset() { s.d.reset() }
 
 // Space reports stored counters/tuples.
 func (s *SumSummary) Space() int64 { return s.d.space() }
+
+// Occupancy breaks Space down by level, per enabled direction; see
+// LevelOccupancy.
+func (s *SumSummary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
 
 // Count reports tuples inserted.
 func (s *SumSummary) Count() uint64 { return s.d.count() }

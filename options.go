@@ -255,6 +255,24 @@ func (d *dual) space() int64 {
 	return s
 }
 
+// LevelOccupancy is one level's row of a summary's Occupancy: buckets
+// stored, closed and untouched, sketches by form, the level's share of Space
+// and its watermark.
+type LevelOccupancy = core.LevelOccupancy
+
+// occupancy returns the per-level rows of each enabled direction (nil for a
+// disabled one). The GE rows describe the mirrored structure: a watermark w
+// there means queries with c > YMax − w are served from the level.
+func (d *dual) occupancy() (le, ge []LevelOccupancy) {
+	if d.le != nil {
+		le = d.le.Occupancy()
+	}
+	if d.ge != nil {
+		ge = d.ge.Occupancy()
+	}
+	return le, ge
+}
+
 func (d *dual) count() uint64 {
 	if d.le != nil {
 		return d.le.Count()

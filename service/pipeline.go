@@ -250,9 +250,9 @@ func (s *Server) applyGroupLocked(group []*ingestJob) (applied, tuples int) {
 		t.epoch.Add(1)
 		t.touch()
 		if sample {
-			// Space walks the summary's buckets; the sample feeds the
+			// The sample walks the summary's buckets; it feeds the
 			// MaxTenantBytes cap.
-			t.space.Store(t.eng.Space())
+			t.footprint.Store(liveBytes(t.eng))
 		}
 	}
 	s.touchedBuf = touched[:0]

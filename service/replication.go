@@ -503,7 +503,7 @@ func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
 			// Spilled: the image becomes the pending state, exactly as
 			// a startup restore would park it.
 			t.pending = bytes.Clone(ti.image)
-			t.space.Store(int64(len(ti.image)))
+			t.footprint.Store(int64(len(ti.image)))
 		}
 		t.epoch.Add(1)
 		t.touch()

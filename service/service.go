@@ -187,13 +187,13 @@ type Config struct {
 	// past the cap is rejected with HTTP 429 (AckTenant on the stream).
 	// 0 means unlimited.
 	MaxTenants int
-	// MaxTenantBytes caps the summed per-tenant memory footprint
+	// MaxTenantBytes caps the summed per-tenant memory footprint in bytes
 	// (sampled at commit and spill time); creating a tenant past it is
-	// rejected with HTTP 413. 0 means unlimited. A live tenant's sample
-	// is its summary's Space() — stored counters, not bytes — and a sparse
-	// sketch counts two per nonzero entry where it used to count its whole
-	// width × depth array, so the same traffic now samples 2–4× lower and
-	// a cap chosen before that admits correspondingly more tenants.
+	// rejected with HTTP 413. 0 means unlimited. A live tenant samples at
+	// eight bytes per stored word of its summary's Space() — an items-form
+	// sketch stores two words per distinct item, a dense one width × depth
+	// — and a spilled one at its image length, so spilling a tenant lowers
+	// its sample by what the image's varints save and no more.
 	MaxTenantBytes int64
 	// TenantIdleSpill, when positive, spills tenants untouched for at
 	// least that long: the summary is marshaled to an in-memory image

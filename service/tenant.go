@@ -30,9 +30,9 @@ import (
 // Governance: MaxTenants caps the namespace count (HTTP 429 past it),
 // MaxTenantBytes caps the summed per-tenant footprint (HTTP 413) —
 // sampled at commit and spill time, so enforcement is approximate by
-// one group. The sample of a live tenant is Space() in counters (two per
-// entry of a sparse sketch, width × depth per dense one), that of a
-// spilled tenant its image length in bytes. TenantIdleSpill reclaims
+// one group. The sample is in bytes either way: eight per stored word of
+// a live tenant's Space() (liveBytes), the image length of a spilled one.
+// TenantIdleSpill reclaims
 // idle tenants' memory: the summary is marshaled into an in-memory image
 // and dropped, and the next touch lazily unmarshals the same bytes into
 // a fresh one. Spill is pure memory reclamation, never durability: the
@@ -97,7 +97,7 @@ type tenant struct {
 	inGroup bool
 
 	lastTouch atomic.Int64 // unix nanos of the last ingest/push/query
-	space     atomic.Int64 // footprint sample: Space at last commit, image length while spilled
+	footprint atomic.Int64 // bytes: liveBytes at the last commit, image length while spilled
 
 	// Per-tenant counters for /v1/stats?tenant=.
 	tuplesIngested atomic.Uint64
@@ -236,7 +236,7 @@ func (s *Server) getOrCreateTenant(name []byte, replay bool) (*tenant, error) {
 // for the ones traffic actually reaches. Startup-only (single-threaded).
 func (s *Server) addRestoredTenant(name string, image []byte) *tenant {
 	t := &tenant{name: name, pending: image}
-	t.space.Store(int64(len(image)))
+	t.footprint.Store(int64(len(image)))
 	t.touch()
 	s.tenants[name] = t
 	return t
@@ -303,7 +303,7 @@ func (s *Server) spillTenant(t *tenant) bool {
 	}
 	t.pending = img
 	t.eng = nil
-	t.space.Store(int64(len(img)))
+	t.footprint.Store(int64(len(img)))
 	s.tenantsLive.Add(-1)
 	t.memoMu.Lock()
 	t.memo = nil
@@ -346,14 +346,18 @@ func (s *Server) spillLoop(interval time.Duration) {
 	}
 }
 
+// liveBytes is the footprint sample of a live tenant: its summary's
+// stored words at eight bytes each, which puts it in the unit a spilled
+// tenant's image length is in.
+func liveBytes(eng Engine) int64 { return 8 * eng.Space() }
+
 // recomputeFootprint refreshes the governance gauge from the per-tenant
-// samples (engine Space at the last commit; image length while
-// spilled). Enforcement against MaxTenantBytes reads this gauge, so it
+// samples (liveBytes at the last commit; image length while spilled). Enforcement against MaxTenantBytes reads this gauge, so it
 // lags live state by at most one commit group or spill scan.
 func (s *Server) recomputeFootprint() int64 {
 	var total int64
 	for _, t := range s.tenantList() {
-		total += t.space.Load()
+		total += t.footprint.Load()
 	}
 	s.tenantBytes.Store(total)
 	s.metrics.tenantBytes.Set(total)

@@ -438,8 +438,25 @@ func TestTenantGovernanceCaps(t *testing.T) {
 	if err := client.New(ts2.URL, client.WithTenant("fits")).AddBatch(ctx, testStream(500, 6)); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc2.tenantBytes.Load(); got < 1 {
-		t.Fatalf("footprint gauge %d after commit", got)
+	// The gauge has one unit, bytes: a live tenant samples at eight per
+	// stored word, a spilled one at its image length — smaller by what
+	// the image's varints save, not by a change of unit.
+	fits := svc2.tenantByName("fits")
+	svc2.mu.Lock()
+	live := 8 * fits.eng.Space()
+	svc2.mu.Unlock()
+	def := svc2.def.footprint.Load() // sampled when a commit touches it: never, here
+	if got := svc2.tenantBytes.Load(); got != live+def || live < 1 {
+		t.Fatalf("footprint gauge %d after commit, want %d live + %d default", got, live, def)
+	}
+	if spilled := svc2.spillIdle(0); spilled != 1 {
+		t.Fatalf("spilled %d tenants, want 1", spilled)
+	}
+	svc2.mu.Lock()
+	image := int64(len(fits.pending))
+	svc2.mu.Unlock()
+	if got := svc2.tenantBytes.Load(); got != image+def || image > live || image*16 < live {
+		t.Fatalf("footprint gauge %d after spill: image %d bytes, live sample was %d", got, image, live)
 	}
 	err = client.New(ts2.URL, client.WithTenant("evicted-by-cap")).AddBatch(ctx, testStream(10, 7))
 	if !client.IsTenantRejected(err) || !asAPIError(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge {
