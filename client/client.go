@@ -53,7 +53,6 @@ func (e *APIError) Error() string {
 type Stats struct {
 	Role           string `json:"role"`
 	Aggregate      string `json:"aggregate"`
-	Shards         int    `json:"shards"`
 	Count          uint64 `json:"count"`
 	Space          int64  `json:"space"`
 	TuplesIngested uint64 `json:"tuples_ingested"`
@@ -63,8 +62,7 @@ type Stats struct {
 	// Group commit and answer memo: requests/groups is the live fsync
 	// amortization factor, hits/(hits+rebuilds) the fraction of query
 	// requests served wholly from memoized answers, without the
-	// server's driver lock. Shards (above) always reads 1: corrd keeps
-	// one summary per tenant.
+	// server's driver lock.
 	IngestGroups       uint64 `json:"ingest_groups,omitempty"`
 	IngestGroupReqs    uint64 `json:"ingest_group_requests,omitempty"`
 	QueryCacheHits     uint64 `json:"query_cache_hits,omitempty"`
@@ -224,8 +222,8 @@ func WithRetryBackoff(base, max time.Duration) Option {
 // WithTenant scopes every request to one of the daemon's keyed
 // namespaces: ingest and push address (and, subject to the server's
 // caps, create) that tenant, queries, stats, and summaries read it. The
-// default is the empty key — the default tenant, which is also where
-// every request from a pre-tenant client lands.
+// default is the empty key — the default tenant, where a request that
+// names no tenant lands.
 func WithTenant(name string) Option {
 	return func(c *Client) { c.tenant = name }
 }

@@ -118,7 +118,7 @@ func WithAckBuffer(n int) StreamOption {
 
 // WithStreamTenant scopes every frame on the stream to the named
 // tenant: the handshake negotiates the keyed frame format and each
-// frame carries the tenant prefix. An empty name keeps the legacy
+// frame carries the tenant prefix. An empty name keeps the
 // counted format (the default tenant). Invalid names are rejected at
 // dial time, before any connection is opened.
 func WithStreamTenant(name string) StreamOption {

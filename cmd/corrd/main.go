@@ -21,8 +21,11 @@
 // being gated by fsync latency times request count. Query answers are
 // memoized per tenant until its state moves (or for -query-max-stale),
 // so a repeated query does not block ingest. -shards is accepted and
-// ignored: it selected the worker count of a per-tenant sharded engine
-// this daemon no longer has.
+// ignored (the benchmark's command line still passes it): it selected
+// the worker count of a per-tenant sharded engine this daemon no longer
+// has. The log, the snapshot and the replication stream are versioned
+// together; files or peers from before the break are refused by name
+// (README "Storage format").
 //
 // With -stream-addr set, the daemon also serves the persistent
 // length-framed streaming-ingest transport on that address: clients
@@ -147,7 +150,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Uint64Var(&c.Options.MaxX, "maxx", 1<<32, "identifier bound (SUM/F0 sizing)")
 	fs.Uint64Var(&c.Options.Seed, "seed", 1, "hash seed; must match across sites and coordinator")
 	fs.IntVar(&c.Options.Alpha, "alpha", 0, "per-level bucket capacity override (0 = derive)")
-	fs.IntVar(&c.Shards, "shards", 1, "ignored: each tenant is one summary, applied by the committer (accepted so existing command lines keep working)")
+	fs.Int("shards", 1, "ignored: each tenant is one summary; parsed only because benchmarks/corrdbench still passes it, and goes when it stops")
 	fs.IntVar(&c.IngestGroupMax, "ingest-group-max", 256, "max ingest requests committed (and fsynced) as one group")
 	fs.DurationVar(&c.QueryMaxStale, "query-max-stale", 0, "serve a memoized query answer up to this old even though the tenant's state moved (0 = only while it has not)")
 

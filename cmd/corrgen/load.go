@@ -26,9 +26,8 @@ import (
 // full chunk is exactly one /v1/ingest request), and with -query-clients
 // M another M loops hammer GET /v1/query with the -query-cutoffs set for
 // the duration of the ingest. The report — req/s, acked tuples/s, and
-// ingest/query latency percentiles — is what scripts/load-bench.sh
-// records before/after serving-core changes: it measures the acknowledged
-// ingest path end-to-end, fsync and engine drain included.
+// ingest/query latency percentiles — measures the acknowledged ingest
+// path end-to-end, fsync and engine apply included.
 
 // loadReport is the machine-readable result of one load run.
 type loadReport struct {

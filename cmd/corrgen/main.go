@@ -16,8 +16,7 @@
 // ingest clients — the service-level load mode — and with -query-clients
 // M another M loops issue multi-cutoff queries for the duration of the
 // ingest. The run reports req/s, acked tuples/s, and ingest/query latency
-// percentiles, optionally as JSON with -load-json (see load.go and
-// scripts/load-bench.sh).
+// percentiles, optionally as JSON with -load-json (see load.go).
 //
 // With -stream host:port the ingest side switches to corrd's persistent
 // streaming transport (-stream-addr): one connection per client, frames

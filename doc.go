@@ -115,11 +115,13 @@
 //	                                            and redirects writes
 //	durable ingest            internal/wal      segmented CRC32C write-ahead log
 //	                                            under the daemon: log-before-ack,
-//	                                            group records, fsync policies,
-//	                                            torn-tail recovery, checkpoint
-//	                                            pruning — restart replays to
-//	                                            crash-exact state, concurrent
-//	                                            ingest included
+//	                                            one keyed record per commit group
+//	                                            (seven record types behind one
+//	                                            versioned segment header), fsync
+//	                                            policies, torn-tail recovery,
+//	                                            checkpoint pruning — restart
+//	                                            replays to crash-exact state,
+//	                                            concurrent ingest included
 //	robustness                service,          degraded-mode state machine
 //	                          internal/fault    (service/health.go: healthy →
 //	                                            degraded → recovering; writes 503/

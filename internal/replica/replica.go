@@ -73,8 +73,9 @@ const (
 var ErrPrimaryLost = errors.New("replica: primary lost (heartbeat timeout)")
 
 // ErrRejected reports a primary that answered the handshake but
-// refused replication (no WAL, or an incompatible stream version) —
-// retrying cannot help, so the follower stops.
+// refused replication (no WAL, or an incompatible stream version or
+// replication format — what a corrd on the other side of the storage
+// version break answers) — retrying cannot help, so the follower stops.
 var ErrRejected = errors.New("replica: primary refused replication")
 
 // Follower is a running replication loop. Stop it with Stop; Done
@@ -241,6 +242,10 @@ func (f *Follower) streamOnce(lastContact *time.Time) (contact bool, err error) 
 	status, maxFrame, err := tupleio.ParseHelloReply(reply[:])
 	if err != nil {
 		return false, err
+	}
+	if status == tupleio.HelloBadFormat {
+		return true, fmt.Errorf("%w: it does not speak replication format %d — primary and replica are on opposite sides of the storage version break (see README \"Storage format\")",
+			ErrRejected, tupleio.StreamFormatReplica)
 	}
 	if status != tupleio.HelloOK {
 		return true, fmt.Errorf("%w: hello status %d", ErrRejected, status)

@@ -2,15 +2,17 @@ package tupleio
 
 // Keyed (multi-tenant) wire forms. A tenant key is an opaque short byte
 // string naming one of the daemon's independent summaries; the empty
-// key is the default tenant every legacy form implicitly addresses. On
-// the wire a key travels as a uvarint length followed by the bytes,
-// prefixed to the counted batch it scopes:
+// key is the default tenant, which is also what the counted stream
+// format (StreamFormatCounted) implicitly addresses. On the wire a key
+// travels as a uvarint length followed by the bytes, prefixed to the
+// counted batch it scopes:
 //
 //	keyed batch   uvarint(len(tenant)) tenant  counted-batch
 //
-// The same prefix scopes WAL group-record members and stream frames in
-// the keyed frame format (StreamFormatKeyed), so every tenant-tagged
-// decode path in the system shares this one grammar — and the same
+// The same prefix scopes every member of a WAL ingest record, every push
+// record's image, every snapshot entry and stream frames in the keyed
+// frame format (StreamFormatKeyed), so every tenant-tagged decode path
+// in the system shares this one grammar — and the same
 // hostile-input discipline as the rest of the codec: the length claim
 // is checked against MaxTenantLen and against the bytes actually
 // present before anything is sliced, and the decoded key aliases the
@@ -77,8 +79,8 @@ func DecodeTenantPrefix(data []byte) (tenant, rest []byte, err error) {
 
 // AppendKeyedBatch appends a tenant-scoped counted batch: the keyed
 // prefix, then exactly what AppendCountedBatch writes. This is the
-// payload of one keyed stream frame and of one member of a keyed WAL
-// group record.
+// payload of one keyed stream frame and of one member of a WAL ingest
+// record.
 func AppendKeyedBatch(buf []byte, tenant string, batch []core.Tuple) []byte {
 	buf = AppendTenant(buf, tenant)
 	return AppendCountedBatch(buf, batch)
@@ -86,8 +88,7 @@ func AppendKeyedBatch(buf []byte, tenant string, batch []core.Tuple) []byte {
 
 // DecodeKeyedPrefix parses one keyed batch from the front of data:
 // the tenant key (aliasing data) and the counted batch, returning the
-// remaining bytes so keyed WAL group members decode member by member
-// like their unkeyed counterparts.
+// remaining bytes so a WAL ingest record decodes member by member.
 func DecodeKeyedPrefix(dst []core.Tuple, data []byte) (tenant []byte, batch []core.Tuple, rest []byte, err error) {
 	tenant, data, err = DecodeTenantPrefix(data)
 	if err != nil {

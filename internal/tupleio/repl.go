@@ -40,8 +40,11 @@ import (
 const (
 	// StreamFormatReplica marks a connection as a replication follower:
 	// after the hello reply the client sends a start request and then
-	// only reads.
-	StreamFormatReplica = 3
+	// only reads. The number versions the shipped log grammar: it moved
+	// 3 → 4 with WAL segment version 2 (every ingest and push record
+	// keyed), so a primary and a replica on opposite sides of that break
+	// end in HelloBadFormat instead of misreading each other's records.
+	StreamFormatReplica = 4
 
 	// HelloNoWAL rejects a replication hello because the server runs
 	// without a WAL — there is no log to ship.

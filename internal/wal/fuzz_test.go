@@ -13,9 +13,9 @@ import (
 // FuzzWALReplay throws mutated segment files at Open + Replay: whatever
 // the bytes, recovery must neither panic nor allocate unboundedly, and
 // every record it does return must carry a frame whose CRC verified.
-// The corpus seeds valid logs (single- and multi-record, rotated) so
-// mutations explore the interesting frontier: torn tails, hostile
-// lengths, flipped CRCs, bad headers.
+// The corpus seeds valid logs (single- and multi-record, rotated) over
+// the seven record types so mutations explore the interesting frontier:
+// torn tails, hostile lengths, flipped CRCs, bad headers.
 func FuzzWALReplay(f *testing.F) {
 	seed := func(build func(w *WAL)) []byte {
 		dir := f.TempDir()
@@ -40,7 +40,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seed(func(w *WAL) {}))
 	f.Add(seed(func(w *WAL) {
-		w.Append(RecordIngest, []byte{1, 2, 3})
+		w.Append(RecordIngest, []byte{0, 1, 2, 3, 1}) // default tenant, 1 tuple
 	}))
 	f.Add(seed(func(w *WAL) {
 		w.Append(RecordIngest, bytes.Repeat([]byte{7}, 60))
@@ -48,37 +48,50 @@ func FuzzWALReplay(f *testing.F) {
 		w.Append(RecordReset, nil)
 		w.Checkpoint(2)
 	}))
-	// Tenant-tagged records: a keyed group (member count, then
-	// tenant-prefixed counted batches) and a keyed push (tenant prefix,
-	// then an image), plus a group whose second member truncates inside
-	// the tenant field — the WAL is payload-agnostic, so mutations of
-	// these explore replay's keyed-decode frontier downstream.
+	// The two tenant-tagged records: an ingest group (keyed batches back
+	// to back, the empty key for the default tenant, no member count)
+	// and a push (tenant prefix, then an image), plus a group whose
+	// second member truncates inside the tenant field — the WAL is
+	// payload-agnostic, so mutations of these explore replay's keyed
+	// decode downstream.
 	f.Add(seed(func(w *WAL) {
-		group := []byte{2}                             // member count
-		group = append(group, 2, 't', 'a', 1, 5, 6, 1) // tenant "ta", 1 tuple
+		group := []byte{2, 't', 'a', 1, 5, 6, 1}       // tenant "ta", 1 tuple
+		group = append(group, 0, 1, 3, 4, 1)           // default tenant, 1 tuple
 		group = append(group, 2, 't', 'b', 1, 7, 8, 1) // tenant "tb", 1 tuple
-		w.Append(RecordKeyedIngestGroup, group)
+		w.Append(RecordIngest, group)
 		push := append([]byte{3, 'k', 'e', 'y'}, bytes.Repeat([]byte{5}, 40)...)
-		w.Append(RecordKeyedPush, push)
+		w.Append(RecordPush, push)
 	}))
 	f.Add(seed(func(w *WAL) {
-		torn := []byte{2, 2, 't', 'a', 1, 5, 6, 1, 120} // 120-byte key claim, no bytes
-		w.Append(RecordKeyedIngestGroup, torn)
+		torn := []byte{2, 't', 'a', 1, 5, 6, 1, 120} // 120-byte key claim, no bytes
+		w.Append(RecordIngest, torn)
 	}))
-	// The record types replication ships verbatim: a push lifecycle
-	// (push, ack, foldback) so mutations explore a replica replaying a
-	// primary's in-flight window, and a checkpoint marker written as a
-	// raw record whose covered-LSN varint claims an absurd position —
-	// Append rather than Checkpoint() so no pruning eats the seed.
+	// The record types replication ships verbatim: a site's push round
+	// both ways (reset then ack, reset then foldback) and a recovery
+	// probe, so mutations explore a replica replaying a primary's
+	// in-flight window, and a checkpoint marker written as a raw record
+	// whose covered-LSN varint claims an absurd position — Append rather
+	// than Checkpoint() so no pruning eats the seed.
 	f.Add(seed(func(w *WAL) {
-		w.Append(RecordPush, bytes.Repeat([]byte{4}, 24))
+		w.Append(RecordReset, bytes.Repeat([]byte{4}, 24))
 		w.Append(RecordPushAck, nil)
+		w.Append(RecordReset, bytes.Repeat([]byte{4}, 24))
 		w.Append(RecordFoldback, bytes.Repeat([]byte{4}, 24))
+		w.Append(RecordProbe, nil)
 	}))
 	f.Add(seed(func(w *WAL) {
-		w.Append(RecordIngest, []byte{1, 2, 3})
+		w.Append(RecordIngest, []byte{0, 1, 2, 3, 1})
 		w.Append(RecordCheckpoint, binary.AppendUvarint(nil, 1<<62))
 	}))
+	// A segment from before the version break: whole header, version 1,
+	// records behind it. Open refuses it by name; mutations explore the
+	// boundary between "another version" and "torn or corrupt".
+	preBreak := seed(func(w *WAL) {
+		w.Append(RecordIngest, []byte{1, 2, 3, 1})
+		w.Append(8, []byte{1, 0, 1, 2, 3, 1})
+	})
+	preBreak[8] = 1
+	f.Add(preBreak)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

@@ -77,11 +77,17 @@ import (
 type RecordType uint8
 
 const (
-	// RecordIngest is a counted tupleio batch (tupleio.AppendCountedBatch)
-	// accepted through POST /v1/ingest.
+	// RecordIngest is one group-commit unit: one or more keyed batches
+	// (tupleio.AppendKeyedBatch — tenant prefix, the empty key for the
+	// default tenant, then the counted batch) back to back in commit
+	// order, delimited by the frame length. These are the batches the
+	// service applied under a single critical section and acknowledged
+	// behind this record's single fsync; the group boundary is part of
+	// the record so replay hands each tenant the same one AddBatch the
+	// live commit did.
 	RecordIngest RecordType = 1
 	// RecordPush is a marshaled summary image folded in through
-	// POST /v1/push (or re-queued locally after a failed upstream push).
+	// POST /v1/push: a tupleio tenant prefix, then the image.
 	RecordPush RecordType = 2
 	// RecordReset begins a site's push-then-reset round: the engine was
 	// reset at this log position and the payload — the merged image
@@ -103,31 +109,11 @@ const (
 	// record carries both effects (merge + round closed) so a crash can
 	// never replay them separately and double-apply the image.
 	RecordFoldback RecordType = 6
-	// RecordIngestGroup is one group-commit unit: uvarint member count
-	// followed by that many counted tupleio batches in commit order —
-	// the batches the service applied under a single critical section,
-	// drained with a single engine flush, and acknowledged behind this
-	// record's single fsync. The group boundary is part of the record so
-	// replay reproduces the worker batch boundaries of the live run
-	// exactly: apply every member batch, then flush once. A group of one
-	// is written as a plain RecordIngest instead.
-	RecordIngestGroup RecordType = 7
-	// RecordKeyedIngestGroup is a group-commit unit touching at least
-	// one non-default tenant: uvarint member count followed by that many
-	// keyed batches (tupleio.AppendKeyedBatch — tenant prefix then the
-	// counted batch) in commit order. A group whose members all address
-	// the default tenant is written in the legacy forms above, so
-	// single-tenant logs stay byte-identical to pre-tenant ones.
-	RecordKeyedIngestGroup RecordType = 8
-	// RecordKeyedPush is a push image for a non-default tenant: a
-	// tupleio tenant prefix followed by the marshaled summary image.
-	// Default-tenant pushes keep the legacy RecordPush form.
-	RecordKeyedPush RecordType = 9
 	// RecordProbe is a no-op health probe with an empty payload: the
 	// record Probe appends (and fsyncs) to prove the log can take
 	// durable writes again after a fault. Replay and replication skip
 	// it — it carries no state, only the evidence of a working disk.
-	RecordProbe RecordType = 10
+	RecordProbe RecordType = 7
 )
 
 // SyncPolicy selects when appends reach stable storage.
@@ -210,7 +196,12 @@ const (
 
 	headerSize = 17 // magic(8) + version(1) + firstLSN(8)
 	frameSize  = 9  // length(4) + crc(4) + type(1)
-	walVersion = 1
+
+	// walVersion is the segment format version. Version 2 is the one
+	// explicit break in the log grammar: every ingest and push record is
+	// keyed. A version-1 segment holds record types this code no longer
+	// decodes, so it is refused by name (ErrVersion) — never reinterpreted.
+	walVersion = 2
 )
 
 var (
@@ -224,6 +215,11 @@ var (
 	// by a torn tail write (bad header, bad frame in a sealed segment,
 	// broken LSN chain).
 	ErrCorrupt = errors.New("wal: corrupt log")
+	// ErrVersion reports a well-formed segment written in another format
+	// version — a log from before (or after) the version break. Open
+	// returns it without modifying any file; the migration recipe is in
+	// the README's "Storage format" section.
+	ErrVersion = errors.New("wal: unsupported segment format version")
 	// ErrBroken marks the log sticky-broken: a failed append could not
 	// be rewound, so a later record could sit behind garbage and be
 	// truncated away as a torn tail on restart. Every Append returns an
@@ -457,8 +453,14 @@ func (w *WAL) scanSegment(path string, firstLSN uint64, final bool) (nextLSN uin
 		}
 		return 0, 0, fmt.Errorf("%w: %s: short header", ErrCorrupt, filepath.Base(path))
 	}
-	if [8]byte(hdr[:8]) != magic || hdr[8] != walVersion ||
-		binary.LittleEndian.Uint64(hdr[9:]) != firstLSN {
+	if [8]byte(hdr[:8]) == magic && hdr[8] != walVersion {
+		// Another version's segment, not a tear: no crash of this code
+		// writes a whole magic beside a foreign version byte. Refused
+		// whatever its size or position, so nothing of it is reinitialized.
+		return 0, 0, fmt.Errorf("%w: %s is version %d, this corrd reads and writes version %d (see README \"Storage format\" for the migration)",
+			ErrVersion, filepath.Base(path), hdr[8], walVersion)
+	}
+	if [8]byte(hdr[:8]) != magic || binary.LittleEndian.Uint64(hdr[9:]) != firstLSN {
 		if final && fileSize <= headerSize {
 			return firstLSN, -1, nil
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -403,30 +404,59 @@ func TestTornSegmentCreationRecovers(t *testing.T) {
 // TestBadHeaderWithDataRefuses: once a final segment holds records, a
 // garbled header can no longer be a torn creation (the first record's
 // fsync persisted the header) — Open must refuse rather than silently
-// reinitialize away acknowledged data.
+// reinitialize away acknowledged data. A whole header that names another
+// format version is refused as ErrVersion, naming both versions, with or
+// without records behind it. No refusal touches the file.
 func TestBadHeaderWithDataRefuses(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append(RecordIngest, []byte("acknowledged")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg := filepath.Join(dir, segmentName(1))
-	raw, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[0] ^= 0xFF // corrupt the magic, keep the record bytes
-	if err := os.WriteFile(seg, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{Sync: SyncAlways}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad header over real data must refuse, got: %v", err)
+	for _, tc := range []struct {
+		name    string
+		records int
+		damage  func(raw []byte)
+		want    error
+	}{
+		{"garbled magic", 1, func(raw []byte) { raw[0] ^= 0xFF }, ErrCorrupt},
+		{"version 1 with records", 2, func(raw []byte) { raw[8] = 1 }, ErrVersion},
+		{"version 1 header only", 0, func(raw []byte) { raw[8] = 1 }, ErrVersion},
+		{"later version", 1, func(raw []byte) { raw[8] = walVersion + 1 }, ErrVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir, Options{Sync: SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.records; i++ {
+				if _, err := w.Append(RecordIngest, []byte("acknowledged")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			seg := filepath.Join(dir, segmentName(1))
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(raw) // the record bytes stay
+			if err := os.WriteFile(seg, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(dir, Options{Sync: SyncAlways})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("open must refuse with %v, got: %v", tc.want, err)
+			}
+			if tc.want == ErrVersion {
+				for _, part := range []string{fmt.Sprintf("version %d,", raw[8]), fmt.Sprintf("version %d ", walVersion), "Storage format"} {
+					if !strings.Contains(err.Error(), part) {
+						t.Fatalf("refusal does not say %q: %v", part, err)
+					}
+				}
+			}
+			if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, raw) {
+				t.Fatalf("the refused open modified the segment (err %v)", err)
+			}
+		})
 	}
 }
 
@@ -444,7 +474,7 @@ func TestAppendNoSyncDurableAfterSync(t *testing.T) {
 	if _, err := w.Append(RecordIngest, []byte("synced-inline")); err != nil {
 		t.Fatal(err)
 	}
-	lsn2, err := w.AppendNoSync(RecordIngestGroup, []byte("deferred"))
+	lsn2, err := w.AppendNoSync(RecordIngest, []byte("deferred"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +496,7 @@ func TestAppendNoSyncDurableAfterSync(t *testing.T) {
 		t.Fatalf("idle Sync issued an fsync")
 	}
 	got := collect(t, w, 0)
-	if len(got) != 2 || got[1].typ != RecordIngestGroup || string(got[1].payload) != "deferred" {
+	if len(got) != 2 || got[1].typ != RecordIngest || string(got[1].payload) != "deferred" {
 		t.Fatalf("replay: %+v", got)
 	}
 	if err := w.Close(); err != nil {

@@ -32,7 +32,7 @@ import (
 // between the server and the real filesystem.
 func chaosConfig(t *testing.T) (Config, *fault.Injector) {
 	t.Helper()
-	cfg := walConfig(t, 2)
+	cfg := walConfig(t)
 	inj := fault.NewInjector(fault.OS())
 	cfg.FS = inj
 	return cfg, inj
@@ -125,7 +125,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 			}
 
 			// Crash-free oracle on a clean disk, fed only what was acked.
-			oracle, err := New(walConfig(t, 2))
+			oracle, err := New(walConfig(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -547,7 +547,7 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oracle, err := New(walConfig(t, 2))
+	oracle, err := New(walConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +665,7 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 	// the log, so the live primary serves a superset until its next
 	// restart. Replay the primary's own WAL into a fresh engine as the
 	// crash-free oracle.
-	oracle, err := New(Config{Options: cfg.Options, Shards: 2})
+	oracle, err := New(Config{Options: cfg.Options})
 	if err != nil {
 		t.Fatal(err)
 	}

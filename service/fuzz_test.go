@@ -1,0 +1,74 @@
+package service
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	correlated "github.com/streamagg/correlated"
+)
+
+// FuzzDecodeIngest throws arbitrary payloads at the one ingest-record
+// decoder, the function crash replay and a replica's live apply both
+// read RecordIngest through. Whatever the bytes it must not panic; what
+// it allocates is bounded by the payload's length (a member is at least
+// two bytes, a tuple at least three — no count in the payload is trusted
+// past the bytes behind it); an empty payload is refused; and on every
+// payload it accepts, decode ∘ encode is the identity: re-encoding the
+// members and decoding again yields the same members, and re-encoding
+// those yields the same bytes.
+func FuzzDecodeIngest(f *testing.F) {
+	job := func(name string, tuples ...correlated.Tuple) *ingestJob {
+		return &ingestJob{tn: &tenant{name: name}, tuples: tuples}
+	}
+	f.Add([]byte{})
+	f.Add(appendIngestRecord(nil, []*ingestJob{job("", correlated.Tuple{X: 1, Y: 2, W: 1})}))
+	f.Add(appendIngestRecord(nil, []*ingestJob{
+		job("ta", correlated.Tuple{X: 5, Y: 6, W: 1}),
+		job("", correlated.Tuple{X: 3, Y: 4, W: 9}, correlated.Tuple{X: 1 << 40, Y: 1 << 20, W: 1}),
+		job("tb"),
+	}))
+	for _, hostile := range [][]byte{
+		{0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 2, 3},                               // count claims 2^32 tuples
+		{2, 't', 'a', 1, 5, 6, 1, 120},                                           // second member: 120-byte key, no bytes
+		{1, 0x07, 1, 1, 1, 1},                                                    // control byte in the key
+		{0, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // weight overflows int64
+	} {
+		f.Add(hostile)
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		tenantOf := func(name []byte) (*tenant, error) { return &tenant{name: string(name)}, nil }
+		st := newReplayState(0, true)
+		group, err := st.decodeIngest(payload, tenantOf)
+		tuples := 0
+		for _, j := range st.jobs {
+			tuples += cap(j.tuples)
+		}
+		if len(st.jobs) > len(payload)/2+1 || tuples > len(payload)/3 {
+			t.Fatalf("%d-byte payload allocated %d jobs holding room for %d tuples", len(payload), len(st.jobs), tuples)
+		}
+		if err != nil {
+			return
+		}
+		if len(payload) == 0 || len(group) == 0 {
+			t.Fatalf("accepted a %d-byte payload as %d members", len(payload), len(group))
+		}
+		canonical := appendIngestRecord(nil, group)
+		again, err := newReplayState(0, true).decodeIngest(canonical, tenantOf)
+		if err != nil {
+			t.Fatalf("re-encoded members do not decode: %v", err)
+		}
+		if len(again) != len(group) {
+			t.Fatalf("round trip turned %d members into %d", len(group), len(again))
+		}
+		for i, j := range group {
+			if again[i].tn.name != j.tn.name || !slices.Equal(again[i].tuples, j.tuples) {
+				t.Fatalf("member %d changed across the round trip", i)
+			}
+		}
+		if !bytes.Equal(appendIngestRecord(nil, again), canonical) {
+			t.Fatal("encode is not stable on decoded members")
+		}
+	})
+}

@@ -74,6 +74,14 @@ func pooledTuples(b []correlated.Tuple) []correlated.Tuple {
 	return b
 }
 
+// pooledBytes is pooledTuples for an encode or body buffer.
+func pooledBytes(b []byte) []byte {
+	if cap(b) > maxPooledBuffer {
+		return nil
+	}
+	return b
+}
+
 // putDecodeState recycles d unless a large request inflated it. The
 // job's tuple reference is always dropped: it aliases d.tuples, and
 // leaving it set would keep an oversized backing array alive through
@@ -81,9 +89,7 @@ func pooledTuples(b []correlated.Tuple) []correlated.Tuple {
 func (s *Server) putDecodeState(d *decodeState) {
 	d.job.tuples, d.job.err, d.job.tn = nil, nil, nil
 	d.job.lsn, d.streamSeq = 0, 0
-	if cap(d.body) > maxPooledBuffer {
-		d.body = nil
-	}
+	d.body = pooledBytes(d.body)
 	d.tuples = pooledTuples(d.tuples)
 	s.dec.Put(d)
 }
@@ -563,7 +569,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := client.Stats{
 		Role:           s.roleNow(),
 		Aggregate:      s.cfg.aggregate(),
-		Shards:         1, // one summary per tenant; the field predates that
 		Count:          count,
 		Space:          space,
 		TuplesIngested: s.metrics.tuplesIngested.Load(),

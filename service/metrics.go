@@ -320,7 +320,6 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	c("corrd_site_push_send_errors_total", "Failed upstream pushes (re-queued locally).", m.pushSendErrors.Load())
 	g("corrd_engine_tuples", "Tuples held by the engine (Count).", int64(es.count))
 	g("corrd_engine_space", "Stored counters/tuples in the default tenant's summary (Space).", es.space)
-	g("corrd_engine_shards", "Always 1: each tenant is one summary (-shards is ignored).", 1)
 	g("corrd_uptime_seconds", "Seconds since the server was created.", int64(time.Since(m.start).Seconds()))
 	g("corrd_tenants", "Keyed namespaces registered (the default tenant included).", int64(ts.total))
 	g("corrd_tenants_live", "Tenants with a materialized engine (the rest are spilled images).", int64(ts.live))

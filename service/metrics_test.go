@@ -98,7 +98,6 @@ func TestMetricsExpositionInvariants(t *testing.T) {
 	dir := t.TempDir()
 	svc, ts, cl := newTestServer(t, Config{
 		Options:      testOptions(),
-		Shards:       2,
 		SnapshotPath: filepath.Join(dir, "snap"),
 		WALDir:       filepath.Join(dir, "wal"),
 		WALFsync:     "always",

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,10 +28,9 @@ import (
 //
 // Crash-exactness holds by construction: a summary's state depends on
 // where its AddBatch calls were cut, and the only cut there is is the
-// group's WAL record (RecordIngestGroup, or a plain RecordIngest for a
-// group of one), which carries the member batches in client order. Replay
-// turns a record back into the member list and runs the live commit's own
-// apply on it (applyGroupLocked).
+// group's WAL record (RecordIngest), which carries the member batches in
+// client order. Replay turns a record back into the member list and runs
+// the live commit's own apply on it (applyGroupLocked).
 
 // errShuttingDown rejects ingest that arrives after Close began.
 var errShuttingDown = errors.New("service: shutting down")
@@ -365,55 +363,24 @@ func (s *Server) overloadRetryAfter() time.Duration {
 	return d
 }
 
-// logIngestGroup appends the group's applied members as one WAL record
-// and returns its LSN. A group entirely on the default tenant keeps the
-// legacy forms — the counted batch itself for a group of one, a
-// RecordIngestGroup for more — so single-tenant deployments write logs
-// byte-identical to pre-tenant corrd (and old logs replay unchanged). A
-// group touching any keyed tenant writes one RecordKeyedIngestGroup:
-// the member count, then each member as a tenant-prefixed counted batch
-// in commit order. Callers hold s.mu.
-func (s *Server) logIngestGroup(group []*ingestJob) (uint64, error) {
-	buf := s.groupBuf[:0]
-	members, keyed := 0, false
+// appendIngestRecord appends an ingest record's payload: the group's
+// applied members, each as a keyed batch (the empty key for the default
+// tenant), back to back in commit order. The frame length delimits the
+// record; replayState.decodeIngest is the inverse.
+func appendIngestRecord(buf []byte, group []*ingestJob) []byte {
 	for _, j := range group {
 		if j.kind == ingestOK {
-			members++
-			if j.tn != s.def {
-				keyed = true
-			}
+			buf = tupleio.AppendKeyedBatch(buf, j.tn.name, j.tuples)
 		}
 	}
-	var typ wal.RecordType
-	switch {
-	case keyed:
-		typ = wal.RecordKeyedIngestGroup
-		buf = binary.AppendUvarint(buf, uint64(members))
-		for _, j := range group {
-			if j.kind == ingestOK {
-				buf = tupleio.AppendKeyedBatch(buf, j.tn.name, j.tuples)
-			}
-		}
-	case members == 1:
-		typ = wal.RecordIngest
-		for _, j := range group {
-			if j.kind == ingestOK {
-				buf = tupleio.AppendCountedBatch(buf, j.tuples)
-			}
-		}
-	default:
-		typ = wal.RecordIngestGroup
-		buf = binary.AppendUvarint(buf, uint64(members))
-		for _, j := range group {
-			if j.kind == ingestOK {
-				buf = tupleio.AppendCountedBatch(buf, j.tuples)
-			}
-		}
-	}
-	lsn, err := s.wal.AppendNoSync(typ, buf)
-	if cap(buf) > maxPooledBuffer {
-		buf = nil // do not pin a rare huge group
-	}
-	s.groupBuf = buf
+	return buf
+}
+
+// logIngestGroup appends the group's applied members as one WAL record
+// and returns its LSN. Callers hold s.mu.
+func (s *Server) logIngestGroup(group []*ingestJob) (uint64, error) {
+	buf := appendIngestRecord(s.groupBuf[:0], group)
+	lsn, err := s.wal.AppendNoSync(wal.RecordIngest, buf)
+	s.groupBuf = pooledBytes(buf)
 	return lsn, err
 }

@@ -75,13 +75,35 @@ func newReplayState(covered uint64, startup bool) *replayState {
 	return &replayState{covered: covered, startup: startup}
 }
 
-// members returns n jobs to decode a group record into; the jobs and
-// their tuple buffers are reused from record to record.
-func (st *replayState) members(n int) []*ingestJob {
-	for len(st.jobs) < n {
-		st.jobs = append(st.jobs, &ingestJob{})
+// decodeIngest turns an ingest record's payload back into the member
+// list the live commit logged (appendIngestRecord's inverse): keyed
+// batches back to back until the payload is spent, each resolved to its
+// tenant by tenantOf. There is no member count to trust — a member is at
+// least two bytes, and each batch's own count is bounded by the bytes
+// behind it — so what a hostile payload can make this allocate is bounded
+// by its length. An empty payload is refused: the live commit never logs
+// a group with no applied member. The jobs and their tuple buffers are
+// reused from record to record.
+func (st *replayState) decodeIngest(payload []byte, tenantOf func(name []byte) (*tenant, error)) ([]*ingestJob, error) {
+	if len(payload) == 0 {
+		return nil, errors.New("empty ingest record")
 	}
-	return st.jobs[:n]
+	n := 0
+	for rest := payload; len(rest) > 0; n++ {
+		if n == len(st.jobs) {
+			st.jobs = append(st.jobs, &ingestJob{})
+		}
+		j := st.jobs[n]
+		var name []byte
+		var err error
+		if name, j.tuples, rest, err = tupleio.DecodeKeyedPrefix(j.tuples, rest); err == nil {
+			j.tn, err = tenantOf(name)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("member %d: %w", n, err)
+		}
+	}
+	return st.jobs[:n], nil
 }
 
 // noteTouch records that a push, reset or fold-back record mutated t
@@ -93,20 +115,6 @@ func (st *replayState) noteTouch(t *tenant) {
 		t.epoch.Add(1)
 		t.touch()
 	}
-}
-
-// replayGroup applies a decoded group record through the live commit's
-// own applyGroupLocked. The log holds only members the live commit
-// applied, so any member refused here is fatal to the replay.
-func (s *Server) replayGroup(lsn uint64, group []*ingestJob) error {
-	s.applyGroupLocked(group)
-	for i, j := range group {
-		if j.kind != ingestOK {
-			return fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, j.err)
-		}
-		j.tuples = pooledTuples(j.tuples)
-	}
-	return nil
 }
 
 // replayTenantEngine resolves a replayed tenant key to its live
@@ -136,55 +144,22 @@ func (s *Server) replayTenantEngine(name []byte) (*tenant, Engine, error) {
 func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st *replayState) (counted bool, err error) {
 	switch typ {
 	case wal.RecordIngest:
-		group := st.members(1)
-		j := group[0]
-		j.tn = s.def
-		if j.tuples, err = tupleio.DecodeCounted(j.tuples, payload); err != nil {
+		group, err := st.decodeIngest(payload, func(name []byte) (*tenant, error) {
+			return s.getOrCreateTenant(name, true)
+		})
+		if err != nil {
 			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 		}
-		if err := s.replayGroup(lsn, group); err != nil {
-			return false, err
-		}
-	case wal.RecordIngestGroup, wal.RecordKeyedIngestGroup:
-		// One commit group: the member count, then each member as a
-		// counted batch (tenant-prefixed in the keyed form), in commit
-		// order.
-		n, sz := binary.Uvarint(payload)
-		if sz <= 0 {
-			return false, fmt.Errorf("service: wal replay: record %d: bad group header", lsn)
-		}
-		rest := payload[sz:]
-		if n > uint64(len(rest)) {
-			return false, fmt.Errorf("service: wal replay: record %d: group claims %d members in %d bytes", lsn, n, len(rest))
-		}
-		group := st.members(int(n))
+		s.applyGroupLocked(group)
 		for i, j := range group {
-			j.tn = s.def
-			if typ == wal.RecordKeyedIngestGroup {
-				var name []byte
-				name, j.tuples, rest, err = tupleio.DecodeKeyedPrefix(j.tuples, rest)
-				if err == nil {
-					j.tn, err = s.getOrCreateTenant(name, true)
-				}
-			} else {
-				j.tuples, rest, err = tupleio.DecodeCountedPrefix(j.tuples, rest)
+			// The log holds only members the live commit applied, so a
+			// member refused here is fatal to the replay.
+			if j.kind != ingestOK {
+				return false, fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, j.err)
 			}
-			if err != nil {
-				return false, fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, err)
-			}
-		}
-		if len(rest) != 0 {
-			return false, fmt.Errorf("service: wal replay: record %d: %d trailing bytes after %d members", lsn, len(rest), n)
-		}
-		if err := s.replayGroup(lsn, group); err != nil {
-			return false, err
+			j.tuples = pooledTuples(j.tuples)
 		}
 	case wal.RecordPush:
-		if err := s.def.eng.MergeMarshaled(payload); err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
-		st.noteTouch(s.def)
-	case wal.RecordKeyedPush:
 		name, image, err := tupleio.DecodeTenantPrefix(payload)
 		if err != nil {
 			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
@@ -393,7 +368,7 @@ func (s *Server) serveReplicaConn(c net.Conn, w *wal.WAL) {
 // lose.
 func (s *Server) replicaSeedSnapshot(w *wal.WAL) (covered uint64, file []byte, err error) {
 	s.xferMu.Lock()
-	covered, file, _, err = s.buildSnapshot()
+	covered, file, _, _, err = s.buildSnapshot()
 	s.xferMu.Unlock()
 	if err != nil {
 		return 0, nil, err
@@ -459,19 +434,9 @@ func (s *Server) replicaApply(lsn uint64, typ uint8, payload []byte) error {
 // local tenant absent from it is reset — afterwards the state is
 // exactly "the primary at LSN covered".
 func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
-	var images []tenantImage
-	if bytes.HasPrefix(data, snapshotMagicV2) {
-		_, imgs, err := decodeSnapshotFileV2(data)
-		if err != nil {
-			return err
-		}
-		images = imgs
-	} else {
-		_, engine, err := decodeSnapshotFile(data)
-		if err != nil {
-			return err
-		}
-		images = []tenantImage{{name: "", image: engine}}
+	_, images, err := decodeSnapshot(data)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -496,7 +461,7 @@ func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
 			return fmt.Errorf("service: install snapshot: tenant %q: %w", ti.name, err)
 		}
 		if t.eng != nil {
-			if err := unmarshalImage(t.eng, ti.image); err != nil {
+			if err := t.eng.UnmarshalBinary(ti.image); err != nil {
 				return fmt.Errorf("service: install snapshot: tenant %q: %w", ti.name, err)
 			}
 		} else {
@@ -617,33 +582,7 @@ func (s *Server) openWALAt(firstLSN uint64) error {
 			}
 		}
 	}
-	policy, err := wal.ParseSyncPolicy(s.cfg.WALFsync)
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	w, err := wal.Open(s.cfg.WALDir, wal.Options{
-		SegmentBytes: s.cfg.WALSegmentBytes,
-		Sync:         policy,
-		SyncEvery:    s.cfg.WALFsyncInterval,
-		FirstLSN:     firstLSN,
-		FS:           s.fs,
-		OnFsync:      func(d time.Duration) { s.metrics.walFsync.Observe(d.Seconds()) },
-		OnSyncError: func(err error) {
-			s.logf("wal: background fsync: %v", err)
-			s.noteBgSyncError(err)
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("service: wal: %w", err)
-	}
-	// Publish under the driver lock: stats and metrics handlers read
-	// s.wal through walRef, and the committer sees it only for jobs
-	// enqueued after replicaMode clears.
-	s.mu.Lock()
-	s.wal = w
-	s.walSyncAlways = policy == wal.SyncAlways
-	s.mu.Unlock()
-	return nil
+	return s.openWAL(firstLSN)
 }
 
 // walRef reads the WAL pointer under the driver lock — promotion can

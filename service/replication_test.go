@@ -97,7 +97,7 @@ func (p *tcpProxy) Close() {
 // newReplica builds a replica following addr and serves its HTTP API.
 func newReplica(t *testing.T, o correlated.Options, addr string, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg := Config{Options: o, Shards: 2, PrimaryAddr: addr}
+	cfg := Config{Options: o, PrimaryAddr: addr}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -121,7 +121,7 @@ func TestReplicaFollowsAndServesReads(t *testing.T) {
 	o := testOptions()
 	dir := t.TempDir()
 	primary, pts, pcl := newTestServer(t, Config{
-		Options: o, Shards: 2, WALDir: dir, WALFsync: "always",
+		Options: o, WALDir: dir, WALFsync: "always",
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	addr := startStream(t, primary)
@@ -207,7 +207,7 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 	dir := t.TempDir()
 	snap := dir + "/state.snapshot"
 	primary, pts, pcl := newTestServer(t, Config{
-		Options: o, Shards: 2, WALDir: dir + "/wal", WALFsync: "always",
+		Options: o, WALDir: dir + "/wal", WALFsync: "always",
 		SnapshotPath: snap, SnapshotInterval: time.Hour,
 		WALSegmentBytes:   4 << 10, // rotate early so checkpoints prune
 		HeartbeatInterval: 20 * time.Millisecond,
@@ -266,7 +266,7 @@ func TestFailoverByteIdentity(t *testing.T) {
 	o := testOptions()
 	dir := t.TempDir()
 	primary, pts, _ := newTestServer(t, Config{
-		Options: o, Shards: 2, WALDir: dir, WALFsync: "always",
+		Options: o, WALDir: dir, WALFsync: "always",
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	addr := startStream(t, primary)
@@ -310,7 +310,7 @@ func TestFailoverByteIdentity(t *testing.T) {
 	// Crash-free oracle: replay the primary's own WAL to exactly the
 	// sealed LSN on a fresh engine registry.
 	primaryWAL := primary.walRef()
-	oracle, err := New(Config{Options: o, Shards: 2})
+	oracle, err := New(Config{Options: o})
 	if err != nil {
 		t.Fatal(err)
 	}

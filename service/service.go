@@ -83,13 +83,6 @@ type Config struct {
 	// coordinator must share it verbatim — Seed included — or pushes
 	// are rejected as incompatible.
 	Options correlated.Options
-	// Shards and BatchSize are accepted and ignored: a tenant's engine
-	// is one summary, applied by the committer (with the GE direction on
-	// a second goroutine), so there is nothing to shard or hand off. The
-	// fields stay so existing configurations keep compiling; New logs
-	// one line when either is set.
-	Shards    int
-	BatchSize int
 	// IngestGroupMax caps how many queued ingest requests one commit
 	// group may carry (the group shares one WAL fsync and one AddBatch
 	// per touched tenant); <= 0 means 256. See pipeline.go.
@@ -435,7 +428,7 @@ func New(cfg Config) (*Server, error) {
 	// closed so the promoted server can open a fresh log there that
 	// continues the primary's LSN space.
 	if cfg.WALDir != "" && cfg.PrimaryAddr == "" {
-		if err := s.openWAL(); err != nil {
+		if err := s.openWAL(0); err != nil {
 			return nil, err
 		}
 	}
@@ -475,9 +468,6 @@ func New(cfg Config) (*Server, error) {
 	s.logf("configured: role=%s agg=%s group-max=%d snapshot=%q wal=%s access-log=%t slow-request=%s",
 		cfg.role(), cfg.aggregate(), s.groupMax, cfg.SnapshotPath, walDesc,
 		s.access != nil, cfg.SlowRequest)
-	if cfg.Shards > 1 || cfg.BatchSize > 0 {
-		s.logf("configured: Shards=%d BatchSize=%d ignored: each tenant is one summary", cfg.Shards, cfg.BatchSize)
-	}
 	s.wg.Add(1)
 	go s.committer()
 	s.wg.Add(1)

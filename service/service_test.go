@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +18,8 @@ import (
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/hash"
+	"github.com/streamagg/correlated/internal/tupleio"
+	"github.com/streamagg/correlated/internal/wal"
 )
 
 // testOptions keeps streams in the singleton regime (distinct y values
@@ -60,7 +64,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *client
 // with the same seed, and /v1/stats reflects the traffic.
 func TestIngestQueryStatsRoundTrip(t *testing.T) {
 	o := testOptions()
-	_, _, cl := newTestServer(t, Config{Options: o, Shards: 2, BatchSize: 64})
+	_, _, cl := newTestServer(t, Config{Options: o})
 	stream := testStream(10_000, 42)
 	if err := cl.AddBatch(context.Background(), stream); err != nil {
 		t.Fatal(err)
@@ -104,8 +108,7 @@ func TestIngestQueryStatsRoundTrip(t *testing.T) {
 	if st.Count != uint64(len(stream)) || st.TuplesIngested != uint64(len(stream)) {
 		t.Fatalf("stats: %+v", st)
 	}
-	// Shards: 2 in the config selects nothing; the stat reads 1.
-	if st.Role != "coordinator" || st.Aggregate != "f2" || st.Shards != 1 {
+	if st.Role != "coordinator" || st.Aggregate != "f2" {
 		t.Fatalf("stats identity: %+v", st)
 	}
 	if st.QueriesServed == 0 || st.Space <= 0 {
@@ -151,7 +154,7 @@ func TestIngestTextFormat(t *testing.T) {
 // and the served /v1/summary re-marshals to the offline bytes.
 func TestPushPathBitIdentical(t *testing.T) {
 	o := testOptions()
-	_, _, cl := newTestServer(t, Config{Options: o, Shards: 1})
+	_, _, cl := newTestServer(t, Config{Options: o})
 	site, err := correlated.NewF2Summary(o)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +233,7 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	o := testOptions()
 	snap := filepath.Join(t.TempDir(), "corrd.snapshot")
 	cfg := Config{
-		Options: o, Shards: 2, BatchSize: 32,
+		Options:      o,
 		SnapshotPath: snap, SnapshotInterval: time.Hour, // only explicit snapshots
 	}
 	svc, err := New(cfg)
@@ -250,10 +253,11 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, snapBytes, err := decodeSnapshotFile(snapFile)
-	if err != nil {
-		t.Fatal(err)
+	_, images, err := decodeSnapshot(snapFile)
+	if err != nil || len(images) != 1 || images[0].name != "" {
+		t.Fatalf("snapshot file holds %d images (err %v), want the default tenant's", len(images), err)
 	}
+	snapBytes := images[0].image
 	wantLE, err := cl.QueryLE(ctx, 150)
 	if err != nil {
 		t.Fatal(err)
@@ -341,10 +345,10 @@ func TestGracefulShutdownFlush(t *testing.T) {
 // coordinator answers exactly like a whole-stream offline summary.
 func TestSiteCoordinatorPushLoop(t *testing.T) {
 	o := testOptions()
-	_, coordTS, coordCl := newTestServer(t, Config{Options: o, Shards: 2})
+	_, coordTS, coordCl := newTestServer(t, Config{Options: o})
 	site, err := New(Config{
-		Options: o, Shards: 2,
-		PushTo: coordTS.URL, PushInterval: 30 * time.Millisecond,
+		Options: o,
+		PushTo:  coordTS.URL, PushInterval: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +420,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"corrd_tuples_ingested_total 100",
 		`corrd_queries_served_total{op="le"} 1`,
 		"corrd_engine_tuples 100",
-		"corrd_engine_shards 1",
 		`corrd_http_request_duration_seconds_count{handler="ingest"} 1`,
 	} {
 		if !strings.Contains(body, want) {
@@ -458,11 +461,11 @@ func asAPIError(err error, ae **client.APIError) bool { return errors.As(err, ae
 // walConfig is the standard durable-ingest test configuration: WAL with
 // fsync=always plus a snapshot path whose ticker never fires, so every
 // recovery path exercises the log.
-func walConfig(t *testing.T, shards int) Config {
+func walConfig(t *testing.T) Config {
 	t.Helper()
 	dir := t.TempDir()
 	return Config{
-		Options: testOptions(), Shards: shards, BatchSize: 32,
+		Options:      testOptions(),
 		SnapshotPath: filepath.Join(dir, "corrd.snapshot"), SnapshotInterval: time.Hour,
 		WALDir: filepath.Join(dir, "wal"), WALFsync: "always",
 	}
@@ -496,7 +499,7 @@ func crash(ts *httptest.Server, svc *Server) {
 // same acknowledged operations.
 func TestWALCrashRecoveryExact(t *testing.T) {
 	o := testOptions()
-	cfg := walConfig(t, 2)
+	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +557,7 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 
 	// Crash-free oracle: the same configuration fed the same
 	// acknowledged operations, never killed.
-	oracle, err := New(walConfig(t, 2))
+	oracle, err := New(walConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,8 +611,8 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 // whole log replays into a fresh engine.
 func TestWALRecoveryWithoutSnapshot(t *testing.T) {
 	cfg := Config{
-		Options: testOptions(), Shards: 1,
-		WALDir: filepath.Join(t.TempDir(), "wal"), WALFsync: "always",
+		Options: testOptions(),
+		WALDir:  filepath.Join(t.TempDir(), "wal"), WALFsync: "always",
 	}
 	svc, err := New(cfg)
 	if err != nil {
@@ -649,8 +652,8 @@ func TestWALRecoveryWithoutSnapshot(t *testing.T) {
 // image back so nothing is lost.
 func TestWALSitePushRound(t *testing.T) {
 	o := testOptions()
-	_, coordTS, coordCl := newTestServer(t, Config{Options: o, Shards: 1})
-	cfg := walConfig(t, 1)
+	_, coordTS, coordCl := newTestServer(t, Config{Options: o})
+	cfg := walConfig(t)
 	cfg.PushTo = coordTS.URL
 	cfg.PushInterval = time.Hour // pushes only when we say so
 	site, err := New(cfg)
@@ -707,7 +710,7 @@ func TestWALSitePushRound(t *testing.T) {
 // logged, no ack) folds the in-flight image back at replay, so the
 // acknowledged ingest behind it is never lost.
 func TestWALInFlightPushFoldsBack(t *testing.T) {
-	cfg := walConfig(t, 1)
+	cfg := walConfig(t)
 	cfg.PushTo = "http://127.0.0.1:1" // unreachable coordinator
 	cfg.PushInterval = time.Hour
 	site, err := New(cfg)
@@ -750,7 +753,7 @@ func TestWALInFlightPushFoldsBack(t *testing.T) {
 // TestMultiCutoffQuery: repeated c= values come back in one response,
 // each answer identical to its single-cutoff counterpart.
 func TestMultiCutoffQuery(t *testing.T) {
-	_, ts, cl := newTestServer(t, Config{Options: testOptions(), Shards: 2})
+	_, ts, cl := newTestServer(t, Config{Options: testOptions()})
 	ctx := context.Background()
 	if err := cl.AddBatch(ctx, testStream(5_000, 51)); err != nil {
 		t.Fatal(err)
@@ -791,7 +794,7 @@ func TestMultiCutoffQuery(t *testing.T) {
 // TestWALMetricsExposed: the Prometheus exposition carries the WAL
 // family when (and only when) the WAL is on.
 func TestWALMetricsExposed(t *testing.T) {
-	_, ts, cl := newTestServer(t, walConfig(t, 1))
+	_, ts, cl := newTestServer(t, walConfig(t))
 	ctx := context.Background()
 	if err := cl.AddBatch(ctx, testStream(100, 61)); err != nil {
 		t.Fatal(err)
@@ -834,7 +837,7 @@ func TestWALMetricsExposed(t *testing.T) {
 // image back and journals it as one atomic record — after a crash the
 // recovered state holds the stream exactly once, not twice.
 func TestWALFoldbackRoundSurvivesCrash(t *testing.T) {
-	cfg := walConfig(t, 1)
+	cfg := walConfig(t)
 	cfg.PushTo = "http://127.0.0.1:1" // nothing listens there
 	cfg.PushInterval = time.Hour
 	site, err := New(cfg)
@@ -872,7 +875,7 @@ func TestWALFoldbackRoundSurvivesCrash(t *testing.T) {
 // covers less (deleted, replaced, or written during a WAL-less run),
 // startup must refuse instead of double-applying the retained log.
 func TestWALRefusesStaleSnapshot(t *testing.T) {
-	cfg := walConfig(t, 1)
+	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -903,28 +906,131 @@ func TestWALRefusesStaleSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotShardFramedRefused: a snapshot whose tenant image was
-// written by the per-tenant sharded engine (framing version 2, one frame
-// per worker plus two cursors) cannot load into one summary, and startup
-// says so instead of reporting a bare decode error — in both snapshot
-// forms, across every retention slot.
-func TestSnapshotShardFramedRefused(t *testing.T) {
-	shardFramed := []byte{2, 2, 1, 0, 1, 0, 0, 1} // version, shard count, two frames, cursors
-	for name, file := range map[string][]byte{
-		"v1 file": encodeSnapshotFile(7, shardFramed),
-		"v2 file": encodeSnapshotFileV2(7, []tenantImage{{name: "", image: shardFramed}, {name: "a", image: shardFramed}}),
-	} {
-		snap := filepath.Join(t.TempDir(), "corrd.snapshot")
-		if err := os.WriteFile(snap, file, 0o644); err != nil {
-			t.Fatal(err)
+// dirBytes reads every regular file under dir, keyed by name.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if e.Type().IsRegular() {
+			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
 		}
-		svc, err := New(Config{Options: testOptions(), SnapshotPath: snap})
+	}
+	return files
+}
+
+// TestPreBreakStateRefused: durable state written before the storage
+// version break — a version-1 log holding records, or a corrdsn1,
+// corrdsn2 or bare-image snapshot wherever restore would reach it —
+// makes New fail with an error that wraps a sentinel, names the format
+// found and the one expected, and points at the README. The refused start
+// leaves every file exactly as it was and creates none beside them.
+func TestPreBreakStateRefused(t *testing.T) {
+	o := testOptions()
+	eng, err := correlated.NewF2Summary(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AddBatch(testStream(400, 91)); err != nil {
+		t.Fatal(err)
+	}
+	image, err := eng.MarshalBinary() // a valid image: only the framing is old
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(t *testing.T, cfg Config, stateDir string, sentinel error, says ...string) {
+		t.Helper()
+		before := dirBytes(t, stateDir)
+		svc, err := New(cfg)
 		if err == nil {
 			svc.Close()
-			t.Fatalf("%s: a shard-framed snapshot was accepted", name)
+			t.Fatal("pre-break state was accepted")
 		}
-		if !strings.Contains(err.Error(), "shard-framed") || !errors.Is(err, correlated.ErrBadEncoding) {
-			t.Fatalf("%s: refusal does not name the cause: %v", name, err)
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("refusal does not wrap %v: %v", sentinel, err)
+		}
+		for _, part := range append(says, "Storage format") {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("refusal does not say %q: %v", part, err)
+			}
+		}
+		after := dirBytes(t, stateDir)
+		if len(after) != len(before) {
+			t.Fatalf("the refused start left %d files where there were %d", len(after), len(before))
+		}
+		for name, data := range before {
+			if !bytes.Equal(after[name], data) {
+				t.Fatalf("the refused start modified %s", name)
+			}
+		}
+	}
+
+	t.Run("version-1 log", func(t *testing.T) {
+		// Frames did not change at the break, only the record grammar and
+		// the header's version byte: write records, then stamp version 1.
+		dir := t.TempDir()
+		w, err := wal.Open(dir, wal.Options{SegmentBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for typ := wal.RecordType(7); typ <= 9; typ++ { // the retired group, keyed-group and keyed-push numbers
+			if _, err := w.Append(typ, tupleio.AppendCountedBatch([]byte{1}, testStream(8, 92))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs := dirBytes(t, dir)
+		if len(segs) < 2 {
+			t.Fatalf("%d segments, want a sealed one and the active one", len(segs))
+		}
+		for name, raw := range segs {
+			raw[8] = 1
+			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refused(t, Config{Options: o, WALDir: dir}, dir, wal.ErrVersion, "version 1,", "version 2 ")
+	})
+
+	sn2 := encodeSnapshot(7, []tenantImage{{name: "", image: image}, {name: "a", image: image}})
+	sn2[len(snapshotMagic)-1] = '2' // corrdsn2 had today's layout under the older magic
+	for _, format := range []struct {
+		name, found string
+		file        []byte
+	}{
+		{"corrdsn1", `"corrdsn1"`, append(binary.AppendUvarint([]byte("corrdsn1"), 7), image...)},
+		{"corrdsn2", `"corrdsn2"`, sn2},
+		{"bare image", "no corrdsn header", image},
+	} {
+		for _, place := range []struct {
+			name  string
+			slots []int
+		}{
+			{"slot 0", []int{0}},
+			{"every slot", []int{0, 1, 2}},
+			{"slot 1 behind an empty slot 0", []int{1}},
+		} {
+			t.Run(format.name+" in "+place.name, func(t *testing.T) {
+				dir := t.TempDir()
+				cfg := Config{Options: o, SnapshotPath: filepath.Join(dir, "corrd.snapshot"), SnapshotKeep: 3}
+				for _, i := range place.slots {
+					path := cfg.SnapshotPath
+					if i > 0 {
+						path = fmt.Sprintf("%s.%d", path, i)
+					}
+					if err := os.WriteFile(path, format.file, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				refused(t, cfg, dir, ErrSnapshotFormat, format.found, `"corrdsn3"`)
+			})
 		}
 	}
 }

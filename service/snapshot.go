@@ -26,60 +26,40 @@ import (
 // marker to the WAL, which prunes every sealed segment the snapshot
 // made redundant.
 
-// snapshotMagic prefixes the single-tenant wrapped snapshot file
-// format; snapshotMagicV2 prefixes the multi-tenant one. Legacy files
-// (raw engine bytes, which start with an image version byte) can never
-// collide with either and are still restorable. A daemon
-// holding only the default tenant writes the v1 form, so single-tenant
-// deployments keep byte-identical snapshot files across this change.
-var (
-	snapshotMagic   = []byte("corrdsn1")
-	snapshotMagicV2 = []byte("corrdsn2")
-)
+// snapshotMagic prefixes the one snapshot framing, on disk and in a
+// replica re-seed frame alike. The trailing digit versions it: corrdsn3
+// is the format of the storage version break (WAL segment version 2),
+// and nothing older is read.
+var snapshotMagic = []byte("corrdsn3")
 
-// encodeSnapshotFile wraps the engine image with the covered WAL LSN.
-func encodeSnapshotFile(covered uint64, engine []byte) []byte {
-	buf := make([]byte, 0, len(snapshotMagic)+binary.MaxVarintLen64+len(engine))
-	buf = append(buf, snapshotMagic...)
-	buf = binary.AppendUvarint(buf, covered)
-	return append(buf, engine...)
-}
+// ErrSnapshotFormat reports snapshot bytes that are not in the current
+// framing: a file an earlier corrd wrote (corrdsn1, corrdsn2, or a bare
+// image from before the WAL existed), or one damaged past recognition.
+// Startup fails on it without touching any file; the README's "Storage
+// format" section has the migration.
+var ErrSnapshotFormat = errors.New("service: unsupported snapshot format")
 
-// decodeSnapshotFile splits a snapshot file into the covered LSN and
-// the engine image, accepting the pre-WAL raw format as covered = 0.
-func decodeSnapshotFile(data []byte) (covered uint64, engine []byte, err error) {
-	if !bytes.HasPrefix(data, snapshotMagic) {
-		return 0, data, nil // legacy raw engine snapshot
-	}
-	rest := data[len(snapshotMagic):]
-	covered, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, nil, errors.New("service: snapshot header truncated")
-	}
-	return covered, rest[n:], nil
-}
-
-// tenantImage is one tenant's marshaled engine state inside a
-// multi-tenant snapshot.
+// tenantImage is one tenant's marshaled engine state inside a snapshot.
 type tenantImage struct {
 	name  string
 	image []byte
 }
 
-// encodeSnapshotFileV2 wraps N tenant images with the covered WAL LSN:
+// encodeSnapshot wraps every tenant's image with the covered WAL LSN:
 //
-//	"corrdsn2" uvarint(covered) uvarint(count)
+//	"corrdsn3" uvarint(covered) uvarint(count)
 //	  count × ( uvarint(len(name)) name uvarint(len(image)) image )
 //
 // The tenant-name prefix is the same keyed grammar the WAL and the
-// stream speak (tupleio.AppendTenant).
-func encodeSnapshotFileV2(covered uint64, images []tenantImage) []byte {
-	size := len(snapshotMagicV2) + 2*binary.MaxVarintLen64
+// stream speak (tupleio.AppendTenant); the default tenant is the empty
+// name.
+func encodeSnapshot(covered uint64, images []tenantImage) []byte {
+	size := len(snapshotMagic) + 2*binary.MaxVarintLen64
 	for _, ti := range images {
 		size += 2*binary.MaxVarintLen64 + len(ti.name) + len(ti.image)
 	}
 	buf := make([]byte, 0, size)
-	buf = append(buf, snapshotMagicV2...)
+	buf = append(buf, snapshotMagic...)
 	buf = binary.AppendUvarint(buf, covered)
 	buf = binary.AppendUvarint(buf, uint64(len(images)))
 	for _, ti := range images {
@@ -90,12 +70,21 @@ func encodeSnapshotFileV2(covered uint64, images []tenantImage) []byte {
 	return buf
 }
 
-// decodeSnapshotFileV2 parses a multi-tenant snapshot. Every length
-// claim is bounded by the bytes actually present before slicing — the
-// decoder discipline of the rest of the codec — and tenant keys must
-// pass the wire validation. The returned images alias data.
-func decodeSnapshotFileV2(data []byte) (covered uint64, images []tenantImage, err error) {
-	rest := data[len(snapshotMagicV2):]
+// decodeSnapshot parses a snapshot. Bytes that do not open with the
+// current magic are refused as ErrSnapshotFormat, naming what was found.
+// Every length claim is bounded by the bytes actually present before
+// slicing — the decoder discipline of the rest of the codec — and tenant
+// keys must pass the wire validation. The returned images alias data.
+func decodeSnapshot(data []byte) (covered uint64, images []tenantImage, err error) {
+	if !bytes.HasPrefix(data, snapshotMagic) {
+		found := "no corrdsn header (a bare summary image from a corrd that predates the WAL, or a damaged file)"
+		if family := snapshotMagic[:len(snapshotMagic)-1]; len(data) > len(family) && bytes.HasPrefix(data, family) {
+			found = fmt.Sprintf("format %q", data[:len(snapshotMagic)])
+		}
+		return 0, nil, fmt.Errorf("%w: found %s, this corrd reads and writes %q (see README \"Storage format\" for the migration)",
+			ErrSnapshotFormat, found, snapshotMagic)
+	}
+	rest := data[len(snapshotMagic):]
 	covered, n := binary.Uvarint(rest)
 	if n <= 0 {
 		return 0, nil, errors.New("service: snapshot header truncated")
@@ -202,12 +191,12 @@ func (s *Server) Snapshot() error {
 }
 
 // buildSnapshot marshals every tenant into an encoded snapshot file
-// and reports the WAL LSN the image covers, plus the total marshaled
-// engine bytes (the metrics' measure). Callers hold the transfer lock;
-// the driver lock is taken inside. It is shared by snapshotLocked (the
-// disk path) and the primary's replica re-seed (replication.go), which
-// ships the same bytes over the wire instead.
-func (s *Server) buildSnapshot() (covered uint64, file []byte, dataLen int64, err error) {
+// and reports the WAL LSN the image covers, the tenant count, and the
+// total marshaled engine bytes (the metrics' measure). Callers hold the
+// transfer lock; the driver lock is taken inside. It is shared by
+// snapshotLocked (the disk path) and the primary's replica re-seed
+// (replication.go), which ships the same bytes over the wire instead.
+func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dataLen int64, err error) {
 	// Deterministic tenant order: sorted by key, so equal state writes
 	// equal snapshot bytes regardless of creation order.
 	tenants := s.tenantList()
@@ -227,6 +216,7 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, dataLen int64, er
 			ti.image = t.pending
 		}
 		images = append(images, ti)
+		dataLen += int64(len(ti.image))
 	}
 	if err == nil {
 		// A replica's coverage is what it has applied, not a log
@@ -240,20 +230,9 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, dataLen int64, er
 	}
 	s.mu.Unlock()
 	if err != nil {
-		return 0, nil, 0, err
+		return 0, nil, 0, 0, err
 	}
-	// A daemon holding only the default tenant writes the v1 form so
-	// single-tenant snapshot files stay byte-identical to pre-tenant
-	// corrd (and restorable by it).
-	if len(images) == 1 && images[0].name == "" {
-		file = encodeSnapshotFile(covered, images[0].image)
-	} else {
-		file = encodeSnapshotFileV2(covered, images)
-	}
-	for _, ti := range images {
-		dataLen += int64(len(ti.image))
-	}
-	return covered, file, dataLen, nil
+	return covered, encodeSnapshot(covered, images), len(images), dataLen, nil
 }
 
 // snapshotLocked is Snapshot minus the transfer lock, for callers that
@@ -265,7 +244,7 @@ func (s *Server) snapshotLocked() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil
 	}
-	covered, file, dataLen, err := s.buildSnapshot()
+	covered, file, nTenants, dataLen, err := s.buildSnapshot()
 	if err != nil {
 		s.metrics.snapshotErrors.Inc()
 		s.noteSnapshotResult(err)
@@ -276,13 +255,6 @@ func (s *Server) snapshotLocked() error {
 		s.metrics.snapshotErrors.Inc()
 		s.noteSnapshotResult(err)
 		return fmt.Errorf("service: snapshot write: %w", err)
-	}
-	nTenants := 1
-	if bytes.HasPrefix(file, snapshotMagicV2) {
-		rest := file[len(snapshotMagicV2):]
-		_, n := binary.Uvarint(rest)
-		cnt, _ := binary.Uvarint(rest[n:])
-		nTenants = int(cnt)
 	}
 	s.metrics.snapshotsWritten.Inc()
 	s.metrics.lastSnapshotUnix.Set(time.Now().Unix())
@@ -305,9 +277,10 @@ func (s *Server) snapshotLocked() error {
 // snapshot that is corrupt (torn write, bit rot) falls back to the
 // previous good one — trading a longer WAL replay for a boot that still
 // serves every acknowledged record the log holds. No file in any slot
-// is a clean first boot; every slot present-but-corrupt is fatal (a
+// is a clean first boot; every slot present-but-unusable is fatal (a
 // daemon must not silently serve an empty state over data it was asked
-// to remember).
+// to remember) — which is how files from before the storage version
+// break are refused: each fails with ErrSnapshotFormat, none is written.
 func (s *Server) restoreSnapshot() (covered uint64, err error) {
 	var lastErr error
 	for i := 0; i < s.cfg.SnapshotKeep; i++ {
@@ -342,42 +315,29 @@ func (s *Server) restoreSnapshot() (covered uint64, err error) {
 	return 0, nil
 }
 
-// restoreSnapshotData applies one snapshot file's contents. In the
-// multi-tenant form the default tenant restores eagerly (its engine
-// already exists); every keyed tenant registers spilled and
-// materializes lazily on first touch.
+// restoreSnapshotData applies one snapshot file's contents. The default
+// tenant restores eagerly (its engine already exists); every keyed
+// tenant registers spilled and materializes lazily on first touch.
 func (s *Server) restoreSnapshotData(path string, data []byte) (covered uint64, err error) {
-	var dataLen int64
-	if bytes.HasPrefix(data, snapshotMagicV2) {
-		covered, images, err := decodeSnapshotFileV2(data)
-		if err != nil {
-			return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
-		}
-		for _, ti := range images {
-			if ti.name == "" {
-				if err := unmarshalImage(s.def.eng, ti.image); err != nil {
-					return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
-				}
-			} else {
-				// Copy out of the file buffer: the pending image may
-				// outlive this function by the tenant's whole idle life.
-				s.addRestoredTenant(ti.name, bytes.Clone(ti.image))
-			}
-			dataLen += int64(len(ti.image))
-		}
-		s.restored = true
-		s.metrics.snapshotBytes.Set(dataLen)
-		return covered, nil
-	}
-	covered, engine, err := decodeSnapshotFile(data)
+	covered, images, err := decodeSnapshot(data)
 	if err != nil {
 		return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
 	}
-	if err := unmarshalImage(s.def.eng, engine); err != nil {
-		return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
+	var dataLen int64
+	for _, ti := range images {
+		if ti.name == "" {
+			if err := s.def.eng.UnmarshalBinary(ti.image); err != nil {
+				return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
+			}
+		} else {
+			// Copy out of the file buffer: the pending image may
+			// outlive this function by the tenant's whole idle life.
+			s.addRestoredTenant(ti.name, bytes.Clone(ti.image))
+		}
+		dataLen += int64(len(ti.image))
 	}
 	s.restored = true
-	s.metrics.snapshotBytes.Set(int64(len(engine)))
+	s.metrics.snapshotBytes.Set(dataLen)
 	return covered, nil
 }
 

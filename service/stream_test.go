@@ -33,7 +33,7 @@ func startStream(t *testing.T, svc *Server) string {
 // the stream counters see the traffic.
 func TestStreamIngestRoundTrip(t *testing.T) {
 	o := testOptions()
-	svc, ts, cl := newTestServer(t, Config{Options: o, Shards: 2, BatchSize: 64})
+	svc, ts, cl := newTestServer(t, Config{Options: o})
 	_ = ts
 	addr := startStream(t, svc)
 	ctx := context.Background()
@@ -90,7 +90,7 @@ func TestStreamIngestRoundTrip(t *testing.T) {
 // group record its frame rode in — nonzero and nondecreasing, since the
 // pipeline is FIFO.
 func TestStreamAcksCarryLSN(t *testing.T) {
-	svc, _, _ := newTestServer(t, walConfig(t, 2))
+	svc, _, _ := newTestServer(t, walConfig(t))
 	addr := startStream(t, svc)
 	ctx := context.Background()
 
@@ -229,33 +229,45 @@ func TestStreamSeqGapClosesConn(t *testing.T) {
 }
 
 // TestStreamRejectsBadHello: an unsupported version or format is
-// refused in the hello reply, and garbage gets no reply at all.
+// refused in the hello reply — the replication format of before the
+// storage version break included, so an old replica is turned away
+// rather than shipped records it would misread — and garbage gets no
+// reply at all.
 func TestStreamRejectsBadHello(t *testing.T) {
-	svc, _, _ := newTestServer(t, Config{Options: testOptions()})
+	svc, _, _ := newTestServer(t, Config{Options: testOptions(), WALDir: t.TempDir()})
 	addr := startStream(t, svc)
 
-	// Future version.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := tupleio.AppendHello(nil, tupleio.StreamFormatCounted)
-	hello[4] = tupleio.StreamVersion + 1
-	if _, err := conn.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	var reply [tupleio.HelloReplySize]byte
-	if _, err := io.ReadFull(conn, reply[:]); err != nil {
-		t.Fatal(err)
-	}
-	status, _, err := tupleio.ParseHelloReply(reply[:])
-	if err != nil || status != tupleio.HelloBadVersion {
-		t.Fatalf("version reply: status=%d err=%v", status, err)
-	}
 	var one [1]byte
-	if _, err := io.ReadFull(conn, one[:]); err != io.EOF {
-		t.Fatalf("conn stayed open after refused hello: %v", err)
+	for _, tc := range []struct {
+		name        string
+		at          int // hello byte to overwrite
+		value, want uint8
+	}{
+		{"future version", 4, tupleio.StreamVersion + 1, tupleio.HelloBadVersion},
+		{"pre-break replication format", 5, 3, tupleio.HelloBadFormat},
+		{"unknown format", 5, 99, tupleio.HelloBadFormat},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello := tupleio.AppendHello(nil, tupleio.StreamFormatCounted)
+		hello[tc.at] = tc.value
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		var reply [tupleio.HelloReplySize]byte
+		if _, err := io.ReadFull(conn, reply[:]); err != nil {
+			t.Fatal(err)
+		}
+		status, _, err := tupleio.ParseHelloReply(reply[:])
+		if err != nil || status != tc.want {
+			t.Fatalf("%s: reply status=%d err=%v, want status %d", tc.name, status, err, tc.want)
+		}
+		if _, err := io.ReadFull(conn, one[:]); err != io.EOF {
+			t.Fatalf("%s: conn stayed open after refused hello: %v", tc.name, err)
+		}
 	}
 
 	// Garbage magic: the server just hangs up.
@@ -280,7 +292,7 @@ func TestStreamRejectsBadHello(t *testing.T) {
 // streamed batches ride the same group-commit WAL records as HTTP ones.
 func TestMixedHTTPStreamCrashRecoveryExact(t *testing.T) {
 	o := testOptions()
-	cfg := walConfig(t, 2)
+	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"net/http/httptest"
 	"slices"
 	"sync"
@@ -12,7 +11,6 @@ import (
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
-	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
@@ -34,7 +32,7 @@ import (
 // tenant's batches exactly where the live run cut them.
 func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 	const ingesters = 8
-	cfg := walConfig(t, 2)
+	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +147,7 @@ func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 // interleaving torture test.
 func TestServiceStressRace(t *testing.T) {
 	o := testOptions()
-	cfg := walConfig(t, 2)
+	cfg := walConfig(t)
 	cfg.SnapshotInterval = 25 * time.Millisecond // hot ticker, real xfer contention
 	svc, err := New(cfg)
 	if err != nil {
@@ -308,69 +306,6 @@ func TestServiceStressRace(t *testing.T) {
 	}
 }
 
-// TestCommitGroupMixedValidation: a group with an invalid member rejects
-// exactly that member — the valid members commit, the group's WAL record
-// carries only them, and replay rebuilds the same state.
-func TestCommitGroupMixedValidation(t *testing.T) {
-	cfg := walConfig(t, 2)
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good1 := testStream(300, 1)
-	good2 := testStream(300, 2)
-	bad := []correlated.Tuple{{X: 1, Y: cfg.Options.YMax + 10, W: 1}} // y beyond YMax
-	jobs := []*ingestJob{
-		{tuples: good1, done: make(chan struct{}, 1)},
-		{tuples: bad, done: make(chan struct{}, 1)},
-		{tuples: good2, done: make(chan struct{}, 1)},
-	}
-	svc.commitGroup(jobs)
-	for i, j := range jobs {
-		<-j.done
-		wantKind := ingestOK
-		if i == 1 {
-			wantKind = ingestErrValidate
-		}
-		if j.kind != wantKind {
-			t.Fatalf("job %d: kind %d, err %v", i, j.kind, j.err)
-		}
-	}
-	if n := svc.def.eng.Count(); n != 600 {
-		t.Fatalf("engine holds %d tuples, want 600", n)
-	}
-	pre, err := svc.def.eng.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The log's view: exactly one group record with the two valid
-	// members, in commit order.
-	var types []wal.RecordType
-	if err := svc.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
-		types = append(types, typ)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(types) != 1 || types[0] != wal.RecordIngestGroup {
-		t.Fatalf("log records %v, want one RecordIngestGroup", types)
-	}
-	svc.shutdownStorage()
-
-	svc2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Close()
-	got, err := svc2.Engine().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pre) {
-		t.Fatal("replayed group state differs from live state")
-	}
-}
-
 // tenantBytes marshals one tenant's summary under the driver lock,
 // restoring it first if it is spilled — what /v1/summary serves.
 func tenantBytes(t *testing.T, svc *Server, name string) []byte {
@@ -392,43 +327,69 @@ func tenantBytes(t *testing.T, svc *Server, name string) []byte {
 	return img
 }
 
-// TestCommitGroupOneBatchPerTenant pins the apply path's contract on a
-// group [A1, B1, A2 (y > YMax), A3]: only A2 is nacked; tenant A holds
-// exactly what one offline AddBatch(A1‖A3) leaves and B what
-// AddBatch(B1) leaves; the members' own slices and the WAL record keep
-// the client's tuple order (AddBatch sorts only the committer's copy);
-// and every other way to reach the state — spill → restore, a replica
-// applying the shipped record, a restart replaying it — reproduces the
-// same bytes.
+// TestCommitGroupOneBatchPerTenant pins the apply path's and the log's
+// contract, one commit group per case: only the member with y > YMax is
+// nacked; each tenant holds exactly what one offline AddBatch of its
+// applied members, concatenated in client order, leaves; the members' own
+// slices keep the client's tuple order (AddBatch sorts only the
+// committer's copy); the group is logged as one RecordIngest — whatever
+// its size and whichever tenants it names — whose payload the one decoder
+// turns back into the applied members in client order; and every other
+// way to reach the state — spill → restore, a replica applying the
+// shipped record, a restart replaying it — reproduces the same bytes.
 func TestCommitGroupOneBatchPerTenant(t *testing.T) {
-	cfg := walConfig(t, 2)
+	beyond := []correlated.Tuple{{X: 1, Y: 5, W: 1}, {X: 2, Y: testOptions().YMax + 1, W: 1}}
+	s1, s2, s3, s4 := testStream(300, 1), testStream(200, 2), testStream(250, 3), testStream(150, 4)
+	for _, tc := range []struct {
+		name    string
+		members []groupMember
+	}{
+		{"default tenant, group of one", []groupMember{{"", s1, ingestOK}}},
+		{"default tenant, group of three, one nacked", []groupMember{
+			{"", s1, ingestOK}, {"", beyond, ingestErrValidate}, {"", s2, ingestOK},
+		}},
+		{"keyed and default tenants, one nacked", []groupMember{
+			{"a", s1, ingestOK}, {"", s4, ingestOK}, {"a", beyond, ingestErrValidate}, {"b", s2, ingestOK}, {"a", s3, ingestOK},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { commitGroupCase(t, tc.members) })
+	}
+}
+
+// groupMember is one request of a TestCommitGroupOneBatchPerTenant group
+// and the outcome the commit must give it.
+type groupMember struct {
+	tenant string
+	tuples []correlated.Tuple
+	kind   ingestErrKind
+}
+
+// commitGroupCase runs one TestCommitGroupOneBatchPerTenant group.
+func commitGroupCase(t *testing.T, members []groupMember) {
+	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tenantOf := func(name string) *tenant {
-		tn, err := svc.getOrCreateTenant([]byte(name), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tn
-	}
 	clone := func(b []correlated.Tuple) []correlated.Tuple { return append([]correlated.Tuple(nil), b...) }
-	a1, b1, a3 := testStream(300, 1), testStream(200, 2), testStream(250, 3)
-	a2 := []correlated.Tuple{{X: 1, Y: 5, W: 1}, {X: 2, Y: cfg.Options.YMax + 1, W: 1}}
-	members := []struct {
+	type logged struct {
 		tenant string
 		tuples []correlated.Tuple
-		kind   ingestErrKind
-	}{
-		{"a", a1, ingestOK},
-		{"b", b1, ingestOK},
-		{"a", a2, ingestErrValidate},
-		{"a", a3, ingestOK},
 	}
+	var applied []logged // the members the commit must apply, in client order
+	batches := map[string][]correlated.Tuple{}
 	jobs := make([]*ingestJob, len(members))
 	for i, m := range members {
-		jobs[i] = &ingestJob{tuples: clone(m.tuples), tn: tenantOf(m.tenant), done: make(chan struct{}, 1)}
+		jobs[i] = &ingestJob{tuples: clone(m.tuples), done: make(chan struct{}, 1)}
+		if m.tenant != "" { // a nil tenant is how the handlers address the default one
+			if jobs[i].tn, err = svc.getOrCreateTenant([]byte(m.tenant), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.kind == ingestOK {
+			applied = append(applied, logged{m.tenant, m.tuples})
+			batches[m.tenant] = append(batches[m.tenant], m.tuples...)
+		}
 	}
 	svc.commitGroup(jobs)
 	for i, j := range jobs {
@@ -442,10 +403,7 @@ func TestCommitGroupOneBatchPerTenant(t *testing.T) {
 	}
 
 	want := map[string][]byte{}
-	for name, batch := range map[string][]correlated.Tuple{
-		"a": append(clone(a1), a3...),
-		"b": clone(b1),
-	} {
+	for name, batch := range batches {
 		offline, err := correlated.NewF2Summary(cfg.Options)
 		if err != nil {
 			t.Fatal(err)
@@ -467,39 +425,37 @@ func TestCommitGroupOneBatchPerTenant(t *testing.T) {
 	}
 	check("live commit", svc)
 
-	// The log: one keyed group record, the three applied members in
-	// client order, tuple order untouched.
-	type logged struct {
-		tenant string
-		tuples []correlated.Tuple
-	}
+	// The log: one ingest record, the applied members in client order,
+	// tuple order untouched, and the encoder the decoder's inverse.
 	var record []logged
 	var records int
 	if err := svc.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 		records++
-		if typ != wal.RecordKeyedIngestGroup {
-			t.Fatalf("record %d has type %d, want a keyed ingest group", lsn, typ)
+		if typ != wal.RecordIngest {
+			t.Fatalf("record %d has type %d, want RecordIngest", lsn, typ)
 		}
-		n, sz := binary.Uvarint(payload)
-		rest := payload[sz:]
-		for i := uint64(0); i < n; i++ {
-			name, batch, r, err := tupleio.DecodeKeyedPrefix(nil, rest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			record = append(record, logged{string(name), batch})
-			rest = r
+		group, err := newReplayState(0, true).decodeIngest(payload, func(name []byte) (*tenant, error) {
+			return &tenant{name: string(name)}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range group {
+			record = append(record, logged{j.tn.name, j.tuples})
+		}
+		if again := appendIngestRecord(nil, group); !bytes.Equal(again, payload) {
+			t.Fatalf("record %d: encode(decode(payload)) differs from the payload", lsn)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if records != 1 || len(record) != 3 {
-		t.Fatalf("log holds %d records with %d members, want 1 with 3", records, len(record))
+	if records != 1 || len(record) != len(applied) {
+		t.Fatalf("log holds %d records with %d members, want 1 with %d", records, len(record), len(applied))
 	}
-	for i, m := range []int{0, 1, 3} {
-		if record[i].tenant != members[m].tenant || !slices.Equal(record[i].tuples, members[m].tuples) {
-			t.Fatalf("logged member %d is not member %d as the client sent it", i, m)
+	for i, m := range applied {
+		if record[i].tenant != m.tenant || !slices.Equal(record[i].tuples, m.tuples) {
+			t.Fatalf("logged member %d is not applied member %d as the client sent it", i, i)
 		}
 	}
 
@@ -508,8 +464,12 @@ func TestCommitGroupOneBatchPerTenant(t *testing.T) {
 		reach func() *Server
 	}{
 		{"spill → restore", func() *Server {
-			if n := svc.spillIdle(0); n != 2 {
-				t.Fatalf("spilled %d tenants, want 2", n)
+			keyed := len(batches)
+			if _, ok := batches[""]; ok {
+				keyed-- // the default tenant never spills
+			}
+			if n := svc.spillIdle(0); n != keyed {
+				t.Fatalf("spilled %d tenants, want %d", n, keyed)
 			}
 			return svc
 		}},

@@ -14,11 +14,10 @@ import (
 // summaries — the ROADMAP's "millions of users" model, where every
 // user/flow/metric keys its own correlated-aggregate state. A tenant
 // key rides the request surface (?tenant= on the HTTP endpoints, the
-// keyed stream frame format) and the durability surface (keyed WAL
-// records, the multi-tenant snapshot framing); the empty key is the
-// default tenant, which is what every legacy request, WAL record, and
-// snapshot file addresses — single-tenant deployments never see a
-// change, on the wire or on disk.
+// keyed stream frame format) and the durability surface (every ingest
+// and push record in the WAL, every snapshot entry); the empty key is
+// the default tenant, which is what a request naming no tenant addresses
+// and is logged and snapshotted like any other.
 //
 // Sharing, not duplication: all tenants ride one commit pipeline (one
 // group commit, one WAL, one fsync covers batches for many tenants) and
@@ -242,22 +241,6 @@ func (s *Server) addRestoredTenant(name string, image []byte) *tenant {
 	return t
 }
 
-// shardFramedImage is the first byte of an image written by the
-// in-tenant shard engine this daemon used to run (shard.Sharded's
-// snapshot framing, version 2); a summary's own image starts with 1.
-const shardFramedImage = 2
-
-// unmarshalImage restores a tenant image into eng, and names the one
-// failure an upgrade produces by itself: an image a sharded corrd wrote,
-// whose per-shard frames no single summary can load.
-func unmarshalImage(eng Engine, image []byte) error {
-	err := eng.UnmarshalBinary(image)
-	if err != nil && len(image) > 0 && image[0] == shardFramedImage {
-		return fmt.Errorf("image is shard-framed (written by a corrd that ran -shards workers per tenant; this version keeps one summary per tenant and cannot load it — see README \"Durability\"): %w", err)
-	}
-	return err
-}
-
 // ensureEngineLocked materializes a spilled tenant's engine from its
 // pending image. Callers hold s.mu — engine state only ever changes
 // under the driver lock.
@@ -270,7 +253,7 @@ func (s *Server) ensureEngineLocked(t *tenant) (Engine, error) {
 		return nil, err
 	}
 	if len(t.pending) > 0 {
-		if err := unmarshalImage(eng, t.pending); err != nil {
+		if err := eng.UnmarshalBinary(t.pending); err != nil {
 			return nil, fmt.Errorf("service: tenant %q restore: %w", t.name, err)
 		}
 	}

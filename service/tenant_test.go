@@ -58,7 +58,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 		chunk    = 250
 	)
 	o := testOptions()
-	cfg := walConfig(t, 2)
+	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,12 +123,13 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 	}
 
 	ingestPhase(1)
-	if err := svc.Snapshot(); err != nil { // multi-tenant (v2) snapshot
+	if err := svc.Snapshot(); err != nil { // every tenant in one file
 		t.Fatal(err)
 	}
 	ingestPhase(2)
 
-	// A keyed push into one tenant: the image rides a RecordKeyedPush.
+	// A push into one keyed tenant: the image rides a RecordPush behind
+	// its tenant prefix.
 	site, err := correlated.NewF2Summary(o)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +186,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 	// Crash-free oracle server: each tenant's acknowledged operations run
 	// serially, alone, with the same chunk boundaries — its summary must
 	// match the recovered multi-tenant state byte for byte.
-	oracleCfg := walConfig(t, 2)
+	oracleCfg := walConfig(t)
 	oracle, err := New(oracleCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +225,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 func TestTenantIsolation(t *testing.T) {
 	const tenantsN = 5
 	o := testOptions()
-	_, ts, _ := newTestServer(t, Config{Options: o, Shards: 2, BatchSize: 64})
+	_, ts, _ := newTestServer(t, Config{Options: o})
 	ctx := context.Background()
 
 	streams := make([][]correlated.Tuple, tenantsN)
@@ -321,7 +322,7 @@ func TestTenantIsolation(t *testing.T) {
 // round trip — and the default tenant never spills.
 func TestTenantSpillRestoreRoundTrip(t *testing.T) {
 	const tenantsN = 3
-	svc, ts, _ := newTestServer(t, Config{Options: testOptions(), Shards: 2, BatchSize: 32})
+	svc, ts, _ := newTestServer(t, Config{Options: testOptions()})
 	ctx := context.Background()
 
 	pre := make([][]byte, tenantsN)
@@ -469,7 +470,7 @@ func TestTenantGovernanceCaps(t *testing.T) {
 // refuse those tenants today — acknowledged data outranks governance —
 // while new creations still hit the lowered cap.
 func TestTenantReplayBypassesCaps(t *testing.T) {
-	cfg := walConfig(t, 1)
+	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +522,7 @@ func TestTenantChurnStressRace(t *testing.T) {
 		chunk    = 100
 	)
 	o := testOptions()
-	svc, ts, _ := newTestServer(t, Config{Options: o, Shards: 2, BatchSize: 32, QueryMaxStale: 0})
+	svc, ts, _ := newTestServer(t, Config{Options: o, QueryMaxStale: 0})
 	ctx := context.Background()
 
 	streams := make([][]correlated.Tuple, tenantsN)

@@ -32,9 +32,8 @@ import (
 //
 // Per-group stages divide by corrd_ingest_group_size for per-request
 // attribution; the same breakdown is served in /v1/stats
-// (pipeline_stages) and embedded in corrgen load reports, so
-// benchmarks/latest.json carries stage attributions next to the
-// client-observed latencies.
+// (pipeline_stages), where corrdbench reads it, and embedded in corrgen
+// load reports.
 
 // Stage indices into metrics.stages.
 const (

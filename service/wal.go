@@ -52,9 +52,13 @@ import (
 // coordinator processed the image but before the ack record's fsync —
 // one append, not a whole snapshot write.
 
-// openWAL opens the log and wires its fsync-latency hook into the
-// metrics registry.
-func (s *Server) openWAL() error {
+// openWAL opens the log — the one place its options are built, so the
+// log a replica opens at promotion carries every hook the primary's
+// does. firstLSN numbers the first record of a brand-new log (0 means
+// 1); a promoted replica passes its sealed LSN + 1. The pointer is
+// published under the driver lock: promotion installs it at runtime,
+// while stats and metrics handlers read it through walRef.
+func (s *Server) openWAL(firstLSN uint64) error {
 	policy, err := wal.ParseSyncPolicy(s.cfg.WALFsync)
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
@@ -63,6 +67,7 @@ func (s *Server) openWAL() error {
 		SegmentBytes: s.cfg.WALSegmentBytes,
 		Sync:         policy,
 		SyncEvery:    s.cfg.WALFsyncInterval,
+		FirstLSN:     firstLSN,
 		FS:           s.fs,
 		OnFsync:      func(d time.Duration) { s.metrics.walFsync.Observe(d.Seconds()) },
 		OnSyncError: func(err error) {
@@ -73,33 +78,24 @@ func (s *Server) openWAL() error {
 	if err != nil {
 		return fmt.Errorf("service: wal: %w", err)
 	}
+	s.mu.Lock()
 	s.wal = w
 	s.walSyncAlways = policy == wal.SyncAlways
+	s.mu.Unlock()
 	return nil
 }
 
-// logPush appends a merged push image to the WAL (callers hold s.mu).
-// A push into the default tenant keeps the legacy RecordPush form
-// (byte-identical to pre-tenant logs); a keyed tenant's push writes a
-// RecordKeyedPush with the tenant prefix before the image. Ingest is
-// logged by the commit pipeline's logIngestGroup (pipeline.go): one
-// record per commit group, carrying the member batches in commit order.
+// logPush appends a merged push image to the WAL, behind its tenant
+// prefix (callers hold s.mu). Ingest is logged by the commit pipeline's
+// logIngestGroup (pipeline.go): one record per commit group, carrying
+// the member batches in commit order.
 func (s *Server) logPush(t *tenant, image []byte) error {
 	if s.wal == nil {
 		return nil
 	}
-	if t == s.def {
-		_, err := s.wal.Append(wal.RecordPush, image)
-		return err
-	}
-	buf := s.groupBuf[:0]
-	buf = tupleio.AppendTenant(buf, t.name)
-	buf = append(buf, image...)
-	_, err := s.wal.Append(wal.RecordKeyedPush, buf)
-	if cap(buf) > maxPooledBuffer {
-		buf = nil
-	}
-	s.groupBuf = buf
+	buf := append(tupleio.AppendTenant(s.groupBuf[:0], t.name), image...)
+	_, err := s.wal.Append(wal.RecordPush, buf)
+	s.groupBuf = pooledBytes(buf)
 	return err
 }
 
