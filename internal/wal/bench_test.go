@@ -25,7 +25,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.Append(RecordIngest, payload); err != nil {
+				if _, err := appendSync(w, RecordIngest, payload); err != nil {
 					b.Fatal(err)
 				}
 			}

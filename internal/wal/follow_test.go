@@ -65,7 +65,7 @@ func TestFollowLiveTail(t *testing.T) {
 	var want []replayed
 	for i := 0; i < n; i++ {
 		payload := bytes.Repeat([]byte{byte(i)}, 1+i%29)
-		lsn, err := w.Append(RecordIngest, payload)
+		lsn, err := appendSync(w, RecordIngest, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,13 +95,13 @@ func TestFollowFromMidLog(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 10; i++ {
-		if _, err := w.Append(RecordIngest, []byte{byte(i)}); err != nil {
+		if _, err := appendSync(w, RecordIngest, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ch, stop := followCollect(w, 4)
 	for i := 10; i < 15; i++ {
-		if _, err := w.Append(RecordIngest, []byte{byte(i)}); err != nil {
+		if _, err := appendSync(w, RecordIngest, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,11 +159,11 @@ func TestFollowTruncatedHorizon(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 20; i++ {
-		if _, err := w.Append(RecordIngest, bytes.Repeat([]byte{byte(i)}, 20)); err != nil {
+		if _, err := appendSync(w, RecordIngest, bytes.Repeat([]byte{byte(i)}, 20)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Checkpoint(20); err != nil {
+	if err := checkpoint(w, 20); err != nil {
 		t.Fatal(err)
 	}
 	if st := w.Stats(); st.PrunedSegments == 0 {

@@ -40,13 +40,13 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seed(func(w *WAL) {}))
 	f.Add(seed(func(w *WAL) {
-		w.Append(RecordIngest, []byte{0, 1, 2, 3, 1}) // default tenant, 1 tuple
+		appendSync(w, RecordIngest, []byte{0, 1, 2, 3, 1}) // default tenant, 1 tuple
 	}))
 	f.Add(seed(func(w *WAL) {
-		w.Append(RecordIngest, bytes.Repeat([]byte{7}, 60))
-		w.Append(RecordPush, bytes.Repeat([]byte{9}, 60))
-		w.Append(RecordReset, nil)
-		w.Checkpoint(2)
+		appendSync(w, RecordIngest, bytes.Repeat([]byte{7}, 60))
+		appendSync(w, RecordPush, bytes.Repeat([]byte{9}, 60))
+		appendSync(w, RecordReset, nil)
+		checkpoint(w, 2)
 	}))
 	// The two tenant-tagged records: an ingest group (keyed batches back
 	// to back, the empty key for the default tenant, no member count)
@@ -58,37 +58,37 @@ func FuzzWALReplay(f *testing.F) {
 		group := []byte{2, 't', 'a', 1, 5, 6, 1}       // tenant "ta", 1 tuple
 		group = append(group, 0, 1, 3, 4, 1)           // default tenant, 1 tuple
 		group = append(group, 2, 't', 'b', 1, 7, 8, 1) // tenant "tb", 1 tuple
-		w.Append(RecordIngest, group)
+		appendSync(w, RecordIngest, group)
 		push := append([]byte{3, 'k', 'e', 'y'}, bytes.Repeat([]byte{5}, 40)...)
-		w.Append(RecordPush, push)
+		appendSync(w, RecordPush, push)
 	}))
 	f.Add(seed(func(w *WAL) {
 		torn := []byte{2, 't', 'a', 1, 5, 6, 1, 120} // 120-byte key claim, no bytes
-		w.Append(RecordIngest, torn)
+		appendSync(w, RecordIngest, torn)
 	}))
 	// The record types replication ships verbatim: a site's push round
 	// both ways (reset then ack, reset then foldback) and a recovery
 	// probe, so mutations explore a replica replaying a primary's
 	// in-flight window, and a checkpoint marker written as a raw record
-	// whose covered-LSN varint claims an absurd position — Append rather
-	// than Checkpoint() so no pruning eats the seed.
+	// whose covered-LSN varint claims an absurd position — a bare append,
+	// not the checkpoint helper, so no pruning eats the seed.
 	f.Add(seed(func(w *WAL) {
-		w.Append(RecordReset, bytes.Repeat([]byte{4}, 24))
-		w.Append(RecordPushAck, nil)
-		w.Append(RecordReset, bytes.Repeat([]byte{4}, 24))
-		w.Append(RecordFoldback, bytes.Repeat([]byte{4}, 24))
-		w.Append(RecordProbe, nil)
+		appendSync(w, RecordReset, bytes.Repeat([]byte{4}, 24))
+		appendSync(w, RecordPushAck, nil)
+		appendSync(w, RecordReset, bytes.Repeat([]byte{4}, 24))
+		appendSync(w, RecordFoldback, bytes.Repeat([]byte{4}, 24))
+		appendSync(w, RecordProbe, nil)
 	}))
 	f.Add(seed(func(w *WAL) {
-		w.Append(RecordIngest, []byte{0, 1, 2, 3, 1})
-		w.Append(RecordCheckpoint, binary.AppendUvarint(nil, 1<<62))
+		appendSync(w, RecordIngest, []byte{0, 1, 2, 3, 1})
+		appendSync(w, RecordCheckpoint, binary.AppendUvarint(nil, 1<<62))
 	}))
 	// A segment from before the version break: whole header, version 1,
 	// records behind it. Open refuses it by name; mutations explore the
 	// boundary between "another version" and "torn or corrupt".
 	preBreak := seed(func(w *WAL) {
-		w.Append(RecordIngest, []byte{1, 2, 3, 1})
-		w.Append(8, []byte{1, 0, 1, 2, 3, 1})
+		appendSync(w, RecordIngest, []byte{1, 2, 3, 1})
+		appendSync(w, 8, []byte{1, 0, 1, 2, 3, 1})
 	})
 	preBreak[8] = 1
 	f.Add(preBreak)
@@ -115,7 +115,7 @@ func FuzzWALReplay(f *testing.F) {
 			return nil
 		})
 		// The writer must be usable after any recovery.
-		if _, err := w.Append(RecordIngest, []byte("post-recovery")); err != nil {
+		if _, err := appendSync(w, RecordIngest, []byte("post-recovery")); err != nil {
 			t.Fatalf("append after recovery of %d records: %v", records, err)
 		}
 	})

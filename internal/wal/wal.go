@@ -24,13 +24,18 @@
 //
 // # Fsync policy
 //
-// SyncAlways syncs inside every Append, so a returned Append is a
-// durability barrier: the acknowledged record survives kill -9. This is
-// the policy the ack path pays for and the one BenchmarkWALAppend
-// prices. SyncInterval syncs on a background ticker (crash loses at
-// most the last interval of acknowledged records); SyncOff leaves
-// syncing to the OS page cache (crash durability is best-effort, but
-// the log still orders and frames records for clean restarts).
+// There is one append, AppendNoSync, and one barrier, Sync. Under
+// SyncAlways the writer appends the records of a commit group and calls
+// Sync once: when it returns nil every one of them survives kill -9, and
+// when it fails it has already rewound all of them out of the log, under
+// the same lock hold — a record is durable exactly when the barrier its
+// writer waited on returned nil. This is the policy the ack path pays for
+// and the one BenchmarkWALAppend prices (one record, one barrier).
+// SyncInterval syncs on a background ticker (crash loses at most the last
+// interval of acknowledged records); SyncOff leaves syncing to the OS
+// page cache (crash durability is best-effort, but the log still orders
+// and frames records for clean restarts). Under both a failed Sync
+// rewinds nothing: the unsynced suffix there is acknowledged data.
 //
 // # Recovery
 //
@@ -47,10 +52,11 @@
 //
 // # Checkpoints
 //
-// Checkpoint(covered) appends a checkpoint-marker record recording that
-// some external snapshot captures the effects of every record with
-// LSN <= covered, syncs it, and then deletes sealed segments whose
-// records are all covered. Replay starts from an LSN the caller
+// A checkpoint is a RecordCheckpoint marker, appended and synced by the
+// writer like any other record, recording that some external snapshot
+// captures the effects of every record with LSN <= covered; once the
+// marker is durable, Checkpoint(covered) deletes the sealed segments
+// whose records are all covered. Replay starts from an LSN the caller
 // recovers from its snapshot, so pruned segments are never needed
 // again. The marker itself also lets an Open-time reader see where the
 // last snapshot cut the log.
@@ -110,8 +116,8 @@ const (
 	// never replay them separately and double-apply the image.
 	RecordFoldback RecordType = 6
 	// RecordProbe is a no-op health probe with an empty payload: the
-	// record Probe appends (and fsyncs) to prove the log can take
-	// durable writes again after a fault. Replay and replication skip
+	// record Probe appends to prove, behind the next Sync, that the log
+	// can take durable writes again after a fault. Replay and replication skip
 	// it — it carries no state, only the evidence of a working disk.
 	RecordProbe RecordType = 7
 )
@@ -120,8 +126,8 @@ const (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs inside every Append: an acknowledged record
-	// survives kill -9. The default.
+	// SyncAlways makes Sync the barrier acknowledgements wait on: an
+	// acknowledged record survives kill -9. The default.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs on a background ticker (Options.SyncEvery).
 	SyncInterval
@@ -167,7 +173,7 @@ type Options struct {
 	// SyncEvery is the SyncInterval ticker period; <= 0 means 100ms.
 	SyncEvery time.Duration
 	// OnFsync, when set, observes the wall-clock duration of every
-	// fsync on the append/checkpoint path (for latency histograms).
+	// successful fsync of the active segment (for latency histograms).
 	OnFsync func(time.Duration)
 	// OnSyncError, when set, receives errors from the SyncInterval
 	// background loop — the one sync path with no caller to return to.
@@ -220,9 +226,9 @@ var (
 	// returns it without modifying any file; the migration recipe is in
 	// the README's "Storage format" section.
 	ErrVersion = errors.New("wal: unsupported segment format version")
-	// ErrBroken marks the log sticky-broken: a failed append could not
-	// be rewound, so a later record could sit behind garbage and be
-	// truncated away as a torn tail on restart. Every Append returns an
+	// ErrBroken marks the log sticky-broken: a failed append or barrier
+	// could not be rewound, so a later record could sit behind garbage and
+	// be truncated away as a torn tail on restart. Every append returns an
 	// error wrapping ErrBroken until Probe repairs the tail — the
 	// service's health machine keys its healthy→degraded transition on
 	// this sentinel.
@@ -243,17 +249,20 @@ type Stats struct {
 	Segments       int64  // segment files currently on disk
 	Appends        uint64 // records appended this process
 	AppendedBytes  uint64 // frame bytes appended this process
-	Fsyncs         uint64 // fsyncs issued on the append/checkpoint path
+	Fsyncs         uint64 // successful fsyncs of the active segment
 	SyncErrors     uint64 // failed fsyncs in the background interval loop
-	Checkpoints    uint64 // checkpoint markers written
+	Checkpoints    uint64 // checkpoints pruned behind
 	PrunedSegments uint64 // sealed segments deleted by checkpoints
 	LastLSN        uint64 // LSN of the most recently appended record
 }
 
-// WAL is a segmented write-ahead log. All methods are safe for
-// concurrent use; appends are serialized internally, so callers that
-// need "log order == apply order" must hold their own lock across the
-// apply + Append pair.
+// WAL is a segmented write-ahead log. Every method is safe to call
+// beside any other, but the write side — AppendNoSync, Sync, Probe — is
+// built for one writer: a failed Sync rewinds every unsynced record, so
+// only a writer that waits on the same barrier for all of them can tell
+// each record's author the truth. The service's committer is that
+// writer; it also holds its own lock across each apply + append pair,
+// which is what makes log order equal apply order.
 type WAL struct {
 	dir  string
 	opts Options
@@ -263,7 +272,7 @@ type WAL struct {
 	f        fault.File // active segment
 	size     int64      // bytes written to the active segment
 	segFirst uint64     // first LSN of the active segment
-	nextLSN  uint64     // LSN the next Append will get
+	nextLSN  uint64     // LSN the next append will get
 	dirty    bool       // unsynced bytes in the active segment
 	closed   bool
 	broken   error  // sticky: a partial append could not be rewound
@@ -277,7 +286,7 @@ type WAL struct {
 	// syncedSize is the active segment's byte length as of the last
 	// successful fsync (or as recovered at Open): the offset, paired
 	// with durable, that rewindUnsyncedLocked truncates back to when a
-	// SyncAlways durability barrier fails. Maintained alongside durable
+	// SyncAlways barrier fails. Maintained alongside durable
 	// in syncLocked and reset by openActive/startSegment.
 	syncedSize int64
 	// notify is closed and replaced whenever the followable frontier
@@ -611,38 +620,32 @@ func (w *WAL) rotateLocked() error {
 	return w.startSegment(w.nextLSN)
 }
 
-// Append writes one record and returns its LSN. Under SyncAlways the
-// record is on stable storage when Append returns — this is the
-// durability barrier the service acknowledges behind.
-func (w *WAL) Append(typ RecordType, payload []byte) (uint64, error) {
-	return w.append(typ, payload, true)
-}
-
-// AppendNoSync writes one record without the SyncAlways inline fsync,
-// for callers that order the write inside a critical section but want
-// the durability barrier — an explicit Sync — outside it, so the fsync
-// overlaps other work instead of serializing it. The record is framed
-// and ordered exactly as Append would; it is simply not yet durable
-// under SyncAlways until the caller's Sync returns. Segment seals and
-// the background interval loop behave identically for both entry
-// points.
+// AppendNoSync writes one record and returns its LSN. It never fsyncs
+// (segment seals aside): the writer orders the append inside its own
+// critical section and runs the barrier — Sync — outside it, once for
+// every record of a commit group. Under SyncAlways the record is not
+// durable, and not visible to followers, until that Sync returns nil.
 func (w *WAL) AppendNoSync(typ RecordType, payload []byte) (uint64, error) {
-	return w.append(typ, payload, false)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(typ, payload)
 }
 
-func (w *WAL) append(typ RecordType, payload []byte, syncNow bool) (uint64, error) {
+func (w *WAL) appendLocked(typ RecordType, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayload {
 		return 0, fmt.Errorf("wal: payload %d bytes exceeds MaxPayload", len(payload))
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrClosed
 	}
 	if w.broken != nil {
 		return 0, fmt.Errorf("%w (failed to clean up a partial append): %w", ErrBroken, w.broken)
 	}
-	if w.size >= w.opts.SegmentBytes && w.nextLSN > w.segFirst {
+	// Seal at the threshold — under SyncAlways only at a barrier boundary:
+	// a seal syncs, and syncing part of a commit group would make those
+	// records durable whatever the barrier their writer waits on says.
+	if w.size >= w.opts.SegmentBytes && w.nextLSN > w.segFirst &&
+		(w.opts.Sync != SyncAlways || w.size == w.syncedSize) {
 		if err := w.rotateLocked(); err != nil {
 			return 0, err
 		}
@@ -659,11 +662,7 @@ func (w *WAL) append(typ RecordType, payload []byte, syncNow bool) (uint64, erro
 		// recovery would truncate it away as a torn tail. If the
 		// rewind itself fails the log can no longer guarantee that, so
 		// it is declared broken and refuses further appends.
-		_, serr := w.f.Seek(w.size, io.SeekStart)
-		terr := w.f.Truncate(w.size)
-		if serr != nil || terr != nil {
-			w.broken = errors.Join(fmt.Errorf("wal: append: %w", err), serr, terr)
-		}
+		w.truncateTailLocked(fmt.Errorf("wal: append: %w", err))
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	w.size += int64(len(w.frame))
@@ -679,66 +678,40 @@ func (w *WAL) append(typ RecordType, payload []byte, syncNow bool) (uint64, erro
 	if cap(w.frame) > 1<<20 {
 		w.frame = nil // do not pin a rare huge push image
 	}
-	if syncNow && w.opts.Sync == SyncAlways {
-		if err := w.syncLocked(); err != nil {
-			// The frame reached the page cache but its durability barrier
-			// failed, and this error tells the caller the append did not
-			// happen — so make that true: rewind the unsynced suffix so a
-			// restart cannot resurrect a record the caller was told (and
-			// told its client) is not in the log.
-			w.rewindUnsyncedLocked()
-			return 0, err
-		}
-	}
 	return lsn, nil
 }
 
+// truncateTailLocked cuts the active segment back to w.size, dropping
+// what a failed write or barrier left past it. If the cut itself fails
+// the log goes sticky-broken with cause, and Probe retries the same cut.
+func (w *WAL) truncateTailLocked(cause error) {
+	_, serr := w.f.Seek(w.size, io.SeekStart)
+	terr := w.f.Truncate(w.size)
+	if serr != nil || terr != nil {
+		w.broken = errors.Join(cause, serr, terr)
+	}
+}
+
 // rewindUnsyncedLocked discards every record appended since the last
-// successful fsync: the active segment is truncated back to the synced
-// offset and the discarded LSNs are released for reuse. This is only
+// successful fsync: the discarded LSNs are released for reuse and the
+// active segment is truncated back to the synced offset. This is only
 // correct when none of the discarded records was ever acknowledged —
 // which is exactly the SyncAlways contract: the ack waits for the fsync
 // that just failed, and Follow caps followers at the durable frontier,
-// so neither a client nor a replica can hold a discarded record. If the
-// truncation itself fails the log is marked sticky-broken, the same
-// fate as a partial frame write that cannot be cleaned up, and Probe
-// owns the repair.
+// so neither a client nor a replica can hold a discarded record. The
+// positions move first, so if the truncation fails, the cut Probe retries
+// on the sticky-broken log finishes this rewind.
 func (w *WAL) rewindUnsyncedLocked() {
 	if w.size == w.syncedSize {
-		return
-	}
-	_, serr := w.f.Seek(w.syncedSize, io.SeekStart)
-	terr := w.f.Truncate(w.syncedSize)
-	if serr != nil || terr != nil {
-		w.broken = errors.Join(errors.New("wal: rewind unsynced suffix"), serr, terr)
 		return
 	}
 	w.size = w.syncedSize
 	w.nextLSN = w.durable + 1
 	w.lastLSN.Store(w.durable)
 	// The truncation is itself an unsynced change; leave the segment
-	// dirty so the next successful barrier (Probe, or the first healthy
-	// append) persists it.
+	// dirty so the next successful barrier persists it.
 	w.dirty = true
-}
-
-// RewindUnsynced discards the records appended since the last
-// successful fsync — the suffix a failed group durability barrier left
-// in the page cache but never acknowledged. The service's group-commit
-// path calls it when the explicit Sync after a batch of AppendNoSync
-// calls fails, so a restart replays exactly the acknowledged record set
-// instead of resurrecting batches whose clients were told they failed.
-// It is a no-op under SyncInterval/SyncOff, where records are
-// acknowledged without waiting for a sync and the unsynced suffix is
-// therefore real data, and on a sticky-broken log, where Probe owns the
-// tail repair.
-func (w *WAL) RewindUnsynced() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed || w.opts.Sync != SyncAlways || w.broken != nil {
-		return
-	}
-	w.rewindUnsyncedLocked()
+	w.truncateTailLocked(errors.New("wal: rewind unsynced suffix"))
 }
 
 // syncLocked fsyncs the active segment if it has unsynced bytes. A
@@ -796,15 +769,22 @@ func (w *WAL) FollowableLSN() uint64 {
 	return w.followableLocked()
 }
 
-// Sync forces an fsync of the active segment (a manual durability
-// barrier under SyncInterval or SyncOff).
+// Sync is the durability barrier: it fsyncs the active segment, whatever
+// the policy. Under SyncAlways a failed Sync returns with every unsynced
+// record already rewound out of the log, inside the same lock hold, so no
+// later barrier can make durable a record this error disowned. Under
+// SyncInterval and SyncOff nothing is rewound.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
 	}
-	return w.syncLocked()
+	err := w.syncLocked()
+	if err != nil && w.opts.Sync == SyncAlways {
+		w.rewindUnsyncedLocked()
+	}
+	return err
 }
 
 // Broken reports whether the log is sticky-broken (see ErrBroken).
@@ -814,38 +794,26 @@ func (w *WAL) Broken() bool {
 	return w.broken != nil
 }
 
-// Probe proves the log can take durable writes again: it repairs a
-// sticky-broken tail if possible (retrying the rewind that originally
-// failed), appends a RecordProbe, and forces an fsync regardless of
-// policy. A nil return means a full append+fsync round trip just
-// succeeded — the evidence the service's recovery path requires before
-// leaving degraded mode. On failure the log keeps its previous state
-// (still broken if it was).
-func (w *WAL) Probe() error {
+// Probe is the first half of proving the log can take durable writes
+// again: it repairs a sticky-broken tail if possible (retrying the cut
+// that failed) and appends a RecordProbe, returning its LSN. The writer's
+// next Sync is the second half — together the append + fsync round trip the service's
+// recovery path requires before leaving degraded mode. On failure the
+// log keeps its previous state (still broken if it was).
+func (w *WAL) Probe() (uint64, error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	if w.broken != nil {
-		// The break means frame bytes of a failed append may still sit
-		// past w.size; retry the rewind so the probe record lands on a
-		// clean tail.
-		if _, err := w.f.Seek(w.size, io.SeekStart); err != nil {
-			w.mu.Unlock()
-			return fmt.Errorf("wal: probe rewind: %w", err)
-		}
-		if err := w.f.Truncate(w.size); err != nil {
-			w.mu.Unlock()
-			return fmt.Errorf("wal: probe rewind: %w", err)
-		}
+	if cause := w.broken; cause != nil {
 		w.broken = nil
+		w.truncateTailLocked(cause)
+		if w.broken != nil {
+			return 0, fmt.Errorf("wal: probe rewind: %w", w.broken)
+		}
 	}
-	w.mu.Unlock()
-	if _, err := w.append(RecordProbe, nil, false); err != nil {
-		return err
-	}
-	return w.Sync()
+	return w.appendLocked(RecordProbe, nil)
 }
 
 func (w *WAL) syncLoop() {
@@ -869,27 +837,18 @@ func (w *WAL) syncLoop() {
 
 // LastLSN returns the LSN of the most recently appended record (0 if
 // the log is empty). Safe to call concurrently with appends, but for a
-// consistent "state as of this LSN" cut, call it under the same lock
-// that serializes apply+Append.
+// consistent "state as of this LSN" cut, call it under the lock the
+// writer holds across each apply + append pair.
 func (w *WAL) LastLSN() uint64 { return w.lastLSN.Load() }
 
-// Checkpoint records that a snapshot durable outside the log covers
-// every record with LSN <= covered: it appends a checkpoint marker,
-// syncs it regardless of policy, and deletes every sealed segment whose
-// records are all covered. The active segment is never deleted.
+// Checkpoint prunes behind a checkpoint marker: the caller has appended
+// and synced a RecordCheckpoint carrying covered, so every sealed segment
+// whose records are all covered is deleted. The active segment never is.
 func (w *WAL) Checkpoint(covered uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], covered)
-	if _, err := w.Append(RecordCheckpoint, buf[:n]); err != nil {
-		return err
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
-	}
-	if err := w.syncLocked(); err != nil {
-		return err
 	}
 	w.checkpoints.Add(1)
 	// Prune oldest-first, persisting each deletion before the next:

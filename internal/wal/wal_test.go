@@ -14,6 +14,32 @@ import (
 	"github.com/streamagg/correlated/internal/fault"
 )
 
+// appendSync is what a commit group of one record costs, and the
+// convenience these tests share: the append and, under SyncAlways, its
+// barrier. An error from either means the record is not in the log.
+func appendSync(w *WAL, typ RecordType, payload []byte) (uint64, error) {
+	lsn, err := w.AppendNoSync(typ, payload)
+	if err == nil && w.opts.Sync == SyncAlways {
+		err = w.Sync()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// checkpoint does what the service does around a snapshot: the marker,
+// its barrier whatever the policy, then the prune behind it.
+func checkpoint(w *WAL, covered uint64) error {
+	if _, err := w.AppendNoSync(RecordCheckpoint, binary.AppendUvarint(nil, covered)); err != nil {
+		return err
+	}
+	if err := w.Sync(); err != nil {
+		return err
+	}
+	return w.Checkpoint(covered)
+}
+
 type replayed struct {
 	lsn     uint64
 	typ     RecordType
@@ -49,7 +75,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		if i%5 == 0 {
 			typ = RecordPush
 		}
-		lsn, err := w.Append(typ, payload)
+		lsn, err := appendSync(w, typ, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +110,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if lsn, err := w2.Append(RecordIngest, []byte("after reopen")); err != nil || lsn != 41 {
+	if lsn, err := appendSync(w2, RecordIngest, []byte("after reopen")); err != nil || lsn != 41 {
 		t.Fatalf("append after reopen: lsn %d err %v", lsn, err)
 	}
 	got2 := collect(t, w2, 0)
@@ -126,7 +152,7 @@ func TestTornTailTruncated(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
-				if _, err := w.Append(RecordIngest, []byte{byte(i)}); err != nil {
+				if _, err := appendSync(w, RecordIngest, []byte{byte(i)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -150,7 +176,7 @@ func TestTornTailTruncated(t *testing.T) {
 			if len(got) != 3 {
 				t.Fatalf("replayed %d records after torn tail, want 3", len(got))
 			}
-			if lsn, err := w2.Append(RecordPush, []byte("resume")); err != nil || lsn != 4 {
+			if lsn, err := appendSync(w2, RecordPush, []byte("resume")); err != nil || lsn != 4 {
 				t.Fatalf("append after recovery: lsn %d err %v", lsn, err)
 			}
 			if info, _ := os.Stat(seg); info.Size() != int64(len(raw))+frameSize+6 {
@@ -169,7 +195,7 @@ func TestCorruptSealedSegmentFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := w.Append(RecordIngest, bytes.Repeat([]byte{1}, 40)); err != nil {
+		if _, err := appendSync(w, RecordIngest, bytes.Repeat([]byte{1}, 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +231,7 @@ func TestCheckpointPrunes(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 30; i++ {
-		if _, err := w.Append(RecordIngest, bytes.Repeat([]byte{byte(i)}, 50)); err != nil {
+		if _, err := appendSync(w, RecordIngest, bytes.Repeat([]byte{byte(i)}, 50)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +240,7 @@ func TestCheckpointPrunes(t *testing.T) {
 		t.Fatalf("want several segments, got %+v", before)
 	}
 	covered := w.LastLSN() - 5
-	if err := w.Checkpoint(covered); err != nil {
+	if err := checkpoint(w, covered); err != nil {
 		t.Fatal(err)
 	}
 	after := w.Stats()
@@ -274,7 +300,7 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 5; i++ {
-				if _, err := w.Append(RecordIngest, []byte("x")); err != nil {
+				if _, err := appendSync(w, RecordIngest, []byte("x")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -295,7 +321,7 @@ func TestSyncPolicies(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.Append(RecordIngest, nil); !errors.Is(err, ErrClosed) {
+			if _, err := appendSync(w, RecordIngest, nil); !errors.Is(err, ErrClosed) {
 				t.Fatalf("append after close: %v", err)
 			}
 		})
@@ -326,7 +352,7 @@ func TestOversizedPayloadRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w2.Append(RecordIngest, []byte("ok")); err != nil {
+	if _, err := appendSync(w2, RecordIngest, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -368,7 +394,7 @@ func TestTornSegmentCreationRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 4; i++ {
-				if _, err := w.Append(RecordIngest, []byte{byte(i)}); err != nil {
+				if _, err := appendSync(w, RecordIngest, []byte{byte(i)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -394,7 +420,7 @@ func TestTornSegmentCreationRecovers(t *testing.T) {
 			if got := w2.LastLSN(); got != 4 {
 				t.Fatalf("LastLSN after reinit: %d, want 4", got)
 			}
-			if lsn, err := w2.Append(RecordIngest, []byte("resume")); err != nil || lsn != 5 {
+			if lsn, err := appendSync(w2, RecordIngest, []byte("resume")); err != nil || lsn != 5 {
 				t.Fatalf("append after reinit: lsn %d err %v", lsn, err)
 			}
 		})
@@ -426,7 +452,7 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < tc.records; i++ {
-				if _, err := w.Append(RecordIngest, []byte("acknowledged")); err != nil {
+				if _, err := appendSync(w, RecordIngest, []byte("acknowledged")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -471,7 +497,7 @@ func TestAppendNoSyncDurableAfterSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(RecordIngest, []byte("synced-inline")); err != nil {
+	if _, err := appendSync(w, RecordIngest, []byte("synced-inline")); err != nil {
 		t.Fatal(err)
 	}
 	lsn2, err := w.AppendNoSync(RecordIngest, []byte("deferred"))

@@ -574,7 +574,8 @@ REPL_PID=""
 # ingest: writes start failing, the health machine trips degraded
 # (writes 503 + Retry-After, /readyz not ready, reads still served,
 # /healthz still 200). The operator clears the plan over POST /v1/fault,
-# forces recovery with POST /v1/recover, and traffic resumes. A final
+# forces recovery with POST /v1/recover, and traffic resumes; a second
+# fault (every fsync fails) is then met by pushes instead of ingest. A final
 # kill -9 + restart proves the log held exactly the acknowledged
 # chunks through the whole episode: the recovered summary is
 # byte-identical to a crash-free oracle over acked run 1 + run 2.
@@ -629,6 +630,35 @@ grep -q '"state":"healthy"' "$WORK/recover.json" \
 READY=$(curl -s -o /dev/null -w '%{http_code}' "$FDBASE/readyz")
 [ "$READY" = "200" ] || { echo "FAIL: /readyz $READY after recovery" >&2; exit 1; }
 
+# Push drill: a push is a commit job like an ingest, so a failing fsync
+# refuses it (500: applied, not durable, rewound out of the log), the
+# refusals count toward the same streak, and once the machine trips it is
+# turned away at the gate (503). The tenant holds one acked batch first,
+# so after the restart below its summary can be compared with an oracle
+# that took the batch and never saw the push.
+printf '1,2\n3,4,2\n' | curl -fsS -X POST -H 'Content-Type: text/csv' \
+  --data-binary @- "$FDBASE/v1/ingest?tenant=pushdrill" >/dev/null
+curl -fsS -o "$WORK/push.img" "$FDBASE/v1/summary?tenant=pushdrill"
+curl -fsS -X POST --data-binary 'sync/wal-:err@1+' "$FDBASE/v1/fault" >/dev/null
+SAW_500=0; PUSH_CODE=""
+for _ in $(seq 1 10); do
+  PUSH_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    --data-binary @"$WORK/push.img" "$FDBASE/v1/push?tenant=pushdrill")
+  case "$PUSH_CODE" in
+    500) SAW_500=1 ;;
+    503) break ;;
+    *) echo "FAIL: push under a failing fsync answered $PUSH_CODE" >&2; exit 1 ;;
+  esac
+done
+if [ "$SAW_500" != 1 ] || [ "$PUSH_CODE" != 503 ]; then
+  echo "FAIL: pushes under a failing fsync: saw_500=$SAW_500 last=$PUSH_CODE, want 500s then 503 (log failures on pushes must degrade)" >&2; exit 1
+fi
+curl -fsS -X POST --data-binary 'off' "$FDBASE/v1/fault" >/dev/null
+curl -fsS -X POST -H "X-Admin-Token: $DRILL_TOKEN" "$FDBASE/v1/recover" \
+  -o "$WORK/recover2.json"
+grep -q '"state":"healthy"' "$WORK/recover2.json" \
+  || { echo "FAIL: recover after the push drill: $(cat "$WORK/recover2.json")" >&2; exit 1; }
+
 # Run 2 lands in full on the healed daemon.
 "$WORK/corrgen" -dataset uniform -n 20000 -seed 72 -xdom 100001 -ydom 1000001 \
   -target "$FDBASE" -chunk 2048 >/dev/null
@@ -648,14 +678,18 @@ ORACLE_PID=$!
   -target "$FORCBASE" -chunk 2048 >/dev/null
 "$WORK/corrgen" -dataset uniform -n 20000 -seed 72 -xdom 100001 -ydom 1000001 \
   -target "$FORCBASE" -chunk 2048 >/dev/null
-curl -fsS -o "$WORK/drill.summary" "$FDBASE/v1/summary"
-curl -fsS -o "$WORK/drill-oracle.summary" "$FORCBASE/v1/summary"
-if ! cmp -s "$WORK/drill.summary" "$WORK/drill-oracle.summary"; then
-  echo "FAIL: post-drill summary differs from crash-free oracle (acked $DM1 + 20000)" >&2
-  ls -l "$WORK/drill.summary" "$WORK/drill-oracle.summary" >&2
-  exit 1
-fi
-echo "fault drill recovered byte-identical over $DM1 + 20000 acked tuples"
+printf '1,2\n3,4,2\n' | curl -fsS -X POST -H 'Content-Type: text/csv' \
+  --data-binary @- "$FORCBASE/v1/ingest?tenant=pushdrill" >/dev/null
+for T in "" "pushdrill"; do
+  curl -fsS -o "$WORK/drill.summary" "$FDBASE/v1/summary?tenant=$T"
+  curl -fsS -o "$WORK/drill-oracle.summary" "$FORCBASE/v1/summary?tenant=$T"
+  if ! cmp -s "$WORK/drill.summary" "$WORK/drill-oracle.summary"; then
+    echo "FAIL: post-drill summary of tenant '$T' differs from crash-free oracle (acked $DM1 + 20000; the nacked pushes must be gone)" >&2
+    ls -l "$WORK/drill.summary" "$WORK/drill-oracle.summary" >&2
+    exit 1
+  fi
+done
+echo "fault drill recovered byte-identical over $DM1 + 20000 acked tuples, nacked pushes absent"
 kill -9 "$WAL_PID" 2>/dev/null || true
 wait "$WAL_PID" 2>/dev/null || true
 WAL_PID=""

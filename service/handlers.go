@@ -87,7 +87,7 @@ func pooledBytes(b []byte) []byte {
 // leaving it set would keep an oversized backing array alive through
 // the pool even after the trim below released d.tuples itself.
 func (s *Server) putDecodeState(d *decodeState) {
-	d.job.tuples, d.job.err, d.job.tn = nil, nil, nil
+	d.job.tuples, d.job.image, d.job.err, d.job.tn = nil, nil, nil, nil
 	d.job.lsn, d.streamSeq = 0, 0
 	d.body = pooledBytes(d.body)
 	d.tuples = pooledTuples(d.tuples)
@@ -213,29 +213,73 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, dst []byte) ([
 	}
 }
 
+// nack answers a write that was refused or failed, by the outcomes table:
+// the error counts, the Retry-After of the back-off outcomes, the status.
+func (s *Server) nack(w http.ResponseWriter, errs *counter, kind ingestErrKind, err error) {
+	errs.Inc()
+	o := &outcomes[kind]
+	if o.count != nil {
+		o.count(s.metrics).Inc()
+	}
+	switch kind {
+	case ingestErrDegraded:
+		w.Header().Set("Retry-After", retryAfterSeconds(healthProbeInterval))
+	case ingestErrBusy:
+		w.Header().Set("Retry-After", retryAfterSeconds(s.overloadRetryAfter()))
+	case ingestErrWAL:
+		// The engine holds the job but the log does not: tell the client
+		// the write is not durable.
+		err = fmt.Errorf("wal append: %w", err)
+	}
+	s.httpError(w, o.status, err)
+}
+
+// writeGate reports why this server takes no writes in its current state
+// — a replica's go to the primary, a degraded server's wait for recovery —
+// or ingestOK. Both transports ask before they read or decode anything.
+func (s *Server) writeGate() (ingestErrKind, error) {
+	switch {
+	case s.replicaMode.Load():
+		return ingestErrReadOnly, errReadOnlyReplica
+	case s.healthDegraded():
+		return ingestErrDegraded, errDegraded
+	}
+	return ingestOK, nil
+}
+
+// commitRequest hands a request's job to the commit pipeline, waits for
+// its group to commit — the reply is sent only after that group-wide
+// durability barrier — and answers every outcome but success.
+func (s *Server) commitRequest(w http.ResponseWriter, errs *counter, j *ingestJob) bool {
+	if s.enqueue(j) {
+		<-j.done
+		if j.op == opIngest {
+			s.metrics.stages[stageAck].Observe(time.Since(j.wakeAt).Seconds())
+		}
+	}
+	if j.kind != ingestOK {
+		s.nack(w, errs, j.kind, j.err)
+		return false
+	}
+	return true
+}
+
 // handleIngest accepts a batch of tuples — the binary tupleio stream
 // from the Go client, or text lines "x,y[,w]" for curl-friendly ingest —
 // and hands it to the commit pipeline: a rejected batch has ingested
 // nothing.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ingestRequests.Inc()
-	if s.replicaMode.Load() {
-		s.metrics.ingestErrors.Inc()
-		s.httpError(w, http.StatusServiceUnavailable, errReadOnlyReplica)
-		return
-	}
-	if s.healthDegraded() {
-		s.metrics.ingestErrors.Inc()
-		s.metrics.degradedRejects.Inc()
-		w.Header().Set("Retry-After", retryAfterSeconds(healthProbeInterval))
-		s.httpError(w, http.StatusServiceUnavailable, errDegraded)
+	errs := &s.metrics.ingestErrors
+	if kind, err := s.writeGate(); kind != ingestOK {
+		s.nack(w, errs, kind, err)
 		return
 	}
 	d := s.dec.Get().(*decodeState)
 	defer s.putDecodeState(d)
 	var ok bool
 	if d.body, ok = s.readBody(w, r, d.body); !ok {
-		s.metrics.ingestErrors.Inc()
+		errs.Inc()
 		return
 	}
 	ct := r.Header.Get("Content-Type")
@@ -249,62 +293,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case "text/csv", "text/plain":
 		d.tuples, err = parseTextTuples(d.tuples, d.body)
 	default:
-		s.metrics.ingestErrors.Inc()
+		errs.Inc()
 		s.httpError(w, http.StatusUnsupportedMediaType,
 			fmt.Errorf("unsupported Content-Type %q (want %s or text/csv)", ct, tupleio.ContentType))
 		return
 	}
 	if err != nil {
-		s.metrics.ingestErrors.Inc()
-		s.httpError(w, http.StatusBadRequest, err)
+		s.nack(w, errs, ingestErrValidate, err)
 		return
 	}
 	tn := s.writeTenant(w, r)
 	if tn == nil {
-		s.metrics.ingestErrors.Inc()
+		errs.Inc()
 		return
 	}
-	// Hand the decoded batch to the commit pipeline and wait for its
-	// group to commit: the committer applies the whole group's members
-	// under one driver-lock critical section, one AddBatch per touched
-	// tenant, and makes them durable behind one WAL fsync —
-	// so under concurrent clients the per-request ack cost is the group
-	// cost divided by the group size (see pipeline.go). The reply below
-	// is sent only after that group-wide durability barrier.
-	d.job.tuples, d.job.err, d.job.kind = d.tuples, nil, ingestOK
-	d.job.tn = tn
-	if err := s.enqueueIngest(&d.job); err != nil {
-		s.metrics.ingestErrors.Inc()
-		if errors.Is(err, errOverloaded) {
-			w.Header().Set("Retry-After", retryAfterSeconds(s.overloadRetryAfter()))
-			s.httpError(w, http.StatusTooManyRequests, err)
-			return
-		}
-		s.httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	<-d.job.done
-	s.metrics.stages[stageAck].Observe(time.Since(d.job.wakeAt).Seconds())
-	switch d.job.kind {
-	case ingestErrValidate:
-		// Validation (y bound, weight) rejected the batch before any of
-		// it was applied: the client's error.
-		s.metrics.ingestErrors.Inc()
-		s.httpError(w, http.StatusBadRequest, d.job.err)
-		return
-	case ingestErrEngine:
-		// The tenant's engine could not be restored from its spilled
-		// image (or refused the batch): not logged, not acknowledged.
-		s.metrics.ingestErrors.Inc()
-		s.httpError(w, http.StatusInternalServerError, d.job.err)
-		return
-	case ingestErrWAL:
-		// The engine holds the group but the log does not: the tuples
-		// were never acknowledged, so a crash dropping them is within
-		// contract — but tell the client the write is not durable.
-		s.metrics.ingestErrors.Inc()
-		s.metrics.walAppendErrors.Inc()
-		s.httpError(w, http.StatusInternalServerError, fmt.Errorf("wal append: %w", d.job.err))
+	// The committer applies the whole group under one driver-lock section
+	// and makes it durable behind one WAL fsync: under concurrent clients
+	// the per-request ack cost is the group's divided by its size.
+	d.job.op, d.job.tuples, d.job.tn = opIngest, d.tuples, tn
+	if !s.commitRequest(w, errs, &d.job) {
 		return
 	}
 	s.metrics.tuplesIngested.Add(uint64(len(d.tuples)))
@@ -347,67 +354,32 @@ func parseTextTuples(dst []correlated.Tuple, body []byte) ([]correlated.Tuple, e
 // handlePush folds a marshaled site summary image into the engine —
 // attacker-controlled bytes by definition, so the decode path is the
 // fuzz-hardened MergeMarshaled, and every failure is a typed rejection
-// that leaves the engine untouched.
+// that leaves the engine untouched. The merge is a commit job like an
+// ingest batch: shed by the same bound, acknowledged behind its barrier.
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
-	if s.replicaMode.Load() {
-		s.metrics.pushErrors.Inc()
-		s.httpError(w, http.StatusServiceUnavailable, errReadOnlyReplica)
-		return
-	}
-	if s.healthDegraded() {
-		s.metrics.pushErrors.Inc()
-		s.metrics.degradedRejects.Inc()
-		w.Header().Set("Retry-After", retryAfterSeconds(healthProbeInterval))
-		s.httpError(w, http.StatusServiceUnavailable, errDegraded)
+	errs := &s.metrics.pushErrors
+	if kind, err := s.writeGate(); kind != ingestOK {
+		s.nack(w, errs, kind, err)
 		return
 	}
 	d := s.dec.Get().(*decodeState)
 	defer s.putDecodeState(d)
 	var ok bool
 	if d.body, ok = s.readBody(w, r, d.body); !ok {
-		s.metrics.pushErrors.Inc()
+		errs.Inc()
 		return
 	}
 	if len(d.body) == 0 {
-		s.metrics.pushErrors.Inc()
-		s.httpError(w, http.StatusBadRequest, errors.New("empty push body"))
+		s.nack(w, errs, ingestErrValidate, errors.New("empty push body"))
 		return
 	}
 	tn := s.writeTenant(w, r)
 	if tn == nil {
-		s.metrics.pushErrors.Inc()
+		errs.Inc()
 		return
 	}
-	s.mu.Lock()
-	eng, engErr := s.ensureEngineLocked(tn)
-	if engErr != nil {
-		s.mu.Unlock()
-		s.metrics.pushErrors.Inc()
-		s.httpError(w, http.StatusInternalServerError, engErr)
-		return
-	}
-	err := eng.MergeMarshaled(d.body)
-	var walErr error
-	if err == nil {
-		walErr = s.logPush(tn, d.body)
-		tn.epoch.Add(1)
-		tn.touch()
-	}
-	s.mu.Unlock()
-	if err != nil {
-		s.metrics.pushErrors.Inc()
-		status := http.StatusBadRequest
-		if errors.Is(err, correlated.ErrIncompatible) {
-			status = http.StatusConflict
-		}
-		s.httpError(w, status, err)
-		return
-	}
-	if walErr != nil {
-		s.metrics.pushErrors.Inc()
-		s.metrics.walAppendErrors.Inc()
-		s.noteWALError(walErr)
-		s.httpError(w, http.StatusInternalServerError, fmt.Errorf("wal append: %w", walErr))
+	d.job.op, d.job.image, d.job.tn = opPush, d.body, tn
+	if !s.commitRequest(w, errs, &d.job) {
 		return
 	}
 	s.metrics.pushesMerged.Inc()

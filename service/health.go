@@ -19,9 +19,9 @@ import (
 // and perfectly servable. So the server degrades instead: writes get
 // 503 + Retry-After (AckDegraded on the stream, keeping the
 // connection), while queries, stats, summaries, and replication
-// shipping keep serving from committed state. A background probe (test
-// append + fsync through wal.Probe, plus a snapshot when that was the
-// broken class) retries every healthProbeInterval; the operator can
+// shipping keep serving from committed state. A background probe (a probe
+// job — the committer appends and fsyncs a RecordProbe — plus a snapshot
+// when that was the broken class) retries every healthProbeInterval; the operator can
 // force the same probe with POST /v1/recover. /readyz reports the
 // machine's position for load balancers; /healthz stays pure liveness.
 //
@@ -119,10 +119,10 @@ func (s *Server) degrade(reason string) {
 	}
 }
 
-// noteWALError records a commit-path WAL failure (append or ack-path
-// fsync). A sticky-broken log degrades immediately — every future
-// append is doomed until the tail is repaired; other errors degrade
-// after healthFailThreshold consecutive ones.
+// noteWALError records a commit group's WAL failure (an append or the
+// barrier, whatever records it carried). A sticky-broken log degrades
+// immediately — every future append is doomed until the tail is repaired;
+// other errors degrade after healthFailThreshold consecutive ones.
 func (s *Server) noteWALError(err error) {
 	if errors.Is(err, wal.ErrBroken) {
 		s.degrade(fmt.Sprintf("wal broken: %v", err))
@@ -133,8 +133,8 @@ func (s *Server) noteWALError(err error) {
 	}
 }
 
-// noteWALOK resets the consecutive WAL error count on any successful
-// commit.
+// noteWALOK resets the consecutive WAL error count on any commit group
+// whose records all became durable.
 func (s *Server) noteWALOK() {
 	s.health.walErrs.Store(0)
 }
@@ -163,8 +163,8 @@ func (s *Server) noteSnapshotResult(err error) {
 }
 
 // recoverNow runs one synchronous recovery probe: repair-and-verify the
-// WAL tail (append a probe record, fsync it), and — when snapshots were
-// the broken class — prove a full snapshot write. On success the
+// WAL tail (a probe job: append a probe record, fsync it), and — when
+// snapshots were the broken class — prove a full snapshot write. On success the
 // machine returns to healthy; on failure it falls back to degraded with
 // the original reason intact. Safe to call concurrently (the admin
 // endpoint racing the background loop): probes are idempotent.
@@ -190,10 +190,8 @@ func (s *Server) recoverNow() error {
 		return err
 	}
 
-	if w := s.walRef(); w != nil {
-		if err := w.Probe(); err != nil {
-			return fail(fmt.Errorf("wal probe: %w", err))
-		}
+	if err := s.commit(&ingestJob{op: opProbe}); err != nil { // no-op without a WAL
+		return fail(fmt.Errorf("wal probe: %w", err))
 	}
 	if h.snapBroken.Load() && s.cfg.SnapshotPath != "" {
 		if err := s.Snapshot(); err != nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -11,28 +12,36 @@ import (
 	"github.com/streamagg/correlated/internal/wal"
 )
 
-// Group commit: the serving core's answer to "every acknowledged ingest
-// pays its own fsync and its own engine call". Ingest handlers never
-// touch an engine; they decode, enqueue an ingestJob, and block until the
-// committer — a single goroutine owning the ingest side of the driver
-// lock — has committed the group their job rode in. The committer takes
-// everything queued (up to the group caps), validates each member, hands
-// every touched tenant its valid members as one AddBatch under one
-// critical section, appends one WAL record for the whole group (one fsync
-// under -wal-fsync=always), and only then wakes the waiters with their
-// outcomes. Under K concurrent clients the fsync and the per-batch sort
-// are paid once per group instead of once per request — the queue refills
-// while the previous group is fsyncing, so the pipeline stays full without
-// any timer or artificial batching delay; a lone client degenerates to
-// groups of one and keeps its old latency.
+// Group commit, and the one log writer. Every durable mutation — an
+// ingest batch, a pushed image, the records of a site's push round, a
+// checkpoint marker, a recovery probe, a bare barrier — is a job: its
+// source (a handler, a background loop) enqueues it and blocks, holding no
+// lock, until the committer has committed the group it rode in. The
+// committer is the single goroutine that applies jobs and that appends to,
+// syncs, rewinds or probes the log while the server runs. It takes
+// everything queued (up to the group caps) and, under one critical section
+// of the driver lock, applies the jobs in queue order and appends each
+// one's record: a maximal run of ingest jobs is validated member by
+// member, handed to every touched tenant as one AddBatch and logged as one
+// record (applyGroupLocked); every other job goes through the per-record
+// apply that replay and a replica's apply loop decode into
+// (applyJobLocked). Then, outside the lock, one Sync covers every record
+// of the group — the barrier under -wal-fsync=always — and only then are
+// the waiters woken. A failed barrier has already rewound the group's
+// records inside the log and nacks every waiter behind it together; no
+// second writer exists whose fsync could make a nacked record durable or
+// whose rewind could take an acknowledged one. Under K concurrent clients
+// the fsync and the per-batch sort are paid once per group — the queue
+// refills while the previous group is fsyncing, so the pipeline stays full
+// with no timer or batching delay — and a lone client keeps groups of one.
 //
 // Crash-exactness holds by construction: a summary's state depends on
 // where its AddBatch calls were cut, and the only cut there is is the
-// group's WAL record (RecordIngest), which carries the member batches in
-// client order. Replay turns a record back into the member list and runs
-// the live commit's own apply on it (applyGroupLocked).
+// run's WAL record (RecordIngest), which carries the member batches in
+// client order. Replay turns a record back into the jobs the live commit
+// held and runs the live commit's own apply on them.
 
-// errShuttingDown rejects ingest that arrives after Close began.
+// errShuttingDown rejects a job that arrives after Close shut the pipeline.
 var errShuttingDown = errors.New("service: shutting down")
 
 // errOverloaded sheds ingest when the commit queue is at its configured
@@ -40,31 +49,79 @@ var errShuttingDown = errors.New("service: shutting down")
 // the 429 status plus the "overload" text.
 var errOverloaded = errors.New("service: ingest queue overloaded; back off and retry")
 
-// ingestErrKind classifies a committed job's outcome for HTTP mapping.
+// ingestErrKind classifies a job's outcome; outcomes (below) maps each to
+// what the transports reply.
 type ingestErrKind uint8
 
 const (
-	ingestOK          ingestErrKind = iota
-	ingestErrValidate               // the member failed validation (client's error)
-	ingestErrEngine                 // the tenant's engine could not be restored or refused the batch
-	ingestErrWAL                    // the group's WAL append failed (not durable)
-	ingestErrShutdown               // the server is draining; never committed (stream acks only)
-	ingestErrTenant                 // a governance cap refused the tenant (stream acks only)
-	ingestErrReadOnly               // the server is a replica; writes go to the primary (stream acks only)
-	ingestErrDegraded               // degraded mode: durability broken, writes suspended (stream acks only)
-	ingestErrBusy                   // commit queue at its bound; the job was shed (stream acks only)
+	ingestOK              ingestErrKind = iota
+	ingestErrValidate                   // the batch or image failed validation (client's error)
+	ingestErrEngine                     // the tenant's engine could not be restored or refused the job
+	ingestErrWAL                        // the record's append or its group's barrier failed (not durable)
+	ingestErrShutdown                   // the server is draining; never committed
+	ingestErrTenant                     // a governance cap refused the tenant (stream acks only)
+	ingestErrReadOnly                   // the server is a replica; writes go to the primary
+	ingestErrDegraded                   // degraded mode: durability broken, writes suspended
+	ingestErrBusy                       // commit queue at its bound; the job was shed
+	ingestErrIncompatible               // a pushed image was built with other options
 )
 
-// ingestJob is one ingest request in flight through the commit
+// outcomes maps a job's outcome to what each transport tells the client
+// and the counter that records it beyond the endpoint's own error count.
+var outcomes = [...]struct {
+	status int                     // HTTP status
+	ack    uint8                   // stream ack status
+	count  func(*metrics) *counter // nil: the endpoint's error count is all
+}{
+	ingestOK:              {http.StatusOK, tupleio.AckOK, nil},
+	ingestErrValidate:     {http.StatusBadRequest, tupleio.AckInvalid, nil},
+	ingestErrEngine:       {http.StatusInternalServerError, tupleio.AckEngine, nil},
+	ingestErrWAL:          {http.StatusInternalServerError, tupleio.AckWAL, func(m *metrics) *counter { return &m.walAppendErrors }},
+	ingestErrShutdown:     {http.StatusServiceUnavailable, tupleio.AckShutdown, nil},
+	ingestErrTenant:       {http.StatusTooManyRequests, tupleio.AckTenant, nil}, // over HTTP writeTenant answers, by cap
+	ingestErrReadOnly:     {http.StatusServiceUnavailable, tupleio.AckReadOnly, nil},
+	ingestErrDegraded:     {http.StatusServiceUnavailable, tupleio.AckDegraded, func(m *metrics) *counter { return &m.degradedRejects }},
+	ingestErrBusy:         {http.StatusTooManyRequests, tupleio.AckBusy, nil},
+	ingestErrIncompatible: {http.StatusConflict, tupleio.AckInvalid, nil},
+}
+
+// jobOp names the record a job will write; the zero value is an ingest
+// batch. The order matters: clients send the ops up to opPush (the ones
+// IngestQueueMax sheds), and the ops from opCheckpoint on demand the
+// group's barrier whatever the fsync policy.
+type jobOp uint8
+
+const (
+	opIngest     jobOp = iota // tuples for tn; adjacent ingest jobs share one RecordIngest
+	opPush                    // image merged into tn (RecordPush)
+	opReset                   // a site's push round opens: the default tenant is reset, image is what it held (RecordReset)
+	opPushAck                 // the round closes: the coordinator has the image (RecordPushAck)
+	opFoldback                // the round closes the other way: image merged back (RecordFoldback)
+	opCheckpoint              // image is uvarint(covered) of a snapshot already durable (RecordCheckpoint)
+	opProbe                   // recovery probe: repair the tail, append a RecordProbe
+	opBarrier                 // no record: the group's Sync alone
+)
+
+// imageRecord is the record type of each op whose payload is its image as
+// it stands.
+var imageRecord = [...]wal.RecordType{
+	opReset: wal.RecordReset, opPushAck: wal.RecordPushAck,
+	opFoldback: wal.RecordFoldback, opCheckpoint: wal.RecordCheckpoint,
+}
+
+// ingestJob is one durable mutation in flight through the commit
 // pipeline. The done channel (capacity 1, reused across requests via the
 // decodeState pool) carries the happens-before edge from the committer's
-// writes of err/kind/lsn to the handler's reads. lsn is the WAL LSN of
-// the group record the job's batch rode in (0 without a WAL) — what a
-// stream ack reports back to the client. tn is the tenant the batch
+// writes of err/kind/lsn/image to the waiter's reads. lsn is the LSN of
+// the job's record (0 without a WAL) — for an ingest batch its run's,
+// which is what a stream ack reports. tn is the tenant an ingest or push
 // addresses; nil means the default tenant. The committer only reads
-// tuples — the WAL record and the ack path see the client's order.
+// tuples — the WAL record and the ack path see the client's order. A live
+// opReset or opFoldback is queued without its image; the commit fills it in.
 type ingestJob struct {
+	op     jobOp
 	tuples []correlated.Tuple
+	image  []byte
 	tn     *tenant
 	err    error
 	kind   ingestErrKind
@@ -79,15 +136,17 @@ type ingestJob struct {
 	wakeAt     time.Time
 }
 
-// commitPipeline is the queue between ingest handlers and the committer.
+// commitPipeline is the queue between the job sources and the committer.
+// done closes when the committer has drained the closed queue and exited.
 type commitPipeline struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []*ingestJob
 	closed bool
+	done   chan struct{}
 }
 
-// maxGroupTuples caps the tuple volume of one commit group so a group's
+// maxGroupTuples caps the tuple volume of one commit group so a run's
 // WAL record stays far below wal.MaxPayload and the critical section
 // stays short; the member that crosses the cap waits for the next group.
 const maxGroupTuples = 1 << 20
@@ -96,48 +155,60 @@ const maxGroupTuples = 1 << 20
 // Config.IngestGroupMax is unset.
 const defaultGroupMax = 256
 
-// enqueueIngest hands a job to the committer; it fails when the server
-// is shutting down or (with IngestQueueMax set) when the queue is at
-// its bound — overload is decided here, at admission, so a shed request
-// costs no engine or WAL work. The handler then blocks on j.done.
-func (s *Server) enqueueIngest(j *ingestJob) error {
+// enqueue hands a job to the committer; the caller then blocks on j.done.
+// A job it refuses has its outcome set: the pipeline has shut down, or —
+// for an ingest batch or a push — the queue is at IngestQueueMax. Overload
+// is decided here, at admission, so a shed request costs no engine or WAL
+// work; the server's own jobs are never shed.
+func (s *Server) enqueue(j *ingestJob) bool {
+	j.err, j.kind, j.lsn = nil, ingestOK, 0
 	j.enqueuedAt = time.Now()
 	p := &s.pipe
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		return errShuttingDown
+		j.err, j.kind = errShuttingDown, ingestErrShutdown
+		return false
 	}
-	if max := s.cfg.IngestQueueMax; max > 0 && len(p.queue) >= max {
-		p.mu.Unlock()
+	if max := s.cfg.IngestQueueMax; max > 0 && len(p.queue) >= max && j.op <= opPush {
 		s.metrics.ingestShed.Inc()
-		return errOverloaded
+		j.err, j.kind = errOverloaded, ingestErrBusy
+		return false
 	}
 	p.queue = append(p.queue, j)
 	s.metrics.queueDepth.Set(int64(len(p.queue)))
 	if len(p.queue) == 1 {
 		p.cond.Signal()
 	}
-	p.mu.Unlock()
-	return nil
+	return true
 }
 
-// closePipeline stops accepting new ingest and wakes the committer so it
-// drains what is already queued (queued requests are committed and
-// acknowledged, not dropped) and exits.
+// commit runs one of the server's own jobs through the committer and
+// waits for its outcome. Callers hold no lock the committer takes: not mu.
+func (s *Server) commit(j *ingestJob) error {
+	j.done = make(chan struct{}, 1)
+	if s.enqueue(j) {
+		<-j.done
+	}
+	return j.err
+}
+
+// closePipeline stops accepting jobs and waits for the committer to
+// commit and acknowledge what is already queued, and exit.
 func (s *Server) closePipeline() {
 	p := &s.pipe
 	p.mu.Lock()
 	p.closed = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	<-p.done
 }
 
-// committer is the single goroutine that owns ingest: take everything
-// queued (bounded by the group caps), commit it as one group, repeat.
+// committer is the single goroutine that owns the write side: take
+// everything queued (bounded by the group caps), commit it, repeat.
 func (s *Server) committer() {
-	defer s.wg.Done()
 	p := &s.pipe
+	defer close(p.done)
 	var group []*ingestJob
 	for {
 		p.mu.Lock()
@@ -193,13 +264,12 @@ func (s *Server) validateBatch(batch []correlated.Tuple) error {
 // from a member's own slice, because AddBatch sorts its argument in place
 // and the log must keep the client's order for replay to feed the sort
 // the same permutation. It sets every member's kind (and err), bumps each
-// touched tenant's epoch, and reports how many members and tuples were
-// applied. The live committer, startup replay and a replica's apply loop
+// touched tenant's epoch, and reports how many members were applied. The live committer, startup replay and a replica's apply loop
 // all come through here with the same member lists, which is what makes
 // their bytes equal. A member that fails validation is rejected alone; a
 // group may span tenants, which are applied in first-touch order. Callers
 // hold s.mu, or run before any goroutine exists.
-func (s *Server) applyGroupLocked(group []*ingestJob) (applied, tuples int) {
+func (s *Server) applyGroupLocked(group []*ingestJob) (applied int) {
 	touched := s.touchedBuf[:0]
 	for _, j := range group {
 		if j.tn == nil {
@@ -241,7 +311,6 @@ func (s *Server) applyGroupLocked(group []*ingestJob) (applied, tuples int) {
 			}
 		} else {
 			applied += members
-			tuples += len(buf)
 		}
 		s.applyBuf = pooledTuples(buf)
 		t.inGroup = false
@@ -254,75 +323,217 @@ func (s *Server) applyGroupLocked(group []*ingestJob) (applied, tuples int) {
 		}
 	}
 	s.touchedBuf = touched[:0]
-	return applied, tuples
+	return applied
 }
 
-// commitGroup applies and logs one group under a single critical section
-// of the driver lock, then wakes every member with its outcome. Members
-// that fail validation are rejected individually and excluded from the
-// group record; a WAL failure is group-wide (those members were applied
-// together, so they are un-acknowledged together). One WAL append and one
-// fsync cover the whole group, however many tenants it touched.
-func (s *Server) commitGroup(group []*ingestJob) {
-	// Stage tracing (trace.go): the dequeue closes every member's
-	// "enqueue" stage; "apply" runs from here through the last tenant's
-	// AddBatch (driver-lock wait included), "append" is the group's WAL
-	// record, "fsync" the durability barrier below.
-	dequeued := time.Now()
-	for _, j := range group {
-		s.metrics.stages[stageEnqueue].Observe(dequeued.Sub(j.enqueuedAt).Seconds())
+// applyJobLocked is the one apply of every record that is not an ingest
+// group: the live commit, startup replay and a replica's apply loop all
+// reach a push, a reset, a push-ack and a fold-back here (applyRecord
+// decodes a record into the job the live commit held). It sets a failed
+// job's kind and err, and bumps the epoch of the tenant it changed.
+// Callers hold s.mu, or run before any goroutine exists.
+func (s *Server) applyJobLocked(j *ingestJob) {
+	t := s.def
+	switch j.op {
+	case opPush:
+		t = j.tn
+		eng, err := s.ensureEngineLocked(t)
+		if err != nil {
+			j.err, j.kind = err, ingestErrEngine
+			return
+		}
+		if err := eng.MergeMarshaled(j.image); err != nil {
+			// Attacker-controlled bytes: the fuzz-hardened merge refused
+			// them and left the engine untouched.
+			j.err, j.kind = err, ingestErrValidate
+			if errors.Is(err, correlated.ErrIncompatible) {
+				j.kind = ingestErrIncompatible
+			}
+			return
+		}
+	case opReset:
+		t.eng.Reset()
+		s.round = j.image
+	case opFoldback:
+		// One record carries the merge and closes the round, so a crash
+		// can never replay them separately and double-apply the image.
+		if err := t.eng.MergeMarshaled(j.image); err != nil {
+			j.err, j.kind = err, ingestErrEngine
+			return
+		}
+		s.round = nil
+	case opPushAck:
+		s.round = nil
+		return
+	default:
+		return // a marker, a probe, a barrier: no state
 	}
-	s.mu.Lock()
-	applied, groupTuples := s.applyGroupLocked(group)
-	var walErr error
-	var groupLSN uint64
+	t.epoch.Add(1)
+	t.touch()
+}
+
+// foldOpenRoundLocked closes an open push round without a record, through
+// the fold-back's own apply: a round whose RecordReset never became
+// durable, or one a crash or a failover cut short (the coordinator may or
+// may not hold the image; the next round ships the union — at-least-once
+// across that window, never silent loss). Callers hold s.mu, or run
+// before any goroutine exists.
+func (s *Server) foldOpenRoundLocked(why string) error {
+	if len(s.round) == 0 {
+		return nil
+	}
+	s.logf("push round open at %s; image folded back for re-push", why)
+	j := ingestJob{op: opFoldback, image: s.round}
+	s.applyJobLocked(&j)
+	return j.err
+}
+
+// commitJobLocked applies one non-ingest job at its place in the queue
+// and appends its record. Callers hold s.mu.
+func (s *Server) commitJobLocked(w *wal.WAL, j *ingestJob) {
+	switch j.op {
+	case opReset:
+		// The round's image is the state this reset is about to clear.
+		if s.def.eng.Count() == 0 {
+			return // nothing accumulated since the last push: no round, no record
+		}
+		if j.image, j.err = s.def.eng.MarshalBinary(); j.err != nil {
+			j.kind = ingestErrEngine
+			return
+		}
+	case opFoldback:
+		j.image = s.round
+	}
+	s.applyJobLocked(j)
+	if j.kind != ingestOK || w == nil {
+		return
+	}
+	var err error
+	switch j.op {
+	case opBarrier:
+		return
+	case opProbe:
+		j.lsn, err = w.Probe()
+	case opPush:
+		buf := append(tupleio.AppendTenant(s.groupBuf[:0], j.tn.name), j.image...)
+		j.lsn, err = w.AppendNoSync(wal.RecordPush, buf)
+		s.groupBuf = pooledBytes(buf)
+	default:
+		j.lsn, err = w.AppendNoSync(imageRecord[j.op], j.image)
+	}
+	if err != nil {
+		j.err, j.kind = err, ingestErrWAL
+		if j.op == opReset {
+			// The engine is reset but the round never reached the log:
+			// fold the image straight back. The log sees neither a reset
+			// nor a merge — consistent, since the two cancel out.
+			j.err = errors.Join(err, s.foldOpenRoundLocked("a failed reset append"))
+		}
+	}
+}
+
+// commitRunLocked applies a run of ingest jobs as one group and appends
+// its one record. Callers hold s.mu.
+func (s *Server) commitRunLocked(w *wal.WAL, run []*ingestJob, dequeued time.Time) {
+	if s.applyGroupLocked(run) == 0 {
+		return
+	}
 	applyEnd := time.Now()
-	if applied > 0 && s.wal != nil {
-		// One append orders the group in the log. It is deliberately not
-		// the fsync: that happens below, outside the driver lock, so the
-		// next group's decode and apply (and any query evaluation)
-		// overlap this group's disk wait instead of queueing behind it.
-		groupLSN, walErr = s.logIngestGroup(group)
-		s.metrics.stages[stageAppend].Observe(time.Since(applyEnd).Seconds())
+	s.metrics.stages[stageApply].Observe(applyEnd.Sub(dequeued).Seconds())
+	if w == nil {
+		return
 	}
-	if applied > 0 {
-		s.metrics.stages[stageApply].Observe(applyEnd.Sub(dequeued).Seconds())
+	// One append orders the run in the log. It is deliberately not the
+	// fsync: that happens outside the driver lock, so the next group's
+	// decode (and any query evaluation) overlaps this group's disk wait
+	// instead of queueing behind it.
+	buf := appendIngestRecord(s.groupBuf[:0], run)
+	lsn, err := w.AppendNoSync(wal.RecordIngest, buf)
+	s.groupBuf = pooledBytes(buf)
+	s.metrics.stages[stageAppend].Observe(time.Since(applyEnd).Seconds())
+	for _, j := range run {
+		if j.kind != ingestOK {
+			continue
+		}
+		j.lsn = lsn
+		if err != nil {
+			// The engine holds the run but the log does not: not
+			// acknowledged, so a crash dropping it is within contract.
+			j.err, j.kind = err, ingestErrWAL
+		}
+	}
+}
+
+// commitGroup commits one taken queue: under a single critical section of
+// the driver lock it applies the jobs in queue order and appends their
+// records — each maximal run of ingest jobs as one group, one record —
+// then one Sync outside the lock covers them all, then every job is woken
+// with its outcome. A member of an ingest run that fails validation is
+// rejected alone and left out of the run's record; a failed append nacks
+// its own job (its run's members, who were applied together); a failed
+// barrier nacks every job behind it. The stage histograms (trace.go) and
+// the group counters describe ingest runs only, whatever shares the queue.
+func (s *Server) commitGroup(group []*ingestJob) {
+	dequeued := time.Now()
+	w := s.walRef()
+	s.mu.Lock()
+	for i := 0; i < len(group); {
+		if group[i].op != opIngest {
+			s.commitJobLocked(w, group[i])
+			i++
+			continue
+		}
+		end := i + 1
+		for end < len(group) && group[end].op == opIngest {
+			end++
+		}
+		s.commitRunLocked(w, group[i:end], dequeued)
+		i = end
 	}
 	s.mu.Unlock()
+	// What is left: records awaiting the barrier, a job demanding one
+	// whatever the policy, how much ingest was applied, a log failure.
+	var pending, force bool
+	var applied int
+	var walErr, syncErr error
+	for _, j := range group {
+		pending = pending || j.lsn != 0
+		force = force || j.op >= opCheckpoint
+		if j.op == opIngest && j.kind != ingestErrValidate && j.kind != ingestErrEngine {
+			applied++
+		}
+		if j.kind == ingestErrWAL && walErr == nil {
+			walErr = j.err
+		}
+	}
 	if s.cfg.MaxTenantBytes > 0 && applied > 0 {
 		s.recomputeFootprint()
 	}
-	if applied > 0 && walErr == nil && s.walSyncAlways {
+	if w != nil && (force || pending && s.cfg.walFsync() == "always") {
 		// The group-wide durability barrier the acks below stand behind:
-		// one fsync for the whole group. (Under fsync=interval/off the
-		// ack never promised durability, so there is nothing to wait on.)
+		// one fsync for every record of the group. (Under fsync=interval
+		// and off an ack never promised durability, so only a job that
+		// demands it waits.) A barrier that fails under fsync=always has
+		// rewound the group's records out of the log, so a restart
+		// replays exactly the acknowledged record set.
 		fsyncStart := time.Now()
-		walErr = s.wal.Sync()
-		s.metrics.stages[stageFsync].Observe(time.Since(fsyncStart).Seconds())
-		if walErr != nil {
-			// The group record never reached stable storage and its
-			// members are nacked below — rewind it out of the log, so a
-			// restart replays exactly the acknowledged record set instead
-			// of resurrecting batches whose clients were told they failed.
-			s.wal.RewindUnsynced()
+		syncErr = w.Sync()
+		if applied > 0 && walErr == nil {
+			s.metrics.stages[stageFsync].Observe(time.Since(fsyncStart).Seconds())
+		}
+		if syncErr != nil {
+			walErr = syncErr
 		}
 	}
-	if applied > 0 && walErr == nil {
-		s.metrics.ingestGroups.Inc()
-		s.metrics.ingestGroupMembers.Add(uint64(applied))
-		s.metrics.groupSize.Observe(float64(applied))
-		s.metrics.groupTuples.Observe(float64(groupTuples))
+	if walErr != nil {
+		// Any record's log failure counts toward degrading; a clean group
+		// resets the streak.
+		s.noteWALError(walErr)
+	} else if pending {
+		s.noteWALOK()
 	}
 	if applied > 0 {
-		// Health bookkeeping: WAL failures on the commit path count
-		// toward the degraded transition; any clean commit resets the
-		// streak. The group's wall time feeds the EWMA that prices the
-		// overload Retry-After hint.
-		if walErr != nil {
-			s.noteWALError(walErr)
-		} else {
-			s.noteWALOK()
-		}
+		// The group's wall time prices the overload Retry-After hint.
 		obs := time.Since(dequeued).Seconds()
 		if prev := s.groupLatency.Load(); prev > 0 {
 			obs = 0.2*obs + 0.8*prev
@@ -330,13 +541,32 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		s.groupLatency.Set(obs)
 	}
 	wake := time.Now()
-	for _, j := range group {
-		if j.kind == ingestOK {
-			if walErr != nil {
-				j.err, j.kind = walErr, ingestErrWAL
-			} else {
-				j.lsn = groupLSN
+	members, tuples := 0, 0
+	for i, j := range group {
+		if syncErr != nil && j.kind == ingestOK && (j.lsn != 0 || j.op == opBarrier) {
+			// Behind the failed barrier; a reset is folded back, as if its
+			// append had failed.
+			j.err, j.kind, j.lsn = syncErr, ingestErrWAL, 0
+			if j.op == opReset {
+				s.mu.Lock()
+				j.err = errors.Join(syncErr, s.foldOpenRoundLocked("a failed reset barrier"))
+				s.mu.Unlock()
 			}
+		}
+		if j.op == opIngest {
+			s.metrics.stages[stageEnqueue].Observe(dequeued.Sub(j.enqueuedAt).Seconds())
+			if j.kind == ingestOK {
+				members++
+				tuples += len(j.tuples)
+			}
+		}
+		if members > 0 && (i+1 == len(group) || group[i+1].op != opIngest) {
+			// An acknowledged ingest run closes here.
+			s.metrics.ingestGroups.Inc()
+			s.metrics.ingestGroupMembers.Add(uint64(members))
+			s.metrics.groupSize.Observe(float64(members))
+			s.metrics.groupTuples.Observe(float64(tuples))
+			members, tuples = 0, 0
 		}
 		j.wakeAt = wake
 		j.done <- struct{}{}
@@ -374,13 +604,4 @@ func appendIngestRecord(buf []byte, group []*ingestJob) []byte {
 		}
 	}
 	return buf
-}
-
-// logIngestGroup appends the group's applied members as one WAL record
-// and returns its LSN. Callers hold s.mu.
-func (s *Server) logIngestGroup(group []*ingestJob) (uint64, error) {
-	buf := appendIngestRecord(s.groupBuf[:0], group)
-	lsn, err := s.wal.AppendNoSync(wal.RecordIngest, buf)
-	s.groupBuf = pooledBytes(buf)
-	return lsn, err
 }

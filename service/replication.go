@@ -36,8 +36,9 @@ import (
 //
 // The replica (Config.PrimaryAddr) applies each shipped record under
 // the driver lock through the exact applyRecord switch its own startup
-// replay uses — same entry points, same one AddBatch per tenant per
-// group record — so its state is always "the primary replayed to LSN N".
+// replay uses — each record decoded into the job the primary's commit
+// held and run through the commit's own apply, same one AddBatch per tenant
+// per group record — so its state is always "the primary replayed to LSN N".
 // It serves reads (/v1/query, /v1/stats, /v1/summary) through the same
 // answer memo as a primary and rejects writes with 503 (AckReadOnly on the
 // stream). Promotion — POST /v1/promote, or automatic on primary
@@ -58,13 +59,9 @@ var (
 
 // replayState is the cross-record scratch one log consumer carries —
 // the startup replayer (service/wal.go) and a replica's live apply
-// loop each own one. startup toggles the checkpoint staleness witness
-// (live replicas ignore the primary's checkpoint markers) and the
-// epoch bumps of non-ingest records (startup replay runs before any
-// reader exists; live apply must invalidate memoized answers as it
-// goes).
+// loop each own one. startup arms the checkpoint staleness witness
+// (live replicas ignore the primary's checkpoint markers).
 type replayState struct {
-	inFlight []byte       // image of an open push round, nil when none
 	jobs     []*ingestJob // a group record's members, rebuilt as the jobs the live commit saw
 	covered  uint64       // snapshot baseline (startup staleness check)
 	startup  bool
@@ -106,42 +103,18 @@ func (st *replayState) decodeIngest(payload []byte, tenantOf func(name []byte) (
 	return st.jobs[:n], nil
 }
 
-// noteTouch records that a push, reset or fold-back record mutated t
-// (ingest records bump the epoch inside applyGroupLocked). Startup
-// replay needs nothing (no concurrent readers yet); live replica apply
-// bumps the epoch so memoized answers stop being served.
-func (st *replayState) noteTouch(t *tenant) {
-	if !st.startup {
-		t.epoch.Add(1)
-		t.touch()
-	}
-}
-
-// replayTenantEngine resolves a replayed tenant key to its live
-// engine, creating (cap-free) or lazily restoring the tenant as
-// needed. Startup replay calls it single-threaded; live apply calls it
-// under s.mu, which ensureEngineLocked requires anyway.
-func (s *Server) replayTenantEngine(name []byte) (*tenant, Engine, error) {
-	t, err := s.getOrCreateTenant(name, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := s.ensureEngineLocked(t)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, eng, nil
-}
-
-// applyRecord applies one WAL record through the same engine entry
-// points the live handlers use — the one grammar both crash replay and
-// a replica's live apply speak, which is what makes a promoted
-// replica's state byte-identical to a crash-free primary replayed to
-// the same LSN. counted reports whether the record carried state (a
-// checkpoint marker does not). An ingest record is decoded back into
-// the member list the live commit held and applied by the same function,
-// so each touched tenant gets the same one AddBatch it got live.
+// applyRecord applies one WAL record through the live commit's own
+// applies — the one grammar both crash replay and a replica's live apply
+// speak, which is what makes a promoted replica's state byte-identical
+// to a crash-free primary replayed to the same LSN. Each record is
+// decoded back into the jobs the commit held: an ingest record into its
+// member list (applyGroupLocked: each touched tenant gets the same one
+// AddBatch it got live), any other state record into its one job
+// (applyJobLocked). counted reports whether the record carried state (a
+// checkpoint marker does not). Startup replay calls it single-threaded;
+// live apply calls it under s.mu.
 func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st *replayState) (counted bool, err error) {
+	var j ingestJob
 	switch typ {
 	case wal.RecordIngest:
 		group, err := st.decodeIngest(payload, func(name []byte) (*tenant, error) {
@@ -159,31 +132,24 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 			}
 			j.tuples = pooledTuples(j.tuples)
 		}
+		return true, nil
 	case wal.RecordPush:
 		name, image, err := tupleio.DecodeTenantPrefix(payload)
 		if err != nil {
 			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 		}
-		t, eng, err := s.replayTenantEngine(name)
+		t, err := s.getOrCreateTenant(name, true)
 		if err != nil {
 			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 		}
-		if err := eng.MergeMarshaled(image); err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
-		st.noteTouch(t)
+		j = ingestJob{op: opPush, tn: t, image: image}
 	case wal.RecordReset:
-		s.def.eng.Reset()
-		st.inFlight = append(st.inFlight[:0], payload...)
-		st.noteTouch(s.def)
+		// The image outlives this call as the open round.
+		j = ingestJob{op: opReset, image: bytes.Clone(payload)}
 	case wal.RecordPushAck:
-		st.inFlight = nil
+		j = ingestJob{op: opPushAck}
 	case wal.RecordFoldback:
-		if err := s.def.eng.MergeMarshaled(payload); err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
-		st.inFlight = nil
-		st.noteTouch(s.def)
+		j = ingestJob{op: opFoldback, image: payload}
 	case wal.RecordCheckpoint:
 		// Not state, but — on startup replay — a consistency witness:
 		// the marker says a snapshot covering LSN c was durably
@@ -210,6 +176,10 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 		return false, nil
 	default:
 		return false, fmt.Errorf("service: wal replay: record %d has unknown type %d", lsn, typ)
+	}
+	// The log holds only jobs the live commit applied.
+	if s.applyJobLocked(&j); j.kind != ingestOK {
+		return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, j.err)
 	}
 	return true, nil
 }
@@ -338,7 +308,7 @@ func (s *Server) serveReplicaConn(c net.Conn, w *wal.WAL) {
 			// The follower's position is behind the prune horizon:
 			// re-seed it with a freshly built snapshot and follow on
 			// from the LSN that snapshot covers.
-			seedCovered, file, serr := s.replicaSeedSnapshot(w)
+			seedCovered, file, serr := s.replicaSeedSnapshot()
 			if serr != nil {
 				s.logf("replica: conn %s: build seed snapshot: %v", connID, serr)
 				return
@@ -362,18 +332,18 @@ func (s *Server) serveReplicaConn(c net.Conn, w *wal.WAL) {
 
 // replicaSeedSnapshot builds an in-memory snapshot file for a follower
 // that fell behind the prune horizon. The transfer lock keeps it off a
-// push round's transient reset state, and the explicit Sync afterwards
+// push round's transient reset state, and the barrier job afterwards
 // guarantees covered never exceeds the durable frontier — a re-seeded
 // replica must not hold state the primary's own crash recovery could
 // lose.
-func (s *Server) replicaSeedSnapshot(w *wal.WAL) (covered uint64, file []byte, err error) {
+func (s *Server) replicaSeedSnapshot() (covered uint64, file []byte, err error) {
 	s.xferMu.Lock()
 	covered, file, _, _, err = s.buildSnapshot()
 	s.xferMu.Unlock()
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := w.Sync(); err != nil {
+	if err := s.commit(&ingestJob{op: opBarrier}); err != nil {
 		return 0, nil, err
 	}
 	return covered, file, nil
@@ -473,9 +443,7 @@ func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
 		t.epoch.Add(1)
 		t.touch()
 	}
-	if s.replState != nil {
-		s.replState.inFlight = nil // superseded by the image's state
-	}
+	s.round = nil // superseded by the image's state
 	s.appliedLSN.Store(covered)
 	s.metrics.replicaSnapshotsInstalled.Inc()
 	if covered >= s.primaryLSN.Load() {
@@ -544,16 +512,11 @@ func (s *Server) Promote() error {
 	}
 	sealed := s.appliedLSN.Load()
 	s.mu.Lock()
-	if st := s.replState; st != nil && len(st.inFlight) > 0 {
-		if err := s.def.eng.MergeMarshaled(st.inFlight); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("service: promote: fold back in-flight push image: %w", err)
-		}
-		st.inFlight = nil
-		s.def.epoch.Add(1)
-		s.logf("promote: primary's push round was in flight; image folded back")
-	}
+	err := s.foldOpenRoundLocked("the primary's loss")
 	s.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("service: promote: fold back in-flight push image: %w", err)
+	}
 	if s.cfg.WALDir != "" {
 		if err := s.openWALAt(sealed + 1); err != nil {
 			return err
@@ -583,15 +546,6 @@ func (s *Server) openWALAt(firstLSN uint64) error {
 		}
 	}
 	return s.openWAL(firstLSN)
-}
-
-// walRef reads the WAL pointer under the driver lock — promotion can
-// install one at runtime, so concurrent readers (stats, metrics, new
-// replica conns) must not read the field bare.
-func (s *Server) walRef() *wal.WAL {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wal
 }
 
 // handlePromote is POST /v1/promote: admin-gated manual failover. With

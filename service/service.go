@@ -24,9 +24,11 @@
 // acknowledged — startup becomes restore-snapshot-then-replay-suffix,
 // so under WALFsync "always" an acknowledged request survives kill -9
 // and the recovered state is bit-identical to a crash-free run (see
-// wal.go). Observability is a dependency-free Prometheus-text /metrics
-// plus /healthz and /v1/stats, and shutdown is graceful: drain HTTP,
-// commit what is queued, final push (site role), final snapshot.
+// wal.go); every durable mutation is a job of the log's one writer
+// (pipeline.go). Observability is a dependency-free Prometheus-text
+// /metrics plus /healthz and /v1/stats, and shutdown is graceful: drain
+// HTTP and streams, final push (site role), final snapshot, commit what
+// is queued.
 //
 // The HTTP surface is deliberately small and wire-stable; see the
 // README's "Running the service" section for the endpoint catalogue and
@@ -282,16 +284,18 @@ type Server struct {
 
 	// mu is the engine driver lock: a summary is single-driver by
 	// contract, so every read or write of one — a commit group applied
-	// by the committer, a push merge, a snapshot marshal, a tenant spill
-	// or restore, a query evaluation — happens under it, across all
-	// tenants. Ingest handlers never take it themselves: they queue into
-	// the commit pipeline (pipe) and the committer goroutine commits
-	// whole groups under one critical section (see pipeline.go). WAL
-	// appends happen in the same critical section as their engine apply,
-	// so log order always equals apply order (what makes replay
-	// crash-exact). A query takes mu only for the cutoffs its tenant's
-	// answer memo (tenant.go) cannot serve.
+	// by the committer, a snapshot marshal, a tenant spill or restore, a
+	// query evaluation, a replica's apply — happens under it, across all
+	// tenants. Every write a primary makes is a job of the commit
+	// pipeline (pipe): the committer commits whole groups under one
+	// critical section (see pipeline.go), each job's WAL append beside its
+	// apply, so log order always equals apply order (what makes replay
+	// crash-exact). Nothing waits on a commit, or on the disk, while
+	// holding mu. A query takes it only for the cutoffs its tenant's
+	// answer memo (tenant.go) cannot serve. round, guarded by it, is the
+	// open push round's image (on a replica, its primary's), else nil.
 	mu       sync.Mutex
+	round    []byte
 	restored bool
 
 	// Tenant registry (tenant.go): def is the default (empty-key)
@@ -307,7 +311,7 @@ type Server struct {
 	tenantBytes atomic.Int64 // footprint sample for the MaxTenantBytes cap
 	tenantsLive atomic.Int64
 
-	// pipe, committer state: ingest group commit (pipeline.go).
+	// pipe, committer state: group commit, the one log writer (pipeline.go).
 	pipe       commitPipeline
 	groupMax   int
 	groupBuf   []byte             // committer-owned WAL group encode scratch
@@ -322,24 +326,23 @@ type Server struct {
 	health       health
 	groupLatency fgauge
 
-	// wal is the durable-ingest log (nil without Config.WALDir);
+	// wal is the durable-ingest log (nil without Config.WALDir, and on a
+	// replica until promotion stores one); only the committer writes it.
 	// walReplayed counts state records replayed at the last startup.
-	// walSyncAlways mirrors the parsed fsync policy so the commit
-	// pipeline knows whether acks need an explicit group fsync.
 	// snapFellBack records that startup restored an older retention
 	// slot (the newest snapshot was corrupt), which relaxes the replay
 	// checkpoint-staleness check in favor of the LSN-continuity check.
-	wal           *wal.WAL
-	walReplayed   uint64
-	walSyncAlways bool
-	snapFellBack  bool
+	wal          atomic.Pointer[wal.WAL]
+	walReplayed  uint64
+	snapFellBack bool
 
 	// xferMu serializes whole state transfers — a snapshot, or a full
-	// delta-push round (marshal, reset, ship, snapshot-after-ack) — so
-	// the snapshot ticker can never persist the transient empty state
-	// between a push's Reset and its outcome, and a crash after an
+	// delta-push round (reset, ship, ack or fold-back, snapshot-after-
+	// ack) — so the snapshot ticker can never persist the transient empty
+	// state between a push's Reset and its outcome, and a crash after an
 	// acknowledged push restores post-push state instead of re-pushing
-	// it. It is taken before mu and never while holding mu.
+	// it. Its holders wait on commit jobs, so it is never taken while
+	// holding mu, and never by the committer.
 	xferMu sync.Mutex
 
 	dec   sync.Pool // *decodeState
@@ -360,7 +363,7 @@ type Server struct {
 	// so snapshots record a consistent coverage); primaryLSN is the
 	// primary's last observed frontier; caughtUpAt stamps (unix nanos)
 	// the last moment applied covered primary, for the lag-seconds
-	// gauge. replState is the live-apply scratch, guarded by mu.
+	// gauge. replState is the live-apply decode scratch, guarded by mu.
 	replicaMode atomic.Bool
 	appliedLSN  atomic.Uint64
 	primaryLSN  atomic.Uint64
@@ -369,6 +372,8 @@ type Server struct {
 	promoteMu   sync.Mutex
 	replState   *replayState
 
+	// done stops the background loops; wg counts them and the stream conns
+	// (not the committer, which Close stops last).
 	done     chan struct{}
 	wg       sync.WaitGroup
 	closing  atomic.Bool
@@ -422,6 +427,7 @@ func New(cfg Config) (*Server, error) {
 		s.logger = log.New(io.Discard, "", 0)
 	}
 	s.pipe.cond = sync.NewCond(&s.pipe.mu)
+	s.pipe.done = make(chan struct{})
 	s.dec.New = func() any { return &decodeState{job: ingestJob{done: make(chan struct{}, 1)}} }
 	s.replicaMode.Store(cfg.PrimaryAddr != "")
 	// A replica has no log of its own until promotion: its WALDir stays
@@ -448,7 +454,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PrimaryAddr != "" {
 		s.appliedLSN.Store(covered)
 	}
-	if s.wal != nil {
+	if s.walRef() != nil {
 		if err := s.replayWAL(covered); err != nil {
 			s.shutdownStorage()
 			return nil, err
@@ -468,7 +474,6 @@ func New(cfg Config) (*Server, error) {
 	s.logf("configured: role=%s agg=%s group-max=%d snapshot=%q wal=%s access-log=%t slow-request=%s",
 		cfg.role(), cfg.aggregate(), s.groupMax, cfg.SnapshotPath, walDesc,
 		s.access != nil, cfg.SlowRequest)
-	s.wg.Add(1)
 	go s.committer()
 	s.wg.Add(1)
 	go s.recoveryLoop()
@@ -508,18 +513,19 @@ func (s *Server) logf(format string, args ...any) { s.logger.Printf("corrd: "+fo
 // shutdownStorage closes the WAL (used on construction failures and at
 // the tail of Close).
 func (s *Server) shutdownStorage() {
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil {
+	if w := s.walRef(); w != nil {
+		if err := w.Close(); err != nil {
 			s.logf("wal close: %v", err)
 		}
 	}
 }
 
-// Close shuts the server down gracefully: stop the background loops,
-// push any remaining local state upstream (site role) and write a final
-// snapshot. Safe to call more than once; later calls return the first
-// result. Callers should stop their http.Server first so no handler is
-// mid-flight.
+// Close shuts the server down gracefully: stop the background loops and
+// the stream transport, push any remaining local state upstream (site
+// role), write a final snapshot, and only then shut the commit pipeline —
+// the committer outlives everything that hands it a job. Safe to call
+// more than once; later calls return the first result. Callers should
+// stop their http.Server first so no handler is mid-flight.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	defer s.closeMu.Unlock()
@@ -532,21 +538,17 @@ func (s *Server) Close() error {
 	close(s.done)
 	// Replication first: fence out any in-flight promotion (closing is
 	// set, so attempts after this lock cycle refuse), then detach from
-	// the primary so no record applies while the pipeline drains.
+	// the primary so no record applies while the server drains.
 	s.promoteMu.Lock()
 	s.promoteMu.Unlock() //nolint:staticcheck // empty critical section is the fence
 	if s.follower != nil {
 		s.follower.Stop()
 	}
-	// Stream transport first: stop accepting connections and expire the
-	// live readers so they enqueue nothing new after the pipeline closes
-	// below — their in-flight frames still commit and ack before each
-	// conn's goroutines (tracked in wg) exit.
+	// Stop accepting stream connections and expire the live readers so
+	// they enqueue nothing new; their in-flight frames still commit and
+	// ack before each conn's goroutines (tracked in wg) exit, and the
+	// loops finish the round they are in: the committer is still running.
 	s.closeStreams()
-	// New ingest is refused from here; the committer drains and commits
-	// what is already queued before it exits, so nothing accepted into
-	// the pipeline goes unacknowledged.
-	s.closePipeline()
 	s.wg.Wait()
 	var errs []error
 	if s.pushc != nil {
@@ -557,8 +559,12 @@ func (s *Server) Close() error {
 	if err := s.Snapshot(); err != nil {
 		errs = append(errs, err)
 	}
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil {
+	// Jobs are refused from here; the committer commits and acknowledges
+	// what is already queued before it exits, so nothing accepted into
+	// the pipeline goes unacknowledged and the log closes with no writer.
+	s.closePipeline()
+	if w := s.walRef(); w != nil {
+		if err := w.Close(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -594,80 +600,52 @@ func (s *Server) pushLoop(interval time.Duration) {
 	}
 }
 
-// pushOnce implements one round of the site's delta-push protocol:
-// marshal the local summary, reset the engine, ship the image.
-// If the coordinator is unreachable the image is folded back into the
-// local engine — nothing is lost locally, and the next tick pushes the
-// union. The whole round holds the transfer lock, so a concurrent
-// snapshot can neither persist the empty state while the image is in
-// flight nor persist pre-push state after the coordinator has
-// acknowledged it: a fresh snapshot is written (when configured) under
-// the same lock right after the ack.
+// pushOnce implements one round of the site's delta-push protocol as
+// commit jobs around the ship: a reset job marshals the local summary,
+// resets the engine and opens the round (RecordReset carrying the image);
+// after the ship a push-ack job closes it (RecordPushAck, before the
+// post-push snapshot — a crashed site then replays to the post-push state
+// and never re-sends the image) or, if the coordinator is unreachable, a
+// fold-back job merges the image back (one RecordFoldback: merge + round
+// close) — nothing is lost locally, and the next tick pushes the union.
+// The whole round holds the transfer lock, so a concurrent snapshot can
+// neither persist the empty state while the image is in flight nor
+// persist pre-push state after the coordinator has acknowledged it: a
+// fresh snapshot is written (when configured) under the same lock right
+// after the ack. A reset whose record does not become durable has folded
+// its image straight back, and nothing ships; a closing record that does
+// not is logged, and replay's end-of-log fold-back rebuilds the same
+// state.
 //
-// With a WAL the round is journaled too: a RecordReset carrying the
-// in-flight image is appended in the same critical section as the
-// Reset, a failed ship logs one RecordFoldback (merge + round close in
-// a single record), and a successful ship logs a RecordPushAck before
-// the post-push snapshot — after which a crashed site replays to the
-// post-push state and never re-sends the image. The one remaining
-// ambiguous window is a crash after the coordinator received the image
-// but before the ack record (or, without a WAL, the post-push
-// snapshot) lands — a restart re-pushes, so delivery is at-least-once;
-// exactly-once across site crashes needs coordinator-side dedup.
+// The one remaining ambiguous window is a crash after the coordinator
+// received the image but before the ack record (or, without a WAL, the
+// post-push snapshot) lands — a restart re-pushes, so delivery is
+// at-least-once; exactly-once across site crashes needs coordinator-side
+// dedup.
 func (s *Server) pushOnce() error {
 	s.xferMu.Lock()
 	defer s.xferMu.Unlock()
-	def := s.def
-	s.mu.Lock()
-	n := def.eng.Count()
-	if n == 0 {
-		s.mu.Unlock()
-		return nil // nothing accumulated since the last push
-	}
-	img, err := def.eng.MarshalBinary()
-	if err == nil {
-		def.eng.Reset()
-		if err = s.logReset(img); err != nil {
-			// The engine is already reset but the round never reached
-			// the log: fold the image straight back so the live state
-			// keeps the data, and ship nothing this tick. The WAL sees
-			// neither a reset nor a merge — consistent, since the two
-			// cancel out.
-			if mergeErr := def.eng.MergeMarshaled(img); mergeErr != nil {
-				err = errors.Join(err, fmt.Errorf("fold back after failed reset log, %d tuples dropped: %w", n, mergeErr))
-			}
-		}
-		def.epoch.Add(1) // the engine was reset (and possibly refilled)
-	}
-	s.mu.Unlock()
-	if err != nil {
+	reset := ingestJob{op: opReset}
+	if err := s.commit(&reset); err != nil {
 		return err
 	}
-	if err := s.pushc.Push(context.Background(), img); err != nil {
+	if reset.image == nil {
+		return nil // nothing accumulated since the last push
+	}
+	if err := s.pushc.Push(context.Background(), reset.image); err != nil {
 		s.metrics.pushSendErrors.Inc()
-		s.mu.Lock()
-		mergeErr := def.eng.MergeMarshaled(img)
-		if mergeErr == nil {
-			// One record carries the merge and closes the round; if the
-			// append fails the round stays open and replay's end-of-log
-			// fold-back reconstructs the same state.
-			if walErr := s.logFoldback(img); walErr != nil {
-				s.logf("wal: log fold-back: %v", walErr)
-			}
-			def.epoch.Add(1)
-		}
-		s.mu.Unlock()
-		if mergeErr != nil {
-			return errors.Join(err, fmt.Errorf("re-queue failed, %d tuples dropped: %w", n, mergeErr))
+		fold := ingestJob{op: opFoldback}
+		if ferr := s.commit(&fold); fold.kind == ingestErrWAL {
+			s.logf("wal: log fold-back: %v", ferr)
+		} else if ferr != nil {
+			return errors.Join(err, fmt.Errorf("re-queue failed, the shipped image's tuples dropped: %w", ferr))
 		}
 		return fmt.Errorf("re-queued locally: %w", err)
 	}
 	s.metrics.pushesSent.Inc()
-	s.mu.Lock()
-	if walErr := s.logPushAck(); walErr != nil {
-		s.logf("wal: log push ack: %v", walErr)
+	if err := s.commit(&ingestJob{op: opPushAck}); err != nil {
+		s.logf("wal: log push ack: %v", err)
 	}
-	s.mu.Unlock()
 	if err := s.snapshotLocked(); err != nil {
 		s.logf("post-push snapshot: %v", err)
 	}

@@ -724,17 +724,10 @@ func TestWALInFlightPushFoldsBack(t *testing.T) {
 	if err := cl.AddBatch(ctx, stream); err != nil {
 		t.Fatal(err)
 	}
-	// Open a push round by hand: marshal + reset + RecordReset, exactly
-	// what pushOnce does before shipping — then "crash" before any
-	// fold-back or ack is logged.
-	site.mu.Lock()
-	img, err := site.def.eng.MarshalBinary()
-	if err == nil {
-		site.def.eng.Reset()
-		err = site.logReset(img)
-	}
-	site.mu.Unlock()
-	if err != nil {
+	// Open a push round by hand: the reset job (marshal + reset +
+	// RecordReset), exactly what pushOnce commits before shipping — then
+	// "crash" before any fold-back or ack is logged.
+	if err := site.commit(&ingestJob{op: opReset}); err != nil {
 		t.Fatal(err)
 	}
 	crash(ts, site)
@@ -979,7 +972,10 @@ func TestPreBreakStateRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		for typ := wal.RecordType(7); typ <= 9; typ++ { // the retired group, keyed-group and keyed-push numbers
-			if _, err := w.Append(typ, tupleio.AppendCountedBatch([]byte{1}, testStream(8, 92))); err != nil {
+			if _, err := w.AppendNoSync(typ, tupleio.AppendCountedBatch([]byte{1}, testStream(8, 92))); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Sync(); err != nil { // a segment seals only behind a barrier
 				t.Fatal(err)
 			}
 		}

@@ -22,9 +22,9 @@ import (
 //
 // The file is wrapped in a small header that records the WAL position
 // the snapshot covers (0 without a WAL), so startup knows exactly which
-// log suffix to replay. A completed snapshot also appends a checkpoint
-// marker to the WAL, which prunes every sealed segment the snapshot
-// made redundant.
+// log suffix to replay. A completed snapshot also commits a checkpoint
+// marker to the WAL, behind which every sealed segment the snapshot made
+// redundant is pruned.
 
 // snapshotMagic prefixes the one snapshot framing, on disk and in a
 // replica re-seed frame alike. The trailing digit versions it: corrdsn3
@@ -221,11 +221,11 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 	if err == nil {
 		// A replica's coverage is what it has applied, not a log
 		// position — it has no WAL until promotion.
-		switch {
+		switch w := s.walRef(); {
 		case s.replicaMode.Load():
 			covered = s.appliedLSN.Load()
-		case s.wal != nil:
-			covered = s.wal.LastLSN()
+		case w != nil:
+			covered = w.LastLSN()
 		}
 	}
 	s.mu.Unlock()
@@ -239,7 +239,7 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 // already hold it. The engine marshal and the covered-LSN read happen
 // in one driver-lock critical section, so the recorded LSN is exactly
 // the log position the image captures; once the file is durably
-// renamed, the WAL checkpoints at that LSN and prunes.
+// renamed, a checkpoint-marker job records that LSN and the WAL prunes.
 func (s *Server) snapshotLocked() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil
@@ -262,7 +262,11 @@ func (s *Server) snapshotLocked() error {
 	s.logf("snapshot: wrote %s (%d tenants, %d bytes, covered LSN %d)",
 		s.cfg.SnapshotPath, nTenants, dataLen, covered)
 	if w := s.walRef(); w != nil {
-		if err := w.Checkpoint(covered); err != nil {
+		err := s.commit(&ingestJob{op: opCheckpoint, image: binary.AppendUvarint(nil, covered)})
+		if err == nil {
+			err = w.Checkpoint(covered)
+		}
+		if err != nil {
 			// The snapshot is durable; a failed checkpoint only delays
 			// pruning, so log rather than fail the snapshot.
 			s.logf("wal checkpoint: %v", err)

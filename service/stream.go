@@ -200,6 +200,11 @@ func (s *Server) serveStreamConn(c net.Conn) {
 		return
 	}
 	c.SetReadDeadline(time.Time{})
+	if s.closing.Load() {
+		// Close expired this conn's reads while the hello was in flight and
+		// the line above wiped that out; nothing else ends the read loop.
+		c.SetReadDeadline(time.Now())
+	}
 
 	// One request ID per connection, minted at the handshake: every
 	// frame's access-log line carries it (plus the frame seq), so an
@@ -242,28 +247,12 @@ func (s *Server) serveStreamConn(c net.Conn) {
 		}
 		expect = seq
 		d.streamSeq = seq
-		if s.replicaMode.Load() {
-			// Read-only replica: nack every ingest frame with the typed
-			// status and keep the connection — a client that promotes
-			// this node mid-stream can keep the conn and resume. Stage
-			// stamps by hand: the job never enters the pipeline.
-			d.job.err, d.job.kind, d.job.lsn = errReadOnlyReplica, ingestErrReadOnly, 0
-			d.job.enqueuedAt = time.Now()
-			d.job.wakeAt = d.job.enqueuedAt
-			d.job.done <- struct{}{}
-			inflight <- d
-			continue
-		}
-		if s.healthDegraded() {
-			// Degraded mode: nack with the typed status and keep the
-			// connection — the client's typed error (IsDegraded) tells it
-			// to back off, and the same conn resumes after recovery.
-			s.metrics.degradedRejects.Inc()
-			d.job.err, d.job.kind, d.job.lsn = errDegraded, ingestErrDegraded, 0
-			d.job.enqueuedAt = time.Now()
-			d.job.wakeAt = d.job.enqueuedAt
-			d.job.done <- struct{}{}
-			inflight <- d
+		// A frame refused before it reaches the pipeline is nacked with
+		// its typed status and the connection kept: a replica promoted
+		// mid-stream, a server that recovers, a queue that drains all
+		// resume on the same conn; the other frames are independent batches.
+		if kind, err := s.writeGate(); kind != ingestOK {
+			nackFrame(inflight, d, kind, err)
 			continue
 		}
 		var tn *tenant
@@ -277,16 +266,10 @@ func (s *Server) serveStreamConn(c net.Conn) {
 			if err == nil {
 				tn, err = s.getOrCreateTenant(name, false)
 				if err != nil && !errors.Is(err, tupleio.ErrBadStream) {
-					// A governance cap refused the tenant: nack with the
-					// typed status and keep the connection — frames for
-					// existing tenants keep committing. The stage stamps
-					// are set by hand: the job never enters the pipeline.
+					// A governance cap refused the tenant; frames for
+					// existing tenants keep committing.
 					s.metrics.streamFrameErrors.Inc()
-					d.job.err, d.job.kind, d.job.lsn = err, ingestErrTenant, 0
-					d.job.enqueuedAt = time.Now()
-					d.job.wakeAt = d.job.enqueuedAt
-					d.job.done <- struct{}{}
-					inflight <- d
+					nackFrame(inflight, d, ingestErrTenant, err)
 					continue
 				}
 			}
@@ -294,41 +277,38 @@ func (s *Server) serveStreamConn(c net.Conn) {
 			d.tuples, err = tupleio.DecodeCounted(d.tuples, d.body)
 		}
 		if err != nil {
-			// Framing is intact — only this payload is bad. Nack it
-			// and keep the connection: the sender's other frames are
-			// independent batches. Stage stamps by hand: the job never
-			// enters the pipeline.
+			// Framing is intact — only this payload is bad.
 			s.metrics.streamFrameErrors.Inc()
-			d.job.err, d.job.kind, d.job.lsn = err, ingestErrValidate, 0
-			d.job.enqueuedAt = time.Now()
-			d.job.wakeAt = d.job.enqueuedAt
-			d.job.done <- struct{}{}
+			nackFrame(inflight, d, ingestErrValidate, err)
+			continue
+		}
+		d.job.op, d.job.tuples, d.job.tn = opIngest, d.tuples, tn
+		if s.enqueue(&d.job) {
 			inflight <- d
 			continue
 		}
-		d.job.tuples, d.job.err, d.job.kind, d.job.lsn = d.tuples, nil, ingestOK, 0
-		d.job.tn = tn
-		if err := s.enqueueIngest(&d.job); err != nil {
-			// enqueueIngest already stamped enqueuedAt before refusing.
-			if errors.Is(err, errOverloaded) {
-				// Shed: nack AckBusy and keep the connection — the queue
-				// bound is transient backpressure, not a conn problem.
-				d.job.err, d.job.kind = err, ingestErrBusy
-				d.job.wakeAt = time.Now()
-				d.job.done <- struct{}{}
-				inflight <- d
-				continue
-			}
-			d.job.err, d.job.kind = err, ingestErrShutdown
-			d.job.wakeAt = time.Now()
-			d.job.done <- struct{}{}
-			inflight <- d
+		// Shed (the queue bound is transient backpressure, not a conn
+		// problem) or shutting down (the read side is over).
+		draining := d.job.kind == ingestErrShutdown
+		nackFrame(inflight, d, d.job.kind, d.job.err)
+		if draining {
 			break
 		}
-		inflight <- d
 	}
 	close(inflight)
 	<-ackerDone
+}
+
+// nackFrame answers a frame that never enters the commit pipeline: the
+// job is completed by hand — outcome, and the stage stamps the acker and
+// the access log read — and queued for the acker in frame order.
+func nackFrame(inflight chan<- *decodeState, d *decodeState, kind ingestErrKind, err error) {
+	j := &d.job
+	j.err, j.kind, j.lsn = err, kind, 0
+	j.enqueuedAt = time.Now()
+	j.wakeAt = j.enqueuedAt
+	j.done <- struct{}{}
+	inflight <- d
 }
 
 // streamAcker writes one ack per in-flight frame, in order, waiting for
@@ -343,30 +323,16 @@ func (s *Server) streamAcker(c net.Conn, connID string, inflight <-chan *decodeS
 	for d := range inflight {
 		<-d.job.done
 		s.metrics.stages[stageAck].Observe(time.Since(d.job.wakeAt).Seconds())
-		status := tupleio.AckOK
-		switch d.job.kind {
-		case ingestErrValidate:
-			status = tupleio.AckInvalid
-		case ingestErrEngine:
-			status = tupleio.AckEngine
-		case ingestErrWAL:
-			status = tupleio.AckWAL
-		case ingestErrShutdown:
-			status = tupleio.AckShutdown
-		case ingestErrTenant:
-			status = tupleio.AckTenant
-		case ingestErrReadOnly:
-			status = tupleio.AckReadOnly
-		case ingestErrDegraded:
-			status = tupleio.AckDegraded
-		case ingestErrBusy:
-			status = tupleio.AckBusy
-		default:
+		o := &outcomes[d.job.kind]
+		status := o.ack
+		if d.job.kind == ingestOK {
 			s.metrics.streamFrames.Inc()
 			s.metrics.streamTuples.Add(uint64(len(d.job.tuples)))
 			if d.job.tn != nil {
 				d.job.tn.tuplesIngested.Add(uint64(len(d.job.tuples)))
 			}
+		} else if o.count != nil {
+			o.count(s.metrics).Inc()
 		}
 		if s.access != nil {
 			var tname string

@@ -429,7 +429,7 @@ func commitGroupCase(t *testing.T, members []groupMember) {
 	// tuple order untouched, and the encoder the decoder's inverse.
 	var record []logged
 	var records int
-	if err := svc.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+	if err := svc.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 		records++
 		if typ != wal.RecordIngest {
 			t.Fatalf("record %d has type %d, want RecordIngest", lsn, typ)
@@ -480,7 +480,7 @@ func commitGroupCase(t *testing.T, members []groupMember) {
 			}
 			t.Cleanup(func() { replica.Close() })
 			replica.replState = newReplayState(0, false)
-			if err := svc.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+			if err := svc.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 				return replica.replicaApply(lsn, uint8(typ), payload)
 			}); err != nil {
 				t.Fatal(err)

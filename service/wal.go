@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
@@ -15,49 +14,44 @@ import (
 // survives kill -9 — the durability window shrinks from the snapshot
 // interval to zero.
 //
-// Two invariants make recovery crash-exact. First, "log order == apply
-// order": the engine apply and the WAL append for one commit group (or
-// push) happen under the same critical section of the driver lock
-// (s.mu), so the replayer — which re-applies records through the very
-// same entry points (applyGroupLocked, MergeMarshaled, Reset) —
-// reconstructs the identical sequence of engine calls. Second, "batch
-// boundaries are the log's": a summary's state depends on where its
-// AddBatch calls were cut, and each tenant gets exactly one AddBatch per
-// group record — its members of that record, in the client order the
-// record keeps — live and on replay alike. Nothing else (a snapshot
-// tick, a query, a stats read) ever cuts a batch. Together with the
-// canonical marshaling ("equal state ⇒ equal bytes"), a recovered
-// server's /v1/summary is byte-identical to a crash-free run over the
-// same acknowledged requests grouped the same way.
+// Three invariants make recovery crash-exact. First, "one writer": while
+// the server runs only the committer (pipeline.go) appends to, syncs,
+// rewinds or probes the log, so a record is in the log exactly when the
+// barrier its waiter stood behind returned nil. Second, "log order ==
+// apply order": every job's engine apply and WAL append happen in the
+// same critical section of the driver lock (s.mu), in queue order, so the
+// replayer — which re-applies records through the very same functions
+// (applyGroupLocked, applyJobLocked) — reconstructs the identical
+// sequence of engine calls. Third, "batch boundaries are the log's": a
+// summary's state depends on where its AddBatch calls were cut, and each
+// tenant gets exactly one AddBatch per ingest record — its members of
+// that record, in the client order the record keeps — live and on replay
+// alike. Nothing else (a snapshot tick, a query, a stats read) ever cuts
+// a batch. Together with the canonical marshaling ("equal state ⇒ equal
+// bytes"), a recovered server's /v1/summary is byte-identical to a
+// crash-free run over the same acknowledged requests grouped the same
+// way.
 //
 // Snapshots and the WAL compose rather than compete: the snapshot file
-// embeds the LSN it covers, a completed snapshot appends a checkpoint
-// marker, and the WAL then prunes every sealed segment whose records
-// the snapshot already captures.
+// embeds the LSN it covers, a completed snapshot commits a checkpoint
+// marker, and behind the durable marker the WAL prunes every sealed
+// segment whose records the snapshot already captures.
 //
-// The site role's push-then-reset delta protocol is a two-record round:
-// RecordReset — appended in the same critical section as the engine
-// Reset, carrying the marshaled image that is about to ship — then
-// either RecordPushAck (the coordinator acknowledged) or RecordFoldback
-// (the ship failed and the image was merged back; one record carries
-// both the merge and the round close, so replay can never double-apply
-// it). Replay applies the reset at its logged position (so ingests
-// interleaved with the HTTP push land in the post-reset state, exactly
-// as they did live), stashes the image, and discards it when the round
-// closes; a round the crash cut short folds the stashed image back into
-// the engine — the same fold-back the live path performs when the
-// coordinator is unreachable — so acknowledged ingest is never lost,
-// and once the ack record is durable the image is never re-pushed
-// upstream. The remaining at-least-once window is a crash after the
-// coordinator processed the image but before the ack record's fsync —
-// one append, not a whole snapshot write.
+// The site role's push-then-reset delta protocol (pushOnce) is a
+// two-record round, each record a job: RecordReset — the engine Reset,
+// carrying the marshaled image that is about to ship — then either
+// RecordPushAck or RecordFoldback. Replay applies the reset at its logged
+// position (so ingests interleaved with the HTTP push land in the
+// post-reset state, exactly as they did live) and holds the image as the
+// open round (Server.round) until the round closes; a round the crash cut
+// short folds the image back into the engine, so acknowledged ingest is
+// never lost, and once the ack record is durable the image is never
+// re-pushed upstream.
 
 // openWAL opens the log — the one place its options are built, so the
 // log a replica opens at promotion carries every hook the primary's
-// does. firstLSN numbers the first record of a brand-new log (0 means
-// 1); a promoted replica passes its sealed LSN + 1. The pointer is
-// published under the driver lock: promotion installs it at runtime,
-// while stats and metrics handlers read it through walRef.
+// does — and publishes it. firstLSN numbers the first record of a
+// brand-new log (0 means 1); a promoted replica passes its sealed LSN + 1.
 func (s *Server) openWAL(firstLSN uint64) error {
 	policy, err := wal.ParseSyncPolicy(s.cfg.WALFsync)
 	if err != nil {
@@ -78,62 +72,17 @@ func (s *Server) openWAL(firstLSN uint64) error {
 	if err != nil {
 		return fmt.Errorf("service: wal: %w", err)
 	}
-	s.mu.Lock()
-	s.wal = w
-	s.walSyncAlways = policy == wal.SyncAlways
-	s.mu.Unlock()
+	s.wal.Store(w)
 	return nil
 }
 
-// logPush appends a merged push image to the WAL, behind its tenant
-// prefix (callers hold s.mu). Ingest is logged by the commit pipeline's
-// logIngestGroup (pipeline.go): one record per commit group, carrying
-// the member batches in commit order.
-func (s *Server) logPush(t *tenant, image []byte) error {
-	if s.wal == nil {
-		return nil
-	}
-	buf := append(tupleio.AppendTenant(s.groupBuf[:0], t.name), image...)
-	_, err := s.wal.Append(wal.RecordPush, buf)
-	s.groupBuf = pooledBytes(buf)
-	return err
-}
-
-// logReset appends the site role's push-round begin record: the engine
-// was reset here and image is in flight. Callers hold s.mu, immediately
-// after the engine Reset it records.
-func (s *Server) logReset(image []byte) error {
-	if s.wal == nil {
-		return nil
-	}
-	_, err := s.wal.Append(wal.RecordReset, image)
-	return err
-}
-
-// logPushAck closes the push round opened by logReset: the coordinator
-// has the image, so replay must never re-push it.
-func (s *Server) logPushAck() error {
-	if s.wal == nil {
-		return nil
-	}
-	_, err := s.wal.Append(wal.RecordPushAck, nil)
-	return err
-}
-
-// logFoldback closes a push round whose ship failed: the image was
-// merged back into the engine. Callers hold s.mu around the merge and
-// this append.
-func (s *Server) logFoldback(image []byte) error {
-	if s.wal == nil {
-		return nil
-	}
-	_, err := s.wal.Append(wal.RecordFoldback, image)
-	return err
-}
+// walRef is the log: nil without Config.WALDir, and on a replica until
+// its promotion opens one.
+func (s *Server) walRef() *wal.WAL { return s.wal.Load() }
 
 // replayWAL re-applies every record the snapshot does not cover, in log
-// order, through the same engine entry points the handlers use — the
-// shared applyRecord switch (replication.go), which a live replica also
+// order, through the applies the live commit uses — the shared
+// applyRecord switch (replication.go), which a live replica also
 // speaks. Any failure is fatal to startup: a daemon must not serve
 // state it knows is missing acknowledged data. Replay runs before any
 // goroutine is started, so calling the *Locked tenant helpers without
@@ -146,7 +95,7 @@ func (s *Server) replayWAL(covered uint64) error {
 	st := newReplayState(covered, true)
 	st.fallback = s.snapFellBack
 	first := true
-	err := s.wal.Replay(covered, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+	err := s.walRef().Replay(covered, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 		if first {
 			first = false
 			// Continuity: the suffix must begin exactly where the
@@ -170,16 +119,8 @@ func (s *Server) replayWAL(covered uint64) error {
 	if err != nil {
 		return err
 	}
-	if len(st.inFlight) > 0 {
-		// The crash cut a push round short: the coordinator may or may
-		// not have received this image. Fold it back — the same choice
-		// the live path makes when a push fails — so the next round
-		// ships the union. Delivery is at-least-once across this one
-		// window; it is never silent loss.
-		if err := s.def.eng.MergeMarshaled(st.inFlight); err != nil {
-			return fmt.Errorf("service: wal replay: fold back in-flight push image: %w", err)
-		}
-		s.logf("wal: push round was in flight at crash; image folded back for re-push")
+	if err := s.foldOpenRoundLocked("the crash"); err != nil {
+		return fmt.Errorf("service: wal replay: fold back in-flight push image: %w", err)
 	}
 	dur := time.Since(start)
 	s.walReplayed = records
