@@ -75,7 +75,10 @@
 // "x,y[,w]" lines), POST /v1/push (marshaled summary image),
 // GET /v1/query?op=le|ge&c=N, GET /v1/stats, GET /v1/summary,
 // POST /v1/promote (replica → primary, admin-gated),
-// GET /healthz, GET /metrics (Prometheus text).
+// POST /v1/recover (force a recovery probe on a degraded daemon,
+// admin-gated), POST /v1/fault (swap the fault plan; only with
+// -fault-plan), GET /healthz (liveness), GET /readyz (503 while degraded
+// or draining), GET /metrics (Prometheus text).
 //
 // Edge hardening: -http-read-header-timeout, -http-read-timeout, and
 // -http-idle-timeout bound slow-loris and idle keep-alive connections

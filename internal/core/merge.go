@@ -493,7 +493,6 @@ func (s *Summary) install(in incoming) {
 		s.wm[i] = in.levels[i].y
 		s.cache[i] = nil
 	}
-	s.slotsOK = false
 }
 
 // Reset returns the summary to its freshly constructed state, recycling
@@ -528,7 +527,6 @@ func (s *Summary) Reset() {
 	s.virginFrom = 1
 	s.sharedBudget = 0
 	s.n = 0
-	s.slotsOK = false
 }
 
 // recycleTree returns every sketch in the subtree to the maker's pool.

@@ -54,14 +54,13 @@ type Summary struct {
 	virginFrom int // smallest level whose root has never closed
 
 	// Hash-once fan-out: when the maker supports precomputed slots, each
-	// arriving tuple is hashed exactly once into slots, and every sketch
+	// arriving tuple is hashed exactly once into the slab, and every sketch
 	// it touches — the singleton bucket, one leaf per active level, the
 	// shared virgin sketch — applies the same slots. Without this, a
 	// tuple re-evaluates the maker's d row hashes once per level.
 	slotMaker sketch.SlotMaker // nil when the maker has no slot support
-	slots     sketch.Slots     // current tuple's slots (scratch, reused)
-	slotsOK   bool             // slots describe the tuple being inserted
-	slab      sketch.Slots     // per-batch slot slab (scratch, reused)
+	slab      sketch.Slots     // per-group slot slab (scratch, reused)
+	one       [1]Tuple         // AddWeighted's group of one (scratch, reused)
 
 	parts []sketch.Sketch // query composition's operands (scratch, reused)
 
@@ -147,7 +146,6 @@ func NewSummary(agg Aggregate, cfg Config) (*Summary, error) {
 	}
 	if sm, ok := s.maker.(sketch.SlotMaker); ok && !cfg.NoSlotFastPath {
 		s.slotMaker = sm
-		s.slots = make(sketch.Slots, 0, sm.SlotWidth())
 	}
 	s.shared = s.maker.New()
 	s.sharedSA = s.slotAdderOf(s.shared)
@@ -175,17 +173,6 @@ func (s *Summary) attachSketch(b *bucket) {
 	b.sa = s.slotAdderOf(b.sk)
 }
 
-// bucketAdd applies the tuple currently being inserted to b's sketch: via
-// the precomputed slots when the fast path is active, via plain Add
-// otherwise. Both leave the sketch in bit-identical state.
-func (s *Summary) bucketAdd(b *bucket, x uint64, w int64) {
-	if s.slotsOK {
-		b.sa.AddSlots(s.slots, w)
-		return
-	}
-	b.sk.Add(x, w)
-}
-
 // Config returns the (normalized) configuration.
 func (s *Summary) Config() Config { return s.cfg }
 
@@ -201,9 +188,9 @@ func (s *Summary) Count() uint64 { return s.n }
 // Add inserts the tuple (x, y) with weight 1.
 func (s *Summary) Add(x, y uint64) error { return s.AddWeighted(x, y, 1) }
 
-// AddWeighted inserts w copies of (x, y), w > 0 (Algorithm 2). Negative
-// weights require the multipass machinery of Section 4 — the single-pass
-// structure provably cannot support them (Theorem 6).
+// AddWeighted inserts w copies of (x, y), w > 0: Algorithm 2 on a group of
+// one. Negative weights require the multipass machinery of Section 4 — the
+// single-pass structure provably cannot support them (Theorem 6).
 func (s *Summary) AddWeighted(x, y uint64, w int64) error {
 	if y > s.cfg.YMax {
 		return fmt.Errorf("core: y = %d exceeds YMax = %d", y, s.cfg.YMax)
@@ -211,35 +198,8 @@ func (s *Summary) AddWeighted(x, y uint64, w int64) error {
 	if w <= 0 {
 		return fmt.Errorf("core: weight must be positive, got %d", w)
 	}
-	s.n++
-	if s.slotMaker != nil {
-		// Hash once per tuple; every sketch touched below fans the same
-		// slots out instead of rehashing x per level.
-		s.slots = s.slotMaker.Slots(x, s.slots[:0])
-		s.slotsOK = true
-	}
-	s.insert0(x, y, w)
-	for i := 1; i < s.virginFrom; i++ {
-		// The element's y falls in the level's discarded region: skip.
-		// (The paper's Algorithm 2 phrases this as an early return; since
-		// the watermarks Y_ℓ are in practice non-decreasing in ℓ, skipping
-		// just this level is the conservative reading that keeps every
-		// level consistent regardless of watermark ordering.)
-		if y >= s.wm[i] {
-			continue
-		}
-		s.insertLevel(s.levels[i], x, y, w, i)
-	}
-	if s.virginFrom <= s.lmax {
-		// All virgin levels share one whole-stream sketch.
-		if s.slotsOK {
-			s.sharedSA.AddSlots(s.slots, w)
-		} else {
-			s.shared.Add(x, w)
-		}
-		s.checkVirgin(w)
-	}
-	s.slotsOK = false
+	s.one[0] = Tuple{X: x, Y: y, W: w}
+	s.addGroup(s.one[:])
 	return nil
 }
 
@@ -275,25 +235,6 @@ func (s *Summary) materialize(lv *level) {
 	}
 }
 
-// insert0 handles the singleton level S0 (Algorithm 2 lines 1–6).
-func (s *Summary) insert0(x, y uint64, w int64) {
-	z := &s.s0
-	// A singleton at or past the watermark could never serve a query
-	// (Y_0 only decreases), so creating it would waste space.
-	if y >= z.y {
-		return
-	}
-	b := z.buckets[y]
-	if b == nil {
-		b = &bucket{iv: dyadic.Interval{L: y, R: y}}
-		s.attachSketch(b)
-		z.buckets[y] = b
-		heapPushU64(&z.ys, y)
-	}
-	s.bucketAdd(b, x, w)
-	s.evict0()
-}
-
 // evict0 trims the singleton level back to capacity, recycling the evicted
 // buckets' sketches.
 func (s *Summary) evict0() {
@@ -308,29 +249,6 @@ func (s *Summary) evict0() {
 		if top < z.y {
 			z.y = top
 		}
-	}
-}
-
-// insertLevel inserts (x, y, w) into level lv (Algorithm 2 lines 7–21).
-// The caller has already established y < Y_ℓ (the watermark check runs
-// against the flat wm array).
-func (s *Summary) insertLevel(lv *level, x, y uint64, w int64, i int) {
-	// Fast path: the previous insertion's leaf (Lemma 9 batching).
-	if b := s.cache[i]; cacheServes(b, y) {
-		s.bucketAdd(b, x, w)
-		s.maybeClose(lv, b, w)
-		return
-	}
-	b := s.leafFor(lv, y)
-	if b == nil {
-		return
-	}
-	s.bucketAdd(b, x, w)
-	s.maybeClose(lv, b, w)
-	s.cache[i] = b
-	// Check for overflow: evict largest-l buckets until within capacity.
-	for lv.count > s.alpha {
-		s.discardMax(lv)
 	}
 }
 
@@ -606,12 +524,12 @@ type Tuple struct {
 // Lemma 9. The batch is sorted by y in place (zero weights normalize to
 // 1), then processed one equal-y group at a time: each tuple is hashed
 // once, each group descends to its leaf once per level, and the whole
-// group's slot updates land before thresholds are re-checked. Relative to
-// tuple-at-a-time Add this defers bucket closing to group boundaries —
-// exactly the batched threshold checking Lemma 9's amortization describes
-// — so the resulting tree can differ from sequential insertion while
-// carrying the same guarantees. The batch is rejected up front (summary
-// untouched) if any tuple is invalid.
+// group's slot updates land before thresholds are re-checked. Add is the
+// one-tuple case of the same routine; a batch defers bucket closing to
+// group boundaries — exactly the batched threshold checking Lemma 9's
+// amortization describes — so the resulting tree can differ from
+// sequential insertion while carrying the same guarantees. The batch is
+// rejected up front (summary untouched) if any tuple is invalid.
 func (s *Summary) AddBatch(batch []Tuple) error {
 	if err := s.SortBatch(batch); err != nil {
 		return err
@@ -653,9 +571,9 @@ func (s *Summary) AddSorted(batch []Tuple) {
 	}
 }
 
-// addGroup inserts one equal-y run of a sorted batch. Mirrors AddWeighted,
-// amortizing per-tuple work across the group: hashing happens once per
-// tuple into a reused slab, leaf routing once per level per group.
+// addGroup is Algorithm 2, the one insertion routine: it inserts an equal-y
+// run of a sorted batch (AddWeighted passes a run of one), hashing each
+// tuple once into a reused slab and routing to a leaf once per level.
 func (s *Summary) addGroup(group []Tuple) {
 	y := group[0].Y
 	s.n += uint64(len(group))
@@ -676,11 +594,12 @@ func (s *Summary) addGroup(group []Tuple) {
 		sk.Add(group[gi].X, group[gi].W)
 	}
 
-	// Singleton level: the group shares one bucket; the watermark check
-	// and eviction happen once. (Evicting after the whole group lands is
-	// state-identical to per-tuple eviction: the group grows the level by
-	// at most one bucket, and whichever bucket the heap would have popped
-	// mid-group is the same one popped here.)
+	// Singleton level S0 (Algorithm 2 lines 1–6): the group shares one
+	// bucket; the watermark check and eviction happen once. (Evicting after
+	// the whole group lands is state-identical to per-tuple eviction: it
+	// grows the level by at most one bucket, and the heap pops the same one
+	// either way.) No singleton is made at or past the watermark: Y_0 only
+	// decreases, so it could never serve a query.
 	z := &s.s0
 	if y < z.y {
 		b := z.buckets[y]
@@ -696,10 +615,10 @@ func (s *Summary) addGroup(group []Tuple) {
 		s.evict0()
 	}
 
-	// Materialized levels: route to the leaf once, apply the group, then
-	// re-check the closing threshold. The summed weight only feeds budget
-	// decrements, so saturate instead of wrapping: a saturated budget
-	// decrement simply forces the (conservative) threshold check.
+	// Materialized levels (Algorithm 2 lines 7–21): route to the leaf once,
+	// apply the group, then re-check the closing threshold. The summed
+	// weight only feeds budget decrements, so saturate instead of wrapping:
+	// a saturated decrement simply forces the (conservative) check.
 	var groupW int64
 	for gi := range group {
 		if groupW += group[gi].W; groupW < 0 {
@@ -708,6 +627,8 @@ func (s *Summary) addGroup(group []Tuple) {
 		}
 	}
 	for i := 1; i < s.virginFrom; i++ {
+		// y is in the level's discarded region. The paper returns here;
+		// skipping only this level stays consistent whatever the Y_ℓ order.
 		if y >= s.wm[i] {
 			continue
 		}

@@ -215,33 +215,6 @@ func TestFourWiseBucketUniform(t *testing.T) {
 	}
 }
 
-func TestTwoWiseBucketRange(t *testing.T) {
-	h := NewTwoWise(New(29))
-	for _, w := range []int{1, 2, 7, 64, 1001} {
-		for x := uint64(0); x < 1000; x++ {
-			if b := h.Bucket(x, w); b < 0 || b >= w {
-				t.Fatalf("Bucket(%d,%d) = %d out of range", x, w, b)
-			}
-		}
-	}
-}
-
-func TestTwoWiseCollisionRate(t *testing.T) {
-	h := NewTwoWise(New(31))
-	const w = 1024
-	const n = 2048
-	seen := make(map[int]int)
-	for x := uint64(0); x < n; x++ {
-		seen[h.Bucket(x, w)]++
-	}
-	// With n=2w the max load should be small; catch degenerate functions.
-	for b, c := range seen {
-		if c > 20 {
-			t.Fatalf("bucket %d has load %d, function looks degenerate", b, c)
-		}
-	}
-}
-
 func TestTab64Deterministic(t *testing.T) {
 	a := NewTab64(New(37))
 	b := NewTab64(New(37))

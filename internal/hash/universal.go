@@ -125,35 +125,6 @@ func (f *FourWise) Bucket(x uint64, w int) int {
 	return int(Reduce61(f.Hash(x), uint64(w)))
 }
 
-// TwoWise is a 2-universal multiply-shift style hash over the same field:
-// h(x) = a*x + b mod 2^61-1.
-type TwoWise struct {
-	a, b uint64
-}
-
-// NewTwoWise draws a random 2-universal function from rng.
-func NewTwoWise(rng *RNG) *TwoWise {
-	a := rng.Uint64n(mersenne61-1) + 1 // a != 0
-	b := rng.Uint64n(mersenne61)
-	return &TwoWise{a: a, b: b}
-}
-
-// Equal reports whether t and o compute the same function (identical
-// coefficients), for maker-equivalence checks before sketch merges.
-func (t *TwoWise) Equal(o *TwoWise) bool {
-	return o != nil && t.a == o.a && t.b == o.b
-}
-
-// Hash returns a value in [0, 2^61-1).
-func (t *TwoWise) Hash(x uint64) uint64 {
-	return addmod61(mulmod61(t.a, fold61(x)), t.b)
-}
-
-// Bucket maps x to [0, w).
-func (t *TwoWise) Bucket(x uint64, w int) int {
-	return int(Reduce61(t.Hash(x), uint64(w)))
-}
-
 // Tab64 is simple tabulation hashing on the 8 bytes of a 64-bit key:
 // h(x) = T0[x&0xff] ^ T1[(x>>8)&0xff] ^ ... ^ T7[x>>56].
 // Simple tabulation is 3-universal and behaves far better than that in

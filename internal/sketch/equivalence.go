@@ -43,23 +43,6 @@ func (m *FkMaker) equivalent(o *FkMaker) bool {
 		m.csMaker.equivalent(o.csMaker)
 }
 
-// equivalent reports whether two Count-Min makers produce interchangeable
-// sketches.
-func (m *CountMinMaker) equivalent(o *CountMinMaker) bool {
-	if o == m {
-		return true
-	}
-	if o == nil || m.width != o.width || m.depth != o.depth {
-		return false
-	}
-	for i := range m.rowH {
-		if !m.rowH[i].Equal(o.rowH[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // equivalent reports whether two L1 makers produce interchangeable
 // sketches.
 func (m *L1Maker) equivalent(o *L1Maker) bool {
@@ -67,21 +50,4 @@ func (m *L1Maker) equivalent(o *L1Maker) bool {
 		return true
 	}
 	return o != nil && m.k == o.k && m.h.Equal(o.h)
-}
-
-// equivalent reports whether two KMV makers produce interchangeable
-// sketches.
-func (m *KMVMaker) equivalent(o *KMVMaker) bool {
-	if o == m {
-		return true
-	}
-	if o == nil || m.k != o.k || len(m.hashes) != len(o.hashes) {
-		return false
-	}
-	for i := range m.hashes {
-		if !m.hashes[i].Equal(o.hashes[i]) {
-			return false
-		}
-	}
-	return true
 }

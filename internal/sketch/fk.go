@@ -156,7 +156,9 @@ func (f *Fk) addLevel(j int, x uint64, w int64) {
 	lv.running += f.maker.powK(float64(w))
 }
 
-// prune drops the lightest candidates until trackCap remain.
+// prune drops the lightest candidates until trackCap remain. Ties in the
+// estimate break on x, so which candidates survive — and with them the
+// sketch's image — does not depend on map iteration order.
 func (f *Fk) prune(lv *fkLevel) {
 	type ce struct {
 		x   uint64
@@ -166,7 +168,12 @@ func (f *Fk) prune(lv *fkLevel) {
 	for x := range lv.cand {
 		ents = append(ents, ce{x, lv.cs.EstimateItem(x)})
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].est > ents[j].est })
+	sort.Slice(ents, func(i, j int) bool {
+		if ents[i].est != ents[j].est {
+			return ents[i].est > ents[j].est
+		}
+		return ents[i].x < ents[j].x
+	})
 	for _, e := range ents[f.maker.trackCap:] {
 		c := lv.cand[e.x]
 		lv.running -= f.maker.powK(float64(c))

@@ -115,12 +115,12 @@ func readF64(data []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(data)), data[8:], nil
 }
 
-// Kind bytes for the framed encodings.
+// Kind bytes for the framed encodings. 3 and 4 are reserved: images of the
+// retired Count-Min and KMV families carry them, and reusing either would
+// let such an image decode as something else.
 const (
 	kindCounter     = 1
 	kindCountSketch = 2
-	kindCountMin    = 3
-	kindKMV         = 4
 	kindL1          = 5
 	kindFk          = 6
 )
@@ -282,108 +282,6 @@ func (c *CountSketch) readItems(rest []byte) ([]byte, error) {
 		prev = it.x
 	}
 	return rest, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (c *CountMin) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
-
-// AppendBinary appends the MarshalBinary image to buf.
-func (c *CountMin) AppendBinary(buf []byte) ([]byte, error) {
-	buf = appendHeader(buf, kindCountMin)
-	buf = appendU64(buf, uint64(c.maker.depth))
-	buf = appendU64(buf, uint64(c.maker.width))
-	buf = appendI64(buf, c.total)
-	for _, row := range c.rows {
-		for _, v := range row {
-			buf = appendI64(buf, v)
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (c *CountMin) UnmarshalBinary(data []byte) error {
-	_, rest, err := readHeader(data, kindCountMin)
-	if err != nil {
-		return err
-	}
-	var d, w uint64
-	if d, rest, err = readU64(rest); err != nil {
-		return err
-	}
-	if w, rest, err = readU64(rest); err != nil {
-		return err
-	}
-	if int(d) != c.maker.depth || int(w) != c.maker.width {
-		return ErrBadEncoding
-	}
-	if c.total, rest, err = readI64(rest); err != nil {
-		return err
-	}
-	for i := range c.rows {
-		for j := range c.rows[i] {
-			if c.rows[i][j], rest, err = readI64(rest); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *KMV) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
-
-// AppendBinary appends the MarshalBinary image to buf.
-func (s *KMV) AppendBinary(buf []byte) ([]byte, error) {
-	buf = appendHeader(buf, kindKMV)
-	buf = appendU64(buf, uint64(len(s.reps)))
-	for i := range s.reps {
-		buf = appendU64(buf, uint64(len(s.reps[i].vals)))
-		for _, h := range s.reps[i].vals {
-			buf = appendU64(buf, h)
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *KMV) UnmarshalBinary(data []byte) error {
-	_, rest, err := readHeader(data, kindKMV)
-	if err != nil {
-		return err
-	}
-	var reps uint64
-	if reps, rest, err = readU64(rest); err != nil {
-		return err
-	}
-	if int(reps) != len(s.reps) {
-		return ErrBadEncoding
-	}
-	for i := range s.reps {
-		var n uint64
-		if n, rest, err = readU64(rest); err != nil {
-			return err
-		}
-		// Each value costs at least one byte of payload; bounding the
-		// count before the pre-size keeps a forged count from forcing a
-		// giant allocation.
-		if n > uint64(len(rest)) {
-			return ErrBadEncoding
-		}
-		r := &s.reps[i]
-		r.vals = r.vals[:0]
-		r.seen = make(map[uint64]struct{}, n)
-		for j := uint64(0); j < n; j++ {
-			var h uint64
-			if h, rest, err = readU64(rest); err != nil {
-				return err
-			}
-			r.vals = append(r.vals, h)
-			r.seen[h] = struct{}{}
-		}
-		// The serialized order is heap order, which round-trips as-is.
-	}
-	return nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

@@ -80,27 +80,6 @@ func TestPropertyCountSketchAddThenDeleteIsIdentity(t *testing.T) {
 	}
 }
 
-// TestPropertyKMVWithinDomain: the KMV estimate is exact below k and
-// always non-negative; duplicates never change it.
-func TestPropertyKMVWithinDomain(t *testing.T) {
-	m := NewKMVMaker(256, 1, hash.New(313))
-	prop := func(seed uint64, dRaw uint16) bool {
-		d := uint64(dRaw%200) + 1 // below k: exact
-		s := m.New()
-		rng := hash.New(seed)
-		base := rng.Uint64()
-		for rep := 0; rep < 3; rep++ {
-			for i := uint64(0); i < d; i++ {
-				s.Add(base+i, 1)
-			}
-		}
-		return s.Estimate() == float64(d)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPropertyCounterLinearity: exact counters are exactly linear in
 // weights and merge-associative.
 func TestPropertyCounterLinearity(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package sketch implements the mergeable whole-stream summaries that the
 // paper's general reduction (Section 2) uses as black boxes: exact counters
 // for SUM/COUNT, the AMS/CountSketch linear sketch for F2 (with the fast
-// Thorup–Zhang row layout), Count-Min, a KMV distinct counter for F0, and an
-// Indyk–Woodruff-style level-set estimator for Fk, k > 2.
+// Thorup–Zhang row layout), an Indyk–Woodruff-style level-set estimator for
+// Fk, k > 2, and the Cauchy-projection L1 sketch of the turnstile
+// (Section 4) machinery.
 //
 // Every sketch is created by a Maker. All sketches from one Maker share hash
 // seeds, which is what makes them composable: for disjoint substreams R1 and
@@ -138,8 +139,8 @@ func Compose(m Maker, parts []Sketch) Sketch {
 const maxPool = 256
 
 // ItemEstimator is implemented by sketches that can estimate the frequency
-// of an individual item (CountSketch, Count-Min). The correlated heavy
-// hitters structure of Section 3.3 depends on it.
+// of an individual item (CountSketch, Fk). The correlated heavy hitters
+// structure of Section 3.3 depends on it.
 type ItemEstimator interface {
 	// EstimateItem returns the estimated (signed) frequency of x.
 	EstimateItem(x uint64) float64

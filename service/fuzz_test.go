@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
@@ -69,6 +70,75 @@ func FuzzDecodeIngest(f *testing.F) {
 		}
 		if !bytes.Equal(appendIngestRecord(nil, again), canonical) {
 			t.Fatal("encode is not stable on decoded members")
+		}
+	})
+}
+
+// FuzzDecodeSnapshot throws arbitrary bytes at the one snapshot decoder,
+// which reads disk files at startup and re-seed frames off a replication
+// connection. Whatever the bytes it must not panic; the images it returns
+// alias the input, so what it allocates is one entry per tenant, and no
+// tenant count is trusted past the bytes behind it; bytes that do not open
+// with the current magic are refused as ErrSnapshotFormat; and on
+// everything it accepts, decode ∘ encode is the identity: re-encoding what
+// was decoded and decoding that yields the same LSN and the same tenants.
+func FuzzDecodeSnapshot(f *testing.F) {
+	// A live three-tenant snapshot, one of them spilled.
+	svc, err := New(Config{Options: testOptions()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, name := range []string{"", "acme", "beta"} {
+		tn, err := svc.getOrCreateTenant([]byte(name), false)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := svc.commit(&ingestJob{tn: tn, tuples: testStream(200, uint64(i+1))}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	svc.spillTenant(svc.tenantByName("beta"))
+	_, live, _, _, err := svc.buildSnapshot()
+	svc.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(live)
+	for _, cut := range []int{0, 4, len(snapshotMagic), len(snapshotMagic) + 1, len(live) / 2, len(live) - 1} {
+		f.Add(live[:cut])
+	}
+	f.Add(append(bytes.Clone(live), 0))                                        // trailing byte
+	f.Add(append(bytes.Clone(snapshotMagic), 0, 0xff, 0xff, 0xff, 0xff, 0x0f)) // forged tenant count
+	f.Add(append(bytes.Clone(snapshotMagic), 7, 1, 1, 'a', 0xff, 0x7f))        // image longer than the input
+	f.Add(encodeSnapshot(9, nil))
+	for _, old := range []string{"corrdsn1", "corrdsn2"} {
+		f.Add(append([]byte(old), live[len(snapshotMagic):]...))
+	}
+	f.Add(live[len(snapshotMagic):]) // a bare image, as before the WAL existed
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		covered, images, err := decodeSnapshot(data)
+		if cap(images) > len(data) {
+			t.Fatalf("%d-byte input allocated room for %d tenants", len(data), cap(images))
+		}
+		if err != nil {
+			if !bytes.HasPrefix(data, snapshotMagic) && !errors.Is(err, ErrSnapshotFormat) {
+				t.Fatalf("input without the magic refused as %v, want ErrSnapshotFormat", err)
+			}
+			return
+		}
+		again := encodeSnapshot(covered, images)
+		covered2, images2, err := decodeSnapshot(again)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if covered2 != covered || len(images2) != len(images) {
+			t.Fatalf("round trip turned LSN %d, %d tenants into LSN %d, %d tenants", covered, len(images), covered2, len(images2))
+		}
+		for i, ti := range images {
+			if images2[i].name != ti.name || !bytes.Equal(images2[i].image, ti.image) {
+				t.Fatalf("tenant %d (%q) changed across the round trip", i, ti.name)
+			}
 		}
 	})
 }

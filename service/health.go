@@ -215,24 +215,6 @@ func (s *Server) recoverNow() error {
 	return nil
 }
 
-// recoveryLoop probes a degraded server back to health every
-// healthProbeInterval until shutdown.
-func (s *Server) recoveryLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(healthProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-t.C:
-			if s.health.state.Load() == healthDegraded {
-				s.recoverNow() // logs its own outcome
-			}
-		}
-	}
-}
-
 // errDegraded rejects writes while degraded. The message is
 // wire-visible; the Go client's IsDegraded matches the 503 status plus
 // the "degraded" text.

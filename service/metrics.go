@@ -326,7 +326,7 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	g("corrd_tenant_bytes", "Sampled summed per-tenant footprint (the MaxTenantBytes input).", ts.bytes)
 	c("corrd_tenant_created_total", "Tenants created over this process's lifetime.", m.tenantsCreated.Load())
 	c("corrd_tenant_spills_total", "Idle tenants spilled to an in-memory image.", m.tenantsSpilled.Load())
-	c("corrd_tenant_restores_total", "Spilled tenants materialized back on touch.", m.tenantsRestored.Load())
+	c("corrd_tenant_restores_total", "Tenants materialized from an image (a spilled one on touch; the default at a restore or re-seed).", m.tenantsRestored.Load())
 	fmt.Fprintf(w, "# HELP corrd_tenant_rejected_total Tenant creations refused by a governance cap, by reason.\n")
 	fmt.Fprintf(w, "# TYPE corrd_tenant_rejected_total counter\n")
 	fmt.Fprintf(w, "corrd_tenant_rejected_total{reason=\"limit\"} %d\n", m.tenantRejectedLimit.Load())

@@ -264,11 +264,12 @@ func (s *Server) validateBatch(batch []correlated.Tuple) error {
 // from a member's own slice, because AddBatch sorts its argument in place
 // and the log must keep the client's order for replay to feed the sort
 // the same permutation. It sets every member's kind (and err), bumps each
-// touched tenant's epoch, and reports how many members were applied. The live committer, startup replay and a replica's apply loop
-// all come through here with the same member lists, which is what makes
-// their bytes equal. A member that fails validation is rejected alone; a
-// group may span tenants, which are applied in first-touch order. Callers
-// hold s.mu, or run before any goroutine exists.
+// touched tenant's epoch, and reports how many members were applied. The
+// live committer, startup replay and a replica's apply loop all come
+// through here with the same member lists, which is what makes their bytes
+// equal. A member that fails validation is rejected alone; a group may span
+// tenants, which are applied in first-touch order. Callers hold s.mu, or
+// run before any goroutine exists.
 func (s *Server) applyGroupLocked(group []*ingestJob) (applied int) {
 	touched := s.touchedBuf[:0]
 	for _, j := range group {

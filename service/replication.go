@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -401,7 +400,7 @@ func (s *Server) replicaApply(lsn uint64, typ uint8, payload []byte) error {
 
 // replicaInstallSnapshot re-seeds the whole registry from a primary
 // snapshot frame: every tenant in the image is (re)loaded, every
-// local tenant absent from it is reset — afterwards the state is
+// local tenant absent from it is emptied — afterwards the state is
 // exactly "the primary at LSN covered".
 func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
 	_, images, err := decodeSnapshot(data)
@@ -415,34 +414,14 @@ func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
 		inImage[ti.name] = true
 	}
 	for _, t := range s.tenantList() {
-		if inImage[t.name] {
-			continue
+		if !inImage[t.name] {
+			s.installImageLocked(t, nil)
 		}
-		// Present locally, absent from the primary's image: empty it.
-		t.pending = nil
-		if t.eng != nil {
-			t.eng.Reset()
-		}
-		t.epoch.Add(1)
 	}
-	for _, ti := range images {
-		t, err := s.getOrCreateTenant([]byte(ti.name), true)
-		if err != nil {
-			return fmt.Errorf("service: install snapshot: tenant %q: %w", ti.name, err)
-		}
-		if t.eng != nil {
-			if err := t.eng.UnmarshalBinary(ti.image); err != nil {
-				return fmt.Errorf("service: install snapshot: tenant %q: %w", ti.name, err)
-			}
-		} else {
-			// Spilled: the image becomes the pending state, exactly as
-			// a startup restore would park it.
-			t.pending = bytes.Clone(ti.image)
-			t.footprint.Store(int64(len(ti.image)))
-		}
-		t.epoch.Add(1)
-		t.touch()
+	if err := s.installSnapshotLocked(images); err != nil {
+		return fmt.Errorf("service: install snapshot: %w", err)
 	}
+	s.recomputeFootprint()
 	s.round = nil // superseded by the image's state
 	s.appliedLSN.Store(covered)
 	s.metrics.replicaSnapshotsInstalled.Inc()
@@ -498,8 +477,8 @@ func (s *Server) roleNow() string {
 // accepting writes. Idempotent-by-refusal: a second call returns
 // errNotReplica.
 func (s *Server) Promote() error {
-	s.promoteMu.Lock()
-	defer s.promoteMu.Unlock()
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
 	if s.closing.Load() {
 		return errShuttingDown
 	}
@@ -538,7 +517,7 @@ func (s *Server) Promote() error {
 // segments: mixing an old log's LSNs with the primary's would corrupt
 // recovery.
 func (s *Server) openWALAt(firstLSN uint64) error {
-	if entries, err := os.ReadDir(s.cfg.WALDir); err == nil {
+	if entries, err := s.fs.ReadDir(s.cfg.WALDir); err == nil {
 		for _, e := range entries {
 			if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".seg") {
 				return fmt.Errorf("service: promote: wal dir %q already holds segments; move them aside first", s.cfg.WALDir)

@@ -458,3 +458,90 @@ func TestReplicaAutoPromoteOnPrimaryLoss(t *testing.T) {
 		t.Fatalf("auto-promoted stats wrong: role=%q promoted=%v", stats.Role, stats.Promoted)
 	}
 }
+
+// TestReplicaReseedRefreshesFootprint: a re-seed changes the form of every
+// tenant it touches — here it empties one the image lacks, and replaces
+// the default, a live and a spilled one — and the governance samples must
+// follow: afterwards corrd_tenant_bytes and corrd_tenants_live equal a
+// recount from the tenants themselves. MaxTenantBytes is set because that
+// is what turns live sampling on (and so what made the stale samples of
+// the tenants a re-seed overwrote visible).
+func TestReplicaReseedRefreshesFootprint(t *testing.T) {
+	o := testOptions()
+	ctx := context.Background()
+	ingest := func(url string, tenants map[string]uint64) {
+		t.Helper()
+		for name, seed := range tenants {
+			if err := client.New(url, client.WithTenant(name)).AddBatch(ctx, testStream(1_500, seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	primary, pts, _ := newTestServer(t, Config{
+		Options: o, WALDir: t.TempDir(), WALFsync: "always",
+		HeartbeatInterval: 20 * time.Millisecond,
+	})
+	replicaSvc, rts := newReplica(t, o, startStream(t, primary), func(c *Config) { c.MaxTenantBytes = 1 << 40 })
+	ingest(pts.URL, map[string]uint64{"": 1, "live": 2, "cold": 3, "gone": 4})
+	last := primary.walRef().LastLSN()
+	waitUntil(t, 10*time.Second, "replica catch-up", func() bool {
+		return replicaSvc.appliedLSN.Load() >= last
+	})
+	if !replicaSvc.spillTenant(replicaSvc.tenantByName("cold")) {
+		t.Fatal("cold tenant did not spill")
+	}
+
+	// The image of an unrelated primary: no "gone", other contents.
+	other, ots, _ := newTestServer(t, Config{Options: o})
+	ingest(ots.URL, map[string]uint64{"": 5, "live": 6, "cold": 7})
+	covered, file, err := other.replicaSeedSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replicaSvc.replicaInstallSnapshot(covered, file); err != nil {
+		t.Fatal(err)
+	}
+
+	var wantBytes int64
+	wantLive := 0
+	replicaSvc.mu.Lock()
+	for _, tn := range replicaSvc.tenantList() {
+		img, err := tn.imageLocked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes += int64(len(img))
+		if !tn.spilledLocked() {
+			wantLive++
+		}
+	}
+	replicaSvc.mu.Unlock()
+	resp, err := http.Get(rts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if got := int64(metricValue(t, string(body), "corrd_tenant_bytes")); got != wantBytes || wantBytes == 0 {
+		t.Errorf("corrd_tenant_bytes = %d after a re-seed, recount says %d", got, wantBytes)
+	}
+	if got := int(metricValue(t, string(body), "corrd_tenants_live")); got != wantLive {
+		t.Errorf("corrd_tenants_live = %d after a re-seed, recount says %d", got, wantLive)
+	}
+	for _, name := range []string{"", "live", "cold"} {
+		if !bytes.Equal(tenantSummary(t, rts.URL, name), tenantSummary(t, ots.URL, name)) {
+			t.Errorf("tenant %q differs from the image it was re-seeded with", name)
+		}
+	}
+	empty, err := correlated.NewF2Summary(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := empty.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tenantSummary(t, rts.URL, "gone"), want) {
+		t.Error("tenant absent from the image is not empty after the re-seed")
+	}
+}

@@ -144,7 +144,7 @@ type Config struct {
 	// for the committer). Past it, HTTP ingest sheds with 429 +
 	// Retry-After and the stream transport nacks AckBusy — backpressure
 	// instead of unbounded memory growth when offered load outruns the
-	// fsync budget. 0 means unbounded (the historical behavior).
+	// fsync budget. 0 means unbounded.
 	IngestQueueMax int
 
 	// PushTo switches the server into the site role: the base URL of
@@ -369,15 +369,19 @@ type Server struct {
 	primaryLSN  atomic.Uint64
 	caughtUpAt  atomic.Int64
 	follower    *replica.Follower
-	promoteMu   sync.Mutex
 	replState   *replayState
 
 	// done stops the background loops; wg counts them and the stream conns
-	// (not the committer, which Close stops last).
+	// (not the committer, which Close stops last). lifeMu is the lifecycle
+	// lock: Close and Promote each hold it from start to finish, so a
+	// promotion in flight completes before the server starts to drain and
+	// one that arrives later finds closing set. Nothing Close waits on
+	// calls Promote (the follower's loss path spawns it on a goroutine of
+	// its own), and Promote waits on nothing that calls Close.
 	done     chan struct{}
 	wg       sync.WaitGroup
 	closing  atomic.Bool
-	closeMu  sync.Mutex
+	lifeMu   sync.Mutex
 	closed   bool
 	closeErr error
 }
@@ -475,25 +479,52 @@ func New(cfg Config) (*Server, error) {
 		cfg.role(), cfg.aggregate(), s.groupMax, cfg.SnapshotPath, walDesc,
 		s.access != nil, cfg.SlowRequest)
 	go s.committer()
-	s.wg.Add(1)
-	go s.recoveryLoop()
+	s.every(healthProbeInterval, func() {
+		if s.health.state.Load() == healthDegraded {
+			s.recoverNow() // logs its own outcome
+		}
+	})
 	if cfg.SnapshotPath != "" {
-		s.wg.Add(1)
-		go s.snapshotLoop(cfg.SnapshotInterval)
+		s.every(cfg.SnapshotInterval, func() {
+			if err := s.Snapshot(); err != nil {
+				s.logf("snapshot: %v", err)
+			}
+		})
 	}
 	if cfg.PushTo != "" {
 		s.pushc = client.New(cfg.PushTo)
-		s.wg.Add(1)
-		go s.pushLoop(cfg.PushInterval)
+		s.every(cfg.PushInterval, func() {
+			if err := s.pushOnce(); err != nil {
+				s.logf("push to %s: %v", s.cfg.PushTo, err)
+			}
+		})
 	}
 	if cfg.TenantIdleSpill > 0 {
-		s.wg.Add(1)
-		go s.spillLoop(cfg.TenantIdleSpill)
+		s.every(cfg.TenantIdleSpill, func() { s.spillIdle(cfg.TenantIdleSpill) })
 	}
 	if cfg.PrimaryAddr != "" {
 		s.startFollower()
 	}
 	return s, nil
+}
+
+// every starts a background loop that runs fn on each tick of interval
+// until Close, which waits for it: a round in flight finishes first.
+func (s *Server) every(interval time.Duration, fn func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				fn()
+			case <-s.done:
+				return
+			}
+		}
+	}()
 }
 
 // Handler returns the server's HTTP handler (mount it on any listener —
@@ -527,8 +558,8 @@ func (s *Server) shutdownStorage() {
 // more than once; later calls return the first result. Callers should
 // stop their http.Server first so no handler is mid-flight.
 func (s *Server) Close() error {
-	s.closeMu.Lock()
-	defer s.closeMu.Unlock()
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
 	if s.closed {
 		return s.closeErr
 	}
@@ -536,11 +567,9 @@ func (s *Server) Close() error {
 	s.closing.Store(true)
 	s.logf("close: draining stream connections and the ingest pipeline")
 	close(s.done)
-	// Replication first: fence out any in-flight promotion (closing is
-	// set, so attempts after this lock cycle refuse), then detach from
-	// the primary so no record applies while the server drains.
-	s.promoteMu.Lock()
-	s.promoteMu.Unlock() //nolint:staticcheck // empty critical section is the fence
+	// Replication first: detach from the primary so no record applies
+	// while the server drains. (No promotion is in flight or can start:
+	// lifeMu is held and closing is set.)
 	if s.follower != nil {
 		s.follower.Stop()
 	}
@@ -581,23 +610,6 @@ func (s *Server) Close() error {
 		s.logf("close: complete with errors: %v", s.closeErr)
 	}
 	return s.closeErr
-}
-
-// pushLoop ships local state upstream on every tick until Close.
-func (s *Server) pushLoop(interval time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := s.pushOnce(); err != nil {
-				s.logf("push to %s: %v", s.cfg.PushTo, err)
-			}
-		case <-s.done:
-			return
-		}
-	}
 }
 
 // pushOnce implements one round of the site's delta-push protocol as

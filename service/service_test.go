@@ -483,13 +483,13 @@ func crash(ts *httptest.Server, svc *Server) {
 	if ts != nil {
 		ts.Close()
 	}
-	svc.closeMu.Lock()
+	svc.lifeMu.Lock()
 	if !svc.closed {
 		svc.closed = true
 		svc.closing.Store(true)
 		close(svc.done)
 	}
-	svc.closeMu.Unlock()
+	svc.lifeMu.Unlock()
 	svc.xferMu.Lock()
 }
 

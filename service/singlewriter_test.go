@@ -17,18 +17,8 @@ import (
 // when its receiver is walRef() or wal.Load(), or a name declared as a
 // *wal.WAL or assigned from one of those calls (files have a Sync too).
 func TestSingleLogWriter(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := pkgs["service"]
-	if pkg == nil || pkg.Files["pipeline.go"] == nil {
-		t.Fatalf("did not find package service with pipeline.go: %v", pkgs)
-	}
-	for name, file := range pkg.Files {
+	fset, files := parseService(t)
+	for name, file := range files {
 		if filepath.Base(name) == "pipeline.go" {
 			continue
 		}
@@ -55,6 +45,49 @@ func TestSingleLogWriter(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// TestFilesystemThroughConfigFS checks, the same way, that the package
+// reaches the disk only through Config.FS: no non-test file calls into
+// package os (its error values, such as os.ErrNotExist, are not calls), so
+// a fault plan can reach every filesystem operation the daemon makes.
+func TestFilesystemThroughConfigFS(t *testing.T) {
+	fset, files := parseService(t)
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			// An unresolved identifier named os is the imported package.
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "os" && pkg.Obj == nil {
+				t.Errorf("%s calls os.%s; route it through s.fs (Config.FS) so the fault harness can break it",
+					fset.Position(call.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
+// parseService parses this package's non-test files.
+func parseService(t *testing.T) (*token.FileSet, map[string]*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := pkgs["service"]
+	if pkg == nil || pkg.Files["pipeline.go"] == nil {
+		t.Fatalf("did not find package service with pipeline.go: %v", pkgs)
+	}
+	return fset, pkg.Files
 }
 
 // isLog reports whether x is, as far as one file's syntax shows, the

@@ -151,7 +151,7 @@ func (s *Server) writeFileAtomic(path string, data []byte) error {
 	}
 	// Persist the rename itself; best effort — some filesystems do not
 	// support syncing directories.
-	if d, err := os.Open(dir); err == nil {
+	if d, err := s.fs.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
@@ -205,15 +205,9 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 	images := make([]tenantImage, 0, len(tenants))
 	for _, t := range tenants {
 		ti := tenantImage{name: t.name}
-		if t.eng != nil {
-			if ti.image, err = t.eng.MarshalBinary(); err != nil {
-				err = fmt.Errorf("tenant %q: %w", t.name, err)
-				break
-			}
-		} else {
-			// Spilled: the pending image IS the marshaled state —
-			// untouched since the spill, consistent by construction.
-			ti.image = t.pending
+		if ti.image, err = t.imageLocked(); err != nil {
+			err = fmt.Errorf("tenant %q: %w", t.name, err)
+			break
 		}
 		images = append(images, ti)
 		dataLen += int64(len(ti.image))
@@ -319,25 +313,19 @@ func (s *Server) restoreSnapshot() (covered uint64, err error) {
 	return 0, nil
 }
 
-// restoreSnapshotData applies one snapshot file's contents. The default
-// tenant restores eagerly (its engine already exists); every keyed
-// tenant registers spilled and materializes lazily on first touch.
+// restoreSnapshotData applies one snapshot file's contents: every tenant
+// registers as its image and materializes lazily on first touch, the
+// default tenant at once. Startup-only, before any goroutine exists.
 func (s *Server) restoreSnapshotData(path string, data []byte) (covered uint64, err error) {
 	covered, images, err := decodeSnapshot(data)
+	if err == nil {
+		err = s.installSnapshotLocked(images)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
 	}
 	var dataLen int64
 	for _, ti := range images {
-		if ti.name == "" {
-			if err := s.def.eng.UnmarshalBinary(ti.image); err != nil {
-				return 0, fmt.Errorf("service: snapshot restore %s: %w", path, err)
-			}
-		} else {
-			// Copy out of the file buffer: the pending image may
-			// outlive this function by the tenant's whole idle life.
-			s.addRestoredTenant(ti.name, bytes.Clone(ti.image))
-		}
 		dataLen += int64(len(ti.image))
 	}
 	s.restored = true
@@ -346,29 +334,13 @@ func (s *Server) restoreSnapshotData(path string, data []byte) (covered uint64, 
 }
 
 // resetRestoredState undoes a half-applied restore attempt so the next
-// retention slot starts from a clean engine. Startup-only, before any
-// goroutine exists, so no locks are needed.
+// retention slot starts from an empty default tenant and nothing else.
+// Startup-only, before any goroutine exists, so no locks are needed.
 func (s *Server) resetRestoredState() {
-	s.def.eng.Reset()
 	s.tenants = map[string]*tenant{"": s.def}
-	s.tenantsLive.Store(1)
-	s.tenantBytes.Store(0)
+	s.installImageLocked(s.def, nil)
+	// Cannot fail: New built this engine type already, and there is no
+	// image to decode.
+	s.ensureEngineLocked(s.def)
 	s.restored = false
-}
-
-// snapshotLoop persists on every tick until the server closes.
-func (s *Server) snapshotLoop(interval time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := s.Snapshot(); err != nil {
-				s.logf("snapshot: %v", err)
-			}
-		case <-s.done:
-			return
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -31,13 +32,13 @@ import (
 // sampled at commit and spill time, so enforcement is approximate by
 // one group. The sample is in bytes either way: eight per stored word of
 // a live tenant's Space() (liveBytes), the image length of a spilled one.
-// TenantIdleSpill reclaims
-// idle tenants' memory: the summary is marshaled into an in-memory image
-// and dropped, and the next touch lazily unmarshals the same bytes into
-// a fresh one. Spill is pure memory reclamation, never durability: the
-// snapshot and the WAL remain the only recovery sources, and snapshots
-// embed a spilled tenant's image verbatim (consistent by construction —
-// a spilled tenant is untouched since its spill).
+// TenantIdleSpill reclaims idle tenants' memory: the summary is marshaled
+// into an in-memory image and dropped, and the next touch lazily
+// unmarshals the same bytes into a fresh one. Spill is pure memory
+// reclamation, never durability: the snapshot and the WAL remain the only
+// recovery sources, and snapshots embed a spilled tenant's image verbatim
+// (consistent by construction — a spilled tenant is untouched since its
+// spill).
 
 // Tenant governance rejections, surfaced as typed HTTP statuses
 // (429 and 413 respectively).
@@ -229,16 +230,68 @@ func (s *Server) getOrCreateTenant(name []byte, replay bool) (*tenant, error) {
 	return t, nil
 }
 
-// addRestoredTenant registers a tenant straight from a snapshot image,
-// leaving it spilled: the engine materializes lazily on first touch, so
-// a daemon restoring ten thousand tenants pays engine construction only
-// for the ones traffic actually reaches. Startup-only (single-threaded).
-func (s *Server) addRestoredTenant(name string, image []byte) *tenant {
-	t := &tenant{name: name, pending: image}
+// imageLocked returns the tenant's state as one marshaled image: the
+// pending bytes while it is spilled — untouched since they were installed,
+// so consistent by construction — else the live engine's MarshalBinary.
+// Callers hold s.mu.
+func (t *tenant) imageLocked() ([]byte, error) {
+	if t.spilledLocked() {
+		return t.pending, nil
+	}
+	return t.eng.MarshalBinary()
+}
+
+// installImageLocked makes image the tenant's whole state, in the spilled
+// form: whatever engine it held is dropped, and the next touch
+// materializes the image (ensureEngineLocked). An empty image is the empty
+// summary. A spill, a startup restore and a replica re-seed all change a
+// tenant's form here, so the bookkeeping that follows the form — the memo
+// (its answers describe the old state, and the point of a spill is the
+// memory), the epoch, the footprint sample, the live count — cannot drift
+// between them. image is retained. Callers hold s.mu, or run before any
+// goroutine exists.
+func (s *Server) installImageLocked(t *tenant, image []byte) {
+	if !t.spilledLocked() {
+		t.eng = nil
+		s.tenantsLive.Add(-1)
+	}
+	t.pending = image
 	t.footprint.Store(int64(len(image)))
-	t.touch()
-	s.tenants[name] = t
-	return t
+	t.memoMu.Lock()
+	t.memo = nil
+	t.memoMu.Unlock()
+	t.epoch.Add(1)
+}
+
+// installSnapshotLocked installs every image of a decoded snapshot,
+// registering tenants the registry lacks without an engine — a daemon
+// restoring ten thousand tenants pays engine construction only for the
+// ones traffic reaches — and bypassing the governance caps, as replay does:
+// acknowledged data outranks a cap lowered since. The default tenant is
+// materialized at once: its engine doubles as Engine() and the push
+// round's subject, and that unmarshal is the check that lets a corrupt
+// newest snapshot fall back to an older slot.
+func (s *Server) installSnapshotLocked(images []tenantImage) error {
+	for _, ti := range images {
+		t := s.tenantByName(ti.name)
+		if t == nil {
+			t = &tenant{name: ti.name}
+			s.regMu.Lock()
+			s.tenants[ti.name] = t
+			s.regMu.Unlock()
+		}
+		image := ti.image
+		if t != s.def {
+			// Copy out of the caller's buffer: a pending image may outlive
+			// it by the tenant's whole idle life. (The default's is
+			// consumed below.)
+			image = bytes.Clone(image)
+		}
+		s.installImageLocked(t, image)
+		t.touch()
+	}
+	_, err := s.ensureEngineLocked(s.def)
+	return err
 }
 
 // ensureEngineLocked materializes a spilled tenant's engine from its
@@ -265,33 +318,24 @@ func (s *Server) ensureEngineLocked(t *tenant) (Engine, error) {
 	return eng, nil
 }
 
-// spillTenant marshals an idle tenant into its in-memory image and
-// drops the engine. The memo goes with it — the point of a spill is the
-// memory. The default tenant never spills — its engine doubles as
-// Engine() and the site role's push source.
+// spillTenant installs an idle tenant's own image over it, dropping the
+// engine. The default tenant never spills — its engine doubles as Engine()
+// and the site role's push source.
 func (s *Server) spillTenant(t *tenant) bool {
 	if t == s.def {
 		return false
 	}
 	s.mu.Lock()
-	if t.eng == nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if t.spilledLocked() {
 		return false
 	}
-	img, err := t.eng.MarshalBinary()
+	img, err := t.imageLocked()
 	if err != nil {
-		s.mu.Unlock()
 		s.logf("tenant %q spill: %v", t.name, err)
 		return false
 	}
-	t.pending = img
-	t.eng = nil
-	t.footprint.Store(int64(len(img)))
-	s.tenantsLive.Add(-1)
-	t.memoMu.Lock()
-	t.memo = nil
-	t.memoMu.Unlock()
-	s.mu.Unlock()
+	s.installImageLocked(t, img)
 	t.spills.Add(1)
 	s.metrics.tenantsSpilled.Inc()
 	return true
@@ -314,29 +358,15 @@ func (s *Server) spillIdle(age time.Duration) int {
 	return spilled
 }
 
-// spillLoop runs the idle scan on a ticker until Close.
-func (s *Server) spillLoop(interval time.Duration) {
-	defer s.wg.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			s.spillIdle(interval)
-		case <-s.done:
-			return
-		}
-	}
-}
-
 // liveBytes is the footprint sample of a live tenant: its summary's
 // stored words at eight bytes each, which puts it in the unit a spilled
 // tenant's image length is in.
 func liveBytes(eng Engine) int64 { return 8 * eng.Space() }
 
 // recomputeFootprint refreshes the governance gauge from the per-tenant
-// samples (liveBytes at the last commit; image length while spilled). Enforcement against MaxTenantBytes reads this gauge, so it
-// lags live state by at most one commit group or spill scan.
+// samples (liveBytes at the last commit; image length while spilled).
+// Enforcement against MaxTenantBytes reads this gauge, so it lags live
+// state by at most one commit group or spill scan.
 func (s *Server) recomputeFootprint() int64 {
 	var total int64
 	for _, t := range s.tenantList() {
