@@ -3,14 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,24 +20,20 @@ import (
 // Load mode: corrgen as a service-level load driver. With -clients N the
 // n tuples are split across N concurrent clients, each ingesting its own
 // deterministic substream in chunked requests (one AddBatch call with a
-// full chunk is exactly one /v1/ingest request), and with -query-clients
-// M another M loops hammer GET /v1/query with the -query-cutoffs set for
-// the duration of the ingest. The report — req/s, acked tuples/s, and
-// ingest/query latency percentiles — measures the acknowledged ingest
-// path end-to-end, fsync and engine apply included.
+// full chunk is exactly one /v1/ingest request). The report — req/s, acked
+// tuples/s, and ingest latency percentiles — measures the acknowledged
+// ingest path end-to-end, fsync and engine apply included.
 
 // loadReport is the machine-readable result of one load run.
 type loadReport struct {
-	Target       string  `json:"target"`
-	Transport    string  `json:"transport"` // "http" or "stream"
-	Dataset      string  `json:"dataset"`
-	Tuples       int     `json:"tuples"`
-	Chunk        int     `json:"chunk"`
-	Clients      int     `json:"clients"`
-	Tenants      int     `json:"tenants,omitempty"`
-	QueryClients int     `json:"query_clients"`
-	QueryCutoffs int     `json:"query_cutoffs"`
-	Seconds      float64 `json:"seconds"`
+	Target    string  `json:"target"`
+	Transport string  `json:"transport"` // "http" or "stream"
+	Dataset   string  `json:"dataset"`
+	Tuples    int     `json:"tuples"`
+	Chunk     int     `json:"chunk"`
+	Clients   int     `json:"clients"`
+	Tenants   int     `json:"tenants,omitempty"`
+	Seconds   float64 `json:"seconds"`
 
 	IngestRequests int     `json:"ingest_requests"`
 	AckedTuples    int     `json:"acked_tuples"`
@@ -48,11 +41,6 @@ type loadReport struct {
 	AckedTuplesSec float64 `json:"acked_tuples_per_sec"`
 	IngestP50Ms    float64 `json:"ingest_p50_ms"`
 	IngestP99Ms    float64 `json:"ingest_p99_ms"`
-
-	Queries    int     `json:"queries"`
-	QuerySec   float64 `json:"queries_per_sec"`
-	QueryP50Ms float64 `json:"query_p50_ms"`
-	QueryP99Ms float64 `json:"query_p99_ms"`
 
 	GOOS   string `json:"goos"`
 	GOARCH string `json:"goarch"`
@@ -66,20 +54,17 @@ type loadReport struct {
 
 // loadConfig carries the flag values the load mode needs.
 type loadConfig struct {
-	target       string
-	streamAddr   string // non-empty: ingest over the streaming transport
-	dataset      string
-	n            int
-	seed         uint64
-	xdom, ydom   uint64
-	chunk        int
-	clients      int
-	queryClients int
-	queryFor     time.Duration // > 0: query-only run of that length, no ingest
-	cutoffs      []uint64
-	jsonPath     string
-	tenant       string // scope the whole run to one tenant ("" = default)
-	tenants      int    // > 1: fan the tuples out across this many tenants
+	target     string
+	streamAddr string // non-empty: ingest over the streaming transport
+	dataset    string
+	n          int
+	seed       uint64
+	xdom, ydom uint64
+	chunk      int
+	clients    int
+	jsonPath   string
+	tenant     string // scope the whole run to one tenant ("" = default)
+	tenants    int    // > 1: fan the tuples out across this many tenants
 }
 
 func (cfg *loadConfig) transport() string {
@@ -87,26 +72,6 @@ func (cfg *loadConfig) transport() string {
 		return "stream"
 	}
 	return "http"
-}
-
-// parseCutoffs parses the -query-cutoffs comma list.
-func parseCutoffs(s string) ([]uint64, error) {
-	var out []uint64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		c, err := strconv.ParseUint(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad cutoff %q: %w", part, err)
-		}
-		out = append(out, c)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no cutoffs in %q", s)
-	}
-	return out, nil
 }
 
 // makeStream builds one substream of the configured dataset family.
@@ -354,13 +319,6 @@ func httpDrive(ctx context.Context, cfg *loadConfig, s gen.Stream, tenant string
 	return lats, reqs, nAcked, nil
 }
 
-// isNotFound reports an HTTP 404 — in -tenants mode, a query racing the
-// tenant's first ingest.
-func isNotFound(err error) bool {
-	var ae *client.APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
-}
-
 // runLoad drives the concurrent load and prints (and optionally writes)
 // the report. Any client error aborts the whole run.
 func runLoad(cfg *loadConfig) error {
@@ -371,15 +329,11 @@ func runLoad(cfg *loadConfig) error {
 
 	var (
 		ingestWG   sync.WaitGroup
-		queryWG    sync.WaitGroup
 		mu         sync.Mutex
 		firstErr   error
 		ingestLats = make([][]time.Duration, cfg.clients)
-		queryLats  = make([][]time.Duration, cfg.queryClients)
-		queries    = make([]int, cfg.queryClients)
 		acked      atomic.Int64
 		requests   atomic.Int64
-		ingesting  atomic.Bool
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -388,17 +342,8 @@ func runLoad(cfg *loadConfig) error {
 		}
 		mu.Unlock()
 	}
-	ingesting.Store(true)
 	start := time.Now()
-
-	// Query-only mode (-query-for): no ingest clients at all; the query
-	// loops below run for the configured window. This is how a read
-	// replica — which refuses ingest — gets a throughput number.
-	ingestClients := cfg.clients
-	if cfg.queryFor > 0 {
-		ingestClients = 0
-	}
-	for i := 0; i < ingestClients; i++ {
+	for i := 0; i < cfg.clients; i++ {
 		ingestWG.Add(1)
 		go func(i int) {
 			defer ingestWG.Done()
@@ -460,72 +405,26 @@ func runLoad(cfg *loadConfig) error {
 			ingestLats[i] = lats
 		}(i)
 	}
-	for q := 0; q < cfg.queryClients; q++ {
-		queryWG.Add(1)
-		go func(q int) {
-			defer queryWG.Done()
-			cl := loadClient(cfg)
-			if cfg.tenants > 1 {
-				// Each query loop hammers one tenant of the fan-out.
-				cl = loadClientTenant(cfg, tenantName(q%cfg.tenants))
-			}
-			var lats []time.Duration
-			for ingesting.Load() {
-				t0 := time.Now()
-				if _, err := cl.QueryBatch(ctx, "le", cfg.cutoffs); err != nil {
-					if cfg.tenants > 1 && isNotFound(err) {
-						// The tenant's first ingest has not landed yet.
-						time.Sleep(time.Millisecond)
-						continue
-					}
-					fail(fmt.Errorf("query client %d: %w", q, err))
-					return
-				}
-				lats = append(lats, time.Since(t0))
-				queries[q]++
-			}
-			queryLats[q] = lats
-		}(q)
-	}
-
-	// The query loops run exactly as long as the ingest does: the
-	// measurement window closes when the last ingest client finishes —
-	// or, in query-only mode, when the -query-for window elapses.
 	ingestWG.Wait()
-	if cfg.queryFor > 0 {
-		time.Sleep(cfg.queryFor)
-	}
 	elapsed := time.Since(start)
-	ingesting.Store(false)
-	queryWG.Wait()
 	if firstErr != nil {
 		return firstErr
 	}
 
-	var allIngest, allQuery []time.Duration
+	var allIngest []time.Duration
 	for _, l := range ingestLats {
 		allIngest = append(allIngest, l...)
 	}
-	for _, l := range queryLats {
-		allQuery = append(allQuery, l...)
-	}
 	sort.Slice(allIngest, func(i, j int) bool { return allIngest[i] < allIngest[j] })
-	sort.Slice(allQuery, func(i, j int) bool { return allQuery[i] < allQuery[j] })
-	totalQueries := 0
-	for _, n := range queries {
-		totalQueries += n
-	}
 
 	rep := loadReport{
-		Target:       cfg.target,
-		Transport:    cfg.transport(),
-		Dataset:      cfg.dataset,
-		Tuples:       cfg.n,
-		Chunk:        cfg.chunk,
-		Clients:      cfg.clients,
-		QueryClients: cfg.queryClients,
-		QueryCutoffs: len(cfg.cutoffs),
-		Seconds:      elapsed.Seconds(),
+		Target:    cfg.target,
+		Transport: cfg.transport(),
+		Dataset:   cfg.dataset,
+		Tuples:    cfg.n,
+		Chunk:     cfg.chunk,
+		Clients:   cfg.clients,
+		Seconds:   elapsed.Seconds(),
 
 		IngestRequests: int(requests.Load()),
 		AckedTuples:    int(acked.Load()),
@@ -533,11 +432,6 @@ func runLoad(cfg *loadConfig) error {
 		AckedTuplesSec: float64(acked.Load()) / elapsed.Seconds(),
 		IngestP50Ms:    percentileMs(allIngest, 50),
 		IngestP99Ms:    percentileMs(allIngest, 99),
-
-		Queries:    totalQueries,
-		QuerySec:   float64(totalQueries) / elapsed.Seconds(),
-		QueryP50Ms: percentileMs(allQuery, 50),
-		QueryP99Ms: percentileMs(allQuery, 99),
 
 		GOOS:   runtime.GOOS,
 		GOARCH: runtime.GOARCH,
@@ -559,11 +453,6 @@ func runLoad(cfg *loadConfig) error {
 		"corrgen load (%s): %d clients acked %d tuples in %d requests over %v (%.0f req/s, %.0f tuples/s, ingest p50 %.2fms p99 %.2fms)\n",
 		rep.Transport, rep.Clients, rep.AckedTuples, rep.IngestRequests, elapsed.Round(time.Millisecond),
 		rep.IngestReqSec, rep.AckedTuplesSec, rep.IngestP50Ms, rep.IngestP99Ms)
-	if cfg.queryClients > 0 {
-		fmt.Fprintf(os.Stderr,
-			"corrgen load: %d query clients answered %d multi-cutoff queries (%.0f q/s, p50 %.2fms p99 %.2fms)\n",
-			rep.QueryClients, rep.Queries, rep.QuerySec, rep.QueryP50Ms, rep.QueryP99Ms)
-	}
 	if cfg.jsonPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

@@ -9,20 +9,18 @@
 //	corrgen -dataset uniform|zipf1|zipf2|ethernet [-n 1000000] [-seed 1]
 //	        [-xdom 500001] [-ydom 1000001]
 //	        [-target http://localhost:7070] [-chunk 8192]
-//	        [-clients 8] [-query-clients 2] [-query-cutoffs 250000,500000]
-//	        [-load-json load.json]
+//	        [-clients 8] [-tenants 64] [-load-json load.json]
 //
 // With -clients N (and -target) the tuples are split across N concurrent
-// ingest clients — the service-level load mode — and with -query-clients
-// M another M loops issue multi-cutoff queries for the duration of the
-// ingest. The run reports req/s, acked tuples/s, and ingest/query latency
-// percentiles, optionally as JSON with -load-json (see load.go).
+// ingest clients — the service-level load mode. The run reports req/s,
+// acked tuples/s, and ingest latency percentiles, optionally as JSON with
+// -load-json (see load.go). Queries beside ingest are measured by
+// benchmarks/corrdbench's mixed-paced workload.
 //
 // With -stream host:port the ingest side switches to corrd's persistent
 // streaming transport (-stream-addr): one connection per client, frames
 // pipelined ahead of the server's acks, the wire-speed alternative to
-// HTTP. -target is still required for the health check and any query
-// clients.
+// HTTP. -target is still required for the health check.
 package main
 
 import (
@@ -50,11 +48,8 @@ func main() {
 		streamTo = flag.String("stream", "", "corrd -stream-addr host:port; ingest over the persistent streaming transport instead of HTTP")
 		chunk    = flag.Int("chunk", 8192, "tuples per ingest request with -target")
 
-		clients      = flag.Int("clients", 1, "concurrent ingest clients with -target (load mode when > 1)")
-		queryClients = flag.Int("query-clients", 0, "concurrent multi-cutoff query loops during the ingest")
-		queryCutoffs = flag.String("query-cutoffs", "250000,500000,750000", "comma-separated cutoffs for -query-clients")
-		queryFor     = flag.Duration("query-for", 0, "query-only load: run the -query-clients loops against -target for this long, with no ingest (measures a read replica)")
-		loadJSON     = flag.String("load-json", "", "write the load-mode report as JSON to this file")
+		clients  = flag.Int("clients", 1, "concurrent ingest clients with -target (load mode when > 1)")
+		loadJSON = flag.String("load-json", "", "write the load-mode report as JSON to this file")
 
 		tenant  = flag.String("tenant", "", "tenant key scoping every request (with -target)")
 		tenants = flag.Int("tenants", 1, "load mode: fan the tuples out across this many tenants t000..tNNN (forces load mode when > 1)")
@@ -77,22 +72,11 @@ func main() {
 	}
 
 	if *target != "" {
-		if *queryFor > 0 && *queryClients <= 0 {
-			fmt.Fprintln(os.Stderr, "corrgen: -query-for needs -query-clients")
-			os.Exit(2)
-		}
-		if *clients > 1 || *queryClients > 0 || *streamTo != "" || *tenants > 1 {
-			cutoffs, err := parseCutoffs(*queryCutoffs)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "corrgen: %v\n", err)
-				os.Exit(2)
-			}
+		if *clients > 1 || *streamTo != "" || *tenants > 1 {
 			cfg := &loadConfig{
 				target: *target, streamAddr: *streamTo, dataset: *dataset, n: *n, seed: *seed,
 				xdom: *xdom, ydom: *ydom, chunk: max(*chunk, 1),
-				clients: max(*clients, 1), queryClients: *queryClients,
-				queryFor: *queryFor,
-				cutoffs:  cutoffs, jsonPath: *loadJSON,
+				clients: max(*clients, 1), jsonPath: *loadJSON,
 				tenant: *tenant, tenants: max(*tenants, 1),
 			}
 			if err := runLoad(cfg); err != nil {

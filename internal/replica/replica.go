@@ -229,6 +229,11 @@ func (f *Follower) streamOnce(lastContact *time.Time) (contact bool, err error) 
 		f.mu.Unlock()
 		conn.Close()
 	}()
+	if f.stopped() {
+		// Stop looked for a conn to close before this one was published;
+		// nothing else would end the frame loop below.
+		return false, nil
+	}
 
 	// Handshake: hello, reply, start request — all under one deadline.
 	conn.SetDeadline(time.Now().Add(f.cfg.DialTimeout))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"syscall"
 	"testing"
-	"time"
 
 	"github.com/streamagg/correlated/internal/fault"
 )
@@ -265,7 +264,7 @@ func TestFailedBarrierRewindsWholeGroup(t *testing.T) {
 	for _, p := range []SyncPolicy{SyncInterval, SyncOff} {
 		t.Run(p.String()+" keeps the suffix", func(t *testing.T) {
 			inj := fault.NewInjector(fault.OS())
-			w, err := Open(t.TempDir(), Options{Sync: p, SyncEvery: time.Hour, FS: inj})
+			w, err := Open(t.TempDir(), Options{Sync: p, FS: inj})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,11 +31,13 @@
 // the same lock hold — a record is durable exactly when the barrier its
 // writer waited on returned nil. This is the policy the ack path pays for
 // and the one BenchmarkWALAppend prices (one record, one barrier).
-// SyncInterval syncs on a background ticker (crash loses at most the last
-// interval of acknowledged records); SyncOff leaves syncing to the OS
-// page cache (crash durability is best-effort, but the log still orders
-// and frames records for clean restarts). Under both a failed Sync
-// rewinds nothing: the unsynced suffix there is acknowledged data.
+// SyncInterval leaves the barrier to the writer's own clock — the log
+// starts no goroutine and owns no ticker; the service queues a barrier job
+// every interval, so a crash loses at most the last interval of
+// acknowledged records; SyncOff leaves syncing to the OS page cache (crash
+// durability is best-effort, but the log still orders and frames records
+// for clean restarts). Under both a failed Sync rewinds nothing: the
+// unsynced suffix there is acknowledged data.
 //
 // # Recovery
 //
@@ -129,7 +131,8 @@ const (
 	// SyncAlways makes Sync the barrier acknowledgements wait on: an
 	// acknowledged record survives kill -9. The default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background ticker (Options.SyncEvery).
+	// SyncInterval acknowledges ahead of the fsync: the writer calls Sync
+	// on a clock of its own, and a failed Sync rewinds nothing.
 	SyncInterval
 	// SyncOff never fsyncs on the append path (segment seals and Close
 	// still sync); durability is left to the OS.
@@ -170,15 +173,9 @@ type Options struct {
 	SegmentBytes int64
 	// Sync selects the fsync policy.
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval ticker period; <= 0 means 100ms.
-	SyncEvery time.Duration
 	// OnFsync, when set, observes the wall-clock duration of every
 	// successful fsync of the active segment (for latency histograms).
 	OnFsync func(time.Duration)
-	// OnSyncError, when set, receives errors from the SyncInterval
-	// background loop — the one sync path with no caller to return to.
-	// They are also counted in Stats.SyncErrors.
-	OnSyncError func(error)
 	// FirstLSN, when > 0, numbers the first record of a brand-new log
 	// (an empty directory) FirstLSN instead of 1. A promoted replica
 	// uses it to continue its former primary's LSN space, so the LSNs
@@ -193,7 +190,6 @@ type Options struct {
 
 const (
 	defaultSegmentBytes = 64 << 20
-	defaultSyncEvery    = 100 * time.Millisecond
 
 	// MaxPayload bounds a single record; a frame claiming more is
 	// malformed by construction, which also bounds replay-side
@@ -237,10 +233,6 @@ var (
 	// position has been pruned by a checkpoint: the records are gone and
 	// the caller must resynchronize from a snapshot instead.
 	ErrTruncated = errors.New("wal: follow position pruned by checkpoint")
-
-	// errFollowStopped is the internal signal that a follower's stop
-	// channel fired; Follow maps it to a nil return.
-	errFollowStopped = errors.New("wal: follow stopped")
 )
 
 // Stats is a point-in-time snapshot of the WAL's counters, safe to read
@@ -250,7 +242,6 @@ type Stats struct {
 	Appends        uint64 // records appended this process
 	AppendedBytes  uint64 // frame bytes appended this process
 	Fsyncs         uint64 // successful fsyncs of the active segment
-	SyncErrors     uint64 // failed fsyncs in the background interval loop
 	Checkpoints    uint64 // checkpoints pruned behind
 	PrunedSegments uint64 // sealed segments deleted by checkpoints
 	LastLSN        uint64 // LSN of the most recently appended record
@@ -301,13 +292,11 @@ type WAL struct {
 	appends        atomic.Uint64
 	appendedBytes  atomic.Uint64
 	fsyncs         atomic.Uint64
-	syncErrors     atomic.Uint64
 	checkpoints    atomic.Uint64
 	prunedSegments atomic.Uint64
 	lastLSN        atomic.Uint64
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	done chan struct{} // closed by Close: wakes waiting followers
 }
 
 func segmentName(firstLSN uint64) string { return fmt.Sprintf("wal-%016x.seg", firstLSN) }
@@ -336,9 +325,6 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = defaultSyncEvery
-	}
 	if opts.FS == nil {
 		opts.FS = fault.OS()
 	}
@@ -359,10 +345,6 @@ func Open(dir string, opts Options) (*WAL, error) {
 	// Everything recover left on disk is the replay baseline: it is what
 	// a crash-restart would rebuild from, so followers may have it.
 	w.durable = w.lastLSN.Load()
-	if opts.Sync == SyncInterval {
-		w.wg.Add(1)
-		go w.syncLoop()
-	}
 	return w, nil
 }
 
@@ -475,23 +457,66 @@ func (w *WAL) scanSegment(path string, firstLSN uint64, final bool) (nextLSN uin
 		}
 		return 0, 0, fmt.Errorf("%w: %s: bad header", ErrCorrupt, filepath.Base(path))
 	}
-	lsn := firstLSN
-	off := int64(headerSize)
-	var fh [frameSize]byte
-	payload := make([]byte, 0, 4096)
-	for off < fileSize {
-		n, _, _, err := readFrame(f, fileSize-off, fh[:], &payload)
-		if err != nil {
-			if final {
-				return lsn, off, nil // torn tail: valid prefix ends here
-			}
-			return 0, 0, fmt.Errorf("%w: %s at offset %d (record %d): %v",
-				ErrCorrupt, filepath.Base(path), off, lsn, err)
-		}
-		off += n
-		lsn++
+	r := segReader{f: f, first: firstLSN, off: headerSize, lsn: firstLSN}
+	err = r.walk(func() (bool, error) { return r.off < fileSize, nil },
+		func(uint64, RecordType, []byte) error { return nil })
+	if err != nil && !(final && errors.Is(err, ErrCorrupt)) {
+		return 0, 0, err
 	}
-	return lsn, off, nil
+	return r.lsn, r.off, nil // a bad frame in the final segment is the torn tail: the valid prefix ends at it
+}
+
+// segReader walks one segment file's frames in LSN order — the package's
+// one frame loop. Open's scan, Replay and Follow differ only in how far
+// each may read, which it tells walk frame by frame.
+type segReader struct {
+	f       fault.File
+	first   uint64 // the segment's first LSN, which names the file
+	off     int64  // byte offset of the next frame
+	lsn     uint64 // LSN of the next frame
+	fh      [frameSize]byte
+	payload []byte // reused from frame to frame, and from segment to segment
+}
+
+// open positions the reader on the first frame of the segment that starts
+// at LSN first; the caller closes r.f.
+func (r *segReader) open(w *WAL, first uint64) (err error) {
+	if r.f, err = w.fs.Open(filepath.Join(w.dir, segmentName(first))); err != nil {
+		return err
+	}
+	r.first, r.off, r.lsn = first, headerSize, first
+	if _, err := r.f.Seek(r.off, io.SeekStart); err != nil {
+		r.f.Close()
+		return err
+	}
+	return nil
+}
+
+// walk hands fn the frames from the reader's position on, for as long as
+// more says the next one may be read; it returns nil when more says no,
+// and more's or fn's error. A frame that does not read back whole is
+// ErrCorrupt, with off and lsn left on it — the caller decides whether
+// that is a torn tail. The file's current size bounds each read: a frame
+// the caller may read is fully written even mid-append of a later one.
+func (r *segReader) walk(more func() (bool, error), fn func(lsn uint64, typ RecordType, data []byte) error) error {
+	for {
+		if ok, err := more(); !ok || err != nil {
+			return err
+		}
+		info, err := r.f.Stat()
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		n, typ, data, err := readFrame(r.f, info.Size()-r.off, r.fh[:], &r.payload)
+		if err != nil {
+			return fmt.Errorf("%w: %s at offset %d (record %d): %v", ErrCorrupt, segmentName(r.first), r.off, r.lsn, err)
+		}
+		if err := fn(r.lsn, typ, data); err != nil {
+			return err
+		}
+		r.off += n
+		r.lsn++
+	}
 }
 
 // readFrame reads one frame from r, which has remain bytes left. The
@@ -816,25 +841,6 @@ func (w *WAL) Probe() (uint64, error) {
 	return w.appendLocked(RecordProbe, nil)
 }
 
-func (w *WAL) syncLoop() {
-	defer w.wg.Done()
-	t := time.NewTicker(w.opts.SyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := w.Sync(); err != nil && !errors.Is(err, ErrClosed) {
-				w.syncErrors.Add(1)
-				if w.opts.OnSyncError != nil {
-					w.opts.OnSyncError(err)
-				}
-			}
-		case <-w.done:
-			return
-		}
-	}
-}
-
 // LastLSN returns the LSN of the most recently appended record (0 if
 // the log is empty). Safe to call concurrently with appends, but for a
 // consistent "state as of this LSN" cut, call it under the lock the
@@ -877,76 +883,36 @@ func (w *WAL) Checkpoint(covered uint64) error {
 }
 
 // Replay walks every retained record in LSN order and calls fn for each
-// with LSN > from, stopping at fn's first error. The payload slice is
+// with LSN > from, stopping at fn's first error: a barrier — so what it
+// reads matches the disk — and then Follow's own walk from from, or from
+// the oldest retained record when a checkpoint pruned past from, up to
+// the last record appended, without ever waiting. The payload slice is
 // only valid for the duration of the call. Checkpoint markers are
 // delivered like any other record; state-rebuilding callers skip them.
+// Replay is meant for startup, before traffic.
 func (w *WAL) Replay(from uint64, fn func(lsn uint64, typ RecordType, payload []byte) error) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return ErrClosed
 	}
-	// Appends go through w.f's own offset; reading via a separate
-	// handle is safe, but replay is meant for startup, before traffic.
-	firsts := make([]uint64, 0, len(w.sealed)+1)
+	oldest := w.segFirst
 	for first := range w.sealed {
-		firsts = append(firsts, first)
+		oldest = min(oldest, first)
 	}
-	firsts = append(firsts, w.segFirst)
-	activeEnd := w.size
-	if err := w.syncLocked(); err != nil { // make what we replay match disk
-		w.mu.Unlock()
+	last := w.nextLSN - 1
+	err := w.syncLocked()
+	w.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	w.mu.Unlock()
-	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
-
-	var fh [frameSize]byte
-	payload := make([]byte, 0, 64<<10)
-	for _, first := range firsts {
-		path := filepath.Join(w.dir, segmentName(first))
-		f, err := w.fs.Open(path)
-		if err != nil {
-			return fmt.Errorf("wal: replay: %w", err)
-		}
-		info, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("wal: replay: %w", err)
-		}
-		end := info.Size()
-		if first == w.segFirst && activeEnd < end {
-			end = activeEnd
-		}
-		lsn := first
-		off := int64(headerSize)
-		if _, err := f.Seek(off, io.SeekStart); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: replay: %w", err)
-		}
-		for off < end {
-			n, typ, data, err := readFrame(f, end-off, fh[:], &payload)
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, segmentName(first), off, err)
-			}
-			if lsn > from {
-				if err := fn(lsn, typ, data); err != nil {
-					f.Close()
-					return err
-				}
-			}
-			off += n
-			lsn++
-		}
-		f.Close()
-	}
-	return nil
+	fl := follower{w: w, next: max(from+1, oldest), frontier: last, fn: fn}
+	return fl.run()
 }
 
 // waitFollowable blocks until the followable frontier reaches at least
-// next, the stop channel fires (errFollowStopped), or the log closes
-// (ErrClosed). It returns the frontier observed.
+// next, the stop channel fires, or the log closes (ErrClosed). It returns
+// the frontier observed: short of next when it was stop that fired.
 func (w *WAL) waitFollowable(next uint64, stop <-chan struct{}) (uint64, error) {
 	for {
 		w.mu.Lock()
@@ -963,7 +929,7 @@ func (w *WAL) waitFollowable(next uint64, stop <-chan struct{}) (uint64, error) 
 		select {
 		case <-ch:
 		case <-stop:
-			return 0, errFollowStopped
+			return frontier, nil
 		case <-w.done:
 			return 0, ErrClosed
 		}
@@ -997,95 +963,87 @@ func (w *WAL) locateLocked(next uint64) (segStart, sealedLast uint64, isSealed, 
 // fn's error if it rejects a record. The payload slice passed to fn is
 // only valid for the duration of the call.
 func (w *WAL) Follow(from uint64, stop <-chan struct{}, fn func(lsn uint64, typ RecordType, payload []byte) error) error {
-	next := from + 1
-	var fh [frameSize]byte
-	payload := make([]byte, 0, 64<<10)
+	fl := follower{w: w, next: from + 1, wait: true, stop: stop, fn: fn}
+	return fl.run()
+}
+
+// follower is one walk over the log's records in LSN order, segment by
+// segment: Follow's, which waits at the frontier for more, and Replay's,
+// for which the frontier it starts with is the end.
+type follower struct {
+	w        *WAL
+	next     uint64 // LSN of the next record to deliver
+	frontier uint64 // highest LSN the log has said may be read
+	wait     bool   // at the frontier: block for more (Follow), or finish (Replay)
+	stop     <-chan struct{}
+	fn       func(lsn uint64, typ RecordType, payload []byte) error
+	r        segReader
+}
+
+// ready reports whether record lsn may be read, first waiting for the
+// frontier to reach it when the walk is a Follow: false without an error
+// is the walk's end — Replay's frontier, or Follow's stop.
+func (fl *follower) ready(lsn uint64) (ok bool, err error) {
+	if lsn > fl.frontier && fl.wait {
+		fl.frontier, err = fl.w.waitFollowable(lsn, fl.stop)
+	}
+	return err == nil && lsn <= fl.frontier, err
+}
+
+// run delivers records from next on until the walk ends.
+func (fl *follower) run() error {
 	for {
-		frontier, err := w.waitFollowable(next, stop)
-		if err != nil {
-			if errors.Is(err, errFollowStopped) {
-				return nil
-			}
+		if ok, err := fl.ready(fl.next); !ok {
 			return err
 		}
-		w.mu.Lock()
-		segStart, sealedLast, isSealed, ok := w.locateLocked(next)
-		w.mu.Unlock()
+		fl.w.mu.Lock()
+		segStart, sealedLast, isSealed, ok := fl.w.locateLocked(fl.next)
+		fl.w.mu.Unlock()
 		if !ok {
 			return ErrTruncated
 		}
-		err = w.followSegment(segStart, sealedLast, isSealed, &next, &frontier, stop, fh[:], &payload, fn)
-		if err != nil {
-			if errors.Is(err, errFollowStopped) {
-				return nil
-			}
+		if err := fl.segment(segStart, sealedLast, isSealed); err != nil {
 			return err
 		}
 	}
 }
 
-// followSegment streams records [*next, ...] out of one segment,
-// waiting at the frontier, until the segment is exhausted (sealed and
-// fully delivered — return nil, caller moves to the next segment) or an
-// error/stop occurs. *next advances past every delivered record.
-func (w *WAL) followSegment(segStart, sealedLast uint64, isSealed bool, next, frontier *uint64, stop <-chan struct{}, fh []byte, payload *[]byte, fn func(lsn uint64, typ RecordType, payload []byte) error) error {
-	f, err := w.fs.Open(filepath.Join(w.dir, segmentName(segStart)))
-	if err != nil {
+// segment delivers the records from next on out of one segment, until the
+// segment is exhausted (sealed and fully read: the caller moves to the
+// next one), the walk ends, or an error or stop occurs.
+func (fl *follower) segment(segStart, sealedLast uint64, isSealed bool) error {
+	if err := fl.r.open(fl.w, segStart); err != nil {
 		if os.IsNotExist(err) {
 			return ErrTruncated // pruned between locate and open
 		}
 		return fmt.Errorf("wal: follow: %w", err)
 	}
-	defer f.Close()
-	off := int64(headerSize)
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: follow: %w", err)
-	}
-	lsn := segStart
-	for {
-		if isSealed && lsn > sealedLast {
-			return nil // segment exhausted; next one starts at sealedLast+1
-		}
-		if lsn > *frontier {
-			fr, err := w.waitFollowable(lsn, stop)
-			if err != nil {
-				return err
-			}
-			*frontier = fr
+	defer fl.r.f.Close()
+	return fl.r.walk(func() (bool, error) {
+		lsn := fl.r.lsn
+		if ok, err := fl.ready(lsn); !ok {
+			return false, err
 		}
 		if !isSealed {
-			// The active segment may have sealed while we waited; the
-			// records past sealedLast live in the next file.
-			w.mu.Lock()
-			if w.segFirst != segStart {
-				sealedLast, isSealed = w.sealed[segStart], true
+			// The active segment may have sealed while we waited.
+			fl.w.mu.Lock()
+			if fl.w.segFirst != segStart {
+				sealedLast, isSealed = fl.w.sealed[segStart], true
 			}
-			w.mu.Unlock()
-			if isSealed && lsn > sealedLast {
-				return nil
-			}
+			fl.w.mu.Unlock()
 		}
-		// Every frame at or below the frontier is fully written (appends
-		// complete the frame before publishing its LSN; the fsync that
-		// advanced the frontier came later still), so the current file
-		// size bounds it correctly even mid-append of a later record.
-		info, err := f.Stat()
-		if err != nil {
-			return fmt.Errorf("wal: follow: %w", err)
+		// The records past sealedLast live in the next file.
+		return !isSealed || lsn <= sealedLast, nil
+	}, func(lsn uint64, typ RecordType, data []byte) error {
+		if lsn < fl.next {
+			return nil // before the start position, in its segment
 		}
-		n, typ, data, err := readFrame(f, info.Size()-off, fh, payload)
-		if err != nil {
-			return fmt.Errorf("%w: follow: %s at offset %d: %v", ErrCorrupt, segmentName(segStart), off, err)
+		if err := fl.fn(lsn, typ, data); err != nil {
+			return err
 		}
-		if lsn >= *next {
-			if err := fn(lsn, typ, data); err != nil {
-				return err
-			}
-			*next = lsn + 1
-		}
-		off += n
-		lsn++
-	}
+		fl.next = lsn + 1
+		return nil
+	})
 }
 
 // Stats returns a snapshot of the WAL's counters.
@@ -1095,27 +1053,22 @@ func (w *WAL) Stats() Stats {
 		Appends:        w.appends.Load(),
 		AppendedBytes:  w.appendedBytes.Load(),
 		Fsyncs:         w.fsyncs.Load(),
-		SyncErrors:     w.syncErrors.Load(),
 		Checkpoints:    w.checkpoints.Load(),
 		PrunedSegments: w.prunedSegments.Load(),
 		LastLSN:        w.lastLSN.Load(),
 	}
 }
 
-// Close stops the background sync loop (if any), syncs the active
-// segment, and closes it. Further operations return ErrClosed.
+// Close syncs the active segment and closes it. Further operations return
+// ErrClosed.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
 	close(w.done)
-	w.mu.Unlock()
-	w.wg.Wait()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	var errs []error
 	if w.dirty {
 		if err := w.f.Sync(); err != nil {

@@ -148,34 +148,6 @@ func (d *dual) mergeMarshaled(data []byte) error {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
-func (s *F2Summary) MarshalBinary() ([]byte, error) { return s.d.marshal() }
-
-// UnmarshalBinary restores a summary serialized from an identically
-// configured F2Summary.
-func (s *F2Summary) UnmarshalBinary(data []byte) error { return s.d.unmarshal(data) }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *FkSummary) MarshalBinary() ([]byte, error) { return s.d.marshal() }
-
-// UnmarshalBinary restores a summary serialized from an identically
-// configured FkSummary.
-func (s *FkSummary) UnmarshalBinary(data []byte) error { return s.d.unmarshal(data) }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *CountSummary) MarshalBinary() ([]byte, error) { return s.d.marshal() }
-
-// UnmarshalBinary restores a summary serialized from an identically
-// configured CountSummary.
-func (s *CountSummary) UnmarshalBinary(data []byte) error { return s.d.unmarshal(data) }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *SumSummary) MarshalBinary() ([]byte, error) { return s.d.marshal() }
-
-// UnmarshalBinary restores a summary serialized from an identically
-// configured SumSummary.
-func (s *SumSummary) UnmarshalBinary(data []byte) error { return s.d.unmarshal(data) }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
 func (s *F0Summary) MarshalBinary() ([]byte, error) {
 	buf := []byte{apiMarshalVersion}
 	buf = binary.AppendUvarint(buf, s.n)

@@ -6,13 +6,70 @@ import (
 	"github.com/streamagg/correlated/internal/core"
 )
 
+// summary is what the four moment summaries share: the two-direction
+// structure and every method that only forwards to it. F2Summary,
+// FkSummary, CountSummary and SumSummary embed it, so each method below is
+// a method of all four; what the aggregate is — and so what a query
+// estimates — is in each type's own comment.
+type summary struct {
+	d *dual
+}
+
+// Add inserts the tuple (x, y).
+func (s *summary) Add(x, y uint64) error { return s.d.add(x, y, 1) }
+
+// AddWeighted inserts w > 0 copies of (x, y).
+func (s *summary) AddWeighted(x, y uint64, w int64) error { return s.d.add(x, y, w) }
+
+// AddBatch inserts a batch of tuples through the amortized batched path
+// (sorted by y in place, one hash per tuple, leaf routing per group).
+func (s *summary) AddBatch(batch []Tuple) error { return s.d.addBatch(batch) }
+
+// QueryLE estimates the aggregate over tuples with y <= c. It returns
+// ErrDirection when the LE predicate was not enabled at construction, and
+// ErrNoLevel — with probability at most Delta — when no level of the
+// structure can serve the cutoff (Algorithm 3's FAIL output).
+func (s *summary) QueryLE(c uint64) (float64, error) { return s.d.queryLE(c) }
+
+// QueryGE estimates the aggregate over tuples with y >= c, with the same
+// error conditions as QueryLE for the GE predicate.
+func (s *summary) QueryGE(c uint64) (float64, error) { return s.d.queryGE(c) }
+
+// MergeMarshaled folds a summary serialized with MarshalBinary — the wire
+// form a site ships to the coordinator — into the receiver, decoding
+// buckets straight into the receiver's pooled sketches instead of
+// materializing a second summary first. The bytes must come from a summary
+// of the same type (and, for Fk, the same k) built from identical Options.
+// The receiver is untouched on error.
+func (s *summary) MergeMarshaled(data []byte) error { return s.d.mergeMarshaled(data) }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (s *summary) MarshalBinary() ([]byte, error) { return s.d.marshal() }
+
+// UnmarshalBinary restores a summary serialized from an identically
+// configured summary of the same type.
+func (s *summary) UnmarshalBinary(data []byte) error { return s.d.unmarshal(data) }
+
+// Reset returns the summary to its freshly constructed state, keeping
+// (and recycling into) its sketch pools. Useful for reusing a summary as
+// a merge accumulator or across stream epochs.
+func (s *summary) Reset() { s.d.reset() }
+
+// Space reports stored counters/tuples (the paper's space metric).
+func (s *summary) Space() int64 { return s.d.space() }
+
+// Occupancy breaks Space down by level, per enabled direction; see
+// LevelOccupancy.
+func (s *summary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
+
+// Count reports tuples inserted.
+func (s *summary) Count() uint64 { return s.d.count() }
+
 // F2Summary estimates the correlated second frequency moment:
 // F2{ x : y <= c } = Σ_x f_x², over the substream selected by the cutoff.
 // It instantiates the paper's general reduction (Section 2) with the
 // AMS/CountSketch whole-stream sketch (Section 3.1, Lemma 9).
-type F2Summary struct {
-	d *dual
-}
+type F2Summary struct{ summary }
 
 // NewF2Summary builds an F2 summary for the given accuracy target: each
 // query is within (1 ± Eps) of the true selected F2 with probability at
@@ -24,28 +81,8 @@ func NewF2Summary(o Options) (*F2Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &F2Summary{d: d}, nil
+	return &F2Summary{summary{d}}, nil
 }
-
-// Add inserts the tuple (x, y).
-func (s *F2Summary) Add(x, y uint64) error { return s.d.add(x, y, 1) }
-
-// AddWeighted inserts w > 0 copies of (x, y).
-func (s *F2Summary) AddWeighted(x, y uint64, w int64) error { return s.d.add(x, y, w) }
-
-// AddBatch inserts a batch of tuples through the amortized batched path
-// (sorted by y in place, one hash per tuple, leaf routing per group).
-func (s *F2Summary) AddBatch(batch []Tuple) error { return s.d.addBatch(batch) }
-
-// QueryLE estimates F2 over tuples with y <= c. It returns ErrDirection
-// when the LE predicate was not enabled at construction, and ErrNoLevel —
-// with probability at most Delta — when no level of the structure can
-// serve the cutoff (Algorithm 3's FAIL output).
-func (s *F2Summary) QueryLE(c uint64) (float64, error) { return s.d.queryLE(c) }
-
-// QueryGE estimates F2 over tuples with y >= c, with the same error
-// conditions as QueryLE for the GE predicate.
-func (s *F2Summary) QueryGE(c uint64) (float64, error) { return s.d.queryGE(c) }
 
 // Merge folds other — an F2Summary built from identical Options over a
 // different substream — into the receiver, producing the summary of the
@@ -67,34 +104,11 @@ func (s *F2Summary) Merge(other *F2Summary) error {
 	return s.d.merge(other.d)
 }
 
-// MergeMarshaled folds a summary serialized with MarshalBinary — the wire
-// form a site ships to the coordinator — into the receiver, decoding
-// buckets straight into the receiver's pooled sketches instead of
-// materializing a second summary first. The bytes must come from an
-// F2Summary built from identical Options. The receiver is untouched on
-// error.
-func (s *F2Summary) MergeMarshaled(data []byte) error { return s.d.mergeMarshaled(data) }
-
-// Reset returns the summary to its freshly constructed state, keeping
-// (and recycling into) its sketch pools. Useful for reusing a summary as
-// a merge accumulator or across stream epochs.
-func (s *F2Summary) Reset() { s.d.reset() }
-
-// Space reports stored counters/tuples (the paper's space metric).
-func (s *F2Summary) Space() int64 { return s.d.space() }
-
-// Occupancy breaks Space down by level, per enabled direction; see
-// LevelOccupancy.
-func (s *F2Summary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
-
-// Count reports tuples inserted.
-func (s *F2Summary) Count() uint64 { return s.d.count() }
-
 // FkSummary estimates the correlated k-th frequency moment for k >= 2,
 // via the general reduction over an Indyk–Woodruff-style sketch
 // (Section 3.1, Theorem 3).
 type FkSummary struct {
-	d *dual
+	summary
 	k int
 }
 
@@ -107,32 +121,15 @@ func NewFkSummary(k int, o Options) (*FkSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FkSummary{d: d, k: k}, nil
+	return &FkSummary{summary{d}, k}, nil
 }
 
 // K returns the moment order.
 func (s *FkSummary) K() int { return s.k }
 
-// Add inserts the tuple (x, y).
-func (s *FkSummary) Add(x, y uint64) error { return s.d.add(x, y, 1) }
-
-// AddWeighted inserts w > 0 copies of (x, y).
-func (s *FkSummary) AddWeighted(x, y uint64, w int64) error { return s.d.add(x, y, w) }
-
-// AddBatch inserts a batch of tuples through the amortized batched path.
-func (s *FkSummary) AddBatch(batch []Tuple) error { return s.d.addBatch(batch) }
-
-// QueryLE estimates Fk over tuples with y <= c.
-func (s *FkSummary) QueryLE(c uint64) (float64, error) { return s.d.queryLE(c) }
-
-// QueryGE estimates Fk over tuples with y >= c.
-func (s *FkSummary) QueryGE(c uint64) (float64, error) { return s.d.queryGE(c) }
-
 // Merge folds other — an FkSummary with the same k, built from identical
-// Options over a different substream — into the receiver, producing the
-// summary of the combined stream (see F2Summary.Merge for semantics and
-// the k-site error caveat). Incompatible summaries are rejected with an
-// *IncompatibleError before any state changes.
+// Options over a different substream — into the receiver (see
+// F2Summary.Merge for semantics and the k-site error caveat).
 func (s *FkSummary) Merge(other *FkSummary) error {
 	if other == nil {
 		return errors.New("correlated: cannot merge a nil summary")
@@ -140,32 +137,10 @@ func (s *FkSummary) Merge(other *FkSummary) error {
 	return s.d.merge(other.d)
 }
 
-// MergeMarshaled folds a summary serialized with MarshalBinary into the
-// receiver without materializing a second summary. The bytes must come
-// from an FkSummary with the same k and Options. The receiver is
-// untouched on error.
-func (s *FkSummary) MergeMarshaled(data []byte) error { return s.d.mergeMarshaled(data) }
-
-// Reset returns the summary to its freshly constructed state, keeping
-// its sketch pools.
-func (s *FkSummary) Reset() { s.d.reset() }
-
-// Space reports stored counters/tuples.
-func (s *FkSummary) Space() int64 { return s.d.space() }
-
-// Occupancy breaks Space down by level, per enabled direction; see
-// LevelOccupancy.
-func (s *FkSummary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
-
-// Count reports tuples inserted.
-func (s *FkSummary) Count() uint64 { return s.d.count() }
-
 // CountSummary estimates the correlated COUNT (how many tuples satisfy the
 // predicate). COUNT is additive, so the reduction runs with exact counter
 // sketches: all error comes from the bucket structure and stays within ε.
-type CountSummary struct {
-	d *dual
-}
+type CountSummary struct{ summary }
 
 // NewCountSummary builds a COUNT summary. COUNT's "sketches" are exact
 // counters, so the whole (Eps, Delta) error budget goes to the bucket
@@ -176,29 +151,12 @@ func NewCountSummary(o Options) (*CountSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CountSummary{d: d}, nil
+	return &CountSummary{summary{d}}, nil
 }
 
-// Add inserts the tuple (x, y).
-func (s *CountSummary) Add(x, y uint64) error { return s.d.add(x, y, 1) }
-
-// AddWeighted inserts w > 0 copies of (x, y).
-func (s *CountSummary) AddWeighted(x, y uint64, w int64) error { return s.d.add(x, y, w) }
-
-// AddBatch inserts a batch of tuples through the amortized batched path.
-func (s *CountSummary) AddBatch(batch []Tuple) error { return s.d.addBatch(batch) }
-
-// QueryLE estimates the number of tuples with y <= c.
-func (s *CountSummary) QueryLE(c uint64) (float64, error) { return s.d.queryLE(c) }
-
-// QueryGE estimates the number of tuples with y >= c.
-func (s *CountSummary) QueryGE(c uint64) (float64, error) { return s.d.queryGE(c) }
-
 // Merge folds other — a CountSummary built from identical Options over a
-// different substream — into the receiver, producing the summary of the
-// combined stream (see F2Summary.Merge for semantics and the k-site
-// error caveat). Incompatible summaries are rejected with an
-// *IncompatibleError before any state changes.
+// different substream — into the receiver (see F2Summary.Merge for
+// semantics and the k-site error caveat).
 func (s *CountSummary) Merge(other *CountSummary) error {
 	if other == nil {
 		return errors.New("correlated: cannot merge a nil summary")
@@ -206,32 +164,11 @@ func (s *CountSummary) Merge(other *CountSummary) error {
 	return s.d.merge(other.d)
 }
 
-// MergeMarshaled folds a summary serialized with MarshalBinary into the
-// receiver without materializing a second summary. The bytes must come
-// from a CountSummary built from identical Options. The receiver is
-// untouched on error.
-func (s *CountSummary) MergeMarshaled(data []byte) error { return s.d.mergeMarshaled(data) }
-
-// Reset returns the summary to its freshly constructed state, keeping
-// its sketch pools.
-func (s *CountSummary) Reset() { s.d.reset() }
-
-// Space reports stored counters/tuples.
-func (s *CountSummary) Space() int64 { return s.d.space() }
-
-// Occupancy breaks Space down by level, per enabled direction; see
-// LevelOccupancy.
-func (s *CountSummary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
-
-// Count reports tuples inserted.
-func (s *CountSummary) Count() uint64 { return s.d.count() }
-
 // SumSummary estimates the correlated SUM of the x values of selected
-// tuples — the aggregate of Gehrke et al. and Ananthakrishna et al., here
-// with multiplicative error through the general reduction.
-type SumSummary struct {
-	d *dual
-}
+// tuples — Σ{x : y <= c}, each tuple contributing its identifier's value —
+// the aggregate of Gehrke et al. and Ananthakrishna et al., here with
+// multiplicative error through the general reduction.
+type SumSummary struct{ summary }
 
 // NewSumSummary builds a SUM summary. Set Options.MaxX to the largest
 // identifier value so the level count can be sized.
@@ -240,52 +177,15 @@ func NewSumSummary(o Options) (*SumSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SumSummary{d: d}, nil
+	return &SumSummary{summary{d}}, nil
 }
 
-// Add inserts the tuple (x, y); x contributes its value to selected sums.
-func (s *SumSummary) Add(x, y uint64) error { return s.d.add(x, y, 1) }
-
-// AddWeighted inserts w > 0 copies of (x, y).
-func (s *SumSummary) AddWeighted(x, y uint64, w int64) error { return s.d.add(x, y, w) }
-
-// AddBatch inserts a batch of tuples through the amortized batched path.
-func (s *SumSummary) AddBatch(batch []Tuple) error { return s.d.addBatch(batch) }
-
-// QueryLE estimates Σ{x : y <= c}.
-func (s *SumSummary) QueryLE(c uint64) (float64, error) { return s.d.queryLE(c) }
-
-// QueryGE estimates Σ{x : y >= c}.
-func (s *SumSummary) QueryGE(c uint64) (float64, error) { return s.d.queryGE(c) }
-
 // Merge folds other — a SumSummary built from identical Options over a
-// different substream — into the receiver, producing the summary of the
-// combined stream (see F2Summary.Merge for semantics and the k-site
-// error caveat). Incompatible summaries are rejected with an
-// *IncompatibleError before any state changes.
+// different substream — into the receiver (see F2Summary.Merge for
+// semantics and the k-site error caveat).
 func (s *SumSummary) Merge(other *SumSummary) error {
 	if other == nil {
 		return errors.New("correlated: cannot merge a nil summary")
 	}
 	return s.d.merge(other.d)
 }
-
-// MergeMarshaled folds a summary serialized with MarshalBinary into the
-// receiver without materializing a second summary. The bytes must come
-// from a SumSummary built from identical Options. The receiver is
-// untouched on error.
-func (s *SumSummary) MergeMarshaled(data []byte) error { return s.d.mergeMarshaled(data) }
-
-// Reset returns the summary to its freshly constructed state, keeping
-// its sketch pools.
-func (s *SumSummary) Reset() { s.d.reset() }
-
-// Space reports stored counters/tuples.
-func (s *SumSummary) Space() int64 { return s.d.space() }
-
-// Occupancy breaks Space down by level, per enabled direction; see
-// LevelOccupancy.
-func (s *SumSummary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
-
-// Count reports tuples inserted.
-func (s *SumSummary) Count() uint64 { return s.d.count() }

@@ -333,6 +333,112 @@ func TestChaosBackgroundFsyncDegrades(t *testing.T) {
 	}
 }
 
+// TestChaosFsyncStreakResets pins what resets the WAL error streak. Under
+// -wal-fsync=interval a clean fsync does and a clean append does not: the
+// appends acknowledged between two failing interval barriers say nothing
+// about the disk, and if they reset the streak a dead disk would never
+// degrade the server. Under off, where nothing ever fsyncs, a clean append
+// is all the evidence there is. The ticker is parked (an hour) and the test
+// queues the barrier jobs it would.
+func TestChaosFsyncStreakResets(t *testing.T) {
+	ctx := context.Background()
+	barrier := func(svc *Server) error { return svc.commit(&ingestJob{op: opBarrier}) }
+
+	cfg, inj := chaosConfig(t)
+	cfg.WALFsync, cfg.WALFsyncInterval = "interval", time.Hour
+	svc, _, cl := newTestServer(t, cfg)
+	inj.SetPlan(mustPlan(t, "sync/wal-:err@1+"))
+	for want := int32(1); want <= healthFailThreshold; want++ {
+		if err := cl.AddBatch(ctx, testStream(50, uint64(want))); err != nil {
+			t.Fatalf("interval: an append between failing barriers was refused: %v", err)
+		}
+		if err := barrier(svc); err == nil {
+			t.Fatal("interval: barrier under sync fault: want error")
+		}
+		if got := svc.health.walErrs.Load(); got != want {
+			t.Fatalf("interval: streak %d after %d failed barriers with clean appends between them", got, want)
+		}
+	}
+	if !svc.healthDegraded() {
+		t.Fatal("interval: the failing barriers did not degrade the server")
+	}
+	inj.SetPlan(nil)
+	if err := svc.recoverNow(); err != nil {
+		t.Fatal(err)
+	}
+	inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
+	if err := cl.AddBatch(ctx, testStream(50, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := barrier(svc); err == nil || svc.health.walErrs.Load() != 1 {
+		t.Fatalf("interval: one failed barrier: err %v, streak %d", err, svc.health.walErrs.Load())
+	}
+	if err := barrier(svc); err != nil || svc.health.walErrs.Load() != 0 {
+		t.Fatalf("interval: a clean fsync left the streak at %d (err %v)", svc.health.walErrs.Load(), err)
+	}
+
+	cfg, inj = chaosConfig(t)
+	cfg.WALFsync = "off"
+	svc, _, cl = newTestServer(t, cfg)
+	if err := cl.AddBatch(ctx, testStream(50, 1)); err != nil {
+		t.Fatal(err)
+	}
+	inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
+	if err := barrier(svc); err == nil || svc.health.walErrs.Load() != 1 {
+		t.Fatalf("off: one failed barrier: err %v, streak %d", err, svc.health.walErrs.Load())
+	}
+	if err := cl.AddBatch(ctx, testStream(50, 2)); err != nil || svc.health.walErrs.Load() != 0 {
+		t.Fatalf("off: a clean append left the streak at %d (err %v)", svc.health.walErrs.Load(), err)
+	}
+}
+
+// TestChaosFailedBarrierNacksItsDemanders: one commit group, an ingest
+// batch beside a barrier job, and the barrier's fsync fails. Under
+// -wal-fsync=always the failed Sync rewound the batch's record, so both are
+// nacked and a restart does not see the batch. Under interval and off it
+// rewound nothing: the batch was acknowledged without a barrier, as it
+// would have been in a group of its own, and only the job that demanded
+// the barrier fails — the batch is in the engine, in the log, and in the
+// restarted server.
+func TestChaosFailedBarrierNacksItsDemanders(t *testing.T) {
+	for _, policy := range []string{"always", "interval", "off"} {
+		t.Run(policy, func(t *testing.T) {
+			cfg, inj := chaosConfig(t)
+			cfg.SnapshotPath = ""
+			cfg.WALFsync, cfg.WALFsyncInterval = policy, time.Hour // the test's barrier is the only one
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
+			batch := &ingestJob{tuples: testStream(300, 1), done: make(chan struct{}, 1)}
+			barrier := &ingestJob{op: opBarrier, done: make(chan struct{}, 1)}
+			svc.commitGroup([]*ingestJob{batch, barrier})
+			<-batch.done
+			<-barrier.done
+			if barrier.kind != ingestErrWAL {
+				t.Fatalf("the barrier job whose fsync failed: kind %d, want ingestErrWAL", barrier.kind)
+			}
+			wantKind, wantCount := ingestOK, uint64(300)
+			if policy == "always" {
+				wantKind, wantCount = ingestErrWAL, 0
+			}
+			if batch.kind != wantKind || (batch.lsn != 0) != (wantKind == ingestOK) {
+				t.Fatalf("the ingest member beside it: kind %d lsn %d, want kind %d", batch.kind, batch.lsn, wantKind)
+			}
+			crash(nil, svc)
+			svc2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc2.Close()
+			if got := svc2.Engine().Count(); got != wantCount {
+				t.Fatalf("restarted server holds %d tuples, want %d", got, wantCount)
+			}
+		})
+	}
+}
+
 // TestChaosStreamDegradedAndBusy: the stream transport's side of both
 // machines. A degraded server nacks frames AckDegraded without dropping
 // the connection; an overloaded one (bounded commit queue + slow disk)

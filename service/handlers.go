@@ -87,7 +87,7 @@ func pooledBytes(b []byte) []byte {
 // leaving it set would keep an oversized backing array alive through
 // the pool even after the trim below released d.tuples itself.
 func (s *Server) putDecodeState(d *decodeState) {
-	d.job.tuples, d.job.image, d.job.err, d.job.tn = nil, nil, nil, nil
+	d.job.tuples, d.job.image, d.job.key, d.job.tn, d.job.err = nil, nil, nil, nil, nil
 	d.job.lsn, d.streamSeq = 0, 0
 	d.body = pooledBytes(d.body)
 	d.tuples = pooledTuples(d.tuples)
@@ -142,35 +142,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (s *Server) httpError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// statusForTenant maps tenant-creation failures: the governance caps
-// get their typed statuses (429 for the count cap, 413 for the memory
-// cap), an invalid key is the client's error.
-func statusForTenant(err error) int {
-	switch {
-	case errors.Is(err, ErrTenantLimit):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrTenantMemory):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, tupleio.ErrBadStream):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// writeTenant resolves the request's ?tenant= key for a write path
-// (ingest, push), creating the tenant subject to the governance caps;
-// on failure it writes the typed rejection itself and returns nil.
-func (s *Server) writeTenant(w http.ResponseWriter, r *http.Request) *tenant {
-	name := r.URL.Query().Get("tenant")
-	t, err := s.getOrCreateTenant([]byte(name), false)
-	if err != nil {
-		s.httpError(w, statusForTenant(err), err)
-		return nil
-	}
-	return t
 }
 
 // readTenant resolves ?tenant= for a read path (query, summary, stats):
@@ -247,10 +218,12 @@ func (s *Server) writeGate() (ingestErrKind, error) {
 	return ingestOK, nil
 }
 
-// commitRequest hands a request's job to the commit pipeline, waits for
-// its group to commit — the reply is sent only after that group-wide
-// durability barrier — and answers every outcome but success.
-func (s *Server) commitRequest(w http.ResponseWriter, errs *counter, j *ingestJob) bool {
+// commitRequest hands a request's job, addressed to its ?tenant= key, to
+// the commit pipeline, waits for its group to commit — the reply is sent
+// only after that group-wide durability barrier — and answers every outcome
+// but success, admission's refusals and the commit's alike.
+func (s *Server) commitRequest(w http.ResponseWriter, r *http.Request, errs *counter, j *ingestJob) bool {
+	j.key = []byte(r.URL.Query().Get("tenant"))
 	if s.enqueue(j) {
 		<-j.done
 		if j.op == opIngest {
@@ -302,20 +275,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.nack(w, errs, ingestErrValidate, err)
 		return
 	}
-	tn := s.writeTenant(w, r)
-	if tn == nil {
-		errs.Inc()
-		return
-	}
 	// The committer applies the whole group under one driver-lock section
 	// and makes it durable behind one WAL fsync: under concurrent clients
 	// the per-request ack cost is the group's divided by its size.
-	d.job.op, d.job.tuples, d.job.tn = opIngest, d.tuples, tn
-	if !s.commitRequest(w, errs, &d.job) {
+	d.job.op, d.job.tuples = opIngest, d.tuples
+	if !s.commitRequest(w, r, errs, &d.job) {
 		return
 	}
 	s.metrics.tuplesIngested.Add(uint64(len(d.tuples)))
-	tn.tuplesIngested.Add(uint64(len(d.tuples)))
+	d.job.tn.tuplesIngested.Add(uint64(len(d.tuples)))
 	writeJSON(w, http.StatusOK, map[string]uint64{"tuples": uint64(len(d.tuples))})
 }
 
@@ -373,17 +341,12 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		s.nack(w, errs, ingestErrValidate, errors.New("empty push body"))
 		return
 	}
-	tn := s.writeTenant(w, r)
-	if tn == nil {
-		errs.Inc()
-		return
-	}
-	d.job.op, d.job.image, d.job.tn = opPush, d.body, tn
-	if !s.commitRequest(w, errs, &d.job) {
+	d.job.op, d.job.image = opPush, d.body
+	if !s.commitRequest(w, r, errs, &d.job) {
 		return
 	}
 	s.metrics.pushesMerged.Inc()
-	tn.pushesMerged.Add(1)
+	d.job.tn.pushesMerged.Add(1)
 	writeJSON(w, http.StatusOK, map[string]bool{"merged": true})
 }
 
@@ -584,7 +547,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.WALEnabled = true
 		st.WALFsync = s.cfg.walFsync()
 		st.WALFsyncs = ws.Fsyncs
-		st.WALSyncErrors = ws.SyncErrors
+		st.WALSyncErrors = s.metrics.walSyncErrors.Load()
 		st.WALSegments = ws.Segments
 		st.WALAppendedBytes = ws.AppendedBytes
 		st.WALLastLSN = ws.LastLSN
@@ -606,17 +569,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleSummary serves a tenant's summary image — the same
 // bytes a site would push, so a downstream coordinator (or an offline
 // tool) can pull instead of being pushed to. ?tenant= selects the
-// namespace; unknown keys are 404, and a spilled tenant materializes.
+// namespace; unknown keys are 404. A spilled tenant is served its parked
+// image — a read does not un-spill it — unless a re-seed parked it empty:
+// the empty summary's image is not zero bytes, so an engine writes it.
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	tn := s.readTenant(w, r)
 	if tn == nil {
 		return
 	}
 	s.mu.Lock()
-	eng, err := s.ensureEngineLocked(tn)
-	var img []byte
-	if err == nil {
-		img, err = eng.MarshalBinary()
+	img, err := tn.imageLocked()
+	if err == nil && len(img) == 0 {
+		if _, err = s.ensureEngineLocked(tn); err == nil {
+			img, err = tn.imageLocked()
+		}
 	}
 	s.mu.Unlock()
 	if err != nil {

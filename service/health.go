@@ -13,7 +13,7 @@ import (
 )
 
 // Degraded-mode state machine. A corrd whose durability path breaks —
-// the WAL goes sticky-broken, background fsyncs keep failing, snapshots
+// the WAL goes sticky-broken, its appends or fsyncs keep failing, snapshots
 // keep failing — must not keep acknowledging writes it cannot make
 // durable, and it must not die either: committed state is still intact
 // and perfectly servable. So the server degrades instead: writes get
@@ -25,7 +25,7 @@ import (
 // force the same probe with POST /v1/recover. /readyz reports the
 // machine's position for load balancers; /healthz stays pure liveness.
 //
-//	healthy ──(WAL broken | N consecutive wal/bg-fsync/snapshot errors)──▶ degraded
+//	healthy ──(WAL broken | N consecutive wal or snapshot errors)──▶ degraded
 //	degraded ──(probe starts)──▶ recovering ──(probe ok)──▶ healthy
 //	                                  └──(probe fails)──▶ degraded
 
@@ -36,10 +36,10 @@ const (
 	healthRecovering int32 = 2
 )
 
-// healthFailThreshold is how many consecutive failures of one class
-// (WAL commit-path errors, background fsync errors, snapshot errors)
-// trip the degraded transition. A sticky-broken WAL degrades
-// immediately regardless.
+// healthFailThreshold is how many consecutive failures of one class (a
+// commit group's WAL errors — the interval policy's fsync is a commit
+// group too — or snapshot errors) trip the degraded transition. A
+// sticky-broken WAL degrades immediately regardless.
 const healthFailThreshold = 3
 
 // healthProbeInterval is the recovery loop's probe cadence — and
@@ -58,8 +58,7 @@ type health struct {
 	degradedSince time.Time     // zero when healthy
 	degradedAccum time.Duration // closed degraded intervals
 
-	walErrs    atomic.Int32 // consecutive commit-path WAL errors
-	bgSyncErrs atomic.Int32 // consecutive background-fsync errors
+	walErrs    atomic.Int32 // consecutive commit groups with a WAL error
 	snapErrs   atomic.Int32 // consecutive snapshot failures
 	snapBroken atomic.Bool  // snapshots were the broken class: recovery must prove one
 }
@@ -122,7 +121,8 @@ func (s *Server) degrade(reason string) {
 // noteWALError records a commit group's WAL failure (an append or the
 // barrier, whatever records it carried). A sticky-broken log degrades
 // immediately — every future append is doomed until the tail is repaired;
-// other errors degrade after healthFailThreshold consecutive ones.
+// other errors degrade after healthFailThreshold consecutive ones (the
+// committer resets the count on a clean fsync).
 func (s *Server) noteWALError(err error) {
 	if errors.Is(err, wal.ErrBroken) {
 		s.degrade(fmt.Sprintf("wal broken: %v", err))
@@ -130,20 +130,6 @@ func (s *Server) noteWALError(err error) {
 	}
 	if n := s.health.walErrs.Add(1); n >= healthFailThreshold {
 		s.degrade(fmt.Sprintf("%d consecutive wal errors, last: %v", n, err))
-	}
-}
-
-// noteWALOK resets the consecutive WAL error count on any commit group
-// whose records all became durable.
-func (s *Server) noteWALOK() {
-	s.health.walErrs.Store(0)
-}
-
-// noteBgSyncError records a background (interval-policy) fsync failure,
-// reported by the WAL's sync loop.
-func (s *Server) noteBgSyncError(err error) {
-	if n := s.health.bgSyncErrs.Add(1); n >= healthFailThreshold {
-		s.degrade(fmt.Sprintf("%d consecutive background fsync errors, last: %v", n, err))
 	}
 }
 
@@ -208,7 +194,6 @@ func (s *Server) recoverNow() error {
 	h.state.Store(healthHealthy)
 	h.mu.Unlock()
 	h.walErrs.Store(0)
-	h.bgSyncErrs.Store(0)
 	h.snapErrs.Store(0)
 	h.snapBroken.Store(false)
 	s.logf("health: degraded -> healthy (recovered from: %s)", reason)

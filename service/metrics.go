@@ -154,6 +154,7 @@ type metrics struct {
 	pushSendErrors counter
 
 	walAppendErrors  counter    // appends that failed after the engine applied
+	walSyncErrors    counter    // interval-policy barrier jobs that failed
 	walFsync         *histogram // fsync latency on the append/checkpoint path
 	walReplayRecords gauge      // state records replayed at the last startup
 	walReplaySeconds fgauge     // wall-clock duration of that replay
@@ -354,7 +355,7 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 		c("corrd_wal_appends_total", "Records appended to the WAL this process.", ws.Appends)
 		c("corrd_wal_appended_bytes_total", "Frame bytes appended to the WAL this process.", ws.AppendedBytes)
 		c("corrd_wal_fsyncs_total", "Fsyncs issued on the WAL append/checkpoint path.", ws.Fsyncs)
-		c("corrd_wal_sync_errors_total", "Failed fsyncs in the WAL's background interval loop.", ws.SyncErrors)
+		c("corrd_wal_sync_errors_total", "Failed fsyncs of the interval policy's ticker (its barrier jobs).", m.walSyncErrors.Load())
 		c("corrd_wal_checkpoints_total", "Checkpoint markers written after snapshots.", ws.Checkpoints)
 		c("corrd_wal_pruned_segments_total", "Sealed WAL segments deleted by checkpoints.", ws.PrunedSegments)
 		g("corrd_wal_last_lsn", "LSN of the most recently appended WAL record.", int64(ws.LastLSN))

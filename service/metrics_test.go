@@ -70,6 +70,21 @@ var (
 	countRe  = regexp.MustCompile(`^([a-z0-9_]+)_count(\{[^}]*\})? (\S+)$`)
 )
 
+// scrape fetches a server's /metrics exposition.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
 // metricValue extracts the value of one exact series line (full match
 // up to the space) from the exposition.
 func metricValue(t *testing.T, body, series string) float64 {

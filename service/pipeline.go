@@ -12,24 +12,30 @@ import (
 	"github.com/streamagg/correlated/internal/wal"
 )
 
-// Group commit, and the one log writer. Every durable mutation — an
-// ingest batch, a pushed image, the records of a site's push round, a
-// checkpoint marker, a recovery probe, a bare barrier — is a job: its
-// source (a handler, a background loop) enqueues it and blocks, holding no
-// lock, until the committer has committed the group it rode in. The
-// committer is the single goroutine that applies jobs and that appends to,
-// syncs, rewinds or probes the log while the server runs. It takes
-// everything queued (up to the group caps) and, under one critical section
-// of the driver lock, applies the jobs in queue order and appends each
-// one's record: a maximal run of ingest jobs is validated member by
-// member, handed to every touched tenant as one AddBatch and logged as one
-// record (applyGroupLocked); every other job goes through the per-record
-// apply that replay and a replica's apply loop decode into
-// (applyJobLocked). Then, outside the lock, one Sync covers every record
-// of the group — the barrier under -wal-fsync=always — and only then are
-// the waiters woken. A failed barrier has already rewound the group's
-// records inside the log and nacks every waiter behind it together; no
-// second writer exists whose fsync could make a nacked record durable or
+// Group commit: the one admission and the one log writer. Every durable
+// mutation — an ingest batch, a pushed image, the records of a site's push
+// round, a checkpoint marker, a recovery probe, a bare barrier (the interval
+// fsync policy is one, on a ticker) — is a job: its source (a handler, a
+// background loop) enqueues it and blocks, holding no lock, until the
+// committer has committed the group it rode in. enqueue admits or refuses a
+// client's job on the caller's goroutine, outside every lock: the tenant
+// key and the tuples are checked there, so nothing the committer takes can
+// be refused for what it carries. A job names its tenant by key and only
+// the commit of a write makes a tenant (tenantForWriteLocked), so a write
+// that is refused, shed or invalid leaves no trace: the registry is a
+// function of the log. The committer is the single goroutine that applies
+// jobs and that appends to, syncs, rewinds or probes the log while the
+// server runs. It takes everything queued (up to the group caps) and, under
+// one critical section of the driver lock, applies the jobs in queue order
+// and appends each one's record: a maximal run of ingest jobs is resolved
+// to tenants member by member, handed to every touched tenant as one
+// AddBatch and logged as one record (applyGroupLocked); every other job
+// goes through the per-record apply that replay and a replica's apply loop
+// decode into (applyJobLocked). Then, outside the lock, one Sync covers
+// every record of the group — the barrier under -wal-fsync=always — and
+// only then are the waiters woken. A failed barrier has already rewound the
+// group's records inside the log and nacks every waiter behind it together;
+// no second writer exists whose fsync could make a nacked record durable or
 // whose rewind could take an acknowledged one. Under K concurrent clients
 // the fsync and the per-batch sort are paid once per group — the queue
 // refills while the previous group is fsyncing, so the pipeline stays full
@@ -55,11 +61,12 @@ type ingestErrKind uint8
 
 const (
 	ingestOK              ingestErrKind = iota
-	ingestErrValidate                   // the batch or image failed validation (client's error)
+	ingestErrValidate                   // the key, batch or image failed validation (client's error)
 	ingestErrEngine                     // the tenant's engine could not be restored or refused the job
 	ingestErrWAL                        // the record's append or its group's barrier failed (not durable)
 	ingestErrShutdown                   // the server is draining; never committed
-	ingestErrTenant                     // a governance cap refused the tenant (stream acks only)
+	ingestErrTenant                     // MaxTenants refused to make the tenant the write names
+	ingestErrTenantBytes                // MaxTenantBytes refused to make it
 	ingestErrReadOnly                   // the server is a replica; writes go to the primary
 	ingestErrDegraded                   // degraded mode: durability broken, writes suspended
 	ingestErrBusy                       // commit queue at its bound; the job was shed
@@ -78,7 +85,8 @@ var outcomes = [...]struct {
 	ingestErrEngine:       {http.StatusInternalServerError, tupleio.AckEngine, nil},
 	ingestErrWAL:          {http.StatusInternalServerError, tupleio.AckWAL, func(m *metrics) *counter { return &m.walAppendErrors }},
 	ingestErrShutdown:     {http.StatusServiceUnavailable, tupleio.AckShutdown, nil},
-	ingestErrTenant:       {http.StatusTooManyRequests, tupleio.AckTenant, nil}, // over HTTP writeTenant answers, by cap
+	ingestErrTenant:       {http.StatusTooManyRequests, tupleio.AckTenant, func(m *metrics) *counter { return &m.tenantRejectedLimit }},
+	ingestErrTenantBytes:  {http.StatusRequestEntityTooLarge, tupleio.AckTenant, func(m *metrics) *counter { return &m.tenantRejectedMemory }},
 	ingestErrReadOnly:     {http.StatusServiceUnavailable, tupleio.AckReadOnly, nil},
 	ingestErrDegraded:     {http.StatusServiceUnavailable, tupleio.AckDegraded, func(m *metrics) *counter { return &m.degradedRejects }},
 	ingestErrBusy:         {http.StatusTooManyRequests, tupleio.AckBusy, nil},
@@ -92,8 +100,8 @@ var outcomes = [...]struct {
 type jobOp uint8
 
 const (
-	opIngest     jobOp = iota // tuples for tn; adjacent ingest jobs share one RecordIngest
-	opPush                    // image merged into tn (RecordPush)
+	opIngest     jobOp = iota // tuples for the tenant named key; adjacent ingest jobs share one RecordIngest
+	opPush                    // image merged into the tenant named key (RecordPush)
 	opReset                   // a site's push round opens: the default tenant is reset, image is what it held (RecordReset)
 	opPushAck                 // the round closes: the coordinator has the image (RecordPushAck)
 	opFoldback                // the round closes the other way: image merged back (RecordFoldback)
@@ -114,14 +122,17 @@ var imageRecord = [...]wal.RecordType{
 // decodeState pool) carries the happens-before edge from the committer's
 // writes of err/kind/lsn/image to the waiter's reads. lsn is the LSN of
 // the job's record (0 without a WAL) — for an ingest batch its run's,
-// which is what a stream ack reports. tn is the tenant an ingest or push
-// addresses; nil means the default tenant. The committer only reads
-// tuples — the WAL record and the ack path see the client's order. A live
-// opReset or opFoldback is queued without its image; the commit fills it in.
+// which is what a stream ack reports. key names the tenant an ingest or a
+// push addresses (it aliases the request's or the record's bytes; empty is
+// the default tenant); the commit resolves it into tn, which stays nil on a
+// job refused first. The committer only reads tuples — the WAL record and
+// the ack path see the client's order. A live opReset or opFoldback is
+// queued without its image; the commit fills it in.
 type ingestJob struct {
 	op     jobOp
 	tuples []correlated.Tuple
 	image  []byte
+	key    []byte
 	tn     *tenant
 	err    error
 	kind   ingestErrKind
@@ -155,14 +166,26 @@ const maxGroupTuples = 1 << 20
 // Config.IngestGroupMax is unset.
 const defaultGroupMax = 256
 
-// enqueue hands a job to the committer; the caller then blocks on j.done.
-// A job it refuses has its outcome set: the pipeline has shut down, or —
-// for an ingest batch or a push — the queue is at IngestQueueMax. Overload
-// is decided here, at admission, so a shed request costs no engine or WAL
-// work; the server's own jobs are never shed.
+// enqueue is the one admission: it hands a job to the committer — the
+// caller then blocks on j.done — or refuses it, with its outcome set. A
+// client's job (an ingest batch or a push) must carry a valid tenant key
+// and tuples a summary's AddBatch will take — checked per member, so a bad
+// one is rejected alone instead of failing the concatenated batch it would
+// have ridden in — and is shed when the queue is at IngestQueueMax, so a
+// shed request costs no engine or WAL work; the server's own jobs are
+// never shed. Every job is refused once the pipeline has shut down.
 func (s *Server) enqueue(j *ingestJob) bool {
-	j.err, j.kind, j.lsn = nil, ingestOK, 0
+	j.err, j.kind, j.lsn, j.tn = nil, ingestOK, 0, nil
 	j.enqueuedAt = time.Now()
+	if j.op <= opPush {
+		if j.err = tupleio.ValidateTenant(j.key); j.err == nil {
+			j.err = s.validateBatch(j.tuples)
+		}
+		if j.err != nil {
+			j.kind = ingestErrValidate
+			return false
+		}
+	}
 	p := &s.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -242,9 +265,7 @@ func (s *Server) committer() {
 	}
 }
 
-// validateBatch is the check a summary's AddBatch would make, run per
-// member before anything is applied, so one bad member is rejected alone
-// instead of failing the concatenated batch it would have ridden in.
+// validateBatch is the check a summary's AddBatch would make.
 func (s *Server) validateBatch(batch []correlated.Tuple) error {
 	ymax := s.cfg.Options.YMax
 	for i := range batch {
@@ -258,33 +279,30 @@ func (s *Server) validateBatch(batch []correlated.Tuple) error {
 	return nil
 }
 
-// applyGroupLocked validates a group's members and applies them: each
-// touched tenant gets exactly one AddBatch, of its valid members in
+// applyGroupLocked resolves a group's members to their tenants and applies
+// them: each touched tenant gets exactly one AddBatch, of its members in
 // commit order, concatenated into the committer's scratch — never applied
 // from a member's own slice, because AddBatch sorts its argument in place
 // and the log must keep the client's order for replay to feed the sort
-// the same permutation. It sets every member's kind (and err), bumps each
-// touched tenant's epoch, and reports how many members were applied. The
-// live committer, startup replay and a replica's apply loop all come
-// through here with the same member lists, which is what makes their bytes
-// equal. A member that fails validation is rejected alone; a group may span
-// tenants, which are applied in first-touch order. Callers hold s.mu, or
-// run before any goroutine exists.
-func (s *Server) applyGroupLocked(group []*ingestJob) (applied int) {
+// the same permutation. It sets every member's tn and kind (and err),
+// bumps each touched tenant's epoch, and reports how many members were
+// applied. The live committer (caps on), startup replay and a replica's
+// apply loop (caps off) all come through here with the same member lists,
+// which is what makes their bytes equal. A member naming a new tenant makes
+// it, or is refused alone by a cap; a group may span tenants, which are
+// applied in first-touch order. Callers hold s.mu, or run before any
+// goroutine exists.
+func (s *Server) applyGroupLocked(group []*ingestJob, caps bool) (applied int) {
 	touched := s.touchedBuf[:0]
 	for _, j := range group {
-		if j.tn == nil {
-			j.tn = s.def
-		}
-		if err := s.validateBatch(j.tuples); err != nil {
-			j.err, j.kind = err, ingestErrValidate
+		if j.tn, j.kind, j.err = s.tenantForWriteLocked(j.key, caps); j.err != nil {
 			continue
 		}
+		s.registerLocked(j.tn)
 		if _, err := s.ensureEngineLocked(j.tn); err != nil {
 			j.err, j.kind = err, ingestErrEngine
 			continue
 		}
-		j.kind = ingestOK
 		if !j.tn.inGroup {
 			j.tn.inGroup = true
 			touched = append(touched, j.tn)
@@ -302,9 +320,10 @@ func (s *Server) applyGroupLocked(group []*ingestJob) (applied int) {
 		}
 		err := t.eng.AddBatch(buf)
 		if err != nil {
-			// Every member passed validateBatch, so the summary has no
-			// reason to refuse; if it does, it refused the whole batch
-			// untouched, and the tenant's members are nacked together.
+			// Every member passed validateBatch at admission, so the
+			// summary has no reason to refuse; if it does, it refused the
+			// whole batch untouched, and the tenant's members are nacked
+			// together.
 			for _, j := range group {
 				if j.tn == t && j.kind == ingestOK {
 					j.err, j.kind = err, ingestErrEngine
@@ -331,13 +350,16 @@ func (s *Server) applyGroupLocked(group []*ingestJob) (applied int) {
 // group: the live commit, startup replay and a replica's apply loop all
 // reach a push, a reset, a push-ack and a fold-back here (applyRecord
 // decodes a record into the job the live commit held). It sets a failed
-// job's kind and err, and bumps the epoch of the tenant it changed.
-// Callers hold s.mu, or run before any goroutine exists.
-func (s *Server) applyJobLocked(j *ingestJob) {
+// job's kind and err, and bumps the epoch of the tenant it changed. caps
+// is applyGroupLocked's: a push is the one job here that can name a new
+// tenant. Callers hold s.mu, or run before any goroutine exists.
+func (s *Server) applyJobLocked(j *ingestJob, caps bool) {
 	t := s.def
 	switch j.op {
 	case opPush:
-		t = j.tn
+		if t, j.kind, j.err = s.tenantForWriteLocked(j.key, caps); j.err != nil {
+			return
+		}
 		eng, err := s.ensureEngineLocked(t)
 		if err != nil {
 			j.err, j.kind = err, ingestErrEngine
@@ -345,13 +367,16 @@ func (s *Server) applyJobLocked(j *ingestJob) {
 		}
 		if err := eng.MergeMarshaled(j.image); err != nil {
 			// Attacker-controlled bytes: the fuzz-hardened merge refused
-			// them and left the engine untouched.
+			// them and left the engine untouched — and a tenant made for
+			// them unregistered.
 			j.err, j.kind = err, ingestErrValidate
 			if errors.Is(err, correlated.ErrIncompatible) {
 				j.kind = ingestErrIncompatible
 			}
 			return
 		}
+		s.registerLocked(t)
+		j.tn = t
 	case opReset:
 		t.eng.Reset()
 		s.round = j.image
@@ -385,7 +410,7 @@ func (s *Server) foldOpenRoundLocked(why string) error {
 	}
 	s.logf("push round open at %s; image folded back for re-push", why)
 	j := ingestJob{op: opFoldback, image: s.round}
-	s.applyJobLocked(&j)
+	s.applyJobLocked(&j, false)
 	return j.err
 }
 
@@ -405,7 +430,7 @@ func (s *Server) commitJobLocked(w *wal.WAL, j *ingestJob) {
 	case opFoldback:
 		j.image = s.round
 	}
-	s.applyJobLocked(j)
+	s.applyJobLocked(j, true)
 	if j.kind != ingestOK || w == nil {
 		return
 	}
@@ -436,7 +461,7 @@ func (s *Server) commitJobLocked(w *wal.WAL, j *ingestJob) {
 // commitRunLocked applies a run of ingest jobs as one group and appends
 // its one record. Callers hold s.mu.
 func (s *Server) commitRunLocked(w *wal.WAL, run []*ingestJob, dequeued time.Time) {
-	if s.applyGroupLocked(run) == 0 {
+	if s.applyGroupLocked(run, true) == 0 {
 		return
 	}
 	applyEnd := time.Now()
@@ -469,11 +494,13 @@ func (s *Server) commitRunLocked(w *wal.WAL, run []*ingestJob, dequeued time.Tim
 // the driver lock it applies the jobs in queue order and appends their
 // records — each maximal run of ingest jobs as one group, one record —
 // then one Sync outside the lock covers them all, then every job is woken
-// with its outcome. A member of an ingest run that fails validation is
-// rejected alone and left out of the run's record; a failed append nacks
+// with its outcome. A member of an ingest run that a governance cap refuses
+// is rejected alone and left out of the run's record; a failed append nacks
 // its own job (its run's members, who were applied together); a failed
-// barrier nacks every job behind it. The stage histograms (trace.go) and
-// the group counters describe ingest runs only, whatever shares the queue.
+// barrier nacks every job behind it under -wal-fsync=always, where it
+// rewound their records, and under interval and off — nothing rewound —
+// only the jobs that demanded it. The stage histograms (trace.go) and the
+// group counters describe ingest runs only, whatever shares the queue.
 func (s *Server) commitGroup(group []*ingestJob) {
 	dequeued := time.Now()
 	w := s.walRef()
@@ -500,8 +527,8 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	for _, j := range group {
 		pending = pending || j.lsn != 0
 		force = force || j.op >= opCheckpoint
-		if j.op == opIngest && j.kind != ingestErrValidate && j.kind != ingestErrEngine {
-			applied++
+		if j.op == opIngest && (j.kind == ingestOK || j.kind == ingestErrWAL) {
+			applied++ // the engine holds it, whatever the log says
 		}
 		if j.kind == ingestErrWAL && walErr == nil {
 			walErr = j.err
@@ -510,7 +537,9 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	if s.cfg.MaxTenantBytes > 0 && applied > 0 {
 		s.recomputeFootprint()
 	}
-	if w != nil && (force || pending && s.cfg.walFsync() == "always") {
+	policy := s.cfg.walFsync()
+	barrier := w != nil && (force || pending && policy == "always")
+	if barrier {
 		// The group-wide durability barrier the acks below stand behind:
 		// one fsync for every record of the group. (Under fsync=interval
 		// and off an ack never promised durability, so only a job that
@@ -527,11 +556,13 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		}
 	}
 	if walErr != nil {
-		// Any record's log failure counts toward degrading; a clean group
-		// resets the streak.
+		// Any record's log failure counts toward degrading.
 		s.noteWALError(walErr)
-	} else if pending {
-		s.noteWALOK()
+	} else if barrier || pending && policy == "off" {
+		// A clean fsync resets the streak; a clean append only where nothing
+		// ever fsyncs — the appends acknowledged between two failing
+		// interval barriers say nothing about the disk.
+		s.health.walErrs.Store(0)
 	}
 	if applied > 0 {
 		// The group's wall time prices the overload Retry-After hint.
@@ -544,9 +575,9 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	wake := time.Now()
 	members, tuples := 0, 0
 	for i, j := range group {
-		if syncErr != nil && j.kind == ingestOK && (j.lsn != 0 || j.op == opBarrier) {
-			// Behind the failed barrier; a reset is folded back, as if its
-			// append had failed.
+		if syncErr != nil && j.kind == ingestOK && (j.op >= opCheckpoint || policy == "always" && j.lsn != 0) {
+			// Demanded the failed barrier, or was rewound by it; a reset is
+			// folded back, as if its append had failed.
 			j.err, j.kind, j.lsn = syncErr, ingestErrWAL, 0
 			if j.op == opReset {
 				s.mu.Lock()

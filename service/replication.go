@@ -73,14 +73,14 @@ func newReplayState(covered uint64, startup bool) *replayState {
 
 // decodeIngest turns an ingest record's payload back into the member
 // list the live commit logged (appendIngestRecord's inverse): keyed
-// batches back to back until the payload is spent, each resolved to its
-// tenant by tenantOf. There is no member count to trust — a member is at
-// least two bytes, and each batch's own count is bounded by the bytes
-// behind it — so what a hostile payload can make this allocate is bounded
-// by its length. An empty payload is refused: the live commit never logs
-// a group with no applied member. The jobs and their tuple buffers are
-// reused from record to record.
-func (st *replayState) decodeIngest(payload []byte, tenantOf func(name []byte) (*tenant, error)) ([]*ingestJob, error) {
+// batches back to back until the payload is spent, each a job addressed by
+// its key, which aliases payload. There is no member count to trust — a
+// member is at least two bytes, and each batch's own count is bounded by
+// the bytes behind it — so what a hostile payload can make this allocate is
+// bounded by its length. An empty payload is refused: the live commit
+// never logs a group with no applied member. The jobs and their tuple
+// buffers are reused from record to record.
+func (st *replayState) decodeIngest(payload []byte) ([]*ingestJob, error) {
 	if len(payload) == 0 {
 		return nil, errors.New("empty ingest record")
 	}
@@ -90,12 +90,8 @@ func (st *replayState) decodeIngest(payload []byte, tenantOf func(name []byte) (
 			st.jobs = append(st.jobs, &ingestJob{})
 		}
 		j := st.jobs[n]
-		var name []byte
 		var err error
-		if name, j.tuples, rest, err = tupleio.DecodeKeyedPrefix(j.tuples, rest); err == nil {
-			j.tn, err = tenantOf(name)
-		}
-		if err != nil {
+		if j.key, j.tuples, rest, err = tupleio.DecodeKeyedPrefix(j.tuples, rest); err != nil {
 			return nil, fmt.Errorf("member %d: %w", n, err)
 		}
 	}
@@ -109,20 +105,19 @@ func (st *replayState) decodeIngest(payload []byte, tenantOf func(name []byte) (
 // decoded back into the jobs the commit held: an ingest record into its
 // member list (applyGroupLocked: each touched tenant gets the same one
 // AddBatch it got live), any other state record into its one job
-// (applyJobLocked). counted reports whether the record carried state (a
-// checkpoint marker does not). Startup replay calls it single-threaded;
-// live apply calls it under s.mu.
+// (applyJobLocked) — both with the governance caps off: a tenant the log
+// names is made whatever the caps say today. counted reports whether the
+// record carried state (a checkpoint marker does not). Startup replay calls
+// it single-threaded; live apply calls it under s.mu.
 func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st *replayState) (counted bool, err error) {
 	var j ingestJob
 	switch typ {
 	case wal.RecordIngest:
-		group, err := st.decodeIngest(payload, func(name []byte) (*tenant, error) {
-			return s.getOrCreateTenant(name, true)
-		})
+		group, err := st.decodeIngest(payload)
 		if err != nil {
 			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 		}
-		s.applyGroupLocked(group)
+		s.applyGroupLocked(group, false)
 		for i, j := range group {
 			// The log holds only members the live commit applied, so a
 			// member refused here is fatal to the replay.
@@ -137,11 +132,7 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 		if err != nil {
 			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 		}
-		t, err := s.getOrCreateTenant(name, true)
-		if err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
-		j = ingestJob{op: opPush, tn: t, image: image}
+		j = ingestJob{op: opPush, key: name, image: image}
 	case wal.RecordReset:
 		// The image outlives this call as the open round.
 		j = ingestJob{op: opReset, image: bytes.Clone(payload)}
@@ -177,7 +168,7 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 		return false, fmt.Errorf("service: wal replay: record %d has unknown type %d", lsn, typ)
 	}
 	// The log holds only jobs the live commit applied.
-	if s.applyJobLocked(&j); j.kind != ingestOK {
+	if s.applyJobLocked(&j, false); j.kind != ingestOK {
 		return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, j.err)
 	}
 	return true, nil

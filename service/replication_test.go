@@ -459,6 +459,30 @@ func TestReplicaAutoPromoteOnPrimaryLoss(t *testing.T) {
 	}
 }
 
+// TestPromotedReplicaKeepsIntervalFsync: the interval policy's ticker is
+// the server's, not the log's, so a replica configured with
+// -wal-fsync=interval has it from New — idle while there is no log — and
+// the log its promotion opens is fsynced on it: a batch acknowledged after
+// promotion reaches the durable frontier with nothing else demanding a
+// barrier.
+func TestPromotedReplicaKeepsIntervalFsync(t *testing.T) {
+	o := testOptions()
+	primary, _, _ := newTestServer(t, Config{Options: o, WALDir: t.TempDir(), WALFsync: "always"})
+	replicaSvc, rts := newReplica(t, o, startStream(t, primary), func(c *Config) {
+		c.WALDir, c.WALFsync, c.WALFsyncInterval = t.TempDir(), "interval", 5*time.Millisecond
+	})
+	if err := replicaSvc.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.New(rts.URL).AddBatch(context.Background(), testStream(200, 8)); err != nil {
+		t.Fatal(err)
+	}
+	w := replicaSvc.walRef()
+	waitUntil(t, 10*time.Second, "the ticker's barrier to cover the acknowledged batch", func() bool {
+		return w.LastLSN() > 0 && w.FollowableLSN() == w.LastLSN()
+	})
+}
+
 // TestReplicaReseedRefreshesFootprint: a re-seed changes the form of every
 // tenant it touches — here it empties one the image lacks, and replaces
 // the default, a live and a spilled one — and the governance samples must

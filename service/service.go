@@ -119,8 +119,8 @@ type Config struct {
 	// WALFsync is the fsync policy: "always" (default — an
 	// acknowledged request survives kill -9), "interval", or "off".
 	WALFsync string
-	// WALFsyncInterval is the ticker period for WALFsync="interval";
-	// <= 0 means 100ms.
+	// WALFsyncInterval is the ticker period for WALFsync="interval" — how
+	// often a barrier job is queued; <= 0 means 100ms.
 	WALFsyncInterval time.Duration
 	// WALSegmentBytes is the segment rotation threshold; <= 0 means
 	// 64 MiB.
@@ -300,7 +300,9 @@ type Server struct {
 
 	// Tenant registry (tenant.go): def is the default (empty-key)
 	// tenant, whose engine never spills; tenants maps every key
-	// (including "") to its namespace. regMu is the innermost lock —
+	// (including "") to its namespace. Whoever writes the map — the commit
+	// that makes a tenant, a snapshot install — holds mu as well as regMu,
+	// so a read under mu needs no regMu. regMu is the innermost lock —
 	// never acquire mu or a tenant's memoMu while holding it.
 	// tenantsLive counts tenants holding a materialized engine (the
 	// rest are spilled images), kept at create, spill and restore so a
@@ -405,6 +407,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotKeep <= 0 {
 		cfg.SnapshotKeep = 2
 	}
+	if cfg.WALFsyncInterval <= 0 {
+		cfg.WALFsyncInterval = 100 * time.Millisecond
+	}
 	if cfg.FS == nil {
 		cfg.FS = fault.OS()
 	}
@@ -484,6 +489,17 @@ func New(cfg Config) (*Server, error) {
 			s.recoverNow() // logs its own outcome
 		}
 	})
+	if cfg.WALDir != "" && cfg.walFsync() == "interval" {
+		// The interval policy is a barrier job on a ticker — the log starts
+		// no goroutine — and its failure a failed commit group like any
+		// other. A replica's is a no-op until promotion opens the log.
+		s.every(cfg.WALFsyncInterval, func() {
+			if err := s.commit(&ingestJob{op: opBarrier}); err != nil {
+				s.metrics.walSyncErrors.Inc()
+				s.logf("wal: interval fsync: %v", err)
+			}
+		})
+	}
 	if cfg.SnapshotPath != "" {
 		s.every(cfg.SnapshotInterval, func() {
 			if err := s.Snapshot(); err != nil {

@@ -16,8 +16,24 @@ import (
 // AppendNoSync and Probe are the log's names alone; a Sync is the log's
 // when its receiver is walRef() or wal.Load(), or a name declared as a
 // *wal.WAL or assigned from one of those calls (files have a Sync too).
+// And the log has no writer of its own to hide from that check: no
+// non-test file of internal/wal starts a goroutine or a ticker.
 func TestSingleLogWriter(t *testing.T) {
-	fset, files := parseService(t)
+	fset, files := parsePackage(t, "../internal/wal", "wal", "wal.go")
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: internal/wal starts a goroutine; the log's only writer is the service's committer", fset.Position(n.Pos()))
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "time" && n.Sel.Name == "NewTicker" {
+					t.Errorf("%s: internal/wal starts a ticker; a periodic fsync is a barrier job the service queues", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	fset, files = parseService(t)
 	for name, file := range files {
 		if filepath.Base(name) == "pipeline.go" {
 			continue
@@ -76,16 +92,23 @@ func TestFilesystemThroughConfigFS(t *testing.T) {
 // parseService parses this package's non-test files.
 func parseService(t *testing.T) (*token.FileSet, map[string]*ast.File) {
 	t.Helper()
+	return parsePackage(t, ".", "service", "pipeline.go")
+}
+
+// parsePackage parses the non-test files of package name in dir, which
+// must hold the file witness.
+func parsePackage(t *testing.T, dir, name, witness string) (*token.FileSet, map[string]*ast.File) {
+	t.Helper()
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg := pkgs["service"]
-	if pkg == nil || pkg.Files["pipeline.go"] == nil {
-		t.Fatalf("did not find package service with pipeline.go: %v", pkgs)
+	pkg := pkgs[name]
+	if pkg == nil || pkg.Files[filepath.Join(dir, witness)] == nil {
+		t.Fatalf("did not find package %s with %s in %s: %v", name, witness, dir, pkgs)
 	}
 	return fset, pkg.Files
 }

@@ -255,24 +255,12 @@ func (s *Server) serveStreamConn(c net.Conn) {
 			nackFrame(inflight, d, kind, err)
 			continue
 		}
-		var tn *tenant
 		if keyed {
 			// Keyed frame: tenant prefix, then the counted batch. The
 			// decoded key aliases d.body, which stays untouched until the
-			// commit — and the registry lookup indexes by the bytes
-			// without allocating; only an actual tenant creation copies.
-			var name []byte
-			name, d.tuples, err = tupleio.DecodeKeyed(d.tuples, d.body)
-			if err == nil {
-				tn, err = s.getOrCreateTenant(name, false)
-				if err != nil && !errors.Is(err, tupleio.ErrBadStream) {
-					// A governance cap refused the tenant; frames for
-					// existing tenants keep committing.
-					s.metrics.streamFrameErrors.Inc()
-					nackFrame(inflight, d, ingestErrTenant, err)
-					continue
-				}
-			}
+			// ack; the commit resolves it, and a governance cap's refusal
+			// is this frame's ack while other tenants' keep committing.
+			d.job.key, d.tuples, err = tupleio.DecodeKeyed(d.tuples, d.body)
 		} else {
 			d.tuples, err = tupleio.DecodeCounted(d.tuples, d.body)
 		}
@@ -282,13 +270,14 @@ func (s *Server) serveStreamConn(c net.Conn) {
 			nackFrame(inflight, d, ingestErrValidate, err)
 			continue
 		}
-		d.job.op, d.job.tuples, d.job.tn = opIngest, d.tuples, tn
+		d.job.op, d.job.tuples = opIngest, d.tuples
 		if s.enqueue(&d.job) {
 			inflight <- d
 			continue
 		}
-		// Shed (the queue bound is transient backpressure, not a conn
-		// problem) or shutting down (the read side is over).
+		// Invalid (this batch only), shed (the queue bound is transient
+		// backpressure, not a conn problem) or shutting down (the read
+		// side is over).
 		draining := d.job.kind == ingestErrShutdown
 		nackFrame(inflight, d, d.job.kind, d.job.err)
 		if draining {
@@ -328,15 +317,13 @@ func (s *Server) streamAcker(c net.Conn, connID string, inflight <-chan *decodeS
 		if d.job.kind == ingestOK {
 			s.metrics.streamFrames.Inc()
 			s.metrics.streamTuples.Add(uint64(len(d.job.tuples)))
-			if d.job.tn != nil {
-				d.job.tn.tuplesIngested.Add(uint64(len(d.job.tuples)))
-			}
+			d.job.tn.tuplesIngested.Add(uint64(len(d.job.tuples)))
 		} else if o.count != nil {
 			o.count(s.metrics).Inc()
 		}
 		if s.access != nil {
 			var tname string
-			if d.job.tn != nil {
+			if d.job.tn != nil { // nil: refused before the commit resolved its key
 				tname = d.job.tn.name
 			}
 			s.access.record(accessRecord{

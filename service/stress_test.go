@@ -328,31 +328,33 @@ func tenantBytes(t *testing.T, svc *Server, name string) []byte {
 }
 
 // TestCommitGroupOneBatchPerTenant pins the apply path's and the log's
-// contract, one commit group per case: only the member with y > YMax is
-// nacked; each tenant holds exactly what one offline AddBatch of its
-// applied members, concatenated in client order, leaves; the members' own
-// slices keep the client's tuple order (AddBatch sorts only the
-// committer's copy); the group is logged as one RecordIngest — whatever
-// its size and whichever tenants it names — whose payload the one decoder
-// turns back into the applied members in client order; and every other
-// way to reach the state — spill → restore, a replica applying the
-// shipped record, a restart replaying it — reproduces the same bytes.
+// contract, one commit group per case: a member with y > YMax is refused
+// by enqueue and never reaches the group; of the group, only the member
+// naming a tenant past MaxTenants is nacked, alone, and makes no tenant;
+// each tenant holds exactly what one offline AddBatch of its applied
+// members, concatenated in client order, leaves; the members' own slices
+// keep the client's tuple order (AddBatch sorts only the committer's copy);
+// the group is logged as one RecordIngest — whatever its size and whichever
+// tenants it names — whose payload the one decoder turns back into the
+// applied members in client order; and every other way to reach the state
+// — spill → restore, a replica applying the shipped record, a restart
+// replaying it — reproduces the same bytes.
 func TestCommitGroupOneBatchPerTenant(t *testing.T) {
-	beyond := []correlated.Tuple{{X: 1, Y: 5, W: 1}, {X: 2, Y: testOptions().YMax + 1, W: 1}}
 	s1, s2, s3, s4 := testStream(300, 1), testStream(200, 2), testStream(250, 3), testStream(150, 4)
 	for _, tc := range []struct {
-		name    string
-		members []groupMember
+		name       string
+		maxTenants int // the default tenant counts
+		members    []groupMember
 	}{
-		{"default tenant, group of one", []groupMember{{"", s1, ingestOK}}},
-		{"default tenant, group of three, one nacked", []groupMember{
-			{"", s1, ingestOK}, {"", beyond, ingestErrValidate}, {"", s2, ingestOK},
+		{"default tenant, group of one", 0, []groupMember{{"", s1, ingestOK}}},
+		{"default tenant, group of three, one nacked", 1, []groupMember{
+			{"", s1, ingestOK}, {"over-cap", s3, ingestErrTenant}, {"", s2, ingestOK},
 		}},
-		{"keyed and default tenants, one nacked", []groupMember{
-			{"a", s1, ingestOK}, {"", s4, ingestOK}, {"a", beyond, ingestErrValidate}, {"b", s2, ingestOK}, {"a", s3, ingestOK},
+		{"keyed and default tenants, one nacked", 3, []groupMember{
+			{"a", s1, ingestOK}, {"", s4, ingestOK}, {"b", s2, ingestOK}, {"over-cap", s4, ingestErrTenant}, {"a", s3, ingestOK},
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { commitGroupCase(t, tc.members) })
+		t.Run(tc.name, func(t *testing.T) { commitGroupCase(t, tc.maxTenants, tc.members) })
 	}
 }
 
@@ -365,11 +367,16 @@ type groupMember struct {
 }
 
 // commitGroupCase runs one TestCommitGroupOneBatchPerTenant group.
-func commitGroupCase(t *testing.T, members []groupMember) {
+func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 	cfg := walConfig(t)
+	cfg.MaxTenants = maxTenants
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	beyond := ingestJob{tuples: []correlated.Tuple{{X: 1, Y: 5, W: 1}, {X: 2, Y: cfg.Options.YMax + 1, W: 1}}}
+	if svc.enqueue(&beyond) || beyond.kind != ingestErrValidate {
+		t.Fatalf("enqueue admitted a batch with y > YMax (kind %d, err %v)", beyond.kind, beyond.err)
 	}
 	clone := func(b []correlated.Tuple) []correlated.Tuple { return append([]correlated.Tuple(nil), b...) }
 	type logged struct {
@@ -380,12 +387,7 @@ func commitGroupCase(t *testing.T, members []groupMember) {
 	batches := map[string][]correlated.Tuple{}
 	jobs := make([]*ingestJob, len(members))
 	for i, m := range members {
-		jobs[i] = &ingestJob{tuples: clone(m.tuples), done: make(chan struct{}, 1)}
-		if m.tenant != "" { // a nil tenant is how the handlers address the default one
-			if jobs[i].tn, err = svc.getOrCreateTenant([]byte(m.tenant), false); err != nil {
-				t.Fatal(err)
-			}
-		}
+		jobs[i] = &ingestJob{key: []byte(m.tenant), tuples: clone(m.tuples), done: make(chan struct{}, 1)}
 		if m.kind == ingestOK {
 			applied = append(applied, logged{m.tenant, m.tuples})
 			batches[m.tenant] = append(batches[m.tenant], m.tuples...)
@@ -422,6 +424,11 @@ func commitGroupCase(t *testing.T, members []groupMember) {
 				t.Fatalf("%s: tenant %q differs from its one offline AddBatch (%d vs %d bytes)", path, name, len(got), len(img))
 			}
 		}
+		for _, m := range members {
+			if m.kind != ingestOK && srv.tenantByName(m.tenant) != nil {
+				t.Fatalf("%s: the refused member left tenant %q behind", path, m.tenant)
+			}
+		}
 	}
 	check("live commit", svc)
 
@@ -434,13 +441,12 @@ func commitGroupCase(t *testing.T, members []groupMember) {
 		if typ != wal.RecordIngest {
 			t.Fatalf("record %d has type %d, want RecordIngest", lsn, typ)
 		}
-		group, err := newReplayState(0, true).decodeIngest(payload, func(name []byte) (*tenant, error) {
-			return &tenant{name: string(name)}, nil
-		})
+		group, err := newReplayState(0, true).decodeIngest(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, j := range group {
+			j.tn = &tenant{name: string(j.key)} // as the commit resolves it, for the encoder
 			record = append(record, logged{j.tn.name, j.tuples})
 		}
 		if again := appendIngestRecord(nil, group); !bytes.Equal(again, payload) {

@@ -2,13 +2,10 @@ package service
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/streamagg/correlated/internal/tupleio"
 )
 
 // Multi-tenant namespaces: one corrd daemon serves N independent keyed
@@ -18,7 +15,11 @@ import (
 // keyed stream frame format) and the durability surface (every ingest
 // and push record in the WAL, every snapshot entry); the empty key is
 // the default tenant, which is what a request naming no tenant addresses
-// and is logged and snapshotted like any other.
+// and is logged and snapshotted like any other. A tenant comes into being
+// with the first write the commit applies to it (tenantForWriteLocked, the
+// one place a request or a record makes one); a write that is refused,
+// shed or invalid never makes one, and reads never do, so the registry is
+// a function of the log.
 //
 // Sharing, not duplication: all tenants ride one commit pipeline (one
 // group commit, one WAL, one fsync covers batches for many tenants) and
@@ -30,8 +31,9 @@ import (
 // Governance: MaxTenants caps the namespace count (HTTP 429 past it),
 // MaxTenantBytes caps the summed per-tenant footprint (HTTP 413) —
 // sampled at commit and spill time, so enforcement is approximate by
-// one group. The sample is in bytes either way: eight per stored word of
-// a live tenant's Space() (liveBytes), the image length of a spilled one.
+// one group; the commit that would make the tenant refuses, as the
+// write's outcome. The sample is in bytes either way: eight per stored word
+// of a live tenant's Space() (liveBytes), the image length of a spilled one.
 // TenantIdleSpill reclaims idle tenants' memory: the summary is marshaled
 // into an in-memory image and dropped, and the next touch lazily
 // unmarshals the same bytes into a fresh one. Spill is pure memory
@@ -39,15 +41,6 @@ import (
 // recovery sources, and snapshots embed a spilled tenant's image verbatim
 // (consistent by construction — a spilled tenant is untouched since its
 // spill).
-
-// Tenant governance rejections, surfaced as typed HTTP statuses
-// (429 and 413 respectively).
-var (
-	// ErrTenantLimit rejects creating a tenant past Config.MaxTenants.
-	ErrTenantLimit = errors.New("service: tenant limit reached")
-	// ErrTenantMemory rejects creating a tenant past Config.MaxTenantBytes.
-	ErrTenantMemory = errors.New("service: tenant memory cap reached")
-)
 
 // memoCap bounds a tenant's answer memo. A dashboard polls a handful of
 // cutoffs; a scan over thousands would otherwise grow the map without
@@ -160,17 +153,8 @@ func (t *tenant) memoEvaluate(eng Engine, ge bool, cutoffs []uint64, out []float
 // image. Callers hold s.mu.
 func (t *tenant) spilledLocked() bool { return t.eng == nil }
 
-// lookupTenant returns the live registry entry for a wire-decoded key,
-// or nil. The string conversion in the map index does not allocate.
-func (s *Server) lookupTenant(name []byte) *tenant {
-	s.regMu.RLock()
-	t := s.tenants[string(name)]
-	s.regMu.RUnlock()
-	return t
-}
-
-// tenantByName is lookupTenant for keys already held as strings
-// (HTTP query parameters).
+// tenantByName returns the registry entry for a key, or nil: the read
+// paths' lookup (reads never make a tenant).
 func (s *Server) tenantByName(name string) *tenant {
 	s.regMu.RLock()
 	t := s.tenants[name]
@@ -189,45 +173,48 @@ func (s *Server) tenantList() []*tenant {
 	return out
 }
 
-// getOrCreateTenant resolves name, creating the tenant when it does not
-// exist yet — ingest and push are the creation surface; queries never
-// create. Creation validates the key and enforces the governance caps
-// unless replay is set: WAL replay and snapshot restore re-create
-// whatever existed at the crash, because acknowledged data outranks a
-// cap that may have been lowered since.
-func (s *Server) getOrCreateTenant(name []byte, replay bool) (*tenant, error) {
-	if t := s.lookupTenant(name); t != nil {
-		return t, nil
+// tenantForWriteLocked resolves the key a write addresses, and is the one
+// place a request or a record makes a tenant. A key the registry lacks gets
+// a fresh tenant the caller registers (registerLocked) once the write that
+// named it is certain to apply — an ingest member at once, its tuples
+// passed admission; a push only after its image merged — so a refused
+// write leaves nothing behind. caps enforces the governance caps, for a
+// live commit; startup replay and a replica's apply re-make whatever the
+// log holds, because acknowledged data outranks a cap that may have been
+// lowered since. Every writer of the registry holds s.mu, so this lookup
+// needs no regMu; it indexes by the key's bytes without allocating, and
+// the key is copied only to make a tenant. Callers hold s.mu, or run before
+// any goroutine exists.
+func (s *Server) tenantForWriteLocked(key []byte, caps bool) (*tenant, ingestErrKind, error) {
+	if t := s.tenants[string(key)]; t != nil {
+		return t, ingestOK, nil
 	}
-	if err := tupleio.ValidateTenant(name); err != nil {
-		return nil, err
+	if caps && s.cfg.MaxTenants > 0 && len(s.tenants) >= s.cfg.MaxTenants {
+		return nil, ingestErrTenant, fmt.Errorf("service: tenant limit reached: %d tenants, cap is %d", len(s.tenants), s.cfg.MaxTenants)
 	}
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	if t := s.tenants[string(name)]; t != nil {
-		return t, nil // lost the creation race; the winner's entry serves
-	}
-	if !replay {
-		if s.cfg.MaxTenants > 0 && len(s.tenants) >= s.cfg.MaxTenants {
-			s.metrics.tenantRejectedLimit.Inc()
-			return nil, fmt.Errorf("%w: %d tenants, cap is %d", ErrTenantLimit, len(s.tenants), s.cfg.MaxTenants)
-		}
-		if s.cfg.MaxTenantBytes > 0 && s.tenantBytes.Load() >= s.cfg.MaxTenantBytes {
-			s.metrics.tenantRejectedMemory.Inc()
-			return nil, fmt.Errorf("%w: ~%d bytes across %d tenants, cap is %d",
-				ErrTenantMemory, s.tenantBytes.Load(), len(s.tenants), s.cfg.MaxTenantBytes)
-		}
+	if caps && s.cfg.MaxTenantBytes > 0 && s.tenantBytes.Load() >= s.cfg.MaxTenantBytes {
+		return nil, ingestErrTenantBytes, fmt.Errorf("service: tenant memory cap reached: ~%d bytes across %d tenants, cap is %d",
+			s.tenantBytes.Load(), len(s.tenants), s.cfg.MaxTenantBytes)
 	}
 	eng, err := newEngine(&s.cfg)
 	if err != nil {
-		return nil, err
+		return nil, ingestErrEngine, err
 	}
-	t := &tenant{name: string(name), eng: eng}
-	t.touch()
+	return &tenant{name: string(key), eng: eng}, ingestOK, nil
+}
+
+// registerLocked enters a tenant tenantForWriteLocked made into the
+// registry; one it found there is left as it is. Callers hold s.mu, or run
+// before any goroutine exists.
+func (s *Server) registerLocked(t *tenant) {
+	if s.tenants[t.name] == t {
+		return
+	}
+	s.regMu.Lock()
 	s.tenants[t.name] = t
+	s.regMu.Unlock()
 	s.tenantsLive.Add(1)
 	s.metrics.tenantsCreated.Inc()
-	return t, nil
 }
 
 // imageLocked returns the tenant's state as one marshaled image: the

@@ -392,6 +392,51 @@ func TestTenantSpillRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSummaryServesSpilledImage: GET /v1/summary on a spilled tenant
+// serves the parked image as it stands — the pre-spill bytes — and a read
+// does not un-spill the tenant: corrd_tenants_live and
+// corrd_tenant_restores_total do not move. A tenant parked empty (what a
+// re-seed that dropped it leaves) has no bytes to serve — the empty
+// summary's image is not zero bytes — so that one materializes.
+func TestSummaryServesSpilledImage(t *testing.T) {
+	svc, ts, _ := newTestServer(t, Config{Options: testOptions()})
+	ctx := context.Background()
+	if err := client.New(ts.URL, client.WithTenant("idle")).AddBatch(ctx, testStream(1_200, 41)); err != nil {
+		t.Fatal(err)
+	}
+	pre := tenantSummary(t, ts.URL, "idle")
+	if spilled := svc.spillIdle(0); spilled != 1 {
+		t.Fatalf("spilled %d tenants, want 1", spilled)
+	}
+	gauges := func() (live, restores float64) {
+		t.Helper()
+		body := scrape(t, ts.URL)
+		return metricValue(t, body, "corrd_tenants_live"), metricValue(t, body, "corrd_tenant_restores_total")
+	}
+	live, restores := gauges()
+	if got := tenantSummary(t, ts.URL, "idle"); !bytes.Equal(got, pre) {
+		t.Fatalf("spilled tenant's summary differs from its pre-spill bytes (%d vs %d)", len(got), len(pre))
+	}
+	if l, r := gauges(); l != live || r != restores {
+		t.Fatalf("reading a spilled tenant's summary moved corrd_tenants_live %v → %v, corrd_tenant_restores_total %v → %v", live, l, restores, r)
+	}
+
+	svc.mu.Lock()
+	svc.installImageLocked(svc.tenantByName("idle"), nil)
+	svc.mu.Unlock()
+	empty, err := correlated.NewF2Summary(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := empty.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tenantSummary(t, ts.URL, "idle"); !bytes.Equal(got, want) {
+		t.Fatalf("emptied tenant's summary is %d bytes, want the empty summary's %d", len(got), len(want))
+	}
+}
+
 // TestTenantGovernanceCaps: creation past MaxTenants is a typed 429,
 // creation past MaxTenantBytes a typed 413, existing tenants keep
 // serving, and the keyed streaming transport surfaces the same refusal

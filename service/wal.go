@@ -16,10 +16,13 @@ import (
 //
 // Three invariants make recovery crash-exact. First, "one writer": while
 // the server runs only the committer (pipeline.go) appends to, syncs,
-// rewinds or probes the log, so a record is in the log exactly when the
-// barrier its waiter stood behind returned nil. Second, "log order ==
-// apply order": every job's engine apply and WAL append happen in the
-// same critical section of the driver lock (s.mu), in queue order, so the
+// rewinds or probes the log — the interval policy's periodic fsync is a
+// job of its queue, the log has no goroutine of its own — so a record is
+// in the log exactly when the barrier its waiter stood behind returned
+// nil. The tenant registry follows: only the apply of a logged write
+// makes a tenant, live and on replay alike. Second, "log order == apply
+// order": every job's engine apply and WAL append happen in the same
+// critical section of the driver lock (s.mu), in queue order, so the
 // replayer — which re-applies records through the very same functions
 // (applyGroupLocked, applyJobLocked) — reconstructs the identical
 // sequence of engine calls. Third, "batch boundaries are the log's": a
@@ -60,14 +63,9 @@ func (s *Server) openWAL(firstLSN uint64) error {
 	w, err := wal.Open(s.cfg.WALDir, wal.Options{
 		SegmentBytes: s.cfg.WALSegmentBytes,
 		Sync:         policy,
-		SyncEvery:    s.cfg.WALFsyncInterval,
 		FirstLSN:     firstLSN,
 		FS:           s.fs,
 		OnFsync:      func(d time.Duration) { s.metrics.walFsync.Observe(d.Seconds()) },
-		OnSyncError: func(err error) {
-			s.logf("wal: background fsync: %v", err)
-			s.noteBgSyncError(err)
-		},
 	})
 	if err != nil {
 		return fmt.Errorf("service: wal: %w", err)
@@ -86,9 +84,9 @@ func (s *Server) walRef() *wal.WAL { return s.wal.Load() }
 // speaks. Any failure is fatal to startup: a daemon must not serve
 // state it knows is missing acknowledged data. Replay runs before any
 // goroutine is started, so calling the *Locked tenant helpers without
-// s.mu is safe; tenant creation during replay bypasses the governance
-// caps — acknowledged data outranks a cap that may have been lowered
-// since.
+// s.mu is safe; the apply makes each tenant the log names with the
+// governance caps off — acknowledged data outranks a cap that may have
+// been lowered since.
 func (s *Server) replayWAL(covered uint64) error {
 	start := time.Now()
 	var records uint64
