@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's evaluation, one per figure and
-// table (see DESIGN.md's experiment index). Each bench processes a scaled
-// stream and reports the paper's metric (summary space in
-// counters/tuples, or relative error ×1000) via b.ReportMetric, so
+// table (README "Layout": cmd/corrbench, whose usage comment is the index).
+// Each bench processes a scaled stream and reports the paper's metric
+// (summary space in counters/tuples, or relative error ×1000) via
+// b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //

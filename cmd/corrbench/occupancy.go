@@ -38,7 +38,7 @@ func occupancyTable(n int) {
 		shapes = []occupancyShape{{"uniform", n, 256, false}, {"zipf1", n, 256, true}}
 	}
 	fmt.Println("# Occupancy: where an F2 summary's counters sit, per level (eps=0.15, delta=0.1, ymax=1e6, maxn=2^24, as corrdbench runs corrd)")
-	fmt.Println("shape\tn\tdir\tlevel\tstored\tclosed\tuntouched\titems\tdense\tcounters\twatermark")
+	fmt.Println("shape\tn\tdir\tlevel\tstored\tclosed\tuntouched\titems\tdense\tcounters\tbytes\twatermark")
 	for _, sh := range shapes {
 		s, err := correlated.NewF2Summary(correlated.Options{
 			Eps: 0.15, Delta: 0.1, YMax: ymaxPaper,
@@ -64,12 +64,14 @@ func occupancyTable(n int) {
 			die(s.AddBatch(batch))
 		}
 		le, ge := s.Occupancy()
+		var held int64 // bytes behind the counters
 		for _, dir := range []struct {
 			name string
 			rows []correlated.LevelOccupancy
 		}{{"LE", le}, {"GE", ge}} {
 			virgin := 0
 			for _, o := range dir.rows {
+				held += o.Bytes
 				if o.Virgin && o.Counters == 2 {
 					virgin++ // an untouched root and nothing else
 					continue
@@ -78,13 +80,13 @@ func occupancyTable(n int) {
 				if o.Watermark != math.MaxUint64 {
 					mark = fmt.Sprint(o.Watermark)
 				}
-				fmt.Printf("%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n", sh.name, sh.n, dir.name,
-					o.Level, o.Stored, o.Closed, o.Untouched, o.Items, o.Dense, o.Counters, mark)
+				fmt.Printf("%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n", sh.name, sh.n, dir.name,
+					o.Level, o.Stored, o.Closed, o.Untouched, o.Items, o.Dense, o.Counters, o.Bytes, mark)
 			}
 			fmt.Printf("# %s %s: %d further levels are virgin, two counters each\n", sh.name, dir.name, virgin)
 		}
 		img, err := s.MarshalBinary()
 		die(err)
-		fmt.Printf("# %s: space %d counters, image %d bytes\n", sh.name, s.Space(), len(img))
+		fmt.Printf("# %s: space %d counters in %d bytes, image %d bytes\n", sh.name, s.Space(), held, len(img))
 	}
 }

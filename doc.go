@@ -171,7 +171,11 @@
 // holds exactly the counters it would have held had it been dense from the
 // start. The marshaled image records the form, so Space is the same before
 // and after a MarshalBinary → UnmarshalBinary round trip and marshaling
-// changes nothing. Occupancy breaks Space down level by level.
+// changes nothing. In memory a dense array stores its counters at two
+// bytes each and widens itself (to four, then eight) the first time a
+// value would not fit; that changes no answer, no image byte and not
+// Space, which keeps counting counters. Occupancy breaks Space down level
+// by level and reports the bytes behind each level's counters.
 //
 // # Mergeability and distribution
 //

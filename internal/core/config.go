@@ -31,9 +31,9 @@ type Config struct {
 
 	// Alpha overrides the per-level bucket capacity α. Zero derives it:
 	// with StrictTheory, the proof value 64·c1(log ymax)/c2(ε/2);
-	// otherwise the practical value ceil(AlphaScale·12·log2(ymax+1)/ε),
+	// otherwise the practical value max(64, ceil(AlphaScale·8·log2(ymax+1)/ε)),
 	// which mirrors the constants the paper's own experiments ran with
-	// (see DESIGN.md, "theoretical vs practical constants").
+	// (see doc.go, "Accuracy guarantees").
 	Alpha int
 
 	// AlphaScale multiplies the derived practical α. Zero means 1.

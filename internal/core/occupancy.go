@@ -22,7 +22,12 @@ type LevelOccupancy struct {
 	// included. The shared sketch of the virgin levels is charged to the
 	// first of them (to the top level once none is left), so the rows add
 	// up to Space.
-	Counters  int64
+	Counters int64
+	// Bytes is the memory behind Counters: what each sketch that reports a
+	// form holds (table slots, or counters at their stored width — narrower
+	// than a word for nearly every dense sketch), eight bytes a counter for
+	// everything else.
+	Bytes     int64
 	Watermark uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
 }
 
@@ -32,15 +37,40 @@ func (s *Summary) Occupancy() []LevelOccupancy {
 	rows := make([]LevelOccupancy, s.lmax+1)
 	rows[0] = LevelOccupancy{Stored: len(s.s0.buckets), Watermark: s.s0.y}
 	for _, b := range s.s0.buckets {
-		rows[0].Counters++ // the singleton's y
+		rows[0].count(1) // the singleton's y
 		rows[0].visit(b)
 	}
 	for i := 1; i <= s.lmax; i++ {
 		rows[i] = LevelOccupancy{Level: i, Virgin: i >= s.virginFrom, Watermark: s.levels[i].y}
 		rows[i].walk(s.levels[i].root)
 	}
-	rows[min(s.virginFrom, s.lmax)].Counters += int64(s.shared.Size())
+	rows[min(s.virginFrom, s.lmax)].countSketch(s.shared)
 	return rows
+}
+
+// count charges n one-word counters to the level.
+func (o *LevelOccupancy) count(n int) {
+	o.Counters += int64(n)
+	o.Bytes += 8 * int64(n)
+}
+
+// countSketch charges sk's counters, and the bytes behind them, to the level.
+// It returns sk's formed face, nil if it has none.
+func (o *LevelOccupancy) countSketch(sk sketch.Sketch) formed {
+	f, ok := sk.(formed)
+	if !ok {
+		o.count(sk.Size())
+		return nil
+	}
+	o.Counters += int64(sk.Size())
+	o.Bytes += int64(f.Bytes())
+	return f
+}
+
+// formed is a sketch that reports its form and the bytes it holds.
+type formed interface {
+	Dense() bool
+	Bytes() int
 }
 
 func (o *LevelOccupancy) walk(b *bucket) {
@@ -48,7 +78,7 @@ func (o *LevelOccupancy) walk(b *bucket) {
 		return
 	}
 	o.Stored++
-	o.Counters += 2 // the bucket's interval
+	o.count(2) // the bucket's interval
 	o.visit(b)
 	o.walk(b.left)
 	o.walk(b.right)
@@ -62,14 +92,13 @@ func (o *LevelOccupancy) visit(b *bucket) {
 		o.Untouched++
 		return
 	}
-	o.Counters += int64(b.sk.Size())
-	if f, ok := b.sk.(interface{ Dense() bool }); ok {
-		if f.Dense() {
-			o.Dense++
-		} else {
-			o.Items++
-		}
+	switch f := o.countSketch(b.sk); {
+	case f == nil:
+	case f.Dense():
+		o.Dense++
+	default:
+		o.Items++
 	}
 }
 
-var _ interface{ Dense() bool } = (*sketch.CountSketch)(nil)
+var _ formed = (*sketch.CountSketch)(nil)

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/streamagg/correlated/internal/dyadic"
 	"github.com/streamagg/correlated/internal/hash"
@@ -554,7 +555,7 @@ func (s *Summary) SortBatch(batch []Tuple) error {
 			return fmt.Errorf("core: weight must be positive, got %d", batch[i].W)
 		}
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Y < batch[j].Y })
+	slices.SortFunc(batch, func(a, b Tuple) int { return cmp.Compare(a.Y, b.Y) })
 	return nil
 }
 

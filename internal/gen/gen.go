@@ -1,7 +1,8 @@
 // Package gen generates the evaluation workloads of the paper's Section 5:
 // Uniform, Zipf(α=1), Zipf(α=2) — tuples (x, y) with x from the given
 // distribution and y uniform — plus a synthetic Ethernet-style packet
-// trace standing in for the LBL traces (see DESIGN.md, substitutions).
+// trace standing in for the LBL traces the paper used (README "Layout":
+// cmd/corrbench and cmd/corrgen regenerate the experiments from these).
 //
 // Generators are streaming (constant memory regardless of n) and
 // deterministic in their seed, so the 40–50M-tuple runs of the paper can

@@ -32,10 +32,21 @@ import (
 // sketch per bucket and most buckets hold few distinct items, so most
 // sketches never promote. Size reports what is stored: two words per pair,
 // d·w once dense.
+//
+// The dense array in turn has three stored widths behind the one API. The
+// reduction closes a level-ℓ bucket once its estimate reaches 2^(ℓ+1), which
+// holds its counters near √2^(ℓ+1), so a promoted sketch starts at two bytes
+// a counter and widens the whole array in place — int16 → int32 → int64 —
+// the first time an update, a merged addend or a decoded counter would not
+// fit; again only Reset goes back. Nobody chooses a width and nothing reads
+// one: counters are always handled as int64 values, the image is varint-coded,
+// and Size keeps counting counters, so every estimate, budget and image byte
+// is what an all-int64 array gives. Bytes reports what the width changes.
 type CountSketch struct {
 	maker *F2Maker
 	dense bool
 	shift uint8 // items: 64 − log2(len(tab)), the multiplicative-hash shift
+	cw    uint8 // dense: bytes per stored counter — 2, 4 or 8
 	n     int   // items: pairs held
 
 	// Items form. A slot with f == 0 is empty: a pair whose weight returns
@@ -44,8 +55,21 @@ type CountSketch struct {
 	tab        []item
 	f2hi, f2lo uint64 // Σf² over the pairs, a 128-bit integer
 
-	data  []int64   // dense: d*w counters, row-major (flat for locality)
+	// Dense form: d*w counters, row-major (flat for locality), in the one
+	// array cw names. Nearly every dense sketch stays at two bytes, and
+	// items-form sketches — most of a summary — hold no array at all, so only
+	// the narrow one has its header here: the other two sit behind a pointer
+	// set by the first widening, which keeps the struct in the 128-byte size
+	// class rather than the 160-byte one.
+	c16   []int16
+	wide  *wideCounters
 	rowF2 []float64 // dense: incrementally maintained sum of squares per row
+}
+
+// wideCounters holds the array of a dense sketch that has left int16.
+type wideCounters struct {
+	c32 []int32
+	c64 []int64
 }
 
 // item is one distinct identifier and its net weight.
@@ -74,11 +98,16 @@ type F2Maker struct {
 
 	itemsMax int // most pairs an items-form sketch holds
 
-	pool        []*CountSketch // free list of reset (empty, items-form) sketches
-	densePool   [][]int64      // zeroed dense arrays for the next promotions
-	medScratch  []float64      // reused by Estimate/EstimateItem
-	slotScratch Slots          // reused by slotsOf
-	keyScratch  []uint64       // reused by AppendBinary to order the pairs
+	pool []*CountSketch // free list of reset (empty, items-form) sketches
+	// Zeroed dense arrays for the next promotions (pool16) and widenings,
+	// at most maxPool between them: see maxWidePool.
+	pool16 [][]int16
+	pool32 [][]int32
+	pool64 [][]int64
+
+	medScratch  []float64 // reused by Estimate/EstimateItem
+	slotScratch Slots     // reused by slotsOf
+	keyScratch  []uint64  // reused by AppendBinary to order the pairs
 }
 
 // NewF2Maker returns a Maker for CountSketch/AMS sketches with d rows of w
@@ -200,18 +229,21 @@ func (c *CountSketch) AddSlots(slots Slots, w int64) {
 	if !c.dense && c.addItem(slots[d], w) {
 		return
 	}
-	w2 := float64(w) * float64(w)
-	data, rowF2 := c.data, c.rowF2
-	width := c.maker.width
-	base := 0
-	for i, v := range slots[:d] {
-		idx := base + int(v>>1)
-		old := data[idx]
-		delta := (int64(v&1)*2 - 1) * w
-		data[idx] = old + delta
-		// (old+delta)^2 - old^2 = 2*old*delta + delta^2, and delta^2 = w^2.
-		rowF2[i] += float64(2*old*delta) + w2
-		base += width
+	// A counter that would leave the stored width stops the pass; the array
+	// is widened and the pass resumes at that row.
+	rows, rowF2, width := slots[:d], c.rowF2, c.maker.width
+	for i := 0; ; c.widen() {
+		switch c.cw {
+		case 2:
+			i = addRows(c.c16, rowF2, rows, w, width, i)
+		case 4:
+			i = addRows(c.wide.c32, rowF2, rows, w, width, i)
+		default:
+			i = addRows(c.wide.c64, rowF2, rows, w, width, i)
+		}
+		if i == d {
+			return
+		}
 	}
 }
 
@@ -340,28 +372,27 @@ func (c *CountSketch) promote() {
 // leaving rowF2 for the caller to re-sum.
 func (c *CountSketch) scatter(tab []item) {
 	m := c.maker
-	for _, it := range tab {
-		if it.f == 0 {
-			continue
+	for k, i := 0, 0; ; c.widen() {
+		switch c.cw {
+		case 2:
+			k, i = scatterPairs(m, c.c16, tab, k, i)
+		case 4:
+			k, i = scatterPairs(m, c.wide.c32, tab, k, i)
+		default:
+			k, i = scatterPairs(m, c.wide.c64, tab, k, i)
 		}
-		for i, v := range m.slotsOf(it.x)[:m.depth] {
-			c.data[i*m.width+int(v>>1)] += (int64(v&1)*2 - 1) * it.f
+		if k == len(tab) {
+			return
 		}
 	}
 }
 
-// allocDense switches a sketch to the dense form with zero counters,
-// dropping its table.
+// allocDense switches a sketch to the dense form with zero counters at the
+// narrowest width, dropping its table.
 func (c *CountSketch) allocDense() {
 	m := c.maker
 	c.tab, c.n, c.f2hi, c.f2lo = nil, 0, 0, 0
-	if n := len(m.densePool); n > 0 {
-		c.data = m.densePool[n-1]
-		m.densePool[n-1] = nil
-		m.densePool = m.densePool[:n-1]
-	} else {
-		c.data = make([]int64, m.depth*m.width)
-	}
+	c.c16, c.cw = takeArray(&m.pool16, m.depth*m.width), 2
 	if c.rowF2 == nil {
 		c.rowF2 = make([]float64, m.depth)
 	}
@@ -373,26 +404,24 @@ func (c *CountSketch) allocDense() {
 // squares of that row's counters, which also clears any float drift the
 // incremental maintenance accumulated.
 func (c *CountSketch) sumSquares() {
-	w := c.maker.width
-	for i := range c.rowF2 {
-		var f2 float64
-		for _, v := range c.data[i*w : (i+1)*w] {
-			f2 += float64(v) * float64(v)
-		}
-		c.rowF2[i] = f2
+	switch c.cw {
+	case 2:
+		sumRows(c.c16, c.rowF2)
+	case 4:
+		sumRows(c.wide.c32, c.rowF2)
+	default:
+		sumRows(c.wide.c64, c.rowF2)
 	}
 }
 
 // Reset implements Resetter: back to the empty items form. A dense array
-// is zeroed and pooled for the next promotion; a table is kept only at
-// its initial size, so a recycled sketch starts as small as a new one.
+// is zeroed and pooled for the next sketch that needs its width; a table is
+// kept only at its initial size, so a recycled sketch starts as small as a
+// new one.
 func (c *CountSketch) Reset() {
 	if c.dense {
-		if m := c.maker; len(m.densePool) < maxPool {
-			clear(c.data)
-			m.densePool = append(m.densePool, c.data)
-		}
-		c.data, c.dense = nil, false
+		c.release()
+		c.dense = false
 	}
 	if len(c.tab) > itemsMinCap {
 		c.tab = nil
@@ -471,7 +500,7 @@ func (c *CountSketch) EstimateItem(x uint64) float64 {
 	ests := m.medScratch[:m.depth]
 	for i, v := range m.slotsOf(x)[:m.depth] {
 		sign := int64(v&1)*2 - 1
-		ests[i] = float64(sign * c.data[i*m.width+int(v>>1)])
+		ests[i] = float64(sign * c.at(i*m.width+int(v>>1)))
 	}
 	return median(ests)
 }
@@ -499,11 +528,27 @@ func (c *CountSketch) Merge(other Sketch) error {
 	if !c.dense {
 		c.promote()
 	}
-	for j, v := range o.data {
-		c.data[j] += v
-	}
+	c.addCounters(o)
 	c.sumSquares()
 	return nil
+}
+
+// addCounters adds dense o's counters to dense c's, index by index, widening
+// c's array when a sum would not fit it. o may be c.
+func (c *CountSketch) addCounters(o *CountSketch) {
+	for j, n := 0, c.maker.depth*c.maker.width; ; c.widen() {
+		switch c.cw {
+		case 2:
+			j = addFrom(c.c16, o, j)
+		case 4:
+			j = addFrom(c.wide.c32, o, j)
+		default:
+			j = addFrom(c.wide.c64, o, j)
+		}
+		if j == n {
+			return
+		}
+	}
 }
 
 // compose returns the sketch of the union of parts, all sketches of m: the
@@ -527,9 +572,7 @@ func (m *F2Maker) compose(parts []Sketch) Sketch {
 	out.allocDense()
 	for _, p := range parts {
 		if o := p.(*CountSketch); o.dense {
-			for j, v := range o.data {
-				out.data[j] += v
-			}
+			out.addCounters(o)
 		} else {
 			out.scatter(o.tab)
 		}
@@ -545,4 +588,17 @@ func (c *CountSketch) Size() int {
 		return 2 * c.n
 	}
 	return c.maker.width * c.maker.depth
+}
+
+// Bytes returns the memory behind the sketch's state: 16 bytes a table slot,
+// empty ones included, in the items form; once dense, the counters at their
+// stored width and the row sums. It is what Size stopped showing when counters
+// stopped being one word each, and unlike Size it belongs to the sketch in
+// memory, not to its image: a table grown for pairs since cancelled, or an
+// array widened for a counter since cancelled, restores smaller.
+func (c *CountSketch) Bytes() int {
+	if !c.dense {
+		return 16 * len(c.tab)
+	}
+	return int(c.cw)*c.maker.width*c.maker.depth + 8*len(c.rowF2)
 }

@@ -14,18 +14,22 @@ func benchF2Maker() *F2Maker {
 	return NewF2Maker(50, 4, hash.New(1))
 }
 
-// addRegimes are the three lives a CountSketch can lead, at the geometry
-// corrd runs with ε = 0.15 (356×4, promotion past 356 distinct items).
-// Each fixes how many distinct items a sketch sees, so every iteration
-// count measures the same form: b.N only repeats the cycle.
+// addRegimes are the lives a CountSketch can lead, at the geometry corrd
+// runs with ε = 0.15 (356×4, promotion past 356 distinct items). Each fixes
+// how many distinct items a sketch sees and how heavy its warm-up is, so
+// every iteration count measures the same form at the same stored width:
+// b.N only repeats the cycle. Each reports the bytes its sketch ends on.
 var addRegimes = []struct {
 	name  string
 	items int // distinct items per sketch
 	renew bool
+	warm  int64 // weight of the warm-up adds; the measured ones weigh 1
 }{
-	{"items", 32, false},   // never promotes: one table probe per add
-	{"promote", 512, true}, // a new sketch every 512 adds: table growth, promotion, reset
-	{"dense", 4096, false}, // promoted during warm-up: the dense loop
+	{"items", 32, false, 1},               // never promotes: one table probe per add
+	{"promote", 512, true, 1},             // a new sketch every 512 adds: table growth, promotion, reset
+	{"dense/int16", 4096, false, 1},       // promoted during warm-up: the dense loop, as nearly every bucket runs it
+	{"dense/int32", 4096, false, 1 << 20}, // ... over an array widened once
+	{"dense/int64", 4096, false, 1 << 40}, // ... and twice
 }
 
 func benchAddRegimes(b *testing.B, slotted bool) {
@@ -37,16 +41,16 @@ func benchAddRegimes(b *testing.B, slotted bool) {
 				slab = m.Slots(uint64(x), slab)
 			}
 			d := m.SlotWidth()
-			add := func(cs *CountSketch, x int) {
+			add := func(cs *CountSketch, x int, w int64) {
 				if slotted {
-					cs.AddSlots(slab[x*d:(x+1)*d], 1)
+					cs.AddSlots(slab[x*d:(x+1)*d], w)
 				} else {
-					cs.Add(uint64(x), 1)
+					cs.Add(uint64(x), w)
 				}
 			}
 			cs := m.New().(*CountSketch)
 			for x := 0; x < r.items && !r.renew; x++ {
-				add(cs, x) // warm-up: reach the regime's form
+				add(cs, x, r.warm) // reach the regime's form and width
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -56,8 +60,9 @@ func benchAddRegimes(b *testing.B, slotted bool) {
 					m.Recycle(cs)
 					cs = m.New().(*CountSketch)
 				}
-				add(cs, x)
+				add(cs, x, 1)
 			}
+			b.ReportMetric(float64(cs.Bytes()), "B/sketch")
 		})
 	}
 }
@@ -68,7 +73,7 @@ func BenchmarkCountSketchAdd(b *testing.B) { benchAddRegimes(b, false) }
 
 // BenchmarkCountSketchAddSlots measures the fan-out side alone: slots are
 // precomputed, as they are when one tuple updates many sketches. Its dense
-// regime is the innermost loop of the ingest path.
+// regimes are the innermost loop of the ingest path at each stored width.
 func BenchmarkCountSketchAddSlots(b *testing.B) { benchAddRegimes(b, true) }
 
 // BenchmarkCountSketchSlots measures the hash-once side alone.

@@ -21,8 +21,8 @@ import (
 // This is the standard practical rendition of the level-set algorithm: the
 // skeleton (sub-sampling + per-level heavy hitters) follows the paper [22]
 // it builds on, while the constants are empirical rather than worst-case,
-// exactly as in every published Fk implementation. DESIGN.md records this
-// substitution.
+// exactly as in every published Fk implementation (the root package's
+// doc.go, "Accuracy guarantees", says the same of every summary).
 type Fk struct {
 	maker  *FkMaker
 	levels []fkLevel

@@ -10,7 +10,8 @@ import (
 // FuzzCountSketchUnmarshal hardens the CountSketch payload decoder on its
 // own — elsewhere it is reached only through core's framing, which a fuzzer
 // must first get past. Hostile bytes must come back as an error, never a
-// panic and never a table or array larger than the geometry allows; an
+// panic and never a table or array larger than the geometry allows, nor an
+// array wider than its largest counter needs; an
 // accepted image must leave a working sketch that re-marshals canonically
 // (a padded varint decodes, so the bytes may change once; after that encode
 // ∘ decode is the identity).
@@ -35,6 +36,8 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 	for _, img := range images[3:] {
 		images = append(images, append([]byte{2}, append(append([]byte(nil), img[1:4]...), img[5:]...)...))
 	}
+	// Counters on each side of the boundaries between the stored widths.
+	images = append(images, boundaryImages(m)...)
 	for _, img := range images {
 		f.Add(img)
 		f.Add(img[:len(img)/2])
@@ -50,8 +53,15 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 		if err := c.UnmarshalBinary(data); err != nil {
 			return
 		}
-		if len(c.tab) > tableFor(m.itemsMax) || c.n > m.itemsMax || (c.dense && len(c.data) != m.width*m.depth) {
-			t.Fatalf("decoded past the geometry: table %d slots, %d pairs, %d counters", len(c.tab), c.n, len(c.data))
+		held := len(c.c16)
+		if c.wide != nil {
+			held += len(c.wide.c32) + len(c.wide.c64)
+		}
+		if len(c.tab) > tableFor(m.itemsMax) || c.n > m.itemsMax || (c.dense && held != m.width*m.depth) {
+			t.Fatalf("decoded past the geometry: table %d slots, %d pairs, %d counters", len(c.tab), c.n, held)
+		}
+		if vs := counters(c); c.dense && c.cw != widthFor(vs) {
+			t.Fatalf("decoded at %d bytes a counter, the counters need %d", c.cw, widthFor(vs))
 		}
 		img, err := c.MarshalBinary()
 		if err != nil {

@@ -162,7 +162,7 @@ const (
 func (c *CountSketch) MarshalBinary() ([]byte, error) {
 	size := 2 * binary.MaxVarintLen64
 	if c.dense {
-		size += len(c.data) // one byte per counter is the floor, and most are small
+		size += c.maker.depth * c.maker.width // one byte per counter is the floor, and most are small
 	} else {
 		size += 4 * c.n
 	}
@@ -181,10 +181,14 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 	buf = appendU64(buf, uint64(m.width))
 	if c.dense {
 		buf = append(buf, formDense)
-		for _, v := range c.data {
-			buf = appendI64(buf, v)
+		switch c.cw {
+		case 2:
+			return appendCounters(buf, c.c16), nil
+		case 4:
+			return appendCounters(buf, c.wide.c32), nil
+		default:
+			return appendCounters(buf, c.wide.c64), nil
 		}
-		return buf, nil
 	}
 	buf = append(buf, formItems)
 	buf = appendU64(buf, uint64(c.n))
@@ -237,10 +241,12 @@ func (c *CountSketch) UnmarshalBinary(data []byte) error {
 		rest, err = c.readItems(rest)
 	case formDense:
 		c.allocDense()
-		for j := range c.data {
-			if c.data[j], rest, err = readI64(rest); err != nil {
+		for j := 0; j < m.depth*m.width; j++ {
+			var v int64
+			if v, rest, err = readI64(rest); err != nil {
 				return err
 			}
+			c.put(j, v)
 		}
 		c.sumSquares()
 	default:

@@ -23,7 +23,10 @@
 // it would have held had it been dense from its first item; what the form
 // changes is that small sketches answer exactly, and Size, which reports
 // what is stored (two words per pair) — that is what the Space figures of
-// every layer above add up. The marshaled image records the form.
+// every layer above add up. The marshaled image records the form. The dense
+// array's counters are stored at two bytes each until one would overflow,
+// then at four, then eight; no answer, image or Size depends on that, only
+// Bytes.
 package sketch
 
 import "errors"

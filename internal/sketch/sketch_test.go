@@ -140,7 +140,7 @@ func TestCountSketchIncrementalEstimateMatchesRecompute(t *testing.T) {
 	}
 	for i := 0; i < m.depth; i++ {
 		var f2 float64
-		for _, c := range s.data[i*m.width : (i+1)*m.width] {
+		for _, c := range counters(s)[i*m.width : (i+1)*m.width] {
 			f2 += float64(c) * float64(c)
 		}
 		if math.Abs(f2-s.rowF2[i]) > 1e-6*math.Abs(f2) {

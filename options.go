@@ -256,8 +256,8 @@ func (d *dual) space() int64 {
 }
 
 // LevelOccupancy is one level's row of a summary's Occupancy: buckets
-// stored, closed and untouched, sketches by form, the level's share of Space
-// and its watermark.
+// stored, closed and untouched, sketches by form, the level's share of Space,
+// the bytes behind it and its watermark.
 type LevelOccupancy = core.LevelOccupancy
 
 // occupancy returns the per-level rows of each enabled direction (nil for a

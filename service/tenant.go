@@ -347,7 +347,11 @@ func (s *Server) spillIdle(age time.Duration) int {
 
 // liveBytes is the footprint sample of a live tenant: its summary's
 // stored words at eight bytes each, which puts it in the unit a spilled
-// tenant's image length is in.
+// tenant's image length is in. It is an accounting figure, not the heap: it
+// overstates a dense sketch, whose counters are stored at two bytes each
+// until one overflows (the safe side for MaxTenantBytes), and understates an
+// items-form one, whose table spends a 16-byte slot at no more than 3/4 load
+// on each two-word pair. Summary.Occupancy reports the bytes held.
 func liveBytes(eng Engine) int64 { return 8 * eng.Space() }
 
 // recomputeFootprint refreshes the governance gauge from the per-tenant
