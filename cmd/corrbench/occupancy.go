@@ -64,7 +64,7 @@ func occupancyTable(n int) {
 			die(s.AddBatch(batch))
 		}
 		le, ge := s.Occupancy()
-		var held int64 // bytes behind the counters
+		var held, tables, arrays int64 // bytes behind the counters; of them, items tables and dense arrays
 		for _, dir := range []struct {
 			name string
 			rows []correlated.LevelOccupancy
@@ -72,6 +72,8 @@ func occupancyTable(n int) {
 			virgin := 0
 			for _, o := range dir.rows {
 				held += o.Bytes
+				tables += o.ItemsBytes
+				arrays += o.DenseBytes
 				if o.Virgin && o.Counters == 2 {
 					virgin++ // an untouched root and nothing else
 					continue
@@ -87,6 +89,7 @@ func occupancyTable(n int) {
 		}
 		img, err := s.MarshalBinary()
 		die(err)
-		fmt.Printf("# %s: space %d counters in %d bytes, image %d bytes\n", sh.name, s.Space(), held, len(img))
+		fmt.Printf("# %s: space %d counters in %d bytes (items tables %d, dense arrays %d), image %d bytes\n",
+			sh.name, s.Space(), held, tables, arrays, len(img))
 	}
 }

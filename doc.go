@@ -171,11 +171,14 @@
 // holds exactly the counters it would have held had it been dense from the
 // start. The marshaled image records the form, so Space is the same before
 // and after a MarshalBinary → UnmarshalBinary round trip and marshaling
-// changes nothing. In memory a dense array stores its counters at two
-// bytes each and widens itself (to four, then eight) the first time a
-// value would not fit; that changes no answer, no image byte and not
-// Space, which keeps counting counters. Occupancy breaks Space down level
-// by level and reports the bytes behind each level's counters.
+// changes nothing. In memory both forms are stored as narrow as what they
+// hold allows: a table slot is eight bytes — identifier and weight in 32
+// bits each — until a pair needs sixteen, and a dense array stores its
+// counters at two bytes each and widens itself (to four, then eight) the
+// first time a value would not fit. That changes no answer, no image byte
+// and not Space, which keeps counting two words a pair and one a counter.
+// Occupancy breaks Space down level by level and reports the bytes behind
+// each level's counters, by form.
 //
 // # Mergeability and distribution
 //

@@ -24,11 +24,13 @@ type LevelOccupancy struct {
 	// up to Space.
 	Counters int64
 	// Bytes is the memory behind Counters: what each sketch that reports a
-	// form holds (table slots, or counters at their stored width — narrower
-	// than a word for nearly every dense sketch), eight bytes a counter for
-	// everything else.
-	Bytes     int64
-	Watermark uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
+	// form holds — table slots at 8 or 16 bytes, empty ones included, or
+	// counters at their stored width; both are narrower than Counters' words
+	// for nearly every sketch — and eight bytes a counter for everything
+	// else. ItemsBytes and DenseBytes are the two sketch shares of it.
+	Bytes                  int64
+	ItemsBytes, DenseBytes int64
+	Watermark              uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
 }
 
 // Occupancy returns one row per level, S0 first. It walks every bucket, like
@@ -63,7 +65,13 @@ func (o *LevelOccupancy) countSketch(sk sketch.Sketch) formed {
 		return nil
 	}
 	o.Counters += int64(sk.Size())
-	o.Bytes += int64(f.Bytes())
+	held := int64(f.Bytes())
+	o.Bytes += held
+	if f.Dense() {
+		o.DenseBytes += held
+	} else {
+		o.ItemsBytes += held
+	}
 	return f
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/streamagg/correlated/internal/gen"
 	"github.com/streamagg/correlated/internal/hash"
 )
 
@@ -73,5 +74,43 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 		if got := restored.Occupancy(); !reflect.DeepEqual(got, rows) {
 			t.Fatalf("%s: restored summary occupies\n%+v\nlive\n%+v", name, got, rows)
 		}
+	}
+}
+
+// TestOccupancyBytesPerCounter guards what a tenant of corrdbench's
+// tenants-restart workload holds — the daemon's configuration, 75 000 zipf
+// tuples in 256-tuple batches, nearly all of it items tables — at under six
+// bytes behind each counter of Space. Identifiers and weights there fit
+// eight-byte slots; at sixteen the ratio was 9.7. It is a function of the
+// summary's state, so it repeats exactly.
+func TestOccupancyBytesPerCounter(t *testing.T) {
+	s := mustSummary(t, F2Aggregate(), Config{
+		Eps: 0.15, Delta: 0.1, YMax: 1_000_000, MaxStreamLen: 1 << 24, MaxX: 500_001, Seed: 42,
+	})
+	stream := gen.Zipf(75_000, 100_001, 1_000_001, 1, 7)
+	var tuples []Tuple
+	for tu, ok := stream.Next(); ok; tu, ok = stream.Next() {
+		tuples = append(tuples, Tuple{X: tu.X, Y: tu.Y, W: 1})
+	}
+	for len(tuples) > 0 {
+		n := min(256, len(tuples))
+		if err := s.AddBatch(tuples[:n]); err != nil {
+			t.Fatal(err)
+		}
+		tuples = tuples[n:]
+	}
+	var counters, held, shares int64
+	items := 0
+	for _, o := range s.Occupancy() {
+		counters += o.Counters
+		held += o.Bytes
+		shares += o.ItemsBytes + o.DenseBytes
+		items += o.Items
+	}
+	if counters != s.Space() || shares > held {
+		t.Fatalf("rows hold %d counters in %d bytes, %d of them sketches'; Space %d", counters, held, shares, s.Space())
+	}
+	if ratio := float64(held) / float64(counters); items < 1000 || ratio >= 6 {
+		t.Fatalf("%d bytes behind %d counters, %.2f each, over %d items-form sketches; want under 6", held, counters, ratio, items)
 	}
 }

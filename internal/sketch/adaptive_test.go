@@ -40,10 +40,11 @@ func counters(c *CountSketch) []int64 {
 		}
 		return out
 	}
-	for _, it := range c.tab {
-		for i := 0; it.f != 0 && i < m.depth; i++ {
-			v := hash.Reduce61(m.rowH[i].Hash(it.x), uint64(2*m.width))
-			out[i*m.width+int(v>>1)] += (int64(v&1)*2 - 1) * it.f
+	for k := range c.slots() {
+		x, f := c.pairAt(k)
+		for i := 0; f != 0 && i < m.depth; i++ {
+			v := hash.Reduce61(m.rowH[i].Hash(x), uint64(2*m.width))
+			out[i*m.width+int(v>>1)] += (int64(v&1)*2 - 1) * f
 		}
 	}
 	return out
@@ -400,12 +401,12 @@ func TestCountSketchItemsTableBounded(t *testing.T) {
 	for x := uint64(0); x < 40; x++ {
 		p.add(x*8, 3) // residents, clustered by the multiplicative hash
 	}
-	size := len(p.a.tab)
+	size := p.a.slots()
 	for x := uint64(0); x < 20_000; x++ {
 		p.a.Add(1<<32+x, 1)
 		p.a.Add(1<<32+x, -1)
-		if len(p.a.tab) != size {
-			t.Fatalf("table went from %d to %d slots", size, len(p.a.tab))
+		if p.a.slots() != size {
+			t.Fatalf("table went from %d to %d slots", size, p.a.slots())
 		}
 	}
 	p.check(t, "after churn")
@@ -416,9 +417,9 @@ func TestCountSketchItemsTableBounded(t *testing.T) {
 	if p.a.dense || p.a.Size() != 0 || p.a.Estimate() != 0 {
 		t.Fatalf("dense=%v size %d estimate %v after full cancellation", p.a.dense, p.a.Size(), p.a.Estimate())
 	}
-	for _, it := range p.a.tab {
-		if it != (item{}) {
-			t.Fatalf("slot %+v left behind", it)
+	for j, w := range p.a.tab {
+		if w != 0 {
+			t.Fatalf("word %d = %#x left behind", j, w)
 		}
 	}
 }

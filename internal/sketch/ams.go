@@ -33,26 +33,31 @@ import (
 // sketches never promote. Size reports what is stored: two words per pair,
 // d·w once dense.
 //
-// The dense array in turn has three stored widths behind the one API. The
-// reduction closes a level-ℓ bucket once its estimate reaches 2^(ℓ+1), which
-// holds its counters near √2^(ℓ+1), so a promoted sketch starts at two bytes
-// a counter and widens the whole array in place — int16 → int32 → int64 —
-// the first time an update, a merged addend or a decoded counter would not
-// fit; again only Reset goes back. Nobody chooses a width and nothing reads
-// one: counters are always handled as int64 values, the image is varint-coded,
-// and Size keeps counting counters, so every estimate, budget and image byte
-// is what an all-int64 array gives. Bytes reports what the width changes.
+// Each form in turn has stored widths behind the one API, because the
+// reduction keeps what a sketch holds small: a level-ℓ bucket closes once its
+// estimate reaches 2^(ℓ+1), which holds a pair's weight and a dense counter
+// near √2^(ℓ+1). So a table starts at eight bytes a slot — the identifier in
+// 32 bits, the weight in 32 — and is rewritten once, slot for slot, at sixteen
+// the first time a pair whose identifier or weight needs more has to be
+// stored; a promoted sketch starts at two bytes a counter and widens the
+// whole array in place — int16 → int32 → int64 — the first time an update, a
+// merged addend or a decoded counter would not fit. Only Reset goes back.
+// Nobody chooses a width and nothing reads one: pairs are always handled as
+// (uint64, int64) values and counters as int64, the image is varint-coded,
+// and Size keeps counting two words a pair and one a counter, so every
+// estimate, budget and image byte is what 16-byte slots and an all-int64
+// array give. Bytes reports what the widths change.
 type CountSketch struct {
 	maker *F2Maker
 	dense bool
-	shift uint8 // items: 64 − log2(len(tab)), the multiplicative-hash shift
+	shift uint8 // items: 64 − log2(slots), the multiplicative-hash shift
 	cw    uint8 // dense: bytes per stored counter — 2, 4 or 8
 	n     int   // items: pairs held
 
-	// Items form. A slot with f == 0 is empty: a pair whose weight returns
+	// Items form. A slot with weight 0 is empty: a pair whose weight returns
 	// to zero is deleted by backward shift, so probe chains never cross a
 	// stale slot and the table never holds more than n entries.
-	tab        []item
+	table
 	f2hi, f2lo uint64 // Σf² over the pairs, a 128-bit integer
 
 	// Dense form: d*w counters, row-major (flat for locality), in the one
@@ -72,17 +77,64 @@ type wideCounters struct {
 	c64 []int64
 }
 
-// item is one distinct identifier and its net weight.
-type item struct {
-	x uint64
-	f int64
+// table is the storage of the items form: power-of-two many slots, open
+// addressed, each one distinct identifier and its net weight. A narrow slot
+// is one word, identifier above weight; a wide slot is two, identifier then
+// weight. Both widths live in the one slice, so neither costs the sketch a
+// second header, and a table value is a view: a copy reads and writes the
+// same slots.
+type table struct {
+	tab       []uint64
+	wideSlots bool // two words a slot
+}
+
+// slots returns the number of slots, empty ones included.
+func (t table) slots() int {
+	if t.wideSlots {
+		return len(t.tab) / 2
+	}
+	return len(t.tab)
+}
+
+// pairAt returns the pair in slot j; weight 0 marks an empty slot.
+func (t table) pairAt(j int) (x uint64, f int64) {
+	if t.wideSlots {
+		return t.tab[2*j], int64(t.tab[2*j+1])
+	}
+	w := t.tab[j]
+	return w >> 32, int64(int32(w))
+}
+
+// setPair stores (x, f) in slot j, or stores nothing and reports false when
+// the pair does not fit the table's slots. Nothing is ever truncated.
+func (t table) setPair(j int, x uint64, f int64) bool {
+	switch {
+	case t.wideSlots:
+		t.tab[2*j], t.tab[2*j+1] = x, uint64(f)
+	case x>>32 == 0 && int64(int32(f)) == f:
+		t.tab[j] = x<<32 | uint64(uint32(f))
+	default:
+		return false
+	}
+	return true
+}
+
+// newTable returns an empty table of the given slot count and width.
+func newTable(slots int, wide bool) table {
+	words := slots
+	if wide {
+		words *= 2
+	}
+	return table{make([]uint64, words), wide}
 }
 
 const (
 	// itemsDivisor sets the promotion point: a sketch goes dense when it
-	// would hold more than width·depth/itemsDivisor pairs. At 16 bytes a
-	// slot and load ≤ 3/4 the table then tops out below three quarters of
-	// the dense array's bytes, and Size at half its counters.
+	// would hold more than width·depth/itemsDivisor pairs. What that buys is
+	// exact answers up to that many distinct identifiers, with Size — two
+	// words a pair — topping out at half the array's width·depth. Bytes do
+	// not argue for the constant either way: a table that full is larger than
+	// the two-byte array it promotes into, at either slot width.
 	itemsDivisor = 4
 	itemsMinCap  = 8 // initial table slots
 )
@@ -257,28 +309,35 @@ func (c *CountSketch) addItem(x uint64, w int64) bool {
 	j := -1
 	var old int64
 	if len(c.tab) > 0 {
-		j = c.probe(x)
-		old = c.tab[j].f
+		j, old = c.probe(x)
 	}
 	f := old + w
 	switch {
 	case old != 0 && f != 0:
-		c.tab[j].f = f
+		c.store(j, x, f)
 	case old != 0:
 		c.remove(j)
 	case c.n >= c.maker.itemsMax:
 		c.promote()
 		return false
 	default:
-		if (c.n+1)*4 > len(c.tab)*3 {
+		if (c.n+1)*4 > c.slots()*3 {
 			c.grow()
-			j = c.probe(x)
+			j, _ = c.probe(x)
 		}
-		c.tab[j] = item{x, f}
+		c.store(j, x, f)
 		c.n++
 	}
 	c.moveF2(old, f)
 	return true
+}
+
+// store puts (x, f) in slot j, widening the table first if its slots cannot
+// hold the pair. Widening moves no pair, so j stays x's slot.
+func (c *CountSketch) store(j int, x uint64, f int64) {
+	for !c.setPair(j, x, f) {
+		c.widenTable()
+	}
 }
 
 // moveF2 accounts in Σf² for one pair's weight going from old to f: the sum
@@ -305,48 +364,68 @@ func magnitude(v int64) uint64 {
 // multiplicative hash.
 func (c *CountSketch) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> c.shift) }
 
-// probe returns the slot holding x, or the empty one where x belongs. The
-// load cap of 3/4 guarantees an empty slot ends every probe.
-func (c *CountSketch) probe(x uint64) int {
-	mask := len(c.tab) - 1
-	j := c.home(x)
-	for c.tab[j].f != 0 && c.tab[j].x != x {
-		j = (j + 1) & mask
+// probe returns the slot holding x and x's weight, or the empty slot where x
+// belongs and zero. The load cap of 3/4 guarantees an empty slot ends every
+// probe. The home slot is a function of the whole identifier and the slot
+// count, so a table is laid out the same at both widths.
+func (c *CountSketch) probe(x uint64) (int, int64) {
+	t := c.table
+	mask := t.slots() - 1
+	for j := c.home(x); ; j = (j + 1) & mask {
+		if sx, f := t.pairAt(j); f == 0 || sx == x {
+			return j, f
+		}
 	}
-	return j
 }
 
 // remove deletes the pair in slot j, shifting back every later entry of the
 // run that would otherwise be cut off from its home slot.
 func (c *CountSketch) remove(j int) {
-	mask := len(c.tab) - 1
-	for k := (j + 1) & mask; c.tab[k].f != 0; k = (k + 1) & mask {
-		home := c.home(c.tab[k].x)
+	t := c.table
+	mask := t.slots() - 1
+	for k := (j + 1) & mask; ; k = (k + 1) & mask {
+		x, f := t.pairAt(k)
+		if f == 0 {
+			break
+		}
 		// Entry k may fill the hole unless its home lies cyclically in (j, k].
-		if (k-home)&mask >= (k-j)&mask {
-			c.tab[j] = c.tab[k]
+		if (k-c.home(x))&mask >= (k-j)&mask {
+			t.setPair(j, x, f)
 			j = k
 		}
 	}
-	c.tab[j] = item{}
+	t.setPair(j, 0, 0)
 	c.n--
 }
 
-// grow doubles the table (or allocates the first one) and reinserts.
+// grow doubles the table (or allocates the first one) at the width it has
+// and reinserts.
 func (c *CountSketch) grow() {
-	old := c.tab
-	c.retable(max(itemsMinCap, 2*len(old)))
-	for _, it := range old {
-		if it.f != 0 {
-			c.tab[c.probe(it.x)] = it
+	old := c.table
+	c.retable(max(itemsMinCap, 2*old.slots()), old.wideSlots)
+	for k := range old.slots() {
+		if x, f := old.pairAt(k); f != 0 {
+			j, _ := c.probe(x)
+			c.setPair(j, x, f)
 		}
 	}
 }
 
-// retable gives an empty items-form sketch a fresh table of size slots.
-func (c *CountSketch) retable(size int) {
-	c.tab = make([]item, size)
-	c.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+// retable gives an empty items-form sketch a fresh table.
+func (c *CountSketch) retable(slots int, wide bool) {
+	c.table = newTable(slots, wide)
+	c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
+}
+
+// widenTable rewrites a narrow table slot for slot at sixteen bytes a slot: a
+// copy, not a re-hash. A pair since cancelled does not narrow it again.
+func (c *CountSketch) widenTable() {
+	old := c.table
+	c.table = newTable(old.slots(), true)
+	for k := range old.slots() {
+		x, f := old.pairAt(k)
+		c.setPair(k, x, f)
+	}
 }
 
 // tableFor returns the table size that holds n pairs without growing.
@@ -362,15 +441,15 @@ func tableFor(n int) int {
 // hashed into a zeroed array with the maker's row hashes and the rows are
 // summed in index order, so the result does not depend on table layout.
 func (c *CountSketch) promote() {
-	tab := c.tab
+	pairs := c.table
 	c.allocDense()
-	c.scatter(tab)
+	c.scatter(pairs)
 	c.sumSquares()
 }
 
 // scatter adds the pairs of an items table to a dense sketch's counters,
 // leaving rowF2 for the caller to re-sum.
-func (c *CountSketch) scatter(tab []item) {
+func (c *CountSketch) scatter(tab table) {
 	m := c.maker
 	for k, i := 0, 0; ; c.widen() {
 		switch c.cw {
@@ -381,7 +460,7 @@ func (c *CountSketch) scatter(tab []item) {
 		default:
 			k, i = scatterPairs(m, c.wide.c64, tab, k, i)
 		}
-		if k == len(tab) {
+		if k == tab.slots() {
 			return
 		}
 	}
@@ -391,7 +470,7 @@ func (c *CountSketch) scatter(tab []item) {
 // narrowest width, dropping its table.
 func (c *CountSketch) allocDense() {
 	m := c.maker
-	c.tab, c.n, c.f2hi, c.f2lo = nil, 0, 0, 0
+	c.table, c.n, c.f2hi, c.f2lo = table{}, 0, 0, 0
 	c.c16, c.cw = takeArray(&m.pool16, m.depth*m.width), 2
 	if c.rowF2 == nil {
 		c.rowF2 = make([]float64, m.depth)
@@ -416,15 +495,15 @@ func (c *CountSketch) sumSquares() {
 
 // Reset implements Resetter: back to the empty items form. A dense array
 // is zeroed and pooled for the next sketch that needs its width; a table is
-// kept only at its initial size, so a recycled sketch starts as small as a
-// new one.
+// kept only at its initial size and narrow, so a recycled sketch starts as
+// small as a new one.
 func (c *CountSketch) Reset() {
 	if c.dense {
 		c.release()
 		c.dense = false
 	}
-	if len(c.tab) > itemsMinCap {
-		c.tab = nil
+	if c.wideSlots || len(c.tab) > itemsMinCap {
+		c.table = table{}
 	}
 	clear(c.tab)
 	c.n, c.f2hi, c.f2lo = 0, 0, 0
@@ -494,7 +573,8 @@ func (c *CountSketch) EstimateItem(x uint64) float64 {
 		if len(c.tab) == 0 {
 			return 0
 		}
-		return float64(c.tab[c.probe(x)].f) // an empty slot holds zero
+		_, f := c.probe(x)
+		return float64(f)
 	}
 	m := c.maker
 	ests := m.medScratch[:m.depth]
@@ -518,9 +598,10 @@ func (c *CountSketch) Merge(other Sketch) error {
 		return ErrIncompatible
 	}
 	if !o.dense {
-		for _, it := range o.tab {
-			if it.f != 0 {
-				c.Add(it.x, it.f)
+		pairs := o.table
+		for k := range pairs.slots() {
+			if x, f := pairs.pairAt(k); f != 0 {
+				c.Add(x, f)
 			}
 		}
 		return nil
@@ -574,7 +655,7 @@ func (m *F2Maker) compose(parts []Sketch) Sketch {
 		if o := p.(*CountSketch); o.dense {
 			out.addCounters(o)
 		} else {
-			out.scatter(o.tab)
+			out.scatter(o.table)
 		}
 	}
 	out.sumSquares()
@@ -590,15 +671,16 @@ func (c *CountSketch) Size() int {
 	return c.maker.width * c.maker.depth
 }
 
-// Bytes returns the memory behind the sketch's state: 16 bytes a table slot,
-// empty ones included, in the items form; once dense, the counters at their
-// stored width and the row sums. It is what Size stopped showing when counters
-// stopped being one word each, and unlike Size it belongs to the sketch in
-// memory, not to its image: a table grown for pairs since cancelled, or an
-// array widened for a counter since cancelled, restores smaller.
+// Bytes returns the memory behind the sketch's state: in the items form the
+// table's slots, empty ones included, at 8 or 16 bytes each; once dense, the
+// counters at their stored width and the row sums. It is what Size stopped
+// showing when a pair stopped being two words and a counter one, and unlike
+// Size it belongs to the sketch in memory, not to its image: a table grown or
+// widened for pairs since cancelled, or an array widened for a counter since
+// cancelled, restores smaller.
 func (c *CountSketch) Bytes() int {
 	if !c.dense {
-		return 16 * len(c.tab)
+		return 8 * len(c.tab)
 	}
 	return int(c.cw)*c.maker.width*c.maker.depth + 8*len(c.rowF2)
 }

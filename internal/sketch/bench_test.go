@@ -25,7 +25,8 @@ var addRegimes = []struct {
 	renew bool
 	warm  int64 // weight of the warm-up adds; the measured ones weigh 1
 }{
-	{"items", 32, false, 1},               // never promotes: one table probe per add
+	{"items/narrow", 32, false, 1},        // never promotes: one table probe per add, 8-byte slots
+	{"items/wide", 32, false, 1 << 40},    // ... over a table the warm-up's weights widened to 16
 	{"promote", 512, true, 1},             // a new sketch every 512 adds: table growth, promotion, reset
 	{"dense/int16", 4096, false, 1},       // promoted during warm-up: the dense loop, as nearly every bucket runs it
 	{"dense/int32", 4096, false, 1 << 20}, // ... over an array widened once

@@ -10,11 +10,11 @@ import (
 // FuzzCountSketchUnmarshal hardens the CountSketch payload decoder on its
 // own — elsewhere it is reached only through core's framing, which a fuzzer
 // must first get past. Hostile bytes must come back as an error, never a
-// panic and never a table or array larger than the geometry allows, nor an
-// array wider than its largest counter needs; an
-// accepted image must leave a working sketch that re-marshals canonically
-// (a padded varint decodes, so the bytes may change once; after that encode
-// ∘ decode is the identity).
+// panic and never a table or array larger than the geometry allows, nor a
+// table wider than its widest pair or an array wider than its largest counter
+// needs; an accepted image must leave a working sketch that re-marshals
+// canonically (a padded varint decodes, so the bytes may change once; after
+// that encode ∘ decode is the identity).
 func FuzzCountSketchUnmarshal(f *testing.F) {
 	m := NewF2Maker(16, 3, hash.New(7)) // itemsMax 12
 	seed := func(items int) *CountSketch {
@@ -38,6 +38,8 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 	}
 	// Counters on each side of the boundaries between the stored widths.
 	images = append(images, boundaryImages(m)...)
+	// Pairs on each side of the boundary between the two slot widths.
+	images = append(images, boundaryPairImages(m)...)
 	for _, img := range images {
 		f.Add(img)
 		f.Add(img[:len(img)/2])
@@ -57,11 +59,14 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 		if c.wide != nil {
 			held += len(c.wide.c32) + len(c.wide.c64)
 		}
-		if len(c.tab) > tableFor(m.itemsMax) || c.n > m.itemsMax || (c.dense && held != m.width*m.depth) {
-			t.Fatalf("decoded past the geometry: table %d slots, %d pairs, %d counters", len(c.tab), c.n, held)
+		if c.slots() > tableFor(m.itemsMax) || c.n > m.itemsMax || (c.dense && held != m.width*m.depth) {
+			t.Fatalf("decoded past the geometry: table %d slots, %d pairs, %d counters", c.slots(), c.n, held)
 		}
 		if vs := counters(c); c.dense && c.cw != widthFor(vs) {
 			t.Fatalf("decoded at %d bytes a counter, the counters need %d", c.cw, widthFor(vs))
+		}
+		if !c.dense && c.wideSlots != needsWide(c) {
+			t.Fatalf("decoded into wide slots = %v, the pairs need them = %v", c.wideSlots, needsWide(c))
 		}
 		img, err := c.MarshalBinary()
 		if err != nil {

@@ -193,15 +193,15 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 	buf = append(buf, formItems)
 	buf = appendU64(buf, uint64(c.n))
 	xs := m.keyScratch[:0]
-	for _, it := range c.tab {
-		if it.f != 0 {
-			xs = append(xs, it.x)
+	for k := range c.slots() {
+		if x, f := c.pairAt(k); f != 0 {
+			xs = append(xs, x)
 		}
 	}
 	slices.Sort(xs)
 	for _, x := range xs {
-		buf = appendU64(buf, x)
-		buf = appendI64(buf, c.tab[c.probe(x)].f)
+		_, f := c.probe(x)
+		buf = appendI64(appendU64(buf, x), f)
 	}
 	m.keyScratch = xs
 	return buf, nil
@@ -261,31 +261,34 @@ func (c *CountSketch) UnmarshalBinary(data []byte) error {
 // readItems decodes the pairs of an items-form image into the empty
 // receiver. Pairs must be what AppendBinary writes — no more than the form
 // holds, strictly ascending in x, no zero weight — which bounds the table
-// by the geometry and makes decode-then-encode the identity.
+// by the geometry and makes decode-then-encode the identity. The table is
+// narrow unless a decoded pair needs the wide one.
 func (c *CountSketch) readItems(rest []byte) ([]byte, error) {
 	n, rest, err := readU64(rest)
 	if err != nil || n > uint64(c.maker.itemsMax) {
 		return nil, ErrBadEncoding
 	}
 	if n > 0 {
-		c.retable(tableFor(int(n)))
+		c.retable(tableFor(int(n)), false)
 	}
 	var prev uint64
 	for ; n > 0; n-- {
-		var it item
-		if it.x, rest, err = readU64(rest); err != nil {
+		var x uint64
+		var f int64
+		if x, rest, err = readU64(rest); err != nil {
 			return nil, err
 		}
-		if it.f, rest, err = readI64(rest); err != nil {
+		if f, rest, err = readI64(rest); err != nil {
 			return nil, err
 		}
-		if it.f == 0 || (c.n > 0 && it.x <= prev) {
+		if f == 0 || (c.n > 0 && x <= prev) {
 			return nil, ErrBadEncoding
 		}
-		c.tab[c.probe(it.x)] = it
+		j, _ := c.probe(x)
+		c.store(j, x, f)
 		c.n++
-		c.moveF2(0, it.f)
-		prev = it.x
+		c.moveF2(0, f)
+		prev = x
 	}
 	return rest, nil
 }

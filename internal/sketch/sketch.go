@@ -23,10 +23,12 @@
 // it would have held had it been dense from its first item; what the form
 // changes is that small sketches answer exactly, and Size, which reports
 // what is stored (two words per pair) — that is what the Space figures of
-// every layer above add up. The marshaled image records the form. The dense
-// array's counters are stored at two bytes each until one would overflow,
-// then at four, then eight; no answer, image or Size depends on that, only
-// Bytes.
+// every layer above add up. The marshaled image records the form. Each form
+// is stored as narrow as what it holds allows: a table slot is eight bytes —
+// identifier and weight in 32 bits each — until a pair needs sixteen, and the
+// dense array's counters two bytes each until one would overflow, then four,
+// then eight. Two table widths, three array widths, one API: no answer, image
+// or Size depends on a width, only Bytes.
 package sketch
 
 import "errors"

@@ -44,15 +44,15 @@ func addRows[T ctr](data []T, rowF2 []float64, rows Slots, w int64, width, from 
 }
 
 // scatterPairs hashes the pairs of an items table into a dense array with
-// m's row hashes, starting at row i of pair k. It returns len(tab), or the
-// pair and row whose counter would not fit T, with everything before applied.
-func scatterPairs[T ctr](m *F2Maker, data []T, tab []item, k, i int) (int, int) {
-	for ; k < len(tab); k, i = k+1, 0 {
-		f := tab[k].f
+// m's row hashes, starting at row i of slot k. It returns tab.slots(), or the
+// slot and row whose counter would not fit T, with everything before applied.
+func scatterPairs[T ctr](m *F2Maker, data []T, tab table, k, i int) (int, int) {
+	for n := tab.slots(); k < n; k, i = k+1, 0 {
+		x, f := tab.pairAt(k)
 		if f == 0 {
 			continue
 		}
-		rows := m.slotsOf(tab[k].x)[:m.depth]
+		rows := m.slotsOf(x)[:m.depth]
 		for ; i < len(rows); i++ {
 			v := rows[i]
 			idx := i*m.width + int(v>>1)

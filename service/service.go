@@ -188,7 +188,10 @@ type Config struct {
 	// eight bytes per stored word of its summary's Space() — an items-form
 	// sketch stores two words per distinct item, a dense one width × depth
 	// — and a spilled one at its image length, so spilling a tenant lowers
-	// its sample by what the image's varints save and no more.
+	// its sample by what the image's varints save and no more. Against the
+	// heap the live sample is about right for items-form sketches (a pair
+	// is held in 10.7 to 21 bytes of table) and overstates dense ones, which
+	// store most counters at two bytes.
 	MaxTenantBytes int64
 	// TenantIdleSpill, when positive, spills tenants untouched for at
 	// least that long: the summary is marshaled to an in-memory image

@@ -349,9 +349,10 @@ func (s *Server) spillIdle(age time.Duration) int {
 // stored words at eight bytes each, which puts it in the unit a spilled
 // tenant's image length is in. It is an accounting figure, not the heap: it
 // overstates a dense sketch, whose counters are stored at two bytes each
-// until one overflows (the safe side for MaxTenantBytes), and understates an
-// items-form one, whose table spends a 16-byte slot at no more than 3/4 load
-// on each two-word pair. Summary.Occupancy reports the bytes held.
+// until one overflows (the safe side for MaxTenantBytes), and is about right
+// for an items-form one, whose two-word pair samples at 16 bytes and is held
+// in an 8-byte slot at 3/8 to 3/4 load: 10.7 to 21 bytes.
+// Summary.Occupancy reports the bytes held.
 func liveBytes(eng Engine) int64 { return 8 * eng.Space() }
 
 // recomputeFootprint refreshes the governance gauge from the per-tenant
