@@ -58,10 +58,14 @@
 //	                                            durability, Prometheus metrics, and
 //	                                            the Go client driving it
 //	concurrent serving        service           group-commit ingest pipeline (one
-//	                                            fsync and one AddBatch per touched
-//	                                            tenant per group of concurrent
-//	                                            requests, GE applied beside LE on a
-//	                                            second goroutine) and the memoized
+//	                                            fsync, and one sort and one AddBatch
+//	                                            per touched tenant, per group of
+//	                                            concurrent requests; the committer
+//	                                            sorts, the log holds the sorted
+//	                                            batch and AddBatch, finding it
+//	                                            sorted, skips its own; GE applied
+//	                                            beside LE on a second goroutine)
+//	                                            and the memoized
 //	                                            query path ((op, cutoff) answers
 //	                                            evaluated on the live summary under
 //	                                            the driver lock, then served

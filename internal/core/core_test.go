@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/streamagg/correlated/internal/hash"
@@ -298,6 +301,52 @@ func TestAddBatchMatchesSequentialForCount(t *testing.T) {
 		// order may shift bucket boundaries, so allow eps slack.
 		if b < a*0.8 || b > a*1.2 {
 			t.Fatalf("batch estimate %v far from sequential %v at c=%d", b, a, c)
+		}
+	}
+}
+
+// TestSortByYLeavesSortedBatchAlone: a batch already non-decreasing in y
+// comes back element for element, whatever sits inside its equal-y runs —
+// so sorting is idempotent, and a batch sorted ahead of AddBatch (corrd's
+// committer, a record decoded from its log) leaves the summary in the state
+// the unsorted original does, byte for byte. Fk is the aggregate whose
+// bytes depend on the order inside a run.
+func TestSortByYLeavesSortedBatchAlone(t *testing.T) {
+	rng := hash.New(31)
+	for _, n := range []int{0, 1, 2, 11, 12, 13, 50, 300, 5000} { // pdqsort changes strategy at 12 and 50
+		batch := make([]Tuple, n)
+		for i := range batch {
+			batch[i] = Tuple{X: rng.Uint64n(1 << 10), Y: rng.Uint64n(7) * 100, W: int64(1 + rng.Uint64n(5))}
+		}
+		original := slices.Clone(batch)
+		SortByY(batch)
+		if !slices.IsSortedFunc(batch, func(a, b Tuple) int { return cmp.Compare(a.Y, b.Y) }) {
+			t.Fatalf("n = %d: not sorted by y", n)
+		}
+		sorted := slices.Clone(batch)
+		SortByY(batch)
+		if !slices.Equal(batch, sorted) {
+			t.Fatalf("n = %d: sorting a sorted batch moved an element", n)
+		}
+
+		cfg := Config{Eps: 0.2, Delta: 0.1, YMax: 1<<10 - 1, MaxStreamLen: 1 << 16, Alpha: 64, Seed: 5}
+		fromOriginal, fromSorted := mustSummary(t, FkAggregate(3), cfg), mustSummary(t, FkAggregate(3), cfg)
+		if err := fromOriginal.AddBatch(original); err != nil {
+			t.Fatal(err)
+		}
+		if err := fromSorted.AddBatch(sorted); err != nil {
+			t.Fatal(err)
+		}
+		a, err := fromOriginal.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fromSorted.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("n = %d: AddBatch of the sorted copy and of the original leave different images", n)
 		}
 	}
 }

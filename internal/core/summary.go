@@ -539,10 +539,26 @@ func (s *Summary) AddBatch(batch []Tuple) error {
 	return nil
 }
 
+// SortByY is the one sort of the batched path: by y alone, in place, and
+// not stable — the order it leaves inside an equal-y run is part of what a
+// summary's state is a function of (Fk's bounded candidate sets evict by
+// arrival order), so whoever sorts a batch ahead of AddBatch (corrd's
+// committer, whose log holds the sorted batch) must sort with this and
+// nothing else. A batch already non-decreasing in y is left exactly as it
+// is, element for element: that is checked, not left to what the sort
+// happens to do with sorted input, so sorting is idempotent and a batch
+// decoded from the log is applied in the order it was logged.
+func SortByY(batch []Tuple) {
+	byY := func(a, b Tuple) int { return cmp.Compare(a.Y, b.Y) }
+	if !slices.IsSortedFunc(batch, byY) {
+		slices.SortFunc(batch, byY)
+	}
+}
+
 // SortBatch is AddBatch's first half: it validates the batch, normalizes
-// zero weights to 1 and sorts it by y in place, leaving the summary
-// untouched. A caller that derives a second batch from the sorted order
-// (the root package's mirrored GE direction) calls the halves itself.
+// zero weights to 1 and sorts it by y in place (SortByY), leaving the
+// summary untouched. A caller that derives a second batch from the sorted
+// order (the root package's mirrored GE direction) calls the halves itself.
 func (s *Summary) SortBatch(batch []Tuple) error {
 	for i := range batch {
 		if batch[i].Y > s.cfg.YMax {
@@ -555,7 +571,7 @@ func (s *Summary) SortBatch(batch []Tuple) error {
 			return fmt.Errorf("core: weight must be positive, got %d", batch[i].W)
 		}
 	}
-	slices.SortFunc(batch, func(a, b Tuple) int { return cmp.Compare(a.Y, b.Y) })
+	SortByY(batch)
 	return nil
 }
 

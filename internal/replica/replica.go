@@ -249,7 +249,7 @@ func (f *Follower) streamOnce(lastContact *time.Time) (contact bool, err error) 
 		return false, err
 	}
 	if status == tupleio.HelloBadFormat {
-		return true, fmt.Errorf("%w: it does not speak replication format %d — primary and replica are on opposite sides of the storage version break (see README \"Storage format\")",
+		return true, fmt.Errorf("%w: it does not speak replication format %d — primary and replica are on opposite sides of a storage version break (see README \"Storage format\")",
 			ErrRejected, tupleio.StreamFormatReplica)
 	}
 	if status != tupleio.HelloOK {

@@ -9,11 +9,11 @@ package tupleio
 //
 //	keyed batch   uvarint(len(tenant)) tenant  counted-batch
 //
-// The same prefix scopes every member of a WAL ingest record, every push
-// record's image, every snapshot entry and stream frames in the keyed
-// frame format (StreamFormatKeyed), so every tenant-tagged decode path
-// in the system shares this one grammar — and the same
-// hostile-input discipline as the rest of the codec: the length claim
+// The same prefix scopes every member of a WAL ingest record (a sorted
+// batch, sorted.go), every push record's image, every snapshot entry and
+// stream frames in the keyed frame format (StreamFormatKeyed), so every
+// tenant-tagged decode path in the system shares this one grammar — and
+// the same hostile-input discipline as the rest of the codec: the length claim
 // is checked against MaxTenantLen and against the bytes actually
 // present before anything is sliced, and the decoded key aliases the
 // input (no allocation; callers that keep it must copy).
@@ -79,30 +79,21 @@ func DecodeTenantPrefix(data []byte) (tenant, rest []byte, err error) {
 
 // AppendKeyedBatch appends a tenant-scoped counted batch: the keyed
 // prefix, then exactly what AppendCountedBatch writes. This is the
-// payload of one keyed stream frame and of one member of a WAL ingest
-// record.
+// payload of one keyed stream frame.
 func AppendKeyedBatch(buf []byte, tenant string, batch []core.Tuple) []byte {
 	buf = AppendTenant(buf, tenant)
 	return AppendCountedBatch(buf, batch)
 }
 
-// DecodeKeyedPrefix parses one keyed batch from the front of data:
-// the tenant key (aliasing data) and the counted batch, returning the
-// remaining bytes so a WAL ingest record decodes member by member.
-func DecodeKeyedPrefix(dst []core.Tuple, data []byte) (tenant []byte, batch []core.Tuple, rest []byte, err error) {
+// DecodeKeyed parses a complete keyed batch (one keyed stream frame's
+// payload): the tenant key (aliasing data) and the counted batch, with
+// trailing bytes an error exactly as in DecodeCounted.
+func DecodeKeyed(dst []core.Tuple, data []byte) (tenant []byte, batch []core.Tuple, err error) {
 	tenant, data, err = DecodeTenantPrefix(data)
 	if err != nil {
-		return nil, dst[:0], data, err
+		return nil, dst[:0], err
 	}
-	batch, rest, err = DecodeCountedPrefix(dst, data)
-	return tenant, batch, rest, err
-}
-
-// DecodeKeyed parses a complete keyed batch (one keyed stream frame's
-// payload): tenant prefix plus counted batch, with trailing bytes an
-// error exactly as in DecodeCounted.
-func DecodeKeyed(dst []core.Tuple, data []byte) (tenant []byte, batch []core.Tuple, err error) {
-	tenant, batch, rest, err := DecodeKeyedPrefix(dst, data)
+	batch, rest, err := DecodeCountedPrefix(dst, data)
 	if err != nil {
 		return nil, batch, err
 	}

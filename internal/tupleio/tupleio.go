@@ -7,7 +7,11 @@
 //
 // The codec deliberately lives below both the client and service
 // packages: the service decodes exactly what the client encodes, and a
-// non-Go producer only needs "three uvarints per tuple".
+// non-Go producer only needs "three uvarints per tuple". That is the
+// client wire — HTTP bodies and stream frames, in the client's order.
+// What corrd writes to its log and ships to a replica is the sorted batch
+// (sorted.go): each tenant's tuples as its one AddBatch took them, y as
+// gaps and unit weights elided.
 package tupleio
 
 import (
@@ -58,9 +62,8 @@ const minRecordBytes = 3
 
 // AppendCountedBatch appends the counted form of a batch: a uvarint
 // record count followed by the records, exactly as AppendBatch would
-// write them. This is the framing the corrd WAL logs for each accepted
-// ingest batch; the count header lets the replayer pre-allocate the
-// decode buffer in one step instead of growing it.
+// write them. This is the payload of one stream frame; the count header
+// lets the decoder size its buffer in one step instead of growing it.
 func AppendCountedBatch(buf []byte, batch []core.Tuple) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	return AppendBatch(buf, batch)
@@ -87,11 +90,9 @@ func DecodeCounted(dst []core.Tuple, data []byte) ([]core.Tuple, error) {
 }
 
 // DecodeCountedPrefix parses one counted batch from the front of data
-// and returns the remaining bytes, so a sequence of counted batches —
-// the corrd WAL's group-commit record — can be decoded member by member
-// from a single buffer. The allocation bounds are the same as
-// DecodeCounted's; the only difference is that trailing bytes are the
-// caller's, not an error.
+// and returns the remaining bytes: the body of DecodeCounted and
+// DecodeKeyed, which each refuse trailing bytes in their own words. The
+// allocation bounds are DecodeCounted's.
 func DecodeCountedPrefix(dst []core.Tuple, data []byte) (batch []core.Tuple, rest []byte, err error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
@@ -122,7 +123,7 @@ func DecodeCountedPrefix(dst []core.Tuple, data []byte) (batch []core.Tuple, res
 
 // decodeRecord parses one x/y/w record — the single implementation of
 // the tuple wire grammar shared by every decode entry point, so the
-// HTTP-ingest path (Decode) and the WAL group-replay path
+// HTTP-ingest path (Decode) and the stream-frame path
 // (DecodeCountedPrefix) can never diverge. idx is the record's position,
 // for error messages only.
 func decodeRecord(data []byte, idx int) (t core.Tuple, rest []byte, err error) {

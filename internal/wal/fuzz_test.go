@@ -40,7 +40,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seed(func(w *WAL) {}))
 	f.Add(seed(func(w *WAL) {
-		appendSync(w, RecordIngest, []byte{0, 1, 2, 3, 1}) // default tenant, 1 tuple
+		appendSync(w, RecordIngest, []byte{0, 1, 2, 3, 0}) // default tenant, 1 row, unit weights
 	}))
 	f.Add(seed(func(w *WAL) {
 		appendSync(w, RecordIngest, bytes.Repeat([]byte{7}, 60))
@@ -48,22 +48,22 @@ func FuzzWALReplay(f *testing.F) {
 		appendSync(w, RecordReset, nil)
 		checkpoint(w, 2)
 	}))
-	// The two tenant-tagged records: an ingest group (keyed batches back
+	// The two tenant-tagged records: an ingest group (sorted batches back
 	// to back, the empty key for the default tenant, no member count)
 	// and a push (tenant prefix, then an image), plus a group whose
 	// second member truncates inside the tenant field — the WAL is
 	// payload-agnostic, so mutations of these explore replay's keyed
 	// decode downstream.
 	f.Add(seed(func(w *WAL) {
-		group := []byte{2, 't', 'a', 1, 5, 6, 1}       // tenant "ta", 1 tuple
-		group = append(group, 0, 1, 3, 4, 1)           // default tenant, 1 tuple
-		group = append(group, 2, 't', 'b', 1, 7, 8, 1) // tenant "tb", 1 tuple
+		group := []byte{2, 't', 'a', 1, 5, 6, 0}       // tenant "ta", 1 row
+		group = append(group, 0, 1, 3, 4, 1, 9)        // default tenant, 1 row of weight 9
+		group = append(group, 2, 't', 'b', 1, 7, 8, 0) // tenant "tb", 1 row
 		appendSync(w, RecordIngest, group)
 		push := append([]byte{3, 'k', 'e', 'y'}, bytes.Repeat([]byte{5}, 40)...)
 		appendSync(w, RecordPush, push)
 	}))
 	f.Add(seed(func(w *WAL) {
-		torn := []byte{2, 't', 'a', 1, 5, 6, 1, 120} // 120-byte key claim, no bytes
+		torn := []byte{2, 't', 'a', 1, 5, 6, 0, 120} // 120-byte key claim, no bytes
 		appendSync(w, RecordIngest, torn)
 	}))
 	// The record types replication ships verbatim: a site's push round
@@ -80,18 +80,20 @@ func FuzzWALReplay(f *testing.F) {
 		appendSync(w, RecordProbe, nil)
 	}))
 	f.Add(seed(func(w *WAL) {
-		appendSync(w, RecordIngest, []byte{0, 1, 2, 3, 1})
+		appendSync(w, RecordIngest, []byte{0, 1, 2, 3, 0})
 		appendSync(w, RecordCheckpoint, binary.AppendUvarint(nil, 1<<62))
 	}))
-	// A segment from before the version break: whole header, version 1,
-	// records behind it. Open refuses it by name; mutations explore the
+	// A segment from before each version break: whole header, version 1
+	// or 2, records behind it. Open refuses it by name; mutations explore the
 	// boundary between "another version" and "torn or corrupt".
 	preBreak := seed(func(w *WAL) {
 		appendSync(w, RecordIngest, []byte{1, 2, 3, 1})
 		appendSync(w, 8, []byte{1, 0, 1, 2, 3, 1})
 	})
-	preBreak[8] = 1
-	f.Add(preBreak)
+	for _, version := range []byte{1, 2} {
+		preBreak[8] = version
+		f.Add(bytes.Clone(preBreak))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

@@ -85,14 +85,15 @@ import (
 type RecordType uint8
 
 const (
-	// RecordIngest is one group-commit unit: one or more keyed batches
-	// (tupleio.AppendKeyedBatch — tenant prefix, the empty key for the
-	// default tenant, then the counted batch) back to back in commit
-	// order, delimited by the frame length. These are the batches the
-	// service applied under a single critical section and acknowledged
-	// behind this record's single fsync; the group boundary is part of
-	// the record so replay hands each tenant the same one AddBatch the
-	// live commit did.
+	// RecordIngest is one group-commit unit: one sorted batch per tenant
+	// the group touched (tupleio.AppendSortedBatch — tenant prefix, the
+	// empty key for the default tenant, a count, the rows with y as the
+	// gap to the row before, then the weights unless all are 1) back to
+	// back in first-touch order, delimited by the frame length. A member
+	// is the argument of the one AddBatch the service gave that tenant
+	// under the group's single critical section — its requests
+	// concatenated and sorted by y — acknowledged behind this record's
+	// single fsync; replay hands each tenant the same argument.
 	RecordIngest RecordType = 1
 	// RecordPush is a marshaled summary image folded in through
 	// POST /v1/push: a tupleio tenant prefix, then the image.
@@ -199,11 +200,13 @@ const (
 	headerSize = 17 // magic(8) + version(1) + firstLSN(8)
 	frameSize  = 9  // length(4) + crc(4) + type(1)
 
-	// walVersion is the segment format version. Version 2 is the one
-	// explicit break in the log grammar: every ingest and push record is
-	// keyed. A version-1 segment holds record types this code no longer
-	// decodes, so it is refused by name (ErrVersion) — never reinterpreted.
-	walVersion = 2
+	// walVersion is the segment format version; each is an explicit
+	// break in the log grammar. Version 2 keyed every ingest and push
+	// record; version 3 made an ingest record's member a tenant's sorted
+	// batch where it was a request's tuples in client order. A segment of
+	// an earlier version holds records this code no longer decodes, so it
+	// is refused by name (ErrVersion) — never reinterpreted.
+	walVersion = 3
 )
 
 var (

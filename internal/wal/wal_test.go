@@ -443,6 +443,8 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 		{"garbled magic", 1, func(raw []byte) { raw[0] ^= 0xFF }, ErrCorrupt},
 		{"version 1 with records", 2, func(raw []byte) { raw[8] = 1 }, ErrVersion},
 		{"version 1 header only", 0, func(raw []byte) { raw[8] = 1 }, ErrVersion},
+		{"version 2 with records", 2, func(raw []byte) { raw[8] = 2 }, ErrVersion},
+		{"version 2 header only", 0, func(raw []byte) { raw[8] = 2 }, ErrVersion},
 		{"later version", 1, func(raw []byte) { raw[8] = walVersion + 1 }, ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

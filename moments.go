@@ -22,7 +22,10 @@ func (s *summary) Add(x, y uint64) error { return s.d.add(x, y, 1) }
 func (s *summary) AddWeighted(x, y uint64, w int64) error { return s.d.add(x, y, w) }
 
 // AddBatch inserts a batch of tuples through the amortized batched path
-// (sorted by y in place, one hash per tuple, leaf routing per group).
+// (sorted by y in place, one hash per tuple, leaf routing per group). The
+// sort is by y alone and not stable; a batch that arrives non-decreasing in
+// y is applied in exactly the order given, which is how corrd's log — it
+// holds each batch as sorted — replays to the same bytes.
 func (s *summary) AddBatch(batch []Tuple) error { return s.d.addBatch(batch) }
 
 // QueryLE estimates the aggregate over tuples with y <= c. It returns

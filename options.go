@@ -1,6 +1,7 @@
 package correlated
 
 import (
+	"cmp"
 	"errors"
 
 	"github.com/streamagg/correlated/internal/compat"
@@ -151,17 +152,21 @@ func (d *dual) addBatch(batch []Tuple) error {
 // addBatchDirs is addBatch with the LE‖GE choice made by the caller.
 // The two directions share nothing — own core.Summary, own maker and
 // seed, and the GE side reads only the mirrored copy, which is taken
-// from the LE-sorted order before either side inserts — so the state
+// from the y-sorted order before either side inserts — so the state
 // parallel leaves is the state the sequential order leaves, bit for bit.
-// Every tuple is validated before either summary changes.
+// The batch is sorted by y whichever directions are on (SortBatch touches
+// no summary), so the state a batch leaves is a function of that sorted
+// order under every Predicate: a batch handed over already sorted — as
+// corrd's log holds it — leaves the bytes the original does. Every tuple
+// is validated before either summary changes.
 func (d *dual) addBatchDirs(batch []Tuple, parallel bool) error {
 	for i := range batch {
 		if batch[i].Y > d.ymax {
 			return errors.New("correlated: y exceeds YMax")
 		}
 	}
-	if d.le != nil {
-		if err := d.le.SortBatch(batch); err != nil {
+	if sorter := cmp.Or(d.le, d.ge); sorter != nil {
+		if err := sorter.SortBatch(batch); err != nil {
 			return err
 		}
 	}

@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/gen"
+	"github.com/streamagg/correlated/internal/hash"
 )
 
 // parallelTestOptions is corrd's benchmark configuration: both
@@ -115,6 +117,53 @@ func TestAddBatchParallelGEBitIdentical(t *testing.T) {
 	}
 	requireSameState(t, seq, par)
 	requireSameState(t, seq, auto)
+}
+
+// TestAddBatchOfSortedCopyBitIdentical: under every Predicate the state a
+// batch leaves is a function of what core.SortByY makes of it, so a batch
+// sorted ahead of AddBatch — what corrd's committer logs and its replay
+// applies — leaves the image the client-order original does. Fk is the
+// aggregate whose image depends on the order inside an equal-y run; with
+// GE alone the batch used to reach the mirrored sort in client order.
+func TestAddBatchOfSortedCopyBitIdentical(t *testing.T) {
+	for _, pred := range []Predicate{LE, GE, Both} {
+		o := parallelTestOptions()
+		o.Predicate = pred
+		fromOriginal, err := NewFkSummary(3, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromSorted, err := NewFkSummary(3, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := hash.New(29)
+		for i := 0; i < 4; i++ {
+			batch := make([]Tuple, 2_500)
+			for j := range batch {
+				batch[j] = Tuple{X: rng.Uint64n(1 << 12), Y: rng.Uint64n(6) * 1000, W: int64(1 + rng.Uint64n(5))}
+			}
+			sorted := cloneBatch(batch)
+			core.SortByY(sorted)
+			if err := fromOriginal.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := fromSorted.AddBatch(sorted); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, err := fromOriginal.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fromSorted.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("predicate %d: the sorted copies and the originals leave different images", pred)
+		}
+	}
 }
 
 // TestAddBatchParallelRejectsWhole: an invalid tuple anywhere in a batch

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/exact"
+	"github.com/streamagg/correlated/internal/hash"
 )
 
 // TestServesEveryAggregate: the daemon serves each aggregate Config offers
@@ -179,4 +181,92 @@ func TestServesEveryAggregate(t *testing.T) {
 			t.Errorf("%s: New failed yet left a wal directory behind (stat: %v)", name, serr)
 		}
 	}
+}
+
+// TestFkTieOrderThroughTheLog pins the one order the log must not lose. An
+// Fk summary's bounded candidate sets evict by arrival order, so its bytes
+// depend on the order inside an equal-y run of a batch — the order the
+// summary's own sort (core.SortByY) leaves, which the committer applies to
+// each tenant's concatenated members before AddBatch and the record keeps.
+// An -agg fk server takes commit groups of several members for the same
+// tenant, few distinct y and weights other than 1; its /v1/summary must
+// equal an in-process Fk summary fed the same concatenations in client
+// order, a follower's after promotion, and its own after crash and replay.
+// A committer that sorted any other way — a (y, x, w) total order, a stable
+// sort — fails the first comparison.
+func TestFkTieOrderThroughTheLog(t *testing.T) {
+	o := testOptions()
+	cfg := Config{
+		Aggregate: "fk", K: 3, Options: o,
+		WALDir: filepath.Join(t.TempDir(), "wal"), WALFsync: "always",
+		HeartbeatInterval: 20 * time.Millisecond,
+	}
+	svc, ts, _ := newTestServer(t, cfg)
+	replicaSvc, rts := newReplica(t, o, startStream(t, svc), func(c *Config) {
+		c.Aggregate, c.K = cfg.Aggregate, cfg.K
+		c.WALDir, c.WALFsync = filepath.Join(t.TempDir(), "wal"), "always"
+	})
+
+	tenants := []string{"", "keyed"}
+	refs := map[string]*correlated.FkSummary{}
+	for _, name := range tenants {
+		ref, err := correlated.NewFkSummary(cfg.K, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[name] = ref
+	}
+	rng := hash.New(23)
+	for g := 0; g < 6; g++ {
+		var group []*ingestJob
+		concat := map[string][]correlated.Tuple{}
+		for m := 0; m < 5; m++ {
+			name := tenants[rng.Uint64n(2)]
+			tuples := make([]correlated.Tuple, 150+rng.Uint64n(200))
+			for i := range tuples {
+				tuples[i] = correlated.Tuple{X: rng.Uint64n(1 << 12), Y: rng.Uint64n(5) * 40, W: int64(1 + rng.Uint64n(6))}
+			}
+			group = append(group, &ingestJob{key: []byte(name), tuples: tuples, done: make(chan struct{}, 1)})
+			concat[name] = append(concat[name], tuples...)
+		}
+		svc.commitGroup(group)
+		for i, j := range group {
+			if <-j.done; j.kind != ingestOK {
+				t.Fatalf("group %d member %d: kind %d, err %v", g, i, j.kind, j.err)
+			}
+		}
+		for name, batch := range concat {
+			if err := refs[name].AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(url, when string) {
+		t.Helper()
+		for _, name := range tenants {
+			want, err := refs[name].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(tenantSummary(t, url, name), want) {
+				t.Fatalf("%s: tenant %q differs from an in-process Fk summary fed the same batches in client order", when, name)
+			}
+		}
+	}
+	check(ts.URL, "live")
+
+	waitUntil(t, 10*time.Second, "the replica to apply the log", func() bool {
+		return replicaSvc.appliedLSN.Load() >= svc.walRef().LastLSN()
+	})
+	if err := replicaSvc.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	check(rts.URL, "promoted follower")
+
+	crash(ts, svc)
+	svc2, ts2, _ := newTestServer(t, cfg)
+	if svc2.walReplayed == 0 {
+		t.Fatal("the restart replayed nothing")
+	}
+	check(ts2.URL, "after crash and replay")
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"slices"
 	"testing"
@@ -13,48 +14,46 @@ import (
 // decoder, the function crash replay and a replica's live apply both
 // read RecordIngest through. Whatever the bytes it must not panic; what
 // it allocates is bounded by the payload's length (a member is at least
-// two bytes, a tuple at least three — no count in the payload is trusted
-// past the bytes behind it); an empty payload is refused; and on every
-// payload it accepts, decode ∘ encode is the identity: re-encoding the
-// members and decoding again yields the same members, and re-encoding
-// those yields the same bytes.
+// three bytes, a row at least two — no count in the payload is trusted
+// past the bytes behind it); an empty payload is refused; every batch it
+// accepts is non-decreasing in y, so the AddBatch it goes to finds it
+// sorted; and the grammar is canonical: re-encoding the members it
+// accepted yields the payload, byte for byte.
 func FuzzDecodeIngest(f *testing.F) {
-	job := func(name string, tuples ...correlated.Tuple) *ingestJob {
-		return &ingestJob{tn: &tenant{name: name}, tuples: tuples}
+	record := func(batches ...tenantBatch) []byte {
+		buf, err := appendIngest(nil, batches)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return buf
+	}
+	batch := func(name string, tuples ...correlated.Tuple) tenantBatch {
+		return tenantBatch{&tenant{name: name}, tuples}
 	}
 	f.Add([]byte{})
-	f.Add(appendIngestRecord(nil, []*ingestJob{job("", correlated.Tuple{X: 1, Y: 2, W: 1})}))
-	f.Add(appendIngestRecord(nil, []*ingestJob{
-		job("ta", correlated.Tuple{X: 5, Y: 6, W: 1}),
-		job("", correlated.Tuple{X: 3, Y: 4, W: 9}, correlated.Tuple{X: 1 << 40, Y: 1 << 20, W: 1}),
-		job("tb"),
-	}))
+	f.Add(record(batch("", correlated.Tuple{X: 1, Y: 2, W: 1})))
+	f.Add(record(
+		batch("ta", correlated.Tuple{X: 5, Y: 6, W: 1}, correlated.Tuple{X: 4, Y: 6, W: 1}),
+		batch("", correlated.Tuple{X: 3, Y: 4, W: 9}, correlated.Tuple{X: 1 << 40, Y: 1 << 20, W: 1}),
+		batch("tb"),
+	))
 	for _, hostile := range [][]byte{
-		{0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 2, 3},                               // count claims 2^32 tuples
-		{2, 't', 'a', 1, 5, 6, 1, 120},                                           // second member: 120-byte key, no bytes
-		{1, 0x07, 1, 1, 1, 1},                                                    // control byte in the key
-		{0, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // weight overflows int64
+		{0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 2, 3}, // count claims 2^32 tuples
+		{2, 't', 'a', 1, 5, 6, 0, 120},             // second member: 120-byte key, no bytes
+		{1, 0x07, 1, 1, 1, 0},                      // control byte in the key
+		{0, 1, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // weight overflows int64
 	} {
 		f.Add(hostile)
 	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// decode is decodeIngest plus what the commit does to a member
-		// before the encoder sees it: resolve its key to a tenant.
-		decode := func(st *replayState, payload []byte) ([]*ingestJob, error) {
-			group, err := st.decodeIngest(payload)
-			for _, j := range group {
-				j.tn = &tenant{name: string(j.key)}
-			}
-			return group, err
-		}
 		st := newReplayState(0, true)
-		group, err := decode(st, payload)
+		group, err := st.decodeIngest(payload)
 		tuples := 0
 		for _, j := range st.jobs {
 			tuples += cap(j.tuples)
 		}
-		if len(st.jobs) > len(payload)/2+1 || tuples > len(payload)/3 {
+		if len(st.jobs) > len(payload)/3+1 || tuples > len(payload)/2 {
 			t.Fatalf("%d-byte payload allocated %d jobs holding room for %d tuples", len(payload), len(st.jobs), tuples)
 		}
 		if err != nil {
@@ -63,21 +62,16 @@ func FuzzDecodeIngest(f *testing.F) {
 		if len(payload) == 0 || len(group) == 0 {
 			t.Fatalf("accepted a %d-byte payload as %d members", len(payload), len(group))
 		}
-		canonical := appendIngestRecord(nil, group)
-		again, err := decode(newReplayState(0, true), canonical)
-		if err != nil {
-			t.Fatalf("re-encoded members do not decode: %v", err)
-		}
-		if len(again) != len(group) {
-			t.Fatalf("round trip turned %d members into %d", len(group), len(again))
-		}
+		batches := make([]tenantBatch, len(group))
 		for i, j := range group {
-			if again[i].tn.name != j.tn.name || !slices.Equal(again[i].tuples, j.tuples) {
-				t.Fatalf("member %d changed across the round trip", i)
+			if !slices.IsSortedFunc(j.tuples, func(a, b correlated.Tuple) int { return cmp.Compare(a.Y, b.Y) }) {
+				t.Fatalf("member %d decoded out of y order", i)
 			}
+			// As the commit resolves a member's key, for the encoder.
+			batches[i] = tenantBatch{&tenant{name: string(j.key)}, j.tuples}
 		}
-		if !bytes.Equal(appendIngestRecord(nil, again), canonical) {
-			t.Fatal("encode is not stable on decoded members")
+		if again, err := appendIngest(nil, batches); err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("encode(decode(payload)) differs from the payload (err %v)", err)
 		}
 	})
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	correlated "github.com/streamagg/correlated"
+	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
@@ -28,8 +30,9 @@ import (
 // server runs. It takes everything queued (up to the group caps) and, under
 // one critical section of the driver lock, applies the jobs in queue order
 // and appends each one's record: a maximal run of ingest jobs is resolved
-// to tenants member by member, handed to every touched tenant as one
-// AddBatch and logged as one record (applyGroupLocked); every other job
+// to tenants member by member, sorted by y per touched tenant, handed to
+// each as one AddBatch and logged as one record of those sorted batches
+// (applyGroupLocked, commitRunLocked); every other job
 // goes through the per-record apply that replay and a replica's apply loop
 // decode into (applyJobLocked). Then, outside the lock, one Sync covers
 // every record of the group — the barrier under -wal-fsync=always — and
@@ -42,10 +45,13 @@ import (
 // with no timer or batching delay — and a lone client keeps groups of one.
 //
 // Crash-exactness holds by construction: a summary's state depends on
-// where its AddBatch calls were cut, and the only cut there is is the
-// run's WAL record (RecordIngest), which carries the member batches in
-// client order. Replay turns a record back into the jobs the live commit
-// held and runs the live commit's own apply on them.
+// where its AddBatch calls were cut and on what each was given, and the
+// log holds exactly that — the run's WAL record (RecordIngest) is, per
+// touched tenant, the argument of that tenant's one AddBatch: its members
+// concatenated in commit order and sorted by y with the summary's own sort
+// (core.SortByY), which the summary then finds sorted and leaves alone.
+// Replay turns a record back into one job per tenant holding that batch
+// and runs the live commit's own apply on them.
 
 // errShuttingDown rejects a job that arrives after Close shut the pipeline.
 var errShuttingDown = errors.New("service: shutting down")
@@ -125,9 +131,10 @@ var imageRecord = [...]wal.RecordType{
 // which is what a stream ack reports. key names the tenant an ingest or a
 // push addresses (it aliases the request's or the record's bytes; empty is
 // the default tenant); the commit resolves it into tn, which stays nil on a
-// job refused first. The committer only reads tuples — the WAL record and
-// the ack path see the client's order. A live opReset or opFoldback is
-// queued without its image; the commit fills it in.
+// job refused first. The committer only reads tuples — it sorts and logs
+// its own copy, so the ack path sees the slice as the transport decoded it.
+// A live opReset or opFoldback is queued without its image; the commit
+// fills it in.
 type ingestJob struct {
 	op     jobOp
 	tuples []correlated.Tuple
@@ -279,21 +286,32 @@ func (s *Server) validateBatch(batch []correlated.Tuple) error {
 	return nil
 }
 
+// tenantBatch is what one touched tenant's one AddBatch of a group was
+// given: a span of the committer's scratch (Server.applyBuf), sorted by y.
+type tenantBatch struct {
+	t      *tenant
+	tuples []correlated.Tuple
+}
+
 // applyGroupLocked resolves a group's members to their tenants and applies
 // them: each touched tenant gets exactly one AddBatch, of its members in
-// commit order, concatenated into the committer's scratch — never applied
-// from a member's own slice, because AddBatch sorts its argument in place
-// and the log must keep the client's order for replay to feed the sort
-// the same permutation. It sets every member's tn and kind (and err),
-// bumps each touched tenant's epoch, and reports how many members were
-// applied. The live committer (caps on), startup replay and a replica's
-// apply loop (caps off) all come through here with the same member lists,
-// which is what makes their bytes equal. A member naming a new tenant makes
-// it, or is refused alone by a cap; a group may span tenants, which are
-// applied in first-touch order. Callers hold s.mu, or run before any
-// goroutine exists.
-func (s *Server) applyGroupLocked(group []*ingestJob, caps bool) (applied int) {
-	touched := s.touchedBuf[:0]
+// commit order, concatenated into the committer's scratch — a member's own
+// slice is only read — and sorted there by y with the summary's own sort
+// (core.SortByY: same sort, same input, so the order inside an equal-y run
+// is the one AddBatch itself would have produced, and AddBatch finds the
+// batch sorted). It sets every member's tn and kind (and err), bumps each
+// touched tenant's epoch, and returns what each tenant's AddBatch took, in
+// first-touch order — the record commitRunLocked logs; none when no member
+// was applied. The live committer (caps on), startup replay and a replica's
+// apply loop (caps off) all come through here: a record decodes into one
+// member per tenant, already sorted, which the sort leaves as it is — which
+// is what makes their bytes equal. A member naming a new tenant makes it, or
+// is refused alone by a cap; a group may span tenants. Callers hold s.mu, or
+// run before any goroutine exists, and hand the scratch back
+// (releaseGroupLocked) once they are done with the batches.
+func (s *Server) applyGroupLocked(group []*ingestJob, caps bool) (batches []tenantBatch) {
+	batches = s.touchedBuf[:0]
+	total := 0
 	for _, j := range group {
 		if j.tn, j.kind, j.err = s.tenantForWriteLocked(j.key, caps); j.err != nil {
 			continue
@@ -303,36 +321,43 @@ func (s *Server) applyGroupLocked(group []*ingestJob, caps bool) (applied int) {
 			j.err, j.kind = err, ingestErrEngine
 			continue
 		}
+		total += len(j.tuples)
 		if !j.tn.inGroup {
 			j.tn.inGroup = true
-			touched = append(touched, j.tn)
+			batches = append(batches, tenantBatch{t: j.tn})
 		}
 	}
+	// Sized once, so a tenant's span is not moved by a later tenant's.
+	buf := slices.Grow(s.applyBuf[:0], total)
 	sample := s.cfg.MaxTenantBytes > 0
-	for _, t := range touched {
-		buf := s.applyBuf[:0]
-		members := 0
+	// batches is rebuilt over touched's own array — it never outruns the
+	// read — keeping the tenants whose engine took their batch.
+	touched := batches
+	batches = batches[:0]
+	for _, b := range touched {
+		t := b.t
+		lo := len(buf)
 		for _, j := range group {
 			if j.tn == t && j.kind == ingestOK {
 				buf = append(buf, j.tuples...)
-				members++
 			}
 		}
-		err := t.eng.AddBatch(buf)
-		if err != nil {
+		batch := buf[lo:]
+		core.SortByY(batch)
+		if err := t.eng.AddBatch(batch); err != nil {
 			// Every member passed validateBatch at admission, so the
 			// summary has no reason to refuse; if it does, it refused the
 			// whole batch untouched, and the tenant's members are nacked
-			// together.
+			// together and the tenant left out of the record.
 			for _, j := range group {
 				if j.tn == t && j.kind == ingestOK {
 					j.err, j.kind = err, ingestErrEngine
 				}
 			}
+			buf = buf[:lo]
 		} else {
-			applied += members
+			batches = append(batches, tenantBatch{t, batch})
 		}
-		s.applyBuf = pooledTuples(buf)
 		t.inGroup = false
 		t.epoch.Add(1)
 		t.touch()
@@ -342,8 +367,16 @@ func (s *Server) applyGroupLocked(group []*ingestJob, caps bool) (applied int) {
 			t.footprint.Store(liveBytes(t.eng))
 		}
 	}
-	s.touchedBuf = touched[:0]
-	return applied
+	s.applyBuf, s.touchedBuf = buf, touched
+	return batches
+}
+
+// releaseGroupLocked ends the life of applyGroupLocked's batches: the
+// scratch they span is kept for the next group unless a rare huge one grew
+// it past what is worth holding.
+func (s *Server) releaseGroupLocked() {
+	s.applyBuf = pooledTuples(s.applyBuf)
+	clear(s.touchedBuf)
 }
 
 // applyJobLocked is the one apply of every record that is not an ingest
@@ -459,9 +492,12 @@ func (s *Server) commitJobLocked(w *wal.WAL, j *ingestJob) {
 }
 
 // commitRunLocked applies a run of ingest jobs as one group and appends
-// its one record. Callers hold s.mu.
+// its one record: what each touched tenant's AddBatch was given. Callers
+// hold s.mu.
 func (s *Server) commitRunLocked(w *wal.WAL, run []*ingestJob, dequeued time.Time) {
-	if s.applyGroupLocked(run, true) == 0 {
+	defer s.releaseGroupLocked()
+	batches := s.applyGroupLocked(run, true)
+	if len(batches) == 0 {
 		return
 	}
 	applyEnd := time.Now()
@@ -472,9 +508,14 @@ func (s *Server) commitRunLocked(w *wal.WAL, run []*ingestJob, dequeued time.Tim
 	// One append orders the run in the log. It is deliberately not the
 	// fsync: that happens outside the driver lock, so the next group's
 	// decode (and any query evaluation) overlaps this group's disk wait
-	// instead of queueing behind it.
-	buf := appendIngestRecord(s.groupBuf[:0], run)
-	lsn, err := w.AppendNoSync(wal.RecordIngest, buf)
+	// instead of queueing behind it. A batch the encoder refuses (it is not
+	// sorted: a bug, never an input) is an append that failed — nothing of
+	// the run is logged.
+	var lsn uint64
+	buf, err := appendIngest(s.groupBuf[:0], batches)
+	if err == nil {
+		lsn, err = w.AppendNoSync(wal.RecordIngest, buf)
+	}
 	s.groupBuf = pooledBytes(buf)
 	s.metrics.stages[stageAppend].Observe(time.Since(applyEnd).Seconds())
 	for _, j := range run {
@@ -625,15 +666,17 @@ func (s *Server) overloadRetryAfter() time.Duration {
 	return d
 }
 
-// appendIngestRecord appends an ingest record's payload: the group's
-// applied members, each as a keyed batch (the empty key for the default
-// tenant), back to back in commit order. The frame length delimits the
-// record; replayState.decodeIngest is the inverse.
-func appendIngestRecord(buf []byte, group []*ingestJob) []byte {
-	for _, j := range group {
-		if j.kind == ingestOK {
-			buf = tupleio.AppendKeyedBatch(buf, j.tn.name, j.tuples)
+// appendIngest appends an ingest record's payload: one sorted batch
+// (tupleio.AppendSortedBatch; the empty key for the default tenant) per
+// tenant the group touched and applied, back to back in first-touch order.
+// The frame length delimits the record; replayState.decodeIngest is the
+// inverse.
+func appendIngest(buf []byte, batches []tenantBatch) ([]byte, error) {
+	for _, b := range batches {
+		var err error
+		if buf, err = tupleio.AppendSortedBatch(buf, b.t.name, b.tuples); err != nil {
+			return buf, err
 		}
 	}
-	return buf
+	return buf, nil
 }

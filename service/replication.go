@@ -35,9 +35,9 @@ import (
 //
 // The replica (Config.PrimaryAddr) applies each shipped record under
 // the driver lock through the exact applyRecord switch its own startup
-// replay uses — each record decoded into the job the primary's commit
-// held and run through the commit's own apply, same one AddBatch per tenant
-// per group record — so its state is always "the primary replayed to LSN N".
+// replay uses — each record decoded into jobs and run through the commit's
+// own apply, the same one AddBatch of the same sorted batch per tenant per
+// group record — so its state is always "the primary replayed to LSN N".
 // It serves reads (/v1/query, /v1/stats, /v1/summary) through the same
 // answer memo as a primary and rejects writes with 503 (AckReadOnly on the
 // stream). Promotion — POST /v1/promote, or automatic on primary
@@ -61,7 +61,7 @@ var (
 // loop each own one. startup arms the checkpoint staleness witness
 // (live replicas ignore the primary's checkpoint markers).
 type replayState struct {
-	jobs     []*ingestJob // a group record's members, rebuilt as the jobs the live commit saw
+	jobs     []*ingestJob // a group record's members: a job per tenant holding its sorted batch
 	covered  uint64       // snapshot baseline (startup staleness check)
 	startup  bool
 	fallback bool // restore fell back to an older retention slot
@@ -71,15 +71,15 @@ func newReplayState(covered uint64, startup bool) *replayState {
 	return &replayState{covered: covered, startup: startup}
 }
 
-// decodeIngest turns an ingest record's payload back into the member
-// list the live commit logged (appendIngestRecord's inverse): keyed
-// batches back to back until the payload is spent, each a job addressed by
-// its key, which aliases payload. There is no member count to trust — a
-// member is at least two bytes, and each batch's own count is bounded by
-// the bytes behind it — so what a hostile payload can make this allocate is
-// bounded by its length. An empty payload is refused: the live commit
-// never logs a group with no applied member. The jobs and their tuple
-// buffers are reused from record to record.
+// decodeIngest turns an ingest record's payload back into the batches the
+// live commit logged (appendIngest's inverse): sorted batches back to back
+// until the payload is spent, each a job addressed by its key, which aliases
+// payload, holding what that tenant's AddBatch was given. There is no member
+// count to trust — a member is at least three bytes, and each batch's own
+// count is bounded by the bytes behind it — so what a hostile payload can
+// make this allocate is bounded by its length. An empty payload is refused:
+// the live commit never logs a group with no applied member. The jobs and
+// their tuple buffers are reused from record to record.
 func (st *replayState) decodeIngest(payload []byte) ([]*ingestJob, error) {
 	if len(payload) == 0 {
 		return nil, errors.New("empty ingest record")
@@ -91,7 +91,7 @@ func (st *replayState) decodeIngest(payload []byte) ([]*ingestJob, error) {
 		}
 		j := st.jobs[n]
 		var err error
-		if j.key, j.tuples, rest, err = tupleio.DecodeKeyedPrefix(j.tuples, rest); err != nil {
+		if j.key, j.tuples, rest, err = tupleio.DecodeSortedBatch(j.tuples, rest); err != nil {
 			return nil, fmt.Errorf("member %d: %w", n, err)
 		}
 	}
@@ -102,9 +102,10 @@ func (st *replayState) decodeIngest(payload []byte) ([]*ingestJob, error) {
 // applies — the one grammar both crash replay and a replica's live apply
 // speak, which is what makes a promoted replica's state byte-identical
 // to a crash-free primary replayed to the same LSN. Each record is
-// decoded back into the jobs the commit held: an ingest record into its
-// member list (applyGroupLocked: each touched tenant gets the same one
-// AddBatch it got live), any other state record into its one job
+// decoded back into jobs for the commit's applies: an ingest record into a
+// member per tenant holding the sorted batch it was given live
+// (applyGroupLocked: the same one AddBatch, of the same argument, and
+// nothing re-encoded), any other state record into its one job
 // (applyJobLocked) — both with the governance caps off: a tenant the log
 // names is made whatever the caps say today. counted reports whether the
 // record carried state (a checkpoint marker does not). Startup replay calls
@@ -118,6 +119,7 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 		}
 		s.applyGroupLocked(group, false)
+		s.releaseGroupLocked()
 		for i, j := range group {
 			// The log holds only members the live commit applied, so a
 			// member refused here is fatal to the replay.

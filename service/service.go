@@ -320,8 +320,8 @@ type Server struct {
 	pipe       commitPipeline
 	groupMax   int
 	groupBuf   []byte             // committer-owned WAL group encode scratch
-	touchedBuf []*tenant          // committer-owned touched-tenant scratch
-	applyBuf   []correlated.Tuple // committer-owned copy of one tenant's members
+	touchedBuf []tenantBatch      // committer-owned touched-tenant scratch
+	applyBuf   []correlated.Tuple // committer-owned sorted copy of a group's members, a span per tenant
 
 	// fs routes WAL and snapshot filesystem calls (fault.OS() unless
 	// Config.FS injects faults); health is the degraded-mode state

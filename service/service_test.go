@@ -917,10 +917,10 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
-// TestPreBreakStateRefused: durable state written before the storage
-// version break — a version-1 log holding records, or a corrdsn1,
-// corrdsn2 or bare-image snapshot wherever restore would reach it —
-// makes New fail with an error that wraps a sentinel, names the format
+// TestPreBreakStateRefused: durable state written before a storage
+// version break — a version-1 or version-2 log holding records, or a
+// corrdsn1, corrdsn2 or bare-image snapshot wherever restore would reach
+// it — makes New fail with an error that wraps a sentinel, names the format
 // found and the one expected, and points at the README. The refused start
 // leaves every file exactly as it was and creates none beside them.
 func TestPreBreakStateRefused(t *testing.T) {
@@ -963,37 +963,52 @@ func TestPreBreakStateRefused(t *testing.T) {
 		}
 	}
 
-	t.Run("version-1 log", func(t *testing.T) {
-		// Frames did not change at the break, only the record grammar and
-		// the header's version byte: write records, then stamp version 1.
-		dir := t.TempDir()
-		w, err := wal.Open(dir, wal.Options{SegmentBytes: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for typ := wal.RecordType(7); typ <= 9; typ++ { // the retired group, keyed-group and keyed-push numbers
-			if _, err := w.AppendNoSync(typ, tupleio.AppendCountedBatch([]byte{1}, testStream(8, 92))); err != nil {
+	for _, old := range []struct {
+		version byte
+		record  func(i int) (wal.RecordType, []byte) // the i-th record, in that version's grammar
+	}{
+		// Frames did not change at either break, only the record grammar
+		// and the header's version byte: write records, then stamp the
+		// version. Version 1 logged under the retired group, keyed-group and
+		// keyed-push numbers; version 2's ingest record was keyed batches in
+		// client order.
+		{1, func(i int) (wal.RecordType, []byte) {
+			return wal.RecordType(7 + i), tupleio.AppendCountedBatch([]byte{1}, testStream(8, 92))
+		}},
+		{2, func(int) (wal.RecordType, []byte) {
+			return wal.RecordIngest, tupleio.AppendKeyedBatch(nil, "a", testStream(8, 92))
+		}},
+	} {
+		t.Run(fmt.Sprintf("version-%d log", old.version), func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := wal.Open(dir, wal.Options{SegmentBytes: 64})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Sync(); err != nil { // a segment seals only behind a barrier
+			for i := 0; i < 3; i++ {
+				if _, err := w.AppendNoSync(old.record(i)); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Sync(); err != nil { // a segment seals only behind a barrier
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		segs := dirBytes(t, dir)
-		if len(segs) < 2 {
-			t.Fatalf("%d segments, want a sealed one and the active one", len(segs))
-		}
-		for name, raw := range segs {
-			raw[8] = 1
-			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-				t.Fatal(err)
+			segs := dirBytes(t, dir)
+			if len(segs) < 2 {
+				t.Fatalf("%d segments, want a sealed one and the active one", len(segs))
 			}
-		}
-		refused(t, Config{Options: o, WALDir: dir}, dir, wal.ErrVersion, "version 1,", "version 2 ")
-	})
+			for name, raw := range segs {
+				raw[8] = old.version
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refused(t, Config{Options: o, WALDir: dir}, dir, wal.ErrVersion, fmt.Sprintf("version %d,", old.version), "version 3 ")
+		})
+	}
 
 	sn2 := encodeSnapshot(7, []tenantImage{{name: "", image: image}, {name: "a", image: image}})
 	sn2[len(snapshotMagic)-1] = '2' // corrdsn2 had today's layout under the older magic

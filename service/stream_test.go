@@ -244,7 +244,8 @@ func TestStreamRejectsBadHello(t *testing.T) {
 		value, want uint8
 	}{
 		{"future version", 4, tupleio.StreamVersion + 1, tupleio.HelloBadVersion},
-		{"pre-break replication format", 5, 3, tupleio.HelloBadFormat},
+		{"replication format of WAL version 1", 5, 3, tupleio.HelloBadFormat},
+		{"replication format of WAL version 2", 5, 4, tupleio.HelloBadFormat},
 		{"unknown format", 5, 99, tupleio.HelloBadFormat},
 	} {
 		conn, err := net.Dial("tcp", addr)

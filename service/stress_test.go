@@ -11,6 +11,7 @@ import (
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
+	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
@@ -333,11 +334,13 @@ func tenantBytes(t *testing.T, svc *Server, name string) []byte {
 // naming a tenant past MaxTenants is nacked, alone, and makes no tenant;
 // each tenant holds exactly what one offline AddBatch of its applied
 // members, concatenated in client order, leaves; the members' own slices
-// keep the client's tuple order (AddBatch sorts only the committer's copy);
+// keep the client's tuple order (the commit sorts only its own copy);
 // the group is logged as one RecordIngest — whatever its size and whichever
-// tenants it names — whose payload the one decoder turns back into the
-// applied members in client order; and every other way to reach the state
-// — spill → restore, a replica applying the shipped record, a restart
+// tenants it names — holding one member per touched tenant, in first-touch
+// order and none for the refused member, each what core.SortByY makes of
+// that tenant's concatenation, and the payload is what the one encoder
+// makes of what the one decoder reads; and every other way to reach the
+// state — spill → restore, a replica applying the shipped record, a restart
 // replaying it — reproduces the same bytes.
 func TestCommitGroupOneBatchPerTenant(t *testing.T) {
 	s1, s2, s3, s4 := testStream(300, 1), testStream(200, 2), testStream(250, 3), testStream(150, 4)
@@ -383,13 +386,15 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 		tenant string
 		tuples []correlated.Tuple
 	}
-	var applied []logged // the members the commit must apply, in client order
+	var touched []string // the tenants the commit must apply to, in first-touch order
 	batches := map[string][]correlated.Tuple{}
 	jobs := make([]*ingestJob, len(members))
 	for i, m := range members {
 		jobs[i] = &ingestJob{key: []byte(m.tenant), tuples: clone(m.tuples), done: make(chan struct{}, 1)}
 		if m.kind == ingestOK {
-			applied = append(applied, logged{m.tenant, m.tuples})
+			if _, seen := batches[m.tenant]; !seen {
+				touched = append(touched, m.tenant)
+			}
 			batches[m.tenant] = append(batches[m.tenant], m.tuples...)
 		}
 	}
@@ -410,7 +415,7 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := offline.AddBatch(batch); err != nil {
+		if err := offline.AddBatch(clone(batch)); err != nil {
 			t.Fatal(err)
 		}
 		if want[name], err = offline.MarshalBinary(); err != nil {
@@ -432,8 +437,8 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 	}
 	check("live commit", svc)
 
-	// The log: one ingest record, the applied members in client order,
-	// tuple order untouched, and the encoder the decoder's inverse.
+	// The log: one ingest record, a member per touched tenant holding what
+	// its AddBatch was given, and the encoder the decoder's inverse.
 	var record []logged
 	var records int
 	if err := svc.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
@@ -445,23 +450,27 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var decoded []tenantBatch
 		for _, j := range group {
-			j.tn = &tenant{name: string(j.key)} // as the commit resolves it, for the encoder
-			record = append(record, logged{j.tn.name, j.tuples})
+			record = append(record, logged{string(j.key), j.tuples})
+			// As the commit resolves a member's key, for the encoder.
+			decoded = append(decoded, tenantBatch{&tenant{name: string(j.key)}, j.tuples})
 		}
-		if again := appendIngestRecord(nil, group); !bytes.Equal(again, payload) {
-			t.Fatalf("record %d: encode(decode(payload)) differs from the payload", lsn)
+		if again, err := appendIngest(nil, decoded); err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("record %d: encode(decode(payload)) differs from the payload (err %v)", lsn, err)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if records != 1 || len(record) != len(applied) {
-		t.Fatalf("log holds %d records with %d members, want 1 with %d", records, len(record), len(applied))
+	if records != 1 || len(record) != len(touched) {
+		t.Fatalf("log holds %d records with %d members, want 1 with %d", records, len(record), len(touched))
 	}
-	for i, m := range applied {
-		if record[i].tenant != m.tenant || !slices.Equal(record[i].tuples, m.tuples) {
-			t.Fatalf("logged member %d is not applied member %d as the client sent it", i, i)
+	for i, name := range touched {
+		sorted := clone(batches[name])
+		core.SortByY(sorted)
+		if record[i].tenant != name || !slices.Equal(record[i].tuples, sorted) {
+			t.Fatalf("logged member %d is not tenant %q's members concatenated and sorted by y", i, name)
 		}
 	}
 

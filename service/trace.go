@@ -20,9 +20,11 @@ import (
 //
 //	enqueue  handler enqueues the job → the committer dequeues its
 //	         group (queue wait; per job)
-//	apply    group dequeue → member validation and one AddBatch per
-//	         touched tenant, driver-lock wait included (per group)
-//	append   the group's single WAL record append (per group)
+//	apply    group dequeue → member resolution, the per-tenant sort and
+//	         one AddBatch per touched tenant, driver-lock wait included
+//	         (per group)
+//	append   the group's single WAL record, encoded from the sorted
+//	         batches and appended (per group)
 //	fsync    the group-wide durability barrier, wal.Sync outside the
 //	         driver lock — only under fsync=always, so its histogram
 //	         count matches corrd_wal_fsync_duration_seconds group for

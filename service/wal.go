@@ -25,12 +25,15 @@ import (
 // critical section of the driver lock (s.mu), in queue order, so the
 // replayer — which re-applies records through the very same functions
 // (applyGroupLocked, applyJobLocked) — reconstructs the identical
-// sequence of engine calls. Third, "batch boundaries are the log's": a
-// summary's state depends on where its AddBatch calls were cut, and each
-// tenant gets exactly one AddBatch per ingest record — its members of
-// that record, in the client order the record keeps — live and on replay
-// alike. Nothing else (a snapshot tick, a query, a stats read) ever cuts
-// a batch. Together with the canonical marshaling ("equal state ⇒ equal
+// sequence of engine calls. Third, "the log holds what each tenant's one
+// AddBatch was given": a summary's state depends on where its AddBatch
+// calls were cut and on the batch each was handed, and each tenant gets
+// exactly one AddBatch per ingest record — of the record's member for it,
+// which is the tenant's requests of that commit group concatenated and
+// sorted by y by the committer with the summary's own sort, so the summary
+// finds it sorted and applies it as it stands — live and on replay alike.
+// Nothing else (a snapshot tick, a query, a stats read) ever cuts a batch.
+// Together with the canonical marshaling ("equal state ⇒ equal
 // bytes"), a recovered server's /v1/summary is byte-identical to a
 // crash-free run over the same acknowledged requests grouped the same
 // way.
