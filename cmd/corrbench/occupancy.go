@@ -64,7 +64,7 @@ func occupancyTable(n int) {
 			die(s.AddBatch(batch))
 		}
 		le, ge := s.Occupancy()
-		var held, tables, arrays int64 // bytes behind the counters; of them, items tables and dense arrays
+		var held, tables, closed, arrays int64 // bytes behind the counters; of them, items tables (closed buckets' cut ones) and dense arrays
 		for _, dir := range []struct {
 			name string
 			rows []correlated.LevelOccupancy
@@ -73,6 +73,7 @@ func occupancyTable(n int) {
 			for _, o := range dir.rows {
 				held += o.Bytes
 				tables += o.ItemsBytes
+				closed += o.ClosedItemsBytes
 				arrays += o.DenseBytes
 				if o.Virgin && o.Counters == 2 {
 					virgin++ // an untouched root and nothing else
@@ -89,7 +90,7 @@ func occupancyTable(n int) {
 		}
 		img, err := s.MarshalBinary()
 		die(err)
-		fmt.Printf("# %s: space %d counters in %d bytes (items tables %d, dense arrays %d), image %d bytes\n",
-			sh.name, s.Space(), held, tables, arrays, len(img))
+		fmt.Printf("# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d), image %d bytes\n",
+			sh.name, s.Space(), held, tables, closed, arrays, len(img))
 	}
 }

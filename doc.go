@@ -177,12 +177,15 @@
 // and after a MarshalBinary → UnmarshalBinary round trip and marshaling
 // changes nothing. In memory both forms are stored as narrow as what they
 // hold allows: a table slot is eight bytes — identifier and weight in 32
-// bits each — until a pair needs sixteen, and a dense array stores its
-// counters at two bytes each and widens itself (to four, then eight) the
-// first time a value would not fit. That changes no answer, no image byte
-// and not Space, which keeps counting two words a pair and one a counter.
-// Occupancy breaks Space down level by level and reports the bytes behind
-// each level's counters, by form.
+// bits each — until a pair needs sixteen, a dense array stores its
+// counters at one byte each and widens itself (to two, four, then eight)
+// the first time a value would not fit, and the table of a bucket that has
+// closed — which splits on the next arrival and is not written by ingest
+// again — is cut to exactly the pairs it holds. That changes no answer, no
+// image byte and not Space, which keeps counting two words a pair and one a
+// counter. Occupancy breaks Space down level by level and reports the bytes
+// behind each level's counters, by form, and how many of the tables' are in
+// closed buckets.
 //
 // # Mergeability and distribution
 //

@@ -159,6 +159,7 @@ func (s *Summary) readNode(data []byte, iv dyadic.Interval) (*bucket, []byte, er
 			return nil, nil, err
 		}
 		b.sa = s.slotAdderOf(b.sk)
+		compactClosed(b)
 	}
 	if !iv.Single() {
 		lc, rc := iv.Children()

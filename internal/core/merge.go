@@ -451,8 +451,9 @@ func (s *Summary) importNode(src *bucket, owned bool) *bucket {
 
 // recloseAndCount re-runs the closing decision on every merged bucket —
 // an open bucket whose merged estimate now clears the level threshold
-// closes, exactly as Algorithm 2 would have closed it — resets the
-// optimization budgets, and returns the number of stored buckets.
+// closes, exactly as Algorithm 2 would have closed it — compacts the closed
+// ones (a merge into one undid that), resets the optimization budgets, and
+// returns the number of stored buckets.
 func (s *Summary) recloseAndCount(lv *level, b *bucket) int {
 	if b == nil {
 		return 0
@@ -461,6 +462,7 @@ func (s *Summary) recloseAndCount(lv *level, b *bucket) int {
 		sketch.CheapEstimate(b.sk) >= lv.thresh {
 		b.closed = true
 	}
+	compactClosed(b)
 	b.closeBudget = 0
 	return 1 + s.recloseAndCount(lv, b.left) + s.recloseAndCount(lv, b.right)
 }

@@ -24,12 +24,16 @@ type LevelOccupancy struct {
 	// up to Space.
 	Counters int64
 	// Bytes is the memory behind Counters: what each sketch that reports a
-	// form holds — table slots at 8 or 16 bytes, empty ones included, or
-	// counters at their stored width; both are narrower than Counters' words
-	// for nearly every sketch — and eight bytes a counter for everything
-	// else. ItemsBytes and DenseBytes are the two sketch shares of it.
+	// form holds — table slots at 8 or 16 bytes, or counters at their stored
+	// width, one byte for nearly every array; both are narrower than
+	// Counters' words for nearly every sketch — and eight bytes a counter for
+	// everything else. ItemsBytes and DenseBytes are the two sketch shares of
+	// it. ClosedItemsBytes is the share of ItemsBytes in closed buckets that
+	// will split, whose tables are cut to the pairs they hold; the rest sits
+	// in tables still open to insertions, about half of it empty slots.
 	Bytes                  int64
 	ItemsBytes, DenseBytes int64
+	ClosedItemsBytes       int64
 	Watermark              uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
 }
 
@@ -106,6 +110,9 @@ func (o *LevelOccupancy) visit(b *bucket) {
 		o.Dense++
 	default:
 		o.Items++
+		if b.closed && !b.iv.Single() {
+			o.ClosedItemsBytes += int64(f.Bytes())
+		}
 	}
 }
 

@@ -30,6 +30,7 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 				stored += o.Stored
 				formed := o.Items + o.Dense
 				if o.Level != i || o.Closed > o.Stored || formed+o.Untouched > o.Stored ||
+					o.ClosedItemsBytes > o.ItemsBytes || (o.Closed == 0 && o.ClosedItemsBytes != 0) ||
 					(name == "F2" && formed+o.Untouched != o.Stored) || (name == "COUNT" && formed != 0) {
 					t.Fatalf("%s %s: inconsistent row %+v", name, when, o)
 				}
@@ -55,12 +56,16 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 		rows := check("full")
 		if name == "F2" {
 			items, dense := 0, 0
+			var tables, cut int64
 			for _, o := range rows {
 				items += o.Items
 				dense += o.Dense
+				tables += o.ItemsBytes
+				cut += o.ClosedItemsBytes
 			}
-			if items == 0 || dense == 0 {
-				t.Fatalf("F2: %d items-form and %d dense buckets; the stream should leave both", items, dense)
+			if items == 0 || dense == 0 || cut == 0 || cut == tables {
+				t.Fatalf("F2: %d items-form and %d dense buckets, %d of %d table bytes in closed buckets; the stream should leave both of each",
+					items, dense, cut, tables)
 			}
 		}
 		img, err := s.MarshalBinary()
@@ -79,10 +84,11 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 
 // TestOccupancyBytesPerCounter guards what a tenant of corrdbench's
 // tenants-restart workload holds — the daemon's configuration, 75 000 zipf
-// tuples in 256-tuple batches, nearly all of it items tables — at under six
+// tuples in 256-tuple batches, nearly all of it items tables — at under 4.2
 // bytes behind each counter of Space. Identifiers and weights there fit
-// eight-byte slots; at sixteen the ratio was 9.7. It is a function of the
-// summary's state, so it repeats exactly.
+// eight-byte slots and closed buckets' tables are cut to fit; with every table
+// hashed the ratio was 5.3, and at sixteen bytes a slot 9.7. It is a function
+// of the summary's state, so it repeats exactly.
 func TestOccupancyBytesPerCounter(t *testing.T) {
 	s := mustSummary(t, F2Aggregate(), Config{
 		Eps: 0.15, Delta: 0.1, YMax: 1_000_000, MaxStreamLen: 1 << 24, MaxX: 500_001, Seed: 42,
@@ -110,7 +116,7 @@ func TestOccupancyBytesPerCounter(t *testing.T) {
 	if counters != s.Space() || shares > held {
 		t.Fatalf("rows hold %d counters in %d bytes, %d of them sketches'; Space %d", counters, held, shares, s.Space())
 	}
-	if ratio := float64(held) / float64(counters); items < 1000 || ratio >= 6 {
-		t.Fatalf("%d bytes behind %d counters, %.2f each, over %d items-form sketches; want under 6", held, counters, ratio, items)
+	if ratio := float64(held) / float64(counters); items < 1000 || ratio >= 4.2 {
+		t.Fatalf("%d bytes behind %d counters, %.2f each, over %d items-form sketches; want under 4.2", held, counters, ratio, items)
 	}
 }

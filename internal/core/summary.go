@@ -233,6 +233,18 @@ func (s *Summary) materialize(lv *level) {
 	lv.root.sa = s.slotAdderOf(cp)
 	if !lv.root.iv.Single() {
 		lv.root.closed = true
+		compactClosed(lv.root)
+	}
+}
+
+// compactClosed sheds the slack of b's sketch if b is closed and will split:
+// ingest never writes to such a bucket again (leafFor descends past it), so
+// every place a bucket becomes one calls this, and a restored or merged
+// summary holds what the live one did. A merge that does write into one
+// leaves it for recloseAndCount to compact again.
+func compactClosed(b *bucket) {
+	if b.closed && !b.iv.Single() {
+		sketch.Compact(b.sk) // nothing for a bucket without a sketch
 	}
 }
 
@@ -267,6 +279,7 @@ func (s *Summary) maybeClose(lv *level, b *bucket, w int64) {
 	}
 	if sketch.CheapEstimate(b.sk) >= lv.thresh {
 		b.closed = true
+		compactClosed(b)
 		return
 	}
 	b.closeBudget = sketch.ThresholdBudget(b.sk, lv.thresh)

@@ -1,8 +1,11 @@
 package sketch
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
+	"sort"
 
 	"github.com/streamagg/correlated/internal/hash"
 )
@@ -39,19 +42,27 @@ import (
 // near √2^(ℓ+1). So a table starts at eight bytes a slot — the identifier in
 // 32 bits, the weight in 32 — and is rewritten once, slot for slot, at sixteen
 // the first time a pair whose identifier or weight needs more has to be
-// stored; a promoted sketch starts at two bytes a counter and widens the
-// whole array in place — int16 → int32 → int64 — the first time an update, a
-// merged addend or a decoded counter would not fit. Only Reset goes back.
-// Nobody chooses a width and nothing reads one: pairs are always handled as
-// (uint64, int64) values and counters as int64, the image is varint-coded,
+// stored; a promoted sketch starts at one byte a counter — √2^(ℓ+1) is under
+// 128 through level 12, and on the streams measured so far nearly every array
+// above stays inside ±127 too — and widens the whole array in place — int8 →
+// int16 → int32 → int64 — the first time an update, a merged addend or a
+// decoded counter would not fit. Only Reset goes back. Nobody chooses a width and nothing reads one: pairs are always handled
+// as (uint64, int64) values and counters as int64, the image is varint-coded,
 // and Size keeps counting two words a pair and one a counter, so every
 // estimate, budget and image byte is what 16-byte slots and an all-int64
 // array give. Bytes reports what the widths change.
+//
+// The same rule says when a table is finished: a closed bucket splits on the
+// next arrival and ingest never writes to it again, so Compact rewrites a
+// table as exactly its n pairs in ascending x — a cut table, which a hashed
+// one (at most ¾ full) never looks like, so n == slots() is the whole record
+// of it. Lookups binary-search a cut table, walks read it like any other, and
+// the first write to one (only a merge does that) hashes it again first.
 type CountSketch struct {
 	maker *F2Maker
 	dense bool
-	shift uint8 // items: 64 − log2(slots), the multiplicative-hash shift
-	cw    uint8 // dense: bytes per stored counter — 2, 4 or 8
+	shift uint8 // items: 64 − log2(slots), the multiplicative-hash shift of a hashed table
+	cw    uint8 // dense: bytes per stored counter — 1, 2, 4 or 8
 	n     int   // items: pairs held
 
 	// Items form. A slot with weight 0 is empty: a pair whose weight returns
@@ -60,29 +71,37 @@ type CountSketch struct {
 	table
 	f2hi, f2lo uint64 // Σf² over the pairs, a 128-bit integer
 
-	// Dense form: d*w counters, row-major (flat for locality), in the one
-	// array cw names. Nearly every dense sketch stays at two bytes, and
-	// items-form sketches — most of a summary — hold no array at all, so only
-	// the narrow one has its header here: the other two sit behind a pointer
-	// set by the first widening, which keeps the struct in the 128-byte size
-	// class rather than the 160-byte one.
-	c16   []int16
-	wide  *wideCounters
-	rowF2 []float64 // dense: incrementally maintained sum of squares per row
+	// Dense form. Items-form sketches — most of a summary — hold no array at
+	// all, so the dense headers sit behind one pointer, set by the first
+	// promotion and kept across Reset: the struct is 80 bytes, not 128, and
+	// only a dense sketch may touch what the pointer leads to.
+	*denseState
 }
 
-// wideCounters holds the array of a dense sketch that has left int16.
+// denseState is what only a dense sketch holds: d*w counters, row-major
+// (flat for locality), in the one array cw names. Nearly every dense sketch
+// stays at one byte, so only that array has its header here; the other three
+// sit behind a second pointer set by the first widening, which keeps this in
+// the 64-byte size class.
+type denseState struct {
+	c8    []int8
+	wide  *wideCounters
+	rowF2 []float64 // incrementally maintained sum of squares per row
+}
+
+// wideCounters holds the array of a dense sketch that has left int8.
 type wideCounters struct {
+	c16 []int16
 	c32 []int32
 	c64 []int64
 }
 
-// table is the storage of the items form: power-of-two many slots, open
-// addressed, each one distinct identifier and its net weight. A narrow slot
-// is one word, identifier above weight; a wide slot is two, identifier then
-// weight. Both widths live in the one slice, so neither costs the sketch a
-// second header, and a table value is a view: a copy reads and writes the
-// same slots.
+// table is the storage of the items form: open addressed over power-of-two
+// many slots, or cut to exactly the pairs held, each slot one distinct
+// identifier and its net weight. A narrow slot is one word, identifier above
+// weight; a wide slot is two, identifier then weight. Both widths live in the
+// one slice, so neither costs the sketch a second header, and a table value is
+// a view: a copy reads and writes the same slots.
 type table struct {
 	tab       []uint64
 	wideSlots bool // two words a slot
@@ -132,9 +151,10 @@ const (
 	// itemsDivisor sets the promotion point: a sketch goes dense when it
 	// would hold more than width·depth/itemsDivisor pairs. What that buys is
 	// exact answers up to that many distinct identifiers, with Size — two
-	// words a pair — topping out at half the array's width·depth. Bytes do
-	// not argue for the constant either way: a table that full is larger than
-	// the two-byte array it promotes into, at either slot width.
+	// words a pair — topping out at half the array's width·depth. Bytes argue
+	// for a smaller one — at corrd's 356×4 a table that full is 4 096 bytes
+	// (2 848 once cut) against the 1 456-byte one-byte array it promotes
+	// into — and nothing has claimed that yet.
 	itemsDivisor = 4
 	itemsMinCap  = 8 // initial table slots
 )
@@ -151,8 +171,9 @@ type F2Maker struct {
 	itemsMax int // most pairs an items-form sketch holds
 
 	pool []*CountSketch // free list of reset (empty, items-form) sketches
-	// Zeroed dense arrays for the next promotions (pool16) and widenings,
+	// Zeroed dense arrays for the next promotions (pool8) and widenings,
 	// at most maxPool between them: see maxWidePool.
+	pool8  [][]int8
 	pool16 [][]int16
 	pool32 [][]int32
 	pool64 [][]int64
@@ -286,8 +307,10 @@ func (c *CountSketch) AddSlots(slots Slots, w int64) {
 	rows, rowF2, width := slots[:d], c.rowF2, c.maker.width
 	for i := 0; ; c.widen() {
 		switch c.cw {
+		case 1:
+			i = addRows(c.c8, rowF2, rows, w, width, i)
 		case 2:
-			i = addRows(c.c16, rowF2, rows, w, width, i)
+			i = addRows(c.wide.c16, rowF2, rows, w, width, i)
 		case 4:
 			i = addRows(c.wide.c32, rowF2, rows, w, width, i)
 		default:
@@ -306,11 +329,10 @@ func (c *CountSketch) addItem(x uint64, w int64) bool {
 	if w == 0 {
 		return true
 	}
-	j := -1
-	var old int64
-	if len(c.tab) > 0 {
-		j, old = c.probe(x)
+	if c.cut() {
+		c.grow() // the first table, or a cut one hashed again
 	}
+	j, old := c.probe(x)
 	f := old + w
 	switch {
 	case old != 0 && f != 0:
@@ -360,6 +382,59 @@ func magnitude(v int64) uint64 {
 	return uint64(v)
 }
 
+// weightOf returns the weight of x's pair in the items form, 0 if there is
+// none: a binary search of a cut table, a probe of a hashed one.
+func (c *CountSketch) weightOf(x uint64) int64 {
+	if !c.cut() {
+		_, f := c.probe(x)
+		return f
+	}
+	j, found := sort.Find(c.n, func(j int) int {
+		sx, _ := c.pairAt(j)
+		return cmp.Compare(x, sx)
+	})
+	if !found {
+		return 0
+	}
+	_, f := c.pairAt(j)
+	return f
+}
+
+// Compact implements Compacter: an items-form sketch's table is cut to fit —
+// rewritten as exactly its n pairs, every slot full, in ascending x — which
+// is half the bytes of the hashed table a bucket closes with. Nothing a
+// caller can see changes but Bytes, and the sketch stays fully usable: the
+// next write hashes the table again. A dense sketch has no slack to shed, and
+// no table: it reads as cut.
+func (c *CountSketch) Compact() {
+	if c.cut() {
+		return
+	}
+	fit, j := newTable(c.n, c.wideSlots), 0
+	for k := range c.slots() {
+		if x, f := c.pairAt(k); f != 0 {
+			fit.setPair(j, x, f)
+			j++
+		}
+	}
+	if fit.wideSlots {
+		sort.Sort(widePairs(fit.tab))
+	} else {
+		slices.Sort(fit.tab) // identifier above weight: the words order by identifier
+	}
+	c.table = fit
+}
+
+// widePairs orders the two-word slots of a full wide table by identifier.
+type widePairs []uint64
+
+func (p widePairs) Len() int           { return len(p) / 2 }
+func (p widePairs) Less(i, j int) bool { return p[2*i] < p[2*j] }
+func (p widePairs) Swap(i, j int) {
+	p[2*i], p[2*j] = p[2*j], p[2*i]
+	p[2*i+1], p[2*j+1] = p[2*j+1], p[2*i+1]
+}
+
 // home returns the slot x hashes to: the top bits of a Fibonacci
 // multiplicative hash.
 func (c *CountSketch) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> c.shift) }
@@ -398,11 +473,17 @@ func (c *CountSketch) remove(j int) {
 	c.n--
 }
 
-// grow doubles the table (or allocates the first one) at the width it has
-// and reinserts.
+// cut reports whether the table is exactly the pairs held, in ascending x —
+// what Compact leaves, and what an empty sketch without a table is. Only a
+// table that is not cut can be probed.
+func (c *CountSketch) cut() bool { return c.n == c.slots() }
+
+// grow moves the pairs to a hashed table with room for one more, at the
+// width they have: the first table, twice a full hashed one, or what a cut
+// one needs.
 func (c *CountSketch) grow() {
 	old := c.table
-	c.retable(max(itemsMinCap, 2*old.slots()), old.wideSlots)
+	c.retable(tableFor(c.n+1), old.wideSlots)
 	for k := range old.slots() {
 		if x, f := old.pairAt(k); f != 0 {
 			j, _ := c.probe(x)
@@ -411,7 +492,7 @@ func (c *CountSketch) grow() {
 	}
 }
 
-// retable gives an empty items-form sketch a fresh table.
+// retable gives an items-form sketch a fresh, empty hashed table.
 func (c *CountSketch) retable(slots int, wide bool) {
 	c.table = newTable(slots, wide)
 	c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
@@ -453,8 +534,10 @@ func (c *CountSketch) scatter(tab table) {
 	m := c.maker
 	for k, i := 0, 0; ; c.widen() {
 		switch c.cw {
+		case 1:
+			k, i = scatterPairs(m, c.c8, tab, k, i)
 		case 2:
-			k, i = scatterPairs(m, c.c16, tab, k, i)
+			k, i = scatterPairs(m, c.wide.c16, tab, k, i)
 		case 4:
 			k, i = scatterPairs(m, c.wide.c32, tab, k, i)
 		default:
@@ -471,10 +554,10 @@ func (c *CountSketch) scatter(tab table) {
 func (c *CountSketch) allocDense() {
 	m := c.maker
 	c.table, c.n, c.f2hi, c.f2lo = table{}, 0, 0, 0
-	c.c16, c.cw = takeArray(&m.pool16, m.depth*m.width), 2
-	if c.rowF2 == nil {
-		c.rowF2 = make([]float64, m.depth)
+	if c.denseState == nil {
+		c.denseState = &denseState{rowF2: make([]float64, m.depth)}
 	}
+	c.c8, c.cw = takeArray(&m.pool8, m.depth*m.width), 1
 	clear(c.rowF2)
 	c.dense = true
 }
@@ -484,8 +567,10 @@ func (c *CountSketch) allocDense() {
 // incremental maintenance accumulated.
 func (c *CountSketch) sumSquares() {
 	switch c.cw {
+	case 1:
+		sumRows(c.c8, c.rowF2)
 	case 2:
-		sumRows(c.c16, c.rowF2)
+		sumRows(c.wide.c16, c.rowF2)
 	case 4:
 		sumRows(c.wide.c32, c.rowF2)
 	default:
@@ -495,14 +580,15 @@ func (c *CountSketch) sumSquares() {
 
 // Reset implements Resetter: back to the empty items form. A dense array
 // is zeroed and pooled for the next sketch that needs its width; a table is
-// kept only at its initial size and narrow, so a recycled sketch starts as
-// small as a new one.
+// kept only at its initial size, narrow and hashed — a cut table of that many
+// pairs has the size but not the shift — so a recycled sketch starts as small
+// as a new one.
 func (c *CountSketch) Reset() {
 	if c.dense {
 		c.release()
 		c.dense = false
 	}
-	if c.wideSlots || len(c.tab) > itemsMinCap {
+	if c.wideSlots || c.slots() != itemsMinCap || c.cut() {
 		c.table = table{}
 	}
 	clear(c.tab)
@@ -570,11 +656,7 @@ func (c *CountSketch) ThresholdBudget(thresh float64) int64 {
 // CountSketch point estimate of it.
 func (c *CountSketch) EstimateItem(x uint64) float64 {
 	if !c.dense {
-		if len(c.tab) == 0 {
-			return 0
-		}
-		_, f := c.probe(x)
-		return float64(f)
+		return float64(c.weightOf(x))
 	}
 	m := c.maker
 	ests := m.medScratch[:m.depth]
@@ -619,8 +701,10 @@ func (c *CountSketch) Merge(other Sketch) error {
 func (c *CountSketch) addCounters(o *CountSketch) {
 	for j, n := 0, c.maker.depth*c.maker.width; ; c.widen() {
 		switch c.cw {
+		case 1:
+			j = addFrom(c.c8, o, j)
 		case 2:
-			j = addFrom(c.c16, o, j)
+			j = addFrom(c.wide.c16, o, j)
 		case 4:
 			j = addFrom(c.wide.c32, o, j)
 		default:
@@ -672,12 +756,13 @@ func (c *CountSketch) Size() int {
 }
 
 // Bytes returns the memory behind the sketch's state: in the items form the
-// table's slots, empty ones included, at 8 or 16 bytes each; once dense, the
-// counters at their stored width and the row sums. It is what Size stopped
-// showing when a pair stopped being two words and a counter one, and unlike
-// Size it belongs to the sketch in memory, not to its image: a table grown or
-// widened for pairs since cancelled, or an array widened for a counter since
-// cancelled, restores smaller.
+// table's slots at 8 or 16 bytes each — empty ones included, of which a cut
+// table has none — and once dense, the counters at their stored width and the
+// row sums. It is what Size stopped showing when a pair stopped being two
+// words and a counter one, and unlike Size it belongs to the sketch in memory,
+// not to its image: a table grown or widened for pairs since cancelled, or an
+// array widened for a counter since cancelled, restores smaller, and a cut
+// table restores hashed, for its owner to cut again.
 func (c *CountSketch) Bytes() int {
 	if !c.dense {
 		return 8 * len(c.tab)

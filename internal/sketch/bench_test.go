@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/streamagg/correlated/internal/hash"
@@ -18,19 +19,21 @@ func benchF2Maker() *F2Maker {
 // runs with ε = 0.15 (356×4, promotion past 356 distinct items). Each fixes
 // how many distinct items a sketch sees and how heavy its warm-up is, so
 // every iteration count measures the same form at the same stored width:
-// b.N only repeats the cycle. Each reports the bytes its sketch ends on.
+// b.N only repeats the cycle, adding one to every item and taking it off again
+// the next time round. Each reports the bytes its sketch ends on.
 var addRegimes = []struct {
 	name  string
 	items int // distinct items per sketch
 	renew bool
-	warm  int64 // weight of the warm-up adds; the measured ones weigh 1
+	warm  int64 // weight of the warm-up adds; the measured ones weigh ±1
 }{
 	{"items/narrow", 32, false, 1},        // never promotes: one table probe per add, 8-byte slots
 	{"items/wide", 32, false, 1 << 40},    // ... over a table the warm-up's weights widened to 16
 	{"promote", 512, true, 1},             // a new sketch every 512 adds: table growth, promotion, reset
-	{"dense/int16", 4096, false, 1},       // promoted during warm-up: the dense loop, as nearly every bucket runs it
-	{"dense/int32", 4096, false, 1 << 20}, // ... over an array widened once
-	{"dense/int64", 4096, false, 1 << 40}, // ... and twice
+	{"dense/int8", 4096, false, 1},        // promoted during warm-up: the dense loop, as nearly every bucket runs it
+	{"dense/int16", 4096, false, 1 << 8},  // ... over an array widened once
+	{"dense/int32", 4096, false, 1 << 20}, // ... twice
+	{"dense/int64", 4096, false, 1 << 40}, // ... and three times
 }
 
 func benchAddRegimes(b *testing.B, slotted bool) {
@@ -61,7 +64,7 @@ func benchAddRegimes(b *testing.B, slotted bool) {
 					m.Recycle(cs)
 					cs = m.New().(*CountSketch)
 				}
-				add(cs, x, 1)
+				add(cs, x, 1-2*int64((i/r.items)&1))
 			}
 			b.ReportMetric(float64(cs.Bytes()), "B/sketch")
 		})
@@ -76,6 +79,31 @@ func BenchmarkCountSketchAdd(b *testing.B) { benchAddRegimes(b, false) }
 // precomputed, as they are when one tuple updates many sketches. Its dense
 // regimes are the innermost loop of the ingest path at each stored width.
 func BenchmarkCountSketchAddSlots(b *testing.B) { benchAddRegimes(b, true) }
+
+// BenchmarkCountSketchCompact measures cutting a hashed table to fit, as the
+// core structure does once for each bucket that closes, at the table sizes
+// between the first and the promotion point. B/hashed is what the table held
+// before, B/sketch after.
+func BenchmarkCountSketchCompact(b *testing.B) {
+	for _, pairs := range []int{8, 64, 256, 356} {
+		b.Run(fmt.Sprint(pairs), func(b *testing.B) {
+			m := NewF2Maker(356, 4, hash.New(1))
+			cs := m.New().(*CountSketch)
+			for x := 0; x < pairs; x++ {
+				cs.Add(uint64(x)*2654435761>>8, 1)
+			}
+			hashed, before := cs.table, cs.Bytes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cs.table = hashed // Compact writes a new table and leaves this one as it was
+				cs.Compact()
+			}
+			b.ReportMetric(float64(before), "B/hashed")
+			b.ReportMetric(float64(cs.Bytes()), "B/sketch")
+		})
+	}
+}
 
 // BenchmarkCountSketchSlots measures the hash-once side alone.
 func BenchmarkCountSketchSlots(b *testing.B) {

@@ -55,9 +55,12 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 		if err := c.UnmarshalBinary(data); err != nil {
 			return
 		}
-		held := len(c.c16)
-		if c.wide != nil {
-			held += len(c.wide.c32) + len(c.wide.c64)
+		held := 0
+		if c.denseState != nil {
+			held = len(c.c8)
+			if c.wide != nil {
+				held += len(c.wide.c16) + len(c.wide.c32) + len(c.wide.c64)
+			}
 		}
 		if c.slots() > tableFor(m.itemsMax) || c.n > m.itemsMax || (c.dense && held != m.width*m.depth) {
 			t.Fatalf("decoded past the geometry: table %d slots, %d pairs, %d counters", c.slots(), c.n, held)

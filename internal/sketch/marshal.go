@@ -173,7 +173,8 @@ func (c *CountSketch) MarshalBinary() ([]byte, error) {
 // as it was. The image records the form, so the decoded copy has the live
 // sketch's Size, and it is canonical: a dense sketch writes every counter in
 // index order and an items-form one its pairs in ascending x, whatever the
-// table layout and the order they arrived in.
+// table layout and the order they arrived in — which a cut table already lies
+// in, so it is written as it is, with no sort and no probe.
 func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 	m := c.maker
 	buf = appendHeader(buf, kindCountSketch)
@@ -182,8 +183,10 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 	if c.dense {
 		buf = append(buf, formDense)
 		switch c.cw {
+		case 1:
+			return appendCounters(buf, c.c8), nil
 		case 2:
-			return appendCounters(buf, c.c16), nil
+			return appendCounters(buf, c.wide.c16), nil
 		case 4:
 			return appendCounters(buf, c.wide.c32), nil
 		default:
@@ -192,6 +195,13 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 	}
 	buf = append(buf, formItems)
 	buf = appendU64(buf, uint64(c.n))
+	if c.cut() {
+		for k := range c.n {
+			x, f := c.pairAt(k)
+			buf = appendI64(appendU64(buf, x), f)
+		}
+		return buf, nil
+	}
 	xs := m.keyScratch[:0]
 	for k := range c.slots() {
 		if x, f := c.pairAt(k); f != 0 {

@@ -26,9 +26,12 @@
 // every layer above add up. The marshaled image records the form. Each form
 // is stored as narrow as what it holds allows: a table slot is eight bytes —
 // identifier and weight in 32 bits each — until a pair needs sixteen, and the
-// dense array's counters two bytes each until one would overflow, then four,
-// then eight. Two table widths, three array widths, one API: no answer, image
-// or Size depends on a width, only Bytes.
+// dense array's counters one byte each until one would overflow, then two,
+// then four, then eight. And a sketch whose bucket has closed, which ingest
+// never writes to again, has its table cut to exactly the pairs it holds
+// (Compact); a later write hashes it again. Two table widths, four array
+// widths, one API: no answer, image or Size depends on a width or a cut, only
+// Bytes.
 package sketch
 
 import "errors"
@@ -120,6 +123,22 @@ func Recycle(m Maker, sk Sketch) {
 	}
 	if r, ok := m.(Recycler); ok {
 		r.Recycle(sk)
+	}
+}
+
+// Compacter is implemented by sketches that can shed memory they hold only
+// to absorb further updates. Compact changes no answer, Size or image, and
+// the sketch stays usable: a later update costs whatever rebuilding the
+// slack takes.
+type Compacter interface {
+	Compact()
+}
+
+// Compact sheds sk's slack when its type has any. The core structure calls
+// it on a bucket that has closed, which ingest never writes to again.
+func Compact(sk Sketch) {
+	if c, ok := sk.(Compacter); ok {
+		c.Compact()
 	}
 }
 

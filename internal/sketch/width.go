@@ -1,16 +1,22 @@
 package sketch
 
-// The loops over a dense CountSketch's counters, written once over the three
+// The loops over a dense CountSketch's counters, written once over the four
 // widths a counter is stored at. Values cross these functions as int64: a
 // store checks that the value survives the narrowing (int64(T(v)) == v, which
 // is no test at all for int64) and otherwise reports where it stopped, so the
 // caller can widen the array and resume. Nothing is ever truncated.
 
 // ctr is a stored counter width.
-type ctr interface{ int16 | int32 | int64 }
+type ctr interface{ int8 | int16 | int32 | int64 }
 
-// maxWidePool bounds each of a maker's two free lists of widened arrays; the
-// int16 list gets the rest of maxPool. Separate bounds, rather than one on
+// fits reports whether v survives being stored at cw bytes.
+func fits(cw uint8, v int64) bool {
+	spare := 64 - 8*uint(cw)
+	return v<<spare>>spare == v
+}
+
+// maxWidePool bounds each of a maker's three free lists of widened arrays; the
+// int8 list gets the rest of maxPool. Separate bounds, rather than one on
 // the total, keep a burst of recycled wide arrays from crowding out the
 // narrow ones every promotion starts from.
 const maxWidePool = maxPool / 8
@@ -82,8 +88,10 @@ func addInto[T, U ctr](dst []T, src []U, from int) int {
 // addFrom is addInto from o's counters, whatever their width.
 func addFrom[T ctr](dst []T, o *CountSketch, from int) int {
 	switch o.cw {
+	case 1:
+		return addInto(dst, o.c8, from)
 	case 2:
-		return addInto(dst, o.c16, from)
+		return addInto(dst, o.wide.c16, from)
 	case 4:
 		return addInto(dst, o.wide.c32, from)
 	default:
@@ -144,9 +152,12 @@ func putArray[T ctr](pool *[][]T, a []T, limit int) {
 func (c *CountSketch) release() {
 	m := c.maker
 	switch c.cw {
+	case 1:
+		putArray(&m.pool8, c.c8, maxPool-3*maxWidePool)
+		c.c8 = nil
 	case 2:
-		putArray(&m.pool16, c.c16, maxPool-2*maxWidePool)
-		c.c16 = nil
+		putArray(&m.pool16, c.wide.c16, maxWidePool)
+		c.wide.c16 = nil
 	case 4:
 		putArray(&m.pool32, c.wide.c32, maxWidePool)
 		c.wide.c32 = nil
@@ -165,8 +176,12 @@ func (c *CountSketch) widen() {
 		c.wide = new(wideCounters)
 	}
 	switch c.cw {
+	case 1:
+		wider := widened(takeArray(&m.pool16, len(c.c8)), c.c8)
+		c.release()
+		c.wide.c16, c.cw = wider, 2
 	case 2:
-		wider := widened(takeArray(&m.pool32, len(c.c16)), c.c16)
+		wider := widened(takeArray(&m.pool32, len(c.wide.c16)), c.wide.c16)
 		c.release()
 		c.wide.c32, c.cw = wider, 4
 	case 4:
@@ -179,8 +194,10 @@ func (c *CountSketch) widen() {
 // at returns dense counter j.
 func (c *CountSketch) at(j int) int64 {
 	switch c.cw {
+	case 1:
+		return int64(c.c8[j])
 	case 2:
-		return int64(c.c16[j])
+		return int64(c.wide.c16[j])
 	case 4:
 		return int64(c.wide.c32[j])
 	default:
@@ -190,12 +207,14 @@ func (c *CountSketch) at(j int) int64 {
 
 // put stores v in dense counter j, widening the array until v fits.
 func (c *CountSketch) put(j int, v int64) {
-	for c.cw == 2 && int64(int16(v)) != v || c.cw == 4 && int64(int32(v)) != v {
+	for !fits(c.cw, v) {
 		c.widen()
 	}
 	switch c.cw {
+	case 1:
+		c.c8[j] = int8(v)
 	case 2:
-		c.c16[j] = int16(v)
+		c.wide.c16[j] = int16(v)
 	case 4:
 		c.wide.c32[j] = int32(v)
 	default:

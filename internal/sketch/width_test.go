@@ -12,10 +12,10 @@ import (
 	"github.com/streamagg/correlated/internal/hash"
 )
 
-// A dense CountSketch stores its counters at two, four or eight bytes and
+// A dense CountSketch stores its counters at one, two, four or eight bytes and
 // nothing may depend on which. These tests drive a sketch beside a twin held
 // at int64 — the array every sketch had before there were widths — through
-// weights that cross the int16 and int32 boundaries in both directions.
+// weights that cross the int8, int16 and int32 boundaries in both directions.
 
 // wideTwin returns a maker with m's geometry, row hashes and promotion point,
 // for sketches the test widens to int64 after every step.
@@ -34,13 +34,15 @@ func widenFully(c *CountSketch) {
 
 // widthFor returns the bytes the largest of vs needs.
 func widthFor(vs []int64) uint8 {
-	cw := uint8(2)
+	cw := uint8(1)
 	for _, v := range vs {
 		switch {
 		case v < math.MinInt32 || v > math.MaxInt32:
 			return 8
 		case v < math.MinInt16 || v > math.MaxInt16:
 			cw = 4
+		case v < math.MinInt8 || v > math.MaxInt8:
+			cw = max(cw, 2)
 		}
 	}
 	return cw
@@ -66,6 +68,7 @@ func denseImage(m *F2Maker, vs []int64) []byte {
 // together.
 func boundaryImages(m *F2Maker) [][]byte {
 	edges := []int64{
+		math.MaxInt8, -math.MaxInt8, math.MaxInt8 + 1, math.MinInt8, math.MinInt8 - 1,
 		math.MaxInt16, -math.MaxInt16, math.MaxInt16 + 1, math.MinInt16, math.MinInt16 - 1,
 		math.MaxInt32, -math.MaxInt32, math.MaxInt32 + 1, math.MinInt32, math.MinInt32 - 1,
 		math.MaxInt64, math.MinInt64,
@@ -82,31 +85,32 @@ func boundaryImages(m *F2Maker) [][]byte {
 }
 
 // sameSketch fails unless narrow and wide — one sketch at whatever width it
-// has reached, its twin at int64 — agree on everything a caller can see.
+// has reached and its twin at int64, or one with its table as it grew and its
+// twin's cut to fit — agree on everything a caller can see.
 func sameSketch(t *testing.T, step string, narrow, wide *CountSketch) {
 	t.Helper()
 	if narrow.dense != wide.dense || narrow.Size() != wide.Size() {
-		t.Fatalf("%s: dense=%v Size %d, int64 twin dense=%v Size %d",
+		t.Fatalf("%s: dense=%v Size %d, twin dense=%v Size %d",
 			step, narrow.dense, narrow.Size(), wide.dense, wide.Size())
 	}
 	got, want := counters(narrow), counters(wide)
 	if !slices.Equal(got, want) {
-		t.Fatalf("%s: counters differ from the int64 twin's (stored at %d bytes)", step, narrow.cw)
+		t.Fatalf("%s: counters differ from the twin's (stored at %d bytes)", step, narrow.cw)
 	}
 	if narrow.dense && narrow.cw < widthFor(got) {
 		t.Fatalf("%s: stored at %d bytes, the counters need %d", step, narrow.cw, widthFor(got))
 	}
 	if a, r := narrow.Estimate(), wide.Estimate(); a != r {
-		t.Fatalf("%s: Estimate %v, int64 twin %v", step, a, r)
+		t.Fatalf("%s: Estimate %v, twin %v", step, a, r)
 	}
 	for x := uint64(0); x < 16; x++ {
 		if a, r := narrow.EstimateItem(x), wide.EstimateItem(x); a != r {
-			t.Fatalf("%s: EstimateItem(%d) = %v, int64 twin %v", step, x, a, r)
+			t.Fatalf("%s: EstimateItem(%d) = %v, twin %v", step, x, a, r)
 		}
 	}
 	for _, thresh := range []float64{1, 1 << 20, 1 << 40, 1 << 62, 1e30} {
 		if a, r := narrow.ThresholdBudget(thresh), wide.ThresholdBudget(thresh); a != r {
-			t.Fatalf("%s: ThresholdBudget(%g) = %d, int64 twin %d", step, thresh, a, r)
+			t.Fatalf("%s: ThresholdBudget(%g) = %d, twin %d", step, thresh, a, r)
 		}
 	}
 	img, err := narrow.MarshalBinary()
@@ -114,13 +118,13 @@ func sameSketch(t *testing.T, step string, narrow, wide *CountSketch) {
 		t.Fatal(err)
 	}
 	if wimg, _ := wide.MarshalBinary(); !bytes.Equal(img, wimg) {
-		t.Fatalf("%s: image differs from the int64 twin's", step)
+		t.Fatalf("%s: image differs from the twin's", step)
 	}
 }
 
 // TestCountSketchWidthsAgree runs seeded random operation sequences over a
 // few registers. Weights come in the magnitudes that matter — units, either
-// side of 2^15, either side of 2^31, 2^40 — signed, over a domain small
+// side of 2^7, of 2^15 and of 2^31, 2^40 — signed, over a domain small
 // enough that counters climb past a boundary and are brought back under it.
 func TestCountSketchWidthsAgree(t *testing.T) {
 	type reg struct{ a, r *CountSketch }
@@ -131,19 +135,22 @@ func TestCountSketchWidthsAgree(t *testing.T) {
 			m := NewF2Maker(g.width, g.depth, hash.New(2000+seed))
 			twin := wideTwin(m)
 			rng := hash.New(seed)
-			// A third of the runs stop at weights around 2^15 and a third at
-			// 2^31, so sketches also spend time at the narrower widths.
+			// The runs stop in turn at weights around 2^7, 2^15, 2^31 and
+			// 2^40, so sketches also spend time at the narrower widths.
+			tier := seed % 4
 			weight := func() int64 {
 				var w int64
 				switch k := rng.Uint64n(32); {
-				case k == 0 && seed%3 == 2:
+				case k == 0 && tier == 3:
 					w = 1 << 40
-				case k <= 1 && seed%3 >= 1:
+				case k <= 1 && tier >= 2:
 					w = 1<<31 - 2 + int64(rng.Uint64n(5))
-				case k <= 3:
+				case k <= 3 && tier >= 1:
 					w = 1<<15 - 2 + int64(rng.Uint64n(5))
-				case k <= 6:
+				case k <= 6 && tier >= 1:
 					w = int64(rng.Uint64n(1 << 13))
+				case k <= 8 && (tier >= 1 || k == 8):
+					w = 1<<7 - 2 + int64(rng.Uint64n(5))
 				default:
 					w = 1 + int64(rng.Uint64n(3))
 				}
@@ -178,7 +185,7 @@ func TestCountSketchWidthsAgree(t *testing.T) {
 				case op < 13:
 					// A spike and straight back: the counters return to
 					// where they were, the width does not.
-					x, w := rng.Uint64n(domain), int64(1)<<(15+8*rng.Uint64n(4))
+					x, w := rng.Uint64n(domain), int64(1)<<(7+8*rng.Uint64n(4))
 					what = fmt.Sprintf("Add(%d,±%d)", x, w)
 					for _, c := range []*CountSketch{p.a, p.r} {
 						c.Add(x, w)
@@ -246,7 +253,7 @@ func TestCountSketchWidthsAgree(t *testing.T) {
 			}
 		}
 	}
-	for _, cw := range []uint8{2, 4, 8} {
+	for _, cw := range []uint8{1, 2, 4, 8} {
 		if reached[cw] < 50 {
 			t.Errorf("only %d steps ended on a sketch at %d bytes a counter", reached[cw], cw)
 		}
@@ -647,10 +654,13 @@ func TestCountSketchUnmarshalBoundaryPairs(t *testing.T) {
 }
 
 // TestCountSketchStructSize: a summary holds tens of thousands of sketches,
-// most of them a struct and a small table, so the struct stays in the 128-byte
-// size class.
+// most of them a struct and a small table, so the struct stays in the 80-byte
+// size class, and what a dense one adds to it in the 64-byte one.
 func TestCountSketchStructSize(t *testing.T) {
-	if size := unsafe.Sizeof(CountSketch{}); size > 128 {
-		t.Fatalf("CountSketch is %d bytes; the next size class is 144", size)
+	if size := unsafe.Sizeof(CountSketch{}); size > 80 {
+		t.Fatalf("CountSketch is %d bytes; the next size class is 96", size)
+	}
+	if size := unsafe.Sizeof(denseState{}); size > 64 {
+		t.Fatalf("denseState is %d bytes; the next size class is 80", size)
 	}
 }

@@ -348,10 +348,11 @@ func (s *Server) spillIdle(age time.Duration) int {
 // liveBytes is the footprint sample of a live tenant: its summary's
 // stored words at eight bytes each, which puts it in the unit a spilled
 // tenant's image length is in. It is an accounting figure, not the heap: it
-// overstates a dense sketch, whose counters are stored at two bytes each
-// until one overflows (the safe side for MaxTenantBytes), and is about right
-// for an items-form one, whose two-word pair samples at 16 bytes and is held
-// in an 8-byte slot at 3/8 to 3/4 load: 10.7 to 21 bytes.
+// overstates a dense sketch eightfold, whose counters are stored at one byte
+// each until one overflows, and a closed bucket's items table twofold, whose
+// two-word pair samples at 16 bytes and is held in an 8-byte slot with none
+// empty (the safe side for MaxTenantBytes), and is about right for an open
+// leaf's table: the same slot at 3/8 to 3/4 load, 10.7 to 21 bytes.
 // Summary.Occupancy reports the bytes held.
 func liveBytes(eng Engine) int64 { return 8 * eng.Space() }
 
