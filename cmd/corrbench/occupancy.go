@@ -64,7 +64,9 @@ func occupancyTable(n int) {
 			die(s.AddBatch(batch))
 		}
 		le, ge := s.Occupancy()
-		var held, tables, closed, arrays int64 // bytes behind the counters; of them, items tables (closed buckets' cut ones) and dense arrays
+		// Bytes behind the counters; of them, items tables (closed buckets' cut
+		// ones) and dense arrays; and, beside them, in the makers' free lists.
+		var held, tables, closed, arrays, pooled int64
 		for _, dir := range []struct {
 			name string
 			rows []correlated.LevelOccupancy
@@ -75,6 +77,7 @@ func occupancyTable(n int) {
 				tables += o.ItemsBytes
 				closed += o.ClosedItemsBytes
 				arrays += o.DenseBytes
+				pooled += o.Pooled
 				if o.Virgin && o.Counters == 2 {
 					virgin++ // an untouched root and nothing else
 					continue
@@ -90,7 +93,7 @@ func occupancyTable(n int) {
 		}
 		img, err := s.MarshalBinary()
 		die(err)
-		fmt.Printf("# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d), image %d bytes\n",
-			sh.name, s.Space(), held, tables, closed, arrays, len(img))
+		fmt.Printf("# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), image %d bytes\n",
+			sh.name, s.Space(), held, tables, closed, arrays, pooled, len(img))
 	}
 }

@@ -176,16 +176,21 @@
 // start. The marshaled image records the form, so Space is the same before
 // and after a MarshalBinary → UnmarshalBinary round trip and marshaling
 // changes nothing. In memory both forms are stored as narrow as what they
-// hold allows: a table slot is eight bytes — identifier and weight in 32
-// bits each — until a pair needs sixteen, a dense array stores its
+// hold allows: a table slot is four bytes — identifier in 24 bits, weight
+// in 8 — until a pair needs eight, then sixteen, a dense array stores its
 // counters at one byte each and widens itself (to two, four, then eight)
 // the first time a value would not fit, and the table of a bucket that has
 // closed — which splits on the next arrival and is not written by ingest
 // again — is cut to exactly the pairs it holds. That changes no answer, no
 // image byte and not Space, which keeps counting two words a pair and one a
-// counter. Occupancy breaks Space down level by level and reports the bytes
-// behind each level's counters, by form, and how many of the tables' are in
-// closed buckets.
+// counter. A table or array that a sketch grows out of, or is discarded
+// with, is not left to the garbage collector: the summary's sketch maker
+// keeps it, zeroed, on a short free list for the next sketch that needs its
+// size, so ingest allocates little more than the summary ends up holding.
+// Occupancy breaks Space down level by level and reports the bytes behind
+// each level's counters, by form, how many of the tables' are in closed
+// buckets, and — on the first row — the bytes waiting on those free lists,
+// which stand behind no counter.
 //
 // # Mergeability and distribution
 //

@@ -9,9 +9,9 @@ import (
 )
 
 // requireClosedCut fails unless every closed bucket of s that will split and
-// holds an items-form sketch holds exactly its pairs — eight bytes each: the
-// identifiers and weights of these tests are small — and every sketch still
-// open to insertions holds a hashed table, which has empty slots. It returns
+// holds an items-form sketch holds exactly its pairs — four bytes each, two a
+// word: the identifiers and weights of these tests are small — and every
+// sketch still open to insertions holds a hashed table, which has empty slots. It returns
 // how many closed items-form buckets it saw.
 func requireClosedCut(t *testing.T, when string, s *Summary) int {
 	t.Helper()
@@ -21,14 +21,15 @@ func requireClosedCut(t *testing.T, when string, s *Summary) int {
 		if !ok || cs.Dense() || cs.Size() == 0 {
 			return
 		}
-		fit := 8 * cs.Size() / 2 // Size counts two words a pair
+		pairs := cs.Size() / 2 // Size counts two words a pair
+		fit := 8 * ((pairs + 1) / 2)
 		if isClosed {
 			closed++
 		} else {
 			open++
 		}
 		if got := cs.Bytes(); isClosed && got != fit || !isClosed && got <= fit {
-			t.Fatalf("%s, %s: closed=%v sketch of %d pairs holds %d bytes; cut to fit is %d", when, where, isClosed, cs.Size()/2, got, fit)
+			t.Fatalf("%s, %s: closed=%v sketch of %d pairs holds %d bytes; cut to fit is %d", when, where, isClosed, pairs, got, fit)
 		}
 	}
 	check("shared", s.shared, false)

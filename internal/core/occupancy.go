@@ -24,17 +24,25 @@ type LevelOccupancy struct {
 	// up to Space.
 	Counters int64
 	// Bytes is the memory behind Counters: what each sketch that reports a
-	// form holds — table slots at 8 or 16 bytes, or counters at their stored
-	// width, one byte for nearly every array; both are narrower than
-	// Counters' words for nearly every sketch — and eight bytes a counter for
-	// everything else. ItemsBytes and DenseBytes are the two sketch shares of
-	// it. ClosedItemsBytes is the share of ItemsBytes in closed buckets that
-	// will split, whose tables are cut to the pairs they hold; the rest sits
-	// in tables still open to insertions, about half of it empty slots.
+	// form holds — table slots at 4, 8 or 16 bytes, four for nearly every
+	// table, or counters at their stored width, one byte for nearly every
+	// array; both are far narrower than Counters' words — and eight bytes a
+	// counter for everything else. ItemsBytes and DenseBytes are the two
+	// sketch shares of it. ClosedItemsBytes is the share of ItemsBytes in
+	// closed buckets that will split, whose tables are cut to the pairs they
+	// hold; the rest sits in tables still open to insertions, about half of
+	// it empty slots.
 	Bytes                  int64
 	ItemsBytes, DenseBytes int64
 	ClosedItemsBytes       int64
-	Watermark              uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
+	// Pooled is the bytes the maker's free lists hold: zeroed tables and
+	// arrays that sketches have handed back and the next ones will take.
+	// They stand behind no counter and belong to no level, so they are in
+	// no row's Bytes; the S0 row alone reports them, the others read zero.
+	// It is a property of the summary's past, not its state: a restored
+	// summary starts with empty lists.
+	Pooled    int64
+	Watermark uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
 }
 
 // Occupancy returns one row per level, S0 first. It walks every bucket, like
@@ -51,7 +59,17 @@ func (s *Summary) Occupancy() []LevelOccupancy {
 		rows[i].walk(s.levels[i].root)
 	}
 	rows[min(s.virginFrom, s.lmax)].countSketch(s.shared)
+	if p, ok := s.maker.(pooler); ok {
+		held, _ := p.PooledBytes()
+		rows[0].Pooled = int64(held)
+	}
 	return rows
+}
+
+// pooler is a maker that reports the bytes its free lists hold, and the most
+// they can.
+type pooler interface {
+	PooledBytes() (held, bound int)
 }
 
 // count charges n one-word counters to the level.
@@ -116,4 +134,7 @@ func (o *LevelOccupancy) visit(b *bucket) {
 	}
 }
 
-var _ formed = (*sketch.CountSketch)(nil)
+var (
+	_ formed = (*sketch.CountSketch)(nil)
+	_ pooler = (*sketch.F2Maker)(nil)
+)

@@ -39,25 +39,36 @@ import (
 // Each form in turn has stored widths behind the one API, because the
 // reduction keeps what a sketch holds small: a level-ℓ bucket closes once its
 // estimate reaches 2^(ℓ+1), which holds a pair's weight and a dense counter
-// near √2^(ℓ+1). So a table starts at eight bytes a slot — the identifier in
-// 32 bits, the weight in 32 — and is rewritten once, slot for slot, at sixteen
-// the first time a pair whose identifier or weight needs more has to be
-// stored; a promoted sketch starts at one byte a counter — √2^(ℓ+1) is under
-// 128 through level 12, and on the streams measured so far nearly every array
-// above stays inside ±127 too — and widens the whole array in place — int8 →
-// int16 → int32 → int64 — the first time an update, a merged addend or a
-// decoded counter would not fit. Only Reset goes back. Nobody chooses a width and nothing reads one: pairs are always handled
-// as (uint64, int64) values and counters as int64, the image is varint-coded,
-// and Size keeps counting two words a pair and one a counter, so every
-// estimate, budget and image byte is what 16-byte slots and an all-int64
-// array give. Bytes reports what the widths change.
+// near √2^(ℓ+1) — under 128 through level 12. So a table starts at four bytes
+// a slot — the identifier in 24 bits, the weight in 8, two slots a word — and
+// is rewritten slot for slot at eight — 32 bits and 32 — and then at sixteen,
+// each the first time a pair whose identifier or weight needs more has to be
+// stored; a promoted sketch starts at one byte a counter — on the streams
+// measured so far nearly every array above level 12 stays inside ±127 too —
+// and widens the whole array in place — int8 → int16 → int32 → int64 — the
+// first time an update, a merged addend or a decoded counter would not fit.
+// Only Reset goes back. Nobody chooses a width and nothing reads one: pairs
+// are always handled as (uint64, int64) values and counters as int64, the
+// image is varint-coded, and Size keeps counting two words a pair and one a
+// counter, so every estimate, budget and image byte is what 16-byte slots and
+// an all-int64 array give. Bytes reports what the widths change.
 //
 // The same rule says when a table is finished: a closed bucket splits on the
 // next arrival and ingest never writes to it again, so Compact rewrites a
 // table as exactly its n pairs in ascending x — a cut table, which a hashed
-// one (at most ¾ full) never looks like, so n == slots() is the whole record
-// of it. Lookups binary-search a cut table, walks read it like any other, and
-// the first write to one (only a merge does that) hashes it again first.
+// one (at most ¾ full) never looks like, so the slot count beside n is the
+// whole record of it (cut). Lookups binary-search a cut table, walks read it
+// like any other, and the first write to one (only a merge does that) hashes
+// it again first.
+//
+// And it says what a sketch's life costs: born at eight slots, doubled as
+// pairs arrive up to the promotion point, then promoted, cut or evicted —
+// every step leaves a table behind. Those go back to the maker (putTable),
+// zeroed, for the next step of the next sketch, as dense arrays always have:
+// what the apply path allocates is then close to what it keeps, which is what
+// a resident set follows. The storage a sketch holds is its own until it
+// hands it back and nobody's view of it after; the one walk that could
+// outlive its table, a merge of a sketch into itself, reads a copy.
 type CountSketch struct {
 	maker *F2Maker
 	dense bool
@@ -98,63 +109,72 @@ type wideCounters struct {
 
 // table is the storage of the items form: open addressed over power-of-two
 // many slots, or cut to exactly the pairs held, each slot one distinct
-// identifier and its net weight. A narrow slot is one word, identifier above
-// weight; a wide slot is two, identifier then weight. Both widths live in the
-// one slice, so neither costs the sketch a second header, and a table value is
-// a view: a copy reads and writes the same slots.
+// identifier and its net weight. A slot is four bytes, eight or sixteen — the
+// rung — and always identifier above weight: 24 bits over 8, two slots a word,
+// the even slot in the low half; 32 over 32, one word; or two words,
+// identifier then weight. All three live in the one slice, so none costs the
+// sketch a second header, and a table value is a view: a copy reads and
+// writes the same slots, and is dead once the table has gone back to the
+// maker (putTable).
 type table struct {
-	tab       []uint64
-	wideSlots bool // two words a slot
+	tab  []uint64
+	rung uint8 // a slot is 4<<rung bytes
 }
 
-// slots returns the number of slots, empty ones included.
-func (t table) slots() int {
-	if t.wideSlots {
-		return len(t.tab) / 2
-	}
-	return len(t.tab)
-}
+// The rungs of the slot ladder.
+const (
+	slot4 = iota
+	slot8
+	slot16
+)
+
+// slots returns the number of slots, empty ones included. An odd number of
+// four-byte slots does not exist: the spare half of the last word is one more
+// empty slot.
+func (t table) slots() int { return len(t.tab) * 2 >> t.rung }
 
 // pairAt returns the pair in slot j; weight 0 marks an empty slot.
 func (t table) pairAt(j int) (x uint64, f int64) {
-	if t.wideSlots {
+	switch t.rung {
+	case slot4:
+		s := uint32(t.tab[j>>1] >> ((j & 1) * 32))
+		return uint64(s >> 8), int64(int8(s))
+	case slot8:
+		w := t.tab[j]
+		return w >> 32, int64(int32(w))
+	default:
 		return t.tab[2*j], int64(t.tab[2*j+1])
 	}
-	w := t.tab[j]
-	return w >> 32, int64(int32(w))
 }
 
 // setPair stores (x, f) in slot j, or stores nothing and reports false when
 // the pair does not fit the table's slots. Nothing is ever truncated.
 func (t table) setPair(j int, x uint64, f int64) bool {
 	switch {
-	case t.wideSlots:
-		t.tab[2*j], t.tab[2*j+1] = x, uint64(f)
-	case x>>32 == 0 && int64(int32(f)) == f:
+	case t.rung == slot4 && x>>24 == 0 && int64(int8(f)) == f:
+		half := (j & 1) * 32
+		t.tab[j>>1] = t.tab[j>>1]&^(math.MaxUint32<<half) | (x<<8|uint64(uint8(f)))<<half
+	case t.rung == slot8 && x>>32 == 0 && int64(int32(f)) == f:
 		t.tab[j] = x<<32 | uint64(uint32(f))
+	case t.rung == slot16:
+		t.tab[2*j], t.tab[2*j+1] = x, uint64(f)
 	default:
 		return false
 	}
 	return true
 }
 
-// newTable returns an empty table of the given slot count and width.
-func newTable(slots int, wide bool) table {
-	words := slots
-	if wide {
-		words *= 2
-	}
-	return table{make([]uint64, words), wide}
-}
+// tableWords returns the words behind that many slots at a rung.
+func tableWords(slots int, rung uint8) int { return (slots<<rung + 1) / 2 }
 
 const (
 	// itemsDivisor sets the promotion point: a sketch goes dense when it
 	// would hold more than width·depth/itemsDivisor pairs. What that buys is
 	// exact answers up to that many distinct identifiers, with Size — two
-	// words a pair — topping out at half the array's width·depth. Bytes argue
-	// for a smaller one — at corrd's 356×4 a table that full is 4 096 bytes
-	// (2 848 once cut) against the 1 456-byte one-byte array it promotes
-	// into — and nothing has claimed that yet.
+	// words a pair — topping out at half the array's width·depth. Bytes no
+	// longer argue for a smaller one: at corrd's 356×4 a table that full is
+	// 2 048 bytes at four bytes a slot, 1 424 once cut, against the
+	// 1 456-byte one-byte array it promotes into.
 	itemsDivisor = 4
 	itemsMinCap  = 8 // initial table slots
 )
@@ -164,6 +184,12 @@ const (
 // is the sign and the remaining bits pick the counter, so the (bucket,
 // sign) pair is jointly 4-wise independent at half the hashing cost —
 // the Thorup–Zhang trick.
+//
+// It is also where its sketches' storage waits between owners: free lists
+// of reset sketches, of zeroed dense arrays by counter width and of zeroed
+// items tables by size, each bounded by a constant (maxPool, maxWidePool,
+// maxTablePool; PooledBytes adds them up). A maker and its lists belong to one
+// goroutine at a time, the one driving its sketches.
 type F2Maker struct {
 	width, depth int
 	rowH         []*hash.FourWise
@@ -177,6 +203,12 @@ type F2Maker struct {
 	pool16 [][]int16
 	pool32 [][]int32
 	pool64 [][]int64
+	// Zeroed hashed tables for the next retable, by size class: tables[k]
+	// holds at most maxTablePool tables of 4<<k words, up to the words of an
+	// eight-byte table at the promotion point. A sketch's life is a walk up
+	// these classes — 8 slots, 16, … — and every step hands the table it
+	// leaves back here rather than to the collector.
+	tables [][][]uint64
 
 	medScratch  []float64 // reused by Estimate/EstimateItem
 	slotScratch Slots     // reused by slotsOf
@@ -195,6 +227,7 @@ func NewF2Maker(width, depth int, rng *hash.RNG) *F2Maker {
 		itemsMax:   width * depth / itemsDivisor,
 		medScratch: make([]float64, depth),
 	}
+	m.tables = make([][][]uint64, tableClass(tableFor(m.itemsMax+1))+1)
 	for i := 0; i < depth; i++ {
 		m.rowH = append(m.rowH, hash.NewFourWise(rng))
 	}
@@ -225,14 +258,59 @@ func (m *F2Maker) slotsOf(x uint64) Slots {
 // SlotWidth implements SlotMaker.
 func (m *F2Maker) SlotWidth() int { return m.depth + 1 }
 
-// Recycle implements Recycler.
+// Recycle implements Recycler. The sketch's table or array goes back to the
+// maker's lists whether or not the list of sketches has room for the struct:
+// one group can evict hundreds of buckets at once.
 func (m *F2Maker) Recycle(sk Sketch) {
 	cs, ok := sk.(*CountSketch)
-	if !ok || cs.maker != m || len(m.pool) >= maxPool {
+	if !ok || cs.maker != m {
 		return
 	}
 	cs.Reset()
-	m.pool = append(m.pool, cs)
+	if len(m.pool) < maxPool {
+		m.pool = append(m.pool, cs)
+	}
+}
+
+// tableClass returns the free list a table of that many words belongs to:
+// powers of two from 4 — eight four-byte slots — up. Anything else, which only
+// a cut table is, gets a class no maker keeps.
+func tableClass(words int) int {
+	if words < 4 || words&(words-1) != 0 {
+		return math.MaxInt
+	}
+	return bits.TrailingZeros(uint(words)) - 2
+}
+
+// takeTable returns that many zeroed words, pooled if there are any.
+func (m *F2Maker) takeTable(words int) []uint64 {
+	if k := tableClass(words); k < len(m.tables) {
+		return takeArray(&m.tables[k], words)
+	}
+	return make([]uint64, words)
+}
+
+// putTable takes back a table its sketch has left, zeroing it for the next
+// retable — or leaves it to the collector when it is cut, wider than the lists
+// go, or its list is full. Every view of the table is dead from here on.
+func (m *F2Maker) putTable(tab []uint64) {
+	if k := tableClass(len(tab)); k < len(m.tables) {
+		putArray(&m.tables[k], tab, maxTablePool)
+	}
+}
+
+// PooledBytes returns the bytes the maker's free lists hold — zeroed tables
+// and dense arrays waiting for the next sketch that needs one, memory that is
+// in no sketch's Bytes — and the most they can hold.
+func (m *F2Maker) PooledBytes() (held, bound int) {
+	for k, list := range m.tables {
+		held += len(list) * (32 << k)
+		bound += maxTablePool * (32 << k)
+	}
+	array := m.width * m.depth
+	held += array * (len(m.pool8) + 2*len(m.pool16) + 4*len(m.pool32) + 8*len(m.pool64))
+	bound += array * (maxPool - 3*maxWidePool + (2+4+8)*maxWidePool)
+	return held, bound
 }
 
 // NewF2MakerError returns a Maker sized for relative error upsilon with
@@ -410,19 +488,34 @@ func (c *CountSketch) Compact() {
 	if c.cut() {
 		return
 	}
-	fit, j := newTable(c.n, c.wideSlots), 0
-	for k := range c.slots() {
-		if x, f := c.pairAt(k); f != 0 {
-			fit.setPair(j, x, f)
-			j++
+	m, old := c.maker, c.table
+	fit := table{make([]uint64, tableWords(c.n, old.rung)), old.rung}
+	if old.rung == slot16 {
+		j := 0
+		for k := range old.slots() {
+			if x, f := old.pairAt(k); f != 0 {
+				fit.setPair(j, x, f)
+				j++
+			}
 		}
-	}
-	if fit.wideSlots {
 		sort.Sort(widePairs(fit.tab))
 	} else {
-		slices.Sort(fit.tab) // identifier above weight: the words order by identifier
+		// Identifier above weight: written as an eight-byte slot, whichever
+		// rung it came from, a pair orders by identifier.
+		keys := m.keyScratch[:0]
+		for k := range old.slots() {
+			if x, f := old.pairAt(k); f != 0 {
+				keys = append(keys, x<<32|uint64(uint32(f)))
+			}
+		}
+		slices.Sort(keys)
+		for j, w := range keys {
+			fit.setPair(j, w>>32, int64(int32(w)))
+		}
+		m.keyScratch = keys
 	}
 	c.table = fit
+	m.putTable(old.tab)
 }
 
 // widePairs orders the two-word slots of a full wide table by identifier.
@@ -474,39 +567,45 @@ func (c *CountSketch) remove(j int) {
 }
 
 // cut reports whether the table is exactly the pairs held, in ascending x —
-// what Compact leaves, and what an empty sketch without a table is. Only a
-// table that is not cut can be probed.
-func (c *CountSketch) cut() bool { return c.n == c.slots() }
+// what Compact leaves, and what an empty sketch without a table is. Its slots
+// are its pairs and, for an odd number of them at four bytes, the spare half
+// of the last word; a hashed table, at most ¾ full of at least eight slots,
+// always has two empty slots or more. Only a table that is not cut can be
+// probed.
+func (c *CountSketch) cut() bool { return c.slots()-c.n < 2 }
 
 // grow moves the pairs to a hashed table with room for one more, at the
 // width they have: the first table, twice a full hashed one, or what a cut
 // one needs.
 func (c *CountSketch) grow() {
 	old := c.table
-	c.retable(tableFor(c.n+1), old.wideSlots)
+	c.retable(tableFor(c.n+1), old.rung)
 	for k := range old.slots() {
 		if x, f := old.pairAt(k); f != 0 {
 			j, _ := c.probe(x)
 			c.setPair(j, x, f)
 		}
 	}
+	c.maker.putTable(old.tab)
 }
 
-// retable gives an items-form sketch a fresh, empty hashed table.
-func (c *CountSketch) retable(slots int, wide bool) {
-	c.table = newTable(slots, wide)
+// retable gives an items-form sketch an empty hashed table from the maker's
+// lists. The table it had is the caller's to hand back, once read.
+func (c *CountSketch) retable(slots int, rung uint8) {
+	c.table = table{c.maker.takeTable(tableWords(slots, rung)), rung}
 	c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
 }
 
-// widenTable rewrites a narrow table slot for slot at sixteen bytes a slot: a
-// copy, not a re-hash. A pair since cancelled does not narrow it again.
+// widenTable rewrites the table slot for slot one rung up: a copy, not a
+// re-hash. A pair since cancelled does not narrow it again.
 func (c *CountSketch) widenTable() {
 	old := c.table
-	c.table = newTable(old.slots(), true)
+	c.retable(old.slots(), old.rung+1)
 	for k := range old.slots() {
 		x, f := old.pairAt(k)
 		c.setPair(k, x, f)
 	}
+	c.maker.putTable(old.tab)
 }
 
 // tableFor returns the table size that holds n pairs without growing.
@@ -526,6 +625,7 @@ func (c *CountSketch) promote() {
 	c.allocDense()
 	c.scatter(pairs)
 	c.sumSquares()
+	c.maker.putTable(pairs.tab)
 }
 
 // scatter adds the pairs of an items table to a dense sketch's counters,
@@ -550,7 +650,8 @@ func (c *CountSketch) scatter(tab table) {
 }
 
 // allocDense switches a sketch to the dense form with zero counters at the
-// narrowest width, dropping its table.
+// narrowest width. It lets go of the table without handing it back: the
+// caller may still be reading it.
 func (c *CountSketch) allocDense() {
 	m := c.maker
 	c.table, c.n, c.f2hi, c.f2lo = table{}, 0, 0, 0
@@ -578,21 +679,17 @@ func (c *CountSketch) sumSquares() {
 	}
 }
 
-// Reset implements Resetter: back to the empty items form. A dense array
-// is zeroed and pooled for the next sketch that needs its width; a table is
-// kept only at its initial size, narrow and hashed — a cut table of that many
-// pairs has the size but not the shift — so a recycled sketch starts as small
-// as a new one.
+// Reset implements Resetter: back to the empty items form, holding nothing. A
+// dense array or a hashed table is zeroed and pooled for the next sketch that
+// needs its size; the first update takes a table at the bottom rung, so a
+// recycled sketch starts as a new one does.
 func (c *CountSketch) Reset() {
 	if c.dense {
 		c.release()
 		c.dense = false
 	}
-	if c.wideSlots || c.slots() != itemsMinCap || c.cut() {
-		c.table = table{}
-	}
-	clear(c.tab)
-	c.n, c.f2hi, c.f2lo = 0, 0, 0
+	c.maker.putTable(c.tab)
+	c.table, c.n, c.f2hi, c.f2lo = table{}, 0, 0, 0
 }
 
 // Estimate implements Sketch. In the items form it is F2 itself. Once
@@ -681,6 +778,12 @@ func (c *CountSketch) Merge(other Sketch) error {
 	}
 	if !o.dense {
 		pairs := o.table
+		if o == c {
+			// Doubling every weight hashes a cut table again and widens one
+			// a weight no longer fits, either of which hands the table under
+			// this walk back to the maker.
+			pairs.tab = slices.Clone(pairs.tab)
+		}
 		for k := range pairs.slots() {
 			if x, f := pairs.pairAt(k); f != 0 {
 				c.Add(x, f)
@@ -756,13 +859,14 @@ func (c *CountSketch) Size() int {
 }
 
 // Bytes returns the memory behind the sketch's state: in the items form the
-// table's slots at 8 or 16 bytes each — empty ones included, of which a cut
-// table has none — and once dense, the counters at their stored width and the
-// row sums. It is what Size stopped showing when a pair stopped being two
-// words and a counter one, and unlike Size it belongs to the sketch in memory,
-// not to its image: a table grown or widened for pairs since cancelled, or an
-// array widened for a counter since cancelled, restores smaller, and a cut
-// table restores hashed, for its owner to cut again.
+// table's slots at 4, 8 or 16 bytes each — empty ones included, of which a cut
+// table has none but the spare half word of an odd count at four bytes — and
+// once dense, the counters at their stored width and the row sums. It is what
+// Size stopped showing when a pair stopped being two words and a counter one,
+// and unlike Size it belongs to the sketch in memory, not to its image: a
+// table grown or widened for pairs since cancelled, or an array widened for a
+// counter since cancelled, restores smaller, and a cut table restores hashed,
+// for its owner to cut again.
 func (c *CountSketch) Bytes() int {
 	if !c.dense {
 		return 8 * len(c.tab)

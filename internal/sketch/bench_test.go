@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/streamagg/correlated/internal/hash"
@@ -27,8 +28,9 @@ var addRegimes = []struct {
 	renew bool
 	warm  int64 // weight of the warm-up adds; the measured ones weigh ±1
 }{
-	{"items/narrow", 32, false, 1},        // never promotes: one table probe per add, 8-byte slots
-	{"items/wide", 32, false, 1 << 40},    // ... over a table the warm-up's weights widened to 16
+	{"items/4", 32, false, 1},             // never promotes: one table probe per add, 4-byte slots
+	{"items/8", 32, false, 1 << 8},        // ... over a table the warm-up's weights widened to 8
+	{"items/16", 32, false, 1 << 40},      // ... and to 16
 	{"promote", 512, true, 1},             // a new sketch every 512 adds: table growth, promotion, reset
 	{"dense/int8", 4096, false, 1},        // promoted during warm-up: the dense loop, as nearly every bucket runs it
 	{"dense/int16", 4096, false, 1 << 8},  // ... over an array widened once
@@ -90,18 +92,51 @@ func BenchmarkCountSketchCompact(b *testing.B) {
 			m := NewF2Maker(356, 4, hash.New(1))
 			cs := m.New().(*CountSketch)
 			for x := 0; x < pairs; x++ {
-				cs.Add(uint64(x)*2654435761>>8, 1)
+				cs.Add(uint64(x)*0x9E3779&(1<<24-1), 1)
 			}
-			hashed, before := cs.table, cs.Bytes()
+			hashed, slots, before := slices.Clone(cs.tab), cs.slots(), cs.Bytes()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cs.table = hashed // Compact writes a new table and leaves this one as it was
+				// Compact hands the hashed table back zeroed: take it again as
+				// it was, which is a copy beside Compact's sort.
+				cs.retable(slots, cs.rung)
+				copy(cs.tab, hashed)
 				cs.Compact()
 			}
 			b.ReportMetric(float64(before), "B/hashed")
 			b.ReportMetric(float64(cs.Bytes()), "B/sketch")
 		})
+	}
+}
+
+// BenchmarkCountSketchGrowPromote measures the life most buckets of the
+// reduction lead: one sketch taken from its first pair through every table
+// size to one pair past itemsMax, where it promotes, and recycled. Warm, every
+// table and the array come from the maker's lists and go back to them, so
+// B/op and allocs/op are what that life still costs the collector.
+func BenchmarkCountSketchGrowPromote(b *testing.B) {
+	m := NewF2Maker(356, 4, hash.New(1))
+	var slab Slots
+	for x := 0; x <= m.itemsMax; x++ {
+		slab = m.Slots(uint64(x)*0x9E3779&(1<<24-1), slab)
+	}
+	d := m.SlotWidth()
+	life := func() {
+		cs := m.New().(*CountSketch)
+		for x := 0; x <= m.itemsMax; x++ {
+			cs.AddSlots(slab[x*d:(x+1)*d], 1)
+		}
+		if !cs.dense {
+			b.Fatal("the sketch did not promote")
+		}
+		m.Recycle(cs)
+	}
+	life() // fill the lists
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		life()
 	}
 }
 

@@ -38,7 +38,7 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 	}
 	// Counters on each side of the boundaries between the stored widths.
 	images = append(images, boundaryImages(m)...)
-	// Pairs on each side of the boundary between the two slot widths.
+	// Pairs on each side of the boundaries between the three slot widths.
 	images = append(images, boundaryPairImages(m)...)
 	for _, img := range images {
 		f.Add(img)
@@ -68,8 +68,8 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 		if vs := counters(c); c.dense && c.cw != widthFor(vs) {
 			t.Fatalf("decoded at %d bytes a counter, the counters need %d", c.cw, widthFor(vs))
 		}
-		if !c.dense && c.wideSlots != needsWide(c) {
-			t.Fatalf("decoded into wide slots = %v, the pairs need them = %v", c.wideSlots, needsWide(c))
+		if !c.dense && c.rung != needsRung(c) {
+			t.Fatalf("decoded into %d-byte slots, the pairs need %d", 4<<c.rung, 4<<needsRung(c))
 		}
 		img, err := c.MarshalBinary()
 		if err != nil {

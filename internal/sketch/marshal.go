@@ -271,15 +271,15 @@ func (c *CountSketch) UnmarshalBinary(data []byte) error {
 // readItems decodes the pairs of an items-form image into the empty
 // receiver. Pairs must be what AppendBinary writes — no more than the form
 // holds, strictly ascending in x, no zero weight — which bounds the table
-// by the geometry and makes decode-then-encode the identity. The table is
-// narrow unless a decoded pair needs the wide one.
+// by the geometry and makes decode-then-encode the identity. The table is at
+// the lowest rung its pairs fit.
 func (c *CountSketch) readItems(rest []byte) ([]byte, error) {
 	n, rest, err := readU64(rest)
 	if err != nil || n > uint64(c.maker.itemsMax) {
 		return nil, ErrBadEncoding
 	}
 	if n > 0 {
-		c.retable(tableFor(int(n)), false)
+		c.retable(tableFor(int(n)), slot4)
 	}
 	var prev uint64
 	for ; n > 0; n-- {

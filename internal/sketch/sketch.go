@@ -24,14 +24,16 @@
 // changes is that small sketches answer exactly, and Size, which reports
 // what is stored (two words per pair) — that is what the Space figures of
 // every layer above add up. The marshaled image records the form. Each form
-// is stored as narrow as what it holds allows: a table slot is eight bytes —
-// identifier and weight in 32 bits each — until a pair needs sixteen, and the
-// dense array's counters one byte each until one would overflow, then two,
-// then four, then eight. And a sketch whose bucket has closed, which ingest
-// never writes to again, has its table cut to exactly the pairs it holds
-// (Compact); a later write hashes it again. Two table widths, four array
-// widths, one API: no answer, image or Size depends on a width or a cut, only
-// Bytes.
+// is stored as narrow as what it holds allows: a table slot is four bytes —
+// identifier in 24 bits, weight in 8 — until a pair needs eight, then sixteen,
+// and the dense array's counters one byte each until one would overflow, then
+// two, then four, then eight. And a sketch whose bucket has closed, which
+// ingest never writes to again, has its table cut to exactly the pairs it
+// holds (Compact); a later write hashes it again. Three table widths, four
+// array widths, one API: no answer, image or Size depends on a width or a cut,
+// only Bytes. A table or array a sketch grows out of, or is recycled with,
+// goes back zeroed to its maker's free lists for the next sketch that needs
+// one, so ingest allocates little beyond what the summary ends up holding.
 package sketch
 
 import "errors"
@@ -157,10 +159,20 @@ func Compose(m Maker, parts []Sketch) Sketch {
 	return out
 }
 
-// maxPool bounds each maker's free list; beyond this, recycled sketches
-// are simply dropped. Query composition and bucket eviction churn a
-// handful of sketches at a time, so a small pool captures all the reuse.
+// maxPool bounds each maker's free list of sketches; beyond this, a recycled
+// sketch's struct is simply dropped — after its table or array has gone to the
+// lists of those, which have bounds of their own. Query composition churns a
+// handful of sketches at a time and an eviction burst a few hundred, so a
+// small pool captures the reuse.
 const maxPool = 256
+
+// maxTablePool bounds each of an F2Maker's free lists of items tables, one a
+// size class. What a list has to cover is the tables one group's growth steps
+// leave before its next ones take them. Replaying corrdbench's stream shapes
+// through a summary, 64 a class ends holding a third of a megabyte; 256 and
+// 4 096 hold four and up to eighteen times that to allocate a seventh less,
+// and the runtime's footprint reads the same at all three.
+const maxTablePool = 64
 
 // ItemEstimator is implemented by sketches that can estimate the frequency
 // of an individual item (CountSketch, Fk). The correlated heavy hitters

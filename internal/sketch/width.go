@@ -128,8 +128,9 @@ func appendCounters[T ctr](buf []byte, data []T) []byte {
 	return buf
 }
 
-// takeArray returns a zeroed array of n counters, pooled if there is one.
-func takeArray[T ctr](pool *[][]T, n int) []T {
+// takeArray returns a zeroed array of n counters or table words, pooled if
+// there is one.
+func takeArray[T any](pool *[][]T, n int) []T {
 	k := len(*pool)
 	if k == 0 {
 		return make([]T, n)
@@ -141,7 +142,7 @@ func takeArray[T ctr](pool *[][]T, n int) []T {
 }
 
 // putArray zeroes a and pools it, unless the list already holds limit.
-func putArray[T ctr](pool *[][]T, a []T, limit int) {
+func putArray[T any](pool *[][]T, a []T, limit int) {
 	if len(*pool) < limit {
 		clear(a)
 		*pool = append(*pool, a)

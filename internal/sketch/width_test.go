@@ -17,11 +17,12 @@ import (
 // at int64 — the array every sketch had before there were widths — through
 // weights that cross the int8, int16 and int32 boundaries in both directions.
 
-// wideTwin returns a maker with m's geometry, row hashes and promotion point,
-// for sketches the test widens to int64 after every step.
+// wideTwin returns a maker with m's geometry, row hashes, promotion point and
+// free lists of its own, for sketches the test widens after every step.
 func wideTwin(m *F2Maker) *F2Maker {
 	t := denseTwin(m)
 	t.itemsMax = m.itemsMax
+	t.tables = make([][][]uint64, len(m.tables))
 	return t
 }
 
@@ -214,7 +215,7 @@ func TestCountSketchWidthsAgree(t *testing.T) {
 					m.Recycle(p.a)
 					twin.Recycle(p.r)
 					*p = fresh()
-					if p.a.dense || p.a.cw != 0 || p.a.wideSlots || p.a.Bytes() != 8*p.a.slots() {
+					if p.a.dense || p.a.cw != 0 || p.a.rung != slot4 || p.a.Bytes() != 0 {
 						t.Fatalf("recycled sketch dense=%v at %d bytes a counter, holding %d", p.a.dense, p.a.cw, p.a.Bytes())
 					}
 				default:
@@ -319,38 +320,48 @@ func TestCountSketchUnmarshalBoundaryCounters(t *testing.T) {
 	}
 }
 
-// An items table likewise stores a slot at eight bytes or sixteen and nothing
-// may depend on which. The tests below drive a sketch beside a twin whose
-// table the test widens after every step — the table every sketch had before
-// there were widths — over identifiers on both sides of 2^32 and weights that
-// cross ±2^31 in both directions, and beside a model of what the table should
-// hold and of whether its history has forced the wide slots.
+// An items table likewise stores a slot at four bytes, eight or sixteen and
+// nothing may depend on which. The tests below drive a sketch beside a twin
+// whose table the test lifts one or two rungs after every step — sixteen bytes
+// is the table every sketch had before there were widths — over identifiers on
+// both sides of 2^24 and of 2^32 and weights that cross ±2^7 and ±2^31 in both
+// directions, and beside a model of what the table should hold and of the rung
+// its history has forced.
 
-// fitsNarrow reports whether the pair fits an eight-byte slot.
-func fitsNarrow(x uint64, f int64) bool { return x>>32 == 0 && f == int64(int32(f)) }
-
-// needsWide reports whether some pair c holds does not fit an eight-byte slot.
-func needsWide(c *CountSketch) bool {
-	for k := range c.slots() {
-		if x, f := c.pairAt(k); f != 0 && !fitsNarrow(x, f) {
-			return true
-		}
+// rungFor returns the lowest rung whose slots hold the pair.
+func rungFor(x uint64, f int64) uint8 {
+	switch {
+	case x>>24 == 0 && f == int64(int8(f)):
+		return slot4
+	case x>>32 == 0 && f == int64(int32(f)):
+		return slot8
 	}
-	return false
+	return slot16
 }
 
-// widenTableFully takes an items-form sketch's table to sixteen-byte slots.
-func widenTableFully(c *CountSketch) {
-	if !c.dense && !c.wideSlots {
+// needsRung returns the lowest rung that holds every pair of c.
+func needsRung(c *CountSketch) uint8 {
+	rung := uint8(slot4)
+	for k := range c.slots() {
+		if x, f := c.pairAt(k); f != 0 {
+			rung = max(rung, rungFor(x, f))
+		}
+	}
+	return rung
+}
+
+// liftTable takes an items-form sketch's table up to the given rung.
+func liftTable(c *CountSketch, rung uint8) {
+	for !c.dense && c.rung < rung {
 		c.widenTable()
 	}
 }
 
-// tableModel is the pairs an items-form sketch should hold, and whether some
-// pair stored since its last Reset did not fit a narrow slot.
+// tableModel is the pairs an items-form sketch should hold, and the highest
+// rung a pair stored since its last Reset has needed.
 type tableModel struct {
 	freq map[uint64]int64
-	wide bool
+	rung uint8
 }
 
 func (m *tableModel) add(x uint64, w int64) {
@@ -360,7 +371,7 @@ func (m *tableModel) add(x uint64, w int64) {
 		return
 	}
 	m.freq[x] = f
-	m.wide = m.wide || !fitsNarrow(x, f)
+	m.rung = max(m.rung, rungFor(x, f))
 }
 
 // merge adds o's pairs, one add each, as Merge does.
@@ -390,8 +401,11 @@ func itemsImage(m *F2Maker, pairs ...xf) []byte {
 // side of the slot-width boundaries: every identifier edge with every weight
 // edge alone, then all identifier edges together.
 func boundaryPairImages(m *F2Maker) [][]byte {
-	xs := []uint64{0, 1<<32 - 1, 1 << 32, math.MaxUint64}
-	fs := []int64{1, math.MaxInt32, -math.MaxInt32, math.MaxInt32 + 1, math.MinInt32, math.MinInt32 - 1, math.MaxInt64, math.MinInt64}
+	xs := []uint64{0, 1<<24 - 1, 1 << 24, 1<<32 - 1, 1 << 32, math.MaxUint64}
+	fs := []int64{
+		1, math.MaxInt8, -math.MaxInt8, math.MaxInt8 + 1, math.MinInt8, math.MinInt8 - 1,
+		math.MaxInt32, -math.MaxInt32, math.MaxInt32 + 1, math.MinInt32, math.MinInt32 - 1, math.MaxInt64, math.MinInt64,
+	}
 	var images [][]byte
 	for _, x := range xs {
 		for _, f := range fs {
@@ -399,35 +413,53 @@ func boundaryPairImages(m *F2Maker) [][]byte {
 		}
 	}
 	for _, f := range fs {
-		images = append(images, itemsImage(m, xf{xs[0], f}, xf{xs[1], -f | 1}, xf{xs[2], f}, xf{xs[3], 1}))
+		images = append(images, itemsImage(m, xf{xs[0], f}, xf{xs[1], -f | 1}, xf{xs[2], f}, xf{xs[3], -f | 1}, xf{xs[4], f}, xf{xs[5], 1}))
 	}
 	return images
 }
 
+// formOf names what a sketch is stored as: its slot bytes, or dense.
+func formOf(c *CountSketch) string {
+	if c.dense {
+		return "dense"
+	}
+	return fmt.Sprint(4 << c.rung)
+}
+
 // TestCountSketchTableWidthsAgree runs seeded random operation sequences over
-// a few registers. A third of the runs keep every identifier below 2^32, so
-// only weights widen a table; a third keep the weights small, so only
-// identifiers do; the rest mix both.
+// a few registers. Each register of a run draws its identifiers from one of
+// three bands — under 2^24, across it, across 2^32 — and its weights from one
+// of three — units, up to and across 2^7, up to and across 2^31 — so over the
+// runs every band meets every other: tables that stay at four bytes, tables
+// only identifiers widen, tables only weights do, and merges between all of
+// them. The twin is held at eight bytes or more in half the runs, at sixteen
+// in the rest.
 func TestCountSketchTableWidthsAgree(t *testing.T) {
 	type reg struct {
-		a, r  *CountSketch
-		model tableModel
+		a, r         *CountSketch
+		model        tableModel
+		xTier, wTier uint64
 	}
-	var narrow, wide, shrunk, promoted int // steps that ended on each; shrunk: wide, over pairs that no longer need it
+	ended := map[string]int{}  // steps that ended on a table at each slot width
+	merged := map[string]int{} // merges by the forms of receiver and operand
+	var shrunk, promoted int   // steps that ended above the rung the pairs need; promotions
 	for _, g := range []struct{ width, depth int }{{16, 3}, {64, 4}, {356, 4}} {
-		for seed := uint64(1); seed <= 12; seed++ {
+		for seed := uint64(1); seed <= 24; seed++ {
 			m := NewF2Maker(g.width, g.depth, hash.New(3000+seed))
 			twin := wideTwin(m)
+			floor := uint8(slot8 + seed%2)
 			rng := hash.New(seed)
-			weight := func() int64 {
+			weight := func(tier uint64) int64 {
 				var w int64
 				switch k := rng.Uint64n(16); {
-				case k == 0 && seed%3 == 2:
+				case k == 0 && tier == 2 && seed%3 == 2:
 					w = 1 << 40
-				case k <= 2 && seed%3 != 1:
+				case k <= 2 && tier == 2:
 					w = 1<<31 - 2 + int64(rng.Uint64n(5))
-				case k <= 4:
+				case k <= 4 && tier >= 1:
 					w = int64(rng.Uint64n(1 << 13))
+				case k <= 7 && tier >= 1:
+					w = 1<<7 - 2 + int64(rng.Uint64n(5))
 				default:
 					w = 1 + int64(rng.Uint64n(3))
 				}
@@ -436,26 +468,32 @@ func TestCountSketchTableWidthsAgree(t *testing.T) {
 				}
 				return w
 			}
-			// A domain on either side of the promotion point and, unless the
-			// run is about weights alone, of 2^32.
+			// A domain on either side of the promotion point; the upper two
+			// bands straddle their boundary.
 			domain := uint64(m.itemsMax)/2 + 1 + rng.Uint64n(uint64(m.itemsMax)+4)
-			ident := func() uint64 {
+			ident := func(tier uint64) uint64 {
 				x := rng.Uint64n(domain)
-				if seed%3 != 0 {
+				switch tier {
+				case 1:
+					x += 1<<24 - domain/2
+				case 2:
 					x += 1<<32 - domain/2
 				}
 				return x
 			}
 			model := func() tableModel { return tableModel{freq: map[uint64]int64{}} }
-			fresh := func() reg { return reg{m.New().(*CountSketch), twin.New().(*CountSketch), model()} }
-			regs := []reg{fresh(), fresh(), fresh()}
+			tiers := [4]uint64{0, 1, 1, 2} // the top band spreads through merges: deal it less often
+			fresh := func(i uint64) reg {
+				return reg{m.New().(*CountSketch), twin.New().(*CountSketch), model(), tiers[(seed+i)%4], tiers[(seed/4+i)%4]}
+			}
+			regs := []reg{fresh(0), fresh(1), fresh(2)}
 			recycle := func(p *reg) {
 				m.Recycle(p.a)
 				twin.Recycle(p.r)
 			}
 			var slots Slots
-			for step := 0; step < 300; step++ {
-				i := int(rng.Uint64n(3))
+			for step := 0; step < 400; step++ {
+				i := rng.Uint64n(3)
 				p := &regs[i]
 				wasDense := p.a.dense
 				add := func(x uint64, w int64) {
@@ -465,33 +503,41 @@ func TestCountSketchTableWidthsAgree(t *testing.T) {
 				}
 				var what string
 				switch op := rng.Uint64n(20); {
-				case op < 6:
-					x, w := ident(), weight()
+				case op < 5:
+					x, w := ident(p.xTier), weight(p.wTier)
 					what = fmt.Sprintf("Add(%d,%d)", x, w)
 					add(x, w)
-				case op < 10:
-					x, w := ident(), weight()
+				case op < 8:
+					x, w := ident(p.xTier), weight(p.wTier)
 					what = fmt.Sprintf("AddSlots(%d,%d)", x, w)
 					slots = m.Slots(x, slots[:0])
 					p.a.AddSlots(slots, w)
 					p.r.AddSlots(slots, w)
 					p.model.add(x, w)
-				case op < 11:
+				case op < 9:
 					// A spike and straight back: the pair returns to where it
 					// was, the width does not.
-					x, w := ident(), int64(1)<<(15+8*rng.Uint64n(4))
+					x, w := ident(p.xTier), int64(1)<<(7+8*min(rng.Uint64n(4), p.wTier+1))
+					if p.wTier == 0 {
+						w = 1 << 5 // the units band stays inside a byte
+					}
 					what = fmt.Sprintf("Add(%d,±%d)", x, w)
 					add(x, w)
 					add(x, -w)
-				case op < 13:
+				case op < 11:
 					// Cancel a pair outright: it leaves the table by backward
 					// shift, at whichever width the table has.
-					x := ident()
+					x := ident(p.xTier)
 					what = fmt.Sprintf("Add(%d,%d) to zero", x, -p.model.freq[x])
 					add(x, -p.model.freq[x])
 				case op < 16:
-					q := &regs[(i+int(rng.Uint64n(3)))%3] // itself one time in three
-					what = fmt.Sprintf("Merge(wide=%v <- wide=%v)", p.a.wideSlots, q.a.wideSlots)
+					q := &regs[(i+rng.Uint64n(3))%3] // itself one time in three
+					forms := formOf(p.a) + " <- " + formOf(q.a)
+					if q == p {
+						forms += ", itself"
+					}
+					merged[forms]++
+					what = "Merge(" + forms + ")"
 					if err := p.a.Merge(q.a); err != nil {
 						t.Fatal(err)
 					}
@@ -499,12 +545,12 @@ func TestCountSketchTableWidthsAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 					p.model.merge(&q.model)
-				case op < 18:
+				case op < 17:
 					what = "Compose"
 					out := reg{
 						Compose(m, []Sketch{regs[0].a, regs[1].a, regs[2].a}).(*CountSketch),
 						Compose(twin, []Sketch{regs[0].r, regs[1].r, regs[2].r}).(*CountSketch),
-						model(),
+						model(), p.xTier, p.wTier,
 					}
 					for j := range regs {
 						out.model.merge(&regs[j].model)
@@ -514,7 +560,7 @@ func TestCountSketchTableWidthsAgree(t *testing.T) {
 				case op < 19:
 					what = "Recycle+New"
 					recycle(p)
-					*p = fresh()
+					*p = fresh(i)
 				default:
 					what = "Marshal+Unmarshal"
 					for _, c := range []**CountSketch{&p.a, &p.r} {
@@ -529,9 +575,9 @@ func TestCountSketchTableWidthsAgree(t *testing.T) {
 						(*c).maker.Recycle(*c)
 						*c = dst
 					}
-					p.model.wide = needsWide(p.a) // a decoded table is as narrow as its pairs allow
+					p.model.rung = needsRung(p.a) // a decoded table is as narrow as its pairs allow
 				}
-				widenTableFully(p.r)
+				liftTable(p.r, floor)
 				at := fmt.Sprintf("%dx%d seed %d step %d %s", g.width, g.depth, seed, step, what)
 				sameSketch(t, at, p.a, p.r)
 				if p.a.dense {
@@ -541,8 +587,9 @@ func TestCountSketchTableWidthsAgree(t *testing.T) {
 					continue
 				}
 				// Slot for slot the two tables hold the same pairs — the layout
-				// does not depend on the width — and they are the model's. (An
-				// empty recycled sketch keeps its first table only if narrow.)
+				// does not depend on the width — and they are the model's. (A
+				// reset sketch holds no table, whatever rung the twin is lifted
+				// to.)
 				if p.a.n != len(p.model.freq) || p.a.n != p.r.n || (p.a.n > 0 && p.a.slots() != p.r.slots()) {
 					t.Fatalf("%s: %d pairs in %d slots, twin %d in %d, model %d pairs",
 						at, p.a.n, p.a.slots(), p.r.n, p.r.slots(), len(p.model.freq))
@@ -553,44 +600,48 @@ func TestCountSketchTableWidthsAgree(t *testing.T) {
 						t.Fatalf("%s: slot %d holds (%d,%d), twin (%d,%d), model weight %d", at, k, x, f, rx, rf, p.model.freq[x])
 					}
 				}
-				for _, x := range []uint64{ident(), ident(), 7, 1<<32 + 7, math.MaxUint64} {
+				for _, x := range []uint64{ident(p.xTier), ident(0), ident(2), 7, 1<<24 + 7, 1<<32 + 7, math.MaxUint64} {
 					if got := p.a.EstimateItem(x); got != float64(p.model.freq[x]) {
 						t.Fatalf("%s: EstimateItem(%d) = %v, model %d", at, x, got, p.model.freq[x])
 					}
 				}
-				// The width is the history's: wide from the first pair that
-				// needed it until a Reset, narrow otherwise.
-				if p.a.wideSlots != p.model.wide || !p.r.wideSlots {
-					t.Fatalf("%s: wide slots = %v, history says %v (twin %v)", at, p.a.wideSlots, p.model.wide, p.r.wideSlots)
+				// The width is the history's: at the highest rung a stored pair
+				// has needed since the last Reset.
+				if p.a.rung != p.model.rung || p.r.rung != max(p.model.rung, floor) {
+					t.Fatalf("%s: %d-byte slots, history says %d (twin %d, held at %d or more)",
+						at, 4<<p.a.rung, 4<<p.model.rung, 4<<p.r.rung, 4<<floor)
 				}
-				slotBytes := 8
-				if p.model.wide {
-					slotBytes = 16
+				if p.a.Bytes() != p.a.slots()*4<<p.a.rung || p.r.Bytes() != p.r.slots()*4<<p.r.rung {
+					t.Fatalf("%s: Bytes = %d for %d slots of %d bytes, twin %d", at, p.a.Bytes(), p.a.slots(), 4<<p.a.rung, p.r.Bytes())
 				}
-				if p.a.Bytes() != slotBytes*p.a.slots() || p.r.Bytes() != 16*p.r.slots() {
-					t.Fatalf("%s: Bytes = %d for %d slots (wide=%v), twin %d", at, p.a.Bytes(), p.a.slots(), p.model.wide, p.r.Bytes())
-				}
-				switch {
-				case !p.a.wideSlots:
-					narrow++
-				case needsWide(p.a):
-					wide++
-				default:
+				ended[formOf(p.a)]++
+				if p.a.rung > needsRung(p.a) {
 					shrunk++
 				}
 			}
 		}
 	}
-	for name, n := range map[string]int{"narrow tables": narrow, "wide tables": wide, "wide tables whose pairs came back under the boundary": shrunk, "promotions": promoted} {
+	want := map[string]int{"promotions": promoted, "tables whose pairs came back under a boundary": shrunk}
+	forms := []string{"4", "8", "16", "dense"}
+	for _, a := range forms[:3] {
+		want["tables of "+a+"-byte slots"] = ended[a]
+		want["merges "+a+" <- "+a+", itself"] = merged[a+" <- "+a+", itself"]
+	}
+	for _, a := range forms {
+		for _, b := range forms {
+			want["merges "+a+" <- "+b] = merged[a+" <- "+b]
+		}
+	}
+	for name, n := range want {
 		if n < 50 {
-			t.Errorf("only %d steps ended on %s", n, name)
+			t.Errorf("only %d steps saw %s", n, name)
 		}
 	}
 }
 
 // TestCountSketchResetNarrows: only Reset takes a widened table back, it does
 // so directly and through Recycle, and what it leaves is what a new sketch
-// starts with.
+// starts with: no table, and the bottom rung for the first pair.
 func TestCountSketchResetNarrows(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(11))
 	for name, reset := range map[string]func(*CountSketch) *CountSketch{
@@ -601,29 +652,33 @@ func TestCountSketchResetNarrows(t *testing.T) {
 		},
 	} {
 		for _, widener := range []struct {
-			x uint64
-			w int64
-		}{{1 << 32, 1}, {5, 1 << 31}, {5, math.MinInt32 - 1}} {
+			x    uint64
+			w    int64
+			rung uint8
+		}{
+			{1 << 24, 1, slot8}, {5, 1 << 7, slot8}, {5, math.MinInt8 - 1, slot8},
+			{1 << 32, 1, slot16}, {5, 1 << 31, slot16}, {5, math.MinInt32 - 1, slot16},
+		} {
 			c := m.New().(*CountSketch)
 			c.Add(3, 2)
-			if c.wideSlots || c.Bytes() != 8*itemsMinCap {
-				t.Fatalf("%s: a small pair left wide=%v, %d bytes", name, c.wideSlots, c.Bytes())
+			if c.rung != slot4 || c.Bytes() != 4*itemsMinCap {
+				t.Fatalf("%s: a small pair left %d-byte slots, %d bytes", name, 4<<c.rung, c.Bytes())
 			}
 			c.Add(widener.x, widener.w)
-			if !c.wideSlots || c.Bytes() != 16*itemsMinCap {
-				t.Fatalf("%s: Add(%d,%d) left wide=%v, %d bytes", name, widener.x, widener.w, c.wideSlots, c.Bytes())
+			if c.rung != widener.rung || c.Bytes() != itemsMinCap*4<<widener.rung {
+				t.Fatalf("%s: Add(%d,%d) left %d-byte slots, %d bytes", name, widener.x, widener.w, 4<<c.rung, c.Bytes())
 			}
 			c.Add(widener.x, -widener.w) // cancelling the pair does not narrow the table
-			if !c.wideSlots || c.n != 1 || c.EstimateItem(3) != 2 {
-				t.Fatalf("%s: after cancelling wide=%v, %d pairs", name, c.wideSlots, c.n)
+			if c.rung != widener.rung || c.n != 1 || c.EstimateItem(3) != 2 {
+				t.Fatalf("%s: after cancelling %d-byte slots, %d pairs", name, 4<<c.rung, c.n)
 			}
 			got := reset(c)
-			if got != c || got.wideSlots || got.n != 0 || got.Bytes() > 8*itemsMinCap {
-				t.Fatalf("%s: came back wide=%v with %d pairs in %d bytes", name, got.wideSlots, got.n, got.Bytes())
+			if got != c || got.rung != slot4 || got.n != 0 || got.Bytes() != 0 {
+				t.Fatalf("%s: came back at %d-byte slots with %d pairs in %d bytes", name, 4<<got.rung, got.n, got.Bytes())
 			}
 			got.Add(3, 2)
-			if got.wideSlots || got.Bytes() != 8*itemsMinCap || got.Estimate() != 4 {
-				t.Fatalf("%s: reused sketch wide=%v, %d bytes, Estimate %v", name, got.wideSlots, got.Bytes(), got.Estimate())
+			if got.rung != slot4 || got.Bytes() != 4*itemsMinCap || got.Estimate() != 4 {
+				t.Fatalf("%s: reused sketch at %d-byte slots, %d bytes, Estimate %v", name, 4<<got.rung, got.Bytes(), got.Estimate())
 			}
 			m.Recycle(got)
 		}
@@ -638,18 +693,23 @@ func TestCountSketchUnmarshalBoundaryPairs(t *testing.T) {
 	m := NewF2Maker(16, 3, hash.New(7))
 	images := boundaryPairImages(m)
 	c := m.New().(*CountSketch)
+	reached := map[uint8]int{}
 	for round := 0; round < 2; round++ {
 		for i, img := range images {
 			if err := c.UnmarshalBinary(img); err != nil {
 				t.Fatalf("image %d: %v", i, err)
 			}
-			if c.dense || c.wideSlots != needsWide(c) {
-				t.Fatalf("image %d: dense=%v, wide slots = %v, the pairs need wide = %v", i, c.dense, c.wideSlots, needsWide(c))
+			if c.dense || c.rung != needsRung(c) {
+				t.Fatalf("image %d: dense=%v, %d-byte slots, the pairs need %d", i, c.dense, 4<<c.rung, 4<<needsRung(c))
 			}
+			reached[c.rung]++
 			if again, _ := c.MarshalBinary(); !bytes.Equal(again, img) {
 				t.Fatalf("image %d: decode → encode is not the identity", i)
 			}
 		}
+	}
+	if reached[slot4] == 0 || reached[slot8] == 0 || reached[slot16] == 0 {
+		t.Fatalf("images decoded to %v tables by rung; want some at each", reached)
 	}
 }
 

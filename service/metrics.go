@@ -324,7 +324,7 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	g("corrd_uptime_seconds", "Seconds since the server was created.", int64(time.Since(m.start).Seconds()))
 	g("corrd_tenants", "Keyed namespaces registered (the default tenant included).", int64(ts.total))
 	g("corrd_tenants_live", "Tenants with a materialized engine (the rest are spilled images).", int64(ts.live))
-	g("corrd_tenant_bytes", "Sampled summed per-tenant footprint (the MaxTenantBytes input).", ts.bytes)
+	g("corrd_tenant_bytes", "Sampled summed per-tenant footprint (the MaxTenantBytes input): 8 bytes a stored word live, image length spilled; 2 to 8 times the heap behind a live tenant's sketches.", ts.bytes)
 	c("corrd_tenant_created_total", "Tenants created over this process's lifetime.", m.tenantsCreated.Load())
 	c("corrd_tenant_spills_total", "Idle tenants spilled to an in-memory image.", m.tenantsSpilled.Load())
 	c("corrd_tenant_restores_total", "Tenants materialized from an image (a spilled one on touch; the default at a restore or re-seed).", m.tenantsRestored.Load())

@@ -189,10 +189,11 @@ type Config struct {
 	// sketch stores two words per distinct item, a dense one width × depth
 	// — and a spilled one at its image length, so spilling a tenant lowers
 	// its sample by what the image's varints save and no more. Against the
-	// heap the live sample is about right for an open leaf's items table (a
-	// pair is held in 10.7 to 21 bytes of it), twice what a closed bucket's
-	// holds (cut to eight bytes a pair) and eight times a dense array, which
-	// stores nearly every counter at one byte: the safe side for a cap.
+	// heap the live sample is 1.5 to 3 times what an open leaf's items table
+	// holds (a pair sits in 5.3 to 10.7 bytes of it), four times a closed
+	// bucket's (cut to four bytes a pair) and eight times a dense array,
+	// which stores nearly every counter at one byte: the safe side for a
+	// cap, by a margin to allow for when choosing one.
 	MaxTenantBytes int64
 	// TenantIdleSpill, when positive, spills tenants untouched for at
 	// least that long: the summary is marshaled to an in-memory image

@@ -347,13 +347,16 @@ func (s *Server) spillIdle(age time.Duration) int {
 
 // liveBytes is the footprint sample of a live tenant: its summary's
 // stored words at eight bytes each, which puts it in the unit a spilled
-// tenant's image length is in. It is an accounting figure, not the heap: it
-// overstates a dense sketch eightfold, whose counters are stored at one byte
-// each until one overflows, and a closed bucket's items table twofold, whose
-// two-word pair samples at 16 bytes and is held in an 8-byte slot with none
-// empty (the safe side for MaxTenantBytes), and is about right for an open
-// leaf's table: the same slot at 3/8 to 3/4 load, 10.7 to 21 bytes.
-// Summary.Occupancy reports the bytes held.
+// tenant's image length is in. It is an accounting figure, not the heap, and
+// it overstates everything a sketch holds (the safe side for MaxTenantBytes):
+// a dense sketch eightfold, whose counters are stored at one byte each until
+// one overflows; a closed bucket's items table fourfold, whose two-word pair
+// samples at 16 bytes and is held in a 4-byte slot with none empty (twofold
+// once an identifier past 2^24 or a weight past ±127 has moved the table to
+// 8-byte slots); and an open leaf's table 1.5- to 3-fold: the same slot at
+// 3/8 to 3/4 load, 5.3 to 10.7 bytes a pair. Summary.Occupancy reports the
+// bytes held, and beside them those pooled in the maker's free lists, which
+// no sample counts.
 func liveBytes(eng Engine) int64 { return 8 * eng.Space() }
 
 // recomputeFootprint refreshes the governance gauge from the per-tenant
