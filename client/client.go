@@ -127,6 +127,75 @@ type Stats struct {
 	// spent out of healthy.
 	Health          string  `json:"health,omitempty"`
 	DegradedSeconds float64 `json:"degraded_seconds,omitempty"`
+
+	// Memory is the daemon's memory ledger; nil from a server that
+	// predates it.
+	Memory *Memory `json:"memory,omitempty"`
+}
+
+// Memory is the memory ledger of /v1/stats, in bytes: what the tenants'
+// summaries keep, what the commit pipeline keeps, the Go runtime's own split
+// of what it has mapped and the kernel's figure for the resident set — so
+// that held + pooled + headers + spilled + pipeline can be read against the
+// live heap, and the runtime's total against VmRSS, with each remainder
+// printed.
+type Memory struct {
+	// What the summaries hold — every tenant's added up, or the named
+	// tenant's with ?tenant=. Held is the tables and arrays of their sketches
+	// at the widths they are stored at (and the words a bucket is charged),
+	// Pooled what their makers' free lists keep for the next sketch, Headers
+	// the bucket and sketch structs around them; all three are zero for a
+	// spilled tenant, whose image is Spilled. TenantBytes, the
+	// -max-tenant-bytes input, is the same four as of each tenant's last
+	// commit, spill or restore; a query since then has moved bytes between a
+	// tenant's sketches and its free lists, so the sum read here can differ
+	// from it until that tenant's next commit.
+	HeldBytes    int64 `json:"held_bytes"`
+	PooledBytes  int64 `json:"pooled_bytes"`
+	HeaderBytes  int64 `json:"header_bytes"`
+	SpilledBytes int64 `json:"spilled_bytes"`
+
+	// The commit pipeline, process-wide: the committer's sorted copy of a
+	// group's members and its record-encode scratch (capacities, kept between
+	// groups up to 4 MiB each).
+	ApplyBufBytes int64 `json:"apply_buf_bytes"`
+	GroupBufBytes int64 `json:"group_buf_bytes"`
+
+	// The Go runtime's split (runtime/metrics). HeapLive is what the last
+	// collection found reachable and HeapGoal the size at which the next one
+	// ends — their ratio is GOGC's headroom; HeapObjects is live objects and
+	// garbage not yet swept, HeapUnused and HeapFree the free slots and idle
+	// spans beyond them, HeapReleased what has gone back to the kernel.
+	// Stacks, Metadata (spans, caches, GC bitmaps), Profiling and Other are
+	// off the heap; Total is everything the runtime has mapped, released
+	// included.
+	HeapLiveBytes     int64 `json:"heap_live_bytes"`
+	HeapGoalBytes     int64 `json:"heap_goal_bytes"`
+	HeapObjectsBytes  int64 `json:"heap_objects_bytes"`
+	HeapUnusedBytes   int64 `json:"heap_unused_bytes"`
+	HeapFreeBytes     int64 `json:"heap_free_bytes"`
+	HeapReleasedBytes int64 `json:"heap_released_bytes"`
+	StacksBytes       int64 `json:"stacks_bytes"`
+	MetadataBytes     int64 `json:"metadata_bytes"`
+	ProfilingBytes    int64 `json:"profiling_bytes"`
+	OtherBytes        int64 `json:"other_bytes"`
+	TotalBytes        int64 `json:"total_bytes"`
+
+	// The kernel's view (/proc/self/status; absent elsewhere): the resident
+	// set, and the file-backed part of it — the binary's own pages.
+	VmRSSBytes   int64 `json:"vm_rss_bytes,omitempty"`
+	RssFileBytes int64 `json:"rss_file_bytes,omitempty"`
+
+	// The remainders, always the whole process's. HeapUnaccounted is
+	// HeapLive less every tenant's held, pooled, header and spilled bytes and
+	// the pipeline's: request and frame decode buffers, in flight or waiting
+	// in pools, answer memos, connection and log state — and whatever was
+	// allocated since the last collection, so
+	// it is exact only right after one. RSSUnaccounted is VmRSS less the
+	// file-backed part and less Total − HeapReleased: negative while the
+	// runtime holds pages it has mapped and not yet touched.
+	HeapUnaccountedBytes int64 `json:"heap_unaccounted_bytes"`
+	RSSUnaccountedBytes  int64 `json:"rss_unaccounted_bytes,omitempty"`
 }
 
 // StageStats summarizes one commit-pipeline stage's latency histogram:

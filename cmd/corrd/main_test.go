@@ -7,6 +7,7 @@ import (
 	"flag"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -147,5 +148,31 @@ func TestShardsAndMaxStaleMeaning(t *testing.T) {
 	}
 	if again, err := cl.QueryLE(ctx, 100); err != nil || again != first {
 		t.Fatalf("inside -query-max-stale the answer moved: %v then %v (err %v)", first, again, err)
+	}
+}
+
+// TestPaceCollector: corrd sets the collector's headroom to gcPercent when
+// the operator has said nothing — GOGC unset or empty, which the runtime reads
+// the same way — and leaves the runtime alone when GOGC is a number or "off",
+// because that variable is the knob.
+func TestPaceCollector(t *testing.T) {
+	// percent reads the collector's setting by swapping it out and back in.
+	percent := func() int {
+		p := debug.SetGCPercent(100)
+		debug.SetGCPercent(p)
+		return p
+	}
+	was := percent()
+	t.Cleanup(func() { debug.SetGCPercent(was) })
+
+	for _, tc := range []struct {
+		gogc string
+		want int
+	}{{"200", 77}, {"off", 77}, {"", gcPercent}} {
+		t.Setenv("GOGC", tc.gogc)
+		debug.SetGCPercent(77)
+		if paceCollector(); percent() != tc.want {
+			t.Errorf("GOGC=%q: the percent is %d after paceCollector, want %d", tc.gogc, percent(), tc.want)
+		}
 	}
 }

@@ -190,7 +190,12 @@
 // Occupancy breaks Space down level by level and reports the bytes behind
 // each level's counters, by form, how many of the tables' are in closed
 // buckets, and — on the first row — the bytes waiting on those free lists,
-// which stand behind no counter.
+// which stand behind no counter. Footprint is the same accounting as three
+// totals — bytes held, bytes pooled, and the bytes of the bucket and sketch
+// structs around them, which Occupancy does not count — and for the F2
+// summary it is read from counts the maker keeps as tables and arrays change
+// hands, so it costs nothing to ask after every batch: corrd's per-tenant
+// memory cap and its memory ledger run on it.
 //
 // # Mergeability and distribution
 //

@@ -107,6 +107,7 @@ func (s *Summary) readSketch(data []byte) (sketch.Sketch, []byte, error) {
 		return nil, nil, errors.New("core: sketch type does not support serialization")
 	}
 	if err := bs.UnmarshalBinary(data[sz : sz+int(n)]); err != nil {
+		sketch.Recycle(s.maker, sk) // with whatever it decoded before the bad byte
 		return nil, nil, err
 	}
 	return sk, data[sz+int(n):], nil
@@ -163,21 +164,23 @@ func (s *Summary) readNode(data []byte, iv dyadic.Interval) (*bucket, []byte, er
 	}
 	if !iv.Single() {
 		lc, rc := iv.Children()
-		if b.left, data, err = s.readNode(data, lc); err != nil {
-			return nil, nil, err
-		}
-		if b.right, data, err = s.readNode(data, rc); err != nil {
-			return nil, nil, err
+		if b.left, data, err = s.readNode(data, lc); err == nil {
+			b.right, data, err = s.readNode(data, rc)
 		}
 	} else {
 		// Single-point intervals are always leaves; consume their two
 		// nil child markers.
-		for k := 0; k < 2; k++ {
+		for k := 0; k < 2 && err == nil; k++ {
 			if len(data) < 1 || data[0] != 0 {
-				return nil, nil, ErrBadEncoding
+				err = ErrBadEncoding
+			} else {
+				data = data[1:]
 			}
-			data = data[1:]
 		}
+	}
+	if err != nil {
+		s.recycleTree(b) // the part of the subtree decoded before the bad byte
+		return nil, nil, err
 	}
 	return b, data, nil
 }

@@ -146,10 +146,44 @@ func (s *Summary) MergeMarshaled(data []byte) error {
 
 // ParseMergeImage decodes data (a MarshalBinary image of a compatible
 // summary) into a MergeImage without touching the receiver. Apply it with
-// ApplyMergeImage.
+// ApplyMergeImage, or hand its sketches back with Discard.
 func (s *Summary) ParseMergeImage(data []byte) (*MergeImage, error) {
+	img := &MergeImage{in: incoming{owned: true}, owner: s}
+	if err := s.parseInto(&img.in, data); err != nil {
+		img.Discard() // what was decoded before the bad byte
+		return nil, err
+	}
+	return img, nil
+}
+
+// Discard ends the life of an image that will not be applied: its sketches
+// came from the owner's maker — whose running byte count has them on the
+// books — and go back to it. Applying an image is the other way to end it;
+// after either, Discard does nothing.
+func (img *MergeImage) Discard() {
+	if img == nil || img.applied {
+		return
+	}
+	img.applied = true
+	s, in := img.owner, img.in
+	sketch.Recycle(s.maker, in.shared)
+	if in.s0 != nil {
+		for _, b := range in.s0.buckets {
+			sketch.Recycle(s.maker, b.sk)
+		}
+	}
+	for _, lv := range in.levels {
+		if lv != nil {
+			s.recycleTree(lv.root)
+		}
+	}
+}
+
+// parseInto is ParseMergeImage's decode, filling in as it goes so that a
+// failure leaves behind exactly what has to be discarded.
+func (s *Summary) parseInto(in *incoming, data []byte) error {
 	if len(data) < 1 || data[0] != coreMarshalVersion {
-		return nil, ErrBadEncoding
+		return ErrBadEncoding
 	}
 	data = data[1:]
 	// Config-compatibility block: the image must come from a summary
@@ -158,7 +192,7 @@ func (s *Summary) ParseMergeImage(data []byte) (*MergeImage, error) {
 	for i := range cfgVals {
 		v, n := binary.Uvarint(data)
 		if n <= 0 {
-			return nil, ErrBadEncoding
+			return ErrBadEncoding
 		}
 		cfgVals[i] = v
 		data = data[n:]
@@ -169,97 +203,100 @@ func (s *Summary) ParseMergeImage(data []byte) (*MergeImage, error) {
 	}
 	switch {
 	case cfgVals[0] != math.Float64bits(s.cfg.Eps):
-		return nil, compat.Mismatch("eps", s.cfg.Eps, math.Float64frombits(cfgVals[0]))
+		return compat.Mismatch("eps", s.cfg.Eps, math.Float64frombits(cfgVals[0]))
 	case cfgVals[1] != math.Float64bits(s.cfg.Delta):
-		return nil, compat.Mismatch("delta", s.cfg.Delta, math.Float64frombits(cfgVals[1]))
+		return compat.Mismatch("delta", s.cfg.Delta, math.Float64frombits(cfgVals[1]))
 	case cfgVals[2] != s.cfg.YMax:
-		return nil, compat.Mismatch("ymax", s.cfg.YMax, cfgVals[2])
+		return compat.Mismatch("ymax", s.cfg.YMax, cfgVals[2])
 	case cfgVals[3] != s.cfg.Seed:
-		return nil, compat.Mismatch("seed", s.cfg.Seed, cfgVals[3])
+		return compat.Mismatch("seed", s.cfg.Seed, cfgVals[3])
 	case cfgVals[4] != strict:
-		return nil, compat.Mismatch("stricttheory", strict == 1, cfgVals[4] == 1)
+		return compat.Mismatch("stricttheory", strict == 1, cfgVals[4] == 1)
 	}
 	var vals [4]uint64 // n, alpha, lmax, virginFrom
 	for i := range vals {
 		v, n := binary.Uvarint(data)
 		if n <= 0 {
-			return nil, ErrBadEncoding
+			return ErrBadEncoding
 		}
 		vals[i] = v
 		data = data[n:]
 	}
 	if int(vals[1]) != s.alpha {
-		return nil, compat.Mismatch("alpha", s.alpha, vals[1])
+		return compat.Mismatch("alpha", s.alpha, vals[1])
 	}
 	if int(vals[2]) != s.lmax {
-		return nil, compat.Mismatch("levels", s.lmax, vals[2])
+		return compat.Mismatch("levels", s.lmax, vals[2])
 	}
 	if vals[3] < 1 || vals[3] > uint64(s.lmax)+1 {
-		return nil, ErrBadEncoding
+		return ErrBadEncoding
 	}
-	in := incoming{n: vals[0], virginFrom: int(vals[3]), owned: true}
+	in.n, in.virginFrom = vals[0], int(vals[3])
 	var err error
 	if in.shared, data, err = s.readSketch(data); err != nil {
-		return nil, err
+		return err
 	}
 	// Singleton level.
 	y0, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, ErrBadEncoding
+		return ErrBadEncoding
 	}
 	data = data[n:]
 	cnt, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, ErrBadEncoding
+		return ErrBadEncoding
 	}
 	data = data[n:]
 	// Each singleton entry costs at least two bytes of payload, so a
 	// count beyond the remaining bytes is hostile; checking before the
 	// map pre-size keeps a forged count from forcing a giant allocation.
 	if cnt > uint64(len(data)) {
-		return nil, ErrBadEncoding
+		return ErrBadEncoding
 	}
 	oz := levelZero{buckets: make(map[uint64]*bucket, cnt), y: y0}
+	in.s0 = &oz
 	for i := uint64(0); i < cnt; i++ {
 		y, n := binary.Uvarint(data)
 		if n <= 0 {
-			return nil, ErrBadEncoding
+			return ErrBadEncoding
 		}
 		data = data[n:]
 		var sk sketch.Sketch
 		if sk, data, err = s.readSketch(data); err != nil {
-			return nil, err
+			return err
+		}
+		if dup := oz.buckets[y]; dup != nil {
+			sketch.Recycle(s.maker, dup.sk) // a forged image; the later entry wins
 		}
 		oz.buckets[y] = &bucket{iv: dyadic.Interval{L: y, R: y}, sk: sk, sa: s.slotAdderOf(sk)}
 	}
-	in.s0 = &oz
 	// Bucket-tree levels.
 	in.levels = make([]*level, s.lmax+1)
 	root := dyadic.Root(s.cfg.YMax)
 	for i := 1; i <= s.lmax; i++ {
 		yv, n := binary.Uvarint(data)
 		if n <= 0 {
-			return nil, ErrBadEncoding
+			return ErrBadEncoding
 		}
 		data = data[n:]
 		cv, n := binary.Uvarint(data)
 		if n <= 0 {
-			return nil, ErrBadEncoding
+			return ErrBadEncoding
 		}
 		data = data[n:]
 		lv := &level{idx: i, y: yv, count: int(cv), thresh: s.levels[i].thresh}
 		if lv.root, data, err = s.readNode(data, root); err != nil {
-			return nil, err
+			return err
 		}
 		if lv.root == nil {
-			return nil, ErrBadEncoding
+			return ErrBadEncoding
 		}
 		in.levels[i] = lv
 	}
 	if len(data) != 0 {
-		return nil, ErrBadEncoding
+		return ErrBadEncoding
 	}
-	return &MergeImage{in: in, owner: s}, nil
+	return nil
 }
 
 // ApplyMergeImage folds a parsed image into the summary it was parsed

@@ -1,6 +1,10 @@
 package core
 
-import "github.com/streamagg/correlated/internal/sketch"
+import (
+	"unsafe"
+
+	"github.com/streamagg/correlated/internal/sketch"
+)
 
 // LevelOccupancy is what one level of a Summary holds: the breakdown behind
 // Space and Buckets, for sizing α and ℓmax against the streams a deployment
@@ -40,7 +44,8 @@ type LevelOccupancy struct {
 	// They stand behind no counter and belong to no level, so they are in
 	// no row's Bytes; the S0 row alone reports them, the others read zero.
 	// It is a property of the summary's past, not its state: a restored
-	// summary starts with empty lists.
+	// summary starts with empty lists. Footprint reports the same number
+	// beside the rows' Bytes added up, without the walk.
 	Pooled    int64
 	Watermark uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
 }
@@ -70,6 +75,60 @@ func (s *Summary) Occupancy() []LevelOccupancy {
 // they can.
 type pooler interface {
 	PooledBytes() (held, bound int)
+}
+
+// Footprint is the memory behind a summary in bytes, from counts that are
+// kept as the summary changes: reading it walks nothing.
+type Footprint struct {
+	// Held is what Occupancy's rows add up to in Bytes: every sketch's table
+	// or array at its stored width, and the words Space charges a bucket.
+	Held int64
+	// Pooled is Occupancy's Pooled: the maker's free lists.
+	Pooled int64
+	// Headers is what stands around Held and no row counts: the bucket nodes
+	// and the sketch structs, less the words of a node Held already charged.
+	// The singleton level's map and heap are not in it.
+	Headers int64
+}
+
+// Total is the three added up: the bytes the summary keeps from the collector.
+func (f Footprint) Total() int64 { return f.Held + f.Pooled + f.Headers }
+
+// Plus adds two footprints field by field.
+func (f Footprint) Plus(g Footprint) Footprint {
+	return Footprint{f.Held + g.Held, f.Pooled + g.Pooled, f.Headers + g.Headers}
+}
+
+// bookkeeper is a maker that keeps running counts of what its sketches hold.
+type bookkeeper interface {
+	pooler
+	HeldBytes() int
+	HeaderBytes() int
+}
+
+// bucketBytes is what the allocator hands out for a bucket node.
+const bucketBytes = (int64(unsafe.Sizeof(bucket{})) + 15) &^ 15
+
+// Footprint returns the summary's memory from the maker's running counts and
+// the per-level bucket counts. A maker that keeps no books has every counter
+// charged at one word, 8 × Space — which is what Occupancy's Bytes add up to
+// for it — found by Space's walk.
+func (s *Summary) Footprint() Footprint {
+	bk, ok := s.maker.(bookkeeper)
+	if !ok {
+		return Footprint{Held: 8 * s.Space()}
+	}
+	singles, nodes := int64(len(s.s0.buckets)), int64(0)
+	for i := 1; i <= s.lmax; i++ {
+		nodes += int64(s.levels[i].count)
+	}
+	charged := 8*singles + 16*nodes // the y of a singleton, the interval of a node
+	pooled, _ := bk.PooledBytes()
+	return Footprint{
+		Held:    int64(bk.HeldBytes()) + charged,
+		Pooled:  int64(pooled),
+		Headers: int64(bk.HeaderBytes()) + (singles+nodes)*bucketBytes - charged,
+	}
 }
 
 // count charges n one-word counters to the level.
@@ -135,6 +194,6 @@ func (o *LevelOccupancy) visit(b *bucket) {
 }
 
 var (
-	_ formed = (*sketch.CountSketch)(nil)
-	_ pooler = (*sketch.F2Maker)(nil)
+	_ formed     = (*sketch.CountSketch)(nil)
+	_ bookkeeper = (*sketch.F2Maker)(nil)
 )

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"github.com/streamagg/correlated/internal/hash"
 )
@@ -190,11 +191,21 @@ const (
 // items tables by size, each bounded by a constant (maxPool, maxWidePool,
 // maxTablePool; PooledBytes adds them up). A maker and its lists belong to one
 // goroutine at a time, the one driving its sketches.
+//
+// And it keeps the books: every table and array a sketch holds came through
+// the maker and goes back through it, so HeldBytes — Σ Bytes over its
+// sketches — is a running count kept at those hand-overs, and reading it
+// walks nothing. The count follows storage, not reachability: a sketch holding
+// a table must be Recycled (or Reset) before it is dropped, or its bytes stay
+// on the books.
 type F2Maker struct {
 	width, depth int
 	rowH         []*hash.FourWise
 
 	itemsMax int // most pairs an items-form sketch holds
+
+	held        int // Σ Bytes() over the maker's sketches
+	live, dense int // sketches New handed out and Recycle has not taken back; the dense ones among them
 
 	pool []*CountSketch // free list of reset (empty, items-form) sketches
 	// Zeroed dense arrays for the next promotions (pool8) and widenings,
@@ -267,6 +278,7 @@ func (m *F2Maker) Recycle(sk Sketch) {
 		return
 	}
 	cs.Reset()
+	m.live--
 	if len(m.pool) < maxPool {
 		m.pool = append(m.pool, cs)
 	}
@@ -282,8 +294,10 @@ func tableClass(words int) int {
 	return bits.TrailingZeros(uint(words)) - 2
 }
 
-// takeTable returns that many zeroed words, pooled if there are any.
+// takeTable returns that many zeroed words for a sketch to hold, pooled if
+// there are any.
 func (m *F2Maker) takeTable(words int) []uint64 {
+	m.held += 8 * words
 	if k := tableClass(words); k < len(m.tables) {
 		return takeArray(&m.tables[k], words)
 	}
@@ -294,6 +308,7 @@ func (m *F2Maker) takeTable(words int) []uint64 {
 // retable — or leaves it to the collector when it is cut, wider than the lists
 // go, or its list is full. Every view of the table is dead from here on.
 func (m *F2Maker) putTable(tab []uint64) {
+	m.held -= 8 * len(tab)
 	if k := tableClass(len(tab)); k < len(m.tables) {
 		putArray(&m.tables[k], tab, maxTablePool)
 	}
@@ -312,6 +327,26 @@ func (m *F2Maker) PooledBytes() (held, bound int) {
 	bound += array * (maxPool - 3*maxWidePool + (2+4+8)*maxWidePool)
 	return held, bound
 }
+
+// HeldBytes returns Σ Bytes over the maker's sketches: the tables and arrays
+// they hold right now, free lists excluded. It is a field read.
+func (m *F2Maker) HeldBytes() int { return m.held }
+
+// HeaderBytes returns the memory of the sketch structs themselves, which no
+// sketch's Bytes counts: one CountSketch for each sketch handed out and not
+// recycled, and the array headers of each dense one. It counts the size class
+// the allocator rounds a struct into, and leaves out the array headers a
+// recycled sketch keeps while it is back in the items form.
+func (m *F2Maker) HeaderBytes() int {
+	return m.live*countSketchBytes + m.dense*denseStateBytes
+}
+
+// What the allocator hands out for the two structs: 80 bytes is a size class
+// of its own, 56 rounds up to 64.
+const (
+	countSketchBytes = int(unsafe.Sizeof(CountSketch{}))
+	denseStateBytes  = (int(unsafe.Sizeof(denseState{})) + 15) &^ 15
+)
 
 // NewF2MakerError returns a Maker sized for relative error upsilon with
 // failure probability gamma. Following the paper's own experimental setup,
@@ -344,6 +379,7 @@ func (m *F2Maker) Name() string { return "f2/countsketch" }
 // Either way the sketch is empty and in the items form: it allocates its
 // table on the first update, and a dense array only if it promotes.
 func (m *F2Maker) New() Sketch {
+	m.live++
 	if n := len(m.pool); n > 0 {
 		cs := m.pool[n-1]
 		m.pool[n-1] = nil
@@ -489,7 +525,7 @@ func (c *CountSketch) Compact() {
 		return
 	}
 	m, old := c.maker, c.table
-	fit := table{make([]uint64, tableWords(c.n, old.rung)), old.rung}
+	fit := table{m.takeTable(tableWords(c.n, old.rung)), old.rung}
 	if old.rung == slot16 {
 		j := 0
 		for k := range old.slots() {
@@ -661,6 +697,8 @@ func (c *CountSketch) allocDense() {
 	c.c8, c.cw = takeArray(&m.pool8, m.depth*m.width), 1
 	clear(c.rowF2)
 	c.dense = true
+	m.held += c.Bytes()
+	m.dense++
 }
 
 // sumSquares sets each rowF2 entry to the sum, in index order, of the
@@ -687,6 +725,8 @@ func (c *CountSketch) Reset() {
 	if c.dense {
 		c.release()
 		c.dense = false
+		c.maker.held -= 8 * len(c.rowF2)
+		c.maker.dense--
 	}
 	c.maker.putTable(c.tab)
 	c.table, c.n, c.f2hi, c.f2lo = table{}, 0, 0, 0

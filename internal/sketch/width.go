@@ -152,6 +152,7 @@ func putArray[T any](pool *[][]T, a []T, limit int) {
 // release zeroes and pools the array cw names, leaving the sketch without one.
 func (c *CountSketch) release() {
 	m := c.maker
+	m.held -= int(c.cw) * m.width * m.depth
 	switch c.cw {
 	case 1:
 		putArray(&m.pool8, c.c8, maxPool-3*maxWidePool)
@@ -189,7 +190,10 @@ func (c *CountSketch) widen() {
 		wider := widened(takeArray(&m.pool64, len(c.wide.c32)), c.wide.c32)
 		c.release()
 		c.wide.c64, c.cw = wider, 8
+	default:
+		return
 	}
+	m.held += int(c.cw) * m.width * m.depth
 }
 
 // at returns dense counter j.

@@ -131,6 +131,7 @@ func (d *dual) mergeMarshaled(data []byte) error {
 	}
 	if frames[1] != nil {
 		if imgs[1], err = d.ge.ParseMergeImage(frames[1]); err != nil {
+			imgs[0].Discard()
 			return err
 		}
 	}

@@ -65,6 +65,10 @@ func (s *summary) Space() int64 { return s.d.space() }
 // LevelOccupancy.
 func (s *summary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
 
+// Footprint reports the bytes of memory behind the summary; see Footprint.
+// Space is the paper's metric, in counters; this is the heap's.
+func (s *summary) Footprint() Footprint { return s.d.footprint() }
+
 // Count reports tuples inserted.
 func (s *summary) Count() uint64 { return s.d.count() }
 

@@ -3,6 +3,7 @@ package correlated
 import (
 	"cmp"
 	"errors"
+	"sync"
 
 	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/core"
@@ -92,9 +93,17 @@ type dual struct {
 	ge   *core.Summary
 	ymax uint64 // rounded domain top, shared by both directions
 	pred Predicate
-
-	geScratch []Tuple // reused mirrored-batch buffer for addBatch
 }
+
+// mirrors holds the GE direction's mirrored batches between applies. A batch
+// is mirrored, applied and done with inside one addBatchDirs, so the mirror
+// is no summary's state: however many summaries a process drives, they share
+// what the applies in flight need.
+var mirrors = sync.Pool{New: func() any { return new([]Tuple) }}
+
+// maxPooledMirror is the largest mirror kept for reuse, in tuples: 4 MiB, the
+// bound corrd puts on its own long-lived scratch.
+const maxPooledMirror = 4 << 20 / 24
 
 func newDual(agg core.Aggregate, o Options) (*dual, error) {
 	d := &dual{pred: o.Predicate, ymax: dyadic.RoundYMax(o.YMax)}
@@ -144,7 +153,7 @@ const parallelBatchMin = 64
 
 // addBatch feeds a batch through the underlying summaries' amortized
 // batched path. The batch is sorted by y in place; when the GE direction
-// is enabled its mirrored copy lives in a scratch slice owned by d.
+// is enabled its mirrored copy lives in a pooled scratch slice (mirrors).
 func (d *dual) addBatch(batch []Tuple) error {
 	return d.addBatchDirs(batch, len(batch) >= parallelBatchMin)
 }
@@ -172,10 +181,18 @@ func (d *dual) addBatchDirs(batch []Tuple, parallel bool) error {
 	}
 	var geDone chan error
 	if d.ge != nil {
-		if cap(d.geScratch) < len(batch) {
-			d.geScratch = make([]Tuple, len(batch))
+		mp := mirrors.Get().(*[]Tuple)
+		if cap(*mp) < len(batch) {
+			*mp = make([]Tuple, len(batch))
 		}
-		mir := d.geScratch[:len(batch)]
+		// Handed back once the GE side is done with it: a return below waits
+		// for geDone before this runs.
+		defer func() {
+			if cap(*mp) <= maxPooledMirror {
+				mirrors.Put(mp)
+			}
+		}()
+		mir := (*mp)[:len(batch)]
 		for i, t := range batch {
 			mir[i] = Tuple{X: t.X, Y: d.ymax - t.Y, W: t.W}
 		}
@@ -276,6 +293,25 @@ func (d *dual) occupancy() (le, ge []LevelOccupancy) {
 		ge = d.ge.Occupancy()
 	}
 	return le, ge
+}
+
+// Footprint is the memory behind a summary in bytes — what its sketches hold
+// (Occupancy's Bytes, added up), what their makers' free lists hold
+// (Occupancy's Pooled) and the bucket and sketch structs around them — read
+// from counts kept as the summary changes, so asking walks nothing. Only the
+// F2 sketch keeps such counts; the other aggregates answer 8 × Space() as
+// Held, by Space's walk.
+type Footprint = core.Footprint
+
+// footprint adds up the enabled directions.
+func (d *dual) footprint() Footprint {
+	var f Footprint
+	for _, side := range []*core.Summary{d.le, d.ge} {
+		if side != nil {
+			f = f.Plus(side.Footprint())
+		}
+	}
+	return f
 }
 
 func (d *dual) count() uint64 {

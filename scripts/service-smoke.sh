@@ -79,6 +79,15 @@ EXPECTED=$((N + 2))
 if [ "$COUNT" != "$EXPECTED" ]; then
   echo "FAIL: count $COUNT != $EXPECTED" >&2; exit 1
 fi
+# The memory ledger: the summaries hold something, and what they hold is
+# inside what the kernel says is resident.
+mem() { echo "$STATS" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2; }
+echo "$STATS" | grep -q '"memory":{' || { echo "FAIL: /v1/stats has no memory object" >&2; exit 1; }
+HELD=$(mem held_bytes); POOLED=$(mem pooled_bytes); HEADERS=$(mem header_bytes); RSS=$(mem vm_rss_bytes)
+if [ "${HELD:-0}" -le 0 ] || [ $((HELD + POOLED + HEADERS)) -gt "${RSS:-0}" ]; then
+  echo "FAIL: memory ledger: held $HELD + pooled $POOLED + headers $HEADERS against VmRSS $RSS" >&2; exit 1
+fi
+echo "memory: held $HELD + pooled $POOLED + headers $HEADERS of VmRSS $RSS"
 Q1=$(curl -fsS "$BASE/v1/query?op=le&c=$CUTOFF")
 echo "query: $Q1"
 # Fetch the exposition once, then grep the buffer: grep -q on a live

@@ -476,7 +476,9 @@ func statusForQuery(err error) int {
 // ?tenant= key the engine fields describe the default tenant (the
 // single-tenant wire shape, unchanged) plus registry-wide aggregates;
 // with one, the engine fields and per-tenant counters describe that
-// tenant — materializing it if it was spilled, like any other touch.
+// tenant — materializing it if it was spilled, like any other touch. The
+// memory object (memory.go) follows the same rule for what the summaries
+// hold and is process-wide for the rest.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	tn := s.def
 	named := r.URL.Query().Has("tenant")
@@ -489,14 +491,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	eng, err := s.ensureEngineLocked(tn)
 	var count uint64
 	var space int64
+	var mem *client.Memory
+	var accounted int64
 	if err == nil {
 		count, space = eng.Count(), eng.Space()
+		var view *tenant // nil: every tenant
+		if named {
+			view = tn
+		}
+		mem, accounted = s.memoryLedgerLocked(view)
 	}
 	s.mu.Unlock()
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, err)
 		return
 	}
+	finishLedger(mem, accounted)
 	if named {
 		tn.touch()
 	}
@@ -533,6 +543,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 		Health:          healthName(s.health.state.Load()),
 		DegradedSeconds: s.degradedSeconds(),
+
+		Memory: mem,
 	}
 	if named {
 		st.Tenant = tn.name
@@ -606,7 +618,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders the Prometheus text exposition. The default
 // tenant's engine gauges are sampled under the driver lock (Space walks
-// the summary — scrape-rate traffic, not hot-path traffic).
+// the summary — scrape-rate traffic, not hot-path traffic); nothing a
+// scrape reads stops the world.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	es := engineStats{count: s.def.eng.Count(), space: s.def.eng.Space()}

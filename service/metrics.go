@@ -5,10 +5,12 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
@@ -166,7 +168,6 @@ type metrics struct {
 	tenantsRestored      counter
 	tenantRejectedLimit  counter // creations refused by MaxTenants (429)
 	tenantRejectedMemory counter // creations refused by MaxTenantBytes (413)
-	tenantBytes          gauge   // sampled summed per-tenant footprint
 
 	// Pipeline-stage tracing (trace.go): where an acknowledged ingest's
 	// time goes — queue wait, engine apply, WAL append, fsync, ack
@@ -249,7 +250,7 @@ type engineStats struct {
 type tenantStats struct {
 	total int   // tenants registered (default included)
 	live  int   // tenants with a materialized engine
-	bytes int64 // sampled summed footprint
+	bytes int64 // Server.tenantBytes: what the tenants keep on the heap
 }
 
 // replicationStats is the replication-lag part of the exposition,
@@ -324,7 +325,7 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	g("corrd_uptime_seconds", "Seconds since the server was created.", int64(time.Since(m.start).Seconds()))
 	g("corrd_tenants", "Keyed namespaces registered (the default tenant included).", int64(ts.total))
 	g("corrd_tenants_live", "Tenants with a materialized engine (the rest are spilled images).", int64(ts.live))
-	g("corrd_tenant_bytes", "Sampled summed per-tenant footprint (the MaxTenantBytes input): 8 bytes a stored word live, image length spilled; 2 to 8 times the heap behind a live tenant's sketches.", ts.bytes)
+	g("corrd_tenant_bytes", "Bytes the tenants keep on the heap (the MaxTenantBytes input): a live summary's sketch storage, free lists and structs as of its last change, a spilled one's image length.", ts.bytes)
 	c("corrd_tenant_created_total", "Tenants created over this process's lifetime.", m.tenantsCreated.Load())
 	c("corrd_tenant_spills_total", "Idle tenants spilled to an in-memory image.", m.tenantsSpilled.Load())
 	c("corrd_tenant_restores_total", "Tenants materialized from an image (a spilled one on touch; the default at a restore or re-seed).", m.tenantsRestored.Load())
@@ -396,17 +397,20 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	c("corrd_access_log_dropped_total", "Access-log records dropped because the ring was full.", m.accessDropped.Load())
 	c("corrd_slow_requests_total", "Requests at or over the slow-request threshold, promoted to the main logger.", m.slowRequests.Load())
 
-	// Go runtime health, sampled at scrape time (scrape-rate traffic;
-	// ReadMemStats is a brief stop-the-world).
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	// Go runtime health, sampled at scrape time from runtime/metrics and
+	// debug.ReadGCStats, neither of which stops the world. The two memory
+	// gauges are the memory ledger's (/v1/stats has the whole split).
+	var mem client.Memory
+	readRuntime(&mem)
+	var gc debug.GCStats
+	debug.ReadGCStats(&gc)
 	g("corrd_go_goroutines", "Live goroutines.", int64(runtime.NumGoroutine()))
-	g("corrd_go_heap_alloc_bytes", "Bytes of live heap objects.", int64(ms.HeapAlloc))
-	g("corrd_go_heap_sys_bytes", "Heap memory obtained from the OS.", int64(ms.HeapSys))
-	c("corrd_go_gcs_total", "Completed GC cycles.", uint64(ms.NumGC))
+	g("corrd_go_heap_live_bytes", "Heap the last GC cycle found reachable (/gc/heap/live:bytes).", mem.HeapLiveBytes)
+	g("corrd_go_memory_total_bytes", "Everything the Go runtime has mapped, heap and off-heap, released pages included (/memory/classes/total:bytes).", mem.TotalBytes)
+	c("corrd_go_gcs_total", "Completed GC cycles.", uint64(gc.NumGC))
 	fmt.Fprintf(w, "# HELP corrd_go_gc_pause_total_seconds Cumulative GC stop-the-world pause time.\n")
 	fmt.Fprintf(w, "# TYPE corrd_go_gc_pause_total_seconds counter\n")
-	fmt.Fprintf(w, "corrd_go_gc_pause_total_seconds %g\n", float64(ms.PauseTotalNs)/1e9)
+	fmt.Fprintf(w, "corrd_go_gc_pause_total_seconds %g\n", gc.PauseTotal.Seconds())
 	fmt.Fprintf(w, "# HELP corrd_build_info Build metadata; the value is always 1.\n")
 	fmt.Fprintf(w, "# TYPE corrd_build_info gauge\n")
 	fmt.Fprintf(w, "%s\n", m.buildInfo)

@@ -329,7 +329,7 @@ func (s *Server) applyGroupLocked(group []*ingestJob, caps bool) (batches []tena
 	}
 	// Sized once, so a tenant's span is not moved by a later tenant's.
 	buf := slices.Grow(s.applyBuf[:0], total)
-	sample := s.cfg.MaxTenantBytes > 0
+	note := s.notesAtCommit()
 	// batches is rebuilt over touched's own array — it never outruns the
 	// read — keeping the tenants whose engine took their batch.
 	touched := batches
@@ -361,10 +361,8 @@ func (s *Server) applyGroupLocked(group []*ingestJob, caps bool) (batches []tena
 		t.inGroup = false
 		t.epoch.Add(1)
 		t.touch()
-		if sample {
-			// The sample walks the summary's buckets; it feeds the
-			// MaxTenantBytes cap.
-			t.footprint.Store(liveBytes(t.eng))
+		if note {
+			s.noteFootprintLocked(t)
 		}
 	}
 	s.applyBuf, s.touchedBuf = buf, touched
@@ -429,6 +427,9 @@ func (s *Server) applyJobLocked(j *ingestJob, caps bool) {
 	}
 	t.epoch.Add(1)
 	t.touch()
+	if s.notesAtCommit() {
+		s.noteFootprintLocked(t)
+	}
 }
 
 // foldOpenRoundLocked closes an open push round without a record, through
@@ -574,9 +575,6 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		if j.kind == ingestErrWAL && walErr == nil {
 			walErr = j.err
 		}
-	}
-	if s.cfg.MaxTenantBytes > 0 && applied > 0 {
-		s.recomputeFootprint()
 	}
 	policy := s.cfg.walFsync()
 	barrier := w != nil && (force || pending && policy == "always")

@@ -414,7 +414,6 @@ func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
 	if err := s.installSnapshotLocked(images); err != nil {
 		return fmt.Errorf("service: install snapshot: %w", err)
 	}
-	s.recomputeFootprint()
 	s.round = nil // superseded by the image's state
 	s.appliedLSN.Store(covered)
 	s.metrics.replicaSnapshotsInstalled.Inc()

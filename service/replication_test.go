@@ -487,9 +487,9 @@ func TestPromotedReplicaKeepsIntervalFsync(t *testing.T) {
 // tenant it touches — here it empties one the image lacks, and replaces
 // the default, a live and a spilled one — and the governance samples must
 // follow: afterwards corrd_tenant_bytes and corrd_tenants_live equal a
-// recount from the tenants themselves. MaxTenantBytes is set because that
-// is what turns live sampling on (and so what made the stale samples of
-// the tenants a re-seed overwrote visible).
+// recount from the tenants themselves — liveBytes of a live one, the image
+// length of a spilled one. The sum is kept incrementally, never recounted, so
+// this is also the check that no change of form misses noteFootprintLocked.
 func TestReplicaReseedRefreshesFootprint(t *testing.T) {
 	o := testOptions()
 	ctx := context.Background()
@@ -505,7 +505,7 @@ func TestReplicaReseedRefreshesFootprint(t *testing.T) {
 		Options: o, WALDir: t.TempDir(), WALFsync: "always",
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
-	replicaSvc, rts := newReplica(t, o, startStream(t, primary), func(c *Config) { c.MaxTenantBytes = 1 << 40 })
+	replicaSvc, rts := newReplica(t, o, startStream(t, primary), nil)
 	ingest(pts.URL, map[string]uint64{"": 1, "live": 2, "cold": 3, "gone": 4})
 	last := primary.walRef().LastLSN()
 	waitUntil(t, 10*time.Second, "replica catch-up", func() bool {
@@ -530,12 +530,10 @@ func TestReplicaReseedRefreshesFootprint(t *testing.T) {
 	wantLive := 0
 	replicaSvc.mu.Lock()
 	for _, tn := range replicaSvc.tenantList() {
-		img, err := tn.imageLocked()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBytes += int64(len(img))
-		if !tn.spilledLocked() {
+		if tn.spilledLocked() {
+			wantBytes += int64(len(tn.pending))
+		} else {
+			wantBytes += liveBytes(tn.eng)
 			wantLive++
 		}
 	}

@@ -66,6 +66,7 @@ type Engine interface {
 	QueryGE(c uint64) (float64, error)
 	Count() uint64
 	Space() int64
+	Footprint() correlated.Footprint
 	Reset()
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary(data []byte) error
@@ -182,18 +183,22 @@ type Config struct {
 	// past the cap is rejected with HTTP 429 (AckTenant on the stream).
 	// 0 means unlimited.
 	MaxTenants int
-	// MaxTenantBytes caps the summed per-tenant memory footprint in bytes
-	// (sampled at commit and spill time); creating a tenant past it is
-	// rejected with HTTP 413. 0 means unlimited. A live tenant samples at
-	// eight bytes per stored word of its summary's Space() — an items-form
-	// sketch stores two words per distinct item, a dense one width × depth
-	// — and a spilled one at its image length, so spilling a tenant lowers
-	// its sample by what the image's varints save and no more. Against the
-	// heap the live sample is 1.5 to 3 times what an open leaf's items table
-	// holds (a pair sits in 5.3 to 10.7 bytes of it), four times a closed
-	// bucket's (cut to four bytes a pair) and eight times a dense array,
-	// which stores nearly every counter at one byte: the safe side for a
-	// cap, by a margin to allow for when choosing one.
+	// MaxTenantBytes caps what the tenants keep on the heap, in bytes;
+	// creating a tenant past it is rejected with HTTP 413. 0 means
+	// unlimited. A live tenant counts what its summary holds — sketch
+	// tables and arrays at their stored widths, the makers' free lists, the
+	// bucket and sketch structs (correlated.Footprint: running counts for
+	// the F2 summary, true to a few per cent of a heap profile; the other
+	// aggregates count eight bytes a stored word) — as of the last commit,
+	// restore or re-seed that touched it, and a spilled one its image
+	// length, so spilling a tenant lowers its count by the empty slots and
+	// structs an image does not carry. The sum (tenant_bytes in /v1/stats,
+	// corrd_tenant_bytes) is kept whether or not a cap is set, except that
+	// a commit to an fk, count or sum summary — whose count is a walk —
+	// refreshes it only under a cap. It is two fifths to two thirds of the
+	// resident set on corrdbench's workloads: the collector's headroom
+	// (GOGC), the runtime's own structures and the binary come on top, and
+	// /v1/stats' memory object prints each.
 	MaxTenantBytes int64
 	// TenantIdleSpill, when positive, spills tenants untouched for at
 	// least that long: the summary is marshaled to an in-memory image
@@ -265,6 +270,11 @@ func newEngine(cfg *Config) (Engine, error) {
 	}
 }
 
+// countsBytes reports whether the configured aggregate's Footprint reads
+// running counts (the F2 summary's, kept by its sketch maker) or walks every
+// bucket of the summary, as Space does (fk, count, sum).
+func (c *Config) countsBytes() bool { return c.aggregate() == "f2" }
+
 // decodeState is one pooled set of ingest scratch buffers: the raw
 // body (or stream frame payload), the decoded tuple batch, and the
 // commit-pipeline job (whose done channel is reused), recycled across
@@ -315,7 +325,7 @@ type Server struct {
 	regMu       sync.RWMutex
 	tenants     map[string]*tenant
 	def         *tenant
-	tenantBytes atomic.Int64 // footprint sample for the MaxTenantBytes cap
+	tenantBytes atomic.Int64 // Σ tenant.footprint, moved by noteFootprintLocked: the MaxTenantBytes input
 	tenantsLive atomic.Int64
 
 	// pipe, committer state: group commit, the one log writer (pipeline.go).
@@ -437,6 +447,7 @@ func New(cfg Config) (*Server, error) {
 	s.def.touch()
 	s.tenants = map[string]*tenant{"": s.def}
 	s.tenantsLive.Store(1)
+	s.noteFootprintLocked(s.def)
 	if s.logger == nil {
 		s.logger = log.New(io.Discard, "", 0)
 	}
@@ -474,7 +485,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.recomputeFootprint()
 	s.routes()
 	// Started after recovery so the construction error paths above never
 	// leak the writer goroutine.

@@ -337,6 +337,12 @@ func (s *Server) restoreSnapshotData(path string, data []byte) (covered uint64, 
 // retention slot starts from an empty default tenant and nothing else.
 // Startup-only, before any goroutine exists, so no locks are needed.
 func (s *Server) resetRestoredState() {
+	for _, t := range s.tenants {
+		if t != s.def {
+			// Off the registry, off the books: the sum is never recounted.
+			s.tenantBytes.Add(-t.footprint.Load())
+		}
+	}
 	s.tenants = map[string]*tenant{"": s.def}
 	s.installImageLocked(s.def, nil)
 	// Cannot fail: New built this engine type already, and there is no

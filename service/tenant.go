@@ -29,11 +29,12 @@ import (
 // cost a lock-order minefield.
 //
 // Governance: MaxTenants caps the namespace count (HTTP 429 past it),
-// MaxTenantBytes caps the summed per-tenant footprint (HTTP 413) —
-// sampled at commit and spill time, so enforcement is approximate by
-// one group; the commit that would make the tenant refuses, as the
-// write's outcome. The sample is in bytes either way: eight per stored word
-// of a live tenant's Space() (liveBytes), the image length of a spilled one.
+// MaxTenantBytes caps the summed per-tenant footprint (HTTP 413) — moved
+// at every commit, spill and restore (noteFootprintLocked), so enforcement
+// is approximate by one group; the commit that would make the tenant
+// refuses, as the write's outcome. The count is in bytes either way: what a
+// live tenant's summary keeps on the heap (liveBytes), the image length of a
+// spilled one.
 // TenantIdleSpill reclaims idle tenants' memory: the summary is marshaled
 // into an in-memory image and dropped, and the next touch lazily
 // unmarshals the same bytes into a fresh one. Spill is pure memory
@@ -90,7 +91,7 @@ type tenant struct {
 	inGroup bool
 
 	lastTouch atomic.Int64 // unix nanos of the last ingest/push/query
-	footprint atomic.Int64 // bytes: liveBytes at the last commit, image length while spilled
+	footprint atomic.Int64 // bytes as of the last noteFootprintLocked: liveBytes, or the image length while spilled
 
 	// Per-tenant counters for /v1/stats?tenant=.
 	tuplesIngested atomic.Uint64
@@ -243,7 +244,7 @@ func (s *Server) installImageLocked(t *tenant, image []byte) {
 		s.tenantsLive.Add(-1)
 	}
 	t.pending = image
-	t.footprint.Store(int64(len(image)))
+	s.noteFootprintLocked(t)
 	t.memoMu.Lock()
 	t.memo = nil
 	t.memoMu.Unlock()
@@ -302,6 +303,7 @@ func (s *Server) ensureEngineLocked(t *tenant) (Engine, error) {
 	t.restores.Add(1)
 	s.tenantsLive.Add(1)
 	s.metrics.tenantsRestored.Inc()
+	s.noteFootprintLocked(t)
 	return eng, nil
 }
 
@@ -328,8 +330,8 @@ func (s *Server) spillTenant(t *tenant) bool {
 	return true
 }
 
-// spillIdle spills every non-default tenant untouched for at least age
-// and refreshes the footprint gauge; it returns how many spilled.
+// spillIdle spills every non-default tenant untouched for at least age; it
+// returns how many spilled.
 func (s *Server) spillIdle(age time.Duration) int {
 	cutoff := time.Now().Add(-age).UnixNano()
 	spilled := 0
@@ -341,36 +343,40 @@ func (s *Server) spillIdle(age time.Duration) int {
 			spilled++
 		}
 	}
-	s.recomputeFootprint()
 	return spilled
 }
 
-// liveBytes is the footprint sample of a live tenant: its summary's
-// stored words at eight bytes each, which puts it in the unit a spilled
-// tenant's image length is in. It is an accounting figure, not the heap, and
-// it overstates everything a sketch holds (the safe side for MaxTenantBytes):
-// a dense sketch eightfold, whose counters are stored at one byte each until
-// one overflows; a closed bucket's items table fourfold, whose two-word pair
-// samples at 16 bytes and is held in a 4-byte slot with none empty (twofold
-// once an identifier past 2^24 or a weight past ±127 has moved the table to
-// 8-byte slots); and an open leaf's table 1.5- to 3-fold: the same slot at
-// 3/8 to 3/4 load, 5.3 to 10.7 bytes a pair. Summary.Occupancy reports the
-// bytes held, and beside them those pooled in the maker's free lists, which
-// no sample counts.
-func liveBytes(eng Engine) int64 { return 8 * eng.Space() }
+// liveBytes is what a live tenant's summary keeps on the heap: the tables and
+// arrays its sketches hold at the widths they are stored at, what their
+// makers' free lists hold, and the bucket and sketch structs around them
+// (correlated.Footprint, added up). For the F2 summary those are running
+// counts — reading them walks nothing — and true to within a few per cent of
+// the heap profile; the other aggregates, which keep none, answer eight bytes
+// per stored word of Space(), by Space's walk.
+func liveBytes(eng Engine) int64 { return eng.Footprint().Total() }
 
-// recomputeFootprint refreshes the governance gauge from the per-tenant
-// samples (liveBytes at the last commit; image length while spilled).
-// Enforcement against MaxTenantBytes reads this gauge, so it lags live
-// state by at most one commit group or spill scan.
-func (s *Server) recomputeFootprint() int64 {
-	var total int64
-	for _, t := range s.tenantList() {
-		total += t.footprint.Load()
+// notesAtCommit reports whether a commit notes the footprint of the tenants
+// it touched: always where the figure is a field read, and where it is a walk
+// of the summary only when a cap is there for it to feed — the apply path of
+// an fk, count or sum daemon with no cap pays no walk, and its tenants' figures
+// then stand as of their last spill, restore or re-seed.
+func (s *Server) notesAtCommit() bool {
+	return s.cfg.countsBytes() || s.cfg.MaxTenantBytes > 0
+}
+
+// noteFootprintLocked records what t costs now — liveBytes of its engine, the
+// length of its image while it is spilled — and moves the server-wide sum by
+// the difference, so the sum is never recounted. Every change of a registered
+// tenant's form ends here — a spill, a restore, a re-seed, each of which costs
+// a pass over the summary anyway — and so does a commit that touched it, under
+// notesAtCommit. Enforcement against MaxTenantBytes reads the sum.
+// Callers hold s.mu, or run before any goroutine exists.
+func (s *Server) noteFootprintLocked(t *tenant) {
+	n := int64(len(t.pending))
+	if t.eng != nil {
+		n = liveBytes(t.eng)
 	}
-	s.tenantBytes.Store(total)
-	s.metrics.tenantBytes.Set(total)
-	return total
+	s.tenantBytes.Add(n - t.footprint.Swap(n))
 }
 
 // tenantCounts summarizes the registry for /metrics and /v1/stats.

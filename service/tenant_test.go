@@ -477,21 +477,27 @@ func TestTenantGovernanceCaps(t *testing.T) {
 		t.Fatalf("stream tenant over cap: %v", err)
 	}
 
-	// Memory cap: the footprint gauge is sampled at commit, so the first
-	// tenant lands (gauge still zero), the commit records its footprint,
-	// and the next creation is refused 413.
-	svc2, ts2, _ := newTestServer(t, Config{Options: testOptions(), MaxTenantBytes: 1})
+	// Memory cap: the footprint gauge moves at commit, so the first tenant
+	// lands (the gauge holds the empty default tenant alone, a byte under
+	// the cap), the commit records its footprint, and the next creation is
+	// refused 413.
+	empty, err := newEngine(&Config{Options: testOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2, ts2, _ := newTestServer(t, Config{Options: testOptions(), MaxTenantBytes: liveBytes(empty) + 1})
 	if err := client.New(ts2.URL, client.WithTenant("fits")).AddBatch(ctx, testStream(500, 6)); err != nil {
 		t.Fatal(err)
 	}
-	// The gauge has one unit, bytes: a live tenant samples at eight per
-	// stored word, a spilled one at its image length — smaller by what
-	// the image's varints save, not by a change of unit.
+	// The gauge has one unit, bytes: a live tenant counts what its summary
+	// keeps on the heap, a spilled one its image length — smaller by the
+	// structs and empty slots an image does not carry, not by a change of
+	// unit.
 	fits := svc2.tenantByName("fits")
 	svc2.mu.Lock()
-	live := 8 * fits.eng.Space()
+	live := liveBytes(fits.eng)
 	svc2.mu.Unlock()
-	def := svc2.def.footprint.Load() // sampled when a commit touches it: never, here
+	def := svc2.def.footprint.Load() // noted when its state or form changes: at New alone, here
 	if got := svc2.tenantBytes.Load(); got != live+def || live < 1 {
 		t.Fatalf("footprint gauge %d after commit, want %d live + %d default", got, live, def)
 	}
