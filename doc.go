@@ -178,7 +178,7 @@
 // changes nothing. In memory both forms are stored as narrow as what they
 // hold allows: a table slot is four bytes — identifier in 24 bits, weight
 // in 8 — until a pair needs eight, then sixteen, a dense array stores its
-// counters at one byte each and widens itself (to two, four, then eight)
+// counters at one byte each and widens itself (to two, then eight)
 // the first time a value would not fit, and the table of a bucket that has
 // closed — which splits on the next arrival and is not written by ingest
 // again — is cut to exactly the pairs it holds. That changes no answer, no

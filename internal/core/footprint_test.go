@@ -4,21 +4,54 @@ import (
 	"testing"
 
 	"github.com/streamagg/correlated/internal/gen"
+	"github.com/streamagg/correlated/internal/sketch"
 )
 
 // The struct sizes Footprint's Headers are made of, as the allocator rounds
 // them: a bucket node and a CountSketch are 80 bytes each, the array headers
-// of a dense sketch 56 in the 64-byte class (sketch.TestCountSketchStructSize
-// pins the sketch's).
+// of a dense sketch 56 in the 64-byte class, and those of a dense sketch past
+// one byte a counter 48 more (sketch.TestCountSketchStructSize pins the
+// sketch's).
 const (
 	wantBucketBytes = 80
 	wantSketchBytes = 80
 	wantDenseBytes  = 64
+	wantWideBytes   = 48
 )
+
+// widened counts the dense sketches of s past one byte a counter.
+func widened(s *Summary) int {
+	m, ok := s.maker.(*sketch.F2Maker)
+	if !ok {
+		return 0
+	}
+	n, narrow := 0, m.Width()*m.Depth()+8*m.Depth()
+	count := func(sk sketch.Sketch) {
+		if f, ok := sk.(formed); ok && f.Dense() && f.Bytes() > narrow {
+			n++
+		}
+	}
+	var walk func(b *bucket)
+	walk = func(b *bucket) {
+		if b != nil {
+			count(b.sk)
+			walk(b.left)
+			walk(b.right)
+		}
+	}
+	for _, b := range s.s0.buckets {
+		count(b.sk)
+	}
+	for i := 1; i <= s.lmax; i++ {
+		walk(s.levels[i].root)
+	}
+	count(s.shared)
+	return n
+}
 
 // checkFootprint compares s.Footprint — running counts — with what a walk of s
 // finds: Held is Occupancy's Bytes added up, Pooled is Occupancy's, Headers
-// is one struct for each sketch and bucket the walk meets.
+// is the structs of each sketch and bucket the walk meets.
 func checkFootprint(t *testing.T, when string, s *Summary) Footprint {
 	t.Helper()
 	var held, pooled, charged int64
@@ -38,15 +71,16 @@ func checkFootprint(t *testing.T, when string, s *Summary) Footprint {
 			charged += 16 * int64(o.Stored)
 		}
 	}
+	wide := widened(s)
 	got := s.Footprint()
 	want := Footprint{
 		Held:    held,
 		Pooled:  pooled,
-		Headers: int64(sketches*wantSketchBytes+dense*wantDenseBytes+buckets*wantBucketBytes) - charged,
+		Headers: int64(sketches*wantSketchBytes+dense*wantDenseBytes+wide*wantWideBytes+buckets*wantBucketBytes) - charged,
 	}
 	if got != want {
-		t.Fatalf("%s: Footprint %+v, the walk finds %+v (%d sketches, %d dense, %d buckets)",
-			when, got, want, sketches, dense, buckets)
+		t.Fatalf("%s: Footprint %+v, the walk finds %+v (%d sketches, %d dense of which %d widened, %d buckets)",
+			when, got, want, sketches, dense, wide, buckets)
 	}
 	return got
 }
@@ -88,8 +122,8 @@ func TestFootprintIsTheWalk(t *testing.T) {
 	checkFootprint(t, "after the uniform stream", s)
 	feed(s, gen.Zipf(n, 500_000, 1_000_000, 1.1, 2))
 	f := checkFootprint(t, "after the zipf stream", s)
-	if f.Held == 0 || f.Pooled == 0 || f.Headers == 0 {
-		t.Fatalf("the streams should leave bytes of every kind: %+v", f)
+	if f.Held == 0 || f.Pooled == 0 || f.Headers == 0 || widened(s) == 0 {
+		t.Fatalf("the streams should leave bytes of every kind, and widened arrays: %+v, %d widened", f, widened(s))
 	}
 	for c := uint64(0); c < 1_000_000; c += 99_991 {
 		if _, err := s.Query(c); err != nil {

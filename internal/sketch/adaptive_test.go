@@ -3,8 +3,6 @@ package sketch
 import (
 	"bytes"
 	"fmt"
-	"math"
-	"math/big"
 	"slices"
 	"testing"
 
@@ -14,19 +12,10 @@ import (
 // The items and dense forms of CountSketch must describe the same sketch:
 // while a sketch keeps its pairs every answer is the exact one, and the
 // counters those pairs stand for — the ones it will hold once promoted — are
-// at every step the counters of a sketch that was dense from its first
-// item. These tests drive an adaptive sketch beside such a reference, and
-// beside a plain frequency map, through the same operations.
-
-// denseTwin returns a maker with m's geometry and row hashes whose sketches
-// promote on their first item: the reference the items form is checked
-// against.
-func denseTwin(m *F2Maker) *F2Maker {
-	return &F2Maker{
-		width: m.width, depth: m.depth, rowH: m.rowH,
-		medScratch: make([]float64, m.depth),
-	}
-}
+// at every step the counters of a sketch that was dense from its first item.
+// TestCountSketchFormsAgree drives that at random; the tests here pin the
+// promotion point, composition, cancellation and the image, against the same
+// reference.
 
 // counters returns the dense counters c holds or, in the items form, the
 // ones its pairs hash to — by evaluating each row's polynomial on its own,
@@ -50,261 +39,6 @@ func counters(c *CountSketch) []int64 {
 	return out
 }
 
-// pair is one adaptive sketch, its dense reference and the frequencies both
-// were fed.
-type pair struct {
-	a, r *CountSketch
-	freq map[uint64]int64
-	// huge marks a run whose weights leave the range where the dense form's
-	// float64 row sums are exact; there only the counters are compared.
-	huge bool
-}
-
-func newPair(m, ref *F2Maker) pair {
-	return pair{a: m.New().(*CountSketch), r: ref.New().(*CountSketch), freq: map[uint64]int64{}}
-}
-
-func (p pair) add(x uint64, w int64) {
-	p.a.Add(x, w)
-	p.r.Add(x, w)
-	p.freq[x] += w
-}
-
-func (p pair) merge(t *testing.T, q pair) {
-	t.Helper()
-	if err := p.a.Merge(q.a); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.r.Merge(q.r); err != nil {
-		t.Fatal(err)
-	}
-	if p.a == q.a {
-		for x, f := range p.freq {
-			p.freq[x] = 2 * f
-		}
-		return
-	}
-	for x, f := range q.freq {
-		p.freq[x] += f
-	}
-}
-
-// check compares the adaptive sketch with the reference and the brute-force
-// frequencies, then round-trips it through its image.
-func (p pair) check(t *testing.T, step string) {
-	t.Helper()
-	m := p.a.maker
-	if got, want := counters(p.a), counters(p.r); !slices.Equal(got, want) {
-		t.Fatalf("%s: counters differ from the dense reference (dense=%v)", step, p.a.dense)
-	}
-	distinct := 0
-	f2 := new(big.Int)
-	for _, f := range p.freq {
-		if f != 0 {
-			distinct++
-			f2.Add(f2, new(big.Int).Mul(big.NewInt(f), big.NewInt(f)))
-		}
-	}
-	exact := !p.huge
-	if !p.a.dense {
-		exact = true
-		if p.a.n != distinct || p.a.n > m.itemsMax || p.a.Size() != 2*distinct {
-			t.Fatalf("%s: items form with n=%d Size=%d, %d distinct items, itemsMax %d",
-				step, p.a.n, p.a.Size(), distinct, m.itemsMax)
-		}
-		got := new(big.Int).Lsh(new(big.Int).SetUint64(p.a.f2hi), 64)
-		if got.Add(got, new(big.Int).SetUint64(p.a.f2lo)); got.Cmp(f2) != 0 {
-			t.Fatalf("%s: items Σf² = %v, brute force %v", step, got, f2)
-		}
-		want, _ := new(big.Float).SetInt(f2).Float64()
-		if est := p.a.Estimate(); math.Abs(est-want) > want*0x1p-52 {
-			t.Fatalf("%s: items Estimate %v, brute force %v", step, est, want)
-		}
-		for x := uint64(0); x < 12; x++ {
-			if got := p.a.EstimateItem(x); got != float64(p.freq[x]) {
-				t.Fatalf("%s: items EstimateItem(%d) = %v, brute force %d", step, x, got, p.freq[x])
-			}
-		}
-		if b := p.a.ThresholdBudget(1 << 40); b > int64(m.itemsMax-p.a.n) {
-			t.Fatalf("%s: budget %d reaches past the %d pairs left before promotion", step, b, m.itemsMax-p.a.n)
-		}
-	} else {
-		if p.a.Size() != m.width*m.depth || p.a.tab != nil || !p.r.dense {
-			t.Fatalf("%s: dense Size = %d, table %d slots, reference dense=%v",
-				step, p.a.Size(), len(p.a.tab), p.r.dense)
-		}
-		// A float64 sum of squared integers below 2^53 is exact in every
-		// order, so there the promoted sketch and the reference agree to
-		// the bit however each got its rows.
-		for _, v := range p.r.rowF2 {
-			exact = exact && v < 1<<53
-		}
-		if exact {
-			for i, v := range p.a.rowF2 {
-				if r := p.r.rowF2[i]; v != r {
-					t.Fatalf("%s: rowF2[%d] = %v, dense %v", step, i, v, r)
-				}
-			}
-			if a, r := p.a.Estimate(), p.r.Estimate(); a != r {
-				t.Fatalf("%s: Estimate %v, dense %v", step, a, r)
-			}
-			for _, thresh := range []float64{1, 64, 1 << 20, 1 << 60} {
-				if a, r := p.a.ThresholdBudget(thresh), p.r.ThresholdBudget(thresh); a != r {
-					t.Fatalf("%s: ThresholdBudget(%g) = %d, dense %d", step, thresh, a, r)
-				}
-			}
-		}
-		for x := uint64(0); x < 12; x++ {
-			if a, r := p.a.EstimateItem(x), p.r.EstimateItem(x); a != r {
-				t.Fatalf("%s: EstimateItem(%d) = %v, dense %v", step, x, a, r)
-			}
-		}
-	}
-
-	// The image: marshaling leaves the sketch alone, a dense sketch's image
-	// is the reference's, and the decoded copy is the same sketch in the
-	// same form and encodes to the same bytes.
-	dense, n, size := p.a.dense, p.a.n, p.a.Size()
-	img, err := p.a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.a.dense != dense || p.a.n != n || p.a.Size() != size {
-		t.Fatalf("%s: MarshalBinary changed the sketch", step)
-	}
-	if dense {
-		if rimg, _ := p.r.MarshalBinary(); !bytes.Equal(img, rimg) {
-			t.Fatalf("%s: dense image differs from the reference's", step)
-		}
-	}
-	// Decode over a populated receiver: the image must replace its state.
-	dst := m.New().(*CountSketch)
-	dst.Add(99, 5)
-	if err := dst.UnmarshalBinary(img); err != nil {
-		t.Fatalf("%s: %v", step, err)
-	}
-	if dst.dense != dense || dst.Size() != size || (exact && dst.Estimate() != p.a.Estimate()) ||
-		!slices.Equal(counters(dst), counters(p.a)) {
-		t.Fatalf("%s: restored dense=%v Size=%d Estimate=%v, live dense=%v Size=%d Estimate=%v",
-			step, dst.dense, dst.Size(), dst.Estimate(), dense, size, p.a.Estimate())
-	}
-	if again, _ := dst.MarshalBinary(); !bytes.Equal(again, img) {
-		t.Fatalf("%s: unmarshal → marshal is not the identity", step)
-	}
-	m.Recycle(dst)
-}
-
-// TestCountSketchFormsAgree runs seeded random operation sequences over a
-// few registers, so merges meet every (receiver, operand) form pair.
-func TestCountSketchFormsAgree(t *testing.T) {
-	type formPair struct{ recv, op bool } // true = items form
-	seen := map[formPair]int{}
-	promoted := 0
-	for _, g := range []struct{ width, depth int }{{64, 3}, {356, 4}, {16, 1}, {50, 5}} {
-		for seed := uint64(1); seed <= 12; seed++ {
-			m := NewF2Maker(g.width, g.depth, hash.New(1000+seed))
-			ref := denseTwin(m)
-			rng := hash.New(seed)
-			// Weights: unit inserts, small signed updates, or values whose
-			// squares leave the range where float sums are exact.
-			weight := func() int64 {
-				switch rng.Uint64n(10) {
-				case 0:
-					if seed%3 == 0 {
-						return int64(rng.Uint64n(1<<40)) - 1<<39
-					}
-				case 1, 2, 3:
-					return int64(rng.Uint64n(7)) - 3
-				}
-				return 1
-			}
-			fresh := func() pair {
-				p := newPair(m, ref)
-				p.huge = seed%3 == 0
-				return p
-			}
-			regs := []pair{fresh(), fresh(), fresh()}
-			domain := 4 + rng.Uint64n(uint64(m.itemsMax))
-			var slots Slots
-			for step := 0; step < 400; step++ {
-				i := int(rng.Uint64n(3))
-				p := &regs[i]
-				wasDense := p.a.dense
-				var what string
-				switch op := rng.Uint64n(21); {
-				case op < 8:
-					x, w := rng.Uint64n(domain), weight()
-					what = fmt.Sprintf("Add(%d,%d)", x, w)
-					p.add(x, w)
-				case op < 13:
-					x, w := rng.Uint64n(domain), weight()
-					what = fmt.Sprintf("AddSlots(%d,%d)", x, w)
-					slots = m.Slots(x, slots[:0])
-					p.a.AddSlots(slots, w)
-					p.r.AddSlots(slots, w)
-					p.freq[x] += w
-				case op < 14:
-					// Delete what was just added: a pair whose weight
-					// returns to zero leaves the table.
-					x := rng.Uint64n(domain)
-					what = fmt.Sprintf("Add(%d,±2)", x)
-					p.add(x, 2)
-					p.add(x, -2)
-				case op < 17:
-					q := regs[(i+1+int(rng.Uint64n(2)))%3]
-					what = fmt.Sprintf("Merge(dense=%v <- dense=%v)", p.a.dense, q.a.dense)
-					seen[formPair{!p.a.dense, !q.a.dense}]++
-					p.merge(t, q)
-				case op < 18:
-					what = "Recycle+New"
-					m.Recycle(p.a)
-					ref.Recycle(p.r)
-					*p = fresh()
-					if p.a.dense || p.a.Size() != 0 || p.a.Estimate() != 0 {
-						t.Fatalf("recycled sketch not empty: dense=%v size %d", p.a.dense, p.a.Size())
-					}
-				case op < 19:
-					what = "Merge(self)"
-					p.merge(t, *p)
-				case op < 20:
-					// A burst of fresh items, to cross the promotion point
-					// of the wider geometries.
-					k := rng.Uint64n(64)
-					what = fmt.Sprintf("burst of %d", k)
-					for base := rng.Uint64(); k > 0; k-- {
-						p.add(base+k, 1)
-					}
-				default:
-					what = "Marshal+Unmarshal"
-					for _, c := range []**CountSketch{&p.a, &p.r} {
-						img, err := (*c).MarshalBinary()
-						if err != nil {
-							t.Fatal(err)
-						}
-						dst := (*c).maker.New().(*CountSketch)
-						if err := dst.UnmarshalBinary(img); err != nil {
-							t.Fatal(err)
-						}
-						*c = dst
-					}
-				}
-				if p.a.dense && !wasDense {
-					promoted++
-				}
-				p.check(t, fmt.Sprintf("%dx%d seed %d step %d %s", g.width, g.depth, seed, step, what))
-			}
-		}
-	}
-	for _, fp := range []formPair{{true, true}, {true, false}, {false, true}, {false, false}} {
-		if seen[fp] == 0 {
-			t.Errorf("no merge with receiver items=%v, operand items=%v was generated", fp.recv, fp.op)
-		}
-	}
-	if promoted < 20 {
-		t.Errorf("only %d promotions were generated", promoted)
-	}
-}
-
 // TestCountSketchPromotionPoint stops a sketch one pair below the promotion
 // point, at it and one past it, by Add and by AddSlots, and checks the form
 // on each side of Marshal.
@@ -316,16 +50,10 @@ func TestCountSketchPromotionPoint(t *testing.T) {
 			if m.itemsMax != width*depth/itemsDivisor {
 				t.Fatalf("itemsMax = %d", m.itemsMax)
 			}
-			p := newPair(m, denseTwin(m))
-			add := func(x uint64, w int64) {
-				if !slotted {
-					p.add(x, w)
-					return
-				}
-				slots := m.Slots(x, nil)
-				p.a.AddSlots(slots, w)
-				p.r.AddSlots(slots, w)
-				p.freq[x] += w
+			p := newRegister(m, twinOf(m))
+			add := p.add
+			if slotted {
+				add = p.addSlots
 			}
 			want := m.itemsMax + target
 			for x := 0; x < want; x++ {
@@ -351,7 +79,7 @@ func TestCountSketchPromotionPoint(t *testing.T) {
 			// A pair cancelling to zero is not stored: it makes room for
 			// another without promoting, and the next one after that
 			// promotes.
-			add(1001, -p.freq[1001])
+			add(1001, -p.a.weightOf(1001))
 			p.check(t, step+" cancelled")
 			if p.a.n != want-1 {
 				t.Fatalf("after cancel n=%d, want %d", p.a.n, want-1)
@@ -376,10 +104,10 @@ func TestCountSketchPromotionPoint(t *testing.T) {
 // after — and a recycled operand never leaks into it.
 func TestCountSketchItemsMergeComposes(t *testing.T) {
 	m := NewF2Maker(356, 4, hash.New(5))
-	ref := denseTwin(m)
-	out := newPair(m, ref)
+	ref := twinOf(m)
+	out := newRegister(m, ref)
 	for i := uint64(0); i < 400; i++ {
-		sk := newPair(m, ref)
+		sk := newRegister(m, ref)
 		sk.add(i, 1)
 		sk.add(i*7919, 2)
 		out.merge(t, sk)
@@ -397,14 +125,14 @@ func TestCountSketchItemsMergeComposes(t *testing.T) {
 // intact.
 func TestCountSketchItemsTableBounded(t *testing.T) {
 	m := NewF2Maker(356, 4, hash.New(9))
-	p := newPair(m, denseTwin(m))
+	p := newRegister(m, twinOf(m))
 	for x := uint64(0); x < 40; x++ {
 		p.add(x*8, 3) // residents, clustered by the multiplicative hash
 	}
 	size := p.a.slots()
 	for x := uint64(0); x < 20_000; x++ {
-		p.a.Add(1<<32+x, 1)
-		p.a.Add(1<<32+x, -1)
+		p.add(1<<32+x, 1)
+		p.add(1<<32+x, -1)
 		if p.a.slots() != size {
 			t.Fatalf("table went from %d to %d slots", size, p.a.slots())
 		}
@@ -431,11 +159,11 @@ func TestCountSketchItemsTableBounded(t *testing.T) {
 // reference's counters.
 func TestCountSketchMergeExactnessLimits(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(21))
-	ref := denseTwin(m)
-	p := newPair(m, ref)
+	ref := twinOf(m)
+	p := newRegister(m, ref)
 	p.huge = true
 	for i, w := range []int64{1<<26 - 1, 1 << 31, 3037000500, -(1 << 40), 1<<61 - 1, -(1<<61 - 1)} {
-		sk := newPair(m, ref)
+		sk := newRegister(m, ref)
 		sk.add(uint64(i), w)
 		sk.add(uint64(100+i), -w)
 		p.merge(t, sk)
@@ -457,7 +185,7 @@ func TestCountSketchMergeExactnessLimits(t *testing.T) {
 // and so does its restored copy; marshaling changes neither.
 func TestCountSketchMarshalSettlesForm(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(31))
-	p := newPair(m, denseTwin(m))
+	p := newRegister(m, twinOf(m))
 	for x := uint64(0); x <= uint64(m.itemsMax); x++ {
 		p.add(x, 1)
 	}
@@ -534,7 +262,7 @@ func TestCountSketchCanonicalImage(t *testing.T) {
 // with the same counters and estimates, and re-marshals in today's format.
 func TestCountSketchUnmarshalVersion2(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(43))
-	ref := denseTwin(m).New().(*CountSketch)
+	ref := denseSketch(m)
 	live := m.New().(*CountSketch)
 	for x := uint64(0); x < 10; x++ {
 		ref.Add(x, int64(x)-3)
@@ -578,7 +306,7 @@ func TestCountSketchUnmarshalVersion2(t *testing.T) {
 // version, restores the same counters and re-marshals canonically.
 func TestCountSketchUnmarshalPaddedZeros(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(41))
-	src := denseTwin(m).New().(*CountSketch)
+	src := denseSketch(m)
 	src.Add(7, 3)
 	src.Add(9, -2)
 	canonical, err := src.MarshalBinary()

@@ -37,22 +37,24 @@ import (
 // sketches never promote. Size reports what is stored: two words per pair,
 // d·w once dense.
 //
-// Each form in turn has stored widths behind the one API, because the
-// reduction keeps what a sketch holds small: a level-ℓ bucket closes once its
-// estimate reaches 2^(ℓ+1), which holds a pair's weight and a dense counter
-// near √2^(ℓ+1) — under 128 through level 12. So a table starts at four bytes
-// a slot — the identifier in 24 bits, the weight in 8, two slots a word — and
-// is rewritten slot for slot at eight — 32 bits and 32 — and then at sixteen,
-// each the first time a pair whose identifier or weight needs more has to be
-// stored; a promoted sketch starts at one byte a counter — on the streams
-// measured so far nearly every array above level 12 stays inside ±127 too —
-// and widens the whole array in place — int8 → int16 → int32 → int64 — the
-// first time an update, a merged addend or a decoded counter would not fit.
-// Only Reset goes back. Nobody chooses a width and nothing reads one: pairs
-// are always handled as (uint64, int64) values and counters as int64, the
-// image is varint-coded, and Size keeps counting two words a pair and one a
+// Each form in turn is stored as narrow as what it holds allows, because the
+// reduction keeps that small: a level-ℓ bucket closes once its estimate
+// reaches 2^(ℓ+1), which holds a pair's weight and a dense counter near
+// √2^(ℓ+1). A table slot is four bytes — identifier in 24 bits, weight in 8,
+// two slots a word — which every table of corrbench's preset streams keeps;
+// then eight, 32 bits and 32, which a stream of 32-bit identifiers fills by
+// the thousand; then sixteen, the last resort, which no measured stream
+// reaches. A counter is int8 in nearly every array; then int16, which holds
+// two in five of a zipf stream's arrays; then int64, for the handful at its
+// top levels and whatever a weight can reach. A table is rewritten slot for
+// slot, or an array widened in place, the first time a pair or a counter needs
+// the next rung; only Reset goes back. Nobody chooses a width and nothing
+// reads one: pairs are handled as (uint64, int64) values and counters as
+// int64, the image is varint-coded and Size counts two words a pair and one a
 // counter, so every estimate, budget and image byte is what 16-byte slots and
-// an all-int64 array give. Bytes reports what the widths change.
+// an all-int64 array give; Bytes reports what the widths change. The layer is
+// closed at one to two bytes a counter: further space has to come from fewer
+// counters (α and the sketch width, ROADMAP.md), not narrower ones.
 //
 // The same rule says when a table is finished: a closed bucket splits on the
 // next arrival and ingest never writes to it again, so Compact rewrites a
@@ -74,7 +76,7 @@ type CountSketch struct {
 	maker *F2Maker
 	dense bool
 	shift uint8 // items: 64 − log2(slots), the multiplicative-hash shift of a hashed table
-	cw    uint8 // dense: bytes per stored counter — 1, 2, 4 or 8
+	cw    uint8 // dense: bytes per stored counter — 1, 2 or 8
 	n     int   // items: pairs held
 
 	// Items form. A slot with weight 0 is empty: a pair whose weight returns
@@ -92,19 +94,18 @@ type CountSketch struct {
 
 // denseState is what only a dense sketch holds: d*w counters, row-major
 // (flat for locality), in the one array cw names. Nearly every dense sketch
-// stays at one byte, so only that array has its header here; the other three
+// stays at one byte, so only that array has its header here; the other two
 // sit behind a second pointer set by the first widening, which keeps this in
-// the 64-byte size class.
+// the 64-byte size class — three headers here would make it 96.
 type denseState struct {
 	c8    []int8
 	wide  *wideCounters
 	rowF2 []float64 // incrementally maintained sum of squares per row
 }
 
-// wideCounters holds the array of a dense sketch that has left int8.
+// wideCounters holds the array of a dense sketch past int8; Reset drops it.
 type wideCounters struct {
 	c16 []int16
-	c32 []int32
 	c64 []int64
 }
 
@@ -204,15 +205,14 @@ type F2Maker struct {
 
 	itemsMax int // most pairs an items-form sketch holds
 
-	held        int // Σ Bytes() over the maker's sketches
-	live, dense int // sketches New handed out and Recycle has not taken back; the dense ones among them
+	held    int // Σ Bytes() over the maker's sketches
+	headers int // the structs of the sketches New handed out and Recycle has not taken back
 
 	pool []*CountSketch // free list of reset (empty, items-form) sketches
 	// Zeroed dense arrays for the next promotions (pool8) and widenings,
 	// at most maxPool between them: see maxWidePool.
 	pool8  [][]int8
 	pool16 [][]int16
-	pool32 [][]int32
 	pool64 [][]int64
 	// Zeroed hashed tables for the next retable, by size class: tables[k]
 	// holds at most maxTablePool tables of 4<<k words, up to the words of an
@@ -278,7 +278,7 @@ func (m *F2Maker) Recycle(sk Sketch) {
 		return
 	}
 	cs.Reset()
-	m.live--
+	m.headers -= countSketchBytes
 	if len(m.pool) < maxPool {
 		m.pool = append(m.pool, cs)
 	}
@@ -323,8 +323,8 @@ func (m *F2Maker) PooledBytes() (held, bound int) {
 		bound += maxTablePool * (32 << k)
 	}
 	array := m.width * m.depth
-	held += array * (len(m.pool8) + 2*len(m.pool16) + 4*len(m.pool32) + 8*len(m.pool64))
-	bound += array * (maxPool - 3*maxWidePool + (2+4+8)*maxWidePool)
+	held += array * (len(m.pool8) + 2*len(m.pool16) + 8*len(m.pool64))
+	bound += array * (maxNarrowPool + (2+8)*maxWidePool)
 	return held, bound
 }
 
@@ -333,19 +333,18 @@ func (m *F2Maker) PooledBytes() (held, bound int) {
 func (m *F2Maker) HeldBytes() int { return m.held }
 
 // HeaderBytes returns the memory of the sketch structs themselves, which no
-// sketch's Bytes counts: one CountSketch for each sketch handed out and not
-// recycled, and the array headers of each dense one. It counts the size class
-// the allocator rounds a struct into, and leaves out the array headers a
-// recycled sketch keeps while it is back in the items form.
-func (m *F2Maker) HeaderBytes() int {
-	return m.live*countSketchBytes + m.dense*denseStateBytes
-}
+// sketch's Bytes counts: a CountSketch for each sketch handed out and not
+// recycled, a denseState for each dense one and a wideCounters for each past
+// int8, each at its allocator size class; not the denseState a recycled
+// sketch keeps while it is back in the items form.
+func (m *F2Maker) HeaderBytes() int { return m.headers }
 
-// What the allocator hands out for the two structs: 80 bytes is a size class
-// of its own, 56 rounds up to 64.
+// What the allocator hands out for the three structs: 80 bytes is a size
+// class of its own, 56 rounds up to 64, and 48 is one too.
 const (
-	countSketchBytes = int(unsafe.Sizeof(CountSketch{}))
-	denseStateBytes  = (int(unsafe.Sizeof(denseState{})) + 15) &^ 15
+	countSketchBytes  = int(unsafe.Sizeof(CountSketch{}))
+	denseStateBytes   = (int(unsafe.Sizeof(denseState{})) + 15) &^ 15
+	wideCountersBytes = (int(unsafe.Sizeof(wideCounters{})) + 15) &^ 15
 )
 
 // NewF2MakerError returns a Maker sized for relative error upsilon with
@@ -379,7 +378,7 @@ func (m *F2Maker) Name() string { return "f2/countsketch" }
 // Either way the sketch is empty and in the items form: it allocates its
 // table on the first update, and a dense array only if it promotes.
 func (m *F2Maker) New() Sketch {
-	m.live++
+	m.headers += countSketchBytes
 	if n := len(m.pool); n > 0 {
 		cs := m.pool[n-1]
 		m.pool[n-1] = nil
@@ -425,8 +424,6 @@ func (c *CountSketch) AddSlots(slots Slots, w int64) {
 			i = addRows(c.c8, rowF2, rows, w, width, i)
 		case 2:
 			i = addRows(c.wide.c16, rowF2, rows, w, width, i)
-		case 4:
-			i = addRows(c.wide.c32, rowF2, rows, w, width, i)
 		default:
 			i = addRows(c.wide.c64, rowF2, rows, w, width, i)
 		}
@@ -674,8 +671,6 @@ func (c *CountSketch) scatter(tab table) {
 			k, i = scatterPairs(m, c.c8, tab, k, i)
 		case 2:
 			k, i = scatterPairs(m, c.wide.c16, tab, k, i)
-		case 4:
-			k, i = scatterPairs(m, c.wide.c32, tab, k, i)
 		default:
 			k, i = scatterPairs(m, c.wide.c64, tab, k, i)
 		}
@@ -698,7 +693,7 @@ func (c *CountSketch) allocDense() {
 	clear(c.rowF2)
 	c.dense = true
 	m.held += c.Bytes()
-	m.dense++
+	m.headers += denseStateBytes
 }
 
 // sumSquares sets each rowF2 entry to the sum, in index order, of the
@@ -710,8 +705,6 @@ func (c *CountSketch) sumSquares() {
 		sumRows(c.c8, c.rowF2)
 	case 2:
 		sumRows(c.wide.c16, c.rowF2)
-	case 4:
-		sumRows(c.wide.c32, c.rowF2)
 	default:
 		sumRows(c.wide.c64, c.rowF2)
 	}
@@ -723,10 +716,13 @@ func (c *CountSketch) sumSquares() {
 // recycled sketch starts as a new one does.
 func (c *CountSketch) Reset() {
 	if c.dense {
+		if c.cw > 1 {
+			c.maker.headers -= wideCountersBytes
+		}
 		c.release()
-		c.dense = false
+		c.wide, c.dense = nil, false
 		c.maker.held -= 8 * len(c.rowF2)
-		c.maker.dense--
+		c.maker.headers -= denseStateBytes
 	}
 	c.maker.putTable(c.tab)
 	c.table, c.n, c.f2hi, c.f2lo = table{}, 0, 0, 0
@@ -848,8 +844,6 @@ func (c *CountSketch) addCounters(o *CountSketch) {
 			j = addFrom(c.c8, o, j)
 		case 2:
 			j = addFrom(c.wide.c16, o, j)
-		case 4:
-			j = addFrom(c.wide.c32, o, j)
 		default:
 			j = addFrom(c.wide.c64, o, j)
 		}

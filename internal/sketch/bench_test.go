@@ -34,8 +34,7 @@ var addRegimes = []struct {
 	{"promote", 512, true, 1},             // a new sketch every 512 adds: table growth, promotion, reset
 	{"dense/int8", 4096, false, 1},        // promoted during warm-up: the dense loop, as nearly every bucket runs it
 	{"dense/int16", 4096, false, 1 << 8},  // ... over an array widened once
-	{"dense/int32", 4096, false, 1 << 20}, // ... twice
-	{"dense/int64", 4096, false, 1 << 40}, // ... and three times
+	{"dense/int64", 4096, false, 1 << 40}, // ... and twice
 }
 
 func benchAddRegimes(b *testing.B, slotted bool) {

@@ -10,10 +10,8 @@ import (
 )
 
 // An items table is hashed or cut to fit and nothing may depend on which but
-// Bytes. The tests below drive a sketch beside a twin that is Compacted after
-// every step — so every write to it lands on a cut table — over identifiers on
-// both sides of 2^24 and of 2^32 and weights on both sides of 2^7 and of 2^31,
-// and beside a model of the pairs both should hold.
+// Bytes. The tests below pin the edges of a cut: the promotion point, the
+// fewest pairs, and a Reset.
 
 // primeTables leaves m's free lists holding tables of every size class that
 // sketches at every rung have filled and handed back, so that a step which
@@ -39,230 +37,6 @@ func primeTables(t *testing.T, m *F2Maker) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestCountSketchCutTableAgrees runs seeded random operation sequences over a
-// few registers, in the idiom of TestCountSketchTableWidthsAgree. A merge
-// draws each side's operand from either sketch of the other register, so cut
-// and hashed tables meet as receiver and operand in all four ways. Both makers
-// start with their free lists primed, and every table a step leaves goes back
-// to them while the other registers' tables, and the views a merge walks, are
-// still read: a table handed back unzeroed, or too early, shows as a pair
-// nobody added.
-func TestCountSketchCutTableAgrees(t *testing.T) {
-	type reg struct {
-		a, r  *CountSketch
-		model tableModel // the pairs both should hold
-	}
-	seen := map[string]int{} // steps that ended on, or went through, each case
-	for _, g := range []struct{ width, depth int }{{16, 3}, {64, 4}, {356, 4}} {
-		for seed := uint64(1); seed <= 12; seed++ {
-			m := NewF2Maker(g.width, g.depth, hash.New(4000+seed))
-			twin := wideTwin(m)
-			primeTables(t, m)
-			primeTables(t, twin)
-			rng := hash.New(seed)
-			// Weights in units alone, up to 2^13 as well, or up to 2^31 too.
-			wTier := seed / 3 % 3
-			weight := func() int64 {
-				var w int64
-				switch k := rng.Uint64n(16); {
-				case k == 0 && wTier == 2:
-					w = 1<<31 - 2 + int64(rng.Uint64n(5))
-				case k <= 3 && wTier >= 1:
-					w = int64(rng.Uint64n(1 << 13))
-				default:
-					w = 1 + int64(rng.Uint64n(3))
-				}
-				if rng.Uint64n(4) == 0 {
-					w = -w
-				}
-				return w
-			}
-			// A domain on either side of the promotion point and, in a third
-			// of the runs each, of 2^24 and of 2^32.
-			domain := uint64(m.itemsMax)/2 + 1 + rng.Uint64n(uint64(m.itemsMax)+4)
-			ident := func() uint64 {
-				x := rng.Uint64n(domain)
-				switch seed % 3 {
-				case 1:
-					x += 1<<24 - domain/2
-				case 2:
-					x += 1<<32 - domain/2
-				}
-				return x
-			}
-			model := func() tableModel { return tableModel{freq: map[uint64]int64{}} }
-			fresh := func() reg { return reg{m.New().(*CountSketch), twin.New().(*CountSketch), model()} }
-			regs := []reg{fresh(), fresh(), fresh()}
-			recycle := func(p *reg) {
-				m.Recycle(p.a)
-				twin.Recycle(p.r)
-			}
-			var slots Slots
-			for step := 0; step < 300; step++ {
-				i := int(rng.Uint64n(3))
-				p := &regs[i]
-				wasDense := p.r.dense
-				// add applies (x, w) to both sketches, by Add or AddSlots. The
-				// twin's table was cut: any write must leave it hashed, with
-				// room for one pair more than it held.
-				add := func(x uint64, w int64, slotted bool) {
-					held := p.r.n
-					if slotted {
-						slots = m.Slots(x, slots[:0])
-						p.a.AddSlots(slots, w)
-						p.r.AddSlots(slots, w)
-					} else {
-						p.a.Add(x, w)
-						p.r.Add(x, w)
-					}
-					p.model.add(x, w)
-					if w != 0 && !p.r.dense && p.r.slots() != tableFor(held+1) {
-						t.Fatalf("%dx%d seed %d step %d: a write to a cut table of %d pairs left %d slots, want %d",
-							g.width, g.depth, seed, step, held, p.r.slots(), tableFor(held+1))
-					}
-				}
-				var what string
-				switch op := rng.Uint64n(20); {
-				case op < 6:
-					x, w := ident(), weight()
-					what = fmt.Sprintf("Add(%d,%d)", x, w)
-					add(x, w, false)
-				case op < 10:
-					x, w := ident(), weight()
-					what = fmt.Sprintf("AddSlots(%d,%d)", x, w)
-					add(x, w, true)
-				case op < 12:
-					// Cancel a pair outright: the cut table is hashed again
-					// and the pair leaves it by backward shift.
-					x := ident()
-					what = fmt.Sprintf("Add(%d,%d) to zero", x, -p.model.freq[x])
-					add(x, -p.model.freq[x], op == 10)
-				case op < 16:
-					q := &regs[(i+int(rng.Uint64n(3)))%3] // itself one time in three
-					fromA, fromR := q.a, q.r
-					if rng.Uint64n(2) == 0 {
-						fromA = q.r // hashed <- cut
-					}
-					if rng.Uint64n(2) == 0 && q != p {
-						fromR = q.a // cut <- hashed
-					}
-					what = fmt.Sprintf("Merge(hashed <- cut=%v, cut <- cut=%v, self=%v)", fromA == q.r, fromR == q.r, q == p)
-					if !p.a.dense && !fromA.dense {
-						seen[fmt.Sprintf("merges hashed <- cut=%v", fromA == q.r)]++
-					}
-					if !p.r.dense && !fromR.dense {
-						seen[fmt.Sprintf("merges cut <- cut=%v", fromR == q.r)]++
-						if q == p {
-							seen["merges of a cut table into itself"]++
-						}
-					}
-					if err := p.a.Merge(fromA); err != nil {
-						t.Fatal(err)
-					}
-					if err := p.r.Merge(fromR); err != nil {
-						t.Fatal(err)
-					}
-					if p.a.dense {
-						// A dense receiver adds an items-form operand pair by
-						// pair in table order, and past 2^53 its incremental
-						// row sums round by that order, as they already do
-						// between a live table and a restored one. Re-sum, as
-						// a restart does.
-						p.a.sumSquares()
-						p.r.sumSquares()
-					}
-					p.model.merge(&q.model)
-				case op < 18:
-					what = "Compose"
-					out := reg{
-						Compose(m, []Sketch{regs[0].a, regs[1].a, regs[2].a}).(*CountSketch),
-						Compose(twin, []Sketch{regs[0].r, regs[1].r, regs[2].r}).(*CountSketch),
-						model(),
-					}
-					for j := range regs {
-						out.model.merge(&regs[j].model)
-					}
-					recycle(p)
-					*p = out
-				case op < 19:
-					what = "Recycle+New"
-					recycle(p)
-					*p = fresh()
-				default:
-					what = "Marshal+Unmarshal"
-					for _, c := range []**CountSketch{&p.a, &p.r} {
-						img, err := (*c).MarshalBinary()
-						if err != nil {
-							t.Fatal(err)
-						}
-						dst := (*c).maker.New().(*CountSketch)
-						if err := dst.UnmarshalBinary(img); err != nil {
-							t.Fatal(err)
-						}
-						(*c).maker.Recycle(*c)
-						*c = dst
-					}
-				}
-				p.r.Compact()
-				at := fmt.Sprintf("%dx%d seed %d step %d %s", g.width, g.depth, seed, step, what)
-				// Estimate, EstimateItem, ThresholdBudget, Size, form, counters
-				// and image bytes.
-				sameSketch(t, at, p.a, p.r)
-				if p.r.dense {
-					if !wasDense {
-						seen["promotions of a cut table"]++
-					}
-					continue
-				}
-				if p.a.n != len(p.model.freq) || p.r.n != len(p.model.freq) || !p.r.cut() || p.a.rung != p.r.rung {
-					t.Fatalf("%s: %d pairs (%d-byte slots), twin %d in %d slots (%d-byte), model %d",
-						at, p.a.n, 4<<p.a.rung, p.r.n, p.r.slots(), 4<<p.r.rung, len(p.model.freq))
-				}
-				// Exactly the pairs: whole words, so an odd number of four-byte
-				// slots leaves the last word's upper half, which must read empty.
-				if want := (4<<p.r.rung*p.r.n + 7) &^ 7; p.r.Bytes() != want {
-					t.Fatalf("%s: Bytes = %d right after a cut to %d pairs of %d bytes, want %d", at, p.r.Bytes(), p.r.n, 4<<p.r.rung, want)
-				}
-				if p.r.slots() != p.r.n {
-					if x, f := p.r.pairAt(p.r.n); p.r.slots() != p.r.n+1 || x != 0 || f != 0 {
-						t.Fatalf("%s: %d pairs cut into %d slots, the spare holding (%d,%d)", at, p.r.n, p.r.slots(), x, f)
-					}
-					seen["four-byte cut tables with a spare half word"]++
-				}
-				// Every pair is there, in ascending x, and nothing else is: the
-				// binary search finds what is present and misses what is absent,
-				// on either side of 2^24 and of 2^32.
-				var prev uint64
-				for k := range p.r.n {
-					x, f := p.r.pairAt(k)
-					if f == 0 || f != p.model.freq[x] || (k > 0 && x <= prev) {
-						t.Fatalf("%s: slot %d of the cut table holds (%d,%d) after x=%d, model weight %d", at, k, x, f, prev, p.model.freq[x])
-					}
-					if got := p.r.EstimateItem(x); got != float64(f) {
-						t.Fatalf("%s: cut EstimateItem(%d) = %v, the table holds %d", at, x, got, f)
-					}
-					prev = x
-				}
-				for _, x := range []uint64{ident(), ident(), 0, 7, 1<<24 - 1, 1 << 24, 1<<32 - 1, 1 << 32, 1<<32 + 7, math.MaxUint64} {
-					if a, r := p.a.EstimateItem(x), p.r.EstimateItem(x); a != float64(p.model.freq[x]) || r != a {
-						t.Fatalf("%s: EstimateItem(%d) = %v, cut %v, model %d", at, x, a, r, p.model.freq[x])
-					}
-				}
-				seen[fmt.Sprintf("cut tables of %d-byte slots", 4<<p.r.rung)]++
-			}
-		}
-	}
-	for _, name := range []string{
-		"cut tables of 4-byte slots", "cut tables of 8-byte slots", "cut tables of 16-byte slots",
-		"four-byte cut tables with a spare half word", "promotions of a cut table", "merges of a cut table into itself",
-		"merges hashed <- cut=false", "merges hashed <- cut=true", "merges cut <- cut=false", "merges cut <- cut=true",
-	} {
-		if seen[name] < 50 {
-			t.Errorf("only %d %s", seen[name], name)
 		}
 	}
 }

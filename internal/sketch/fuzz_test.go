@@ -59,7 +59,7 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 		if c.denseState != nil {
 			held = len(c.c8)
 			if c.wide != nil {
-				held += len(c.wide.c16) + len(c.wide.c32) + len(c.wide.c64)
+				held += len(c.wide.c16) + len(c.wide.c64)
 			}
 		}
 		if c.slots() > tableFor(m.itemsMax) || c.n > m.itemsMax || (c.dense && held != m.width*m.depth) {

@@ -187,8 +187,6 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 			return appendCounters(buf, c.c8), nil
 		case 2:
 			return appendCounters(buf, c.wide.c16), nil
-		case 4:
-			return appendCounters(buf, c.wide.c32), nil
 		default:
 			return appendCounters(buf, c.wide.c64), nil
 		}

@@ -34,9 +34,9 @@ func TestRecycleReturnsStorageWhenThePoolIsFull(t *testing.T) {
 	for _, d := range dense {
 		m.Recycle(d) // every one of them past maxPool
 	}
-	if len(m.pool) != maxPool || len(m.tables[0]) != maxTablePool || len(m.pool8) != maxPool-3*maxWidePool {
+	if len(m.pool) != maxPool || len(m.tables[0]) != maxTablePool || len(m.pool8) != maxNarrowPool {
 		t.Fatalf("lists hold %d sketches, %d first tables and %d int8 arrays; want %d, %d and %d",
-			len(m.pool), len(m.tables[0]), len(m.pool8), maxPool, maxTablePool, maxPool-3*maxWidePool)
+			len(m.pool), len(m.tables[0]), len(m.pool8), maxPool, maxTablePool, maxNarrowPool)
 	}
 	for _, tab := range m.tables[0] {
 		for _, w := range tab {
@@ -53,7 +53,7 @@ func TestRecycleReturnsStorageWhenThePoolIsFull(t *testing.T) {
 		}
 	}
 	held, bound := m.PooledBytes()
-	if want := maxTablePool*4*8 + (maxPool-3*maxWidePool)*m.width*m.depth; held != want || held > bound {
+	if want := maxTablePool*4*8 + (maxNarrowPool)*m.width*m.depth; held != want || held > bound {
 		t.Fatalf("PooledBytes = %d of at most %d, want %d", held, bound, want)
 	}
 	// The bound is every list full.
@@ -64,9 +64,8 @@ func TestRecycleReturnsStorageWhenThePoolIsFull(t *testing.T) {
 		m.putTable(make([]uint64, 4<<k)) // one too many: dropped
 	}
 	for i := 0; i < maxPool; i++ {
-		putArray(&m.pool8, make([]int8, m.width*m.depth), maxPool-3*maxWidePool)
+		putArray(&m.pool8, make([]int8, m.width*m.depth), maxNarrowPool)
 		putArray(&m.pool16, make([]int16, m.width*m.depth), maxWidePool)
-		putArray(&m.pool32, make([]int32, m.width*m.depth), maxWidePool)
 		putArray(&m.pool64, make([]int64, m.width*m.depth), maxWidePool)
 	}
 	if held, bound := m.PooledBytes(); held != bound {

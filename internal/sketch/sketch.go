@@ -27,13 +27,13 @@
 // is stored as narrow as what it holds allows: a table slot is four bytes —
 // identifier in 24 bits, weight in 8 — until a pair needs eight, then sixteen,
 // and the dense array's counters one byte each until one would overflow, then
-// two, then four, then eight. And a sketch whose bucket has closed, which
-// ingest never writes to again, has its table cut to exactly the pairs it
-// holds (Compact); a later write hashes it again. Three table widths, four
-// array widths, one API: no answer, image or Size depends on a width or a cut,
-// only Bytes. A table or array a sketch grows out of, or is recycled with,
-// goes back zeroed to its maker's free lists for the next sketch that needs
-// one, so ingest allocates little beyond what the summary ends up holding.
+// two, then eight. And a sketch whose bucket has closed, which ingest never
+// writes to again, has its table cut to exactly the pairs it holds (Compact);
+// a later write hashes it again. Three table widths, three array widths, one
+// API: no answer, image or Size depends on a width or a cut, only Bytes. A
+// table or array a sketch grows out of, or is recycled with, goes back zeroed
+// to its maker's free lists for the next sketch that needs one, so ingest
+// allocates little beyond what the summary ends up holding.
 package sketch
 
 import "errors"

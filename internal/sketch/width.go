@@ -1,13 +1,13 @@
 package sketch
 
-// The loops over a dense CountSketch's counters, written once over the four
+// The loops over a dense CountSketch's counters, written once over the three
 // widths a counter is stored at. Values cross these functions as int64: a
 // store checks that the value survives the narrowing (int64(T(v)) == v, which
 // is no test at all for int64) and otherwise reports where it stopped, so the
 // caller can widen the array and resume. Nothing is ever truncated.
 
 // ctr is a stored counter width.
-type ctr interface{ int8 | int16 | int32 | int64 }
+type ctr interface{ int8 | int16 | int64 }
 
 // fits reports whether v survives being stored at cw bytes.
 func fits(cw uint8, v int64) bool {
@@ -15,11 +15,11 @@ func fits(cw uint8, v int64) bool {
 	return v<<spare>>spare == v
 }
 
-// maxWidePool bounds each of a maker's three free lists of widened arrays; the
-// int8 list gets the rest of maxPool. Separate bounds, rather than one on
-// the total, keep a burst of recycled wide arrays from crowding out the
-// narrow ones every promotion starts from.
-const maxWidePool = maxPool / 8
+// maxWidePool bounds each of a maker's two free lists of widened arrays, and
+// maxNarrowPool the int8 list with the rest of maxPool. Separate bounds,
+// rather than one on the total, keep a burst of recycled wide arrays from
+// crowding out the narrow ones every promotion starts from.
+const maxWidePool, maxNarrowPool = maxPool / 8, maxPool - 2*maxWidePool
 
 // addRows adds ±w (the sign is the slot's low bit) to one counter in each of
 // rows[from:] and keeps the rows' sums of squares current. It returns
@@ -92,8 +92,6 @@ func addFrom[T ctr](dst []T, o *CountSketch, from int) int {
 		return addInto(dst, o.c8, from)
 	case 2:
 		return addInto(dst, o.wide.c16, from)
-	case 4:
-		return addInto(dst, o.wide.c32, from)
 	default:
 		return addInto(dst, o.wide.c64, from)
 	}
@@ -155,14 +153,11 @@ func (c *CountSketch) release() {
 	m.held -= int(c.cw) * m.width * m.depth
 	switch c.cw {
 	case 1:
-		putArray(&m.pool8, c.c8, maxPool-3*maxWidePool)
+		putArray(&m.pool8, c.c8, maxNarrowPool)
 		c.c8 = nil
 	case 2:
 		putArray(&m.pool16, c.wide.c16, maxWidePool)
 		c.wide.c16 = nil
-	case 4:
-		putArray(&m.pool32, c.wide.c32, maxWidePool)
-		c.wide.c32 = nil
 	case 8:
 		putArray(&m.pool64, c.wide.c64, maxWidePool)
 		c.wide.c64 = nil
@@ -171,23 +166,18 @@ func (c *CountSketch) release() {
 }
 
 // widen moves a dense sketch's counters to an array of the next stored
-// width and pools the one they leave.
+// width, the first time into a new wideCounters, and pools the one they leave.
 func (c *CountSketch) widen() {
 	m := c.maker
-	if c.wide == nil {
-		c.wide = new(wideCounters)
-	}
 	switch c.cw {
 	case 1:
+		c.wide = new(wideCounters)
+		m.headers += wideCountersBytes
 		wider := widened(takeArray(&m.pool16, len(c.c8)), c.c8)
 		c.release()
 		c.wide.c16, c.cw = wider, 2
 	case 2:
-		wider := widened(takeArray(&m.pool32, len(c.wide.c16)), c.wide.c16)
-		c.release()
-		c.wide.c32, c.cw = wider, 4
-	case 4:
-		wider := widened(takeArray(&m.pool64, len(c.wide.c32)), c.wide.c32)
+		wider := widened(takeArray(&m.pool64, len(c.wide.c16)), c.wide.c16)
 		c.release()
 		c.wide.c64, c.cw = wider, 8
 	default:
@@ -203,8 +193,6 @@ func (c *CountSketch) at(j int) int64 {
 		return int64(c.c8[j])
 	case 2:
 		return int64(c.wide.c16[j])
-	case 4:
-		return int64(c.wide.c32[j])
 	default:
 		return c.wide.c64[j]
 	}
@@ -220,8 +208,6 @@ func (c *CountSketch) put(j int, v int64) {
 		c.c8[j] = int8(v)
 	case 2:
 		c.wide.c16[j] = int16(v)
-	case 4:
-		c.wide.c32[j] = int32(v)
 	default:
 		c.wide.c64[j] = v
 	}

@@ -30,15 +30,26 @@ echo "call sites of the tenant maker (service): $(count '[.](getOrCreateTenant|t
 echo "validateBatch call sites under the driver lock (apply*Locked): $(awk '/^func /{fn=$0} /[.]validateBatch\(/ && fn ~ /apply[A-Za-z]*Locked/' $svc | wc -l)"
 
 echo "go statements per package (non-test):"
-total=0 per=
-for dir in $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path './.*' -printf '%h\n' | sort -u); do
+total=0 per= ttotal=0 tper=
+for dir in $(find . -name '*.go' ! -path './benchmarks/*' ! -path './.*' -printf '%h\n' | sort -u); do
 	files=$(nontest "$dir")
-	n=$(count '^\s*go (func\b|[A-Za-z_][A-Za-z0-9_.]*\()' $files)
-	[ "$n" -gt 0 ] && echo "  ${dir#./}: $n"
-	lines=$(cat $files | wc -l)
-	total=$((total + lines))
-	per="$per  ${dir#./}: $lines"$'\n'
+	if [ -n "$files" ]; then
+		n=$(count '^\s*go (func\b|[A-Za-z_][A-Za-z0-9_.]*\()' $files)
+		[ "$n" -gt 0 ] && echo "  ${dir#./}: $n"
+		lines=$(cat $files | wc -l)
+		total=$((total + lines))
+		per="$per  ${dir#./}: $lines"$'\n'
+	fi
+	files=$(find "$dir" -maxdepth 1 -name '*_test.go' | sort)
+	if [ -n "$files" ]; then
+		lines=$(cat $files | wc -l)
+		ttotal=$((ttotal + lines))
+		tper="$tper  ${dir#./}: $lines"$'\n'
+	fi
 done
 echo "non-test Go lines per package (outside benchmarks/):"
 printf '%s' "$per"
 echo "non-test Go lines, total: $total"
+echo "test Go lines per package (outside benchmarks/):"
+printf '%s' "$tper"
+echo "test Go lines, total: $ttotal"
