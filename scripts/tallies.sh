@@ -21,6 +21,7 @@ echo "service.Config fields: $(fields Config service/service.go | wc -l)"
 echo "/metrics series (every corrd_* name in service/metrics.go): $(grep -ohE 'corrd_[a-z0-9_]+' service/metrics.go | sort -u | wc -l)"
 echo "Engine methods: $(fields Engine service/service.go | wc -l)"
 echo "mutexes on Server: $(fields Server service/service.go | grep -cE 'sync\.(RW)?Mutex')"
+echo "Server fields: $(fields Server service/service.go | wc -l)"
 echo "s.mu.Lock() sites (service): $(count 's\.mu\.Lock\(\)' $svc)"
 echo "WAL record types: $(count '^[[:space:]]Record[A-Za-z]+ +RecordType = ' internal/wal/wal.go)"
 echo "wal.Options fields: $(fields Options internal/wal/wal.go | wc -l)"

@@ -11,6 +11,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,19 +182,11 @@ func TestChaosDegradedModeHTTP(t *testing.T) {
 	if !svc.healthDegraded() {
 		t.Fatalf("server did not degrade after repeated wal failures (last: %v)", lastErr)
 	}
-	// Baseline for the frozen-state check, taken at the moment the
-	// machine trips: the nacked attempts that tripped it were applied to
-	// the live engine before their durability barrier failed (the
-	// ambiguous outcome a nack permits), but once degraded the gate
-	// refuses writes before they touch the engine, so from here the
-	// count must not move.
-	preCount := func() uint64 {
-		st, err := cl.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Count
-	}()
+	// The nacked attempts that tripped the machine never reached the
+	// engine — the commit applies only what its log holds — and once
+	// degraded the gate refuses writes before the commit sees them, so the
+	// count is the acked batch's from here on.
+	const preCount = 1_000
 
 	// Degraded contract: writes 503 with Retry-After and the degraded
 	// message, reads fine, readyz not ready, healthz alive.
@@ -436,6 +429,263 @@ func TestChaosFailedBarrierNacksItsDemanders(t *testing.T) {
 				t.Fatalf("restarted server holds %d tuples, want %d", got, wantCount)
 			}
 		})
+	}
+}
+
+// TestChaosUnappliedRecordStopsTheApply: a logged record the live state
+// fails to apply — admission rules it out, so the test hands the committer
+// a batch beyond YMax itself — degrades the server, and nothing after it
+// applies: appliedLSN, a snapshot's coverage, stays before it, so no
+// checkpoint prunes it and a restart meets it, and no probe recovers.
+func TestChaosUnappliedRecordStopsTheApply(t *testing.T) {
+	cfg := walConfig(t)
+	svc, _, cl := newTestServer(t, cfg)
+	if err := cl.AddBatch(context.Background(), testStream(100, 1)); err != nil {
+		t.Fatal(err)
+	}
+	before := svc.appliedLSN.Load()
+	bad := &ingestJob{tuples: []correlated.Tuple{{X: 1, Y: cfg.Options.YMax + 1, W: 1}}, done: make(chan struct{}, 1)}
+	svc.commitGroup([]*ingestJob{bad})
+	<-bad.done
+	if bad.kind != ingestErrEngine || !svc.healthDegraded() {
+		t.Fatalf("a logged record that failed to apply: kind %d, degraded %t", bad.kind, svc.healthDegraded())
+	}
+	good := &ingestJob{tuples: testStream(50, 2), done: make(chan struct{}, 1)}
+	svc.commitGroup([]*ingestJob{good})
+	<-good.done
+	if !errors.Is(good.err, errStateBehindLog) {
+		t.Fatalf("a record after the unapplied one: err %v, want errStateBehindLog", good.err)
+	}
+	if err := svc.recoverNow(); err == nil || !svc.healthDegraded() {
+		t.Fatalf("a probe recovered a state that lacks a logged record (err %v)", err)
+	}
+	if err := svc.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered, _, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if covered != before || svc.appliedLSN.Load() != before || svc.Engine().Count() != 100 {
+		t.Fatalf("snapshot covers %d, applied %d, count %d; want %d, %d and 100",
+			covered, svc.appliedLSN.Load(), svc.Engine().Count(), before, before)
+	}
+}
+
+// TestChaosNackedWriteLeavesNoTrace: the commit applies only what its log
+// holds after the barrier, so a nacked write is in neither the log nor the
+// live state nor a snapshot. An ingest, a push to a tenant that exists and
+// a push that would make a tenant are each nacked by a failed fsync: the
+// served summaries do not move, no tenant is made, and a snapshot taken
+// after the nacks, with the log behind it, restarts to exactly the acked
+// writes.
+func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
+	cfg, inj := chaosConfig(t)
+	svc, ts, _ := newTestServer(t, cfg)
+	ctx := context.Background()
+	tenants := []string{"", "acme"}
+	writer := func(url, tenant string) *client.Client {
+		return client.New(url, client.WithTenant(tenant), client.WithRetries(0))
+	}
+	image := func(seed uint64) []byte {
+		site, err := correlated.NewF2Summary(cfg.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := site.AddBatch(testStream(200, seed)); err != nil {
+			t.Fatal(err)
+		}
+		img, err := site.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	summaries := func(url string) map[string][]byte {
+		out := map[string][]byte{}
+		for _, name := range tenants {
+			b, err := writer(url, name).Summary(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = b
+		}
+		return out
+	}
+	if err := writer(ts.URL, "").AddBatch(ctx, testStream(500, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer(ts.URL, "acme").Push(ctx, image(2)); err != nil {
+		t.Fatal(err)
+	}
+	acked := summaries(ts.URL)
+
+	for _, nacked := range []struct {
+		what  string
+		write func() error
+	}{
+		{"an ingest", func() error { return writer(ts.URL, "").AddBatch(ctx, testStream(300, 3)) }},
+		{"a push", func() error { return writer(ts.URL, "acme").Push(ctx, image(4)) }},
+		{"a push to a new tenant", func() error { return writer(ts.URL, "fresh").Push(ctx, image(5)) }},
+	} {
+		inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
+		if err := nacked.write(); err == nil {
+			t.Fatalf("%s whose fsync failed was acknowledged", nacked.what)
+		}
+		inj.SetPlan(nil)
+		for name, b := range summaries(ts.URL) {
+			if !bytes.Equal(b, acked[name]) {
+				t.Fatalf("%s was nacked, yet tenant %q's served summary moved", nacked.what, name)
+			}
+		}
+	}
+	if svc.tenantByName("fresh") != nil {
+		t.Fatal("a nacked push made its tenant")
+	}
+	if err := svc.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	crash(ts, svc)
+
+	svc2, ts2, _ := newTestServer(t, cfg)
+	if !svc2.Restored() {
+		t.Fatal("the restart did not restore the snapshot")
+	}
+	for name, b := range summaries(ts2.URL) {
+		if !bytes.Equal(b, acked[name]) {
+			t.Fatalf("tenant %q after snapshot and restart differs from its acked writes (%d vs %d bytes)", name, len(b), len(acked[name]))
+		}
+	}
+	if svc2.tenantByName("fresh") != nil {
+		t.Fatal("the restarted server holds the tenant a nacked push named")
+	}
+}
+
+// TestChaosSiteRoundFailedRecords: a site's push round applies each record
+// only once it is in the log. A reset whose barrier fails leaves the engine
+// as it was and ships nothing. A fold-back whose barrier fails — the
+// coordinator was down — leaves the round open, the engine holding only
+// what came after the reset; the next round folds the image back first and
+// ships the union. A snapshot taken while a round is open folds it back
+// first, or fails. Every acked tuple reaches the coordinator once, and the
+// site holds what it should live and after a restart from that snapshot.
+func TestChaosSiteRoundFailedRecords(t *testing.T) {
+	coord, err := New(Config{Options: testOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	var down atomic.Bool
+	coordTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, "coordinator down", http.StatusInternalServerError)
+			return
+		}
+		coord.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(coordTS.Close)
+
+	cfg, inj := chaosConfig(t)
+	cfg.PushTo, cfg.PushInterval = coordTS.URL, time.Hour // pushes only when the test says so
+	site, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(site.Handler())
+	cl := client.New(ts.URL, client.WithRetries(0))
+	ctx := context.Background()
+	count := func(s *Server) uint64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.def.eng.Count()
+	}
+	a, b, c := testStream(700, 1), testStream(400, 2), testStream(250, 3)
+	if err := cl.AddBatch(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+
+	// The reset's barrier is the round's first fsync.
+	inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
+	if err := site.pushOnce(); err == nil {
+		t.Fatal("a round whose reset record failed reported success")
+	}
+	inj.SetPlan(nil)
+	if n, m := count(site), count(coord); n != uint64(len(a)) || m != 0 {
+		t.Fatalf("after a failed reset: site holds %d tuples, coordinator %d; want %d and 0", n, m, len(a))
+	}
+
+	// The coordinator is down, so the round closes by a fold-back, whose
+	// barrier — the round's second fsync — fails too.
+	down.Store(true)
+	inj.SetPlan(mustPlan(t, "sync/wal-:err@2"))
+	if err := site.pushOnce(); err == nil {
+		t.Fatal("a round pushed to a dead coordinator reported success")
+	}
+	inj.SetPlan(nil)
+	if n := count(site); n != 0 {
+		t.Fatalf("a fold-back that is not in the log was applied: site holds %d tuples, want 0", n)
+	}
+	if err := cl.AddBatch(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+
+	// Disk and coordinator heal: the next tick folds the image back and
+	// ships the union.
+	down.Store(false)
+	if err := site.pushOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if n, m := count(site), count(coord); n != 0 || m != uint64(len(a)+len(b)) {
+		t.Fatalf("after the healed round: site holds %d tuples, coordinator %d; want 0 and %d", n, m, len(a)+len(b))
+	}
+	if err := cl.AddBatch(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fold-back fails again and leaves c's round open. A snapshot never
+	// images it: while the fold-back cannot be logged the snapshot fails,
+	// and once the disk heals it folds the round back before it marshals.
+	down.Store(true)
+	inj.SetPlan(mustPlan(t, "sync/wal-:err@2"))
+	if err := site.pushOnce(); err == nil {
+		t.Fatal("a round pushed to a dead coordinator reported success")
+	}
+	inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
+	if err := site.Snapshot(); err == nil {
+		t.Fatal("a snapshot over an open round whose fold-back failed reported success")
+	}
+	inj.SetPlan(nil)
+	if n := count(site); n != 0 {
+		t.Fatalf("a snapshot's fold-back that is not in the log was applied: site holds %d tuples, want 0", n)
+	}
+	if err := site.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(site); n != uint64(len(c)) {
+		t.Fatalf("after a snapshot over an open round: site holds %d tuples, want %d", n, len(c))
+	}
+	down.Store(false)
+	crash(ts, site)
+	site2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { site2.Close() })
+	if !site2.Restored() {
+		t.Fatal("the restart did not restore the snapshot")
+	}
+	if n := count(site2); n != uint64(len(c)) {
+		t.Fatalf("restarted site holds %d tuples, want %d", n, len(c))
+	}
+	if err := site2.pushOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if m := count(coord); m != uint64(len(a)+len(b)+len(c)) {
+		t.Fatalf("coordinator holds %d tuples after the restarted site's round, want %d", m, len(a)+len(b)+len(c))
 	}
 }
 
@@ -767,30 +1017,11 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 		return replicaSvc.appliedLSN.Load() >= last
 	})
 
-	// The replica's contract is "byte-identical to the acked history" —
-	// the primary's log, not its live engine: the batches that tripped
-	// degradation were applied live before their durability barrier
-	// failed (the ambiguous outcome a nack permits) but rewound out of
-	// the log, so the live primary serves a superset until its next
-	// restart. Replay the primary's own WAL into a fresh engine as the
-	// crash-free oracle.
-	oracle, err := New(Config{Options: cfg.Options})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { oracle.Close() })
-	ots := httptest.NewServer(oracle.Handler())
-	t.Cleanup(ots.Close)
-	ost := newReplayState(0, true)
-	err = svc.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
-		_, aerr := oracle.applyRecord(lsn, typ, payload, ost)
-		return aerr
-	})
-	if err != nil {
-		t.Fatalf("oracle replay: %v", err)
-	}
+	// The replica's contract is "byte-identical to the acked history",
+	// and so is the live primary's: the batches that tripped degradation
+	// were rewound out of the log and never applied.
 	for _, tenant := range []string{"", "acme"} {
-		want, err := client.New(ots.URL, client.WithTenant(tenant)).Summary(ctx)
+		want, err := client.New(ts.URL, client.WithTenant(tenant)).Summary(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -830,12 +1061,12 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 // paths they shared its unsynced suffix: one writer's failed fsync rewound
 // another's record that was then acknowledged behind a later, clean
 // barrier, and one writer's clean fsync made durable a record whose own
-// barrier had failed. So the contract checked per round is the log's:
-// after crash, heal and restart, the state the log alone rebuilds holds
-// exactly the acknowledged operations, tenant by tenant, byte for byte.
-// (The restarted server itself restores a snapshot, and a snapshot may
-// hold a batch that was applied and then nacked — the README's gray zone
-// — so it is only required to start.)
+// barrier had failed; and while the commit applied before it appended, a
+// nacked write reached the live state and the snapshots taken of it. So
+// the contract checked per round is acked-exact, twice: after crash, heal
+// and restart, both the state the log alone rebuilds and the restarted
+// server — a snapshot plus the log behind it — hold exactly the
+// acknowledged operations, tenant by tenant, byte for byte.
 func TestChaosConcurrentWriters(t *testing.T) {
 	const rounds, batches, perBatch = 16, 48, 64
 	o := testOptions()
@@ -945,15 +1176,20 @@ func TestChaosConcurrentWriters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if name != "" && len(ackedPushes) == 0 {
-				if logOnly.tenantByName(name) != nil {
-					t.Fatalf("round %d: the log holds a push to tenant %q; none was acknowledged", round, name)
+			for _, got := range []struct {
+				what string
+				srv  *Server
+			}{{"the log", logOnly}, {"the restarted server", svc2}} {
+				if name != "" && len(ackedPushes) == 0 {
+					if got.srv.tenantByName(name) != nil {
+						t.Fatalf("round %d: %s holds a push to tenant %q; none was acknowledged", round, got.what, name)
+					}
+					continue
 				}
-				continue
-			}
-			if got := tenantBytes(t, logOnly, name); !bytes.Equal(got, img) {
-				t.Fatalf("round %d: tenant %q: the log holds %d tuples, the %d acked batches and %d acked pushes make %d (%d vs %d bytes)",
-					round, name, logOnly.tenantByName(name).eng.Count(), len(ackedBatches), len(ackedPushes), eng.Count(), len(got), len(img))
+				if b := tenantBytes(t, got.srv, name); !bytes.Equal(b, img) {
+					t.Fatalf("round %d: tenant %q: %s holds %d tuples, the %d acked batches and %d acked pushes make %d (%d vs %d bytes)",
+						round, name, got.what, got.srv.tenantByName(name).eng.Count(), len(ackedBatches), len(ackedPushes), eng.Count(), len(b), len(img))
+				}
 			}
 		}
 		logOnly.Close()

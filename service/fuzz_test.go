@@ -28,7 +28,7 @@ func FuzzDecodeIngest(f *testing.F) {
 		return buf
 	}
 	batch := func(name string, tuples ...correlated.Tuple) tenantBatch {
-		return tenantBatch{&tenant{name: name}, tuples}
+		return tenantBatch{[]byte(name), tuples}
 	}
 	f.Add([]byte{})
 	f.Add(record(batch("", correlated.Tuple{X: 1, Y: 2, W: 1})))
@@ -48,27 +48,24 @@ func FuzzDecodeIngest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		st := newReplayState(0, true)
-		group, err := st.decodeIngest(payload)
+		batches, err := st.decodeIngest(payload)
 		tuples := 0
-		for _, j := range st.jobs {
-			tuples += cap(j.tuples)
+		for _, b := range st.batches {
+			tuples += cap(b.tuples)
 		}
-		if len(st.jobs) > len(payload)/3+1 || tuples > len(payload)/2 {
-			t.Fatalf("%d-byte payload allocated %d jobs holding room for %d tuples", len(payload), len(st.jobs), tuples)
+		if len(st.batches) > len(payload)/3+1 || tuples > len(payload)/2 {
+			t.Fatalf("%d-byte payload allocated %d members holding room for %d tuples", len(payload), len(st.batches), tuples)
 		}
 		if err != nil {
 			return
 		}
-		if len(payload) == 0 || len(group) == 0 {
-			t.Fatalf("accepted a %d-byte payload as %d members", len(payload), len(group))
+		if len(payload) == 0 || len(batches) == 0 {
+			t.Fatalf("accepted a %d-byte payload as %d members", len(payload), len(batches))
 		}
-		batches := make([]tenantBatch, len(group))
-		for i, j := range group {
-			if !slices.IsSortedFunc(j.tuples, func(a, b correlated.Tuple) int { return cmp.Compare(a.Y, b.Y) }) {
+		for i, b := range batches {
+			if !slices.IsSortedFunc(b.tuples, func(a, b correlated.Tuple) int { return cmp.Compare(a.Y, b.Y) }) {
 				t.Fatalf("member %d decoded out of y order", i)
 			}
-			// As the commit resolves a member's key, for the encoder.
-			batches[i] = tenantBatch{&tenant{name: string(j.key)}, j.tuples}
 		}
 		if again, err := appendIngest(nil, batches); err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("encode(decode(payload)) differs from the payload (err %v)", err)

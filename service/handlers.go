@@ -198,7 +198,7 @@ func (s *Server) nack(w http.ResponseWriter, errs *counter, kind ingestErrKind, 
 	case ingestErrBusy:
 		w.Header().Set("Retry-After", retryAfterSeconds(s.overloadRetryAfter()))
 	case ingestErrWAL:
-		// The engine holds the job but the log does not: tell the client
+		// Neither the log nor the engine holds the job: tell the client
 		// the write is not durable.
 		err = fmt.Errorf("wal append: %w", err)
 	}
@@ -275,8 +275,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.nack(w, errs, ingestErrValidate, err)
 		return
 	}
-	// The committer applies the whole group under one driver-lock section
-	// and makes it durable behind one WAL fsync: under concurrent clients
+	// The committer logs the whole group behind one WAL fsync and then
+	// applies it under one driver-lock section: under concurrent clients
 	// the per-request ack cost is the group's divided by its size.
 	d.job.op, d.job.tuples = opIngest, d.tuples
 	if !s.commitRequest(w, r, errs, &d.job) {
@@ -633,7 +633,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ws = &snap
 	}
 	var rs replicationStats
-	rs.appliedLSN = s.appliedLSN.Load()
+	if s.cfg.PrimaryAddr != "" {
+		rs.appliedLSN = s.appliedLSN.Load() // a primary's own is its log's, not a replica's position
+	}
 	rs.primaryLSN = s.primaryLSN.Load()
 	rs.lagRecords, rs.lagSeconds = s.replicationLag()
 	// Health gauges are sampled here so write's signature stays put.

@@ -61,6 +61,9 @@ type health struct {
 	walErrs    atomic.Int32 // consecutive commit groups with a WAL error
 	snapErrs   atomic.Int32 // consecutive snapshot failures
 	snapBroken atomic.Bool  // snapshots were the broken class: recovery must prove one
+	// A logged record the state failed to apply, or 0: nothing applies after
+	// it, so no snapshot covers it, and no probe recovers.
+	lost atomic.Uint64
 }
 
 func healthName(st int32) string {
@@ -176,6 +179,9 @@ func (s *Server) recoverNow() error {
 		return err
 	}
 
+	if lsn := h.lost.Load(); lsn != 0 {
+		return fail(fmt.Errorf("the state lacks logged record %d: %w", lsn, errStateBehindLog))
+	}
 	if err := s.commit(&ingestJob{op: opProbe}); err != nil { // no-op without a WAL
 		return fail(fmt.Errorf("wal probe: %w", err))
 	}

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
@@ -17,44 +19,36 @@ import (
 // Group commit: the one admission and the one log writer. Every durable
 // mutation — an ingest batch, a pushed image, the records of a site's push
 // round, a checkpoint marker, a recovery probe, a bare barrier (the interval
-// fsync policy is one, on a ticker) — is a job: its source (a handler, a
-// background loop) enqueues it and blocks, holding no lock, until the
-// committer has committed the group it rode in. enqueue admits or refuses a
-// client's job on the caller's goroutine, outside every lock: the tenant
-// key and the tuples are checked there, so nothing the committer takes can
-// be refused for what it carries. A job names its tenant by key and only
-// the commit of a write makes a tenant (tenantForWriteLocked), so a write
-// that is refused, shed or invalid leaves no trace: the registry is a
-// function of the log. The committer is the single goroutine that applies
-// jobs and that appends to, syncs, rewinds or probes the log while the
-// server runs. It takes everything queued (up to the group caps) and, under
-// one critical section of the driver lock, applies the jobs in queue order
-// and appends each one's record: a maximal run of ingest jobs is resolved
-// to tenants member by member, sorted by y per touched tenant, handed to
-// each as one AddBatch and logged as one record of those sorted batches
-// (applyGroupLocked, commitRunLocked); every other job
-// goes through the per-record apply that replay and a replica's apply loop
-// decode into (applyJobLocked). Then, outside the lock, one Sync covers
-// every record of the group — the barrier under -wal-fsync=always — and
-// only then are the waiters woken. A failed barrier has already rewound the
-// group's records inside the log and nacks every waiter behind it together;
-// no second writer exists whose fsync could make a nacked record durable or
-// whose rewind could take an acknowledged one. Under K concurrent clients
-// the fsync and the per-batch sort are paid once per group — the queue
-// refills while the previous group is fsyncing, so the pipeline stays full
-// with no timer or batching delay — and a lone client keeps groups of one.
+// fsync policy is one, on a ticker) — is a job: its source enqueues it and
+// blocks, holding no lock, until the committer has committed the group it
+// rode in. enqueue admits or refuses a client's job on the caller's
+// goroutine, outside every lock, so nothing the committer takes can be
+// refused for what it carries. Only the apply of a logged write makes a
+// tenant, so the registry is a function of the log.
 //
-// Crash-exactness holds by construction: a summary's state depends on
-// where its AddBatch calls were cut and on what each was given, and the
-// log holds exactly that — the run's WAL record (RecordIngest) is, per
-// touched tenant, the argument of that tenant's one AddBatch: its members
-// concatenated in commit order and sorted by y with the summary's own sort
-// (core.SortByY), which the summary then finds sorted and leaves alone.
-// Replay turns a record back into one job per tenant holding that batch
-// and runs the live commit's own apply on them.
+// The committer is the single goroutine that applies jobs and that appends
+// to, syncs, rewinds or probes the log while the server runs. It takes
+// everything queued (up to the group caps; a site's reset opens a group)
+// and commits it log first. Under the driver lock it decides each job's
+// record (decideLocked): a maximal run of ingest jobs is one record of a
+// batch per touched tenant — its admitted members concatenated in commit
+// order, then sorted by y outside the lock (core.SortByY; wal.go's third
+// invariant) — and a member a governance cap refuses is left out. Outside
+// the lock it appends the records and runs one Sync over them, the barrier
+// under -wal-fsync=always, which when it fails has rewound them all. Under
+// the lock again it applies exactly the records the log still holds, in
+// LSN order, through the applies replay and a replica run, advancing
+// appliedLSN, the coverage a snapshot records; then it wakes the waiters.
+// So a nacked write is in neither the log, the live state, a snapshot nor
+// a replica, and a failed append or barrier leaves nothing to undo. Under K
+// concurrent clients the fsync and the sort are paid once per group, and a
+// lone client keeps groups of one.
 
 // errShuttingDown rejects a job that arrives after Close shut the pipeline.
 var errShuttingDown = errors.New("service: shutting down")
+
+// errStateBehindLog nacks what follows a logged record the state lacks.
+var errStateBehindLog = errors.New("service: a logged record failed to apply; restart to replay the log")
 
 // errOverloaded sheds ingest when the commit queue is at its configured
 // bound. The message is wire-visible; the Go client's IsBusy matches
@@ -68,8 +62,8 @@ type ingestErrKind uint8
 const (
 	ingestOK              ingestErrKind = iota
 	ingestErrValidate                   // the key, batch or image failed validation (client's error)
-	ingestErrEngine                     // the tenant's engine could not be restored or refused the job
-	ingestErrWAL                        // the record's append or its group's barrier failed (not durable)
+	ingestErrEngine                     // the tenant's spilled image did not restore, or the engine refused a logged record
+	ingestErrWAL                        // the record's append or its group's barrier failed (not durable, not applied)
 	ingestErrShutdown                   // the server is draining; never committed
 	ingestErrTenant                     // MaxTenants refused to make the tenant the write names
 	ingestErrTenantBytes                // MaxTenantBytes refused to make it
@@ -110,31 +104,28 @@ const (
 	opPush                    // image merged into the tenant named key (RecordPush)
 	opReset                   // a site's push round opens: the default tenant is reset, image is what it held (RecordReset)
 	opPushAck                 // the round closes: the coordinator has the image (RecordPushAck)
-	opFoldback                // the round closes the other way: image merged back (RecordFoldback)
+	opFoldback                // the round closes the other way: image merged back (RecordFoldback); no round open, no record
 	opCheckpoint              // image is uvarint(covered) of a snapshot already durable (RecordCheckpoint)
 	opProbe                   // recovery probe: repair the tail, append a RecordProbe
 	opBarrier                 // no record: the group's Sync alone
 )
 
-// imageRecord is the record type of each op whose payload is its image as
-// it stands.
-var imageRecord = [...]wal.RecordType{
-	opReset: wal.RecordReset, opPushAck: wal.RecordPushAck,
-	opFoldback: wal.RecordFoldback, opCheckpoint: wal.RecordCheckpoint,
+// recordType is the record each op appends; a probe's is the log's own
+// (wal.Probe), and opBarrier writes none.
+var recordType = [...]wal.RecordType{
+	opIngest: wal.RecordIngest, opPush: wal.RecordPush, opReset: wal.RecordReset,
+	opPushAck: wal.RecordPushAck, opFoldback: wal.RecordFoldback,
+	opCheckpoint: wal.RecordCheckpoint,
 }
 
 // ingestJob is one durable mutation in flight through the commit
-// pipeline. The done channel (capacity 1, reused across requests via the
-// decodeState pool) carries the happens-before edge from the committer's
-// writes of err/kind/lsn/image to the waiter's reads. lsn is the LSN of
-// the job's record (0 without a WAL) — for an ingest batch its run's,
-// which is what a stream ack reports. key names the tenant an ingest or a
-// push addresses (it aliases the request's or the record's bytes; empty is
-// the default tenant); the commit resolves it into tn, which stays nil on a
-// job refused first. The committer only reads tuples — it sorts and logs
-// its own copy, so the ack path sees the slice as the transport decoded it.
-// A live opReset or opFoldback is queued without its image; the commit
-// fills it in.
+// pipeline. The done channel (capacity 1, reused via the decodeState pool)
+// carries the happens-before edge from the committer's writes of
+// err/kind/lsn/image/tn to the waiter's reads. lsn is the LSN of the job's
+// record (0 without a WAL). key names the tenant an ingest or a push
+// addresses (empty: the default tenant); tn is that tenant once the commit
+// applied the job. The committer only reads tuples. A live opReset or
+// opFoldback is queued without its image; the commit fills it in.
 type ingestJob struct {
 	op     jobOp
 	tuples []correlated.Tuple
@@ -175,34 +166,51 @@ const defaultGroupMax = 256
 
 // enqueue is the one admission: it hands a job to the committer — the
 // caller then blocks on j.done — or refuses it, with its outcome set. A
-// client's job (an ingest batch or a push) must carry a valid tenant key
-// and tuples a summary's AddBatch will take — checked per member, so a bad
-// one is rejected alone instead of failing the concatenated batch it would
-// have ridden in — and is shed when the queue is at IngestQueueMax, so a
-// shed request costs no engine or WAL work; the server's own jobs are
-// never shed. Every job is refused once the pipeline has shut down.
+// client's job must carry a valid tenant key and what its apply takes:
+// tuples a summary's AddBatch accepts — checked per member, so a bad one is
+// rejected alone, not with the batch it would have ridden in — or an image
+// that decodes as this server's summary. It is shed when the queue is at
+// IngestQueueMax — a push before its image is decoded — so a shed request
+// costs no engine or WAL work; the server's own jobs are never shed. Every
+// job is refused once the pipeline has shut down.
 func (s *Server) enqueue(j *ingestJob) bool {
 	j.err, j.kind, j.lsn, j.tn = nil, ingestOK, 0, nil
 	j.enqueuedAt = time.Now()
+	p := &s.pipe
 	if j.op <= opPush {
-		if j.err = tupleio.ValidateTenant(j.key); j.err == nil {
+		j.err = tupleio.ValidateTenant(j.key)
+		switch {
+		case j.err != nil:
+		case j.op == opIngest:
 			j.err = s.validateBatch(j.tuples)
+		default:
+			p.mu.Lock()
+			shed := s.shedLocked(j)
+			p.mu.Unlock()
+			if shed {
+				return false
+			}
+			// MergeMarshaled's decode, into nothing the server keeps.
+			var eng Engine
+			if eng, j.err = newEngine(&s.cfg); j.err == nil {
+				j.err = eng.UnmarshalBinary(j.image)
+			}
 		}
 		if j.err != nil {
 			j.kind = ingestErrValidate
+			if errors.Is(j.err, correlated.ErrIncompatible) {
+				j.kind = ingestErrIncompatible
+			}
 			return false
 		}
 	}
-	p := &s.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		j.err, j.kind = errShuttingDown, ingestErrShutdown
 		return false
 	}
-	if max := s.cfg.IngestQueueMax; max > 0 && len(p.queue) >= max && j.op <= opPush {
-		s.metrics.ingestShed.Inc()
-		j.err, j.kind = errOverloaded, ingestErrBusy
+	if s.shedLocked(j) {
 		return false
 	}
 	p.queue = append(p.queue, j)
@@ -210,6 +218,17 @@ func (s *Server) enqueue(j *ingestJob) bool {
 	if len(p.queue) == 1 {
 		p.cond.Signal()
 	}
+	return true
+}
+
+// shedLocked sheds a client's job while the queue is at IngestQueueMax.
+// Callers hold s.pipe.mu.
+func (s *Server) shedLocked(j *ingestJob) bool {
+	if max := s.cfg.IngestQueueMax; j.op > opPush || max <= 0 || len(s.pipe.queue) < max {
+		return false
+	}
+	s.metrics.ingestShed.Inc()
+	j.err, j.kind = errOverloaded, ingestErrBusy
 	return true
 }
 
@@ -235,7 +254,9 @@ func (s *Server) closePipeline() {
 }
 
 // committer is the single goroutine that owns the write side: take
-// everything queued (bounded by the group caps), commit it, repeat.
+// everything queued (bounded by the group caps), commit it, repeat. A reset
+// opens a group: its record is the state the jobs ahead of it leave, which
+// is only there once their group has been applied.
 func (s *Server) committer() {
 	p := &s.pipe
 	defer close(p.done)
@@ -256,7 +277,7 @@ func (s *Server) committer() {
 		take, total := 0, 0
 		for ; take < n; take++ {
 			total += len(p.queue[take].tuples)
-			if take > 0 && total > maxGroupTuples {
+			if take > 0 && (total > maxGroupTuples || p.queue[take].op == opReset) {
 				break
 			}
 		}
@@ -286,128 +307,181 @@ func (s *Server) validateBatch(batch []correlated.Tuple) error {
 	return nil
 }
 
-// tenantBatch is what one touched tenant's one AddBatch of a group was
-// given: a span of the committer's scratch (Server.applyBuf), sorted by y.
+// tenantBatch is one tenant's one AddBatch of an ingest record, sorted by
+// y: live, a span of the committer's scratch (Server.applyBuf); on replay,
+// what the record decodes into.
 type tenantBatch struct {
-	t      *tenant
+	key    []byte
 	tuples []correlated.Tuple
 }
 
-// applyGroupLocked resolves a group's members to their tenants and applies
-// them: each touched tenant gets exactly one AddBatch, of its members in
-// commit order, concatenated into the committer's scratch — a member's own
-// slice is only read — and sorted there by y with the summary's own sort
-// (core.SortByY: same sort, same input, so the order inside an equal-y run
-// is the one AddBatch itself would have produced, and AddBatch finds the
-// batch sorted). It sets every member's tn and kind (and err), bumps each
-// touched tenant's epoch, and returns what each tenant's AddBatch took, in
-// first-touch order — the record commitRunLocked logs; none when no member
-// was applied. The live committer (caps on), startup replay and a replica's
-// apply loop (caps off) all come through here: a record decodes into one
-// member per tenant, already sorted, which the sort leaves as it is — which
-// is what makes their bytes equal. A member naming a new tenant makes it, or
-// is refused alone by a cap; a group may span tenants. Callers hold s.mu, or
-// run before any goroutine exists, and hand the scratch back
-// (releaseGroupLocked) once they are done with the batches.
-func (s *Server) applyGroupLocked(group []*ingestJob, caps bool) (batches []tenantBatch) {
-	batches = s.touchedBuf[:0]
+// groupRecord is one record of a commit group: a run of ingest jobs with a
+// batch per tenant they touch, in first-touch order, or one other job; lsn
+// is where its append put it (0: the append failed, or there is no log).
+type groupRecord struct {
+	jobs    []*ingestJob
+	batches []tenantBatch
+	lsn     uint64
+}
+
+// decideLocked turns a group into its records, in queue order: a record
+// per maximal run of ingest jobs, and one per other job that writes one.
+// A member whose key may not name a tenant (admitLocked) is refused alone
+// and left out. It changes no engine and no registry; the batches are
+// still unsorted. Callers hold s.mu.
+func (s *Server) decideLocked(group []*ingestJob) []groupRecord {
 	total := 0
 	for _, j := range group {
-		if j.tn, j.kind, j.err = s.tenantForWriteLocked(j.key, caps); j.err != nil {
-			continue
-		}
-		s.registerLocked(j.tn)
-		if _, err := s.ensureEngineLocked(j.tn); err != nil {
-			j.err, j.kind = err, ingestErrEngine
-			continue
-		}
 		total += len(j.tuples)
-		if !j.tn.inGroup {
-			j.tn.inGroup = true
-			batches = append(batches, tenantBatch{t: j.tn})
-		}
 	}
 	// Sized once, so a tenant's span is not moved by a later tenant's.
 	buf := slices.Grow(s.applyBuf[:0], total)
-	note := s.notesAtCommit()
-	// batches is rebuilt over touched's own array — it never outruns the
-	// read — keeping the tenants whose engine took their batch.
-	touched := batches
-	batches = batches[:0]
-	for _, b := range touched {
-		t := b.t
+	recs := s.records[:0]
+	var made [][]byte
+	for i := 0; i < len(group); {
+		end := i + 1
+		for group[i].op == opIngest && end < len(group) && group[end].op == opIngest {
+			end++
+		}
+		// The slot keeps its batches' capacity from earlier groups.
+		recs = slices.Grow(recs, 1)[:len(recs)+1]
+		r := &recs[len(recs)-1]
+		r.jobs, r.batches, r.lsn = group[i:end], r.batches[:0], 0
+		var keep bool
+		if group[i].op == opIngest {
+			buf, keep = s.decideRunLocked(r, buf, &made)
+		} else {
+			keep = s.decideJobLocked(group[i], &made)
+		}
+		if !keep {
+			recs = recs[:len(recs)-1]
+		}
+		i = end
+	}
+	s.applyBuf, s.records = buf, recs
+	return recs
+}
+
+// decideRunLocked admits a run of ingest jobs and gathers its batches: per
+// touched tenant, the admitted members concatenated in commit order into
+// buf — a member's own slice is only read. It reports whether any member
+// was admitted. Callers hold s.mu.
+func (s *Server) decideRunLocked(r *groupRecord, buf []correlated.Tuple, made *[][]byte) ([]correlated.Tuple, bool) {
+	for _, j := range r.jobs {
+		if j.kind, j.err = s.admitLocked(j.key, made); j.kind != ingestOK {
+			continue
+		}
+		if !slices.ContainsFunc(r.batches, func(b tenantBatch) bool { return bytes.Equal(b.key, j.key) }) {
+			r.batches = append(r.batches, tenantBatch{key: j.key})
+		}
+	}
+	for k := range r.batches {
+		b := &r.batches[k]
 		lo := len(buf)
-		for _, j := range group {
-			if j.tn == t && j.kind == ingestOK {
+		for _, j := range r.jobs {
+			if j.kind == ingestOK && bytes.Equal(j.key, b.key) {
 				buf = append(buf, j.tuples...)
 			}
 		}
-		batch := buf[lo:]
-		core.SortByY(batch)
-		if err := t.eng.AddBatch(batch); err != nil {
-			// Every member passed validateBatch at admission, so the
-			// summary has no reason to refuse; if it does, it refused the
-			// whole batch untouched, and the tenant's members are nacked
-			// together and the tenant left out of the record.
-			for _, j := range group {
-				if j.tn == t && j.kind == ingestOK {
-					j.err, j.kind = err, ingestErrEngine
-				}
-			}
-			buf = buf[:lo]
-		} else {
-			batches = append(batches, tenantBatch{t, batch})
+		b.tuples = buf[lo:]
+	}
+	return buf, len(r.batches) > 0
+}
+
+// decideJobLocked decides a job that is not an ingest batch and reports
+// whether it writes a record: a push whose key is admitted, a reset with
+// state to ship (marshaled as its image), a fold-back while a round is open
+// (the round's image), every push-ack, marker and probe. Callers hold s.mu.
+func (s *Server) decideJobLocked(j *ingestJob, made *[][]byte) bool {
+	switch j.op {
+	case opPush:
+		j.kind, j.err = s.admitLocked(j.key, made)
+		return j.kind == ingestOK
+	case opReset:
+		if s.def.eng.Count() == 0 {
+			return false // nothing accumulated since the last push: no round, no record
 		}
-		t.inGroup = false
+		if j.image, j.err = s.def.eng.MarshalBinary(); j.err != nil {
+			j.kind = ingestErrEngine
+			return false
+		}
+	case opFoldback:
+		j.image = s.round
+		return len(j.image) > 0
+	case opBarrier:
+		return false
+	}
+	return true
+}
+
+// appendRecord appends one decided record; buf is the encode scratch. A
+// batch the encoder refuses (it is not sorted: a bug, never an input) is
+// an append that failed.
+func appendRecord(w *wal.WAL, buf []byte, r *groupRecord) ([]byte, uint64, error) {
+	j := r.jobs[0]
+	payload := j.image
+	var err error
+	switch j.op {
+	case opProbe:
+		lsn, err := w.Probe()
+		return buf, lsn, err
+	case opIngest:
+		buf, err = appendIngest(buf, r.batches)
+		payload = buf
+	case opPush:
+		buf = append(tupleio.AppendTenant(buf, string(j.key)), j.image...)
+		payload = buf
+	}
+	if err != nil {
+		return buf, 0, err
+	}
+	lsn, err := w.AppendNoSync(recordType[j.op], payload)
+	return buf, lsn, err
+}
+
+// applyGroupLocked is the one apply of an ingest record — the live commit,
+// startup replay and a replica's apply loop all come through here: each
+// batch is its tenant's one AddBatch of the record, already sorted by y, so
+// all three leave the same bytes. A batch naming a new tenant makes it.
+// Every batch passed validateBatch at admission, so an error here is a
+// bug, fatal to a replay. Callers hold s.mu, or run before any goroutine
+// exists.
+func (s *Server) applyGroupLocked(batches []tenantBatch) error {
+	note := s.notesAtCommit()
+	for _, b := range batches {
+		t, err := s.tenantForWriteLocked(b.key)
+		if err != nil {
+			return err
+		}
+		if err := t.eng.AddBatch(b.tuples); err != nil {
+			return err
+		}
 		t.epoch.Add(1)
 		t.touch()
 		if note {
 			s.noteFootprintLocked(t)
 		}
 	}
-	s.applyBuf, s.touchedBuf = buf, touched
-	return batches
+	return nil
 }
 
-// releaseGroupLocked ends the life of applyGroupLocked's batches: the
-// scratch they span is kept for the next group unless a rare huge one grew
-// it past what is worth holding.
-func (s *Server) releaseGroupLocked() {
-	s.applyBuf = pooledTuples(s.applyBuf)
-	clear(s.touchedBuf)
-}
-
-// applyJobLocked is the one apply of every record that is not an ingest
-// group: the live commit, startup replay and a replica's apply loop all
-// reach a push, a reset, a push-ack and a fold-back here (applyRecord
-// decodes a record into the job the live commit held). It sets a failed
-// job's kind and err, and bumps the epoch of the tenant it changed. caps
-// is applyGroupLocked's: a push is the one job here that can name a new
-// tenant. Callers hold s.mu, or run before any goroutine exists.
-func (s *Server) applyJobLocked(j *ingestJob, caps bool) {
+// applyJobLocked is the one apply of every other record: the live commit,
+// startup replay and a replica's apply loop all reach a push, a reset, a
+// push-ack and a fold-back here (applyRecord decodes a record into the job
+// the live commit held), and a marker or a probe changes nothing. It bumps
+// the epoch of the tenant it changed; a push may make its tenant. Callers
+// hold s.mu, or run before any goroutine exists.
+func (s *Server) applyJobLocked(j *ingestJob) error {
 	t := s.def
 	switch j.op {
 	case opPush:
-		if t, j.kind, j.err = s.tenantForWriteLocked(j.key, caps); j.err != nil {
-			return
+		var err error
+		if t, err = s.tenantForWriteLocked(j.key); err != nil {
+			return err
 		}
-		eng, err := s.ensureEngineLocked(t)
-		if err != nil {
-			j.err, j.kind = err, ingestErrEngine
-			return
+		if err := t.eng.MergeMarshaled(j.image); err != nil {
+			return err
 		}
-		if err := eng.MergeMarshaled(j.image); err != nil {
-			// Attacker-controlled bytes: the fuzz-hardened merge refused
-			// them and left the engine untouched — and a tenant made for
-			// them unregistered.
-			j.err, j.kind = err, ingestErrValidate
-			if errors.Is(err, correlated.ErrIncompatible) {
-				j.kind = ingestErrIncompatible
-			}
-			return
-		}
-		s.registerLocked(t)
-		j.tn = t
 	case opReset:
 		t.eng.Reset()
 		s.round = j.image
@@ -415,195 +489,149 @@ func (s *Server) applyJobLocked(j *ingestJob, caps bool) {
 		// One record carries the merge and closes the round, so a crash
 		// can never replay them separately and double-apply the image.
 		if err := t.eng.MergeMarshaled(j.image); err != nil {
-			j.err, j.kind = err, ingestErrEngine
-			return
+			return err
 		}
 		s.round = nil
 	case opPushAck:
 		s.round = nil
-		return
+		return nil
 	default:
-		return // a marker, a probe, a barrier: no state
+		return nil
 	}
 	t.epoch.Add(1)
 	t.touch()
 	if s.notesAtCommit() {
 		s.noteFootprintLocked(t)
 	}
+	return nil
 }
 
 // foldOpenRoundLocked closes an open push round without a record, through
-// the fold-back's own apply: a round whose RecordReset never became
-// durable, or one a crash or a failover cut short (the coordinator may or
-// may not hold the image; the next round ships the union — at-least-once
-// across that window, never silent loss). Callers hold s.mu, or run
-// before any goroutine exists.
+// the fold-back's apply: replay's end-of-log rule, and a promotion's (the
+// next round ships the union — at-least-once, never silent loss). Callers
+// hold s.mu, or run before any goroutine exists.
 func (s *Server) foldOpenRoundLocked(why string) error {
 	if len(s.round) == 0 {
 		return nil
 	}
 	s.logf("push round open at %s; image folded back for re-push", why)
-	j := ingestJob{op: opFoldback, image: s.round}
-	s.applyJobLocked(&j, false)
-	return j.err
+	return s.applyJobLocked(&ingestJob{op: opFoldback, image: s.round})
 }
 
-// commitJobLocked applies one non-ingest job at its place in the queue
-// and appends its record. Callers hold s.mu.
-func (s *Server) commitJobLocked(w *wal.WAL, j *ingestJob) {
-	switch j.op {
-	case opReset:
-		// The round's image is the state this reset is about to clear.
-		if s.def.eng.Count() == 0 {
-			return // nothing accumulated since the last push: no round, no record
-		}
-		if j.image, j.err = s.def.eng.MarshalBinary(); j.err != nil {
-			j.kind = ingestErrEngine
-			return
-		}
-	case opFoldback:
-		j.image = s.round
-	}
-	s.applyJobLocked(j, true)
-	if j.kind != ingestOK || w == nil {
-		return
-	}
-	var err error
-	switch j.op {
-	case opBarrier:
-		return
-	case opProbe:
-		j.lsn, err = w.Probe()
-	case opPush:
-		buf := append(tupleio.AppendTenant(s.groupBuf[:0], j.tn.name), j.image...)
-		j.lsn, err = w.AppendNoSync(wal.RecordPush, buf)
-		s.groupBuf = pooledBytes(buf)
-	default:
-		j.lsn, err = w.AppendNoSync(imageRecord[j.op], j.image)
-	}
-	if err != nil {
-		j.err, j.kind = err, ingestErrWAL
-		if j.op == opReset {
-			// The engine is reset but the round never reached the log:
-			// fold the image straight back. The log sees neither a reset
-			// nor a merge — consistent, since the two cancel out.
-			j.err = errors.Join(err, s.foldOpenRoundLocked("a failed reset append"))
+// nackJobs fails every job of a record that its decide admitted.
+func nackJobs(jobs []*ingestJob, err error, kind ingestErrKind) {
+	for _, j := range jobs {
+		if j.kind == ingestOK {
+			j.err, j.kind = err, kind
 		}
 	}
 }
 
-// commitRunLocked applies a run of ingest jobs as one group and appends
-// its one record: what each touched tenant's AddBatch was given. Callers
-// hold s.mu.
-func (s *Server) commitRunLocked(w *wal.WAL, run []*ingestJob, dequeued time.Time) {
-	defer s.releaseGroupLocked()
-	batches := s.applyGroupLocked(run, true)
-	if len(batches) == 0 {
-		return
-	}
-	applyEnd := time.Now()
-	s.metrics.stages[stageApply].Observe(applyEnd.Sub(dequeued).Seconds())
-	if w == nil {
-		return
-	}
-	// One append orders the run in the log. It is deliberately not the
-	// fsync: that happens outside the driver lock, so the next group's
-	// decode (and any query evaluation) overlaps this group's disk wait
-	// instead of queueing behind it. A batch the encoder refuses (it is not
-	// sorted: a bug, never an input) is an append that failed — nothing of
-	// the run is logged.
-	var lsn uint64
-	buf, err := appendIngest(s.groupBuf[:0], batches)
-	if err == nil {
-		lsn, err = w.AppendNoSync(wal.RecordIngest, buf)
-	}
-	s.groupBuf = pooledBytes(buf)
-	s.metrics.stages[stageAppend].Observe(time.Since(applyEnd).Seconds())
-	for _, j := range run {
-		if j.kind != ingestOK {
-			continue
-		}
-		j.lsn = lsn
-		if err != nil {
-			// The engine holds the run but the log does not: not
-			// acknowledged, so a crash dropping it is within contract.
-			j.err, j.kind = err, ingestErrWAL
-		}
-	}
-}
-
-// commitGroup commits one taken queue: under a single critical section of
-// the driver lock it applies the jobs in queue order and appends their
-// records — each maximal run of ingest jobs as one group, one record —
-// then one Sync outside the lock covers them all, then every job is woken
-// with its outcome. A member of an ingest run that a governance cap refuses
-// is rejected alone and left out of the run's record; a failed append nacks
-// its own job (its run's members, who were applied together); a failed
-// barrier nacks every job behind it under -wal-fsync=always, where it
-// rewound their records, and under interval and off — nothing rewound —
-// only the jobs that demanded it. The stage histograms (trace.go) and the
-// group counters describe ingest runs only, whatever shares the queue.
+// commitGroup commits one taken queue log first (see the top of this file).
+// A failed barrier under -wal-fsync=always has rewound every record of the
+// group, so none is applied; under interval and off it rewound nothing, and
+// only the jobs that demanded it fail. The stage histograms (trace.go) and
+// the group counters describe ingest only, whatever shares the queue.
 func (s *Server) commitGroup(group []*ingestJob) {
 	dequeued := time.Now()
 	w := s.walRef()
 	s.mu.Lock()
-	for i := 0; i < len(group); {
-		if group[i].op != opIngest {
-			s.commitJobLocked(w, group[i])
-			i++
-			continue
-		}
-		end := i + 1
-		for end < len(group) && group[end].op == opIngest {
-			end++
-		}
-		s.commitRunLocked(w, group[i:end], dequeued)
-		i = end
-	}
+	recs := s.decideLocked(group)
 	s.mu.Unlock()
-	// What is left: records awaiting the barrier, a job demanding one
-	// whatever the policy, how much ingest was applied, a log failure.
+	ingest := false // the batches are the committer's scratch: the sort needs no lock
+	for i := range recs {
+		for _, b := range recs[i].batches {
+			core.SortByY(b.tuples)
+			ingest = true
+		}
+	}
+	// Records awaiting the barrier, a job demanding one whatever the policy.
 	var pending, force bool
-	var applied int
 	var walErr, syncErr error
+	buf := s.groupBuf
+	for i := 0; w != nil && i < len(recs); i++ {
+		var err error
+		if buf, recs[i].lsn, err = appendRecord(w, buf[:0], &recs[i]); err != nil {
+			nackJobs(recs[i].jobs, err, ingestErrWAL)
+			walErr = cmp.Or(walErr, err)
+		}
+		pending = pending || err == nil
+	}
+	if w != nil && ingest {
+		s.metrics.stages[stageAppend].Observe(time.Since(dequeued).Seconds())
+	}
 	for _, j := range group {
-		pending = pending || j.lsn != 0
 		force = force || j.op >= opCheckpoint
-		if j.op == opIngest && (j.kind == ingestOK || j.kind == ingestErrWAL) {
-			applied++ // the engine holds it, whatever the log says
-		}
-		if j.kind == ingestErrWAL && walErr == nil {
-			walErr = j.err
-		}
 	}
 	policy := s.cfg.walFsync()
 	barrier := w != nil && (force || pending && policy == "always")
 	if barrier {
-		// The group-wide durability barrier the acks below stand behind:
-		// one fsync for every record of the group. (Under fsync=interval
-		// and off an ack never promised durability, so only a job that
-		// demands it waits.) A barrier that fails under fsync=always has
-		// rewound the group's records out of the log, so a restart
-		// replays exactly the acknowledged record set.
+		// One fsync for every record of the group: the acks stand behind it.
 		fsyncStart := time.Now()
 		syncErr = w.Sync()
-		if applied > 0 && walErr == nil {
+		if ingest && walErr == nil {
 			s.metrics.stages[stageFsync].Observe(time.Since(fsyncStart).Seconds())
 		}
-		if syncErr != nil {
-			walErr = syncErr
-		}
+		walErr = cmp.Or(walErr, syncErr)
 	}
 	if walErr != nil {
 		// Any record's log failure counts toward degrading.
 		s.noteWALError(walErr)
 	} else if barrier || pending && policy == "off" {
 		// A clean fsync resets the streak; a clean append only where nothing
-		// ever fsyncs — the appends acknowledged between two failing
-		// interval barriers say nothing about the disk.
+		// ever fsyncs (interval appends say nothing about the disk).
 		s.health.walErrs.Store(0)
 	}
-	if applied > 0 {
+
+	rewound := syncErr != nil && policy == "always"
+	applyStart := time.Now()
+	applied := false
+	s.mu.Lock()
+	for i := range recs {
+		r := &recs[i]
+		var err error
+		switch {
+		case w != nil && r.lsn == 0:
+			continue // its append failed
+		case rewound:
+			nackJobs(r.jobs, syncErr, ingestErrWAL)
+			continue
+		case s.health.lost.Load() != 0: // appliedLSN must not pass it
+			nackJobs(r.jobs, errStateBehindLog, ingestErrEngine)
+			continue
+		case r.jobs[0].op == opIngest:
+			err = s.applyGroupLocked(r.batches)
+		default:
+			err = s.applyJobLocked(r.jobs[0])
+		}
+		if err != nil {
+			// Admission let through only what the apply takes, so the log
+			// holds a record the state lacks: a bug, which replay refuses too.
+			// Nothing applies after it until a restart replays the log.
+			if r.lsn != 0 {
+				s.health.lost.Store(r.lsn)
+			}
+			s.degrade(fmt.Sprintf("apply of logged record %d: %v", r.lsn, err))
+			nackJobs(r.jobs, err, ingestErrEngine)
+			continue
+		}
+		if r.lsn != 0 {
+			s.appliedLSN.Store(r.lsn)
+		}
+		for _, j := range r.jobs {
+			if j.kind == ingestOK {
+				j.lsn, j.tn = r.lsn, s.tenants[string(j.key)]
+				applied = applied || j.op == opIngest
+			}
+		}
+	}
+	if applied {
+		s.metrics.stages[stageApply].Observe(time.Since(applyStart).Seconds())
+	}
+	s.applyBuf, s.groupBuf = pooledTuples(s.applyBuf), pooledBytes(buf)
+	s.mu.Unlock()
+
+	if applied {
 		// The group's wall time prices the overload Retry-After hint.
 		obs := time.Since(dequeued).Seconds()
 		if prev := s.groupLatency.Load(); prev > 0 {
@@ -614,15 +642,8 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	wake := time.Now()
 	members, tuples := 0, 0
 	for i, j := range group {
-		if syncErr != nil && j.kind == ingestOK && (j.op >= opCheckpoint || policy == "always" && j.lsn != 0) {
-			// Demanded the failed barrier, or was rewound by it; a reset is
-			// folded back, as if its append had failed.
-			j.err, j.kind, j.lsn = syncErr, ingestErrWAL, 0
-			if j.op == opReset {
-				s.mu.Lock()
-				j.err = errors.Join(syncErr, s.foldOpenRoundLocked("a failed reset barrier"))
-				s.mu.Unlock()
-			}
+		if syncErr != nil && j.kind == ingestOK && j.op >= opCheckpoint {
+			j.err, j.kind, j.lsn = syncErr, ingestErrWAL, 0 // demanded the failed barrier
 		}
 		if j.op == opIngest {
 			s.metrics.stages[stageEnqueue].Observe(dequeued.Sub(j.enqueuedAt).Seconds())
@@ -666,13 +687,12 @@ func (s *Server) overloadRetryAfter() time.Duration {
 
 // appendIngest appends an ingest record's payload: one sorted batch
 // (tupleio.AppendSortedBatch; the empty key for the default tenant) per
-// tenant the group touched and applied, back to back in first-touch order.
-// The frame length delimits the record; replayState.decodeIngest is the
-// inverse.
+// tenant the run touched, back to back in first-touch order. The frame
+// length delimits the record; replayState.decodeIngest is the inverse.
 func appendIngest(buf []byte, batches []tenantBatch) ([]byte, error) {
 	for _, b := range batches {
 		var err error
-		if buf, err = tupleio.AppendSortedBatch(buf, b.t.name, b.tuples); err != nil {
+		if buf, err = tupleio.AppendSortedBatch(buf, string(b.key), b.tuples); err != nil {
 			return buf, err
 		}
 	}

@@ -61,8 +61,8 @@ var (
 // loop each own one. startup arms the checkpoint staleness witness
 // (live replicas ignore the primary's checkpoint markers).
 type replayState struct {
-	jobs     []*ingestJob // a group record's members: a job per tenant holding its sorted batch
-	covered  uint64       // snapshot baseline (startup staleness check)
+	batches  []tenantBatch // an ingest record's members: a tenant's key and its sorted batch
+	covered  uint64        // snapshot baseline (startup staleness check)
 	startup  bool
 	fallback bool // restore fell back to an older retention slot
 }
@@ -72,41 +72,40 @@ func newReplayState(covered uint64, startup bool) *replayState {
 }
 
 // decodeIngest turns an ingest record's payload back into the batches the
-// live commit logged (appendIngest's inverse): sorted batches back to back
-// until the payload is spent, each a job addressed by its key, which aliases
-// payload, holding what that tenant's AddBatch was given. There is no member
-// count to trust — a member is at least three bytes, and each batch's own
-// count is bounded by the bytes behind it — so what a hostile payload can
-// make this allocate is bounded by its length. An empty payload is refused:
-// the live commit never logs a group with no applied member. The jobs and
-// their tuple buffers are reused from record to record.
-func (st *replayState) decodeIngest(payload []byte) ([]*ingestJob, error) {
+// live commit logged and applied (appendIngest's inverse): sorted batches
+// back to back until the payload is spent, each addressed by its key, which
+// aliases payload, and holding what that tenant's AddBatch was given. There
+// is no member count to trust — a member is at least three bytes, and each
+// batch's own count is bounded by the bytes behind it — so what a hostile
+// payload can make this allocate is bounded by its length. An empty payload
+// is refused: the live commit never logs a run with no admitted member. The
+// tuple buffers are reused from record to record.
+func (st *replayState) decodeIngest(payload []byte) ([]tenantBatch, error) {
 	if len(payload) == 0 {
 		return nil, errors.New("empty ingest record")
 	}
 	n := 0
 	for rest := payload; len(rest) > 0; n++ {
-		if n == len(st.jobs) {
-			st.jobs = append(st.jobs, &ingestJob{})
+		if n == len(st.batches) {
+			st.batches = append(st.batches, tenantBatch{})
 		}
-		j := st.jobs[n]
+		b := &st.batches[n]
 		var err error
-		if j.key, j.tuples, rest, err = tupleio.DecodeSortedBatch(j.tuples, rest); err != nil {
+		if b.key, b.tuples, rest, err = tupleio.DecodeSortedBatch(b.tuples, rest); err != nil {
 			return nil, fmt.Errorf("member %d: %w", n, err)
 		}
 	}
-	return st.jobs[:n], nil
+	return st.batches[:n], nil
 }
 
 // applyRecord applies one WAL record through the live commit's own
 // applies — the one grammar both crash replay and a replica's live apply
 // speak, which is what makes a promoted replica's state byte-identical
 // to a crash-free primary replayed to the same LSN. Each record is
-// decoded back into jobs for the commit's applies: an ingest record into a
-// member per tenant holding the sorted batch it was given live
-// (applyGroupLocked: the same one AddBatch, of the same argument, and
-// nothing re-encoded), any other state record into its one job
-// (applyJobLocked) — both with the governance caps off: a tenant the log
+// decoded back into what the live commit applied: an ingest record into
+// the sorted batch per tenant it was given live (applyGroupLocked: the same
+// one AddBatch, of the same argument, nothing copied or re-encoded), any
+// other state record into its one job (applyJobLocked). A tenant the log
 // names is made whatever the caps say today. counted reports whether the
 // record carried state (a checkpoint marker does not). Startup replay calls
 // it single-threaded; live apply calls it under s.mu.
@@ -114,19 +113,15 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 	var j ingestJob
 	switch typ {
 	case wal.RecordIngest:
-		group, err := st.decodeIngest(payload)
+		batches, err := st.decodeIngest(payload)
+		if err == nil {
+			err = s.applyGroupLocked(batches)
+		}
+		for i := range batches {
+			batches[i].tuples = pooledTuples(batches[i].tuples)
+		}
 		if err != nil {
 			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
-		s.applyGroupLocked(group, false)
-		s.releaseGroupLocked()
-		for i, j := range group {
-			// The log holds only members the live commit applied, so a
-			// member refused here is fatal to the replay.
-			if j.kind != ingestOK {
-				return false, fmt.Errorf("service: wal replay: record %d member %d: %w", lsn, i, j.err)
-			}
-			j.tuples = pooledTuples(j.tuples)
 		}
 		return true, nil
 	case wal.RecordPush:
@@ -170,8 +165,8 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 		return false, fmt.Errorf("service: wal replay: record %d has unknown type %d", lsn, typ)
 	}
 	// The log holds only jobs the live commit applied.
-	if s.applyJobLocked(&j, false); j.kind != ingestOK {
-		return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, j.err)
+	if err := s.applyJobLocked(&j); err != nil {
+		return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 	}
 	return true, nil
 }
@@ -324,7 +319,8 @@ func (s *Server) serveReplicaConn(c net.Conn, w *wal.WAL) {
 
 // replicaSeedSnapshot builds an in-memory snapshot file for a follower
 // that fell behind the prune horizon. The transfer lock keeps it off a
-// push round's transient reset state, and the barrier job afterwards
+// push round in flight, buildSnapshot folds back one a failed closing
+// record left open, and the barrier job afterwards
 // guarantees covered never exceeds the durable frontier — a re-seeded
 // replica must not hold state the primary's own crash recovery could
 // lose.
@@ -373,10 +369,10 @@ func (s *Server) startFollower() {
 	})
 }
 
-// replicaApply applies one shipped WAL record under the driver lock —
-// the same critical section a primary's commit group owns — and
-// advances the applied LSN inside it, so a concurrent snapshot always
-// records a covered LSN consistent with the marshaled state.
+// replicaApply applies one shipped WAL record under the driver lock — as
+// a primary's committer applies a record its log holds — and advances the
+// applied LSN inside it, so a concurrent snapshot always records a covered
+// LSN consistent with the marshaled state.
 func (s *Server) replicaApply(lsn uint64, typ uint8, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

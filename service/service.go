@@ -17,15 +17,9 @@
 //     protocol; mergeability makes the coordinator's state the summary
 //     of the union stream.
 //
-// Durability is two cooperating layers: a periodic snapshot of the
-// engine's marshaled state (atomic temp-file-then-rename; restored on
-// startup) and, with Config.WALDir set, a write-ahead log that records
-// every accepted ingest batch and push image before the request is
-// acknowledged — startup becomes restore-snapshot-then-replay-suffix,
-// so under WALFsync "always" an acknowledged request survives kill -9
-// and the recovered state is bit-identical to a crash-free run (see
-// wal.go); every durable mutation is a job of the log's one writer
-// (pipeline.go). Observability is a dependency-free Prometheus-text
+// Durability is a periodic snapshot (snapshot.go) plus, with
+// Config.WALDir set, a write-ahead log every acknowledged write is in
+// first (wal.go, pipeline.go). Observability is a Prometheus-text
 // /metrics plus /healthz and /v1/stats, and shutdown is graceful: drain
 // HTTP and streams, final push (site role), final snapshot, commit what
 // is queued.
@@ -298,13 +292,13 @@ type Server struct {
 	access  *accessLog // nil without Config.AccessLog
 
 	// mu is the engine driver lock: a summary is single-driver by
-	// contract, so every read or write of one — a commit group applied
-	// by the committer, a snapshot marshal, a tenant spill or restore, a
-	// query evaluation, a replica's apply — happens under it, across all
-	// tenants. Every write a primary makes is a job of the commit
-	// pipeline (pipe): the committer commits whole groups under one
-	// critical section (see pipeline.go), each job's WAL append beside its
-	// apply, so log order always equals apply order (what makes replay
+	// contract, so every read or write of one — a commit group decided and
+	// applied by the committer, a snapshot marshal, a tenant spill or
+	// restore, a query evaluation, a replica's apply — happens under it,
+	// across all tenants. Every write a primary makes is a job of the
+	// commit pipeline (pipe): the committer applies under mu, in LSN order,
+	// only the records its log holds after the group's barrier (see
+	// pipeline.go), so the engines hold what the log does (what makes replay
 	// crash-exact). Nothing waits on a commit, or on the disk, while
 	// holding mu. A query takes it only for the cutoffs its tenant's
 	// answer memo (tenant.go) cannot serve. round, guarded by it, is the
@@ -329,11 +323,11 @@ type Server struct {
 	tenantsLive atomic.Int64
 
 	// pipe, committer state: group commit, the one log writer (pipeline.go).
-	pipe       commitPipeline
-	groupMax   int
-	groupBuf   []byte             // committer-owned WAL group encode scratch
-	touchedBuf []tenantBatch      // committer-owned touched-tenant scratch
-	applyBuf   []correlated.Tuple // committer-owned sorted copy of a group's members, a span per tenant
+	pipe     commitPipeline
+	groupMax int
+	groupBuf []byte             // committer-owned WAL record encode scratch
+	records  []groupRecord      // committer-owned: the records of the group in flight
+	applyBuf []correlated.Tuple // committer-owned sorted copy of a group's members, a span per tenant
 
 	// fs routes WAL and snapshot filesystem calls (fault.OS() unless
 	// Config.FS injects faults); health is the degraded-mode state
@@ -353,13 +347,10 @@ type Server struct {
 	walReplayed  uint64
 	snapFellBack bool
 
-	// xferMu serializes whole state transfers — a snapshot, or a full
-	// delta-push round (reset, ship, ack or fold-back, snapshot-after-
-	// ack) — so the snapshot ticker can never persist the transient empty
-	// state between a push's Reset and its outcome, and a crash after an
-	// acknowledged push restores post-push state instead of re-pushing
-	// it. Its holders wait on commit jobs, so it is never taken while
-	// holding mu, and never by the committer.
+	// xferMu serializes whole state transfers — a snapshot, a replica
+	// re-seed, a delta-push round — so no snapshot lands inside a round.
+	// Its holders wait on commit jobs: never taken holding mu, nor by the
+	// committer.
 	xferMu sync.Mutex
 
 	dec   sync.Pool // *decodeState
@@ -375,12 +366,12 @@ type Server struct {
 
 	// Replication (replication.go). replicaMode is true from a replica
 	// New until Promote flips it; writes are rejected while it holds.
-	// appliedLSN is the highest WAL record applied from the primary
-	// (advanced inside the driver-lock critical section of each apply,
-	// so snapshots record a consistent coverage); primaryLSN is the
-	// primary's last observed frontier; caughtUpAt stamps (unix nanos)
-	// the last moment applied covered primary, for the lag-seconds
-	// gauge. replState is the live-apply decode scratch, guarded by mu.
+	// appliedLSN is the last WAL record the state holds, the one coverage
+	// a snapshot records: advanced under mu by each apply, a primary's
+	// committer's and a replica's alike; primaryLSN is the primary's last
+	// observed frontier; caughtUpAt stamps (unix nanos) the last moment
+	// applied covered primary, for the lag-seconds gauge. replState is the
+	// live-apply decode scratch, guarded by mu.
 	replicaMode atomic.Bool
 	appliedLSN  atomic.Uint64
 	primaryLSN  atomic.Uint64
@@ -643,31 +634,25 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// pushOnce implements one round of the site's delta-push protocol as
-// commit jobs around the ship: a reset job marshals the local summary,
-// resets the engine and opens the round (RecordReset carrying the image);
-// after the ship a push-ack job closes it (RecordPushAck, before the
-// post-push snapshot — a crashed site then replays to the post-push state
-// and never re-sends the image) or, if the coordinator is unreachable, a
-// fold-back job merges the image back (one RecordFoldback: merge + round
-// close) — nothing is lost locally, and the next tick pushes the union.
-// The whole round holds the transfer lock, so a concurrent snapshot can
-// neither persist the empty state while the image is in flight nor
-// persist pre-push state after the coordinator has acknowledged it: a
-// fresh snapshot is written (when configured) under the same lock right
-// after the ack. A reset whose record does not become durable has folded
-// its image straight back, and nothing ships; a closing record that does
-// not is logged, and replay's end-of-log fold-back rebuilds the same
-// state.
-//
-// The one remaining ambiguous window is a crash after the coordinator
-// received the image but before the ack record (or, without a WAL, the
-// post-push snapshot) lands — a restart re-pushes, so delivery is
-// at-least-once; exactly-once across site crashes needs coordinator-side
-// dedup.
+// pushOnce runs one round of the site's delta-push protocol as commit jobs
+// around the ship: a reset job marshals the local summary, resets the
+// engine and opens the round (RecordReset carrying the image); after the
+// ship a push-ack job closes it (RecordPushAck, then a snapshot, so a
+// crashed site never re-sends the image) or, if the coordinator is
+// unreachable, a fold-back job merges the image back (RecordFoldback) and
+// the next tick pushes the union. The round holds the transfer lock, so no
+// snapshot lands inside it. A job applies only once its record is in the
+// log: a reset whose record is not ships nothing, and a failed closing
+// record leaves the round open, which the next round, or snapshot, folds
+// back first. Delivery is at-least-once — across a crash before the ack
+// record (or, without a WAL, the post-push snapshot) lands, and across an
+// ack record that fails; exactly-once needs coordinator-side dedup.
 func (s *Server) pushOnce() error {
 	s.xferMu.Lock()
 	defer s.xferMu.Unlock()
+	if err := s.commit(&ingestJob{op: opFoldback}); err != nil {
+		return fmt.Errorf("fold back the open round: %w", err)
+	}
 	reset := ingestJob{op: opReset}
 	if err := s.commit(&reset); err != nil {
 		return err
@@ -677,11 +662,8 @@ func (s *Server) pushOnce() error {
 	}
 	if err := s.pushc.Push(context.Background(), reset.image); err != nil {
 		s.metrics.pushSendErrors.Inc()
-		fold := ingestJob{op: opFoldback}
-		if ferr := s.commit(&fold); fold.kind == ingestErrWAL {
-			s.logf("wal: log fold-back: %v", ferr)
-		} else if ferr != nil {
-			return errors.Join(err, fmt.Errorf("re-queue failed, the shipped image's tuples dropped: %w", ferr))
+		if ferr := s.commit(&ingestJob{op: opFoldback}); ferr != nil {
+			return errors.Join(err, fmt.Errorf("fold-back not logged, the round stays open for the next: %w", ferr))
 		}
 		return fmt.Errorf("re-queued locally: %w", err)
 	}

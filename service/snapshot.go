@@ -190,18 +190,31 @@ func (s *Server) Snapshot() error {
 	return s.snapshotLocked()
 }
 
+var errRoundOpen = errors.New("service: a push round is open; its image is in no tenant's state")
+
 // buildSnapshot marshals every tenant into an encoded snapshot file
 // and reports the WAL LSN the image covers, the tenant count, and the
 // total marshaled engine bytes (the metrics' measure). Callers hold the
-// transfer lock; the driver lock is taken inside. It is shared by
-// snapshotLocked (the disk path) and the primary's replica re-seed
-// (replication.go), which ships the same bytes over the wire instead.
+// transfer lock, so no round opens meanwhile. It never images an open
+// round, whose reset it would cover: a primary folds one back first, with
+// a record, and a replica (its primary closes its rounds) refuses. It is
+// shared by snapshotLocked (the disk path) and the primary's replica
+// re-seed (replication.go), which ships the same bytes over the wire.
 func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dataLen int64, err error) {
+	if !s.replicaMode.Load() {
+		if err := s.commit(&ingestJob{op: opFoldback}); err != nil {
+			return 0, nil, 0, 0, fmt.Errorf("fold back the open push round: %w", err)
+		}
+	}
 	// Deterministic tenant order: sorted by key, so equal state writes
 	// equal snapshot bytes regardless of creation order.
 	tenants := s.tenantList()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 	s.mu.Lock()
+	if len(s.round) > 0 {
+		s.mu.Unlock()
+		return 0, nil, 0, 0, errRoundOpen
+	}
 	images := make([]tenantImage, 0, len(tenants))
 	for _, t := range tenants {
 		ti := tenantImage{name: t.name}
@@ -212,16 +225,8 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 		images = append(images, ti)
 		dataLen += int64(len(ti.image))
 	}
-	if err == nil {
-		// A replica's coverage is what it has applied, not a log
-		// position — it has no WAL until promotion.
-		switch w := s.walRef(); {
-		case s.replicaMode.Load():
-			covered = s.appliedLSN.Load()
-		case w != nil:
-			covered = w.LastLSN()
-		}
-	}
+	// A record appended but not yet applied is left to the replay.
+	covered = s.appliedLSN.Load()
 	s.mu.Unlock()
 	if err != nil {
 		return 0, nil, 0, 0, err
@@ -232,8 +237,8 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 // snapshotLocked is Snapshot minus the transfer lock, for callers that
 // already hold it. The engine marshal and the covered-LSN read happen
 // in one driver-lock critical section, so the recorded LSN is exactly
-// the log position the image captures; once the file is durably
-// renamed, a checkpoint-marker job records that LSN and the WAL prunes.
+// the last record the image captures; once the file is durably renamed,
+// a checkpoint-marker job records that LSN and the WAL prunes.
 func (s *Server) snapshotLocked() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil

@@ -323,7 +323,7 @@ func (s *Server) streamAcker(c net.Conn, connID string, inflight <-chan *decodeS
 		}
 		if s.access != nil {
 			var tname string
-			if d.job.tn != nil { // nil: refused before the commit resolved its key
+			if d.job.tn != nil { // nil: the commit did not apply it
 				tname = d.job.tn.name
 			}
 			s.access.record(accessRecord{

@@ -446,17 +446,14 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 		if typ != wal.RecordIngest {
 			t.Fatalf("record %d has type %d, want RecordIngest", lsn, typ)
 		}
-		group, err := newReplayState(0, true).decodeIngest(payload)
+		batches, err := newReplayState(0, true).decodeIngest(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var decoded []tenantBatch
-		for _, j := range group {
-			record = append(record, logged{string(j.key), j.tuples})
-			// As the commit resolves a member's key, for the encoder.
-			decoded = append(decoded, tenantBatch{&tenant{name: string(j.key)}, j.tuples})
+		for _, b := range batches {
+			record = append(record, logged{string(b.key), b.tuples})
 		}
-		if again, err := appendIngest(nil, decoded); err != nil || !bytes.Equal(again, payload) {
+		if again, err := appendIngest(nil, batches); err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("record %d: encode(decode(payload)) differs from the payload (err %v)", lsn, err)
 		}
 		return nil

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,25 +17,19 @@ import (
 // and push record in the WAL, every snapshot entry); the empty key is
 // the default tenant, which is what a request naming no tenant addresses
 // and is logged and snapshotted like any other. A tenant comes into being
-// with the first write the commit applies to it (tenantForWriteLocked, the
-// one place a request or a record makes one); a write that is refused,
-// shed or invalid never makes one, and reads never do, so the registry is
-// a function of the log.
+// with the apply of the first logged write to it (tenantForWriteLocked, the
+// one place a request or a record makes one); reads never make one.
 //
-// Sharing, not duplication: all tenants ride one commit pipeline (one
-// group commit, one WAL, one fsync covers batches for many tenants) and
-// one decode pool. Every tenant's summary is driven under the same
-// single driver lock (s.mu): the committer is one goroutine regardless
-// of tenant count, so per-tenant locks would buy parallelism nothing and
-// cost a lock-order minefield.
+// All tenants share one commit pipeline, one WAL, one decode pool and one
+// driver lock (s.mu): the committer is one goroutine regardless of tenant
+// count, so per-tenant locks would buy no parallelism.
 //
 // Governance: MaxTenants caps the namespace count (HTTP 429 past it),
 // MaxTenantBytes caps the summed per-tenant footprint (HTTP 413) — moved
 // at every commit, spill and restore (noteFootprintLocked), so enforcement
-// is approximate by one group; the commit that would make the tenant
-// refuses, as the write's outcome. The count is in bytes either way: what a
-// live tenant's summary keeps on the heap (liveBytes), the image length of a
-// spilled one.
+// is approximate by one group; the commit decides both before it appends
+// (admitLocked). The count is in bytes either way: what a live tenant's
+// summary keeps on the heap (liveBytes), the image length of a spilled one.
 // TenantIdleSpill reclaims idle tenants' memory: the summary is marshaled
 // into an in-memory image and dropped, and the next touch lazily
 // unmarshals the same bytes into a fresh one. Spill is pure memory
@@ -84,11 +79,6 @@ type tenant struct {
 	epoch  atomic.Uint64
 	memoMu sync.Mutex
 	memo   map[memoKey]memoEntry
-
-	// inGroup marks the tenant as touched by the commit group being
-	// applied (under s.mu): the first-touch dedup, so each group gives
-	// every touched tenant one AddBatch and one epoch bump.
-	inGroup bool
 
 	lastTouch atomic.Int64 // unix nanos of the last ingest/push/query
 	footprint atomic.Int64 // bytes as of the last noteFootprintLocked: liveBytes, or the image length while spilled
@@ -174,48 +164,52 @@ func (s *Server) tenantList() []*tenant {
 	return out
 }
 
-// tenantForWriteLocked resolves the key a write addresses, and is the one
-// place a request or a record makes a tenant. A key the registry lacks gets
-// a fresh tenant the caller registers (registerLocked) once the write that
-// named it is certain to apply — an ingest member at once, its tuples
-// passed admission; a push only after its image merged — so a refused
-// write leaves nothing behind. caps enforces the governance caps, for a
-// live commit; startup replay and a replica's apply re-make whatever the
-// log holds, because acknowledged data outranks a cap that may have been
-// lowered since. Every writer of the registry holds s.mu, so this lookup
-// needs no regMu; it indexes by the key's bytes without allocating, and
-// the key is copied only to make a tenant. Callers hold s.mu, or run before
-// any goroutine exists.
-func (s *Server) tenantForWriteLocked(key []byte, caps bool) (*tenant, ingestErrKind, error) {
+// admitLocked decides, before the append, whether a write to key may go in
+// the log: a registered tenant must materialize, and a new key must fit
+// under the governance caps counting made, the group's new keys admitted
+// so far, which it then joins. Callers hold s.mu.
+func (s *Server) admitLocked(key []byte, made *[][]byte) (ingestErrKind, error) {
 	if t := s.tenants[string(key)]; t != nil {
-		return t, ingestOK, nil
+		if _, err := s.ensureEngineLocked(t); err != nil {
+			return ingestErrEngine, err
+		}
+		return ingestOK, nil
 	}
-	if caps && s.cfg.MaxTenants > 0 && len(s.tenants) >= s.cfg.MaxTenants {
-		return nil, ingestErrTenant, fmt.Errorf("service: tenant limit reached: %d tenants, cap is %d", len(s.tenants), s.cfg.MaxTenants)
+	if slices.ContainsFunc(*made, func(k []byte) bool { return bytes.Equal(k, key) }) {
+		return ingestOK, nil
 	}
-	if caps && s.cfg.MaxTenantBytes > 0 && s.tenantBytes.Load() >= s.cfg.MaxTenantBytes {
-		return nil, ingestErrTenantBytes, fmt.Errorf("service: tenant memory cap reached: ~%d bytes across %d tenants, cap is %d",
-			s.tenantBytes.Load(), len(s.tenants), s.cfg.MaxTenantBytes)
+	if n := len(s.tenants) + len(*made); s.cfg.MaxTenants > 0 && n >= s.cfg.MaxTenants {
+		return ingestErrTenant, fmt.Errorf("service: tenant limit reached: %d tenants, cap is %d", n, s.cfg.MaxTenants)
+	}
+	if b := s.tenantBytes.Load(); s.cfg.MaxTenantBytes > 0 && b >= s.cfg.MaxTenantBytes {
+		return ingestErrTenantBytes, fmt.Errorf("service: tenant memory cap reached: ~%d bytes across %d tenants, cap is %d",
+			b, len(s.tenants), s.cfg.MaxTenantBytes)
+	}
+	*made = append(*made, key)
+	return ingestOK, nil
+}
+
+// tenantForWriteLocked resolves the key of a logged write to its tenant,
+// engine materialized, and is the one place a request or a record makes a
+// tenant — live, on replay and on a replica alike. It enforces no cap:
+// admitLocked did before the append, and what the log holds outranks a cap
+// lowered since. Callers hold s.mu, or run before any goroutine exists.
+func (s *Server) tenantForWriteLocked(key []byte) (*tenant, error) {
+	if t := s.tenants[string(key)]; t != nil {
+		_, err := s.ensureEngineLocked(t)
+		return t, err
 	}
 	eng, err := newEngine(&s.cfg)
 	if err != nil {
-		return nil, ingestErrEngine, err
+		return nil, err
 	}
-	return &tenant{name: string(key), eng: eng}, ingestOK, nil
-}
-
-// registerLocked enters a tenant tenantForWriteLocked made into the
-// registry; one it found there is left as it is. Callers hold s.mu, or run
-// before any goroutine exists.
-func (s *Server) registerLocked(t *tenant) {
-	if s.tenants[t.name] == t {
-		return
-	}
+	t := &tenant{name: string(key), eng: eng}
 	s.regMu.Lock()
 	s.tenants[t.name] = t
 	s.regMu.Unlock()
 	s.tenantsLive.Add(1)
 	s.metrics.tenantsCreated.Inc()
+	return t, nil
 }
 
 // imageLocked returns the tenant's state as one marshaled image: the

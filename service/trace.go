@@ -20,15 +20,15 @@ import (
 //
 //	enqueue  handler enqueues the job → the committer dequeues its
 //	         group (queue wait; per job)
-//	apply    group dequeue → member resolution, the per-tenant sort and
-//	         one AddBatch per touched tenant, driver-lock wait included
-//	         (per group)
-//	append   the group's single WAL record, encoded from the sorted
-//	         batches and appended (per group)
+//	append   group dequeue → member admission and concatenation under
+//	         the driver lock (its wait included), the per-tenant sort
+//	         outside it, the records encoded and appended (per group)
 //	fsync    the group-wide durability barrier, wal.Sync outside the
 //	         driver lock — only under fsync=always, so its histogram
 //	         count matches corrd_wal_fsync_duration_seconds group for
 //	         group on the ack path (per group)
+//	apply    barrier → one AddBatch per touched tenant of what the log
+//	         holds, driver-lock wait included (per group)
 //	ack      the committer's wake of a member → that member's handler
 //	         or stream acker resumes (scheduler handoff; per job)
 //

@@ -20,39 +20,30 @@ import (
 // job of its queue, the log has no goroutine of its own — so a record is
 // in the log exactly when the barrier its waiter stood behind returned
 // nil. The tenant registry follows: only the apply of a logged write
-// makes a tenant, live and on replay alike. Second, "log order == apply
-// order": every job's engine apply and WAL append happen in the same
-// critical section of the driver lock (s.mu), in queue order, so the
-// replayer — which re-applies records through the very same functions
-// (applyGroupLocked, applyJobLocked) — reconstructs the identical
-// sequence of engine calls. Third, "the log holds what each tenant's one
-// AddBatch was given": a summary's state depends on where its AddBatch
-// calls were cut and on the batch each was handed, and each tenant gets
-// exactly one AddBatch per ingest record — of the record's member for it,
-// which is the tenant's requests of that commit group concatenated and
-// sorted by y by the committer with the summary's own sort, so the summary
-// finds it sorted and applies it as it stands — live and on replay alike.
-// Nothing else (a snapshot tick, a query, a stats read) ever cuts a batch.
-// Together with the canonical marshaling ("equal state ⇒ equal
-// bytes"), a recovered server's /v1/summary is byte-identical to a
-// crash-free run over the same acknowledged requests grouped the same
-// way.
+// makes a tenant, live and on replay alike. Second, "the committer applies
+// in LSN order after the barrier": only the records the log holds once the
+// group's barrier returns, under the driver lock (s.mu), through the very
+// functions the replayer re-applies them with (applyGroupLocked,
+// applyJobLocked), so replay reconstructs the identical sequence of engine
+// calls. Third, "the log holds what each tenant's one AddBatch was
+// given": a summary's state depends on where its AddBatch calls were cut
+// and on the batch each was handed, and each tenant gets exactly one
+// AddBatch per ingest record — its requests of that group concatenated and
+// sorted by y with the summary's own sort, which it then leaves alone —
+// live and on replay alike; nothing else ever cuts a batch. With the
+// canonical marshaling ("equal state ⇒ equal bytes"), a recovered server's
+// /v1/summary is byte-identical to a crash-free run over the same
+// acknowledged requests grouped the same way.
 //
 // Snapshots and the WAL compose rather than compete: the snapshot file
 // embeds the LSN it covers, a completed snapshot commits a checkpoint
 // marker, and behind the durable marker the WAL prunes every sealed
 // segment whose records the snapshot already captures.
 //
-// The site role's push-then-reset delta protocol (pushOnce) is a
-// two-record round, each record a job: RecordReset — the engine Reset,
-// carrying the marshaled image that is about to ship — then either
-// RecordPushAck or RecordFoldback. Replay applies the reset at its logged
-// position (so ingests interleaved with the HTTP push land in the
-// post-reset state, exactly as they did live) and holds the image as the
-// open round (Server.round) until the round closes; a round the crash cut
-// short folds the image back into the engine, so acknowledged ingest is
-// never lost, and once the ack record is durable the image is never
-// re-pushed upstream.
+// A site's push round (pushOnce) is a RecordReset carrying the image about
+// to ship, then a RecordPushAck or RecordFoldback. Replay applies each at
+// its logged position and holds the image as the open round (Server.round)
+// until it closes; a round the crash cut short is folded back at the end.
 
 // openWAL opens the log — the one place its options are built, so the
 // log a replica opens at promotion carries every hook the primary's
@@ -87,8 +78,8 @@ func (s *Server) walRef() *wal.WAL { return s.wal.Load() }
 // speaks. Any failure is fatal to startup: a daemon must not serve
 // state it knows is missing acknowledged data. Replay runs before any
 // goroutine is started, so calling the *Locked tenant helpers without
-// s.mu is safe; the apply makes each tenant the log names with the
-// governance caps off — acknowledged data outranks a cap that may have
+// s.mu is safe; the apply makes each tenant the log names whatever the
+// governance caps say — acknowledged data outranks a cap that may have
 // been lowered since.
 func (s *Server) replayWAL(covered uint64) error {
 	start := time.Now()
@@ -123,6 +114,7 @@ func (s *Server) replayWAL(covered uint64) error {
 	if err := s.foldOpenRoundLocked("the crash"); err != nil {
 		return fmt.Errorf("service: wal replay: fold back in-flight push image: %w", err)
 	}
+	s.appliedLSN.Store(s.walRef().LastLSN())
 	dur := time.Since(start)
 	s.walReplayed = records
 	s.metrics.walReplayRecords.Set(int64(records))
