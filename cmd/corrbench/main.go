@@ -18,7 +18,7 @@
 //	corrbench -table sharded-scaling        # tuples/sec at P = 1, 2, 4, 8
 //	corrbench -table greater-than
 //	corrbench -table multipass
-//	corrbench -table occupancy              # per-level buckets, forms and counters for corrdbench's four shapes
+//	corrbench -table occupancy              # per-level buckets, forms, counters and bytes for corrdbench's four shapes
 //	corrbench -table occupancy -n 1000000   # ... for that stream length, uniform and zipf
 //	corrbench -all              # everything, at the default sizes
 //
@@ -116,7 +116,7 @@ func runTable(table string, n int) {
 	case "sharded-scaling":
 		shardedScaling(orDefault(n, 2_000_000))
 	case "occupancy":
-		occupancyTable(n)
+		occupancyTable(os.Stdout, n)
 	default:
 		fmt.Fprintf(os.Stderr, "corrbench: unknown table %q\n", table)
 		os.Exit(2)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	correlated "github.com/streamagg/correlated"
@@ -30,39 +31,19 @@ var occupancyPresets = []occupancyShape{
 	{"tenants-restart", 75_000, 256, true},
 }
 
-// occupancyTable prints Summary.Occupancy for the presets, or with -n for
-// that stream length under each distribution.
-func occupancyTable(n int) {
+// occupancyTable writes Summary.Occupancy for the presets, or with -n for
+// that stream length under each distribution, to w. Per shape, the summary
+// lines say what the rows add up to and, beside it, the Footprint: held,
+// pooled and header bytes, from the counts the summary keeps.
+func occupancyTable(w io.Writer, n int) {
 	shapes := occupancyPresets
 	if n > 0 {
 		shapes = []occupancyShape{{"uniform", n, 256, false}, {"zipf1", n, 256, true}}
 	}
-	fmt.Println("# Occupancy: where an F2 summary's counters sit, per level (eps=0.15, delta=0.1, ymax=1e6, maxn=2^24, as corrdbench runs corrd)")
-	fmt.Println("shape\tn\tdir\tlevel\tstored\tclosed\tuntouched\titems\tdense\tcounters\tbytes\twatermark")
+	fmt.Fprintln(w, "# Occupancy: where an F2 summary's counters sit, per level (eps=0.15, delta=0.1, ymax=1e6, maxn=2^24, as corrdbench runs corrd)")
+	fmt.Fprintln(w, "shape\tn\tdir\tlevel\tstored\tclosed\tuntouched\titems\tdense\tcounters\tbytes\twatermark")
 	for _, sh := range shapes {
-		s, err := correlated.NewF2Summary(correlated.Options{
-			Eps: 0.15, Delta: 0.1, YMax: ymaxPaper,
-			MaxStreamLen: 1 << 24, MaxX: xdomF2, Seed: 42,
-			Predicate: correlated.Both,
-		})
-		die(err)
-		const xdom, seedStride = 100_001, 1_000_003 // corrdbench's identifier domain and lane seeds
-		lanes := make([]gen.Stream, 2)
-		for i := range lanes {
-			if laneSeed := *seed + uint64(i)*seedStride; sh.zipf {
-				lanes[i] = gen.Zipf(math.MaxInt, xdom, ymaxPaper+1, 1, laneSeed)
-			} else {
-				lanes[i] = gen.Uniform(math.MaxInt, xdom, ymaxPaper+1, laneSeed)
-			}
-		}
-		batch := make([]correlated.Tuple, 0, sh.batch)
-		for sent, lane := 0, 0; sent < sh.n; lane ^= 1 {
-			for batch = batch[:0]; len(batch) < sh.batch && sent < sh.n; sent++ {
-				t, _ := lanes[lane].Next()
-				batch = append(batch, correlated.Tuple{X: t.X, Y: t.Y, W: 1})
-			}
-			die(s.AddBatch(batch))
-		}
+		s := occupancySummary(sh)
 		le, ge := s.Occupancy()
 		// Bytes behind the counters; of them, items tables (closed buckets' cut
 		// ones) and dense arrays; and, beside them, in the makers' free lists.
@@ -86,14 +67,46 @@ func occupancyTable(n int) {
 				if o.Watermark != math.MaxUint64 {
 					mark = fmt.Sprint(o.Watermark)
 				}
-				fmt.Printf("%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n", sh.name, sh.n, dir.name,
+				fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n", sh.name, sh.n, dir.name,
 					o.Level, o.Stored, o.Closed, o.Untouched, o.Items, o.Dense, o.Counters, o.Bytes, mark)
 			}
-			fmt.Printf("# %s %s: %d further levels are virgin, two counters each\n", sh.name, dir.name, virgin)
+			fmt.Fprintf(w, "# %s %s: %d further levels are virgin, two counters each\n", sh.name, dir.name, virgin)
 		}
 		img, err := s.MarshalBinary()
 		die(err)
-		fmt.Printf("# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), image %d bytes\n",
+		fmt.Fprintf(w, "# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), image %d bytes\n",
 			sh.name, s.Space(), held, tables, closed, arrays, pooled, len(img))
+		f := s.Footprint()
+		fmt.Fprintf(w, "# %s: footprint held %d, pooled %d, headers %d bytes (headers %.1f %% of held)\n",
+			sh.name, f.Held, f.Pooled, f.Headers, 100*float64(f.Headers)/float64(f.Held))
 	}
+}
+
+// occupancySummary feeds one shape's stream to an F2 summary configured as
+// corrd is under corrdbench: two seeded lanes taking turns a batch at a time.
+func occupancySummary(sh occupancyShape) *correlated.F2Summary {
+	s, err := correlated.NewF2Summary(correlated.Options{
+		Eps: 0.15, Delta: 0.1, YMax: ymaxPaper,
+		MaxStreamLen: 1 << 24, MaxX: xdomF2, Seed: 42,
+		Predicate: correlated.Both,
+	})
+	die(err)
+	const xdom, seedStride = 100_001, 1_000_003 // corrdbench's identifier domain and lane seeds
+	lanes := make([]gen.Stream, 2)
+	for i := range lanes {
+		if laneSeed := *seed + uint64(i)*seedStride; sh.zipf {
+			lanes[i] = gen.Zipf(math.MaxInt, xdom, ymaxPaper+1, 1, laneSeed)
+		} else {
+			lanes[i] = gen.Uniform(math.MaxInt, xdom, ymaxPaper+1, laneSeed)
+		}
+	}
+	batch := make([]correlated.Tuple, 0, sh.batch)
+	for sent, lane := 0, 0; sent < sh.n; lane ^= 1 {
+		for batch = batch[:0]; len(batch) < sh.batch && sent < sh.n; sent++ {
+			t, _ := lanes[lane].Next()
+			batch = append(batch, correlated.Tuple{X: t.X, Y: t.Y, W: 1})
+		}
+		die(s.AddBatch(batch))
+	}
+	return s
 }

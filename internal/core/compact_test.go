@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/streamagg/correlated/internal/dyadic"
 	"github.com/streamagg/correlated/internal/hash"
 	"github.com/streamagg/correlated/internal/sketch"
 )
@@ -33,20 +34,23 @@ func requireClosedCut(t *testing.T, when string, s *Summary) int {
 		}
 	}
 	check("shared", s.shared, false)
-	for _, b := range s.s0.buckets {
-		check("singleton", b.sk, false)
+	for _, sk := range s.s0.buckets {
+		check("singleton", sk, false)
 	}
-	var walk func(b *bucket)
-	walk = func(b *bucket) {
+	var walk func(b *bucket, iv dyadic.Interval)
+	walk = func(b *bucket, iv dyadic.Interval) {
 		if b == nil {
 			return
 		}
-		check(fmt.Sprint(b.iv), b.sk, b.closed && !b.iv.Single())
-		walk(b.left)
-		walk(b.right)
+		check(fmt.Sprint(iv), b.sk, b.closed && !iv.Single())
+		if !iv.Single() {
+			lc, rc := iv.Children()
+			walk(b.left, lc)
+			walk(b.right, rc)
+		}
 	}
 	for i := 1; i <= s.lmax; i++ {
-		walk(s.levels[i].root)
+		walk(s.levels[i].root, s.span)
 	}
 	if closed == 0 || open == 0 {
 		t.Fatalf("%s: %d closed and %d open items-form sketches; the test lost its point", when, closed, open)
@@ -55,15 +59,20 @@ func requireClosedCut(t *testing.T, when string, s *Summary) int {
 }
 
 // closedOnBothSides counts the buckets a merge of b into a writes into though
-// a holds them closed: those stored, with items-form sketches, by both.
-func closedOnBothSides(a, b *bucket) int {
+// a holds them closed: those stored, with items-form sketches, by both. The
+// two span iv.
+func closedOnBothSides(a, b *bucket, iv dyadic.Interval) int {
 	if a == nil || b == nil {
 		return 0
 	}
-	n := closedOnBothSides(a.left, b.left) + closedOnBothSides(a.right, b.right)
+	n := 0
+	if !iv.Single() {
+		lc, rc := iv.Children()
+		n = closedOnBothSides(a.left, b.left, lc) + closedOnBothSides(a.right, b.right, rc)
+	}
 	as, aok := a.sk.(*sketch.CountSketch)
 	bs, bok := b.sk.(*sketch.CountSketch)
-	if a.closed && !a.iv.Single() && aok && bok && !as.Dense() && !bs.Dense() && bs.Size() > 0 {
+	if a.closed && !iv.Single() && aok && bok && !as.Dense() && !bs.Dense() && bs.Size() > 0 {
 		n++
 	}
 	return n
@@ -115,7 +124,7 @@ func TestClosedBucketsAreCutToFit(t *testing.T) {
 
 	rewritten := 0
 	for i := 1; i <= a.lmax; i++ {
-		rewritten += closedOnBothSides(a.levels[i].root, b.levels[i].root)
+		rewritten += closedOnBothSides(a.levels[i].root, b.levels[i].root, a.span)
 	}
 	if rewritten == 0 {
 		t.Fatal("no bucket is closed in the receiver and stored by the operand; the test lost its point")

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/streamagg/correlated/internal/dyadic"
 	"github.com/streamagg/correlated/internal/hash"
 	"github.com/streamagg/correlated/internal/sketch"
 )
@@ -29,7 +30,7 @@ func sketchBytes(t *testing.T, sk sketch.Sketch) []byte {
 }
 
 // requireBucketsEqual compares two bucket trees node by node, including
-// closed flags and exact sketch bytes.
+// closed flags and exact sketch bytes; a node's interval is its path.
 func requireBucketsEqual(t *testing.T, path string, a, b *bucket) {
 	t.Helper()
 	if (a == nil) != (b == nil) {
@@ -38,8 +39,8 @@ func requireBucketsEqual(t *testing.T, path string, a, b *bucket) {
 	if a == nil {
 		return
 	}
-	if a.iv != b.iv || a.closed != b.closed {
-		t.Fatalf("%s: node mismatch: iv %v/%v closed %v/%v", path, a.iv, b.iv, a.closed, b.closed)
+	if a.closed != b.closed {
+		t.Fatalf("%s: node mismatch: closed %v/%v", path, a.closed, b.closed)
 	}
 	if !bytes.Equal(sketchBytes(t, a.sk), sketchBytes(t, b.sk)) {
 		t.Fatalf("%s: sketch state differs", path)
@@ -62,12 +63,12 @@ func requireSummariesEqual(t *testing.T, a, b *Summary) {
 	if a.s0.y != b.s0.y || len(a.s0.buckets) != len(b.s0.buckets) {
 		t.Fatalf("singleton level differs: y %d/%d size %d/%d", a.s0.y, b.s0.y, len(a.s0.buckets), len(b.s0.buckets))
 	}
-	for y, ab := range a.s0.buckets {
-		bb, ok := b.s0.buckets[y]
+	for y, ask := range a.s0.buckets {
+		bsk, ok := b.s0.buckets[y]
 		if !ok {
 			t.Fatalf("singleton y=%d missing on one side", y)
 		}
-		if !bytes.Equal(sketchBytes(t, ab.sk), sketchBytes(t, bb.sk)) {
+		if !bytes.Equal(sketchBytes(t, ask), sketchBytes(t, bsk)) {
 			t.Fatalf("singleton y=%d sketch differs", y)
 		}
 	}
@@ -225,22 +226,26 @@ func TestBudgetedClosingMatchesEveryInsertCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var walk func(lv *level, b *bucket)
-	walk = func(lv *level, b *bucket) {
+	var walk func(lv *level, b *bucket, iv dyadic.Interval)
+	walk = func(lv *level, b *bucket, iv dyadic.Interval) {
 		if b == nil {
 			return
 		}
-		if b.closed && b.sk != nil && b.left == nil && b.right == nil && !b.iv.Single() {
+		if iv.Single() {
+			return // never closes
+		}
+		if b.closed && b.sk != nil && b.left == nil && b.right == nil {
 			if est := sketch.CheapEstimate(b.sk); est < lv.thresh {
 				t.Fatalf("level %d bucket %v closed below threshold: %v < %v",
-					lv.idx, b.iv, est, lv.thresh)
+					lv.idx, iv, est, lv.thresh)
 			}
 		}
-		walk(lv, b.left)
-		walk(lv, b.right)
+		lc, rc := iv.Children()
+		walk(lv, b.left, lc)
+		walk(lv, b.right, rc)
 	}
 	for i := 1; i <= s.lmax; i++ {
-		walk(s.levels[i], s.levels[i].root)
+		walk(s.levels[i], s.levels[i].root, s.span)
 	}
 }
 

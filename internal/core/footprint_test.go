@@ -2,22 +2,33 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/streamagg/correlated/internal/gen"
 	"github.com/streamagg/correlated/internal/sketch"
 )
 
 // The struct sizes Footprint's Headers are made of, as the allocator rounds
-// them: a bucket node and a CountSketch are 80 bytes each, the array headers
-// of a dense sketch 56 in the 64-byte class, and those of a dense sketch past
-// one byte a counter 48 more (sketch.TestCountSketchStructSize pins the
-// sketch's).
+// them: a tree node is 48 bytes (TestBucketNodeSize), a CountSketch 64, the
+// array headers of a dense sketch 56 in the 64-byte class, and those of a
+// dense sketch past one byte a counter 48 more
+// (sketch.TestCountSketchStructSize pins the sketch's). A singleton has no
+// node: its sketch sits in the singleton level's map.
 const (
-	wantBucketBytes = 80
-	wantSketchBytes = 80
+	wantBucketBytes = 48
+	wantSketchBytes = 64
 	wantDenseBytes  = 64
 	wantWideBytes   = 48
 )
+
+// TestBucketNodeSize: a summary holds tens of thousands of tree nodes, so a
+// node keeps only its sketch, its two children, its close budget and its
+// closed bit — its interval is its position — in the 48-byte size class.
+func TestBucketNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(bucket{}); size != wantBucketBytes || bucketBytes != wantBucketBytes {
+		t.Fatalf("a tree node is %d bytes (%d as allocated), want %d", size, bucketBytes, wantBucketBytes)
+	}
+}
 
 // widened counts the dense sketches of s past one byte a counter.
 func widened(s *Summary) int {
@@ -39,8 +50,8 @@ func widened(s *Summary) int {
 			walk(b.right)
 		}
 	}
-	for _, b := range s.s0.buckets {
-		count(b.sk)
+	for _, sk := range s.s0.buckets {
+		count(sk)
 	}
 	for i := 1; i <= s.lmax; i++ {
 		walk(s.levels[i].root)
@@ -51,11 +62,12 @@ func widened(s *Summary) int {
 
 // checkFootprint compares s.Footprint — running counts — with what a walk of s
 // finds: Held is Occupancy's Bytes added up, Pooled is Occupancy's, Headers
-// is the structs of each sketch and bucket the walk meets.
+// is the structs of each sketch and tree node the walk meets, less the two
+// words Held charges a node.
 func checkFootprint(t *testing.T, when string, s *Summary) Footprint {
 	t.Helper()
 	var held, pooled, charged int64
-	sketches, dense, buckets := 1, 0, 0 // the shared sketch is on no row's Items or Dense
+	sketches, dense, nodes := 1, 0, 0 // the shared sketch is on no row's Items or Dense
 	if f, ok := s.shared.(formed); ok && f.Dense() {
 		dense++
 	}
@@ -64,10 +76,8 @@ func checkFootprint(t *testing.T, when string, s *Summary) Footprint {
 		pooled += o.Pooled
 		sketches += o.Items + o.Dense
 		dense += o.Dense
-		buckets += o.Stored
-		if i == 0 {
-			charged += 8 * int64(o.Stored)
-		} else {
+		if i > 0 { // the singletons of row 0 have no node
+			nodes += o.Stored
 			charged += 16 * int64(o.Stored)
 		}
 	}
@@ -76,11 +86,11 @@ func checkFootprint(t *testing.T, when string, s *Summary) Footprint {
 	want := Footprint{
 		Held:    held,
 		Pooled:  pooled,
-		Headers: int64(sketches*wantSketchBytes+dense*wantDenseBytes+wide*wantWideBytes+buckets*wantBucketBytes) - charged,
+		Headers: int64(sketches*wantSketchBytes+dense*wantDenseBytes+wide*wantWideBytes+nodes*wantBucketBytes) - charged,
 	}
 	if got != want {
-		t.Fatalf("%s: Footprint %+v, the walk finds %+v (%d sketches, %d dense of which %d widened, %d buckets)",
-			when, got, want, sketches, dense, wide, buckets)
+		t.Fatalf("%s: Footprint %+v, the walk finds %+v (%d sketches, %d dense of which %d widened, %d nodes)",
+			when, got, want, sketches, dense, wide, nodes)
 	}
 	return got
 }

@@ -80,7 +80,7 @@ func (s *Summary) AppendBinary(buf []byte) ([]byte, error) {
 	slices.Sort(ys)
 	for _, y := range ys {
 		buf = binary.AppendUvarint(buf, y)
-		if buf, err = sketch.AppendFramed(buf, s.s0.buckets[y].sk); err != nil {
+		if buf, err = sketch.AppendFramed(buf, s.s0.buckets[y]); err != nil {
 			return nil, err
 		}
 	}
@@ -153,14 +153,13 @@ func (s *Summary) readNode(data []byte, iv dyadic.Interval) (*bucket, []byte, er
 	if flags&nodePresent == 0 {
 		return nil, data, nil
 	}
-	b := &bucket{iv: iv, closed: flags&nodeClosed != 0}
+	b := &bucket{closed: flags&nodeClosed != 0}
 	var err error
 	if flags&nodeHasSk != 0 {
 		if b.sk, data, err = s.readSketch(data); err != nil {
 			return nil, nil, err
 		}
-		b.sa = s.slotAdderOf(b.sk)
-		compactClosed(b)
+		compactClosed(b, iv)
 	}
 	if !iv.Single() {
 		lc, rc := iv.Children()

@@ -168,8 +168,8 @@ func (img *MergeImage) Discard() {
 	s, in := img.owner, img.in
 	sketch.Recycle(s.maker, in.shared)
 	if in.s0 != nil {
-		for _, b := range in.s0.buckets {
-			sketch.Recycle(s.maker, b.sk)
+		for _, sk := range in.s0.buckets {
+			sketch.Recycle(s.maker, sk)
 		}
 	}
 	for _, lv := range in.levels {
@@ -253,7 +253,7 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 	if cnt > uint64(len(data)) {
 		return ErrBadEncoding
 	}
-	oz := levelZero{buckets: make(map[uint64]*bucket, cnt), y: y0}
+	oz := levelZero{buckets: make(map[uint64]sketch.Sketch, cnt), y: y0}
 	in.s0 = &oz
 	for i := uint64(0); i < cnt; i++ {
 		y, n := binary.Uvarint(data)
@@ -265,14 +265,11 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 		if sk, data, err = s.readSketch(data); err != nil {
 			return err
 		}
-		if dup := oz.buckets[y]; dup != nil {
-			sketch.Recycle(s.maker, dup.sk) // a forged image; the later entry wins
-		}
-		oz.buckets[y] = &bucket{iv: dyadic.Interval{L: y, R: y}, sk: sk, sa: s.slotAdderOf(sk)}
+		sketch.Recycle(s.maker, oz.buckets[y]) // a forged image's duplicate; the later entry wins
+		oz.buckets[y] = sk
 	}
 	// Bucket-tree levels.
 	in.levels = make([]*level, s.lmax+1)
-	root := dyadic.Root(s.cfg.YMax)
 	for i := 1; i <= s.lmax; i++ {
 		yv, n := binary.Uvarint(data)
 		if n <= 0 {
@@ -285,7 +282,7 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 		}
 		data = data[n:]
 		lv := &level{idx: i, y: yv, count: int(cv), thresh: s.levels[i].thresh}
-		if lv.root, data, err = s.readNode(data, root); err != nil {
+		if lv.root, data, err = s.readNode(data, s.span); err != nil {
 			return err
 		}
 		if lv.root == nil {
@@ -353,10 +350,9 @@ func (s *Summary) mergeLevel0(in incoming) {
 	if oz.y < z.y {
 		z.y = oz.y
 		dropped := false
-		for y, b := range z.buckets {
+		for y, sk := range z.buckets {
 			if y >= z.y {
-				sketch.Recycle(s.maker, b.sk)
-				b.sk, b.sa = nil, nil
+				sketch.Recycle(s.maker, sk)
 				delete(z.buckets, y)
 				dropped = true
 			}
@@ -368,28 +364,27 @@ func (s *Summary) mergeLevel0(in incoming) {
 			}
 		}
 	}
-	for y, ob := range oz.buckets {
+	for y, osk := range oz.buckets {
 		if y >= z.y {
 			if in.owned {
-				sketch.Recycle(s.maker, ob.sk)
+				sketch.Recycle(s.maker, osk)
 			}
 			continue
 		}
-		b := z.buckets[y]
+		sk := z.buckets[y]
 		switch {
-		case b != nil:
-			_ = b.sk.Merge(ob.sk)
+		case sk != nil:
+			_ = sk.Merge(osk)
 			if in.owned {
-				sketch.Recycle(s.maker, ob.sk)
+				sketch.Recycle(s.maker, osk)
 			}
 		case in.owned:
-			z.buckets[y] = ob
+			z.buckets[y] = osk
 			heapPushU64(&z.ys, y)
 		default:
-			b = &bucket{iv: dyadic.Interval{L: y, R: y}}
-			s.attachSketch(b)
-			_ = b.sk.Merge(ob.sk)
-			z.buckets[y] = b
+			sk = s.maker.New()
+			_ = sk.Merge(osk)
+			z.buckets[y] = sk
 			heapPushU64(&z.ys, y)
 		}
 	}
@@ -409,7 +404,6 @@ func (s *Summary) mergeTreeLevel(i int, in incoming) {
 		cp := s.maker.New()
 		_ = cp.Merge(s.shared)
 		lv.root.sk = cp
-		lv.root.sa = s.slotAdderOf(cp)
 	}
 	if i >= in.virginFrom {
 		// The other side is virgin here: its entire level-i content is
@@ -422,9 +416,9 @@ func (s *Summary) mergeTreeLevel(i int, in incoming) {
 			lv.y = olv.y
 		}
 	}
-	lv.count = s.recloseAndCount(lv, lv.root)
+	lv.count = s.recloseAndCount(lv, lv.root, s.span)
 	s.wm[i] = lv.y
-	s.cache[i] = nil
+	s.cache[i] = leaf{}
 	for lv.count > s.alpha {
 		s.discardMax(lv)
 	}
@@ -438,12 +432,12 @@ func (s *Summary) mergeTreeLevel(i int, in incoming) {
 func (s *Summary) mergeNode(dst, src *bucket, owned bool) {
 	if src.sk != nil {
 		if dst.sk == nil {
-			s.attachSketch(dst)
+			dst.sk = s.maker.New()
 		}
 		_ = dst.sk.Merge(src.sk)
 		if owned {
 			sketch.Recycle(s.maker, src.sk)
-			src.sk, src.sa = nil, nil
+			src.sk = nil
 		}
 	}
 	if src.closed {
@@ -475,11 +469,10 @@ func (s *Summary) importNode(src *bucket, owned bool) *bucket {
 	if owned {
 		return src
 	}
-	b := &bucket{iv: src.iv, closed: src.closed}
+	b := &bucket{closed: src.closed}
 	if src.sk != nil {
 		b.sk = s.maker.New()
 		_ = b.sk.Merge(src.sk)
-		b.sa = s.slotAdderOf(b.sk)
 	}
 	b.left = s.importNode(src.left, false)
 	b.right = s.importNode(src.right, false)
@@ -490,18 +483,22 @@ func (s *Summary) importNode(src *bucket, owned bool) *bucket {
 // an open bucket whose merged estimate now clears the level threshold
 // closes, exactly as Algorithm 2 would have closed it — compacts the closed
 // ones (a merge into one undid that), resets the optimization budgets, and
-// returns the number of stored buckets.
-func (s *Summary) recloseAndCount(lv *level, b *bucket) int {
+// returns the number of stored buckets in b's subtree, b spanning iv.
+func (s *Summary) recloseAndCount(lv *level, b *bucket, iv dyadic.Interval) int {
 	if b == nil {
 		return 0
 	}
-	if !b.closed && !b.iv.Single() && b.sk != nil &&
+	if !b.closed && !iv.Single() && b.sk != nil &&
 		sketch.CheapEstimate(b.sk) >= lv.thresh {
 		b.closed = true
 	}
-	compactClosed(b)
+	compactClosed(b, iv)
 	b.closeBudget = 0
-	return 1 + s.recloseAndCount(lv, b.left) + s.recloseAndCount(lv, b.right)
+	if b.left == nil && b.right == nil {
+		return 1
+	}
+	lc, rc := iv.Children()
+	return 1 + s.recloseAndCount(lv, b.left, lc) + s.recloseAndCount(lv, b.right, rc)
 }
 
 // install replaces the summary's state with a decoded wire image (the
@@ -509,9 +506,8 @@ func (s *Summary) recloseAndCount(lv *level, b *bucket) int {
 // sketches into the maker's pool. The incoming state must be owned
 // (its buckets were built by this summary's maker).
 func (s *Summary) install(in incoming) {
-	for _, b := range s.s0.buckets {
-		sketch.Recycle(s.maker, b.sk)
-		b.sk, b.sa = nil, nil
+	for _, sk := range s.s0.buckets {
+		sketch.Recycle(s.maker, sk)
 	}
 	for i := 1; i <= s.lmax; i++ {
 		s.recycleTree(s.levels[i].root)
@@ -530,7 +526,7 @@ func (s *Summary) install(in incoming) {
 	for i := 1; i <= s.lmax; i++ {
 		s.levels[i] = in.levels[i]
 		s.wm[i] = in.levels[i].y
-		s.cache[i] = nil
+		s.cache[i] = leaf{}
 	}
 }
 
@@ -539,24 +535,21 @@ func (s *Summary) install(in incoming) {
 // summary as a merge accumulator (merge-then-query over site summaries)
 // or across stream epochs without rebuilding hash functions.
 func (s *Summary) Reset() {
-	for _, b := range s.s0.buckets {
-		sketch.Recycle(s.maker, b.sk)
-		b.sk, b.sa = nil, nil
+	for _, sk := range s.s0.buckets {
+		sketch.Recycle(s.maker, sk)
 	}
-	s.s0 = levelZero{buckets: make(map[uint64]*bucket), y: noWatermark}
+	s.s0 = levelZero{buckets: make(map[uint64]sketch.Sketch), y: noWatermark}
 	for i := 1; i <= s.lmax; i++ {
 		s.recycleTree(s.levels[i].root)
 		s.levels[i] = &level{
 			idx:    i,
-			root:   &bucket{iv: dyadic.Root(s.cfg.YMax)},
+			root:   &bucket{},
 			y:      noWatermark,
 			count:  1,
 			thresh: s.levels[i].thresh,
 		}
 	}
-	for i := range s.cache {
-		s.cache[i] = nil
-	}
+	clear(s.cache)
 	for i := range s.wm {
 		s.wm[i] = noWatermark
 	}
@@ -574,7 +567,7 @@ func (s *Summary) recycleTree(b *bucket) {
 		return
 	}
 	sketch.Recycle(s.maker, b.sk)
-	b.sk, b.sa = nil, nil
+	b.sk = nil
 	s.recycleTree(b.left)
 	s.recycleTree(b.right)
 }

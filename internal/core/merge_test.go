@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/streamagg/correlated/internal/compat"
+	"github.com/streamagg/correlated/internal/dyadic"
 	"github.com/streamagg/correlated/internal/hash"
 )
 
@@ -410,7 +411,7 @@ func checkInvariants(t *testing.T, s *Summary) {
 		if s.wm[i] != lv.y {
 			t.Fatalf("level %d watermark mirror %d != %d", i, s.wm[i], lv.y)
 		}
-		verifyClosedInternal(t, i, lv.root)
+		verifyClosedInternal(t, i, lv.root, s.span)
 	}
 }
 
@@ -421,16 +422,17 @@ func countNodes(b *bucket) int {
 	return 1 + countNodes(b.left) + countNodes(b.right)
 }
 
-func verifyClosedInternal(t *testing.T, lvl int, b *bucket) {
+func verifyClosedInternal(t *testing.T, lvl int, b *bucket, iv dyadic.Interval) {
 	t.Helper()
-	if b == nil {
+	if b == nil || b.left == nil && b.right == nil {
 		return
 	}
-	if (b.left != nil || b.right != nil) && !b.closed {
-		t.Fatalf("level %d: internal bucket [%d,%d] not closed", lvl, b.iv.L, b.iv.R)
+	if !b.closed {
+		t.Fatalf("level %d: internal bucket [%d,%d] not closed", lvl, iv.L, iv.R)
 	}
-	verifyClosedInternal(t, lvl, b.left)
-	verifyClosedInternal(t, lvl, b.right)
+	lc, rc := iv.Children()
+	verifyClosedInternal(t, lvl, b.left, lc)
+	verifyClosedInternal(t, lvl, b.right, rc)
 }
 
 func relDiff(got, want float64) float64 {

@@ -3,6 +3,7 @@ package core
 import (
 	"unsafe"
 
+	"github.com/streamagg/correlated/internal/dyadic"
 	"github.com/streamagg/correlated/internal/sketch"
 )
 
@@ -55,13 +56,13 @@ type LevelOccupancy struct {
 func (s *Summary) Occupancy() []LevelOccupancy {
 	rows := make([]LevelOccupancy, s.lmax+1)
 	rows[0] = LevelOccupancy{Stored: len(s.s0.buckets), Watermark: s.s0.y}
-	for _, b := range s.s0.buckets {
+	for _, sk := range s.s0.buckets {
 		rows[0].count(1) // the singleton's y
-		rows[0].visit(b)
+		rows[0].visit(sk, false, false)
 	}
 	for i := 1; i <= s.lmax; i++ {
 		rows[i] = LevelOccupancy{Level: i, Virgin: i >= s.virginFrom, Watermark: s.levels[i].y}
-		rows[i].walk(s.levels[i].root)
+		rows[i].walk(s.levels[i].root, s.span)
 	}
 	rows[min(s.virginFrom, s.lmax)].countSketch(s.shared)
 	if p, ok := s.maker.(pooler); ok {
@@ -85,9 +86,11 @@ type Footprint struct {
 	Held int64
 	// Pooled is Occupancy's Pooled: the maker's free lists.
 	Pooled int64
-	// Headers is what stands around Held and no row counts: the bucket nodes
-	// and the sketch structs, less the words of a node Held already charged.
-	// The singleton level's map and heap are not in it.
+	// Headers is what stands around Held and no row counts: the tree nodes
+	// and the sketch structs, less the two words Held charges a node (as
+	// Space does), so that Total counts a node once, at its size. The
+	// singleton level's map and heap are not in it: a singleton has no node,
+	// its sketch sits in the map under its y, the word Held charges it.
 	Headers int64
 }
 
@@ -106,7 +109,7 @@ type bookkeeper interface {
 	HeaderBytes() int
 }
 
-// bucketBytes is what the allocator hands out for a bucket node.
+// bucketBytes is what the allocator hands out for a tree node.
 const bucketBytes = (int64(unsafe.Sizeof(bucket{})) + 15) &^ 15
 
 // Footprint returns the summary's memory from the maker's running counts and
@@ -122,12 +125,12 @@ func (s *Summary) Footprint() Footprint {
 	for i := 1; i <= s.lmax; i++ {
 		nodes += int64(s.levels[i].count)
 	}
-	charged := 8*singles + 16*nodes // the y of a singleton, the interval of a node
 	pooled, _ := bk.PooledBytes()
 	return Footprint{
-		Held:    int64(bk.HeldBytes()) + charged,
+		// The y of a singleton and the interval of a node: Space's words.
+		Held:    int64(bk.HeldBytes()) + 8*singles + 16*nodes,
 		Pooled:  int64(pooled),
-		Headers: int64(bk.HeaderBytes()) + (singles+nodes)*bucketBytes - charged,
+		Headers: int64(bk.HeaderBytes()) + nodes*(bucketBytes-16),
 	}
 }
 
@@ -162,32 +165,39 @@ type formed interface {
 	Bytes() int
 }
 
-func (o *LevelOccupancy) walk(b *bucket) {
+// walk charges the subtree of b, which spans iv, to the level.
+func (o *LevelOccupancy) walk(b *bucket, iv dyadic.Interval) {
 	if b == nil {
 		return
 	}
 	o.Stored++
 	o.count(2) // the bucket's interval
-	o.visit(b)
-	o.walk(b.left)
-	o.walk(b.right)
+	o.visit(b.sk, b.closed, b.closed && !iv.Single())
+	if b.left != nil || b.right != nil {
+		lc, rc := iv.Children()
+		o.walk(b.left, lc)
+		o.walk(b.right, rc)
+	}
 }
 
-func (o *LevelOccupancy) visit(b *bucket) {
-	if b.closed {
+// visit charges one bucket's sketch to the level: sk is nil for an untouched
+// bucket, and splits says the bucket is closed and will split, which a
+// singleton never does.
+func (o *LevelOccupancy) visit(sk sketch.Sketch, closed, splits bool) {
+	if closed {
 		o.Closed++
 	}
-	if b.sk == nil {
+	if sk == nil {
 		o.Untouched++
 		return
 	}
-	switch f := o.countSketch(b.sk); {
+	switch f := o.countSketch(sk); {
 	case f == nil:
 	case f.Dense():
 		o.Dense++
 	default:
 		o.Items++
-		if b.closed && !b.iv.Single() {
+		if splits {
 			o.ClosedItemsBytes += int64(f.Bytes())
 		}
 	}

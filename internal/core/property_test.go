@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/streamagg/correlated/internal/dyadic"
 	"github.com/streamagg/correlated/internal/hash"
 )
 
@@ -62,7 +63,8 @@ func TestPropertyCountMatchesExact(t *testing.T) {
 }
 
 // TestPropertyBucketInvariants: after arbitrary streams, every level
-// respects its capacity, tree structure, and watermark bookkeeping.
+// respects its capacity, tree structure, and watermark bookkeeping, and
+// after every insertion no level's leaf cache holds a discarded bucket.
 func TestPropertyBucketInvariants(t *testing.T) {
 	const ymax = 1<<10 - 1
 	prop := func(seed uint64, alphaRaw uint8) bool {
@@ -79,13 +81,18 @@ func TestPropertyBucketInvariants(t *testing.T) {
 			if err := s.Add(rng.Uint64n(50), rng.Uint64n(ymax+1)); err != nil {
 				return false
 			}
+			for l := 1; l <= s.lmax; l++ {
+				if !cacheReachable(s, l) {
+					return false
+				}
+			}
 		}
 		for i := 1; i <= s.lmax; i++ {
 			lv := s.levels[i]
 			if lv.count > alpha {
 				return false
 			}
-			if !checkTree(lv.root, ymax) {
+			if !checkTree(lv.root, s.span) {
 				return false
 			}
 		}
@@ -105,32 +112,41 @@ func TestPropertyBucketInvariants(t *testing.T) {
 	}
 }
 
-// checkTree verifies dyadic structure: children partition the parent, a
-// right child never exists without its interval being the parent's upper
-// half, and no discarded bucket is reachable.
-func checkTree(b *bucket, ymax uint64) bool {
-	if b == nil {
+// checkTree verifies dyadic structure: children are created in pairs and
+// discarded right-first, so a right child never stands without its left
+// sibling, and a single point has none.
+func checkTree(b *bucket, iv dyadic.Interval) bool {
+	if b == nil || b.left == nil && b.right == nil {
 		return true
 	}
-	if b.discarded {
+	if b.left == nil || iv.Single() {
 		return false
 	}
-	if b.iv.R > ymax || b.iv.L > b.iv.R {
-		return false
+	lc, rc := iv.Children()
+	return checkTree(b.left, lc) && checkTree(b.right, rc)
+}
+
+// cacheReachable reports whether level i's cached leaf, if it has one, is the
+// bucket its tree holds at the cached interval: no discarded bucket is
+// reachable through the cache.
+func cacheReachable(s *Summary, i int) bool {
+	c := s.cache[i]
+	if c.b == nil {
+		return true
 	}
-	if b.left == nil && b.right != nil {
-		return false // children are created in pairs, discarded right-first
-	}
-	if b.left != nil {
-		lc, rc := b.iv.Children()
-		if b.left.iv != lc {
+	b, iv := s.levels[i].root, s.span
+	for b != nil && iv != c.iv {
+		if iv.Single() || !iv.Contains(c.iv.L) {
 			return false
 		}
-		if b.right != nil && b.right.iv != rc {
-			return false
+		lc, rc := iv.Children()
+		if c.iv.L <= lc.R {
+			b, iv = b.left, lc
+		} else {
+			b, iv = b.right, rc
 		}
 	}
-	return checkTree(b.left, ymax) && checkTree(b.right, ymax)
+	return b == c.b
 }
 
 // TestPropertySumMatchesExact: SUM through the reduction on random

@@ -32,6 +32,7 @@ type Summary struct {
 	maker sketch.Maker
 	alpha int
 	lmax  int
+	span  dyadic.Interval // every level's root interval, [0, YMax]
 
 	s0     levelZero
 	levels []*level // levels[i] for i = 1..lmax; index 0 unused
@@ -41,7 +42,7 @@ type Summary struct {
 	// cache holds, per level, the leaf that received the previous
 	// insertion; sorted (batched) insertion streams hit it repeatedly,
 	// which is the practical form of the paper's Lemma 9 amortization.
-	cache []*bucket
+	cache []leaf
 
 	// Virgin-level sharing: every level whose root has never closed
 	// holds, by construction, a sketch of the *entire* stream so far —
@@ -76,14 +77,15 @@ type Summary struct {
 	wm []uint64
 }
 
+// bucket is a node of a level's tree. It stores only what its position does
+// not say: its dyadic interval is fixed by the path from the root, which
+// spans [0, YMax] and halves at each step, so every descent and walk passes
+// the interval down beside the node instead (dyadic.Interval.Children).
+// A summary holds tens of thousands of these, so the node is kept at 48
+// bytes, a size class of its own.
 type bucket struct {
-	iv        dyadic.Interval
-	sk        sketch.Sketch
-	sa        sketch.SlotAdder // sk's slot face, cached to skip per-update type asserts
-	closed    bool
-	discarded bool
-	left      *bucket
-	right     *bucket
+	sk          sketch.Sketch
+	left, right *bucket
 
 	// closeBudget is the weight this bucket can still absorb before its
 	// estimate could possibly reach the level's closing threshold
@@ -91,6 +93,26 @@ type bucket struct {
 	// skipped — with decisions bit-identical to checking every insert.
 	// Pure optimization state: not serialized; zero forces a check.
 	closeBudget int64
+	closed      bool
+}
+
+// leaf is a level's cached leaf, the interval it spans and its sketch's
+// slot face, asserted once when the leaf is cached rather than once per
+// group (nil off the fast path). The face is the sketch's own: it stays
+// valid for as long as the entry, which every change of the leaf's sketch
+// clears (discardMax, merges, restores, Reset).
+type leaf struct {
+	b  *bucket
+	iv dyadic.Interval
+	sa sketch.SlotAdder
+}
+
+// serves reports whether the cached leaf can absorb an insertion at y
+// without a descent from the root.
+func (c leaf) serves(y uint64) bool {
+	b := c.b
+	return b != nil && b.left == nil && b.right == nil &&
+		c.iv.Contains(y) && (!b.closed || c.iv.Single())
 }
 
 type level struct {
@@ -101,8 +123,10 @@ type level struct {
 	thresh float64
 }
 
+// levelZero is the singleton level: each stored y maps straight to its
+// sketch, the key being all a singleton bucket's interval would say.
 type levelZero struct {
-	buckets map[uint64]*bucket
+	buckets map[uint64]sketch.Sketch
 	ys      []uint64 // max-heap of singleton y values
 	y       uint64   // watermark Y_0
 }
@@ -132,14 +156,15 @@ func NewSummary(agg Aggregate, cfg Config) (*Summary, error) {
 		maker:  agg.NewMaker(upsilon, gamma, rng),
 		alpha:  deriveAlpha(cfg, agg),
 		lmax:   lmax,
+		span:   dyadic.Root(cfg.YMax),
 		levels: make([]*level, lmax+1),
-		cache:  make([]*bucket, lmax+1),
+		cache:  make([]leaf, lmax+1),
 	}
-	s.s0 = levelZero{buckets: make(map[uint64]*bucket), y: noWatermark}
+	s.s0 = levelZero{buckets: make(map[uint64]sketch.Sketch), y: noWatermark}
 	for i := 1; i <= lmax; i++ {
 		s.levels[i] = &level{
 			idx:    i,
-			root:   &bucket{iv: dyadic.Root(cfg.YMax)},
+			root:   &bucket{},
 			y:      noWatermark,
 			count:  1,
 			thresh: math.Ldexp(1, i+1),
@@ -165,13 +190,6 @@ func (s *Summary) slotAdderOf(sk sketch.Sketch) sketch.SlotAdder {
 		return nil
 	}
 	return sk.(sketch.SlotAdder)
-}
-
-// attachSketch gives b a fresh (or pooled) sketch with its slot face
-// cached.
-func (s *Summary) attachSketch(b *bucket) {
-	b.sk = s.maker.New()
-	b.sa = s.slotAdderOf(b.sk)
 }
 
 // Config returns the (normalized) configuration.
@@ -230,10 +248,9 @@ func (s *Summary) materialize(lv *level) {
 	// Same-maker merges cannot fail.
 	_ = cp.Merge(s.shared)
 	lv.root.sk = cp
-	lv.root.sa = s.slotAdderOf(cp)
-	if !lv.root.iv.Single() {
+	if !s.span.Single() {
 		lv.root.closed = true
-		compactClosed(lv.root)
+		compactClosed(lv.root, s.span)
 	}
 }
 
@@ -242,8 +259,8 @@ func (s *Summary) materialize(lv *level) {
 // every place a bucket becomes one calls this, and a restored or merged
 // summary holds what the live one did. A merge that does write into one
 // leaves it for recloseAndCount to compact again.
-func compactClosed(b *bucket) {
-	if b.closed && !b.iv.Single() {
+func compactClosed(b *bucket, iv dyadic.Interval) {
+	if b.closed && !iv.Single() {
 		sketch.Compact(b.sk) // nothing for a bucket without a sketch
 	}
 }
@@ -254,10 +271,7 @@ func (s *Summary) evict0() {
 	z := &s.s0
 	for len(z.buckets) > s.alpha {
 		top := heapPopU64(&z.ys)
-		if b := z.buckets[top]; b != nil {
-			sketch.Recycle(s.maker, b.sk)
-			b.sk, b.sa = nil, nil
-		}
+		sketch.Recycle(s.maker, z.buckets[top])
 		delete(z.buckets, top)
 		if top < z.y {
 			z.y = top
@@ -269,8 +283,8 @@ func (s *Summary) evict0() {
 // it. The budget skips the estimate while the sketch proves the threshold
 // is out of reach, leaving closing decisions bit-identical to checking
 // after every single update.
-func (s *Summary) maybeClose(lv *level, b *bucket, w int64) {
-	if b.closed || b.iv.Single() {
+func (s *Summary) maybeClose(lv *level, b *bucket, iv dyadic.Interval, w int64) {
+	if b.closed || iv.Single() {
 		return
 	}
 	b.closeBudget -= w
@@ -279,45 +293,39 @@ func (s *Summary) maybeClose(lv *level, b *bucket, w int64) {
 	}
 	if sketch.CheapEstimate(b.sk) >= lv.thresh {
 		b.closed = true
-		compactClosed(b)
+		compactClosed(b, iv)
 		return
 	}
 	b.closeBudget = sketch.ThresholdBudget(b.sk, lv.thresh)
 }
 
-// cacheServes reports whether the cached leaf b can absorb an insertion at
-// y without a descent from the root.
-func cacheServes(b *bucket, y uint64) bool {
-	return b != nil && !b.discarded && b.left == nil && b.right == nil &&
-		b.iv.Contains(y) && (!b.closed || b.iv.Single())
-}
-
 // leafFor descends level lv toward y, splitting closed leaves on the way
 // (Algorithm 2's lazy split), and returns the open-or-singleton leaf that
-// receives insertions at y — or nil when y falls in the discarded region.
-func (s *Summary) leafFor(lv *level, y uint64) *bucket {
-	b := lv.root
+// receives insertions at y with the interval it spans — or nil when y falls
+// in the discarded region.
+func (s *Summary) leafFor(lv *level, y uint64) (*bucket, dyadic.Interval) {
+	b, iv := lv.root, s.span
 	for {
 		if b.left != nil || b.right != nil {
 			// Internal: descend toward y. Children are created in
 			// pairs and discarded right-to-left, so a missing
 			// target child means y is in the discarded region —
 			// unreachable given the watermark check above.
-			lc, _ := b.iv.Children()
+			lc, rc := iv.Children()
 			if y <= lc.R {
 				if b.left == nil {
-					return nil
+					return nil, iv
 				}
-				b = b.left
+				b, iv = b.left, lc
 			} else {
 				if b.right == nil {
-					return nil
+					return nil, iv
 				}
-				b = b.right
+				b, iv = b.right, rc
 			}
 			continue
 		}
-		if b.closed && !b.iv.Single() {
+		if b.closed && !iv.Single() {
 			// Closed leaf: split into the two dyadic children and
 			// continue into the one containing y. The children start
 			// without sketches: the one this insertion descends into is
@@ -326,21 +334,18 @@ func (s *Summary) leafFor(lv *level, y uint64) *bucket {
 			// lands in it. Roughly half of all split siblings are
 			// evicted or straddled without ever being touched, so the
 			// lazy attach removes the dominant steady-state allocation
-			// of the ingest path (it showed up as B/op growing with the
-			// shard count in BenchmarkShardedAdd: P summaries, each
-			// paying two sketches per split).
-			lc, rc := b.iv.Children()
-			b.left = &bucket{iv: lc}
-			b.right = &bucket{iv: rc}
+			// of the ingest path: two sketches a split, paid again by
+			// every summary a stream is spread over.
+			b.left, b.right = &bucket{}, &bucket{}
 			lv.count += 2
 			continue
 		}
 		if b.sk == nil {
 			// First touch of a lazily-created leaf (or one restored from
 			// a snapshot taken before it was ever touched).
-			s.attachSketch(b)
+			b.sk = s.maker.New()
 		}
-		return b
+		return b, iv
 	}
 }
 
@@ -349,13 +354,14 @@ func (s *Summary) leafFor(lv *level, y uint64) *bucket {
 // the level's watermark.
 func (s *Summary) discardMax(lv *level) {
 	var parent *bucket
-	b := lv.root
+	b, iv := lv.root, s.span
 	for b.left != nil || b.right != nil {
 		parent = b
+		lc, rc := iv.Children()
 		if b.right != nil {
-			b = b.right
+			b, iv = b.right, rc
 		} else {
-			b = b.left
+			b, iv = b.left, lc
 		}
 	}
 	if parent == nil {
@@ -367,14 +373,14 @@ func (s *Summary) discardMax(lv *level) {
 	} else {
 		parent.left = nil
 	}
-	b.discarded = true
-	// The discarded bucket may linger in the leaf cache (guarded by its
-	// discarded flag), but its counters are dead — recycle them.
+	// The leaf cache is the one other way to reach the bucket.
+	if s.cache[lv.idx].b == b {
+		s.cache[lv.idx] = leaf{}
+	}
 	sketch.Recycle(s.maker, b.sk)
-	b.sk, b.sa = nil, nil
 	lv.count--
-	if b.iv.L < lv.y {
-		lv.y = b.iv.L
+	if iv.L < lv.y {
+		lv.y = iv.L
 		s.wm[lv.idx] = lv.y
 	}
 }
@@ -432,9 +438,9 @@ func (s *Summary) QuerySketch(c uint64) (sketch.Sketch, int, error) {
 // summation coincide).
 func (s *Summary) query0(c uint64) sketch.Sketch {
 	parts := s.parts[:0]
-	for y, b := range s.s0.buckets {
+	for y, sk := range s.s0.buckets {
 		if y <= c {
-			parts = append(parts, b.sk)
+			parts = append(parts, sk)
 		}
 	}
 	return s.compose(parts)
@@ -471,19 +477,21 @@ func (s *Summary) queryLevel(lv *level, c uint64) sketch.Sketch {
 		inside(b.left)
 		inside(b.right)
 	}
-	var walk func(b *bucket)
-	walk = func(b *bucket) {
-		if b == nil || !b.iv.Intersects(c) {
+	var walk func(b *bucket, iv dyadic.Interval)
+	walk = func(b *bucket, iv dyadic.Interval) {
+		if b == nil || !iv.Intersects(c) {
 			return
 		}
-		if b.iv.Within(c) {
+		if iv.Within(c) {
 			inside(b)
 			return
 		}
-		walk(b.left)
-		walk(b.right)
+		// Straddling c, so not a single point: it has two halves.
+		lc, rc := iv.Children()
+		walk(b.left, lc)
+		walk(b.right, rc)
 	}
-	walk(lv.root)
+	walk(lv.root, s.span)
 	return s.compose(parts)
 }
 
@@ -491,8 +499,8 @@ func (s *Summary) queryLevel(lv *level, c uint64) sketch.Sketch {
 // the paper's figures.
 func (s *Summary) Space() int64 {
 	total := int64(s.shared.Size()) // one shared sketch for virgin levels
-	for _, b := range s.s0.buckets {
-		total += int64(b.sk.Size()) + 1
+	for _, sk := range s.s0.buckets {
+		total += int64(sk.Size()) + 1
 	}
 	for i := 1; i <= s.lmax; i++ {
 		total += levelSpace(s.levels[i].root)
@@ -632,15 +640,15 @@ func (s *Summary) addGroup(group []Tuple) {
 	// decreases, so it could never serve a query.
 	z := &s.s0
 	if y < z.y {
-		b := z.buckets[y]
-		if b == nil {
-			b = &bucket{iv: dyadic.Interval{L: y, R: y}}
-			s.attachSketch(b)
-			z.buckets[y] = b
+		sk := z.buckets[y]
+		if sk == nil {
+			sk = s.maker.New()
+			z.buckets[y] = sk
 			heapPushU64(&z.ys, y)
 		}
+		sa := s.slotAdderOf(sk)
 		for gi := range group {
-			groupAdd(b.sk, b.sa, gi)
+			groupAdd(sk, sa, gi)
 		}
 		s.evict0()
 	}
@@ -663,17 +671,18 @@ func (s *Summary) addGroup(group []Tuple) {
 			continue
 		}
 		lv := s.levels[i]
-		b := s.cache[i]
-		if !cacheServes(b, y) {
-			if b = s.leafFor(lv, y); b == nil {
+		c := &s.cache[i]
+		if !c.serves(y) {
+			b, iv := s.leafFor(lv, y)
+			if b == nil {
 				continue
 			}
+			*c = leaf{b, iv, s.slotAdderOf(b.sk)}
 		}
 		for gi := range group {
-			groupAdd(b.sk, b.sa, gi)
+			groupAdd(c.b.sk, c.sa, gi)
 		}
-		s.maybeClose(lv, b, groupW)
-		s.cache[i] = b
+		s.maybeClose(lv, c.b, c.iv, groupW)
 		for lv.count > s.alpha {
 			s.discardMax(lv)
 		}

@@ -61,7 +61,7 @@ func TestCountSketchPromotionPoint(t *testing.T) {
 			}
 			step := fmt.Sprintf("slotted=%v itemsMax%+d", slotted, target)
 			p.check(t, step)
-			if items := !p.a.dense; items != (target <= 0) || (items && p.a.n != want) {
+			if items := !p.a.dense; items != (target <= 0) || (items && int(p.a.n) != want) {
 				t.Fatalf("%s: dense=%v with n=%d", step, p.a.dense, p.a.n)
 			}
 			if target > 0 {
@@ -81,7 +81,7 @@ func TestCountSketchPromotionPoint(t *testing.T) {
 			// promotes.
 			add(1001, -p.a.weightOf(1001))
 			p.check(t, step+" cancelled")
-			if p.a.n != want-1 {
+			if int(p.a.n) != want-1 {
 				t.Fatalf("after cancel n=%d, want %d", p.a.n, want-1)
 			}
 			add(5000, 1)

@@ -74,20 +74,24 @@ import (
 // outlive its table, a merge of a sketch into itself, reads a copy.
 type CountSketch struct {
 	maker *F2Maker
-	dense bool
+
+	// Items form: the table's words and rung (see table), held as two fields
+	// rather than one table value so that the rung shares a word with n and
+	// the other one-byte fields. A slot with weight 0 is empty: a pair whose
+	// weight returns to zero is deleted by backward shift, so probe chains
+	// never cross a stale slot and the table never holds more than n entries.
+	tab   []uint64
+	n     int32 // items: pairs held, at most the maker's itemsMax
+	rung  uint8 // items: a slot is 4<<rung bytes
 	shift uint8 // items: 64 − log2(slots), the multiplicative-hash shift of a hashed table
 	cw    uint8 // dense: bytes per stored counter — 1, 2 or 8
-	n     int   // items: pairs held
+	dense bool
 
-	// Items form. A slot with weight 0 is empty: a pair whose weight returns
-	// to zero is deleted by backward shift, so probe chains never cross a
-	// stale slot and the table never holds more than n entries.
-	table
 	f2hi, f2lo uint64 // Σf² over the pairs, a 128-bit integer
 
 	// Dense form. Items-form sketches — most of a summary — hold no array at
 	// all, so the dense headers sit behind one pointer, set by the first
-	// promotion and kept across Reset: the struct is 80 bytes, not 128, and
+	// promotion and kept across Reset: the struct is 64 bytes, not 112, and
 	// only a dense sketch may touch what the pointer leads to.
 	*denseState
 }
@@ -122,6 +126,17 @@ type table struct {
 	tab  []uint64
 	rung uint8 // a slot is 4<<rung bytes
 }
+
+// table returns a view of the sketch's own table.
+func (c *CountSketch) table() table { return table{c.tab, c.rung} }
+
+// setTable makes t the sketch's table.
+func (c *CountSketch) setTable(t table) { c.tab, c.rung = t.tab, t.rung }
+
+// slots, pairAt and setPair are the table's, read through the view.
+func (c *CountSketch) slots() int                            { return c.table().slots() }
+func (c *CountSketch) pairAt(j int) (uint64, int64)          { return c.table().pairAt(j) }
+func (c *CountSketch) setPair(j int, x uint64, f int64) bool { return c.table().setPair(j, x, f) }
 
 // The rungs of the slot ladder.
 const (
@@ -235,7 +250,7 @@ func NewF2Maker(width, depth int, rng *hash.RNG) *F2Maker {
 	}
 	m := &F2Maker{
 		width: width, depth: depth,
-		itemsMax:   width * depth / itemsDivisor,
+		itemsMax:   min(width*depth/itemsDivisor, math.MaxInt32), // n is an int32
 		medScratch: make([]float64, depth),
 	}
 	m.tables = make([][][]uint64, tableClass(tableFor(m.itemsMax+1))+1)
@@ -339,10 +354,10 @@ func (m *F2Maker) HeldBytes() int { return m.held }
 // sketch keeps while it is back in the items form.
 func (m *F2Maker) HeaderBytes() int { return m.headers }
 
-// What the allocator hands out for the three structs: 80 bytes is a size
-// class of its own, 56 rounds up to 64, and 48 is one too.
+// What the allocator hands out for the three structs: 64 bytes is a size
+// class of its own, 56 rounds up to it, and 48 is one too.
 const (
-	countSketchBytes  = int(unsafe.Sizeof(CountSketch{}))
+	countSketchBytes  = (int(unsafe.Sizeof(CountSketch{})) + 15) &^ 15
 	denseStateBytes   = (int(unsafe.Sizeof(denseState{})) + 15) &^ 15
 	wideCountersBytes = (int(unsafe.Sizeof(wideCounters{})) + 15) &^ 15
 )
@@ -450,11 +465,11 @@ func (c *CountSketch) addItem(x uint64, w int64) bool {
 		c.store(j, x, f)
 	case old != 0:
 		c.remove(j)
-	case c.n >= c.maker.itemsMax:
+	case int(c.n) >= c.maker.itemsMax:
 		c.promote()
 		return false
 	default:
-		if (c.n+1)*4 > c.slots()*3 {
+		if int(c.n+1)*4 > c.slots()*3 {
 			c.grow()
 			j, _ = c.probe(x)
 		}
@@ -500,7 +515,7 @@ func (c *CountSketch) weightOf(x uint64) int64 {
 		_, f := c.probe(x)
 		return f
 	}
-	j, found := sort.Find(c.n, func(j int) int {
+	j, found := sort.Find(int(c.n), func(j int) int {
 		sx, _ := c.pairAt(j)
 		return cmp.Compare(x, sx)
 	})
@@ -521,8 +536,8 @@ func (c *CountSketch) Compact() {
 	if c.cut() {
 		return
 	}
-	m, old := c.maker, c.table
-	fit := table{m.takeTable(tableWords(c.n, old.rung)), old.rung}
+	m, old := c.maker, c.table()
+	fit := table{m.takeTable(tableWords(int(c.n), old.rung)), old.rung}
 	if old.rung == slot16 {
 		j := 0
 		for k := range old.slots() {
@@ -547,7 +562,7 @@ func (c *CountSketch) Compact() {
 		}
 		m.keyScratch = keys
 	}
-	c.table = fit
+	c.setTable(fit)
 	m.putTable(old.tab)
 }
 
@@ -570,7 +585,7 @@ func (c *CountSketch) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> 
 // probe. The home slot is a function of the whole identifier and the slot
 // count, so a table is laid out the same at both widths.
 func (c *CountSketch) probe(x uint64) (int, int64) {
-	t := c.table
+	t := c.table()
 	mask := t.slots() - 1
 	for j := c.home(x); ; j = (j + 1) & mask {
 		if sx, f := t.pairAt(j); f == 0 || sx == x {
@@ -582,7 +597,7 @@ func (c *CountSketch) probe(x uint64) (int, int64) {
 // remove deletes the pair in slot j, shifting back every later entry of the
 // run that would otherwise be cut off from its home slot.
 func (c *CountSketch) remove(j int) {
-	t := c.table
+	t := c.table()
 	mask := t.slots() - 1
 	for k := (j + 1) & mask; ; k = (k + 1) & mask {
 		x, f := t.pairAt(k)
@@ -605,14 +620,14 @@ func (c *CountSketch) remove(j int) {
 // of the last word; a hashed table, at most ¾ full of at least eight slots,
 // always has two empty slots or more. Only a table that is not cut can be
 // probed.
-func (c *CountSketch) cut() bool { return c.slots()-c.n < 2 }
+func (c *CountSketch) cut() bool { return c.slots()-int(c.n) < 2 }
 
 // grow moves the pairs to a hashed table with room for one more, at the
 // width they have: the first table, twice a full hashed one, or what a cut
 // one needs.
 func (c *CountSketch) grow() {
-	old := c.table
-	c.retable(tableFor(c.n+1), old.rung)
+	old := c.table()
+	c.retable(tableFor(int(c.n)+1), old.rung)
 	for k := range old.slots() {
 		if x, f := old.pairAt(k); f != 0 {
 			j, _ := c.probe(x)
@@ -625,14 +640,14 @@ func (c *CountSketch) grow() {
 // retable gives an items-form sketch an empty hashed table from the maker's
 // lists. The table it had is the caller's to hand back, once read.
 func (c *CountSketch) retable(slots int, rung uint8) {
-	c.table = table{c.maker.takeTable(tableWords(slots, rung)), rung}
+	c.setTable(table{c.maker.takeTable(tableWords(slots, rung)), rung})
 	c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
 }
 
 // widenTable rewrites the table slot for slot one rung up: a copy, not a
 // re-hash. A pair since cancelled does not narrow it again.
 func (c *CountSketch) widenTable() {
-	old := c.table
+	old := c.table()
 	c.retable(old.slots(), old.rung+1)
 	for k := range old.slots() {
 		x, f := old.pairAt(k)
@@ -654,7 +669,7 @@ func tableFor(n int) int {
 // hashed into a zeroed array with the maker's row hashes and the rows are
 // summed in index order, so the result does not depend on table layout.
 func (c *CountSketch) promote() {
-	pairs := c.table
+	pairs := c.table()
 	c.allocDense()
 	c.scatter(pairs)
 	c.sumSquares()
@@ -685,7 +700,8 @@ func (c *CountSketch) scatter(tab table) {
 // caller may still be reading it.
 func (c *CountSketch) allocDense() {
 	m := c.maker
-	c.table, c.n, c.f2hi, c.f2lo = table{}, 0, 0, 0
+	c.setTable(table{})
+	c.n, c.f2hi, c.f2lo = 0, 0, 0
 	if c.denseState == nil {
 		c.denseState = &denseState{rowF2: make([]float64, m.depth)}
 	}
@@ -725,7 +741,8 @@ func (c *CountSketch) Reset() {
 		c.maker.headers -= denseStateBytes
 	}
 	c.maker.putTable(c.tab)
-	c.table, c.n, c.f2hi, c.f2lo = table{}, 0, 0, 0
+	c.setTable(table{})
+	c.n, c.f2hi, c.f2lo = 0, 0, 0
 }
 
 // Estimate implements Sketch. In the items form it is F2 itself. Once
@@ -770,7 +787,7 @@ func (c *CountSketch) ThresholdBudget(thresh float64) int64 {
 		if f2 >= thresh {
 			return 0
 		}
-		return min(int64(math.Sqrt(thresh)-math.Sqrt(f2)), int64(c.maker.itemsMax-c.n))
+		return min(int64(math.Sqrt(thresh)-math.Sqrt(f2)), int64(c.maker.itemsMax-int(c.n)))
 	}
 	maxRow := 0.0
 	for _, v := range c.rowF2 {
@@ -813,7 +830,7 @@ func (c *CountSketch) Merge(other Sketch) error {
 		return ErrIncompatible
 	}
 	if !o.dense {
-		pairs := o.table
+		pairs := o.table()
 		if o == c {
 			// Doubling every weight hashes a cut table again and widens one
 			// a weight no longer fits, either of which hands the table under
@@ -863,7 +880,7 @@ func (m *F2Maker) compose(parts []Sketch) Sketch {
 	for _, p := range parts {
 		o := p.(*CountSketch)
 		dense = dense || o.dense
-		pairs += o.n
+		pairs += int(o.n)
 	}
 	if !dense && pairs <= m.itemsMax {
 		for _, p := range parts {
@@ -876,7 +893,7 @@ func (m *F2Maker) compose(parts []Sketch) Sketch {
 		if o := p.(*CountSketch); o.dense {
 			out.addCounters(o)
 		} else {
-			out.scatter(o.table)
+			out.scatter(o.table())
 		}
 	}
 	out.sumSquares()
@@ -887,7 +904,7 @@ func (m *F2Maker) compose(parts []Sketch) Sketch {
 // per pair of the items form and width·depth once dense.
 func (c *CountSketch) Size() int {
 	if !c.dense {
-		return 2 * c.n
+		return 2 * int(c.n)
 	}
 	return c.maker.width * c.maker.depth
 }

@@ -61,7 +61,7 @@ func TestCountSketchCutTableAtThePromotionPoint(t *testing.T) {
 	}
 	sameSketch(t, "cut", plain, cut)
 	both("revisit", 1000, 7)
-	if cut.dense || cut.n != m.itemsMax || cut.slots() != tableFor(m.itemsMax+1) {
+	if cut.dense || int(cut.n) != m.itemsMax || cut.slots() != tableFor(m.itemsMax+1) {
 		t.Fatalf("an update to a held pair left dense=%v, %d pairs in %d slots", cut.dense, cut.n, cut.slots())
 	}
 	cut.Compact()
@@ -90,7 +90,7 @@ func TestCountSketchCutFewPairs(t *testing.T) {
 			requireCut := func(step string, pairs int) {
 				t.Helper()
 				cut.Compact()
-				if !cut.cut() || cut.n != pairs || int(cut.rung) != rung || cut.Bytes() != (pairs*4<<rung+7)&^7 {
+				if !cut.cut() || int(cut.n) != pairs || int(cut.rung) != rung || cut.Bytes() != (pairs*4<<rung+7)&^7 {
 					t.Fatalf("%s, %s: cut=%v, %d pairs in %d slots of %d bytes, %d bytes",
 						at, step, cut.cut(), cut.n, cut.slots(), 4<<cut.rung, cut.Bytes())
 				}

@@ -185,8 +185,8 @@ func (p *register) check(t *testing.T, step string) {
 	if want, _ := new(big.Float).SetInt(f2).Float64(); math.Abs(a.Estimate()-want) > want*0x1p-52 {
 		t.Fatalf("%s: items Estimate %v, model %v", step, a.Estimate(), want)
 	}
-	if b := a.ThresholdBudget(1 << 40); b > int64(m.itemsMax-a.n) {
-		t.Fatalf("%s: budget %d reaches past the %d pairs left before promotion", step, b, m.itemsMax-a.n)
+	if b := a.ThresholdBudget(1 << 40); b > int64(m.itemsMax-int(a.n)) {
+		t.Fatalf("%s: budget %d reaches past the %d pairs left before promotion", step, b, m.itemsMax-int(a.n))
 	}
 	// The width is the history's: the highest rung a stored pair has needed
 	// since the last Reset.
@@ -202,11 +202,11 @@ func (p *register) check(t *testing.T, step string) {
 	// Cut: exactly the pairs in whole words — the image already showed them in
 	// ascending x — and an odd count of four-byte slots leaves the last word's
 	// upper half, which must read empty.
-	if want := (4<<a.rung*a.n + 7) &^ 7; a.Bytes() != want {
+	if want := (4<<a.rung*int(a.n) + 7) &^ 7; a.Bytes() != want {
 		t.Fatalf("%s: Bytes = %d cut to %d pairs of %d bytes, want %d", step, a.Bytes(), a.n, 4<<a.rung, want)
 	}
-	if a.slots() != a.n {
-		if x, f := a.pairAt(a.n); x != 0 || f != 0 {
+	if a.slots() != int(a.n) {
+		if x, f := a.pairAt(int(a.n)); x != 0 || f != 0 {
 			t.Fatalf("%s: %d pairs cut into %d slots, the spare holding (%d,%d)", step, a.n, a.slots(), x, f)
 		}
 	}
@@ -587,7 +587,7 @@ func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to ui
 				if p.a.dense && p.a.cw > widthFor(p.ctr) || !p.a.dense && p.a.rung > needsRung(p.a) {
 					seen["wider than its values need"]++
 				}
-				if p.a.slots() == p.a.n+1 && p.a.cut() {
+				if p.a.slots() == int(p.a.n)+1 && p.a.cut() {
 					seen["cut table with a spare half word"]++
 				}
 			}

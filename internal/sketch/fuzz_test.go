@@ -62,7 +62,7 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 				held += len(c.wide.c16) + len(c.wide.c64)
 			}
 		}
-		if c.slots() > tableFor(m.itemsMax) || c.n > m.itemsMax || (c.dense && held != m.width*m.depth) {
+		if c.slots() > tableFor(m.itemsMax) || int(c.n) > m.itemsMax || (c.dense && held != m.width*m.depth) {
 			t.Fatalf("decoded past the geometry: table %d slots, %d pairs, %d counters", c.slots(), c.n, held)
 		}
 		if vs := counters(c); c.dense && c.cw != widthFor(vs) {

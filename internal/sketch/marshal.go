@@ -164,7 +164,7 @@ func (c *CountSketch) MarshalBinary() ([]byte, error) {
 	if c.dense {
 		size += c.maker.depth * c.maker.width // one byte per counter is the floor, and most are small
 	} else {
-		size += 4 * c.n
+		size += 4 * int(c.n)
 	}
 	return c.AppendBinary(make([]byte, 0, size))
 }
@@ -194,7 +194,7 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 	buf = append(buf, formItems)
 	buf = appendU64(buf, uint64(c.n))
 	if c.cut() {
-		for k := range c.n {
+		for k := range int(c.n) {
 			x, f := c.pairAt(k)
 			buf = appendI64(appendU64(buf, x), f)
 		}

@@ -263,15 +263,17 @@ func TestCountSketchUnmarshalBoundaryPairs(t *testing.T) {
 }
 
 // TestCountSketchStructSize: a summary holds tens of thousands of sketches,
-// most of them a struct and a small table, so the struct stays in the 80-byte
-// size class, and what a dense one adds to it in the 64-byte one. The headers
-// of the arrays past int8 sit behind a second pointer, in a 48-byte block only
-// a widened sketch holds: the three headers in denseState would make it 96
-// bytes, 32 more on each of the ≈ 11 150 one-byte arrays of a stream-saturate
-// tenant (≈ 0.36 MB) to save the second pointer on the few that widen.
+// most of them a struct and a small table, so the struct is pinned at the
+// 64-byte size class — its table's words and rung as two fields, n as an int32,
+// so that the four one-byte fields share n's word — and what a dense one adds
+// to it in the 64-byte one too. The headers of the arrays past int8 sit behind
+// a second pointer, in a 48-byte block only a widened sketch holds: the three
+// headers in denseState would make it 96 bytes, 32 more on each of the
+// ≈ 11 150 one-byte arrays of a stream-saturate tenant (≈ 0.36 MB) to save the
+// second pointer on the few that widen.
 func TestCountSketchStructSize(t *testing.T) {
-	if size := unsafe.Sizeof(CountSketch{}); size > 80 {
-		t.Fatalf("CountSketch is %d bytes; the next size class is 96", size)
+	if size := unsafe.Sizeof(CountSketch{}); size != 64 {
+		t.Fatalf("CountSketch is %d bytes, want 64: the next size class is 80", size)
 	}
 	if size := unsafe.Sizeof(denseState{}); size > 64 {
 		t.Fatalf("denseState is %d bytes; the next size class is 80", size)
