@@ -1,6 +1,6 @@
 // Package client is the Go client for the corrd network service
-// (cmd/corrd): batched tuple ingest, site→coordinator summary pushes,
-// and correlated-aggregate queries over plain HTTP with no dependencies
+// (cmd/corrd): batched tuple ingest, site→coordinator log forwarding and
+// summary pushes, and correlated-aggregate queries over plain HTTP with no dependencies
 // beyond the standard library.
 //
 // A Client is safe for concurrent use; it reuses connections through a
@@ -12,6 +12,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -88,6 +89,12 @@ type Stats struct {
 	WALLastLSN       uint64  `json:"wal_last_lsn,omitempty"`
 	WALReplayRecords uint64  `json:"wal_replay_records,omitempty"`
 	WALReplaySeconds float64 `json:"wal_replay_seconds,omitempty"`
+
+	// A site's forwarding: the highest LSN of its log the coordinator has
+	// confirmed (the log holds the rest, and prunes nothing past it), and
+	// the coordinator's refusal while one stops the records behind it.
+	ForwardAckedLSN uint64 `json:"forward_acked_lsn,omitempty"`
+	ForwardStalled  string `json:"forward_stalled,omitempty"`
 
 	// Multi-tenant registry aggregates; the engine fields above (count,
 	// space, shards) always describe one tenant — the default without
@@ -231,6 +238,11 @@ type MultiQueryResult struct {
 type ingestResult struct {
 	Tuples uint64 `json:"tuples,omitempty"`
 	Merged bool   `json:"merged,omitempty"`
+}
+
+// forwardResult is the /v1/forward acknowledgement.
+type forwardResult struct {
+	Mark uint64 `json:"mark"`
 }
 
 // Option configures a Client.
@@ -387,9 +399,39 @@ func (c *Client) AddBatch(ctx context.Context, batch []correlated.Tuple) error {
 	return nil
 }
 
+// Forward sends records of a site's write-ahead log to POST /v1/forward:
+// site names the log's LSN space, and records are AppendForwardRecord's
+// output, in ascending LSN order. The coordinator commits them as one job,
+// applying each into its one summary per tenant exactly as the site did,
+// and answers with its mark for the site — the highest site LSN it holds.
+// Records at or below the mark are dropped, and a record it refuses (a
+// tenant cap) holds back the ones after it, so a mark short of the last
+// record sent says where to send from again. Forward is idempotent:
+// unlike Push it retries an ambiguous timeout too. cmd/corrd's site role
+// forwards every state record of its log this way.
+func (c *Client) Forward(ctx context.Context, site uint64, records []byte) (mark uint64, err error) {
+	var res forwardResult
+	err = c.post(ctx, "/v1/forward?site="+strconv.FormatUint(site, 16), "application/octet-stream", records, &res)
+	return res.Mark, err
+}
+
+// AppendForwardRecord appends one record of a site's log to a Forward
+// body: uvarint(lsn), the WAL record type, uvarint(len(payload)), and the
+// payload as logged.
+func AppendForwardRecord(buf []byte, lsn uint64, typ uint8, payload []byte) []byte {
+	buf = append(binary.AppendUvarint(buf, lsn), typ)
+	return append(binary.AppendUvarint(buf, uint64(len(payload))), payload...)
+}
+
 // Push ships a marshaled summary image — a summary's MarshalBinary or a
 // shard engine's MarshalMerged — to POST /v1/push, the paper's
 // site→coordinator path.
+//
+// Each merge adds Lemma 4's straddling-bucket term: after k merges the
+// coordinator's error bound is k times one summary's, so a stream shipped
+// as many delta images drifts out of ε (see the README's POST /v1/push).
+// Push suits one-shot merges of library summaries; a corrd site forwards
+// its log instead (Forward).
 //
 // Push is not idempotent: merging the same delta image twice
 // double-counts it permanently (ingest duplicates merely re-add
@@ -398,10 +440,9 @@ func (c *Client) AddBatch(ctx context.Context, batch []correlated.Tuple) error {
 // connections, where no response means no merge — and never an
 // ambiguous timeout, where the coordinator may have merged the image
 // and the acknowledgement simply never arrived. On such a timeout the
-// error is surfaced and the caller must decide — corrd's own site role
-// folds the image back locally and re-ships the union next round. A
-// definite 503 "read-only replica" rejection (nothing was merged) is
-// redirected to a promoted primary when WithReplicas knows of one.
+// error is surfaced and the caller must decide. A definite 503
+// "read-only replica" rejection (nothing was merged) is redirected to a
+// promoted primary when WithReplicas knows of one.
 func (c *Client) Push(ctx context.Context, image []byte) error {
 	return c.postPolicy(ctx, c.endpoint("/v1/push"), "application/octet-stream", image, nil, false)
 }

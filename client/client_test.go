@@ -274,6 +274,29 @@ func TestPushNoRetryOnAmbiguousTimeout(t *testing.T) {
 	}
 }
 
+// TestForwardRetriesAmbiguousTimeout: a forward whose answer times out may
+// have been applied, but the coordinator drops a record at or below the
+// site's mark and answers with the mark, so Forward — unlike Push — sends
+// it again, and returns the mark the retry hears.
+func TestForwardRetriesAmbiguousTimeout(t *testing.T) {
+	var attempts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if attempts.Add(1) == 1 {
+			time.Sleep(600 * time.Millisecond) // applied, but past the client timeout
+			return
+		}
+		io.WriteString(w, `{"mark":5}`)
+	}))
+	defer srv.Close()
+	cl := New(srv.URL,
+		WithHTTPClient(&http.Client{Timeout: 100 * time.Millisecond}),
+		WithRetries(5), WithRetryBackoff(time.Millisecond, 5*time.Millisecond))
+	mark, err := cl.Forward(context.Background(), 0xabc, AppendForwardRecord(nil, 5, 1, []byte("rec")))
+	if err != nil || mark != 5 || attempts.Load() != 2 {
+		t.Fatalf("Forward: mark %d, err %v after %d attempts; want 5 after 2", mark, err, attempts.Load())
+	}
+}
+
 // TestPushRetriesDefiniteFailures: the carve-out is only for ambiguous
 // timeouts — a slammed connection with no response bytes is a definite
 // "nothing was merged", and Push still retries through it.

@@ -2,15 +2,15 @@
 // paper's site/coordinator model as an HTTP service over the mergeable
 // summaries, one per tenant.
 //
-// Coordinator (the default role) — ingest tuples, merge site pushes,
-// answer queries:
+// Coordinator (the default role) — ingest tuples and the records its sites
+// forward, answer queries:
 //
 //	corrd -addr :7070 -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 \
 //	      -snapshot /var/lib/corrd/f2.snapshot \
 //	      -wal-dir /var/lib/corrd/wal -wal-fsync always
 //
-// With -wal-dir set, every acknowledged ingest batch and push image is
-// appended to a write-ahead log before the HTTP 200; startup restores
+// With -wal-dir set, every acknowledged ingest batch, push image and
+// forwarded site record is appended to a write-ahead log before the HTTP 200; startup restores
 // the snapshot and replays the log suffix, so a kill -9 loses nothing
 // that was acknowledged (under -wal-fsync=always). Snapshots checkpoint
 // and prune the log. Concurrent ingest requests are group-committed:
@@ -42,16 +42,24 @@
 // -max-tenant-bytes cap the namespace, and -tenant-idle-spill compacts
 // idle tenants to their marshaled images until their next touch.
 //
-// Site — summarize a local stream and push merged images upstream every
-// -push-interval, resetting after each acknowledged push:
+// Site — summarize a local stream and forward the records of its log to
+// the coordinator, as many as are ready in one request, which applies each
+// exactly once into one summary per tenant (no merge of summaries, so no
+// merge's error term):
 //
 //	corrd -addr :7071 -push-to http://coordinator:7070 \
+//	      -wal-dir /var/lib/corrd/site-wal -snapshot /var/lib/corrd/site.snapshot \
 //	      -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 -seed 42
 //
+// -push-to needs -wal-dir: the log is what is forwarded, and the site's
+// checkpoints prune it only as far as the coordinator has confirmed. The
+// site id that names the log's LSN space is kept in the WAL directory. A
+// record the coordinator refuses (a tenant cap) holds back the records
+// behind it: /v1/stats reports it as forward_stalled.
 // Sites and their coordinator must share every summary flag (-agg, -k,
 // -eps, -delta, -ymax, -maxn, -maxx, -seed, -pred, and the alpha
-// overrides) verbatim: the seed regenerates the hash functions, and
-// mismatched configurations are rejected at push time with HTTP 409.
+// overrides) verbatim: the seed regenerates the hash functions, and a
+// forwarded image built with other options is rejected with HTTP 409.
 //
 // Replica — follow a primary's WAL over its -stream-addr and serve the
 // read path as a warm standby:
@@ -72,7 +80,8 @@
 // summary flags, exactly like sites.
 //
 // Endpoints: POST /v1/ingest (binary tuple stream or text/csv
-// "x,y[,w]" lines), POST /v1/push (marshaled summary image),
+// "x,y[,w]" lines), POST /v1/forward (records of a site's log),
+// POST /v1/push (marshaled summary image, merged),
 // GET /v1/query?op=le|ge&c=N, GET /v1/stats, GET /v1/summary,
 // POST /v1/promote (replica → primary, admin-gated),
 // POST /v1/recover (force a recovery probe on a degraded daemon,
@@ -95,7 +104,7 @@
 // Go runtime series.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: drain HTTP, commit what
-// is queued, final push (site role), final snapshot.
+// is queued, final forward (site role), final snapshot.
 package main
 
 import (
@@ -162,13 +171,12 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", 30*time.Second, "time between snapshots")
 	fs.IntVar(&c.SnapshotKeep, "snapshot-keep", 2, "snapshot retention slots (path, path.1, ...); restore falls back past a corrupt newest")
 
-	fs.StringVar(&c.WALDir, "wal-dir", "", "write-ahead log directory (empty = no WAL); with a WAL every acknowledged ingest/push survives kill -9")
+	fs.StringVar(&c.WALDir, "wal-dir", "", "write-ahead log directory (empty = no WAL); with a WAL every acknowledged write survives kill -9")
 	fs.StringVar(&c.WALFsync, "wal-fsync", "always", "WAL fsync policy: always, interval, or off")
 	fs.DurationVar(&c.WALFsyncInterval, "wal-fsync-interval", 100*time.Millisecond, "fsync ticker period for -wal-fsync=interval")
 	fs.Int64Var(&c.WALSegmentBytes, "wal-segment-bytes", 64<<20, "WAL segment rotation threshold")
 
-	fs.StringVar(&c.PushTo, "push-to", "", "coordinator base URL; setting it makes this daemon a site")
-	fs.DurationVar(&c.PushInterval, "push-interval", 5*time.Second, "time between site pushes")
+	fs.StringVar(&c.PushTo, "push-to", "", "coordinator base URL; setting it makes this daemon a site that forwards its log there (requires -wal-dir)")
 
 	fs.StringVar(&c.PrimaryAddr, "primary", "", "primary's stream address (host:port) to replicate the WAL from; requires -role=replica")
 	fs.DurationVar(&c.PrimaryTimeout, "primary-timeout", 0, "replica auto-promotes itself after this much total primary silence (0 = promote only on POST /v1/promote)")
@@ -216,6 +224,9 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		}
 	default:
 		return nil, fmt.Errorf("bad -role %q (want replica or empty)", *roleFlag)
+	}
+	if c.PushTo != "" && c.WALDir == "" {
+		return nil, errors.New("-push-to requires -wal-dir: a site forwards its log")
 	}
 	return &o, nil
 }
@@ -353,7 +364,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Drain in-flight requests, then commit/push/snapshot via Close.
+	// Drain in-flight requests, then commit/forward/snapshot via Close.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {

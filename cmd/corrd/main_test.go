@@ -57,9 +57,9 @@ func TestParseFlags(t *testing.T) {
 		},
 		{
 			name: "site", role: "site",
-			args: []string{"-push-to", "http://coordinator:7070", "-push-interval", "1s", "-pred", "le"},
+			args: []string{"-push-to", "http://coordinator:7070", "-wal-dir", "/tmp/site", "-pred", "le"},
 			check: func(t *testing.T, o *options) {
-				if o.svc.PushInterval != time.Second || o.svc.Options.Predicate != correlated.LE {
+				if o.svc.PushTo != "http://coordinator:7070" || o.svc.WALDir != "/tmp/site" || o.svc.Options.Predicate != correlated.LE {
 					t.Fatalf("config: %+v", o.svc)
 				}
 			},
@@ -80,6 +80,8 @@ func TestParseFlags(t *testing.T) {
 		{name: "unknown role", args: []string{"-role", "witness"}, wantErr: `bad -role "witness"`},
 		{name: "unknown predicate", args: []string{"-pred", "sideways"}, wantErr: `bad -pred "sideways"`},
 		{name: "unknown flag", args: []string{"-shard", "2"}, wantErr: "flag provided but not defined"},
+		{name: "site without a log", args: []string{"-push-to", "http://coordinator:7070"}, wantErr: "-push-to requires -wal-dir"},
+		{name: "push interval is gone", args: []string{"-push-to", "http://c:7070", "-wal-dir", "/tmp/site", "-push-interval", "1s"}, wantErr: "flag provided but not defined: -push-interval"},
 		{name: "bad duration", args: []string{"-query-max-stale", "soon"}, wantErr: "invalid value"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -212,9 +212,10 @@
 // survive a k-way merge. The shard subpackage builds a parallel ingest
 // engine on exactly this merge layer, and the service and client
 // subpackages (with cmd/corrd) expose the whole model over HTTP: remote
-// sites stream tuples or push marshaled summary images, the coordinator
-// daemon serves queries from the merged state, and snapshots make the
-// serving tier restartable.
+// sites forward their write-ahead logs (so the coordinator keeps one
+// summary per tenant and merges nothing) or push marshaled summary images,
+// the coordinator daemon serves queries from that state, and snapshots make
+// the serving tier restartable.
 //
 // # Concurrency
 //

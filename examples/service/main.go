@@ -2,25 +2,30 @@
 // in one process and over real HTTP sockets:
 //
 //  1. A coordinator server answers queries over everything it hears.
-//  2. Two site servers ingest disjoint substreams and push their merged
-//     summary images to the coordinator on a short ticker (the paper's
-//     site→coordinator path, shipped as bytes through POST /v1/push).
+//  2. Two site servers ingest disjoint substreams into their own
+//     write-ahead logs and forward every record of those logs to the
+//     coordinator (the paper's site→coordinator path, shipped as log
+//     bytes through POST /v1/forward), which applies each exactly once
+//     into its one summary: no merge of site summaries.
 //  3. A third substream is ingested directly into the coordinator
 //     through the client's chunked AddBatch — the remote-ingest path.
 //
 // The coordinator's answers over the union stream are then compared
-// against exact brute-force aggregation, and the coordinator state is
-// snapshotted and restored into a second server to show the durability
-// path producing identical answers.
+// against exact brute-force aggregation, beside the bytes the sites
+// shipped per tuple, and the coordinator state is snapshotted and
+// restored into a second server to show the durability path producing
+// identical answers.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	correlated "github.com/streamagg/correlated"
@@ -41,23 +46,37 @@ func main() {
 		MaxStreamLen: 1 << 20, MaxX: xdom, Seed: 42,
 	}
 	ctx := context.Background()
-
-	// ---- Coordinator ----------------------------------------------------
-	coord, err := service.New(service.Config{Options: opts})
+	dir, err := os.MkdirTemp("", "corrd-example-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	coordSrv := httptest.NewServer(coord.Handler())
+	defer os.RemoveAll(dir)
+
+	// ---- Coordinator ----------------------------------------------------
+	// The handler counts the bytes the sites forward to it.
+	snap := filepath.Join(dir, "coordinator.snapshot")
+	coord, err := service.New(service.Config{Options: opts, SnapshotPath: snap, SnapshotInterval: time.Hour})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var shipped atomic.Int64
+	coordSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/forward" {
+			shipped.Add(r.ContentLength)
+		}
+		coord.Handler().ServeHTTP(w, r)
+	}))
 	defer coordSrv.Close()
 	fmt.Printf("coordinator listening on %s\n", coordSrv.URL)
 
-	// ---- Two sites pushing deltas upstream ------------------------------
+	// ---- Two sites forwarding their logs upstream -----------------------
 	var sites []*service.Server
 	var siteClients []*client.Client
 	for i := 0; i < 2; i++ {
 		site, err := service.New(service.Config{
 			Options: opts,
-			PushTo:  coordSrv.URL, PushInterval: 100 * time.Millisecond,
+			WALDir:  filepath.Join(dir, fmt.Sprintf("site-%d", i)),
+			PushTo:  coordSrv.URL,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -66,7 +85,7 @@ func main() {
 		defer srv.Close()
 		sites = append(sites, site)
 		siteClients = append(siteClients, client.New(srv.URL))
-		fmt.Printf("site %d listening on %s, pushing to coordinator\n", i, srv.URL)
+		fmt.Printf("site %d listening on %s, forwarding its log to the coordinator\n", i, srv.URL)
 	}
 
 	// ---- Streams: two through the sites, one direct ----------------------
@@ -99,7 +118,7 @@ func main() {
 	ingest(coordCl, 9) // direct remote ingest into the coordinator
 	fmt.Printf("ingested %d tuples over HTTP in %v\n", 3*nPerStream, time.Since(start).Round(time.Millisecond))
 
-	// Close the sites: their final pushes ship whatever the ticker missed.
+	// Close the sites: each forwards what its log still holds.
 	for _, s := range sites {
 		if err := s.Close(); err != nil {
 			log.Fatal(err)
@@ -112,6 +131,10 @@ func main() {
 	}
 	fmt.Printf("coordinator: %d tuples, %d pushes merged, space %d\n",
 		st.Count, st.PushesMerged, st.Space)
+	if st.Count != 3*nPerStream {
+		log.Fatalf("coordinator holds %d tuples, want %d", st.Count, 3*nPerStream)
+	}
+	perTuple := float64(shipped.Load()) / (2 * nPerStream)
 
 	// ---- Queries vs exact ------------------------------------------------
 	cuts := []uint64{ymax / 8, ymax / 2, ymax}
@@ -121,18 +144,12 @@ func main() {
 			log.Fatal(err)
 		}
 		want := exactF2LE(all, c)
-		fmt.Printf("F2{x : y <= %8d}  service %14.0f   exact %14.0f   rel.err %+.3f\n",
-			c, got, want, got/want-1)
+		fmt.Printf("F2{x : y <= %8d}  service %14.0f   exact %14.0f   rel.err %+.3f   shipped %.1f B/tuple\n",
+			c, got, want, got/want-1, perTuple)
 	}
 
 	// ---- Durability: snapshot, restore into a fresh server ---------------
-	snap := filepath.Join(os.TempDir(), fmt.Sprintf("corrd-example-%d.snapshot", os.Getpid()))
-	defer os.Remove(snap)
-	img, err := coord.Engine().MarshalBinary()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(snap, img, 0o644); err != nil {
+	if err := coord.Snapshot(); err != nil {
 		log.Fatal(err)
 	}
 	restoredSvc, err := service.New(service.Config{

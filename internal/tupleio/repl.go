@@ -42,10 +42,12 @@ const (
 	// after the hello reply the client sends a start request and then
 	// only reads. The number versions the shipped log grammar: it moved
 	// 3 → 4 with WAL segment version 2 (every ingest and push record
-	// keyed) and 4 → 5 with version 3 (an ingest member is a sorted
-	// batch), so a primary and a replica on opposite sides of a break
-	// end in HelloBadFormat instead of misreading each other's records.
-	StreamFormatReplica = 5
+	// keyed), 4 → 5 with version 3 (an ingest member is a sorted batch)
+	// and 5 → 6 with version 4 (forwarded site records in place of the
+	// push round's), so a primary and a replica on opposite sides of a
+	// break end in HelloBadFormat instead of misreading each other's
+	// records.
+	StreamFormatReplica = 6
 
 	// HelloNoWAL rejects a replication hello because the server runs
 	// without a WAL — there is no log to ship.

@@ -14,7 +14,7 @@ import (
 // the bytes, recovery must neither panic nor allocate unboundedly, and
 // every record it does return must carry a frame whose CRC verified.
 // The corpus seeds valid logs (single- and multi-record, rotated) over
-// the seven record types so mutations explore the interesting frontier:
+// the five record types so mutations explore the interesting frontier:
 // torn tails, hostile lengths, flipped CRCs, bad headers.
 func FuzzWALReplay(f *testing.F) {
 	seed := func(build func(w *WAL)) []byte {
@@ -45,7 +45,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(seed(func(w *WAL) {
 		appendSync(w, RecordIngest, bytes.Repeat([]byte{7}, 60))
 		appendSync(w, RecordPush, bytes.Repeat([]byte{9}, 60))
-		appendSync(w, RecordReset, nil)
+		appendSync(w, RecordForward, nil)
 		checkpoint(w, 2)
 	}))
 	// The two tenant-tagged records: an ingest group (sorted batches back
@@ -66,31 +66,33 @@ func FuzzWALReplay(f *testing.F) {
 		torn := []byte{2, 't', 'a', 1, 5, 6, 0, 120} // 120-byte key claim, no bytes
 		appendSync(w, RecordIngest, torn)
 	}))
-	// The record types replication ships verbatim: a site's push round
-	// both ways (reset then ack, reset then foldback) and a recovery
-	// probe, so mutations explore a replica replaying a primary's
-	// in-flight window, and a checkpoint marker written as a raw record
-	// whose covered-LSN varint claims an absurd position — a bare append,
-	// not the checkpoint helper, so no pruning eats the seed.
+	// The record types replication ships verbatim: a site's forward (site
+	// id, then records back to back: the site's LSN, the inner type byte,
+	// the payload's length and the payload) of an ingest record and a push,
+	// one whose inner type names no record, and a recovery probe, so
+	// mutations explore a replica replaying what a coordinator took in from
+	// its sites; and a checkpoint marker written as a raw record whose
+	// covered-LSN varint claims an absurd position — a bare append, not the
+	// checkpoint helper, so no pruning eats the seed.
 	f.Add(seed(func(w *WAL) {
-		appendSync(w, RecordReset, bytes.Repeat([]byte{4}, 24))
-		appendSync(w, RecordPushAck, nil)
-		appendSync(w, RecordReset, bytes.Repeat([]byte{4}, 24))
-		appendSync(w, RecordFoldback, bytes.Repeat([]byte{4}, 24))
+		site := binary.AppendUvarint(nil, 0x9e3779b97f4a7c15)
+		two := append(binary.AppendUvarint(bytes.Clone(site), 41), byte(RecordIngest), 5, 0, 1, 2, 3, 0)
+		appendSync(w, RecordForward, append(binary.AppendUvarint(two, 42), byte(RecordPush), 5, 1, 'k', 4, 4, 4))
+		appendSync(w, RecordForward, append(binary.AppendUvarint(bytes.Clone(site), 1<<62), 0xff, 0))
 		appendSync(w, RecordProbe, nil)
 	}))
 	f.Add(seed(func(w *WAL) {
 		appendSync(w, RecordIngest, []byte{0, 1, 2, 3, 0})
 		appendSync(w, RecordCheckpoint, binary.AppendUvarint(nil, 1<<62))
 	}))
-	// A segment from before each version break: whole header, version 1
-	// or 2, records behind it. Open refuses it by name; mutations explore the
+	// A segment from before each version break: whole header, version 1,
+	// 2 or 3, records behind it. Open refuses it by name; mutations explore the
 	// boundary between "another version" and "torn or corrupt".
 	preBreak := seed(func(w *WAL) {
 		appendSync(w, RecordIngest, []byte{1, 2, 3, 1})
 		appendSync(w, 8, []byte{1, 0, 1, 2, 3, 1})
 	})
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		preBreak[8] = version
 		f.Add(bytes.Clone(preBreak))
 	}

@@ -1,8 +1,8 @@
 // Package wal is the durable-ingest subsystem of the corrd service: a
 // segmented append-only write-ahead log with CRC32C-framed records, the
 // piece that closes the durability window left by periodic snapshots.
-// The service logs each accepted ingest batch and push image before
-// acknowledging it, so an acknowledged request survives a crash; on
+// The service logs each accepted ingest batch, push image and forwarded
+// site record before acknowledging it, so an acknowledged request survives a crash; on
 // restart the engine is rebuilt as snapshot + replayed log suffix.
 //
 // # Log structure
@@ -98,26 +98,15 @@ const (
 	// RecordPush is a marshaled summary image folded in through
 	// POST /v1/push: a tupleio tenant prefix, then the image.
 	RecordPush RecordType = 2
-	// RecordReset begins a site's push-then-reset round: the engine was
-	// reset at this log position and the payload — the merged image
-	// that was marshaled just before the reset — is in flight to the
-	// coordinator. Replay applies the reset and stashes the image; a
-	// later RecordPushAck discards it, and an un-acked image is folded
-	// back at the end of replay so acknowledged ingest is never lost.
-	RecordReset RecordType = 3
 	// RecordCheckpoint carries uvarint(covered): a snapshot durable
 	// outside the log captures every record with LSN <= covered.
 	RecordCheckpoint RecordType = 4
-	// RecordPushAck closes a push round: the coordinator acknowledged
-	// the image carried by the round's RecordReset. Once this record is
-	// durable, replay will never re-push that image upstream. Empty
-	// payload.
-	RecordPushAck RecordType = 5
-	// RecordFoldback closes a push round the other way: the ship
-	// failed and the payload image was merged back into the engine. One
-	// record carries both effects (merge + round closed) so a crash can
-	// never replay them separately and double-apply the image.
-	RecordFoldback RecordType = 6
+	// RecordForward is a record a site forwarded from its own log:
+	// uvarint(site id), uvarint(the record's LSN in the site's log), the
+	// record's type byte (RecordIngest or RecordPush), then the site's
+	// payload verbatim. Applying it applies the inner record and advances
+	// the site's mark, below which a forward is a duplicate.
+	RecordForward RecordType = 5
 	// RecordProbe is a no-op health probe with an empty payload: the
 	// record Probe appends to prove, behind the next Sync, that the log
 	// can take durable writes again after a fault. Replay and replication skip
@@ -203,10 +192,12 @@ const (
 	// walVersion is the segment format version; each is an explicit
 	// break in the log grammar. Version 2 keyed every ingest and push
 	// record; version 3 made an ingest record's member a tenant's sorted
-	// batch where it was a request's tuples in client order. A segment of
-	// an earlier version holds records this code no longer decodes, so it
-	// is refused by name (ErrVersion) — never reinterpreted.
-	walVersion = 3
+	// batch where it was a request's tuples in client order; version 4
+	// dropped a site's push-round records (reset, ack, fold-back) for
+	// RecordForward. A segment of an earlier version holds records this
+	// code no longer decodes, so it is refused by name (ErrVersion) —
+	// never reinterpreted.
+	walVersion = 4
 )
 
 var (
@@ -899,11 +890,7 @@ func (w *WAL) Replay(from uint64, fn func(lsn uint64, typ RecordType, payload []
 		w.mu.Unlock()
 		return ErrClosed
 	}
-	oldest := w.segFirst
-	for first := range w.sealed {
-		oldest = min(oldest, first)
-	}
-	last := w.nextLSN - 1
+	oldest, last := w.oldestLocked(), w.nextLSN-1
 	err := w.syncLocked()
 	w.mu.Unlock()
 	if err != nil {
@@ -911,6 +898,23 @@ func (w *WAL) Replay(from uint64, fn func(lsn uint64, typ RecordType, payload []
 	}
 	fl := follower{w: w, next: max(from+1, oldest), frontier: last, fn: fn}
 	return fl.run()
+}
+
+// OldestLSN is the first LSN no checkpoint has pruned: the oldest record
+// the log holds, or the next one it will append when it holds none. A
+// Follow from below it returns ErrTruncated.
+func (w *WAL) OldestLSN() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.oldestLocked()
+}
+
+func (w *WAL) oldestLocked() uint64 {
+	oldest := w.segFirst
+	for first := range w.sealed {
+		oldest = min(oldest, first)
+	}
+	return oldest
 }
 
 // waitFollowable blocks until the followable frontier reaches at least

@@ -445,6 +445,7 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 		{"version 1 header only", 0, func(raw []byte) { raw[8] = 1 }, ErrVersion},
 		{"version 2 with records", 2, func(raw []byte) { raw[8] = 2 }, ErrVersion},
 		{"version 2 header only", 0, func(raw []byte) { raw[8] = 2 }, ErrVersion},
+		{"version 3 with records", 2, func(raw []byte) { raw[8] = 3 }, ErrVersion},
 		{"later version", 1, func(raw []byte) { raw[8] = walVersion + 1 }, ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,7 +12,8 @@ import (
 // The merge-rounds fixture: a stream split round-robin over S sites and
 // pushed to a coordinator in R rounds of delta images — each round every site
 // ingests its share, marshals, and resets, and the coordinator merges the
-// image, which is what corrd's site role does — set against one summary of
+// image, which is what a site that pushes deltas does (corrd's sites forward
+// their logs instead, and the coordinator merges nothing) — set against one summary of
 // the whole stream and against S cumulative images, each site's whole share
 // merged once. corrd's options, QueryLE at six cutoffs, answers against
 // internal/exact.

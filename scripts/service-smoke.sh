@@ -6,18 +6,21 @@
 #   3. query, scrape /v1/stats and /metrics
 #   4. SIGTERM (graceful shutdown writes a final snapshot)
 #   5. restart from the snapshot and prove the answer is identical
-#   6. WAL crash-exactness: kill -9 a -wal-dir daemon mid-ingest and
+#   6. site -> coordinator log forwarding: kill -9 the site, then the
+#      coordinator, mid-forward; the coordinator ends up holding every
+#      acknowledged tuple once, its /v1/summary byte-identical to the site's
+#   7. WAL crash-exactness: kill -9 a -wal-dir daemon mid-ingest and
 #      prove the restarted /v1/summary is byte-identical to a
 #      crash-free oracle run over the same acknowledged batches
-#   7. streaming ingest: corrgen -stream clients and an HTTP generator
+#   8. streaming ingest: corrgen -stream clients and an HTTP generator
 #      against one daemon, kill -9 mid-stream, prove whole-frame
 #      recovery and byte-identical successive recoveries
-#   8. multi-tenant crash-exactness: concurrent keyed namespaces over
+#   9. multi-tenant crash-exactness: concurrent keyed namespaces over
 #      one WAL, kill -9 mid-ingest, prove every tenant's recovered
 #      summary is byte-identical to its own crash-free oracle, and
 #      that the tenant-count governance cap refuses a new namespace
-#   9. observability: stage tracing, access log, request IDs, pprof
-#  10. replication failover: a replica tails the primary's WAL over
+#  10. observability: stage tracing, access log, request IDs, pprof
+#  11. replication failover: a replica tails the primary's WAL over
 #      the stream listener, the primary is kill -9ed mid-ingest, the
 #      replica is promoted via POST /v1/promote, and the promoted
 #      summary is byte-identical to a crash-free oracle over the
@@ -36,6 +39,7 @@ CUTOFF=500000
 cleanup() {
   [ -n "${CORRD_PID:-}" ] && kill "$CORRD_PID" 2>/dev/null || true
   [ -n "${SITE_PID:-}" ] && kill "$SITE_PID" 2>/dev/null || true
+  [ -n "${FCOORD_PID:-}" ] && kill "$FCOORD_PID" 2>/dev/null || true
   [ -n "${WAL_PID:-}" ] && kill -9 "$WAL_PID" 2>/dev/null || true
   [ -n "${REPL_PID:-}" ] && kill "$REPL_PID" 2>/dev/null || true
   [ -n "${ORACLE_PID:-}" ] && kill "$ORACLE_PID" 2>/dev/null || true
@@ -116,31 +120,95 @@ if [ "$COUNT2" != "$EXPECTED" ]; then
   echo "FAIL: restored count $COUNT2 != $EXPECTED" >&2; exit 1
 fi
 
-echo "== site -> coordinator push"
-SITE_ADDR="127.0.0.1:17071"
-"$WORK/corrd" -addr "$SITE_ADDR" -agg f2 -eps 0.15 -delta 0.1 \
-  -ymax 1000000 -maxn 1048576 -maxx 500001 -seed 42 -shards 1 \
-  -push-to "$BASE" -push-interval 1s >>"$LOG" 2>&1 &
-SITE_PID=$!
-for _ in $(seq 1 50); do
-  curl -fsS "http://$SITE_ADDR/healthz" >/dev/null 2>&1 && break
-  sleep 0.2
-done
-"$WORK/corrgen" -dataset uniform -n 50000 -seed 9 -xdom 100001 -ydom 1000001 \
-  -target "http://$SITE_ADDR" -chunk 8192
-kill -TERM "$SITE_PID"; wait "$SITE_PID" || { echo "FAIL: site exited non-zero" >&2; cat "$LOG" >&2; exit 1; }
-SITE_PID=""
-COUNT3=$(curl -fsS "$BASE/v1/stats" | grep -o '"count":[0-9]*' | cut -d: -f2)
-EXPECTED3=$((EXPECTED + 50000))
-if [ "$COUNT3" != "$EXPECTED3" ]; then
-  echo "FAIL: coordinator count after site push $COUNT3 != $EXPECTED3" >&2; exit 1
-fi
-curl -fsS "$BASE/metrics" -o "$WORK/metrics.txt"
-grep -q 'corrd_pushes_merged_total [1-9]' "$WORK/metrics.txt" \
-  || { echo "FAIL: push metric missing" >&2; exit 1; }
-
 kill -TERM "$CORRD_PID"; wait "$CORRD_PID" || true
 CORRD_PID=""
+
+echo "== site -> coordinator log forwarding (kill -9 the site, then the coordinator, mid-forward)"
+# A site forwards every record of its WAL to the coordinator, which applies
+# each exactly once: after either side is killed mid-forward and restarted,
+# the coordinator holds every tuple the site acknowledged, once, in a
+# summary byte-identical to the site's.
+SITE_ADDR="127.0.0.1:17071"; SITE="http://$SITE_ADDR"
+FCOORD_ADDR="127.0.0.1:17072"; FCOORD="http://$FCOORD_ADDR"
+FWD_FLAGS=(-agg f2 -eps 0.15 -delta 0.1 -ymax 1000000 -maxn 1048576 -maxx 500001 \
+  -seed 42 -wal-fsync always -snapshot-interval 1s)
+wait_healthy() {
+  for _ in $(seq 1 50); do
+    if curl -fsS "$1/healthz" >/dev/null 2>&1; then return 0; fi
+    sleep 0.2
+  done
+  echo "FAIL: $1 did not become healthy; log:" >&2; cat "$LOG" >&2; exit 1
+}
+start_fcoord() {
+  "$WORK/corrd" -addr "$FCOORD_ADDR" "${FWD_FLAGS[@]}" \
+    -wal-dir "$WORK/fcoord-wal" -snapshot "$WORK/fcoord.snapshot" >>"$LOG" 2>&1 &
+  FCOORD_PID=$!
+  wait_healthy "$FCOORD"
+}
+start_site() {
+  "$WORK/corrd" -addr "$SITE_ADDR" "${FWD_FLAGS[@]}" -push-to "$FCOORD" \
+    -wal-dir "$WORK/site-wal" -snapshot "$WORK/site.snapshot" >>"$LOG" 2>&1 &
+  SITE_PID=$!
+  wait_healthy "$SITE"
+}
+count_of() { curl -fsS "$1/v1/stats" 2>/dev/null | grep -o '"count":[0-9]*' | head -1 | cut -d: -f2; }
+# until_count URL MIN: wait until URL holds at least MIN tuples.
+until_count() {
+  for _ in $(seq 1 600); do
+    [ "$(count_of "$1" || echo 0)" -ge "$2" ] 2>/dev/null && return 0
+    sleep 0.05
+  done
+  echo "FAIL: $1 never reached $2 tuples (holds $(count_of "$1" || echo '?'))" >&2; cat "$LOG" >&2; exit 1
+}
+start_fcoord
+start_site
+
+"$WORK/corrgen" -dataset uniform -n 100000 -seed 9 -xdom 100001 -ydom 1000001 \
+  -target "$SITE" -chunk 512 >/dev/null 2>&1 &
+GEN_PID=$!
+until_count "$FCOORD" 10000
+kill -9 "$SITE_PID"; wait "$SITE_PID" 2>/dev/null || true
+SITE_PID=""
+wait "$GEN_PID" 2>/dev/null || true # refused from the kill on
+echo "site killed with $(count_of "$FCOORD") tuples on the coordinator"
+start_site
+ACKED=$(count_of "$SITE")
+
+"$WORK/corrgen" -dataset uniform -n 100000 -seed 10 -xdom 100001 -ydom 1000001 \
+  -target "$SITE" -chunk 512 >/dev/null &
+GEN_PID=$!
+until_count "$FCOORD" $((ACKED + 10000))
+kill -9 "$FCOORD_PID"; wait "$FCOORD_PID" 2>/dev/null || true
+wait "$GEN_PID" || { echo "FAIL: the site refused ingest while its coordinator was down" >&2; exit 1; }
+# More while the coordinator is down, so its restart has records to apply.
+"$WORK/corrgen" -dataset uniform -n 20000 -seed 11 -xdom 100001 -ydom 1000001 \
+  -target "$SITE" -chunk 512 >/dev/null
+ACKED=$((ACKED + 120000))
+echo "coordinator killed mid-forward; the site acknowledged $(count_of "$SITE") tuples meanwhile"
+start_fcoord
+until_count "$FCOORD" "$ACKED"
+sleep 1 # a duplicate applied late would show here
+SITE_COUNT=$(count_of "$SITE"); FCOUNT=$(count_of "$FCOORD")
+if [ "$SITE_COUNT" != "$ACKED" ] || [ "$FCOUNT" != "$ACKED" ]; then
+  echo "FAIL: acked $ACKED tuples; the site holds $SITE_COUNT, the coordinator $FCOUNT" >&2; exit 1
+fi
+curl -fsS "$SITE/v1/summary" -o "$WORK/site.summary"
+curl -fsS "$FCOORD/v1/summary" -o "$WORK/fcoord.summary"
+cmp "$WORK/site.summary" "$WORK/fcoord.summary" \
+  || { echo "FAIL: the coordinator's summary is not the site's" >&2; exit 1; }
+curl -fsS "$FCOORD/metrics" -o "$WORK/metrics.txt"
+grep -q 'corrd_forwards_total{result="applied"} [1-9]' "$WORK/metrics.txt" \
+  || { echo "FAIL: forward metric missing" >&2; exit 1; }
+grep -q 'corrd_pushes_merged_total 0' "$WORK/metrics.txt" \
+  || { echo "FAIL: the coordinator merged a push" >&2; exit 1; }
+curl -fsS "$SITE/metrics" -o "$WORK/metrics.txt"
+grep -q 'corrd_site_forwards_total{result="sent"} [1-9]' "$WORK/metrics.txt" \
+  || { echo "FAIL: site forward metric missing" >&2; exit 1; }
+echo "coordinator holds the site's $ACKED acknowledged tuples once, byte-identical"
+kill -TERM "$SITE_PID"; wait "$SITE_PID" || { echo "FAIL: site exited non-zero" >&2; cat "$LOG" >&2; exit 1; }
+SITE_PID=""
+kill -TERM "$FCOORD_PID"; wait "$FCOORD_PID" || true
+FCOORD_PID=""
 
 echo "== WAL crash-exact recovery (kill -9 mid-ingest, -wal-fsync=always)"
 # A daemon with a WAL (-shards 2 is passed on purpose: the flag is

@@ -11,7 +11,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -466,7 +465,7 @@ func TestChaosUnappliedRecordStopsTheApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	covered, _, err := decodeSnapshot(data)
+	covered, _, _, err := decodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,130 +561,6 @@ func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 	}
 	if svc2.tenantByName("fresh") != nil {
 		t.Fatal("the restarted server holds the tenant a nacked push named")
-	}
-}
-
-// TestChaosSiteRoundFailedRecords: a site's push round applies each record
-// only once it is in the log. A reset whose barrier fails leaves the engine
-// as it was and ships nothing. A fold-back whose barrier fails — the
-// coordinator was down — leaves the round open, the engine holding only
-// what came after the reset; the next round folds the image back first and
-// ships the union. A snapshot taken while a round is open folds it back
-// first, or fails. Every acked tuple reaches the coordinator once, and the
-// site holds what it should live and after a restart from that snapshot.
-func TestChaosSiteRoundFailedRecords(t *testing.T) {
-	coord, err := New(Config{Options: testOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
-	var down atomic.Bool
-	coordTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if down.Load() {
-			http.Error(w, "coordinator down", http.StatusInternalServerError)
-			return
-		}
-		coord.Handler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(coordTS.Close)
-
-	cfg, inj := chaosConfig(t)
-	cfg.PushTo, cfg.PushInterval = coordTS.URL, time.Hour // pushes only when the test says so
-	site, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(site.Handler())
-	cl := client.New(ts.URL, client.WithRetries(0))
-	ctx := context.Background()
-	count := func(s *Server) uint64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.def.eng.Count()
-	}
-	a, b, c := testStream(700, 1), testStream(400, 2), testStream(250, 3)
-	if err := cl.AddBatch(ctx, a); err != nil {
-		t.Fatal(err)
-	}
-
-	// The reset's barrier is the round's first fsync.
-	inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
-	if err := site.pushOnce(); err == nil {
-		t.Fatal("a round whose reset record failed reported success")
-	}
-	inj.SetPlan(nil)
-	if n, m := count(site), count(coord); n != uint64(len(a)) || m != 0 {
-		t.Fatalf("after a failed reset: site holds %d tuples, coordinator %d; want %d and 0", n, m, len(a))
-	}
-
-	// The coordinator is down, so the round closes by a fold-back, whose
-	// barrier — the round's second fsync — fails too.
-	down.Store(true)
-	inj.SetPlan(mustPlan(t, "sync/wal-:err@2"))
-	if err := site.pushOnce(); err == nil {
-		t.Fatal("a round pushed to a dead coordinator reported success")
-	}
-	inj.SetPlan(nil)
-	if n := count(site); n != 0 {
-		t.Fatalf("a fold-back that is not in the log was applied: site holds %d tuples, want 0", n)
-	}
-	if err := cl.AddBatch(ctx, b); err != nil {
-		t.Fatal(err)
-	}
-
-	// Disk and coordinator heal: the next tick folds the image back and
-	// ships the union.
-	down.Store(false)
-	if err := site.pushOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if n, m := count(site), count(coord); n != 0 || m != uint64(len(a)+len(b)) {
-		t.Fatalf("after the healed round: site holds %d tuples, coordinator %d; want 0 and %d", n, m, len(a)+len(b))
-	}
-	if err := cl.AddBatch(ctx, c); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fold-back fails again and leaves c's round open. A snapshot never
-	// images it: while the fold-back cannot be logged the snapshot fails,
-	// and once the disk heals it folds the round back before it marshals.
-	down.Store(true)
-	inj.SetPlan(mustPlan(t, "sync/wal-:err@2"))
-	if err := site.pushOnce(); err == nil {
-		t.Fatal("a round pushed to a dead coordinator reported success")
-	}
-	inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
-	if err := site.Snapshot(); err == nil {
-		t.Fatal("a snapshot over an open round whose fold-back failed reported success")
-	}
-	inj.SetPlan(nil)
-	if n := count(site); n != 0 {
-		t.Fatalf("a snapshot's fold-back that is not in the log was applied: site holds %d tuples, want 0", n)
-	}
-	if err := site.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if n := count(site); n != uint64(len(c)) {
-		t.Fatalf("after a snapshot over an open round: site holds %d tuples, want %d", n, len(c))
-	}
-	down.Store(false)
-	crash(ts, site)
-	site2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { site2.Close() })
-	if !site2.Restored() {
-		t.Fatal("the restart did not restore the snapshot")
-	}
-	if n := count(site2); n != uint64(len(c)) {
-		t.Fatalf("restarted site holds %d tuples, want %d", n, len(c))
-	}
-	if err := site2.pushOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if m := count(coord); m != uint64(len(a)+len(b)+len(c)) {
-		t.Fatalf("coordinator holds %d tuples after the restarted site's round, want %d", m, len(a)+len(b)+len(c))
 	}
 }
 

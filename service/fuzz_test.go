@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"cmp"
 	"errors"
+	"maps"
 	"slices"
 	"testing"
 
 	correlated "github.com/streamagg/correlated"
+	"github.com/streamagg/correlated/client"
+	"github.com/streamagg/correlated/internal/wal"
 )
 
 // FuzzDecodeIngest throws arbitrary payloads at the one ingest-record
@@ -76,19 +79,27 @@ func FuzzDecodeIngest(f *testing.F) {
 // FuzzDecodeSnapshot throws arbitrary bytes at the one snapshot decoder,
 // which reads disk files at startup and re-seed frames off a replication
 // connection. Whatever the bytes it must not panic; the images it returns
-// alias the input, so what it allocates is one entry per tenant, and no
-// tenant count is trusted past the bytes behind it; bytes that do not open
-// with the current magic are refused as ErrSnapshotFormat; and on
-// everything it accepts, decode ∘ encode is the identity: re-encoding what
-// was decoded and decoding that yields the same LSN and the same tenants.
+// alias the input, so what it allocates is one entry per tenant and one per
+// site's mark, and no tenant or site count is trusted past the bytes behind
+// it; bytes that do not open with the current magic are refused as
+// ErrSnapshotFormat; and on everything it accepts, decode ∘ encode is the
+// identity: re-encoding what was decoded and decoding that yields the same
+// LSN, the same tenants and the same marks.
 func FuzzDecodeSnapshot(f *testing.F) {
-	// A live three-tenant snapshot, one of them spilled.
+	// A live three-tenant snapshot, one of them spilled, with two sites'
+	// marks: one from a forward, and one as large as a mark can be.
 	svc, err := New(Config{Options: testOptions()})
 	if err != nil {
 		f.Fatal(err)
 	}
 	for i, name := range []string{"", "acme", "beta"} {
 		if err := svc.commit(&ingestJob{key: []byte(name), tuples: testStream(200, uint64(i+1))}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for site, lsn := range map[uint64]uint64{0x9e3779b97f4a7c15: 41, 7: 1<<64 - 1} {
+		body := client.AppendForwardRecord(nil, lsn, uint8(wal.RecordIngest), ingestRecord(f, "acme"))
+		if err := svc.commit(&ingestJob{op: opForward, site: site, image: body}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -102,19 +113,21 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for _, cut := range []int{0, 4, len(snapshotMagic), len(snapshotMagic) + 1, len(live) / 2, len(live) - 1} {
 		f.Add(live[:cut])
 	}
-	f.Add(append(bytes.Clone(live), 0))                                        // trailing byte
-	f.Add(append(bytes.Clone(snapshotMagic), 0, 0xff, 0xff, 0xff, 0xff, 0x0f)) // forged tenant count
-	f.Add(append(bytes.Clone(snapshotMagic), 7, 1, 1, 'a', 0xff, 0x7f))        // image longer than the input
-	f.Add(encodeSnapshot(9, nil))
-	for _, old := range []string{"corrdsn1", "corrdsn2"} {
+	f.Add(append(bytes.Clone(live), 0))                                           // trailing byte
+	f.Add(append(bytes.Clone(snapshotMagic), 0, 0xff, 0xff, 0xff, 0xff, 0x0f))    // forged tenant count
+	f.Add(append(bytes.Clone(snapshotMagic), 7, 1, 1, 'a', 0xff, 0x7f))           // image longer than the input
+	f.Add(append(bytes.Clone(snapshotMagic), 7, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)) // forged site count
+	f.Add(append(bytes.Clone(snapshotMagic), 7, 0, 2, 1, 5, 1, 5))                // one site listed twice
+	f.Add(encodeSnapshot(9, nil, nil))
+	for _, old := range []string{"corrdsn1", "corrdsn2", "corrdsn3"} {
 		f.Add(append([]byte(old), live[len(snapshotMagic):]...))
 	}
 	f.Add(live[len(snapshotMagic):]) // a bare image, as before the WAL existed
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		covered, images, err := decodeSnapshot(data)
-		if cap(images) > len(data) {
-			t.Fatalf("%d-byte input allocated room for %d tenants", len(data), cap(images))
+		covered, images, marks, err := decodeSnapshot(data)
+		if cap(images) > len(data) || len(marks) > len(data)/2 {
+			t.Fatalf("%d-byte input allocated room for %d tenants and %d marks", len(data), cap(images), len(marks))
 		}
 		if err != nil {
 			if !bytes.HasPrefix(data, snapshotMagic) && !errors.Is(err, ErrSnapshotFormat) {
@@ -122,13 +135,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			return
 		}
-		again := encodeSnapshot(covered, images)
-		covered2, images2, err := decodeSnapshot(again)
+		again := encodeSnapshot(covered, images, marks)
+		covered2, images2, marks2, err := decodeSnapshot(again)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
-		if covered2 != covered || len(images2) != len(images) {
-			t.Fatalf("round trip turned LSN %d, %d tenants into LSN %d, %d tenants", covered, len(images), covered2, len(images2))
+		if covered2 != covered || len(images2) != len(images) || !maps.Equal(marks2, marks) {
+			t.Fatalf("round trip turned LSN %d, %d tenants, marks %v into LSN %d, %d tenants, marks %v",
+				covered, len(images), marks, covered2, len(images2), marks2)
 		}
 		for i, ti := range images {
 			if images2[i].name != ti.name || !bytes.Equal(images2[i].image, ti.image) {

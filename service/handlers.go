@@ -23,6 +23,7 @@ func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/ingest", s.instrument("ingest", s.handleIngest))
 	s.mux.HandleFunc("POST /v1/push", s.instrument("push", s.handlePush))
+	s.mux.HandleFunc("POST /v1/forward", s.instrument("forward", s.handleForward))
 	s.mux.HandleFunc("GET /v1/query", s.instrument("query", s.handleQuery))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
 	s.mux.HandleFunc("GET /v1/summary", s.instrument("summary", s.handleSummary))
@@ -87,7 +88,7 @@ func pooledBytes(b []byte) []byte {
 // leaving it set would keep an oversized backing array alive through
 // the pool even after the trim below released d.tuples itself.
 func (s *Server) putDecodeState(d *decodeState) {
-	d.job.tuples, d.job.image, d.job.key, d.job.tn, d.job.err = nil, nil, nil, nil, nil
+	d.job.tuples, d.job.image, d.job.key, d.job.recs, d.job.tn, d.job.err = nil, nil, nil, nil, nil, nil
 	d.job.lsn, d.streamSeq = 0, 0
 	d.body = pooledBytes(d.body)
 	d.tuples = pooledTuples(d.tuples)
@@ -319,11 +320,14 @@ func parseTextTuples(dst []correlated.Tuple, body []byte) ([]correlated.Tuple, e
 	return dst, nil
 }
 
-// handlePush folds a marshaled site summary image into the engine —
+// handlePush folds a marshaled summary image into the engine —
 // attacker-controlled bytes by definition, so the decode path is the
 // fuzz-hardened MergeMarshaled, and every failure is a typed rejection
 // that leaves the engine untouched. The merge is a commit job like an
 // ingest batch: shed by the same bound, acknowledged behind its barrier.
+// Each merge adds Lemma 4's straddling term to the tenant's error bound
+// (core.Merge), so this is for one-shot merges; a corrd site forwards its
+// log instead (handleForward).
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	errs := &s.metrics.pushErrors
 	if kind, err := s.writeGate(); kind != ingestOK {
@@ -566,6 +570,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.WALReplayRecords = s.walReplayed
 		st.WALReplaySeconds = s.metrics.walReplaySeconds.Load()
 	}
+	if f := s.fwd; f != nil {
+		st.ForwardAckedLSN = f.acked.Load()
+		if msg := f.stalled.Load(); msg != nil {
+			st.ForwardStalled = *msg
+		}
+	}
 	if s.cfg.PrimaryAddr != "" {
 		lagRecords, lagSeconds := s.replicationLag()
 		st.ReplicaOf = s.cfg.PrimaryAddr
@@ -579,7 +589,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSummary serves a tenant's summary image — the same
-// bytes a site would push, so a downstream coordinator (or an offline
+// bytes POST /v1/push takes, so a downstream coordinator (or an offline
 // tool) can pull instead of being pushed to. ?tenant= selects the
 // namespace; unknown keys are 404. A spilled tenant is served its parked
 // image — a read does not un-spill it — unless a re-seed parked it empty:

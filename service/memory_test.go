@@ -209,7 +209,7 @@ func TestSnapshotFallbackKeepsTenantBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	covered, images, err := decodeSnapshot(data)
+	covered, images, marks, err := decodeSnapshot(data)
 	if err != nil || len(images) != 3 {
 		t.Fatalf("newest snapshot: %d images, %v", len(images), err)
 	}
@@ -218,7 +218,7 @@ func TestSnapshotFallbackKeepsTenantBytes(t *testing.T) {
 			images[i].image = images[i].image[:len(images[i].image)/2]
 		}
 	}
-	if err := os.WriteFile(cfg.SnapshotPath, encodeSnapshot(covered, images), 0o644); err != nil {
+	if err := os.WriteFile(cfg.SnapshotPath, encodeSnapshot(covered, images, marks), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -143,6 +143,17 @@ type metrics struct {
 	pushesMerged counter
 	pushErrors   counter
 
+	// Log forwarding (forward.go): a coordinator counts the site records
+	// it applied and dropped at or below a site's mark, and the forwards it
+	// refused; a site counts its forwards the coordinator confirmed, the
+	// attempts that failed, and those it refused.
+	forwardsApplied     counter
+	forwardsDuplicate   counter
+	forwardsRejected    counter
+	siteForwardsSent    counter
+	siteForwardsFailed  counter
+	siteForwardsRefused counter
+
 	queriesLE   counter
 	queriesGE   counter
 	queryErrors counter
@@ -151,9 +162,6 @@ type metrics struct {
 	snapshotErrors   counter
 	lastSnapshotUnix gauge // 0 until the first snapshot
 	snapshotBytes    gauge
-
-	pushesSent     counter // site role: images shipped upstream
-	pushSendErrors counter
 
 	walAppendErrors  counter    // appends that failed after the engine applied
 	walSyncErrors    counter    // interval-policy barrier jobs that failed
@@ -230,7 +238,7 @@ func newMetrics() *metrics {
 }
 
 // handlerNames fixes the exposition order of the per-handler histograms.
-var handlerNames = []string{"ingest", "push", "query", "stats", "summary", "promote"}
+var handlerNames = []string{"ingest", "push", "forward", "query", "stats", "summary", "promote"}
 
 func (m *metrics) observe(handler string, d time.Duration) {
 	if h, ok := m.handlers[handler]; ok {
@@ -303,8 +311,13 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	c("corrd_stream_frames_total", "Stream frames decoded and committed through the ingest pipeline.", m.streamFrames.Load())
 	c("corrd_stream_tuples_total", "Tuples accepted over the streaming transport.", m.streamTuples.Load())
 	c("corrd_stream_frame_errors_total", "Stream frames rejected (bad hello, desync, malformed payload).", m.streamFrameErrors.Load())
-	c("corrd_pushes_merged_total", "Site summary images merged through /v1/push.", m.pushesMerged.Load())
+	c("corrd_pushes_merged_total", "Summary images merged through /v1/push.", m.pushesMerged.Load())
 	c("corrd_push_errors_total", "Rejected /v1/push requests.", m.pushErrors.Load())
+	fmt.Fprintf(w, "# HELP corrd_forwards_total Site log records received on /v1/forward, applied or dropped as duplicates, and forwards rejected.\n")
+	fmt.Fprintf(w, "# TYPE corrd_forwards_total counter\n")
+	fmt.Fprintf(w, "corrd_forwards_total{result=\"applied\"} %d\n", m.forwardsApplied.Load())
+	fmt.Fprintf(w, "corrd_forwards_total{result=\"duplicate\"} %d\n", m.forwardsDuplicate.Load())
+	fmt.Fprintf(w, "corrd_forwards_total{result=\"rejected\"} %d\n", m.forwardsRejected.Load())
 	fmt.Fprintf(w, "# HELP corrd_queries_served_total Queries answered, by direction.\n")
 	fmt.Fprintf(w, "# TYPE corrd_queries_served_total counter\n")
 	fmt.Fprintf(w, "corrd_queries_served_total{op=\"le\"} %d\n", m.queriesLE.Load())
@@ -318,8 +331,11 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 			int64(time.Since(time.Unix(last, 0)).Seconds()))
 	}
 	g("corrd_snapshot_bytes", "Size of the last written snapshot.", m.snapshotBytes.Load())
-	c("corrd_site_pushes_sent_total", "Images this site pushed upstream.", m.pushesSent.Load())
-	c("corrd_site_push_send_errors_total", "Failed upstream pushes (re-queued locally).", m.pushSendErrors.Load())
+	fmt.Fprintf(w, "# HELP corrd_site_forwards_total Forwards of this site's log upstream: confirmed by the coordinator, failed (sent again), or refused (the records behind wait; see /v1/stats forward_stalled).\n")
+	fmt.Fprintf(w, "# TYPE corrd_site_forwards_total counter\n")
+	fmt.Fprintf(w, "corrd_site_forwards_total{result=\"sent\"} %d\n", m.siteForwardsSent.Load())
+	fmt.Fprintf(w, "corrd_site_forwards_total{result=\"failed\"} %d\n", m.siteForwardsFailed.Load())
+	fmt.Fprintf(w, "corrd_site_forwards_total{result=\"refused\"} %d\n", m.siteForwardsRefused.Load())
 	g("corrd_engine_tuples", "Tuples held by the engine (Count).", int64(es.count))
 	g("corrd_engine_space", "Stored counters/tuples in the default tenant's summary (Space).", es.space)
 	g("corrd_uptime_seconds", "Seconds since the server was created.", int64(time.Since(m.start).Seconds()))

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -17,9 +18,9 @@ import (
 )
 
 // Group commit: the one admission and the one log writer. Every durable
-// mutation — an ingest batch, a pushed image, the records of a site's push
-// round, a checkpoint marker, a recovery probe, a bare barrier (the interval
-// fsync policy is one, on a ticker) — is a job: its source enqueues it and
+// mutation — an ingest batch, a pushed image, a record a site forwarded, a
+// checkpoint marker, a recovery probe, a bare barrier (the interval fsync
+// policy is one, on a ticker) — is a job: its source enqueues it and
 // blocks, holding no lock, until the committer has committed the group it
 // rode in. enqueue admits or refuses a client's job on the caller's
 // goroutine, outside every lock, so nothing the committer takes can be
@@ -28,17 +29,18 @@ import (
 //
 // The committer is the single goroutine that applies jobs and that appends
 // to, syncs, rewinds or probes the log while the server runs. It takes
-// everything queued (up to the group caps; a site's reset opens a group)
-// and commits it log first. Under the driver lock it decides each job's
-// record (decideLocked): a maximal run of ingest jobs is one record of a
-// batch per touched tenant — its admitted members concatenated in commit
-// order, then sorted by y outside the lock (core.SortByY; wal.go's third
-// invariant) — and a member a governance cap refuses is left out. Outside
-// the lock it appends the records and runs one Sync over them, the barrier
-// under -wal-fsync=always, which when it fails has rewound them all. Under
-// the lock again it applies exactly the records the log still holds, in
-// LSN order, through the applies replay and a replica run, advancing
-// appliedLSN, the coverage a snapshot records; then it wakes the waiters.
+// everything queued (up to the group caps) and commits it log first. Under
+// s.mu it decides each job's record (decideLocked): a maximal run
+// of ingest jobs is one record of a batch per touched tenant — its admitted
+// members concatenated in commit order, then sorted by y outside the lock
+// (core.SortByY; wal.go's third invariant) — a member a governance cap
+// refuses is left out, and so is a forward its site's mark says is a
+// duplicate. Outside the lock it appends the records and runs one Sync over
+// them, the barrier under -wal-fsync=always, which when it fails has rewound
+// them all. Under the lock again it applies exactly the records the log still
+// holds, in LSN order, through the applies replay and a replica run,
+// advancing appliedLSN, the coverage a snapshot records; then it wakes the
+// waiters.
 // So a nacked write is in neither the log, the live state, a snapshot nor
 // a replica, and a failed append or barrier leaves nothing to undo. Under K
 // concurrent clients the fsync and the sort are paid once per group, and a
@@ -70,7 +72,7 @@ const (
 	ingestErrReadOnly                   // the server is a replica; writes go to the primary
 	ingestErrDegraded                   // degraded mode: durability broken, writes suspended
 	ingestErrBusy                       // commit queue at its bound; the job was shed
-	ingestErrIncompatible               // a pushed image was built with other options
+	ingestErrIncompatible               // a pushed or forwarded image was built with other options
 )
 
 // outcomes maps a job's outcome to what each transport tells the client
@@ -94,7 +96,7 @@ var outcomes = [...]struct {
 }
 
 // jobOp names the record a job will write; the zero value is an ingest
-// batch. The order matters: clients send the ops up to opPush (the ones
+// batch. The order matters: clients send the ops up to opForward (the ones
 // IngestQueueMax sheds), and the ops from opCheckpoint on demand the
 // group's barrier whatever the fsync policy.
 type jobOp uint8
@@ -102,9 +104,7 @@ type jobOp uint8
 const (
 	opIngest     jobOp = iota // tuples for the tenant named key; adjacent ingest jobs share one RecordIngest
 	opPush                    // image merged into the tenant named key (RecordPush)
-	opReset                   // a site's push round opens: the default tenant is reset, image is what it held (RecordReset)
-	opPushAck                 // the round closes: the coordinator has the image (RecordPushAck)
-	opFoldback                // the round closes the other way: image merged back (RecordFoldback); no round open, no record
+	opForward                 // records of a site's log, image, applied as the site applied them (RecordForward, forward.go)
 	opCheckpoint              // image is uvarint(covered) of a snapshot already durable (RecordCheckpoint)
 	opProbe                   // recovery probe: repair the tail, append a RecordProbe
 	opBarrier                 // no record: the group's Sync alone
@@ -113,8 +113,7 @@ const (
 // recordType is the record each op appends; a probe's is the log's own
 // (wal.Probe), and opBarrier writes none.
 var recordType = [...]wal.RecordType{
-	opIngest: wal.RecordIngest, opPush: wal.RecordPush, opReset: wal.RecordReset,
-	opPushAck: wal.RecordPushAck, opFoldback: wal.RecordFoldback,
+	opIngest: wal.RecordIngest, opPush: wal.RecordPush, opForward: wal.RecordForward,
 	opCheckpoint: wal.RecordCheckpoint,
 }
 
@@ -124,13 +123,17 @@ var recordType = [...]wal.RecordType{
 // err/kind/lsn/image/tn to the waiter's reads. lsn is the LSN of the job's
 // record (0 without a WAL). key names the tenant an ingest or a push
 // addresses (empty: the default tenant); tn is that tenant once the commit
-// applied the job. The committer only reads tuples. A live opReset or
-// opFoldback is queued without its image; the commit fills it in.
+// applied the job, and stays nil for a forward the commit dropped as a
+// duplicate. A forward's image is the records of the site's log it
+// carries, and recs what admission decoded of them (aliasing image) —
+// after the decide, the ones it admitted. The committer only reads tuples.
 type ingestJob struct {
 	op     jobOp
 	tuples []correlated.Tuple
 	image  []byte
 	key    []byte
+	site   uint64
+	recs   []siteRecord
 	tn     *tenant
 	err    error
 	kind   ingestErrKind
@@ -168,33 +171,34 @@ const defaultGroupMax = 256
 // caller then blocks on j.done — or refuses it, with its outcome set. A
 // client's job must carry a valid tenant key and what its apply takes:
 // tuples a summary's AddBatch accepts — checked per member, so a bad one is
-// rejected alone, not with the batch it would have ridden in — or an image
-// that decodes as this server's summary. It is shed when the queue is at
-// IngestQueueMax — a push before its image is decoded — so a shed request
-// costs no engine or WAL work; the server's own jobs are never shed. Every
-// job is refused once the pipeline has shut down.
+// rejected alone, not with the batch it would have ridden in — an image
+// that decodes as this server's summary, or a forwarded record made of
+// those (validateForward). It is shed when the queue is at IngestQueueMax —
+// a push or a forward before it is decoded — so a shed request costs no
+// engine or WAL work; the server's own jobs are never shed. Every job is
+// refused once the pipeline has shut down.
 func (s *Server) enqueue(j *ingestJob) bool {
 	j.err, j.kind, j.lsn, j.tn = nil, ingestOK, 0, nil
 	j.enqueuedAt = time.Now()
 	p := &s.pipe
-	if j.op <= opPush {
+	if j.op <= opForward {
 		j.err = tupleio.ValidateTenant(j.key)
-		switch {
-		case j.err != nil:
-		case j.op == opIngest:
-			j.err = s.validateBatch(j.tuples)
-		default:
+		if j.err == nil && j.op != opIngest {
 			p.mu.Lock()
 			shed := s.shedLocked(j)
 			p.mu.Unlock()
 			if shed {
 				return false
 			}
-			// MergeMarshaled's decode, into nothing the server keeps.
-			var eng Engine
-			if eng, j.err = newEngine(&s.cfg); j.err == nil {
-				j.err = eng.UnmarshalBinary(j.image)
-			}
+		}
+		switch {
+		case j.err != nil:
+		case j.op == opIngest:
+			j.err = s.validateBatch(j.tuples)
+		case j.op == opPush:
+			j.err = s.validateImage(j.image)
+		default:
+			j.err = s.validateForward(j)
 		}
 		if j.err != nil {
 			j.kind = ingestErrValidate
@@ -224,7 +228,7 @@ func (s *Server) enqueue(j *ingestJob) bool {
 // shedLocked sheds a client's job while the queue is at IngestQueueMax.
 // Callers hold s.pipe.mu.
 func (s *Server) shedLocked(j *ingestJob) bool {
-	if max := s.cfg.IngestQueueMax; j.op > opPush || max <= 0 || len(s.pipe.queue) < max {
+	if max := s.cfg.IngestQueueMax; j.op > opForward || max <= 0 || len(s.pipe.queue) < max {
 		return false
 	}
 	s.metrics.ingestShed.Inc()
@@ -254,9 +258,7 @@ func (s *Server) closePipeline() {
 }
 
 // committer is the single goroutine that owns the write side: take
-// everything queued (bounded by the group caps), commit it, repeat. A reset
-// opens a group: its record is the state the jobs ahead of it leave, which
-// is only there once their group has been applied.
+// everything queued (bounded by the group caps), commit it, repeat.
 func (s *Server) committer() {
 	p := &s.pipe
 	defer close(p.done)
@@ -277,7 +279,7 @@ func (s *Server) committer() {
 		take, total := 0, 0
 		for ; take < n; take++ {
 			total += len(p.queue[take].tuples)
-			if take > 0 && (total > maxGroupTuples || p.queue[take].op == opReset) {
+			if take > 0 && total > maxGroupTuples {
 				break
 			}
 		}
@@ -291,6 +293,15 @@ func (s *Server) committer() {
 		p.mu.Unlock()
 		s.commitGroup(group)
 	}
+}
+
+// validateImage is MergeMarshaled's decode, into nothing the server keeps.
+func (s *Server) validateImage(image []byte) error {
+	eng, err := newEngine(&s.cfg)
+	if err == nil {
+		err = eng.UnmarshalBinary(image)
+	}
+	return err
 }
 
 // validateBatch is the check a summary's AddBatch would make.
@@ -351,7 +362,7 @@ func (s *Server) decideLocked(group []*ingestJob) []groupRecord {
 		if group[i].op == opIngest {
 			buf, keep = s.decideRunLocked(r, buf, &made)
 		} else {
-			keep = s.decideJobLocked(group[i], &made)
+			keep = s.decideJobLocked(group[i], recs[:len(recs)-1], &made)
 		}
 		if !keep {
 			recs = recs[:len(recs)-1]
@@ -389,25 +400,16 @@ func (s *Server) decideRunLocked(r *groupRecord, buf []correlated.Tuple, made *[
 }
 
 // decideJobLocked decides a job that is not an ingest batch and reports
-// whether it writes a record: a push whose key is admitted, a reset with
-// state to ship (marshaled as its image), a fold-back while a round is open
-// (the round's image), every push-ack, marker and probe. Callers hold s.mu.
-func (s *Server) decideJobLocked(j *ingestJob, made *[][]byte) bool {
+// whether it writes a record: a push whose key is admitted, a forward with
+// a record admitted (decideForwardLocked; earlier are the group's records
+// before it), every marker and probe. Callers hold s.mu.
+func (s *Server) decideJobLocked(j *ingestJob, earlier []groupRecord, made *[][]byte) bool {
 	switch j.op {
 	case opPush:
 		j.kind, j.err = s.admitLocked(j.key, made)
 		return j.kind == ingestOK
-	case opReset:
-		if s.def.eng.Count() == 0 {
-			return false // nothing accumulated since the last push: no round, no record
-		}
-		if j.image, j.err = s.def.eng.MarshalBinary(); j.err != nil {
-			j.kind = ingestErrEngine
-			return false
-		}
-	case opFoldback:
-		j.image = s.round
-		return len(j.image) > 0
+	case opForward:
+		return s.decideForwardLocked(j, earlier, made)
 	case opBarrier:
 		return false
 	}
@@ -430,6 +432,9 @@ func appendRecord(w *wal.WAL, buf []byte, r *groupRecord) ([]byte, uint64, error
 		payload = buf
 	case opPush:
 		buf = append(tupleio.AppendTenant(buf, string(j.key)), j.image...)
+		payload = buf
+	case opForward:
+		buf = append(binary.AppendUvarint(buf, j.site), j.image[j.recs[0].start:j.recs[len(j.recs)-1].end]...)
 		payload = buf
 	}
 	if err != nil {
@@ -466,56 +471,32 @@ func (s *Server) applyGroupLocked(batches []tenantBatch) error {
 }
 
 // applyJobLocked is the one apply of every other record: the live commit,
-// startup replay and a replica's apply loop all reach a push, a reset, a
-// push-ack and a fold-back here (applyRecord decodes a record into the job
-// the live commit held), and a marker or a probe changes nothing. It bumps
-// the epoch of the tenant it changed; a push may make its tenant. Callers
+// startup replay and a replica's apply loop all reach a push and a forward
+// here (applyRecord decodes a push into the job the live commit held; a
+// forward's replay is applyForwardRecordLocked), and a marker or a probe
+// changes nothing. A push bumps the epoch of the tenant it changed and may
+// make it; a forward applies the site's records through the applies their
+// types have here — the site's own — and advances the site's mark. Callers
 // hold s.mu, or run before any goroutine exists.
 func (s *Server) applyJobLocked(j *ingestJob) error {
-	t := s.def
 	switch j.op {
 	case opPush:
-		var err error
-		if t, err = s.tenantForWriteLocked(j.key); err != nil {
+		t, err := s.tenantForWriteLocked(j.key)
+		if err != nil {
 			return err
 		}
 		if err := t.eng.MergeMarshaled(j.image); err != nil {
 			return err
 		}
-	case opReset:
-		t.eng.Reset()
-		s.round = j.image
-	case opFoldback:
-		// One record carries the merge and closes the round, so a crash
-		// can never replay them separately and double-apply the image.
-		if err := t.eng.MergeMarshaled(j.image); err != nil {
-			return err
+		t.epoch.Add(1)
+		t.touch()
+		if s.notesAtCommit() {
+			s.noteFootprintLocked(t)
 		}
-		s.round = nil
-	case opPushAck:
-		s.round = nil
-		return nil
-	default:
-		return nil
-	}
-	t.epoch.Add(1)
-	t.touch()
-	if s.notesAtCommit() {
-		s.noteFootprintLocked(t)
+	case opForward:
+		return s.applyForwardLocked(j)
 	}
 	return nil
-}
-
-// foldOpenRoundLocked closes an open push round without a record, through
-// the fold-back's apply: replay's end-of-log rule, and a promotion's (the
-// next round ships the union — at-least-once, never silent loss). Callers
-// hold s.mu, or run before any goroutine exists.
-func (s *Server) foldOpenRoundLocked(why string) error {
-	if len(s.round) == 0 {
-		return nil
-	}
-	s.logf("push round open at %s; image folded back for re-push", why)
-	return s.applyJobLocked(&ingestJob{op: opFoldback, image: s.round})
 }
 
 // nackJobs fails every job of a record that its decide admitted.

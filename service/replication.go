@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -42,9 +41,9 @@ import (
 // answer memo as a primary and rejects writes with 503 (AckReadOnly on the
 // stream). Promotion — POST /v1/promote, or automatic on primary
 // silence (Config.PrimaryTimeout) — detaches the follower, seals the
-// applied LSN, folds back any push round the primary had in flight
-// (exactly as crash replay's tail does), opens the replica's own WAL
-// continuing the primary's LSN space, and starts accepting writes.
+// applied LSN, opens the replica's own WAL continuing the primary's LSN
+// space, and starts accepting writes. The sites' marks are state like any
+// other, so a promoted replica drops what its primary had already applied.
 
 var (
 	// errReadOnlyReplica rejects writes on a replica; the message is
@@ -101,42 +100,12 @@ func (st *replayState) decodeIngest(payload []byte) ([]tenantBatch, error) {
 // applyRecord applies one WAL record through the live commit's own
 // applies — the one grammar both crash replay and a replica's live apply
 // speak, which is what makes a promoted replica's state byte-identical
-// to a crash-free primary replayed to the same LSN. Each record is
-// decoded back into what the live commit applied: an ingest record into
-// the sorted batch per tenant it was given live (applyGroupLocked: the same
-// one AddBatch, of the same argument, nothing copied or re-encoded), any
-// other state record into its one job (applyJobLocked). A tenant the log
-// names is made whatever the caps say today. counted reports whether the
-// record carried state (a checkpoint marker does not). Startup replay calls
+// to a crash-free primary replayed to the same LSN. A state record goes
+// to applyStateLocked; a checkpoint marker and a probe change nothing.
+// counted reports whether the record carried state. Startup replay calls
 // it single-threaded; live apply calls it under s.mu.
 func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st *replayState) (counted bool, err error) {
-	var j ingestJob
 	switch typ {
-	case wal.RecordIngest:
-		batches, err := st.decodeIngest(payload)
-		if err == nil {
-			err = s.applyGroupLocked(batches)
-		}
-		for i := range batches {
-			batches[i].tuples = pooledTuples(batches[i].tuples)
-		}
-		if err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
-		return true, nil
-	case wal.RecordPush:
-		name, image, err := tupleio.DecodeTenantPrefix(payload)
-		if err != nil {
-			return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
-		}
-		j = ingestJob{op: opPush, key: name, image: image}
-	case wal.RecordReset:
-		// The image outlives this call as the open round.
-		j = ingestJob{op: opReset, image: bytes.Clone(payload)}
-	case wal.RecordPushAck:
-		j = ingestJob{op: opPushAck}
-	case wal.RecordFoldback:
-		j = ingestJob{op: opFoldback, image: payload}
 	case wal.RecordCheckpoint:
 		// Not state, but — on startup replay — a consistency witness:
 		// the marker says a snapshot covering LSN c was durably
@@ -161,14 +130,41 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 		// append and fsync again. It carries no state — skip it on
 		// replay, and a live replica skips the shipped copy the same way.
 		return false, nil
-	default:
-		return false, fmt.Errorf("service: wal replay: record %d has unknown type %d", lsn, typ)
 	}
-	// The log holds only jobs the live commit applied.
-	if err := s.applyJobLocked(&j); err != nil {
+	if err := s.applyStateLocked(typ, payload, st); err != nil {
 		return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 	}
 	return true, nil
+}
+
+// applyStateLocked applies one state record, decoded back into what the
+// live commit applied: an ingest record into the sorted batch per tenant it
+// was given live (applyGroupLocked: the same one AddBatch, of the same
+// argument, nothing copied or re-encoded), a push into its one job
+// (applyJobLocked), a forward into its records, each back through here. A
+// tenant the log names is made whatever the caps say today.
+// Callers hold s.mu, or run before any goroutine exists.
+func (s *Server) applyStateLocked(typ wal.RecordType, payload []byte, st *replayState) error {
+	switch typ {
+	case wal.RecordIngest:
+		batches, err := st.decodeIngest(payload)
+		if err == nil {
+			err = s.applyGroupLocked(batches)
+		}
+		for i := range batches {
+			batches[i].tuples = pooledTuples(batches[i].tuples)
+		}
+		return err
+	case wal.RecordPush:
+		name, image, err := tupleio.DecodeTenantPrefix(payload)
+		if err != nil {
+			return err
+		}
+		return s.applyJobLocked(&ingestJob{op: opPush, key: name, image: image})
+	case wal.RecordForward:
+		return s.applyForwardRecordLocked(payload, st)
+	}
+	return fmt.Errorf("unknown record type %d", typ)
 }
 
 // ---------------------------------------------------------------------
@@ -318,17 +314,12 @@ func (s *Server) serveReplicaConn(c net.Conn, w *wal.WAL) {
 }
 
 // replicaSeedSnapshot builds an in-memory snapshot file for a follower
-// that fell behind the prune horizon. The transfer lock keeps it off a
-// push round in flight, buildSnapshot folds back one a failed closing
-// record left open, and the barrier job afterwards
+// that fell behind the prune horizon. The barrier job afterwards
 // guarantees covered never exceeds the durable frontier — a re-seeded
 // replica must not hold state the primary's own crash recovery could
 // lose.
 func (s *Server) replicaSeedSnapshot() (covered uint64, file []byte, err error) {
-	s.xferMu.Lock()
-	covered, file, _, _, err = s.buildSnapshot()
-	s.xferMu.Unlock()
-	if err != nil {
+	if covered, file, _, _, err = s.buildSnapshot(); err != nil {
 		return 0, nil, err
 	}
 	if err := s.commit(&ingestJob{op: opBarrier}); err != nil {
@@ -345,7 +336,6 @@ func (s *Server) replicaSeedSnapshot() (covered uint64, file []byte, err error) 
 // snapshot's covered LSN.
 func (s *Server) startFollower() {
 	s.caughtUpAt.Store(time.Now().UnixNano())
-	s.replState = newReplayState(0, false)
 	s.follower = replica.Start(replica.Config{
 		Addr:             s.cfg.PrimaryAddr,
 		StartLSN:         func() uint64 { return s.appliedLSN.Load() },
@@ -389,10 +379,10 @@ func (s *Server) replicaApply(lsn uint64, typ uint8, payload []byte) error {
 
 // replicaInstallSnapshot re-seeds the whole registry from a primary
 // snapshot frame: every tenant in the image is (re)loaded, every
-// local tenant absent from it is emptied — afterwards the state is
-// exactly "the primary at LSN covered".
+// local tenant absent from it is emptied, and the sites' marks are the
+// image's — afterwards the state is exactly "the primary at LSN covered".
 func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
-	_, images, err := decodeSnapshot(data)
+	_, images, marks, err := decodeSnapshot(data)
 	if err != nil {
 		return err
 	}
@@ -410,7 +400,7 @@ func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
 	if err := s.installSnapshotLocked(images); err != nil {
 		return fmt.Errorf("service: install snapshot: %w", err)
 	}
-	s.round = nil // superseded by the image's state
+	s.marks = marks
 	s.appliedLSN.Store(covered)
 	s.metrics.replicaSnapshotsInstalled.Inc()
 	if covered >= s.primaryLSN.Load() {
@@ -459,10 +449,8 @@ func (s *Server) roleNow() string {
 }
 
 // Promote turns a replica into a primary: detach from the old primary,
-// seal the applied LSN, fold back any push round the old primary had
-// open (the same tail fold-back crash replay performs), open this
-// node's own WAL continuing the old primary's LSN space, and start
-// accepting writes. Idempotent-by-refusal: a second call returns
+// seal the applied LSN, open this node's own WAL continuing the old
+// primary's LSN space, and start accepting writes. Idempotent-by-refusal: a second call returns
 // errNotReplica.
 func (s *Server) Promote() error {
 	s.lifeMu.Lock()
@@ -478,12 +466,6 @@ func (s *Server) Promote() error {
 		s.follower.Stop()
 	}
 	sealed := s.appliedLSN.Load()
-	s.mu.Lock()
-	err := s.foldOpenRoundLocked("the primary's loss")
-	s.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("service: promote: fold back in-flight push image: %w", err)
-	}
 	if s.cfg.WALDir != "" {
 		if err := s.openWALAt(sealed + 1); err != nil {
 			return err

@@ -201,7 +201,7 @@ func TestReplicaFollowsAndServesReads(t *testing.T) {
 
 // TestReplicaSnapshotCatchup: a replica that starts behind the
 // primary's prune horizon is re-seeded with a snapshot frame and still
-// converges byte-exactly.
+// converges byte-exactly, the sites' marks included.
 func TestReplicaSnapshotCatchup(t *testing.T) {
 	o := testOptions()
 	dir := t.TempDir()
@@ -218,6 +218,9 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if _, err := pcl.Forward(ctx, 0x5eed, client.AppendForwardRecord(nil, 7, uint8(wal.RecordIngest), ingestRecord(t, "", "s"))); err != nil {
+		t.Fatal(err)
+	}
 	if err := primary.Snapshot(); err != nil { // checkpoint + prune
 		t.Fatal(err)
 	}
@@ -233,6 +236,12 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 	})
 	if replicaSvc.metrics.replicaSnapshotsInstalled.Load() == 0 {
 		t.Fatal("replica caught up without a snapshot install; prune horizon was not exercised")
+	}
+	replicaSvc.mu.Lock()
+	mark := replicaSvc.marks[0x5eed]
+	replicaSvc.mu.Unlock()
+	if mark != 7 {
+		t.Fatalf("the re-seeded replica's mark for the site is %d, want 7", mark)
 	}
 
 	// Convergence must survive a snapshot seed + live records on top.

@@ -1,28 +1,29 @@
 // Package service implements corrd, the correlated-aggregation network
 // service: the paper's distributed model (remote sites streaming tuples,
-// a coordinator answering AGG{x : y <= c} queries over merged site
-// summaries) as an HTTP daemon built entirely on the repo's mergeable
+// a coordinator answering AGG{x : y <= c} queries over the union of their
+// streams) as an HTTP daemon built entirely on the repo's mergeable
 // summaries — one per tenant — with the standard library only, zero new
 // dependencies.
 //
 // One Server plays either role:
 //
-//   - coordinator: accepts tuple batches on POST /v1/ingest, site
-//     summary images on POST /v1/push (folded straight into the engine
-//     via MergeMarshaled, no full decode round-trip), and answers
-//     GET /v1/query?op=le|ge&c=... from the merged state.
-//   - site (Config.PushTo set): ingests locally like a coordinator and
-//     ships its summary image upstream on a ticker, resetting the
-//     local engine after each acknowledged push — the delta-push
-//     protocol; mergeability makes the coordinator's state the summary
-//     of the union stream.
+//   - coordinator: accepts tuple batches on POST /v1/ingest, the records
+//     of its sites' logs on POST /v1/forward (each applied once, as the
+//     site applied it, into one summary per tenant — forward.go), summary
+//     images on POST /v1/push (folded in via MergeMarshaled, for library
+//     sites' one-shot merges: each merge adds Lemma 4's straddling term),
+//     and answers GET /v1/query?op=le|ge&c=... from that state.
+//   - site (Config.PushTo set, with a WALDir): ingests locally like a
+//     coordinator and forwards every state record of its log upstream,
+//     exactly once, so the coordinator's summary is the summary of the
+//     union stream with no merge at all.
 //
 // Durability is a periodic snapshot (snapshot.go) plus, with
 // Config.WALDir set, a write-ahead log every acknowledged write is in
 // first (wal.go, pipeline.go). Observability is a Prometheus-text
 // /metrics plus /healthz and /v1/stats, and shutdown is graceful: drain
-// HTTP and streams, final push (site role), final snapshot, commit what
-// is queued.
+// HTTP and streams, final forward (site role), final snapshot, commit
+// what is queued.
 //
 // The HTTP surface is deliberately small and wire-stable; see the
 // README's "Running the service" section for the endpoint catalogue and
@@ -30,7 +31,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +42,6 @@ import (
 	"time"
 
 	correlated "github.com/streamagg/correlated"
-	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/fault"
 	"github.com/streamagg/correlated/internal/replica"
 	"github.com/streamagg/correlated/internal/wal"
@@ -61,7 +60,6 @@ type Engine interface {
 	Count() uint64
 	Space() int64
 	Footprint() correlated.Footprint
-	Reset()
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary(data []byte) error
 	MergeMarshaled(data []byte) error
@@ -77,8 +75,8 @@ type Config struct {
 	// K is the moment order when Aggregate is "fk".
 	K int
 	// Options configures every tenant's summary. All sites and their
-	// coordinator must share it verbatim — Seed included — or pushes
-	// are rejected as incompatible.
+	// coordinator must share it verbatim — Seed included — or their
+	// images are rejected as incompatible.
 	Options correlated.Options
 	// IngestGroupMax caps how many queued ingest requests one commit
 	// group may carry (the group shares one WAL fsync and one AddBatch
@@ -104,10 +102,10 @@ type Config struct {
 	// SnapshotInterval defaults to 30s when SnapshotPath is set.
 	SnapshotInterval time.Duration
 
-	// WALDir enables the write-ahead log: every accepted ingest batch
-	// and push image is appended (and, per WALFsync, fsynced) before
-	// the request is acknowledged, and startup replays the log suffix
-	// the snapshot does not cover. Empty disables the WAL and leaves
+	// WALDir enables the write-ahead log: every accepted ingest batch,
+	// push image and forwarded site record is appended (and, per
+	// WALFsync, fsynced) before the request is acknowledged, and startup
+	// replays the log suffix the snapshot does not cover. Empty disables the WAL and leaves
 	// the durability window at the snapshot interval. Pair it with
 	// SnapshotPath so checkpoints can prune the log.
 	WALDir string
@@ -143,12 +141,9 @@ type Config struct {
 	IngestQueueMax int
 
 	// PushTo switches the server into the site role: the base URL of
-	// the coordinator to push summary images to. The site role
-	// pushes the default tenant's summary only; keyed tenants are a
-	// coordinator-side namespace (see tenant.go).
+	// the coordinator to forward this server's log to, every tenant's
+	// records (forward.go). It needs WALDir: the log is what is forwarded.
 	PushTo string
-	// PushInterval defaults to 5s when PushTo is set.
-	PushInterval time.Duration
 
 	// PrimaryAddr switches the server into the replica role: the stream
 	// listener address (host:port) of the primary whose WAL this server
@@ -202,7 +197,7 @@ type Config struct {
 
 	// MaxBodyBytes caps request bodies; 0 means 64 MiB.
 	MaxBodyBytes int64
-	// Logger receives operational messages (snapshot failures, push
+	// Logger receives operational messages (snapshot failures, forward
 	// retries); nil discards them.
 	Logger *log.Logger
 	// AccessLog receives one JSON line per API request and per stream
@@ -283,7 +278,7 @@ type decodeState struct {
 }
 
 // Server is one corrd instance. Create it with New, serve its Handler,
-// and Close it to drain, final-push, and final-snapshot.
+// and Close it to drain, final-forward, and final-snapshot.
 type Server struct {
 	cfg     Config
 	metrics *metrics
@@ -301,10 +296,10 @@ type Server struct {
 	// pipeline.go), so the engines hold what the log does (what makes replay
 	// crash-exact). Nothing waits on a commit, or on the disk, while
 	// holding mu. A query takes it only for the cutoffs its tenant's
-	// answer memo (tenant.go) cannot serve. round, guarded by it, is the
-	// open push round's image (on a replica, its primary's), else nil.
+	// answer memo (tenant.go) cannot serve. marks, guarded by it, is each
+	// forwarding site's mark: the highest LSN of its log applied here.
 	mu       sync.Mutex
-	round    []byte
+	marks    map[uint64]uint64
 	restored bool
 
 	// Tenant registry (tenant.go): def is the default (empty-key)
@@ -347,14 +342,13 @@ type Server struct {
 	walReplayed  uint64
 	snapFellBack bool
 
-	// xferMu serializes whole state transfers — a snapshot, a replica
-	// re-seed, a delta-push round — so no snapshot lands inside a round.
-	// Its holders wait on commit jobs: never taken holding mu, nor by the
-	// committer.
+	// xferMu serializes snapshots, so two never rotate or write the
+	// snapshot files at once. Its holders wait on commit jobs: never taken
+	// holding mu, nor by the committer.
 	xferMu sync.Mutex
 
-	dec   sync.Pool // *decodeState
-	pushc *client.Client
+	dec sync.Pool  // *decodeState
+	fwd *forwarder // the site role's (forward.go); nil otherwise
 
 	// streamMu guards the streaming-ingest transport's registries
 	// (stream.go): the listeners ServeStream runs on and the live
@@ -371,7 +365,8 @@ type Server struct {
 	// committer's and a replica's alike; primaryLSN is the primary's last
 	// observed frontier; caughtUpAt stamps (unix nanos) the last moment
 	// applied covered primary, for the lag-seconds gauge. replState is the
-	// live-apply decode scratch, guarded by mu.
+	// decode scratch of a replica's live apply and of a forward's, guarded
+	// by mu.
 	replicaMode atomic.Bool
 	appliedLSN  atomic.Uint64
 	primaryLSN  atomic.Uint64
@@ -395,14 +390,11 @@ type Server struct {
 }
 
 // New builds a Server: engine, snapshot restore (if configured), HTTP
-// routes, and the background snapshot/push loops. On error nothing is
-// left running.
+// routes, and the background snapshot loop and forwarder. On error nothing
+// is left running.
 func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotInterval <= 0 {
 		cfg.SnapshotInterval = 30 * time.Second
-	}
-	if cfg.PushInterval <= 0 {
-		cfg.PushInterval = 5 * time.Second
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
@@ -420,7 +412,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.FS = fault.OS()
 	}
 	if cfg.PrimaryAddr != "" && cfg.PushTo != "" {
-		return nil, errors.New("service: PrimaryAddr and PushTo are incompatible (a replica cannot also be a push site)")
+		return nil, errors.New("service: PrimaryAddr and PushTo are incompatible (a replica cannot also be a site)")
+	}
+	if cfg.PushTo != "" && cfg.WALDir == "" {
+		return nil, errors.New("service: PushTo needs WALDir: a site forwards its log")
 	}
 	eng, err := newEngine(&cfg)
 	if err != nil {
@@ -433,7 +428,9 @@ func New(cfg Config) (*Server, error) {
 		groupMax: cfg.IngestGroupMax,
 		fs:       cfg.FS,
 		done:     make(chan struct{}),
+		marks:    map[uint64]uint64{},
 	}
+	s.replState = newReplayState(0, false)
 	s.def = &tenant{eng: eng}
 	s.def.touch()
 	s.tenants = map[string]*tenant{"": s.def}
@@ -476,6 +473,12 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	if cfg.PushTo != "" {
+		if s.fwd, err = s.newForwarder(); err != nil {
+			s.shutdownStorage()
+			return nil, err
+		}
+	}
 	s.routes()
 	// Started after recovery so the construction error paths above never
 	// leak the writer goroutine.
@@ -513,13 +516,8 @@ func New(cfg Config) (*Server, error) {
 			}
 		})
 	}
-	if cfg.PushTo != "" {
-		s.pushc = client.New(cfg.PushTo)
-		s.every(cfg.PushInterval, func() {
-			if err := s.pushOnce(); err != nil {
-				s.logf("push to %s: %v", s.cfg.PushTo, err)
-			}
-		})
+	if s.fwd != nil {
+		go s.fwd.run()
 	}
 	if cfg.TenantIdleSpill > 0 {
 		s.every(cfg.TenantIdleSpill, func() { s.spillIdle(cfg.TenantIdleSpill) })
@@ -574,8 +572,9 @@ func (s *Server) shutdownStorage() {
 }
 
 // Close shuts the server down gracefully: stop the background loops and
-// the stream transport, push any remaining local state upstream (site
-// role), write a final snapshot, and only then shut the commit pipeline —
+// the stream transport, forward what the log holds upstream (site role;
+// the first failed attempt ends it, and the log keeps the rest for the
+// next start), write a final snapshot, and only then shut the commit pipeline —
 // the committer outlives everything that hands it a job. Safe to call
 // more than once; later calls return the first result. Callers should
 // stop their http.Server first so no handler is mid-flight.
@@ -602,9 +601,10 @@ func (s *Server) Close() error {
 	s.closeStreams()
 	s.wg.Wait()
 	var errs []error
-	if s.pushc != nil {
-		if err := s.pushOnce(); err != nil {
-			errs = append(errs, fmt.Errorf("final push: %w", err))
+	if s.fwd != nil {
+		// The barrier makes what -wal-fsync=interval acknowledged followable.
+		if err := errors.Join(s.commit(&ingestJob{op: opBarrier}), s.fwd.drain()); err != nil {
+			errs = append(errs, fmt.Errorf("final forward: %w", err))
 		}
 	}
 	if err := s.Snapshot(); err != nil {
@@ -632,47 +632,4 @@ func (s *Server) Close() error {
 		s.logf("close: complete with errors: %v", s.closeErr)
 	}
 	return s.closeErr
-}
-
-// pushOnce runs one round of the site's delta-push protocol as commit jobs
-// around the ship: a reset job marshals the local summary, resets the
-// engine and opens the round (RecordReset carrying the image); after the
-// ship a push-ack job closes it (RecordPushAck, then a snapshot, so a
-// crashed site never re-sends the image) or, if the coordinator is
-// unreachable, a fold-back job merges the image back (RecordFoldback) and
-// the next tick pushes the union. The round holds the transfer lock, so no
-// snapshot lands inside it. A job applies only once its record is in the
-// log: a reset whose record is not ships nothing, and a failed closing
-// record leaves the round open, which the next round, or snapshot, folds
-// back first. Delivery is at-least-once — across a crash before the ack
-// record (or, without a WAL, the post-push snapshot) lands, and across an
-// ack record that fails; exactly-once needs coordinator-side dedup.
-func (s *Server) pushOnce() error {
-	s.xferMu.Lock()
-	defer s.xferMu.Unlock()
-	if err := s.commit(&ingestJob{op: opFoldback}); err != nil {
-		return fmt.Errorf("fold back the open round: %w", err)
-	}
-	reset := ingestJob{op: opReset}
-	if err := s.commit(&reset); err != nil {
-		return err
-	}
-	if reset.image == nil {
-		return nil // nothing accumulated since the last push
-	}
-	if err := s.pushc.Push(context.Background(), reset.image); err != nil {
-		s.metrics.pushSendErrors.Inc()
-		if ferr := s.commit(&ingestJob{op: opFoldback}); ferr != nil {
-			return errors.Join(err, fmt.Errorf("fold-back not logged, the round stays open for the next: %w", ferr))
-		}
-		return fmt.Errorf("re-queued locally: %w", err)
-	}
-	s.metrics.pushesSent.Inc()
-	if err := s.commit(&ingestJob{op: opPushAck}); err != nil {
-		s.logf("wal: log push ack: %v", err)
-	}
-	if err := s.snapshotLocked(); err != nil {
-		s.logf("post-push snapshot: %v", err)
-	}
-	return nil
 }

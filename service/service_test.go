@@ -253,7 +253,7 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, images, err := decodeSnapshot(snapFile)
+	_, images, _, err := decodeSnapshot(snapFile)
 	if err != nil || len(images) != 1 || images[0].name != "" {
 		t.Fatalf("snapshot file holds %d images (err %v), want the default tenant's", len(images), err)
 	}
@@ -340,59 +340,6 @@ func TestGracefulShutdownFlush(t *testing.T) {
 	}
 }
 
-// TestSiteCoordinatorPushLoop: a site server pushes its deltas to a
-// coordinator on a ticker; after the site's final push on Close, the
-// coordinator answers exactly like a whole-stream offline summary.
-func TestSiteCoordinatorPushLoop(t *testing.T) {
-	o := testOptions()
-	_, coordTS, coordCl := newTestServer(t, Config{Options: o})
-	site, err := New(Config{
-		Options: o,
-		PushTo:  coordTS.URL, PushInterval: 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	siteTS := httptest.NewServer(site.Handler())
-	stream := testStream(4_000, 88)
-	ctx := context.Background()
-	if err := client.New(siteTS.URL).AddBatch(ctx, stream); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(90 * time.Millisecond) // let at least one ticker push land
-	siteTS.Close()
-	if err := site.Close(); err != nil { // final push ships the remainder
-		t.Fatal(err)
-	}
-	st, err := coordCl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Count != uint64(len(stream)) {
-		t.Fatalf("coordinator count %d, want %d", st.Count, len(stream))
-	}
-	if st.PushesMerged == 0 {
-		t.Fatalf("no pushes recorded: %+v", st)
-	}
-	offline, err := correlated.NewF2Summary(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := offline.AddBatch(append([]correlated.Tuple(nil), stream...)); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []uint64{0, 120, distinctY} {
-		want, err1 := offline.QueryLE(c)
-		got, err2 := coordCl.QueryLE(ctx, c)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("c=%d: %v / %v", c, err1, err2)
-		}
-		if got != want {
-			t.Fatalf("c=%d: coordinator %v offline %v", c, got, want)
-		}
-	}
-}
-
 // TestHealthzAndMetrics: liveness and the Prometheus exposition.
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts, cl := newTestServer(t, Config{Options: testOptions()})
@@ -476,9 +423,10 @@ func walConfig(t *testing.T) Config {
 // must not keep snapshotting, checkpointing or probing files the
 // restarted server now owns. No drain, no final snapshot, no WAL close:
 // the disk is left exactly as a SIGKILL would leave it. The transfer
-// lock is taken and never released, so no snapshot or push is in flight
-// when crash returns and none can start afterwards; a later Close is a
-// no-op.
+// lock is taken and never released, so no snapshot is in flight when
+// crash returns and none can start afterwards; a later Close is a no-op.
+// A site's forwarder makes one last attempt and stops: a test that wants
+// records left unforwarded takes the coordinator away first.
 func crash(ts *httptest.Server, svc *Server) {
 	if ts != nil {
 		ts.Close()
@@ -488,6 +436,9 @@ func crash(ts *httptest.Server, svc *Server) {
 		svc.closed = true
 		svc.closing.Store(true)
 		close(svc.done)
+		if svc.fwd != nil {
+			svc.fwd.drain()
+		}
 	}
 	svc.lifeMu.Unlock()
 	svc.xferMu.Lock()
@@ -646,103 +597,6 @@ func TestWALRecoveryWithoutSnapshot(t *testing.T) {
 	}
 }
 
-// TestWALSitePushRound: the site role's journaled push protocol. After
-// an acknowledged push, a crashed site recovers to the post-push state
-// and does not re-push; a push round cut short by the crash folds its
-// image back so nothing is lost.
-func TestWALSitePushRound(t *testing.T) {
-	o := testOptions()
-	_, coordTS, coordCl := newTestServer(t, Config{Options: o})
-	cfg := walConfig(t)
-	cfg.PushTo = coordTS.URL
-	cfg.PushInterval = time.Hour // pushes only when we say so
-	site, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(site.Handler())
-	cl := client.New(ts.URL)
-	ctx := context.Background()
-	stream := testStream(2_000, 31)
-	if err := cl.AddBatch(ctx, stream); err != nil {
-		t.Fatal(err)
-	}
-	if err := site.pushOnce(); err != nil {
-		t.Fatal(err)
-	}
-	coordCount := func() uint64 {
-		st, err := coordCl.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Count
-	}
-	if got := coordCount(); got != uint64(len(stream)) {
-		t.Fatalf("coordinator count after push: %d", got)
-	}
-	// Ingest a little more after the acknowledged push, then crash.
-	post := testStream(300, 32)
-	if err := cl.AddBatch(ctx, post); err != nil {
-		t.Fatal(err)
-	}
-	crash(ts, site)
-	site2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := site2.Engine().Count()
-	if n != uint64(len(post)) {
-		t.Fatalf("recovered site count %d, want %d (acknowledged push must not be replayed locally)",
-			n, len(post))
-	}
-	// The recovered site pushes only the post-push delta upstream.
-	if err := site2.pushOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if got := coordCount(); got != uint64(len(stream)+len(post)) {
-		t.Fatalf("coordinator count after recovered push: %d, want %d (no duplicate push)",
-			got, len(stream)+len(post))
-	}
-	site2.Close()
-}
-
-// TestWALInFlightPushFoldsBack: a crash with a push round open (reset
-// logged, no ack) folds the in-flight image back at replay, so the
-// acknowledged ingest behind it is never lost.
-func TestWALInFlightPushFoldsBack(t *testing.T) {
-	cfg := walConfig(t)
-	cfg.PushTo = "http://127.0.0.1:1" // unreachable coordinator
-	cfg.PushInterval = time.Hour
-	site, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(site.Handler())
-	cl := client.New(ts.URL, client.WithRetries(0))
-	ctx := context.Background()
-	stream := testStream(1_200, 41)
-	if err := cl.AddBatch(ctx, stream); err != nil {
-		t.Fatal(err)
-	}
-	// Open a push round by hand: the reset job (marshal + reset +
-	// RecordReset), exactly what pushOnce commits before shipping — then
-	// "crash" before any fold-back or ack is logged.
-	if err := site.commit(&ingestJob{op: opReset}); err != nil {
-		t.Fatal(err)
-	}
-	crash(ts, site)
-
-	site2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site2.Close()
-	n := site2.Engine().Count()
-	if n != uint64(len(stream)) {
-		t.Fatalf("recovered count %d, want %d (in-flight image must fold back)", n, len(stream))
-	}
-}
-
 // TestMultiCutoffQuery: repeated c= values come back in one response,
 // each answer identical to its single-cutoff counterpart.
 func TestMultiCutoffQuery(t *testing.T) {
@@ -826,43 +680,6 @@ func TestWALMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestWALFoldbackRoundSurvivesCrash: a push whose ship fails folds the
-// image back and journals it as one atomic record — after a crash the
-// recovered state holds the stream exactly once, not twice.
-func TestWALFoldbackRoundSurvivesCrash(t *testing.T) {
-	cfg := walConfig(t)
-	cfg.PushTo = "http://127.0.0.1:1" // nothing listens there
-	cfg.PushInterval = time.Hour
-	site, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(site.Handler())
-	cl := client.New(ts.URL)
-	ctx := context.Background()
-	stream := testStream(900, 71)
-	if err := cl.AddBatch(ctx, stream); err != nil {
-		t.Fatal(err)
-	}
-	if err := site.pushOnce(); err == nil {
-		t.Fatal("push to an unreachable coordinator succeeded")
-	}
-	n := site.Engine().Count()
-	if n != uint64(len(stream)) {
-		t.Fatalf("live fold-back count %d, want %d", n, len(stream))
-	}
-	crash(ts, site)
-	site2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site2.Close()
-	n2 := site2.Engine().Count()
-	if n2 != uint64(len(stream)) {
-		t.Fatalf("recovered count %d, want %d (fold-back must apply exactly once)", n2, len(stream))
-	}
-}
-
 // TestWALRefusesStaleSnapshot: the log's checkpoint markers witness
 // that a snapshot covering LSN N existed; if the restored snapshot
 // covers less (deleted, replaced, or written during a WAL-less run),
@@ -918,8 +735,8 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestPreBreakStateRefused: durable state written before a storage
-// version break — a version-1 or version-2 log holding records, or a
-// corrdsn1, corrdsn2 or bare-image snapshot wherever restore would reach
+// version break — a version-1, -2 or -3 log holding records, or a
+// corrdsn1, corrdsn2, corrdsn3 or bare-image snapshot wherever restore would reach
 // it — makes New fail with an error that wraps a sentinel, names the format
 // found and the one expected, and points at the README. The refused start
 // leaves every file exactly as it was and creates none beside them.
@@ -967,16 +784,20 @@ func TestPreBreakStateRefused(t *testing.T) {
 		version byte
 		record  func(i int) (wal.RecordType, []byte) // the i-th record, in that version's grammar
 	}{
-		// Frames did not change at either break, only the record grammar
-		// and the header's version byte: write records, then stamp the
-		// version. Version 1 logged under the retired group, keyed-group and
+		// Frames did not change at any break, only the record grammar and
+		// the header's version byte: write records, then stamp the version.
+		// Version 1 logged under the retired group, keyed-group and
 		// keyed-push numbers; version 2's ingest record was keyed batches in
-		// client order.
+		// client order; version 3 logged a site's push round (reset 3, ack
+		// 5, fold-back 6).
 		{1, func(i int) (wal.RecordType, []byte) {
 			return wal.RecordType(7 + i), tupleio.AppendCountedBatch([]byte{1}, testStream(8, 92))
 		}},
 		{2, func(int) (wal.RecordType, []byte) {
 			return wal.RecordIngest, tupleio.AppendKeyedBatch(nil, "a", testStream(8, 92))
+		}},
+		{3, func(i int) (wal.RecordType, []byte) {
+			return []wal.RecordType{3, 5, 6}[i], image
 		}},
 	} {
 		t.Run(fmt.Sprintf("version-%d log", old.version), func(t *testing.T) {
@@ -1006,18 +827,24 @@ func TestPreBreakStateRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			refused(t, Config{Options: o, WALDir: dir}, dir, wal.ErrVersion, fmt.Sprintf("version %d,", old.version), "version 3 ")
+			refused(t, Config{Options: o, WALDir: dir}, dir, wal.ErrVersion, fmt.Sprintf("version %d,", old.version), "version 4 ")
 		})
 	}
 
-	sn2 := encodeSnapshot(7, []tenantImage{{name: "", image: image}, {name: "a", image: image}})
-	sn2[len(snapshotMagic)-1] = '2' // corrdsn2 had today's layout under the older magic
+	// corrdsn2 and corrdsn3 had today's layout under the older magic, less
+	// the marks table at the end.
+	sn3 := encodeSnapshot(7, []tenantImage{{name: "", image: image}, {name: "a", image: image}}, nil)
+	sn3 = sn3[:len(sn3)-1]
+	sn3[len(snapshotMagic)-1] = '3'
+	sn2 := bytes.Clone(sn3)
+	sn2[len(snapshotMagic)-1] = '2'
 	for _, format := range []struct {
 		name, found string
 		file        []byte
 	}{
 		{"corrdsn1", `"corrdsn1"`, append(binary.AppendUvarint([]byte("corrdsn1"), 7), image...)},
 		{"corrdsn2", `"corrdsn2"`, sn2},
+		{"corrdsn3", `"corrdsn3"`, sn3},
 		{"bare image", "no corrdsn header", image},
 	} {
 		for _, place := range []struct {
@@ -1040,7 +867,7 @@ func TestPreBreakStateRefused(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				refused(t, cfg, dir, ErrSnapshotFormat, format.found, `"corrdsn3"`)
+				refused(t, cfg, dir, ErrSnapshotFormat, format.found, `"corrdsn4"`)
 			})
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,7 +16,7 @@ import (
 )
 
 // Durability: every tenant's summary image (its MarshalBinary — the same
-// bytes /v1/summary serves and a site pushes) is written to disk on a
+// bytes /v1/summary serves and POST /v1/push takes) is written to disk on a
 // ticker and again on graceful shutdown, via the classic
 // temp-file-then-rename dance so a crash mid-write can never corrupt the
 // previous snapshot. Restore happens once, at startup, before the
@@ -22,18 +24,19 @@ import (
 //
 // The file is wrapped in a small header that records the WAL position
 // the snapshot covers (0 without a WAL), so startup knows exactly which
-// log suffix to replay. A completed snapshot also commits a checkpoint
+// log suffix to replay, and ends with the forwarding sites' marks, which
+// are state like the images. A completed snapshot also commits a checkpoint
 // marker to the WAL, behind which every sealed segment the snapshot made
 // redundant is pruned.
 
 // snapshotMagic prefixes the one snapshot framing, on disk and in a
-// replica re-seed frame alike. The trailing digit versions it: corrdsn3
-// is the format of the storage version break (WAL segment version 2),
-// and nothing older is read.
-var snapshotMagic = []byte("corrdsn3")
+// replica re-seed frame alike. The trailing digit versions it: corrdsn4
+// is the format of the storage version break of WAL segment version 4
+// (the marks table), and nothing older is read.
+var snapshotMagic = []byte("corrdsn4")
 
 // ErrSnapshotFormat reports snapshot bytes that are not in the current
-// framing: a file an earlier corrd wrote (corrdsn1, corrdsn2, or a bare
+// framing: a file an earlier corrd wrote (corrdsn1 to corrdsn3, or a bare
 // image from before the WAL existed), or one damaged past recognition.
 // Startup fails on it without touching any file; the README's "Storage
 // format" section has the migration.
@@ -45,16 +48,19 @@ type tenantImage struct {
 	image []byte
 }
 
-// encodeSnapshot wraps every tenant's image with the covered WAL LSN:
+// encodeSnapshot wraps every tenant's image with the covered WAL LSN and
+// the sites' marks:
 //
-//	"corrdsn3" uvarint(covered) uvarint(count)
+//	"corrdsn4" uvarint(covered) uvarint(count)
 //	  count × ( uvarint(len(name)) name uvarint(len(image)) image )
+//	  uvarint(sites) sites × ( uvarint(site) uvarint(mark) )
 //
 // The tenant-name prefix is the same keyed grammar the WAL and the
 // stream speak (tupleio.AppendTenant); the default tenant is the empty
-// name.
-func encodeSnapshot(covered uint64, images []tenantImage) []byte {
-	size := len(snapshotMagic) + 2*binary.MaxVarintLen64
+// name. Marks are in ascending site order, so equal state writes equal
+// bytes.
+func encodeSnapshot(covered uint64, images []tenantImage, marks map[uint64]uint64) []byte {
+	size := len(snapshotMagic) + (3+2*len(marks))*binary.MaxVarintLen64
 	for _, ti := range images {
 		size += 2*binary.MaxVarintLen64 + len(ti.name) + len(ti.image)
 	}
@@ -67,60 +73,96 @@ func encodeSnapshot(covered uint64, images []tenantImage) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(ti.image)))
 		buf = append(buf, ti.image...)
 	}
+	sites := make([]uint64, 0, len(marks))
+	for site := range marks {
+		sites = append(sites, site)
+	}
+	slices.Sort(sites)
+	buf = binary.AppendUvarint(buf, uint64(len(sites)))
+	for _, site := range sites {
+		buf = binary.AppendUvarint(buf, site)
+		buf = binary.AppendUvarint(buf, marks[site])
+	}
 	return buf
 }
 
 // decodeSnapshot parses a snapshot. Bytes that do not open with the
 // current magic are refused as ErrSnapshotFormat, naming what was found.
 // Every length claim is bounded by the bytes actually present before
-// slicing — the decoder discipline of the rest of the codec — and tenant
-// keys must pass the wire validation. The returned images alias data.
-func decodeSnapshot(data []byte) (covered uint64, images []tenantImage, err error) {
+// slicing — the decoder discipline of the rest of the codec — tenant keys
+// must pass the wire validation, and no site count is trusted past the
+// bytes behind it either. The returned images alias data.
+func decodeSnapshot(data []byte) (covered uint64, images []tenantImage, marks map[uint64]uint64, err error) {
 	if !bytes.HasPrefix(data, snapshotMagic) {
 		found := "no corrdsn header (a bare summary image from a corrd that predates the WAL, or a damaged file)"
 		if family := snapshotMagic[:len(snapshotMagic)-1]; len(data) > len(family) && bytes.HasPrefix(data, family) {
 			found = fmt.Sprintf("format %q", data[:len(snapshotMagic)])
 		}
-		return 0, nil, fmt.Errorf("%w: found %s, this corrd reads and writes %q (see README \"Storage format\" for the migration)",
+		return 0, nil, nil, fmt.Errorf("%w: found %s, this corrd reads and writes %q (see README \"Storage format\" for the migration)",
 			ErrSnapshotFormat, found, snapshotMagic)
 	}
 	rest := data[len(snapshotMagic):]
 	covered, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return 0, nil, errors.New("service: snapshot header truncated")
+		return 0, nil, nil, errors.New("service: snapshot header truncated")
 	}
 	rest = rest[n:]
 	count, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return 0, nil, errors.New("service: snapshot tenant count truncated")
+		return 0, nil, nil, errors.New("service: snapshot tenant count truncated")
 	}
 	rest = rest[n:]
 	if count > uint64(len(rest)) {
 		// Each entry needs at least one byte; a hostile count is
 		// rejected before any allocation sized by it.
-		return 0, nil, fmt.Errorf("service: snapshot claims %d tenants in %d bytes", count, len(rest))
+		return 0, nil, nil, fmt.Errorf("service: snapshot claims %d tenants in %d bytes", count, len(rest))
 	}
 	images = make([]tenantImage, 0, count)
 	for i := uint64(0); i < count; i++ {
 		name, r, err := tupleio.DecodeTenantPrefix(rest)
 		if err != nil {
-			return 0, nil, fmt.Errorf("service: snapshot tenant %d: %w", i, err)
+			return 0, nil, nil, fmt.Errorf("service: snapshot tenant %d: %w", i, err)
 		}
 		sz, n := binary.Uvarint(r)
 		if n <= 0 {
-			return 0, nil, fmt.Errorf("service: snapshot tenant %d (%q): image length truncated", i, name)
+			return 0, nil, nil, fmt.Errorf("service: snapshot tenant %d (%q): image length truncated", i, name)
 		}
 		r = r[n:]
 		if sz > uint64(len(r)) {
-			return 0, nil, fmt.Errorf("service: snapshot tenant %d (%q): image claims %d bytes, %d remain", i, name, sz, len(r))
+			return 0, nil, nil, fmt.Errorf("service: snapshot tenant %d (%q): image claims %d bytes, %d remain", i, name, sz, len(r))
 		}
 		images = append(images, tenantImage{name: string(name), image: r[:sz]})
 		rest = r[sz:]
 	}
-	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("service: snapshot has %d trailing bytes after %d tenants", len(rest), count)
+	sites, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return 0, nil, nil, errors.New("service: snapshot site count truncated")
 	}
-	return covered, images, nil
+	rest = rest[n:]
+	if sites > uint64(len(rest))/2 {
+		// Each mark needs at least two bytes.
+		return 0, nil, nil, fmt.Errorf("service: snapshot claims %d sites' marks in %d bytes", sites, len(rest))
+	}
+	marks = make(map[uint64]uint64, sites)
+	for i := uint64(0); i < sites; i++ {
+		site, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return 0, nil, nil, fmt.Errorf("service: snapshot site %d: id truncated", i)
+		}
+		mark, m := binary.Uvarint(rest[n:])
+		if m <= 0 {
+			return 0, nil, nil, fmt.Errorf("service: snapshot site %016x: mark truncated", site)
+		}
+		if _, dup := marks[site]; dup {
+			return 0, nil, nil, fmt.Errorf("service: snapshot lists site %016x twice", site)
+		}
+		marks[site] = mark
+		rest = rest[n+m:]
+	}
+	if len(rest) != 0 {
+		return 0, nil, nil, fmt.Errorf("service: snapshot has %d trailing bytes after %d tenants and %d sites", len(rest), count, sites)
+	}
+	return covered, images, marks, nil
 }
 
 // writeFileAtomic writes data to path by writing a sibling temp file,
@@ -182,39 +224,24 @@ func (s *Server) rotateSnapshots() {
 
 // Snapshot marshals the engine under the driver lock and persists it
 // atomically. It is a no-op when the server was built without a
-// snapshot path. The transfer lock serializes it against the site
-// role's delta-push rounds (see pushOnce).
+// snapshot path. The transfer lock serializes it against other snapshots.
 func (s *Server) Snapshot() error {
 	s.xferMu.Lock()
 	defer s.xferMu.Unlock()
 	return s.snapshotLocked()
 }
 
-var errRoundOpen = errors.New("service: a push round is open; its image is in no tenant's state")
-
 // buildSnapshot marshals every tenant into an encoded snapshot file
 // and reports the WAL LSN the image covers, the tenant count, and the
-// total marshaled engine bytes (the metrics' measure). Callers hold the
-// transfer lock, so no round opens meanwhile. It never images an open
-// round, whose reset it would cover: a primary folds one back first, with
-// a record, and a replica (its primary closes its rounds) refuses. It is
-// shared by snapshotLocked (the disk path) and the primary's replica
-// re-seed (replication.go), which ships the same bytes over the wire.
+// total marshaled engine bytes (the metrics' measure). It is shared by
+// snapshotLocked (the disk path) and the primary's replica re-seed
+// (replication.go), which ships the same bytes over the wire.
 func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dataLen int64, err error) {
-	if !s.replicaMode.Load() {
-		if err := s.commit(&ingestJob{op: opFoldback}); err != nil {
-			return 0, nil, 0, 0, fmt.Errorf("fold back the open push round: %w", err)
-		}
-	}
 	// Deterministic tenant order: sorted by key, so equal state writes
 	// equal snapshot bytes regardless of creation order.
 	tenants := s.tenantList()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 	s.mu.Lock()
-	if len(s.round) > 0 {
-		s.mu.Unlock()
-		return 0, nil, 0, 0, errRoundOpen
-	}
 	images := make([]tenantImage, 0, len(tenants))
 	for _, t := range tenants {
 		ti := tenantImage{name: t.name}
@@ -227,18 +254,20 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 	}
 	// A record appended but not yet applied is left to the replay.
 	covered = s.appliedLSN.Load()
+	marks := maps.Clone(s.marks)
 	s.mu.Unlock()
 	if err != nil {
 		return 0, nil, 0, 0, err
 	}
-	return covered, encodeSnapshot(covered, images), len(images), dataLen, nil
+	return covered, encodeSnapshot(covered, images, marks), len(images), dataLen, nil
 }
 
 // snapshotLocked is Snapshot minus the transfer lock, for callers that
 // already hold it. The engine marshal and the covered-LSN read happen
 // in one driver-lock critical section, so the recorded LSN is exactly
 // the last record the image captures; once the file is durably renamed,
-// a checkpoint-marker job records that LSN and the WAL prunes.
+// a checkpoint-marker job records that LSN and the WAL prunes — a site's
+// only as far as its coordinator has confirmed.
 func (s *Server) snapshotLocked() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil
@@ -261,9 +290,13 @@ func (s *Server) snapshotLocked() error {
 	s.logf("snapshot: wrote %s (%d tenants, %d bytes, covered LSN %d)",
 		s.cfg.SnapshotPath, nTenants, dataLen, covered)
 	if w := s.walRef(); w != nil {
+		prune := covered
+		if s.fwd != nil {
+			prune = min(prune, s.fwd.acked.Load())
+		}
 		err := s.commit(&ingestJob{op: opCheckpoint, image: binary.AppendUvarint(nil, covered)})
 		if err == nil {
-			err = w.Checkpoint(covered)
+			err = w.Checkpoint(prune)
 		}
 		if err != nil {
 			// The snapshot is durable; a failed checkpoint only delays
@@ -322,8 +355,9 @@ func (s *Server) restoreSnapshot() (covered uint64, err error) {
 // registers as its image and materializes lazily on first touch, the
 // default tenant at once. Startup-only, before any goroutine exists.
 func (s *Server) restoreSnapshotData(path string, data []byte) (covered uint64, err error) {
-	covered, images, err := decodeSnapshot(data)
+	covered, images, marks, err := decodeSnapshot(data)
 	if err == nil {
+		s.marks = marks
 		err = s.installSnapshotLocked(images)
 	}
 	if err != nil {
@@ -349,6 +383,7 @@ func (s *Server) resetRestoredState() {
 		}
 	}
 	s.tenants = map[string]*tenant{"": s.def}
+	s.marks = map[uint64]uint64{}
 	s.installImageLocked(s.def, nil)
 	// Cannot fail: New built this engine type already, and there is no
 	// image to decode.

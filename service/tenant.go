@@ -250,9 +250,9 @@ func (s *Server) installImageLocked(t *tenant, image []byte) {
 // restoring ten thousand tenants pays engine construction only for the
 // ones traffic reaches — and bypassing the governance caps, as replay does:
 // acknowledged data outranks a cap lowered since. The default tenant is
-// materialized at once: its engine doubles as Engine() and the push
-// round's subject, and that unmarshal is the check that lets a corrupt
-// newest snapshot fall back to an older slot.
+// materialized at once: its engine doubles as Engine(), and that
+// unmarshal is the check that lets a corrupt newest snapshot fall back to
+// an older slot.
 func (s *Server) installSnapshotLocked(images []tenantImage) error {
 	for _, ti := range images {
 		t := s.tenantByName(ti.name)

@@ -7,8 +7,8 @@ import (
 	"github.com/streamagg/correlated/internal/wal"
 )
 
-// Durable ingest: with Config.WALDir set, every accepted ingest batch
-// and push image is appended to a write-ahead log *before* the HTTP
+// Durable ingest: with Config.WALDir set, every accepted ingest batch,
+// push image and forwarded site record is appended to a write-ahead log *before* the HTTP
 // acknowledgement, and startup becomes restore-snapshot-then-replay-
 // suffix. Under -wal-fsync=always an acknowledged request therefore
 // survives kill -9 — the durability window shrinks from the snapshot
@@ -38,12 +38,8 @@ import (
 // Snapshots and the WAL compose rather than compete: the snapshot file
 // embeds the LSN it covers, a completed snapshot commits a checkpoint
 // marker, and behind the durable marker the WAL prunes every sealed
-// segment whose records the snapshot already captures.
-//
-// A site's push round (pushOnce) is a RecordReset carrying the image about
-// to ship, then a RecordPushAck or RecordFoldback. Replay applies each at
-// its logged position and holds the image as the open round (Server.round)
-// until it closes; a round the crash cut short is folded back at the end.
+// segment whose records the snapshot already captures — on a site, only
+// those its coordinator has confirmed too (forward.go).
 
 // openWAL opens the log — the one place its options are built, so the
 // log a replica opens at promotion carries every hook the primary's
@@ -110,9 +106,6 @@ func (s *Server) replayWAL(covered uint64) error {
 	})
 	if err != nil {
 		return err
-	}
-	if err := s.foldOpenRoundLocked("the crash"); err != nil {
-		return fmt.Errorf("service: wal replay: fold back in-flight push image: %w", err)
 	}
 	s.appliedLSN.Store(s.walRef().LastLSN())
 	dur := time.Since(start)
