@@ -400,8 +400,10 @@ func (c *Client) AddBatch(ctx context.Context, batch []correlated.Tuple) error {
 }
 
 // Forward sends records of a site's write-ahead log to POST /v1/forward:
-// site names the log's LSN space, and records are AppendForwardRecord's
-// output, in ascending LSN order. The coordinator commits them as one job,
+// site names the log's LSN space, format the log's format version (the
+// grammar its records are in; a coordinator on another refuses them with
+// a 400 naming both), and records are AppendForwardRecord's output, in
+// ascending LSN order. The coordinator commits them as one job,
 // applying each into its one summary per tenant exactly as the site did,
 // and answers with its mark for the site — the highest site LSN it holds.
 // Records at or below the mark are dropped, and a record it refuses (a
@@ -409,9 +411,10 @@ func (c *Client) AddBatch(ctx context.Context, batch []correlated.Tuple) error {
 // record sent says where to send from again. Forward is idempotent:
 // unlike Push it retries an ambiguous timeout too. cmd/corrd's site role
 // forwards every state record of its log this way.
-func (c *Client) Forward(ctx context.Context, site uint64, records []byte) (mark uint64, err error) {
+func (c *Client) Forward(ctx context.Context, site uint64, format uint8, records []byte) (mark uint64, err error) {
 	var res forwardResult
-	err = c.post(ctx, "/v1/forward?site="+strconv.FormatUint(site, 16), "application/octet-stream", records, &res)
+	path := "/v1/forward?site=" + strconv.FormatUint(site, 16) + "&format=" + strconv.Itoa(int(format))
+	err = c.post(ctx, path, "application/octet-stream", records, &res)
 	return res.Mark, err
 }
 
@@ -679,13 +682,18 @@ func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error
 		if err == nil {
 			return nil
 		}
+		if ctx.Err() != nil {
+			// The caller gave up: say so beside what the attempt saw, which
+			// may be only the transport error the cancellation caused.
+			return errors.Join(err, ctx.Err())
+		}
 		// A 429/503 carrying Retry-After is a definite refusal — the
 		// server said so before applying anything, so retrying is safe
 		// even for non-idempotent requests. The hint floors the delay:
 		// the server knows its own recovery cadence better than our
 		// exponential schedule does.
 		if hint, ok := retryAfterHint(err); ok {
-			if attempt >= c.retries || ctx.Err() != nil {
+			if attempt >= c.retries {
 				return err
 			}
 			if werr := c.backoffFloor(ctx, attempt, hint); werr != nil {

@@ -291,7 +291,7 @@ func TestForwardRetriesAmbiguousTimeout(t *testing.T) {
 	cl := New(srv.URL,
 		WithHTTPClient(&http.Client{Timeout: 100 * time.Millisecond}),
 		WithRetries(5), WithRetryBackoff(time.Millisecond, 5*time.Millisecond))
-	mark, err := cl.Forward(context.Background(), 0xabc, AppendForwardRecord(nil, 5, 1, []byte("rec")))
+	mark, err := cl.Forward(context.Background(), 0xabc, 5, AppendForwardRecord(nil, 5, 1, []byte("rec")))
 	if err != nil || mark != 5 || attempts.Load() != 2 {
 		t.Fatalf("Forward: mark %d, err %v after %d attempts; want 5 after 2", mark, err, attempts.Load())
 	}

@@ -28,6 +28,12 @@ func mustSorted(tb testing.TB, buf []byte, tenant string, batch []core.Tuple) []
 // back to back in one buffer; unit weights end the member at the flag.
 func TestSortedBatchRoundTrip(t *testing.T) {
 	const top = math.MaxUint64
+	// 200 rows at (0, 0) and one far off: the last row's codes run past 64
+	// bits.
+	zeros := make([]core.Tuple, 200)
+	for i := range zeros {
+		zeros[i].W = 1
+	}
 	members := []struct {
 		tenant string
 		batch  []core.Tuple
@@ -38,6 +44,8 @@ func TestSortedBatchRoundTrip(t *testing.T) {
 		{"edges", []core.Tuple{{X: 0, Y: 0, W: 1}, {X: top, Y: 0, W: 1}, {X: 1, Y: top, W: 1}, {X: top, Y: top, W: 1}}},
 		{"", []core.Tuple{{X: 1, Y: 1, W: 1}, {X: 2, Y: 2, W: 1}, {X: 3, Y: 2, W: 1}}},
 		{strings.Repeat("k", MaxTenantLen), []core.Tuple{{X: 4, Y: 5, W: 3}, {X: 4, Y: 5, W: 1}, {X: 6, Y: 1 << 40, W: math.MaxInt64}}},
+		{"k=63", []core.Tuple{{X: top, Y: 1 << 63, W: 1}, {X: 1 << 63, Y: top, W: 1}}},
+		{"long unary", append(zeros, core.Tuple{X: 5000, Y: 9000, W: 1})},
 	}
 	var all []byte
 	for _, m := range members {
@@ -69,7 +77,7 @@ func TestSortedBatchRoundTrip(t *testing.T) {
 
 	// README "Storage format" works this member through byte by byte.
 	example := mustSorted(t, nil, "a", []core.Tuple{{X: 7, Y: 100, W: 1}, {X: 9, Y: 100, W: 1}, {X: 300, Y: 130, W: 1}})
-	if want := []byte{0x01, 'a', 0x03, 0x64, 0x07, 0x00, 0x09, 0x1e, 0xac, 0x02, 0x00}; !bytes.Equal(example, want) {
+	if want := []byte{0x01, 'a', 0x03, 0x05, 0x06, 0x48, 0x1e, 0xc1, 0xa4, 0x87, 0x2c, 0x00}; !bytes.Equal(example, want) {
 		t.Fatalf("the README's example member encodes as % x, the README says % x", example, want)
 	}
 
@@ -94,6 +102,19 @@ func TestSortedBatchRefusesUnsorted(t *testing.T) {
 	}
 }
 
+// rows builds a member from its parts, so a test can write what the
+// encoder never would: count and the two parameter bytes as given, then
+// codes — y gap, x, y gap, x, … — Rice-coded at k_y and k_x, padded, and
+// tail after the bitstream.
+func rows(tenant string, count uint64, ky, kx byte, codes []uint64, tail ...byte) []byte {
+	b := appendUvarint(AppendTenant(nil, tenant), count)
+	w := bitWriter{buf: append(b, ky, kx)}
+	for i, v := range codes {
+		w.rice(v, uint([2]byte{ky, kx}[i%2]))
+	}
+	return append(w.flush(), tail...)
+}
+
 // TestSortedBatchDecodeHostile: what the encoder never writes is refused as
 // ErrBadStream — by claim before anything is allocated — and truncation at
 // every byte of a valid member is refused too. Bytes after a member are
@@ -106,42 +127,62 @@ func TestSortedBatchDecodeHostile(t *testing.T) {
 		}
 		return b
 	}
+	valid := mustSorted(t, nil, "ta", []core.Tuple{{X: 300, Y: 7, W: 2}, {X: 1, Y: 7, W: 1}, {X: 2, Y: 1 << 20, W: 1 << 40}})
+	// Two rows that decode as they are; the same rows coded at another
+	// k_y or k_x, or with the bitstream's last bit set, do not.
+	base := rows("", 2, 2, 0, []uint64{5, 1, 6, 1}, 0)
+	if _, got, _, err := DecodeSortedBatch(nil, base); err != nil || len(got) != 2 {
+		t.Fatalf("the base member: %v (err %v)", got, err)
+	}
+	padded := bytes.Clone(base)
+	padded[len(padded)-2] |= 0x80
 	for _, tc := range []struct {
 		name string
 		wire []byte
 	}{
 		{"empty", nil},
-		{"count beyond the body", u(0, 3, 1, 1, 1, 1, 0)},
-		{"count beyond MaxDecodeTuples", append(u(0, MaxDecodeTuples+1), make([]byte, 2*MaxDecodeTuples+3)...)},
-		{"count 2^40 on a short body", u(0, 1<<40, 1, 1, 0)},
-		{"wrapping gap", u(0, 2, 5, 1, math.MaxUint64-4, 1, 0)},
-		{"weight 0", u(0, 2, 1, 1, 1, 1, 1, 3, 0)},
-		{"weight 2^63", u(0, 1, 1, 1, 1, 1<<63)},
-		{"flag 2", u(0, 1, 1, 1, 2)},
-		{"no flag", u(0, 1, 1, 1)},
-		{"weights listed though all are 1", u(0, 2, 1, 1, 1, 1, 1, 1, 1)},
-		{"weights listed for an empty batch", u(0, 0, 1)},
-		{"padded count", []byte{0, 0x81, 0x00, 1, 1, 0}},
-		{"padded gap", []byte{0, 1, 0x80, 0x00, 1, 0}},
-		{"padded x", []byte{0, 1, 1, 0x85, 0x00, 0}},
-		{"padded weight", []byte{0, 1, 1, 1, 1, 0x82, 0x00}},
-		{"padded tenant length", []byte{0x81, 0x00, 'a', 0, 0}},
-		{"control byte in the key", []byte{1, 0x07, 0, 0}},
+		{"no Rice parameters", u(0, 1)},
+		{"one Rice parameter", u(0, 1, 0)},
+		{"count beyond the body", append(u(0, 9, 0, 0), 0xff, 0)},
+		{"count the bits cannot hold", append(u(0, 3, 30, 30), make([]byte, 10)...)},
+		{"count beyond MaxDecodeTuples", append(u(0, MaxDecodeTuples+1, 0, 0), make([]byte, MaxDecodeTuples)...)},
+		{"count 2^40 on a short body", u(0, 1<<40, 0, 0, 0xff, 0)},
+		{"k_y 64", u(0, 1, 64, 0, 0xff, 0)},
+		{"k_x 64", u(0, 1, 0, 64, 0xff, 0)},
+		{"wrong k_y", rows("", 2, 3, 0, []uint64{5, 1, 6, 1}, 0)},
+		{"wrong k_x", rows("", 2, 2, 1, []uint64{5, 1, 6, 1}, 0)},
+		{"non-zero padding", padded},
+		{"unterminated unary run", u(0, 1, 0, 0, 0, 0)},
+		{"unterminated unary run in x", append(u(0, 1, 0, 0), 0x01, 0, 0)},
+		{"k = 63, quotient 2", append(u(0, 1, 63, 0), 0b100, 0, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{"wrapping gap", rows("", 2, 62, 0, []uint64{5, 1, math.MaxUint64 - 4, 1}, 0)},
+		{"weight 0", rows("", 2, 0, 0, []uint64{1, 1, 1, 1}, 1, 3, 0)},
+		{"weight 2^63", append(rows("", 1, 0, 0, []uint64{1, 1}, 1), u(1<<63)...)},
+		{"flag 2", rows("", 1, 0, 0, []uint64{1, 1}, 2)},
+		{"no flag", rows("", 1, 0, 0, []uint64{1, 1})},
+		{"weights listed though all are 1", rows("", 2, 0, 0, []uint64{1, 1, 1, 1}, 1, 1, 1)},
+		{"weights listed for an empty batch", u(0, 0, 0, 0, 1)},
+		{"padded count", []byte{0, 0x81, 0x00, 0, 0, 0x05, 0}},
+		{"padded weight", rows("", 1, 0, 0, []uint64{1, 1}, 1, 0x82, 0x00)},
+		{"padded tenant length", []byte{0x81, 0x00, 'a', 0, 0, 0, 0}},
+		{"control byte in the key", []byte{1, 0x07, 0, 0, 0, 0}},
 		{"key length beyond the cap", append(u(MaxTenantLen+1), make([]byte, MaxTenantLen+3)...)},
 	} {
 		_, got, _, err := DecodeSortedBatch(nil, tc.wire)
 		if !errors.Is(err, ErrBadStream) || len(got) != 0 {
 			t.Fatalf("%s: decoded %d tuples, err %v", tc.name, len(got), err)
 		}
-		if cap(got) > len(tc.wire)/minRowBytes {
+		if uint64(cap(got)) > maxRows(len(tc.wire), 0, 0) {
 			t.Fatalf("%s: a %d-byte input allocated room for %d tuples", tc.name, len(tc.wire), cap(got))
 		}
 	}
 
-	valid := mustSorted(t, nil, "ta", []core.Tuple{{X: 300, Y: 7, W: 2}, {X: 1, Y: 7, W: 1}, {X: 2, Y: 1 << 20, W: 1 << 40}})
-	for cut := 0; cut < len(valid); cut++ {
-		if _, _, _, err := DecodeSortedBatch(nil, valid[:cut]); !errors.Is(err, ErrBadStream) {
-			t.Fatalf("truncated at byte %d of %d: err %v", cut, len(valid), err)
+	long := mustSorted(t, nil, "", []core.Tuple{{X: 0, Y: 0, W: 1}, {X: 0, Y: 0, W: 1}, {X: 0, Y: 0, W: 1}, {X: 1 << 10, Y: 1 << 10, W: 1}})
+	for _, wire := range [][]byte{valid, base, long} {
+		for cut := 0; cut < len(wire); cut++ {
+			if _, _, _, err := DecodeSortedBatch(nil, wire[:cut]); !errors.Is(err, ErrBadStream) {
+				t.Fatalf("% x truncated at byte %d: err %v", wire, cut, err)
+			}
 		}
 	}
 	_, got, rest, err := DecodeSortedBatch(nil, append(bytes.Clone(valid), 0xAA, 0xBB))
@@ -187,15 +228,19 @@ func FuzzDecodeSortedBatch(f *testing.F) {
 	f.Add(mustSorted(f, nil, "", []core.Tuple{{X: 3, Y: 0, W: 9}, {X: 3, Y: math.MaxUint64, W: math.MaxInt64}}))
 	two := mustSorted(f, nil, "a", []core.Tuple{{X: 1, Y: 2, W: 1}})
 	f.Add(mustSorted(f, two, "b", []core.Tuple{{X: 1, Y: 2, W: 2}}))
-	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 2, 0})                                     // count claims 2^32 rows
-	f.Add([]byte{0, 2, 5, 1, 0xfc, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 0}) // gap wraps y
-	f.Add([]byte{0, 1, 1, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})    // weight 2^63
-	f.Add([]byte{0, 1, 0x80, 0x00, 1, 0})                                                       // padded gap
-	f.Add([]byte{0, 1, 1, 1, 2})                                                                // flag 2
+	f.Add(mustSorted(f, nil, "", []core.Tuple{{X: 1 << 63, Y: 1 << 63, W: 1}, {X: math.MaxUint64, Y: math.MaxUint64, W: 1}})) // k = 63
+	f.Add(mustSorted(f, nil, "", append(make([]core.Tuple, 90), core.Tuple{X: 5000, Y: 9000, W: 1})))                         // codes past 64 bits
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0xff, 0})                                                             // count claims 2^32 rows
+	f.Add(rows("", 2, 62, 0, []uint64{5, 1, math.MaxUint64 - 4, 1}, 0))                                                       // gap wraps y
+	f.Add(append(rows("", 1, 0, 0, []uint64{1, 1}, 1), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))           // weight 2^63
+	f.Add(rows("", 2, 3, 0, []uint64{5, 1, 6, 1}, 0))                                                                         // wrong k_y
+	f.Add([]byte{0, 1, 0, 0, 0x8a, 0})                                                                                        // non-zero padding
+	f.Add([]byte{0, 1, 63, 0, 0b100, 0, 0, 0, 0, 0, 0, 0, 0, 0})                                                              // k = 63, quotient 2
+	f.Add(rows("", 1, 0, 0, []uint64{1, 1}, 2))                                                                               // flag 2
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tenant, batch, rest, err := DecodeSortedBatch(nil, data)
-		if cap(batch) > len(data)/minRowBytes {
+		if uint64(cap(batch)) > maxRows(len(data), 0, 0) {
 			t.Fatalf("%d-byte input allocated room for %d tuples", len(data), cap(batch))
 		}
 		if err != nil {
@@ -222,30 +267,53 @@ func FuzzDecodeSortedBatch(f *testing.F) {
 	})
 }
 
-// BenchmarkSortedBatch prices the WAL ingest member offline, on the batch
-// shapes corrdbench's four workloads hand a commit (x below 100 001, y
-// below 1 000 001, unit weights): a 32 768-tuple uniform group
-// (stream-saturate), a 16-tuple uniform request (http-small), and a
-// 256-tuple zipf frame for the default tenant (mixed-paced) and for a
-// two-byte key (tenants-restart). B/tuple is the member's encoded size —
-// the client wire spends 7 bytes a tuple on the same streams.
-func BenchmarkSortedBatch(b *testing.B) {
+// sortedShape is one batch as a commit hands it to the codec.
+type sortedShape struct {
+	name, tenant string
+	batch        []core.Tuple
+}
+
+// sortedShapes are the batch shapes corrdbench's four workloads hand a
+// commit (x below 100 001, y below 1 000 001, unit weights), sorted: a
+// 32 768-tuple uniform group (stream-saturate), a 16-tuple uniform request
+// (http-small), and a 256-tuple zipf frame for the default tenant
+// (mixed-paced) and for a two-byte key (tenants-restart).
+func sortedShapes() []sortedShape {
 	const xdom, ydom = 100001, 1000001
-	for _, shape := range []struct {
-		name   string
-		tenant string
-		stream gen.Stream
-	}{
-		{"uniform-32768", "", gen.Uniform(32768, xdom, ydom, 11)},
-		{"uniform-16", "", gen.Uniform(16, xdom, ydom, 11)},
-		{"zipf-256", "", gen.Zipf(256, xdom, ydom, 1, 11)},
-		{"zipf-256-keyed", "t3", gen.Zipf(256, xdom, ydom, 1, 11)},
-	} {
-		var batch []core.Tuple
-		for _, t := range gen.Collect(shape.stream) {
+	sorted := func(s gen.Stream) (batch []core.Tuple) {
+		for _, t := range gen.Collect(s) {
 			batch = append(batch, core.Tuple{X: t.X, Y: t.Y, W: 1})
 		}
 		core.SortByY(batch)
+		return batch
+	}
+	return []sortedShape{
+		{"uniform-32768", "", sorted(gen.Uniform(32768, xdom, ydom, 11))},
+		{"uniform-16", "", sorted(gen.Uniform(16, xdom, ydom, 11))},
+		{"zipf-256", "", sorted(gen.Zipf(256, xdom, ydom, 1, 11))},
+		{"zipf-256-keyed", "t3", sorted(gen.Zipf(256, xdom, ydom, 1, 11))},
+	}
+}
+
+// TestSortedBatchSize pins the member's encoded size on corrdbench's
+// shapes, so a change that grows the log fails here before it shows in a
+// benchmark. The uvarint member of before the Rice code took 126 065, 91,
+// 947 and 949 bytes.
+func TestSortedBatchSize(t *testing.T) {
+	want := map[string]int{"uniform-32768": 96295, "uniform-16": 73, "zipf-256": 907, "zipf-256-keyed": 909}
+	for _, shape := range sortedShapes() {
+		if got := len(mustSorted(t, nil, shape.tenant, shape.batch)); got != want[shape.name] {
+			t.Errorf("%s: %d bytes (%.3f a tuple), want %d", shape.name, got, float64(got)/float64(len(shape.batch)), want[shape.name])
+		}
+	}
+}
+
+// BenchmarkSortedBatch prices the WAL ingest member offline on
+// sortedShapes. B/tuple is the member's encoded size — the client wire
+// spends 7 bytes a tuple on the same streams.
+func BenchmarkSortedBatch(b *testing.B) {
+	for _, shape := range sortedShapes() {
+		batch := shape.batch
 		wire := mustSorted(b, nil, shape.tenant, batch)
 		perTuple := float64(len(wire)) / float64(len(batch))
 		b.Run("encode/"+shape.name, func(b *testing.B) {

@@ -40,7 +40,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seed(func(w *WAL) {}))
 	f.Add(seed(func(w *WAL) {
-		appendSync(w, RecordIngest, []byte{0, 1, 2, 3, 0}) // default tenant, 1 row, unit weights
+		appendSync(w, RecordIngest, []byte{0, 1, 1, 1, 0x32, 0}) // default tenant, 1 row, unit weights
 	}))
 	f.Add(seed(func(w *WAL) {
 		appendSync(w, RecordIngest, bytes.Repeat([]byte{7}, 60))
@@ -55,15 +55,15 @@ func FuzzWALReplay(f *testing.F) {
 	// payload-agnostic, so mutations of these explore replay's keyed
 	// decode downstream.
 	f.Add(seed(func(w *WAL) {
-		group := []byte{2, 't', 'a', 1, 5, 6, 0}       // tenant "ta", 1 row
-		group = append(group, 0, 1, 3, 4, 1, 9)        // default tenant, 1 row of weight 9
-		group = append(group, 2, 't', 'b', 1, 7, 8, 0) // tenant "tb", 1 row
+		group := []byte{2, 't', 'a', 1, 2, 2, 0xa6, 0}          // tenant "ta", 1 row
+		group = append(group, 0, 1, 1, 2, 0x16, 1, 9)           // default tenant, 1 row of weight 9
+		group = append(group, 2, 't', 'b', 1, 2, 3, 0x2e, 0, 0) // tenant "tb", 1 row
 		appendSync(w, RecordIngest, group)
 		push := append([]byte{3, 'k', 'e', 'y'}, bytes.Repeat([]byte{5}, 40)...)
 		appendSync(w, RecordPush, push)
 	}))
 	f.Add(seed(func(w *WAL) {
-		torn := []byte{2, 't', 'a', 1, 5, 6, 0, 120} // 120-byte key claim, no bytes
+		torn := []byte{2, 't', 'a', 1, 2, 2, 0xa6, 0, 120} // 120-byte key claim, no bytes
 		appendSync(w, RecordIngest, torn)
 	}))
 	// The record types replication ships verbatim: a site's forward (site
@@ -76,23 +76,23 @@ func FuzzWALReplay(f *testing.F) {
 	// checkpoint helper, so no pruning eats the seed.
 	f.Add(seed(func(w *WAL) {
 		site := binary.AppendUvarint(nil, 0x9e3779b97f4a7c15)
-		two := append(binary.AppendUvarint(bytes.Clone(site), 41), byte(RecordIngest), 5, 0, 1, 2, 3, 0)
+		two := append(binary.AppendUvarint(bytes.Clone(site), 41), byte(RecordIngest), 6, 0, 1, 1, 1, 0x32, 0)
 		appendSync(w, RecordForward, append(binary.AppendUvarint(two, 42), byte(RecordPush), 5, 1, 'k', 4, 4, 4))
 		appendSync(w, RecordForward, append(binary.AppendUvarint(bytes.Clone(site), 1<<62), 0xff, 0))
 		appendSync(w, RecordProbe, nil)
 	}))
 	f.Add(seed(func(w *WAL) {
-		appendSync(w, RecordIngest, []byte{0, 1, 2, 3, 0})
+		appendSync(w, RecordIngest, []byte{0, 1, 1, 1, 0x32, 0})
 		appendSync(w, RecordCheckpoint, binary.AppendUvarint(nil, 1<<62))
 	}))
 	// A segment from before each version break: whole header, version 1,
-	// 2 or 3, records behind it. Open refuses it by name; mutations explore the
+	// 2, 3 or 4, records behind it. Open refuses it by name; mutations explore the
 	// boundary between "another version" and "torn or corrupt".
 	preBreak := seed(func(w *WAL) {
 		appendSync(w, RecordIngest, []byte{1, 2, 3, 1})
 		appendSync(w, 8, []byte{1, 0, 1, 2, 3, 1})
 	})
-	for _, version := range []byte{1, 2, 3} {
+	for _, version := range []byte{1, 2, 3, 4} {
 		preBreak[8] = version
 		f.Add(bytes.Clone(preBreak))
 	}

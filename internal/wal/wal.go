@@ -10,12 +10,17 @@
 // The log is a directory of segment files named wal-%016x.seg, where
 // the hex field is the LSN (log sequence number, 1-based) of the first
 // record in the segment. Each segment starts with a fixed header
-// (magic, version, first LSN) and then holds a run of frames:
+// (magic, Version, first LSN) and then holds a run of frames:
 //
 //	length  uint32 LE   payload length
 //	crc     uint32 LE   CRC32C over type byte + payload
 //	type    uint8       record type
 //	payload length bytes
+//
+// The log frames payloads it does not read, but their grammar is
+// versioned here: Version moves whenever a record's payload changes
+// meaning (version 5 Rice-codes an ingest record's rows), and a segment
+// of another version is refused by name (ErrVersion), never decoded.
 //
 // Records are assigned consecutive LSNs in append order across
 // segments. When the active segment reaches SegmentBytes it is sealed —
@@ -87,9 +92,9 @@ type RecordType uint8
 const (
 	// RecordIngest is one group-commit unit: one sorted batch per tenant
 	// the group touched (tupleio.AppendSortedBatch — tenant prefix, the
-	// empty key for the default tenant, a count, the rows with y as the
-	// gap to the row before, then the weights unless all are 1) back to
-	// back in first-touch order, delimited by the frame length. A member
+	// empty key for the default tenant, a count, the rows Rice-coded with
+	// y as the gap to the row before, then the weights unless all are 1)
+	// back to back in first-touch order, delimited by the frame length. A member
 	// is the argument of the one AddBatch the service gave that tenant
 	// under the group's single critical section — its requests
 	// concatenated and sorted by y — acknowledged behind this record's
@@ -101,11 +106,12 @@ const (
 	// RecordCheckpoint carries uvarint(covered): a snapshot durable
 	// outside the log captures every record with LSN <= covered.
 	RecordCheckpoint RecordType = 4
-	// RecordForward is a record a site forwarded from its own log:
-	// uvarint(site id), uvarint(the record's LSN in the site's log), the
-	// record's type byte (RecordIngest or RecordPush), then the site's
-	// payload verbatim. Applying it applies the inner record and advances
-	// the site's mark, below which a forward is a duplicate.
+	// RecordForward is records a site forwarded from its own log:
+	// uvarint(site id), then per record uvarint(its LSN in the site's
+	// log), its type byte (RecordIngest, RecordPush or RecordForward),
+	// uvarint(len(payload)) and the site's payload verbatim. Applying it
+	// applies the inner records and advances the site's mark to the last,
+	// below which a forwarded record is a duplicate.
 	RecordForward RecordType = 5
 	// RecordProbe is a no-op health probe with an empty payload: the
 	// record Probe appends to prove, behind the next Sync, that the log
@@ -188,17 +194,19 @@ const (
 
 	headerSize = 17 // magic(8) + version(1) + firstLSN(8)
 	frameSize  = 9  // length(4) + crc(4) + type(1)
-
-	// walVersion is the segment format version; each is an explicit
-	// break in the log grammar. Version 2 keyed every ingest and push
-	// record; version 3 made an ingest record's member a tenant's sorted
-	// batch where it was a request's tuples in client order; version 4
-	// dropped a site's push-round records (reset, ack, fold-back) for
-	// RecordForward. A segment of an earlier version holds records this
-	// code no longer decodes, so it is refused by name (ErrVersion) —
-	// never reinterpreted.
-	walVersion = 4
 )
+
+// Version is the segment format version; each is an explicit break in the
+// log grammar. Version 2 keyed every ingest and push record; version 3
+// made an ingest record's member a tenant's sorted batch where it was a
+// request's tuples in client order; version 4 dropped a site's push-round
+// records (reset, ack, fold-back) for RecordForward; version 5 Rice-codes
+// a sorted batch's rows where each value was a uvarint. A segment of an
+// earlier version holds records this code no longer decodes, so it is
+// refused by name (ErrVersion) — never reinterpreted; a site's forward
+// names the version its records are in, so a coordinator refuses them the
+// same way.
+const Version = 5
 
 var (
 	magic = [8]byte{'c', 'o', 'r', 'r', 'd', 'w', 'a', 'l'}
@@ -438,12 +446,12 @@ func (w *WAL) scanSegment(path string, firstLSN uint64, final bool) (nextLSN uin
 		}
 		return 0, 0, fmt.Errorf("%w: %s: short header", ErrCorrupt, filepath.Base(path))
 	}
-	if [8]byte(hdr[:8]) == magic && hdr[8] != walVersion {
+	if [8]byte(hdr[:8]) == magic && hdr[8] != Version {
 		// Another version's segment, not a tear: no crash of this code
 		// writes a whole magic beside a foreign version byte. Refused
 		// whatever its size or position, so nothing of it is reinitialized.
 		return 0, 0, fmt.Errorf("%w: %s is version %d, this corrd reads and writes version %d (see README \"Storage format\" for the migration)",
-			ErrVersion, filepath.Base(path), hdr[8], walVersion)
+			ErrVersion, filepath.Base(path), hdr[8], Version)
 	}
 	if [8]byte(hdr[:8]) != magic || binary.LittleEndian.Uint64(hdr[9:]) != firstLSN {
 		if final && fileSize <= headerSize {
@@ -594,7 +602,7 @@ func (w *WAL) startSegment(firstLSN uint64) error {
 	}
 	var hdr [headerSize]byte
 	copy(hdr[:8], magic[:])
-	hdr[8] = walVersion
+	hdr[8] = Version
 	binary.LittleEndian.PutUint64(hdr[9:], firstLSN)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()

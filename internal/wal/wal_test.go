@@ -446,7 +446,7 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 		{"version 2 with records", 2, func(raw []byte) { raw[8] = 2 }, ErrVersion},
 		{"version 2 header only", 0, func(raw []byte) { raw[8] = 2 }, ErrVersion},
 		{"version 3 with records", 2, func(raw []byte) { raw[8] = 3 }, ErrVersion},
-		{"later version", 1, func(raw []byte) { raw[8] = walVersion + 1 }, ErrVersion},
+		{"later version", 1, func(raw []byte) { raw[8] = Version + 1 }, ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -476,7 +476,7 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 				t.Fatalf("open must refuse with %v, got: %v", tc.want, err)
 			}
 			if tc.want == ErrVersion {
-				for _, part := range []string{fmt.Sprintf("version %d,", raw[8]), fmt.Sprintf("version %d ", walVersion), "Storage format"} {
+				for _, part := range []string{fmt.Sprintf("version %d,", raw[8]), fmt.Sprintf("version %d ", Version), "Storage format"} {
 					if !strings.Contains(err.Error(), part) {
 						t.Fatalf("refusal does not say %q: %v", part, err)
 					}

@@ -659,11 +659,12 @@ REPL_PID=""
 FAULT_ADDR="127.0.0.1:17087"; FDBASE="http://$FAULT_ADDR"
 FORC_ADDR="127.0.0.1:17088"; FORCBASE="http://$FORC_ADDR"
 DRILL_TOKEN="drill-admin-$$"
-# ~256 KiB of WAL writes succeed, then every write to a wal- file hits
-# ENOSPC. Snapshots are pushed out of the window so recovery state is
-# purely snapshot-free log replay.
+# ~128 KiB of WAL writes succeed, then every write to a wal- file hits
+# ENOSPC: run 1's 60 000 tuples log about 3.5 B each, so it dies partway.
+# Snapshots are pushed out of the window so recovery state is purely
+# snapshot-free log replay.
 start_wal_corrd "$FAULT_ADDR" "faultdrill" -snapshot-interval 1h \
-  -admin-token "$DRILL_TOKEN" -fault-plan "write/wal-:enospc@262144"
+  -admin-token "$DRILL_TOKEN" -fault-plan "write/wal-:enospc@131072"
 WAL_PID=$!
 grep -q "FAULT INJECTION ARMED" "$LOG" \
   || { echo "FAIL: armed daemon did not announce its fault plan" >&2; exit 1; }

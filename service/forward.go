@@ -22,20 +22,22 @@ import (
 // Log forwarding: a site (Config.PushTo) follows its own log (wal.Follow)
 // on one goroutine and sends its ingest, push and forward records, as
 // logged, to the coordinator's POST /v1/forward: every record the log has
-// made followable since the last answer, up to forwardBatchBytes, in one
-// request tagged with the site id (client.AppendForwardRecord is the
-// grammar). The coordinator commits a forward as one job — one
-// RecordForward, uvarint(site) and then the records it admitted verbatim,
-// behind one barrier — and applies the records through the applies the
-// site used, so it keeps one summary per tenant over every site's stream
-// and nothing is merged. Its mark for the site, the highest site LSN
-// applied, advances. A mark is state (logged, snapshotted, replicated):
-// records at or below it are dropped, so the site may always send again
-// and, after a restart, skips to the mark the first answer names. A
-// record the coordinator refuses stops the records behind it, whose order
-// the site's log fixes. A site's checkpoint prunes only what its
-// coordinator has confirmed. The site id names one LSN space: it is kept
-// beside the log, and a log that starts over gets a new one.
+// made followable since the last answer, up to forwardBatchBytes (or what
+// went after the coordinator refused a forward as too large), in one
+// request tagged with the site id and the log's format
+// (client.AppendForwardRecord is the grammar). The coordinator commits a
+// forward as one job — one RecordForward, uvarint(site) and then the
+// records it admitted verbatim, behind one barrier — and applies the
+// records through the applies the site used, so it keeps one summary per
+// tenant over every site's stream and nothing is merged. Its mark for the
+// site, the highest site LSN applied, advances. A mark is state (logged,
+// snapshotted, replicated): records at or below it are dropped, so the
+// site may always send again and, after a restart, skips to the mark the
+// first answer names. A record the coordinator refuses stops the records
+// behind it, whose order the site's log fixes. A site's checkpoint prunes
+// only what its coordinator has confirmed. The site id names one LSN
+// space: it is kept beside the log, and a log that starts over gets a new
+// one.
 
 // siteRecord is one record of a forward, as admission decoded it: its
 // LSN and type in the site's log, its payload, where it sits in the body
@@ -220,8 +222,10 @@ func (s *Server) applyForwardRecordLocked(payload []byte, st *replayState) error
 	return nil
 }
 
-// handleForward is POST /v1/forward?site=ID (client.Forward): records of a
-// site's log, committed as one job. Every 200 carries the site's mark.
+// handleForward is POST /v1/forward?site=ID&format=V (client.Forward):
+// records of a site's log, committed as one job. Records in another log
+// format than this server's are refused whole. Every 200 carries the
+// site's mark.
 func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 	errs := &s.metrics.forwardsRejected
 	if kind, err := s.writeGate(); kind != ingestOK {
@@ -231,6 +235,10 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 	site, err := strconv.ParseUint(r.URL.Query().Get("site"), 16, 64)
 	if err != nil || site == 0 {
 		s.nack(w, errs, ingestErrValidate, fmt.Errorf("a forward names its site, a non-zero hex id: %v", err))
+		return
+	}
+	if format := r.URL.Query().Get("format"); format != strconv.Itoa(wal.Version) {
+		s.nack(w, errs, ingestErrValidate, fmt.Errorf("the site's records are in log format %q, this coordinator reads log format %d: run both on one release (README \"Storage format\")", format, wal.Version))
 		return
 	}
 	d := s.dec.Get().(*decodeState)
@@ -262,8 +270,8 @@ var (
 	forwardPause = time.Second
 )
 
-// forwardBatchBytes is where a forward stops gathering records; a larger
-// record goes alone.
+// forwardBatchBytes bounds a forward's body until the coordinator refuses
+// one as too large; a larger record goes alone.
 const forwardBatchBytes = 1 << 20
 
 // siteIDFile holds the site id, in hex, beside the log's segments.
@@ -275,9 +283,10 @@ var errSkipToMark = errors.New("service: follow again from the coordinator's mar
 
 // forwarder is a site's one upstream path. acked is how far the
 // coordinator has confirmed: every record at or below it is applied there
-// or carries no state. body gathers the next forward, site records
-// first..last. stalled is the coordinator's last refusal, until a forward
-// is confirmed. err is the last failed attempt, read after exited.
+// or carries no state. body gathers the next forward, one entry of ends a
+// record, within limit bytes unless one record is larger. stalled is the coordinator's
+// last refusal, until a forward is confirmed. err is the last failed
+// attempt, read after exited.
 type forwarder struct {
 	s            *Server
 	w            *wal.WAL
@@ -285,10 +294,17 @@ type forwarder struct {
 	site         uint64
 	acked        atomic.Uint64
 	body         []byte
-	first, last  uint64
+	ends         []recordEnd
+	limit        int
 	stalled      atomic.Pointer[string]
 	stop, exited chan struct{} // stop is closed by drain
 	err          error
+}
+
+// recordEnd is where a record of a forward's body ends, and its LSN.
+type recordEnd struct {
+	lsn uint64
+	end int
 }
 
 // newForwarder loads the site id kept beside the log, or mints and keeps
@@ -325,7 +341,7 @@ func (s *Server) newForwarder() (*forwarder, error) {
 	}
 	s.logf("site %016x forwards its log to %s", site, s.cfg.PushTo)
 	return &forwarder{
-		s: s, w: w, site: site,
+		s: s, w: w, site: site, limit: forwardBatchBytes,
 		cl:   client.New(s.cfg.PushTo, client.WithRetries(0), client.WithHTTPClient(&http.Client{Timeout: forwardTimeout})),
 		stop: make(chan struct{}), exited: make(chan struct{}),
 	}, nil
@@ -385,42 +401,79 @@ func (f *forwarder) failed(err error) {
 }
 
 // gather adds one record of the log to the next forward, and sends the
-// forward once the log has no more followable or it is full. A record
+// forward once the log has no more followable or the record would take it
+// past limit (then without the record, which starts the next). A record
 // with no state (a checkpoint marker, a probe) is not sent, only passed.
 func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error {
 	switch typ {
 	case wal.RecordIngest, wal.RecordPush, wal.RecordForward:
-		if len(f.body) == 0 {
-			f.first = lsn
+		f.body = client.AppendForwardRecord(f.body, lsn, uint8(typ), payload)
+		if n := len(f.ends); n > 0 && len(f.body) > f.limit {
+			f.body = f.body[:f.ends[n-1].end]
+			if err := f.send(f.ends[n-1].lsn); err != nil {
+				return err
+			}
+			f.body = client.AppendForwardRecord(f.body, lsn, uint8(typ), payload)
 		}
-		f.body, f.last = client.AppendForwardRecord(f.body, lsn, uint8(typ), payload), lsn
+		f.ends = append(f.ends, recordEnd{lsn, len(f.body)})
 	}
-	if len(f.body) < forwardBatchBytes && lsn < f.w.FollowableLSN() {
+	if lsn < f.w.FollowableLSN() {
 		return nil
 	}
-	body := f.body
-	f.body = f.body[:0]
-	if len(body) == 0 {
-		f.acked.Store(lsn)
+	return f.send(lsn)
+}
+
+// send forwards the records gathered; the log has been followed to upTo,
+// and no record after the last gathered one carries state. A coordinator
+// whose body cap is below the forward's size answers 413: then the first
+// half of the records goes, down to one, and limit comes down to what
+// went.
+func (f *forwarder) send(upTo uint64) error {
+	body, ends := f.body, f.ends
+	f.body, f.ends = f.body[:0], f.ends[:0]
+	if len(ends) == 0 {
+		f.acked.Store(upTo)
 		return nil
 	}
-	mark, err := f.cl.Forward(context.Background(), f.site, body)
+	n := len(ends)
+	var mark uint64
+	var err error
+	for {
+		mark, err = f.cl.Forward(context.Background(), f.site, wal.Version, body[:ends[n-1].end])
+		if n == 1 || !tooLarge(err) {
+			break
+		}
+		n /= 2
+		f.limit = ends[n-1].end
+	}
+	first, last := ends[0].lsn, ends[n-1].lsn
 	switch {
 	case err != nil:
-		return fmt.Errorf("records %d–%d: %w", f.first, f.last, err)
-	case mark < f.first: // a copy of these records failed its append ahead of them
-		return fmt.Errorf("records %d–%d: the coordinator answered with mark %d", f.first, f.last, mark)
-	case mark < f.last || mark > lsn: // a prefix was admitted, or the coordinator holds more
+		return fmt.Errorf("records %d–%d: %w", first, last, err)
+	case mark < first: // a copy of these records failed its append ahead of them
+		return fmt.Errorf("records %d–%d: the coordinator answered with mark %d", first, last, mark)
+	case mark < last || mark > upTo: // a prefix was admitted, or the coordinator holds more
 		if mark > f.w.LastLSN() {
 			f.s.logf("forward: the coordinator's mark %d is past this log's end: a log restored from a backup needs its %s moved aside", mark, siteIDFile)
 		}
 		f.acked.Store(mark)
 		return errSkipToMark
 	}
-	f.acked.Store(lsn)
 	f.stalled.Store(nil)
 	f.s.metrics.siteForwardsSent.Inc()
+	if n < len(ends) { // only the first n went: follow again from there
+		f.acked.Store(mark)
+		return errSkipToMark
+	}
+	f.acked.Store(upTo)
 	return nil
+}
+
+// tooLarge reports the coordinator refusing a body past its
+// -max-body-bytes (readBody's 413, not a tenant memory cap's).
+func tooLarge(err error) bool {
+	var ae *client.APIError
+	return errors.As(err, &ae) && ae.Status == http.StatusRequestEntityTooLarge && strings.Contains(ae.Message, "body exceeds")
 }
 
 // drain is Close's last forward: what the log holds goes upstream until

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -239,7 +240,8 @@ func TestForwardExactlyOnce(t *testing.T) {
 // once; a forward is admitted up to the record the cap refuses, its answer's
 // mark says where to send from again, and from there the refusal names that
 // record and its tenant; a forward at or below the mark is answered with the
-// mark. (And a site needs a log.)
+// mark; a forward in another log format is refused by name. (And a site
+// needs a log.)
 func TestForwardAdmissionAndDuplicates(t *testing.T) {
 	if _, err := New(Config{Options: testOptions(), PushTo: "http://127.0.0.1:1"}); err == nil {
 		t.Fatal("a site without a WALDir was built")
@@ -269,14 +271,22 @@ func TestForwardAdmissionAndDuplicates(t *testing.T) {
 		t.Fatalf("two copies in one group: kinds %d, %d, applied %t, %t; want both acknowledged, one applied", a.kind, b.kind, a.tn != nil, b.tn != nil)
 	}
 	cl, ctx := client.New(ts.URL, client.WithRetries(0)), context.Background()
-	if mark, err := cl.Forward(ctx, 0xabc, body(3, "x", "z", "x")); err != nil || mark != 3 || count() != 40 {
+	if mark, err := cl.Forward(ctx, 0xabc, wal.Version, body(3, "x", "z", "x")); err != nil || mark != 3 || count() != 40 {
 		t.Fatalf("a forward whose second record names a tenant past the cap: mark %d (err %v), tenant x holds %d tuples; want 3 and 40", mark, err, count())
 	}
-	if _, err := cl.Forward(ctx, 0xabc, body(4, "z", "x")); !client.IsTenantRejected(err) || !strings.Contains(err.Error(), `record 4, tenant "z"`) {
+	if _, err := cl.Forward(ctx, 0xabc, wal.Version, body(4, "z", "x")); !client.IsTenantRejected(err) || !strings.Contains(err.Error(), `record 4, tenant "z"`) {
 		t.Fatalf("the forward from the refused record: %v; want a tenant refusal naming record 4 and tenant z", err)
 	}
-	if mark, err := cl.Forward(ctx, 0xabc, body(1, "x")); err != nil || mark != 3 || count() != 40 {
+	if mark, err := cl.Forward(ctx, 0xabc, wal.Version, body(1, "x")); err != nil || mark != 3 || count() != 40 {
 		t.Fatalf("a forward below the mark: mark %d (err %v), tenant x holds %d tuples; want 3 and 40", mark, err, count())
+	}
+	// A site of another release: its records are in another log format,
+	// refused by name before anything is decoded.
+	var ae *client.APIError
+	_, err := cl.Forward(ctx, 0xabc, wal.Version-1, body(4, "x"))
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || count() != 40 || coord.marks[0xabc] != 3 ||
+		!strings.Contains(err.Error(), fmt.Sprintf(`log format "%d"`, wal.Version-1)) || !strings.Contains(err.Error(), fmt.Sprintf("log format %d", wal.Version)) {
+		t.Fatalf("a forward in log format %d: %v; want a 400 naming both formats, nothing applied", wal.Version-1, err)
 	}
 }
 
@@ -314,6 +324,41 @@ func TestForwardRefusalIsReported(t *testing.T) {
 	}
 	if oldest := rig.site.walRef().OldestLSN(); oldest > refused {
 		t.Fatalf("the site pruned its log to LSN %d, past the refused record %d", oldest, refused)
+	}
+}
+
+// TestForwardSplitsForASmallBodyCap: a coordinator whose body cap is below
+// what a site gathers answers a forward 413, and the site sends half as
+// many records until one fits, so the coordinator ends byte-equal to the
+// site. Only a record past the cap on its own is reported as a stall.
+func TestForwardSplitsForASmallBodyCap(t *testing.T) {
+	was := forwardPause
+	forwardPause = 20 * time.Millisecond
+	t.Cleanup(func() { forwardPause = was })
+	coord, err := New(Config{Options: testOptions(), MaxBodyBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newForwardRig(t, coord, walConfig(t))
+	rig.down.Store(true)
+	rig.ingest("", 60, 1000, 1) // some 160 KB of records in all, past the cap by far
+	rig.ingest("a", 20, 1000, 100)
+	rig.down.Store(false)
+	rig.settle("the backlog sent in parts")
+	if refused := rig.site.metrics.siteForwardsRefused.Load(); refused != 0 {
+		t.Fatalf("the site counted %d refusals; a forward too large for the coordinator is split, not refused", refused)
+	}
+
+	if err := rig.site.commit(&ingestJob{tuples: testStream(40000, 7)}); err != nil {
+		t.Fatal(err)
+	}
+	var st client.Stats
+	waitUntil(t, 10*time.Second, "the site to report the record past the cap", func() bool {
+		st, err = client.New(rig.siteTS.URL).Stats(context.Background())
+		return err == nil && st.ForwardStalled != ""
+	})
+	if !strings.Contains(st.ForwardStalled, "HTTP 413") {
+		t.Fatalf("the site reports %q; want the coordinator's 413", st.ForwardStalled)
 	}
 }
 

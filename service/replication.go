@@ -74,7 +74,7 @@ func newReplayState(covered uint64, startup bool) *replayState {
 // live commit logged and applied (appendIngest's inverse): sorted batches
 // back to back until the payload is spent, each addressed by its key, which
 // aliases payload, and holding what that tenant's AddBatch was given. There
-// is no member count to trust — a member is at least three bytes, and each
+// is no member count to trust — a member is at least five bytes, and each
 // batch's own count is bounded by the bytes behind it — so what a hostile
 // payload can make this allocate is bounded by its length. An empty payload
 // is refused: the live commit never logs a run with no admitted member. The

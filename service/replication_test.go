@@ -218,7 +218,7 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := pcl.Forward(ctx, 0x5eed, client.AppendForwardRecord(nil, 7, uint8(wal.RecordIngest), ingestRecord(t, "", "s"))); err != nil {
+	if _, err := pcl.Forward(ctx, 0x5eed, wal.Version, client.AppendForwardRecord(nil, 7, uint8(wal.RecordIngest), ingestRecord(t, "", "s"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.Snapshot(); err != nil { // checkpoint + prune

@@ -735,7 +735,7 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestPreBreakStateRefused: durable state written before a storage
-// version break — a version-1, -2 or -3 log holding records, or a
+// version break — a version-1, -2, -3 or -4 log holding records, or a
 // corrdsn1, corrdsn2, corrdsn3 or bare-image snapshot wherever restore would reach
 // it — makes New fail with an error that wraps a sentinel, names the format
 // found and the one expected, and points at the README. The refused start
@@ -789,7 +789,7 @@ func TestPreBreakStateRefused(t *testing.T) {
 		// Version 1 logged under the retired group, keyed-group and
 		// keyed-push numbers; version 2's ingest record was keyed batches in
 		// client order; version 3 logged a site's push round (reset 3, ack
-		// 5, fold-back 6).
+		// 5, fold-back 6); version 4 wrote a sorted batch's rows as uvarints.
 		{1, func(i int) (wal.RecordType, []byte) {
 			return wal.RecordType(7 + i), tupleio.AppendCountedBatch([]byte{1}, testStream(8, 92))
 		}},
@@ -798,6 +798,9 @@ func TestPreBreakStateRefused(t *testing.T) {
 		}},
 		{3, func(i int) (wal.RecordType, []byte) {
 			return []wal.RecordType{3, 5, 6}[i], image
+		}},
+		{4, func(int) (wal.RecordType, []byte) {
+			return wal.RecordIngest, append(append([]byte{0, 16}, bytes.Repeat([]byte{1, 3}, 16)...), 0) // rows as uvarints: y gap 1, x 3
 		}},
 	} {
 		t.Run(fmt.Sprintf("version-%d log", old.version), func(t *testing.T) {
@@ -827,7 +830,7 @@ func TestPreBreakStateRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			refused(t, Config{Options: o, WALDir: dir}, dir, wal.ErrVersion, fmt.Sprintf("version %d,", old.version), "version 4 ")
+			refused(t, Config{Options: o, WALDir: dir}, dir, wal.ErrVersion, fmt.Sprintf("version %d,", old.version), fmt.Sprintf("version %d ", wal.Version))
 		})
 	}
 

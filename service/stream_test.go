@@ -247,6 +247,7 @@ func TestStreamRejectsBadHello(t *testing.T) {
 		{"replication format of WAL version 1", 5, 3, tupleio.HelloBadFormat},
 		{"replication format of WAL version 2", 5, 4, tupleio.HelloBadFormat},
 		{"replication format of WAL version 3", 5, 5, tupleio.HelloBadFormat},
+		{"replication format of WAL version 4", 5, 6, tupleio.HelloBadFormat},
 		{"unknown format", 5, 99, tupleio.HelloBadFormat},
 	} {
 		conn, err := net.Dial("tcp", addr)
