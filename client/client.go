@@ -44,7 +44,15 @@ type APIError struct {
 	// both definite refusals, applied nowhere — and the retry loop
 	// honors it as a backoff floor.
 	RetryAfter time.Duration
+	// Code names a refusal a client may act on, when the server's error
+	// body names one (CodeTooLarge); "" otherwise.
+	Code string
 }
+
+// CodeTooLarge is the Code of a 413 refusing a request larger than the
+// server takes: a body past its -max-body-bytes, or a forward that decodes
+// to more tuples than one decode may hold. A smaller request may go.
+const CodeTooLarge = "too_large"
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("corrd: %s (HTTP %d)", e.Message, e.Status)
@@ -808,6 +816,7 @@ func (c *Client) doOnce(req *http.Request, out any) error {
 func apiError(resp *http.Response) error {
 	var payload struct {
 		Error string `json:"error"`
+		Code  string `json:"code"`
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	if err := json.Unmarshal(body, &payload); err != nil || payload.Error == "" {
@@ -816,7 +825,7 @@ func apiError(resp *http.Response) error {
 	if payload.Error == "" {
 		payload.Error = http.StatusText(resp.StatusCode)
 	}
-	ae := &APIError{Status: resp.StatusCode, Message: payload.Error}
+	ae := &APIError{Status: resp.StatusCode, Message: payload.Error, Code: payload.Code}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
 			ae.RetryAfter = time.Duration(secs) * time.Second
@@ -838,6 +847,14 @@ func IsTenantRejected(err error) bool {
 	var ae *APIError
 	return errors.As(err, &ae) &&
 		(ae.Status == http.StatusTooManyRequests || ae.Status == http.StatusRequestEntityTooLarge)
+}
+
+// IsTooLarge reports whether err is the server refusing a request as
+// larger than it takes (CodeTooLarge): the same content may go in smaller
+// requests.
+func IsTooLarge(err error) bool {
+	var ae *APIError
+	return errors.As(err, &ae) && ae.Code == CodeTooLarge
 }
 
 // IsReadOnly reports whether err is a read-only replica refusing a

@@ -94,23 +94,12 @@ func AppendSortedBatch(buf []byte, tenant string, batch []core.Tuple) ([]byte, e
 	buf = binary.AppendUvarint(buf, n)
 	buf = append(buf, byte(ky), byte(kx))
 	w := bitWriter{buf: buf}
-	my, mx := uint64(1)<<ky-1, uint64(1)<<kx-1
 	prev = 0
 	for i := range batch {
 		t := &batch[i]
-		gap := t.Y - prev
+		w.rice(t.Y-prev, ky)
+		w.rice(t.X, kx)
 		prev = t.Y
-		qy, qx := gap>>(ky&63), t.X>>(kx&63)
-		if qy|qx >= 64 || qy+qx+uint64(ky+kx) > 62 {
-			w.rice(gap, ky)
-			w.rice(t.X, kx)
-			continue
-		}
-		// Both codes fit one word: the common case. (Every shift below is
-		// under 64; the masks say so to the compiler.)
-		ly := uint(qy) + 1 + ky
-		code := (gap&my)<<((qy+1)&63) | 1<<(qy&63) | ((t.X&mx)<<((qx+1)&63)|1<<(qx&63))<<(ly&63)
-		w.write(code, ly+uint(qx)+1+kx)
 	}
 	buf = w.flush()
 	if unit {
@@ -144,14 +133,20 @@ func (w *bitWriter) write(v uint64, n uint) {
 	}
 }
 
-// rice appends v's Rice code at parameter k (k < 64).
+// rice appends v's Rice code at parameter k (k < 64), in one write when
+// the code fits 64 bits.
 func (w *bitWriter) rice(v uint64, k uint) {
 	q := v >> k
 	for ; q >= 63; q -= 63 {
 		w.write(0, 63)
 	}
+	low := v & (1<<k - 1)
+	if l := uint(q) + 1 + k; l <= 64 {
+		w.write(low<<(q+1)|1<<q, l)
+		return
+	}
 	w.write(1<<q, uint(q)+1)
-	w.write(v&(1<<k-1), k)
+	w.write(low, k)
 }
 
 // flush appends the bits pending, zero-padded to a byte, and returns the
@@ -183,7 +178,7 @@ func (r *bitReader) refill() {
 		r.n |= 56
 		return
 	}
-	for ; r.n <= 56 && r.pos < len(r.data); r.pos++ {
+	for ; r.n < 56 && r.pos < len(r.data); r.pos++ {
 		r.acc |= uint64(r.data[r.pos]) << r.n
 		r.n += 8
 	}
@@ -192,6 +187,7 @@ func (r *bitReader) refill() {
 // rice reads one Rice code at parameter k (k < 64); ok is false when the
 // stream ends inside it or its value overflows 64 bits.
 func (r *bitReader) rice(k uint) (v uint64, ok bool) {
+	r.refill()
 	var q uint64
 	for {
 		if tz := uint(bits.TrailingZeros64(r.acc)); tz < r.n {
@@ -278,30 +274,15 @@ func DecodeSortedBatch(dst []core.Tuple, data []byte) (tenant []byte, batch []co
 	}
 	dst = dst[:0]
 	r := bitReader{data: data}
-	my, mx := uint64(1)<<ky-1, uint64(1)<<kx-1
 	var y, xHi, xLo, c uint64
 	for uint64(len(dst)) < n {
-		var gap, x uint64
-		r.refill()
-		// Both codes within the bits loaded: the common case. (The masks
-		// tell the compiler what the check shows: every shift is under 64.)
-		acc := r.acc
-		ty := uint(bits.TrailingZeros64(acc))
-		ly := ty + 1 + ky
-		tx := uint(bits.TrailingZeros64(acc >> (ly & 63)))
-		if l := ly + tx + 1 + kx; l <= r.n {
-			gap = uint64(ty)<<(ky&63) | acc>>((ty+1)&63)&my
-			x = uint64(tx)<<(kx&63) | acc>>((ly+tx+1)&63)&mx
-			r.acc = acc >> (l & 63)
-			r.n -= l
-		} else {
-			var ok bool
-			if gap, ok = r.rice(ky); !ok {
-				return bad("y gap at row %d runs past the bits or overflows 64 bits", len(dst))
-			}
-			if x, ok = r.rice(kx); !ok {
-				return bad("x at row %d runs past the bits or overflows 64 bits", len(dst))
-			}
+		gap, ok := r.rice(ky)
+		if !ok {
+			return bad("y gap at row %d runs past the bits or overflows 64 bits", len(dst))
+		}
+		x, ok := r.rice(kx)
+		if !ok {
+			return bad("x at row %d runs past the bits or overflows 64 bits", len(dst))
 		}
 		if gap > math.MaxUint64-y {
 			return bad("y wraps at row %d", len(dst))
@@ -348,4 +329,16 @@ func DecodeSortedBatch(dst []core.Tuple, data []byte) (tenant []byte, batch []co
 		return bad("unknown weight flag %d", flag)
 	}
 	return tenant, dst, data, nil
+}
+
+// SortedBatchLen is the tuple count the member at the front of data
+// claims, read without decoding the member; 0 when data holds no count.
+// DecodeSortedBatch checks the claim.
+func SortedBatchLen(data []byte) uint64 {
+	_, data, err := DecodeTenantPrefix(data)
+	if err != nil {
+		return 0
+	}
+	n, _ := binary.Uvarint(data)
+	return n
 }

@@ -34,6 +34,12 @@ func TestSortedBatchRoundTrip(t *testing.T) {
 	for i := range zeros {
 		zeros[i].W = 1
 	}
+	// Rows at (0, 0), then a row of exactly 64 bits in the stream's last
+	// eight bytes, then rows whose codes cross where it ended: read with a
+	// 64-bit row left in the reader, the first is refused as non-zero
+	// padding and the second decodes as other tuples.
+	wide := append(zeros[:32:32], core.Tuple{X: 31, Y: 31, W: 1}, core.Tuple{X: 0, Y: 63, W: 1})
+	wider := append(zeros[:36:36], core.Tuple{X: 39, Y: 23, W: 1}, core.Tuple{X: 17, Y: 39, W: 1})
 	members := []struct {
 		tenant string
 		batch  []core.Tuple
@@ -46,10 +52,15 @@ func TestSortedBatchRoundTrip(t *testing.T) {
 		{strings.Repeat("k", MaxTenantLen), []core.Tuple{{X: 4, Y: 5, W: 3}, {X: 4, Y: 5, W: 1}, {X: 6, Y: 1 << 40, W: math.MaxInt64}}},
 		{"k=63", []core.Tuple{{X: top, Y: 1 << 63, W: 1}, {X: 1 << 63, Y: top, W: 1}}},
 		{"long unary", append(zeros, core.Tuple{X: 5000, Y: 9000, W: 1})},
+		{"64-bit row", wide},
+		{"64-bit row, a long row after", wider},
 	}
 	var all []byte
 	for _, m := range members {
 		wire := mustSorted(t, nil, m.tenant, m.batch)
+		if n := SortedBatchLen(wire); n != uint64(len(m.batch)) {
+			t.Fatalf("tenant %q: SortedBatchLen %d, want %d", m.tenant, n, len(m.batch))
+		}
 		name, got, rest, err := DecodeSortedBatch(nil, wire)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("tenant %q: err %v, %d bytes left", m.tenant, err, len(rest))

@@ -93,29 +93,40 @@ func splitForward(payload []byte) (site uint64, records []byte, err error) {
 	return site, payload[n:], nil
 }
 
+// maxForwardTuples caps the tuples a forward's records decode to, all
+// together. A row can take two bits, so a body's length alone would let
+// a hostile forward allocate 96 bytes of tuples a byte; a site's record
+// never holds more than one decode may (tupleio.MaxDecodeTuples), so a
+// forward past the cap is refused as too large and the site sends fewer
+// records.
+var maxForwardTuples uint64 = tupleio.MaxDecodeTuples
+
 // validateForward is admission's decode of a forward's body, outside every
 // lock, into j.recs: each record must be an ingest record whose batches
-// pass validateBatch, a push whose image decodes, or a forward of those.
+// pass validateBatch, a push whose image decodes, or a forward of those,
+// and the records must decode to at most maxForwardTuples tuples.
 func (s *Server) validateForward(j *ingestJob) error {
 	if len(j.image) == 0 {
 		return errors.New("service: a forward carries at least one record")
 	}
 	j.recs = j.recs[:0]
+	left := maxForwardTuples
 	return walkSiteRecords(j.image, func(r siteRecord) error {
 		var err error
-		r.keys, r.batches, err = s.validateSiteRecord(r.typ, r.payload, 0)
+		r.keys, r.batches, err = s.validateSiteRecord(r.typ, r.payload, 0, &left)
 		j.recs = append(j.recs, r)
 		return err
 	})
 }
 
 // validateSiteRecord checks one record of a forward and lists the tenants
-// it writes; an ingest record's decoded batches come back for the apply.
-func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth int) (keys [][]byte, batches []tenantBatch, err error) {
+// it writes, taking what its ingest records decode to from *left; an
+// ingest record's decoded batches come back for the apply.
+func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth int, left *uint64) (keys [][]byte, batches []tenantBatch, err error) {
 	switch typ {
 	case wal.RecordIngest:
 		var st replayState
-		batches, err = st.decodeIngest(payload)
+		batches, err = st.decodeIngest(payload, left)
 		for _, b := range batches {
 			err = errors.Join(err, s.validateBatch(b.tuples))
 			keys = append(keys, b.key)
@@ -136,7 +147,7 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 			return nil, nil, err
 		}
 		err = walkSiteRecords(records, func(r siteRecord) error {
-			inner, _, err := s.validateSiteRecord(r.typ, r.payload, depth+1)
+			inner, _, err := s.validateSiteRecord(r.typ, r.payload, depth+1, left)
 			keys = append(keys, inner...)
 			return err
 		})
@@ -360,7 +371,7 @@ func (f *forwarder) run() {
 			stopping = true
 		default:
 		}
-		f.body = f.body[:0]
+		f.body, f.ends = f.body[:0], f.ends[:0]
 		f.err = f.w.Follow(f.acked.Load(), f.stop, f.gather)
 		switch {
 		case f.err == nil, errors.Is(f.err, wal.ErrClosed):
@@ -425,9 +436,9 @@ func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error
 
 // send forwards the records gathered; the log has been followed to upTo,
 // and no record after the last gathered one carries state. A coordinator
-// whose body cap is below the forward's size answers 413: then the first
-// half of the records goes, down to one, and limit comes down to what
-// went.
+// refuses a forward past its body cap or its tuple cap as too large
+// (client.IsTooLarge): then the first half of the records goes, down to
+// one, and limit comes down to what went.
 func (f *forwarder) send(upTo uint64) error {
 	body, ends := f.body, f.ends
 	f.body, f.ends = f.body[:0], f.ends[:0]
@@ -440,7 +451,7 @@ func (f *forwarder) send(upTo uint64) error {
 	var err error
 	for {
 		mark, err = f.cl.Forward(context.Background(), f.site, wal.Version, body[:ends[n-1].end])
-		if n == 1 || !tooLarge(err) {
+		if n == 1 || !client.IsTooLarge(err) {
 			break
 		}
 		n /= 2
@@ -467,13 +478,6 @@ func (f *forwarder) send(upTo uint64) error {
 	}
 	f.acked.Store(upTo)
 	return nil
-}
-
-// tooLarge reports the coordinator refusing a body past its
-// -max-body-bytes (readBody's 413, not a tenant memory cap's).
-func tooLarge(err error) bool {
-	var ae *client.APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusRequestEntityTooLarge && strings.Contains(ae.Message, "body exceeds")
 }
 
 // drain is Close's last forward: what the log holds goes upstream until

@@ -10,11 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
@@ -359,6 +361,45 @@ func TestForwardSplitsForASmallBodyCap(t *testing.T) {
 	})
 	if !strings.Contains(st.ForwardStalled, "HTTP 413") {
 		t.Fatalf("the site reports %q; want the coordinator's 413", st.ForwardStalled)
+	}
+}
+
+// TestForwardTupleCap: a forward's records decode to at most
+// maxForwardTuples tuples together. A row at (0, 0) takes two bits, so a
+// short body can claim many tuples: a forward past the cap is refused as
+// too large — the 413 a site answers by sending fewer records — after
+// admission allocated no more than the cap's tuples, and nothing is
+// applied; a forward within the cap is.
+func TestForwardTupleCap(t *testing.T) {
+	was := maxForwardTuples
+	maxForwardTuples = 1 << 18
+	t.Cleanup(func() { maxForwardTuples = was })
+	coord, _, cl := newTestServer(t, Config{Options: testOptions()})
+	zeros, err := appendIngest(nil, []tenantBatch{{key: []byte("z"), tuples: make([]correlated.Tuple, 100000)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body []byte
+	for lsn := uint64(1); lsn <= 10; lsn++ {
+		body = client.AppendForwardRecord(body, lsn, uint8(wal.RecordIngest), zeros)
+	}
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = cl.Forward(ctx, 0xabc, wal.Version, body)
+	runtime.ReadMemStats(&after)
+	var ae *client.APIError
+	if !client.IsTooLarge(err) || !errors.As(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge || coord.tenantByName("z") != nil {
+		t.Fatalf("a %d-byte forward of a million tuples: %v, tenant made %t; want a 413 naming %q, nothing applied", len(body), err, coord.tenantByName("z") != nil, client.CodeTooLarge)
+	}
+	most := maxForwardTuples*uint64(unsafe.Sizeof(correlated.Tuple{})) + 1<<19
+	if got := after.TotalAlloc - before.TotalAlloc; got > most {
+		t.Fatalf("refusing a %d-byte forward allocated %d bytes; the cap allows %d", len(body), got, most)
+	}
+	within := body[:len(body)/5] // the first two records
+	if mark, err := cl.Forward(ctx, 0xabc, wal.Version, within); err != nil || mark != 2 || coord.tenantByName("z").eng.Count() != 200000 {
+		t.Fatalf("a forward of 200 000 tuples: mark %d (err %v); want 2, applied", mark, err)
 	}
 }
 

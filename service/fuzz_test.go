@@ -51,7 +51,7 @@ func FuzzDecodeIngest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		st := newReplayState(0, true)
-		batches, err := st.decodeIngest(payload)
+		batches, err := st.decodeIngest(payload, nil)
 		tuples := 0
 		for _, b := range st.batches {
 			tuples += cap(b.tuples)

@@ -142,8 +142,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	body := map[string]string{"error": err.Error()}
+	if errors.As(err, new(tooLargeError)) {
+		body["code"] = client.CodeTooLarge
+	}
+	writeJSON(w, status, body)
 }
+
+// tooLargeError is a request larger than this server takes: a body past
+// MaxBodyBytes, a forward past maxForwardTuples. Its 413 names
+// client.CodeTooLarge, on which a site sends fewer records.
+type tooLargeError struct{ error }
 
 // readTenant resolves ?tenant= for a read path (query, summary, stats):
 // reads never create a namespace, so an unknown key is a plain 404.
@@ -176,7 +185,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, dst []byte) ([
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
 				s.httpError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("body exceeds %d bytes", mbe.Limit))
+					tooLargeError{fmt.Errorf("body exceeds %d bytes", mbe.Limit)})
 			} else {
 				s.httpError(w, http.StatusBadRequest, err)
 			}

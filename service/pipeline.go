@@ -73,6 +73,7 @@ const (
 	ingestErrDegraded                   // degraded mode: durability broken, writes suspended
 	ingestErrBusy                       // commit queue at its bound; the job was shed
 	ingestErrIncompatible               // a pushed or forwarded image was built with other options
+	ingestErrTooLarge                   // a forward decodes to more than maxForwardTuples
 )
 
 // outcomes maps a job's outcome to what each transport tells the client
@@ -93,6 +94,7 @@ var outcomes = [...]struct {
 	ingestErrDegraded:     {http.StatusServiceUnavailable, tupleio.AckDegraded, func(m *metrics) *counter { return &m.degradedRejects }},
 	ingestErrBusy:         {http.StatusTooManyRequests, tupleio.AckBusy, nil},
 	ingestErrIncompatible: {http.StatusConflict, tupleio.AckInvalid, nil},
+	ingestErrTooLarge:     {http.StatusRequestEntityTooLarge, tupleio.AckInvalid, nil},
 }
 
 // jobOp names the record a job will write; the zero value is an ingest
@@ -201,9 +203,13 @@ func (s *Server) enqueue(j *ingestJob) bool {
 			j.err = s.validateForward(j)
 		}
 		if j.err != nil {
-			j.kind = ingestErrValidate
-			if errors.Is(j.err, correlated.ErrIncompatible) {
+			switch {
+			case errors.Is(j.err, correlated.ErrIncompatible):
 				j.kind = ingestErrIncompatible
+			case errors.As(j.err, new(tooLargeError)):
+				j.kind = ingestErrTooLarge
+			default:
+				j.kind = ingestErrValidate
 			}
 			return false
 		}

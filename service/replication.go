@@ -76,15 +76,24 @@ func newReplayState(covered uint64, startup bool) *replayState {
 // aliases payload, and holding what that tenant's AddBatch was given. There
 // is no member count to trust — a member is at least five bytes, and each
 // batch's own count is bounded by the bytes behind it — so what a hostile
-// payload can make this allocate is bounded by its length. An empty payload
-// is refused: the live commit never logs a run with no admitted member. The
-// tuple buffers are reused from record to record.
-func (st *replayState) decodeIngest(payload []byte) ([]tenantBatch, error) {
+// payload can make this allocate is bounded by its length. Where left is
+// not nil, the members' counts are also taken from *left, each before its
+// member is decoded, and one past what is left is refused as too large. An
+// empty payload is refused: the live commit never logs a run with no
+// admitted member. The tuple buffers are reused from record to record.
+func (st *replayState) decodeIngest(payload []byte, left *uint64) ([]tenantBatch, error) {
 	if len(payload) == 0 {
 		return nil, errors.New("empty ingest record")
 	}
 	n := 0
 	for rest := payload; len(rest) > 0; n++ {
+		if left != nil {
+			c := tupleio.SortedBatchLen(rest)
+			if c > *left {
+				return nil, tooLargeError{fmt.Errorf("member %d: a forward decodes to at most %d tuples", n, maxForwardTuples)}
+			}
+			*left -= c
+		}
 		if n == len(st.batches) {
 			st.batches = append(st.batches, tenantBatch{})
 		}
@@ -147,7 +156,7 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 func (s *Server) applyStateLocked(typ wal.RecordType, payload []byte, st *replayState) error {
 	switch typ {
 	case wal.RecordIngest:
-		batches, err := st.decodeIngest(payload)
+		batches, err := st.decodeIngest(payload, nil)
 		if err == nil {
 			err = s.applyGroupLocked(batches)
 		}

@@ -446,7 +446,7 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 		if typ != wal.RecordIngest {
 			t.Fatalf("record %d has type %d, want RecordIngest", lsn, typ)
 		}
-		batches, err := newReplayState(0, true).decodeIngest(payload)
+		batches, err := newReplayState(0, true).decodeIngest(payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
