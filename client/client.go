@@ -170,11 +170,14 @@ type Memory struct {
 	HeaderBytes  int64 `json:"header_bytes"`
 	SpilledBytes int64 `json:"spilled_bytes"`
 
-	// The commit pipeline, process-wide: the committer's sorted copy of a
-	// group's members and its record-encode scratch (capacities, kept between
-	// groups up to 4 MiB each).
-	ApplyBufBytes int64 `json:"apply_buf_bytes"`
-	GroupBufBytes int64 `json:"group_buf_bytes"`
+	// The commit pipeline, process-wide: the committer's buffer a group's
+	// members decode and sort in and its record-encode scratch (capacities,
+	// kept between groups up to 4 MiB each), and the buffers the ingest
+	// members waiting in the commit queue arrived in — a queued member is
+	// held as its bytes, a counted batch, not as tuples (capacities).
+	ApplyBufBytes     int64 `json:"apply_buf_bytes"`
+	GroupBufBytes     int64 `json:"group_buf_bytes"`
+	QueuedMemberBytes int64 `json:"queued_member_bytes"`
 
 	// The Go runtime's split (runtime/metrics). HeapLive is what the last
 	// collection found reachable and HeapGoal the size at which the next one
@@ -203,8 +206,8 @@ type Memory struct {
 
 	// The remainders, always the whole process's. HeapUnaccounted is
 	// HeapLive less every tenant's held, pooled, header and spilled bytes and
-	// the pipeline's: request and frame decode buffers, in flight or waiting
-	// in pools, answer memos, connection and log state — and whatever was
+	// the pipeline's: request and frame buffers the committer has taken or
+	// that wait in pools, answer memos, connection and log state — and whatever was
 	// allocated since the last collection, so
 	// it is exact only right after one. RSSUnaccounted is VmRSS less the
 	// file-backed part and less Total − HeapReleased: negative while the

@@ -63,8 +63,11 @@
 //	                                            concurrent requests; the committer
 //	                                            sorts, the log holds the sorted
 //	                                            batch and AddBatch, finding it
-//	                                            sorted, skips its own; GE applied
-//	                                            beside LE on a second goroutine)
+//	                                            sorted, skips its own; GE reads
+//	                                            that batch mirrored, beside LE on
+//	                                            a second goroutine; a queued
+//	                                            member is held as the bytes it
+//	                                            arrived in)
 //	                                            and the memoized
 //	                                            query path ((op, cutoff) answers
 //	                                            evaluated on the live summary under
@@ -225,8 +228,11 @@
 // including read-only queries — must be serialized by the caller. One
 // summary already uses a second core on its own: with Predicate Both, an
 // AddBatch of 64 tuples or more applies the mirrored GE structure on a
-// goroutine of its own beside LE (the two share no state, so the result is
-// bit-identical to applying them in turn) and returns when both are done.
+// goroutine of its own beside LE and returns when both are done. Both read
+// the one y-sorted batch, which neither writes — GE walks its equal-y runs
+// from last to first with each y read as YMax − y, so no mirrored copy is
+// made — and share no other state, so the result is bit-identical to
+// applying them in turn.
 // To spread one stream over more cores than that, use the shard
 // subpackage, which owns one summary per worker goroutine and merges at
 // query time — at close to one summary's memory per worker.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/streamagg/correlated/internal/gen"
+	"github.com/streamagg/correlated/internal/sketch"
 )
 
 // TestIngestAllocatesLittleBeyondWhatItKeeps bounds what the apply path throws
@@ -57,4 +58,49 @@ func TestIngestAllocatesLittleBeyondWhatItKeeps(t *testing.T) {
 	}
 	runtime.KeepAlive(s)
 	runtime.KeepAlive(tuples) // live at both readings
+}
+
+// TestSplitAtAFullLevelAllocatesNoNode: once a level holds α buckets, a split
+// makes two nodes and the evictions it causes (discardMax) free two, which the
+// next split takes back, so a split-and-evict cycle allocates no node. Level 1
+// of a COUNT summary over a deep domain, split at its leftmost leaf again and
+// again; the maker's list is stocked first, so the leaf's counter is no
+// allocation either.
+func TestSplitAtAFullLevelAllocatesNoNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	s := mustSummary(t, CountAggregate(), Config{Eps: 0.2, Delta: 0.1, YMax: 1<<40 - 1, Alpha: 4, Seed: 1})
+	stock := make([]sketch.Sketch, 64)
+	for i := range stock {
+		stock[i] = s.maker.New()
+	}
+	for _, sk := range stock {
+		sketch.Recycle(s.maker, sk)
+	}
+	lv := s.levels[1]
+	lv.root.sk = s.maker.New()
+	cycle := func() {
+		b, iv := lv.root, s.span
+		for b.left != nil {
+			lc, _ := iv.Children()
+			b, iv = b.left, lc
+		}
+		b.closed = true
+		if leaf, _ := s.leafFor(lv, iv.L); leaf == nil || leaf == b {
+			t.Fatalf("level 1 did not split its leftmost leaf %v", iv)
+		}
+		for lv.count > s.alpha {
+			s.discardMax(lv)
+		}
+	}
+	for lv.count < s.alpha || lv.y == noWatermark {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("a split-and-evict cycle at a full level allocates %.1f times; want none", allocs)
+	}
+	if s.nfree == 0 || s.Footprint().Pooled != s.freeNodeBytes() {
+		t.Fatalf("%d nodes wait on the free list, Footprint %+v; want some, charged to Pooled", s.nfree, s.Footprint())
+	}
 }

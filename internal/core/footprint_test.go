@@ -100,7 +100,8 @@ func checkFootprint(t *testing.T, when string, s *Summary) Footprint {
 // corrdbench's two stream shapes, queries, a merge of a live summary, an image
 // folded in, an image installed over a used summary and into a fresh one, and
 // images that fail to parse part-way in, which must leave nothing on the
-// books.
+// books. From the merge on, tree nodes its evictions freed wait on the
+// summary's free list, charged to Pooled.
 func TestFootprintIsTheWalk(t *testing.T) {
 	n := 400_000
 	if testing.Short() || raceEnabled {
@@ -150,6 +151,9 @@ func TestFootprintIsTheWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFootprint(t, "after Merge", s)
+	if s.nfree == 0 {
+		t.Fatal("the merge's evictions left no tree node on the free list; the checks below should run with some there")
+	}
 	checkFootprint(t, "the merged-in summary", other)
 
 	img, err := other.MarshalBinary()
@@ -193,13 +197,13 @@ func TestFootprintIsTheWalk(t *testing.T) {
 	// A maker that keeps no books: every counter is charged a word.
 	count := mustSummary(t, CountAggregate(), cfg)
 	feed(count, gen.Uniform(n/8, 500_000, 1_000_000, 4))
-	if got, want := checkFootprintWords(t, count), (Footprint{Held: 8 * count.Space()}); got != want {
+	if got, want := checkFootprintWords(t, count), (Footprint{Held: 8 * count.Space(), Pooled: count.freeNodeBytes()}); got != want {
 		t.Fatalf("COUNT: Footprint %+v, want %+v", got, want)
 	}
 }
 
 // checkFootprintWords is checkFootprint for a summary whose maker keeps no
-// books: Held is Occupancy's Bytes, and there is nothing else.
+// books: Held is Occupancy's Bytes, and Pooled the free tree nodes alone.
 func checkFootprintWords(t *testing.T, s *Summary) Footprint {
 	t.Helper()
 	var held int64

@@ -40,10 +40,11 @@ type LevelOccupancy struct {
 	Bytes                  int64
 	ItemsBytes, DenseBytes int64
 	ClosedItemsBytes       int64
-	// Pooled is the bytes the maker's free lists hold: zeroed tables and
-	// arrays that sketches have handed back and the next ones will take.
-	// They stand behind no counter and belong to no level, so they are in
-	// no row's Bytes; the S0 row alone reports them, the others read zero.
+	// Pooled is the bytes the free lists hold: the maker's zeroed tables and
+	// arrays that sketches have handed back and the next ones will take, and
+	// the tree nodes evictions freed for the next splits. They stand behind
+	// no counter and belong to no level, so they are in no row's Bytes; the
+	// S0 row alone reports them, the others read zero.
 	// It is a property of the summary's past, not its state: a restored
 	// summary starts with empty lists. Footprint reports the same number
 	// beside the rows' Bytes added up, without the walk.
@@ -65,9 +66,10 @@ func (s *Summary) Occupancy() []LevelOccupancy {
 		rows[i].walk(s.levels[i].root, s.span)
 	}
 	rows[min(s.virginFrom, s.lmax)].countSketch(s.shared)
+	rows[0].Pooled = s.freeNodeBytes()
 	if p, ok := s.maker.(pooler); ok {
 		held, _ := p.PooledBytes()
-		rows[0].Pooled = int64(held)
+		rows[0].Pooled += int64(held)
 	}
 	return rows
 }
@@ -84,7 +86,8 @@ type Footprint struct {
 	// Held is what Occupancy's rows add up to in Bytes: every sketch's table
 	// or array at its stored width, and the words Space charges a bucket.
 	Held int64
-	// Pooled is Occupancy's Pooled: the maker's free lists.
+	// Pooled is Occupancy's Pooled: the maker's free lists and the summary's
+	// free tree nodes.
 	Pooled int64
 	// Headers is what stands around Held and no row counts: the tree nodes
 	// and the sketch structs, less the two words Held charges a node (as
@@ -112,14 +115,17 @@ type bookkeeper interface {
 // bucketBytes is what the allocator hands out for a tree node.
 const bucketBytes = (int64(unsafe.Sizeof(bucket{})) + 15) &^ 15
 
+// freeNodeBytes is what the free tree nodes hold.
+func (s *Summary) freeNodeBytes() int64 { return int64(s.nfree) * bucketBytes }
+
 // Footprint returns the summary's memory from the maker's running counts and
 // the per-level bucket counts. A maker that keeps no books has every counter
 // charged at one word, 8 × Space — which is what Occupancy's Bytes add up to
-// for it — found by Space's walk.
+// for it — found by Space's walk, and the free tree nodes as Pooled.
 func (s *Summary) Footprint() Footprint {
 	bk, ok := s.maker.(bookkeeper)
 	if !ok {
-		return Footprint{Held: 8 * s.Space()}
+		return Footprint{Held: 8 * s.Space(), Pooled: s.freeNodeBytes()}
 	}
 	singles, nodes := int64(len(s.s0.buckets)), int64(0)
 	for i := 1; i <= s.lmax; i++ {
@@ -129,7 +135,7 @@ func (s *Summary) Footprint() Footprint {
 	return Footprint{
 		// The y of a singleton and the interval of a node: Space's words.
 		Held:    int64(bk.HeldBytes()) + 8*singles + 16*nodes,
-		Pooled:  int64(pooled),
+		Pooled:  int64(pooled) + s.freeNodeBytes(),
 		Headers: int64(bk.HeaderBytes()) + nodes*(bucketBytes-16),
 	}
 }

@@ -75,6 +75,12 @@ type Summary struct {
 	// scan reads a few contiguous cache lines instead of chasing a
 	// pointer per level. Kept in sync by discardMax and UnmarshalBinary.
 	wm []uint64
+
+	// free is the tree nodes discardMax evicted, zeroed and chained through
+	// left, for the next split to take (node); nfree counts them, at most
+	// maxFreeNodes. Footprint charges them to Pooled.
+	free  *bucket
+	nfree int
 }
 
 // bucket is a node of a level's tree. It stores only what its position does
@@ -218,7 +224,7 @@ func (s *Summary) AddWeighted(x, y uint64, w int64) error {
 		return fmt.Errorf("core: weight must be positive, got %d", w)
 	}
 	s.one[0] = Tuple{X: x, Y: y, W: w}
-	s.addGroup(s.one[:])
+	s.addGroup(s.one[:], y)
 	return nil
 }
 
@@ -336,7 +342,7 @@ func (s *Summary) leafFor(lv *level, y uint64) (*bucket, dyadic.Interval) {
 			// lazy attach removes the dominant steady-state allocation
 			// of the ingest path: two sketches a split, paid again by
 			// every summary a stream is spread over.
-			b.left, b.right = &bucket{}, &bucket{}
+			b.left, b.right = s.node(), s.node()
 			lv.count += 2
 			continue
 		}
@@ -378,11 +384,34 @@ func (s *Summary) discardMax(lv *level) {
 		s.cache[lv.idx] = leaf{}
 	}
 	sketch.Recycle(s.maker, b.sk)
+	if s.nfree < maxFreeNodes {
+		*b = bucket{left: s.free}
+		s.free = b
+		s.nfree++
+	}
 	lv.count--
 	if iv.L < lv.y {
 		lv.y = iv.L
 		s.wm[lv.idx] = lv.y
 	}
+}
+
+// maxFreeNodes bounds the free list of tree nodes. At a full level a split
+// makes two nodes and the evictions it causes free two, so a handful covers
+// every level's split in a group; what a merge evicts beyond it goes to the
+// collector.
+const maxFreeNodes = 16
+
+// node returns a zeroed tree node for a split: one discardMax evicted when
+// the free list holds one, a new one otherwise.
+func (s *Summary) node() *bucket {
+	b := s.free
+	if b == nil {
+		return &bucket{}
+	}
+	s.free, s.nfree = b.left, s.nfree-1
+	b.left = nil
+	return b
 }
 
 // RecycleSketch returns a sketch obtained from QuerySketch to the maker's
@@ -578,8 +607,8 @@ func SortByY(batch []Tuple) {
 
 // SortBatch is AddBatch's first half: it validates the batch, normalizes
 // zero weights to 1 and sorts it by y in place (SortByY), leaving the
-// summary untouched. A caller that derives a second batch from the sorted
-// order (the root package's mirrored GE direction) calls the halves itself.
+// summary untouched. A caller that applies one sorted batch to two summaries
+// (the root package's LE and mirrored GE directions) calls the halves itself.
 func (s *Summary) SortBatch(batch []Tuple) error {
 	for i := range batch {
 		if batch[i].Y > s.cfg.YMax {
@@ -604,16 +633,37 @@ func (s *Summary) AddSorted(batch []Tuple) {
 		for end < len(batch) && batch[end].Y == batch[start].Y {
 			end++
 		}
-		s.addGroup(batch[start:end])
+		s.addGroup(batch[start:end], batch[start].Y)
 		start = end
 	}
 }
 
+// AddSortedMirrored inserts a batch that SortBatch accepted (against a
+// summary with this one's YMax) with every y read as YMax − y: the mirrored
+// structure the root package's GE direction keeps, fed from the LE batch
+// without a copy. The equal-y runs are applied from last to first, so the
+// mirrored y ascend, and each run in the order the batch holds it. A run's
+// closing checks happen once, after the whole run, so for every aggregate
+// whose sketch adds commute (F2, COUNT, SUM) the state equals what a
+// mirrored, re-sorted copy fed to AddSorted leaves; Fk's bounded candidate
+// sets follow the order inside a run.
+func (s *Summary) AddSortedMirrored(batch []Tuple) {
+	for end := len(batch); end > 0; {
+		start := end - 1
+		for start > 0 && batch[start-1].Y == batch[end-1].Y {
+			start--
+		}
+		s.addGroup(batch[start:end], s.cfg.YMax-batch[start].Y)
+		end = start
+	}
+}
+
 // addGroup is Algorithm 2, the one insertion routine: it inserts an equal-y
-// run of a sorted batch (AddWeighted passes a run of one), hashing each
-// tuple once into a reused slab and routing to a leaf once per level.
-func (s *Summary) addGroup(group []Tuple) {
-	y := group[0].Y
+// run of a sorted batch (AddWeighted passes a run of one) at y — the run's
+// own y, or its mirror (AddSortedMirrored) — hashing each tuple once into a
+// reused slab and routing to a leaf once per level. Only the tuples' X and W
+// are read.
+func (s *Summary) addGroup(group []Tuple, y uint64) {
 	s.n += uint64(len(group))
 	stride := 0
 	if s.slotMaker != nil {

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/streamagg/correlated/internal/core"
 )
@@ -79,46 +80,107 @@ func AppendCountedBatch(buf []byte, batch []core.Tuple) []byte {
 // must match the records exactly: a body holding more or fewer is an
 // error.
 func DecodeCounted(dst []core.Tuple, data []byte) ([]core.Tuple, error) {
-	dst, rest, err := DecodeCountedPrefix(dst, data)
-	if err != nil {
-		return dst, err
-	}
-	if len(rest) != 0 {
-		return dst[:0], fmt.Errorf("%w: %d trailing bytes after the counted records", ErrBadStream, len(rest))
-	}
-	return dst, nil
+	return AppendCounted(dst[:0], data)
 }
 
 // DecodeCountedPrefix parses one counted batch from the front of data
-// and returns the remaining bytes: the body of DecodeCounted and
-// DecodeKeyed, which each refuse trailing bytes in their own words. The
-// allocation bounds are DecodeCounted's.
+// and returns the remaining bytes: the body of DecodeKeyed, which refuses
+// trailing bytes in its own words. The allocation bounds are
+// DecodeCounted's.
 func DecodeCountedPrefix(dst []core.Tuple, data []byte) (batch []core.Tuple, rest []byte, err error) {
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return dst[:0], data, fmt.Errorf("%w: bad count header", ErrBadStream)
+	return appendCountedPrefix(dst[:0], data)
+}
+
+// appendCountedPrefix is DecodeCountedPrefix appending to dst, and the body
+// of AppendCounted; on an error it returns dst as it was.
+func appendCountedPrefix(dst []core.Tuple, data []byte) (batch []core.Tuple, rest []byte, err error) {
+	n, data, err := countHeader(data)
+	if err != nil {
+		return dst, data, err
 	}
-	data = data[sz:]
-	if n > MaxDecodeTuples {
-		return dst[:0], data, fmt.Errorf("%w: header claims %d tuples, cap is %d", ErrBadStream, n, MaxDecodeTuples)
-	}
-	if n > uint64(len(data)/minRecordBytes) {
-		return dst[:0], data, fmt.Errorf("%w: header claims %d tuples, body can hold at most %d",
-			ErrBadStream, n, len(data)/minRecordBytes)
-	}
-	if uint64(cap(dst)) < n {
-		dst = make([]core.Tuple, 0, n)
-	}
-	dst = dst[:0]
-	for uint64(len(dst)) < n {
-		t, rest, err := decodeRecord(data, len(dst))
+	dst = slices.Grow(dst, n)
+	base := len(dst)
+	for len(dst)-base < n {
+		t, rest, err := decodeRecord(data, len(dst)-base)
 		if err != nil {
-			return dst[:0], data, err
+			return dst[:base], data, err
 		}
 		data = rest
 		dst = append(dst, t)
 	}
 	return dst, data, nil
+}
+
+// countHeader parses a counted batch's count and bounds it by what the rest
+// of data could physically hold and by MaxDecodeTuples, before anything is
+// allocated for it.
+func countHeader(data []byte) (n int, rest []byte, err error) {
+	c, sz := binary.Uvarint(data)
+	if sz <= 0 {
+		return 0, data, fmt.Errorf("%w: bad count header", ErrBadStream)
+	}
+	data = data[sz:]
+	if c > MaxDecodeTuples {
+		return 0, data, fmt.Errorf("%w: header claims %d tuples, cap is %d", ErrBadStream, c, MaxDecodeTuples)
+	}
+	if c > uint64(len(data)/minRecordBytes) {
+		return 0, data, fmt.Errorf("%w: header claims %d tuples, body can hold at most %d",
+			ErrBadStream, c, len(data)/minRecordBytes)
+	}
+	return int(c), data, nil
+}
+
+// AppendCounted decodes a complete counted batch, as DecodeCounted does, onto
+// the end of dst: a commit group's members decode straight into its one
+// buffer. On an error dst is returned as it was.
+func AppendCounted(dst []core.Tuple, data []byte) ([]core.Tuple, error) {
+	out, rest, err := appendCountedPrefix(dst, data)
+	if err == nil && len(rest) != 0 {
+		out, err = dst, fmt.Errorf("%w: %d trailing bytes after the counted records", ErrBadStream, len(rest))
+	}
+	return out, err
+}
+
+// CheckCounted decodes a complete counted batch one record at a time and
+// keeps none: it accepts exactly what DecodeCounted accepts whose every y is
+// at most ymax, and returns the tuple count. It allocates nothing, so a
+// batch can be refused, or admitted and held as its bytes, without
+// materializing it.
+func CheckCounted(data []byte, ymax uint64) (int, error) {
+	n, data, err := countHeader(data)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < n; i++ {
+		var t core.Tuple
+		if t, data, err = decodeRecord(data, i); err != nil {
+			return 0, err
+		}
+		if t.Y > ymax {
+			return 0, fmt.Errorf("tupleio: y = %d at record %d exceeds YMax = %d", t.Y, i, ymax)
+		}
+	}
+	if len(data) != 0 {
+		return 0, fmt.Errorf("%w: %d trailing bytes after the counted records", ErrBadStream, len(data))
+	}
+	return n, nil
+}
+
+// Counted turns records — a run of them with no count, as Decode reads an
+// HTTP body — into the counted form: the count header, then the records,
+// in records' storage when its capacity allows. The count is read off the
+// bytes (every uvarint ends on a byte below 0x80, three to a record), so a
+// run that is not whole records becomes a counted batch that DecodeCounted
+// and CheckCounted refuse, exactly as Decode refuses the run.
+func Counted(records []byte) []byte {
+	ends := 0
+	for _, c := range records {
+		if c < 0x80 {
+			ends++
+		}
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	return slices.Insert(records, 0, binary.AppendUvarint(hdr[:0], uint64(ends/minRecordBytes))...)
 }
 
 // decodeRecord parses one x/y/w record — the single implementation of

@@ -192,3 +192,59 @@ func appendUvarint(buf []byte, v uint64) []byte {
 	}
 	return append(buf, byte(v))
 }
+
+// FuzzMemberForms: the three ways corrd reads an ingest member agree with
+// the decoders they stand beside. CheckCounted accepts exactly what
+// DecodeCounted accepts with every y at most the bound, and counts it;
+// AppendCounted appends what DecodeCounted decodes and leaves dst as it was
+// when it refuses; and Counted makes of a headerless run a counted batch
+// that decodes to what Decode makes of the run, accepting and refusing the
+// same inputs.
+func FuzzMemberForms(f *testing.F) {
+	batch := []core.Tuple{{X: 1, Y: 2, W: 3}, {X: 1 << 40, Y: 900, W: 1}, {X: 5, Y: 0}}
+	f.Add(AppendCountedBatch(nil, batch), uint64(1000))
+	f.Add(AppendCountedBatch(nil, batch), uint64(899))
+	f.Add(AppendBatch(nil, batch), uint64(1000))
+	f.Add(AppendBatch(nil, batch)[:5], uint64(1000))
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}, uint64(1))
+	f.Add(append(AppendCountedBatch(nil, batch), 0), uint64(1000))
+	f.Fuzz(func(t *testing.T, data []byte, ymax uint64) {
+		want, derr := DecodeCounted(nil, data)
+		n, cerr := CheckCounted(data, ymax)
+		inRange := true
+		for _, tu := range want {
+			inRange = inRange && tu.Y <= ymax
+		}
+		if (cerr == nil) != (derr == nil && inRange) || (cerr == nil && n != len(want)) {
+			t.Fatalf("CheckCounted: %d, %v; DecodeCounted: %d tuples, %v, all y <= %d: %t", n, cerr, len(want), derr, ymax, inRange)
+		}
+		prefix := []core.Tuple{{X: 9, Y: 9, W: 9}}
+		got, aerr := AppendCounted(prefix, data)
+		if (aerr == nil) != (derr == nil) || !reflect.DeepEqual(got[1:], append([]core.Tuple{}, want...)) || got[0] != prefix[0] {
+			t.Fatalf("AppendCounted: %v, %v; DecodeCounted: %v, %v", got, aerr, want, derr)
+		}
+		run, rerr := Decode(nil, data)
+		counted, err := DecodeCounted(nil, Counted(append([]byte(nil), data...)))
+		if (err == nil) != (rerr == nil) || (err == nil && !reflect.DeepEqual(counted, run)) {
+			t.Fatalf("Counted then DecodeCounted: %v, %v; Decode: %v, %v", counted, err, run, rerr)
+		}
+	})
+}
+
+// TestCheckCountedAllocatesNothing: admission reads a member without keeping
+// its tuples, so checking one allocates nothing.
+func TestCheckCountedAllocatesNothing(t *testing.T) {
+	batch := make([]core.Tuple, 256)
+	for i := range batch {
+		batch[i] = core.Tuple{X: uint64(i * 7919), Y: uint64(i), W: 1}
+	}
+	data := AppendCountedBatch(nil, batch)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if n, err := CheckCounted(data, 1<<20); err != nil || n != len(batch) {
+			t.Fatalf("CheckCounted: %d, %v", n, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("CheckCounted allocates %.1f times; want none", allocs)
+	}
+}

@@ -204,3 +204,41 @@ func TestFollowStopsOnClose(t *testing.T) {
 		t.Fatal("follower did not exit on Close")
 	}
 }
+
+// TestDurableAdvanceWithoutFollowerAllocatesNothing: the wake a durable
+// advance owes its followers makes no channel while none waits, so a record
+// appended and synced with nobody following allocates nothing for it (the
+// append's frame buffer is reused, and the fsync allocates nothing of its
+// own, and the checksum is read from the frame). A follower that then
+// blocks is still woken by the next advance.
+func TestDurableAdvanceWithoutFollowerAllocatesNothing(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 30, Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	payload := bytes.Repeat([]byte{7}, 100)
+	if _, err := appendSync(w, RecordIngest, payload); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := appendSync(w, RecordIngest, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendNoSync + Sync with no follower allocates %.1f times; want none", allocs)
+	}
+	last := w.LastLSN()
+	recs, stop := followCollect(w, last)
+	lsn, err := appendSync(w, RecordIngest, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recvN(t, recs, 1); got[0].lsn != lsn {
+		t.Fatalf("the follower got LSN %d, want %d", got[0].lsn, lsn)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}

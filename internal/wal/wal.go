@@ -282,8 +282,9 @@ type WAL struct {
 	// SyncAlways barrier fails. Maintained alongside durable
 	// in syncLocked and reset by openActive/startSegment.
 	syncedSize int64
-	// notify is closed and replaced whenever the followable frontier
-	// advances; followers wait on the channel they snapshotted.
+	// notify is what a blocked Follow waits on: made by the first follower
+	// that finds nothing new, closed and dropped when the followable frontier
+	// advances, so an advance nobody waits for makes no channel.
 	notify chan struct{}
 
 	// sealed is every non-active segment: firstLSN -> lastLSN,
@@ -339,7 +340,6 @@ func Open(dir string, opts Options) (*WAL, error) {
 		fs:     opts.FS,
 		sealed: map[uint64]uint64{},
 		done:   make(chan struct{}),
-		notify: make(chan struct{}),
 	}
 	if err := w.recover(); err != nil {
 		return nil, err
@@ -677,12 +677,12 @@ func (w *WAL) appendLocked(typ RecordType, payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	w.frame = w.frame[:0]
-	w.frame = binary.LittleEndian.AppendUint32(w.frame, uint32(len(payload)))
-	sum := crc32.Update(crc32.Checksum([]byte{byte(typ)}, castagnoli), castagnoli, payload)
-	w.frame = binary.LittleEndian.AppendUint32(w.frame, sum)
-	w.frame = append(w.frame, byte(typ))
+	// The checksum covers the type byte and the payload, read back from the
+	// frame once they are in it.
+	w.frame = binary.LittleEndian.AppendUint32(w.frame[:0], uint32(len(payload)))
+	w.frame = append(w.frame, 0, 0, 0, 0, byte(typ))
 	w.frame = append(w.frame, payload...)
+	binary.LittleEndian.PutUint32(w.frame[4:8], crc32.Checksum(w.frame[8:], castagnoli))
 	if _, err := w.f.Write(w.frame); err != nil {
 		// Rewind past any partially written frame bytes: a later
 		// successful, fsynced append must never sit behind garbage, or
@@ -765,10 +765,13 @@ func (w *WAL) syncLocked() error {
 }
 
 // wakeFollowersLocked signals every waiting Follow that the followable
-// frontier moved, via the close-and-replace channel idiom.
+// frontier moved, by closing the channel they wait on; the next follower to
+// block makes a new one (waitFollowable).
 func (w *WAL) wakeFollowersLocked() {
-	close(w.notify)
-	w.notify = make(chan struct{})
+	if w.notify != nil {
+		close(w.notify)
+		w.notify = nil
+	}
 }
 
 // followableLocked is the highest LSN a follower may be handed. Under
@@ -936,11 +939,15 @@ func (w *WAL) waitFollowable(next uint64, stop <-chan struct{}) (uint64, error) 
 			return 0, ErrClosed
 		}
 		frontier := w.followableLocked()
-		ch := w.notify
-		w.mu.Unlock()
 		if frontier >= next {
+			w.mu.Unlock()
 			return frontier, nil
 		}
+		if w.notify == nil {
+			w.notify = make(chan struct{})
+		}
+		ch := w.notify
+		w.mu.Unlock()
 		select {
 		case <-ch:
 		case <-stop:

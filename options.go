@@ -3,7 +3,6 @@ package correlated
 import (
 	"cmp"
 	"errors"
-	"sync"
 
 	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/core"
@@ -95,16 +94,6 @@ type dual struct {
 	pred Predicate
 }
 
-// mirrors holds the GE direction's mirrored batches between applies. A batch
-// is mirrored, applied and done with inside one addBatchDirs, so the mirror
-// is no summary's state: however many summaries a process drives, they share
-// what the applies in flight need.
-var mirrors = sync.Pool{New: func() any { return new([]Tuple) }}
-
-// maxPooledMirror is the largest mirror kept for reuse, in tuples: 4 MiB, the
-// bound corrd puts on its own long-lived scratch.
-const maxPooledMirror = 4 << 20 / 24
-
 func newDual(agg core.Aggregate, o Options) (*dual, error) {
 	d := &dual{pred: o.Predicate, ymax: dyadic.RoundYMax(o.YMax)}
 	cfg := o.coreConfig()
@@ -152,22 +141,24 @@ func (d *dual) add(x, y uint64, w int64) error {
 const parallelBatchMin = 64
 
 // addBatch feeds a batch through the underlying summaries' amortized
-// batched path. The batch is sorted by y in place; when the GE direction
-// is enabled its mirrored copy lives in a pooled scratch slice (mirrors).
+// batched path. The batch is sorted by y in place, and both directions read
+// that one sorted batch: GE walks its equal-y runs from last to first with
+// each y mirrored (core.Summary.AddSortedMirrored), so no copy is made.
 func (d *dual) addBatch(batch []Tuple) error {
 	return d.addBatchDirs(batch, len(batch) >= parallelBatchMin)
 }
 
 // addBatchDirs is addBatch with the LE‖GE choice made by the caller.
-// The two directions share nothing — own core.Summary, own maker and
-// seed, and the GE side reads only the mirrored copy, which is taken
-// from the y-sorted order before either side inserts — so the state
-// parallel leaves is the state the sequential order leaves, bit for bit.
-// The batch is sorted by y whichever directions are on (SortBatch touches
-// no summary), so the state a batch leaves is a function of that sorted
-// order under every Predicate: a batch handed over already sorted — as
-// corrd's log holds it — leaves the bytes the original does. Every tuple
-// is validated before either summary changes.
+// The two directions share nothing but the sorted batch, which neither
+// writes — own core.Summary, own maker and seed — so the state parallel
+// leaves is the state the sequential order leaves, bit for bit. The batch
+// is sorted by y whichever directions are on (SortBatch touches no
+// summary), so the state a batch leaves is a function of that sorted order
+// under every Predicate: a batch handed over already sorted — as corrd's
+// log holds it — leaves the bytes the original does. Inside an equal-y run
+// GE applies the tuples in the batch's order, as LE does; only Fk's state
+// depends on that order. Every tuple is validated before either summary
+// changes.
 func (d *dual) addBatchDirs(batch []Tuple, parallel bool) error {
 	for i := range batch {
 		if batch[i].Y > d.ymax {
@@ -179,35 +170,23 @@ func (d *dual) addBatchDirs(batch []Tuple, parallel bool) error {
 			return err
 		}
 	}
-	var geDone chan error
+	var geDone chan struct{}
 	if d.ge != nil {
-		mp := mirrors.Get().(*[]Tuple)
-		if cap(*mp) < len(batch) {
-			*mp = make([]Tuple, len(batch))
-		}
-		// Handed back once the GE side is done with it: a return below waits
-		// for geDone before this runs.
-		defer func() {
-			if cap(*mp) <= maxPooledMirror {
-				mirrors.Put(mp)
-			}
-		}()
-		mir := (*mp)[:len(batch)]
-		for i, t := range batch {
-			mir[i] = Tuple{X: t.X, Y: d.ymax - t.Y, W: t.W}
-		}
 		if parallel && d.le != nil {
-			geDone = make(chan error, 1)
-			go func() { geDone <- d.ge.AddBatch(mir) }()
-		} else if err := d.ge.AddBatch(mir); err != nil {
-			return err
+			geDone = make(chan struct{})
+			go func() {
+				d.ge.AddSortedMirrored(batch)
+				close(geDone)
+			}()
+		} else {
+			d.ge.AddSortedMirrored(batch)
 		}
 	}
 	if d.le != nil {
 		d.le.AddSorted(batch)
 	}
 	if geDone != nil {
-		return <-geDone
+		<-geDone
 	}
 	return nil
 }

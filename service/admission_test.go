@@ -152,8 +152,8 @@ func refusedWriteCase(t *testing.T, withSnapshot bool) {
 		{"ingest shed by IngestQueueMax", "ghost-shed", func(key string) int {
 			// Hold the driver lock so the committer stalls inside the first
 			// job's group and the second fills the queue to its bound.
-			first := &ingestJob{tuples: testStream(10, 5), done: make(chan struct{}, 1)}
-			second := &ingestJob{tuples: testStream(10, 6), done: make(chan struct{}, 1)}
+			first := ingestOf("", testStream(10, 5))
+			second := ingestOf("", testStream(10, 6))
 			queued := func() int {
 				svc.pipe.mu.Lock()
 				defer svc.pipe.mu.Unlock()

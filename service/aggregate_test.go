@@ -226,7 +226,7 @@ func TestFkTieOrderThroughTheLog(t *testing.T) {
 			for i := range tuples {
 				tuples[i] = correlated.Tuple{X: rng.Uint64n(1 << 12), Y: rng.Uint64n(5) * 40, W: int64(1 + rng.Uint64n(6))}
 			}
-			group = append(group, &ingestJob{key: []byte(name), tuples: tuples, done: make(chan struct{}, 1)})
+			group = append(group, ingestOf(name, tuples))
 			concat[name] = append(concat[name], tuples...)
 		}
 		svc.commitGroup(group)

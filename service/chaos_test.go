@@ -403,7 +403,7 @@ func TestChaosFailedBarrierNacksItsDemanders(t *testing.T) {
 				t.Fatal(err)
 			}
 			inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
-			batch := &ingestJob{tuples: testStream(300, 1), done: make(chan struct{}, 1)}
+			batch := ingestOf("", testStream(300, 1))
 			barrier := &ingestJob{op: opBarrier, done: make(chan struct{}, 1)}
 			svc.commitGroup([]*ingestJob{batch, barrier})
 			<-batch.done
@@ -443,13 +443,13 @@ func TestChaosUnappliedRecordStopsTheApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := svc.appliedLSN.Load()
-	bad := &ingestJob{tuples: []correlated.Tuple{{X: 1, Y: cfg.Options.YMax + 1, W: 1}}, done: make(chan struct{}, 1)}
+	bad := ingestOf("", []correlated.Tuple{{X: 1, Y: cfg.Options.YMax + 1, W: 1}})
 	svc.commitGroup([]*ingestJob{bad})
 	<-bad.done
 	if bad.kind != ingestErrEngine || !svc.healthDegraded() {
 		t.Fatalf("a logged record that failed to apply: kind %d, degraded %t", bad.kind, svc.healthDegraded())
 	}
-	good := &ingestJob{tuples: testStream(50, 2), done: make(chan struct{}, 1)}
+	good := ingestOf("", testStream(50, 2))
 	svc.commitGroup([]*ingestJob{good})
 	<-good.done
 	if !errors.Is(good.err, errStateBehindLog) {

@@ -351,7 +351,7 @@ func TestForwardSplitsForASmallBodyCap(t *testing.T) {
 		t.Fatalf("the site counted %d refusals; a forward too large for the coordinator is split, not refused", refused)
 	}
 
-	if err := rig.site.commit(&ingestJob{tuples: testStream(40000, 7)}); err != nil {
+	if err := rig.site.commit(ingestOf("", testStream(40000, 7))); err != nil {
 		t.Fatal(err)
 	}
 	var st client.Stats
@@ -415,7 +415,7 @@ func TestSiteRefusesUnsentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 8; i++ {
-		if err := svc.commit(&ingestJob{tuples: testStream(100, i)}); err != nil {
+		if err := svc.commit(ingestOf("", testStream(100, i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -93,7 +93,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i, name := range []string{"", "acme", "beta"} {
-		if err := svc.commit(&ingestJob{key: []byte(name), tuples: testStream(200, uint64(i+1))}); err != nil {
+		if err := svc.commit(ingestOf(name, testStream(200, uint64(i+1)))); err != nil {
 			f.Fatal(err)
 		}
 	}

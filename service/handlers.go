@@ -84,14 +84,13 @@ func pooledBytes(b []byte) []byte {
 }
 
 // putDecodeState recycles d unless a large request inflated it. The
-// job's tuple reference is always dropped: it aliases d.tuples, and
+// job's references are always dropped: its member aliases d.body, and
 // leaving it set would keep an oversized backing array alive through
-// the pool even after the trim below released d.tuples itself.
+// the pool even after the trim below released d.body itself.
 func (s *Server) putDecodeState(d *decodeState) {
-	d.job.tuples, d.job.image, d.job.key, d.job.recs, d.job.tn, d.job.err = nil, nil, nil, nil, nil, nil
-	d.job.lsn, d.streamSeq = 0, 0
+	d.job.member, d.job.image, d.job.key, d.job.recs, d.job.tn, d.job.err = nil, nil, nil, nil, nil, nil
+	d.job.n, d.job.lsn, d.streamSeq = 0, 0, 0
 	d.body = pooledBytes(d.body)
-	d.tuples = pooledTuples(d.tuples)
 	s.dec.Put(d)
 }
 
@@ -249,7 +248,9 @@ func (s *Server) commitRequest(w http.ResponseWriter, r *http.Request, errs *cou
 
 // handleIngest accepts a batch of tuples — the binary tupleio stream
 // from the Go client, or text lines "x,y[,w]" for curl-friendly ingest —
-// and hands it to the commit pipeline: a rejected batch has ingested
+// and hands it to the commit pipeline as a counted batch, the one form a
+// queued member takes: the binary body gains the count in front of its
+// records, the text is parsed and encoded. A rejected batch has ingested
 // nothing.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ingestRequests.Inc()
@@ -269,36 +270,37 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = strings.TrimSpace(ct[:i])
 	}
-	var err error
 	switch ct {
 	case tupleio.ContentType, "application/octet-stream", "":
-		d.tuples, err = tupleio.Decode(d.tuples, d.body)
+		d.body = tupleio.Counted(d.body)
 	case "text/csv", "text/plain":
-		d.tuples, err = parseTextTuples(d.tuples, d.body)
+		tuples, err := parseTextTuples(nil, d.body)
+		if err != nil {
+			s.nack(w, errs, ingestErrValidate, err)
+			return
+		}
+		d.body = tupleio.AppendCountedBatch(d.body[:0], tuples)
 	default:
 		errs.Inc()
 		s.httpError(w, http.StatusUnsupportedMediaType,
 			fmt.Errorf("unsupported Content-Type %q (want %s or text/csv)", ct, tupleio.ContentType))
 		return
 	}
-	if err != nil {
-		s.nack(w, errs, ingestErrValidate, err)
-		return
-	}
 	// The committer logs the whole group behind one WAL fsync and then
 	// applies it under one driver-lock section: under concurrent clients
 	// the per-request ack cost is the group's divided by its size.
-	d.job.op, d.job.tuples = opIngest, d.tuples
+	d.job.op, d.job.member = opIngest, d.body
 	if !s.commitRequest(w, r, errs, &d.job) {
 		return
 	}
-	s.metrics.tuplesIngested.Add(uint64(len(d.tuples)))
-	d.job.tn.tuplesIngested.Add(uint64(len(d.tuples)))
-	writeJSON(w, http.StatusOK, map[string]uint64{"tuples": uint64(len(d.tuples))})
+	s.metrics.tuplesIngested.Add(uint64(d.job.n))
+	d.job.tn.tuplesIngested.Add(uint64(d.job.n))
+	writeJSON(w, http.StatusOK, map[string]uint64{"tuples": uint64(d.job.n)})
 }
 
 // parseTextTuples parses newline-separated "x,y" or "x,y,w" records
-// (blank lines and #-comments ignored) into dst.
+// (blank lines and #-comments ignored) into dst. A negative weight is
+// refused here: the counted form the batch is queued as has none.
 func parseTextTuples(dst []correlated.Tuple, body []byte) ([]correlated.Tuple, error) {
 	dst = dst[:0]
 	for lineNo, line := range strings.Split(string(body), "\n") {
@@ -322,6 +324,9 @@ func parseTextTuples(dst []correlated.Tuple, body []byte) ([]correlated.Tuple, e
 		if len(parts) == 3 {
 			if t.W, err = strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 64); err != nil {
 				return dst[:0], fmt.Errorf("line %d: bad weight: %w", lineNo+1, err)
+			}
+			if t.W < 0 {
+				return dst[:0], fmt.Errorf("line %d: weight must be positive, got %d", lineNo+1, t.W)
 			}
 		}
 		dst = append(dst, t)
@@ -519,7 +524,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	finishLedger(mem, accounted)
+	mem.QueuedMemberBytes = s.queuedMemberBytes()
+	finishLedger(mem, accounted+mem.QueuedMemberBytes)
 	if named {
 		tn.touch()
 	}

@@ -17,10 +17,12 @@ import (
 //	heap + off-heap runtime − released + file     ≈  VmRSS
 //
 // The first line's left side is what the tenants' summaries keep
-// (correlated.Footprint, running counts) and what the commit pipeline keeps
-// between groups; its remainder is the decode buffers of requests and stream
-// frames, in flight or waiting in a sync.Pool, the pooled GE mirror, the
-// tenants' answer memos and registry, and the HTTP, stream and log state. The second line is the runtime's own split
+// (correlated.Footprint, running counts), what the commit pipeline keeps
+// between groups and the buffers of the ingest members waiting in its queue;
+// its remainder is the buffers of requests and stream frames the committer
+// has taken and not yet acknowledged or that wait in a sync.Pool, the
+// tenants' answer memos and registry, and the HTTP, stream and log state.
+// The second line is the runtime's own split
 // (runtime/metrics, which reads without stopping the world) against the
 // kernel's figure; its remainder is pages the runtime has mapped and never
 // touched (negative) or memory outside the runtime's books.
@@ -118,6 +120,20 @@ func (s *Server) memoryLedgerLocked(named *tenant) (m *client.Memory, accounted 
 		GroupBufBytes: int64(cap(s.groupBuf)),
 	}
 	return m, all.Total() + spilledAll + m.ApplyBufBytes + m.GroupBufBytes
+}
+
+// queuedMemberBytes is what the ingest members waiting in the commit queue
+// hold: the buffers they arrived in (capacities). It takes the queue's lock
+// alone.
+func (s *Server) queuedMemberBytes() int64 {
+	p := &s.pipe
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for _, j := range p.queue {
+		n += int64(cap(j.member))
+	}
+	return n
 }
 
 // finishLedger adds the runtime's and the kernel's figures and the two

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	rtmetrics "runtime/metrics"
 	"testing"
+	"time"
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
@@ -264,5 +265,50 @@ func TestFootprintAtCommitIsFreeOrAskedFor(t *testing.T) {
 		if !tc.follow && got != atNew {
 			t.Errorf("%s, cap %d: tenant bytes moved from %d to %d at a commit that should not have walked", tc.agg, tc.cap, atNew, got)
 		}
+	}
+}
+
+// TestQueuedMembersStayEncoded: a queued ingest member holds the counted
+// batch it arrived in and no tuples, and the ledger's queued_member_bytes is
+// the buffers of the members waiting in the commit queue — the committer,
+// stalled here behind the driver lock inside the first job's group, has not
+// taken the second — and reads zero once the queue drains.
+func TestQueuedMembersStayEncoded(t *testing.T) {
+	svc, ts, _ := newTestServer(t, Config{Options: testOptions()})
+	first, second := ingestOf("", testStream(10, 5)), ingestOf("", testStream(300, 6))
+	queued := func() int {
+		svc.pipe.mu.Lock()
+		defer svc.pipe.mu.Unlock()
+		return len(svc.pipe.queue)
+	}
+	svc.mu.Lock()
+	if !svc.enqueue(first) {
+		t.Fatalf("enqueue: %v", first.err)
+	}
+	waitUntil(t, 10*time.Second, "the committer to take the first job", func() bool { return queued() == 0 })
+	if !svc.enqueue(second) {
+		t.Fatalf("enqueue: %v", second.err)
+	}
+	held := svc.queuedMemberBytes()
+	svc.mu.Unlock()
+	<-first.done
+	<-second.done
+	if want := int64(cap(second.member)); held != want || second.n != 300 {
+		t.Fatalf("one queued member of %d bytes (%d tuples counted): queued_member_bytes %d", want, second.n, held)
+	}
+	if first.kind != ingestOK || second.kind != ingestOK || svc.Engine().Count() != 310 {
+		t.Fatalf("outcomes %d, %d; %d tuples applied, want 310", first.kind, second.kind, svc.Engine().Count())
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st client.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Memory == nil || st.Memory.QueuedMemberBytes != 0 {
+		t.Fatalf("a drained queue: memory %+v, want queued_member_bytes 0", st.Memory)
 	}
 }

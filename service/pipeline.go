@@ -32,10 +32,12 @@ import (
 // everything queued (up to the group caps) and commits it log first. Under
 // s.mu it decides each job's record (decideLocked): a maximal run
 // of ingest jobs is one record of a batch per touched tenant — its admitted
-// members concatenated in commit order, then sorted by y outside the lock
-// (core.SortByY; wal.go's third invariant) — a member a governance cap
-// refuses is left out, and so is a forward its site's mark says is a
-// duplicate. Outside the lock it appends the records and runs one Sync over
+// members decoded in commit order into the committer's one buffer, then
+// sorted by y, both outside the lock (gatherRun, core.SortByY; wal.go's
+// third invariant) — a member a governance cap refuses is left out, and so
+// is a forward its site's mark says is a duplicate. A queued ingest member
+// is the counted batch it arrived as, so its tuples exist once, in that
+// buffer. Outside the lock it appends the records and runs one Sync over
 // them, the barrier under -wal-fsync=always, which when it fails has rewound
 // them all. Under the lock again it applies exactly the records the log still
 // holds, in LSN order, through the applies replay and a replica run,
@@ -126,12 +128,16 @@ var recordType = [...]wal.RecordType{
 // record (0 without a WAL). key names the tenant an ingest or a push
 // addresses (empty: the default tenant); tn is that tenant once the commit
 // applied the job, and stays nil for a forward the commit dropped as a
-// duplicate. A forward's image is the records of the site's log it
-// carries, and recs what admission decoded of them (aliasing image) —
-// after the decide, the ones it admitted. The committer only reads tuples.
+// duplicate. An ingest's member is its tuples as a counted batch
+// (tupleio.AppendCountedBatch), the bytes it arrived in, and n the tuples
+// admission counted in it; the committer decodes it once, into the group's
+// buffer, and only reads it. A forward's image is the records of the site's
+// log it carries, and recs what admission decoded of them (aliasing image)
+// — after the decide, the ones it admitted.
 type ingestJob struct {
 	op     jobOp
-	tuples []correlated.Tuple
+	member []byte
+	n      int
 	image  []byte
 	key    []byte
 	site   uint64
@@ -172,8 +178,10 @@ const defaultGroupMax = 256
 // enqueue is the one admission: it hands a job to the committer — the
 // caller then blocks on j.done — or refuses it, with its outcome set. A
 // client's job must carry a valid tenant key and what its apply takes:
-// tuples a summary's AddBatch accepts — checked per member, so a bad one is
-// rejected alone, not with the batch it would have ridden in — an image
+// a member whose tuples a summary's AddBatch accepts — decoded one record at
+// a time and kept as its bytes (tupleio.CheckCounted), checked per member,
+// so a bad one is rejected alone, not with the batch it would have ridden
+// in — an image
 // that decodes as this server's summary, or a forwarded record made of
 // those (validateForward). It is shed when the queue is at IngestQueueMax —
 // a push or a forward before it is decoded — so a shed request costs no
@@ -196,7 +204,7 @@ func (s *Server) enqueue(j *ingestJob) bool {
 		switch {
 		case j.err != nil:
 		case j.op == opIngest:
-			j.err = s.validateBatch(j.tuples)
+			j.n, j.err = tupleio.CheckCounted(j.member, s.cfg.Options.YMax)
 		case j.op == opPush:
 			j.err = s.validateImage(j.image)
 		default:
@@ -284,7 +292,7 @@ func (s *Server) committer() {
 		}
 		take, total := 0, 0
 		for ; take < n; take++ {
-			total += len(p.queue[take].tuples)
+			total += p.queue[take].n
 			if take > 0 && total > maxGroupTuples {
 				break
 			}
@@ -325,8 +333,8 @@ func (s *Server) validateBatch(batch []correlated.Tuple) error {
 }
 
 // tenantBatch is one tenant's one AddBatch of an ingest record, sorted by
-// y: live, a span of the committer's scratch (Server.applyBuf); on replay,
-// what the record decodes into.
+// y: live, a span of the committer's scratch (Server.applyBuf) its members
+// decode into; on replay, what the record decodes into.
 type tenantBatch struct {
 	key    []byte
 	tuples []correlated.Tuple
@@ -344,15 +352,15 @@ type groupRecord struct {
 // decideLocked turns a group into its records, in queue order: a record
 // per maximal run of ingest jobs, and one per other job that writes one.
 // A member whose key may not name a tenant (admitLocked) is refused alone
-// and left out. It changes no engine and no registry; the batches are
-// still unsorted. Callers hold s.mu.
+// and left out. It changes no engine and no registry; a run's batches name
+// their tenants and hold no tuples yet (gatherRun). Callers hold s.mu.
 func (s *Server) decideLocked(group []*ingestJob) []groupRecord {
 	total := 0
 	for _, j := range group {
-		total += len(j.tuples)
+		total += j.n
 	}
 	// Sized once, so a tenant's span is not moved by a later tenant's.
-	buf := slices.Grow(s.applyBuf[:0], total)
+	s.applyBuf = slices.Grow(s.applyBuf[:0], total)
 	recs := s.records[:0]
 	var made [][]byte
 	for i := 0; i < len(group); {
@@ -366,7 +374,7 @@ func (s *Server) decideLocked(group []*ingestJob) []groupRecord {
 		r.jobs, r.batches, r.lsn = group[i:end], r.batches[:0], 0
 		var keep bool
 		if group[i].op == opIngest {
-			buf, keep = s.decideRunLocked(r, buf, &made)
+			keep = s.decideRunLocked(r, &made)
 		} else {
 			keep = s.decideJobLocked(group[i], recs[:len(recs)-1], &made)
 		}
@@ -375,15 +383,14 @@ func (s *Server) decideLocked(group []*ingestJob) []groupRecord {
 		}
 		i = end
 	}
-	s.applyBuf, s.records = buf, recs
+	s.records = recs
 	return recs
 }
 
-// decideRunLocked admits a run of ingest jobs and gathers its batches: per
-// touched tenant, the admitted members concatenated in commit order into
-// buf — a member's own slice is only read. It reports whether any member
-// was admitted. Callers hold s.mu.
-func (s *Server) decideRunLocked(r *groupRecord, buf []correlated.Tuple, made *[][]byte) ([]correlated.Tuple, bool) {
+// decideRunLocked admits a run of ingest jobs and names its batches, one per
+// touched tenant in first-touch order. It reports whether any member was
+// admitted. Callers hold s.mu.
+func (s *Server) decideRunLocked(r *groupRecord, made *[][]byte) bool {
 	for _, j := range r.jobs {
 		if j.kind, j.err = s.admitLocked(j.key, made); j.kind != ingestOK {
 			continue
@@ -392,17 +399,31 @@ func (s *Server) decideRunLocked(r *groupRecord, buf []correlated.Tuple, made *[
 			r.batches = append(r.batches, tenantBatch{key: j.key})
 		}
 	}
+	return len(r.batches) > 0
+}
+
+// gatherRun fills a decided run's batches: per tenant, its admitted members
+// decoded in commit order onto buf — the committer's scratch, which the
+// decide sized for the group — and returns buf. A member's bytes are only
+// read. Admission decoded each member whole, so one that fails here is a
+// bug, never an input: it is refused alone, as the apply's failures are.
+// It takes no lock: the buffer and the decided run are the committer's.
+func gatherRun(r *groupRecord, buf []correlated.Tuple) []correlated.Tuple {
 	for k := range r.batches {
 		b := &r.batches[k]
 		lo := len(buf)
 		for _, j := range r.jobs {
-			if j.kind == ingestOK && bytes.Equal(j.key, b.key) {
-				buf = append(buf, j.tuples...)
+			if j.kind != ingestOK || !bytes.Equal(j.key, b.key) {
+				continue
+			}
+			var err error
+			if buf, err = tupleio.AppendCounted(buf, j.member); err != nil {
+				j.err, j.kind = fmt.Errorf("service: an admitted member failed to decode: %w", err), ingestErrEngine
 			}
 		}
 		b.tuples = buf[lo:]
 	}
-	return buf, len(r.batches) > 0
+	return buf
 }
 
 // decideJobLocked decides a job that is not an ingest batch and reports
@@ -524,9 +545,13 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	w := s.walRef()
 	s.mu.Lock()
 	recs := s.decideLocked(group)
+	buf := s.applyBuf[:0]
 	s.mu.Unlock()
-	ingest := false // the batches are the committer's scratch: the sort needs no lock
+	// The batches are the committer's scratch: the decode and the sort need
+	// no lock.
+	ingest := false
 	for i := range recs {
+		buf = gatherRun(&recs[i], buf)
 		for _, b := range recs[i].batches {
 			core.SortByY(b.tuples)
 			ingest = true
@@ -535,10 +560,10 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	// Records awaiting the barrier, a job demanding one whatever the policy.
 	var pending, force bool
 	var walErr, syncErr error
-	buf := s.groupBuf
+	enc := s.groupBuf
 	for i := 0; w != nil && i < len(recs); i++ {
 		var err error
-		if buf, recs[i].lsn, err = appendRecord(w, buf[:0], &recs[i]); err != nil {
+		if enc, recs[i].lsn, err = appendRecord(w, enc[:0], &recs[i]); err != nil {
 			nackJobs(recs[i].jobs, err, ingestErrWAL)
 			walErr = cmp.Or(walErr, err)
 		}
@@ -615,7 +640,7 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	if applied {
 		s.metrics.stages[stageApply].Observe(time.Since(applyStart).Seconds())
 	}
-	s.applyBuf, s.groupBuf = pooledTuples(s.applyBuf), pooledBytes(buf)
+	s.applyBuf, s.groupBuf = pooledTuples(s.applyBuf), pooledBytes(enc)
 	s.mu.Unlock()
 
 	if applied {
@@ -636,7 +661,7 @@ func (s *Server) commitGroup(group []*ingestJob) {
 			s.metrics.stages[stageEnqueue].Observe(dequeued.Sub(j.enqueuedAt).Seconds())
 			if j.kind == ingestOK {
 				members++
-				tuples += len(j.tuples)
+				tuples += j.n
 			}
 		}
 		if members > 0 && (i+1 == len(group) || group[i+1].op != opIngest) {

@@ -265,14 +265,13 @@ func newEngine(cfg *Config) (Engine, error) {
 func (c *Config) countsBytes() bool { return c.aggregate() == "f2" }
 
 // decodeState is one pooled set of ingest scratch buffers: the raw
-// body (or stream frame payload), the decoded tuple batch, and the
-// commit-pipeline job (whose done channel is reused), recycled across
-// requests so the steady-state ingest path does not allocate per
+// body (or stream frame payload) — an ingest job's member aliases it —
+// and the commit-pipeline job (whose done channel is reused), recycled
+// across requests so the steady-state ingest path does not allocate per
 // request. The HTTP handlers and the stream readers share one pool —
-// the same buffers serve both transports (the PR's pooling audit).
+// the same buffers serve both transports.
 type decodeState struct {
 	body      []byte
-	tuples    []correlated.Tuple
 	streamSeq uint64 // stream transport only: the frame's client seq
 	job       ingestJob
 }

@@ -45,6 +45,13 @@ func testStream(n int, seed uint64) []correlated.Tuple {
 	return batch
 }
 
+// ingestOf is an ingest job for the tenant named key carrying tuples as a
+// queued member carries them: a counted batch, with the count admission sets.
+func ingestOf(key string, tuples []correlated.Tuple) *ingestJob {
+	member := tupleio.AppendCountedBatch(nil, tuples)
+	return &ingestJob{key: []byte(key), member: member, n: len(tuples), done: make(chan struct{}, 1)}
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *client.Client) {
 	t.Helper()
 	svc, err := New(cfg)

@@ -14,9 +14,10 @@ import (
 // Streaming ingest: the wire-speed alternative to POST /v1/ingest. A
 // client opens one TCP connection to the -stream-addr listener, sends a
 // fixed-size hello, and then pumps length-framed counted tuple batches
-// back-to-back; the server decodes each frame straight into the same
-// pooled decodeState buffers the HTTP handlers recycle, enqueues the
-// batch on the commit pipeline (pipeline.go — the identical group
+// back-to-back; the server reads each frame into the same pooled
+// decodeState buffers the HTTP handlers recycle, checks the batch there
+// (admission decodes it a record at a time and keeps it as its bytes),
+// enqueues it on the commit pipeline (pipeline.go — the identical group
 // commit, WAL record, and fsync the HTTP path rides), and returns
 // fixed-size acks (client seq, group LSN, status) asynchronously on the
 // same connection. The client pipelines frames ahead of the acks, so
@@ -25,7 +26,7 @@ import (
 //
 // Per connection there are two goroutines. The reader owns the receive
 // side: hello, then a frame loop that reads into a pooled decodeState,
-// decodes, enqueues, and hands the state to the acker through a bounded
+// enqueues, and hands the state to the acker through a bounded
 // in-flight channel (the bound is the connection's pipelining window —
 // when the committer falls behind, the reader blocks and TCP pushes the
 // backpressure to the client). The acker owns the send side: it waits
@@ -33,8 +34,9 @@ import (
 // enqueue order, so a frame's ack can never overtake an earlier
 // frame's — writes the ack, and recycles the decodeState into the
 // shared pool. Steady state allocates nothing per frame: the header
-// scratch lives in the FrameReader, payload and tuple buffers round-
-// trip through the pool, and acks are written from a fixed buffer.
+// scratch lives in the FrameReader, payload buffers round-trip through
+// the pool, a queued frame holds no tuples (the committer decodes it into
+// its own buffer), and acks are written from a fixed buffer.
 //
 // Durability semantics are exactly the HTTP path's: an AckOK frame is
 // applied and, with -wal-fsync=always, durable behind the group fsync
@@ -255,29 +257,30 @@ func (s *Server) serveStreamConn(c net.Conn) {
 			nackFrame(inflight, d, kind, err)
 			continue
 		}
+		// The frame's counted batch is the job's member as it is: the key
+		// and the member alias d.body, which stays untouched until the ack.
+		// The commit resolves the key, and a governance cap's refusal is
+		// this frame's ack while other tenants' keep committing.
+		d.job.op, d.job.member = opIngest, d.body
 		if keyed {
-			// Keyed frame: tenant prefix, then the counted batch. The
-			// decoded key aliases d.body, which stays untouched until the
-			// ack; the commit resolves it, and a governance cap's refusal
-			// is this frame's ack while other tenants' keep committing.
-			d.job.key, d.tuples, err = tupleio.DecodeKeyed(d.tuples, d.body)
-		} else {
-			d.tuples, err = tupleio.DecodeCounted(d.tuples, d.body)
+			if d.job.key, d.job.member, err = tupleio.DecodeTenantPrefix(d.body); err != nil {
+				// Framing is intact — only this payload is bad.
+				s.metrics.streamFrameErrors.Inc()
+				nackFrame(inflight, d, ingestErrValidate, err)
+				continue
+			}
 		}
-		if err != nil {
-			// Framing is intact — only this payload is bad.
-			s.metrics.streamFrameErrors.Inc()
-			nackFrame(inflight, d, ingestErrValidate, err)
-			continue
-		}
-		d.job.op, d.job.tuples = opIngest, d.tuples
 		if s.enqueue(&d.job) {
 			inflight <- d
 			continue
 		}
-		// Invalid (this batch only), shed (the queue bound is transient
-		// backpressure, not a conn problem) or shutting down (the read
-		// side is over).
+		// Invalid (this batch only; a malformed payload counts as a frame
+		// error, the framing being intact), shed (the queue bound is
+		// transient backpressure, not a conn problem) or shutting down (the
+		// read side is over).
+		if errors.Is(d.job.err, tupleio.ErrBadStream) {
+			s.metrics.streamFrameErrors.Inc()
+		}
 		draining := d.job.kind == ingestErrShutdown
 		nackFrame(inflight, d, d.job.kind, d.job.err)
 		if draining {
@@ -316,8 +319,8 @@ func (s *Server) streamAcker(c net.Conn, connID string, inflight <-chan *decodeS
 		status := o.ack
 		if d.job.kind == ingestOK {
 			s.metrics.streamFrames.Inc()
-			s.metrics.streamTuples.Add(uint64(len(d.job.tuples)))
-			d.job.tn.tuplesIngested.Add(uint64(len(d.job.tuples)))
+			s.metrics.streamTuples.Add(uint64(d.job.n))
+			d.job.tn.tuplesIngested.Add(uint64(d.job.n))
 		} else if o.count != nil {
 			o.count(s.metrics).Inc()
 		}

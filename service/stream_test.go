@@ -448,8 +448,9 @@ func TestStreamGracefulDrain(t *testing.T) {
 
 // BenchmarkStreamDecode measures the per-frame server decode path at
 // steady state — frame header + payload read into a reused buffer, then
-// the counted batch decode — the path the ≥3×-over-HTTP target rides.
-// The contract is ~0 allocs/op (asserted by TestStreamDecodeZeroAlloc).
+// admission's check of the counted batch, which keeps it as its bytes —
+// the path the ≥3×-over-HTTP target rides. The contract is ~0 allocs/op
+// (asserted by TestStreamDecodeZeroAlloc).
 func BenchmarkStreamDecode(b *testing.B) {
 	svc, err := New(Config{Options: testOptions()})
 	if err != nil {
@@ -473,7 +474,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		d.body = out
-		if d.tuples, err = tupleio.DecodeCounted(d.tuples, d.body); err != nil {
+		if _, err = tupleio.CheckCounted(d.body, svc.cfg.Options.YMax); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -501,20 +502,20 @@ func TestStreamDecodeZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.body = out
-		if d.tuples, err = tupleio.DecodeCounted(d.tuples, d.body); err != nil {
+		if _, err = tupleio.CheckCounted(d.body, svc.cfg.Options.YMax); err != nil {
 			t.Fatal(err)
 		}
 	}
-	decode() // warm up: grow payload and tuple buffers once
+	decode() // warm up: grow the payload buffer once
 	if allocs := testing.AllocsPerRun(100, decode); allocs > 0 {
 		t.Fatalf("steady-state frame decode costs %.1f allocs/op, want 0", allocs)
 	}
 }
 
 // BenchmarkHTTPIngestDecode is the pooling-audit counterpart for the
-// HTTP path: body copy into the pooled buffer plus the tuple decode,
-// exactly what handleIngest does between readBody and enqueue. Same
-// pooled decodeState, same ~0 allocs/op contract
+// HTTP path: body copy into the pooled buffer, the count put in front of
+// its records (what handleIngest does between readBody and enqueue), and
+// admission's check. Same pooled decodeState, same ~0 allocs/op contract
 // (TestHTTPIngestDecodeZeroAlloc).
 func BenchmarkHTTPIngestDecode(b *testing.B) {
 	svc, err := New(Config{Options: testOptions()})
@@ -529,8 +530,8 @@ func BenchmarkHTTPIngestDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.body = append(d.body[:0], body...)
-		if d.tuples, err = tupleio.Decode(d.tuples, d.body); err != nil {
+		d.body = tupleio.Counted(append(d.body[:0], body...))
+		if _, err = tupleio.CheckCounted(d.body, svc.cfg.Options.YMax); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -549,9 +550,8 @@ func TestHTTPIngestDecodeZeroAlloc(t *testing.T) {
 	d := svc.dec.Get().(*decodeState)
 	defer svc.putDecodeState(d)
 	decode := func() {
-		d.body = append(d.body[:0], body...)
-		var err error
-		if d.tuples, err = tupleio.Decode(d.tuples, d.body); err != nil {
+		d.body = tupleio.Counted(append(d.body[:0], body...))
+		if _, err := tupleio.CheckCounted(d.body, svc.cfg.Options.YMax); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -573,10 +573,10 @@ func TestPutDecodeStateClearsStreamFields(t *testing.T) {
 	d := svc.dec.Get().(*decodeState)
 	d.streamSeq = 9
 	d.job.lsn = 7
-	d.job.tuples = []correlated.Tuple{{X: 1, Y: 1, W: 1}}
+	d.job.member, d.job.n = []byte{1, 1, 1, 1}, 1
 	svc.putDecodeState(d)
-	if d.streamSeq != 0 || d.job.lsn != 0 || d.job.tuples != nil {
-		t.Fatalf("recycled state keeps per-request fields: seq=%d lsn=%d tuples=%v",
-			d.streamSeq, d.job.lsn, d.job.tuples)
+	if d.streamSeq != 0 || d.job.lsn != 0 || d.job.member != nil || d.job.n != 0 {
+		t.Fatalf("recycled state keeps per-request fields: seq=%d lsn=%d member=%v n=%d",
+			d.streamSeq, d.job.lsn, d.job.member, d.job.n)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/core"
+	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
@@ -377,11 +378,12 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beyond := ingestJob{tuples: []correlated.Tuple{{X: 1, Y: 5, W: 1}, {X: 2, Y: cfg.Options.YMax + 1, W: 1}}}
-	if svc.enqueue(&beyond) || beyond.kind != ingestErrValidate {
+	beyond := ingestOf("", []correlated.Tuple{{X: 1, Y: 5, W: 1}, {X: 2, Y: cfg.Options.YMax + 1, W: 1}})
+	if svc.enqueue(beyond) || beyond.kind != ingestErrValidate {
 		t.Fatalf("enqueue admitted a batch with y > YMax (kind %d, err %v)", beyond.kind, beyond.err)
 	}
 	clone := func(b []correlated.Tuple) []correlated.Tuple { return append([]correlated.Tuple(nil), b...) }
+	encoded := func(b []correlated.Tuple) []byte { return tupleio.AppendCountedBatch(nil, b) }
 	type logged struct {
 		tenant string
 		tuples []correlated.Tuple
@@ -390,7 +392,7 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 	batches := map[string][]correlated.Tuple{}
 	jobs := make([]*ingestJob, len(members))
 	for i, m := range members {
-		jobs[i] = &ingestJob{key: []byte(m.tenant), tuples: clone(m.tuples), done: make(chan struct{}, 1)}
+		jobs[i] = ingestOf(m.tenant, m.tuples)
 		if m.kind == ingestOK {
 			if _, seen := batches[m.tenant]; !seen {
 				touched = append(touched, m.tenant)
@@ -404,8 +406,8 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 		if j.kind != members[i].kind {
 			t.Fatalf("member %d: kind %d (err %v), want %d", i, j.kind, j.err, members[i].kind)
 		}
-		if !slices.Equal(j.tuples, members[i].tuples) {
-			t.Fatalf("member %d: the commit reordered the job's own slice", i)
+		if !bytes.Equal(j.member, encoded(members[i].tuples)) {
+			t.Fatalf("member %d: the commit wrote to the job's own bytes", i)
 		}
 	}
 
