@@ -127,7 +127,7 @@ type Stats struct {
 	PipelineStages map[string]StageStats `json:"pipeline_stages,omitempty"`
 
 	// Replication fields are present when the server was started as a
-	// replica (-role=replica). Promoted reports that it has since been
+	// replica (corrd -primary). Promoted reports that it has since been
 	// promoted to primary; lag is against the primary's last observed
 	// WAL frontier.
 	ReplicaOf         string  `json:"replica_of,omitempty"`

@@ -16,7 +16,7 @@
 // and prune the log. Concurrent ingest requests are group-committed:
 // everything queued while the previous group was fsyncing is applied
 // (one AddBatch per touched tenant) and made durable as one unit (one
-// fsync, up to -ingest-group-max requests), so acknowledged throughput
+// fsync, up to 256 requests), so acknowledged throughput
 // under -wal-fsync=always scales with the offered concurrency instead of
 // being gated by fsync latency times request count. Query answers are
 // memoized per tenant until its state moves (or for -query-max-stale),
@@ -64,13 +64,14 @@
 // Replica — follow a primary's WAL over its -stream-addr and serve the
 // read path as a warm standby:
 //
-//	corrd -addr :7072 -role=replica -primary coordinator:7071 \
+//	corrd -addr :7072 -primary coordinator:7071 \
 //	      -primary-timeout 10s -admin-token s3cret \
 //	      -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 -seed 42
 //
-// A replica replays the primary's log continuously into a live engine
-// registry (every tenant, byte-exact), answers /v1/query, /v1/stats,
-// and /v1/summary through the same read path as a primary,
+// -primary makes the daemon a replica. A replica replays the primary's
+// log continuously into a live engine registry (every tenant,
+// byte-exact), answers /v1/query, /v1/stats, and /v1/summary through the
+// same read path as a primary,
 // and rejects writes with HTTP 503. /v1/stats and /metrics expose the
 // replication lag in records and seconds. Failover: POST /v1/promote
 // (gated by -admin-token) — or -primary-timeout of total primary
@@ -89,10 +90,10 @@
 // -fault-plan), GET /healthz (liveness), GET /readyz (503 while degraded
 // or draining), GET /metrics (Prometheus text).
 //
-// Edge hardening: -http-read-header-timeout, -http-read-timeout, and
-// -http-idle-timeout bound slow-loris and idle keep-alive connections
-// on the main and debug listeners (the streaming transport enforces its
-// own per-frame deadlines), alongside the -max-body request cap.
+// Edge hardening: the main and debug listeners give a request's headers
+// 10 s and close a keep-alive connection idle for 2 min (readHeaderTimeout,
+// idleTimeout); a body has no read deadline and is capped by -max-body
+// instead. The streaming transport enforces its own per-frame deadlines.
 //
 // Observability: -access-log writes one JSON line per HTTP request and
 // stream frame (request IDs accepted or minted via X-Request-ID) from a
@@ -101,7 +102,8 @@
 // serves net/http/pprof on a separate listener. /metrics carries the
 // commit pipeline's per-stage latency histograms
 // (corrd_pipeline_stage_seconds) alongside WAL, snapshot, tenant, and
-// Go runtime series.
+// Go runtime series, and takes no driver lock: a tenant's tuple count and
+// space, the memory ledger and the query-memo counts are /v1/stats'.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: drain HTTP, commit what
 // is queued, final forward (site role), final snapshot.
@@ -128,20 +130,29 @@ import (
 )
 
 // options is everything the command line selects: the service
-// configuration, plus what main wires around it (listeners, HTTP
-// timeouts, and the two destinations it opens before service.New — the
-// access log and the fault plan's injector).
+// configuration, plus what main wires around it (listeners, and the two
+// destinations it opens before service.New — the access log and the
+// fault plan's injector).
 type options struct {
 	svc service.Config
 
-	addr, streamAddr, debugAddr  string
-	readHeaderTO, readTO, idleTO time.Duration
-	accessLog, faultPlan         string
+	addr, streamAddr, debugAddr string
+	accessLog, faultPlan        string
 }
+
+// The HTTP listeners' edge timeouts: a slow-loris client gets
+// readHeaderTimeout to send its headers, and a keep-alive connection idle
+// for idleTimeout is closed. A body has no read deadline (-max-body caps
+// it).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // parseFlags turns the command line into options. Usage and parse
 // errors go to stderr; a flag combination that names no valid role is an
-// error here, before anything is opened.
+// error here, before anything is opened. -primary makes a replica and
+// -push-to a site; with neither the daemon is a coordinator.
 func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("corrd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -149,8 +160,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		o options
 		c = &o.svc
 
-		pred     = fs.String("pred", "both", "query directions: le, ge, or both")
-		roleFlag = fs.String("role", "", `force the role: "replica" follows -primary and serves reads only (empty = coordinator, or site with -push-to)`)
+		pred = fs.String("pred", "both", "query directions: le, ge, or both")
 	)
 	fs.StringVar(&o.addr, "addr", ":7070", "listen address")
 	fs.StringVar(&o.streamAddr, "stream-addr", "", "streaming-ingest listen address (empty = disabled); serves the persistent length-framed transport")
@@ -164,7 +174,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Uint64Var(&c.Options.Seed, "seed", 1, "hash seed; must match across sites and coordinator")
 	fs.IntVar(&c.Options.Alpha, "alpha", 0, "per-level bucket capacity override (0 = derive)")
 	fs.Int("shards", 1, "ignored: each tenant is one summary; parsed only because benchmarks/corrdbench still passes it, and goes when it stops")
-	fs.IntVar(&c.IngestGroupMax, "ingest-group-max", 256, "max ingest requests committed (and fsynced) as one group")
 	fs.DurationVar(&c.QueryMaxStale, "query-max-stale", 0, "serve a memoized query answer up to this old even though the tenant's state moved (0 = only while it has not)")
 
 	fs.StringVar(&c.SnapshotPath, "snapshot", "", "snapshot file path (empty = no durability)")
@@ -178,16 +187,12 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 
 	fs.StringVar(&c.PushTo, "push-to", "", "coordinator base URL; setting it makes this daemon a site that forwards its log there (requires -wal-dir)")
 
-	fs.StringVar(&c.PrimaryAddr, "primary", "", "primary's stream address (host:port) to replicate the WAL from; requires -role=replica")
+	fs.StringVar(&c.PrimaryAddr, "primary", "", "primary's stream address (host:port); setting it makes this daemon a replica that follows the primary's WAL and serves reads only")
 	fs.DurationVar(&c.PrimaryTimeout, "primary-timeout", 0, "replica auto-promotes itself after this much total primary silence (0 = promote only on POST /v1/promote)")
 	fs.DurationVar(&c.HeartbeatInterval, "heartbeat-interval", time.Second, "primary→replica heartbeat period on replication connections")
 	fs.StringVar(&c.AdminToken, "admin-token", "", "X-Admin-Token required on POST /v1/promote (empty = promotion over HTTP disabled)")
 
 	fs.Int64Var(&c.MaxBodyBytes, "max-body", 64<<20, "request body cap in bytes")
-
-	fs.DurationVar(&o.readHeaderTO, "http-read-header-timeout", 10*time.Second, "time allowed to read a request's headers on the main and debug listeners")
-	fs.DurationVar(&o.readTO, "http-read-timeout", 0, "time allowed to read a full request including body (0 = unlimited; bodies are capped by -max-body)")
-	fs.DurationVar(&o.idleTO, "http-idle-timeout", 2*time.Minute, "keep-alive connections idle longer than this are closed (0 = unlimited)")
 
 	fs.StringVar(&o.accessLog, "access-log", "", `structured access-log file path ("-" = stderr, empty = disabled); one JSON line per HTTP request and stream frame`)
 	fs.DurationVar(&c.SlowRequest, "slow-request", 0, "also log requests slower than this to the main logger (0 = never)")
@@ -212,18 +217,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		c.Options.Predicate = correlated.Both
 	default:
 		return nil, fmt.Errorf("bad -pred %q (want le, ge, or both)", *pred)
-	}
-	switch *roleFlag {
-	case "":
-		if c.PrimaryAddr != "" {
-			return nil, errors.New("-primary requires -role=replica")
-		}
-	case "replica":
-		if c.PrimaryAddr == "" {
-			return nil, errors.New("-role=replica requires -primary=HOST:PORT")
-		}
-	default:
-		return nil, fmt.Errorf("bad -role %q (want replica or empty)", *roleFlag)
 	}
 	if c.PushTo != "" && c.WALDir == "" {
 		return nil, errors.New("-push-to requires -wal-dir: a site forwards its log")
@@ -310,9 +303,8 @@ func main() {
 	httpSrv := &http.Server{
 		Addr:              o.addr,
 		Handler:           svc.Handler(),
-		ReadHeaderTimeout: o.readHeaderTO,
-		ReadTimeout:       o.readTO,
-		IdleTimeout:       o.idleTO,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() {
@@ -341,9 +333,8 @@ func main() {
 		debugSrv := &http.Server{
 			Addr:              o.debugAddr,
 			Handler:           service.DebugHandler(),
-			ReadHeaderTimeout: o.readHeaderTO,
-			ReadTimeout:       o.readTO,
-			IdleTimeout:       o.idleTO,
+			ReadHeaderTimeout: readHeaderTimeout,
+			IdleTimeout:       idleTimeout,
 		}
 		go func() {
 			logger.Printf("corrd: debug (pprof) listening on %s", o.debugAddr)

@@ -32,11 +32,11 @@ func TestParseFlags(t *testing.T) {
 			check: func(t *testing.T, o *options) {
 				c := o.svc
 				if c.Aggregate != "f2" || c.Options.Predicate != correlated.Both || c.Options.Eps != 0.15 ||
-					c.Options.YMax != 1<<20-1 || c.WALFsync != "always" || c.IngestGroupMax != 256 ||
+					c.Options.YMax != 1<<20-1 || c.WALFsync != "always" ||
 					c.IngestQueueMax != 4096 || c.QueryMaxStale != 0 || c.WALDir != "" || c.FS != nil {
 					t.Fatalf("default config: %+v", c)
 				}
-				if o.addr != ":7070" || o.streamAddr != "" || o.readHeaderTO != 10*time.Second {
+				if o.addr != ":7070" || o.streamAddr != "" || o.debugAddr != "" {
 					t.Fatalf("default listeners: %+v", o)
 				}
 			},
@@ -66,7 +66,7 @@ func TestParseFlags(t *testing.T) {
 		},
 		{
 			name: "replica", role: "replica",
-			args: []string{"-role", "replica", "-primary", "coordinator:7071", "-primary-timeout", "10s", "-admin-token", "s3cret", "-pred", "ge"},
+			args: []string{"-primary", "coordinator:7071", "-primary-timeout", "10s", "-admin-token", "s3cret", "-pred", "ge"},
 			check: func(t *testing.T, o *options) {
 				c := o.svc
 				if c.PrimaryAddr != "coordinator:7071" || c.PrimaryTimeout != 10*time.Second ||
@@ -75,9 +75,19 @@ func TestParseFlags(t *testing.T) {
 				}
 			},
 		},
-		{name: "primary without role", args: []string{"-primary", "h:1"}, wantErr: "-primary requires -role=replica"},
-		{name: "replica without primary", args: []string{"-role", "replica"}, wantErr: "requires -primary"},
-		{name: "unknown role", args: []string{"-role", "witness"}, wantErr: `bad -role "witness"`},
+		{
+			// -primary alone makes a replica: -role is gone.
+			name: "primary without role", role: "replica", args: []string{"-primary", "h:1"},
+			check: func(t *testing.T, o *options) {
+				if o.svc.PrimaryAddr != "h:1" {
+					t.Fatalf("config: %+v", o.svc)
+				}
+			},
+		},
+		{name: "replica without primary", args: []string{"-role", "replica"}, wantErr: "flag provided but not defined: -role"},
+		{name: "unknown role", args: []string{"-role", "witness"}, wantErr: "flag provided but not defined: -role"},
+		{name: "group max is gone", args: []string{"-ingest-group-max", "16"}, wantErr: "flag provided but not defined: -ingest-group-max"},
+		{name: "http timeouts are gone", args: []string{"-http-idle-timeout", "1m"}, wantErr: "flag provided but not defined: -http-idle-timeout"},
 		{name: "unknown predicate", args: []string{"-pred", "sideways"}, wantErr: `bad -pred "sideways"`},
 		{name: "unknown flag", args: []string{"-shard", "2"}, wantErr: "flag provided but not defined"},
 		{name: "site without a log", args: []string{"-push-to", "http://coordinator:7070"}, wantErr: "-push-to requires -wal-dir"},

@@ -105,7 +105,7 @@
 //	                                            in the exposition, and the opt-in
 //	                                            pprof listener (-debug-addr)
 //	replication & HA          service, client,  WAL-shipped warm standby (corrd
-//	                          internal/replica  -role=replica -primary ADDR): the
+//	                          internal/replica  -primary ADDR): the
 //	                                            primary tails its durable log over
 //	                                            the stream listener (records,
 //	                                            heartbeats, snapshot re-seeds for

@@ -534,6 +534,16 @@ grep -q 'corrd_build_info{' "$WORK/obs-metrics.txt" \
   || { echo "FAIL: corrd_build_info missing" >&2; exit 1; }
 grep -q 'corrd_go_goroutines' "$WORK/obs-metrics.txt" \
   || { echo "FAIL: runtime metrics missing" >&2; exit 1; }
+# At quiescence the group-size histogram is /v1/stats' group counts: its
+# _count is ingest_groups and its _sum ingest_group_requests.
+curl -fsS "$OBSBASE/v1/stats" -o "$WORK/obs-stats.json"
+GCOUNT=$(awk '/^corrd_ingest_group_size_count /{print $2}' "$WORK/obs-metrics.txt")
+GSUM=$(awk '/^corrd_ingest_group_size_sum /{print $2}' "$WORK/obs-metrics.txt")
+SGROUPS=$(grep -o '"ingest_groups":[0-9]*' "$WORK/obs-stats.json" | cut -d: -f2)
+SREQS=$(grep -o '"ingest_group_requests":[0-9]*' "$WORK/obs-stats.json" | cut -d: -f2)
+awk -v c="$GCOUNT" -v s="$GSUM" -v g="${SGROUPS:-0}" -v r="${SREQS:-0}" \
+  'BEGIN { exit !(g > 0 && c == g && s == r) }' \
+  || { echo "FAIL: corrd_ingest_group_size _count $GCOUNT / _sum $GSUM vs stats ingest_groups $SGROUPS / ingest_group_requests $SREQS" >&2; exit 1; }
 
 # The load-report JSON carries the same stage breakdown.
 "$WORK/corrgen" -dataset uniform -n 20000 -seed 52 -xdom 100001 -ydom 1000001 \
@@ -565,7 +575,14 @@ ADMIN_TOKEN="smoke-admin-$$"
 start_wal_corrd "$PRI_ADDR" "replpri" -stream-addr "$PRI_STRM" \
   -heartbeat-interval 200ms
 WAL_PID=$!
-start_wal_corrd "$REPL_ADDR" "replstandby" -role=replica -primary "$PRI_STRM" \
+# -primary alone makes a replica; a command line that still passes the
+# removed -role flag fails at start-up and names it.
+if "$WORK/corrd" -role=replica -primary "$PRI_STRM" >"$WORK/role.txt" 2>&1; then
+  echo "FAIL: corrd started with the removed -role flag" >&2; exit 1
+fi
+grep -q 'flag provided but not defined: -role' "$WORK/role.txt" \
+  || { echo "FAIL: a -role start did not name the unknown flag" >&2; cat "$WORK/role.txt" >&2; exit 1; }
+start_wal_corrd "$REPL_ADDR" "replstandby" -primary "$PRI_STRM" \
   -admin-token "$ADMIN_TOKEN"
 REPL_PID=$!
 

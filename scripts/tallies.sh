@@ -28,7 +28,6 @@ echo "wal.Options fields: $(fields Options internal/wal/wal.go | wc -l)"
 echo "readFrame call sites (frame-walking loops, internal/wal): $(count '[^c ]readFrame\(|= readFrame\(' $(nontest internal/wal))"
 echo "health failure streaks: $(fields health service/health.go | grep -cE 'Errs +atomic\.Int32')"
 echo "call sites of the tenant maker (service): $(count '[.](getOrCreateTenant|tenantForWriteLocked)\(' $svc)"
-echo "validateBatch call sites under the driver lock (apply*Locked): $(awk '/^func /{fn=$0} /[.]validateBatch\(/ && fn ~ /apply[A-Za-z]*Locked/' $svc | wc -l)"
 
 echo "go statements per package (non-test):"
 total=0 per= ttotal=0 tper=

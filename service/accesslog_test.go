@@ -68,8 +68,9 @@ func TestAccessLogRecordZeroAlloc(t *testing.T) {
 // dropped and counted rather than blocking, and Close flushes the tail.
 func TestAccessLogOverflowAndOutput(t *testing.T) {
 	var out syncBuffer
-	var dropped counter
-	l := newAccessLog(&out, 8, &dropped)
+	m := newMetrics()
+	dropped := &m.accessDropped
+	l := newAccessLog(&out, 8, dropped)
 	rec := accessRecord{
 		ts:        time.Unix(1700000000, 0).UTC(),
 		transport: "http",
@@ -94,6 +95,11 @@ func TestAccessLogOverflowAndOutput(t *testing.T) {
 	}
 	if uint64(written)+dropped.Load() != 200 {
 		t.Fatalf("written %d + dropped %d != 200 records", written, dropped.Load())
+	}
+	var exp strings.Builder
+	m.write(&exp, tenantStats{}, nil, replicationStats{}, &health{})
+	if v := metricValue(t, exp.String(), "corrd_access_log_dropped_total"); v != float64(dropped.Load()) {
+		t.Fatalf("corrd_access_log_dropped_total %v, the ring dropped %d", v, dropped.Load())
 	}
 	for _, line := range lines {
 		var m map[string]any
@@ -180,5 +186,9 @@ func TestHTTPAccessLogRequestID(t *testing.T) {
 	}
 	if !strings.Contains(mainLog.String(), "slow request:") {
 		t.Fatalf("SlowRequest=1ns promoted nothing to the main logger:\n%s", mainLog.String())
+	}
+	// The ingest and both stats requests were over the threshold.
+	if v := metricValue(t, scrape(t, ts.URL), "corrd_slow_requests_total"); v < 3 {
+		t.Fatalf("corrd_slow_requests_total %v, want at least 3", v)
 	}
 }

@@ -213,6 +213,14 @@ func TestChaosDegradedModeHTTP(t *testing.T) {
 	if st.Count != preCount {
 		t.Fatalf("degraded state moved: count %d, want %d", st.Count, preCount)
 	}
+	// The fsync failures that tripped the machine were WAL errors; the
+	// ingest and the push after it were refused as degraded.
+	body := scrape(t, ts.URL)
+	if metricValue(t, body, "corrd_health_state") != float64(healthDegraded) ||
+		metricValue(t, body, "corrd_wal_append_errors_total") < healthFailThreshold ||
+		metricValue(t, body, "corrd_degraded_rejects_total") != 2 {
+		t.Fatalf("degraded series:\n%s", body)
+	}
 	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -279,6 +287,11 @@ func TestChaosDegradedModeHTTP(t *testing.T) {
 	if st.Health != "healthy" || st.DegradedSeconds <= 0 {
 		t.Fatalf("post-recovery stats: health=%q degraded_seconds=%v", st.Health, st.DegradedSeconds)
 	}
+	body = scrape(t, ts.URL)
+	if metricValue(t, body, "corrd_health_state") != float64(healthHealthy) ||
+		metricValue(t, body, "corrd_degraded_seconds_total") != st.DegradedSeconds {
+		t.Fatalf("post-recovery series (stats degraded_seconds %v):\n%s", st.DegradedSeconds, body)
+	}
 }
 
 // TestChaosBackgroundFsyncDegrades: under -wal-fsync=interval the ack
@@ -313,6 +326,9 @@ func TestChaosBackgroundFsyncDegrades(t *testing.T) {
 	}
 	if st.WALSyncErrors == 0 {
 		t.Fatalf("stats do not expose the background sync errors: %+v", st)
+	}
+	if v := metricValue(t, scrape(t, ts.URL), "corrd_wal_sync_errors_total"); v < float64(st.WALSyncErrors) {
+		t.Fatalf("corrd_wal_sync_errors_total %v, stats read %d before it", v, st.WALSyncErrors)
 	}
 	inj.SetPlan(nil)
 	// The background prober (healthProbeInterval cadence) heals it
@@ -572,7 +588,6 @@ func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 func TestChaosStreamDegradedAndBusy(t *testing.T) {
 	cfg, inj := chaosConfig(t)
 	cfg.IngestQueueMax = 1
-	cfg.IngestGroupMax = 1
 	svc, _, _ := newTestServer(t, cfg)
 	addr := startStream(t, svc)
 	ctx := context.Background()
@@ -655,7 +670,6 @@ func TestChaosStreamDegradedAndBusy(t *testing.T) {
 func TestChaosOverloadShedHTTP(t *testing.T) {
 	cfg, inj := chaosConfig(t)
 	cfg.IngestQueueMax = 1
-	cfg.IngestGroupMax = 1
 	_, ts, _ := newTestServer(t, cfg)
 	ctx := context.Background()
 
@@ -718,7 +732,7 @@ func TestChaosOverloadShedHTTP(t *testing.T) {
 // state. With every slot corrupt, startup must refuse rather than serve
 // an empty engine over data it was asked to remember.
 func TestChaosSnapshotRetentionFallback(t *testing.T) {
-	cfg, _ := chaosConfig(t)
+	cfg, inj := chaosConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -730,6 +744,16 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	a, b, c := testStream(1_000, 1), testStream(800, 2), testStream(600, 3)
 	if err := cl.AddBatch(ctx, a); err != nil {
 		t.Fatal(err)
+	}
+	// A snapshot whose file cannot be created fails, counted, and leaves
+	// no slot behind.
+	inj.SetPlan(mustPlan(t, "create/corrd.snapshot:err@1"))
+	if err := svc.Snapshot(); err == nil {
+		t.Fatal("a snapshot whose file could not be created succeeded")
+	}
+	inj.SetPlan(nil)
+	if v := metricValue(t, scrape(t, ts.URL), "corrd_snapshot_errors_total"); v != 1 {
+		t.Fatalf("corrd_snapshot_errors_total %v after one failed snapshot, want 1", v)
 	}
 	if err := svc.Snapshot(); err != nil { // slot 0 covers batch A
 		t.Fatal(err)

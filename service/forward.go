@@ -103,8 +103,9 @@ var maxForwardTuples uint64 = tupleio.MaxDecodeTuples
 
 // validateForward is admission's decode of a forward's body, outside every
 // lock, into j.recs: each record must be an ingest record whose batches
-// pass validateBatch, a push whose image decodes, or a forward of those,
-// and the records must decode to at most maxForwardTuples tuples.
+// decode with every y at most YMax, a push whose image decodes, or a
+// forward of those, and the records must decode to at most
+// maxForwardTuples tuples.
 func (s *Server) validateForward(j *ingestJob) error {
 	if len(j.image) == 0 {
 		return errors.New("service: a forward carries at least one record")
@@ -127,8 +128,13 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 	case wal.RecordIngest:
 		var st replayState
 		batches, err = st.decodeIngest(payload, left)
+		ymax := s.cfg.Options.YMax
 		for _, b := range batches {
-			err = errors.Join(err, s.validateBatch(b.tuples))
+			// A decoded batch is sorted by y and weighs each tuple at least
+			// 1, so its last y is all AddBatch would still check.
+			if n := len(b.tuples); n > 0 && b.tuples[n-1].Y > ymax {
+				err = errors.Join(err, fmt.Errorf("service: y = %d exceeds YMax = %d", b.tuples[n-1].Y, ymax))
+			}
 			keys = append(keys, b.key)
 		}
 		return keys, batches, err

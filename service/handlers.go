@@ -253,7 +253,6 @@ func (s *Server) commitRequest(w http.ResponseWriter, r *http.Request, errs *cou
 // records, the text is parsed and encoded. A rejected batch has ingested
 // nothing.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.metrics.ingestRequests.Inc()
 	errs := &s.metrics.ingestErrors
 	if kind, err := s.writeGate(); kind != ingestOK {
 		s.nack(w, errs, kind, err)
@@ -542,8 +541,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LastSnapshot:   s.metrics.lastSnapshotUnix.Load(),
 		UptimeSeconds:  time.Since(s.metrics.start).Seconds(),
 
-		IngestGroups:       s.metrics.ingestGroups.Load(),
-		IngestGroupReqs:    s.metrics.ingestGroupMembers.Load(),
+		IngestGroups:       s.metrics.groupSize.count.Load(),
+		IngestGroupReqs:    s.metrics.groupSize.nanoSum() / 1e9, // each observation is a whole count of requests
 		QueryCacheHits:     s.metrics.queryCacheHits.Load(),
 		QueryCacheRebuilds: s.metrics.queryCacheRebuilds.Load(),
 
@@ -561,7 +560,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PipelineStages: s.metrics.stageBreakdown(),
 
 		Health:          healthName(s.health.state.Load()),
-		DegradedSeconds: s.degradedSeconds(),
+		DegradedSeconds: s.health.degradedSeconds(),
 
 		Memory: mem,
 	}
@@ -641,14 +640,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// handleMetrics renders the Prometheus text exposition. The default
-// tenant's engine gauges are sampled under the driver lock (Space walks
-// the summary — scrape-rate traffic, not hot-path traffic); nothing a
-// scrape reads stops the world.
+// handleMetrics renders the Prometheus text exposition from atomics and
+// the registry's counts: a scrape takes no driver lock and walks no
+// summary (/v1/stats serves a tenant's count and space), and nothing it
+// reads stops the world.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	es := engineStats{count: s.def.eng.Count(), space: s.def.eng.Space()}
-	s.mu.Unlock()
 	var ts tenantStats
 	ts.total, ts.live = s.tenantCounts()
 	ts.bytes = s.tenantBytes.Load()
@@ -663,9 +659,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	rs.primaryLSN = s.primaryLSN.Load()
 	rs.lagRecords, rs.lagSeconds = s.replicationLag()
-	// Health gauges are sampled here so write's signature stays put.
-	s.metrics.healthState.Set(int64(s.health.state.Load()))
-	s.metrics.degradedSeconds.Set(s.degradedSeconds())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, es, ts, ws, rs)
+	s.metrics.write(w, ts, ws, rs, &s.health)
 }

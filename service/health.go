@@ -84,8 +84,7 @@ func (s *Server) healthDegraded() bool {
 
 // degradedSeconds is the total time spent out of the healthy state,
 // closed intervals plus the live one.
-func (s *Server) degradedSeconds() float64 {
-	h := &s.health
+func (h *health) degradedSeconds() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	d := h.degradedAccum

@@ -95,8 +95,12 @@ func TestQueryMemo(t *testing.T) {
 		} else {
 			rebuilds++
 		}
-		if h, r := svc.metrics.queryCacheHits.Load(), svc.metrics.queryCacheRebuilds.Load(); h != hits || r != rebuilds {
-			t.Fatalf("%s: hits %d rebuilds %d, want %d and %d", st.name, h, r, hits, rebuilds)
+		stats, err := cl.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, r := stats.QueryCacheHits, stats.QueryCacheRebuilds; h != hits || r != rebuilds {
+			t.Fatalf("%s: /v1/stats query_cache_hits %d, query_cache_rebuilds %d, want %d and %d", st.name, h, r, hits, rebuilds)
 		}
 	}
 

@@ -10,16 +10,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
 // Dependency-free Prometheus-text observability. The instrument set is
 // fixed at startup (no dynamic label cardinality): counters for the
 // three traffic classes, one latency histogram per handler, and gauges
-// for engine and snapshot state. Everything is atomics — recording on
-// the hot path takes no lock — and the /metrics handler renders the
-// text exposition format directly.
+// for tenant and snapshot state. Everything is atomics — recording on
+// the hot path takes no lock, and a scrape takes no driver lock — and the
+// /metrics handler renders the text exposition format directly. A series
+// states one fact: what another series or /v1/stats already says is not
+// rendered again.
 
 // counter is a monotonically increasing metric.
 type counter struct{ v atomic.Uint64 }
@@ -80,15 +81,17 @@ func (h *histogram) Observe(v float64) {
 	h.count.Add(1)
 }
 
-// sum totals the per-bucket fixed-point sums back into the observed
-// unit.
-func (h *histogram) sum() float64 {
+// nanoSum totals the per-bucket fixed-point sums, in nanounits.
+func (h *histogram) nanoSum() uint64 {
 	var total uint64
 	for i := range h.sums {
 		total += h.sums[i].Load()
 	}
-	return float64(total) / 1e9
+	return total
 }
+
+// sum is nanoSum back in the observed unit.
+func (h *histogram) sum() float64 { return float64(h.nanoSum()) / 1e9 }
 
 // quantile approximates the q-th quantile (0 < q <= 1) by linear
 // interpolation inside the bucket holding the rank; mass beyond the
@@ -117,17 +120,11 @@ type metrics struct {
 	start time.Time
 
 	tuplesIngested counter
-	ingestRequests counter
 	ingestErrors   counter
 
-	// Group commit: groups committed and the requests they carried —
-	// requests/groups is the live amortization factor (how many acks
-	// each fsync bought).
-	ingestGroups       counter
-	ingestGroupMembers counter
-
 	// Answer memo: query requests served wholly from it vs requests that
-	// took the driver lock to evaluate on the live summary.
+	// took the driver lock to evaluate on the live summary (/v1/stats
+	// query_cache_hits and query_cache_rebuilds).
 	queryCacheHits     counter
 	queryCacheRebuilds counter
 
@@ -197,11 +194,8 @@ type metrics struct {
 	replicaSnapshotsInstalled counter // snapshot re-seeds installed locally (replica)
 	replicaPromotions         counter // replica→primary promotions
 
-	// Degraded mode and overload shedding (health.go, pipeline.go):
-	// the state machine's position and cumulative degraded time are
-	// sampled at scrape; the counters tick at each rejection site.
-	healthState     gauge  // 0 healthy, 1 degraded, 2 recovering
-	degradedSeconds fgauge // cumulative seconds out of the healthy state
+	// Overload shedding and degraded mode (pipeline.go, health.go): the
+	// counters tick at each rejection site.
 	ingestShed      counter
 	degradedRejects counter
 
@@ -246,14 +240,6 @@ func (m *metrics) observe(handler string, d time.Duration) {
 	}
 }
 
-// engineStats is the engine-derived part of the exposition, gathered
-// under the server's lock just before rendering. It describes the
-// default tenant's engine (the single-tenant shape, unchanged).
-type engineStats struct {
-	count uint64
-	space int64
-}
-
 // tenantStats is the registry-derived part of the exposition.
 type tenantStats struct {
 	total int   // tenants registered (default included)
@@ -291,8 +277,9 @@ func writeHistogram(w io.Writer, name, labels string, h *histogram) {
 }
 
 // write renders the Prometheus text exposition format. ws is nil when
-// the server runs without a WAL.
-func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Stats, rs replicationStats) {
+// the server runs without a WAL; h is the server's health machine, read
+// as it stands.
+func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, rs replicationStats, h *health) {
 	c := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -300,12 +287,7 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 	c("corrd_tuples_ingested_total", "Tuples accepted through /v1/ingest.", m.tuplesIngested.Load())
-	c("corrd_ingest_requests_total", "Requests to /v1/ingest.", m.ingestRequests.Load())
 	c("corrd_ingest_errors_total", "Rejected /v1/ingest requests.", m.ingestErrors.Load())
-	c("corrd_ingest_groups_total", "Commit groups applied (each pays one AddBatch per touched tenant and, with a WAL, one fsync).", m.ingestGroups.Load())
-	c("corrd_ingest_group_requests_total", "Ingest requests carried by commit groups (divide by groups for the amortization factor).", m.ingestGroupMembers.Load())
-	c("corrd_query_cache_hits_total", "Query requests answered wholly from the tenant's answer memo.", m.queryCacheHits.Load())
-	c("corrd_query_cache_rebuilds_total", "Query requests that took the driver lock to evaluate on the live summary.", m.queryCacheRebuilds.Load())
 	g("corrd_stream_conns", "Live streaming-ingest connections.", m.streamConns.Load())
 	c("corrd_stream_conns_total", "Streaming-ingest connections accepted.", m.streamConnsTotal.Load())
 	c("corrd_stream_frames_total", "Stream frames decoded and committed through the ingest pipeline.", m.streamFrames.Load())
@@ -326,18 +308,12 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	c("corrd_snapshots_written_total", "Snapshots persisted to disk.", m.snapshotsWritten.Load())
 	c("corrd_snapshot_errors_total", "Failed snapshot attempts.", m.snapshotErrors.Load())
 	g("corrd_snapshot_last_unix_seconds", "Unix time of the last successful snapshot (0 = never).", m.lastSnapshotUnix.Load())
-	if last := m.lastSnapshotUnix.Load(); last > 0 {
-		g("corrd_snapshot_age_seconds", "Seconds since the last successful snapshot.",
-			int64(time.Since(time.Unix(last, 0)).Seconds()))
-	}
 	g("corrd_snapshot_bytes", "Size of the last written snapshot.", m.snapshotBytes.Load())
 	fmt.Fprintf(w, "# HELP corrd_site_forwards_total Forwards of this site's log upstream: confirmed by the coordinator, failed (sent again), or refused (the records behind wait; see /v1/stats forward_stalled).\n")
 	fmt.Fprintf(w, "# TYPE corrd_site_forwards_total counter\n")
 	fmt.Fprintf(w, "corrd_site_forwards_total{result=\"sent\"} %d\n", m.siteForwardsSent.Load())
 	fmt.Fprintf(w, "corrd_site_forwards_total{result=\"failed\"} %d\n", m.siteForwardsFailed.Load())
 	fmt.Fprintf(w, "corrd_site_forwards_total{result=\"refused\"} %d\n", m.siteForwardsRefused.Load())
-	g("corrd_engine_tuples", "Tuples held by the engine (Count).", int64(es.count))
-	g("corrd_engine_space", "Stored counters/tuples in the default tenant's summary (Space).", es.space)
 	g("corrd_uptime_seconds", "Seconds since the server was created.", int64(time.Since(m.start).Seconds()))
 	g("corrd_tenants", "Keyed namespaces registered (the default tenant included).", int64(ts.total))
 	g("corrd_tenants_live", "Tenants with a materialized engine (the rest are spilled images).", int64(ts.live))
@@ -371,7 +347,6 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 		g("corrd_wal_segments", "WAL segment files on disk.", ws.Segments)
 		c("corrd_wal_appends_total", "Records appended to the WAL this process.", ws.Appends)
 		c("corrd_wal_appended_bytes_total", "Frame bytes appended to the WAL this process.", ws.AppendedBytes)
-		c("corrd_wal_fsyncs_total", "Fsyncs issued on the WAL append/checkpoint path.", ws.Fsyncs)
 		c("corrd_wal_sync_errors_total", "Failed fsyncs of the interval policy's ticker (its barrier jobs).", m.walSyncErrors.Load())
 		c("corrd_wal_checkpoints_total", "Checkpoint markers written after snapshots.", ws.Checkpoints)
 		c("corrd_wal_pruned_segments_total", "Sealed WAL segments deleted by checkpoints.", ws.PrunedSegments)
@@ -404,25 +379,21 @@ func (m *metrics) write(w io.Writer, es engineStats, ts tenantStats, ws *wal.Sta
 	fmt.Fprintf(w, "# TYPE corrd_ingest_group_tuples histogram\n")
 	writeHistogram(w, "corrd_ingest_group_tuples", "", m.groupTuples)
 	g("corrd_ingest_queue_depth", "Ingest jobs queued ahead of the committer right now.", m.queueDepth.Load())
-	g("corrd_health_state", "Degraded-mode state machine position: 0 healthy, 1 degraded (read-only), 2 recovering.", m.healthState.Load())
+	g("corrd_health_state", "Degraded-mode state machine position: 0 healthy, 1 degraded (read-only), 2 recovering.", int64(h.state.Load()))
 	fmt.Fprintf(w, "# HELP corrd_degraded_seconds_total Cumulative seconds spent out of the healthy state (writes refused).\n")
 	fmt.Fprintf(w, "# TYPE corrd_degraded_seconds_total counter\n")
-	fmt.Fprintf(w, "corrd_degraded_seconds_total %g\n", m.degradedSeconds.Load())
+	fmt.Fprintf(w, "corrd_degraded_seconds_total %g\n", h.degradedSeconds())
 	c("corrd_ingest_shed_total", "Ingest requests shed by the commit-queue bound (HTTP 429, stream AckBusy).", m.ingestShed.Load())
 	c("corrd_degraded_rejects_total", "Writes rejected while degraded (HTTP 503, stream AckDegraded).", m.degradedRejects.Load())
 	c("corrd_access_log_dropped_total", "Access-log records dropped because the ring was full.", m.accessDropped.Load())
 	c("corrd_slow_requests_total", "Requests at or over the slow-request threshold, promoted to the main logger.", m.slowRequests.Load())
 
-	// Go runtime health, sampled at scrape time from runtime/metrics and
-	// debug.ReadGCStats, neither of which stops the world. The two memory
-	// gauges are the memory ledger's (/v1/stats has the whole split).
-	var mem client.Memory
-	readRuntime(&mem)
+	// Go runtime health, sampled at scrape time with debug.ReadGCStats,
+	// which does not stop the world. The memory split is /v1/stats'
+	// (memory).
 	var gc debug.GCStats
 	debug.ReadGCStats(&gc)
 	g("corrd_go_goroutines", "Live goroutines.", int64(runtime.NumGoroutine()))
-	g("corrd_go_heap_live_bytes", "Heap the last GC cycle found reachable (/gc/heap/live:bytes).", mem.HeapLiveBytes)
-	g("corrd_go_memory_total_bytes", "Everything the Go runtime has mapped, heap and off-heap, released pages included (/memory/classes/total:bytes).", mem.TotalBytes)
 	c("corrd_go_gcs_total", "Completed GC cycles.", uint64(gc.NumGC))
 	fmt.Fprintf(w, "# HELP corrd_go_gc_pause_total_seconds Cumulative GC stop-the-world pause time.\n")
 	fmt.Fprintf(w, "# TYPE corrd_go_gc_pause_total_seconds counter\n")

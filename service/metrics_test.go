@@ -11,6 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"github.com/streamagg/correlated/client"
 )
 
 // TestHistogramConcurrentObserve: the per-bucket fixed-point sums are
@@ -242,6 +245,23 @@ func TestMetricsExpositionInvariants(t *testing.T) {
 		t.Errorf("queue depth %v after quiescence, want 0", v)
 	}
 
+	// The group histograms are /v1/stats' group counts: the four clients'
+	// 2000 tuples went in 777-tuple chunks, three requests each, one
+	// observation per group.
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := metricValue(t, body, "corrd_ingest_group_size_count")
+	if st.IngestGroupReqs != 12 || metricValue(t, body, "corrd_ingest_group_size_sum") != 12 ||
+		st.IngestGroups == 0 || st.IngestGroups > 12 || groups != float64(st.IngestGroups) {
+		t.Errorf("ingest_groups %d, ingest_group_requests %d; corrd_ingest_group_size_count %v, _sum %v; want 12 requests",
+			st.IngestGroups, st.IngestGroupReqs, groups, metricValue(t, body, "corrd_ingest_group_size_sum"))
+	}
+	if n, sum := metricValue(t, body, "corrd_ingest_group_tuples_count"), metricValue(t, body, "corrd_ingest_group_tuples_sum"); n != groups || sum != 8000 {
+		t.Errorf("corrd_ingest_group_tuples_count %v, _sum %v; want %v groups and 8000 tuples", n, sum, groups)
+	}
+
 	// The replication series are part of the stable exposition even on a
 	// server with no followers and no primary (all zero here), so
 	// dashboards and alerts can rely on their presence before the first
@@ -261,6 +281,145 @@ func TestMetricsExpositionInvariants(t *testing.T) {
 	} {
 		if v := metricValue(t, body, series); v != 0 {
 			t.Errorf("%s = %v on a standalone server, want 0", series, v)
+		}
+	}
+}
+
+// TestMetricsScrapeTakesNoDriverLock: a scrape renders from atomics and
+// the registry's counts, so it answers while the driver lock is held —
+// by a long commit, a snapshot's marshal, or a query's evaluation.
+func TestMetricsScrapeTakesNoDriverLock(t *testing.T) {
+	svc, ts, _ := newTestServer(t, walConfig(t))
+	ctx := context.Background()
+	if err := client.New(ts.URL, client.WithTenant("keyed")).AddBatch(ctx, testStream(500, 3)); err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	got := make(chan string, 1)
+	go func() { got <- scrape(t, ts.URL) }()
+	select {
+	case body := <-got:
+		svc.mu.Unlock()
+		if v := metricValue(t, body, "corrd_tenants"); v != 2 {
+			t.Fatalf("corrd_tenants %v, want 2", v)
+		}
+	case <-time.After(2 * time.Second):
+		svc.mu.Unlock()
+		<-got
+		t.Fatal("GET /metrics waited on the driver lock")
+	}
+}
+
+// seriesReaders names, for every series /metrics renders, a reader: the
+// test file (in service/, or ../cmd/corrd/) that asserts on it, or the
+// smoke script. A series no one reads has no reason to be rendered.
+var seriesReaders = map[string]string{
+	"corrd_tuples_ingested_total":             "service_test.go",
+	"corrd_ingest_errors_total":               "service_test.go",
+	"corrd_stream_conns":                      "stream_test.go",
+	"corrd_stream_conns_total":                "stream_test.go",
+	"corrd_stream_frames_total":               "stream_test.go",
+	"corrd_stream_tuples_total":               "../scripts/service-smoke.sh",
+	"corrd_stream_frame_errors_total":         "stream_test.go",
+	"corrd_pushes_merged_total":               "../scripts/service-smoke.sh",
+	"corrd_push_errors_total":                 "service_test.go",
+	"corrd_forwards_total":                    "../scripts/service-smoke.sh",
+	"corrd_queries_served_total":              "service_test.go",
+	"corrd_query_errors_total":                "service_test.go",
+	"corrd_snapshots_written_total":           "service_test.go",
+	"corrd_snapshot_errors_total":             "chaos_test.go",
+	"corrd_snapshot_last_unix_seconds":        "service_test.go",
+	"corrd_snapshot_bytes":                    "service_test.go",
+	"corrd_site_forwards_total":               "../scripts/service-smoke.sh",
+	"corrd_uptime_seconds":                    "service_test.go",
+	"corrd_tenants":                           "admission_test.go",
+	"corrd_tenants_live":                      "tenant_test.go",
+	"corrd_tenant_bytes":                      "replication_test.go",
+	"corrd_tenant_created_total":              "admission_test.go",
+	"corrd_tenant_spills_total":               "tenant_test.go",
+	"corrd_tenant_restores_total":             "tenant_test.go",
+	"corrd_tenant_rejected_total":             "../scripts/service-smoke.sh",
+	"corrd_replica_conns":                     "replication_test.go",
+	"corrd_replica_records_sent_total":        "metrics_test.go",
+	"corrd_replica_snapshots_sent_total":      "metrics_test.go",
+	"corrd_replica_heartbeats_sent_total":     "metrics_test.go",
+	"corrd_replica_records_applied_total":     "metrics_test.go",
+	"corrd_replica_snapshots_installed_total": "metrics_test.go",
+	"corrd_replica_promotions_total":          "../scripts/service-smoke.sh",
+	"corrd_replica_applied_lsn":               "metrics_test.go",
+	"corrd_replica_primary_lsn":               "metrics_test.go",
+	"corrd_replica_lag_records":               "metrics_test.go",
+	"corrd_replica_lag_seconds":               "metrics_test.go",
+	"corrd_wal_segments":                      "service_test.go",
+	"corrd_wal_appends_total":                 "service_test.go",
+	"corrd_wal_appended_bytes_total":          "service_test.go",
+	"corrd_wal_sync_errors_total":             "chaos_test.go",
+	"corrd_wal_checkpoints_total":             "replication_test.go",
+	"corrd_wal_pruned_segments_total":         "replication_test.go",
+	"corrd_wal_last_lsn":                      "service_test.go",
+	"corrd_wal_append_errors_total":           "chaos_test.go",
+	"corrd_wal_replay_records":                "../scripts/service-smoke.sh",
+	"corrd_wal_replay_duration_seconds":       "service_test.go",
+	"corrd_wal_fsync_duration_seconds":        "service_test.go",
+	"corrd_http_request_duration_seconds":     "service_test.go",
+	"corrd_pipeline_stage_seconds":            "metrics_test.go",
+	"corrd_ingest_group_size":                 "metrics_test.go",
+	"corrd_ingest_group_tuples":               "metrics_test.go",
+	"corrd_ingest_queue_depth":                "metrics_test.go",
+	"corrd_health_state":                      "chaos_test.go",
+	"corrd_degraded_seconds_total":            "chaos_test.go",
+	"corrd_ingest_shed_total":                 "chaos_test.go",
+	"corrd_degraded_rejects_total":            "chaos_test.go",
+	"corrd_access_log_dropped_total":          "accesslog_test.go",
+	"corrd_slow_requests_total":               "accesslog_test.go",
+	"corrd_go_goroutines":                     "../scripts/service-smoke.sh",
+	"corrd_go_gcs_total":                      "service_test.go",
+	"corrd_go_gc_pause_total_seconds":         "service_test.go",
+	"corrd_build_info":                        "metrics_test.go",
+}
+
+// TestEverySeriesHasAReader: seriesReaders lists exactly the series a
+// server with a WAL renders — every corrd_* name in metrics.go — and each
+// reader holds its series' name outside this table.
+func TestEverySeriesHasAReader(t *testing.T) {
+	_, ts, _ := newTestServer(t, walConfig(t))
+	rendered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (corrd_[a-z0-9_]+) `).FindAllStringSubmatch(scrape(t, ts.URL), -1) {
+		rendered[m[1]] = true
+	}
+	src, err := os.ReadFile("metrics.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSource := map[string]bool{}
+	for _, name := range regexp.MustCompile(`corrd_[a-z0-9_]+`).FindAllString(string(src), -1) {
+		inSource[name] = true
+	}
+	for what, names := range map[string]map[string]bool{"a WAL server's scrape": rendered, "metrics.go": inSource} {
+		for name := range names {
+			if seriesReaders[name] == "" {
+				t.Errorf("%s has %s, which seriesReaders does not list", what, name)
+			}
+		}
+		for name := range seriesReaders {
+			if !names[name] {
+				t.Errorf("seriesReaders lists %s, which %s does not have", name, what)
+			}
+		}
+	}
+
+	table := regexp.MustCompile(`(?m)^\s*"corrd_[a-z0-9_]+": +"[^"]+",$`)
+	files := map[string]string{}
+	for name, file := range seriesReaders {
+		if _, ok := files[file]; !ok {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[file] = table.ReplaceAllString(string(data), "")
+		}
+		if !regexp.MustCompile(regexp.QuoteMeta(name) + `(_bucket|_sum|_count)?\b`).MatchString(files[file]) {
+			t.Errorf("%s is named as the reader of %s but does not mention it", file, name)
 		}
 	}
 }

@@ -171,9 +171,9 @@ type commitPipeline struct {
 // stays short; the member that crosses the cap waits for the next group.
 const maxGroupTuples = 1 << 20
 
-// defaultGroupMax is the member-count cap per group when
-// Config.IngestGroupMax is unset.
-const defaultGroupMax = 256
+// groupMax caps the jobs one commit group takes from the queue. A
+// group shares one WAL fsync and one AddBatch per touched tenant.
+const groupMax = 256
 
 // enqueue is the one admission: it hands a job to the committer — the
 // caller then blocks on j.done — or refuses it, with its outcome set. A
@@ -287,8 +287,8 @@ func (s *Server) committer() {
 			return // closed and drained
 		}
 		n := len(p.queue)
-		if n > s.groupMax {
-			n = s.groupMax
+		if n > groupMax {
+			n = groupMax
 		}
 		take, total := 0, 0
 		for ; take < n; take++ {
@@ -316,20 +316,6 @@ func (s *Server) validateImage(image []byte) error {
 		err = eng.UnmarshalBinary(image)
 	}
 	return err
-}
-
-// validateBatch is the check a summary's AddBatch would make.
-func (s *Server) validateBatch(batch []correlated.Tuple) error {
-	ymax := s.cfg.Options.YMax
-	for i := range batch {
-		if batch[i].Y > ymax {
-			return fmt.Errorf("service: y = %d exceeds YMax = %d", batch[i].Y, ymax)
-		}
-		if batch[i].W < 0 {
-			return fmt.Errorf("service: weight must be positive, got %d", batch[i].W)
-		}
-	}
-	return nil
 }
 
 // tenantBatch is one tenant's one AddBatch of an ingest record, sorted by
@@ -475,9 +461,9 @@ func appendRecord(w *wal.WAL, buf []byte, r *groupRecord) ([]byte, uint64, error
 // startup replay and a replica's apply loop all come through here: each
 // batch is its tenant's one AddBatch of the record, already sorted by y, so
 // all three leave the same bytes. A batch naming a new tenant makes it.
-// Every batch passed validateBatch at admission, so an error here is a
-// bug, fatal to a replay. Callers hold s.mu, or run before any goroutine
-// exists.
+// Every batch was checked at admission (tupleio.CheckCounted, or
+// validateSiteRecord for a forward's), so an error here is a bug, fatal
+// to a replay. Callers hold s.mu, or run before any goroutine exists.
 func (s *Server) applyGroupLocked(batches []tenantBatch) error {
 	note := s.notesAtCommit()
 	for _, b := range batches {
@@ -666,8 +652,6 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		}
 		if members > 0 && (i+1 == len(group) || group[i+1].op != opIngest) {
 			// An acknowledged ingest run closes here.
-			s.metrics.ingestGroups.Inc()
-			s.metrics.ingestGroupMembers.Add(uint64(members))
 			s.metrics.groupSize.Observe(float64(members))
 			s.metrics.groupTuples.Observe(float64(tuples))
 			members, tuples = 0, 0
@@ -686,7 +670,7 @@ func (s *Server) overloadRetryAfter() time.Duration {
 	p.mu.Lock()
 	depth := len(p.queue)
 	p.mu.Unlock()
-	groups := depth/s.groupMax + 1
+	groups := depth/groupMax + 1
 	d := time.Duration(s.groupLatency.Load() * float64(groups) * float64(time.Second))
 	if d < time.Second {
 		d = time.Second

@@ -227,6 +227,10 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 	if got := primary.walRef().Stats().Segments; got > 1 {
 		t.Fatalf("checkpoint did not prune: %d segments", got)
 	}
+	if body := scrape(t, pts.URL); metricValue(t, body, "corrd_wal_checkpoints_total") != 1 ||
+		metricValue(t, body, "corrd_wal_pruned_segments_total") < 1 {
+		t.Fatalf("series after one pruning checkpoint:\n%s", body)
+	}
 
 	addr := startStream(t, primary)
 	replicaSvc, rts := newReplica(t, o, addr, nil)

@@ -78,10 +78,6 @@ type Config struct {
 	// coordinator must share it verbatim — Seed included — or their
 	// images are rejected as incompatible.
 	Options correlated.Options
-	// IngestGroupMax caps how many queued ingest requests one commit
-	// group may carry (the group shares one WAL fsync and one AddBatch
-	// per touched tenant); <= 0 means 256. See pipeline.go.
-	IngestGroupMax int
 	// QueryMaxStale bounds how old a memoized query answer may be. 0
 	// (the default) serves a memoized (op, cutoff) answer only while the
 	// tenant's state has not moved since it was evaluated — every query
@@ -318,7 +314,6 @@ type Server struct {
 
 	// pipe, committer state: group commit, the one log writer (pipeline.go).
 	pipe     commitPipeline
-	groupMax int
 	groupBuf []byte             // committer-owned WAL record encode scratch
 	records  []groupRecord      // committer-owned: the records of the group in flight
 	applyBuf []correlated.Tuple // committer-owned sorted copy of a group's members, a span per tenant
@@ -398,9 +393,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
 	}
-	if cfg.IngestGroupMax <= 0 {
-		cfg.IngestGroupMax = defaultGroupMax
-	}
 	if cfg.SnapshotKeep <= 0 {
 		cfg.SnapshotKeep = 2
 	}
@@ -421,13 +413,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		metrics:  newMetrics(),
-		logger:   cfg.Logger,
-		groupMax: cfg.IngestGroupMax,
-		fs:       cfg.FS,
-		done:     make(chan struct{}),
-		marks:    map[uint64]uint64{},
+		cfg:     cfg,
+		metrics: newMetrics(),
+		logger:  cfg.Logger,
+		fs:      cfg.FS,
+		done:    make(chan struct{}),
+		marks:   map[uint64]uint64{},
 	}
 	s.replState = newReplayState(0, false)
 	s.def = &tenant{eng: eng}
@@ -488,8 +479,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WALDir != "" {
 		walDesc = fmt.Sprintf("%s (fsync=%s)", cfg.WALDir, cfg.walFsync())
 	}
-	s.logf("configured: role=%s agg=%s group-max=%d snapshot=%q wal=%s access-log=%t slow-request=%s",
-		cfg.role(), cfg.aggregate(), s.groupMax, cfg.SnapshotPath, walDesc,
+	s.logf("configured: role=%s agg=%s snapshot=%q wal=%s access-log=%t slow-request=%s",
+		cfg.role(), cfg.aggregate(), cfg.SnapshotPath, walDesc,
 		s.access != nil, cfg.SlowRequest)
 	go s.committer()
 	s.every(healthProbeInterval, func() {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -154,6 +155,9 @@ func TestIngestTextFormat(t *testing.T) {
 	if st, _ = cl.Stats(context.Background()); st.Count != 3 {
 		t.Fatalf("rejected batch changed count: %d", st.Count)
 	}
+	if v := metricValue(t, scrape(t, ts.URL), "corrd_ingest_errors_total"); v != 1 {
+		t.Fatalf("corrd_ingest_errors_total %v after one rejected batch, want 1", v)
+	}
 }
 
 // TestPushPathBitIdentical: a site image pushed through /v1/push yields
@@ -161,7 +165,7 @@ func TestIngestTextFormat(t *testing.T) {
 // and the served /v1/summary re-marshals to the offline bytes.
 func TestPushPathBitIdentical(t *testing.T) {
 	o := testOptions()
-	_, _, cl := newTestServer(t, Config{Options: o})
+	_, ts, cl := newTestServer(t, Config{Options: o})
 	site, err := correlated.NewF2Summary(o)
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +235,9 @@ func TestPushPathBitIdentical(t *testing.T) {
 	if st.Count != site.Count() || st.PushesMerged != 1 {
 		t.Fatalf("stats after rejected pushes: %+v", st)
 	}
+	if v := metricValue(t, scrape(t, ts.URL), "corrd_push_errors_total"); v != 2 {
+		t.Fatalf("corrd_push_errors_total %v after the garbage and the incompatible push, want 2", v)
+	}
 }
 
 // TestSnapshotCrashRecovery is the durability contract: snapshot, keep
@@ -265,6 +272,16 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 		t.Fatalf("snapshot file holds %d images (err %v), want the default tenant's", len(images), err)
 	}
 	snapBytes := images[0].image
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := scrape(t, ts.URL)
+	if metricValue(t, body, "corrd_snapshots_written_total") != 1 ||
+		metricValue(t, body, "corrd_snapshot_bytes") != float64(len(snapBytes)) ||
+		st.LastSnapshot == 0 || metricValue(t, body, "corrd_snapshot_last_unix_seconds") != float64(st.LastSnapshot) {
+		t.Fatalf("after one snapshot of a %d-byte image (stats last_snapshot %d):\n%s", len(snapBytes), st.LastSnapshot, body)
+	}
 	wantLE, err := cl.QueryLE(ctx, 150)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +320,7 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	if got != wantLE {
 		t.Fatalf("post-restore query %v, pre-crash %v", got, wantLE)
 	}
-	st, err := cl2.Stats(ctx)
+	st, err = cl2.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,6 +377,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if _, err := cl.QueryLE(ctx, 10); err != nil {
 		t.Fatal(err)
 	}
+	runtime.GC()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -373,12 +391,23 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"corrd_tuples_ingested_total 100",
 		`corrd_queries_served_total{op="le"} 1`,
-		"corrd_engine_tuples 100",
 		`corrd_http_request_duration_seconds_count{handler="ingest"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+	// The tuples the engine holds are /v1/stats' count.
+	st, err := cl.Stats(ctx)
+	if err != nil || st.Count != 100 {
+		t.Fatalf("stats count %d (err %v), want 100", st.Count, err)
+	}
+	if up := metricValue(t, body, "corrd_uptime_seconds"); up < 0 || up > st.UptimeSeconds {
+		t.Fatalf("corrd_uptime_seconds %v, stats read %v seconds later", up, st.UptimeSeconds)
+	}
+	// A collection ran before the scrape.
+	if metricValue(t, body, "corrd_go_gcs_total") < 1 || metricValue(t, body, "corrd_go_gc_pause_total_seconds") <= 0 {
+		t.Fatalf("GC series after runtime.GC:\n%s", body)
 	}
 }
 
@@ -407,6 +436,9 @@ func TestQueryErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad cutoff: HTTP %d", resp.StatusCode)
+	}
+	if v := metricValue(t, scrape(t, ts.URL), "corrd_query_errors_total"); v != 3 {
+		t.Fatalf("corrd_query_errors_total %v after three refused queries, want 3", v)
 	}
 }
 
@@ -563,6 +595,9 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	if !st.WALEnabled || st.WALReplayRecords == 0 || st.WALLastLSN == 0 {
 		t.Fatalf("wal stats after recovery: %+v", st)
 	}
+	if got := metricValue(t, scrape(t, ts2.URL), "corrd_wal_replay_duration_seconds"); st.WALReplaySeconds <= 0 || got != st.WALReplaySeconds {
+		t.Fatalf("corrd_wal_replay_duration_seconds %v, /v1/stats wal_replay_seconds %v", got, st.WALReplaySeconds)
+	}
 }
 
 // TestWALRecoveryWithoutSnapshot: with no snapshot ever written, the
@@ -666,14 +701,24 @@ func TestWALMetricsExposed(t *testing.T) {
 	for _, want := range []string{
 		"corrd_wal_segments 1",
 		"corrd_wal_appends_total 1",
-		"corrd_wal_fsyncs_total",
-		"corrd_wal_fsync_duration_seconds_count",
 		`corrd_wal_fsync_duration_seconds_bucket{le="+Inf"}`,
 		"corrd_wal_last_lsn 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+	// The fsync histogram counts every fsync the log made: /v1/stats'
+	// wal_fsyncs.
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, body, "corrd_wal_fsync_duration_seconds_count"); st.WALFsyncs == 0 || got != float64(st.WALFsyncs) {
+		t.Fatalf("corrd_wal_fsync_duration_seconds_count %v, /v1/stats wal_fsyncs %d", got, st.WALFsyncs)
+	}
+	if got := metricValue(t, body, "corrd_wal_appended_bytes_total"); st.WALAppendedBytes == 0 || got != float64(st.WALAppendedBytes) {
+		t.Fatalf("corrd_wal_appended_bytes_total %v, /v1/stats wal_appended_bytes %d", got, st.WALAppendedBytes)
 	}
 	_, ts2, _ := newTestServer(t, Config{Options: testOptions()})
 	resp2, err := http.Get(ts2.URL + "/metrics")

@@ -34,13 +34,15 @@ func startStream(t *testing.T, svc *Server) string {
 func TestStreamIngestRoundTrip(t *testing.T) {
 	o := testOptions()
 	svc, ts, cl := newTestServer(t, Config{Options: o})
-	_ = ts
 	addr := startStream(t, svc)
 	ctx := context.Background()
 
 	st, err := client.DialStream(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v := metricValue(t, scrape(t, ts.URL), "corrd_stream_conns"); v != 1 {
+		t.Fatalf("corrd_stream_conns %v with one connection open, want 1", v)
 	}
 	stream := testStream(10_000, 42)
 	const chunk = 1000
@@ -83,6 +85,10 @@ func TestStreamIngestRoundTrip(t *testing.T) {
 	if stats.StreamConnsTotal != 1 || stats.StreamFrames != uint64(len(stream)/chunk) ||
 		stats.StreamTuples != uint64(len(stream)) {
 		t.Fatalf("stream stats: %+v", stats)
+	}
+	body := scrape(t, ts.URL)
+	if metricValue(t, body, "corrd_stream_conns_total") != 1 || metricValue(t, body, "corrd_stream_frames_total") != float64(len(stream)/chunk) {
+		t.Fatalf("stream series after one connection of %d frames:\n%s", len(stream)/chunk, body)
 	}
 }
 
@@ -145,7 +151,7 @@ func TestStreamAcksCarryLSN(t *testing.T) {
 // decode is nacked (AckInvalid) without desynchronizing the connection —
 // the next frame commits and acks OK.
 func TestStreamBadPayloadNacked(t *testing.T) {
-	svc, _, _ := newTestServer(t, Config{Options: testOptions()})
+	svc, ts, _ := newTestServer(t, Config{Options: testOptions()})
 	addr := startStream(t, svc)
 
 	conn, err := net.Dial("tcp", addr)
@@ -182,6 +188,9 @@ func TestStreamBadPayloadNacked(t *testing.T) {
 	seq, _, status, err := tupleio.ParseAck(ack[:])
 	if err != nil || seq != 1 || status != tupleio.AckInvalid {
 		t.Fatalf("first ack: seq=%d status=%d err=%v", seq, status, err)
+	}
+	if v := metricValue(t, scrape(t, ts.URL), "corrd_stream_frame_errors_total"); v != 1 {
+		t.Fatalf("corrd_stream_frame_errors_total %v after one bad payload, want 1", v)
 	}
 	if _, err := io.ReadFull(conn, ack[:]); err != nil {
 		t.Fatal(err)

@@ -392,6 +392,48 @@ func TestTenantSpillRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTenantIdleSpillTicker: the ticker New starts for TenantIdleSpill
+// spills an idle keyed tenant on its own, never the default tenant, and
+// a query on the spilled tenant restores it with the answer it gave
+// before the spill.
+func TestTenantIdleSpillTicker(t *testing.T) {
+	const idle = 20 * time.Millisecond
+	svc, ts, def := newTestServer(t, Config{Options: testOptions(), TenantIdleSpill: idle})
+	ctx := context.Background()
+	cl := client.New(ts.URL, client.WithTenant("idle"))
+	if err := cl.AddBatch(ctx, testStream(1_000, 41)); err != nil {
+		t.Fatal(err)
+	}
+	if err := def.AddBatch(ctx, testStream(500, 42)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := cl.QueryLE(ctx, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 2*time.Second, "the idle tenant's spill", func() bool {
+		body := scrape(t, ts.URL)
+		return metricValue(t, body, "corrd_tenants_live") == 1 && metricValue(t, body, "corrd_tenant_spills_total") >= 1
+	})
+	time.Sleep(5 * idle) // the default tenant idles through more ticks
+	svc.mu.Lock()
+	defSpilled, idleSpilled := svc.def.spilledLocked(), svc.tenantByName("idle").spilledLocked()
+	svc.mu.Unlock()
+	if defSpilled || !idleSpilled {
+		t.Fatalf("after the ticker: default spilled %t, idle tenant spilled %t", defSpilled, idleSpilled)
+	}
+	after, err := cl.QueryLE(ctx, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Fatalf("the restored tenant answers %v, %v before the spill", after, before)
+	}
+	if n := svc.tenantByName("idle").restores.Load(); n != 1 {
+		t.Fatalf("the query restored the spilled tenant %d times, want once", n)
+	}
+}
+
 // TestSummaryServesSpilledImage: GET /v1/summary on a spilled tenant
 // serves the parked image as it stands — the pre-spill bytes — and a read
 // does not un-spill the tenant: corrd_tenants_live and

@@ -58,7 +58,7 @@ func stageBuckets() []float64 {
 }
 
 // groupSizeBuckets covers a lone client's groups of one through the
-// defaultGroupMax member cap.
+// groupMax member cap.
 func groupSizeBuckets() []float64 {
 	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 }
