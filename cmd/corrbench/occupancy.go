@@ -34,7 +34,8 @@ var occupancyPresets = []occupancyShape{
 // occupancyTable writes Summary.Occupancy for the presets, or with -n for
 // that stream length under each distribution, to w. Per shape, the summary
 // lines say what the rows add up to and, beside it, the Footprint: held,
-// pooled and header bytes, from the counts the summary keeps.
+// pooled and header bytes, from the counts the summary keeps, and the header
+// bytes a stored bucket — tree node or singleton — costs.
 func occupancyTable(w io.Writer, n int) {
 	shapes := occupancyPresets
 	if n > 0 {
@@ -48,6 +49,7 @@ func occupancyTable(w io.Writer, n int) {
 		// Bytes behind the counters; of them, items tables (closed buckets' cut
 		// ones) and dense arrays; and, beside them, in the makers' free lists.
 		var held, tables, closed, arrays, pooled int64
+		stored := 0 // buckets: tree nodes and singletons
 		for _, dir := range []struct {
 			name string
 			rows []correlated.LevelOccupancy
@@ -59,6 +61,7 @@ func occupancyTable(w io.Writer, n int) {
 				closed += o.ClosedItemsBytes
 				arrays += o.DenseBytes
 				pooled += o.Pooled
+				stored += o.Stored
 				if o.Virgin && o.Counters == 2 {
 					virgin++ // an untouched root and nothing else
 					continue
@@ -77,8 +80,8 @@ func occupancyTable(w io.Writer, n int) {
 		fmt.Fprintf(w, "# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), image %d bytes\n",
 			sh.name, s.Space(), held, tables, closed, arrays, pooled, len(img))
 		f := s.Footprint()
-		fmt.Fprintf(w, "# %s: footprint held %d, pooled %d, headers %d bytes (headers %.1f %% of held)\n",
-			sh.name, f.Held, f.Pooled, f.Headers, 100*float64(f.Headers)/float64(f.Held))
+		fmt.Fprintf(w, "# %s: footprint held %d, pooled %d, headers %d bytes (headers %.1f %% of held, %.1f bytes a bucket over %d buckets)\n",
+			sh.name, f.Held, f.Pooled, f.Headers, 100*float64(f.Headers)/float64(f.Held), float64(f.Headers)/float64(stored), stored)
 	}
 }
 

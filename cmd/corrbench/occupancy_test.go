@@ -11,17 +11,21 @@ import (
 // TestOccupancyTableAddsUp: at n = 20 000, each shape's level rows — with the
 // virgin levels the table leaves out, two counters each — add up to its
 // summary line's space and bytes, the footprint line's held bytes are the
-// same figure, and the headers it prints are the summary's Footprint().Headers.
+// same figure, the headers it prints are the summary's Footprint().Headers,
+// and the bytes a bucket it prints are those headers over the buckets
+// Occupancy() stores.
 func TestOccupancyTableAddsUp(t *testing.T) {
 	const n = 20_000
 	var out bytes.Buffer
 	occupancyTable(&out, n)
 
 	type shape struct {
-		counters, bytes       int64 // the printed rows, added up
-		virgin                int   // levels left out, over both directions
-		space, held           int64 // the summary line
-		fpHeld, fpPooled, hdr int64 // the footprint line
+		counters, bytes       int64   // the printed rows, added up
+		virgin                int     // levels left out, over both directions
+		space, held           int64   // the summary line
+		fpHeld, fpPooled, hdr int64   // the footprint line
+		perBucket             float64 // the footprint line's header bytes a bucket
+		buckets               int     // and the buckets they are over
 		lines                 int
 	}
 	shapes := map[string]*shape{}
@@ -56,6 +60,10 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 			}
 			sh := get(name)
 			sh.fpHeld, sh.fpPooled, sh.hdr = a, b, c
+			tail := line[strings.Index(line, "of held, ")+len("of held, "):]
+			if _, err := fmt.Sscanf(tail, "%g bytes a bucket over %d buckets)", &sh.perBucket, &sh.buckets); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
 			sh.lines++
 		case strings.HasPrefix(line, "#"):
 			t.Fatalf("unexpected comment line %q", line)
@@ -87,9 +95,19 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 		if got := sh.bytes + 16*int64(sh.virgin); got != sh.held || sh.fpHeld != sh.held {
 			t.Errorf("%s: rows add up to %d bytes, the summary line says %d and the footprint %d", preset.name, got, sh.held, sh.fpHeld)
 		}
-		f := occupancySummary(preset).Footprint()
+		s := occupancySummary(preset)
+		f := s.Footprint()
 		if sh.hdr != f.Headers || sh.fpHeld != f.Held || sh.fpPooled != f.Pooled {
 			t.Errorf("%s: printed footprint held %d, pooled %d, headers %d; Footprint() is %+v", preset.name, sh.fpHeld, sh.fpPooled, sh.hdr, f)
+		}
+		le, ge := s.Occupancy()
+		stored := 0
+		for _, o := range append(le, ge...) {
+			stored += o.Stored
+		}
+		if want := fmt.Sprintf("%.1f", float64(f.Headers)/float64(stored)); sh.buckets != stored || fmt.Sprintf("%.1f", sh.perBucket) != want {
+			t.Errorf("%s: printed %.1f header bytes a bucket over %d buckets; Footprint and Occupancy give %s over %d",
+				preset.name, sh.perBucket, sh.buckets, want, stored)
 		}
 		if f.Headers == 0 {
 			t.Errorf("%s: no header bytes; the test lost its point", preset.name)

@@ -190,6 +190,10 @@
 // with, is not left to the garbage collector: the summary's sketch maker
 // keeps it, zeroed, on a short free list for the next sketch that needs its
 // size, so ingest allocates little more than the summary ends up holding.
+// The buckets themselves are records in slabs of fixed chunks that never
+// move: a tree node is 16 bytes naming its sketch and its two children by
+// four-byte handles, and a bucket's sketch struct sits in its maker's slab,
+// where an evicted bucket's slot waits for the next one.
 // Occupancy breaks Space down level by level and reports the bytes behind
 // each level's counters, by form, how many of the tables' are in closed
 // buckets, and — on the first row — the bytes waiting on those free lists,
@@ -223,9 +227,9 @@
 // # Concurrency
 //
 // Summaries are not safe for concurrent use. Both ingestion and queries
-// mutate internal state (sketch free lists and scratch buffers are pooled
-// per summary for allocation-free steady-state operation), so all access —
-// including read-only queries — must be serialized by the caller. One
+// mutate internal state (slabs, sketch free lists and scratch buffers are
+// kept per summary so that steady-state ingest allocates little), so all
+// access — including read-only queries — must be serialized by the caller. One
 // summary already uses a second core on its own: with Predicate Both, an
 // AddBatch of 64 tuples or more applies the mirrored GE structure on a
 // goroutine of its own beside LE and returns when both are done. Both read

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/streamagg/correlated/internal/gen"
-	"github.com/streamagg/correlated/internal/sketch"
 )
 
 // TestIngestAllocatesLittleBeyondWhatItKeeps bounds what the apply path throws
@@ -62,31 +61,25 @@ func TestIngestAllocatesLittleBeyondWhatItKeeps(t *testing.T) {
 
 // TestSplitAtAFullLevelAllocatesNoNode: once a level holds α buckets, a split
 // makes two nodes and the evictions it causes (discardMax) free two, which the
-// next split takes back, so a split-and-evict cycle allocates no node. Level 1
-// of a COUNT summary over a deep domain, split at its leftmost leaf again and
-// again; the maker's list is stocked first, so the leaf's counter is no
-// allocation either.
+// next split takes back from the node slab, so a split-and-evict cycle
+// allocates nothing: not a node, and not the leaf's counter, whose slot the
+// maker's slab takes back the same way. Level 1 of a COUNT summary over a
+// deep domain, split at its leftmost leaf again and again.
 func TestSplitAtAFullLevelAllocatesNoNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	s := mustSummary(t, CountAggregate(), Config{Eps: 0.2, Delta: 0.1, YMax: 1<<40 - 1, Alpha: 4, Seed: 1})
-	stock := make([]sketch.Sketch, 64)
-	for i := range stock {
-		stock[i] = s.maker.New()
-	}
-	for _, sk := range stock {
-		sketch.Recycle(s.maker, sk)
-	}
 	lv := s.levels[1]
-	lv.root.sk = s.maker.New()
+	s.nodes.At(lv.root).sk = s.maker.Alloc()
 	cycle := func() {
-		b, iv := lv.root, s.span
-		for b.left != nil {
+		h, iv := lv.root, s.span
+		for s.nodes.At(h).left != 0 {
 			lc, _ := iv.Children()
-			b, iv = b.left, lc
+			h, iv = s.nodes.At(h).left, lc
 		}
-		b.closed = true
+		b := s.nodes.At(h)
+		b.budget = closed
 		if leaf, _ := s.leafFor(lv, iv.L); leaf == nil || leaf == b {
 			t.Fatalf("level 1 did not split its leftmost leaf %v", iv)
 		}
@@ -97,10 +90,12 @@ func TestSplitAtAFullLevelAllocatesNoNode(t *testing.T) {
 	for lv.count < s.alpha || lv.y == noWatermark {
 		cycle()
 	}
+	live := s.nodes.Live()
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("a split-and-evict cycle at a full level allocates %.1f times; want none", allocs)
 	}
-	if s.nfree == 0 || s.Footprint().Pooled != s.freeNodeBytes() {
-		t.Fatalf("%d nodes wait on the free list, Footprint %+v; want some, charged to Pooled", s.nfree, s.Footprint())
+	if s.nodes.Live() != live || s.Footprint().Pooled != s.spareNodeBytes() || s.spareNodeBytes() == 0 {
+		t.Fatalf("%d nodes held after the cycles, %d before, Footprint %+v; want the same, the spare slots charged to Pooled",
+			s.nodes.Live(), live, s.Footprint())
 	}
 }

@@ -33,16 +33,17 @@ func requireClosedCut(t *testing.T, when string, s *Summary) int {
 			t.Fatalf("%s, %s: closed=%v sketch of %d pairs holds %d bytes; cut to fit is %d", when, where, isClosed, pairs, got, fit)
 		}
 	}
-	check("shared", s.shared, false)
-	for _, sk := range s.s0.buckets {
-		check("singleton", sk, false)
+	check("shared", s.sketch(s.shared), false)
+	for _, h := range s.s0.buckets {
+		check("singleton", s.sketch(h), false)
 	}
-	var walk func(b *bucket, iv dyadic.Interval)
-	walk = func(b *bucket, iv dyadic.Interval) {
-		if b == nil {
+	var walk func(h uint32, iv dyadic.Interval)
+	walk = func(h uint32, iv dyadic.Interval) {
+		if h == 0 {
 			return
 		}
-		check(fmt.Sprint(iv), b.sk, b.closed && !iv.Single())
+		b := s.nodes.At(h)
+		check(fmt.Sprint(iv), s.sketchOf(b), b.isClosed() && !iv.Single())
 		if !iv.Single() {
 			lc, rc := iv.Children()
 			walk(b.left, lc)
@@ -58,21 +59,22 @@ func requireClosedCut(t *testing.T, when string, s *Summary) int {
 	return closed
 }
 
-// closedOnBothSides counts the buckets a merge of b into a writes into though
-// a holds them closed: those stored, with items-form sketches, by both. The
-// two span iv.
-func closedOnBothSides(a, b *bucket, iv dyadic.Interval) int {
-	if a == nil || b == nil {
+// closedOnBothSides counts the buckets a merge of sb into sa writes into
+// though sa holds them closed: those stored, with items-form sketches, by
+// both. The nodes at ah and bh span iv.
+func closedOnBothSides(sa *Summary, ah uint32, sb *Summary, bh uint32, iv dyadic.Interval) int {
+	if ah == 0 || bh == 0 {
 		return 0
 	}
+	a, b := sa.nodes.At(ah), sb.nodes.At(bh)
 	n := 0
 	if !iv.Single() {
 		lc, rc := iv.Children()
-		n = closedOnBothSides(a.left, b.left, lc) + closedOnBothSides(a.right, b.right, rc)
+		n = closedOnBothSides(sa, a.left, sb, b.left, lc) + closedOnBothSides(sa, a.right, sb, b.right, rc)
 	}
-	as, aok := a.sk.(*sketch.CountSketch)
-	bs, bok := b.sk.(*sketch.CountSketch)
-	if a.closed && !iv.Single() && aok && bok && !as.Dense() && !bs.Dense() && bs.Size() > 0 {
+	as, aok := sa.sketchOf(a).(*sketch.CountSketch)
+	bs, bok := sb.sketchOf(b).(*sketch.CountSketch)
+	if a.isClosed() && !iv.Single() && aok && bok && !as.Dense() && !bs.Dense() && bs.Size() > 0 {
 		n++
 	}
 	return n
@@ -124,7 +126,7 @@ func TestClosedBucketsAreCutToFit(t *testing.T) {
 
 	rewritten := 0
 	for i := 1; i <= a.lmax; i++ {
-		rewritten += closedOnBothSides(a.levels[i].root, b.levels[i].root, a.span)
+		rewritten += closedOnBothSides(a, a.levels[i].root, b, b.levels[i].root, a.span)
 	}
 	if rewritten == 0 {
 		t.Fatal("no bucket is closed in the receiver and stored by the operand; the test lost its point")

@@ -29,24 +29,34 @@ func sketchBytes(t *testing.T, sk sketch.Sketch) []byte {
 	return b
 }
 
-// requireBucketsEqual compares two bucket trees node by node, including
-// closed flags and exact sketch bytes; a node's interval is its path.
-func requireBucketsEqual(t *testing.T, path string, a, b *bucket) {
+// requireBucketsEqual compares two bucket trees node by node — the node at
+// ah in sa's slabs and the one at bh in sb's — including closed flags and
+// exact sketch bytes; a node's interval is its path.
+func requireBucketsEqual(t *testing.T, path string, sa *Summary, ah uint32, sb *Summary, bh uint32) {
 	t.Helper()
-	if (a == nil) != (b == nil) {
-		t.Fatalf("%s: presence mismatch (%v vs %v)", path, a != nil, b != nil)
+	if (ah == 0) != (bh == 0) {
+		t.Fatalf("%s: presence mismatch (%v vs %v)", path, ah != 0, bh != 0)
 	}
-	if a == nil {
+	if ah == 0 {
 		return
 	}
-	if a.closed != b.closed {
-		t.Fatalf("%s: node mismatch: closed %v/%v", path, a.closed, b.closed)
+	a, b := sa.nodes.At(ah), sb.nodes.At(bh)
+	if a.isClosed() != b.isClosed() {
+		t.Fatalf("%s: node mismatch: closed %v/%v", path, a.isClosed(), b.isClosed())
 	}
-	if !bytes.Equal(sketchBytes(t, a.sk), sketchBytes(t, b.sk)) {
+	if !bytes.Equal(sketchBytes(t, sa.sketchOf(a)), sketchBytes(t, sb.sketchOf(b))) {
 		t.Fatalf("%s: sketch state differs", path)
 	}
-	requireBucketsEqual(t, path+"L", a.left, b.left)
-	requireBucketsEqual(t, path+"R", a.right, b.right)
+	requireBucketsEqual(t, path+"L", sa, a.left, sb, b.left)
+	requireBucketsEqual(t, path+"R", sa, a.right, sb, b.right)
+}
+
+// sketchOf returns b's sketch, nil for an untouched bucket.
+func (s *Summary) sketchOf(b *bucket) sketch.Sketch {
+	if b.sk == 0 {
+		return nil
+	}
+	return s.sketch(b.sk)
 }
 
 // requireSummariesEqual compares every observable piece of two summaries'
@@ -57,7 +67,7 @@ func requireSummariesEqual(t *testing.T, a, b *Summary) {
 	if a.n != b.n || a.virginFrom != b.virginFrom || a.lmax != b.lmax || a.alpha != b.alpha {
 		t.Fatalf("scalar state differs: n %d/%d virginFrom %d/%d", a.n, b.n, a.virginFrom, b.virginFrom)
 	}
-	if !bytes.Equal(sketchBytes(t, a.shared), sketchBytes(t, b.shared)) {
+	if !bytes.Equal(sketchBytes(t, a.sketch(a.shared)), sketchBytes(t, b.sketch(b.shared))) {
 		t.Fatal("shared sketch state differs")
 	}
 	if a.s0.y != b.s0.y || len(a.s0.buckets) != len(b.s0.buckets) {
@@ -68,7 +78,7 @@ func requireSummariesEqual(t *testing.T, a, b *Summary) {
 		if !ok {
 			t.Fatalf("singleton y=%d missing on one side", y)
 		}
-		if !bytes.Equal(sketchBytes(t, ask), sketchBytes(t, bsk)) {
+		if !bytes.Equal(sketchBytes(t, a.sketch(ask)), sketchBytes(t, b.sketch(bsk))) {
 			t.Fatalf("singleton y=%d sketch differs", y)
 		}
 	}
@@ -77,7 +87,7 @@ func requireSummariesEqual(t *testing.T, a, b *Summary) {
 		if la.y != lb.y || la.count != lb.count {
 			t.Fatalf("level %d: y %d/%d count %d/%d", i, la.y, lb.y, la.count, lb.count)
 		}
-		requireBucketsEqual(t, fmt.Sprintf("level%d:", i), la.root, lb.root)
+		requireBucketsEqual(t, fmt.Sprintf("level%d:", i), a, la.root, b, lb.root)
 	}
 }
 
@@ -226,16 +236,17 @@ func TestBudgetedClosingMatchesEveryInsertCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var walk func(lv *level, b *bucket, iv dyadic.Interval)
-	walk = func(lv *level, b *bucket, iv dyadic.Interval) {
-		if b == nil {
+	var walk func(lv *level, h uint32, iv dyadic.Interval)
+	walk = func(lv *level, h uint32, iv dyadic.Interval) {
+		if h == 0 {
 			return
 		}
 		if iv.Single() {
 			return // never closes
 		}
-		if b.closed && b.sk != nil && b.left == nil && b.right == nil {
-			if est := sketch.CheapEstimate(b.sk); est < lv.thresh {
+		b := s.nodes.At(h)
+		if b.isClosed() && b.sk != 0 && b.isLeaf() {
+			if est := sketch.CheapEstimate(s.sketch(b.sk)); est < lv.thresh {
 				t.Fatalf("level %d bucket %v closed below threshold: %v < %v",
 					lv.idx, iv, est, lv.thresh)
 			}
@@ -261,7 +272,8 @@ func (u unbudgeted) MarshalBinary() ([]byte, error) {
 
 type unbudgetedMaker struct{ sketch.Maker }
 
-func (m unbudgetedMaker) New() sketch.Sketch { return unbudgeted{m.Maker.New()} }
+func (m unbudgetedMaker) New() sketch.Sketch        { return unbudgeted{m.Maker.New()} }
+func (m unbudgetedMaker) At(h uint32) sketch.Sketch { return unbudgeted{m.Maker.At(h)} }
 
 // TestBudgetsNeverMoveAClosing feeds one stream to a summary whose sketches
 // offer closing budgets and to one that checks the threshold after every

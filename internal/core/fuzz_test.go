@@ -80,13 +80,13 @@ func FuzzUnmarshalBinary(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		if dense := edge.shared.Size() == fm.Width()*fm.Depth(); dense != (items > atLimit) {
+		if dense := edge.sketch(edge.shared).Size() == fm.Width()*fm.Depth(); dense != (items > atLimit) {
 			f.Fatalf("%d items left the shared sketch dense=%v", items, dense)
 		}
 		if img, err = edge.MarshalBinary(); err != nil {
 			f.Fatal(err)
 		}
-		payload, err := edge.shared.(*sketch.CountSketch).MarshalBinary()
+		payload, err := edge.sketch(edge.shared).(*sketch.CountSketch).MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
 		}

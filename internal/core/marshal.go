@@ -65,7 +65,7 @@ func (s *Summary) AppendBinary(buf []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(s.lmax))
 	buf = binary.AppendUvarint(buf, uint64(s.virginFrom))
 	var err error
-	if buf, err = sketch.AppendFramed(buf, s.shared); err != nil {
+	if buf, err = sketch.AppendFramed(buf, s.sketch(s.shared)); err != nil {
 		return nil, err
 	}
 	// Singleton level, in ascending y order: the encoding is canonical
@@ -80,7 +80,7 @@ func (s *Summary) AppendBinary(buf []byte) ([]byte, error) {
 	slices.Sort(ys)
 	for _, y := range ys {
 		buf = binary.AppendUvarint(buf, y)
-		if buf, err = sketch.AppendFramed(buf, s.s0.buckets[y]); err != nil {
+		if buf, err = sketch.AppendFramed(buf, s.sketch(s.s0.buckets[y])); err != nil {
 			return nil, err
 		}
 	}
@@ -89,28 +89,31 @@ func (s *Summary) AppendBinary(buf []byte) ([]byte, error) {
 		lv := s.levels[i]
 		buf = binary.AppendUvarint(buf, lv.y)
 		buf = binary.AppendUvarint(buf, uint64(lv.count))
-		if buf, err = appendNode(buf, lv.root); err != nil {
+		if buf, err = s.appendNode(buf, lv.root); err != nil {
 			return nil, err
 		}
 	}
 	return buf, nil
 }
 
-func (s *Summary) readSketch(data []byte) (sketch.Sketch, []byte, error) {
+// readSketch decodes one framed sketch into a new slot of the maker's slab
+// and returns its handle.
+func (s *Summary) readSketch(data []byte) (uint32, []byte, error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 || uint64(len(data)-sz) < n {
-		return nil, nil, ErrBadEncoding
+		return 0, nil, ErrBadEncoding
 	}
-	sk := s.maker.New()
-	bs, ok := sk.(encoding.BinaryUnmarshaler)
+	h := s.maker.Alloc()
+	bs, ok := s.sketch(h).(encoding.BinaryUnmarshaler)
 	if !ok {
-		return nil, nil, errors.New("core: sketch type does not support serialization")
+		s.maker.Free(h)
+		return 0, nil, errors.New("core: sketch type does not support serialization")
 	}
 	if err := bs.UnmarshalBinary(data[sz : sz+int(n)]); err != nil {
-		sketch.Recycle(s.maker, sk) // with whatever it decoded before the bad byte
-		return nil, nil, err
+		s.maker.Free(h) // with whatever it decoded before the bad byte
+		return 0, nil, err
 	}
-	return sk, data[sz+int(n):], nil
+	return h, data[sz+int(n):], nil
 }
 
 // Node flags.
@@ -120,46 +123,54 @@ const (
 	nodeHasSk   = 1 << 2
 )
 
-func appendNode(buf []byte, b *bucket) ([]byte, error) {
-	if b == nil {
+func (s *Summary) appendNode(buf []byte, h uint32) ([]byte, error) {
+	if h == 0 {
 		return append(buf, 0), nil
 	}
+	b := s.nodes.At(h)
 	flags := byte(nodePresent)
-	if b.closed {
+	if b.isClosed() {
 		flags |= nodeClosed
 	}
-	if b.sk != nil {
+	if b.sk != 0 {
 		flags |= nodeHasSk
 	}
 	buf = append(buf, flags)
 	var err error
-	if b.sk != nil {
-		if buf, err = sketch.AppendFramed(buf, b.sk); err != nil {
+	if b.sk != 0 {
+		if buf, err = sketch.AppendFramed(buf, s.sketch(b.sk)); err != nil {
 			return nil, err
 		}
 	}
-	if buf, err = appendNode(buf, b.left); err != nil {
+	if buf, err = s.appendNode(buf, b.left); err != nil {
 		return nil, err
 	}
-	return appendNode(buf, b.right)
+	return s.appendNode(buf, b.right)
 }
 
-func (s *Summary) readNode(data []byte, iv dyadic.Interval) (*bucket, []byte, error) {
+// readNode decodes the subtree spanning iv into the summary's slabs and
+// returns its root's handle, 0 for an absent node.
+func (s *Summary) readNode(data []byte, iv dyadic.Interval) (uint32, []byte, error) {
 	if len(data) < 1 {
-		return nil, nil, ErrBadEncoding
+		return 0, nil, ErrBadEncoding
 	}
 	flags := data[0]
 	data = data[1:]
 	if flags&nodePresent == 0 {
-		return nil, data, nil
+		return 0, data, nil
 	}
-	b := &bucket{closed: flags&nodeClosed != 0}
+	h := s.node()
+	b := s.nodes.At(h)
+	if flags&nodeClosed != 0 {
+		b.budget = closed
+	}
 	var err error
 	if flags&nodeHasSk != 0 {
 		if b.sk, data, err = s.readSketch(data); err != nil {
-			return nil, nil, err
+			s.drop(h)
+			return 0, nil, err
 		}
-		compactClosed(b, iv)
+		s.compactClosed(b, iv)
 	}
 	if !iv.Single() {
 		lc, rc := iv.Children()
@@ -178,10 +189,10 @@ func (s *Summary) readNode(data []byte, iv dyadic.Interval) (*bucket, []byte, er
 		}
 	}
 	if err != nil {
-		s.recycleTree(b) // the part of the subtree decoded before the bad byte
-		return nil, nil, err
+		s.freeTree(h) // the part of the subtree decoded before the bad byte
+		return 0, nil, err
 	}
-	return b, data, nil
+	return h, data, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The receiver must

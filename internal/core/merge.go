@@ -9,6 +9,7 @@ import (
 	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/dyadic"
 	"github.com/streamagg/correlated/internal/sketch"
+	"github.com/streamagg/correlated/internal/slab"
 )
 
 // Mergeability (the distributed-streams use case).
@@ -45,16 +46,18 @@ import (
 var errSelfMerge = errors.New("core: cannot merge a summary into itself")
 
 // incoming is the state of the other summary being folded into the
-// receiver — either a live *Summary (owned = false: its sketches belong to
-// a different, equivalent maker and must be copied) or a decoded wire
-// image (owned = true: the nodes were built with the receiver's maker and
-// may be adopted or recycled in place).
+// receiver — either a live *Summary (owned = false: its nodes and sketches
+// sit in its own slabs, belong to a different, equivalent maker and must be
+// copied) or a decoded wire image (owned = true: the nodes and sketches were
+// built in the receiver's slabs and may be adopted or freed in place).
 type incoming struct {
 	n          uint64
 	virginFrom int
-	shared     sketch.Sketch
+	shared     uint32
 	s0         *levelZero
 	levels     []*level
+	nodes      *slab.Slab[bucket] // what the levels' handles name
+	maker      sketch.Maker       // what the sketch handles name
 	owned      bool
 }
 
@@ -113,6 +116,8 @@ func (s *Summary) Merge(other *Summary) error {
 		shared:     other.shared,
 		s0:         &other.s0,
 		levels:     other.levels,
+		nodes:      &other.nodes,
+		maker:      other.maker,
 	})
 	return nil
 }
@@ -130,7 +135,7 @@ type MergeImage struct {
 
 // MergeMarshaled folds a summary serialized with MarshalBinary into the
 // receiver, without materializing a second Summary: decoded buckets are
-// built directly from the receiver's (pooled) maker and adopted into the
+// built directly in the receiver's slabs and adopted into the
 // merged structure. The bytes must come from a summary created with the
 // same aggregate and Config (including Seed) — the encoding carries only
 // alpha and the level count, so the remaining fields are the caller's
@@ -148,7 +153,7 @@ func (s *Summary) MergeMarshaled(data []byte) error {
 // summary) into a MergeImage without touching the receiver. Apply it with
 // ApplyMergeImage, or hand its sketches back with Discard.
 func (s *Summary) ParseMergeImage(data []byte) (*MergeImage, error) {
-	img := &MergeImage{in: incoming{owned: true}, owner: s}
+	img := &MergeImage{in: incoming{nodes: &s.nodes, maker: s.maker, owned: true}, owner: s}
 	if err := s.parseInto(&img.in, data); err != nil {
 		img.Discard() // what was decoded before the bad byte
 		return nil, err
@@ -166,15 +171,17 @@ func (img *MergeImage) Discard() {
 	}
 	img.applied = true
 	s, in := img.owner, img.in
-	sketch.Recycle(s.maker, in.shared)
+	if in.shared != 0 {
+		s.maker.Free(in.shared)
+	}
 	if in.s0 != nil {
-		for _, sk := range in.s0.buckets {
-			sketch.Recycle(s.maker, sk)
+		for _, h := range in.s0.buckets {
+			s.maker.Free(h)
 		}
 	}
 	for _, lv := range in.levels {
 		if lv != nil {
-			s.recycleTree(lv.root)
+			s.freeTree(lv.root)
 		}
 	}
 }
@@ -253,7 +260,7 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 	if cnt > uint64(len(data)) {
 		return ErrBadEncoding
 	}
-	oz := levelZero{buckets: make(map[uint64]sketch.Sketch, cnt), y: y0}
+	oz := levelZero{buckets: make(map[uint64]uint32, cnt), y: y0}
 	in.s0 = &oz
 	for i := uint64(0); i < cnt; i++ {
 		y, n := binary.Uvarint(data)
@@ -261,12 +268,14 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 			return ErrBadEncoding
 		}
 		data = data[n:]
-		var sk sketch.Sketch
-		if sk, data, err = s.readSketch(data); err != nil {
+		var h uint32
+		if h, data, err = s.readSketch(data); err != nil {
 			return err
 		}
-		sketch.Recycle(s.maker, oz.buckets[y]) // a forged image's duplicate; the later entry wins
-		oz.buckets[y] = sk
+		if dup := oz.buckets[y]; dup != 0 {
+			s.maker.Free(dup) // a forged image's duplicate; the later entry wins
+		}
+		oz.buckets[y] = h
 	}
 	// Bucket-tree levels.
 	in.levels = make([]*level, s.lmax+1)
@@ -285,7 +294,7 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 		if lv.root, data, err = s.readNode(data, s.span); err != nil {
 			return err
 		}
-		if lv.root == nil {
+		if lv.root == 0 {
 			return ErrBadEncoding
 		}
 		in.levels[i] = lv
@@ -326,9 +335,14 @@ func (s *Summary) mergeIncoming(in incoming) {
 		s.mergeTreeLevel(i, in)
 	}
 	// Same-or-equivalent maker merges cannot fail.
-	_ = s.shared.Merge(in.shared)
+	_ = s.sketch(s.shared).Merge(in.maker.At(in.shared))
 	if in.owned {
-		sketch.Recycle(s.maker, in.shared)
+		// What the image's trees hold beyond what the merge took: the
+		// levels virgin on its side, for which its shared sketch stood.
+		for i := in.virginFrom; i <= s.lmax; i++ {
+			s.freeTree(in.levels[i].root)
+		}
+		s.maker.Free(in.shared)
 	}
 	s.virginFrom = newVF
 	s.n += in.n
@@ -350,9 +364,9 @@ func (s *Summary) mergeLevel0(in incoming) {
 	if oz.y < z.y {
 		z.y = oz.y
 		dropped := false
-		for y, sk := range z.buckets {
+		for y, h := range z.buckets {
 			if y >= z.y {
-				sketch.Recycle(s.maker, sk)
+				s.maker.Free(h)
 				delete(z.buckets, y)
 				dropped = true
 			}
@@ -364,27 +378,25 @@ func (s *Summary) mergeLevel0(in incoming) {
 			}
 		}
 	}
-	for y, osk := range oz.buckets {
+	for y, oh := range oz.buckets {
 		if y >= z.y {
 			if in.owned {
-				sketch.Recycle(s.maker, osk)
+				s.maker.Free(oh)
 			}
 			continue
 		}
-		sk := z.buckets[y]
+		h := z.buckets[y]
 		switch {
-		case sk != nil:
-			_ = sk.Merge(osk)
+		case h != 0:
+			_ = s.sketch(h).Merge(in.maker.At(oh))
 			if in.owned {
-				sketch.Recycle(s.maker, osk)
+				s.maker.Free(oh)
 			}
 		case in.owned:
-			z.buckets[y] = osk
+			z.buckets[y] = oh
 			heapPushU64(&z.ys, y)
 		default:
-			sk = s.maker.New()
-			_ = sk.Merge(osk)
-			z.buckets[y] = sk
+			z.buckets[y] = s.copyOf(in.maker.At(oh))
 			heapPushU64(&z.ys, y)
 		}
 	}
@@ -396,22 +408,21 @@ func (s *Summary) mergeLevel0(in incoming) {
 // contributes its shared whole-stream sketch through the root bucket.
 func (s *Summary) mergeTreeLevel(i int, in incoming) {
 	lv := s.levels[i]
+	root := s.nodes.At(lv.root)
 	if i >= s.virginFrom {
 		// Materialize the receiver's virgin root from its own shared
 		// sketch — open, not closed: the closing decision is re-made
 		// below from the merged contents, with the same threshold rule
 		// Algorithm 2 applies.
-		cp := s.maker.New()
-		_ = cp.Merge(s.shared)
-		lv.root.sk = cp
+		root.sk = s.copyOf(s.sketch(s.shared))
 	}
 	if i >= in.virginFrom {
 		// The other side is virgin here: its entire level-i content is
 		// its whole-stream sketch, which belongs in the root bucket.
-		_ = lv.root.sk.Merge(in.shared)
+		_ = s.sketch(root.sk).Merge(in.maker.At(in.shared))
 	} else {
 		olv := in.levels[i]
-		s.mergeNode(lv.root, olv.root, in.owned)
+		s.mergeNode(lv.root, olv.root, &in)
 		if olv.y < lv.y {
 			lv.y = olv.y
 		}
@@ -424,59 +435,61 @@ func (s *Summary) mergeTreeLevel(i int, in incoming) {
 	}
 }
 
-// mergeNode folds src (same dyadic interval, from the incoming summary)
-// into dst. Children missing on one side are adopted (owned) or deep-
-// copied through the receiver's maker. Internal nodes are closed by
-// construction on whichever side split them, so the merged tree keeps the
-// "internal implies closed" invariant.
-func (s *Summary) mergeNode(dst, src *bucket, owned bool) {
-	if src.sk != nil {
-		if dst.sk == nil {
-			dst.sk = s.maker.New()
+// mergeNode folds the incoming node sh (same dyadic interval) into the
+// receiver's node dh. Children missing on one side are adopted (owned) or
+// deep-copied into the receiver's slabs; an owned node whose content went
+// into dh is freed. Internal nodes are closed by construction on whichever
+// side split them, so the merged tree keeps the "internal implies closed"
+// invariant.
+func (s *Summary) mergeNode(dh, sh uint32, in *incoming) {
+	dst, src := s.nodes.At(dh), in.nodes.At(sh)
+	if src.sk != 0 {
+		if dst.sk == 0 {
+			dst.sk = s.maker.Alloc()
 		}
-		_ = dst.sk.Merge(src.sk)
-		if owned {
-			sketch.Recycle(s.maker, src.sk)
-			src.sk = nil
-		}
+		_ = s.sketch(dst.sk).Merge(in.maker.At(src.sk))
 	}
-	if src.closed {
-		dst.closed = true
+	if src.isClosed() {
+		dst.budget = closed
 	}
-	if src.left != nil {
-		if dst.left != nil {
-			s.mergeNode(dst.left, src.left, owned)
+	if src.left != 0 {
+		if dst.left != 0 {
+			s.mergeNode(dst.left, src.left, in)
 		} else {
-			dst.left = s.importNode(src.left, owned)
+			dst.left = s.importNode(src.left, in)
 		}
 	}
-	if src.right != nil {
-		if dst.right != nil {
-			s.mergeNode(dst.right, src.right, owned)
+	if src.right != 0 {
+		if dst.right != 0 {
+			s.mergeNode(dst.right, src.right, in)
 		} else {
-			dst.right = s.importNode(src.right, owned)
+			dst.right = s.importNode(src.right, in)
 		}
+	}
+	if in.owned {
+		s.drop(sh)
 	}
 }
 
-// importNode brings a subtree the receiver does not have into the merged
-// tree: adopted as-is when the nodes already belong to the receiver's
-// maker, deep-copied otherwise.
-func (s *Summary) importNode(src *bucket, owned bool) *bucket {
-	if src == nil {
-		return nil
+// importNode brings an incoming subtree the receiver does not have into the
+// merged tree: adopted as-is when the nodes already sit in the receiver's
+// slabs, deep-copied otherwise.
+func (s *Summary) importNode(sh uint32, in *incoming) uint32 {
+	if sh == 0 || in.owned {
+		return sh
 	}
-	if owned {
-		return src
+	src := in.nodes.At(sh)
+	h := s.node()
+	b := s.nodes.At(h)
+	if src.isClosed() {
+		b.budget = closed
 	}
-	b := &bucket{closed: src.closed}
-	if src.sk != nil {
-		b.sk = s.maker.New()
-		_ = b.sk.Merge(src.sk)
+	if src.sk != 0 {
+		b.sk = s.copyOf(in.maker.At(src.sk))
 	}
-	b.left = s.importNode(src.left, false)
-	b.right = s.importNode(src.right, false)
-	return b
+	b.left = s.importNode(src.left, in)
+	b.right = s.importNode(src.right, in)
+	return h
 }
 
 // recloseAndCount re-runs the closing decision on every merged bucket —
@@ -484,17 +497,20 @@ func (s *Summary) importNode(src *bucket, owned bool) *bucket {
 // closes, exactly as Algorithm 2 would have closed it — compacts the closed
 // ones (a merge into one undid that), resets the optimization budgets, and
 // returns the number of stored buckets in b's subtree, b spanning iv.
-func (s *Summary) recloseAndCount(lv *level, b *bucket, iv dyadic.Interval) int {
-	if b == nil {
+func (s *Summary) recloseAndCount(lv *level, h uint32, iv dyadic.Interval) int {
+	if h == 0 {
 		return 0
 	}
-	if !b.closed && !iv.Single() && b.sk != nil &&
-		sketch.CheapEstimate(b.sk) >= lv.thresh {
-		b.closed = true
+	b := s.nodes.At(h)
+	switch {
+	case b.isClosed():
+	case !iv.Single() && b.sk != 0 && sketch.CheapEstimate(s.sketch(b.sk)) >= lv.thresh:
+		b.budget = closed
+	default:
+		b.budget = 0
 	}
-	compactClosed(b, iv)
-	b.closeBudget = 0
-	if b.left == nil && b.right == nil {
+	s.compactClosed(b, iv)
+	if b.isLeaf() {
 		return 1
 	}
 	lc, rc := iv.Children()
@@ -502,22 +518,16 @@ func (s *Summary) recloseAndCount(lv *level, b *bucket, iv dyadic.Interval) int 
 }
 
 // install replaces the summary's state with a decoded wire image (the
-// restore side of UnmarshalBinary), recycling the previous state's
-// sketches into the maker's pool. The incoming state must be owned
-// (its buckets were built by this summary's maker).
+// restore side of UnmarshalBinary), freeing the previous state's nodes and
+// sketches for the next ones. The incoming state must be owned (its
+// buckets were built in this summary's slabs).
 func (s *Summary) install(in incoming) {
-	for _, sk := range s.s0.buckets {
-		sketch.Recycle(s.maker, sk)
-	}
-	for i := 1; i <= s.lmax; i++ {
-		s.recycleTree(s.levels[i].root)
-	}
-	sketch.Recycle(s.maker, s.shared)
+	s.free()
 	s.n = in.n
 	s.virginFrom = in.virginFrom
 	s.sharedBudget = 0 // force a fresh materialization check
 	s.shared = in.shared
-	s.sharedSA = s.slotAdderOf(in.shared)
+	s.sharedSA = s.slotAdderOf(s.sketch(in.shared))
 	s.s0 = *in.s0
 	s.s0.ys = s.s0.ys[:0]
 	for y := range s.s0.buckets {
@@ -530,44 +540,35 @@ func (s *Summary) install(in incoming) {
 	}
 }
 
-// Reset returns the summary to its freshly constructed state, recycling
-// every sketch into the maker's pool. It is the cheap way to reuse a
+// Reset returns the summary to its freshly constructed state, freeing
+// every node and sketch for the next ones. It is the cheap way to reuse a
 // summary as a merge accumulator (merge-then-query over site summaries)
 // or across stream epochs without rebuilding hash functions.
 func (s *Summary) Reset() {
-	for _, sk := range s.s0.buckets {
-		sketch.Recycle(s.maker, sk)
-	}
-	s.s0 = levelZero{buckets: make(map[uint64]sketch.Sketch), y: noWatermark}
-	for i := 1; i <= s.lmax; i++ {
-		s.recycleTree(s.levels[i].root)
-		s.levels[i] = &level{
-			idx:    i,
-			root:   &bucket{},
-			y:      noWatermark,
-			count:  1,
-			thresh: s.levels[i].thresh,
-		}
-	}
-	clear(s.cache)
-	for i := range s.wm {
-		s.wm[i] = noWatermark
-	}
-	sketch.Recycle(s.maker, s.shared)
-	s.shared = s.maker.New()
-	s.sharedSA = s.slotAdderOf(s.shared)
-	s.virginFrom = 1
-	s.sharedBudget = 0
-	s.n = 0
+	s.free()
+	s.empty()
 }
 
-// recycleTree returns every sketch in the subtree to the maker's pool.
-func (s *Summary) recycleTree(b *bucket) {
-	if b == nil {
+// free gives back every node and sketch the summary holds, leaving it
+// without state until empty or install gives it some.
+func (s *Summary) free() {
+	for _, h := range s.s0.buckets {
+		s.maker.Free(h)
+	}
+	for i := 1; i <= s.lmax; i++ {
+		s.freeTree(s.levels[i].root)
+	}
+	s.maker.Free(s.shared)
+}
+
+// freeTree gives back every node of the subtree at h and its sketches.
+func (s *Summary) freeTree(h uint32) {
+	if h == 0 {
 		return
 	}
-	sketch.Recycle(s.maker, b.sk)
-	b.sk = nil
-	s.recycleTree(b.left)
-	s.recycleTree(b.right)
+	b := s.nodes.At(h)
+	left, right := b.left, b.right
+	s.drop(h)
+	s.freeTree(left)
+	s.freeTree(right)
 }

@@ -405,34 +405,36 @@ func checkInvariants(t *testing.T, s *Summary) {
 		if lv.count > s.alpha {
 			t.Fatalf("level %d over capacity: %d > %d", i, lv.count, s.alpha)
 		}
-		if got := countNodes(lv.root); got != lv.count {
+		if got := countNodes(s, lv.root); got != lv.count {
 			t.Fatalf("level %d count %d but tree has %d nodes", i, lv.count, got)
 		}
 		if s.wm[i] != lv.y {
 			t.Fatalf("level %d watermark mirror %d != %d", i, s.wm[i], lv.y)
 		}
-		verifyClosedInternal(t, i, lv.root, s.span)
+		verifyClosedInternal(t, s, i, lv.root, s.span)
 	}
 }
 
-func countNodes(b *bucket) int {
-	if b == nil {
+func countNodes(s *Summary, h uint32) int {
+	if h == 0 {
 		return 0
 	}
-	return 1 + countNodes(b.left) + countNodes(b.right)
+	b := s.nodes.At(h)
+	return 1 + countNodes(s, b.left) + countNodes(s, b.right)
 }
 
-func verifyClosedInternal(t *testing.T, lvl int, b *bucket, iv dyadic.Interval) {
+func verifyClosedInternal(t *testing.T, s *Summary, lvl int, h uint32, iv dyadic.Interval) {
 	t.Helper()
-	if b == nil || b.left == nil && b.right == nil {
+	if h == 0 || s.nodes.At(h).isLeaf() {
 		return
 	}
-	if !b.closed {
+	b := s.nodes.At(h)
+	if !b.isClosed() {
 		t.Fatalf("level %d: internal bucket [%d,%d] not closed", lvl, iv.L, iv.R)
 	}
 	lc, rc := iv.Children()
-	verifyClosedInternal(t, lvl, b.left, lc)
-	verifyClosedInternal(t, lvl, b.right, rc)
+	verifyClosedInternal(t, s, lvl, b.left, lc)
+	verifyClosedInternal(t, s, lvl, b.right, rc)
 }
 
 func relDiff(got, want float64) float64 {

@@ -42,9 +42,10 @@ type LevelOccupancy struct {
 	ClosedItemsBytes       int64
 	// Pooled is the bytes the free lists hold: the maker's zeroed tables and
 	// arrays that sketches have handed back and the next ones will take, and
-	// the tree nodes evictions freed for the next splits. They stand behind
-	// no counter and belong to no level, so they are in no row's Bytes; the
-	// S0 row alone reports them, the others read zero.
+	// the slots of the two slabs — tree nodes, sketch structs — that hold no
+	// bucket's, freed by evictions or never yet used, for the next splits.
+	// They stand behind no counter and belong to no level, so they are in no
+	// row's Bytes; the S0 row alone reports them, the others read zero.
 	// It is a property of the summary's past, not its state: a restored
 	// summary starts with empty lists. Footprint reports the same number
 	// beside the rows' Bytes added up, without the walk.
@@ -57,16 +58,16 @@ type LevelOccupancy struct {
 func (s *Summary) Occupancy() []LevelOccupancy {
 	rows := make([]LevelOccupancy, s.lmax+1)
 	rows[0] = LevelOccupancy{Stored: len(s.s0.buckets), Watermark: s.s0.y}
-	for _, sk := range s.s0.buckets {
+	for _, h := range s.s0.buckets {
 		rows[0].count(1) // the singleton's y
-		rows[0].visit(sk, false, false)
+		rows[0].visit(s.sketch(h), false, false)
 	}
 	for i := 1; i <= s.lmax; i++ {
 		rows[i] = LevelOccupancy{Level: i, Virgin: i >= s.virginFrom, Watermark: s.levels[i].y}
-		rows[i].walk(s.levels[i].root, s.span)
+		s.occupy(&rows[i], s.levels[i].root, s.span)
 	}
-	rows[min(s.virginFrom, s.lmax)].countSketch(s.shared)
-	rows[0].Pooled = s.freeNodeBytes()
+	rows[min(s.virginFrom, s.lmax)].countSketch(s.sketch(s.shared))
+	rows[0].Pooled = s.spareNodeBytes()
 	if p, ok := s.maker.(pooler); ok {
 		held, _ := p.PooledBytes()
 		rows[0].Pooled += int64(held)
@@ -86,14 +87,16 @@ type Footprint struct {
 	// Held is what Occupancy's rows add up to in Bytes: every sketch's table
 	// or array at its stored width, and the words Space charges a bucket.
 	Held int64
-	// Pooled is Occupancy's Pooled: the maker's free lists and the summary's
-	// free tree nodes.
+	// Pooled is Occupancy's Pooled: the maker's free lists and the spare
+	// slots of the two slabs.
 	Pooled int64
 	// Headers is what stands around Held and no row counts: the tree nodes
 	// and the sketch structs, less the two words Held charges a node (as
-	// Space does), so that Total counts a node once, at its size. The
+	// Space does), so that Total counts a node once, at its size — which
+	// leaves the sketch structs, a 16-byte node being those two words. The
 	// singleton level's map and heap are not in it: a singleton has no node,
-	// its sketch sits in the map under its y, the word Held charges it.
+	// its sketch's handle sits in the map under its y, the word Held charges
+	// it.
 	Headers int64
 }
 
@@ -112,20 +115,20 @@ type bookkeeper interface {
 	HeaderBytes() int
 }
 
-// bucketBytes is what the allocator hands out for a tree node.
-const bucketBytes = (int64(unsafe.Sizeof(bucket{})) + 15) &^ 15
+// bucketBytes is a tree node's slot in the node slab.
+const bucketBytes = int64(unsafe.Sizeof(bucket{}))
 
-// freeNodeBytes is what the free tree nodes hold.
-func (s *Summary) freeNodeBytes() int64 { return int64(s.nfree) * bucketBytes }
+// spareNodeBytes is what the node slab's spare slots hold.
+func (s *Summary) spareNodeBytes() int64 { return int64(s.nodes.Spare()) * bucketBytes }
 
 // Footprint returns the summary's memory from the maker's running counts and
 // the per-level bucket counts. A maker that keeps no books has every counter
 // charged at one word, 8 × Space — which is what Occupancy's Bytes add up to
-// for it — found by Space's walk, and the free tree nodes as Pooled.
+// for it — found by Space's walk, and the node slab's spare slots as Pooled.
 func (s *Summary) Footprint() Footprint {
 	bk, ok := s.maker.(bookkeeper)
 	if !ok {
-		return Footprint{Held: 8 * s.Space(), Pooled: s.freeNodeBytes()}
+		return Footprint{Held: 8 * s.Space(), Pooled: s.spareNodeBytes()}
 	}
 	singles, nodes := int64(len(s.s0.buckets)), int64(0)
 	for i := 1; i <= s.lmax; i++ {
@@ -135,7 +138,7 @@ func (s *Summary) Footprint() Footprint {
 	return Footprint{
 		// The y of a singleton and the interval of a node: Space's words.
 		Held:    int64(bk.HeldBytes()) + 8*singles + 16*nodes,
-		Pooled:  int64(pooled) + s.freeNodeBytes(),
+		Pooled:  int64(pooled) + s.spareNodeBytes(),
 		Headers: int64(bk.HeaderBytes()) + nodes*(bucketBytes-16),
 	}
 }
@@ -171,18 +174,23 @@ type formed interface {
 	Bytes() int
 }
 
-// walk charges the subtree of b, which spans iv, to the level.
-func (o *LevelOccupancy) walk(b *bucket, iv dyadic.Interval) {
-	if b == nil {
+// occupy charges the subtree at h, which spans iv, to the level's row o.
+func (s *Summary) occupy(o *LevelOccupancy, h uint32, iv dyadic.Interval) {
+	if h == 0 {
 		return
+	}
+	b := s.nodes.At(h)
+	var sk sketch.Sketch
+	if b.sk != 0 {
+		sk = s.sketch(b.sk)
 	}
 	o.Stored++
 	o.count(2) // the bucket's interval
-	o.visit(b.sk, b.closed, b.closed && !iv.Single())
-	if b.left != nil || b.right != nil {
+	o.visit(sk, b.isClosed(), b.isClosed() && !iv.Single())
+	if !b.isLeaf() {
 		lc, rc := iv.Children()
-		o.walk(b.left, lc)
-		o.walk(b.right, rc)
+		s.occupy(o, b.left, lc)
+		s.occupy(o, b.right, rc)
 	}
 }
 

@@ -43,14 +43,14 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 					t.Fatalf("%s %s: row %+v, watermark %d, virginFrom %d", name, when, o, s.Watermark(i), s.virginFrom)
 				}
 			}
-			nodes := s.freeNodeBytes()
+			nodes := s.spareNodeBytes()
 			if p, ok := s.maker.(pooler); ok {
 				if held, bound := p.PooledBytes(); rows[0].Pooled != int64(held)+nodes || held > bound {
-					t.Fatalf("%s %s: %d bytes pooled, the maker holds %d of at most %d, the free nodes %d",
+					t.Fatalf("%s %s: %d bytes pooled, the maker holds %d of at most %d, the spare node slots %d",
 						name, when, rows[0].Pooled, held, bound, nodes)
 				}
 			} else if rows[0].Pooled != nodes {
-				t.Fatalf("%s %s: %d bytes pooled by a maker without lists, the free nodes hold %d", name, when, rows[0].Pooled, nodes)
+				t.Fatalf("%s %s: %d bytes pooled by a maker without lists, the spare node slots hold %d", name, when, rows[0].Pooled, nodes)
 			}
 			if counters != s.Space() || stored != s.Buckets() {
 				t.Fatalf("%s %s: rows hold %d counters in %d buckets, Space %d Buckets %d",

@@ -92,7 +92,7 @@ func TestPropertyBucketInvariants(t *testing.T) {
 			if lv.count > alpha {
 				return false
 			}
-			if !checkTree(lv.root, s.span) {
+			if !checkTree(s, lv.root, s.span) {
 				return false
 			}
 		}
@@ -115,15 +115,16 @@ func TestPropertyBucketInvariants(t *testing.T) {
 // checkTree verifies dyadic structure: children are created in pairs and
 // discarded right-first, so a right child never stands without its left
 // sibling, and a single point has none.
-func checkTree(b *bucket, iv dyadic.Interval) bool {
-	if b == nil || b.left == nil && b.right == nil {
+func checkTree(s *Summary, h uint32, iv dyadic.Interval) bool {
+	if h == 0 || s.nodes.At(h).isLeaf() {
 		return true
 	}
-	if b.left == nil || iv.Single() {
+	b := s.nodes.At(h)
+	if b.left == 0 || iv.Single() {
 		return false
 	}
 	lc, rc := iv.Children()
-	return checkTree(b.left, lc) && checkTree(b.right, rc)
+	return checkTree(s, b.left, lc) && checkTree(s, b.right, rc)
 }
 
 // cacheReachable reports whether level i's cached leaf, if it has one, is the
@@ -134,19 +135,20 @@ func cacheReachable(s *Summary, i int) bool {
 	if c.b == nil {
 		return true
 	}
-	b, iv := s.levels[i].root, s.span
-	for b != nil && iv != c.iv {
+	h, iv := s.levels[i].root, s.span
+	for h != 0 && iv != c.iv {
 		if iv.Single() || !iv.Contains(c.iv.L) {
 			return false
 		}
+		b := s.nodes.At(h)
 		lc, rc := iv.Children()
 		if c.iv.L <= lc.R {
-			b, iv = b.left, lc
+			h, iv = b.left, lc
 		} else {
-			b, iv = b.right, rc
+			h, iv = b.right, rc
 		}
 	}
-	return b == c.b
+	return h != 0 && s.nodes.At(h) == c.b && c.sk == s.sketch(c.b.sk)
 }
 
 // TestPropertySumMatchesExact: SUM through the reduction on random

@@ -9,6 +9,7 @@ import (
 	"github.com/streamagg/correlated/internal/dyadic"
 	"github.com/streamagg/correlated/internal/hash"
 	"github.com/streamagg/correlated/internal/sketch"
+	"github.com/streamagg/correlated/internal/slab"
 )
 
 // noWatermark is the initial value of each level's Y_i ("infinity").
@@ -37,6 +38,10 @@ type Summary struct {
 	s0     levelZero
 	levels []*level // levels[i] for i = 1..lmax; index 0 unused
 
+	// nodes holds every level's tree nodes. A node names its children by
+	// their handles here, and its sketch by its handle in the maker's slab.
+	nodes slab.Slab[bucket]
+
 	n uint64 // tuples inserted
 
 	// cache holds, per level, the leaf that received the previous
@@ -52,16 +57,16 @@ type Summary struct {
 	// own copy and proceeds independently. This changes per-update cost
 	// from O(ℓmax) sketch updates to O(active levels) without changing
 	// behaviour in any way.
-	shared     sketch.Sketch
-	virginFrom int // smallest level whose root has never closed
+	shared     uint32 // the shared sketch's handle
+	virginFrom int    // smallest level whose root has never closed
 
 	// Hash-once fan-out: when the maker supports precomputed slots, each
-	// arriving tuple is hashed exactly once into the slab, and every sketch
+	// arriving tuple is hashed exactly once into a scratch plan, and every sketch
 	// it touches — the singleton bucket, one leaf per active level, the
 	// shared virgin sketch — applies the same slots. Without this, a
 	// tuple re-evaluates the maker's d row hashes once per level.
 	slotMaker sketch.SlotMaker // nil when the maker has no slot support
-	slab      sketch.Slots     // per-group slot slab (scratch, reused)
+	slots     sketch.Slots     // per-group slot plan (scratch, reused)
 	one       [1]Tuple         // AddWeighted's group of one (scratch, reused)
 
 	parts []sketch.Sketch // query composition's operands (scratch, reused)
@@ -75,41 +80,46 @@ type Summary struct {
 	// scan reads a few contiguous cache lines instead of chasing a
 	// pointer per level. Kept in sync by discardMax and UnmarshalBinary.
 	wm []uint64
-
-	// free is the tree nodes discardMax evicted, zeroed and chained through
-	// left, for the next split to take (node); nfree counts them, at most
-	// maxFreeNodes. Footprint charges them to Pooled.
-	free  *bucket
-	nfree int
 }
 
-// bucket is a node of a level's tree. It stores only what its position does
-// not say: its dyadic interval is fixed by the path from the root, which
-// spans [0, YMax] and halves at each step, so every descent and walk passes
-// the interval down beside the node instead (dyadic.Interval.Children).
-// A summary holds tens of thousands of these, so the node is kept at 48
-// bytes, a size class of its own.
+// bucket is a node of a level's tree, a record in the summary's node slab.
+// It stores only what its position does not say: its dyadic interval is
+// fixed by the path from the root, which spans [0, YMax] and halves at each
+// step, so every descent and walk passes the interval down beside the node
+// instead (dyadic.Interval.Children). A summary holds tens of thousands of
+// these, so the node is 16 bytes and holds no pointer: handles name its
+// sketch and its children.
 type bucket struct {
-	sk          sketch.Sketch
-	left, right *bucket
+	sk          uint32 // the sketch's handle in the maker's slab; 0 while untouched
+	left, right uint32 // the children's handles in the node slab; 0 for none
 
-	// closeBudget is the weight this bucket can still absorb before its
-	// estimate could possibly reach the level's closing threshold
-	// (sketch.ThresholdBudget). While positive, the closing check is
-	// skipped — with decisions bit-identical to checking every insert.
-	// Pure optimization state: not serialized; zero forces a check.
-	closeBudget int64
-	closed      bool
+	// budget is the weight this bucket can still absorb before its estimate
+	// could possibly reach the level's closing threshold
+	// (sketch.ThresholdBudget), clamped to int32, or closed. While positive,
+	// the closing check is skipped — with decisions bit-identical to
+	// checking every insert; clamping only makes a check come sooner. Pure
+	// optimization state: not serialized; zero forces a check.
+	budget int32
 }
 
-// leaf is a level's cached leaf, the interval it spans and its sketch's
-// slot face, asserted once when the leaf is cached rather than once per
-// group (nil off the fast path). The face is the sketch's own: it stays
-// valid for as long as the entry, which every change of the leaf's sketch
-// clears (discardMax, merges, restores, Reset).
+// closed is the budget of a bucket that has crossed its level's threshold.
+const closed = -1
+
+// isClosed reports whether the bucket has crossed its level's threshold.
+func (b *bucket) isClosed() bool { return b.budget == closed }
+
+// isLeaf reports whether the bucket has no children.
+func (b *bucket) isLeaf() bool { return b.left == 0 && b.right == 0 }
+
+// leaf is a level's cached leaf, the interval it spans, its sketch and the
+// sketch's slot face, asserted once when the leaf is cached rather than once
+// per group (nil off the fast path). Slab records stay in place, so the
+// entry stays valid for as long as the leaf holds its sketch, which every
+// change of the leaf's sketch clears (discardMax, merges, restores, Reset).
 type leaf struct {
 	b  *bucket
 	iv dyadic.Interval
+	sk sketch.Sketch
 	sa sketch.SlotAdder
 }
 
@@ -117,22 +127,21 @@ type leaf struct {
 // without a descent from the root.
 func (c leaf) serves(y uint64) bool {
 	b := c.b
-	return b != nil && b.left == nil && b.right == nil &&
-		c.iv.Contains(y) && (!b.closed || c.iv.Single())
+	return b != nil && b.isLeaf() && c.iv.Contains(y) && (!b.isClosed() || c.iv.Single())
 }
 
 type level struct {
 	idx    int
-	root   *bucket
+	root   uint32 // the root's handle in the node slab
 	y      uint64 // watermark Y_ℓ
 	count  int    // stored buckets
 	thresh float64
 }
 
 // levelZero is the singleton level: each stored y maps straight to its
-// sketch, the key being all a singleton bucket's interval would say.
+// sketch's handle, the key being all a singleton bucket's interval would say.
 type levelZero struct {
-	buckets map[uint64]sketch.Sketch
+	buckets map[uint64]uint32
 	ys      []uint64 // max-heap of singleton y values
 	y       uint64   // watermark Y_0
 }
@@ -166,28 +175,39 @@ func NewSummary(agg Aggregate, cfg Config) (*Summary, error) {
 		levels: make([]*level, lmax+1),
 		cache:  make([]leaf, lmax+1),
 	}
-	s.s0 = levelZero{buckets: make(map[uint64]sketch.Sketch), y: noWatermark}
-	for i := 1; i <= lmax; i++ {
-		s.levels[i] = &level{
-			idx:    i,
-			root:   &bucket{},
-			y:      noWatermark,
-			count:  1,
-			thresh: math.Ldexp(1, i+1),
-		}
-	}
 	if sm, ok := s.maker.(sketch.SlotMaker); ok && !cfg.NoSlotFastPath {
 		s.slotMaker = sm
 	}
-	s.shared = s.maker.New()
-	s.sharedSA = s.slotAdderOf(s.shared)
-	s.virginFrom = 1
 	s.wm = make([]uint64, lmax+1)
+	for i := 1; i <= lmax; i++ {
+		s.levels[i] = &level{idx: i, thresh: math.Ldexp(1, i+1)}
+	}
+	s.empty()
+	return s, nil
+}
+
+// empty gives the summary the state NewSummary leaves — an empty singleton
+// level, one untouched root a level, an empty shared sketch — with the
+// thresholds and hash functions it has. What the summary held is the
+// caller's to free first.
+func (s *Summary) empty() {
+	s.s0 = levelZero{buckets: make(map[uint64]uint32), y: noWatermark}
+	for i := 1; i <= s.lmax; i++ {
+		*s.levels[i] = level{idx: i, root: s.node(), y: noWatermark, count: 1, thresh: s.levels[i].thresh}
+	}
+	clear(s.cache)
 	for i := range s.wm {
 		s.wm[i] = noWatermark
 	}
-	return s, nil
+	s.shared = s.maker.Alloc()
+	s.sharedSA = s.slotAdderOf(s.sketch(s.shared))
+	s.virginFrom = 1
+	s.sharedBudget = 0
+	s.n = 0
 }
+
+// sketch returns the sketch behind a handle of the summary's maker.
+func (s *Summary) sketch(h uint32) sketch.Sketch { return s.maker.At(h) }
 
 // slotAdderOf returns sk's SlotAdder face when the fast path is active.
 // Sketches from a SlotMaker are contractually SlotAdders.
@@ -236,13 +256,14 @@ func (s *Summary) checkVirgin(w int64) {
 	if s.sharedBudget > 0 {
 		return
 	}
+	shared := s.sketch(s.shared)
 	for s.virginFrom <= s.lmax &&
-		sketch.CheapEstimate(s.shared) >= s.levels[s.virginFrom].thresh {
+		sketch.CheapEstimate(shared) >= s.levels[s.virginFrom].thresh {
 		s.materialize(s.levels[s.virginFrom])
 		s.virginFrom++
 	}
 	if s.virginFrom <= s.lmax {
-		s.sharedBudget = sketch.ThresholdBudget(s.shared, s.levels[s.virginFrom].thresh)
+		s.sharedBudget = sketch.ThresholdBudget(shared, s.levels[s.virginFrom].thresh)
 	}
 }
 
@@ -250,14 +271,20 @@ func (s *Summary) checkVirgin(w int64) {
 // closes its root, exactly as Algorithm 2 would have done had the level
 // been maintaining the root sketch itself.
 func (s *Summary) materialize(lv *level) {
-	cp := s.maker.New()
-	// Same-maker merges cannot fail.
-	_ = cp.Merge(s.shared)
-	lv.root.sk = cp
+	root := s.nodes.At(lv.root)
+	root.sk = s.copyOf(s.sketch(s.shared))
 	if !s.span.Single() {
-		lv.root.closed = true
-		compactClosed(lv.root, s.span)
+		root.budget = closed
+		s.compactClosed(root, s.span)
 	}
+}
+
+// copyOf returns the handle of a new sketch holding what sk does. Same-maker
+// (or equivalent-maker) merges cannot fail.
+func (s *Summary) copyOf(sk sketch.Sketch) uint32 {
+	h := s.maker.Alloc()
+	_ = s.sketch(h).Merge(sk)
+	return h
 }
 
 // compactClosed sheds the slack of b's sketch if b is closed and will split:
@@ -265,19 +292,19 @@ func (s *Summary) materialize(lv *level) {
 // every place a bucket becomes one calls this, and a restored or merged
 // summary holds what the live one did. A merge that does write into one
 // leaves it for recloseAndCount to compact again.
-func compactClosed(b *bucket, iv dyadic.Interval) {
-	if b.closed && !iv.Single() {
-		sketch.Compact(b.sk) // nothing for a bucket without a sketch
+func (s *Summary) compactClosed(b *bucket, iv dyadic.Interval) {
+	if b.isClosed() && !iv.Single() && b.sk != 0 {
+		sketch.Compact(s.sketch(b.sk))
 	}
 }
 
-// evict0 trims the singleton level back to capacity, recycling the evicted
+// evict0 trims the singleton level back to capacity, freeing the evicted
 // buckets' sketches.
 func (s *Summary) evict0() {
 	z := &s.s0
 	for len(z.buckets) > s.alpha {
 		top := heapPopU64(&z.ys)
-		sketch.Recycle(s.maker, z.buckets[top])
+		s.maker.Free(z.buckets[top])
 		delete(z.buckets, top)
 		if top < z.y {
 			z.y = top
@@ -289,20 +316,21 @@ func (s *Summary) evict0() {
 // it. The budget skips the estimate while the sketch proves the threshold
 // is out of reach, leaving closing decisions bit-identical to checking
 // after every single update.
-func (s *Summary) maybeClose(lv *level, b *bucket, iv dyadic.Interval, w int64) {
-	if b.closed || iv.Single() {
+func (s *Summary) maybeClose(lv *level, c *leaf, w int64) {
+	b := c.b
+	if b.isClosed() || c.iv.Single() {
 		return
 	}
-	b.closeBudget -= w
-	if b.closeBudget > 0 {
+	if left := int64(b.budget) - w; left > 0 {
+		b.budget = int32(left)
 		return
 	}
-	if sketch.CheapEstimate(b.sk) >= lv.thresh {
-		b.closed = true
-		compactClosed(b, iv)
+	if sketch.CheapEstimate(c.sk) >= lv.thresh {
+		b.budget = closed
+		s.compactClosed(b, c.iv)
 		return
 	}
-	b.closeBudget = sketch.ThresholdBudget(b.sk, lv.thresh)
+	b.budget = int32(min(sketch.ThresholdBudget(c.sk, lv.thresh), math.MaxInt32))
 }
 
 // leafFor descends level lv toward y, splitting closed leaves on the way
@@ -310,28 +338,25 @@ func (s *Summary) maybeClose(lv *level, b *bucket, iv dyadic.Interval, w int64) 
 // receives insertions at y with the interval it spans — or nil when y falls
 // in the discarded region.
 func (s *Summary) leafFor(lv *level, y uint64) (*bucket, dyadic.Interval) {
-	b, iv := lv.root, s.span
+	b, iv := s.nodes.At(lv.root), s.span
 	for {
-		if b.left != nil || b.right != nil {
+		if !b.isLeaf() {
 			// Internal: descend toward y. Children are created in
 			// pairs and discarded right-to-left, so a missing
 			// target child means y is in the discarded region —
 			// unreachable given the watermark check above.
 			lc, rc := iv.Children()
+			next, niv := b.right, rc
 			if y <= lc.R {
-				if b.left == nil {
-					return nil, iv
-				}
-				b, iv = b.left, lc
-			} else {
-				if b.right == nil {
-					return nil, iv
-				}
-				b, iv = b.right, rc
+				next, niv = b.left, lc
 			}
+			if next == 0 {
+				return nil, iv
+			}
+			b, iv = s.nodes.At(next), niv
 			continue
 		}
-		if b.closed && !iv.Single() {
+		if b.isClosed() && !iv.Single() {
 			// Closed leaf: split into the two dyadic children and
 			// continue into the one containing y. The children start
 			// without sketches: the one this insertion descends into is
@@ -346,10 +371,10 @@ func (s *Summary) leafFor(lv *level, y uint64) (*bucket, dyadic.Interval) {
 			lv.count += 2
 			continue
 		}
-		if b.sk == nil {
+		if b.sk == 0 {
 			// First touch of a lazily-created leaf (or one restored from
 			// a snapshot taken before it was ever touched).
-			b.sk = s.maker.New()
+			b.sk = s.maker.Alloc()
 		}
 		return b, iv
 	}
@@ -360,35 +385,30 @@ func (s *Summary) leafFor(lv *level, y uint64) (*bucket, dyadic.Interval) {
 // the level's watermark.
 func (s *Summary) discardMax(lv *level) {
 	var parent *bucket
-	b, iv := lv.root, s.span
-	for b.left != nil || b.right != nil {
+	h, iv := lv.root, s.span
+	for b := s.nodes.At(h); !b.isLeaf(); b = s.nodes.At(h) {
 		parent = b
 		lc, rc := iv.Children()
-		if b.right != nil {
-			b, iv = b.right, rc
+		if b.right != 0 {
+			h, iv = b.right, rc
 		} else {
-			b, iv = b.left, lc
+			h, iv = b.left, lc
 		}
 	}
 	if parent == nil {
 		// The root itself is the only bucket; it is never discarded.
 		return
 	}
-	if parent.right == b {
-		parent.right = nil
+	if parent.right == h {
+		parent.right = 0
 	} else {
-		parent.left = nil
+		parent.left = 0
 	}
 	// The leaf cache is the one other way to reach the bucket.
-	if s.cache[lv.idx].b == b {
+	if s.cache[lv.idx].b == s.nodes.At(h) {
 		s.cache[lv.idx] = leaf{}
 	}
-	sketch.Recycle(s.maker, b.sk)
-	if s.nfree < maxFreeNodes {
-		*b = bucket{left: s.free}
-		s.free = b
-		s.nfree++
-	}
+	s.drop(h)
 	lv.count--
 	if iv.L < lv.y {
 		lv.y = iv.L
@@ -396,27 +416,28 @@ func (s *Summary) discardMax(lv *level) {
 	}
 }
 
-// maxFreeNodes bounds the free list of tree nodes. At a full level a split
-// makes two nodes and the evictions it causes free two, so a handful covers
-// every level's split in a group; what a merge evicts beyond it goes to the
-// collector.
-const maxFreeNodes = 16
-
-// node returns a zeroed tree node for a split: one discardMax evicted when
-// the free list holds one, a new one otherwise.
-func (s *Summary) node() *bucket {
-	b := s.free
-	if b == nil {
-		return &bucket{}
-	}
-	s.free, s.nfree = b.left, s.nfree-1
-	b.left = nil
-	return b
+// node returns the handle of a new, untouched tree node. It and drop are the
+// one way a node enters and leaves the summary: a split, a decoded image, a
+// merge's copy and a level's root take one here, and an eviction, a
+// replaced tree and a discarded image give theirs back through drop, for
+// the next node to take.
+func (s *Summary) node() uint32 {
+	h := s.nodes.Alloc()
+	*s.nodes.At(h) = bucket{}
+	return h
 }
 
-// RecycleSketch returns a sketch obtained from QuerySketch to the maker's
-// pool once the caller is done with it. The caller must drop every
-// reference to the sketch.
+// drop frees a node and its sketch, not its children.
+func (s *Summary) drop(h uint32) {
+	if sk := s.nodes.At(h).sk; sk != 0 {
+		s.maker.Free(sk)
+	}
+	s.nodes.Free(h)
+}
+
+// RecycleSketch hands the storage of a sketch obtained from QuerySketch back
+// to the maker's free lists once the caller is done with it. The caller must
+// drop every reference to the sketch.
 func (s *Summary) RecycleSketch(sk sketch.Sketch) {
 	sketch.Recycle(s.maker, sk)
 }
@@ -430,9 +451,10 @@ func (s *Summary) Query(c uint64) (float64, error) {
 }
 
 // QueryWithLevel is Query plus the level that served the answer
-// (level 0 means the singleton level S0). The composed sketch is recycled
-// back to the maker's pool once estimated, so steady-state queries do not
-// grow the heap; callers that need the sketch itself use QuerySketch.
+// (level 0 means the singleton level S0). The composed sketch's table or
+// array goes back to the maker's free lists once estimated, so steady-state
+// queries allocate little beyond its struct; callers that need the sketch
+// itself use QuerySketch.
 func (s *Summary) QueryWithLevel(c uint64) (float64, int, error) {
 	sk, lvl, err := s.QuerySketch(c)
 	if err != nil {
@@ -467,9 +489,9 @@ func (s *Summary) QuerySketch(c uint64) (sketch.Sketch, int, error) {
 // summation coincide).
 func (s *Summary) query0(c uint64) sketch.Sketch {
 	parts := s.parts[:0]
-	for y, sk := range s.s0.buckets {
+	for y, h := range s.s0.buckets {
 		if y <= c {
-			parts = append(parts, sk)
+			parts = append(parts, s.sketch(h))
 		}
 	}
 	return s.compose(parts)
@@ -493,28 +515,30 @@ func (s *Summary) queryLevel(lv *level, c uint64) sketch.Sketch {
 	// the shared whole-stream sketch; on a materialized level it is an
 	// untouched split sibling holding nothing at all.
 	virgin := lv.idx >= s.virginFrom
-	var inside func(b *bucket)
-	inside = func(b *bucket) {
-		if b == nil {
+	var inside func(h uint32)
+	inside = func(h uint32) {
+		if h == 0 {
 			return
 		}
-		if b.sk != nil {
-			parts = append(parts, b.sk)
+		b := s.nodes.At(h)
+		if b.sk != 0 {
+			parts = append(parts, s.sketch(b.sk))
 		} else if virgin {
-			parts = append(parts, s.shared)
+			parts = append(parts, s.sketch(s.shared))
 		}
 		inside(b.left)
 		inside(b.right)
 	}
-	var walk func(b *bucket, iv dyadic.Interval)
-	walk = func(b *bucket, iv dyadic.Interval) {
-		if b == nil || !iv.Intersects(c) {
+	var walk func(h uint32, iv dyadic.Interval)
+	walk = func(h uint32, iv dyadic.Interval) {
+		if h == 0 || !iv.Intersects(c) {
 			return
 		}
 		if iv.Within(c) {
-			inside(b)
+			inside(h)
 			return
 		}
+		b := s.nodes.At(h)
 		// Straddling c, so not a single point: it has two halves.
 		lc, rc := iv.Children()
 		walk(b.left, lc)
@@ -527,25 +551,28 @@ func (s *Summary) queryLevel(lv *level, c uint64) sketch.Sketch {
 // Space returns the stored size in counters/tuples — the space metric of
 // the paper's figures.
 func (s *Summary) Space() int64 {
-	total := int64(s.shared.Size()) // one shared sketch for virgin levels
-	for _, sk := range s.s0.buckets {
-		total += int64(sk.Size()) + 1
+	total := int64(s.sketch(s.shared).Size()) // one shared sketch for virgin levels
+	for _, h := range s.s0.buckets {
+		total += int64(s.sketch(h).Size()) + 1
 	}
 	for i := 1; i <= s.lmax; i++ {
-		total += levelSpace(s.levels[i].root)
+		total += s.treeSpace(s.levels[i].root)
 	}
 	return total
 }
 
-func levelSpace(b *bucket) int64 {
-	if b == nil {
+// treeSpace is Space's share of the subtree at h: two words a node and its
+// sketch's counters.
+func (s *Summary) treeSpace(h uint32) int64 {
+	if h == 0 {
 		return 0
 	}
+	b := s.nodes.At(h)
 	var own int64 = 2
-	if b.sk != nil {
-		own += int64(b.sk.Size())
+	if b.sk != 0 {
+		own += int64(s.sketch(b.sk).Size())
 	}
-	return own + levelSpace(b.left) + levelSpace(b.right)
+	return own + s.treeSpace(b.left) + s.treeSpace(b.right)
 }
 
 // Buckets returns the number of stored buckets across all levels.
@@ -661,22 +688,22 @@ func (s *Summary) AddSortedMirrored(batch []Tuple) {
 // addGroup is Algorithm 2, the one insertion routine: it inserts an equal-y
 // run of a sorted batch (AddWeighted passes a run of one) at y — the run's
 // own y, or its mirror (AddSortedMirrored) — hashing each tuple once into a
-// reused slab and routing to a leaf once per level. Only the tuples' X and W
+// reused slot plan and routing to a leaf once per level. Only the tuples' X and W
 // are read.
 func (s *Summary) addGroup(group []Tuple, y uint64) {
 	s.n += uint64(len(group))
 	stride := 0
 	if s.slotMaker != nil {
 		stride = s.slotMaker.SlotWidth()
-		s.slab = s.slab[:0]
+		s.slots = s.slots[:0]
 		for i := range group {
-			s.slab = s.slotMaker.Slots(group[i].X, s.slab)
+			s.slots = s.slotMaker.Slots(group[i].X, s.slots)
 		}
 	}
 	// groupAdd applies tuple gi of the group to the sketch behind (sk, sa).
 	groupAdd := func(sk sketch.Sketch, sa sketch.SlotAdder, gi int) {
 		if stride > 0 {
-			sa.AddSlots(s.slab[gi*stride:(gi+1)*stride], group[gi].W)
+			sa.AddSlots(s.slots[gi*stride:(gi+1)*stride], group[gi].W)
 			return
 		}
 		sk.Add(group[gi].X, group[gi].W)
@@ -690,12 +717,13 @@ func (s *Summary) addGroup(group []Tuple, y uint64) {
 	// decreases, so it could never serve a query.
 	z := &s.s0
 	if y < z.y {
-		sk := z.buckets[y]
-		if sk == nil {
-			sk = s.maker.New()
-			z.buckets[y] = sk
+		h := z.buckets[y]
+		if h == 0 {
+			h = s.maker.Alloc()
+			z.buckets[y] = h
 			heapPushU64(&z.ys, y)
 		}
+		sk := s.sketch(h)
 		sa := s.slotAdderOf(sk)
 		for gi := range group {
 			groupAdd(sk, sa, gi)
@@ -727,12 +755,13 @@ func (s *Summary) addGroup(group []Tuple, y uint64) {
 			if b == nil {
 				continue
 			}
-			*c = leaf{b, iv, s.slotAdderOf(b.sk)}
+			sk := s.sketch(b.sk)
+			*c = leaf{b, iv, sk, s.slotAdderOf(sk)}
 		}
 		for gi := range group {
-			groupAdd(c.b.sk, c.sa, gi)
+			groupAdd(c.sk, c.sa, gi)
 		}
-		s.maybeClose(lv, c.b, c.iv, groupW)
+		s.maybeClose(lv, c, groupW)
 		for lv.count > s.alpha {
 			s.discardMax(lv)
 		}
@@ -743,8 +772,12 @@ func (s *Summary) addGroup(group []Tuple, y uint64) {
 	// materialized here copies the shared sketch *including* this group,
 	// which is why it must not also have gone through the loop above.
 	if s.virginFrom <= s.lmax {
+		var shared sketch.Sketch // read only off the fast path
+		if stride == 0 {
+			shared = s.sketch(s.shared)
+		}
 		for gi := range group {
-			groupAdd(s.shared, s.sharedSA, gi)
+			groupAdd(shared, s.sharedSA, gi)
 		}
 		s.checkVirgin(groupW)
 	}

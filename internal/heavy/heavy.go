@@ -19,6 +19,7 @@ import (
 	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/hash"
 	"github.com/streamagg/correlated/internal/sketch"
+	"github.com/streamagg/correlated/internal/slab"
 )
 
 // Item is one reported heavy hitter.
@@ -116,23 +117,36 @@ func (s *Summary) Query(c uint64, phi float64) ([]Item, error) {
 type hhMaker struct {
 	inner *sketch.F2Maker
 	cap   int
-	pool  []*hhSketch
+	slab  slab.Slab[hhSketch] // the sketches Alloc hands out
 }
 
 func (m *hhMaker) Name() string { return "f2-heavy-hitters" }
 
 func (m *hhMaker) New() sketch.Sketch {
-	if n := len(m.pool); n > 0 {
-		h := m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
-		return h
-	}
 	return &hhSketch{
 		maker: m,
 		cs:    m.inner.New().(*sketch.CountSketch),
 		cand:  make(map[uint64]int64),
 	}
+}
+
+// Alloc implements sketch.Maker. A slot keeps its inner sketch and its
+// candidate map across Free, both emptied.
+func (m *hhMaker) Alloc() uint32 {
+	i := m.slab.Alloc()
+	if h := m.slab.At(i); h.cs == nil {
+		*h = *m.New().(*hhSketch)
+	}
+	return i
+}
+
+// At implements sketch.Maker.
+func (m *hhMaker) At(i uint32) sketch.Sketch { return m.slab.At(i) }
+
+// Free implements sketch.Maker.
+func (m *hhMaker) Free(i uint32) {
+	m.slab.At(i).Reset()
+	m.slab.Free(i)
 }
 
 // Slots implements sketch.SlotMaker with the inner CountSketch slots, whose
@@ -144,14 +158,12 @@ func (m *hhMaker) Slots(x uint64, scratch sketch.Slots) sketch.Slots {
 // SlotWidth implements sketch.SlotMaker.
 func (m *hhMaker) SlotWidth() int { return m.inner.SlotWidth() }
 
-// Recycle implements sketch.Recycler.
+// Recycle implements sketch.Recycler: the inner sketch's storage goes back
+// to the inner maker.
 func (m *hhMaker) Recycle(sk sketch.Sketch) {
-	h, ok := sk.(*hhSketch)
-	if !ok || h.maker != m || len(m.pool) >= 256 {
-		return
+	if h, ok := sk.(*hhSketch); ok && h.maker == m {
+		m.inner.Recycle(h.cs)
 	}
-	h.Reset()
-	m.pool = append(m.pool, h)
 }
 
 // hhSketch carries the candidate set alongside the linear sketch. The

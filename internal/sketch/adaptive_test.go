@@ -208,10 +208,14 @@ func TestCountSketchMarshalSettlesForm(t *testing.T) {
 		t.Fatalf("live dense=%v Size %d, restored dense=%v Size %d, want dense %d",
 			p.a.dense, p.a.Size(), dst.dense, dst.Size(), want)
 	}
-	// Reset is the one way back.
-	m.Recycle(p.a)
-	if got := m.New().(*CountSketch); got != p.a || got.dense || got.Size() != 0 {
-		t.Fatalf("recycled sketch dense=%v Size %d", got.dense, got.Size())
+	// Reset is the one way back, and a slab slot's next holder starts there.
+	h := m.Alloc()
+	if err := m.At(h).Merge(p.a); err != nil || !m.At(h).(*CountSketch).dense {
+		t.Fatalf("a copy in the slab: %v", err)
+	}
+	m.Free(h)
+	if got := m.At(m.Alloc()).(*CountSketch); got != m.At(h) || got.dense || got.Size() != 0 {
+		t.Fatalf("a freed slot came back dense=%v Size %d", got.dense, got.Size())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"github.com/streamagg/correlated/internal/hash"
+	"github.com/streamagg/correlated/internal/slab"
 )
 
 // CountSketch is the linear sketch of Charikar–Chen–Farach-Colton laid out
@@ -202,11 +203,12 @@ const (
 // sign) pair is jointly 4-wise independent at half the hashing cost —
 // the Thorup–Zhang trick.
 //
-// It is also where its sketches' storage waits between owners: free lists
-// of reset sketches, of zeroed dense arrays by counter width and of zeroed
-// items tables by size, each bounded by a constant (maxPool, maxWidePool,
-// maxTablePool; PooledBytes adds them up). A maker and its lists belong to one
-// goroutine at a time, the one driving its sketches.
+// It is also where its sketches' storage waits between owners: the slab its
+// bucket sketches live in (Alloc), whose freed slots wait for the next one,
+// and free lists of zeroed dense arrays by counter width and of zeroed items
+// tables by size, each bounded by a constant (maxPool, maxWidePool,
+// maxTablePool; PooledBytes adds them up). A maker, its slab and its lists
+// belong to one goroutine at a time, the one driving its sketches.
 //
 // And it keeps the books: every table and array a sketch holds came through
 // the maker and goes back through it, so HeldBytes — Σ Bytes over its
@@ -221,9 +223,9 @@ type F2Maker struct {
 	itemsMax int // most pairs an items-form sketch holds
 
 	held    int // Σ Bytes() over the maker's sketches
-	headers int // the structs of the sketches New handed out and Recycle has not taken back
+	headers int // the structs of the sketches handed out and not yet taken back
 
-	pool []*CountSketch // free list of reset (empty, items-form) sketches
+	slab slab.Slab[CountSketch] // the sketches Alloc hands out
 	// Zeroed dense arrays for the next promotions (pool8) and widenings,
 	// at most maxPool between them: see maxWidePool.
 	pool8  [][]int8
@@ -284,9 +286,8 @@ func (m *F2Maker) slotsOf(x uint64) Slots {
 // SlotWidth implements SlotMaker.
 func (m *F2Maker) SlotWidth() int { return m.depth + 1 }
 
-// Recycle implements Recycler. The sketch's table or array goes back to the
-// maker's lists whether or not the list of sketches has room for the struct:
-// one group can evict hundreds of buckets at once.
+// Recycle implements Recycler: the table or array of a sketch from New goes
+// back to the maker's lists, and the struct to the collector.
 func (m *F2Maker) Recycle(sk Sketch) {
 	cs, ok := sk.(*CountSketch)
 	if !ok || cs.maker != m {
@@ -294,9 +295,6 @@ func (m *F2Maker) Recycle(sk Sketch) {
 	}
 	cs.Reset()
 	m.headers -= countSketchBytes
-	if len(m.pool) < maxPool {
-		m.pool = append(m.pool, cs)
-	}
 }
 
 // tableClass returns the free list a table of that many words belongs to:
@@ -331,8 +329,12 @@ func (m *F2Maker) putTable(tab []uint64) {
 
 // PooledBytes returns the bytes the maker's free lists hold — zeroed tables
 // and dense arrays waiting for the next sketch that needs one, memory that is
-// in no sketch's Bytes — and the most they can hold.
+// in no sketch's Bytes — and the most they can hold; and in both, the slots of
+// its slab that hold no sketch, which no constant bounds: a slab keeps the
+// most it has held.
 func (m *F2Maker) PooledBytes() (held, bound int) {
+	spare := m.slab.Spare() * countSketchBytes
+	held, bound = spare, spare
 	for k, list := range m.tables {
 		held += len(list) * (32 << k)
 		bound += maxTablePool * (32 << k)
@@ -348,14 +350,15 @@ func (m *F2Maker) PooledBytes() (held, bound int) {
 func (m *F2Maker) HeldBytes() int { return m.held }
 
 // HeaderBytes returns the memory of the sketch structs themselves, which no
-// sketch's Bytes counts: a CountSketch for each sketch handed out and not
-// recycled, a denseState for each dense one and a wideCounters for each past
-// int8, each at its allocator size class; not the denseState a recycled
-// sketch keeps while it is back in the items form.
+// sketch's Bytes counts: a CountSketch for each sketch handed out, by Alloc or
+// New, and not taken back, a denseState for each dense one and a wideCounters
+// for each past int8, each at its allocator size class; not the denseState a
+// recycled sketch from New keeps while it is back in the items form.
 func (m *F2Maker) HeaderBytes() int { return m.headers }
 
 // What the allocator hands out for the three structs: 64 bytes is a size
-// class of its own, 56 rounds up to it, and 48 is one too.
+// class of its own — and, a multiple of 16, exactly a slab slot — 56 rounds up
+// to it, and 48 is one too.
 const (
 	countSketchBytes  = (int(unsafe.Sizeof(CountSketch{})) + 15) &^ 15
 	denseStateBytes   = (int(unsafe.Sizeof(denseState{})) + 15) &^ 15
@@ -389,18 +392,34 @@ func NewF2MakerError(upsilon, gamma float64, rng *hash.RNG) *F2Maker {
 // Name implements Maker.
 func (m *F2Maker) Name() string { return "f2/countsketch" }
 
-// New implements Maker. It reuses a pooled sketch when one is available.
-// Either way the sketch is empty and in the items form: it allocates its
-// table on the first update, and a dense array only if it promotes.
+// New implements Maker. The sketch is empty and in the items form: it takes
+// its table on the first update, and a dense array only if it promotes.
 func (m *F2Maker) New() Sketch {
 	m.headers += countSketchBytes
-	if n := len(m.pool); n > 0 {
-		cs := m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
-		return cs
-	}
 	return &CountSketch{maker: m}
+}
+
+// Alloc implements Maker: an empty items-form sketch, as New's, in a slot of
+// the maker's slab.
+func (m *F2Maker) Alloc() uint32 {
+	h := m.slab.Alloc()
+	m.slab.At(h).maker = m
+	m.headers += countSketchBytes
+	return h
+}
+
+// At implements Maker.
+func (m *F2Maker) At(h uint32) Sketch { return m.slab.At(h) }
+
+// Free implements Maker. The sketch's table or array goes back to the lists,
+// and the slot keeps nothing but its maker: not even the dense headers a
+// sketch from New keeps across Reset, which no count would show.
+func (m *F2Maker) Free(h uint32) {
+	c := m.slab.At(h)
+	c.Reset()
+	*c = CountSketch{maker: m}
+	m.headers -= countSketchBytes
+	m.slab.Free(h)
 }
 
 // Width returns the number of counters per row.

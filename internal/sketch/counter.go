@@ -1,5 +1,7 @@
 package sketch
 
+import "github.com/streamagg/correlated/internal/slab"
+
 // Exact counters. The correlated SUM and COUNT aggregates go through the
 // general reduction with a trivial "sketch": a single 64-bit accumulator
 // with zero estimation error (υ = 0). COUNT is the first frequency moment
@@ -8,9 +10,7 @@ package sketch
 // et al. that the paper cites as prior work.
 
 // CountMaker makes exact COUNT (F1) counters.
-type CountMaker struct {
-	pool []*counter
-}
+type CountMaker struct{ counterMaker }
 
 // NewCountMaker returns a Maker for exact F1/COUNT counters.
 func NewCountMaker() *CountMaker { return &CountMaker{} }
@@ -18,76 +18,47 @@ func NewCountMaker() *CountMaker { return &CountMaker{} }
 // Name implements Maker.
 func (m *CountMaker) Name() string { return "count" }
 
-// New implements Maker.
-func (m *CountMaker) New() Sketch {
-	if n := len(m.pool); n > 0 {
-		c := m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
-		return c
-	}
-	return &counter{}
-}
-
-// Slots implements SlotMaker. Exact counters have no hash functions; the
-// "slot" is the item itself, so the fan-out path is exercisable (and
-// testable) uniformly across every aggregate.
-func (m *CountMaker) Slots(x uint64, scratch Slots) Slots {
-	return append(scratch, x)
-}
-
-// SlotWidth implements SlotMaker.
-func (m *CountMaker) SlotWidth() int { return 1 }
-
-// Recycle implements Recycler.
-func (m *CountMaker) Recycle(sk Sketch) {
-	c, ok := sk.(*counter)
-	if !ok || c.sum || len(m.pool) >= maxPool {
-		return
-	}
-	c.Reset()
-	m.pool = append(m.pool, c)
-}
-
 // SumMaker makes exact SUM counters: Add(x, w) contributes w*x.
-type SumMaker struct {
-	pool []*counter
-}
+type SumMaker struct{ counterMaker }
 
 // NewSumMaker returns a Maker for exact SUM counters.
-func NewSumMaker() *SumMaker { return &SumMaker{} }
+func NewSumMaker() *SumMaker { return &SumMaker{counterMaker{sum: true}} }
 
 // Name implements Maker.
 func (m *SumMaker) Name() string { return "sum" }
 
-// New implements Maker.
-func (m *SumMaker) New() Sketch {
-	if n := len(m.pool); n > 0 {
-		c := m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
-		return c
-	}
-	return &counter{sum: true}
+// counterMaker is what CountMaker and SumMaker share: every method of a Maker
+// but its name.
+type counterMaker struct {
+	sum  bool
+	slab slab.Slab[counter]
 }
 
-// Slots implements SlotMaker.
-func (m *SumMaker) Slots(x uint64, scratch Slots) Slots {
+// New implements Maker.
+func (m *counterMaker) New() Sketch { return &counter{sum: m.sum} }
+
+// Alloc implements Maker.
+func (m *counterMaker) Alloc() uint32 {
+	h := m.slab.Alloc()
+	*m.slab.At(h) = counter{sum: m.sum}
+	return h
+}
+
+// At implements Maker.
+func (m *counterMaker) At(h uint32) Sketch { return m.slab.At(h) }
+
+// Free implements Maker. Alloc clears the slot again.
+func (m *counterMaker) Free(h uint32) { m.slab.Free(h) }
+
+// Slots implements SlotMaker. Exact counters have no hash functions; the
+// "slot" is the item itself, so the fan-out path is exercisable (and
+// testable) uniformly across every aggregate.
+func (m *counterMaker) Slots(x uint64, scratch Slots) Slots {
 	return append(scratch, x)
 }
 
 // SlotWidth implements SlotMaker.
-func (m *SumMaker) SlotWidth() int { return 1 }
-
-// Recycle implements Recycler.
-func (m *SumMaker) Recycle(sk Sketch) {
-	c, ok := sk.(*counter)
-	if !ok || !c.sum || len(m.pool) >= maxPool {
-		return
-	}
-	c.Reset()
-	m.pool = append(m.pool, c)
-}
+func (m *counterMaker) SlotWidth() int { return 1 }
 
 type counter struct {
 	sum   bool
@@ -126,8 +97,8 @@ func (c *counter) ThresholdBudget(thresh float64) int64 {
 
 func (c *counter) Estimate() float64 { return float64(c.total) }
 
-// Merge implements Sketch. Exact counters carry no randomness, so any two
-// counters of the same flavour (both COUNT or both SUM) are compatible.
+// Merge implements Sketch. Exact counterMaker carry no randomness, so any two
+// counterMaker of the same flavour (both COUNT or both SUM) are compatible.
 func (c *counter) Merge(other Sketch) error {
 	o, ok := other.(*counter)
 	if !ok || o.sum != c.sum {

@@ -142,19 +142,20 @@ func TestCountSketchCutFewPairs(t *testing.T) {
 
 // TestCountSketchResetDropsCutTable: a table cut to exactly itemsMinCap pairs
 // has the size of a first hashed table, but not its layout. Reset must leave
-// the sketch without it, directly and through Recycle, or the reused sketch
+// the sketch without it, directly and through Free and Alloc, or the reused sketch
 // probes out of range.
 func TestCountSketchResetDropsCutTable(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(11))
-	for name, reset := range map[string]func(*CountSketch) *CountSketch{
-		"Reset": func(c *CountSketch) *CountSketch { c.Reset(); return c },
-		"Recycle": func(c *CountSketch) *CountSketch {
-			m.Recycle(c)
-			return m.New().(*CountSketch)
+	for name, reset := range map[string]func(uint32) uint32{
+		"Reset": func(h uint32) uint32 { m.At(h).(*CountSketch).Reset(); return h },
+		"Free": func(h uint32) uint32 {
+			m.Free(h)
+			return m.Alloc()
 		},
 	} {
 		for _, pairs := range []int{1, itemsMinCap - 1, itemsMinCap, itemsMinCap + 1} {
-			c := m.New().(*CountSketch)
+			h := m.Alloc()
+			c := m.At(h).(*CountSketch)
 			for x := 0; x < pairs; x++ {
 				c.Add(uint64(x)<<24|1, 2)
 			}
@@ -162,7 +163,8 @@ func TestCountSketchResetDropsCutTable(t *testing.T) {
 			if !c.cut() || c.Bytes() != 8*pairs {
 				t.Fatalf("%s: %d pairs cut to %d bytes", name, pairs, c.Bytes())
 			}
-			got := reset(c)
+			h = reset(h)
+			got := m.At(h).(*CountSketch)
 			if got != c || got.n != 0 || got.slots() != 0 {
 				t.Fatalf("%s: a cut table of %d pairs came back with %d pairs in %d slots", name, pairs, got.n, got.slots())
 			}
@@ -172,7 +174,7 @@ func TestCountSketchResetDropsCutTable(t *testing.T) {
 			if got.Estimate() != 9*2*itemsMinCap || got.EstimateItem(5<<20) != 3 || got.slots() != tableFor(2*itemsMinCap) {
 				t.Fatalf("%s: reused sketch holds %d pairs in %d slots, Estimate %v", name, got.n, got.slots(), got.Estimate())
 			}
-			m.Recycle(got)
+			m.Free(h)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/streamagg/correlated/internal/hash"
+	"github.com/streamagg/correlated/internal/slab"
 )
 
 // Fk estimates the k-th frequency moment for k > 2 in the style of
@@ -48,6 +49,7 @@ type FkMaker struct {
 	trackCap int
 	csMaker  *F2Maker
 	sampleH  *hash.Tab64
+	slab     slab.Slab[Fk] // the sketches Alloc hands out
 }
 
 // NewFkMaker returns a Maker for Fk sketches.
@@ -106,6 +108,25 @@ func (m *FkMaker) K() int { return m.k }
 // New implements Maker.
 func (m *FkMaker) New() Sketch {
 	return &Fk{maker: m, levels: make([]fkLevel, m.levels)}
+}
+
+// Alloc implements Maker. A slot keeps its slice of levels across Free,
+// every level back to untouched.
+func (m *FkMaker) Alloc() uint32 {
+	h := m.slab.Alloc()
+	if f := m.slab.At(h); f.levels == nil {
+		*f = Fk{maker: m, levels: make([]fkLevel, m.levels)}
+	}
+	return h
+}
+
+// At implements Maker.
+func (m *FkMaker) At(h uint32) Sketch { return m.slab.At(h) }
+
+// Free implements Maker.
+func (m *FkMaker) Free(h uint32) {
+	clear(m.slab.At(h).levels)
+	m.slab.Free(h)
 }
 
 // ensure allocates level j's tables on first use.

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"math/big"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -274,11 +275,12 @@ func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) (full
 	array := m.width * m.depth
 	pooled += pooledZeroed(t, step, m.pool8, maxNarrowPool, array) +
 		2*pooledZeroed(t, step, m.pool16, maxWidePool, array) +
-		8*pooledZeroed(t, step, m.pool64, maxWidePool, array)
+		8*pooledZeroed(t, step, m.pool64, maxWidePool, array) +
+		m.slab.Spare()*countSketchBytes
 	if got, bound := m.PooledBytes(); got != pooled || got > bound {
-		t.Fatalf("%s: PooledBytes %d of at most %d, the lists hold %d", step, got, bound, pooled)
+		t.Fatalf("%s: PooledBytes %d of at most %d, the lists and the slab's spare slots hold %d", step, got, bound, pooled)
 	}
-	for name, n := range map[string]int{"sketches": len(m.pool) - maxPool, "int8": len(m.pool8) - maxNarrowPool,
+	for name, n := range map[string]int{"int8": len(m.pool8) - maxNarrowPool,
 		"int16": len(m.pool16) - maxWidePool, "int64": len(m.pool64) - maxWidePool} {
 		if n == 0 {
 			full = append(full, name)
@@ -554,22 +556,32 @@ func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to ui
 						p = regs[j]
 					}
 				default:
-					// A burst of copies of p, more than the list of sketches or the
-					// list their storage goes to takes back, recycled at once.
+					// A burst of copies of p in the maker's slab, more than the
+					// list their storage goes to takes back, freed at once: each
+					// slot goes back holding nothing but its maker, and waits,
+					// counted in PooledBytes, for the next Alloc.
 					what, acted = at("recycle burst"), nil
 					img, _ := p.a.MarshalBinary()
-					burst := make([]*CountSketch, maxPool+1)
+					burst := make([]uint32, maxPool+1)
+					held := make([]*CountSketch, len(burst))
 					for k := range burst {
-						burst[k] = m.New().(*CountSketch)
-						if err := burst[k].UnmarshalBinary(img); err != nil {
+						burst[k] = m.Alloc()
+						held[k] = m.At(burst[k]).(*CountSketch)
+						if err := held[k].UnmarshalBinary(img); err != nil {
 							t.Fatal(err)
 						}
 					}
-					checkBooks(t, what, m, out(burst...))
-					for _, c := range burst {
-						m.Recycle(c)
+					checkBooks(t, what, m, out(held...))
+					for k, h := range burst {
+						m.Free(h)
+						if !reflect.DeepEqual(*held[k], CountSketch{maker: m}) {
+							t.Fatalf("%s: a freed slot holds %+v", what, *held[k])
+						}
 					}
 					seen["recycle burst"]++
+					if m.slab.Spare() >= len(burst) {
+						seen["spare slab slots"]++
+					}
 				}
 				if acted != nil {
 					after := shapeOf(acted)
@@ -615,7 +627,7 @@ func TestCountSketchFormsAgree(t *testing.T) {
 		"promote", "promote a cut table", "array to int16", "array to int64", "reset a table", "reset an array",
 		"wider than its values need", "cut table with a spare half word", "merge a cut table into itself",
 		"unmarshal over a used sketch", "failed unmarshal", "recycle burst",
-		"full list of sketches", "full list of tables", "full list of int8", "full list of int16", "full list of int64",
+		"spare slab slots", "full list of tables", "full list of int8", "full list of int16", "full list of int64",
 	}
 	forms := []string{"4", "8", "16", "cut", "dense"}
 	for _, a := range forms {
@@ -648,5 +660,5 @@ func TestCountSketchCutTableAgrees(t *testing.T) {
 
 func TestMakerBooksAreTheWalk(t *testing.T) {
 	runForms(t, []struct{ width, depth int }{{8, 1}}, 13, 18, "unmarshal over a used sketch", "failed unmarshal",
-		"recycle burst", "full list of sketches", "full list of tables", "full list of int8", "full list of int16", "full list of int64")
+		"recycle burst", "spare slab slots", "full list of tables", "full list of int8", "full list of int16", "full list of int64")
 }

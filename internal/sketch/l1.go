@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/streamagg/correlated/internal/hash"
+	"github.com/streamagg/correlated/internal/slab"
 )
 
 // L1 is Indyk's stable-distribution sketch for the first moment of net
@@ -28,8 +29,8 @@ type L1Maker struct {
 	k int
 	h *hash.Tab64
 
-	pool       []*L1     // free list of reset sketches
-	medScratch []float64 // reused by Estimate
+	slab       slab.Slab[L1] // the sketches Alloc hands out
+	medScratch []float64     // reused by Estimate
 }
 
 // NewL1Maker returns a Maker with k counters; the estimator's standard
@@ -60,15 +61,27 @@ func NewL1MakerError(upsilon, gamma float64, rng *hash.RNG) *L1Maker {
 // Name implements Maker.
 func (m *L1Maker) Name() string { return "f1/cauchy" }
 
-// New implements Maker, drawing from the free list when possible.
+// New implements Maker.
 func (m *L1Maker) New() Sketch {
-	if n := len(m.pool); n > 0 {
-		s := m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
-		return s
-	}
 	return &L1{maker: m, cnt: make([]float64, m.k)}
+}
+
+// Alloc implements Maker. A slot keeps its counters across Free, zeroed.
+func (m *L1Maker) Alloc() uint32 {
+	h := m.slab.Alloc()
+	if s := m.slab.At(h); s.cnt == nil {
+		*s = L1{maker: m, cnt: make([]float64, m.k)}
+	}
+	return h
+}
+
+// At implements Maker.
+func (m *L1Maker) At(h uint32) Sketch { return m.slab.At(h) }
+
+// Free implements Maker.
+func (m *L1Maker) Free(h uint32) {
+	m.slab.At(h).Reset()
+	m.slab.Free(h)
 }
 
 // Slots implements SlotMaker: the k Cauchy variates of x, as float64 bits.
@@ -83,16 +96,6 @@ func (m *L1Maker) Slots(x uint64, scratch Slots) Slots {
 
 // SlotWidth implements SlotMaker.
 func (m *L1Maker) SlotWidth() int { return m.k }
-
-// Recycle implements Recycler.
-func (m *L1Maker) Recycle(sk Sketch) {
-	s, ok := sk.(*L1)
-	if !ok || s.maker != m || len(m.pool) >= maxPool {
-		return
-	}
-	s.Reset()
-	m.pool = append(m.pool, s)
-}
 
 // K returns the counter count.
 func (m *L1Maker) K() int { return m.k }

@@ -6,37 +6,34 @@ import (
 	"github.com/streamagg/correlated/internal/hash"
 )
 
-// TestRecycleReturnsStorageWhenThePoolIsFull: a burst of recycled sketches
-// larger than the list of sketches — one group can evict hundreds of buckets —
-// still hands every array and table back to the maker's lists, up to their
-// own bounds, zeroed; only the structs past maxPool are dropped.
+// TestRecycleReturnsStorageWhenThePoolIsFull: a burst of freed sketches larger
+// than the maker's lists — one group can evict hundreds of buckets — still
+// hands every array and table back to the lists, up to their own bounds,
+// zeroed, and every struct's slot back to the maker's slab.
 func TestRecycleReturnsStorageWhenThePoolIsFull(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(5))
 	const burst = maxPool + 50
-	var items, dense []*CountSketch
+	var handles []uint32
 	for i := 0; i < burst; i++ {
-		c := m.New().(*CountSketch)
+		h, k := m.Alloc(), m.Alloc()
+		handles = append(handles, h, k)
+		c, d := m.At(h).(*CountSketch), m.At(k).(*CountSketch)
 		c.Add(uint64(i), 3)
-		items = append(items, c)
-		d := m.New().(*CountSketch)
 		for x := 0; x <= m.itemsMax; x++ {
 			d.Add(uint64(x), int64(1+i%5))
 		}
 		if !d.dense || d.cw != 1 || c.dense || len(c.tab) != 4 {
 			t.Fatalf("sketch %d: dense=%v at %d bytes a counter, items dense=%v in %d words", i, d.dense, d.cw, c.dense, len(c.tab))
 		}
-		dense = append(dense, d)
 	}
 	clear(m.tables) // what the promotions' growth steps left: the burst alone is under test
-	for _, c := range items {
-		m.Recycle(c) // fills the list of sketches
+	spare := m.slab.Spare()
+	for _, h := range handles {
+		m.Free(h)
 	}
-	for _, d := range dense {
-		m.Recycle(d) // every one of them past maxPool
-	}
-	if len(m.pool) != maxPool || len(m.tables[0]) != maxTablePool || len(m.pool8) != maxNarrowPool {
-		t.Fatalf("lists hold %d sketches, %d first tables and %d int8 arrays; want %d, %d and %d",
-			len(m.pool), len(m.tables[0]), len(m.pool8), maxPool, maxTablePool, maxNarrowPool)
+	if m.slab.Spare() != spare+2*burst || m.slab.Live() != 0 || len(m.tables[0]) != maxTablePool || len(m.pool8) != maxNarrowPool {
+		t.Fatalf("the slab holds %d sketches and %d spare slots, the lists %d first tables and %d int8 arrays; want 0, %d, %d and %d",
+			m.slab.Live(), m.slab.Spare(), len(m.tables[0]), len(m.pool8), spare+2*burst, maxTablePool, maxNarrowPool)
 	}
 	for _, tab := range m.tables[0] {
 		for _, w := range tab {
@@ -53,7 +50,7 @@ func TestRecycleReturnsStorageWhenThePoolIsFull(t *testing.T) {
 		}
 	}
 	held, bound := m.PooledBytes()
-	if want := maxTablePool*4*8 + (maxNarrowPool)*m.width*m.depth; held != want || held > bound {
+	if want := maxTablePool*4*8 + (maxNarrowPool)*m.width*m.depth + m.slab.Spare()*countSketchBytes; held != want || held > bound {
 		t.Fatalf("PooledBytes = %d of at most %d, want %d", held, bound, want)
 	}
 	// The bound is every list full.

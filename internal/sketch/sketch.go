@@ -68,9 +68,20 @@ type Sketch interface {
 
 // Maker creates sketches that share hash seeds and are therefore mergeable
 // with one another.
+//
+// It hands a sketch out one of two ways. New returns one the caller holds by
+// reference — a query's composition, a scratch sketch — and hands back with
+// Recycle, which a maker that keeps books needs. Alloc holds
+// one in the maker's slab and returns its handle, never 0: the four bytes the
+// core structure keeps in a bucket in place of a pointer, tens of thousands
+// of times a summary. At resolves a handle to its sketch, which stays in
+// place until Free empties it and takes the slot back for the next Alloc.
 type Maker interface {
 	New() Sketch
 	Name() string
+	Alloc() uint32
+	At(h uint32) Sketch
+	Free(h uint32)
 }
 
 // Slots is the precomputed per-row update plan for one item: everything a
@@ -109,16 +120,16 @@ type Resetter interface {
 	Reset()
 }
 
-// Recycler is implemented by makers that keep a free list of reset
-// sketches: New draws from the pool when possible, and Recycle returns a
-// sketch to it. Recycling a sketch transfers ownership back to the maker —
-// the caller must drop every reference to it.
+// Recycler is implemented by makers whose sketches hold storage the maker
+// lends them: Recycle takes back what a sketch from New holds, for the next
+// sketch that needs it, and leaves the struct to the collector. The caller
+// must drop every reference to the sketch.
 type Recycler interface {
 	Recycle(Sketch)
 }
 
-// Recycle returns sk to m's pool when m supports pooling; otherwise it is
-// a no-op and the sketch is left for the garbage collector.
+// Recycle hands sk's storage back to m when m lends any; otherwise it is a
+// no-op and the sketch is left for the garbage collector.
 func Recycle(m Maker, sk Sketch) {
 	if sk == nil {
 		return
@@ -159,11 +170,9 @@ func Compose(m Maker, parts []Sketch) Sketch {
 	return out
 }
 
-// maxPool bounds each maker's free list of sketches; beyond this, a recycled
-// sketch's struct is simply dropped — after its table or array has gone to the
-// lists of those, which have bounds of their own. Query composition churns a
-// handful of sketches at a time and an eviction burst a few hundred, so a
-// small pool captures the reuse.
+// maxPool bounds an F2Maker's free lists of dense arrays, all widths
+// together (see maxWidePool): one group can evict a few hundred buckets, and
+// a small pool captures the reuse.
 const maxPool = 256
 
 // maxTablePool bounds each of an F2Maker's free lists of items tables, one a

@@ -189,15 +189,15 @@ func TestCountSketchUnmarshalBoundaryCounters(t *testing.T) {
 }
 
 // TestCountSketchResetNarrows: only Reset takes a widened table back, it does
-// so directly and through Recycle, and what it leaves is what a new sketch
+// so directly and through Free and Alloc, and what it leaves is what a new sketch
 // starts with: no table, and the bottom rung for the first pair.
 func TestCountSketchResetNarrows(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(11))
-	for name, reset := range map[string]func(*CountSketch) *CountSketch{
-		"Reset": func(c *CountSketch) *CountSketch { c.Reset(); return c },
-		"Recycle": func(c *CountSketch) *CountSketch {
-			m.Recycle(c)
-			return m.New().(*CountSketch)
+	for name, reset := range map[string]func(uint32) uint32{
+		"Reset": func(h uint32) uint32 { m.At(h).(*CountSketch).Reset(); return h },
+		"Free": func(h uint32) uint32 {
+			m.Free(h)
+			return m.Alloc()
 		},
 	} {
 		for _, widener := range []struct {
@@ -208,7 +208,8 @@ func TestCountSketchResetNarrows(t *testing.T) {
 			{1 << 24, 1, slot8}, {5, 1 << 7, slot8}, {5, math.MinInt8 - 1, slot8},
 			{1 << 32, 1, slot16}, {5, 1 << 31, slot16}, {5, math.MinInt32 - 1, slot16},
 		} {
-			c := m.New().(*CountSketch)
+			h := m.Alloc()
+			c := m.At(h).(*CountSketch)
 			c.Add(3, 2)
 			if c.rung != slot4 || c.Bytes() != 4*itemsMinCap {
 				t.Fatalf("%s: a small pair left %d-byte slots, %d bytes", name, 4<<c.rung, c.Bytes())
@@ -221,7 +222,8 @@ func TestCountSketchResetNarrows(t *testing.T) {
 			if c.rung != widener.rung || c.n != 1 || c.EstimateItem(3) != 2 {
 				t.Fatalf("%s: after cancelling %d-byte slots, %d pairs", name, 4<<c.rung, c.n)
 			}
-			got := reset(c)
+			h = reset(h)
+			got := m.At(h).(*CountSketch)
 			if got != c || got.rung != slot4 || got.n != 0 || got.Bytes() != 0 {
 				t.Fatalf("%s: came back at %d-byte slots with %d pairs in %d bytes", name, 4<<got.rung, got.n, got.Bytes())
 			}
@@ -229,7 +231,7 @@ func TestCountSketchResetNarrows(t *testing.T) {
 			if got.rung != slot4 || got.Bytes() != 4*itemsMinCap || got.Estimate() != 4 {
 				t.Fatalf("%s: reused sketch at %d-byte slots, %d bytes, Estimate %v", name, 4<<got.rung, got.Bytes(), got.Estimate())
 			}
-			m.Recycle(got)
+			m.Free(h)
 		}
 	}
 }

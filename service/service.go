@@ -180,8 +180,8 @@ type Config struct {
 	// structs an image does not carry. The sum (tenant_bytes in /v1/stats,
 	// corrd_tenant_bytes) is kept whether or not a cap is set, except that
 	// a commit to an fk, count or sum summary — whose count is a walk —
-	// refreshes it only under a cap. It is two fifths to two thirds of the
-	// resident set on corrdbench's workloads: the collector's headroom
+	// refreshes it only under a cap. It is three eighths to five eighths of
+	// the resident set on corrdbench's workloads: the collector's headroom
 	// (GOGC), the runtime's own structures and the binary come on top, and
 	// /v1/stats' memory object prints each.
 	MaxTenantBytes int64
