@@ -1,7 +1,7 @@
 // Package client is the Go client for the corrd network service
-// (cmd/corrd): batched tuple ingest, site→coordinator log forwarding and
-// summary pushes, and correlated-aggregate queries over plain HTTP with no dependencies
-// beyond the standard library.
+// (cmd/corrd): batched tuple ingest, site→coordinator log forwarding, and
+// correlated-aggregate queries over plain HTTP with no dependencies beyond
+// the standard library.
 //
 // A Client is safe for concurrent use; it reuses connections through a
 // shared http.Transport and recycles its encode buffers through a pool.
@@ -65,7 +65,6 @@ type Stats struct {
 	Count          uint64 `json:"count"`
 	Space          int64  `json:"space"`
 	TuplesIngested uint64 `json:"tuples_ingested"`
-	PushesMerged   uint64 `json:"pushes_merged"`
 	QueriesServed  uint64 `json:"queries_served"`
 
 	// Group commit and answer memo: requests/groups is the live fsync
@@ -116,7 +115,6 @@ type Stats struct {
 	// are server-wide without ?tenant=, that tenant's with it.
 	Tenant               string `json:"tenant,omitempty"`
 	TenantTuplesIngested uint64 `json:"tenant_tuples_ingested,omitempty"`
-	TenantPushesMerged   uint64 `json:"tenant_pushes_merged,omitempty"`
 	TenantQueriesServed  uint64 `json:"tenant_queries_served,omitempty"`
 	TenantSpills         uint64 `json:"tenant_spills,omitempty"`
 	TenantRestores       uint64 `json:"tenant_restores,omitempty"`
@@ -245,12 +243,6 @@ type MultiQueryResult struct {
 	Results []QueryResult `json:"results"`
 }
 
-// ingestResult is the /v1/ingest and /v1/push acknowledgement.
-type ingestResult struct {
-	Tuples uint64 `json:"tuples,omitempty"`
-	Merged bool   `json:"merged,omitempty"`
-}
-
 // forwardResult is the /v1/forward acknowledgement.
 type forwardResult struct {
 	Mark uint64 `json:"mark"`
@@ -285,9 +277,8 @@ func WithChunkSize(n int) Option {
 // paper's FAIL, or shutdown) — and a body that dies mid-read may have
 // already been applied, so replaying it could double-ingest.
 //
-// Non-idempotent calls narrow the policy further: Push never retries an
-// ambiguous timeout (the image may already have been merged) and
-// Promote is strictly single-attempt — see their doc comments.
+// Promote narrows the policy further: it is strictly single-attempt —
+// see its doc comment.
 func WithRetries(n int) Option {
 	return func(c *Client) {
 		if n < 0 {
@@ -312,7 +303,7 @@ func WithRetryBackoff(base, max time.Duration) Option {
 }
 
 // WithTenant scopes every request to one of the daemon's keyed
-// namespaces: ingest and push address (and, subject to the server's
+// namespaces: ingest addresses (and, subject to the server's
 // caps, create) that tenant, queries, stats, and summaries read it. The
 // default is the empty key — the default tenant, where a request that
 // names no tenant lands.
@@ -419,8 +410,8 @@ func (c *Client) AddBatch(ctx context.Context, batch []correlated.Tuple) error {
 // and answers with its mark for the site — the highest site LSN it holds.
 // Records at or below the mark are dropped, and a record it refuses (a
 // tenant cap) holds back the ones after it, so a mark short of the last
-// record sent says where to send from again. Forward is idempotent:
-// unlike Push it retries an ambiguous timeout too. cmd/corrd's site role
+// record sent says where to send from again. Forward is idempotent, so
+// it retries an ambiguous timeout like any request. cmd/corrd's site role
 // forwards every state record of its log this way.
 func (c *Client) Forward(ctx context.Context, site uint64, format uint8, records []byte) (mark uint64, err error) {
 	var res forwardResult
@@ -437,34 +428,9 @@ func AppendForwardRecord(buf []byte, lsn uint64, typ uint8, payload []byte) []by
 	return append(binary.AppendUvarint(buf, uint64(len(payload))), payload...)
 }
 
-// Push ships a marshaled summary image — a summary's MarshalBinary or a
-// shard engine's MarshalMerged — to POST /v1/push, the paper's
-// site→coordinator path.
-//
-// Each merge adds Lemma 4's straddling-bucket term: after k merges the
-// coordinator's error bound is k times one summary's, so a stream shipped
-// as many delta images drifts out of ε (see the README's POST /v1/push).
-// Push suits one-shot merges of library summaries; a corrd site forwards
-// its log instead (Forward).
-//
-// Push is not idempotent: merging the same delta image twice
-// double-counts it permanently (ingest duplicates merely re-add
-// tuples; a push image summarizes many). It therefore retries only
-// definite transport failures — refused, reset, or slammed
-// connections, where no response means no merge — and never an
-// ambiguous timeout, where the coordinator may have merged the image
-// and the acknowledgement simply never arrived. On such a timeout the
-// error is surfaced and the caller must decide. A definite 503
-// "read-only replica" rejection (nothing was merged) is redirected to a
-// promoted primary when WithReplicas knows of one.
-func (c *Client) Push(ctx context.Context, image []byte) error {
-	return c.postPolicy(ctx, c.endpoint("/v1/push"), "application/octet-stream", image, nil, false)
-}
-
 // Promote asks the base server to promote itself from replica to
 // primary (POST /v1/promote, gated by WithAdminToken). Promote is
-// strictly single-attempt — stricter even than Push's no-ambiguous-
-// timeout policy: a promote that succeeded server-side but lost its
+// strictly single-attempt: a promote that succeeded server-side but lost its
 // response would, on retry, surface a confusing 409, and blindly
 // re-promoting during a failover window is how split-brain happens.
 // A 409 means the server is not a replica (already primary).
@@ -532,9 +498,8 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	return s, err
 }
 
-// Summary fetches the server's merged summary image (GET /v1/summary) —
-// the same bytes the server would Push as a site, usable with
-// MergeMarshaled or UnmarshalBinary on an identically configured
+// Summary fetches the tenant's summary image (GET /v1/summary), usable
+// with UnmarshalBinary or MergeMarshaled on an identically configured
 // summary.
 func (c *Client) Summary(ctx context.Context) ([]byte, error) {
 	bases := c.readBases()
@@ -568,21 +533,14 @@ func (c *Client) Healthy(ctx context.Context) error {
 }
 
 func (c *Client) post(ctx context.Context, path, contentType string, body []byte, out any) error {
-	return c.postPolicy(ctx, path, contentType, body, out, true)
-}
-
-// postPolicy is post with an explicit retry policy: idempotent=false
-// (Push) refuses to retry an ambiguous timeout, where the request may
-// already have been applied server-side.
-func (c *Client) postPolicy(ctx context.Context, path, contentType string, body []byte, out any, idempotent bool) error {
-	err := c.doRetry(ctx, func() (*http.Request, error) {
+	err := c.do(ctx, func() (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
 		req.Header.Set("Content-Type", contentType)
 		return req, nil
-	}, out, idempotent)
+	}, out)
 	if err != nil && len(c.replicas) > 0 && IsReadOnly(err) {
 		// The base is (now) a replica: one probe across the configured
 		// bases for a server accepting writes, then redirect. The 503
@@ -595,9 +553,8 @@ func (c *Client) postPolicy(ctx context.Context, path, contentType string, body 
 }
 
 // postOnce is a single-attempt POST to an explicit base: no transport
-// retries, for requests whose duplicate application is worse than a
-// surfaced error (Push) or that must not race a failover (Promote's
-// redirect target).
+// retries, for the redirect after a read-only refusal, which must not race
+// a failover.
 func (c *Client) postOnce(ctx context.Context, base, path, contentType string, body []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
@@ -673,17 +630,6 @@ func failsOver(ctx context.Context, err error) bool {
 // error themselves; no retry policy can distinguish the two cases
 // without server-side request dedup.
 func (c *Client) do(ctx context.Context, build func() (*http.Request, error), out any) error {
-	return c.doRetry(ctx, build, out, true)
-}
-
-// doRetry is the retry loop behind do, with the non-idempotent
-// carve-out: when idempotent is false (Push), an attempt that ends in
-// an ambiguous timeout — the request was sent, the response never came,
-// and the server may have applied it — is surfaced immediately instead
-// of retried. Definite failures (refused, reset, slammed before any
-// response) stay retryable for everyone: no response status line means
-// the server never spoke, and for those errors nothing was applied.
-func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error), out any, idempotent bool) error {
 	for attempt := 0; ; attempt++ {
 		req, err := build()
 		if err != nil {
@@ -699,8 +645,8 @@ func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error
 			return errors.Join(err, ctx.Err())
 		}
 		// A 429/503 carrying Retry-After is a definite refusal — the
-		// server said so before applying anything, so retrying is safe
-		// even for non-idempotent requests. The hint floors the delay:
+		// server said so before applying anything, so retrying is safe.
+		// The hint floors the delay:
 		// the server knows its own recovery cadence better than our
 		// exponential schedule does.
 		if hint, ok := retryAfterHint(err); ok {
@@ -714,9 +660,6 @@ func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error
 		}
 		if attempt >= c.retries || !isTransient(ctx, err) {
 			return err
-		}
-		if !idempotent && isAmbiguousTimeout(err) {
-			return fmt.Errorf("client: not retrying non-idempotent request after ambiguous timeout (it may already have been applied): %w", err)
 		}
 		if werr := c.backoff(ctx, attempt); werr != nil {
 			return errors.Join(err, werr)
@@ -750,19 +693,6 @@ func isTransient(ctx context.Context, err error) bool {
 	}
 	var ue *url.Error
 	return errors.As(err, &ue)
-}
-
-// isAmbiguousTimeout reports whether a transport error is a timeout
-// that fired after the request may have been delivered: the attempt's
-// outcome is unknown, so a non-idempotent request must not be replayed.
-// Covers http.Client.Timeout (url.Error with Timeout()=true) and a
-// per-attempt deadline surfacing as context.DeadlineExceeded.
-func isAmbiguousTimeout(err error) bool {
-	var ue *url.Error
-	if errors.As(err, &ue) && ue.Timeout() {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
 }
 
 // backoff sleeps for the attempt's jittered exponential delay, or
@@ -835,13 +765,6 @@ func apiError(resp *http.Response) error {
 		}
 	}
 	return ae
-}
-
-// IsIncompatible reports whether err is the service rejecting a push or
-// restore because the image was built from different Options (HTTP 409).
-func IsIncompatible(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusConflict
 }
 
 // IsTenantRejected reports whether err is a governance cap refusing to

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -62,26 +61,26 @@ func TestAddBatchChunking(t *testing.T) {
 }
 
 // TestAPIErrorMapping: non-2xx responses surface the server's JSON
-// error message and status, and 409 is detectable as incompatibility.
+// error message and status.
 func TestAPIErrorMapping(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusConflict)
-		io.WriteString(w, `{"error":"seed mismatch"}`)
+		w.WriteHeader(http.StatusBadRequest)
+		io.WriteString(w, `{"error":"y = 9 exceeds YMax = 8"}`)
 	}))
 	defer srv.Close()
-	err := New(srv.URL).Push(context.Background(), []byte{1})
-	ae, ok := err.(*APIError)
-	if !ok {
+	err := New(srv.URL).AddBatch(context.Background(), []correlated.Tuple{{X: 1, Y: 9, W: 1}})
+	var ae *APIError
+	if !errors.As(err, &ae) {
 		t.Fatalf("want *APIError, got %T: %v", err, err)
 	}
-	if ae.Status != http.StatusConflict || ae.Message != "seed mismatch" {
+	if ae.Status != http.StatusBadRequest || ae.Message != "y = 9 exceeds YMax = 8" {
 		t.Fatalf("APIError: %+v", ae)
 	}
-	if !IsIncompatible(err) {
-		t.Fatal("409 not detected as incompatible")
-	}
 }
+
+// one is a one-tuple batch, for tests about a request, not its body.
+var one = []correlated.Tuple{{X: 1, Y: 2, W: 1}}
 
 // flakyServer drops the first failures connections at the TCP level
 // (the transport sees a reset with no HTTP response — the transient
@@ -108,8 +107,9 @@ func flakyServer(t *testing.T, failures int, h http.Handler) (*httptest.Server, 
 	return srv, &attempts
 }
 
-// TestRetryTransientTransportErrors: AddBatch and Push survive dropped
-// connections within the retry budget, with backoff between attempts.
+// TestRetryTransientTransportErrors: AddBatch survives dropped
+// connections — no response bytes, so nothing was applied — within the
+// retry budget, with backoff between attempts.
 func TestRetryTransientTransportErrors(t *testing.T) {
 	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -125,15 +125,6 @@ func TestRetryTransientTransportErrors(t *testing.T) {
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("server saw %d attempts, want 3 (2 drops + 1 success)", got)
 	}
-
-	srv2, attempts2 := flakyServer(t, 1, ok)
-	cl2 := New(srv2.URL, WithRetries(2), WithRetryBackoff(time.Millisecond, 10*time.Millisecond))
-	if err := cl2.Push(context.Background(), []byte{9, 9, 9}); err != nil {
-		t.Fatalf("Push through flaky transport: %v", err)
-	}
-	if got := attempts2.Load(); got != 2 {
-		t.Fatalf("push attempts: %d", got)
-	}
 }
 
 // TestRetryBudgetExhausted: a server that never recovers still fails,
@@ -141,8 +132,8 @@ func TestRetryTransientTransportErrors(t *testing.T) {
 func TestRetryBudgetExhausted(t *testing.T) {
 	srv, attempts := flakyServer(t, 1<<30, nil)
 	cl := New(srv.URL, WithRetries(2), WithRetryBackoff(time.Millisecond, 5*time.Millisecond))
-	if err := cl.Push(context.Background(), []byte{1}); err == nil {
-		t.Fatal("push to always-failing server succeeded")
+	if err := cl.AddBatch(context.Background(), one); err == nil {
+		t.Fatal("AddBatch to always-failing server succeeded")
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("attempts: %d, want 3", got)
@@ -175,7 +166,7 @@ func TestRetryHonorsContext(t *testing.T) {
 	cl := New(srv.URL, WithRetries(1000), WithRetryBackoff(time.Hour, time.Hour))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- cl.Push(ctx, []byte{1}) }()
+	go func() { done <- cl.AddBatch(ctx, one) }()
 	// Let the first attempt fail and the backoff begin, then cancel.
 	for attempts.Load() == 0 {
 		time.Sleep(time.Millisecond)
@@ -219,10 +210,8 @@ func TestQueryBatchWire(t *testing.T) {
 }
 
 // TestRetryOnClientTimeout: an http.Client.Timeout expiring with no
-// response (blackholed connection) is transient and retried for
-// idempotent-policy calls like ingest; only the caller's own context
-// deadline ends the loop. (Push is carved out — see the ambiguous
-// timeout tests below.)
+// response (blackholed connection) is transient and retried; only the
+// caller's own context deadline ends the loop.
 func TestRetryOnClientTimeout(t *testing.T) {
 	var attempts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -246,38 +235,10 @@ func TestRetryOnClientTimeout(t *testing.T) {
 	}
 }
 
-// TestPushNoRetryOnAmbiguousTimeout: a Push attempt that times out with
-// the request delivered but unacknowledged may already have been merged
-// by the coordinator; replaying the image would double-count it, so the
-// client must surface the timeout after exactly one attempt even with
-// retry budget to spare.
-func TestPushNoRetryOnAmbiguousTimeout(t *testing.T) {
-	var attempts atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts.Add(1)
-		io.Copy(io.Discard, r.Body)
-		time.Sleep(600 * time.Millisecond) // past the client timeout, every time
-	}))
-	defer srv.Close()
-	cl := New(srv.URL,
-		WithHTTPClient(&http.Client{Timeout: 100 * time.Millisecond}),
-		WithRetries(5), WithRetryBackoff(time.Millisecond, 5*time.Millisecond))
-	err := cl.Push(context.Background(), []byte{1})
-	if err == nil {
-		t.Fatal("Push through a blackholed server succeeded")
-	}
-	if !strings.Contains(err.Error(), "ambiguous timeout") {
-		t.Fatalf("error does not explain the carve-out: %v", err)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("ambiguous timeout retried: %d attempts, want 1", got)
-	}
-}
-
 // TestForwardRetriesAmbiguousTimeout: a forward whose answer times out may
 // have been applied, but the coordinator drops a record at or below the
-// site's mark and answers with the mark, so Forward — unlike Push — sends
-// it again, and returns the mark the retry hears.
+// site's mark and answers with the mark, so Forward sends it again, and
+// returns the mark the retry hears.
 func TestForwardRetriesAmbiguousTimeout(t *testing.T) {
 	var attempts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -297,19 +258,21 @@ func TestForwardRetriesAmbiguousTimeout(t *testing.T) {
 	}
 }
 
-// TestPushRetriesDefiniteFailures: the carve-out is only for ambiguous
-// timeouts — a slammed connection with no response bytes is a definite
-// "nothing was merged", and Push still retries through it.
+// TestPushRetriesDefiniteFailures: a site pushing its log to the
+// coordinator survives dropped connections — no response bytes, so
+// nothing was applied — within the retry budget, and returns the mark
+// the successful attempt hears.
 func TestPushRetriesDefiniteFailures(t *testing.T) {
 	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"merged":true}`)
+		io.WriteString(w, `{"mark":7}`)
 	})
 	srv, attempts := flakyServer(t, 2, ok)
 	cl := New(srv.URL, WithRetries(3), WithRetryBackoff(time.Millisecond, 5*time.Millisecond))
-	if err := cl.Push(context.Background(), []byte{7}); err != nil {
-		t.Fatalf("Push through flaky transport: %v", err)
+	mark, err := cl.Forward(context.Background(), 0xabc, 5, AppendForwardRecord(nil, 7, 1, []byte("rec")))
+	if err != nil || mark != 7 {
+		t.Fatalf("Forward through flaky transport: mark %d, err %v; want 7", mark, err)
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("attempts: %d, want 3 (2 drops + 1 success)", got)
@@ -332,10 +295,9 @@ func TestPromoteSingleAttempt(t *testing.T) {
 }
 
 // TestRetryAfterFloorsBackoff: a 429/503 carrying Retry-After is a
-// definite refusal — retried even for non-idempotent requests, with the
-// server's hint flooring the exponential schedule. A Push (the
-// non-idempotent verb the ambiguous-timeout carve-out normally
-// protects) must come back after the hinted delay and succeed.
+// definite refusal — nothing was applied, so it is retried, with the
+// server's hint flooring the exponential schedule: the AddBatch must come
+// back after the hinted delay and succeed.
 func TestRetryAfterFloorsBackoff(t *testing.T) {
 	var attempts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -352,8 +314,8 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 	defer srv.Close()
 	cl := New(srv.URL, WithRetries(2), WithRetryBackoff(time.Millisecond, 5*time.Millisecond))
 	start := time.Now()
-	if err := cl.Push(context.Background(), []byte{1, 2, 3}); err != nil {
-		t.Fatalf("push through a shedding server: %v", err)
+	if err := cl.AddBatch(context.Background(), one); err != nil {
+		t.Fatalf("AddBatch through a shedding server: %v", err)
 	}
 	if got := attempts.Load(); got != 2 {
 		t.Fatalf("attempts: %d, want 2 (one shed + one success)", got)
@@ -380,7 +342,7 @@ func TestRetryAfterBudgetStillBounds(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	err := New(srv.URL, WithRetries(5), WithRetryBackoff(time.Millisecond, 5*time.Millisecond)).
-		Push(ctx, []byte{1})
+		AddBatch(ctx, one)
 	if !IsDegraded(err) {
 		t.Fatalf("want the degraded refusal surfaced, got: %v", err)
 	}

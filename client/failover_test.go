@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	correlated "github.com/streamagg/correlated"
 )
 
 // replicaStub serves /v1/stats with the given role and answers queries
@@ -27,7 +29,7 @@ func replicaStub(t *testing.T, role string, estimate float64) (*httptest.Server,
 			fmt.Fprintf(w, `{"op":"le","c":1,"estimate":%g}`, estimate)
 		case "/v1/summary":
 			io.WriteString(w, "summary-bytes-"+role)
-		case "/v1/push", "/v1/ingest":
+		case "/v1/ingest":
 			io.Copy(io.Discard, r.Body)
 			if role == "replica" {
 				w.WriteHeader(http.StatusServiceUnavailable)
@@ -35,7 +37,7 @@ func replicaStub(t *testing.T, role string, estimate float64) (*httptest.Server,
 				return
 			}
 			writes.Add(1)
-			io.WriteString(w, `{"merged":true}`)
+			io.WriteString(w, `{"tuples":1}`)
 		default:
 			http.NotFound(w, r)
 		}
@@ -95,9 +97,10 @@ func TestWriteRedirect(t *testing.T) {
 	demoted, demotedWrites := replicaStub(t, "replica", 0)
 	promoted, promotedWrites := replicaStub(t, "coordinator", 0)
 
+	batch := []correlated.Tuple{{X: 1, Y: 2, W: 1}}
 	cl := New(demoted.URL, WithReplicas(promoted.URL), WithRetries(0))
-	if err := cl.Push(context.Background(), []byte{1}); err != nil {
-		t.Fatalf("Push not redirected: %v", err)
+	if err := cl.AddBatch(context.Background(), batch); err != nil {
+		t.Fatalf("AddBatch not redirected: %v", err)
 	}
 	if demotedWrites.Load() != 0 || promotedWrites.Load() != 1 {
 		t.Fatalf("writes landed wrong: demoted=%d promoted=%d", demotedWrites.Load(), promotedWrites.Load())
@@ -108,7 +111,7 @@ func TestWriteRedirect(t *testing.T) {
 
 	// Without replicas to probe, the 503 is surfaced as IsReadOnly.
 	solo := New(demoted.URL, WithRetries(0))
-	err := solo.Push(context.Background(), []byte{1})
+	err := solo.AddBatch(context.Background(), batch)
 	if !IsReadOnly(err) {
 		t.Fatalf("want IsReadOnly error, got %v", err)
 	}

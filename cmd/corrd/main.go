@@ -9,8 +9,8 @@
 //	      -snapshot /var/lib/corrd/f2.snapshot \
 //	      -wal-dir /var/lib/corrd/wal -wal-fsync always
 //
-// With -wal-dir set, every acknowledged ingest batch, push image and
-// forwarded site record is appended to a write-ahead log before the HTTP 200; startup restores
+// With -wal-dir set, every acknowledged ingest batch and forwarded site
+// record is appended to a write-ahead log before the HTTP 200; startup restores
 // the snapshot and replays the log suffix, so a kill -9 loses nothing
 // that was acknowledged (under -wal-fsync=always). Snapshots checkpoint
 // and prune the log. Concurrent ingest requests are group-committed:
@@ -35,7 +35,7 @@
 // HTTP ingest, riding the same group-commit pipeline and the same
 // durability contract.
 //
-// Every ingest, push, and query endpoint accepts a ?tenant=NAME key
+// Every ingest and query endpoint accepts a ?tenant=NAME key
 // selecting one of N independent summaries behind the same daemon (the
 // streaming transport carries the key per frame); the WAL and snapshot
 // keep each tenant's recovery byte-exact. -max-tenants and
@@ -56,10 +56,10 @@
 // site id that names the log's LSN space is kept in the WAL directory. A
 // record the coordinator refuses (a tenant cap) holds back the records
 // behind it: /v1/stats reports it as forward_stalled.
-// Sites and their coordinator must share every summary flag (-agg, -k,
-// -eps, -delta, -ymax, -maxn, -maxx, -seed, -pred, and the alpha
-// overrides) verbatim: the seed regenerates the hash functions, and a
-// forwarded image built with other options is rejected with HTTP 409.
+// A site forwards tuples, never a summary image, so the coordinator
+// applies them under its own summary flags (-agg, -k, -eps, -delta,
+// -ymax, -maxn, -maxx, -seed, -pred, and the alpha overrides); a tuple
+// past its -ymax is refused.
 //
 // Replica — follow a primary's WAL over its -stream-addr and serve the
 // read path as a warm standby:
@@ -78,11 +78,11 @@
 // silence — promotes the replica in place: it seals its replayed log
 // position, opens its own WAL in -wal-dir numbered from the next LSN,
 // and begins accepting writes. Replicas must share the primary's
-// summary flags, exactly like sites.
+// summary flags verbatim, -seed included: a re-seed ships the primary's
+// images.
 //
 // Endpoints: POST /v1/ingest (binary tuple stream or text/csv
 // "x,y[,w]" lines), POST /v1/forward (records of a site's log),
-// POST /v1/push (marshaled summary image, merged),
 // GET /v1/query?op=le|ge&c=N, GET /v1/stats, GET /v1/summary,
 // POST /v1/promote (replica → primary, admin-gated),
 // POST /v1/recover (force a recovery probe on a degraded daemon,

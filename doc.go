@@ -50,13 +50,14 @@
 //	§4 turnstile/multipass    internal/turnstile  MULTIPASS, GREATER-THAN bounds
 //	distributed model         shard             P worker-owned summaries, channel-fed
 //	                                            ingest, merge-then-query coordinator,
-//	                                            engine snapshots and push images (a
+//	                                            engine snapshots and merged images (a
 //	                                            library feature; corrd does not use it)
 //	                          service, client   corrd, the site/coordinator network
-//	                                            daemon (cmd/corrd): HTTP ingest and
-//	                                            wire-image pushes, snapshot
-//	                                            durability, Prometheus metrics, and
-//	                                            the Go client driving it
+//	                                            daemon (cmd/corrd): HTTP ingest,
+//	                                            sites forwarding their logs,
+//	                                            snapshot durability, Prometheus
+//	                                            metrics, and the Go client
+//	                                            driving it
 //	concurrent serving        service           group-commit ingest pipeline (one
 //	                                            fsync, and one sort and one AddBatch
 //	                                            per touched tenant, per group of
@@ -215,14 +216,16 @@
 // are rejected with an *IncompatibleError (matching ErrIncompatible)
 // naming the differing option. Merging k site summaries keeps every
 // structural guarantee but scales the bucket-straddling error term
-// (Lemma 4) by up to k; use Eps/k at the sites when a strict ε must
-// survive a k-way merge. The shard subpackage builds a parallel ingest
-// engine on exactly this merge layer, and the service and client
-// subpackages (with cmd/corrd) expose the whole model over HTTP: remote
-// sites forward their write-ahead logs (so the coordinator keeps one
-// summary per tenant and merges nothing) or push marshaled summary images,
-// the coordinator daemon serves queries from that state, and snapshots make
-// the serving tier restartable.
+// (Lemma 4) by up to k; use Eps/k at the sites and at the coordinator
+// when a strict ε must survive a k-way merge, at several times one
+// summary's counters (TestMergeRoundsAccuracy holds COUNT within ε at
+// Eps/k for k = 8 and 32). The shard subpackage builds a parallel ingest
+// engine on exactly this merge layer. The service and client subpackages
+// (with cmd/corrd) serve the model over HTTP without that term: remote
+// sites forward their write-ahead logs, so the coordinator keeps one
+// summary per tenant and merges nothing, the coordinator daemon serves
+// queries from that state, and snapshots make the serving tier
+// restartable.
 //
 // # Concurrency
 //

@@ -129,8 +129,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("coordinator: %d tuples, %d pushes merged, space %d\n",
-		st.Count, st.PushesMerged, st.Space)
+	fmt.Printf("coordinator: %d tuples, space %d\n", st.Count, st.Space)
 	if st.Count != 3*nPerStream {
 		log.Fatalf("coordinator holds %d tuples, want %d", st.Count, 3*nPerStream)
 	}

@@ -10,7 +10,7 @@ package tupleio
 //	keyed batch   uvarint(len(tenant)) tenant  counted-batch
 //
 // The same prefix scopes every member of a WAL ingest record (a sorted
-// batch, sorted.go), every push record's image, every snapshot entry and
+// batch, sorted.go), every snapshot entry and
 // stream frames in the keyed frame format (StreamFormatKeyed), so every
 // tenant-tagged decode path in the system shares this one grammar — and
 // the same hostile-input discipline as the rest of the codec: the length claim

@@ -227,7 +227,7 @@ func TestFailedBarrierRewindsWholeGroup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.AppendNoSync(RecordPush, []byte("later")); err != nil {
+			if _, err := w.AppendNoSync(RecordForward, []byte("later")); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Sync(); err == nil {

@@ -14,7 +14,8 @@ import (
 // the bytes, recovery must neither panic nor allocate unboundedly, and
 // every record it does return must carry a frame whose CRC verified.
 // The corpus seeds valid logs (single- and multi-record, rotated) over
-// the five record types so mutations explore the interesting frontier:
+// the four record types and the reserved type 2 (a push record, which a
+// log of this format may still hold) so mutations explore the interesting frontier:
 // torn tails, hostile lengths, flipped CRCs, bad headers.
 func FuzzWALReplay(f *testing.F) {
 	seed := func(build func(w *WAL)) []byte {
@@ -44,7 +45,7 @@ func FuzzWALReplay(f *testing.F) {
 	}))
 	f.Add(seed(func(w *WAL) {
 		appendSync(w, RecordIngest, bytes.Repeat([]byte{7}, 60))
-		appendSync(w, RecordPush, bytes.Repeat([]byte{9}, 60))
+		appendSync(w, 2, bytes.Repeat([]byte{9}, 60))
 		appendSync(w, RecordForward, nil)
 		checkpoint(w, 2)
 	}))
@@ -60,7 +61,7 @@ func FuzzWALReplay(f *testing.F) {
 		group = append(group, 2, 't', 'b', 1, 2, 3, 0x2e, 0, 0) // tenant "tb", 1 row
 		appendSync(w, RecordIngest, group)
 		push := append([]byte{3, 'k', 'e', 'y'}, bytes.Repeat([]byte{5}, 40)...)
-		appendSync(w, RecordPush, push)
+		appendSync(w, 2, push)
 	}))
 	f.Add(seed(func(w *WAL) {
 		torn := []byte{2, 't', 'a', 1, 2, 2, 0xa6, 0, 120} // 120-byte key claim, no bytes
@@ -77,7 +78,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(seed(func(w *WAL) {
 		site := binary.AppendUvarint(nil, 0x9e3779b97f4a7c15)
 		two := append(binary.AppendUvarint(bytes.Clone(site), 41), byte(RecordIngest), 6, 0, 1, 1, 1, 0x32, 0)
-		appendSync(w, RecordForward, append(binary.AppendUvarint(two, 42), byte(RecordPush), 5, 1, 'k', 4, 4, 4))
+		appendSync(w, RecordForward, append(binary.AppendUvarint(two, 42), 2, 5, 1, 'k', 4, 4, 4))
 		appendSync(w, RecordForward, append(binary.AppendUvarint(bytes.Clone(site), 1<<62), 0xff, 0))
 		appendSync(w, RecordProbe, nil)
 	}))

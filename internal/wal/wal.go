@@ -1,8 +1,8 @@
 // Package wal is the durable-ingest subsystem of the corrd service: a
 // segmented append-only write-ahead log with CRC32C-framed records, the
 // piece that closes the durability window left by periodic snapshots.
-// The service logs each accepted ingest batch, push image and forwarded
-// site record before acknowledging it, so an acknowledged request survives a crash; on
+// The service logs each accepted ingest batch and forwarded site record
+// before acknowledging it, so an acknowledged request survives a crash; on
 // restart the engine is rebuilt as snapshot + replayed log suffix.
 //
 // # Log structure
@@ -100,15 +100,16 @@ const (
 	// concatenated and sorted by y — acknowledged behind this record's
 	// single fsync; replay hands each tenant the same argument.
 	RecordIngest RecordType = 1
-	// RecordPush is a marshaled summary image folded in through
-	// POST /v1/push: a tupleio tenant prefix, then the image.
-	RecordPush RecordType = 2
+	// Type 2 was a push record: a summary image an earlier release of this
+	// format merged into a tenant. It stays reserved: the service refuses a
+	// record of it by name, wherever one would be applied.
+
 	// RecordCheckpoint carries uvarint(covered): a snapshot durable
 	// outside the log captures every record with LSN <= covered.
 	RecordCheckpoint RecordType = 4
 	// RecordForward is records a site forwarded from its own log:
 	// uvarint(site id), then per record uvarint(its LSN in the site's
-	// log), its type byte (RecordIngest, RecordPush or RecordForward),
+	// log), its type byte (RecordIngest or RecordForward),
 	// uvarint(len(payload)) and the site's payload verbatim. Applying it
 	// applies the inner records and advances the site's mark to the last,
 	// below which a forwarded record is a duplicate.
@@ -703,7 +704,7 @@ func (w *WAL) appendLocked(typ RecordType, payload []byte) (uint64, error) {
 		w.wakeFollowersLocked() // frontier == lastLSN under SyncOff
 	}
 	if cap(w.frame) > 1<<20 {
-		w.frame = nil // do not pin a rare huge push image
+		w.frame = nil // do not pin a rare huge record
 	}
 	return lsn, nil
 }

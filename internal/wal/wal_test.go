@@ -73,7 +73,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		payload := bytes.Repeat([]byte{byte(i)}, 1+i%37)
 		typ := RecordIngest
 		if i%5 == 0 {
-			typ = RecordPush
+			typ = RecordForward
 		}
 		lsn, err := appendSync(w, typ, payload)
 		if err != nil {
@@ -176,7 +176,7 @@ func TestTornTailTruncated(t *testing.T) {
 			if len(got) != 3 {
 				t.Fatalf("replayed %d records after torn tail, want 3", len(got))
 			}
-			if lsn, err := appendSync(w2, RecordPush, []byte("resume")); err != nil || lsn != 4 {
+			if lsn, err := appendSync(w2, RecordForward, []byte("resume")); err != nil || lsn != 4 {
 				t.Fatalf("append after recovery: lsn %d err %v", lsn, err)
 			}
 			if info, _ := os.Stat(seg); info.Size() != int64(len(raw))+frameSize+6 {

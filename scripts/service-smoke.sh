@@ -199,8 +199,10 @@ cmp "$WORK/site.summary" "$WORK/fcoord.summary" \
 curl -fsS "$FCOORD/metrics" -o "$WORK/metrics.txt"
 grep -q 'corrd_forwards_total{result="applied"} [1-9]' "$WORK/metrics.txt" \
   || { echo "FAIL: forward metric missing" >&2; exit 1; }
-grep -q 'corrd_pushes_merged_total 0' "$WORK/metrics.txt" \
-  || { echo "FAIL: the coordinator merged a push" >&2; exit 1; }
+# State enters a tenant only as tuples: POST /v1/push is not routed.
+PUSH_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary x "$FCOORD/v1/push")
+[ "$PUSH_CODE" = 404 ] \
+  || { echo "FAIL: POST /v1/push answered $PUSH_CODE, want 404 (not routed)" >&2; exit 1; }
 curl -fsS "$SITE/metrics" -o "$WORK/metrics.txt"
 grep -q 'corrd_site_forwards_total{result="sent"} [1-9]' "$WORK/metrics.txt" \
   || { echo "FAIL: site forward metric missing" >&2; exit 1; }
@@ -669,7 +671,8 @@ REPL_PID=""
 # (writes 503 + Retry-After, /readyz not ready, reads still served,
 # /healthz still 200). The operator clears the plan over POST /v1/fault,
 # forces recovery with POST /v1/recover, and traffic resumes; a second
-# fault (every fsync fails) is then met by pushes instead of ingest. A final
+# fault (every fsync fails) is then met by ingest into a tenant of its own,
+# which must fail, degrade the daemon again and leave no trace. A final
 # kill -9 + restart proves the log held exactly the acknowledged
 # chunks through the whole episode: the recovered summary is
 # byte-identical to a crash-free oracle over acked run 1 + run 2.
@@ -725,34 +728,33 @@ grep -q '"state":"healthy"' "$WORK/recover.json" \
 READY=$(curl -s -o /dev/null -w '%{http_code}' "$FDBASE/readyz")
 [ "$READY" = "200" ] || { echo "FAIL: /readyz $READY after recovery" >&2; exit 1; }
 
-# Push drill: a push is a commit job like an ingest, so a failing fsync
-# refuses it (500: applied, not durable, rewound out of the log), the
-# refusals count toward the same streak, and once the machine trips it is
+# Fsync drill: every fsync fails, so an ingest is refused (500: not
+# durable, rewound out of the log, never applied), the refusals count
+# toward the failure streak, and once the machine trips the ingest is
 # turned away at the gate (503). The tenant holds one acked batch first,
 # so after the restart below its summary can be compared with an oracle
-# that took the batch and never saw the push.
+# that took the batch and never saw the nacked ones.
 printf '1,2\n3,4,2\n' | curl -fsS -X POST -H 'Content-Type: text/csv' \
-  --data-binary @- "$FDBASE/v1/ingest?tenant=pushdrill" >/dev/null
-curl -fsS -o "$WORK/push.img" "$FDBASE/v1/summary?tenant=pushdrill"
+  --data-binary @- "$FDBASE/v1/ingest?tenant=fsyncdrill" >/dev/null
 curl -fsS -X POST --data-binary 'sync/wal-:err@1+' "$FDBASE/v1/fault" >/dev/null
-SAW_500=0; PUSH_CODE=""
-for _ in $(seq 1 10); do
-  PUSH_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-    --data-binary @"$WORK/push.img" "$FDBASE/v1/push?tenant=pushdrill")
-  case "$PUSH_CODE" in
+SAW_500=0; INGEST_CODE=""
+for i in $(seq 1 10); do
+  INGEST_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: text/csv' \
+    --data-binary "$i,$((i + 5))" "$FDBASE/v1/ingest?tenant=fsyncdrill")
+  case "$INGEST_CODE" in
     500) SAW_500=1 ;;
     503) break ;;
-    *) echo "FAIL: push under a failing fsync answered $PUSH_CODE" >&2; exit 1 ;;
+    *) echo "FAIL: ingest under a failing fsync answered $INGEST_CODE" >&2; exit 1 ;;
   esac
 done
-if [ "$SAW_500" != 1 ] || [ "$PUSH_CODE" != 503 ]; then
-  echo "FAIL: pushes under a failing fsync: saw_500=$SAW_500 last=$PUSH_CODE, want 500s then 503 (log failures on pushes must degrade)" >&2; exit 1
+if [ "$SAW_500" != 1 ] || [ "$INGEST_CODE" != 503 ]; then
+  echo "FAIL: ingest under a failing fsync: saw_500=$SAW_500 last=$INGEST_CODE, want 500s then 503 (log failures must degrade)" >&2; exit 1
 fi
 curl -fsS -X POST --data-binary 'off' "$FDBASE/v1/fault" >/dev/null
 curl -fsS -X POST -H "X-Admin-Token: $DRILL_TOKEN" "$FDBASE/v1/recover" \
   -o "$WORK/recover2.json"
 grep -q '"state":"healthy"' "$WORK/recover2.json" \
-  || { echo "FAIL: recover after the push drill: $(cat "$WORK/recover2.json")" >&2; exit 1; }
+  || { echo "FAIL: recover after the fsync drill: $(cat "$WORK/recover2.json")" >&2; exit 1; }
 
 # Run 2 lands in full on the healed daemon.
 "$WORK/corrgen" -dataset uniform -n 20000 -seed 72 -xdom 100001 -ydom 1000001 \
@@ -774,17 +776,17 @@ ORACLE_PID=$!
 "$WORK/corrgen" -dataset uniform -n 20000 -seed 72 -xdom 100001 -ydom 1000001 \
   -target "$FORCBASE" -chunk 2048 >/dev/null
 printf '1,2\n3,4,2\n' | curl -fsS -X POST -H 'Content-Type: text/csv' \
-  --data-binary @- "$FORCBASE/v1/ingest?tenant=pushdrill" >/dev/null
-for T in "" "pushdrill"; do
+  --data-binary @- "$FORCBASE/v1/ingest?tenant=fsyncdrill" >/dev/null
+for T in "" "fsyncdrill"; do
   curl -fsS -o "$WORK/drill.summary" "$FDBASE/v1/summary?tenant=$T"
   curl -fsS -o "$WORK/drill-oracle.summary" "$FORCBASE/v1/summary?tenant=$T"
   if ! cmp -s "$WORK/drill.summary" "$WORK/drill-oracle.summary"; then
-    echo "FAIL: post-drill summary of tenant '$T' differs from crash-free oracle (acked $DM1 + 20000; the nacked pushes must be gone)" >&2
+    echo "FAIL: post-drill summary of tenant '$T' differs from crash-free oracle (acked $DM1 + 20000; the nacked ingests must be gone)" >&2
     ls -l "$WORK/drill.summary" "$WORK/drill-oracle.summary" >&2
     exit 1
   fi
 done
-echo "fault drill recovered byte-identical over $DM1 + 20000 acked tuples, nacked pushes absent"
+echo "fault drill recovered byte-identical over $DM1 + 20000 acked tuples, nacked ingests absent"
 kill -9 "$WAL_PID" 2>/dev/null || true
 wait "$WAL_PID" 2>/dev/null || true
 WAL_PID=""

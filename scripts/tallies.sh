@@ -19,6 +19,7 @@ svc=$(nontest service)
 echo "daemon flags (cmd/corrd): $(count '\bfs\.(String|Int|Int64|Uint64|Float64|Bool|Duration)(Var)?\(' $(nontest cmd/corrd))"
 echo "service.Config fields: $(fields Config service/service.go | wc -l)"
 echo "/metrics series (every corrd_* name in service/metrics.go): $(grep -ohE 'corrd_[a-z0-9_]+' service/metrics.go | sort -u | wc -l)"
+echo "HTTP routes (every HandleFunc( in non-test service/): $(count 'HandleFunc\(' $svc)"
 echo "Engine methods: $(fields Engine service/service.go | wc -l)"
 echo "mutexes on Server: $(fields Server service/service.go | grep -cE 'sync\.(RW)?Mutex')"
 echo "Server fields: $(fields Server service/service.go | wc -l)"

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -13,13 +14,15 @@ import (
 	"time"
 
 	correlated "github.com/streamagg/correlated"
+	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/tupleio"
+	"github.com/streamagg/correlated/internal/wal"
 )
 
 // TestRefusedWriteLeavesNoTenant pins "registry = f(log)": a write that is
-// refused — as invalid, by admission; as shed; while degraded; as a push
-// whose image does not merge — gets the status it always got and leaves no
-// tenant behind, so the governance cap cannot be spent by refused requests
+// refused — as invalid, by admission; as shed; while degraded; as a
+// forward whose record is not applied — gets the status it always got and
+// leaves no tenant behind, so the governance cap cannot be spent by refused requests
 // and a restart finds the tenant set the live server had. Each row writes
 // into a key of its own; after it the registry gauges have not moved and
 // the key reads as 404. Then a valid write to a new tenant fits under
@@ -62,6 +65,17 @@ func refusedWriteCase(t *testing.T, withSnapshot bool) {
 	ingest := func(key string, batch []correlated.Tuple) int {
 		t.Helper()
 		return post("/v1/ingest", key, tupleio.ContentType, tupleio.AppendBatch(nil, batch))
+	}
+	// forward sends one record of type typ from a site.
+	forward := func(typ wal.RecordType, payload []byte) int {
+		t.Helper()
+		body := client.AppendForwardRecord(nil, 1, uint8(typ), payload)
+		resp, err := http.Post(fmt.Sprintf("%s/v1/forward?site=abc&format=%d", ts.URL, wal.Version), "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
 
 	// One raw keyed stream connection carries every stream row: a nacked
@@ -108,19 +122,6 @@ func refusedWriteCase(t *testing.T, withSnapshot bool) {
 
 	beyond := []correlated.Tuple{{X: 1, Y: 5, W: 1}, {X: 2, Y: cfg.Options.YMax + 1, W: 1}}
 	valid := testStream(20, 3)
-	otherOpts := cfg.Options
-	otherOpts.Seed++
-	other, err := correlated.NewF2Summary(otherOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.AddBatch(testStream(50, 4)); err != nil {
-		t.Fatal(err)
-	}
-	otherImage, err := other.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	gauges := func() (tenants, created float64) {
 		t.Helper()
@@ -143,12 +144,16 @@ func refusedWriteCase(t *testing.T, withSnapshot bool) {
 			return post("/v1/ingest", key, "text/csv", []byte("1,2\n3,4,-5\n"))
 		}, http.StatusBadRequest},
 		{"keyed stream frame with y > YMax", "ghost-frame", func(key string) int { return frame(key, beyond) }, int(tupleio.AckInvalid)},
-		{"garbage push", "ghost-push", func(key string) int {
-			return post("/v1/push", key, "application/octet-stream", []byte("not a summary image"))
+		{"forward with y > YMax", "ghost-forward", func(key string) int {
+			payload, err := appendIngest(nil, []tenantBatch{{key: []byte(key), tuples: beyond}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return forward(wal.RecordIngest, payload)
 		}, http.StatusBadRequest},
-		{"push built with other options", "ghost-options", func(key string) int {
-			return post("/v1/push", key, "application/octet-stream", otherImage)
-		}, http.StatusConflict},
+		{"forward of a push record", "ghost-push", func(key string) int {
+			return forward(pushRecord, append(tupleio.AppendTenant(nil, key), "an image"...))
+		}, http.StatusBadRequest},
 		{"ingest shed by IngestQueueMax", "ghost-shed", func(key string) int {
 			// Hold the driver lock so the committer stalls inside the first
 			// job's group and the second fills the queue to its bound.

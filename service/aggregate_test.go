@@ -18,7 +18,7 @@ import (
 // TestServesEveryAggregate: the daemon serves each aggregate Config offers
 // exactly as the library summary of that type would. What is under test is
 // the wiring (Aggregate and K to a constructor, and that engine through
-// ingest, query, push, the log and replay), not accuracy: the same seeded
+// ingest, query, the log and replay), not accuracy: the same seeded
 // batches, cut the same way, go over HTTP into the default and a keyed
 // tenant and into in-process summaries built straight from the library
 // constructors, and bytes and answers must be equal. COUNT and SUM are
@@ -132,20 +132,6 @@ func TestServesEveryAggregate(t *testing.T) {
 			if st.Aggregate != tc.agg {
 				t.Fatalf("/v1/stats names aggregate %q, want %q", st.Aggregate, tc.agg)
 			}
-
-			// A second server's image, pushed into the default tenant, merges.
-			_, ts2, cl2 := newTestServer(t, Config{Aggregate: tc.agg, K: tc.k, Options: o})
-			if err := cl2.AddBatch(ctx, testStream(900, 9)); err != nil {
-				t.Fatal(err)
-			}
-			img := tenantSummary(t, ts2.URL, "")
-			if err := client.New(ts.URL).Push(ctx, img); err != nil {
-				t.Fatal(err)
-			}
-			if err := refs[""].MergeMarshaled(img); err != nil {
-				t.Fatal(err)
-			}
-			check(ts.URL, "after a push")
 
 			// Killed and restarted on the log alone: byte-identical.
 			crash(ts, svc)

@@ -16,6 +16,7 @@ import (
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
+	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/fault"
 	"github.com/streamagg/correlated/internal/wal"
 )
@@ -197,8 +198,9 @@ func TestChaosDegradedModeHTTP(t *testing.T) {
 	if !errors.As(err, &ae) || ae.RetryAfter <= 0 {
 		t.Fatalf("degraded 503 carries no Retry-After: %v", err)
 	}
-	if err := cl.Push(ctx, []byte{0}); !client.IsDegraded(err) {
-		t.Fatalf("degraded push error not IsDegraded: %v", err)
+	fwd := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, ""))
+	if _, err := cl.Forward(ctx, 0xabc, wal.Version, fwd); !client.IsDegraded(err) {
+		t.Fatalf("degraded forward error not IsDegraded: %v", err)
 	}
 	if _, err := cl.QueryLE(ctx, 150); err != nil {
 		t.Fatalf("degraded server refused a query: %v", err)
@@ -214,7 +216,7 @@ func TestChaosDegradedModeHTTP(t *testing.T) {
 		t.Fatalf("degraded state moved: count %d, want %d", st.Count, preCount)
 	}
 	// The fsync failures that tripped the machine were WAL errors; the
-	// ingest and the push after it were refused as degraded.
+	// ingest and the forward after it were refused as degraded.
 	body := scrape(t, ts.URL)
 	if metricValue(t, body, "corrd_health_state") != float64(healthDegraded) ||
 		metricValue(t, body, "corrd_wal_append_errors_total") < healthFailThreshold ||
@@ -493,11 +495,11 @@ func TestChaosUnappliedRecordStopsTheApply(t *testing.T) {
 
 // TestChaosNackedWriteLeavesNoTrace: the commit applies only what its log
 // holds after the barrier, so a nacked write is in neither the log nor the
-// live state nor a snapshot. An ingest, a push to a tenant that exists and
-// a push that would make a tenant are each nacked by a failed fsync: the
-// served summaries do not move, no tenant is made, and a snapshot taken
-// after the nacks, with the log behind it, restarts to exactly the acked
-// writes.
+// live state nor a snapshot. An ingest, a forward to a tenant that exists
+// and a forward that would make a tenant are each nacked by a failed fsync:
+// the served summaries do not move, no tenant is made, the site's mark
+// stays, and a snapshot taken after the nacks, with the log behind it,
+// restarts to exactly the acked writes.
 func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 	cfg, inj := chaosConfig(t)
 	svc, ts, _ := newTestServer(t, cfg)
@@ -506,19 +508,11 @@ func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 	writer := func(url, tenant string) *client.Client {
 		return client.New(url, client.WithTenant(tenant), client.WithRetries(0))
 	}
-	image := func(seed uint64) []byte {
-		site, err := correlated.NewF2Summary(cfg.Options)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := site.AddBatch(testStream(200, seed)); err != nil {
-			t.Fatal(err)
-		}
-		img, err := site.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return img
+	// forward sends site record lsn, an ingest record for the tenant.
+	forward := func(lsn uint64, tenant string) error {
+		body := client.AppendForwardRecord(nil, lsn, uint8(wal.RecordIngest), ingestRecord(t, tenant))
+		_, err := writer(ts.URL, "").Forward(ctx, 0xabc, wal.Version, body)
+		return err
 	}
 	summaries := func(url string) map[string][]byte {
 		out := map[string][]byte{}
@@ -534,7 +528,7 @@ func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 	if err := writer(ts.URL, "").AddBatch(ctx, testStream(500, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writer(ts.URL, "acme").Push(ctx, image(2)); err != nil {
+	if err := forward(1, "acme"); err != nil {
 		t.Fatal(err)
 	}
 	acked := summaries(ts.URL)
@@ -544,8 +538,8 @@ func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 		write func() error
 	}{
 		{"an ingest", func() error { return writer(ts.URL, "").AddBatch(ctx, testStream(300, 3)) }},
-		{"a push", func() error { return writer(ts.URL, "acme").Push(ctx, image(4)) }},
-		{"a push to a new tenant", func() error { return writer(ts.URL, "fresh").Push(ctx, image(5)) }},
+		{"a forward", func() error { return forward(2, "acme") }},
+		{"a forward naming a new tenant", func() error { return forward(2, "fresh") }},
 	} {
 		inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
 		if err := nacked.write(); err == nil {
@@ -558,8 +552,8 @@ func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 			}
 		}
 	}
-	if svc.tenantByName("fresh") != nil {
-		t.Fatal("a nacked push made its tenant")
+	if svc.tenantByName("fresh") != nil || svc.marks[0xabc] != 1 {
+		t.Fatalf("the nacked forwards made their tenant (%t) or moved the site's mark to %d", svc.tenantByName("fresh") != nil, svc.marks[0xabc])
 	}
 	if err := svc.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -576,7 +570,7 @@ func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 		}
 	}
 	if svc2.tenantByName("fresh") != nil {
-		t.Fatal("the restarted server holds the tenant a nacked push named")
+		t.Fatal("the restarted server holds the tenant a nacked forward named")
 	}
 }
 
@@ -953,8 +947,8 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 
 // TestChaosConcurrentWriters: the fault matrix above has one sequential
 // writer per case; this one has every class of log writer at once — a
-// sequential ingest client on the default tenant, a push loop to a second
-// tenant, a Snapshot() loop (the checkpoint marker) — under a disk whose
+// sequential ingest client on the default tenant, a site forwarding to a
+// second tenant, a Snapshot() loop (the checkpoint marker) — under a disk whose
 // fsyncs fail one time in ten and whose writes are slow enough for the
 // three to share commit groups. When they wrote the log through separate
 // paths they shared its unsynced suffix: one writer's failed fsync rewound
@@ -969,19 +963,6 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 func TestChaosConcurrentWriters(t *testing.T) {
 	const rounds, batches, perBatch = 16, 48, 64
 	o := testOptions()
-	images := make([][]byte, 8)
-	for k := range images {
-		site, err := correlated.NewF2Summary(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := site.AddBatch(testStream(32, uint64(9000+k))); err != nil {
-			t.Fatal(err)
-		}
-		if images[k], err = site.MarshalBinary(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	ctx := context.Background()
 	for round := 0; round < rounds; round++ {
 		cfg, inj := chaosConfig(t)
@@ -994,19 +975,30 @@ func TestChaosConcurrentWriters(t *testing.T) {
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
-		var ackedPushes []int
+		// The site sends its record lsn until one is acknowledged, each
+		// attempt an ingest record of a new batch for tenant "site".
+		var ackedForwards [][]correlated.Tuple
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			cl := client.New(ts.URL, client.WithTenant("site"), client.WithRetries(0))
-			for k := 0; ; k++ {
+			cl := client.New(ts.URL, client.WithRetries(0))
+			for k, lsn := 0, uint64(1); ; k++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if cl.Push(ctx, images[k%len(images)]) == nil {
-					ackedPushes = append(ackedPushes, k%len(images))
+				rows := testStream(32, uint64(9000+k))
+				core.SortByY(rows)
+				payload, err := appendIngest(nil, []tenantBatch{{key: []byte("site"), tuples: rows}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body := client.AppendForwardRecord(nil, lsn, uint8(wal.RecordIngest), payload)
+				if mark, err := cl.Forward(ctx, 0xfee, wal.Version, body); err == nil && mark == lsn {
+					ackedForwards = append(ackedForwards, rows)
+					lsn++
 				}
 			}
 		}()
@@ -1065,8 +1057,8 @@ func TestChaosConcurrentWriters(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, k := range ackedPushes {
-			if err := want["site"].MergeMarshaled(images[k]); err != nil {
+		for _, rows := range ackedForwards {
+			if err := want["site"].AddBatch(rows); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1079,15 +1071,15 @@ func TestChaosConcurrentWriters(t *testing.T) {
 				what string
 				srv  *Server
 			}{{"the log", logOnly}, {"the restarted server", svc2}} {
-				if name != "" && len(ackedPushes) == 0 {
+				if name != "" && len(ackedForwards) == 0 {
 					if got.srv.tenantByName(name) != nil {
-						t.Fatalf("round %d: %s holds a push to tenant %q; none was acknowledged", round, got.what, name)
+						t.Fatalf("round %d: %s holds a forward to tenant %q; none was acknowledged", round, got.what, name)
 					}
 					continue
 				}
 				if b := tenantBytes(t, got.srv, name); !bytes.Equal(b, img) {
-					t.Fatalf("round %d: tenant %q: %s holds %d tuples, the %d acked batches and %d acked pushes make %d (%d vs %d bytes)",
-						round, name, got.what, got.srv.tenantByName(name).eng.Count(), len(ackedBatches), len(ackedPushes), eng.Count(), len(b), len(img))
+					t.Fatalf("round %d: tenant %q: %s holds %d tuples, the %d acked batches and %d acked forwards make %d (%d vs %d bytes)",
+						round, name, got.what, got.srv.tenantByName(name).eng.Count(), len(ackedBatches), len(ackedForwards), eng.Count(), len(b), len(img))
 				}
 			}
 		}

@@ -20,11 +20,11 @@ import (
 )
 
 // Log forwarding: a site (Config.PushTo) follows its own log (wal.Follow)
-// on one goroutine and sends its ingest, push and forward records, as
-// logged, to the coordinator's POST /v1/forward: every record the log has
-// made followable since the last answer, up to forwardBatchBytes (or what
-// went after the coordinator refused a forward as too large), in one
-// request tagged with the site id and the log's format
+// on one goroutine and sends its ingest and forward records, as logged, to
+// the coordinator's POST /v1/forward: every record the log has made
+// followable since the last answer, up to forwardBatchBytes (or what went
+// after the coordinator refused a forward as too large), in one request
+// tagged with the site id and the log's format
 // (client.AppendForwardRecord is the grammar). The coordinator commits a
 // forward as one job — one RecordForward, uvarint(site) and then the
 // records it admitted verbatim, behind one barrier — and applies the
@@ -103,9 +103,8 @@ var maxForwardTuples uint64 = tupleio.MaxDecodeTuples
 
 // validateForward is admission's decode of a forward's body, outside every
 // lock, into j.recs: each record must be an ingest record whose batches
-// decode with every y at most YMax, a push whose image decodes, or a
-// forward of those, and the records must decode to at most
-// maxForwardTuples tuples.
+// decode with every y at most YMax, or a forward of those, and the records
+// must decode to at most maxForwardTuples tuples.
 func (s *Server) validateForward(j *ingestJob) error {
 	if len(j.image) == 0 {
 		return errors.New("service: a forward carries at least one record")
@@ -138,12 +137,8 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 			keys = append(keys, b.key)
 		}
 		return keys, batches, err
-	case wal.RecordPush:
-		key, image, err := tupleio.DecodeTenantPrefix(payload)
-		if err == nil {
-			err = s.validateImage(image)
-		}
-		return [][]byte{key}, nil, err
+	case pushRecord:
+		return nil, nil, errPushRecord
 	case wal.RecordForward:
 		_, records, err := splitForward(payload)
 		if depth == maxForwardDepth {
@@ -159,7 +154,7 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 		})
 		return keys, nil, err
 	}
-	return nil, nil, fmt.Errorf("service: a forward carries ingest, push or forward records, not type %d", typ)
+	return nil, nil, fmt.Errorf("service: a forward carries ingest or forward records, not type %d", typ)
 }
 
 // decideForwardLocked is the decide step of a forward: it drops the records
@@ -337,7 +332,7 @@ func (s *Server) newForwarder() (*forwarder, error) {
 	switch {
 	case w.LastLSN() == 0 || errors.Is(err, os.ErrNotExist):
 		if oldest := w.OldestLSN(); s.restored || oldest > 1 {
-			return nil, fmt.Errorf("service: no site id for this log, and the state holds what the log does not (restored from a snapshot: %t; the log starts at LSN %d): forwarding under a new id would never send it — drain this server or push its images first (README \"Storage format\")", s.restored, oldest)
+			return nil, fmt.Errorf("service: no site id for this log, and the state holds what the log does not (restored from a snapshot: %t; the log starts at LSN %d): forwarding under a new id would never send it — start an empty coordinator on a copy of this server's snapshot, then this server as a site on empty state (README \"Storage format\")", s.restored, oldest)
 		}
 		for site == 0 {
 			var id [8]byte
@@ -402,8 +397,8 @@ func (f *forwarder) run() {
 }
 
 // failed counts and logs a failed attempt. A refusal the coordinator will
-// repeat — a 4xx but an overload shed: a tenant cap, incompatible options,
-// a body too large — is kept for /v1/stats, since every record behind it
+// repeat — a 4xx but an overload shed: a tenant cap, a record it does not
+// apply, a body too large — is kept for /v1/stats, since every record behind it
 // waits, and the log with them.
 func (f *forwarder) failed(err error) {
 	var ae *client.APIError
@@ -420,10 +415,11 @@ func (f *forwarder) failed(err error) {
 // gather adds one record of the log to the next forward, and sends the
 // forward once the log has no more followable or the record would take it
 // past limit (then without the record, which starts the next). A record
-// with no state (a checkpoint marker, a probe) is not sent, only passed.
+// with no state (a checkpoint marker, a probe) is not sent, only passed;
+// every other is, so the coordinator refuses one it does not apply by name
+// (a push record an earlier release logged) and the site stalls on it.
 func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error {
-	switch typ {
-	case wal.RecordIngest, wal.RecordPush, wal.RecordForward:
+	if typ != wal.RecordCheckpoint && typ != wal.RecordProbe {
 		f.body = client.AppendForwardRecord(f.body, lsn, uint8(typ), payload)
 		if n := len(f.ends); n > 0 && len(f.body) > f.limit {
 			f.body = f.body[:f.ends[n-1].end]

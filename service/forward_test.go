@@ -495,9 +495,9 @@ func TestForwardWithinEps(t *testing.T) {
 					}
 				}
 				st, err := coordCl.Stats(context.Background())
-				if applied := coord.metrics.forwardsApplied.Load(); err != nil || st.Count != uint64(n) || st.PushesMerged != 0 || applied < uint64(64*sites) {
-					t.Fatalf("coordinator: %d tuples, %d pushes merged, %d forwards applied (err %v); want %d, 0, at least %d",
-						st.Count, st.PushesMerged, applied, err, n, 64*sites)
+				if applied := coord.metrics.forwardsApplied.Load(); err != nil || st.Count != uint64(n) || applied < uint64(64*sites) {
+					t.Fatalf("coordinator: %d tuples, %d forwards applied (err %v); want %d, at least %d",
+						st.Count, applied, err, n, 64*sites)
 				}
 				worst := 0.0
 				for _, c := range []uint64{1_000, 10_000, 100_000, 300_000, 600_000, 999_999} {

@@ -22,7 +22,6 @@ import (
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/ingest", s.instrument("ingest", s.handleIngest))
-	s.mux.HandleFunc("POST /v1/push", s.instrument("push", s.handlePush))
 	s.mux.HandleFunc("POST /v1/forward", s.instrument("forward", s.handleForward))
 	s.mux.HandleFunc("GET /v1/query", s.instrument("query", s.handleQuery))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
@@ -333,40 +332,6 @@ func parseTextTuples(dst []correlated.Tuple, body []byte) ([]correlated.Tuple, e
 	return dst, nil
 }
 
-// handlePush folds a marshaled summary image into the engine —
-// attacker-controlled bytes by definition, so the decode path is the
-// fuzz-hardened MergeMarshaled, and every failure is a typed rejection
-// that leaves the engine untouched. The merge is a commit job like an
-// ingest batch: shed by the same bound, acknowledged behind its barrier.
-// Each merge adds Lemma 4's straddling term to the tenant's error bound
-// (core.Merge), so this is for one-shot merges; a corrd site forwards its
-// log instead (handleForward).
-func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
-	errs := &s.metrics.pushErrors
-	if kind, err := s.writeGate(); kind != ingestOK {
-		s.nack(w, errs, kind, err)
-		return
-	}
-	d := s.dec.Get().(*decodeState)
-	defer s.putDecodeState(d)
-	var ok bool
-	if d.body, ok = s.readBody(w, r, d.body); !ok {
-		errs.Inc()
-		return
-	}
-	if len(d.body) == 0 {
-		s.nack(w, errs, ingestErrValidate, errors.New("empty push body"))
-		return
-	}
-	d.job.op, d.job.image = opPush, d.body
-	if !s.commitRequest(w, r, errs, &d.job) {
-		return
-	}
-	s.metrics.pushesMerged.Inc()
-	d.job.tn.pushesMerged.Add(1)
-	writeJSON(w, http.StatusOK, map[string]bool{"merged": true})
-}
-
 // handleQuery answers GET /v1/query?op=le|ge&c=N. The c parameter may
 // repeat (?op=le&c=10&c=100&c=1000): all cutoffs are answered together,
 // so a drill-down loop pays one round trip instead of one per cutoff. A
@@ -535,7 +500,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Count:          count,
 		Space:          space,
 		TuplesIngested: s.metrics.tuplesIngested.Load(),
-		PushesMerged:   s.metrics.pushesMerged.Load(),
 		QueriesServed:  s.metrics.queriesLE.Load() + s.metrics.queriesGE.Load(),
 		Restored:       s.restored,
 		LastSnapshot:   s.metrics.lastSnapshotUnix.Load(),
@@ -567,7 +531,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if named {
 		st.Tenant = tn.name
 		st.TenantTuplesIngested = tn.tuplesIngested.Load()
-		st.TenantPushesMerged = tn.pushesMerged.Load()
 		st.TenantQueriesServed = tn.queries.Load()
 		st.TenantSpills = tn.spills.Load()
 		st.TenantRestores = tn.restores.Load()
@@ -602,9 +565,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleSummary serves a tenant's summary image — the same
-// bytes POST /v1/push takes, so a downstream coordinator (or an offline
-// tool) can pull instead of being pushed to. ?tenant= selects the
+// handleSummary serves a tenant's summary image — the bytes a snapshot
+// entry holds, for an offline tool (the library's UnmarshalBinary or
+// MergeMarshaled) to pull. ?tenant= selects the
 // namespace; unknown keys are 404. A spilled tenant is served its parked
 // image — a read does not un-spill it — unless a re-seed parked it empty:
 // the empty summary's image is not zero bytes, so an engine writes it.

@@ -64,7 +64,7 @@ func newHistogram(bounds []float64) *histogram {
 }
 
 // defaultBuckets spans sub-millisecond handler hits through multi-second
-// merges of large pushed images.
+// forwards of large bodies.
 func defaultBuckets() []float64 {
 	return []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 }
@@ -136,9 +136,6 @@ type metrics struct {
 	streamFrames      counter
 	streamTuples      counter
 	streamFrameErrors counter
-
-	pushesMerged counter
-	pushErrors   counter
 
 	// Log forwarding (forward.go): a coordinator counts the site records
 	// it applied and dropped at or below a site's mark, and the forwards it
@@ -232,7 +229,7 @@ func newMetrics() *metrics {
 }
 
 // handlerNames fixes the exposition order of the per-handler histograms.
-var handlerNames = []string{"ingest", "push", "forward", "query", "stats", "summary", "promote"}
+var handlerNames = []string{"ingest", "forward", "query", "stats", "summary", "promote"}
 
 func (m *metrics) observe(handler string, d time.Duration) {
 	if h, ok := m.handlers[handler]; ok {
@@ -293,8 +290,6 @@ func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, rs replicati
 	c("corrd_stream_frames_total", "Stream frames decoded and committed through the ingest pipeline.", m.streamFrames.Load())
 	c("corrd_stream_tuples_total", "Tuples accepted over the streaming transport.", m.streamTuples.Load())
 	c("corrd_stream_frame_errors_total", "Stream frames rejected (bad hello, desync, malformed payload).", m.streamFrameErrors.Load())
-	c("corrd_pushes_merged_total", "Summary images merged through /v1/push.", m.pushesMerged.Load())
-	c("corrd_push_errors_total", "Rejected /v1/push requests.", m.pushErrors.Load())
 	fmt.Fprintf(w, "# HELP corrd_forwards_total Site log records received on /v1/forward, applied or dropped as duplicates, and forwards rejected.\n")
 	fmt.Fprintf(w, "# TYPE corrd_forwards_total counter\n")
 	fmt.Fprintf(w, "corrd_forwards_total{result=\"applied\"} %d\n", m.forwardsApplied.Load())

@@ -321,8 +321,6 @@ var seriesReaders = map[string]string{
 	"corrd_stream_frames_total":               "stream_test.go",
 	"corrd_stream_tuples_total":               "../scripts/service-smoke.sh",
 	"corrd_stream_frame_errors_total":         "stream_test.go",
-	"corrd_pushes_merged_total":               "../scripts/service-smoke.sh",
-	"corrd_push_errors_total":                 "service_test.go",
 	"corrd_forwards_total":                    "../scripts/service-smoke.sh",
 	"corrd_queries_served_total":              "service_test.go",
 	"corrd_query_errors_total":                "service_test.go",

@@ -18,9 +18,9 @@ import (
 )
 
 // Group commit: the one admission and the one log writer. Every durable
-// mutation — an ingest batch, a pushed image, a record a site forwarded, a
-// checkpoint marker, a recovery probe, a bare barrier (the interval fsync
-// policy is one, on a ticker) — is a job: its source enqueues it and
+// mutation — an ingest batch, a record a site forwarded, a checkpoint
+// marker, a recovery probe, a bare barrier (the interval fsync policy is
+// one, on a ticker) — is a job: its source enqueues it and
 // blocks, holding no lock, until the committer has committed the group it
 // rode in. enqueue admits or refuses a client's job on the caller's
 // goroutine, outside every lock, so nothing the committer takes can be
@@ -64,18 +64,17 @@ var errOverloaded = errors.New("service: ingest queue overloaded; back off and r
 type ingestErrKind uint8
 
 const (
-	ingestOK              ingestErrKind = iota
-	ingestErrValidate                   // the key, batch or image failed validation (client's error)
-	ingestErrEngine                     // the tenant's spilled image did not restore, or the engine refused a logged record
-	ingestErrWAL                        // the record's append or its group's barrier failed (not durable, not applied)
-	ingestErrShutdown                   // the server is draining; never committed
-	ingestErrTenant                     // MaxTenants refused to make the tenant the write names
-	ingestErrTenantBytes                // MaxTenantBytes refused to make it
-	ingestErrReadOnly                   // the server is a replica; writes go to the primary
-	ingestErrDegraded                   // degraded mode: durability broken, writes suspended
-	ingestErrBusy                       // commit queue at its bound; the job was shed
-	ingestErrIncompatible               // a pushed or forwarded image was built with other options
-	ingestErrTooLarge                   // a forward decodes to more than maxForwardTuples
+	ingestOK             ingestErrKind = iota
+	ingestErrValidate                  // the key, batch or forwarded record failed validation (client's error)
+	ingestErrEngine                    // the tenant's spilled image did not restore, or the engine refused a logged record
+	ingestErrWAL                       // the record's append or its group's barrier failed (not durable, not applied)
+	ingestErrShutdown                  // the server is draining; never committed
+	ingestErrTenant                    // MaxTenants refused to make the tenant the write names
+	ingestErrTenantBytes               // MaxTenantBytes refused to make it
+	ingestErrReadOnly                  // the server is a replica; writes go to the primary
+	ingestErrDegraded                  // degraded mode: durability broken, writes suspended
+	ingestErrBusy                      // commit queue at its bound; the job was shed
+	ingestErrTooLarge                  // a forward decodes to more than maxForwardTuples
 )
 
 // outcomes maps a job's outcome to what each transport tells the client
@@ -85,18 +84,17 @@ var outcomes = [...]struct {
 	ack    uint8                   // stream ack status
 	count  func(*metrics) *counter // nil: the endpoint's error count is all
 }{
-	ingestOK:              {http.StatusOK, tupleio.AckOK, nil},
-	ingestErrValidate:     {http.StatusBadRequest, tupleio.AckInvalid, nil},
-	ingestErrEngine:       {http.StatusInternalServerError, tupleio.AckEngine, nil},
-	ingestErrWAL:          {http.StatusInternalServerError, tupleio.AckWAL, func(m *metrics) *counter { return &m.walAppendErrors }},
-	ingestErrShutdown:     {http.StatusServiceUnavailable, tupleio.AckShutdown, nil},
-	ingestErrTenant:       {http.StatusTooManyRequests, tupleio.AckTenant, func(m *metrics) *counter { return &m.tenantRejectedLimit }},
-	ingestErrTenantBytes:  {http.StatusRequestEntityTooLarge, tupleio.AckTenant, func(m *metrics) *counter { return &m.tenantRejectedMemory }},
-	ingestErrReadOnly:     {http.StatusServiceUnavailable, tupleio.AckReadOnly, nil},
-	ingestErrDegraded:     {http.StatusServiceUnavailable, tupleio.AckDegraded, func(m *metrics) *counter { return &m.degradedRejects }},
-	ingestErrBusy:         {http.StatusTooManyRequests, tupleio.AckBusy, nil},
-	ingestErrIncompatible: {http.StatusConflict, tupleio.AckInvalid, nil},
-	ingestErrTooLarge:     {http.StatusRequestEntityTooLarge, tupleio.AckInvalid, nil},
+	ingestOK:             {http.StatusOK, tupleio.AckOK, nil},
+	ingestErrValidate:    {http.StatusBadRequest, tupleio.AckInvalid, nil},
+	ingestErrEngine:      {http.StatusInternalServerError, tupleio.AckEngine, nil},
+	ingestErrWAL:         {http.StatusInternalServerError, tupleio.AckWAL, func(m *metrics) *counter { return &m.walAppendErrors }},
+	ingestErrShutdown:    {http.StatusServiceUnavailable, tupleio.AckShutdown, nil},
+	ingestErrTenant:      {http.StatusTooManyRequests, tupleio.AckTenant, func(m *metrics) *counter { return &m.tenantRejectedLimit }},
+	ingestErrTenantBytes: {http.StatusRequestEntityTooLarge, tupleio.AckTenant, func(m *metrics) *counter { return &m.tenantRejectedMemory }},
+	ingestErrReadOnly:    {http.StatusServiceUnavailable, tupleio.AckReadOnly, nil},
+	ingestErrDegraded:    {http.StatusServiceUnavailable, tupleio.AckDegraded, func(m *metrics) *counter { return &m.degradedRejects }},
+	ingestErrBusy:        {http.StatusTooManyRequests, tupleio.AckBusy, nil},
+	ingestErrTooLarge:    {http.StatusRequestEntityTooLarge, tupleio.AckInvalid, nil},
 }
 
 // jobOp names the record a job will write; the zero value is an ingest
@@ -107,7 +105,6 @@ type jobOp uint8
 
 const (
 	opIngest     jobOp = iota // tuples for the tenant named key; adjacent ingest jobs share one RecordIngest
-	opPush                    // image merged into the tenant named key (RecordPush)
 	opForward                 // records of a site's log, image, applied as the site applied them (RecordForward, forward.go)
 	opCheckpoint              // image is uvarint(covered) of a snapshot already durable (RecordCheckpoint)
 	opProbe                   // recovery probe: repair the tail, append a RecordProbe
@@ -117,15 +114,14 @@ const (
 // recordType is the record each op appends; a probe's is the log's own
 // (wal.Probe), and opBarrier writes none.
 var recordType = [...]wal.RecordType{
-	opIngest: wal.RecordIngest, opPush: wal.RecordPush, opForward: wal.RecordForward,
-	opCheckpoint: wal.RecordCheckpoint,
+	opIngest: wal.RecordIngest, opForward: wal.RecordForward, opCheckpoint: wal.RecordCheckpoint,
 }
 
 // ingestJob is one durable mutation in flight through the commit
 // pipeline. The done channel (capacity 1, reused via the decodeState pool)
 // carries the happens-before edge from the committer's writes of
 // err/kind/lsn/image/tn to the waiter's reads. lsn is the LSN of the job's
-// record (0 without a WAL). key names the tenant an ingest or a push
+// record (0 without a WAL). key names the tenant an ingest
 // addresses (empty: the default tenant); tn is that tenant once the commit
 // applied the job, and stays nil for a forward the commit dropped as a
 // duplicate. An ingest's member is its tuples as a counted batch
@@ -181,12 +177,10 @@ const groupMax = 256
 // a member whose tuples a summary's AddBatch accepts — decoded one record at
 // a time and kept as its bytes (tupleio.CheckCounted), checked per member,
 // so a bad one is rejected alone, not with the batch it would have ridden
-// in — an image
-// that decodes as this server's summary, or a forwarded record made of
-// those (validateForward). It is shed when the queue is at IngestQueueMax —
-// a push or a forward before it is decoded — so a shed request costs no
-// engine or WAL work; the server's own jobs are never shed. Every job is
-// refused once the pipeline has shut down.
+// in — or a forwarded record made of those (validateForward). It is shed
+// when the queue is at IngestQueueMax — a forward before it is decoded — so
+// a shed request costs no engine or WAL work; the server's own jobs are
+// never shed. Every job is refused once the pipeline has shut down.
 func (s *Server) enqueue(j *ingestJob) bool {
 	j.err, j.kind, j.lsn, j.tn = nil, ingestOK, 0, nil
 	j.enqueuedAt = time.Now()
@@ -205,19 +199,13 @@ func (s *Server) enqueue(j *ingestJob) bool {
 		case j.err != nil:
 		case j.op == opIngest:
 			j.n, j.err = tupleio.CheckCounted(j.member, s.cfg.Options.YMax)
-		case j.op == opPush:
-			j.err = s.validateImage(j.image)
 		default:
 			j.err = s.validateForward(j)
 		}
 		if j.err != nil {
-			switch {
-			case errors.Is(j.err, correlated.ErrIncompatible):
-				j.kind = ingestErrIncompatible
-			case errors.As(j.err, new(tooLargeError)):
+			j.kind = ingestErrValidate
+			if errors.As(j.err, new(tooLargeError)) {
 				j.kind = ingestErrTooLarge
-			default:
-				j.kind = ingestErrValidate
 			}
 			return false
 		}
@@ -307,15 +295,6 @@ func (s *Server) committer() {
 		p.mu.Unlock()
 		s.commitGroup(group)
 	}
-}
-
-// validateImage is MergeMarshaled's decode, into nothing the server keeps.
-func (s *Server) validateImage(image []byte) error {
-	eng, err := newEngine(&s.cfg)
-	if err == nil {
-		err = eng.UnmarshalBinary(image)
-	}
-	return err
 }
 
 // tenantBatch is one tenant's one AddBatch of an ingest record, sorted by
@@ -413,14 +392,11 @@ func gatherRun(r *groupRecord, buf []correlated.Tuple) []correlated.Tuple {
 }
 
 // decideJobLocked decides a job that is not an ingest batch and reports
-// whether it writes a record: a push whose key is admitted, a forward with
-// a record admitted (decideForwardLocked; earlier are the group's records
-// before it), every marker and probe. Callers hold s.mu.
+// whether it writes a record: a forward with a record admitted
+// (decideForwardLocked; earlier are the group's records before it), every
+// marker and probe. Callers hold s.mu.
 func (s *Server) decideJobLocked(j *ingestJob, earlier []groupRecord, made *[][]byte) bool {
 	switch j.op {
-	case opPush:
-		j.kind, j.err = s.admitLocked(j.key, made)
-		return j.kind == ingestOK
 	case opForward:
 		return s.decideForwardLocked(j, earlier, made)
 	case opBarrier:
@@ -442,9 +418,6 @@ func appendRecord(w *wal.WAL, buf []byte, r *groupRecord) ([]byte, uint64, error
 		return buf, lsn, err
 	case opIngest:
 		buf, err = appendIngest(buf, r.batches)
-		payload = buf
-	case opPush:
-		buf = append(tupleio.AppendTenant(buf, string(j.key)), j.image...)
 		payload = buf
 	case opForward:
 		buf = append(binary.AppendUvarint(buf, j.site), j.image[j.recs[0].start:j.recs[len(j.recs)-1].end]...)
@@ -479,35 +452,6 @@ func (s *Server) applyGroupLocked(batches []tenantBatch) error {
 		if note {
 			s.noteFootprintLocked(t)
 		}
-	}
-	return nil
-}
-
-// applyJobLocked is the one apply of every other record: the live commit,
-// startup replay and a replica's apply loop all reach a push and a forward
-// here (applyRecord decodes a push into the job the live commit held; a
-// forward's replay is applyForwardRecordLocked), and a marker or a probe
-// changes nothing. A push bumps the epoch of the tenant it changed and may
-// make it; a forward applies the site's records through the applies their
-// types have here — the site's own — and advances the site's mark. Callers
-// hold s.mu, or run before any goroutine exists.
-func (s *Server) applyJobLocked(j *ingestJob) error {
-	switch j.op {
-	case opPush:
-		t, err := s.tenantForWriteLocked(j.key)
-		if err != nil {
-			return err
-		}
-		if err := t.eng.MergeMarshaled(j.image); err != nil {
-			return err
-		}
-		t.epoch.Add(1)
-		t.touch()
-		if s.notesAtCommit() {
-			s.noteFootprintLocked(t)
-		}
-	case opForward:
-		return s.applyForwardLocked(j)
 	}
 	return nil
 }
@@ -599,8 +543,8 @@ func (s *Server) commitGroup(group []*ingestJob) {
 			continue
 		case r.jobs[0].op == opIngest:
 			err = s.applyGroupLocked(r.batches)
-		default:
-			err = s.applyJobLocked(r.jobs[0])
+		case r.jobs[0].op == opForward:
+			err = s.applyForwardLocked(r.jobs[0])
 		}
 		if err != nil {
 			// Admission let through only what the apply takes, so the log

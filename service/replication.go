@@ -106,6 +106,15 @@ func (st *replayState) decodeIngest(payload []byte, left *uint64) ([]tenantBatch
 	return st.batches[:n], nil
 }
 
+// pushRecord is the type an earlier release gave a summary image its push
+// endpoint merged into a tenant. Nothing writes it now and the type stays
+// reserved: wherever one would be applied — replay, a replica's apply, a
+// forward's admission — it is refused by name, never reinterpreted.
+const pushRecord wal.RecordType = 2
+
+// errPushRecord names a push record and the way past it.
+var errPushRecord = errors.New(`a push record (type 2: a summary image merged into a tenant by the push endpoint, which this release no longer serves) is never applied — stop the release that logged it with SIGTERM, which writes a final snapshot, then start this release on that snapshot with an empty -wal-dir (README "Storage format")`)
+
 // applyRecord applies one WAL record through the live commit's own
 // applies — the one grammar both crash replay and a replica's live apply
 // speak, which is what makes a promoted replica's state byte-identical
@@ -149,9 +158,9 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 // applyStateLocked applies one state record, decoded back into what the
 // live commit applied: an ingest record into the sorted batch per tenant it
 // was given live (applyGroupLocked: the same one AddBatch, of the same
-// argument, nothing copied or re-encoded), a push into its one job
-// (applyJobLocked), a forward into its records, each back through here. A
-// tenant the log names is made whatever the caps say today.
+// argument, nothing copied or re-encoded), a forward into its records,
+// each back through here. A tenant the log names is made whatever the caps
+// say today. A push record is refused by name (errPushRecord).
 // Callers hold s.mu, or run before any goroutine exists.
 func (s *Server) applyStateLocked(typ wal.RecordType, payload []byte, st *replayState) error {
 	switch typ {
@@ -164,12 +173,8 @@ func (s *Server) applyStateLocked(typ wal.RecordType, payload []byte, st *replay
 			batches[i].tuples = pooledTuples(batches[i].tuples)
 		}
 		return err
-	case wal.RecordPush:
-		name, image, err := tupleio.DecodeTenantPrefix(payload)
-		if err != nil {
-			return err
-		}
-		return s.applyJobLocked(&ingestJob{op: opPush, key: name, image: image})
+	case pushRecord:
+		return errPushRecord
 	case wal.RecordForward:
 		return s.applyForwardRecordLocked(payload, st)
 	}

@@ -183,8 +183,9 @@ func TestReplicaFollowsAndServesReads(t *testing.T) {
 	if err := rcl.AddBatch(ctx, testStream(10, 3)); !client.IsReadOnly(err) {
 		t.Fatalf("replica accepted ingest: %v", err)
 	}
-	if err := rcl.Push(ctx, []byte{0}); !client.IsReadOnly(err) {
-		t.Fatalf("replica accepted push: %v", err)
+	fwd := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, ""))
+	if _, err := rcl.Forward(ctx, 0xabc, wal.Version, fwd); !client.IsReadOnly(err) {
+		t.Fatalf("replica accepted a forward: %v", err)
 	}
 
 	// The primary's metrics surface sees the attached follower.

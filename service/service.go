@@ -7,12 +7,12 @@
 //
 // One Server plays either role:
 //
-//   - coordinator: accepts tuple batches on POST /v1/ingest, the records
-//     of its sites' logs on POST /v1/forward (each applied once, as the
-//     site applied it, into one summary per tenant — forward.go), summary
-//     images on POST /v1/push (folded in via MergeMarshaled, for library
-//     sites' one-shot merges: each merge adds Lemma 4's straddling term),
-//     and answers GET /v1/query?op=le|ge&c=... from that state.
+//   - coordinator: accepts tuple batches on POST /v1/ingest and the
+//     records of its sites' logs on POST /v1/forward (each applied once,
+//     as the site applied it, into one summary per tenant — forward.go),
+//     and answers GET /v1/query?op=le|ge&c=... from that state. Nothing
+//     is merged: state enters a tenant only as tuples, so its error is
+//     one summary's, never Lemma 4's k-fold merge bound.
 //   - site (Config.PushTo set, with a WALDir): ingests locally like a
 //     coordinator and forwards every state record of its log upstream,
 //     exactly once, so the coordinator's summary is the summary of the
@@ -48,8 +48,8 @@ import (
 )
 
 // Engine is what the service needs from a tenant's summary: batched
-// ingest, dual-direction queries, merge-in of pushed images, and the one
-// wire form that serves snapshot, push and /v1/summary alike. Every root
+// ingest, dual-direction queries, and the one wire form that serves
+// snapshot, spill and /v1/summary alike. Every root
 // summary type (*F2Summary, *FkSummary, *CountSummary, *SumSummary)
 // satisfies it as is. An Engine is not safe for concurrent use; the
 // server drives each one under its driver lock.
@@ -62,7 +62,6 @@ type Engine interface {
 	Footprint() correlated.Footprint
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary(data []byte) error
-	MergeMarshaled(data []byte) error
 }
 
 // Config configures a Server. The zero value is not usable: Options
@@ -74,9 +73,8 @@ type Config struct {
 	Aggregate string
 	// K is the moment order when Aggregate is "fk".
 	K int
-	// Options configures every tenant's summary. All sites and their
-	// coordinator must share it verbatim — Seed included — or their
-	// images are rejected as incompatible.
+	// Options configures every tenant's summary. A snapshot restores
+	// only under the Options — Seed included — that wrote it.
 	Options correlated.Options
 	// QueryMaxStale bounds how old a memoized query answer may be. 0
 	// (the default) serves a memoized (op, cutoff) answer only while the
@@ -98,8 +96,8 @@ type Config struct {
 	// SnapshotInterval defaults to 30s when SnapshotPath is set.
 	SnapshotInterval time.Duration
 
-	// WALDir enables the write-ahead log: every accepted ingest batch,
-	// push image and forwarded site record is appended (and, per
+	// WALDir enables the write-ahead log: every accepted ingest batch
+	// and forwarded site record is appended (and, per
 	// WALFsync, fsynced) before the request is acknowledged, and startup
 	// replays the log suffix the snapshot does not cover. Empty disables the WAL and leaves
 	// the durability window at the snapshot interval. Pair it with
@@ -164,7 +162,7 @@ type Config struct {
 	AdminToken string
 
 	// MaxTenants caps how many keyed namespaces the daemon will hold
-	// (the default tenant counts); ingest or push naming a new tenant
+	// (the default tenant counts); an ingest or a forward naming a new tenant
 	// past the cap is rejected with HTTP 429 (AckTenant on the stream).
 	// 0 means unlimited.
 	MaxTenants int
@@ -433,14 +431,6 @@ func New(cfg Config) (*Server, error) {
 	s.pipe.done = make(chan struct{})
 	s.dec.New = func() any { return &decodeState{job: ingestJob{done: make(chan struct{}, 1)}} }
 	s.replicaMode.Store(cfg.PrimaryAddr != "")
-	// A replica has no log of its own until promotion: its WALDir stays
-	// closed so the promoted server can open a fresh log there that
-	// continues the primary's LSN space.
-	if cfg.WALDir != "" && cfg.PrimaryAddr == "" {
-		if err := s.openWAL(0); err != nil {
-			return nil, err
-		}
-	}
 	// Recovery order: restore the snapshot (which records the LSN it
 	// covers), then replay the WAL suffix past it — the state that
 	// comes out is the same sequence of engine calls the crashed
@@ -448,14 +438,22 @@ func New(cfg Config) (*Server, error) {
 	// the primary from its covered LSN.
 	var covered uint64
 	if cfg.SnapshotPath != "" {
-		var err error
 		if covered, err = s.restoreSnapshot(); err != nil {
-			s.shutdownStorage()
 			return nil, err
 		}
 	}
 	if cfg.PrimaryAddr != "" {
 		s.appliedLSN.Store(covered)
+	}
+	// A replica has no log of its own until promotion: its WALDir stays
+	// closed so the promoted server can open a fresh log there that
+	// continues the primary's LSN space. A brand-new log continues the
+	// snapshot's the same way: numbered from 1, replay would skip its
+	// records up to the snapshot's coverage as already applied.
+	if cfg.WALDir != "" && cfg.PrimaryAddr == "" {
+		if err := s.openWAL(covered + 1); err != nil {
+			return nil, err
+		}
 	}
 	if s.walRef() != nil {
 		if err := s.replayWAL(covered); err != nil {

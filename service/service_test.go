@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -157,86 +158,6 @@ func TestIngestTextFormat(t *testing.T) {
 	}
 	if v := metricValue(t, scrape(t, ts.URL), "corrd_ingest_errors_total"); v != 1 {
 		t.Fatalf("corrd_ingest_errors_total %v after one rejected batch, want 1", v)
-	}
-}
-
-// TestPushPathBitIdentical: a site image pushed through /v1/push yields
-// query answers identical to offline MergeMarshaled of the same image,
-// and the served /v1/summary re-marshals to the offline bytes.
-func TestPushPathBitIdentical(t *testing.T) {
-	o := testOptions()
-	_, ts, cl := newTestServer(t, Config{Options: o})
-	site, err := correlated.NewF2Summary(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := site.AddBatch(testStream(5_000, 99)); err != nil {
-		t.Fatal(err)
-	}
-	img, err := site.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := cl.Push(ctx, img); err != nil {
-		t.Fatal(err)
-	}
-	offline, err := correlated.NewF2Summary(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := offline.MergeMarshaled(img); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []uint64{0, 100, distinctY, 1 << 15} {
-		want, err1 := offline.QueryLE(c)
-		got, err2 := cl.QueryLE(ctx, c)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("c=%d: %v / %v", c, err1, err2)
-		}
-		if got != want {
-			t.Fatalf("c=%d: pushed %v offline %v", c, got, want)
-		}
-	}
-	served, err := cl.Summary(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offlineImg, err := offline.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(served, offlineImg) {
-		t.Fatalf("served summary differs from offline merge (%d vs %d bytes)", len(served), len(offlineImg))
-	}
-	// Garbage push: 400, engine untouched.
-	if err := cl.Push(ctx, []byte{1, 2, 3}); err == nil {
-		t.Fatal("garbage push accepted")
-	}
-	// Incompatible push (different seed): 409, detectable via helper.
-	o2 := o
-	o2.Seed++
-	foreign, err := correlated.NewF2Summary(o2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := foreign.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.Push(ctx, bad)
-	if !client.IsIncompatible(err) {
-		t.Fatalf("incompatible push: %v", err)
-	}
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Count != site.Count() || st.PushesMerged != 1 {
-		t.Fatalf("stats after rejected pushes: %+v", st)
-	}
-	if v := metricValue(t, scrape(t, ts.URL), "corrd_push_errors_total"); v != 2 {
-		t.Fatalf("corrd_push_errors_total %v after the garbage and the incompatible push, want 2", v)
 	}
 }
 
@@ -488,7 +409,6 @@ func crash(ts *httptest.Server, svc *Server) {
 // a summary byte-identical to a crash-free oracle that performed the
 // same acknowledged operations.
 func TestWALCrashRecoveryExact(t *testing.T) {
-	o := testOptions()
 	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
@@ -506,24 +426,13 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	if err := svc.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	// Phase 2: more ingest plus a push image — the replay suffix.
+	// Phase 2: more ingest plus a site's forward — the replay suffix.
 	s2 := testStream(2_000, 12)
 	if err := cl.AddBatch(ctx, s2); err != nil {
 		t.Fatal(err)
 	}
-	site, err := correlated.NewF2Summary(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3 := testStream(1_000, 13)
-	if err := site.AddBatch(append([]correlated.Tuple(nil), s3...)); err != nil {
-		t.Fatal(err)
-	}
-	img, err := site.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Push(ctx, img); err != nil {
+	fwd := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, ""))
+	if _, err := cl.Forward(ctx, 0xabc, wal.Version, fwd); err != nil {
 		t.Fatal(err)
 	}
 	crash(ts, svc)
@@ -561,7 +470,7 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	if err := ocl.AddBatch(ctx, s2); err != nil {
 		t.Fatal(err)
 	}
-	if err := ocl.Push(ctx, img); err != nil {
+	if _, err := ocl.Forward(ctx, 0xabc, wal.Version, fwd); err != nil {
 		t.Fatal(err)
 	}
 	want, err := oracle.Engine().MarshalBinary()
@@ -791,7 +700,11 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 // corrdsn1, corrdsn2, corrdsn3 or bare-image snapshot wherever restore would reach
 // it — makes New fail with an error that wraps a sentinel, names the format
 // found and the one expected, and points at the README. The refused start
-// leaves every file exactly as it was and creates none beside them.
+// leaves every file exactly as it was and creates none beside them. So does
+// a push record (type 2, which POST /v1/push logged) the replay would
+// apply, and its way out — the snapshot, on an empty log — restores the
+// tenants byte for byte; a forward carrying one is refused whole, with a 400
+// naming it.
 func TestPreBreakStateRefused(t *testing.T) {
 	o := testOptions()
 	eng, err := correlated.NewF2Summary(o)
@@ -925,5 +838,107 @@ func TestPreBreakStateRefused(t *testing.T) {
 				refused(t, cfg, dir, ErrSnapshotFormat, format.found, `"corrdsn4"`)
 			})
 		}
+	}
+
+	push := append(tupleio.AppendTenant(nil, "a"), image...) // a push record's payload
+	t.Run("push record past the snapshot", func(t *testing.T) {
+		cfg := walConfig(t)
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"", "a"} {
+			if err := svc.commit(ingestOf(key, testStream(300, 93))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := map[string][]byte{"": tenantBytes(t, svc, ""), "a": tenantBytes(t, svc, "a")}
+		if err := svc.Close(); err != nil { // the final snapshot covers both
+			t.Fatal(err)
+		}
+		w, err := wal.Open(cfg.WALDir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.AppendNoSync(wal.RecordType(2), push); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmp.Or(w.Sync(), w.Close()); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, cfg, cfg.WALDir, errPushRecord, "a push record (type 2", "SIGTERM", "an empty -wal-dir")
+
+		// The way out: the snapshot, on an empty log.
+		if err := os.RemoveAll(cfg.WALDir); err != nil {
+			t.Fatal(err)
+		}
+		svc, err = New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		for name, b := range want {
+			if got := tenantBytes(t, svc, name); !bytes.Equal(got, b) {
+				t.Fatalf("tenant %q after the way out: %d bytes, the snapshot held %d", name, len(got), len(b))
+			}
+		}
+	})
+
+	t.Run("forwarded push record", func(t *testing.T) {
+		svc, _, cl := newTestServer(t, Config{Options: o})
+		body := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, "b"))
+		body = client.AppendForwardRecord(body, 2, 2, push)
+		_, err := cl.Forward(context.Background(), 0xabc, wal.Version, body)
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(err.Error(), "site record 2: a push record (type 2") {
+			t.Fatalf("a forward carrying a push record: %v; want a 400 naming it", err)
+		}
+		if svc.tenantByName("b") != nil || svc.tenantByName("a") != nil || svc.marks[0xabc] != 0 || svc.Engine().Count() != 0 {
+			t.Fatalf("the refused forward applied something: tenants %d, mark %d, default count %d", len(svc.tenantList()), svc.marks[0xabc], svc.Engine().Count())
+		}
+	})
+}
+
+// TestSnapshotOntoEmptyLogKeepsAckedWrites: a server started on a snapshot
+// with an empty WAL dir — the way across a log format break and past a
+// refused record — numbers its new log from the snapshot's coverage + 1,
+// so a crash replays every write acknowledged since. A new log numbered
+// from 1 lost them: replay skipped its records at or below the coverage
+// as already applied, with no error.
+func TestSnapshotOntoEmptyLogKeepsAckedWrites(t *testing.T) {
+	cfg := walConfig(t)
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 5; i++ {
+		if err := svc.commit(ingestOf("", testStream(100, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cmp.Or(svc.Snapshot(), svc.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(cfg.WALDir); err != nil {
+		t.Fatal(err)
+	}
+	svc, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(5); i < 7; i++ {
+		if err := svc.commit(ingestOf("", testStream(100, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acked := tenantBytes(t, svc, "")
+	crash(nil, svc)
+	svc, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if got := svc.Engine().Count(); got != 700 || !bytes.Equal(tenantBytes(t, svc, ""), acked) {
+		t.Fatalf("after the crash the server holds %d of the 700 acknowledged tuples", got)
 	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // Durability: every tenant's summary image (its MarshalBinary — the same
-// bytes /v1/summary serves and POST /v1/push takes) is written to disk on a
+// bytes /v1/summary serves) is written to disk on a
 // ticker and again on graceful shutdown, via the classic
 // temp-file-then-rename dance so a crash mid-write can never corrupt the
 // previous snapshot. Restore happens once, at startup, before the

@@ -20,7 +20,7 @@ import (
 // group boundaries must stay a pure function of the log (crash-exact
 // recovery under concurrency — recovered bytes equal pre-crash bytes),
 // and the memoized read path must never corrupt state while ingest,
-// pushes, snapshots, and queries overlap. Every stream keeps its
+// snapshots and queries overlap. Every stream keeps its
 // distinct y count under Alpha, so the singleton level holds exact
 // per-y state and query answers are float-exact against a serial
 // oracle regardless of arrival order.
@@ -136,9 +136,9 @@ func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 }
 
 // TestServiceStressRace drives one WAL-enabled server with everything at
-// once — 6 concurrent ingesters, multi-cutoff query loops, site pushes,
-// and a hot snapshot ticker — and then asserts the final state matches a
-// serial oracle over the same acknowledged batches and images: exact
+// once — 6 concurrent ingesters, multi-cutoff query loops and a hot
+// snapshot ticker — and then asserts the final state matches a serial
+// oracle over the same acknowledged batches: exact
 // count, and float-exact query answers in both directions (the singleton
 // level's composition is a sum of per-y sketches, so it is independent
 // of ingest order and batch boundaries — byte-identity of the whole
@@ -162,8 +162,6 @@ func TestServiceStressRace(t *testing.T) {
 		ingesters        = 6
 		batchesPerClient = 6
 		batchSize        = 150
-		pushers          = 2
-		pushesEach       = 3
 	)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -189,39 +187,6 @@ func TestServiceStressRace(t *testing.T) {
 		}()
 	}
 
-	var mu sync.Mutex
-	var ackedImages [][]byte
-	for p := 0; p < pushers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			cl := client.New(ts.URL)
-			for j := 0; j < pushesEach; j++ {
-				site, err := correlated.NewF2Summary(o)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := site.AddBatch(testStream(200, uint64(7000+p*100+j))); err != nil {
-					t.Error(err)
-					return
-				}
-				img, err := site.MarshalBinary()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := cl.Push(ctx, img); err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				ackedImages = append(ackedImages, img)
-				mu.Unlock()
-			}
-		}(p)
-	}
-
 	var iwg sync.WaitGroup
 	for i := 0; i < ingesters; i++ {
 		iwg.Add(1)
@@ -243,7 +208,7 @@ func TestServiceStressRace(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Serial oracle: every acknowledged batch and image, applied to one
+	// Serial oracle: every acknowledged batch, applied to one
 	// offline summary, in an order unrelated to the server's.
 	offline, err := correlated.NewF2Summary(o)
 	if err != nil {
@@ -257,12 +222,6 @@ func TestServiceStressRace(t *testing.T) {
 			}
 			ackedTuples += batchSize
 		}
-	}
-	for _, img := range ackedImages {
-		if err := offline.MergeMarshaled(img); err != nil {
-			t.Fatal(err)
-		}
-		ackedTuples += 200
 	}
 	cl := client.New(ts.URL)
 	st, err := cl.Stats(ctx)

@@ -14,7 +14,7 @@ import (
 // user/flow/metric keys its own correlated-aggregate state. A tenant
 // key rides the request surface (?tenant= on the HTTP endpoints, the
 // keyed stream frame format) and the durability surface (every ingest
-// and push record in the WAL, every snapshot entry); the empty key is
+// record in the WAL, every snapshot entry); the empty key is
 // the default tenant, which is what a request naming no tenant addresses
 // and is logged and snapshotted like any other. A tenant comes into being
 // with the apply of the first logged write to it (tenantForWriteLocked, the
@@ -80,12 +80,11 @@ type tenant struct {
 	memoMu sync.Mutex
 	memo   map[memoKey]memoEntry
 
-	lastTouch atomic.Int64 // unix nanos of the last ingest/push/query
+	lastTouch atomic.Int64 // unix nanos of the last ingest/query
 	footprint atomic.Int64 // bytes as of the last noteFootprintLocked: liveBytes, or the image length while spilled
 
 	// Per-tenant counters for /v1/stats?tenant=.
 	tuplesIngested atomic.Uint64
-	pushesMerged   atomic.Uint64
 	queries        atomic.Uint64
 	spills         atomic.Uint64
 	restores       atomic.Uint64
@@ -302,8 +301,7 @@ func (s *Server) ensureEngineLocked(t *tenant) (Engine, error) {
 }
 
 // spillTenant installs an idle tenant's own image over it, dropping the
-// engine. The default tenant never spills — its engine doubles as Engine()
-// and the site role's push source.
+// engine. The default tenant never spills — its engine doubles as Engine().
 func (s *Server) spillTenant(t *tenant) bool {
 	if t == s.def {
 		return false

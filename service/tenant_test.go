@@ -13,12 +13,12 @@ import (
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
+	"github.com/streamagg/correlated/internal/wal"
 )
 
 // The tests here pin the multi-tenant namespace layer: N keyed
 // summaries behind one daemon must stay independent (per-tenant results
-// float-exact against per-tenant serial oracles, a bad push to one
-// tenant never touching another), crash-exact (per-tenant recovered
+// float-exact against per-tenant serial oracles), crash-exact (per-tenant recovered
 // summary bytes identical to a crash-free serial run of that tenant's
 // acknowledged traffic), and governable (count/memory caps with typed
 // rejections, idle spill that round-trips through the marshaled image
@@ -40,7 +40,7 @@ func tenantSummary(t *testing.T, url, name string) []byte {
 // TestMultiTenantCrashRecoveryExact is the tentpole's acceptance
 // contract: eight tenants ingest concurrently — half over HTTP, half
 // over the keyed streaming transport — with default-tenant traffic and
-// a keyed push mixed in, a snapshot lands mid-run (so recovery is
+// a site's forward to one keyed tenant mixed in, a snapshot lands mid-run (so recovery is
 // restore-v2-then-replay-suffix, not pure replay), the server is killed
 // without warning, and the restart rebuilds every tenant's summary
 // byte-identical both to the pre-crash state and to a crash-free oracle
@@ -57,7 +57,6 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 		tenantsN = 8
 		chunk    = 250
 	)
-	o := testOptions()
 	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
@@ -128,22 +127,10 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 	}
 	ingestPhase(2)
 
-	// A push into one keyed tenant: the image rides a RecordPush behind
-	// its tenant prefix.
-	site, err := correlated.NewF2Summary(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushStream := testStream(500, 9_001)
-	if err := site.AddBatch(append([]correlated.Tuple(nil), pushStream...)); err != nil {
-		t.Fatal(err)
-	}
-	img, err := site.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushTenant := tenantKey(2)
-	if err := client.New(ts.URL, client.WithTenant(pushTenant)).Push(ctx, img); err != nil {
+	// A site's forward into one keyed tenant: the site's ingest record
+	// rides a RecordForward behind the site id.
+	fwd := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, tenantKey(2)))
+	if _, err := client.New(ts.URL).Forward(ctx, 0xabc, wal.Version, fwd); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,7 +191,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 			}
 		}
 	}
-	if err := client.New(ots.URL, client.WithTenant(pushTenant)).Push(ctx, img); err != nil {
+	if _, err := client.New(ots.URL).Forward(ctx, 0xabc, wal.Version, fwd); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < tenantsN; i++ {
@@ -220,8 +207,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 // TestTenantIsolation is the namespace-independence property test:
 // chunks from K tenants interleave round-robin through the shared
 // pipeline, and every tenant must answer float-exactly like a serial
-// offline summary of its own stream alone; a typed-incompatible push
-// rejected on tenant A leaves B byte-untouched.
+// offline summary of its own stream alone.
 func TestTenantIsolation(t *testing.T) {
 	const tenantsN = 5
 	o := testOptions()
@@ -274,31 +260,6 @@ func TestTenantIsolation(t *testing.T) {
 		}
 	}
 	check("interleaved")
-
-	// A push built from different Options must be rejected 409 on the
-	// tenant it targets and must not perturb any other tenant's bytes.
-	preB := tenantSummary(t, ts.URL, tenantKey(1))
-	bad := o
-	bad.Seed = o.Seed + 1
-	alien, err := correlated.NewF2Summary(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := alien.AddBatch(testStream(100, 3)); err != nil {
-		t.Fatal(err)
-	}
-	img, err := alien.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = clients[0].Push(ctx, img)
-	if !client.IsIncompatible(err) {
-		t.Fatalf("incompatible push: %v", err)
-	}
-	if got := tenantSummary(t, ts.URL, tenantKey(1)); !bytes.Equal(got, preB) {
-		t.Fatal("rejected push on tenant 0 changed tenant 1's bytes")
-	}
-	check("after rejected push")
 
 	// Read paths never create tenants: an unknown key is 404.
 	var ae *client.APIError

@@ -7,8 +7,8 @@ import (
 	"github.com/streamagg/correlated/internal/wal"
 )
 
-// Durable ingest: with Config.WALDir set, every accepted ingest batch,
-// push image and forwarded site record is appended to a write-ahead log *before* the HTTP
+// Durable ingest: with Config.WALDir set, every accepted ingest batch and
+// forwarded site record is appended to a write-ahead log *before* the HTTP
 // acknowledgement, and startup becomes restore-snapshot-then-replay-
 // suffix. Under -wal-fsync=always an acknowledged request therefore
 // survives kill -9 — the durability window shrinks from the snapshot
@@ -24,7 +24,7 @@ import (
 // in LSN order after the barrier": only the records the log holds once the
 // group's barrier returns, under the driver lock (s.mu), through the very
 // functions the replayer re-applies them with (applyGroupLocked,
-// applyJobLocked), so replay reconstructs the identical sequence of engine
+// applyForwardLocked), so replay reconstructs the identical sequence of engine
 // calls. Third, "the log holds what each tenant's one AddBatch was
 // given": a summary's state depends on where its AddBatch calls were cut
 // and on the batch each was handed, and each tenant gets exactly one
@@ -44,7 +44,8 @@ import (
 // openWAL opens the log — the one place its options are built, so the
 // log a replica opens at promotion carries every hook the primary's
 // does — and publishes it. firstLSN numbers the first record of a
-// brand-new log (0 means 1); a promoted replica passes its sealed LSN + 1.
+// brand-new log: the restored snapshot's coverage + 1 at start-up, a
+// promoted replica's sealed LSN + 1.
 func (s *Server) openWAL(firstLSN uint64) error {
 	policy, err := wal.ParseSyncPolicy(s.cfg.WALFsync)
 	if err != nil {
