@@ -155,18 +155,23 @@ type Stats struct {
 type Memory struct {
 	// What the summaries hold — every tenant's added up, or the named
 	// tenant's with ?tenant=. Held is the tables and arrays of their sketches
-	// at the widths they are stored at (and the words a bucket is charged),
-	// Pooled what their makers' free lists keep for the next sketch, Headers
-	// the bucket and sketch structs around them; all three are zero for a
-	// spilled tenant, whose image is Spilled. TenantBytes, the
-	// -max-tenant-bytes input, is the same four as of each tenant's last
-	// commit, spill or restore; a query since then has moved bytes between a
-	// tenant's sketches and its free lists, so the sum read here can differ
-	// from it until that tenant's next commit.
+	// at the widths they are stored at, Pooled what their makers' arenas map
+	// beyond that — free blocks for the next sketch, chunk ends, size-class
+	// rounding — and Arena what those arenas map, off the collected heap:
+	// Held + Pooled for the F2 aggregate. Headers is what the summaries keep
+	// on the heap: tree nodes, bucket words, sketch structs and their slabs'
+	// spare slots. (The other aggregates keep no arena: Arena is 0, Held their
+	// counters at a word each and Pooled their spare tree nodes, on the heap.)
+	// All are zero for a spilled tenant, whose image is Spilled. TenantBytes,
+	// the -max-tenant-bytes input, is held + pooled + headers + spilled as of
+	// each tenant's last commit, spill or restore; a query since then has
+	// moved bytes between a tenant's sketches and its arena, so the sum read
+	// here can differ from it until that tenant's next commit.
 	HeldBytes    int64 `json:"held_bytes"`
 	PooledBytes  int64 `json:"pooled_bytes"`
 	HeaderBytes  int64 `json:"header_bytes"`
 	SpilledBytes int64 `json:"spilled_bytes"`
+	ArenaBytes   int64 `json:"arena_bytes"`
 
 	// The commit pipeline, process-wide: the committer's buffer a group's
 	// members decode and sort in and its record-encode scratch (capacities,
@@ -203,13 +208,15 @@ type Memory struct {
 	RssFileBytes int64 `json:"rss_file_bytes,omitempty"`
 
 	// The remainders, always the whole process's. HeapUnaccounted is
-	// HeapLive less every tenant's held, pooled, header and spilled bytes and
-	// the pipeline's: request and frame buffers the committer has taken or
-	// that wait in pools, answer memos, connection and log state — and whatever was
-	// allocated since the last collection, so
-	// it is exact only right after one. RSSUnaccounted is VmRSS less the
-	// file-backed part and less Total − HeapReleased: negative while the
-	// runtime holds pages it has mapped and not yet touched.
+	// HeapLive less what every tenant keeps on the heap (held + pooled +
+	// headers − arena) and its spilled bytes, and less the pipeline's: request
+	// and frame buffers the committer has taken or that wait in pools, answer
+	// memos, connection and log state — and whatever was allocated since the
+	// last collection, so it is exact only right after one. RSSUnaccounted is
+	// VmRSS less the file-backed part, less Total − HeapReleased and less
+	// every tenant's Arena: negative while the runtime or an arena holds pages
+	// mapped and not yet touched, positive by the arenas of summaries dropped
+	// and not yet collected.
 	HeapUnaccountedBytes int64 `json:"heap_unaccounted_bytes"`
 	RSSUnaccountedBytes  int64 `json:"rss_unaccounted_bytes,omitempty"`
 }

@@ -33,9 +33,12 @@ var occupancyPresets = []occupancyShape{
 
 // occupancyTable writes Summary.Occupancy for the presets, or with -n for
 // that stream length under each distribution, to w. Per shape, the summary
-// lines say what the rows add up to and, beside it, the Footprint: held,
-// pooled and header bytes, from the counts the summary keeps, and the header
-// bytes a stored bucket — tree node or singleton — costs.
+// lines say what the rows add up to and, beside it, the Footprint, from the
+// counts the summary keeps: held and pooled, the sketches' tables and arrays
+// and what else their makers' arenas map, off the collected heap, and header
+// bytes, what the summary keeps on the heap — tree nodes, sketch structs, the
+// slabs' spare slots — with what a stored bucket, tree node or singleton,
+// costs of them.
 func occupancyTable(w io.Writer, n int) {
 	shapes := occupancyPresets
 	if n > 0 {
@@ -47,7 +50,7 @@ func occupancyTable(w io.Writer, n int) {
 		s := occupancySummary(sh)
 		le, ge := s.Occupancy()
 		// Bytes behind the counters; of them, items tables (closed buckets' cut
-		// ones) and dense arrays; and, beside them, in the makers' free lists.
+		// ones) and dense arrays; and, beside them, in the makers' arenas and slabs.
 		var held, tables, closed, arrays, pooled int64
 		stored := 0 // buckets: tree nodes and singletons
 		for _, dir := range []struct {

@@ -11,7 +11,8 @@ import (
 // TestOccupancyTableAddsUp: at n = 20 000, each shape's level rows — with the
 // virgin levels the table leaves out, two counters each — add up to its
 // summary line's space and bytes, the footprint line's held bytes are the
-// same figure, the headers it prints are the summary's Footprint().Headers,
+// summary line's items tables and dense arrays, the figures it prints are the
+// summary's Footprint(),
 // and the bytes a bucket it prints are those headers over the buckets
 // Occupancy() stores.
 func TestOccupancyTableAddsUp(t *testing.T) {
@@ -23,6 +24,7 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 		counters, bytes       int64   // the printed rows, added up
 		virgin                int     // levels left out, over both directions
 		space, held           int64   // the summary line
+		tables, arrays        int64   // and its sketch storage
 		fpHeld, fpPooled, hdr int64   // the footprint line
 		perBucket             float64 // the footprint line's header bytes a bucket
 		buckets               int     // and the buckets they are over
@@ -48,11 +50,13 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 			}
 			get(name).virgin += k
 		case strings.Contains(line, ": space "):
-			if _, err := fmt.Sscanf(line, "# %s space %d counters in %d bytes", &name, &a, &b); err != nil {
+			var tables, closed, arrays, pooled, img int64
+			if _, err := fmt.Sscanf(line, "# %s space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), image %d bytes",
+				&name, &a, &b, &tables, &closed, &arrays, &pooled, &img); err != nil {
 				t.Fatalf("%q: %v", line, err)
 			}
 			sh := get(name)
-			sh.space, sh.held = a, b
+			sh.space, sh.held, sh.tables, sh.arrays = a, b, tables, arrays
 			sh.lines++
 		case strings.Contains(line, ": footprint "):
 			if _, err := fmt.Sscanf(line, "# %s footprint held %d, pooled %d, headers %d bytes", &name, &a, &b, &c); err != nil {
@@ -92,8 +96,9 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 		if got := sh.counters + 2*int64(sh.virgin); got != sh.space {
 			t.Errorf("%s: rows add up to %d counters, the summary line says %d", preset.name, got, sh.space)
 		}
-		if got := sh.bytes + 16*int64(sh.virgin); got != sh.held || sh.fpHeld != sh.held {
-			t.Errorf("%s: rows add up to %d bytes, the summary line says %d and the footprint %d", preset.name, got, sh.held, sh.fpHeld)
+		if got := sh.bytes + 16*int64(sh.virgin); got != sh.held || sh.fpHeld != sh.tables+sh.arrays {
+			t.Errorf("%s: rows add up to %d bytes, the summary line says %d, of them %d in tables and arrays, and the footprint holds %d",
+				preset.name, got, sh.held, sh.tables+sh.arrays, sh.fpHeld)
 		}
 		s := occupancySummary(preset)
 		f := s.Footprint()

@@ -226,16 +226,17 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 
 // gcPercent is the collector's headroom as corrd sets it: the heap may grow
 // by half of what the last cycle found live before the next one starts, where
-// the runtime's default lets it double. The collector's CPU goes as allocation
-// rate ÷ headroom; the sketch makers' free lists cut what the apply path
-// allocates to about twice what it keeps, and this spends part of that back
-// as bytes. The value is measured, one for every workload: at 50, ten paired
-// corrdbench runs a workload read the resident set 14 % lower on http-small
-// and 5–7 % lower on the other three with no metric resolved worse; at 25 it
-// read 19 % and 7–14 % lower, but tenants-restart — which grows its heap from
-// nothing, so a tighter pace means many early cycles — lost ack_p99_ms and
-// cpu_s_per_mtuple in nine pairs of ten. No flag: GOGC, the runtime's own
-// variable, overrides it.
+// the runtime's default lets it double. The value was measured while the
+// counters were on the heap: at 50 the resident set read 14 % lower on
+// http-small and 5–7 % lower on the other three workloads with no metric
+// resolved worse. The counters now live in the sketch makers' arenas, off
+// the heap, and the collector paces the 2–7 MB of nodes, structs and buffers
+// left, so the headroom it saves is small: measured again then, five
+// alternating corrdbench pairs a workload, GOGC=100 → 50 read rss_peak_mb
+// 24.26 → 23.03 MB on http-small and 43.51 → 43.51 on tenants-restart, for
+// cpu_s_per_mtuple 20.22 → 25.36 and 11.72 → 12.59, and ack_p99_ms 2.44 →
+// 7.14 and 12.55 → 11.48 ms. No flag: GOGC, the runtime's own variable,
+// overrides it.
 const gcPercent = 50
 
 // paceCollector applies gcPercent unless the operator set GOGC — any value,

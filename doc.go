@@ -187,23 +187,27 @@
 // closed — which splits on the next arrival and is not written by ingest
 // again — is cut to exactly the pairs it holds. That changes no answer, no
 // image byte and not Space, which keeps counting two words a pair and one a
-// counter. A table or array that a sketch grows out of, or is discarded
-// with, is not left to the garbage collector: the summary's sketch maker
-// keeps it, zeroed, on a short free list for the next sketch that needs its
-// size, so ingest allocates little more than the summary ends up holding.
-// The buckets themselves are records in slabs of fixed chunks that never
-// move: a tree node is 16 bytes naming its sketch and its two children by
-// four-byte handles, and a bucket's sketch struct sits in its maker's slab,
-// where an evicted bucket's slot waits for the next one.
+// counter. The F2 summary's tables and arrays are not on the collected heap
+// at all: they are blocks of an arena its sketch maker maps from the kernel
+// (on unix; elsewhere, byte slices), which the collector neither traces nor
+// paces itself by, so its headroom is charged on the tree nodes and sketch
+// structs alone. A table or array that a sketch grows out of, or is
+// discarded with, goes back to the arena, zeroed, for the next sketch that
+// needs its size class, and the arena's mappings go back to the kernel once
+// the summary is dropped and collected. The buckets themselves are records
+// in slabs of fixed chunks that never move: a tree node is 16 bytes naming
+// its sketch and its two children by four-byte handles, and a bucket's sketch
+// struct sits in its maker's slab, where an evicted bucket's slot waits for
+// the next one.
 // Occupancy breaks Space down level by level and reports the bytes behind
 // each level's counters, by form, how many of the tables' are in closed
-// buckets, and — on the first row — the bytes waiting on those free lists,
-// which stand behind no counter. Footprint is the same accounting as three
-// totals — bytes held, bytes pooled, and the bytes of the bucket and sketch
-// structs around them, which Occupancy does not count — and for the F2
-// summary it is read from counts the maker keeps as tables and arrays change
-// hands, so it costs nothing to ask after every batch: corrd's per-tenant
-// memory cap and its memory ledger run on it.
+// buckets, and — on the first row — the bytes waiting in the arena and the
+// slabs, which stand behind no counter. Footprint is the same accounting as
+// totals — bytes held and pooled in the arena, which they add up to, and the
+// bytes the summary keeps on the heap around them, which Occupancy does not
+// count — and for the F2 summary it is read from counts the maker keeps as
+// tables and arrays change hands, so it costs nothing to ask after every
+// batch: corrd's per-tenant memory cap and its memory ledger run on it.
 //
 // # Mergeability and distribution
 //

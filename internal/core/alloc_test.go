@@ -13,9 +13,12 @@ import (
 // allocBudget times the bytes it ends up holding. A bucket's sketch is born at
 // eight slots and doubled up to the promotion point, and each of those steps
 // used to leave its table to the collector — 6.1 times the bytes kept on this
-// stream; handed back to the maker's free lists they read 2.0. corrd's
-// resident set follows that ratio, not the bytes kept. One goroutine, seeded
-// streams: the allocations repeat, the collector's own do not count.
+// stream; handed back to the maker's free lists they read 2.0. The tables and
+// arrays are now blocks of the maker's arena, off the collected heap, so what
+// is measured here is the heap's share — tree nodes, sketch structs, scratch —
+// which reads 1.1. corrd's resident set follows that ratio, not the bytes
+// kept. One goroutine, seeded streams: the allocations repeat, the
+// collector's own do not count.
 func TestIngestAllocatesLittleBeyondWhatItKeeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")

@@ -93,9 +93,9 @@ func BenchmarkCoreAddBatch(b *testing.B) {
 }
 
 // BenchmarkCoreQuery measures cutoff queries against a built summary; a
-// composed sketch is a new struct, and its table or array is drawn from and
-// recycled back to the maker's free lists, so a steady-state query allocates
-// that struct and, once dense, its array headers. "levels" spreads its
+// composed sketch's struct is the one the maker kept from the last query, and
+// its table or array is drawn from and recycled back to the maker's arena, so
+// a steady-state query allocates nothing (TestQueryAllocatesNothing). "levels" spreads its
 // cutoffs over the domain, which the bucket-tree levels serve; "S0" asks
 // just below the singleton level's watermark, so Algorithm 3 merges every
 // stored singleton — α small sketches — into one.

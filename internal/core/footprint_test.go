@@ -73,26 +73,28 @@ func widened(s *Summary) int {
 }
 
 // checkFootprint compares s.Footprint — running counts — with what a walk of s
-// finds: Held is Occupancy's Bytes added up, Pooled is Occupancy's, Headers
-// is the structs of each sketch and tree node the walk meets, less the two
-// words Held charges a node. And the node slab holds the nodes the walk meets
-// and no more: a node freed anywhere but to the slab would be held there, out
-// of every tree, and out of Pooled.
-func checkFootprint(t *testing.T, when string, s *Summary) Footprint {
+// finds: Held is Occupancy's ItemsBytes and DenseBytes added up, and Arena
+// Held and Pooled together; Headers is the structs of each sketch and tree
+// node the walk meets, a word a singleton and the two slabs' spare slots,
+// which with Pooled make Occupancy's Pooled. And the node slab holds the nodes
+// the walk meets and no more: a node freed anywhere but to the slab would be
+// held there, out of every tree, and out of Pooled.
+func checkFootprint(t *testing.T, when string, s *Summary) books {
 	t.Helper()
-	var held, pooled, charged int64
-	sketches, dense, nodes := 1, 0, 0 // the shared sketch is on no row's Items or Dense
+	var held, pooled int64
+	sketches, dense, nodes, singles := 1, 0, 0, 0 // the shared sketch is on no row's Items or Dense
 	if f, ok := s.sketch(s.shared).(formed); ok && f.Dense() {
 		dense++
 	}
 	for i, o := range s.Occupancy() {
-		held += o.Bytes
+		held += o.ItemsBytes + o.DenseBytes
 		pooled += o.Pooled
 		sketches += o.Items + o.Dense
 		dense += o.Dense
 		if i > 0 { // the singletons of row 0 have no node
 			nodes += o.Stored
-			charged += 16 * int64(o.Stored)
+		} else {
+			singles += o.Stored
 		}
 	}
 	if live := s.nodes.Live(); live != nodes {
@@ -100,16 +102,26 @@ func checkFootprint(t *testing.T, when string, s *Summary) Footprint {
 	}
 	wide := widened(s)
 	got := s.Footprint()
+	_, slab := s.maker.(pooler).PooledBytes()
+	spare := int64(slab) + s.spareNodeBytes()
 	want := Footprint{
 		Held:    held,
-		Pooled:  pooled,
-		Headers: int64(sketches*wantSketchBytes+dense*wantDenseBytes+wide*wantWideBytes+nodes*wantBucketBytes) - charged,
+		Pooled:  pooled - spare,
+		Headers: int64(sketches*wantSketchBytes+dense*wantDenseBytes+wide*wantWideBytes+nodes*wantBucketBytes+8*singles) + spare,
+		Arena:   held + pooled - spare,
 	}
 	if got != want {
 		t.Fatalf("%s: Footprint %+v, the walk finds %+v (%d sketches, %d dense of which %d widened, %d nodes)",
 			when, got, want, sketches, dense, wide, nodes)
 	}
-	return got
+	return books{got, want.Headers - spare}
+}
+
+// books is a Footprint and the share of its Headers that the summary's
+// buckets hold, its slabs' spare slots left out.
+type books struct {
+	Footprint
+	structs int64
 }
 
 // TestFootprintIsTheWalk: the running counts behind Footprint equal a walk of
@@ -140,7 +152,7 @@ func TestFootprintIsTheWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g := checkFootprint(t, "after queries", s); g.Held != f.Held || g.Headers != f.Headers {
+	if g := checkFootprint(t, "after queries", s); g != f {
 		t.Fatalf("queries moved the footprint from %+v to %+v", f, g)
 	}
 
@@ -175,7 +187,7 @@ func TestFootprintIsTheWalk(t *testing.T) {
 			t.Fatalf("an image cut at %d of %d bytes merged", cut, len(img))
 		}
 		// What a failed parse decoded goes back to the free lists.
-		if g := checkFootprint(t, "after a failed parse", s); g.Held != f.Held || g.Headers != f.Headers {
+		if g := checkFootprint(t, "after a failed parse", s); g.Held != f.Held || g.structs != f.structs {
 			t.Fatalf("an image cut at %d of %d bytes moved the footprint from %+v to %+v", cut, len(img), f, g)
 		}
 	}
@@ -195,11 +207,11 @@ func TestFootprintIsTheWalk(t *testing.T) {
 	if err := other.UnmarshalBinary(img); err != nil {
 		t.Fatal(err)
 	}
-	if g := checkFootprint(t, "restored over a used summary", other); g.Held != f.Held || g.Headers != f.Headers {
+	if g := checkFootprint(t, "restored over a used summary", other); g.Held != f.Held || g.structs != f.structs {
 		t.Fatalf("one image restores to %+v in a fresh summary and %+v over a used one", f, g)
 	}
 	other.Reset()
-	if g := checkFootprint(t, "after Reset", other); g.Held != empty.Held || g.Headers != empty.Headers {
+	if g := checkFootprint(t, "after Reset", other); g.Held != empty.Held || g.structs != empty.structs {
 		t.Fatalf("a reset summary holds %+v, an empty one %+v", g, empty)
 	}
 
@@ -233,11 +245,12 @@ func feedStream(t *testing.T, s *Summary, st gen.Stream) {
 }
 
 // TestSlabsDoNotLeak: what a summary gives back — on a Reset, on a restore
-// over a used summary, on a merge's evictions — goes to its slabs, shows in
-// Pooled, and is what its next nodes and sketches take: a summary fed a
-// stream, Reset and fed the same stream again ends holding exactly what it
-// held after the first pass, spare slots and free lists included. A site
-// that is Reset every round of a merge-rounds deployment does this.
+// over a used summary, on a merge's evictions — goes to its slabs and its
+// arena, shows in Occupancy's Pooled, and is what its next nodes and sketches
+// take: a summary fed a stream, Reset and fed the same stream again ends
+// holding exactly what it held after the first pass, spare slots, free blocks
+// and the arena's mapped bytes included. A site that is Reset every round of a
+// merge-rounds deployment does this.
 func TestSlabsDoNotLeak(t *testing.T) {
 	n := 200_000
 	if testing.Short() || raceEnabled {
@@ -253,21 +266,26 @@ func TestSlabsDoNotLeak(t *testing.T) {
 	s := mustSummary(t, F2Aggregate(), cfg)
 	feedStream(t, s, stream())
 	first := checkFootprint(t, "after the first pass", s)
+	firstSpare := s.Occupancy()[0].Pooled
 	nodes, sketches := held(s)
 
 	s.Reset()
 	reset := checkFootprint(t, "after Reset", s)
 	n0, s0 := held(s)
-	// Every slot the pass held and Reset gave back is spare now; the maker's
-	// lists only take storage back on a Reset.
-	if freed := int64(nodes-n0)*wantBucketBytes + int64(sketches-s0)*wantSketchBytes; reset.Pooled-first.Pooled < freed {
-		t.Fatalf("Reset gave back %d nodes and %d sketches, %d bytes of slots, but Pooled went from %d to %d",
-			nodes-n0, sketches-s0, freed, first.Pooled, reset.Pooled)
+	// Every slot the pass held and Reset gave back is spare now, and every
+	// block free in the arena, which maps what it mapped.
+	spare := func() int64 { return s.Occupancy()[0].Pooled }
+	if freed := int64(nodes-n0)*wantBucketBytes + int64(sketches-s0)*wantSketchBytes + first.Held - reset.Held; spare()-firstSpare < freed {
+		t.Fatalf("Reset gave back %d nodes and %d sketches, %d bytes of slots and blocks, but the spare bytes went from %d to %d",
+			nodes-n0, sketches-s0, freed, firstSpare, spare())
+	}
+	if reset.Arena != first.Arena {
+		t.Fatalf("Reset moved the arena from %d to %d bytes", first.Arena, reset.Arena)
 	}
 
 	feedStream(t, s, stream())
 	second := checkFootprint(t, "after the second pass", s)
-	if second.Held != first.Held || second.Headers+second.Pooled != first.Headers+first.Pooled {
+	if second != first {
 		t.Fatalf("the same stream after a Reset ends at %+v, the first pass at %+v", second, first)
 	}
 
@@ -279,7 +297,7 @@ func TestSlabsDoNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var once Footprint
+	var once books
 	for i, when := range []string{"restored over itself", "restored over itself again", "and again"} {
 		if err := s.UnmarshalBinary(img); err != nil {
 			t.Fatal(err)
@@ -288,7 +306,7 @@ func TestSlabsDoNotLeak(t *testing.T) {
 		if i == 0 {
 			once = got
 		}
-		if got.Held != second.Held || got.Headers != second.Headers || got.Pooled != once.Pooled {
+		if got.Held != second.Held || got.structs != second.structs || got.Headers != once.Headers || got.Pooled != once.Pooled || got.Arena != once.Arena {
 			t.Fatalf("%s: %+v; fed, %+v, restored once, %+v", when, got, second, once)
 		}
 	}

@@ -40,15 +40,17 @@ type LevelOccupancy struct {
 	Bytes                  int64
 	ItemsBytes, DenseBytes int64
 	ClosedItemsBytes       int64
-	// Pooled is the bytes the free lists hold: the maker's zeroed tables and
-	// arrays that sketches have handed back and the next ones will take, and
-	// the slots of the two slabs — tree nodes, sketch structs — that hold no
-	// bucket's, freed by evictions or never yet used, for the next splits.
+	// Pooled is the bytes that wait for the next sketch or node: what the
+	// maker's arena maps beyond what the sketches hold — zeroed blocks that
+	// sketches have handed back and the next ones will take, the unused end
+	// of its last chunk, the rounding of held blocks to their size classes —
+	// and the slots of the two slabs — tree nodes, sketch structs — that hold
+	// no bucket's, freed by evictions or never yet used, for the next splits.
 	// They stand behind no counter and belong to no level, so they are in no
 	// row's Bytes; the S0 row alone reports them, the others read zero.
 	// It is a property of the summary's past, not its state: a restored
-	// summary starts with empty lists. Footprint reports the same number
-	// beside the rows' Bytes added up, without the walk.
+	// summary starts with an empty arena. Footprint reports the arena's share
+	// as its Pooled and the slabs' in its Headers, without the walk.
 	Pooled    int64
 	Watermark uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
 }
@@ -69,43 +71,52 @@ func (s *Summary) Occupancy() []LevelOccupancy {
 	rows[min(s.virginFrom, s.lmax)].countSketch(s.sketch(s.shared))
 	rows[0].Pooled = s.spareNodeBytes()
 	if p, ok := s.maker.(pooler); ok {
-		held, _ := p.PooledBytes()
-		rows[0].Pooled += int64(held)
+		arena, slab := p.PooledBytes()
+		rows[0].Pooled += int64(arena + slab)
 	}
 	return rows
 }
 
-// pooler is a maker that reports the bytes its free lists hold, and the most
-// they can.
+// pooler is a maker that reports the bytes waiting for its next sketches: in
+// its arena, and in its slab's spare slots.
 type pooler interface {
-	PooledBytes() (held, bound int)
+	PooledBytes() (arena, slab int)
 }
 
 // Footprint is the memory behind a summary in bytes, from counts that are
-// kept as the summary changes: reading it walks nothing.
+// kept as the summary changes: reading it walks nothing. Where a maker keeps
+// its counters in an arena, off the collected heap (the F2 sketch's), Held
+// and Pooled are the arena's, adding up to Arena, and Headers is everything
+// the summary keeps on the heap; for the other makers everything is on the
+// heap and Arena is 0.
 type Footprint struct {
-	// Held is what Occupancy's rows add up to in Bytes: every sketch's table
-	// or array at its stored width, and the words Space charges a bucket.
+	// Held is what the sketches hold: every table or array at its stored
+	// width, what Occupancy's ItemsBytes and DenseBytes add up to. A maker
+	// that keeps no books has Held charge every counter, and every word
+	// Space charges a bucket, eight bytes: Occupancy's Bytes added up.
 	Held int64
-	// Pooled is Occupancy's Pooled: the maker's free lists and the spare
-	// slots of the two slabs.
+	// Pooled is what the arena maps beyond Held: zeroed free blocks, the
+	// unused end of its last chunk and the rounding of the blocks held to
+	// their size classes. For a maker that keeps no books it is the spare
+	// slots of the node slab.
 	Pooled int64
-	// Headers is what stands around Held and no row counts: the tree nodes
-	// and the sketch structs, less the two words Held charges a node (as
-	// Space does), so that Total counts a node once, at its size — which
-	// leaves the sketch structs, a 16-byte node being those two words. The
-	// singleton level's map and heap are not in it: a singleton has no node,
-	// its sketch's handle sits in the map under its y, the word Held charges
-	// it.
+	// Headers is what stands around the counters on the heap: the node slab
+	// whole — a 16-byte record a tree node, spare slots too — a word a
+	// singleton, for its y, as Space charges it (its sketch's handle sits in
+	// the singleton level's map under it), and the sketch structs with the
+	// maker slab's spare slots. The map's and heap's own overhead is not in it.
 	Headers int64
+	// Arena is what the maker's arena maps: Held + Pooled, or 0.
+	Arena int64
 }
 
-// Total is the three added up: the bytes the summary keeps from the collector.
+// Total is the three added up: the bytes the summary keeps, on the heap and
+// in its arena.
 func (f Footprint) Total() int64 { return f.Held + f.Pooled + f.Headers }
 
 // Plus adds two footprints field by field.
 func (f Footprint) Plus(g Footprint) Footprint {
-	return Footprint{f.Held + g.Held, f.Pooled + g.Pooled, f.Headers + g.Headers}
+	return Footprint{f.Held + g.Held, f.Pooled + g.Pooled, f.Headers + g.Headers, f.Arena + g.Arena}
 }
 
 // bookkeeper is a maker that keeps running counts of what its sketches hold.
@@ -113,6 +124,7 @@ type bookkeeper interface {
 	pooler
 	HeldBytes() int
 	HeaderBytes() int
+	ArenaBytes() int
 }
 
 // bucketBytes is a tree node's slot in the node slab.
@@ -134,12 +146,12 @@ func (s *Summary) Footprint() Footprint {
 	for i := 1; i <= s.lmax; i++ {
 		nodes += int64(s.levels[i].count)
 	}
-	pooled, _ := bk.PooledBytes()
+	arena, slab := bk.PooledBytes()
 	return Footprint{
-		// The y of a singleton and the interval of a node: Space's words.
-		Held:    int64(bk.HeldBytes()) + 8*singles + 16*nodes,
-		Pooled:  int64(pooled) + s.spareNodeBytes(),
-		Headers: int64(bk.HeaderBytes()) + nodes*(bucketBytes-16),
+		Held:    int64(bk.HeldBytes()),
+		Pooled:  int64(arena),
+		Headers: int64(bk.HeaderBytes()+slab) + 8*singles + bucketBytes*nodes + s.spareNodeBytes(),
+		Arena:   int64(bk.ArenaBytes()),
 	}
 }
 

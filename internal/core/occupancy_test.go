@@ -45,9 +45,9 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 			}
 			nodes := s.spareNodeBytes()
 			if p, ok := s.maker.(pooler); ok {
-				if held, bound := p.PooledBytes(); rows[0].Pooled != int64(held)+nodes || held > bound {
-					t.Fatalf("%s %s: %d bytes pooled, the maker holds %d of at most %d, the spare node slots %d",
-						name, when, rows[0].Pooled, held, bound, nodes)
+				if arena, slab := p.PooledBytes(); rows[0].Pooled != int64(arena+slab)+nodes {
+					t.Fatalf("%s %s: %d bytes pooled, the maker's arena %d and slab %d, the spare node slots %d",
+						name, when, rows[0].Pooled, arena, slab, nodes)
 				}
 			} else if rows[0].Pooled != nodes {
 				t.Fatalf("%s %s: %d bytes pooled by a maker without lists, the spare node slots hold %d", name, when, rows[0].Pooled, nodes)

@@ -436,8 +436,9 @@ func (s *Summary) drop(h uint32) {
 }
 
 // RecycleSketch hands the storage of a sketch obtained from QuerySketch back
-// to the maker's free lists once the caller is done with it. The caller must
-// drop every reference to the sketch.
+// to the maker once the caller is done with it. The caller must drop every
+// reference to the sketch, and recycle every one it obtains: a dropped one's
+// storage stays in the maker's arena until the summary is collected.
 func (s *Summary) RecycleSketch(sk sketch.Sketch) {
 	sketch.Recycle(s.maker, sk)
 }
@@ -451,10 +452,10 @@ func (s *Summary) Query(c uint64) (float64, error) {
 }
 
 // QueryWithLevel is Query plus the level that served the answer
-// (level 0 means the singleton level S0). The composed sketch's table or
-// array goes back to the maker's free lists once estimated, so steady-state
-// queries allocate little beyond its struct; callers that need the sketch
-// itself use QuerySketch.
+// (level 0 means the singleton level S0). The composed sketch goes back to
+// the maker once estimated — its table or array to the arena, its struct to
+// be the next query's — so a steady-state query allocates nothing; callers
+// that need the sketch itself use QuerySketch.
 func (s *Summary) QueryWithLevel(c uint64) (float64, int, error) {
 	sk, lvl, err := s.QuerySketch(c)
 	if err != nil {

@@ -68,5 +68,6 @@ func (s *FkSummary) Query(c uint64, phi float64) ([]Item, error) {
 		}
 		return out[i].X < out[j].X
 	})
+	s.cs.RecycleSketch(merged)
 	return out, nil
 }

@@ -67,12 +67,15 @@ import (
 //
 // And it says what a sketch's life costs: born at eight slots, doubled as
 // pairs arrive up to the promotion point, then promoted, cut or evicted —
-// every step leaves a table behind. Those go back to the maker (putTable),
-// zeroed, for the next step of the next sketch, as dense arrays always have:
-// what the apply path allocates is then close to what it keeps, which is what
-// a resident set follows. The storage a sketch holds is its own until it
-// hands it back and nobody's view of it after; the one walk that could
-// outlive its table, a merge of a sketch into itself, reads a copy.
+// every step leaves a table behind. Tables, arrays and row sums are blocks of
+// the maker's arena (arena.go), off the collected heap, and one left behind
+// goes back to it (putTable, putArray), zeroed, for the next step of the next
+// sketch. The storage a sketch holds is its own until it hands it back and
+// nobody's view of it after; the one walk that could outlive its table, a
+// merge of a sketch into itself, reads a copy. No view of it may outlive
+// every struct that reaches the maker either: the arena is unmapped once the
+// maker is collected, so what leaves a sketch — an image, a merge into
+// another maker's sketch — is a copy.
 type CountSketch struct {
 	maker *F2Maker
 
@@ -205,38 +208,28 @@ const (
 //
 // It is also where its sketches' storage waits between owners: the slab its
 // bucket sketches live in (Alloc), whose freed slots wait for the next one,
-// and free lists of zeroed dense arrays by counter width and of zeroed items
-// tables by size, each bounded by a constant (maxPool, maxWidePool,
-// maxTablePool; PooledBytes adds them up). A maker, its slab and its lists
-// belong to one goroutine at a time, the one driving its sketches.
+// the arena every table and counter array is a block of, whose free blocks
+// wait by size class (PooledBytes), and one recycled sketch from New, which
+// the next New — a query's composition — takes back. A maker, its slab and
+// its arena belong to one goroutine at a time, the one driving its sketches.
 //
-// And it keeps the books: every table and array a sketch holds came through
-// the maker and goes back through it, so HeldBytes — Σ Bytes over its
-// sketches — is a running count kept at those hand-overs, and reading it
-// walks nothing. The count follows storage, not reachability: a sketch holding
-// a table must be Recycled (or Reset) before it is dropped, or its bytes stay
-// on the books.
+// And it keeps the books: every table and array a sketch holds came from the
+// arena and goes back to it, so HeldBytes — Σ Bytes over its sketches — is a
+// running count kept at those hand-overs, and reading it walks nothing. The
+// count follows storage, not reachability: a sketch holding a table must be
+// Recycled (or Reset) before it is dropped, or its bytes stay on the books,
+// and in the arena, until the maker itself is collected.
 type F2Maker struct {
 	width, depth int
 	rowH         []*hash.FourWise
 
 	itemsMax int // most pairs an items-form sketch holds
 
-	held    int // Σ Bytes() over the maker's sketches
 	headers int // the structs of the sketches handed out and not yet taken back
 
-	slab slab.Slab[CountSketch] // the sketches Alloc hands out
-	// Zeroed dense arrays for the next promotions (pool8) and widenings,
-	// at most maxPool between them: see maxWidePool.
-	pool8  [][]int8
-	pool16 [][]int16
-	pool64 [][]int64
-	// Zeroed hashed tables for the next retable, by size class: tables[k]
-	// holds at most maxTablePool tables of 4<<k words, up to the words of an
-	// eight-byte table at the promotion point. A sketch's life is a walk up
-	// these classes — 8 slots, 16, … — and every step hands the table it
-	// leaves back here rather than to the collector.
-	tables [][][]uint64
+	slab  slab.Slab[CountSketch] // the sketches Alloc hands out
+	arena *arena                 // the blocks behind every table and array
+	spare *CountSketch           // a sketch Recycle took back, for the next New
 
 	medScratch  []float64 // reused by Estimate/EstimateItem
 	slotScratch Slots     // reused by slotsOf
@@ -250,12 +243,13 @@ func NewF2Maker(width, depth int, rng *hash.RNG) *F2Maker {
 	if width < 1 || depth < 1 {
 		panic("sketch: F2Maker width and depth must be >= 1")
 	}
+	array := width * depth
 	m := &F2Maker{
 		width: width, depth: depth,
-		itemsMax:   min(width*depth/itemsDivisor, math.MaxInt32), // n is an int32
+		itemsMax:   min(array/itemsDivisor, math.MaxInt32), // n is an int32
+		arena:      newArena(array, 2*array, 8*array, 8*depth),
 		medScratch: make([]float64, depth),
 	}
-	m.tables = make([][][]uint64, tableClass(tableFor(m.itemsMax+1))+1)
 	for i := 0; i < depth; i++ {
 		m.rowH = append(m.rowH, hash.NewFourWise(rng))
 	}
@@ -287,7 +281,10 @@ func (m *F2Maker) slotsOf(x uint64) Slots {
 func (m *F2Maker) SlotWidth() int { return m.depth + 1 }
 
 // Recycle implements Recycler: the table or array of a sketch from New goes
-// back to the maker's lists, and the struct to the collector.
+// back to the arena, and the struct is kept for the next New, or left to the
+// collector when the maker keeps one already. A query composes a sketch and
+// recycles it, so a maker that answers queries keeps one, and a query's
+// composition allocates nothing.
 func (m *F2Maker) Recycle(sk Sketch) {
 	cs, ok := sk.(*CountSketch)
 	if !ok || cs.maker != m {
@@ -295,65 +292,41 @@ func (m *F2Maker) Recycle(sk Sketch) {
 	}
 	cs.Reset()
 	m.headers -= countSketchBytes
-}
-
-// tableClass returns the free list a table of that many words belongs to:
-// powers of two from 4 — eight four-byte slots — up. Anything else, which only
-// a cut table is, gets a class no maker keeps.
-func tableClass(words int) int {
-	if words < 4 || words&(words-1) != 0 {
-		return math.MaxInt
-	}
-	return bits.TrailingZeros(uint(words)) - 2
-}
-
-// takeTable returns that many zeroed words for a sketch to hold, pooled if
-// there are any.
-func (m *F2Maker) takeTable(words int) []uint64 {
-	m.held += 8 * words
-	if k := tableClass(words); k < len(m.tables) {
-		return takeArray(&m.tables[k], words)
-	}
-	return make([]uint64, words)
-}
-
-// putTable takes back a table its sketch has left, zeroing it for the next
-// retable — or leaves it to the collector when it is cut, wider than the lists
-// go, or its list is full. Every view of the table is dead from here on.
-func (m *F2Maker) putTable(tab []uint64) {
-	m.held -= 8 * len(tab)
-	if k := tableClass(len(tab)); k < len(m.tables) {
-		putArray(&m.tables[k], tab, maxTablePool)
+	if m.spare == nil {
+		m.spare = cs
 	}
 }
 
-// PooledBytes returns the bytes the maker's free lists hold — zeroed tables
-// and dense arrays waiting for the next sketch that needs one, memory that is
-// in no sketch's Bytes — and the most they can hold; and in both, the slots of
-// its slab that hold no sketch, which no constant bounds: a slab keeps the
-// most it has held.
-func (m *F2Maker) PooledBytes() (held, bound int) {
-	spare := m.slab.Spare() * countSketchBytes
-	held, bound = spare, spare
-	for k, list := range m.tables {
-		held += len(list) * (32 << k)
-		bound += maxTablePool * (32 << k)
-	}
-	array := m.width * m.depth
-	held += array * (len(m.pool8) + 2*len(m.pool16) + 8*len(m.pool64))
-	bound += array * (maxNarrowPool + (2+8)*maxWidePool)
-	return held, bound
+// takeTable returns that many zeroed words from the arena for a sketch to hold.
+func (m *F2Maker) takeTable(words int) []uint64 { return takeArray[uint64](m.arena, words) }
+
+// putTable takes back a table its sketch has left, zeroed, for the next block
+// of its size class. Every view of the table is dead from here on.
+func (m *F2Maker) putTable(tab []uint64) { putArray(m.arena, tab) }
+
+// PooledBytes returns what waits for the next sketch: in the arena, the bytes
+// it maps beyond what the sketches hold — zeroed free blocks, the unused end
+// of its last chunk, and the rounding of the blocks held up to their size
+// classes — and in the slab, the slots that hold no sketch. Neither is bounded
+// by a constant: each keeps the most it has held, the arena by size class.
+func (m *F2Maker) PooledBytes() (arena, slab int) {
+	return m.arena.pooled(), m.slab.Spare() * countSketchBytes
 }
+
+// ArenaBytes returns the bytes the maker's arena maps: HeldBytes plus the
+// arena's half of PooledBytes, off the collected heap.
+func (m *F2Maker) ArenaBytes() int { return m.arena.mapped }
 
 // HeldBytes returns Σ Bytes over the maker's sketches: the tables and arrays
-// they hold right now, free lists excluded. It is a field read.
-func (m *F2Maker) HeldBytes() int { return m.held }
+// they hold right now, free blocks excluded. It is a field read.
+func (m *F2Maker) HeldBytes() int { return m.arena.asked }
 
 // HeaderBytes returns the memory of the sketch structs themselves, which no
 // sketch's Bytes counts: a CountSketch for each sketch handed out, by Alloc or
 // New, and not taken back, a denseState for each dense one and a wideCounters
-// for each past int8, each at its allocator size class; not the denseState a
-// recycled sketch from New keeps while it is back in the items form.
+// for each past int8, each at its allocator size class; not the one sketch
+// Recycle keeps for the next New, nor the denseState a recycled sketch keeps
+// while it is back in the items form.
 func (m *F2Maker) HeaderBytes() int { return m.headers }
 
 // What the allocator hands out for the three structs: 64 bytes is a size
@@ -396,6 +369,10 @@ func (m *F2Maker) Name() string { return "f2/countsketch" }
 // its table on the first update, and a dense array only if it promotes.
 func (m *F2Maker) New() Sketch {
 	m.headers += countSketchBytes
+	if c := m.spare; c != nil {
+		m.spare = nil
+		return c
+	}
 	return &CountSketch{maker: m}
 }
 
@@ -722,12 +699,11 @@ func (c *CountSketch) allocDense() {
 	c.setTable(table{})
 	c.n, c.f2hi, c.f2lo = 0, 0, 0
 	if c.denseState == nil {
-		c.denseState = &denseState{rowF2: make([]float64, m.depth)}
+		c.denseState = new(denseState)
 	}
-	c.c8, c.cw = takeArray(&m.pool8, m.depth*m.width), 1
-	clear(c.rowF2)
+	c.c8, c.cw = takeArray[int8](m.arena, m.depth*m.width), 1
+	c.rowF2 = takeArray[float64](m.arena, m.depth)
 	c.dense = true
-	m.held += c.Bytes()
 	m.headers += denseStateBytes
 }
 
@@ -746,17 +722,17 @@ func (c *CountSketch) sumSquares() {
 }
 
 // Reset implements Resetter: back to the empty items form, holding nothing. A
-// dense array or a hashed table is zeroed and pooled for the next sketch that
-// needs its size; the first update takes a table at the bottom rung, so a
-// recycled sketch starts as a new one does.
+// dense array and its row sums, or a table, go back to the arena zeroed for
+// the next sketch that needs their size; the first update takes a table at
+// the bottom rung, so a recycled sketch starts as a new one does.
 func (c *CountSketch) Reset() {
 	if c.dense {
 		if c.cw > 1 {
 			c.maker.headers -= wideCountersBytes
 		}
 		c.release()
-		c.wide, c.dense = nil, false
-		c.maker.held -= 8 * len(c.rowF2)
+		putArray(c.maker.arena, c.rowF2)
+		c.wide, c.rowF2, c.dense = nil, nil, false
 		c.maker.headers -= denseStateBytes
 	}
 	c.maker.putTable(c.tab)

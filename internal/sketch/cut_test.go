@@ -3,7 +3,6 @@ package sketch
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"github.com/streamagg/correlated/internal/hash"
@@ -30,13 +29,7 @@ func primeTables(t *testing.T, m *F2Maker) {
 			m.Recycle(c)
 			// A probe of a table that came back dirty may never end: say so
 			// before the next sketch takes one.
-			for k, list := range m.tables {
-				for _, tab := range list {
-					if len(tab) != 4<<k || slices.Max(tab) != 0 {
-						t.Fatalf("priming: the list of %d-word tables holds one of %d words, largest %#x", 4<<k, len(tab), slices.Max(tab))
-					}
-				}
-			}
+			checkArena(t, "priming", m)
 		}
 	}
 }

@@ -125,8 +125,26 @@ func (m *FkMaker) At(h uint32) Sketch { return m.slab.At(h) }
 
 // Free implements Maker.
 func (m *FkMaker) Free(h uint32) {
-	clear(m.slab.At(h).levels)
+	m.release(m.slab.At(h))
 	m.slab.Free(h)
+}
+
+// Recycle implements Recycler: the level sketches of an Fk from New give their
+// counters back to the CountSketch maker's arena.
+func (m *FkMaker) Recycle(sk Sketch) {
+	if f, ok := sk.(*Fk); ok && f.maker == m {
+		m.release(f)
+	}
+}
+
+// release recycles f's level sketches and leaves every level untouched.
+func (m *FkMaker) release(f *Fk) {
+	for j := range f.levels {
+		if cs := f.levels[j].cs; cs != nil {
+			m.csMaker.Recycle(cs)
+		}
+	}
+	clear(f.levels)
 }
 
 // ensure allocates level j's tables on first use.

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"github.com/streamagg/correlated/internal/hash"
 )
@@ -25,13 +24,11 @@ import (
 // after every step also holds the maker's books to a walk of what it has out.
 
 // twinOf returns a maker with m's geometry, row hashes and promotion point, and
-// free lists of its own: the maker of the twins.
+// an arena of its own: the maker of the twins.
 func twinOf(m *F2Maker) *F2Maker {
-	return &F2Maker{
-		width: m.width, depth: m.depth, rowH: m.rowH, itemsMax: m.itemsMax,
-		medScratch: make([]float64, m.depth),
-		tables:     make([][][]uint64, len(m.tables)),
-	}
+	twin := NewF2Maker(m.width, m.depth, hash.New(0))
+	twin.rowH, twin.itemsMax = m.rowH, m.itemsMax
+	return twin
 }
 
 // model is what a register was fed: the net frequencies, the counters they
@@ -244,13 +241,21 @@ func sameSketch(t *testing.T, step string, a, b *CountSketch) {
 }
 
 // checkBooks fails unless m's running counts are a walk of the sketches it has
-// out, and its free lists hold nothing but zeroed storage of their class,
-// within their bounds. It returns the lists at their bound.
-func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) (full []string) {
-	held, headers := 0, 0
+// out — and of the one sketch it keeps for the next New, which must be empty —
+// and its arena's are a walk of its blocks (checkArena). It returns how many
+// free blocks each of the dense arrays' size classes, and the other classes
+// together ("tables"), hold.
+func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) (free map[string]int) {
+	held, headers, used := 0, 0, 0
+	if c := m.spare; c != nil {
+		if c.dense || c.tab != nil || c.n != 0 || c.maker != m {
+			t.Fatalf("%s: the maker keeps a sketch holding dense=%v, %d words, %d pairs", step, c.dense, len(c.tab), c.n)
+		}
+	}
 	for _, c := range out {
 		held += c.Bytes()
 		headers += countSketchBytes
+		used += blockBytes(m, c)
 		wide := c.dense && c.cw > 1
 		if wide != (c.denseState != nil && c.wide != nil) {
 			t.Fatalf("%s: dense=%v at %d bytes a counter with wide headers %v", step, c.dense, c.cw, !wide)
@@ -265,46 +270,49 @@ func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) (full
 	if m.HeldBytes() != held || m.HeaderBytes() != headers {
 		t.Fatalf("%s: HeldBytes %d, HeaderBytes %d; the %d sketches out hold %d and %d", step, m.HeldBytes(), m.HeaderBytes(), len(out), held, headers)
 	}
-	pooled := 0
-	for k, list := range m.tables {
-		pooled += 8 * pooledZeroed(t, step, list, maxTablePool, 4<<k)
-		if len(list) == maxTablePool {
-			full = append(full, "tables")
+	if m.arena.used != used {
+		t.Fatalf("%s: the arena has %d bytes of blocks out, the sketches' blocks are %d", step, m.arena.used, used)
+	}
+	if _, slab := m.PooledBytes(); slab != m.slab.Spare()*countSketchBytes {
+		t.Fatalf("%s: PooledBytes counts %d bytes of slab slots, the slab has %d spare", step, slab, m.slab.Spare())
+	}
+	names := map[int]string{}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"int8", m.width * m.depth}, {"int16", 2 * m.width * m.depth}, {"int64", 8 * m.width * m.depth}} {
+		if k, _ := m.arena.class(c.n); names[k] == "" {
+			names[k] = c.name
 		}
 	}
-	array := m.width * m.depth
-	pooled += pooledZeroed(t, step, m.pool8, maxNarrowPool, array) +
-		2*pooledZeroed(t, step, m.pool16, maxWidePool, array) +
-		8*pooledZeroed(t, step, m.pool64, maxWidePool, array) +
-		m.slab.Spare()*countSketchBytes
-	if got, bound := m.PooledBytes(); got != pooled || got > bound {
-		t.Fatalf("%s: PooledBytes %d of at most %d, the lists and the slab's spare slots hold %d", step, got, bound, pooled)
-	}
-	for name, n := range map[string]int{"int8": len(m.pool8) - maxNarrowPool,
-		"int16": len(m.pool16) - maxWidePool, "int64": len(m.pool64) - maxWidePool} {
-		if n == 0 {
-			full = append(full, name)
+	free = map[string]int{}
+	for k, n := range checkArena(t, step, m) {
+		name := names[k]
+		if name == "" {
+			name = "tables"
 		}
+		free[name] += n
 	}
-	return full
+	return free
 }
 
-// pooledZeroed fails unless list holds at most limit entries of n zeroed
-// elements each, and returns the elements it holds.
-func pooledZeroed[T any](t *testing.T, step string, list [][]T, limit, n int) int {
-	if len(list) > limit {
-		t.Fatalf("%s: a free list holds %d, its bound is %d", step, len(list), limit)
+// blockBytes is the arena's share of c: its table's or its array's and row
+// sums' blocks at their class sizes.
+func blockBytes(m *F2Maker, c *CountSketch) int {
+	size := func(n int) int {
+		_, s := m.arena.class(n)
+		return s
 	}
-	for _, s := range list {
-		b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
-		if len(s) != n || !bytes.Equal(b, zeros[:len(b)]) {
-			t.Fatalf("%s: a free list of %d-element entries holds a dirty one, or one of %d", step, n, len(s))
-		}
+	switch {
+	case c.dense:
+		return size(int(c.cw)*m.width*m.depth) + size(8*len(c.rowF2))
+	case len(c.tab) > 0:
+		return size(8 * len(c.tab))
 	}
-	return len(list) * n
+	return 0
 }
 
-var zeros = make([]byte, 1<<14) // more than the largest table or array a test geometry has
+var zeros = make([]byte, 1<<16) // more than the largest table or array a test geometry has
 
 // shape is what a step can change about a sketch's storage.
 type shape struct {
@@ -365,14 +373,14 @@ func moves(before, after shape) (names []string) {
 
 // runForms runs seeded random operation sequences over three registers a run,
 // seeds from to to on each geometry, and fails unless each named floor — a
-// storage move, a merge of two forms, a list found full — was seen at least 50
+// storage move, a merge of two forms, a free block taken again — was seen at least 50
 // times. Each register draws its identifiers from one band — under
 // 2^24, across it, across 2^32 — and its weights from units, or up to and
 // across 2^7, 2^15, 2^31 and 2^40, signed, over a domain on either side of the
 // promotion point, so tables and arrays climb every rung and come back under
 // it. Merges meet every pair of forms, a register with itself too; Compact
 // cuts tables that later writes hash again; and the makers start with their
-// free lists primed, so a table handed back unzeroed, or too early, shows as a
+// arenas' free lists primed, so a table handed back unzeroed, or too early, shows as a
 // pair nobody added.
 func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to uint64, floors ...string) {
 	seen := map[string]int{}
@@ -415,6 +423,7 @@ func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to ui
 				return p
 			}
 			regs := []*register{fresh(0), fresh(1), fresh(2)}
+			var lastFree map[string]int
 			out := func(more ...*CountSketch) []*CountSketch {
 				return append(more, regs[0].a, regs[1].a, regs[2].a)
 			}
@@ -556,13 +565,13 @@ func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to ui
 						p = regs[j]
 					}
 				default:
-					// A burst of copies of p in the maker's slab, more than the
-					// list their storage goes to takes back, freed at once: each
-					// slot goes back holding nothing but its maker, and waits,
-					// counted in PooledBytes, for the next Alloc.
+					// A burst of copies of p in the maker's slab, freed at once:
+					// each slot goes back holding nothing but its maker, and
+					// waits, counted in PooledBytes, for the next Alloc, and
+					// each block to its class's free list in the arena.
 					what, acted = at("recycle burst"), nil
 					img, _ := p.a.MarshalBinary()
-					burst := make([]uint32, maxPool+1)
+					burst := make([]uint32, 300)
 					held := make([]*CountSketch, len(burst))
 					for k := range burst {
 						burst[k] = m.Alloc()
@@ -593,9 +602,13 @@ func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to ui
 					}
 				}
 				p.check(t, what)
-				for _, name := range checkBooks(t, what, m, out()) {
-					seen["full list of "+name]++
+				free := checkBooks(t, what, m, out())
+				for name, n := range free {
+					if n < lastFree[name] {
+						seen["free "+name+" taken again"]++
+					}
 				}
+				lastFree = free
 				if p.a.dense && p.a.cw > widthFor(p.ctr) || !p.a.dense && p.a.rung > needsRung(p.a) {
 					seen["wider than its values need"]++
 				}
@@ -627,7 +640,7 @@ func TestCountSketchFormsAgree(t *testing.T) {
 		"promote", "promote a cut table", "array to int16", "array to int64", "reset a table", "reset an array",
 		"wider than its values need", "cut table with a spare half word", "merge a cut table into itself",
 		"unmarshal over a used sketch", "failed unmarshal", "recycle burst",
-		"spare slab slots", "full list of tables", "full list of int8", "full list of int16", "full list of int64",
+		"spare slab slots", "free tables taken again", "free int8 taken again", "free int16 taken again", "free int64 taken again",
 	}
 	forms := []string{"4", "8", "16", "cut", "dense"}
 	for _, a := range forms {
@@ -660,5 +673,5 @@ func TestCountSketchCutTableAgrees(t *testing.T) {
 
 func TestMakerBooksAreTheWalk(t *testing.T) {
 	runForms(t, []struct{ width, depth int }{{8, 1}}, 13, 18, "unmarshal over a used sketch", "failed unmarshal",
-		"recycle burst", "spare slab slots", "full list of tables", "full list of int8", "full list of int16", "full list of int64")
+		"recycle burst", "spare slab slots", "free tables taken again", "free int8 taken again", "free int16 taken again", "free int64 taken again")
 }

@@ -30,10 +30,12 @@
 // two, then eight. And a sketch whose bucket has closed, which ingest never
 // writes to again, has its table cut to exactly the pairs it holds (Compact);
 // a later write hashes it again. Three table widths, three array widths, one
-// API: no answer, image or Size depends on a width or a cut, only Bytes. A
-// table or array a sketch grows out of, or is recycled with, goes back zeroed
-// to its maker's free lists for the next sketch that needs one, so ingest
-// allocates little beyond what the summary ends up holding.
+// API: no answer, image or Size depends on a width or a cut, only Bytes.
+// Tables and arrays are blocks of their maker's arena, off the collected heap
+// (arena.go): one a sketch grows out of, or is recycled with, goes back
+// zeroed to the arena for the next sketch that needs its size class, so the
+// collector never sees the counters, and ingest allocates on the heap little
+// beyond the sketch structs the summary keeps.
 package sketch
 
 import "errors"
@@ -122,8 +124,10 @@ type Resetter interface {
 
 // Recycler is implemented by makers whose sketches hold storage the maker
 // lends them: Recycle takes back what a sketch from New holds, for the next
-// sketch that needs it, and leaves the struct to the collector. The caller
-// must drop every reference to the sketch.
+// sketch that needs it. The caller must drop every reference to the sketch,
+// and must recycle every sketch from New it is done with: storage a dropped
+// sketch holds is on the maker's books, and in its arena, until the maker
+// itself is collected.
 type Recycler interface {
 	Recycle(Sketch)
 }
@@ -169,19 +173,6 @@ func Compose(m Maker, parts []Sketch) Sketch {
 	}
 	return out
 }
-
-// maxPool bounds an F2Maker's free lists of dense arrays, all widths
-// together (see maxWidePool): one group can evict a few hundred buckets, and
-// a small pool captures the reuse.
-const maxPool = 256
-
-// maxTablePool bounds each of an F2Maker's free lists of items tables, one a
-// size class. What a list has to cover is the tables one group's growth steps
-// leave before its next ones take them. Replaying corrdbench's stream shapes
-// through a summary, 64 a class ends holding a third of a megabyte; 256 and
-// 4 096 hold four and up to eighteen times that to allocate a seventh less,
-// and the runtime's footprint reads the same at all three.
-const maxTablePool = 64
 
 // ItemEstimator is implemented by sketches that can estimate the frequency
 // of an individual item (CountSketch, Fk). The correlated heavy hitters

@@ -15,12 +15,6 @@ func fits(cw uint8, v int64) bool {
 	return v<<spare>>spare == v
 }
 
-// maxWidePool bounds each of a maker's two free lists of widened arrays, and
-// maxNarrowPool the int8 list with the rest of maxPool. Separate bounds,
-// rather than one on the total, keep a burst of recycled wide arrays from
-// crowding out the narrow ones every promotion starts from.
-const maxWidePool, maxNarrowPool = maxPool / 8, maxPool - 2*maxWidePool
-
 // addRows adds ±w (the sign is the slot's low bit) to one counter in each of
 // rows[from:] and keeps the rows' sums of squares current. It returns
 // len(rows), or the first row whose counter would not fit T, with the rows
@@ -126,64 +120,41 @@ func appendCounters[T ctr](buf []byte, data []T) []byte {
 	return buf
 }
 
-// takeArray returns a zeroed array of n counters or table words, pooled if
-// there is one.
-func takeArray[T any](pool *[][]T, n int) []T {
-	k := len(*pool)
-	if k == 0 {
-		return make([]T, n)
-	}
-	a := (*pool)[k-1]
-	(*pool)[k-1] = nil
-	*pool = (*pool)[:k-1]
-	return a
-}
-
-// putArray zeroes a and pools it, unless the list already holds limit.
-func putArray[T any](pool *[][]T, a []T, limit int) {
-	if len(*pool) < limit {
-		clear(a)
-		*pool = append(*pool, a)
-	}
-}
-
-// release zeroes and pools the array cw names, leaving the sketch without one.
+// release hands the array cw names back to the arena, zeroed, leaving the
+// sketch without one.
 func (c *CountSketch) release() {
-	m := c.maker
-	m.held -= int(c.cw) * m.width * m.depth
+	a := c.maker.arena
 	switch c.cw {
 	case 1:
-		putArray(&m.pool8, c.c8, maxNarrowPool)
+		putArray(a, c.c8)
 		c.c8 = nil
 	case 2:
-		putArray(&m.pool16, c.wide.c16, maxWidePool)
+		putArray(a, c.wide.c16)
 		c.wide.c16 = nil
 	case 8:
-		putArray(&m.pool64, c.wide.c64, maxWidePool)
+		putArray(a, c.wide.c64)
 		c.wide.c64 = nil
 	}
 	c.cw = 0
 }
 
 // widen moves a dense sketch's counters to an array of the next stored
-// width, the first time into a new wideCounters, and pools the one they leave.
+// width, the first time into a new wideCounters, and hands back the one they
+// leave.
 func (c *CountSketch) widen() {
 	m := c.maker
 	switch c.cw {
 	case 1:
 		c.wide = new(wideCounters)
 		m.headers += wideCountersBytes
-		wider := widened(takeArray(&m.pool16, len(c.c8)), c.c8)
+		wider := widened(takeArray[int16](m.arena, len(c.c8)), c.c8)
 		c.release()
 		c.wide.c16, c.cw = wider, 2
 	case 2:
-		wider := widened(takeArray(&m.pool64, len(c.wide.c16)), c.wide.c16)
+		wider := widened(takeArray[int64](m.arena, len(c.wide.c16)), c.wide.c16)
 		c.release()
 		c.wide.c64, c.cw = wider, 8
-	default:
-		return
 	}
-	m.held += int(c.cw) * m.width * m.depth
 }
 
 // at returns dense counter j.

@@ -11,19 +11,25 @@
 // to the collector, so what a slab holds is the most it has held.
 package slab
 
-// chunkBits sets the records a chunk holds: 256, which is 4 KiB of 16-byte
-// tree nodes and 16 KiB of 64-byte sketches — at most that much spare in the
-// last chunk of a slab, beside the megabytes a tenant's summaries hold.
+// chunkLen is the records a chunk holds: 255, which is 4 080 bytes of 16-byte
+// tree nodes and 16 320 of 64-byte sketches — at most that much spare in the
+// last chunk of a slab, beside the megabytes a tenant's summaries hold. Not
+// 256: a chunk of records holding pointers carries the allocator's 8-byte
+// header, so 256 sketches, 16 392 bytes, would take an 18 KiB size class and
+// leave 2 KiB of every chunk to nobody; 255 fill the 16 KiB class, and 255
+// tree nodes the 4 KiB one. Handles still count 256 to a chunk — the last of
+// every 256 is never handed out — so finding a record stays a shift and a
+// mask.
 const (
 	chunkBits = 8
-	chunkLen  = 1 << chunkBits
+	chunkLen  = 1<<chunkBits - 1
 )
 
 // Slab holds records of type T. The zero Slab is empty and ready to use; it
 // belongs to one goroutine at a time.
 type Slab[T any] struct {
 	chunks []*[chunkLen]T
-	used   uint32   // slots ever handed out: every handle is at most this
+	used   uint32   // slots ever handed out
 	free   []uint32 // handles freed since, the last to be taken next
 }
 
@@ -39,15 +45,16 @@ func (s *Slab[T]) Alloc() uint32 {
 	if int(s.used) == len(s.chunks)*chunkLen {
 		s.chunks = append(s.chunks, new([chunkLen]T))
 	}
+	i := s.used/chunkLen<<chunkBits | s.used%chunkLen
 	s.used++
-	return s.used
+	return i + 1
 }
 
 // At returns the record h names. The pointer stays valid, and the record in
 // place, until h is freed.
 func (s *Slab[T]) At(h uint32) *T {
 	i := h - 1
-	return &s.chunks[i>>chunkBits][i&(chunkLen-1)]
+	return &s.chunks[i>>chunkBits][i&(1<<chunkBits-1)]
 }
 
 // Free gives h's slot back for the next Alloc. The caller must drop every

@@ -1,6 +1,9 @@
 package slab
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestSlabReusesAndNeverMoves: handles start at 1, a freed slot is the next
 // one taken, growth adds a chunk without moving a record, and Live and Spare
@@ -37,5 +40,50 @@ func TestSlabReusesAndNeverMoves(t *testing.T) {
 	}
 	if s.Alloc(); len(s.chunks) != 4 || s.Spare() != chunkLen-1 {
 		t.Fatalf("a full slab grew to %d chunks with %d spare", len(s.chunks), s.Spare())
+	}
+}
+
+// TestChunkFillsItsSizeClass: a chunk of 64-byte records holding pointers —
+// the bucket sketches' — with the allocator's header is one 16 KiB size class,
+// not the next one up.
+func TestChunkFillsItsSizeClass(t *testing.T) {
+	type record struct {
+		p    *int
+		rest [7]uint64
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const chunks = 256
+	var s Slab[record]
+	before := heap()
+	for i := 0; i < chunks*chunkLen; i++ {
+		s.Alloc()
+	}
+	per := (heap() - before) / chunks
+	runtime.KeepAlive(&s)
+	if per < 15<<10 || per > 17<<10 { // 18 KiB with the next class up
+		t.Fatalf("a chunk of %d 64-byte records takes %d bytes of heap, want 16 KiB", chunkLen, per)
+	}
+}
+
+// TestHandlesSkipTheLastOfEvery256: a chunk holds 255 records and handles
+// count 256 to a chunk, so the handles handed out run 1–255, 257–511, …: none
+// names the slot past a chunk's end, and each names its own record.
+func TestHandlesSkipTheLastOfEvery256(t *testing.T) {
+	var s Slab[uint32]
+	seen := map[*uint32]bool{}
+	for n := 0; n < 3*chunkLen; n++ {
+		h := s.Alloc()
+		if h%(1<<chunkBits) == 0 || seen[s.At(h)] {
+			t.Fatalf("allocation %d got handle %d", n, h)
+		}
+		seen[s.At(h)] = true
+	}
+	if len(s.chunks) != 3 || s.Spare() != 0 {
+		t.Fatalf("%d records in %d chunks with %d spare", 3*chunkLen, len(s.chunks), s.Spare())
 	}
 }

@@ -40,7 +40,7 @@ func (s *summary) QueryGE(c uint64) (float64, error) { return s.d.queryGE(c) }
 
 // MergeMarshaled folds a summary serialized with MarshalBinary — the wire
 // form a site ships to the coordinator — into the receiver, decoding
-// buckets straight into the receiver's pooled sketches instead of
+// buckets straight into sketches from the receiver's slabs instead of
 // materializing a second summary first. The bytes must come from a summary
 // of the same type (and, for Fk, the same k) built from identical Options.
 // The receiver is untouched on error.
@@ -63,7 +63,7 @@ func (s *summary) MarshalBinary() ([]byte, error) { return s.d.marshal() }
 func (s *summary) UnmarshalBinary(data []byte) error { return s.d.unmarshal(data) }
 
 // Reset returns the summary to its freshly constructed state, keeping
-// (and recycling into) its sketch pools. Useful for reusing a summary as
+// (and recycling into) its slabs and its sketch makers' arenas. Useful for reusing a summary as
 // a merge accumulator or across stream epochs.
 func (s *summary) Reset() { s.d.reset() }
 

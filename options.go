@@ -274,12 +274,13 @@ func (d *dual) occupancy() (le, ge []LevelOccupancy) {
 	return le, ge
 }
 
-// Footprint is the memory behind a summary in bytes — what its sketches hold
-// (Occupancy's Bytes, added up), what their makers' free lists hold
-// (Occupancy's Pooled) and the bucket and sketch structs around them — read
-// from counts kept as the summary changes, so asking walks nothing. Only the
-// F2 sketch keeps such counts; the other aggregates answer 8 × Space() as
-// Held, by Space's walk.
+// Footprint is the memory behind a summary in bytes — what its sketches hold,
+// what else their makers' arenas map (free blocks, chunk ends, size-class
+// rounding), what the arenas map in all, and the tree nodes and sketch
+// structs around them on the heap — read from counts kept as the summary
+// changes, so asking walks nothing. Only the F2 sketch keeps such counts, and
+// only it has arenas; the other aggregates answer 8 × Space() as Held, by
+// Space's walk, and their spare tree nodes as Pooled, with Arena 0.
 type Footprint = core.Footprint
 
 // footprint adds up the enabled directions.

@@ -91,12 +91,20 @@ func checkMergedState(t *testing.T, when string, s roundsSummary, fresh func() r
 	t.Helper()
 	le, ge := s.Occupancy()
 	var walk Footprint
+	var sketches int64
 	for _, o := range append(le, ge...) {
 		walk.Held += o.Bytes
 		walk.Pooled += o.Pooled
+		sketches += o.ItemsBytes + o.DenseBytes
 	}
-	if f := s.Footprint(); f.Held != walk.Held || f.Pooled != walk.Pooled {
+	f := s.Footprint()
+	if f.Arena == 0 && (f.Held != walk.Held || f.Pooled != walk.Pooled) {
 		t.Fatalf("%s: Footprint %+v, the walk finds held %d, pooled %d", when, f, walk.Held, walk.Pooled)
+	}
+	// Counters in an arena: Held is the sketches' storage, the arena maps it
+	// and Pooled, and Pooled is the arena's share of what the rows pool.
+	if f.Arena != 0 && (f.Held != sketches || f.Held+f.Pooled != f.Arena || f.Pooled > walk.Pooled) {
+		t.Fatalf("%s: Footprint %+v, the walk finds sketches holding %d, pooled %d", when, f, sketches, walk.Pooled)
 	}
 	img, err := s.MarshalBinary()
 	if err != nil {

@@ -474,14 +474,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var count uint64
 	var space int64
 	var mem *client.Memory
-	var accounted int64
+	var accounted, arena int64
 	if err == nil {
 		count, space = eng.Count(), eng.Space()
 		var view *tenant // nil: every tenant
 		if named {
 			view = tn
 		}
-		mem, accounted = s.memoryLedgerLocked(view)
+		mem, accounted, arena = s.memoryLedgerLocked(view)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -489,7 +489,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mem.QueuedMemberBytes = s.queuedMemberBytes()
-	finishLedger(mem, accounted+mem.QueuedMemberBytes)
+	finishLedger(mem, accounted+mem.QueuedMemberBytes, arena)
 	if named {
 		tn.touch()
 	}

@@ -10,22 +10,28 @@ import (
 	"github.com/streamagg/correlated/internal/fault"
 )
 
-// The memory ledger of /v1/stats: two sums an operator can check against each
-// other from the daemon's own output, each with its remainder printed.
+// The memory ledger of /v1/stats: three sums an operator can check against
+// each other from the daemon's own output.
 //
-//	held + pooled + headers + spilled + pipeline  ≈  live heap
-//	heap + off-heap runtime − released + file     ≈  VmRSS
+//	held + pooled                                 =  arena
+//	headers + spilled + pipeline                  ≈  live heap
+//	heap + off-heap runtime − released + file + arena  ≈  VmRSS
 //
-// The first line's left side is what the tenants' summaries keep
-// (correlated.Footprint, running counts), what the commit pipeline keeps
-// between groups and the buffers of the ingest members waiting in its queue;
-// its remainder is the buffers of requests and stream frames the committer
-// has taken and not yet acknowledged or that wait in a sync.Pool, the
-// tenants' answer memos and registry, and the HTTP, stream and log state.
-// The second line is the runtime's own split
-// (runtime/metrics, which reads without stopping the world) against the
-// kernel's figure; its remainder is pages the runtime has mapped and never
-// touched (negative) or memory outside the runtime's books.
+// The F2 summaries keep their counters in their makers' arenas, off the
+// collected heap (correlated.Footprint, running counts): the first line is
+// what the sketches hold against what the arenas map, and closes exactly —
+// pooled is the arenas' free blocks, chunk ends and size-class rounding. The
+// second line's left side is what the summaries keep on the heap — tree
+// nodes, sketch structs, slab spares — what the commit pipeline keeps between
+// groups and the buffers of the ingest members waiting in its queue; its
+// remainder is the buffers of requests and stream frames the committer has
+// taken and not yet acknowledged or that wait in a sync.Pool, the tenants'
+// answer memos and registry, and the HTTP, stream and log state. (The other
+// aggregates have no arena: their held and pooled join the second line.)
+// The third line is the runtime's own split (runtime/metrics, which reads
+// without stopping the world) and the arenas against the kernel's figure;
+// its remainder is pages mapped and never touched (negative), arenas of
+// dropped summaries not yet collected, and memory outside both books.
 
 // readRuntime fills the runtime's split of m from runtime/metrics. A name this
 // runtime does not know adds nothing.
@@ -89,12 +95,13 @@ func readProcStatus(m *client.Memory) {
 // memoryLedgerLocked starts the ledger with what only the driver lock makes
 // readable: the tenants' footprints and the committer's scratch. The tenant
 // figures are named's when one is given and the whole registry's otherwise;
-// accounted is every tenant's and the pipeline's bytes, for the remainder
-// finishLedger computes once the lock is released. A spilled tenant counts
+// accounted is what every tenant and the pipeline keep on the heap, and arena
+// what every tenant's arenas map, for the remainders finishLedger computes
+// once the lock is released. A spilled tenant counts
 // what noteFootprintLocked counts, its image's length. For the aggregates
 // whose Footprint is a walk (Config.countsBytes) this walks every live
 // tenant — stats-rate traffic, like /metrics' Space. Callers hold s.mu.
-func (s *Server) memoryLedgerLocked(named *tenant) (m *client.Memory, accounted int64) {
+func (s *Server) memoryLedgerLocked(named *tenant) (m *client.Memory, accounted, arena int64) {
 	var all, one correlated.Footprint
 	var spilledAll, spilledOne int64
 	for _, t := range s.tenants {
@@ -116,10 +123,11 @@ func (s *Server) memoryLedgerLocked(named *tenant) (m *client.Memory, accounted 
 	}
 	m = &client.Memory{
 		HeldBytes: one.Held, PooledBytes: one.Pooled, HeaderBytes: one.Headers, SpilledBytes: spilledOne,
+		ArenaBytes:    one.Arena,
 		ApplyBufBytes: 24 * int64(cap(s.applyBuf)),
 		GroupBufBytes: int64(cap(s.groupBuf)),
 	}
-	return m, all.Total() + spilledAll + m.ApplyBufBytes + m.GroupBufBytes
+	return m, all.Total() - all.Arena + spilledAll + m.ApplyBufBytes + m.GroupBufBytes, all.Arena
 }
 
 // queuedMemberBytes is what the ingest members waiting in the commit queue
@@ -138,11 +146,11 @@ func (s *Server) queuedMemberBytes() int64 {
 
 // finishLedger adds the runtime's and the kernel's figures and the two
 // remainders. It takes no lock.
-func finishLedger(m *client.Memory, accounted int64) {
+func finishLedger(m *client.Memory, accounted, arena int64) {
 	readRuntime(m)
 	readProcStatus(m)
 	m.HeapUnaccountedBytes = m.HeapLiveBytes - accounted
 	if m.VmRSSBytes > 0 {
-		m.RSSUnaccountedBytes = m.VmRSSBytes - m.RssFileBytes - (m.TotalBytes - m.HeapReleasedBytes)
+		m.RSSUnaccountedBytes = m.VmRSSBytes - m.RssFileBytes - (m.TotalBytes - m.HeapReleasedBytes) - arena
 	}
 }

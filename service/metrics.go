@@ -241,7 +241,7 @@ func (m *metrics) observe(handler string, d time.Duration) {
 type tenantStats struct {
 	total int   // tenants registered (default included)
 	live  int   // tenants with a materialized engine
-	bytes int64 // Server.tenantBytes: what the tenants keep on the heap
+	bytes int64 // Server.tenantBytes: what the tenants keep, heap and arenas
 }
 
 // replicationStats is the replication-lag part of the exposition,
@@ -312,7 +312,7 @@ func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, rs replicati
 	g("corrd_uptime_seconds", "Seconds since the server was created.", int64(time.Since(m.start).Seconds()))
 	g("corrd_tenants", "Keyed namespaces registered (the default tenant included).", int64(ts.total))
 	g("corrd_tenants_live", "Tenants with a materialized engine (the rest are spilled images).", int64(ts.live))
-	g("corrd_tenant_bytes", "Bytes the tenants keep on the heap (the MaxTenantBytes input): a live summary's sketch storage, free lists and structs as of its last change, a spilled one's image length.", ts.bytes)
+	g("corrd_tenant_bytes", "Bytes the tenants keep (the MaxTenantBytes input): a live summary's sketch storage and what else its makers' arenas map, and its structs on the heap, as of its last change; a spilled one's image length.", ts.bytes)
 	c("corrd_tenant_created_total", "Tenants created over this process's lifetime.", m.tenantsCreated.Load())
 	c("corrd_tenant_spills_total", "Idle tenants spilled to an in-memory image.", m.tenantsSpilled.Load())
 	c("corrd_tenant_restores_total", "Tenants materialized from an image (a spilled one on touch; the default at a restore or re-seed).", m.tenantsRestored.Load())

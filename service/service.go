@@ -166,11 +166,11 @@ type Config struct {
 	// past the cap is rejected with HTTP 429 (AckTenant on the stream).
 	// 0 means unlimited.
 	MaxTenants int
-	// MaxTenantBytes caps what the tenants keep on the heap, in bytes;
-	// creating a tenant past it is rejected with HTTP 413. 0 means
-	// unlimited. A live tenant counts what its summary holds — sketch
-	// tables and arrays at their stored widths, the makers' free lists, the
-	// bucket and sketch structs (correlated.Footprint: running counts for
+	// MaxTenantBytes caps what the tenants keep, in bytes; creating a
+	// tenant past it is rejected with HTTP 413. 0 means unlimited. A live
+	// tenant counts what its summary holds — sketch tables and arrays at
+	// their stored widths and the rest of its makers' arenas, off the heap,
+	// and the bucket and sketch structs on it (correlated.Footprint: running counts for
 	// the F2 summary, true to a few per cent of a heap profile; the other
 	// aggregates count eight bytes a stored word) — as of the last commit,
 	// restore or re-seed that touched it, and a spilled one its image

@@ -29,7 +29,7 @@ import (
 // at every commit, spill and restore (noteFootprintLocked), so enforcement
 // is approximate by one group; the commit decides both before it appends
 // (admitLocked). The count is in bytes either way: what a live tenant's
-// summary keeps on the heap (liveBytes), the image length of a spilled one.
+// summary keeps (liveBytes), the image length of a spilled one.
 // TenantIdleSpill reclaims idle tenants' memory: the summary is marshaled
 // into an in-memory image and dropped, and the next touch lazily
 // unmarshals the same bytes into a fresh one. Spill is pure memory
@@ -338,13 +338,13 @@ func (s *Server) spillIdle(age time.Duration) int {
 	return spilled
 }
 
-// liveBytes is what a live tenant's summary keeps on the heap: the tables and
-// arrays its sketches hold at the widths they are stored at, what their
-// makers' free lists hold, and the bucket and sketch structs around them
-// (correlated.Footprint, added up). For the F2 summary those are running
-// counts — reading them walks nothing — and true to within a few per cent of
-// the heap profile; the other aggregates, which keep none, answer eight bytes
-// per stored word of Space(), by Space's walk.
+// liveBytes is what a live tenant's summary keeps: the tables and arrays its
+// sketches hold at the widths they are stored at and what else their makers'
+// arenas map, off the heap, and the bucket and sketch structs around them on
+// it (correlated.Footprint, added up). For the F2 summary those are running
+// counts — reading them walks nothing — the arenas' exact and the heap's true
+// to within a few per cent of the heap profile; the other aggregates, which
+// keep none, answer eight bytes per stored word of Space(), by Space's walk.
 func liveBytes(eng Engine) int64 { return eng.Footprint().Total() }
 
 // notesAtCommit reports whether a commit notes the footprint of the tenants
