@@ -14,13 +14,12 @@
 //	corrbench -table accuracy-f2
 //	corrbench -table accuracy-f0
 //	corrbench -table throughput
-//	corrbench -table throughput -shards 4   # sharded-engine ingest
-//	corrbench -table sharded-scaling        # tuples/sec at P = 1, 2, 4, 8
 //	corrbench -table greater-than
 //	corrbench -table multipass
+//	corrbench -table multipass-f1           # multipass, Cauchy L1 estimator: first moment of net weights, turnstile stream
 //	corrbench -table occupancy              # per-level buckets, forms, counters and bytes for corrdbench's four shapes
 //	corrbench -table occupancy -n 1000000   # ... for that stream length, uniform and zipf
-//	corrbench -all              # everything, at the default sizes
+//	corrbench -all              # every figure and table but occupancy, at the default sizes
 //
 // The paper ran 40–50M-tuple streams; the defaults here are scaled down
 // (the findings are visible from ~1M tuples) and -n restores full scale.
@@ -30,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	correlated "github.com/streamagg/correlated"
@@ -38,7 +36,6 @@ import (
 	"github.com/streamagg/correlated/internal/gen"
 	"github.com/streamagg/correlated/internal/hash"
 	"github.com/streamagg/correlated/internal/turnstile"
-	"github.com/streamagg/correlated/shard"
 )
 
 const (
@@ -47,10 +44,7 @@ const (
 	xdomF0    = 1_000_001 // F0 datasets: x in [0, 1000000]
 )
 
-var (
-	seed   = flag.Uint64("seed", 1, "random seed for generators and sketches")
-	shards = flag.Int("shards", 1, "shard the F2 throughput run across N worker goroutines")
-)
+var seed = flag.Uint64("seed", 1, "random seed for generators and sketches")
 
 func main() {
 	var (
@@ -113,8 +107,6 @@ func runTable(table string, n int) {
 		multipassTable(orDefault(n, 200_000))
 	case "multipass-f1":
 		multipassF1Table(orDefault(n, 100_000))
-	case "sharded-scaling":
-		shardedScaling(orDefault(n, 2_000_000))
 	case "occupancy":
 		occupancyTable(os.Stdout, n)
 	default:
@@ -320,31 +312,16 @@ func accuracyF0(n int) {
 }
 
 // throughput reports per-record processing rates (Section 5.1 prose).
-// With -shards > 1 the F2 rows run through the sharded ingest engine
-// instead of a single summary.
 func throughput(n int) {
-	fmt.Printf("# Table B (Sec 5.1 prose): update throughput; n=%d, eps=0.2, shards=%d\n", n, *shards)
+	fmt.Printf("# Table B (Sec 5.1 prose): update throughput; n=%d, eps=0.2\n", n)
 	fmt.Println("summary\tdataset\tadds_per_sec")
 	for _, name := range f2Order {
+		s := newF2(0.2, n)
 		st := f2Datasets(n)[name]()
-		label := "F2"
-		var el float64
-		if *shards > 1 {
-			label = fmt.Sprintf("F2/sharded%d", *shards)
-			eng, err := shard.NewF2(f2Options(0.2, n), *shards)
-			die(err)
-			start := time.Now()
-			feed(st, func(x, y uint64) { die(eng.Add(x, y)) })
-			die(eng.Flush())
-			el = time.Since(start).Seconds()
-			die(eng.Close())
-		} else {
-			s := newF2(0.2, n)
-			start := time.Now()
-			feed(st, func(x, y uint64) { die(s.Add(x, y)) })
-			el = time.Since(start).Seconds()
-		}
-		fmt.Printf("%s\t%s\t%.0f\n", label, name, float64(n)/el)
+		start := time.Now()
+		feed(st, func(x, y uint64) { die(s.Add(x, y)) })
+		el := time.Since(start).Seconds()
+		fmt.Printf("F2\t%s\t%.0f\n", name, float64(n)/el)
 	}
 	for _, name := range f0Order {
 		xdom := uint64(xdomF0)
@@ -476,28 +453,6 @@ func multipassF1Table(n int) {
 		}
 		allowed := (1+eps)*(1+eps) - 1
 		fmt.Printf("%.2f\t%.4f\t%.4f\t%d\t%d\n", eps, maxRel, allowed, res.Passes, res.Space)
-	}
-}
-
-// shardedScaling sweeps the sharded F2 engine over P = 1, 2, 4, 8 on the
-// uniform dataset and reports ingest throughput plus a query sanity
-// check. Scaling past P=1 requires at least P+1 free cores.
-func shardedScaling(n int) {
-	fmt.Printf("# Sharded ingest scaling: F2, uniform dataset, eps=0.2, n=%d, GOMAXPROCS=%d\n",
-		n, runtime.GOMAXPROCS(0))
-	fmt.Println("shards\tadds_per_sec\tquery_le_half")
-	for _, p := range []int{1, 2, 4, 8} {
-		eng, err := shard.NewF2(f2Options(0.2, n), p)
-		die(err)
-		st := gen.Uniform(n, xdomF2, ymaxPaper+1, *seed)
-		start := time.Now()
-		feed(st, func(x, y uint64) { die(eng.Add(x, y)) })
-		die(eng.Flush())
-		el := time.Since(start).Seconds()
-		est, err := eng.QueryLE(ymaxPaper / 2)
-		die(err)
-		die(eng.Close())
-		fmt.Printf("%d\t%.0f\t%.3g\n", p, float64(n)/el, est)
 	}
 }
 

@@ -48,10 +48,8 @@
 //	§3.3 heavy hitters        internal/heavy    candidate tracking over the §2 sketch
 //	§1.1 sliding windows      internal/window   timestamp-as-y reduction
 //	§4 turnstile/multipass    internal/turnstile  MULTIPASS, GREATER-THAN bounds
-//	distributed model         shard             P worker-owned summaries, channel-fed
-//	                                            ingest, merge-then-query coordinator,
-//	                                            engine snapshots and merged images (a
-//	                                            library feature; corrd does not use it)
+//	distributed model         . (Merge,         site summaries and their wire images
+//	                          MergeMarshaled)   folded at a coordinator
 //	                          service, client   corrd, the site/coordinator network
 //	                                            daemon (cmd/corrd): HTTP ingest,
 //	                                            sites forwarding their logs,
@@ -223,8 +221,7 @@
 // (Lemma 4) by up to k; use Eps/k at the sites and at the coordinator
 // when a strict ε must survive a k-way merge, at several times one
 // summary's counters (TestMergeRoundsAccuracy holds COUNT within ε at
-// Eps/k for k = 8 and 32). The shard subpackage builds a parallel ingest
-// engine on exactly this merge layer. The service and client subpackages
+// Eps/k for k = 8 and 32). The service and client subpackages
 // (with cmd/corrd) serve the model over HTTP without that term: remote
 // sites forward their write-ahead logs, so the coordinator keeps one
 // summary per tenant and merges nothing, the coordinator daemon serves
@@ -243,10 +240,9 @@
 // the one y-sorted batch, which neither writes — GE walks its equal-y runs
 // from last to first with each y read as YMax − y, so no mirrored copy is
 // made — and share no other state, so the result is bit-identical to
-// applying them in turn.
-// To spread one stream over more cores than that, use the shard
-// subpackage, which owns one summary per worker goroutine and merges at
-// query time — at close to one summary's memory per worker.
+// applying them in turn. That LE ‖ GE split is the multi-core ingest
+// path: a stream spread over P summaries merged at query time costs close
+// to P summaries and, by the k-site term above, answers no better than one.
 //
 // # Quick example
 //

@@ -1,25 +1,16 @@
-// Command distributed demonstrates the paper's distributed model on both
-// of its rungs:
-//
-//  1. Multi-site ingest → coordinator merge: four "sites" each summarize
-//     their local substream, serialize their summary (MarshalBinary — the
-//     bytes a real deployment would ship over the network), and a
-//     coordinator folds the wire images into one summary with
-//     MergeMarshaled, then answers cutoff queries over the union stream.
-//  2. Single-process sharding: the shard package runs the same
-//     partition/merge loop across worker goroutines, turning the merge
-//     layer into a parallel ingest engine.
-//
-// Both answers are compared against exact brute-force aggregation.
+// Command distributed demonstrates the paper's distributed model: four
+// "sites" each summarize their local substream, serialize their summary
+// (MarshalBinary — the bytes a real deployment would ship over the
+// network), and a coordinator folds the wire images into one summary with
+// MergeMarshaled, then answers cutoff queries over the union stream. The
+// answers are compared against exact brute-force aggregation.
 package main
 
 import (
 	"fmt"
 	"log"
-	"time"
 
 	correlated "github.com/streamagg/correlated"
-	"github.com/streamagg/correlated/shard"
 )
 
 const (
@@ -37,7 +28,6 @@ func main() {
 		MaxStreamLen: nTotal, MaxX: xdom, Seed: 42,
 	}
 
-	// ---- Part 1: sites → coordinator ------------------------------------
 	site := make([]*correlated.F2Summary, sites)
 	for i := range site {
 		s, err := correlated.NewF2Summary(opts)
@@ -119,41 +109,5 @@ func main() {
 		if err := coord.MergeMarshaled(badWire); err != nil {
 			fmt.Printf("mismatched site rejected (wire): %v\n", err)
 		}
-	}
-
-	// ---- Part 2: sharded parallel ingest --------------------------------
-	eng, err := shard.NewF2(opts, sites)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rng = 1 // replay the same stream
-	start := time.Now()
-	for i := 0; i < nTotal; i++ {
-		x := next() % xdom
-		y := next() % (ymax + 1)
-		if err := eng.Add(x, y); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := eng.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("\nsharded engine: %d shards ingested %d tuples in %v (%.0f tuples/sec)\n",
-		eng.Shards(), nTotal, elapsed.Round(time.Millisecond),
-		float64(nTotal)/elapsed.Seconds())
-	for _, c := range cuts {
-		var exact float64
-		for _, f := range freq[c] {
-			exact += f * f
-		}
-		est, err := eng.QueryLE(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("shard query c=%-9d est %.4g (rel err %+.3f)\n", c, est, est/exact-1)
-	}
-	if err := eng.Close(); err != nil {
-		log.Fatal(err)
 	}
 }

@@ -187,3 +187,34 @@ func TestCollect(t *testing.T) {
 		t.Fatalf("collected %d", len(got))
 	}
 }
+
+// TestStreamsArePrefixStable: at a fixed seed, the first m tuples of an
+// n-tuple stream are the m-tuple stream — the length only says where to
+// stop. The service smoke script's crash-free oracle relies on this when
+// it regenerates an acknowledged prefix with corrgen -n M.
+func TestStreamsArePrefixStable(t *testing.T) {
+	const n, seed = 20_000, 11
+	for _, tc := range []struct {
+		name string
+		make func(n int) Stream
+	}{
+		{"uniform", func(n int) Stream { return Uniform(n, 500_001, 1_000_001, seed) }},
+		{"zipf1", func(n int) Stream { return Zipf(n, 50_001, 1_000_001, 1, seed) }},
+		{"zipf2", func(n int) Stream { return Zipf(n, 50_001, 1_000_001, 2, seed) }},
+		{"ethernet", func(n int) Stream { return Ethernet(n, seed) }},
+	} {
+		whole := Collect(tc.make(n))
+		for _, m := range []int{0, 1, 2, 3, 999, 12_345, n} {
+			prefix := Collect(tc.make(m))
+			if len(prefix) != m {
+				t.Fatalf("%s: %d-tuple stream produced %d", tc.name, m, len(prefix))
+			}
+			for i := range prefix {
+				if prefix[i] != whole[i] {
+					t.Fatalf("%s: tuple %d of the %d-tuple stream is %+v, of the %d-tuple stream %+v",
+						tc.name, i, m, prefix[i], n, whole[i])
+				}
+			}
+		}
+	}
+}

@@ -29,6 +29,14 @@ echo "wal.Options fields: $(fields Options internal/wal/wal.go | wc -l)"
 echo "readFrame call sites (frame-walking loops, internal/wal): $(count '[^c ]readFrame\(|= readFrame\(' $(nontest internal/wal))"
 echo "health failure streaks: $(fields health service/health.go | grep -cE 'Errs +atomic\.Int32')"
 echo "call sites of the tenant maker (service): $(count '[.](getOrCreateTenant|tenantForWriteLocked)\(' $svc)"
+echo "flags per command (cmd/*, flag. or fs. definitions):"
+for dir in cmd/*/; do
+	echo "  ${dir%/}: $(count '\b(flag|fs)\.(String|Int|Int64|Uint64|Float64|Bool|Duration)(Var)?\(' $(nontest "$dir"))"
+done
+echo "exported top-level funcs and methods per public package (non-test):"
+for dir in . client service shard; do
+	[ -d "$dir" ] && echo "  $dir: $(count '^func (\([^)]*\) )?[A-Z]' $(nontest "$dir"))"
+done
 
 echo "go statements per package (non-test):"
 total=0 per= ttotal=0 tper=

@@ -1,37 +1,32 @@
-// Package shard runs P independent correlated-aggregation summaries on P
-// worker goroutines and answers queries by merging them — the
-// single-process rendition of the paper's distributed model, where the
-// "sites" are shards of one machine's ingest load and the "coordinator"
-// is the query path.
+// Package shard runs P correlated-F2 summaries on P worker goroutines
+// and answers queries by merging them. It exists only because
+// benchmarks/corrdbench's per-layer ledger measures it, and ROADMAP item 2
+// deletes it once that ledger stops importing it. New code wants one root
+// summary per process, with Merge/MergeMarshaled for site images.
 //
-// The engine is built directly on the mergeable-summary layer: every
-// shard owns a summary created from the same Options (hence the same
-// seeded hash functions), tuples are routed round-robin and handed over
-// in recycled batches, each worker drains its channel through the
-// summaries' amortized AddBatch path, and a query merges all shard
-// summaries into a pooled scratch summary and queries that. Because the
-// summaries merge linearly, the sharded engine inherits the structure's
-// (Eps, Delta) guarantees with the k-site caveat documented on
-// F2Summary.Merge (k = number of shards).
+// Every shard owns a summary created from the same Options (hence the
+// same seeded hash functions), tuples are routed round-robin and handed
+// over in recycled batches, each worker drains its channel through the
+// summary's amortized AddBatch path, and a query reads a summary that
+// merges all shards. Because the summaries merge linearly, the engine
+// inherits the structure's (Eps, Delta) guarantees with the k-site
+// caveat documented on F2Summary.Merge (k = number of shards).
 //
 // # Concurrency contract
 //
-// The exported methods of Sharded are *not* safe for concurrent use: one
-// goroutine drives Add/AddBatch/Flush/Query/Close, and the parallelism
-// lives inside (P workers plus the driver pipeline). This keeps the
-// per-tuple ingest path free of locks and atomics — it is an append to a
-// preallocated buffer plus, every batch-size tuples, one channel
-// handoff. Multiple producers should either partition the stream
-// upstream into one engine each (merging at query time), or serialize on
-// their side.
+// The methods of Sharded are *not* safe for concurrent use: one
+// goroutine drives AddBatch/Flush/RefreshCached/MarshalMerged/Close, and
+// the parallelism lives inside (P workers plus the driver pipeline).
+// CachedQueryLEBatch is the exception: it may run beside the driver's
+// ingest, serialized only against RefreshCached.
 //
 // # Error model
 //
 // Ingest is asynchronous: a tuple that fails inside a worker (only
 // possible when it bypassed the engine's own validation) surfaces at the
-// next synchronization point — Flush, a query, Count, Space, or Close —
-// as the first error any worker encountered. Tuples the engine can
-// validate synchronously (y > YMax, non-positive weight) are rejected
+// next synchronization point — Flush, RefreshCached, MarshalMerged or
+// Close — as the first error any worker encountered. Tuples the engine
+// can validate synchronously (y > YMax, negative weight) are rejected
 // immediately and never reach a worker.
 package shard
 
@@ -43,95 +38,41 @@ import (
 	"github.com/streamagg/correlated/internal/dyadic"
 )
 
-// ErrClosed is returned by every method of a Sharded engine after Close.
+// ErrClosed is returned by every driver method of a Sharded engine after
+// Close.
 var ErrClosed = errors.New("shard: engine is closed")
 
-// Summary is the contract a summary type must satisfy to be sharded: the
-// amortized batch ingest path plus mergeability, pooling, and the binary
-// wire form (used for engine snapshots and the site→coordinator push
-// path). The root package's *F2Summary, *FkSummary, *CountSummary and
-// *SumSummary all satisfy it.
-type Summary[S any] interface {
-	AddBatch(batch []correlated.Tuple) error
-	Merge(other S) error
-	MergeMarshaled(data []byte) error
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary(data []byte) error
-	Reset()
-	QueryLE(c uint64) (float64, error)
-	QueryGE(c uint64) (float64, error)
-	Count() uint64
-	Space() int64
-}
-
-// DefaultBatchSize is the per-shard handoff granularity when WithBatchSize
-// is not given: large enough to amortize the channel handoff and the
-// per-group leaf routing inside AddBatch, small enough to keep per-shard
-// buffering (4 in-flight batches) in the L2 cache.
-const DefaultBatchSize = 2048
+// batchSize is the per-shard handoff granularity: large enough to
+// amortize the channel handoff and the per-group leaf routing inside
+// AddBatch, small enough to keep per-shard buffering (4 in-flight
+// batches) in the L2 cache.
+const batchSize = 2048
 
 // spareBuffers is the number of extra batch buffers cycling per worker
 // beyond the one the driver is filling; it bounds in-flight memory and
 // lets the driver run ahead of a briefly busy worker.
 const spareBuffers = 3
 
-// Option configures a Sharded engine.
-type Option func(*config)
-
-type config struct {
-	batchSize int
-	ymax      uint64
-}
-
-// WithBatchSize sets the number of tuples buffered per shard before a
-// handoff to the worker. Larger batches amortize better; smaller ones
-// bound query-time staleness of unflushed tuples. n < 1 is ignored.
-func WithBatchSize(n int) Option {
-	return func(c *config) {
-		if n >= 1 {
-			c.batchSize = n
-		}
-	}
-}
-
-// WithMaxY lets the engine reject y > ymax synchronously in Add instead
-// of asynchronously in the worker (ymax is rounded up to 2^b - 1 as the
-// summaries do). The typed constructors (NewF2, ...) set this from
-// Options.YMax automatically.
-func WithMaxY(ymax uint64) Option {
-	return func(c *config) {
-		if ymax > 0 {
-			c.ymax = dyadic.RoundYMax(ymax)
-		}
-	}
-}
-
-// Sharded fans ingest across P worker-owned summaries and answers queries
-// by pooled merge-then-query. Create one with NewSharded or a typed
-// constructor; always Close it to release the workers.
-type Sharded[S Summary[S]] struct {
-	workers []*worker[S]
-	scratch S // pooled merge-then-query accumulator
-	// cached is the reusable merged-summary for the epoch-cached read
-	// path: RefreshCached rebuilds it (driver-only, it barriers the
-	// workers), CachedQuery* answer from it without touching the workers
-	// at all — so a serving layer can answer repeated queries while the
-	// driver keeps ingesting. The field is deliberately disjoint from
-	// every driver-side code path except RefreshCached: CachedQuery*
-	// callers need only serialize against RefreshCached and each other,
-	// never against Add/Flush/Query on the driver.
-	cached S
+// Sharded fans ingest across P worker-owned F2 summaries and answers
+// queries from their merge. Create one with NewF2; always Close it to
+// release the workers.
+type Sharded struct {
+	workers []*worker
+	scratch *correlated.F2Summary // merge target behind MarshalMerged
+	// cached is the merged summary RefreshCached rebuilds and
+	// CachedQueryLEBatch reads; no other driver path touches it, so
+	// queries can read it while the driver keeps ingesting.
+	cached *correlated.F2Summary
 	ack    chan struct{}
 	next   int // round-robin routing cursor
-	push   int // round-robin cursor for MergeMarshaled targets
 	ymax   uint64
 	err    error // sticky first worker error
 	closed bool
 }
 
 // worker is one shard: a goroutine draining batches into its summary.
-type worker[S Summary[S]] struct {
-	sum     S
+type worker struct {
+	sum     *correlated.F2Summary
 	in      chan job
 	free    chan []correlated.Tuple
 	pending []correlated.Tuple // filled by the driver goroutine
@@ -146,47 +87,37 @@ type job struct {
 	ack   chan<- struct{}
 }
 
-// NewSharded builds an engine with `shards` workers, each owning a
-// summary from newSummary. Every summary must be built from identical
-// Options — same Seed included — or merges at query time will fail; the
-// typed constructors guarantee this. newSummary is called shards+2 times
-// (one extra for the query scratch summary, one for the cached merged
-// summary behind RefreshCached/CachedQuery*).
-func NewSharded[S Summary[S]](newSummary func() (S, error), shards int, opts ...Option) (*Sharded[S], error) {
+// NewF2 builds a sharded correlated-F2 engine with `shards` workers:
+// every shard, the scratch and the cached summary share o (and therefore
+// the seeded hash functions that make the shard summaries mergeable).
+func NewF2(o correlated.Options, shards int) (*Sharded, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shards must be >= 1, got %d", shards)
 	}
-	if newSummary == nil {
-		return nil, errors.New("shard: newSummary must not be nil")
-	}
-	cfg := config{batchSize: DefaultBatchSize}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	e := &Sharded[S]{
+	e := &Sharded{
 		ack:  make(chan struct{}, shards),
-		ymax: cfg.ymax,
+		ymax: dyadic.RoundYMax(o.YMax),
 	}
 	var err error
-	if e.scratch, err = newSummary(); err != nil {
+	if e.scratch, err = correlated.NewF2Summary(o); err != nil {
 		return nil, err
 	}
-	if e.cached, err = newSummary(); err != nil {
+	if e.cached, err = correlated.NewF2Summary(o); err != nil {
 		return nil, err
 	}
 	for i := 0; i < shards; i++ {
-		w := &worker[S]{
+		w := &worker{
 			in:      make(chan job, spareBuffers+1),
 			free:    make(chan []correlated.Tuple, spareBuffers+1),
-			pending: make([]correlated.Tuple, 0, cfg.batchSize),
+			pending: make([]correlated.Tuple, 0, batchSize),
 			done:    make(chan struct{}),
 		}
-		if w.sum, err = newSummary(); err != nil {
+		if w.sum, err = correlated.NewF2Summary(o); err != nil {
 			e.stop()
 			return nil, err
 		}
 		for j := 0; j < spareBuffers; j++ {
-			w.free <- make([]correlated.Tuple, 0, cfg.batchSize)
+			w.free <- make([]correlated.Tuple, 0, batchSize)
 		}
 		e.workers = append(e.workers, w)
 		go w.run()
@@ -196,7 +127,7 @@ func NewSharded[S Summary[S]](newSummary func() (S, error), shards int, opts ...
 
 // run is the worker loop: drain batches through the summary's amortized
 // batch path, recycle buffers, honour ack requests in FIFO order.
-func (w *worker[S]) run() {
+func (w *worker) run() {
 	defer close(w.done)
 	for jb := range w.in {
 		if jb.batch != nil {
@@ -211,53 +142,19 @@ func (w *worker[S]) run() {
 	}
 }
 
-// Add inserts the tuple (x, y) with weight 1.
-func (e *Sharded[S]) Add(x, y uint64) error { return e.AddWeighted(x, y, 1) }
-
-// AddWeighted inserts w > 0 copies of (x, y). This is the per-tuple hot
-// path: one bounds check, one append into a preallocated buffer, and —
-// once per batch — a channel handoff to the shard's worker. It performs
-// no allocation and takes no lock.
-func (e *Sharded[S]) AddWeighted(x, y uint64, w int64) error {
-	if e.closed {
-		return ErrClosed
-	}
-	if e.ymax != 0 && y > e.ymax {
-		return fmt.Errorf("shard: y = %d exceeds YMax = %d", y, e.ymax)
-	}
-	if w <= 0 {
-		return fmt.Errorf("shard: weight must be positive, got %d", w)
-	}
-	e.addRouted(x, y, w)
-	return nil
-}
-
-// addRouted appends an already-validated tuple to the next shard's
-// pending buffer, handing the buffer off when full.
-func (e *Sharded[S]) addRouted(x, y uint64, w int64) {
-	wk := e.workers[e.next]
-	if e.next++; e.next == len(e.workers) {
-		e.next = 0
-	}
-	wk.pending = append(wk.pending, correlated.Tuple{X: x, Y: y, W: w})
-	if len(wk.pending) == cap(wk.pending) {
-		e.handoff(wk)
-	}
-}
-
 // AddBatch inserts a batch of tuples (zero weights count as 1), routed
-// round-robin like Add. The whole batch is validated before any tuple is
-// routed, matching the unsharded AddBatch contract: a rejected batch has
-// ingested nothing and may be corrected and retried. (With the generic
-// constructor and no WithMaxY, y bounds are only checkable inside the
-// workers; such failures surface at the next barrier instead.) The slice
-// is not retained.
-func (e *Sharded[S]) AddBatch(batch []correlated.Tuple) error {
+// round-robin across the shards. The whole batch is validated before any
+// tuple is routed, matching the unsharded AddBatch contract: a rejected
+// batch has ingested nothing and may be corrected and retried. The slice
+// is not retained. Per tuple this is one append into a preallocated
+// buffer and, once per batchSize tuples, a channel handoff; it performs
+// no allocation and takes no lock.
+func (e *Sharded) AddBatch(batch []correlated.Tuple) error {
 	if e.closed {
 		return ErrClosed
 	}
 	for i := range batch {
-		if e.ymax != 0 && batch[i].Y > e.ymax {
+		if batch[i].Y > e.ymax {
 			return fmt.Errorf("shard: y = %d exceeds YMax = %d", batch[i].Y, e.ymax)
 		}
 		if batch[i].W < 0 {
@@ -274,22 +171,33 @@ func (e *Sharded[S]) AddBatch(batch []correlated.Tuple) error {
 	return nil
 }
 
+// addRouted appends an already-validated tuple to the next shard's
+// pending buffer, handing the buffer off when full.
+func (e *Sharded) addRouted(x, y uint64, w int64) {
+	wk := e.workers[e.next]
+	if e.next++; e.next == len(e.workers) {
+		e.next = 0
+	}
+	wk.pending = append(wk.pending, correlated.Tuple{X: x, Y: y, W: w})
+	if len(wk.pending) == cap(wk.pending) {
+		e.handoff(wk)
+	}
+}
+
 // handoff ships wk's pending batch to its worker and takes a recycled
 // buffer; it blocks only when all of the shard's buffers are in flight.
-func (e *Sharded[S]) handoff(wk *worker[S]) {
+func (e *Sharded) handoff(wk *worker) {
 	wk.in <- job{batch: wk.pending}
 	wk.pending = <-wk.free
 }
 
 // Flush pushes every buffered tuple to the workers and blocks until all
 // of them have been ingested, then reports the first error any worker
-// has encountered since the engine was created. Queries flush
-// implicitly; call Flush directly to create a durable cut (e.g. before
-// checkpointing the shard summaries).
-func (e *Sharded[S]) Flush() error { return e.barrier() }
+// has encountered since the engine was created.
+func (e *Sharded) Flush() error { return e.barrier() }
 
 // barrier drains all workers and collects their sticky errors.
-func (e *Sharded[S]) barrier() error {
+func (e *Sharded) barrier() error {
 	if e.closed {
 		return ErrClosed
 	}
@@ -311,102 +219,19 @@ func (e *Sharded[S]) barrier() error {
 	return e.err
 }
 
-// Reset drains the workers and returns every shard summary (and the
-// query scratch) to its freshly constructed state, keeping the sketch
-// pools. It is the engine-level counterpart of the summaries' Reset:
-// useful for epoch rotation and for a site that pushes its accumulated
-// summary upstream and starts over (see MarshalMerged).
-func (e *Sharded[S]) Reset() error {
-	if err := e.barrier(); err != nil {
-		return err
-	}
-	for _, wk := range e.workers {
-		wk.sum.Reset()
-	}
-	e.scratch.Reset()
-	return nil
-}
-
-// QueryLE estimates AGG{x : y <= c} over everything added so far, by
-// flushing the shards and merging their summaries into the pooled
-// scratch summary (merge-then-query, the coordinator side of the paper's
-// distributed model).
-func (e *Sharded[S]) QueryLE(c uint64) (float64, error) {
-	if err := e.mergeAll(); err != nil {
-		return 0, err
-	}
-	return e.scratch.QueryLE(c)
-}
-
-// QueryGE estimates AGG{x : y >= c}; the Options the summaries were
-// built with must enable the GE predicate.
-func (e *Sharded[S]) QueryGE(c uint64) (float64, error) {
-	if err := e.mergeAll(); err != nil {
-		return 0, err
-	}
-	return e.scratch.QueryGE(c)
-}
-
-// QueryLEBatch answers AGG{x : y <= c} for every cutoff over a single
-// merge of the shard summaries, writing estimates into out (len(out)
-// must equal len(cutoffs)). One mergeAll amortizes across the whole
-// batch — the point of the service's multi-cutoff /v1/query.
-func (e *Sharded[S]) QueryLEBatch(cutoffs []uint64, out []float64) error {
-	if err := e.mergeAll(); err != nil {
-		return err
-	}
-	for i, c := range cutoffs {
-		v, err := e.scratch.QueryLE(c)
-		if err != nil {
-			return fmt.Errorf("c=%d: %w", c, err)
-		}
-		out[i] = v
-	}
-	return nil
-}
-
-// QueryGEBatch is QueryLEBatch for the GE direction.
-func (e *Sharded[S]) QueryGEBatch(cutoffs []uint64, out []float64) error {
-	if err := e.mergeAll(); err != nil {
-		return err
-	}
-	for i, c := range cutoffs {
-		v, err := e.scratch.QueryGE(c)
-		if err != nil {
-			return fmt.Errorf("c=%d: %w", c, err)
-		}
-		out[i] = v
-	}
-	return nil
-}
-
 // RefreshCached drains the workers and rebuilds the cached merged
-// summary — the same merge QueryLE performs into scratch, but into a
-// summary CachedQuery* can keep answering from after this call returns.
-// RefreshCached is a driver-side call (it barriers the workers) and must
-// additionally be serialized against CachedQuery*; the serving layer's
-// epoch cache provides both.
-func (e *Sharded[S]) RefreshCached() error {
-	if err := e.barrier(); err != nil {
-		return err
-	}
-	e.cached.Reset()
-	for _, wk := range e.workers {
-		if err := e.cached.Merge(wk.sum); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// summary CachedQueryLEBatch answers from. It is a driver-side call (it
+// barriers the workers) and must additionally be serialized against
+// CachedQueryLEBatch; the caller's epoch cache provides both.
+func (e *Sharded) RefreshCached() error { return e.mergeInto(e.cached) }
 
 // CachedQueryLEBatch answers AGG{x : y <= c} for every cutoff from the
 // summary the last RefreshCached built, writing estimates into out
-// (len(out) must equal len(cutoffs)). Unlike QueryLEBatch it performs no
-// barrier and no merge — it never touches the workers — so it is safe to
-// run while the driver ingests, provided CachedQuery* calls and
-// RefreshCached are serialized among themselves. Before the first
-// RefreshCached it answers over the empty summary.
-func (e *Sharded[S]) CachedQueryLEBatch(cutoffs []uint64, out []float64) error {
+// (len(out) must equal len(cutoffs)). It performs no barrier and no
+// merge — it never touches the workers — so it is safe to run while the
+// driver ingests, provided it is serialized against RefreshCached.
+// Before the first RefreshCached it answers over the empty summary.
+func (e *Sharded) CachedQueryLEBatch(cutoffs []uint64, out []float64) error {
 	for i, c := range cutoffs {
 		v, err := e.cached.QueryLE(c)
 		if err != nil {
@@ -417,68 +242,37 @@ func (e *Sharded[S]) CachedQueryLEBatch(cutoffs []uint64, out []float64) error {
 	return nil
 }
 
-// CachedQueryGEBatch is CachedQueryLEBatch for the GE direction.
-func (e *Sharded[S]) CachedQueryGEBatch(cutoffs []uint64, out []float64) error {
-	for i, c := range cutoffs {
-		v, err := e.cached.QueryGE(c)
-		if err != nil {
-			return fmt.Errorf("c=%d: %w", c, err)
-		}
-		out[i] = v
+// MarshalMerged returns the single-summary wire image of the merge of
+// every shard: exactly what F2Summary.MarshalBinary produces, so it can
+// be restored with UnmarshalBinary or folded into an identically
+// configured summary with MergeMarshaled.
+func (e *Sharded) MarshalMerged() ([]byte, error) {
+	if err := e.mergeInto(e.scratch); err != nil {
+		return nil, err
 	}
-	return nil
+	return e.scratch.MarshalBinary()
 }
 
-// mergeAll drains the workers and rebuilds the scratch summary as the
-// merge of every shard. The scratch is reset, not reallocated, so
-// steady-state queries reuse its sketch pools.
-func (e *Sharded[S]) mergeAll() error {
+// mergeInto drains the workers and rebuilds dst as the merge of every
+// shard. dst is reset, not reallocated, so steady-state calls reuse its
+// sketch pools.
+func (e *Sharded) mergeInto(dst *correlated.F2Summary) error {
 	if err := e.barrier(); err != nil {
 		return err
 	}
-	e.scratch.Reset()
+	dst.Reset()
 	for _, wk := range e.workers {
-		if err := e.scratch.Merge(wk.sum); err != nil {
+		if err := dst.Merge(wk.sum); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Count reports the number of tuples ingested (flushing first, so the
-// answer is exact at the moment of the call).
-func (e *Sharded[S]) Count() (uint64, error) {
-	if err := e.barrier(); err != nil {
-		return 0, err
-	}
-	var n uint64
-	for _, wk := range e.workers {
-		n += wk.sum.Count()
-	}
-	return n, nil
-}
-
-// Space reports the summed stored counters/tuples across the shard
-// summaries (the query scratch is excluded: it is a transient merge
-// target, not stream state).
-func (e *Sharded[S]) Space() (int64, error) {
-	if err := e.barrier(); err != nil {
-		return 0, err
-	}
-	var sp int64
-	for _, wk := range e.workers {
-		sp += wk.sum.Space()
-	}
-	return sp, nil
-}
-
-// Shards reports the number of workers.
-func (e *Sharded[S]) Shards() int { return len(e.workers) }
-
 // Close flushes, stops the workers, and returns the first ingest error.
 // The engine is unusable afterwards; Close is not idempotent (a second
-// call reports ErrClosed, like every other method).
-func (e *Sharded[S]) Close() error {
+// call reports ErrClosed, like every driver method).
+func (e *Sharded) Close() error {
 	err := e.barrier()
 	if errors.Is(err, ErrClosed) {
 		return err
@@ -489,7 +283,7 @@ func (e *Sharded[S]) Close() error {
 
 // stop shuts the worker goroutines down (idempotent, also used on
 // constructor failure).
-func (e *Sharded[S]) stop() {
+func (e *Sharded) stop() {
 	if e.closed {
 		return
 	}
@@ -500,34 +294,4 @@ func (e *Sharded[S]) stop() {
 	for _, wk := range e.workers {
 		<-wk.done
 	}
-}
-
-// NewF2 builds a sharded correlated-F2 engine: every shard and the query
-// scratch share o (and therefore the seeded hash functions that make the
-// shard summaries mergeable).
-func NewF2(o correlated.Options, shards int, opts ...Option) (*Sharded[*correlated.F2Summary], error) {
-	return NewSharded(func() (*correlated.F2Summary, error) {
-		return correlated.NewF2Summary(o)
-	}, shards, append([]Option{WithMaxY(o.YMax)}, opts...)...)
-}
-
-// NewFk builds a sharded correlated-Fk engine for moment order k >= 2.
-func NewFk(k int, o correlated.Options, shards int, opts ...Option) (*Sharded[*correlated.FkSummary], error) {
-	return NewSharded(func() (*correlated.FkSummary, error) {
-		return correlated.NewFkSummary(k, o)
-	}, shards, append([]Option{WithMaxY(o.YMax)}, opts...)...)
-}
-
-// NewCount builds a sharded correlated-COUNT engine.
-func NewCount(o correlated.Options, shards int, opts ...Option) (*Sharded[*correlated.CountSummary], error) {
-	return NewSharded(func() (*correlated.CountSummary, error) {
-		return correlated.NewCountSummary(o)
-	}, shards, append([]Option{WithMaxY(o.YMax)}, opts...)...)
-}
-
-// NewSum builds a sharded correlated-SUM engine.
-func NewSum(o correlated.Options, shards int, opts ...Option) (*Sharded[*correlated.SumSummary], error) {
-	return NewSharded(func() (*correlated.SumSummary, error) {
-		return correlated.NewSumSummary(o)
-	}, shards, append([]Option{WithMaxY(o.YMax)}, opts...)...)
 }
