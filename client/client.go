@@ -88,9 +88,7 @@ type Stats struct {
 
 	// WAL fields are present when the server runs with -wal-dir.
 	WALEnabled       bool    `json:"wal_enabled,omitempty"`
-	WALFsync         string  `json:"wal_fsync,omitempty"`
 	WALFsyncs        uint64  `json:"wal_fsyncs,omitempty"`
-	WALSyncErrors    uint64  `json:"wal_sync_errors,omitempty"`
 	WALSegments      int64   `json:"wal_segments,omitempty"`
 	WALAppendedBytes uint64  `json:"wal_appended_bytes,omitempty"`
 	WALLastLSN       uint64  `json:"wal_last_lsn,omitempty"`

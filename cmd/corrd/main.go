@@ -7,18 +7,19 @@
 //
 //	corrd -addr :7070 -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 \
 //	      -snapshot /var/lib/corrd/f2.snapshot \
-//	      -wal-dir /var/lib/corrd/wal -wal-fsync always
+//	      -wal-dir /var/lib/corrd/wal
 //
 // With -wal-dir set, every acknowledged ingest batch and forwarded site
 // record is appended to a write-ahead log before the HTTP 200; startup restores
 // the snapshot and replays the log suffix, so a kill -9 loses nothing
-// that was acknowledged (under -wal-fsync=always). Snapshots checkpoint
-// and prune the log. Concurrent ingest requests are group-committed:
+// that was acknowledged: every acknowledgement waits for its group's
+// fsync. Snapshots checkpoint and prune the log. Concurrent ingest requests are group-committed:
 // everything queued while the previous group was fsyncing is applied
 // (one AddBatch per touched tenant) and made durable as one unit (one
-// fsync, up to 256 requests), so acknowledged throughput
-// under -wal-fsync=always scales with the offered concurrency instead of
-// being gated by fsync latency times request count. Query answers are
+// fsync, up to 256 requests), so acknowledged throughput scales with the
+// offered concurrency instead of being gated by fsync latency times
+// request count. -wal-fsync accepts only always, the one contract (the
+// benchmark's command line still passes it); interval and off are retired. Query answers are
 // memoized per tenant until its state moves (or for -query-max-stale),
 // so a repeated query does not block ingest. -shards is accepted and
 // ignored (the benchmark's command line still passes it): it selected
@@ -160,7 +161,8 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		o options
 		c = &o.svc
 
-		pred = fs.String("pred", "both", "query directions: le, ge, or both")
+		pred  = fs.String("pred", "both", "query directions: le, ge, or both")
+		fsync = fs.String("wal-fsync", "always", "WAL fsync contract: always, the only one (every acknowledgement waits for its group's fsync); interval and off are retired")
 	)
 	fs.StringVar(&o.addr, "addr", ":7070", "listen address")
 	fs.StringVar(&o.streamAddr, "stream-addr", "", "streaming-ingest listen address (empty = disabled); serves the persistent length-framed transport")
@@ -181,8 +183,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&c.SnapshotKeep, "snapshot-keep", 2, "snapshot retention slots (path, path.1, ...); restore falls back past a corrupt newest")
 
 	fs.StringVar(&c.WALDir, "wal-dir", "", "write-ahead log directory (empty = no WAL); with a WAL every acknowledged write survives kill -9")
-	fs.StringVar(&c.WALFsync, "wal-fsync", "always", "WAL fsync policy: always, interval, or off")
-	fs.DurationVar(&c.WALFsyncInterval, "wal-fsync-interval", 100*time.Millisecond, "fsync ticker period for -wal-fsync=interval")
 	fs.Int64Var(&c.WALSegmentBytes, "wal-segment-bytes", 64<<20, "WAL segment rotation threshold")
 
 	fs.StringVar(&c.PushTo, "push-to", "", "coordinator base URL; setting it makes this daemon a site that forwards its log there (requires -wal-dir)")
@@ -217,6 +217,9 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		c.Options.Predicate = correlated.Both
 	default:
 		return nil, fmt.Errorf("bad -pred %q (want le, ge, or both)", *pred)
+	}
+	if *fsync != "always" {
+		return nil, fmt.Errorf("-wal-fsync %q: interval and off are retired, every acknowledgement waits for its group's fsync; pass always or drop the flag (README \"Upgrading\")", *fsync)
 	}
 	if c.PushTo != "" && c.WALDir == "" {
 		return nil, errors.New("-push-to requires -wal-dir: a site forwards its log")

@@ -23,7 +23,7 @@ func planOrDie(t *testing.T, s string) *fault.Plan {
 // a clean tail, and replay sees exactly the acknowledged records.
 func TestAppendRewindKeepsLogClean(t *testing.T) {
 	inj := fault.NewInjector(fault.OS())
-	w, err := Open(t.TempDir(), Options{Sync: SyncAlways, FS: inj})
+	w, err := Open(t.TempDir(), Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAppendRewindKeepsLogClean(t *testing.T) {
 // repairs the tail and a full append+fsync round trip works again.
 func TestBrokenLogProbeRepair(t *testing.T) {
 	inj := fault.NewInjector(fault.OS())
-	w, err := Open(t.TempDir(), Options{Sync: SyncAlways, FS: inj})
+	w, err := Open(t.TempDir(), Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestBrokenLogProbeRepair(t *testing.T) {
 func TestENOSPCThenReopen(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.NewInjector(fault.OS())
-	w, err := Open(dir, Options{Sync: SyncAlways, FS: inj})
+	w, err := Open(dir, Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestENOSPCThenReopen(t *testing.T) {
 	w.Close()
 
 	// Fault-free restart: the acked prefix replays intact.
-	w2, err := Open(dir, Options{Sync: SyncAlways})
+	w2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestENOSPCThenReopen(t *testing.T) {
 // unaffected.
 func TestNthSyncFaultUnderSyncAlways(t *testing.T) {
 	inj := fault.NewInjector(fault.OS())
-	w, err := Open(t.TempDir(), Options{Sync: SyncAlways, FS: inj})
+	w, err := Open(t.TempDir(), Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +202,7 @@ func TestNthSyncFaultUnderSyncAlways(t *testing.T) {
 // following Sync to make durable behind its writer's back, the LSNs are
 // reused, and a reopen replays exactly the records whose barrier returned
 // nil. The second case makes a segment seal fall due between the two
-// records: a seal syncs, and it must not sync half a group. Under
-// interval and off the same failure rewinds nothing.
+// records: a seal syncs, and it must not sync half a group.
 func TestFailedBarrierRewindsWholeGroup(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -215,7 +214,7 @@ func TestFailedBarrierRewindsWholeGroup(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			inj := fault.NewInjector(fault.OS())
-			w, err := Open(dir, Options{Sync: SyncAlways, SegmentBytes: tc.segmentBytes, FS: inj})
+			w, err := Open(dir, Options{SegmentBytes: tc.segmentBytes, FS: inj})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +249,7 @@ func TestFailedBarrierRewindsWholeGroup(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			w2, err := Open(dir, Options{Sync: SyncAlways})
+			w2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,26 +257,6 @@ func TestFailedBarrierRewindsWholeGroup(t *testing.T) {
 			got := collect(t, w2, 0)
 			if len(got) != 2 || string(got[0].payload) != "acked-1" || string(got[1].payload) != "acked-2" {
 				t.Fatalf("reopen replayed %d records %+v, want exactly acked-1, acked-2", len(got), got)
-			}
-		})
-	}
-	for _, p := range []SyncPolicy{SyncInterval, SyncOff} {
-		t.Run(p.String()+" keeps the suffix", func(t *testing.T) {
-			inj := fault.NewInjector(fault.OS())
-			w, err := Open(t.TempDir(), Options{Sync: p, FS: inj})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			if _, err := w.AppendNoSync(RecordIngest, []byte("acked without a barrier")); err != nil {
-				t.Fatal(err)
-			}
-			inj.SetPlan(planOrDie(t, "sync/wal-:err@1"))
-			if err := w.Sync(); err == nil {
-				t.Fatal("Sync under sync:err@1: want error")
-			}
-			if got := collect(t, w, 0); len(got) != 1 {
-				t.Fatalf("a failed Sync under %s rewound acknowledged data: %d records", p, len(got))
 			}
 		})
 	}
@@ -289,7 +268,7 @@ func TestFailedBarrierRewindsWholeGroup(t *testing.T) {
 // disk heals must cut them off, not adopt them.
 func TestProbeFinishesFailedRewind(t *testing.T) {
 	inj := fault.NewInjector(fault.OS())
-	w, err := Open(t.TempDir(), Options{Sync: SyncAlways, FS: inj})
+	w, err := Open(t.TempDir(), Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,10 +51,10 @@ func recvN(t *testing.T, ch <-chan replayed, n int) []replayed {
 
 // TestFollowLiveTail: a follower started before any appends sees every
 // record in LSN order, across segment rotations, while appends race it;
-// under SyncAlways it only ever sees fsynced records.
+// it only ever sees fsynced records.
 func TestFollowLiveTail(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 256, Sync: SyncAlways})
+	w, err := Open(dir, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFollowLiveTail(t *testing.T) {
 // records after k — history first, then live appends.
 func TestFollowFromMidLog(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 128, Sync: SyncAlways})
+	w, err := Open(dir, Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestFollowFromMidLog(t *testing.T) {
 	}
 }
 
-// TestFollowDurableFrontier: under SyncAlways a follower must not see a
+// TestFollowDurableFrontier: a follower must not see a
 // record appended with AppendNoSync until the explicit Sync — the
 // frontier is the fsync barrier, not the append.
 func TestFollowDurableFrontier(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{Sync: SyncAlways})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFollowDurableFrontier(t *testing.T) {
 // a snapshot instead.
 func TestFollowTruncatedHorizon(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 64, Sync: SyncAlways})
+	w, err := Open(dir, Options{SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFollowTruncatedHorizon(t *testing.T) {
 // ErrClosed rather than leaking it.
 func TestFollowStopsOnClose(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{Sync: SyncAlways})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFollowStopsOnClose(t *testing.T) {
 // own, and the checksum is read from the frame). A follower that then
 // blocks is still woken by the next advance.
 func TestDurableAdvanceWithoutFollowerAllocatesNothing(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 30, Sync: SyncAlways})
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 func FuzzWALReplay(f *testing.F) {
 	seed := func(build func(w *WAL)) []byte {
 		dir := f.TempDir()
-		w, err := Open(dir, Options{SegmentBytes: 128, Sync: SyncOff})
+		w, err := Open(dir, Options{SegmentBytes: 128})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := Open(dir, Options{Sync: SyncOff})
+		w, err := Open(dir, Options{})
 		if err != nil {
 			return // corruption detected is a valid outcome
 		}

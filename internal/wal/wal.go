@@ -23,36 +23,25 @@
 // of another version is refused by name (ErrVersion), never decoded.
 //
 // Records are assigned consecutive LSNs in append order across
-// segments. When the active segment reaches SegmentBytes it is sealed —
-// synced to disk regardless of fsync policy, so a sealed segment is
-// always fully durable — and a new one is started.
-//
-// # Fsync policy
-//
-// There is one append, AppendNoSync, and one barrier, Sync. Under
-// SyncAlways the writer appends the records of a commit group and calls
-// Sync once: when it returns nil every one of them survives kill -9, and
-// when it fails it has already rewound all of them out of the log, under
-// the same lock hold — a record is durable exactly when the barrier its
-// writer waited on returned nil. This is the policy the ack path pays for
-// and the one BenchmarkWALAppend prices (one record, one barrier).
-// SyncInterval leaves the barrier to the writer's own clock — the log
-// starts no goroutine and owns no ticker; the service queues a barrier job
-// every interval, so a crash loses at most the last interval of
-// acknowledged records; SyncOff leaves syncing to the OS page cache (crash
-// durability is best-effort, but the log still orders and frames records
-// for clean restarts). Under both a failed Sync rewinds nothing: the
-// unsynced suffix there is acknowledged data.
+// segments. There is one append, AppendNoSync, and one barrier, Sync: the
+// writer appends the records of a commit group and calls Sync once. When
+// it returns nil every one of them survives kill -9, and when it fails it
+// has already rewound all of them out of the log, under the same lock
+// hold — a record is durable exactly when the barrier its writer waited on
+// returned nil, and only then may a follower see it. BenchmarkWALAppend
+// prices that contract (one record, one barrier). Once the active segment
+// reaches SegmentBytes it is sealed at the next barrier boundary — synced,
+// so a sealed segment is always fully durable — and a new one is started.
 //
 // # Recovery
 //
 // Open validates the segment chain and scans the final segment. A
 // frame that fails its length or CRC check in the final segment is a
 // torn tail — the write that was in flight when the process died — and
-// the segment is truncated to the last whole frame. Under SyncAlways a
-// torn frame can only be an unacknowledged record, so truncation never
-// discards acknowledged data: every frame behind the last fsync barrier
-// is intact because appends are sequential and sync covers a prefix.
+// the segment is truncated to the last whole frame. A torn frame can
+// only be an unacknowledged record, so truncation never discards
+// acknowledged data: every frame behind the last fsync barrier is intact
+// because appends are sequential and sync covers a prefix.
 // A bad frame in a sealed (non-final) segment can not be a torn write —
 // sealing synced it — so it is reported as corruption instead of being
 // silently dropped.
@@ -121,54 +110,21 @@ const (
 	RecordProbe RecordType = 7
 )
 
-// SyncPolicy selects when appends reach stable storage.
+// SyncPolicy names the log's one durability contract (see the package
+// doc): Sync is the barrier acknowledgements wait on.
 type SyncPolicy int
 
-const (
-	// SyncAlways makes Sync the barrier acknowledgements wait on: an
-	// acknowledged record survives kill -9. The default.
-	SyncAlways SyncPolicy = iota
-	// SyncInterval acknowledges ahead of the fsync: the writer calls Sync
-	// on a clock of its own, and a failed Sync rewinds nothing.
-	SyncInterval
-	// SyncOff never fsyncs on the append path (segment seals and Close
-	// still sync); durability is left to the OS.
-	SyncOff
-)
+// SyncAlways is the only SyncPolicy.
+const SyncAlways SyncPolicy = 0
 
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncOff:
-		return "off"
-	}
-	return fmt.Sprintf("SyncPolicy(%d)", int(p))
-}
-
-// ParseSyncPolicy parses the flag spelling used by cmd/corrd.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "", "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "off":
-		return SyncOff, nil
-	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval, or off)", s)
-}
-
-// Options configures a WAL. The zero value is usable: SyncAlways,
-// 64 MiB segments.
+// Options configures a WAL. The zero value is usable: 64 MiB segments.
 type Options struct {
 	// SegmentBytes is the rotation threshold; a segment is sealed once
 	// it reaches this size. <= 0 means 64 MiB. An oversized record still
 	// goes into a single (oversized) segment.
 	SegmentBytes int64
-	// Sync selects the fsync policy.
+	// Sync is read nowhere: SyncAlways is the log's one contract. The
+	// field stays because benchmarks/corrdbench still names it.
 	Sync SyncPolicy
 	// OnFsync, when set, observes the wall-clock duration of every
 	// successful fsync of the active segment (for latency histograms).
@@ -273,14 +229,13 @@ type WAL struct {
 	frame    []byte // reusable frame-assembly buffer
 
 	// durable is the highest LSN known to be on stable storage — the
-	// frontier Follow hands to followers under SyncAlways/SyncInterval,
-	// so a replica can never hold a record that a torn-tail truncation
+	// frontier Follow hands to followers, so a replica can never hold a record that a torn-tail truncation
 	// would remove from this log after a crash. Advanced in syncLocked.
 	durable uint64
 	// syncedSize is the active segment's byte length as of the last
 	// successful fsync (or as recovered at Open): the offset, paired
 	// with durable, that rewindUnsyncedLocked truncates back to when a
-	// SyncAlways barrier fails. Maintained alongside durable
+	// barrier fails. Maintained alongside durable
 	// in syncLocked and reset by openActive/startSegment.
 	syncedSize int64
 	// notify is what a blocked Follow waits on: made by the first follower
@@ -632,9 +587,8 @@ func (w *WAL) startSegment(firstLSN uint64) error {
 	return nil
 }
 
-// rotateLocked seals the active segment — syncing it regardless of
-// policy, so sealed segments are always fully durable — and starts the
-// next one.
+// rotateLocked seals the active segment — syncing it, so sealed segments
+// are always fully durable — and starts the next one.
 func (w *WAL) rotateLocked() error {
 	if err := w.syncLocked(); err != nil {
 		return err
@@ -651,8 +605,8 @@ func (w *WAL) rotateLocked() error {
 // AppendNoSync writes one record and returns its LSN. It never fsyncs
 // (segment seals aside): the writer orders the append inside its own
 // critical section and runs the barrier — Sync — outside it, once for
-// every record of a commit group. Under SyncAlways the record is not
-// durable, and not visible to followers, until that Sync returns nil.
+// every record of a commit group. The record is not durable, and not
+// visible to followers, until that Sync returns nil.
 func (w *WAL) AppendNoSync(typ RecordType, payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -669,11 +623,10 @@ func (w *WAL) appendLocked(typ RecordType, payload []byte) (uint64, error) {
 	if w.broken != nil {
 		return 0, fmt.Errorf("%w (failed to clean up a partial append): %w", ErrBroken, w.broken)
 	}
-	// Seal at the threshold — under SyncAlways only at a barrier boundary:
-	// a seal syncs, and syncing part of a commit group would make those
-	// records durable whatever the barrier their writer waits on says.
-	if w.size >= w.opts.SegmentBytes && w.nextLSN > w.segFirst &&
-		(w.opts.Sync != SyncAlways || w.size == w.syncedSize) {
+	// Seal at the threshold, but only at a barrier boundary: a seal syncs,
+	// and syncing part of a commit group would make those records durable
+	// whatever the barrier their writer waits on says.
+	if w.size >= w.opts.SegmentBytes && w.nextLSN > w.segFirst && w.size == w.syncedSize {
 		if err := w.rotateLocked(); err != nil {
 			return 0, err
 		}
@@ -700,9 +653,6 @@ func (w *WAL) appendLocked(typ RecordType, payload []byte) (uint64, error) {
 	w.appends.Add(1)
 	w.appendedBytes.Add(uint64(len(w.frame)))
 	w.lastLSN.Store(lsn)
-	if w.opts.Sync == SyncOff {
-		w.wakeFollowersLocked() // frontier == lastLSN under SyncOff
-	}
 	if cap(w.frame) > 1<<20 {
 		w.frame = nil // do not pin a rare huge record
 	}
@@ -724,7 +674,7 @@ func (w *WAL) truncateTailLocked(cause error) {
 // successful fsync: the discarded LSNs are released for reuse and the
 // active segment is truncated back to the synced offset. This is only
 // correct when none of the discarded records was ever acknowledged —
-// which is exactly the SyncAlways contract: the ack waits for the fsync
+// which is exactly the log's contract: the ack waits for the fsync
 // that just failed, and Follow caps followers at the durable frontier,
 // so neither a client nor a replica can hold a discarded record. The
 // positions move first, so if the truncation fails, the cut Probe retries
@@ -775,20 +725,8 @@ func (w *WAL) wakeFollowersLocked() {
 	}
 }
 
-// followableLocked is the highest LSN a follower may be handed. Under
-// SyncOff nothing ever fsyncs on the append path, so the frontier is
-// simply the last append — the log's own durability is best-effort
-// there, and the follower inherits that contract.
-func (w *WAL) followableLocked() uint64 {
-	if w.opts.Sync == SyncOff {
-		return w.nextLSN - 1
-	}
-	return w.durable
-}
-
 // FollowableLSN reports the highest LSN Follow will currently deliver:
-// the durable frontier under SyncAlways/SyncInterval, the last append
-// under SyncOff. Replication heartbeats carry it so a caught-up
+// the durable frontier. Replication heartbeats carry it so a caught-up
 // follower measures zero lag instead of chasing unsynced appends it is
 // not allowed to see.
 func (w *WAL) FollowableLSN() uint64 {
@@ -797,14 +735,13 @@ func (w *WAL) FollowableLSN() uint64 {
 	if w.closed {
 		return w.lastLSN.Load()
 	}
-	return w.followableLocked()
+	return w.durable
 }
 
-// Sync is the durability barrier: it fsyncs the active segment, whatever
-// the policy. Under SyncAlways a failed Sync returns with every unsynced
-// record already rewound out of the log, inside the same lock hold, so no
-// later barrier can make durable a record this error disowned. Under
-// SyncInterval and SyncOff nothing is rewound.
+// Sync is the durability barrier: it fsyncs the active segment. A failed
+// Sync returns with every unsynced record already rewound out of the log,
+// inside the same lock hold, so no later barrier can make durable a record
+// this error disowned.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -812,7 +749,7 @@ func (w *WAL) Sync() error {
 		return ErrClosed
 	}
 	err := w.syncLocked()
-	if err != nil && w.opts.Sync == SyncAlways {
+	if err != nil {
 		w.rewindUnsyncedLocked()
 	}
 	return err
@@ -939,7 +876,7 @@ func (w *WAL) waitFollowable(next uint64, stop <-chan struct{}) (uint64, error) 
 			w.mu.Unlock()
 			return 0, ErrClosed
 		}
-		frontier := w.followableLocked()
+		frontier := w.durable
 		if frontier >= next {
 			w.mu.Unlock()
 			return frontier, nil
@@ -976,10 +913,9 @@ func (w *WAL) locateLocked(next uint64) (segStart, sealedLast uint64, isSealed, 
 // Follow walks every committed record with LSN > from in order, calling
 // fn for each, and then blocks for more as they are appended — the live
 // tail the replication transport ships to a standby. "Committed" means
-// at or below the durable frontier (the last fsync) under SyncAlways
-// and SyncInterval, so a follower can never hold a record that a crash
-// plus torn-tail truncation would remove from this log; under SyncOff
-// the frontier is simply the last append. Rotation is followed
+// at or below the durable frontier (the last fsync), so a follower can
+// never hold a record that a crash plus torn-tail truncation would remove
+// from this log. Rotation is followed
 // transparently. Returns ErrTruncated if from (or a later position the
 // follower needs) has been pruned by a checkpoint — the caller should
 // resynchronize from a snapshot; returns nil when stop fires; returns

@@ -15,11 +15,11 @@ import (
 )
 
 // appendSync is what a commit group of one record costs, and the
-// convenience these tests share: the append and, under SyncAlways, its
-// barrier. An error from either means the record is not in the log.
+// convenience these tests share: the append and its barrier. An error
+// from either means the record is not in the log.
 func appendSync(w *WAL, typ RecordType, payload []byte) (uint64, error) {
 	lsn, err := w.AppendNoSync(typ, payload)
-	if err == nil && w.opts.Sync == SyncAlways {
+	if err == nil {
 		err = w.Sync()
 	}
 	if err != nil {
@@ -29,7 +29,7 @@ func appendSync(w *WAL, typ RecordType, payload []byte) (uint64, error) {
 }
 
 // checkpoint does what the service does around a snapshot: the marker,
-// its barrier whatever the policy, then the prune behind it.
+// its barrier, then the prune behind it.
 func checkpoint(w *WAL, covered uint64) error {
 	if _, err := w.AppendNoSync(RecordCheckpoint, binary.AppendUvarint(nil, covered)); err != nil {
 		return err
@@ -64,7 +64,7 @@ func collect(t *testing.T, w *WAL, from uint64) []replayed {
 // a close/reopen.
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 256, Sync: SyncOff})
+	w, err := Open(dir, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, err := Open(dir, Options{SegmentBytes: 256, Sync: SyncOff})
+	w2, err := Open(dir, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTornTailTruncated(t *testing.T) {
 	} {
 		t.Run(tear.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := Open(dir, Options{Sync: SyncAlways})
+			w, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestTornTailTruncated(t *testing.T) {
 			if err := os.WriteFile(seg, tear.grow(raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			w2, err := Open(dir, Options{Sync: SyncAlways})
+			w2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatalf("open with torn tail: %v", err)
 			}
@@ -190,7 +190,7 @@ func TestTornTailTruncated(t *testing.T) {
 // seal) segment is corruption, not a torn tail — Open must refuse.
 func TestCorruptSealedSegmentFatal(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 64, Sync: SyncOff})
+	w, err := Open(dir, Options{SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCorruptSealedSegmentFatal(t *testing.T) {
 	if err := os.WriteFile(seg, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{SegmentBytes: 64, Sync: SyncOff}); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, Options{SegmentBytes: 64}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over corrupt sealed segment: %v", err)
 	}
 }
@@ -225,7 +225,7 @@ func TestCorruptSealedSegmentFatal(t *testing.T) {
 // LSN sees only the suffix.
 func TestCheckpointPrunes(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 128, Sync: SyncOff})
+	w, err := Open(dir, Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,61 +286,37 @@ func TestCheckpointPrunes(t *testing.T) {
 	}
 }
 
-// TestSyncPolicies: every policy appends and replays; SyncAlways
-// reports an fsync per append, and the OnFsync hook observes them.
+// TestSyncPolicies: under the one policy, always, every barrier that
+// has records behind it is one fsync, the OnFsync hook observes each, the
+// records replay, and a closed log refuses appends.
 func TestSyncPolicies(t *testing.T) {
-	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
-		t.Run(p.String(), func(t *testing.T) {
-			var observed int
-			w, err := Open(t.TempDir(), Options{
-				Sync:    p,
-				OnFsync: func(d time.Duration) { observed++ },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 5; i++ {
-				if _, err := appendSync(w, RecordIngest, []byte("x")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if p == SyncAlways {
-				if st := w.Stats(); st.Fsyncs != 5 {
-					t.Fatalf("SyncAlways fsyncs: %+v", st)
-				}
-				if observed != 5 {
-					t.Fatalf("OnFsync observed %d", observed)
-				}
-			}
-			if err := w.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if got := collect(t, w, 0); len(got) != 5 {
-				t.Fatalf("replayed %d", len(got))
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := appendSync(w, RecordIngest, nil); !errors.Is(err, ErrClosed) {
-				t.Fatalf("append after close: %v", err)
-			}
-		})
-	}
-}
-
-// TestParseSyncPolicy covers the flag spellings.
-func TestParseSyncPolicy(t *testing.T) {
-	for in, want := range map[string]SyncPolicy{
-		"": SyncAlways, "always": SyncAlways, "interval": SyncInterval, "off": SyncOff,
-	} {
-		got, err := ParseSyncPolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", in, got, err)
+	t.Run("always", func(t *testing.T) {
+		var observed int
+		w, err := Open(t.TempDir(), Options{OnFsync: func(d time.Duration) { observed++ }})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
-	}
+		for i := 0; i < 5; i++ {
+			if _, err := appendSync(w, RecordIngest, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := w.Stats(); st.Fsyncs != 5 {
+			t.Fatalf("fsyncs: %+v", st)
+		}
+		if observed != 5 {
+			t.Fatalf("OnFsync observed %d", observed)
+		}
+		if got := collect(t, w, 0); len(got) != 5 {
+			t.Fatalf("replayed %d", len(got))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := appendSync(w, RecordIngest, nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("append after close: %v", err)
+		}
+	})
 }
 
 // TestOversizedPayloadRejected: a frame on disk claiming more than
@@ -348,7 +324,7 @@ func TestParseSyncPolicy(t *testing.T) {
 // the final segment that reads as a torn tail.
 func TestOversizedPayloadRejected(t *testing.T) {
 	dir := t.TempDir()
-	w2, err := Open(dir, Options{Sync: SyncOff})
+	w2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +339,7 @@ func TestOversizedPayloadRejected(t *testing.T) {
 	frame = binary.LittleEndian.AppendUint32(frame, 0)
 	frame = append(frame, byte(RecordIngest))
 	os.WriteFile(seg, append(raw, frame...), 0o644)
-	w3, err := Open(dir, Options{Sync: SyncOff})
+	w3, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("hostile length in final segment must read as torn tail: %v", err)
 	}
@@ -389,7 +365,7 @@ func TestTornSegmentCreationRecovers(t *testing.T) {
 	} {
 		t.Run(tear.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := Open(dir, Options{Sync: SyncAlways})
+			w, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,7 +382,7 @@ func TestTornSegmentCreationRecovers(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, segmentName(5)), tear.bytes, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			w2, err := Open(dir, Options{Sync: SyncAlways})
+			w2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatalf("open over torn segment creation: %v", err)
 			}
@@ -450,7 +426,7 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := Open(dir, Options{Sync: SyncAlways})
+			w, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -471,7 +447,7 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 			if err := os.WriteFile(seg, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err = Open(dir, Options{Sync: SyncAlways})
+			_, err = Open(dir, Options{})
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("open must refuse with %v, got: %v", tc.want, err)
 			}
@@ -489,14 +465,14 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 	}
 }
 
-// TestAppendNoSyncDurableAfterSync: AppendNoSync defers the SyncAlways
+// TestAppendNoSyncDurableAfterSync: AppendNoSync defers the
 // fsync to an explicit Sync — the group-commit shape, where the append
 // is ordered inside a critical section and the durability barrier runs
 // outside it. Records land with sequential LSNs, replay sees them, and
 // a reopen after Sync still has them.
 func TestAppendNoSyncDurableAfterSync(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{Sync: SyncAlways})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +507,7 @@ func TestAppendNoSyncDurableAfterSync(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := Open(dir, Options{Sync: SyncAlways})
+	w2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestServesEveryAggregate(t *testing.T) {
 			ctx := context.Background()
 			cfg := Config{
 				Aggregate: tc.agg, K: tc.k, Options: o,
-				WALDir: filepath.Join(t.TempDir(), "wal"), WALFsync: "always",
+				WALDir: filepath.Join(t.TempDir(), "wal"),
 			}
 			svc, err := New(cfg)
 			if err != nil {
@@ -184,13 +184,13 @@ func TestFkTieOrderThroughTheLog(t *testing.T) {
 	o := testOptions()
 	cfg := Config{
 		Aggregate: "fk", K: 3, Options: o,
-		WALDir: filepath.Join(t.TempDir(), "wal"), WALFsync: "always",
+		WALDir:            filepath.Join(t.TempDir(), "wal"),
 		HeartbeatInterval: 20 * time.Millisecond,
 	}
 	svc, ts, _ := newTestServer(t, cfg)
 	replicaSvc, rts := newReplica(t, o, startStream(t, svc), func(c *Config) {
 		c.Aggregate, c.K = cfg.Aggregate, cfg.K
-		c.WALDir, c.WALFsync = filepath.Join(t.TempDir(), "wal"), "always"
+		c.WALDir = filepath.Join(t.TempDir(), "wal")
 	})
 
 	tenants := []string{"", "keyed"}

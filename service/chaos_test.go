@@ -296,14 +296,12 @@ func TestChaosDegradedModeHTTP(t *testing.T) {
 	}
 }
 
-// TestChaosBackgroundFsyncDegrades: under -wal-fsync=interval the ack
-// path never fsyncs, so a dying disk surfaces only through the
-// background sync loop's errors — which must escalate into the health
-// machine instead of scrolling past in the logs.
-func TestChaosBackgroundFsyncDegrades(t *testing.T) {
+// TestChaosProbeHealsUnattended: every commit group whose fsync fails
+// adds exactly one to the WAL error streak, the healthFailThreshold-th
+// degrades the server, and once the disk heals the background prober
+// (healthProbeInterval cadence) brings it back without any admin call.
+func TestChaosProbeHealsUnattended(t *testing.T) {
 	cfg, inj := chaosConfig(t)
-	cfg.WALFsync = "interval"
-	cfg.WALFsyncInterval = 5 * time.Millisecond
 	svc, ts, _ := newTestServer(t, cfg)
 	cl := client.New(ts.URL, client.WithChunkSize(512), client.WithRetries(0))
 	ctx := context.Background()
@@ -312,141 +310,70 @@ func TestChaosBackgroundFsyncDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.SetPlan(mustPlan(t, "sync/wal-:err@1+"))
-	// Keep the log dirty so every ticker fire attempts (and fails) an
-	// fsync; the error streak must trip the degraded transition.
-	deadline := time.Now().Add(10 * time.Second)
-	for !svc.healthDegraded() && time.Now().Before(deadline) {
-		cl.AddBatch(ctx, testStream(10, 2))
-		time.Sleep(5 * time.Millisecond)
+	for want := int32(1); want <= healthFailThreshold; want++ {
+		if err := cl.AddBatch(ctx, testStream(50, uint64(1+want))); err == nil {
+			t.Fatal("an ingest whose fsync failed was acknowledged")
+		}
+		if got := svc.health.walErrs.Load(); got != want {
+			t.Fatalf("streak %d after %d failed groups", got, want)
+		}
 	}
 	if !svc.healthDegraded() {
-		t.Fatal("background fsync error streak did not degrade the server")
-	}
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.WALSyncErrors == 0 {
-		t.Fatalf("stats do not expose the background sync errors: %+v", st)
-	}
-	if v := metricValue(t, scrape(t, ts.URL), "corrd_wal_sync_errors_total"); v < float64(st.WALSyncErrors) {
-		t.Fatalf("corrd_wal_sync_errors_total %v, stats read %d before it", v, st.WALSyncErrors)
+		t.Fatal("the fsync error streak did not degrade the server")
 	}
 	inj.SetPlan(nil)
-	// The background prober (healthProbeInterval cadence) heals it
-	// without any admin intervention.
 	waitUntil(t, 10*time.Second, "background recovery", func() bool {
 		return !svc.healthDegraded()
 	})
-	if err := cl.AddBatch(ctx, testStream(100, 3)); err != nil {
+	if err := cl.AddBatch(ctx, testStream(100, 9)); err != nil {
 		t.Fatalf("ingest after background recovery: %v", err)
 	}
 }
 
-// TestChaosFsyncStreakResets pins what resets the WAL error streak. Under
-// -wal-fsync=interval a clean fsync does and a clean append does not: the
-// appends acknowledged between two failing interval barriers say nothing
-// about the disk, and if they reset the streak a dead disk would never
-// degrade the server. Under off, where nothing ever fsyncs, a clean append
-// is all the evidence there is. The ticker is parked (an hour) and the test
-// queues the barrier jobs it would.
-func TestChaosFsyncStreakResets(t *testing.T) {
-	ctx := context.Background()
-	barrier := func(svc *Server) error { return svc.commit(&ingestJob{op: opBarrier}) }
-
-	cfg, inj := chaosConfig(t)
-	cfg.WALFsync, cfg.WALFsyncInterval = "interval", time.Hour
-	svc, _, cl := newTestServer(t, cfg)
-	inj.SetPlan(mustPlan(t, "sync/wal-:err@1+"))
-	for want := int32(1); want <= healthFailThreshold; want++ {
-		if err := cl.AddBatch(ctx, testStream(50, uint64(want))); err != nil {
-			t.Fatalf("interval: an append between failing barriers was refused: %v", err)
-		}
-		if err := barrier(svc); err == nil {
-			t.Fatal("interval: barrier under sync fault: want error")
-		}
-		if got := svc.health.walErrs.Load(); got != want {
-			t.Fatalf("interval: streak %d after %d failed barriers with clean appends between them", got, want)
-		}
-	}
-	if !svc.healthDegraded() {
-		t.Fatal("interval: the failing barriers did not degrade the server")
-	}
-	inj.SetPlan(nil)
-	if err := svc.recoverNow(); err != nil {
-		t.Fatal(err)
-	}
-	inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
-	if err := cl.AddBatch(ctx, testStream(50, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := barrier(svc); err == nil || svc.health.walErrs.Load() != 1 {
-		t.Fatalf("interval: one failed barrier: err %v, streak %d", err, svc.health.walErrs.Load())
-	}
-	if err := barrier(svc); err != nil || svc.health.walErrs.Load() != 0 {
-		t.Fatalf("interval: a clean fsync left the streak at %d (err %v)", svc.health.walErrs.Load(), err)
-	}
-
-	cfg, inj = chaosConfig(t)
-	cfg.WALFsync = "off"
-	svc, _, cl = newTestServer(t, cfg)
-	if err := cl.AddBatch(ctx, testStream(50, 1)); err != nil {
-		t.Fatal(err)
-	}
-	inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
-	if err := barrier(svc); err == nil || svc.health.walErrs.Load() != 1 {
-		t.Fatalf("off: one failed barrier: err %v, streak %d", err, svc.health.walErrs.Load())
-	}
-	if err := cl.AddBatch(ctx, testStream(50, 2)); err != nil || svc.health.walErrs.Load() != 0 {
-		t.Fatalf("off: a clean append left the streak at %d (err %v)", svc.health.walErrs.Load(), err)
-	}
-}
-
 // TestChaosFailedBarrierNacksItsDemanders: one commit group, an ingest
-// batch beside a barrier job, and the barrier's fsync fails. Under
-// -wal-fsync=always the failed Sync rewound the batch's record, so both are
-// nacked and a restart does not see the batch. Under interval and off it
-// rewound nothing: the batch was acknowledged without a barrier, as it
-// would have been in a group of its own, and only the job that demanded
-// the barrier fails — the batch is in the engine, in the log, and in the
-// restarted server.
+// batch beside a barrier job, and the barrier's fsync fails. The failed
+// Sync rewound the batch's record, so both are nacked, the streak counts
+// the group once, and a restart does not see the batch. The next group's
+// clean fsync resets the streak.
 func TestChaosFailedBarrierNacksItsDemanders(t *testing.T) {
-	for _, policy := range []string{"always", "interval", "off"} {
-		t.Run(policy, func(t *testing.T) {
-			cfg, inj := chaosConfig(t)
-			cfg.SnapshotPath = ""
-			cfg.WALFsync, cfg.WALFsyncInterval = policy, time.Hour // the test's barrier is the only one
-			svc, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
-			batch := ingestOf("", testStream(300, 1))
-			barrier := &ingestJob{op: opBarrier, done: make(chan struct{}, 1)}
-			svc.commitGroup([]*ingestJob{batch, barrier})
-			<-batch.done
-			<-barrier.done
-			if barrier.kind != ingestErrWAL {
-				t.Fatalf("the barrier job whose fsync failed: kind %d, want ingestErrWAL", barrier.kind)
-			}
-			wantKind, wantCount := ingestOK, uint64(300)
-			if policy == "always" {
-				wantKind, wantCount = ingestErrWAL, 0
-			}
-			if batch.kind != wantKind || (batch.lsn != 0) != (wantKind == ingestOK) {
-				t.Fatalf("the ingest member beside it: kind %d lsn %d, want kind %d", batch.kind, batch.lsn, wantKind)
-			}
-			crash(nil, svc)
-			svc2, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer svc2.Close()
-			if got := svc2.Engine().Count(); got != wantCount {
-				t.Fatalf("restarted server holds %d tuples, want %d", got, wantCount)
-			}
-		})
-	}
+	t.Run("always", func(t *testing.T) {
+		cfg, inj := chaosConfig(t)
+		cfg.SnapshotPath = ""
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj.SetPlan(mustPlan(t, "sync/wal-:err@1"))
+		batch := ingestOf("", testStream(300, 1))
+		barrier := &ingestJob{op: opBarrier, done: make(chan struct{}, 1)}
+		svc.commitGroup([]*ingestJob{batch, barrier})
+		<-batch.done
+		<-barrier.done
+		if barrier.kind != ingestErrWAL {
+			t.Fatalf("the barrier job whose fsync failed: kind %d, want ingestErrWAL", barrier.kind)
+		}
+		if batch.kind != ingestErrWAL || batch.lsn != 0 {
+			t.Fatalf("the ingest member beside it: kind %d lsn %d, want kind %d", batch.kind, batch.lsn, ingestErrWAL)
+		}
+		if got := svc.health.walErrs.Load(); got != 1 {
+			t.Fatalf("streak %d after one failed group", got)
+		}
+		clean := ingestOf("", testStream(200, 2))
+		svc.commitGroup([]*ingestJob{clean})
+		<-clean.done
+		if clean.kind != ingestOK || svc.health.walErrs.Load() != 0 {
+			t.Fatalf("a clean group: kind %d, streak %d, want the streak reset", clean.kind, svc.health.walErrs.Load())
+		}
+		crash(nil, svc)
+		svc2, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc2.Close()
+		if got := svc2.Engine().Count(); got != 200 {
+			t.Fatalf("restarted server holds %d tuples, want the clean group's 200", got)
+		}
+	})
 }
 
 // TestChaosUnappliedRecordStopsTheApply: a logged record the live state
@@ -848,7 +775,6 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 	addr := startStream(t, svc)
 	replicaSvc, rts := newReplica(t, cfg.Options, addr, func(c *Config) {
 		c.WALDir = t.TempDir()
-		c.WALFsync = "always"
 	})
 	ctx := context.Background()
 	acme := client.New(ts.URL, client.WithTenant("acme"))

@@ -538,9 +538,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if wl := s.walRef(); wl != nil {
 		ws := wl.Stats()
 		st.WALEnabled = true
-		st.WALFsync = s.cfg.walFsync()
 		st.WALFsyncs = ws.Fsyncs
-		st.WALSyncErrors = s.metrics.walSyncErrors.Load()
 		st.WALSegments = ws.Segments
 		st.WALAppendedBytes = ws.AppendedBytes
 		st.WALLastLSN = ws.LastLSN

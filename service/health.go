@@ -37,8 +37,7 @@ const (
 )
 
 // healthFailThreshold is how many consecutive failures of one class (a
-// commit group's WAL errors — the interval policy's fsync is a commit
-// group too — or snapshot errors) trip the degraded transition. A
+// commit group's WAL errors or snapshot errors) trip the degraded transition. A
 // sticky-broken WAL degrades immediately regardless.
 const healthFailThreshold = 3
 

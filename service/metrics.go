@@ -158,7 +158,6 @@ type metrics struct {
 	snapshotBytes    gauge
 
 	walAppendErrors  counter    // appends that failed after the engine applied
-	walSyncErrors    counter    // interval-policy barrier jobs that failed
 	walFsync         *histogram // fsync latency on the append/checkpoint path
 	walReplayRecords gauge      // state records replayed at the last startup
 	walReplaySeconds fgauge     // wall-clock duration of that replay
@@ -342,7 +341,6 @@ func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, rs replicati
 		g("corrd_wal_segments", "WAL segment files on disk.", ws.Segments)
 		c("corrd_wal_appends_total", "Records appended to the WAL this process.", ws.Appends)
 		c("corrd_wal_appended_bytes_total", "Frame bytes appended to the WAL this process.", ws.AppendedBytes)
-		c("corrd_wal_sync_errors_total", "Failed fsyncs of the interval policy's ticker (its barrier jobs).", m.walSyncErrors.Load())
 		c("corrd_wal_checkpoints_total", "Checkpoint markers written after snapshots.", ws.Checkpoints)
 		c("corrd_wal_pruned_segments_total", "Sealed WAL segments deleted by checkpoints.", ws.PrunedSegments)
 		g("corrd_wal_last_lsn", "LSN of the most recently appended WAL record.", int64(ws.LastLSN))

@@ -118,7 +118,6 @@ func TestMetricsExpositionInvariants(t *testing.T) {
 		Options:      testOptions(),
 		SnapshotPath: filepath.Join(dir, "snap"),
 		WALDir:       filepath.Join(dir, "wal"),
-		WALFsync:     "always",
 	})
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -351,7 +350,6 @@ var seriesReaders = map[string]string{
 	"corrd_wal_segments":                      "service_test.go",
 	"corrd_wal_appends_total":                 "service_test.go",
 	"corrd_wal_appended_bytes_total":          "service_test.go",
-	"corrd_wal_sync_errors_total":             "chaos_test.go",
 	"corrd_wal_checkpoints_total":             "replication_test.go",
 	"corrd_wal_pruned_segments_total":         "replication_test.go",
 	"corrd_wal_last_lsn":                      "service_test.go",

@@ -19,10 +19,9 @@ import (
 
 // Group commit: the one admission and the one log writer. Every durable
 // mutation — an ingest batch, a record a site forwarded, a checkpoint
-// marker, a recovery probe, a bare barrier (the interval fsync policy is
-// one, on a ticker) — is a job: its source enqueues it and
-// blocks, holding no lock, until the committer has committed the group it
-// rode in. enqueue admits or refuses a client's job on the caller's
+// marker, a recovery probe, a bare barrier — is a job: its source enqueues
+// it and blocks, holding no lock, until the committer has committed the
+// group it rode in. enqueue admits or refuses a client's job on the caller's
 // goroutine, outside every lock, so nothing the committer takes can be
 // refused for what it carries. Only the apply of a logged write makes a
 // tenant, so the registry is a function of the log.
@@ -38,7 +37,7 @@ import (
 // is a forward its site's mark says is a duplicate. A queued ingest member
 // is the counted batch it arrived as, so its tuples exist once, in that
 // buffer. Outside the lock it appends the records and runs one Sync over
-// them, the barrier under -wal-fsync=always, which when it fails has rewound
+// them, the barrier every ack waits on, which when it fails has rewound
 // them all. Under the lock again it applies exactly the records the log still
 // holds, in LSN order, through the applies replay and a replica run,
 // advancing appliedLSN, the coverage a snapshot records; then it wakes the
@@ -100,7 +99,7 @@ var outcomes = [...]struct {
 // jobOp names the record a job will write; the zero value is an ingest
 // batch. The order matters: clients send the ops up to opForward (the ones
 // IngestQueueMax sheds), and the ops from opCheckpoint on demand the
-// group's barrier whatever the fsync policy.
+// group's barrier even when no record of it was appended.
 type jobOp uint8
 
 const (
@@ -466,10 +465,10 @@ func nackJobs(jobs []*ingestJob, err error, kind ingestErrKind) {
 }
 
 // commitGroup commits one taken queue log first (see the top of this file).
-// A failed barrier under -wal-fsync=always has rewound every record of the
-// group, so none is applied; under interval and off it rewound nothing, and
-// only the jobs that demanded it fail. The stage histograms (trace.go) and
-// the group counters describe ingest only, whatever shares the queue.
+// A failed barrier has rewound every record of the group, so none is
+// applied and every job of the group still standing is nacked. The stage
+// histograms (trace.go) and the group counters describe ingest only,
+// whatever shares the queue.
 func (s *Server) commitGroup(group []*ingestJob) {
 	dequeued := time.Now()
 	w := s.walRef()
@@ -487,8 +486,8 @@ func (s *Server) commitGroup(group []*ingestJob) {
 			ingest = true
 		}
 	}
-	// Records awaiting the barrier, a job demanding one whatever the policy.
-	var pending, force bool
+	// A barrier runs when a record's append succeeded or a job demands one.
+	var barrier bool
 	var walErr, syncErr error
 	enc := s.groupBuf
 	for i := 0; w != nil && i < len(recs); i++ {
@@ -497,16 +496,15 @@ func (s *Server) commitGroup(group []*ingestJob) {
 			nackJobs(recs[i].jobs, err, ingestErrWAL)
 			walErr = cmp.Or(walErr, err)
 		}
-		pending = pending || err == nil
+		barrier = barrier || err == nil
 	}
 	if w != nil && ingest {
 		s.metrics.stages[stageAppend].Observe(time.Since(dequeued).Seconds())
 	}
 	for _, j := range group {
-		force = force || j.op >= opCheckpoint
+		barrier = barrier || j.op >= opCheckpoint
 	}
-	policy := s.cfg.walFsync()
-	barrier := w != nil && (force || pending && policy == "always")
+	barrier = barrier && w != nil
 	if barrier {
 		// One fsync for every record of the group: the acks stand behind it.
 		fsyncStart := time.Now()
@@ -519,13 +517,10 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	if walErr != nil {
 		// Any record's log failure counts toward degrading.
 		s.noteWALError(walErr)
-	} else if barrier || pending && policy == "off" {
-		// A clean fsync resets the streak; a clean append only where nothing
-		// ever fsyncs (interval appends say nothing about the disk).
-		s.health.walErrs.Store(0)
+	} else if barrier {
+		s.health.walErrs.Store(0) // a clean fsync resets the streak
 	}
 
-	rewound := syncErr != nil && policy == "always"
 	applyStart := time.Now()
 	applied := false
 	s.mu.Lock()
@@ -535,9 +530,8 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		switch {
 		case w != nil && r.lsn == 0:
 			continue // its append failed
-		case rewound:
-			nackJobs(r.jobs, syncErr, ingestErrWAL)
-			continue
+		case syncErr != nil:
+			continue // the barrier rewound it; nacked below
 		case s.health.lost.Load() != 0: // appliedLSN must not pass it
 			nackJobs(r.jobs, errStateBehindLog, ingestErrEngine)
 			continue
@@ -558,6 +552,9 @@ func (s *Server) commitGroup(group []*ingestJob) {
 			continue
 		}
 		if r.lsn != 0 {
+			// The group's barrier returned nil, so appliedLSN never passes
+			// the log's durable frontier: a snapshot, a re-seed's included,
+			// covers nothing a crash could take back.
 			s.appliedLSN.Store(r.lsn)
 		}
 		for _, j := range r.jobs {
@@ -584,8 +581,8 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	wake := time.Now()
 	members, tuples := 0, 0
 	for i, j := range group {
-		if syncErr != nil && j.kind == ingestOK && j.op >= opCheckpoint {
-			j.err, j.kind, j.lsn = syncErr, ingestErrWAL, 0 // demanded the failed barrier
+		if syncErr != nil && j.kind == ingestOK {
+			j.err, j.kind = syncErr, ingestErrWAL // behind the failed barrier
 		}
 		if j.op == opIngest {
 			s.metrics.stages[stageEnqueue].Observe(dequeued.Sub(j.enqueuedAt).Seconds())

@@ -328,18 +328,13 @@ func (s *Server) serveReplicaConn(c net.Conn, w *wal.WAL) {
 }
 
 // replicaSeedSnapshot builds an in-memory snapshot file for a follower
-// that fell behind the prune horizon. The barrier job afterwards
-// guarantees covered never exceeds the durable frontier — a re-seeded
-// replica must not hold state the primary's own crash recovery could
-// lose.
+// that fell behind the prune horizon. Its covered LSN is appliedLSN,
+// which never passes the durable frontier (commitGroup stores it only
+// behind a barrier that returned nil), so a re-seeded replica holds no
+// state the primary's own crash recovery could lose.
 func (s *Server) replicaSeedSnapshot() (covered uint64, file []byte, err error) {
-	if covered, file, _, _, err = s.buildSnapshot(); err != nil {
-		return 0, nil, err
-	}
-	if err := s.commit(&ingestJob{op: opBarrier}); err != nil {
-		return 0, nil, err
-	}
-	return covered, file, nil
+	covered, file, _, _, err = s.buildSnapshot()
+	return covered, file, err
 }
 
 // ---------------------------------------------------------------------

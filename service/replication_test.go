@@ -121,7 +121,7 @@ func TestReplicaFollowsAndServesReads(t *testing.T) {
 	o := testOptions()
 	dir := t.TempDir()
 	primary, pts, pcl := newTestServer(t, Config{
-		Options: o, WALDir: dir, WALFsync: "always",
+		Options: o, WALDir: dir,
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	addr := startStream(t, primary)
@@ -208,7 +208,7 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 	dir := t.TempDir()
 	snap := dir + "/state.snapshot"
 	primary, pts, pcl := newTestServer(t, Config{
-		Options: o, WALDir: dir + "/wal", WALFsync: "always",
+		Options: o, WALDir: dir + "/wal",
 		SnapshotPath: snap, SnapshotInterval: time.Hour,
 		WALSegmentBytes:   4 << 10, // rotate early so checkpoints prune
 		HeartbeatInterval: 20 * time.Millisecond,
@@ -280,7 +280,7 @@ func TestFailoverByteIdentity(t *testing.T) {
 	o := testOptions()
 	dir := t.TempDir()
 	primary, pts, _ := newTestServer(t, Config{
-		Options: o, WALDir: dir, WALFsync: "always",
+		Options: o, WALDir: dir,
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	addr := startStream(t, primary)
@@ -288,7 +288,6 @@ func TestFailoverByteIdentity(t *testing.T) {
 	replicaDir := t.TempDir()
 	replicaSvc, rts := newReplica(t, o, proxy.Addr(), func(c *Config) {
 		c.WALDir = replicaDir
-		c.WALFsync = "always"
 	})
 
 	ctx := context.Background()
@@ -385,12 +384,14 @@ func TestFailoverByteIdentity(t *testing.T) {
 }
 
 // TestPromoteAdminGate: /v1/promote requires the configured token and
-// is disabled outright without one.
+// is disabled outright without one. The log a promotion opens keeps the
+// one durability contract: a batch acknowledged after it is already
+// behind the log's durable frontier.
 func TestPromoteAdminGate(t *testing.T) {
 	o := testOptions()
-	primary, _, _ := newTestServer(t, Config{Options: o, WALDir: t.TempDir(), WALFsync: "off"})
+	primary, _, _ := newTestServer(t, Config{Options: o, WALDir: t.TempDir()})
 	addr := startStream(t, primary)
-	_, rts := newReplica(t, o, addr, func(c *Config) { c.AdminToken = "s3cret" })
+	replicaSvc, rts := newReplica(t, o, addr, func(c *Config) { c.AdminToken, c.WALDir = "s3cret", t.TempDir() })
 
 	post := func(token string) int {
 		req, _ := http.NewRequest(http.MethodPost, rts.URL+"/v1/promote", nil)
@@ -417,6 +418,12 @@ func TestPromoteAdminGate(t *testing.T) {
 	if got := post("s3cret"); got != http.StatusConflict {
 		t.Fatalf("second promote: %d", got)
 	}
+	if err := client.New(rts.URL).AddBatch(context.Background(), testStream(200, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if w := replicaSvc.walRef(); w.LastLSN() == 0 || w.FollowableLSN() != w.LastLSN() {
+		t.Fatalf("an acknowledged batch past the promoted log's durable frontier: last %d, followable %d", w.LastLSN(), w.FollowableLSN())
+	}
 
 	// No token configured: the endpoint is disabled, not open.
 	_, rts2 := newReplica(t, o, addr, nil)
@@ -438,7 +445,7 @@ func TestPromoteAdminGate(t *testing.T) {
 func TestReplicaAutoPromoteOnPrimaryLoss(t *testing.T) {
 	o := testOptions()
 	primary, _, pcl := newTestServer(t, Config{
-		Options: o, WALDir: t.TempDir(), WALFsync: "always",
+		Options: o, WALDir: t.TempDir(),
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	addr := startStream(t, primary)
@@ -473,30 +480,6 @@ func TestReplicaAutoPromoteOnPrimaryLoss(t *testing.T) {
 	}
 }
 
-// TestPromotedReplicaKeepsIntervalFsync: the interval policy's ticker is
-// the server's, not the log's, so a replica configured with
-// -wal-fsync=interval has it from New — idle while there is no log — and
-// the log its promotion opens is fsynced on it: a batch acknowledged after
-// promotion reaches the durable frontier with nothing else demanding a
-// barrier.
-func TestPromotedReplicaKeepsIntervalFsync(t *testing.T) {
-	o := testOptions()
-	primary, _, _ := newTestServer(t, Config{Options: o, WALDir: t.TempDir(), WALFsync: "always"})
-	replicaSvc, rts := newReplica(t, o, startStream(t, primary), func(c *Config) {
-		c.WALDir, c.WALFsync, c.WALFsyncInterval = t.TempDir(), "interval", 5*time.Millisecond
-	})
-	if err := replicaSvc.Promote(); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.New(rts.URL).AddBatch(context.Background(), testStream(200, 8)); err != nil {
-		t.Fatal(err)
-	}
-	w := replicaSvc.walRef()
-	waitUntil(t, 10*time.Second, "the ticker's barrier to cover the acknowledged batch", func() bool {
-		return w.LastLSN() > 0 && w.FollowableLSN() == w.LastLSN()
-	})
-}
-
 // TestReplicaReseedRefreshesFootprint: a re-seed changes the form of every
 // tenant it touches — here it empties one the image lacks, and replaces
 // the default, a live and a spilled one — and the governance samples must
@@ -516,7 +499,7 @@ func TestReplicaReseedRefreshesFootprint(t *testing.T) {
 		}
 	}
 	primary, pts, _ := newTestServer(t, Config{
-		Options: o, WALDir: t.TempDir(), WALFsync: "always",
+		Options: o, WALDir: t.TempDir(),
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	replicaSvc, rts := newReplica(t, o, startStream(t, primary), nil)

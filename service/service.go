@@ -97,18 +97,13 @@ type Config struct {
 	SnapshotInterval time.Duration
 
 	// WALDir enables the write-ahead log: every accepted ingest batch
-	// and forwarded site record is appended (and, per
-	// WALFsync, fsynced) before the request is acknowledged, and startup
-	// replays the log suffix the snapshot does not cover. Empty disables the WAL and leaves
-	// the durability window at the snapshot interval. Pair it with
-	// SnapshotPath so checkpoints can prune the log.
+	// and forwarded site record is appended and fsynced — one fsync per
+	// commit group — before the request is acknowledged, so an
+	// acknowledged request survives kill -9 and an OS crash, and startup
+	// replays the log suffix the snapshot does not cover. Empty disables
+	// the WAL and leaves the durability window at the snapshot interval.
+	// Pair it with SnapshotPath so checkpoints can prune the log.
 	WALDir string
-	// WALFsync is the fsync policy: "always" (default — an
-	// acknowledged request survives kill -9), "interval", or "off".
-	WALFsync string
-	// WALFsyncInterval is the ticker period for WALFsync="interval" — how
-	// often a barrier job is queued; <= 0 means 100ms.
-	WALFsyncInterval time.Duration
 	// WALSegmentBytes is the segment rotation threshold; <= 0 means
 	// 64 MiB.
 	WALSegmentBytes int64
@@ -216,14 +211,6 @@ func (c *Config) role() string {
 		return "site"
 	}
 	return "coordinator"
-}
-
-// walFsync normalizes the WALFsync field.
-func (c *Config) walFsync() string {
-	if c.WALFsync == "" {
-		return "always"
-	}
-	return c.WALFsync
 }
 
 // aggregate normalizes the Aggregate field.
@@ -394,9 +381,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotKeep <= 0 {
 		cfg.SnapshotKeep = 2
 	}
-	if cfg.WALFsyncInterval <= 0 {
-		cfg.WALFsyncInterval = 100 * time.Millisecond
-	}
 	if cfg.FS == nil {
 		cfg.FS = fault.OS()
 	}
@@ -473,12 +457,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.AccessLog != nil {
 		s.access = newAccessLog(cfg.AccessLog, accessLogRing, &s.metrics.accessDropped)
 	}
-	walDesc := "off"
-	if cfg.WALDir != "" {
-		walDesc = fmt.Sprintf("%s (fsync=%s)", cfg.WALDir, cfg.walFsync())
-	}
-	s.logf("configured: role=%s agg=%s snapshot=%q wal=%s access-log=%t slow-request=%s",
-		cfg.role(), cfg.aggregate(), cfg.SnapshotPath, walDesc,
+	s.logf("configured: role=%s agg=%s snapshot=%q wal=%q access-log=%t slow-request=%s",
+		cfg.role(), cfg.aggregate(), cfg.SnapshotPath, cfg.WALDir,
 		s.access != nil, cfg.SlowRequest)
 	go s.committer()
 	s.every(healthProbeInterval, func() {
@@ -486,17 +466,6 @@ func New(cfg Config) (*Server, error) {
 			s.recoverNow() // logs its own outcome
 		}
 	})
-	if cfg.WALDir != "" && cfg.walFsync() == "interval" {
-		// The interval policy is a barrier job on a ticker — the log starts
-		// no goroutine — and its failure a failed commit group like any
-		// other. A replica's is a no-op until promotion opens the log.
-		s.every(cfg.WALFsyncInterval, func() {
-			if err := s.commit(&ingestJob{op: opBarrier}); err != nil {
-				s.metrics.walSyncErrors.Inc()
-				s.logf("wal: interval fsync: %v", err)
-			}
-		})
-	}
 	if cfg.SnapshotPath != "" {
 		s.every(cfg.SnapshotInterval, func() {
 			if err := s.Snapshot(); err != nil {
@@ -590,7 +559,8 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	var errs []error
 	if s.fwd != nil {
-		// The barrier makes what -wal-fsync=interval acknowledged followable.
+		// The barrier orders the final drain after every job queued
+		// before it, so the drain forwards all they logged.
 		if err := errors.Join(s.commit(&ingestJob{op: opBarrier}), s.fwd.drain()); err != nil {
 			errs = append(errs, fmt.Errorf("final forward: %w", err))
 		}

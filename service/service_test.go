@@ -374,7 +374,7 @@ func walConfig(t *testing.T) Config {
 	return Config{
 		Options:      testOptions(),
 		SnapshotPath: filepath.Join(dir, "corrd.snapshot"), SnapshotInterval: time.Hour,
-		WALDir: filepath.Join(dir, "wal"), WALFsync: "always",
+		WALDir: filepath.Join(dir, "wal"),
 	}
 }
 
@@ -514,7 +514,7 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 func TestWALRecoveryWithoutSnapshot(t *testing.T) {
 	cfg := Config{
 		Options: testOptions(),
-		WALDir:  filepath.Join(t.TempDir(), "wal"), WALFsync: "always",
+		WALDir:  filepath.Join(t.TempDir(), "wal"),
 	}
 	svc, err := New(cfg)
 	if err != nil {

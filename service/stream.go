@@ -39,8 +39,8 @@ import (
 // its own buffer), and acks are written from a fixed buffer.
 //
 // Durability semantics are exactly the HTTP path's: an AckOK frame is
-// applied and, with -wal-fsync=always, durable behind the group fsync
-// its LSN names — streamed batches ride the same group-commit WAL
+// applied and, with a WAL, durable behind the group fsync its LSN
+// names — streamed batches ride the same group-commit WAL
 // records, so kill -9 recovery stays byte-exact with stream and HTTP
 // ingest interleaved. Delivery is at-least-once across reconnects: a
 // client that dies before reading an ack cannot know whether the frame

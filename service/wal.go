@@ -10,16 +10,15 @@ import (
 // Durable ingest: with Config.WALDir set, every accepted ingest batch and
 // forwarded site record is appended to a write-ahead log *before* the HTTP
 // acknowledgement, and startup becomes restore-snapshot-then-replay-
-// suffix. Under -wal-fsync=always an acknowledged request therefore
-// survives kill -9 — the durability window shrinks from the snapshot
-// interval to zero.
+// suffix. The acknowledgement waits for its group's fsync, so an
+// acknowledged request survives kill -9 — the durability window shrinks
+// from the snapshot interval to zero.
 //
 // Three invariants make recovery crash-exact. First, "one writer": while
 // the server runs only the committer (pipeline.go) appends to, syncs,
-// rewinds or probes the log — the interval policy's periodic fsync is a
-// job of its queue, the log has no goroutine of its own — so a record is
-// in the log exactly when the barrier its waiter stood behind returned
-// nil. The tenant registry follows: only the apply of a logged write
+// rewinds or probes the log — the log has no goroutine of its own — so a
+// record is in the log exactly when the barrier its waiter stood behind
+// returned nil. The tenant registry follows: only the apply of a logged write
 // makes a tenant, live and on replay alike. Second, "the committer applies
 // in LSN order after the barrier": only the records the log holds once the
 // group's barrier returns, under the driver lock (s.mu), through the very
@@ -47,13 +46,8 @@ import (
 // brand-new log: the restored snapshot's coverage + 1 at start-up, a
 // promoted replica's sealed LSN + 1.
 func (s *Server) openWAL(firstLSN uint64) error {
-	policy, err := wal.ParseSyncPolicy(s.cfg.WALFsync)
-	if err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
 	w, err := wal.Open(s.cfg.WALDir, wal.Options{
 		SegmentBytes: s.cfg.WALSegmentBytes,
-		Sync:         policy,
 		FirstLSN:     firstLSN,
 		FS:           s.fs,
 		OnFsync:      func(d time.Duration) { s.metrics.walFsync.Observe(d.Seconds()) },
