@@ -95,9 +95,10 @@ type Stats struct {
 	WALReplayRecords uint64  `json:"wal_replay_records,omitempty"`
 	WALReplaySeconds float64 `json:"wal_replay_seconds,omitempty"`
 
-	// A site's forwarding: the highest LSN of its log the coordinator has
+	// A site's forwarding: the highest LSN of its log every target has
 	// confirmed (the log holds the rest, and prunes nothing past it), and
-	// the coordinator's refusal while one stops the records behind it.
+	// each target's refusal while one stops the records behind it, joined
+	// by "; ".
 	ForwardAckedLSN uint64 `json:"forward_acked_lsn,omitempty"`
 	ForwardStalled  string `json:"forward_stalled,omitempty"`
 
@@ -122,16 +123,9 @@ type Stats struct {
 	// at least one ingest; stages that never fired are omitted.
 	PipelineStages map[string]StageStats `json:"pipeline_stages,omitempty"`
 
-	// Replication fields are present when the server was started as a
-	// replica (corrd -primary). Promoted reports that it has since been
-	// promoted to primary; lag is against the primary's last observed
-	// WAL frontier.
-	ReplicaOf         string  `json:"replica_of,omitempty"`
-	ReplicaAppliedLSN uint64  `json:"replica_applied_lsn,omitempty"`
-	ReplicaPrimaryLSN uint64  `json:"replica_primary_lsn,omitempty"`
-	ReplicaLagRecords uint64  `json:"replica_lag_records,omitempty"`
-	ReplicaLagSeconds float64 `json:"replica_lag_seconds,omitempty"`
-	Promoted          bool    `json:"promoted,omitempty"`
+	// Promoted reports that a standby (corrd -standby), which reports its
+	// role as replica until then, has been promoted.
+	Promoted bool `json:"promoted,omitempty"`
 
 	// Health is the degraded-mode state machine's position ("healthy",
 	// "degraded", "recovering"); DegradedSeconds the cumulative time
@@ -433,12 +427,12 @@ func AppendForwardRecord(buf []byte, lsn uint64, typ uint8, payload []byte) []by
 	return append(binary.AppendUvarint(buf, uint64(len(payload))), payload...)
 }
 
-// Promote asks the base server to promote itself from replica to
-// primary (POST /v1/promote, gated by WithAdminToken). Promote is
+// Promote asks the base server, a standby, to promote itself to primary
+// (POST /v1/promote, gated by WithAdminToken). Promote is
 // strictly single-attempt: a promote that succeeded server-side but lost its
 // response would, on retry, surface a confusing 409, and blindly
 // re-promoting during a failover window is how split-brain happens.
-// A 409 means the server is not a replica (already primary).
+// A 409 means the server is not a standby (already primary).
 func (c *Client) Promote(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/promote", nil)
 	if err != nil {

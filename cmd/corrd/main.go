@@ -24,7 +24,7 @@
 // so a repeated query does not block ingest. -shards is accepted and
 // ignored (the benchmark's command line still passes it): it selected
 // the worker count of a per-tenant sharded engine this daemon no longer
-// has. The log, the snapshot and the replication stream are versioned
+// has. The log, the snapshot and the forward body are versioned
 // together; files or peers from before the break are refused by name
 // (README "Storage format").
 //
@@ -44,48 +44,44 @@
 // idle tenants to their marshaled images until their next touch.
 //
 // Site — summarize a local stream and forward the records of its log to
-// the coordinator, as many as are ready in one request, which applies each
-// exactly once into one summary per tenant (no merge of summaries, so no
-// merge's error term):
+// each comma-separated -push-to target, as many as are ready in one
+// request; a target applies each exactly once into one summary per tenant
+// (no merge of summaries, so no merge's error term):
 //
-//	corrd -addr :7071 -push-to http://coordinator:7070 \
+//	corrd -addr :7071 -push-to http://coordinator:7070,http://standby:7072 \
 //	      -wal-dir /var/lib/corrd/site-wal -snapshot /var/lib/corrd/site.snapshot \
 //	      -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 -seed 42
 //
 // -push-to needs -wal-dir: the log is what is forwarded, and the site's
-// checkpoints prune it only as far as the coordinator has confirmed. The
+// checkpoints prune it only as far as every target has confirmed. The
 // site id that names the log's LSN space is kept in the WAL directory. A
-// record the coordinator refuses (a tenant cap) holds back the records
-// behind it: /v1/stats reports it as forward_stalled.
-// A site forwards tuples, never a summary image, so the coordinator
-// applies them under its own summary flags (-agg, -k, -eps, -delta,
-// -ymax, -maxn, -maxx, -seed, -pred, and the alpha overrides); a tuple
-// past its -ymax is refused.
+// record a target refuses (a tenant cap) holds back the records behind
+// it, and a target whose mark is behind the log's oldest record waits to
+// be started on a copy of the site's snapshot: /v1/stats reports either
+// as forward_stalled. A site forwards tuples, never a summary image, so a
+// target applies them under its own summary flags (-agg, -k, -eps,
+// -delta, -ymax, -maxn, -maxx, -seed, -pred, and the alpha overrides); a
+// tuple past its -ymax is refused.
 //
-// Replica — follow a primary's WAL over its -stream-addr and serve the
-// read path as a warm standby:
+// Standby — a coordinator that takes its primary's forwards and serves
+// reads, and refuses client writes until promoted:
 //
-//	corrd -addr :7072 -primary coordinator:7071 \
+//	corrd -addr :7072 -standby -wal-dir /var/lib/corrd/standby-wal \
 //	      -primary-timeout 10s -admin-token s3cret \
 //	      -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 -seed 42
 //
-// -primary makes the daemon a replica. A replica replays the primary's
-// log continuously into a live engine registry (every tenant,
-// byte-exact), answers /v1/query, /v1/stats, and /v1/summary through the
-// same read path as a primary,
-// and rejects writes with HTTP 503. /v1/stats and /metrics expose the
-// replication lag in records and seconds. Failover: POST /v1/promote
-// (gated by -admin-token) — or -primary-timeout of total primary
-// silence — promotes the replica in place: it seals its replayed log
-// position, opens its own WAL in -wal-dir numbered from the next LSN,
-// and begins accepting writes. Replicas must share the primary's
-// summary flags verbatim, -seed included: a re-seed ships the primary's
-// images.
+// The primary lists the standby in its -push-to. The standby logs each
+// forward in its own WAL, answers /v1/query, /v1/stats and /v1/summary
+// like any server, reports its role as replica and rejects client writes
+// with HTTP 503. POST /v1/promote (gated by -admin-token) — or
+// -primary-timeout with no forward, an idle primary sends an empty one
+// every second — promotes it in place: it starts taking writes, and
+// forwards onward through its own -push-to like any site.
 //
 // Endpoints: POST /v1/ingest (binary tuple stream or text/csv
 // "x,y[,w]" lines), POST /v1/forward (records of a site's log),
 // GET /v1/query?op=le|ge&c=N, GET /v1/stats, GET /v1/summary,
-// POST /v1/promote (replica → primary, admin-gated),
+// POST /v1/promote (standby → primary, admin-gated),
 // POST /v1/recover (force a recovery probe on a degraded daemon,
 // admin-gated), POST /v1/fault (swap the fault plan; only with
 // -fault-plan), GET /healthz (liveness), GET /readyz (503 while degraded
@@ -152,8 +148,9 @@ const (
 
 // parseFlags turns the command line into options. Usage and parse
 // errors go to stderr; a flag combination that names no valid role is an
-// error here, before anything is opened. -primary makes a replica and
-// -push-to a site; with neither the daemon is a coordinator.
+// error here, before anything is opened. -standby makes a standby and
+// -push-to a site; a standby with targets forwards onward, and with
+// neither the daemon is a coordinator.
 func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("corrd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -185,11 +182,10 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&c.WALDir, "wal-dir", "", "write-ahead log directory (empty = no WAL); with a WAL every acknowledged write survives kill -9")
 	fs.Int64Var(&c.WALSegmentBytes, "wal-segment-bytes", 64<<20, "WAL segment rotation threshold")
 
-	fs.StringVar(&c.PushTo, "push-to", "", "coordinator base URL; setting it makes this daemon a site that forwards its log there (requires -wal-dir)")
+	fs.StringVar(&c.PushTo, "push-to", "", "comma-separated base URLs of coordinators and standbys; setting it makes this daemon a site that forwards its log to each (requires -wal-dir)")
 
-	fs.StringVar(&c.PrimaryAddr, "primary", "", "primary's stream address (host:port); setting it makes this daemon a replica that follows the primary's WAL and serves reads only")
-	fs.DurationVar(&c.PrimaryTimeout, "primary-timeout", 0, "replica auto-promotes itself after this much total primary silence (0 = promote only on POST /v1/promote)")
-	fs.DurationVar(&c.HeartbeatInterval, "heartbeat-interval", time.Second, "primary→replica heartbeat period on replication connections")
+	fs.BoolVar(&c.Standby, "standby", false, "take the primary's forwards and serve reads, but refuse client writes until promoted")
+	fs.DurationVar(&c.PrimaryTimeout, "primary-timeout", 0, "a standby promotes itself after this long with no forward (0 = promote only on POST /v1/promote)")
 	fs.StringVar(&c.AdminToken, "admin-token", "", "X-Admin-Token required on POST /v1/promote (empty = promotion over HTTP disabled)")
 
 	fs.Int64Var(&c.MaxBodyBytes, "max-body", 64<<20, "request body cap in bytes")
@@ -313,7 +309,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() {
 		logger.Printf("corrd: %s role listening on %s (agg=%s)",
-			roleOf(o.svc.PushTo, o.svc.PrimaryAddr), o.addr, o.svc.Aggregate)
+			roleOf(o.svc.PushTo, o.svc.Standby), o.addr, o.svc.Aggregate)
 		errc <- httpSrv.ListenAndServe()
 	}()
 	if o.streamAddr != "" {
@@ -378,9 +374,9 @@ func main() {
 	logger.Printf("corrd: clean shutdown")
 }
 
-func roleOf(pushTo, primary string) string {
+func roleOf(pushTo string, standby bool) string {
 	switch {
-	case primary != "":
+	case standby:
 		return "replica"
 	case pushTo != "":
 		return "site"

@@ -69,25 +69,20 @@ func TestParseFlags(t *testing.T) {
 			},
 		},
 		{
+			// A standby reports its role as replica; with -push-to it
+			// forwards onward, a site once promoted.
 			name: "replica", role: "replica",
-			args: []string{"-primary", "coordinator:7071", "-primary-timeout", "10s", "-admin-token", "s3cret", "-pred", "ge"},
+			args: []string{"-standby", "-push-to", "http://c:7070", "-wal-dir", "/tmp/s", "-primary-timeout", "10s", "-admin-token", "s3cret", "-pred", "ge"},
 			check: func(t *testing.T, o *options) {
 				c := o.svc
-				if c.PrimaryAddr != "coordinator:7071" || c.PrimaryTimeout != 10*time.Second ||
+				if !c.Standby || c.PushTo != "http://c:7070" || c.PrimaryTimeout != 10*time.Second ||
 					c.AdminToken != "s3cret" || c.Options.Predicate != correlated.GE {
 					t.Fatalf("config: %+v", c)
 				}
 			},
 		},
-		{
-			// -primary alone makes a replica: -role is gone.
-			name: "primary without role", role: "replica", args: []string{"-primary", "h:1"},
-			check: func(t *testing.T, o *options) {
-				if o.svc.PrimaryAddr != "h:1" {
-					t.Fatalf("config: %+v", o.svc)
-				}
-			},
-		},
+		// A standby is -standby: the primary lists it in its -push-to.
+		{name: "primary without role", args: []string{"-primary", "h:1"}, wantErr: "flag provided but not defined: -primary"},
 		{name: "replica without primary", args: []string{"-role", "replica"}, wantErr: "flag provided but not defined: -role"},
 		{name: "unknown role", args: []string{"-role", "witness"}, wantErr: "flag provided but not defined: -role"},
 		{name: "group max is gone", args: []string{"-ingest-group-max", "16"}, wantErr: "flag provided but not defined: -ingest-group-max"},
@@ -113,7 +108,7 @@ func TestParseFlags(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (stderr %q)", err, stderr.String())
 			}
-			if got := roleOf(o.svc.PushTo, o.svc.PrimaryAddr); got != tc.role {
+			if got := roleOf(o.svc.PushTo, o.svc.Standby); got != tc.role {
 				t.Fatalf("role %q, want %q", got, tc.role)
 			}
 			tc.check(t, o)
@@ -202,40 +197,39 @@ func TestPaceCollector(t *testing.T) {
 // (and the field); for any other, the smoke-script step or corrdbench
 // argument that passes it. A flag no one reads has no reason to be parsed.
 var flagReaders = map[string]struct{ file, field string }{
-	"access-log":         {"scripts/service-smoke.sh", ""},
-	"addr":               {"scripts/service-smoke.sh", ""},
-	"admin-token":        {"service/replication_test.go", "AdminToken"},
-	"agg":                {"service/aggregate_test.go", "Aggregate"},
-	"alpha":              {"service/service_test.go", "Alpha"},
-	"debug-addr":         {"scripts/service-smoke.sh", ""},
-	"delta":              {"service/service_test.go", "Delta"},
-	"eps":                {"service/service_test.go", "Eps"},
-	"fault-plan":         {"scripts/service-smoke.sh", ""},
-	"heartbeat-interval": {"service/replication_test.go", "HeartbeatInterval"},
-	"ingest-queue-max":   {"service/admission_test.go", "IngestQueueMax"},
-	"k":                  {"service/aggregate_test.go", "K"},
-	"max-body":           {"service/forward_test.go", "MaxBodyBytes"},
-	"max-tenant-bytes":   {"service/tenant_test.go", "MaxTenantBytes"},
-	"max-tenants":        {"service/tenant_test.go", "MaxTenants"},
-	"maxn":               {"service/service_test.go", "MaxStreamLen"},
-	"maxx":               {"service/service_test.go", "MaxX"},
-	"pred":               {"service/service_test.go", "Predicate"},
-	"primary":            {"service/replication_test.go", "PrimaryAddr"},
-	"primary-timeout":    {"service/replication_test.go", "PrimaryTimeout"},
-	"push-to":            {"service/forward_test.go", "PushTo"},
-	"query-max-stale":    {"service/memo_test.go", "QueryMaxStale"},
-	"seed":               {"service/service_test.go", "Seed"},
-	"shards":             {"benchmarks/corrdbench/server.go", ""},
-	"slow-request":       {"service/accesslog_test.go", "SlowRequest"},
-	"snapshot":           {"service/service_test.go", "SnapshotPath"},
-	"snapshot-interval":  {"service/service_test.go", "SnapshotInterval"},
-	"snapshot-keep":      {"service/service_test.go", "SnapshotKeep"},
-	"stream-addr":        {"benchmarks/corrdbench/server.go", ""},
-	"tenant-idle-spill":  {"service/tenant_test.go", "TenantIdleSpill"},
-	"wal-dir":            {"service/service_test.go", "WALDir"},
-	"wal-fsync":          {"benchmarks/corrdbench/server.go", ""},
-	"wal-segment-bytes":  {"service/forward_test.go", "WALSegmentBytes"},
-	"ymax":               {"service/service_test.go", "YMax"},
+	"access-log":        {"scripts/service-smoke.sh", ""},
+	"addr":              {"scripts/service-smoke.sh", ""},
+	"admin-token":       {"service/replication_test.go", "AdminToken"},
+	"agg":               {"service/aggregate_test.go", "Aggregate"},
+	"alpha":             {"service/service_test.go", "Alpha"},
+	"debug-addr":        {"scripts/service-smoke.sh", ""},
+	"delta":             {"service/service_test.go", "Delta"},
+	"eps":               {"service/service_test.go", "Eps"},
+	"fault-plan":        {"scripts/service-smoke.sh", ""},
+	"ingest-queue-max":  {"service/admission_test.go", "IngestQueueMax"},
+	"k":                 {"service/aggregate_test.go", "K"},
+	"max-body":          {"service/forward_test.go", "MaxBodyBytes"},
+	"max-tenant-bytes":  {"service/tenant_test.go", "MaxTenantBytes"},
+	"max-tenants":       {"service/tenant_test.go", "MaxTenants"},
+	"maxn":              {"service/service_test.go", "MaxStreamLen"},
+	"maxx":              {"service/service_test.go", "MaxX"},
+	"pred":              {"service/service_test.go", "Predicate"},
+	"primary-timeout":   {"service/replication_test.go", "PrimaryTimeout"},
+	"push-to":           {"service/forward_test.go", "PushTo"},
+	"query-max-stale":   {"service/memo_test.go", "QueryMaxStale"},
+	"seed":              {"service/service_test.go", "Seed"},
+	"shards":            {"benchmarks/corrdbench/server.go", ""},
+	"slow-request":      {"service/accesslog_test.go", "SlowRequest"},
+	"snapshot":          {"service/service_test.go", "SnapshotPath"},
+	"snapshot-interval": {"service/service_test.go", "SnapshotInterval"},
+	"snapshot-keep":     {"service/service_test.go", "SnapshotKeep"},
+	"standby":           {"service/replication_test.go", "Standby"},
+	"stream-addr":       {"benchmarks/corrdbench/server.go", ""},
+	"tenant-idle-spill": {"service/tenant_test.go", "TenantIdleSpill"},
+	"wal-dir":           {"service/service_test.go", "WALDir"},
+	"wal-fsync":         {"benchmarks/corrdbench/server.go", ""},
+	"wal-segment-bytes": {"service/forward_test.go", "WALSegmentBytes"},
+	"ymax":              {"service/service_test.go", "YMax"},
 }
 
 // usageFlags is corrd's flag set as -h prints it: each flag's name, in

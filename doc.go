@@ -103,22 +103,20 @@
 //	                                            Go runtime metrics and build info
 //	                                            in the exposition, and the opt-in
 //	                                            pprof listener (-debug-addr)
-//	replication & HA          service, client,  WAL-shipped warm standby (corrd
-//	                          internal/replica  -primary ADDR): the
-//	                                            primary tails its durable log over
-//	                                            the stream listener (records,
-//	                                            heartbeats, snapshot re-seeds for
-//	                                            pruned positions); the replica
-//	                                            replays through the crash-recovery
-//	                                            grammar and serves memoized
-//	                                            reads, rejecting writes with 503;
-//	                                            POST /v1/promote (admin-gated) or
-//	                                            heartbeat-loss auto-promotion seals
-//	                                            the applied LSN and flips the node
-//	                                            writable, byte-identical to a
-//	                                            crash-free primary at the seal;
-//	                                            the Go client fails reads over
-//	                                            and redirects writes
+//	replication & HA          service, client   warm standby (corrd -standby): a
+//	                                            coordinator its primary lists in
+//	                                            -push-to, fed the primary's log
+//	                                            by the sites' forward protocol
+//	                                            and its marks, serving memoized
+//	                                            reads and refusing client writes
+//	                                            with 503; POST /v1/promote
+//	                                            (admin-gated) or -primary-timeout
+//	                                            of silence lifts the refusal,
+//	                                            byte-identical to the primary at
+//	                                            its mark; a standby with its own
+//	                                            -push-to forwards onward; the Go
+//	                                            client fails reads over and
+//	                                            redirects writes
 //	durable ingest            internal/wal      segmented CRC32C write-ahead log
 //	                                            under the daemon: log-before-ack,
 //	                                            one keyed record per commit group

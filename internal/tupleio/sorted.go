@@ -1,7 +1,7 @@
 package tupleio
 
 // The sorted batch: the member of a WAL ingest record, which is also what a
-// primary ships to a replica and a site forwards to its coordinator. A
+// site forwards to its coordinators and standbys. A
 // record holds one member per tenant its commit group touched, and a member
 // is the argument of the one AddBatch that tenant got — already sorted by
 // y, so y travels as the gap to the row before it and a weight only when

@@ -102,7 +102,10 @@ const (
 	// for existing tenants keep committing.
 	AckTenant uint8 = 5
 
-	// AckReadOnly (6) lives in repl.go with the replication grammar.
+	// AckReadOnly: the server is a standby, which takes no client writes
+	// until it is promoted (HTTP mirrors this with 503). The connection
+	// stays usable — the sender may be probing.
+	AckReadOnly uint8 = 6
 
 	// AckDegraded: the server is in degraded (read-only) mode — its
 	// durability path is broken and it refuses writes until recovery.

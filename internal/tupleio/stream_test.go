@@ -190,23 +190,22 @@ func FuzzStreamFrame(f *testing.F) {
 	seed(append(AppendFrameHeader(nil, 1, uint32(len(cutKey))), cutKey...))
 	hostileKey := binary.AppendUvarint(nil, 1<<30)
 	seed(append(AppendFrameHeader(nil, 1, uint32(len(hostileKey))), hostileKey...))
-	// Replication transport: the follower hello, start requests (one
-	// sane, one with a hostile start-LSN, one truncated mid-handshake),
-	// and each server→follower frame kind — a shipped record, a
-	// heartbeat, a snapshot offer, and a torn snapshot offer whose frame
-	// claims more than the conn delivered.
-	seed(AppendHello(nil, StreamFormatReplica))
-	seed(AppendReplStart(nil, 42))
-	seed(AppendReplStart(nil, ^uint64(0)))
-	seed(AppendReplStart(nil, 7)[:ReplStartSize-5])
-	record := AppendReplRecord(nil, 1, payload)
+	// What a peer of the retired replication format sends — its hello, a
+	// start request (one sane, one with a hostile LSN, one truncated), and
+	// its frames: a record, a heartbeat, a snapshot, a torn snapshot, an
+	// unknown kind — is refused or read as plain frames, never a panic.
+	seed(AppendHello(nil, 7))
+	start := binary.LittleEndian.AppendUint64([]byte("CRP1"), 42)
+	seed(start)
+	seed(append([]byte("CRP1"), bytes.Repeat([]byte{0xFF}, 8)...))
+	seed(start[:7])
+	record := append([]byte{1, 1}, payload...)
 	seed(append(AppendFrameHeader(nil, 3, uint32(len(record))), record...))
-	seed(append(AppendFrameHeader(nil, 9, 1), ReplHeartbeat))
-	snap := AppendReplSnapshot(nil, bytes.Repeat([]byte{0xCF}, 96))
+	seed(append(AppendFrameHeader(nil, 9, 1), 3))
+	snap := append([]byte{2}, bytes.Repeat([]byte{0xCF}, 96)...)
 	seed(append(AppendFrameHeader(nil, 5, uint32(len(snap))), snap...))
-	torn := append(AppendFrameHeader(nil, 5, uint32(len(snap))), snap[:len(snap)/2]...)
-	seed(torn)
-	seed(append(AppendFrameHeader(nil, 1, 2), 0xFF, 0x01)) // unknown repl kind
+	seed(append(AppendFrameHeader(nil, 5, uint32(len(snap))), snap[:len(snap)/2]...))
+	seed(append(AppendFrameHeader(nil, 1, 2), 0xFF, 0x01))
 
 	const frameCap = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -220,12 +219,6 @@ func FuzzStreamFrame(f *testing.F) {
 		}
 		if len(data) >= AckSize {
 			ParseAck(data[:AckSize])
-		}
-		if len(data) >= ReplStartSize {
-			// A hostile start request must parse or reject, never panic;
-			// whatever LSN it smuggles in is the primary's problem to
-			// bound, not the parser's.
-			ParseReplStart(data[:ReplStartSize])
 		}
 
 		// The frame reader over the raw bytes: walk frames until error.
@@ -246,15 +239,6 @@ func FuzzStreamFrame(f *testing.F) {
 			buf = out
 			if len(out) == 0 || len(out) > frameCap {
 				t.Fatalf("accepted frame of %d bytes (cap %d)", len(out), frameCap)
-			}
-			// Every accepted frame must also survive the replication
-			// payload splitter: it either classifies the payload or
-			// rejects it, and a record split re-encodes to the original.
-			if kind, walType, rest, rerr := DecodeReplPayload(out); rerr == nil && kind == ReplRecord {
-				re := AppendReplRecord(nil, walType, rest)
-				if !bytes.Equal(re, out) {
-					t.Fatalf("repl record split/re-encode changed bytes: %x -> %x", out, re)
-				}
 			}
 			// A payload the keyed decoder accepts must round-trip: the
 			// key and tuples re-encode to bytes the decoder accepts

@@ -9,7 +9,7 @@
 // packages: the service decodes exactly what the client encodes, and a
 // non-Go producer only needs "three uvarints per tuple". That is the
 // client wire — HTTP bodies and stream frames, in the client's order.
-// What corrd writes to its log and ships to a replica is the sorted batch
+// What corrd writes to its log and forwards to another server is the sorted batch
 // (sorted.go): each tenant's tuples as its one AddBatch took them, y as
 // gaps and unit weights elided.
 package tupleio

@@ -105,7 +105,7 @@ const (
 	RecordForward RecordType = 5
 	// RecordProbe is a no-op health probe with an empty payload: the
 	// record Probe appends to prove, behind the next Sync, that the log
-	// can take durable writes again after a fault. Replay and replication skip
+	// can take durable writes again after a fault. Replay and forwarding skip
 	// it — it carries no state, only the evidence of a working disk.
 	RecordProbe RecordType = 7
 )
@@ -130,10 +130,10 @@ type Options struct {
 	// successful fsync of the active segment (for latency histograms).
 	OnFsync func(time.Duration)
 	// FirstLSN, when > 0, numbers the first record of a brand-new log
-	// (an empty directory) FirstLSN instead of 1. A promoted replica
-	// uses it to continue its former primary's LSN space, so the LSNs
-	// in its snapshots and its own log never collide. Ignored when the
-	// directory already holds segments.
+	// (an empty directory) FirstLSN instead of 1. A server starting a
+	// new log beside a snapshot uses it to continue the snapshot's LSN
+	// space, so the LSNs in its snapshots and its log never collide.
+	// Ignored when the directory already holds segments.
 	FirstLSN uint64
 	// FS is the filesystem the log lives on; nil means the real OS.
 	// Tests and chaos harnesses hand a *fault.Injector here to make the
@@ -229,7 +229,7 @@ type WAL struct {
 	frame    []byte // reusable frame-assembly buffer
 
 	// durable is the highest LSN known to be on stable storage — the
-	// frontier Follow hands to followers, so a replica can never hold a record that a torn-tail truncation
+	// frontier Follow hands to followers, so a follower can never hold a record that a torn-tail truncation
 	// would remove from this log after a crash. Advanced in syncLocked.
 	durable uint64
 	// syncedSize is the active segment's byte length as of the last
@@ -676,7 +676,7 @@ func (w *WAL) truncateTailLocked(cause error) {
 // correct when none of the discarded records was ever acknowledged —
 // which is exactly the log's contract: the ack waits for the fsync
 // that just failed, and Follow caps followers at the durable frontier,
-// so neither a client nor a replica can hold a discarded record. The
+// so neither a client nor a follower can hold a discarded record. The
 // positions move first, so if the truncation fails, the cut Probe retries
 // on the sticky-broken log finishes this rewind.
 func (w *WAL) rewindUnsyncedLocked() {
@@ -726,9 +726,9 @@ func (w *WAL) wakeFollowersLocked() {
 }
 
 // FollowableLSN reports the highest LSN Follow will currently deliver:
-// the durable frontier. Replication heartbeats carry it so a caught-up
-// follower measures zero lag instead of chasing unsynced appends it is
-// not allowed to see.
+// the durable frontier. A site's forwarder sends what it gathered once
+// it reaches it, instead of waiting on unsynced appends it is not allowed
+// to see.
 func (w *WAL) FollowableLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -912,7 +912,7 @@ func (w *WAL) locateLocked(next uint64) (segStart, sealedLast uint64, isSealed, 
 
 // Follow walks every committed record with LSN > from in order, calling
 // fn for each, and then blocks for more as they are appended — the live
-// tail the replication transport ships to a standby. "Committed" means
+// tail a site's forwarder sends to its targets. "Committed" means
 // at or below the durable frontier (the last fsync), so a follower can
 // never hold a record that a crash plus torn-tail truncation would remove
 // from this log. Rotation is followed

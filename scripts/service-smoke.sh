@@ -20,11 +20,12 @@
 #      summary is byte-identical to its own crash-free oracle, and
 #      that the tenant-count governance cap refuses a new namespace
 #  10. observability: stage tracing, access log, request IDs, pprof
-#  11. replication failover: a replica tails the primary's WAL over
-#      the stream listener, the primary is kill -9ed mid-ingest, the
-#      replica is promoted via POST /v1/promote, and the promoted
-#      summary is byte-identical to a crash-free oracle over the
-#      replica's applied prefix
+#  11. standby failover: a -standby daemon in the primary's -push-to
+#      takes its log as forwards, the primary is kill -9ed mid-ingest,
+#      the standby is promoted via POST /v1/promote, and its summary is
+#      byte-identical to a crash-free oracle over the prefix its mark
+#      for the primary names
+#  12. fault drill: injected ENOSPC, degraded mode, operator recovery
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -564,58 +565,51 @@ MAIN_PPROF=$(curl -s -o /dev/null -w '%{http_code}' "$OBSBASE/debug/pprof/cmdlin
 kill -TERM "$WAL_PID"; wait "$WAL_PID" || true
 WAL_PID=""
 
-echo "== replication failover (replica tails primary, kill -9, promote, byte-identity)"
-# A durable primary with a streaming listener and a replica following
-# it. A single sequential generator means the acknowledged prefix is
-# deterministic, so the promoted replica's state must match a
-# crash-free oracle driven with the same prefix — byte for byte.
+echo "== standby failover (-standby in the primary's -push-to, kill -9, promote, byte-identity)"
+# A durable primary forwards its log to a standby. A single sequential
+# generator means the acknowledged prefix is deterministic, so the
+# promoted standby's state must match a crash-free oracle driven with the
+# prefix its mark for the primary names — byte for byte.
 PRI_ADDR="127.0.0.1:17083"; PBASE="http://$PRI_ADDR"
-PRI_STRM="127.0.0.1:17084"
 REPL_ADDR="127.0.0.1:17085"; RBASE="http://$REPL_ADDR"
 FO_ADDR="127.0.0.1:17086"; FOBASE="http://$FO_ADDR"
 ADMIN_TOKEN="smoke-admin-$$"
-start_wal_corrd "$PRI_ADDR" "replpri" -stream-addr "$PRI_STRM" \
-  -heartbeat-interval 200ms
-WAL_PID=$!
-# -primary alone makes a replica; a command line that still passes the
-# removed -role flag fails at start-up and names it.
-if "$WORK/corrd" -role=replica -primary "$PRI_STRM" >"$WORK/role.txt" 2>&1; then
-  echo "FAIL: corrd started with the removed -role flag" >&2; exit 1
+# -standby makes a standby; a command line that still passes the removed
+# -primary flag fails at start-up and names it.
+if "$WORK/corrd" -primary "$PRI_ADDR" >"$WORK/primary-flag.txt" 2>&1; then
+  echo "FAIL: corrd started with the removed -primary flag" >&2; exit 1
 fi
-grep -q 'flag provided but not defined: -role' "$WORK/role.txt" \
-  || { echo "FAIL: a -role start did not name the unknown flag" >&2; cat "$WORK/role.txt" >&2; exit 1; }
-start_wal_corrd "$REPL_ADDR" "replstandby" -primary "$PRI_STRM" \
-  -admin-token "$ADMIN_TOKEN"
+grep -q 'flag provided but not defined: -primary' "$WORK/primary-flag.txt" \
+  || { echo "FAIL: a -primary start did not name the unknown flag" >&2; cat "$WORK/primary-flag.txt" >&2; exit 1; }
+start_wal_corrd "$REPL_ADDR" "replstandby" -standby -admin-token "$ADMIN_TOKEN"
 REPL_PID=$!
+start_wal_corrd "$PRI_ADDR" "replpri" -push-to "$RBASE"
+WAL_PID=$!
 
 "$WORK/corrgen" -dataset uniform -n 200000 -seed 61 -xdom 100001 -ydom 1000001 \
   -target "$PBASE" -chunk 2048 >/dev/null 2>&1 &
 GEN_PID=$!
-# Wait until the replica has applied a healthy prefix, so the kill
-# lands mid-replication.
-for _ in $(seq 1 200); do
-  RAPPLIED=$(curl -fsS "$RBASE/v1/stats" 2>/dev/null | grep -o '"count":[0-9]*' | cut -d: -f2 || echo 0)
-  [ "${RAPPLIED:-0}" -ge 20000 ] && break
-  sleep 0.1
-done
-# While both are live: the replica declares its role, rejects writes
-# with 503, and the primary's exposition shows the follower connection.
+# Wait until the standby holds a healthy prefix, so the kill lands
+# mid-ingest.
+until_count "$RBASE" 20000
+# While both are live: the standby declares its role, rejects client
+# writes with 503, and the primary reports what the standby confirmed.
 curl -fsS "$RBASE/v1/stats" -o "$WORK/repl-stats.json"
 grep -q '"role":"replica"' "$WORK/repl-stats.json" \
-  || { echo "FAIL: replica stats missing role" >&2; exit 1; }
+  || { echo "FAIL: standby stats missing role" >&2; exit 1; }
 RW_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: text/csv' \
   --data-binary '1,2' "$RBASE/v1/ingest")
-[ "$RW_CODE" = "503" ] || { echo "FAIL: replica accepted a write (HTTP $RW_CODE)" >&2; exit 1; }
-curl -fsS "$PBASE/metrics" -o "$WORK/repl-pri-metrics.txt"
-grep -q 'corrd_replica_conns 1' "$WORK/repl-pri-metrics.txt" \
-  || { echo "FAIL: primary exposition shows no follower" >&2; exit 1; }
+[ "$RW_CODE" = "503" ] || { echo "FAIL: standby accepted a write (HTTP $RW_CODE)" >&2; exit 1; }
+curl -fsS "$PBASE/v1/stats" -o "$WORK/repl-pri-stats.json"
+grep -q '"forward_acked_lsn":[1-9]' "$WORK/repl-pri-stats.json" \
+  || { echo "FAIL: the primary reports nothing its standby confirmed" >&2; exit 1; }
 
 kill -9 "$WAL_PID"; wait "$WAL_PID" 2>/dev/null || true
 WAL_PID=""
 kill "$GEN_PID" 2>/dev/null || true; wait "$GEN_PID" 2>/dev/null || true
 
 # Promotion is admin-gated: no token and a bad token are refused, the
-# real one flips the replica writable in place.
+# real one lifts the standby's refusal in place.
 NT_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$RBASE/v1/promote")
 [ "$NT_CODE" = "403" ] || { echo "FAIL: tokenless promote got $NT_CODE, want 403" >&2; exit 1; }
 BT_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
@@ -626,11 +620,11 @@ curl -fsS -X POST -H "X-Admin-Token: $ADMIN_TOKEN" "$RBASE/v1/promote" \
 grep -q '"promoted":true' "$WORK/promote.json" \
   || { echo "FAIL: promote response: $(cat "$WORK/promote.json")" >&2; exit 1; }
 
-RM=$(curl -fsS "$RBASE/v1/stats" | grep -o '"count":[0-9]*' | cut -d: -f2)
+RM=$(count_of "$RBASE")
 if [ "${RM:-0}" -lt 20000 ] || [ $((RM % 2048)) -ne 0 ]; then
   echo "FAIL: promoted count ${RM:-0} is not a whole number of acknowledged chunks" >&2; exit 1
 fi
-# Crash-free oracle over the replica's applied prefix.
+# Crash-free oracle over the prefix the standby's mark names.
 start_wal_corrd "$FO_ADDR" "failover-oracle"
 ORACLE_PID=$!
 "$WORK/corrgen" -dataset uniform -n "$RM" -seed 61 -xdom 100001 -ydom 1000001 \
@@ -642,29 +636,29 @@ if ! cmp -s "$WORK/promoted.summary" "$WORK/failover-oracle.summary"; then
   ls -l "$WORK/promoted.summary" "$WORK/failover-oracle.summary" >&2
   exit 1
 fi
-echo "promoted replica is byte-identical to the crash-free oracle at $RM tuples"
+echo "promoted standby is byte-identical to the crash-free oracle at $RM tuples"
 
-# The promoted node serves writes durably (its own WAL opened at the
-# seal) and counts the promotion.
+# The promoted node serves writes into its own log and counts the
+# promotion.
 printf '9,9\n' | curl -fsS -X POST -H 'Content-Type: text/csv' \
   --data-binary @- "$RBASE/v1/ingest" >/dev/null
-RM2=$(curl -fsS "$RBASE/v1/stats" | grep -o '"count":[0-9]*' | cut -d: -f2)
+RM2=$(count_of "$RBASE")
 [ "$RM2" = "$((RM + 1))" ] || { echo "FAIL: promoted node did not ingest ($RM2)" >&2; exit 1; }
 curl -fsS "$RBASE/v1/stats" -o "$WORK/promoted-stats.json"
 grep -q '"role":"coordinator"' "$WORK/promoted-stats.json" \
-  || { echo "FAIL: promoted node still reports replica role" >&2; exit 1; }
+  || { echo "FAIL: promoted node still reports the replica role" >&2; exit 1; }
 curl -fsS "$RBASE/metrics" -o "$WORK/promoted-metrics.txt"
 grep -q 'corrd_replica_promotions_total 1' "$WORK/promoted-metrics.txt" \
   || { echo "FAIL: promotion not counted" >&2; exit 1; }
 ls "$WORK/replstandby-wal" | grep -q '\.seg$' \
-  || { echo "FAIL: promoted node opened no WAL of its own" >&2; exit 1; }
+  || { echo "FAIL: the standby keeps no log of its own" >&2; exit 1; }
 
 kill -TERM "$ORACLE_PID"; wait "$ORACLE_PID" || true
 ORACLE_PID=""
 kill -TERM "$REPL_PID"; wait "$REPL_PID" || true
 REPL_PID=""
 
-# --- 11. fault drill: injected ENOSPC, degraded mode, operator recovery
+# --- 12. fault drill: injected ENOSPC, degraded mode, operator recovery
 #
 # A daemon armed with -fault-plan runs out of (injected) disk mid-
 # ingest: writes start failing, the health machine trips degraded

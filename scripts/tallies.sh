@@ -29,7 +29,8 @@ echo "wal.Options fields: $(fields Options internal/wal/wal.go | wc -l)"
 echo "readFrame call sites (frame-walking loops, internal/wal): $(count '[^c ]readFrame\(|= readFrame\(' $(nontest internal/wal))"
 echo "health failure streaks: $(fields health service/health.go | grep -cE 'Errs +atomic\.Int32')"
 echo "call sites of the tenant maker (service): $(count '[.](getOrCreateTenant|tenantForWriteLocked)\(' $svc)"
-echo "clock sites to inject (time.Now/NewTicker/NewTimer/Sleep/After/AfterFunc; non-test service, internal/wal, internal/replica): $(count '\btime\.(Now|NewTicker|NewTimer|Sleep|After|AfterFunc)\(' $svc $(nontest internal/wal) $(nontest internal/replica))"
+echo "clock sites to inject (time.Now/NewTicker/NewTimer/Sleep/After/AfterFunc; non-test service, internal/wal): $(count '\btime\.(Now|NewTicker|NewTimer|Sleep|After|AfterFunc)\(' $svc $(nontest internal/wal))"
+echo "stream formats (StreamFormat… = in non-test internal/tupleio): $(count '^[[:space:]]*StreamFormat[A-Za-z]+ += ' $(nontest internal/tupleio))"
 echo "flags per command (cmd/*, flag. or fs. definitions):"
 for dir in cmd/*/; do
 	echo "  ${dir%/}: $(count '\b(flag|fs)\.(String|Int|Int64|Uint64|Float64|Bool|Duration)(Var)?\(' $(nontest "$dir"))"

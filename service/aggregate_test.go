@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
@@ -177,21 +176,14 @@ func TestServesEveryAggregate(t *testing.T) {
 // An -agg fk server takes commit groups of several members for the same
 // tenant, few distinct y and weights other than 1; its /v1/summary must
 // equal an in-process Fk summary fed the same concatenations in client
-// order, a follower's after promotion, and its own after crash and replay.
+// order, its standby's after promotion, and its own after crash and replay.
 // A committer that sorted any other way — a (y, x, w) total order, a stable
 // sort — fails the first comparison.
 func TestFkTieOrderThroughTheLog(t *testing.T) {
 	o := testOptions()
-	cfg := Config{
-		Aggregate: "fk", K: 3, Options: o,
-		WALDir:            filepath.Join(t.TempDir(), "wal"),
-		HeartbeatInterval: 20 * time.Millisecond,
-	}
+	standby, sts := newStandby(t, o, func(c *Config) { c.Aggregate, c.K = "fk", 3 })
+	cfg := Config{Aggregate: "fk", K: 3, Options: o, WALDir: filepath.Join(t.TempDir(), "wal"), PushTo: sts.URL}
 	svc, ts, _ := newTestServer(t, cfg)
-	replicaSvc, rts := newReplica(t, o, startStream(t, svc), func(c *Config) {
-		c.Aggregate, c.K = cfg.Aggregate, cfg.K
-		c.WALDir = filepath.Join(t.TempDir(), "wal")
-	})
 
 	tenants := []string{"", "keyed"}
 	refs := map[string]*correlated.FkSummary{}
@@ -241,13 +233,11 @@ func TestFkTieOrderThroughTheLog(t *testing.T) {
 	}
 	check(ts.URL, "live")
 
-	waitUntil(t, 10*time.Second, "the replica to apply the log", func() bool {
-		return replicaSvc.appliedLSN.Load() >= svc.walRef().LastLSN()
-	})
-	if err := replicaSvc.Promote(); err != nil {
+	caughtUp(t, "the standby", svc)
+	if err := standby.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	check(rts.URL, "promoted follower")
+	check(sts.URL, "promoted standby")
 
 	crash(ts, svc)
 	svc2, ts2, _ := newTestServer(t, cfg)

@@ -760,22 +760,21 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 }
 
 // TestChaosDegradedPrimaryReplication: a primary whose disk breaks
-// degrades without poisoning its replica. The replication link stays
-// attached through the degraded window, the nacked (rewound) records
-// never ship — the followable frontier freezes at the last acked LSN —
-// and once the disk heals and recovery passes, new acked records flow
-// again and the replica converges byte-exactly. Promoting the replica
-// then yields a server whose state is byte-identical to the primary's
-// acked history, proving failover away from a degraded primary loses
-// nothing.
+// degrades without poisoning its standby. The nacked (rewound) records
+// never reach it — the followable frontier, all a forwarder reads, freezes
+// at the last acked LSN — while the degraded primary's empty forwards still
+// do; once the disk heals and recovery passes, new acked records flow again
+// and the standby converges byte-exactly. Promoting it then yields a server
+// whose state is byte-identical to the primary's acked history, proving
+// failover away from a degraded primary loses nothing.
 func TestChaosDegradedPrimaryReplication(t *testing.T) {
+	was := forwardPause
+	forwardPause = 20 * time.Millisecond
+	t.Cleanup(func() { forwardPause = was })
 	cfg, inj := chaosConfig(t)
-	cfg.HeartbeatInterval = 20 * time.Millisecond
+	standby, sts := newStandby(t, cfg.Options, func(c *Config) { c.WALDir = t.TempDir() })
+	cfg.PushTo = sts.URL
 	svc, ts, cl := newTestServer(t, cfg)
-	addr := startStream(t, svc)
-	replicaSvc, rts := newReplica(t, cfg.Options, addr, func(c *Config) {
-		c.WALDir = t.TempDir()
-	})
 	ctx := context.Background()
 	acme := client.New(ts.URL, client.WithTenant("acme"))
 
@@ -786,13 +785,11 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	acked := svc.walRef().LastLSN()
-	waitUntil(t, 10*time.Second, "replica catch-up before the fault", func() bool {
-		return replicaSvc.appliedLSN.Load() >= acked
-	})
+	caughtUp(t, "the standby before the fault", svc)
 
 	// Break every fsync: ingests fail until the primary trips degraded.
 	// Each failed group is rewound out of the log, so the durable
-	// frontier — the only thing Follow ships — must not move.
+	// frontier — the only thing Follow reads — must not move.
 	inj.SetPlan(mustPlan(t, "sync/wal-:err@1+"))
 	var lastErr error
 	for i := 0; i < healthFailThreshold+2 && !svc.healthDegraded(); i++ {
@@ -802,25 +799,16 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 		t.Fatalf("primary did not degrade after repeated wal failures (last: %v)", lastErr)
 	}
 	if got := svc.walRef().FollowableLSN(); got != acked {
-		t.Fatalf("degraded primary's followable frontier moved: %d, want %d (nacked records must not ship)", got, acked)
+		t.Fatalf("degraded primary's followable frontier moved: %d, want %d (nacked records must not be forwarded)", got, acked)
 	}
-	if got := replicaSvc.appliedLSN.Load(); got != acked {
-		t.Fatalf("replica applied LSN %d, want %d — it saw records the primary nacked", got, acked)
+	if got := svc.fwds[0].acked.Load(); got != acked {
+		t.Fatalf("the standby confirmed LSN %d, want %d — it saw records the primary nacked", got, acked)
 	}
-	// The link itself survives the degraded window: the follower is
-	// still counted on the primary's metrics surface.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "corrd_replica_conns 1") {
-		t.Fatal("degraded primary dropped its replica connection")
-	}
+	heard := standby.heardAt.Load()
+	waitUntil(t, 10*time.Second, "an empty forward from the degraded primary", func() bool { return standby.heardAt.Load() > heard })
 
 	// Disk heals; recovery probes pass; acked traffic flows to the
-	// replica again.
+	// standby again.
 	inj.SetPlan(nil)
 	if err := svc.recoverNow(); err != nil {
 		t.Fatalf("recoverNow after the disk healed: %v", err)
@@ -831,43 +819,28 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 	if err := acme.AddBatch(ctx, testStream(400, 6)); err != nil {
 		t.Fatal(err)
 	}
-	last := svc.walRef().LastLSN()
-	waitUntil(t, 10*time.Second, "replica catch-up after recovery", func() bool {
-		return replicaSvc.appliedLSN.Load() >= last
-	})
+	caughtUp(t, "the standby after recovery", svc)
 
-	// The replica's contract is "byte-identical to the acked history",
+	// The standby's contract is "byte-identical to the acked history",
 	// and so is the live primary's: the batches that tripped degradation
 	// were rewound out of the log and never applied.
 	for _, tenant := range []string{"", "acme"} {
-		want, err := client.New(ts.URL, client.WithTenant(tenant)).Summary(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := client.New(rts.URL, client.WithTenant(tenant)).Summary(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("tenant %q: replica differs from the primary's acked history (%d vs %d bytes)", tenant, len(got), len(want))
+		if !bytes.Equal(tenantSummary(t, ts.URL, tenant), tenantSummary(t, sts.URL, tenant)) {
+			t.Fatalf("tenant %q: the standby differs from the primary's acked history", tenant)
 		}
 	}
 
-	// Failover: the promoted replica carries the acked history and takes
-	// writes, continuing the LSN space past everything it applied.
-	if err := replicaSvc.Promote(); err != nil {
+	// Failover: the promoted standby carries the acked history and takes
+	// writes.
+	if err := standby.Promote(); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	rcl := client.New(rts.URL)
+	rcl := client.New(sts.URL)
 	if err := rcl.AddBatch(ctx, testStream(100, 9)); err != nil {
-		t.Fatalf("promoted replica refused a write: %v", err)
+		t.Fatalf("the promoted standby refused a write: %v", err)
 	}
-	stats, err := rcl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Role != "coordinator" || !stats.Promoted {
-		t.Fatalf("promoted stats wrong: role=%q promoted=%v", stats.Role, stats.Promoted)
+	if st, err := rcl.Stats(ctx); err != nil || st.Role != "coordinator" || !st.Promoted {
+		t.Fatalf("promoted stats: role %q, promoted %t (err %v)", st.Role, st.Promoted, err)
 	}
 }
 
@@ -962,7 +935,7 @@ func TestChaosConcurrentWriters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := newReplayState(0, false) // the markers are not this server's
+		st := &replayState{fallback: true} // the markers are not this server's: no staleness witness
 		err = svc2.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 			_, aerr := logOnly.applyRecord(lsn, typ, payload, st)
 			return aerr

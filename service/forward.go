@@ -19,25 +19,32 @@ import (
 	"github.com/streamagg/correlated/internal/wal"
 )
 
-// Log forwarding: a site (Config.PushTo) follows its own log (wal.Follow)
-// on one goroutine and sends its ingest and forward records, as logged, to
-// the coordinator's POST /v1/forward: every record the log has made
-// followable since the last answer, up to forwardBatchBytes (or what went
-// after the coordinator refused a forward as too large), in one request
-// tagged with the site id and the log's format
-// (client.AppendForwardRecord is the grammar). The coordinator commits a
+// Log forwarding, the one way a log reaches another server: a site — any
+// server with Config.PushTo, a standby's primary among them — follows its
+// own log (wal.Follow) once per target and sends its ingest and forward
+// records, as logged, to the target's POST /v1/forward: every record the
+// log has made followable since the last answer, up to forwardBatchBytes
+// (or what went after the target refused a forward as too large), in one
+// request tagged with the site id and the log's format
+// (client.AppendForwardRecord is the grammar). The target commits a
 // forward as one job — one RecordForward, uvarint(site) and then the
 // records it admitted verbatim, behind one barrier — and applies the
 // records through the applies the site used, so it keeps one summary per
 // tenant over every site's stream and nothing is merged. Its mark for the
-// site, the highest site LSN applied, advances. A mark is state (logged,
-// snapshotted, replicated): records at or below it are dropped, so the
-// site may always send again and, after a restart, skips to the mark the
-// first answer names. A record the coordinator refuses stops the records
-// behind it, whose order the site's log fixes. A site's checkpoint prunes
-// only what its coordinator has confirmed. The site id names one LSN
-// space: it is kept beside the log, and a log that starts over gets a new
-// one.
+// site, the highest site LSN applied, advances. A mark is state (logged
+// and snapshotted): a record at or below it is dropped, at every depth of
+// nesting — a site's records can reach a coordinator both directly and
+// inside another site's forwards (a promoted standby's, a re-pointed
+// site's) — so a site may always send again and, after a restart, skips
+// to the mark the first answer names. A record the target refuses stops
+// the records behind it, whose order the site's log fixes. An idle
+// forwarder sends an empty forward every forwardPause: a standby's
+// heartbeat, answered with the mark like any other. A site's checkpoint
+// prunes only what every target has confirmed, and a target whose mark is
+// behind the log's oldest record stalls until it is started on a copy of
+// the site's snapshot, which carries the site's own mark at its coverage.
+// The site id names one LSN space: it is kept beside the log, and a log
+// that starts over gets a new one.
 
 // siteRecord is one record of a forward, as admission decoded it: its
 // LSN and type in the site's log, its payload, where it sits in the body
@@ -197,50 +204,59 @@ admit:
 }
 
 // applyForwardLocked applies the records a forward admitted, ingest records
-// from the batches admission decoded, and advances the site's mark.
-// Callers hold s.mu.
+// from the batches admission decoded. Callers hold s.mu.
 func (s *Server) applyForwardLocked(j *ingestJob) error {
+	var st replayState
 	for _, r := range j.recs {
-		var err error
-		if r.typ == wal.RecordIngest {
-			err = s.applyGroupLocked(r.batches)
-		} else {
-			err = s.applyStateLocked(r.typ, r.payload, s.replState)
-		}
-		if err != nil {
+		if err := s.applySiteRecordLocked(j.site, r, &st); err != nil {
 			return fmt.Errorf("site record %d: %w", r.lsn, err)
 		}
 	}
-	s.marks[j.site] = j.recs[len(j.recs)-1].lsn
 	return nil
 }
 
-// applyForwardRecordLocked is a RecordForward's apply on replay and on a
-// replica: each record through applyStateLocked, then the site's mark.
+// applyForwardRecordLocked is a RecordForward's apply on replay, and of
+// one nested in a forward: each record through applySiteRecordLocked.
 // Callers hold s.mu, or run before any goroutine exists.
 func (s *Server) applyForwardRecordLocked(payload []byte, st *replayState) error {
 	site, records, err := splitForward(payload)
 	if err != nil {
 		return err
 	}
-	var last uint64
-	if err := walkSiteRecords(records, func(r siteRecord) error {
-		last = r.lsn
-		return s.applyStateLocked(r.typ, r.payload, st)
-	}); err != nil {
+	return walkSiteRecords(records, func(r siteRecord) error { return s.applySiteRecordLocked(site, r, st) })
+}
+
+// applySiteRecordLocked is the one apply of a record of a site's log, live
+// and on replay, outermost or nested: a record at or below the site's mark
+// is already applied and is dropped; any other is applied — an ingest
+// record from the batches admission decoded when it has them — and
+// becomes the mark. Callers hold s.mu, or run before any goroutine exists.
+func (s *Server) applySiteRecordLocked(site uint64, r siteRecord, st *replayState) error {
+	if r.lsn <= s.marks[site] {
+		return nil
+	}
+	var err error
+	if r.batches != nil {
+		err = s.applyGroupLocked(r.batches)
+	} else {
+		err = s.applyStateLocked(r.typ, r.payload, st)
+	}
+	if err != nil {
 		return err
 	}
-	s.marks[site] = max(s.marks[site], last)
+	s.marks[site] = r.lsn
 	return nil
 }
 
 // handleForward is POST /v1/forward?site=ID&format=V (client.Forward):
-// records of a site's log, committed as one job. Records in another log
-// format than this server's are refused whole. Every 200 carries the
-// site's mark.
+// records of a site's log, committed as one job — the one write a standby
+// takes — or, with no record, an idle site's heartbeat, which only reads
+// the mark. Records in another log format than this server's are refused
+// whole. Every 200 carries the site's mark.
 func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
+	s.heardAt.Store(time.Now().UnixNano())
 	errs := &s.metrics.forwardsRejected
-	if kind, err := s.writeGate(); kind != ingestOK {
+	if kind, err := s.writeGate(true); kind != ingestOK {
 		s.nack(w, errs, kind, err)
 		return
 	}
@@ -260,13 +276,15 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 		errs.Inc()
 		return
 	}
-	j := &d.job
-	j.op, j.image, j.site = opForward, d.body, site
-	if !s.commitRequest(w, r, errs, j) {
-		return
-	}
-	if j.tn != nil {
-		s.metrics.forwardsApplied.Add(uint64(len(j.recs)))
+	if len(d.body) > 0 {
+		j := &d.job
+		j.op, j.image, j.site = opForward, d.body, site
+		if !s.commitRequest(w, r, errs, j) {
+			return
+		}
+		if j.tn != nil {
+			s.metrics.forwardsApplied.Add(uint64(len(j.recs)))
+		}
 	}
 	s.mu.Lock()
 	mark := s.marks[site]
@@ -278,39 +296,50 @@ var (
 	// forwardTimeout bounds one forward attempt; one that times out may
 	// have been applied, and the mark makes sending it again safe.
 	forwardTimeout = 10 * time.Second
-	// forwardPause is the wait after a failed attempt before the next.
+	// forwardPause is the wait after a failed attempt before the next, and
+	// how long an idle forwarder waits before its empty forward.
 	forwardPause = time.Second
 )
 
-// forwardBatchBytes bounds a forward's body until the coordinator refuses
-// one as too large; a larger record goes alone.
+// forwardBatchBytes bounds a forward's body until the target refuses one
+// as too large; a larger record goes alone.
 const forwardBatchBytes = 1 << 20
 
 // siteIDFile holds the site id, in hex, beside the log's segments.
 const siteIDFile = "site-id"
 
-// errSkipToMark ends a Follow whose answer moved the forwarder to the
-// coordinator's mark: past what it sent, or short of it.
-var errSkipToMark = errors.New("service: follow again from the coordinator's mark")
+var (
+	// errSkipToMark ends a Follow whose answer moved the forwarder to the
+	// target's mark: past what it sent, or short of it.
+	errSkipToMark = errors.New("service: follow again from the target's mark")
+	// errBehindLog ends an attempt to a target whose mark is behind the
+	// log's oldest record; forward_stalled names the bootstrap.
+	errBehindLog = errors.New("service: the target's mark is behind this log's oldest record")
+)
 
-// forwarder is a site's one upstream path. acked is how far the
-// coordinator has confirmed: every record at or below it is applied there
-// or carries no state. body gathers the next forward, one entry of ends a
-// record, within limit bytes unless one record is larger. stalled is the coordinator's
-// last refusal, until a forward is confirmed. err is the last failed
-// attempt, read after exited.
+// forwarder is a site's path to one target. acked is how far the target
+// has confirmed: every record at or below it is applied there or carries
+// no state. body gathers the next forward, one entry of ends a record,
+// within limit bytes unless one record is larger; sent says a request went
+// in this round of the follow. stalled is the target's last refusal, until
+// a forward is confirmed. err is the last failed attempt, read after
+// exited.
 type forwarder struct {
-	s            *Server
-	w            *wal.WAL
-	cl           *client.Client // one attempt a call: run pauses between
-	site         uint64
-	acked        atomic.Uint64
-	body         []byte
-	ends         []recordEnd
-	limit        int
-	stalled      atomic.Pointer[string]
-	stop, exited chan struct{} // stop is closed by drain
-	err          error
+	s       *Server
+	w       *wal.WAL
+	to      string
+	cl      *client.Client // one attempt a call: run pauses between
+	site    uint64
+	acked   atomic.Uint64
+	body    []byte
+	ends    []recordEnd
+	limit   int
+	sent    bool
+	stalled atomic.Pointer[string]
+	ctx     context.Context // done once drain is called
+	stop    context.CancelFunc
+	exited  chan struct{}
+	err     error
 }
 
 // recordEnd is where a record of a forward's body ends, and its LSN.
@@ -319,21 +348,17 @@ type recordEnd struct {
 	end int
 }
 
-// newForwarder loads the site id kept beside the log, or mints and keeps
-// one when there is none or the log holds no record yet — unless this
-// server holds state its log does not (restored from a snapshot, or
-// pruned): records a new id never sent would never reach the coordinator.
-// An id file that does not parse is refused, not replaced: a new id would
-// send the log again. run starts the forwarder.
-func (s *Server) newForwarder() (*forwarder, error) {
+// newForwarders makes one forwarder for each comma-separated target of
+// Config.PushTo, under the site id kept beside the log — minted and kept
+// when there is none or the log holds no record yet. An id file that does
+// not parse is refused, not replaced: a new id would send the log again.
+// run starts a forwarder.
+func (s *Server) newForwarders() ([]*forwarder, error) {
 	w, path := s.walRef(), filepath.Join(s.cfg.WALDir, siteIDFile)
 	var site uint64
 	b, err := s.fs.ReadFile(path)
 	switch {
 	case w.LastLSN() == 0 || errors.Is(err, os.ErrNotExist):
-		if oldest := w.OldestLSN(); s.restored || oldest > 1 {
-			return nil, fmt.Errorf("service: no site id for this log, and the state holds what the log does not (restored from a snapshot: %t; the log starts at LSN %d): forwarding under a new id would never send it — start an empty coordinator on a copy of this server's snapshot, then this server as a site on empty state (README \"Storage format\")", s.restored, oldest)
-		}
 		for site == 0 {
 			var id [8]byte
 			if _, err := rand.Read(id[:]); err != nil {
@@ -351,72 +376,120 @@ func (s *Server) newForwarder() (*forwarder, error) {
 			return nil, fmt.Errorf("service: site id file %s: %q is not a site id", path, b)
 		}
 	}
-	s.logf("site %016x forwards its log to %s", site, s.cfg.PushTo)
-	return &forwarder{
-		s: s, w: w, site: site, limit: forwardBatchBytes,
-		cl:   client.New(s.cfg.PushTo, client.WithRetries(0), client.WithHTTPClient(&http.Client{Timeout: forwardTimeout})),
-		stop: make(chan struct{}), exited: make(chan struct{}),
-	}, nil
+	var fwds []*forwarder
+	for _, to := range strings.Split(s.cfg.PushTo, ",") {
+		if to = strings.TrimSpace(to); to == "" {
+			return nil, fmt.Errorf("service: PushTo %q names an empty target", s.cfg.PushTo)
+		}
+		f := &forwarder{
+			s: s, w: w, to: to, site: site, limit: forwardBatchBytes,
+			cl:     client.New(to, client.WithRetries(0), client.WithHTTPClient(&http.Client{Timeout: forwardTimeout})),
+			exited: make(chan struct{}),
+		}
+		f.ctx, f.stop = context.WithCancel(context.Background())
+		fwds = append(fwds, f)
+		s.logf("site %016x forwards its log to %s", site, to)
+	}
+	return fwds, nil
 }
 
-// run follows the log from what the coordinator has confirmed until drain
-// stops it, pausing forwardPause after a failed attempt. Once drain is
-// called, the first failure ends it and the log keeps the rest for the
-// next start.
+// run follows the log from what the target has confirmed until drain
+// stops it. A round of following ends at the first frontier forwardPause
+// after it began, and one that sent nothing ends with an empty forward,
+// whose answer is the target's mark. A failed attempt pauses forwardPause.
+// Once drain is called, the round after it ends the run, or its first
+// failure does, and the log keeps the rest for the next start.
 func (f *forwarder) run() {
 	defer close(f.exited)
 	for {
-		stopping := false
-		select {
-		case <-f.stop:
-			stopping = true
-		default:
-		}
-		f.body, f.ends = f.body[:0], f.ends[:0]
-		f.err = f.w.Follow(f.acked.Load(), f.stop, f.gather)
+		stopping := f.ctx.Err() != nil
+		round, cancel := context.WithTimeout(f.ctx, forwardPause)
+		f.body, f.ends, f.sent = f.body[:0], f.ends[:0], false
+		err := f.w.Follow(f.acked.Load(), round.Done(), f.gather)
+		cancel()
 		switch {
-		case f.err == nil, errors.Is(f.err, wal.ErrClosed):
+		case err == nil && !stopping && !f.sent && f.ctx.Err() == nil:
+			err = f.query()
+		case errors.Is(err, errSkipToMark):
+			continue
+		case errors.Is(err, wal.ErrTruncated):
+			// Behind the oldest record: where does the target stand?
+			err = f.query()
+		}
+		if f.err = err; errors.Is(err, wal.ErrClosed) {
 			f.err = nil
 			return
-		case errors.Is(f.err, errSkipToMark):
-			continue
-		case errors.Is(f.err, wal.ErrTruncated):
-			// Pruned records were all confirmed, in this process or an earlier one.
-			f.acked.Store(f.w.OldestLSN() - 1)
+		}
+		if err == nil {
+			if stopping {
+				return
+			}
 			continue
 		}
-		f.failed(f.err)
+		f.failed(err)
 		if stopping {
 			return
 		}
 		select {
-		case <-f.stop:
+		case <-f.ctx.Done():
 		case <-time.After(forwardPause):
 		}
 	}
 }
 
-// failed counts and logs a failed attempt. A refusal the coordinator will
+// query sends an empty forward — to a standby, the heartbeat its silence
+// timer waits on — and follows from the mark it is answered with. A mark
+// behind the log's oldest record can never be sent what it lacks: the
+// target is stalled until it is started on a copy of this server's
+// snapshot, which carries this site's mark at its coverage.
+func (f *forwarder) query() error {
+	mark, err := f.cl.Forward(context.Background(), f.site, wal.Version, nil)
+	if err != nil {
+		return err
+	}
+	if oldest := f.w.OldestLSN(); mark+1 < oldest {
+		msg := fmt.Sprintf("%s: mark %d is behind this log's oldest record %d: start it on a copy of this server's snapshot (README \"Replication & HA\")", f.to, mark, oldest)
+		f.stalled.Store(&msg)
+		return errBehindLog
+	}
+	f.skipTo(mark)
+	f.stalled.Store(nil)
+	return nil
+}
+
+// skipTo follows from the target's mark.
+func (f *forwarder) skipTo(mark uint64) {
+	if mark > f.w.LastLSN() {
+		f.s.logf("forward to %s: its mark %d is past this log's end: a log restored from a backup needs its %s moved aside", f.to, mark, siteIDFile)
+	}
+	f.acked.Store(mark)
+}
+
+// failed counts and logs a failed attempt. A refusal the target will
 // repeat — a 4xx but an overload shed: a tenant cap, a record it does not
-// apply, a body too large — is kept for /v1/stats, since every record behind it
-// waits, and the log with them.
+// apply, a body too large — is kept for /v1/stats, as a mark behind the
+// log already is, since every record behind it waits, and the log with
+// them.
 func (f *forwarder) failed(err error) {
 	var ae *client.APIError
-	if errors.As(err, &ae) && ae.Status < 500 && !client.IsBusy(err) {
-		msg := fmt.Sprintf("the coordinator refuses the records after LSN %d: %v", f.acked.Load(), err)
+	switch {
+	case errors.Is(err, errBehindLog):
+		f.s.metrics.siteForwardsRefused.Inc()
+	case errors.As(err, &ae) && ae.Status < 500 && !client.IsBusy(err):
+		msg := fmt.Sprintf("%s refuses the records after LSN %d: %v", f.to, f.acked.Load(), err)
 		f.stalled.Store(&msg)
 		f.s.metrics.siteForwardsRefused.Inc()
-	} else {
+	default:
 		f.s.metrics.siteForwardsFailed.Inc()
 	}
-	f.s.logf("forward to %s: %v", f.s.cfg.PushTo, err)
+	f.s.logf("forward to %s: %v", f.to, err)
 }
 
 // gather adds one record of the log to the next forward, and sends the
 // forward once the log has no more followable or the record would take it
 // past limit (then without the record, which starts the next). A record
 // with no state (a checkpoint marker, a probe) is not sent, only passed;
-// every other is, so the coordinator refuses one it does not apply by name
+// every other is, so the target refuses one it does not apply by name
 // (a push record an earlier release logged) and the site stalls on it.
 func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error {
 	if typ != wal.RecordCheckpoint && typ != wal.RecordProbe {
@@ -437,7 +510,7 @@ func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error
 }
 
 // send forwards the records gathered; the log has been followed to upTo,
-// and no record after the last gathered one carries state. A coordinator
+// and no record after the last gathered one carries state. A target
 // refuses a forward past its body cap or its tuple cap as too large
 // (client.IsTooLarge): then the first half of the records goes, down to
 // one, and limit comes down to what went.
@@ -448,6 +521,7 @@ func (f *forwarder) send(upTo uint64) error {
 		f.acked.Store(upTo)
 		return nil
 	}
+	f.sent = true
 	n := len(ends)
 	var mark uint64
 	var err error
@@ -464,12 +538,9 @@ func (f *forwarder) send(upTo uint64) error {
 	case err != nil:
 		return fmt.Errorf("records %d–%d: %w", first, last, err)
 	case mark < first: // a copy of these records failed its append ahead of them
-		return fmt.Errorf("records %d–%d: the coordinator answered with mark %d", first, last, mark)
-	case mark < last || mark > upTo: // a prefix was admitted, or the coordinator holds more
-		if mark > f.w.LastLSN() {
-			f.s.logf("forward: the coordinator's mark %d is past this log's end: a log restored from a backup needs its %s moved aside", mark, siteIDFile)
-		}
-		f.acked.Store(mark)
+		return fmt.Errorf("records %d–%d: the target answered with mark %d", first, last, mark)
+	case mark < last || mark > upTo: // a prefix was admitted, or the target holds more
+		f.skipTo(mark)
 		return errSkipToMark
 	}
 	f.stalled.Store(nil)
@@ -482,10 +553,10 @@ func (f *forwarder) send(upTo uint64) error {
 	return nil
 }
 
-// drain is Close's last forward: what the log holds goes upstream until
-// an attempt fails. It returns that attempt's error.
+// drain is Close's last forward: what the log holds goes to the target
+// until an attempt fails. It returns that attempt's error.
 func (f *forwarder) drain() error {
-	close(f.stop)
+	f.stop()
 	<-f.exited
 	return f.err
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -24,42 +25,57 @@ import (
 	"github.com/streamagg/correlated/internal/wal"
 )
 
-// forwardRig is one site forwarding its log to one coordinator through a
-// proxy that the test can take down (forwards get 503) or have fail the next
-// forward once (fault); the coordinator behind the proxy can be replaced.
-// acked counts the tuples the site acknowledged, per tenant.
+// target is a server behind a proxy that the test can take down (forwards
+// get 503) or have fail the next forward once (fault); the server behind
+// it can be replaced.
+type target struct {
+	coord atomic.Pointer[Server]
+	down  atomic.Bool
+	fault atomic.Pointer[func(http.ResponseWriter, *http.Request)]
+	proxy *httptest.Server
+}
+
+func newTarget(t *testing.T, svc *Server) *target {
+	tg := &target{}
+	tg.coord.Store(svc)
+	tg.proxy = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if f := tg.fault.Load(); r.URL.Path == "/v1/forward" && f != nil && tg.fault.CompareAndSwap(f, nil) {
+			(*f)(w, r)
+		} else if r.URL.Path == "/v1/forward" && tg.down.Load() {
+			http.Error(w, "coordinator down", http.StatusServiceUnavailable)
+		} else {
+			tg.coord.Load().Handler().ServeHTTP(w, r)
+		}
+	}))
+	t.Cleanup(func() {
+		tg.proxy.Close()
+		tg.coord.Load().Close()
+	})
+	return tg
+}
+
+// forwardRig is one site forwarding its log to one coordinator, its
+// target, and to any more targets. acked counts the tuples the site
+// acknowledged, per tenant.
 type forwardRig struct {
+	*target
 	t       *testing.T
-	coord   atomic.Pointer[Server]
-	down    atomic.Bool
-	fault   atomic.Pointer[func(http.ResponseWriter, *http.Request)]
-	proxy   *httptest.Server
 	siteCfg Config
 	site    *Server
 	siteTS  *httptest.Server
 	acked   map[string]int
 }
 
-func newForwardRig(t *testing.T, coord *Server, siteCfg Config) *forwardRig {
-	rig := &forwardRig{t: t, acked: map[string]int{}}
-	rig.coord.Store(coord)
-	rig.proxy = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if f := rig.fault.Load(); r.URL.Path == "/v1/forward" && f != nil && rig.fault.CompareAndSwap(f, nil) {
-			(*f)(w, r)
-		} else if r.URL.Path == "/v1/forward" && rig.down.Load() {
-			http.Error(w, "coordinator down", http.StatusServiceUnavailable)
-		} else {
-			rig.coord.Load().Handler().ServeHTTP(w, r)
-		}
-	}))
-	rig.siteCfg = siteCfg
+func newForwardRig(t *testing.T, coord *Server, siteCfg Config, more ...*target) *forwardRig {
+	rig := &forwardRig{target: newTarget(t, coord), t: t, siteCfg: siteCfg, acked: map[string]int{}}
 	rig.siteCfg.PushTo = rig.proxy.URL
+	for _, tg := range more {
+		rig.siteCfg.PushTo += "," + tg.proxy.URL
+	}
 	rig.restartSite()
 	t.Cleanup(func() {
 		rig.siteTS.Close()
 		rig.site.Close()
-		rig.proxy.Close()
-		rig.coord.Load().Close()
 	})
 	return rig
 }
@@ -84,26 +100,25 @@ func (rig *forwardRig) ingest(tenant string, batches, size int, seed uint64) {
 	}
 }
 
-// onNextForward has the next forward applied by the coordinator, then runs
-// then, and answers the site 502: it will send the record again.
-func (rig *forwardRig) onNextForward(then func()) {
+// onNextForward has the next forward applied by the target's server,
+// then runs then, and answers the site 502: it will send the record again.
+func (tg *target) onNextForward(then func()) {
 	f := func(w http.ResponseWriter, r *http.Request) {
-		rig.coord.Load().Handler().ServeHTTP(httptest.NewRecorder(), r)
+		tg.coord.Load().Handler().ServeHTTP(httptest.NewRecorder(), r)
 		then()
 		http.Error(w, "the answer was lost", http.StatusBadGateway)
 	}
-	rig.fault.Store(&f)
+	tg.fault.Store(&f)
 }
 
-// settle waits until the coordinator has confirmed everything the site's
-// log holds, then holds it to the site: the same tenants, each /v1/summary
-// byte for byte, and each tenant's acknowledged count of tuples.
+// settle waits until every target has confirmed everything the site's log
+// holds, then holds the coordinator to the site: the same tenants, each
+// /v1/summary byte for byte, and each tenant's acknowledged count of
+// tuples.
 func (rig *forwardRig) settle(when string) {
 	rig.t.Helper()
+	caughtUp(rig.t, when, rig.site)
 	site := rig.site
-	waitUntil(rig.t, 20*time.Second, when+": the forwarder catching up", func() bool {
-		return site.fwd.acked.Load() >= site.walRef().LastLSN()
-	})
 	if n, m := len(site.tenantList()), len(rig.coord.Load().tenantList()); n != m {
 		rig.t.Fatalf("%s: the site holds %d tenants, the coordinator %d", when, n, m)
 	}
@@ -123,11 +138,12 @@ func (rig *forwardRig) settle(when string) {
 // A site forwards its log to a coordinator; after each way forwarding can
 // be cut — the coordinator unreachable, a clean drain, an answer that times
 // out, the site killed, the coordinator killed, the coordinator replaced by
-// its promoted replica — the coordinator's /v1/summary for every tenant
+// its promoted standby — the coordinator's /v1/summary for every tenant
 // equals the site's and holds every acknowledged tuple once. Each cut but
 // the first two lands after the coordinator applied a record whose answer
 // the site never heard, so the mark — kept, restored from a snapshot and a
-// log, or replicated — must drop the copy sent again. While the
+// log, or forwarded nested in the coordinator's records — must drop the
+// copy sent again. While the
 // coordinator is unreachable the site prunes nothing of its log; once the
 // coordinator has the records it prunes, and restarts on the pruned log.
 func TestForwardExactlyOnce(t *testing.T) {
@@ -204,6 +220,8 @@ func TestForwardExactlyOnce(t *testing.T) {
 	})
 	rig.ingest("b", 4, 100, 60)
 	waitUntil(t, 10*time.Second, "the coordinator to crash", rig.down.Load)
+	standby, standbyTS := newStandby(t, coordCfg.Options, nil) // it comes back forwarding to a standby
+	coordCfg.PushTo = standbyTS.URL
 	if coord, err = New(coordCfg); err != nil {
 		t.Fatal(err)
 	}
@@ -214,25 +232,23 @@ func TestForwardExactlyOnce(t *testing.T) {
 		t.Fatal("the restarted coordinator dropped no copy")
 	}
 
-	// The coordinator's replica promoted while forwarding.
+	// The coordinator's standby promoted while forwarding: it holds the
+	// site's records nested in the coordinator's, and their marks with them.
 	t.Cleanup(func() { coord.Close() })
-	replica, _ := newReplica(t, coord.cfg.Options, startStream(t, coord), func(c *Config) {
-		c.WALDir = filepath.Join(t.TempDir(), "wal")
-	})
 	rig.onNextForward(func() {
-		for deadline := time.Now().Add(10 * time.Second); replica.appliedLSN.Load() < coord.walRef().LastLSN() && time.Now().Before(deadline); {
+		for deadline := time.Now().Add(10 * time.Second); coord.fwds[0].acked.Load() < coord.walRef().LastLSN() && time.Now().Before(deadline); {
 			time.Sleep(5 * time.Millisecond)
 		}
-		if err := replica.Promote(); err != nil {
+		if err := standby.Promote(); err != nil {
 			t.Error(err)
 		}
-		rig.coord.Store(replica)
+		rig.coord.Store(standby)
 	})
 	rig.ingest("", 3, 100, 70)
 	rig.ingest("c", 3, 100, 80)
-	rig.settle("after the replica was promoted")
+	rig.settle("after the standby was promoted")
 	if duplicates() == 0 {
-		t.Fatal("the promoted replica dropped no copy: its marks did not come through replication")
+		t.Fatal("the promoted standby dropped no copy: the marks did not come nested in its primary's forwards")
 	}
 }
 
@@ -405,9 +421,15 @@ func TestForwardTupleCap(t *testing.T) {
 
 // TestSiteRefusesUnsentState: a server with no site id yet whose state its
 // log does not hold — restored from a snapshot, on a log a checkpoint pruned
-// — would never send that state under a new id, so New refuses to make it a
-// site and names the migration.
+// — would never send that state under a new id, so it forwards nothing:
+// /v1/stats names the coordinator's mark behind the log's oldest record and
+// the way out, until the coordinator is started on a copy of the site's
+// snapshot, which carries the new id's mark at its coverage. From there the
+// coordinator holds what the site does.
 func TestSiteRefusesUnsentState(t *testing.T) {
+	was := forwardPause
+	forwardPause = 20 * time.Millisecond
+	t.Cleanup(func() { forwardPause = was })
 	cfg := walConfig(t)
 	cfg.WALSegmentBytes = 1 << 10
 	svc, err := New(cfg)
@@ -422,10 +444,158 @@ func TestSiteRefusesUnsentState(t *testing.T) {
 	if err := cmp.Or(svc.Snapshot(), svc.Close()); err != nil {
 		t.Fatal(err)
 	}
-	cfg.PushTo = "http://127.0.0.1:1"
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `README "Storage format"`) {
-		t.Fatalf("a pruned, restored server became a site under a new id: %v", err)
+	coord, err := New(Config{Options: testOptions()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	rig := newForwardRig(t, coord, cfg)
+	var st client.Stats
+	waitUntil(t, 10*time.Second, "the site to report its stall", func() bool {
+		st, err = client.New(rig.siteTS.URL).Stats(context.Background())
+		return err == nil && strings.Contains(st.ForwardStalled, `start it on a copy of this server's snapshot (README "Replication & HA")`)
+	})
+	if rig.site.metrics.siteForwardsRefused.Load() == 0 || coord.Engine().Count() != 0 {
+		t.Fatalf("a stalled site: %d refusals counted, the coordinator holds %d tuples", rig.site.metrics.siteForwardsRefused.Load(), coord.Engine().Count())
+	}
+
+	if err := rig.site.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.SnapshotPath)
+	copied := filepath.Join(t.TempDir(), "copy.snapshot")
+	if err = cmp.Or(err, os.WriteFile(copied, data, 0o644)); err != nil {
+		t.Fatal(err)
+	}
+	boot, err := New(Config{Options: testOptions(), SnapshotPath: copied})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.coord.Store(boot)
+	coord.Close()
+	rig.acked[""] = 800
+	rig.ingest("", 2, 100, 9)
+	rig.settle("on the bootstrapped coordinator")
+}
+
+// TestForwardTwoPathsApplyOnce: a site's records reach the top coordinator
+// directly and nested in a mid-tier coordinator's forwards — site → mid →
+// top and site → top — the direct path first, then both at once. Each
+// record, nested or not, is dropped at or below its own site's mark, so top
+// holds every acknowledged tuple once in summaries byte-identical to the
+// site's (a serial replay of the acknowledged set), live and after a
+// restart replays its log.
+func TestForwardTwoPathsApplyOnce(t *testing.T) {
+	was := forwardPause
+	forwardPause = 20 * time.Millisecond
+	t.Cleanup(func() { forwardPause = was })
+	topCfg, midCfg := walConfig(t), walConfig(t)
+	top, err := New(topCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toTop := newTarget(t, top)
+	midCfg.PushTo = toTop.proxy.URL
+	mid, err := New(midCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newForwardRig(t, top, walConfig(t), newTarget(t, mid))
+
+	toTop.down.Store(true) // mid holds the site's records and sends none on
+	rig.ingest("", 6, 100, 1)
+	rig.ingest("a", 3, 100, 20)
+	rig.settle("directly")
+	toTop.down.Store(false)
+	caughtUp(t, "mid", mid)
+	rig.settle("through mid as well")
+
+	rig.ingest("", 4, 100, 40)
+	rig.ingest("b", 2, 100, 60)
+	caughtUp(t, "the site", rig.site)
+	caughtUp(t, "mid", mid)
+	rig.settle("both paths at once")
+
+	crash(nil, top)
+	if top, err = New(topCfg); err != nil {
+		t.Fatal(err)
+	}
+	rig.coord.Store(top)
+	toTop.coord.Store(top)
+	rig.settle("after a restart replayed the log")
+}
+
+// TestSiteFailsOverToItsStandby: a site forwards to its coordinator and to
+// its standby, which forwards onward to the coordinator as well. The site is
+// killed mid-ingest with the coordinator out of its reach, the standby is
+// promoted and takes writes, and the coordinator ends with every tuple the
+// site logged — each it acknowledged, and one whose answer the kill cut —
+// and then the standby acknowledged, once: the site's records reach it
+// directly and nested in the standby's, each applied once by the site's
+// mark, in summaries byte-identical to the standby's.
+func TestSiteFailsOverToItsStandby(t *testing.T) {
+	was := forwardPause
+	forwardPause = 20 * time.Millisecond
+	t.Cleanup(func() { forwardPause = was })
+	coord, coordTS, _ := newTestServer(t, Config{Options: testOptions()})
+	standby, _ := newStandby(t, testOptions(), func(c *Config) { c.WALDir, c.PushTo = t.TempDir(), coordTS.URL })
+	toStandby := newTarget(t, standby)
+	rig := newForwardRig(t, coord, walConfig(t), toStandby)
+	rig.ingest("", 4, 100, 1)
+	rig.ingest("a", 2, 100, 10)
+	rig.settle("with every path up")
+
+	rig.down.Store(true)
+	last := rig.site.walRef().LastLSN()
+	ingested := make(chan int)
+	go func() {
+		n, cl := 0, client.New(rig.siteTS.URL, client.WithRetries(0))
+		for i := uint64(0); cl.AddBatch(context.Background(), testStream(100, 100+i)) == nil; i++ {
+			n += 100
+		}
+		ingested <- n
+	}()
+	waitUntil(t, 10*time.Second, "the site to acknowledge more", func() bool { return rig.site.walRef().LastLSN() >= last+5 })
+	crash(rig.siteTS, rig.site)
+	rig.acked[""] += <-ingested
+	// The kill can cut the answer to a write it logged: the site's state,
+	// its log, holds every acknowledged tuple and maybe that one.
+	rig.site.mu.Lock()
+	logged := int(rig.site.def.eng.Count())
+	rig.site.mu.Unlock()
+	if logged < rig.acked[""] || logged > rig.acked[""]+100 {
+		t.Fatalf("the killed site holds %d tuples; %d were acknowledged", logged, rig.acked[""])
+	}
+	rig.acked[""] = logged
+
+	if err := standby.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.New(toStandby.proxy.URL, client.WithTenant("a")).AddBatch(context.Background(), testStream(300, 200)); err != nil {
+		t.Fatal(err)
+	}
+	rig.acked["a"] += 300
+	caughtUp(t, "the promoted standby", standby)
+	for name, n := range rig.acked {
+		st, err := client.New(coordTS.URL, client.WithTenant(name)).Stats(context.Background())
+		if err != nil || st.Count != uint64(n) || !bytes.Equal(tenantSummary(t, coordTS.URL, name), tenantSummary(t, toStandby.proxy.URL, name)) {
+			t.Fatalf("tenant %q: the coordinator holds %d tuples of %d acknowledged, its summary equal to the standby's %t (err %v)",
+				name, st.Count, n, bytes.Equal(tenantSummary(t, coordTS.URL, name), tenantSummary(t, toStandby.proxy.URL, name)), err)
+		}
+	}
+}
+
+// caughtUp waits until each of svc's targets has confirmed what its log
+// holds.
+func caughtUp(t *testing.T, when string, svc *Server) {
+	t.Helper()
+	waitUntil(t, 20*time.Second, when+": the forwarders catching up", func() bool {
+		for _, f := range svc.fwds {
+			if f.acked.Load() < svc.walRef().LastLSN() {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // ingestRecord is an ingest record's payload as a site logs it: 20 tuples

@@ -14,7 +14,7 @@ import (
 )
 
 // FuzzDecodeIngest throws arbitrary payloads at the one ingest-record
-// decoder, the function crash replay and a replica's live apply both
+// decoder, the function crash replay and a forward's admission both
 // read RecordIngest through. Whatever the bytes it must not panic; what
 // it allocates is bounded by the payload's length (a member is at least
 // five bytes, a row at least two bits — no count in the payload is trusted
@@ -50,7 +50,7 @@ func FuzzDecodeIngest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		st := newReplayState(0, true)
+		st := &replayState{}
 		batches, err := st.decodeIngest(payload, nil)
 		tuples := 0
 		for _, b := range st.batches {
@@ -77,8 +77,8 @@ func FuzzDecodeIngest(f *testing.F) {
 }
 
 // FuzzDecodeSnapshot throws arbitrary bytes at the one snapshot decoder,
-// which reads disk files at startup and re-seed frames off a replication
-// connection. Whatever the bytes it must not panic; the images it returns
+// which reads disk files at startup, a copied one a standby is
+// bootstrapped from among them. Whatever the bytes it must not panic; the images it returns
 // alias the input, so what it allocates is one entry per tenant and one per
 // site's mark, and no tenant or site count is trusted past the bytes behind
 // it; bytes that do not open with the current magic are refused as

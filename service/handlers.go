@@ -214,11 +214,13 @@ func (s *Server) nack(w http.ResponseWriter, errs *counter, kind ingestErrKind, 
 }
 
 // writeGate reports why this server takes no writes in its current state
-// — a replica's go to the primary, a degraded server's wait for recovery —
-// or ingestOK. Both transports ask before they read or decode anything.
-func (s *Server) writeGate() (ingestErrKind, error) {
+// — a standby's client writes go to its primary, a degraded server's wait
+// for recovery — or ingestOK. A forward passes a standby's gate: it is how
+// a standby is fed. Every transport asks before it reads or decodes
+// anything.
+func (s *Server) writeGate(forward bool) (ingestErrKind, error) {
 	switch {
-	case s.replicaMode.Load():
+	case s.standby.Load() && !forward:
 		return ingestErrReadOnly, errReadOnlyReplica
 	case s.healthDegraded():
 		return ingestErrDegraded, errDegraded
@@ -253,7 +255,7 @@ func (s *Server) commitRequest(w http.ResponseWriter, r *http.Request, errs *cou
 // nothing.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	errs := &s.metrics.ingestErrors
-	if kind, err := s.writeGate(); kind != ingestOK {
+	if kind, err := s.writeGate(false); kind != ingestOK {
 		s.nack(w, errs, kind, err)
 		return
 	}
@@ -545,21 +547,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.WALReplayRecords = s.walReplayed
 		st.WALReplaySeconds = s.metrics.walReplaySeconds.Load()
 	}
-	if f := s.fwd; f != nil {
-		st.ForwardAckedLSN = f.acked.Load()
+	var stalled []string
+	for i, f := range s.fwds {
+		if acked := f.acked.Load(); i == 0 || acked < st.ForwardAckedLSN {
+			st.ForwardAckedLSN = acked
+		}
 		if msg := f.stalled.Load(); msg != nil {
-			st.ForwardStalled = *msg
+			stalled = append(stalled, *msg)
 		}
 	}
-	if s.cfg.PrimaryAddr != "" {
-		lagRecords, lagSeconds := s.replicationLag()
-		st.ReplicaOf = s.cfg.PrimaryAddr
-		st.ReplicaAppliedLSN = s.appliedLSN.Load()
-		st.ReplicaPrimaryLSN = s.primaryLSN.Load()
-		st.ReplicaLagRecords = lagRecords
-		st.ReplicaLagSeconds = lagSeconds
-		st.Promoted = !s.replicaMode.Load()
-	}
+	st.ForwardStalled = strings.Join(stalled, "; ")
+	st.Promoted = s.cfg.Standby && !s.standby.Load()
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -567,8 +565,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // entry holds, for an offline tool (the library's UnmarshalBinary or
 // MergeMarshaled) to pull. ?tenant= selects the
 // namespace; unknown keys are 404. A spilled tenant is served its parked
-// image — a read does not un-spill it — unless a re-seed parked it empty:
-// the empty summary's image is not zero bytes, so an engine writes it.
+// image — a read does not un-spill it — unless it was installed empty (a
+// snapshot entry of no bytes): the empty summary's image is not zero
+// bytes, so an engine writes it.
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	tn := s.readTenant(w, r)
 	if tn == nil {
@@ -614,12 +613,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snap := wl.Stats()
 		ws = &snap
 	}
-	var rs replicationStats
-	if s.cfg.PrimaryAddr != "" {
-		rs.appliedLSN = s.appliedLSN.Load() // a primary's own is its log's, not a replica's position
-	}
-	rs.primaryLSN = s.primaryLSN.Load()
-	rs.lagRecords, rs.lagSeconds = s.replicationLag()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, ts, ws, rs, &s.health)
+	s.metrics.write(w, ts, ws, &s.health)
 }

@@ -18,8 +18,8 @@ import (
 // durable, and it must not die either: committed state is still intact
 // and perfectly servable. So the server degrades instead: writes get
 // 503 + Retry-After (AckDegraded on the stream, keeping the
-// connection), while queries, stats, summaries, and replication
-// shipping keep serving from committed state. A background probe (a probe
+// connection), while queries, stats, summaries, and log forwarding
+// keep serving from committed state. A background probe (a probe
 // job — the committer appends and fsyncs a RecordProbe — plus a snapshot
 // when that was the broken class) retries every healthProbeInterval; the operator can
 // force the same probe with POST /v1/recover. /readyz reports the

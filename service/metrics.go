@@ -157,7 +157,7 @@ type metrics struct {
 	lastSnapshotUnix gauge // 0 until the first snapshot
 	snapshotBytes    gauge
 
-	walAppendErrors  counter    // appends that failed after the engine applied
+	walAppendErrors  counter    // writes nacked because their append or their group's fsync failed
 	walFsync         *histogram // fsync latency on the append/checkpoint path
 	walReplayRecords gauge      // state records replayed at the last startup
 	walReplaySeconds fgauge     // wall-clock duration of that replay
@@ -179,16 +179,7 @@ type metrics struct {
 	groupTuples *histogram // tuples per committed group
 	queueDepth  gauge      // jobs waiting in the commit pipeline
 
-	// Replication (replication.go): the primary side counts what it
-	// ships to followers; the replica side counts what it applies and
-	// its promotions. Lag gauges are sampled at scrape time.
-	replicaConns              gauge   // follower connections served right now
-	replicaRecordsSent        counter // WAL records shipped to followers
-	replicaSnapshotsSent      counter // snapshot re-seeds shipped to followers
-	replicaHeartbeatsSent     counter // heartbeats shipped to followers
-	replicaRecordsApplied     counter // shipped records applied locally (replica)
-	replicaSnapshotsInstalled counter // snapshot re-seeds installed locally (replica)
-	replicaPromotions         counter // replica→primary promotions
+	promotions counter // standby promotions (replication.go)
 
 	// Overload shedding and degraded mode (pipeline.go, health.go): the
 	// counters tick at each rejection site.
@@ -243,16 +234,6 @@ type tenantStats struct {
 	bytes int64 // Server.tenantBytes: what the tenants keep, heap and arenas
 }
 
-// replicationStats is the replication-lag part of the exposition,
-// sampled from the server's atomics at scrape time. All zero on a
-// server that is not (and never was) a replica.
-type replicationStats struct {
-	appliedLSN uint64
-	primaryLSN uint64
-	lagRecords uint64
-	lagSeconds float64
-}
-
 // writeHistogram renders one histogram series, optionally with a fixed
 // label pair (e.g. `handler="ingest"`) merged into every sample.
 func writeHistogram(w io.Writer, name, labels string, h *histogram) {
@@ -275,7 +256,7 @@ func writeHistogram(w io.Writer, name, labels string, h *histogram) {
 // write renders the Prometheus text exposition format. ws is nil when
 // the server runs without a WAL; h is the server's health machine, read
 // as it stands.
-func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, rs replicationStats, h *health) {
+func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, h *health) {
 	c := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -314,28 +295,13 @@ func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, rs replicati
 	g("corrd_tenant_bytes", "Bytes the tenants keep (the MaxTenantBytes input): a live summary's sketch storage and what else its makers' arenas map, and its structs on the heap, as of its last change; a spilled one's image length.", ts.bytes)
 	c("corrd_tenant_created_total", "Tenants created over this process's lifetime.", m.tenantsCreated.Load())
 	c("corrd_tenant_spills_total", "Idle tenants spilled to an in-memory image.", m.tenantsSpilled.Load())
-	c("corrd_tenant_restores_total", "Tenants materialized from an image (a spilled one on touch; the default at a restore or re-seed).", m.tenantsRestored.Load())
+	c("corrd_tenant_restores_total", "Tenants materialized from an image (a spilled one on touch; the default at a snapshot restore).", m.tenantsRestored.Load())
 	fmt.Fprintf(w, "# HELP corrd_tenant_rejected_total Tenant creations refused by a governance cap, by reason.\n")
 	fmt.Fprintf(w, "# TYPE corrd_tenant_rejected_total counter\n")
 	fmt.Fprintf(w, "corrd_tenant_rejected_total{reason=\"limit\"} %d\n", m.tenantRejectedLimit.Load())
 	fmt.Fprintf(w, "corrd_tenant_rejected_total{reason=\"memory\"} %d\n", m.tenantRejectedMemory.Load())
 
-	// Replication series are emitted unconditionally: a dashboard built
-	// against a primary keeps working when the host is redeployed as a
-	// replica (and vice versa).
-	g("corrd_replica_conns", "Replication follower connections served right now.", m.replicaConns.Load())
-	c("corrd_replica_records_sent_total", "WAL records shipped to replication followers.", m.replicaRecordsSent.Load())
-	c("corrd_replica_snapshots_sent_total", "Snapshot re-seeds shipped to followers that fell behind the prune horizon.", m.replicaSnapshotsSent.Load())
-	c("corrd_replica_heartbeats_sent_total", "Heartbeat frames shipped to replication followers.", m.replicaHeartbeatsSent.Load())
-	c("corrd_replica_records_applied_total", "Shipped WAL records this replica applied.", m.replicaRecordsApplied.Load())
-	c("corrd_replica_snapshots_installed_total", "Snapshot re-seeds this replica installed.", m.replicaSnapshotsInstalled.Load())
-	c("corrd_replica_promotions_total", "Replica-to-primary promotions (manual or on primary loss).", m.replicaPromotions.Load())
-	g("corrd_replica_applied_lsn", "Highest primary WAL record applied locally (replica role).", int64(rs.appliedLSN))
-	g("corrd_replica_primary_lsn", "The primary's last observed WAL frontier (replica role).", int64(rs.primaryLSN))
-	g("corrd_replica_lag_records", "Records the replica is behind the primary's frontier.", int64(rs.lagRecords))
-	fmt.Fprintf(w, "# HELP corrd_replica_lag_seconds Seconds since this replica was last caught up with the primary (0 when caught up).\n")
-	fmt.Fprintf(w, "# TYPE corrd_replica_lag_seconds gauge\n")
-	fmt.Fprintf(w, "corrd_replica_lag_seconds %g\n", rs.lagSeconds)
+	c("corrd_replica_promotions_total", "Standby promotions (POST /v1/promote, or on primary silence).", m.promotions.Load())
 
 	if ws != nil {
 		g("corrd_wal_segments", "WAL segment files on disk.", ws.Segments)
@@ -344,7 +310,7 @@ func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, rs replicati
 		c("corrd_wal_checkpoints_total", "Checkpoint markers written after snapshots.", ws.Checkpoints)
 		c("corrd_wal_pruned_segments_total", "Sealed WAL segments deleted by checkpoints.", ws.PrunedSegments)
 		g("corrd_wal_last_lsn", "LSN of the most recently appended WAL record.", int64(ws.LastLSN))
-		c("corrd_wal_append_errors_total", "WAL appends that failed after the engine applied the batch.", m.walAppendErrors.Load())
+		c("corrd_wal_append_errors_total", "Writes refused because their WAL append or their group's fsync failed; none was applied.", m.walAppendErrors.Load())
 		g("corrd_wal_replay_records", "State records replayed from the WAL at the last startup.", m.walReplayRecords.Load())
 		fmt.Fprintf(w, "# HELP corrd_wal_replay_duration_seconds Wall-clock duration of the startup WAL replay.\n")
 		fmt.Fprintf(w, "# TYPE corrd_wal_replay_duration_seconds gauge\n")

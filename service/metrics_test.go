@@ -202,22 +202,31 @@ func TestMetricsExpositionInvariants(t *testing.T) {
 		t.Fatalf("only %d histogram families rendered, expected all handler/stage/wal histograms", families)
 	}
 
-	// Every metric name the README documents must exist in the scrape.
+	// Every metric name the README documents must exist in the scrape, and
+	// every series the scrape serves has a row in the README's catalog.
 	readme, err := os.ReadFile("../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nameRe := regexp.MustCompile("`(corrd_[a-z0-9_]+)`")
-	documented := map[string]bool{}
-	for _, m := range nameRe.FindAllStringSubmatch(string(readme), -1) {
+	documented, rows := map[string]bool{}, map[string]bool{}
+	for _, m := range regexp.MustCompile("`(corrd_[a-z0-9_]+)`").FindAllStringSubmatch(string(readme), -1) {
 		documented[m[1]] = true
 	}
-	if len(documented) < 20 {
-		t.Fatalf("README documents only %d corrd_* metrics; the catalog table is missing", len(documented))
+	_, catalog, _ := strings.Cut(string(readme), "\n### Metrics catalog\n")
+	for _, m := range regexp.MustCompile("(?m)^\\| `(corrd_[a-z0-9_]+)").FindAllStringSubmatch(catalog, -1) {
+		rows[m[1]] = true
+	}
+	if len(rows) < 20 {
+		t.Fatalf("README's Metrics catalog has only %d rows; the table is missing", len(rows))
 	}
 	for name := range documented {
 		if !strings.Contains(body, name) {
 			t.Errorf("README documents %s but the exposition does not serve it", name)
+		}
+	}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (corrd_[a-z0-9_]+) `).FindAllStringSubmatch(body, -1) {
+		if !rows[m[1]] {
+			t.Errorf("the exposition serves %s, which has no row in README's Metrics catalog", m[1])
 		}
 	}
 
@@ -261,26 +270,8 @@ func TestMetricsExpositionInvariants(t *testing.T) {
 		t.Errorf("corrd_ingest_group_tuples_count %v, _sum %v; want %v groups and 8000 tuples", n, sum, groups)
 	}
 
-	// The replication series are part of the stable exposition even on a
-	// server with no followers and no primary (all zero here), so
-	// dashboards and alerts can rely on their presence before the first
-	// replica ever attaches.
-	for _, series := range []string{
-		"corrd_replica_conns",
-		"corrd_replica_records_sent_total",
-		"corrd_replica_snapshots_sent_total",
-		"corrd_replica_heartbeats_sent_total",
-		"corrd_replica_records_applied_total",
-		"corrd_replica_snapshots_installed_total",
-		"corrd_replica_promotions_total",
-		"corrd_replica_applied_lsn",
-		"corrd_replica_primary_lsn",
-		"corrd_replica_lag_records",
-		"corrd_replica_lag_seconds",
-	} {
-		if v := metricValue(t, body, series); v != 0 {
-			t.Errorf("%s = %v on a standalone server, want 0", series, v)
-		}
+	if v := metricValue(t, body, "corrd_replica_promotions_total"); v != 0 {
+		t.Errorf("corrd_replica_promotions_total = %v on a server that is no standby, want 0", v)
 	}
 }
 
@@ -313,65 +304,55 @@ func TestMetricsScrapeTakesNoDriverLock(t *testing.T) {
 // test file (in service/, or ../cmd/corrd/) that asserts on it, or the
 // smoke script. A series no one reads has no reason to be rendered.
 var seriesReaders = map[string]string{
-	"corrd_tuples_ingested_total":             "service_test.go",
-	"corrd_ingest_errors_total":               "service_test.go",
-	"corrd_stream_conns":                      "stream_test.go",
-	"corrd_stream_conns_total":                "stream_test.go",
-	"corrd_stream_frames_total":               "stream_test.go",
-	"corrd_stream_tuples_total":               "../scripts/service-smoke.sh",
-	"corrd_stream_frame_errors_total":         "stream_test.go",
-	"corrd_forwards_total":                    "../scripts/service-smoke.sh",
-	"corrd_queries_served_total":              "service_test.go",
-	"corrd_query_errors_total":                "service_test.go",
-	"corrd_snapshots_written_total":           "service_test.go",
-	"corrd_snapshot_errors_total":             "chaos_test.go",
-	"corrd_snapshot_last_unix_seconds":        "service_test.go",
-	"corrd_snapshot_bytes":                    "service_test.go",
-	"corrd_site_forwards_total":               "../scripts/service-smoke.sh",
-	"corrd_uptime_seconds":                    "service_test.go",
-	"corrd_tenants":                           "admission_test.go",
-	"corrd_tenants_live":                      "tenant_test.go",
-	"corrd_tenant_bytes":                      "replication_test.go",
-	"corrd_tenant_created_total":              "admission_test.go",
-	"corrd_tenant_spills_total":               "tenant_test.go",
-	"corrd_tenant_restores_total":             "tenant_test.go",
-	"corrd_tenant_rejected_total":             "../scripts/service-smoke.sh",
-	"corrd_replica_conns":                     "replication_test.go",
-	"corrd_replica_records_sent_total":        "metrics_test.go",
-	"corrd_replica_snapshots_sent_total":      "metrics_test.go",
-	"corrd_replica_heartbeats_sent_total":     "metrics_test.go",
-	"corrd_replica_records_applied_total":     "metrics_test.go",
-	"corrd_replica_snapshots_installed_total": "metrics_test.go",
-	"corrd_replica_promotions_total":          "../scripts/service-smoke.sh",
-	"corrd_replica_applied_lsn":               "metrics_test.go",
-	"corrd_replica_primary_lsn":               "metrics_test.go",
-	"corrd_replica_lag_records":               "metrics_test.go",
-	"corrd_replica_lag_seconds":               "metrics_test.go",
-	"corrd_wal_segments":                      "service_test.go",
-	"corrd_wal_appends_total":                 "service_test.go",
-	"corrd_wal_appended_bytes_total":          "service_test.go",
-	"corrd_wal_checkpoints_total":             "replication_test.go",
-	"corrd_wal_pruned_segments_total":         "replication_test.go",
-	"corrd_wal_last_lsn":                      "service_test.go",
-	"corrd_wal_append_errors_total":           "chaos_test.go",
-	"corrd_wal_replay_records":                "../scripts/service-smoke.sh",
-	"corrd_wal_replay_duration_seconds":       "service_test.go",
-	"corrd_wal_fsync_duration_seconds":        "service_test.go",
-	"corrd_http_request_duration_seconds":     "service_test.go",
-	"corrd_pipeline_stage_seconds":            "metrics_test.go",
-	"corrd_ingest_group_size":                 "metrics_test.go",
-	"corrd_ingest_group_tuples":               "metrics_test.go",
-	"corrd_ingest_queue_depth":                "metrics_test.go",
-	"corrd_health_state":                      "chaos_test.go",
-	"corrd_degraded_seconds_total":            "chaos_test.go",
-	"corrd_ingest_shed_total":                 "chaos_test.go",
-	"corrd_degraded_rejects_total":            "chaos_test.go",
-	"corrd_access_log_dropped_total":          "accesslog_test.go",
-	"corrd_slow_requests_total":               "accesslog_test.go",
-	"corrd_go_goroutines":                     "../scripts/service-smoke.sh",
-	"corrd_go_gcs_total":                      "service_test.go",
-	"corrd_go_gc_pause_total_seconds":         "service_test.go",
-	"corrd_build_info":                        "metrics_test.go",
+	"corrd_tuples_ingested_total":         "service_test.go",
+	"corrd_ingest_errors_total":           "service_test.go",
+	"corrd_stream_conns":                  "stream_test.go",
+	"corrd_stream_conns_total":            "stream_test.go",
+	"corrd_stream_frames_total":           "stream_test.go",
+	"corrd_stream_tuples_total":           "../scripts/service-smoke.sh",
+	"corrd_stream_frame_errors_total":     "stream_test.go",
+	"corrd_forwards_total":                "../scripts/service-smoke.sh",
+	"corrd_queries_served_total":          "service_test.go",
+	"corrd_query_errors_total":            "service_test.go",
+	"corrd_snapshots_written_total":       "service_test.go",
+	"corrd_snapshot_errors_total":         "chaos_test.go",
+	"corrd_snapshot_last_unix_seconds":    "service_test.go",
+	"corrd_snapshot_bytes":                "service_test.go",
+	"corrd_site_forwards_total":           "../scripts/service-smoke.sh",
+	"corrd_uptime_seconds":                "service_test.go",
+	"corrd_tenants":                       "admission_test.go",
+	"corrd_tenants_live":                  "tenant_test.go",
+	"corrd_tenant_bytes":                  "tenant_test.go",
+	"corrd_tenant_created_total":          "admission_test.go",
+	"corrd_tenant_spills_total":           "tenant_test.go",
+	"corrd_tenant_restores_total":         "tenant_test.go",
+	"corrd_tenant_rejected_total":         "../scripts/service-smoke.sh",
+	"corrd_replica_promotions_total":      "../scripts/service-smoke.sh",
+	"corrd_wal_segments":                  "service_test.go",
+	"corrd_wal_appends_total":             "service_test.go",
+	"corrd_wal_appended_bytes_total":      "service_test.go",
+	"corrd_wal_checkpoints_total":         "replication_test.go",
+	"corrd_wal_pruned_segments_total":     "replication_test.go",
+	"corrd_wal_last_lsn":                  "service_test.go",
+	"corrd_wal_append_errors_total":       "chaos_test.go",
+	"corrd_wal_replay_records":            "../scripts/service-smoke.sh",
+	"corrd_wal_replay_duration_seconds":   "service_test.go",
+	"corrd_wal_fsync_duration_seconds":    "service_test.go",
+	"corrd_http_request_duration_seconds": "service_test.go",
+	"corrd_pipeline_stage_seconds":        "metrics_test.go",
+	"corrd_ingest_group_size":             "metrics_test.go",
+	"corrd_ingest_group_tuples":           "metrics_test.go",
+	"corrd_ingest_queue_depth":            "metrics_test.go",
+	"corrd_health_state":                  "chaos_test.go",
+	"corrd_degraded_seconds_total":        "chaos_test.go",
+	"corrd_ingest_shed_total":             "chaos_test.go",
+	"corrd_degraded_rejects_total":        "chaos_test.go",
+	"corrd_access_log_dropped_total":      "accesslog_test.go",
+	"corrd_slow_requests_total":           "accesslog_test.go",
+	"corrd_go_goroutines":                 "../scripts/service-smoke.sh",
+	"corrd_go_gcs_total":                  "service_test.go",
+	"corrd_go_gc_pause_total_seconds":     "service_test.go",
+	"corrd_build_info":                    "metrics_test.go",
 }
 
 // TestEverySeriesHasAReader: seriesReaders lists exactly the series a

@@ -39,11 +39,11 @@ import (
 // buffer. Outside the lock it appends the records and runs one Sync over
 // them, the barrier every ack waits on, which when it fails has rewound
 // them all. Under the lock again it applies exactly the records the log still
-// holds, in LSN order, through the applies replay and a replica run,
+// holds, in LSN order, through the applies replay runs,
 // advancing appliedLSN, the coverage a snapshot records; then it wakes the
 // waiters.
 // So a nacked write is in neither the log, the live state, a snapshot nor
-// a replica, and a failed append or barrier leaves nothing to undo. Under K
+// a standby, and a failed append or barrier leaves nothing to undo. Under K
 // concurrent clients the fsync and the sort are paid once per group, and a
 // lone client keeps groups of one.
 
@@ -70,7 +70,7 @@ const (
 	ingestErrShutdown                  // the server is draining; never committed
 	ingestErrTenant                    // MaxTenants refused to make the tenant the write names
 	ingestErrTenantBytes               // MaxTenantBytes refused to make it
-	ingestErrReadOnly                  // the server is a replica; writes go to the primary
+	ingestErrReadOnly                  // the server is a standby; client writes go to the primary
 	ingestErrDegraded                  // degraded mode: durability broken, writes suspended
 	ingestErrBusy                      // commit queue at its bound; the job was shed
 	ingestErrTooLarge                  // a forward decodes to more than maxForwardTuples
@@ -430,7 +430,7 @@ func appendRecord(w *wal.WAL, buf []byte, r *groupRecord) ([]byte, uint64, error
 }
 
 // applyGroupLocked is the one apply of an ingest record — the live commit,
-// startup replay and a replica's apply loop all come through here: each
+// startup replay and a forward's target all come through here: each
 // batch is its tenant's one AddBatch of the record, already sorted by y, so
 // all three leave the same bytes. A batch naming a new tenant makes it.
 // Every batch was checked at admission (tupleio.CheckCounted, or
@@ -553,8 +553,8 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		}
 		if r.lsn != 0 {
 			// The group's barrier returned nil, so appliedLSN never passes
-			// the log's durable frontier: a snapshot, a re-seed's included,
-			// covers nothing a crash could take back.
+			// the log's durable frontier: a snapshot covers nothing a crash
+			// could take back.
 			s.appliedLSN.Store(r.lsn)
 		}
 		for _, j := range r.jobs {

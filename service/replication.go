@@ -5,69 +5,44 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 
-	"github.com/streamagg/correlated/internal/replica"
 	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
-// Replication: WAL-shipped warm standby with failover.
-//
-// The primary serves its log over the stream listener: a connection
-// whose hello names StreamFormatReplica sends one start request (the
-// LSN the follower already covers) and then only reads — the primary
-// runs wal.Follow from that position and ships every durable record as
-// a frame (seq = LSN), interleaved with heartbeats carrying its
-// followable frontier. Only fsynced records are shipped (the WAL's
-// durable frontier), so a replica can never hold state the primary's
-// own crash recovery would lose — which is what keeps the failover
-// byte-identity guarantee honest. A follower whose position has been
-// pruned by a checkpoint is re-seeded with a freshly built snapshot
-// frame and follows on from its covered LSN, so the primary carries no
-// unbounded retention obligation.
-//
-// The replica (Config.PrimaryAddr) applies each shipped record under
-// the driver lock through the exact applyRecord switch its own startup
-// replay uses — each record decoded into jobs and run through the commit's
-// own apply, the same one AddBatch of the same sorted batch per tenant per
-// group record — so its state is always "the primary replayed to LSN N".
-// It serves reads (/v1/query, /v1/stats, /v1/summary) through the same
-// answer memo as a primary and rejects writes with 503 (AckReadOnly on the
-// stream). Promotion — POST /v1/promote, or automatic on primary
-// silence (Config.PrimaryTimeout) — detaches the follower, seals the
-// applied LSN, opens the replica's own WAL continuing the primary's LSN
-// space, and starts accepting writes. The sites' marks are state like any
-// other, so a promoted replica drops what its primary had already applied.
+// Replication: a standby is a coordinator with a refusal. Its primary
+// lists it in PushTo like any other target, so the standby takes the
+// primary's log as forwards — each logged in its own WAL as a
+// RecordForward, applied once by the site's mark (forward.go) — and holds
+// exactly the records the primary's forwarder has had confirmed. It serves
+// reads (/v1/query, /v1/stats, /v1/summary) through the same answer memo
+// as any server and refuses client writes with 503 (AckReadOnly on the
+// stream) until it is promoted: POST /v1/promote, or automatically when
+// no forward — an idle primary's empty one included — has arrived for
+// Config.PrimaryTimeout. Promotion only lifts the refusal: the log, the
+// marks and the standby's own forwarders go on as they were, so one
+// argument, the marks, covers every path a record travels.
 
 var (
-	// errReadOnlyReplica rejects writes on a replica; the message is
-	// wire-visible and the Go client's IsReadOnly matches the 503
+	// errReadOnlyReplica refuses a client write on a standby; the message
+	// is wire-visible and the Go client's IsReadOnly matches the 503
 	// status + this text.
 	errReadOnlyReplica = errors.New("read-only replica: writes go to the primary")
-	// errNotReplica rejects promotion of a server that is not (or is no
-	// longer) a replica.
-	errNotReplica = errors.New("service: not a replica")
+	// errNotStandby refuses the promotion of a server that is not (or is
+	// no longer) a standby.
+	errNotStandby = errors.New("service: not a standby")
 )
 
-// replayState is the cross-record scratch one log consumer carries —
-// the startup replayer (service/wal.go) and a replica's live apply
-// loop each own one. startup arms the checkpoint staleness witness
-// (live replicas ignore the primary's checkpoint markers).
+// replayState is the cross-record scratch of one pass over a log: the
+// startup replayer's (service/wal.go), and a forward's apply of the
+// records nested in it. covered and fallback arm the replayer's
+// checkpoint staleness witness.
 type replayState struct {
 	batches  []tenantBatch // an ingest record's members: a tenant's key and its sorted batch
 	covered  uint64        // snapshot baseline (startup staleness check)
-	startup  bool
-	fallback bool // restore fell back to an older retention slot
-}
-
-func newReplayState(covered uint64, startup bool) *replayState {
-	return &replayState{covered: covered, startup: startup}
+	fallback bool          // restore fell back to an older retention slot
 }
 
 // decodeIngest turns an ingest record's payload back into the batches the
@@ -108,34 +83,31 @@ func (st *replayState) decodeIngest(payload []byte, left *uint64) ([]tenantBatch
 
 // pushRecord is the type an earlier release gave a summary image its push
 // endpoint merged into a tenant. Nothing writes it now and the type stays
-// reserved: wherever one would be applied — replay, a replica's apply, a
-// forward's admission — it is refused by name, never reinterpreted.
+// reserved: wherever one would be applied — replay, a forward's admission
+// — it is refused by name, never reinterpreted.
 const pushRecord wal.RecordType = 2
 
 // errPushRecord names a push record and the way past it.
 var errPushRecord = errors.New(`a push record (type 2: a summary image merged into a tenant by the push endpoint, which this release no longer serves) is never applied — stop the release that logged it with SIGTERM, which writes a final snapshot, then start this release on that snapshot with an empty -wal-dir (README "Storage format")`)
 
-// applyRecord applies one WAL record through the live commit's own
-// applies — the one grammar both crash replay and a replica's live apply
-// speak, which is what makes a promoted replica's state byte-identical
-// to a crash-free primary replayed to the same LSN. A state record goes
-// to applyStateLocked; a checkpoint marker and a probe change nothing.
-// counted reports whether the record carried state. Startup replay calls
-// it single-threaded; live apply calls it under s.mu.
+// applyRecord applies one WAL record on replay through the live commit's
+// own applies, which is what makes a restarted server's state
+// byte-identical to a crash-free one's at the same LSN. A state record
+// goes to applyStateLocked; a checkpoint marker and a probe change
+// nothing. counted reports whether the record carried state. Startup
+// replay calls it before any goroutine exists.
 func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st *replayState) (counted bool, err error) {
 	switch typ {
 	case wal.RecordCheckpoint:
-		// Not state, but — on startup replay — a consistency witness:
-		// the marker says a snapshot covering LSN c was durably
-		// written. If the snapshot we restored claims less, we are
-		// about to re-apply records the log was already pruned against.
-		// A live replica ignores the primary's markers: its own
-		// coverage is its applied LSN, not the primary's prune horizon.
+		// Not state, but a consistency witness: the marker says a
+		// snapshot covering LSN c was durably written. If the snapshot
+		// we restored claims less, we are about to re-apply records the
+		// log was already pruned against.
 		c, n := binary.Uvarint(payload)
 		if n <= 0 {
 			return false, fmt.Errorf("service: wal replay: record %d: bad checkpoint marker", lsn)
 		}
-		if st.startup && c > st.covered && !st.fallback {
+		if c > st.covered && !st.fallback {
 			// A deliberate retention fallback restores an older snapshot
 			// on purpose; there the replay-gap check in replayWAL (first
 			// record must be covered+1) is the correctness guard instead.
@@ -145,8 +117,7 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 		return false, nil
 	case wal.RecordProbe:
 		// A recovery probe: the record exists only to prove the log can
-		// append and fsync again. It carries no state — skip it on
-		// replay, and a live replica skips the shipped copy the same way.
+		// append and fsync again. It carries no state.
 		return false, nil
 	}
 	if err := s.applyStateLocked(typ, payload, st); err != nil {
@@ -181,329 +152,42 @@ func (s *Server) applyStateLocked(typ wal.RecordType, payload []byte, st *replay
 	return fmt.Errorf("unknown record type %d", typ)
 }
 
-// ---------------------------------------------------------------------
-// Primary side: serving replica connections on the stream listener.
-
-// replicaMaxFrame is the frame cap advertised to replication followers.
-// Snapshot frames carry a whole state image, so the cap is the WAL's
-// own record bound rather than the ingest body limit.
-const replicaMaxFrame uint32 = 1 << 30
-
-// replicaWriteTimeout bounds each frame write so a stalled follower
-// drops its connection (and redials) instead of pinning the serving
-// goroutine; the follower resumes positionally.
-const replicaWriteTimeout = 30 * time.Second
-
-// defaultHeartbeatInterval is the primary→replica heartbeat cadence.
-const defaultHeartbeatInterval = time.Second
-
-func (s *Server) heartbeatInterval() time.Duration {
-	if s.cfg.HeartbeatInterval > 0 {
-		return s.cfg.HeartbeatInterval
-	}
-	return defaultHeartbeatInterval
-}
-
-// serveReplicaConn runs one replication follower connection: read the
-// start request, then pump wal.Follow output (and heartbeats) at it
-// until the connection dies or the server drains. The caller
-// (serveStreamConn) has already completed the hello and owns the
-// conn's registration, WaitGroup slot, and final Close.
-func (s *Server) serveReplicaConn(c net.Conn, w *wal.WAL) {
-	c.SetReadDeadline(time.Now().Add(streamHelloTimeout))
-	var req [tupleio.ReplStartSize]byte
-	if _, err := io.ReadFull(c, req[:]); err != nil {
-		s.metrics.streamFrameErrors.Inc()
-		return
-	}
-	// covered is the highest LSN the follower already holds; Follow's
-	// from-argument speaks the same exclusive convention, delivering
-	// covered+1 onward.
-	covered, err := tupleio.ParseReplStart(req[:])
-	if err != nil {
-		s.metrics.streamFrameErrors.Inc()
-		return
-	}
-	c.SetReadDeadline(time.Time{})
-
-	connID := newRequestID()
-	s.logf("replica: conn %s from %s following from LSN %d", connID, c.RemoteAddr(), covered+1)
-	s.metrics.replicaConns.Add(1)
-	defer s.metrics.replicaConns.Add(-1)
-
-	// stop fires when the connection dies (the watcher read below — the
-	// follower sends nothing after its start request — errors, including
-	// the read deadline closeStreams sets at shutdown) or the server
-	// drains. Closing the conn on s.done also unblocks an in-flight
-	// frame write, so shutdown never waits out a stalled follower.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	go func() {
-		io.Copy(io.Discard, c)
-		halt()
-	}()
-	go func() {
-		select {
-		case <-s.done:
-			halt()
-			c.Close()
-		case <-stop:
-		}
-	}()
-
-	// One write mutex serializes record frames (the Follow callback)
-	// with the heartbeat ticker; each frame is one conn write.
-	var wmu sync.Mutex
-	frameBuf := make([]byte, 0, 64<<10)
-	writeFrame := func(seq uint64, appendPayload func([]byte) []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		b := tupleio.AppendFrameHeader(frameBuf[:0], seq, 0)
-		b = appendPayload(b)
-		binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)-tupleio.FrameHeaderSize))
-		if cap(b) <= maxPooledBuffer {
-			frameBuf = b
-		}
-		c.SetWriteDeadline(time.Now().Add(replicaWriteTimeout))
-		_, err := c.Write(b)
-		return err
-	}
-
-	go func() {
-		tick := time.NewTicker(s.heartbeatInterval())
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				if err := writeFrame(w.FollowableLSN(), tupleio.AppendReplHeartbeat); err != nil {
-					halt()
-					return
-				}
-				s.metrics.replicaHeartbeatsSent.Inc()
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	for {
-		err := w.Follow(covered, stop, func(lsn uint64, typ wal.RecordType, payload []byte) error {
-			if err := writeFrame(lsn, func(b []byte) []byte {
-				return tupleio.AppendReplRecord(b, uint8(typ), payload)
-			}); err != nil {
-				return err
-			}
-			s.metrics.replicaRecordsSent.Inc()
-			covered = lsn
-			return nil
-		})
-		switch {
-		case err == nil:
-			return // stopped: conn gone or server draining
-		case errors.Is(err, wal.ErrTruncated):
-			// The follower's position is behind the prune horizon:
-			// re-seed it with a freshly built snapshot and follow on
-			// from the LSN that snapshot covers.
-			seedCovered, file, serr := s.replicaSeedSnapshot()
-			if serr != nil {
-				s.logf("replica: conn %s: build seed snapshot: %v", connID, serr)
-				return
-			}
-			if werr := writeFrame(seedCovered, func(b []byte) []byte {
-				return tupleio.AppendReplSnapshot(b, file)
-			}); werr != nil {
-				return
-			}
-			s.metrics.replicaSnapshotsSent.Inc()
-			s.logf("replica: conn %s re-seeded with snapshot covering LSN %d", connID, seedCovered)
-			covered = seedCovered
-		case errors.Is(err, wal.ErrClosed):
-			return
-		default:
-			s.logf("replica: conn %s: %v", connID, err)
-			return
-		}
-	}
-}
-
-// replicaSeedSnapshot builds an in-memory snapshot file for a follower
-// that fell behind the prune horizon. Its covered LSN is appliedLSN,
-// which never passes the durable frontier (commitGroup stores it only
-// behind a barrier that returned nil), so a re-seeded replica holds no
-// state the primary's own crash recovery could lose.
-func (s *Server) replicaSeedSnapshot() (covered uint64, file []byte, err error) {
-	covered, file, _, _, err = s.buildSnapshot()
-	return covered, file, err
-}
-
-// ---------------------------------------------------------------------
-// Replica side: the follower loop, live apply, and promotion.
-
-// startFollower wires the replication follower into the server. Called
-// from New after recovery; appliedLSN already holds the restored
-// snapshot's covered LSN.
-func (s *Server) startFollower() {
-	s.caughtUpAt.Store(time.Now().UnixNano())
-	s.follower = replica.Start(replica.Config{
-		Addr:             s.cfg.PrimaryAddr,
-		StartLSN:         func() uint64 { return s.appliedLSN.Load() },
-		ApplyRecord:      s.replicaApply,
-		InstallSnapshot:  s.replicaInstallSnapshot,
-		OnPrimaryLSN:     s.observePrimaryLSN,
-		HeartbeatTimeout: s.cfg.PrimaryTimeout,
-		OnPrimaryLoss: func() {
-			// Fired from inside the follower goroutine; promote on a
-			// fresh one so Promote's wait-for-follower-exit can't
-			// deadlock against the loss path itself.
-			go func() {
-				s.logf("replica: primary %s lost; auto-promoting", s.cfg.PrimaryAddr)
-				if err := s.Promote(); err != nil {
-					s.logf("replica: auto-promote: %v", err)
-				}
-			}()
-		},
-		MaxFrame: replicaMaxFrame,
-		Logf:     s.logger.Printf,
-	})
-}
-
-// replicaApply applies one shipped WAL record under the driver lock — as
-// a primary's committer applies a record its log holds — and advances the
-// applied LSN inside it, so a concurrent snapshot always records a covered
-// LSN consistent with the marshaled state.
-func (s *Server) replicaApply(lsn uint64, typ uint8, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.applyRecord(lsn, wal.RecordType(typ), payload, s.replState); err != nil {
-		return err
-	}
-	s.appliedLSN.Store(lsn)
-	s.metrics.replicaRecordsApplied.Inc()
-	if lsn >= s.primaryLSN.Load() {
-		s.caughtUpAt.Store(time.Now().UnixNano())
-	}
-	return nil
-}
-
-// replicaInstallSnapshot re-seeds the whole registry from a primary
-// snapshot frame: every tenant in the image is (re)loaded, every
-// local tenant absent from it is emptied, and the sites' marks are the
-// image's — afterwards the state is exactly "the primary at LSN covered".
-func (s *Server) replicaInstallSnapshot(covered uint64, data []byte) error {
-	_, images, marks, err := decodeSnapshot(data)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inImage := make(map[string]bool, len(images))
-	for _, ti := range images {
-		inImage[ti.name] = true
-	}
-	for _, t := range s.tenantList() {
-		if !inImage[t.name] {
-			s.installImageLocked(t, nil)
-		}
-	}
-	if err := s.installSnapshotLocked(images); err != nil {
-		return fmt.Errorf("service: install snapshot: %w", err)
-	}
-	s.marks = marks
-	s.appliedLSN.Store(covered)
-	s.metrics.replicaSnapshotsInstalled.Inc()
-	if covered >= s.primaryLSN.Load() {
-		s.caughtUpAt.Store(time.Now().UnixNano())
-	}
-	s.logf("replica: installed snapshot covering LSN %d (%d tenants)", covered, len(images))
-	return nil
-}
-
-// observePrimaryLSN tracks the primary's frontier (monotonically — a
-// reconnect may replay an older heartbeat) for the lag gauges.
-func (s *Server) observePrimaryLSN(lsn uint64) {
-	for {
-		cur := s.primaryLSN.Load()
-		if lsn <= cur || s.primaryLSN.CompareAndSwap(cur, lsn) {
-			break
-		}
-	}
-	if s.appliedLSN.Load() >= s.primaryLSN.Load() {
-		s.caughtUpAt.Store(time.Now().UnixNano())
-	}
-}
-
-// replicationLag reports how far behind the primary this replica is:
-// the LSN delta and, when behind, how long since it was last caught
-// up. Both are 0 on a caught-up (or promoted) server.
-func (s *Server) replicationLag() (records uint64, seconds float64) {
-	applied, primary := s.appliedLSN.Load(), s.primaryLSN.Load()
-	if primary > applied {
-		records = primary - applied
-		seconds = time.Since(time.Unix(0, s.caughtUpAt.Load())).Seconds()
-	}
-	return records, seconds
-}
-
-// roleNow is the live role: cfg.role() except that a promoted
-// ex-replica serves as a coordinator.
-func (s *Server) roleNow() string {
-	if s.cfg.PrimaryAddr == "" {
-		return s.cfg.role()
-	}
-	if s.replicaMode.Load() {
-		return "replica"
-	}
-	return "coordinator"
-}
-
-// Promote turns a replica into a primary: detach from the old primary,
-// seal the applied LSN, open this node's own WAL continuing the old
-// primary's LSN space, and start accepting writes. Idempotent-by-refusal: a second call returns
-// errNotReplica.
+// Promote lifts a standby's refusal of client writes: from here it takes
+// them like any coordinator. Its log, its marks and its forwarders go on
+// as they were, so nothing is sealed or opened, and a forward from the old
+// primary is still applied once. A second call returns errNotStandby.
 func (s *Server) Promote() error {
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
 	if s.closing.Load() {
 		return errShuttingDown
 	}
-	if !s.replicaMode.Load() {
-		return errNotReplica
+	if !s.standby.CompareAndSwap(true, false) {
+		return errNotStandby
 	}
-	// Detach first: no record may land after the seal.
-	if s.follower != nil {
-		s.follower.Stop()
-	}
-	sealed := s.appliedLSN.Load()
-	if s.cfg.WALDir != "" {
-		if err := s.openWALAt(sealed + 1); err != nil {
-			return err
-		}
-	}
-	s.replicaMode.Store(false)
-	s.metrics.replicaPromotions.Inc()
-	s.logf("promoted to primary at LSN %d (wal=%q)", sealed, s.cfg.WALDir)
-	// Persist the sealed state immediately (when configured): the new
-	// log is empty, so the snapshot's covered LSN is exactly the seal.
-	if err := s.Snapshot(); err != nil {
-		s.logf("post-promote snapshot: %v", err)
-	}
+	s.metrics.promotions.Inc()
+	s.logf("promoted: taking writes at LSN %d", s.appliedLSN.Load())
 	return nil
 }
 
-// openWALAt opens a brand-new WAL whose first record continues the
-// sealed LSN space. It refuses a directory that already holds
-// segments: mixing an old log's LSNs with the primary's would corrupt
-// recovery.
-func (s *Server) openWALAt(firstLSN uint64) error {
-	if entries, err := s.fs.ReadDir(s.cfg.WALDir); err == nil {
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".seg") {
-				return fmt.Errorf("service: promote: wal dir %q already holds segments; move them aside first", s.cfg.WALDir)
-			}
-		}
+// roleNow is the live role: a standby's is replica until it is promoted,
+// and then the one Config sets.
+func (s *Server) roleNow() string {
+	if s.standby.Load() {
+		return "replica"
 	}
-	return s.openWAL(firstLSN)
+	return s.cfg.role()
+}
+
+// promoteIfSilent promotes a standby that has heard no forward for
+// Config.PrimaryTimeout.
+func (s *Server) promoteIfSilent() {
+	silent := time.Since(time.Unix(0, s.heardAt.Load()))
+	if !s.standby.Load() || silent < s.cfg.PrimaryTimeout {
+		return
+	}
+	s.logf("standby: no forward for %s; promoting", silent.Round(time.Millisecond))
+	if err := s.Promote(); err != nil {
+		s.logf("standby: promote: %v", err)
+	}
 }
 
 // handlePromote is POST /v1/promote: admin-gated manual failover. With
@@ -521,7 +205,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if err := s.Promote(); err != nil {
 		status := http.StatusInternalServerError
 		switch {
-		case errors.Is(err, errNotReplica):
+		case errors.Is(err, errNotStandby):
 			status = http.StatusConflict
 		case errors.Is(err, errShuttingDown):
 			status = http.StatusServiceUnavailable

@@ -5,7 +5,7 @@
 // summaries — one per tenant — with the standard library only, zero new
 // dependencies.
 //
-// One Server plays either role:
+// One Server plays every role:
 //
 //   - coordinator: accepts tuple batches on POST /v1/ingest and the
 //     records of its sites' logs on POST /v1/forward (each applied once,
@@ -14,9 +14,13 @@
 //     is merged: state enters a tenant only as tuples, so its error is
 //     one summary's, never Lemma 4's k-fold merge bound.
 //   - site (Config.PushTo set, with a WALDir): ingests locally like a
-//     coordinator and forwards every state record of its log upstream,
-//     exactly once, so the coordinator's summary is the summary of the
-//     union stream with no merge at all.
+//     coordinator and forwards every state record of its log to each of
+//     its targets, exactly once, so a coordinator's summary is the
+//     summary of the union stream with no merge at all.
+//   - standby (Config.Standby): a coordinator that refuses client writes
+//     until promoted. Its primary lists it as a target, so it holds what
+//     its primary does, and a promotion only lifts the refusal
+//     (replication.go).
 //
 // Durability is a periodic snapshot (snapshot.go) plus, with
 // Config.WALDir set, a write-ahead log every acknowledged write is in
@@ -43,7 +47,6 @@ import (
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/internal/fault"
-	"github.com/streamagg/correlated/internal/replica"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
@@ -129,27 +132,22 @@ type Config struct {
 	// fsync budget. 0 means unbounded.
 	IngestQueueMax int
 
-	// PushTo switches the server into the site role: the base URL of
-	// the coordinator to forward this server's log to, every tenant's
-	// records (forward.go). It needs WALDir: the log is what is forwarded.
+	// PushTo makes the server a site: a comma-separated list of base
+	// URLs — coordinators and standbys alike — to each of which it
+	// forwards its log, every tenant's records, exactly once
+	// (forward.go). It needs WALDir: the log is what is forwarded, and a
+	// checkpoint prunes only what every target has confirmed.
 	PushTo string
 
-	// PrimaryAddr switches the server into the replica role: the stream
-	// listener address (host:port) of the primary whose WAL this server
-	// follows. A replica serves reads and rejects writes with 503
-	// (AckReadOnly on the stream) until promoted — see replication.go.
-	// Incompatible with PushTo. WALDir, when also set, stays closed
-	// until promotion: the promoted server opens its own log there,
-	// continuing the primary's LSN space.
-	PrimaryAddr string
-	// PrimaryTimeout, when positive, is how long the replica tolerates
-	// total primary silence (no frame, no successful redial) before
-	// promoting itself automatically. 0 disables auto-failover: the
-	// follower retries forever and promotion is manual (/v1/promote).
+	// Standby makes the server a standby: a coordinator that serves reads
+	// and takes forwards — its primary lists it in PushTo — but refuses
+	// client writes with 503 (AckReadOnly on the stream) until promoted;
+	// see replication.go. With PushTo it forwards its own log onward.
+	Standby bool
+	// PrimaryTimeout, when positive, promotes a standby that has received
+	// no forward for that long: an idle primary sends an empty one every
+	// second. 0 leaves promotion to POST /v1/promote.
 	PrimaryTimeout time.Duration
-	// HeartbeatInterval is the primary→replica heartbeat cadence on
-	// replication connections this server serves; <= 0 means 1s.
-	HeartbeatInterval time.Duration
 	// AdminToken gates POST /v1/promote (header X-Admin-Token). Empty
 	// disables the endpoint entirely — an unauthenticated promote would
 	// let anyone split-brain the pair. Auto-failover (PrimaryTimeout)
@@ -167,8 +165,8 @@ type Config struct {
 	// their stored widths and the rest of its makers' arenas, off the heap,
 	// and the bucket and sketch structs on it (correlated.Footprint: running counts for
 	// the F2 summary, true to a few per cent of a heap profile; the other
-	// aggregates count eight bytes a stored word) — as of the last commit,
-	// restore or re-seed that touched it, and a spilled one its image
+	// aggregates count eight bytes a stored word) — as of the last commit
+	// or restore that touched it, and a spilled one its image
 	// length, so spilling a tenant lowers its count by the empty slots and
 	// structs an image does not carry. The sum (tenant_bytes in /v1/stats,
 	// corrd_tenant_bytes) is kept whether or not a cap is set, except that
@@ -203,10 +201,9 @@ type Config struct {
 	SlowRequest time.Duration
 }
 
+// role is the role Config sets: a site's or a coordinator's, which a
+// standby takes on at its promotion (roleNow).
 func (c *Config) role() string {
-	if c.PrimaryAddr != "" {
-		return "replica"
-	}
 	if c.PushTo != "" {
 		return "site"
 	}
@@ -269,12 +266,11 @@ type Server struct {
 	// mu is the engine driver lock: a summary is single-driver by
 	// contract, so every read or write of one — a commit group decided and
 	// applied by the committer, a snapshot marshal, a tenant spill or
-	// restore, a query evaluation, a replica's apply — happens under it,
-	// across all tenants. Every write a primary makes is a job of the
-	// commit pipeline (pipe): the committer applies under mu, in LSN order,
-	// only the records its log holds after the group's barrier (see
-	// pipeline.go), so the engines hold what the log does (what makes replay
-	// crash-exact). Nothing waits on a commit, or on the disk, while
+	// restore, a query evaluation — happens under it, across all tenants.
+	// Every write is a job of the commit pipeline (pipe): the committer
+	// applies under mu, in LSN order, only the records its log holds after
+	// the group's barrier (see pipeline.go), so the engines hold what the
+	// log does (what makes replay crash-exact). Nothing waits on a commit, or on the disk, while
 	// holding mu. A query takes it only for the cutoffs its tenant's
 	// answer memo (tenant.go) cannot serve. marks, guarded by it, is each
 	// forwarding site's mark: the highest LSN of its log applied here.
@@ -311,8 +307,8 @@ type Server struct {
 	health       health
 	groupLatency fgauge
 
-	// wal is the durable-ingest log (nil without Config.WALDir, and on a
-	// replica until promotion stores one); only the committer writes it.
+	// wal is the durable-ingest log (nil without Config.WALDir); only the
+	// committer writes it.
 	// walReplayed counts state records replayed at the last startup.
 	// snapFellBack records that startup restored an older retention
 	// slot (the newest snapshot was corrupt), which relaxes the replay
@@ -326,8 +322,8 @@ type Server struct {
 	// holding mu, nor by the committer.
 	xferMu sync.Mutex
 
-	dec sync.Pool  // *decodeState
-	fwd *forwarder // the site role's (forward.go); nil otherwise
+	dec  sync.Pool    // *decodeState
+	fwds []*forwarder // a site's, one per PushTo target (forward.go)
 
 	// streamMu guards the streaming-ingest transport's registries
 	// (stream.go): the listeners ServeStream runs on and the live
@@ -337,29 +333,18 @@ type Server struct {
 	streamLns   []net.Listener
 	streamConns map[net.Conn]struct{}
 
-	// Replication (replication.go). replicaMode is true from a replica
-	// New until Promote flips it; writes are rejected while it holds.
+	// standby is true from a standby's New until Promote flips it; client
+	// writes are refused while it holds. heardAt stamps (unix nanos) the
+	// last forward this server received, the input of PrimaryTimeout.
 	// appliedLSN is the last WAL record the state holds, the one coverage
-	// a snapshot records: advanced under mu by each apply, a primary's
-	// committer's and a replica's alike; primaryLSN is the primary's last
-	// observed frontier; caughtUpAt stamps (unix nanos) the last moment
-	// applied covered primary, for the lag-seconds gauge. replState is the
-	// decode scratch of a replica's live apply and of a forward's, guarded
-	// by mu.
-	replicaMode atomic.Bool
-	appliedLSN  atomic.Uint64
-	primaryLSN  atomic.Uint64
-	caughtUpAt  atomic.Int64
-	follower    *replica.Follower
-	replState   *replayState
+	// a snapshot records, advanced under mu by the committer's apply.
+	standby    atomic.Bool
+	heardAt    atomic.Int64
+	appliedLSN atomic.Uint64
 
 	// done stops the background loops; wg counts them and the stream conns
-	// (not the committer, which Close stops last). lifeMu is the lifecycle
-	// lock: Close and Promote each hold it from start to finish, so a
-	// promotion in flight completes before the server starts to drain and
-	// one that arrives later finds closing set. Nothing Close waits on
-	// calls Promote (the follower's loss path spawns it on a goroutine of
-	// its own), and Promote waits on nothing that calls Close.
+	// (not the committer, which Close stops last). lifeMu is held by Close
+	// from start to finish, so a second Close waits for the first.
 	done     chan struct{}
 	wg       sync.WaitGroup
 	closing  atomic.Bool
@@ -384,9 +369,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FS == nil {
 		cfg.FS = fault.OS()
 	}
-	if cfg.PrimaryAddr != "" && cfg.PushTo != "" {
-		return nil, errors.New("service: PrimaryAddr and PushTo are incompatible (a replica cannot also be a site)")
-	}
 	if cfg.PushTo != "" && cfg.WALDir == "" {
 		return nil, errors.New("service: PushTo needs WALDir: a site forwards its log")
 	}
@@ -402,7 +384,6 @@ func New(cfg Config) (*Server, error) {
 		done:    make(chan struct{}),
 		marks:   map[uint64]uint64{},
 	}
-	s.replState = newReplayState(0, false)
 	s.def = &tenant{eng: eng}
 	s.def.touch()
 	s.tenants = map[string]*tenant{"": s.def}
@@ -414,27 +395,21 @@ func New(cfg Config) (*Server, error) {
 	s.pipe.cond = sync.NewCond(&s.pipe.mu)
 	s.pipe.done = make(chan struct{})
 	s.dec.New = func() any { return &decodeState{job: ingestJob{done: make(chan struct{}, 1)}} }
-	s.replicaMode.Store(cfg.PrimaryAddr != "")
+	s.standby.Store(cfg.Standby)
 	// Recovery order: restore the snapshot (which records the LSN it
 	// covers), then replay the WAL suffix past it — the state that
 	// comes out is the same sequence of engine calls the crashed
-	// process made. A replica restores the snapshot only and re-follows
-	// the primary from its covered LSN.
+	// process made.
 	var covered uint64
 	if cfg.SnapshotPath != "" {
 		if covered, err = s.restoreSnapshot(); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.PrimaryAddr != "" {
-		s.appliedLSN.Store(covered)
-	}
-	// A replica has no log of its own until promotion: its WALDir stays
-	// closed so the promoted server can open a fresh log there that
-	// continues the primary's LSN space. A brand-new log continues the
-	// snapshot's the same way: numbered from 1, replay would skip its
-	// records up to the snapshot's coverage as already applied.
-	if cfg.WALDir != "" && cfg.PrimaryAddr == "" {
+	// A brand-new log continues the snapshot: numbered from 1, replay
+	// would skip its records up to the snapshot's coverage as already
+	// applied.
+	if cfg.WALDir != "" {
 		if err := s.openWAL(covered + 1); err != nil {
 			return nil, err
 		}
@@ -446,7 +421,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.PushTo != "" {
-		if s.fwd, err = s.newForwarder(); err != nil {
+		if s.fwds, err = s.newForwarders(); err != nil {
 			s.shutdownStorage()
 			return nil, err
 		}
@@ -458,7 +433,7 @@ func New(cfg Config) (*Server, error) {
 		s.access = newAccessLog(cfg.AccessLog, accessLogRing, &s.metrics.accessDropped)
 	}
 	s.logf("configured: role=%s agg=%s snapshot=%q wal=%q access-log=%t slow-request=%s",
-		cfg.role(), cfg.aggregate(), cfg.SnapshotPath, cfg.WALDir,
+		s.roleNow(), cfg.aggregate(), cfg.SnapshotPath, cfg.WALDir,
 		s.access != nil, cfg.SlowRequest)
 	go s.committer()
 	s.every(healthProbeInterval, func() {
@@ -473,14 +448,15 @@ func New(cfg Config) (*Server, error) {
 			}
 		})
 	}
-	if s.fwd != nil {
-		go s.fwd.run()
+	for _, f := range s.fwds {
+		go f.run()
 	}
 	if cfg.TenantIdleSpill > 0 {
 		s.every(cfg.TenantIdleSpill, func() { s.spillIdle(cfg.TenantIdleSpill) })
 	}
-	if cfg.PrimaryAddr != "" {
-		s.startFollower()
+	if cfg.Standby && cfg.PrimaryTimeout > 0 {
+		s.heardAt.Store(time.Now().UnixNano())
+		s.every(max(cfg.PrimaryTimeout/4, time.Millisecond), s.promoteIfSilent)
 	}
 	return s, nil
 }
@@ -545,12 +521,6 @@ func (s *Server) Close() error {
 	s.closing.Store(true)
 	s.logf("close: draining stream connections and the ingest pipeline")
 	close(s.done)
-	// Replication first: detach from the primary so no record applies
-	// while the server drains. (No promotion is in flight or can start:
-	// lifeMu is held and closing is set.)
-	if s.follower != nil {
-		s.follower.Stop()
-	}
 	// Stop accepting stream connections and expire the live readers so
 	// they enqueue nothing new; their in-flight frames still commit and
 	// ack before each conn's goroutines (tracked in wg) exit, and the
@@ -558,10 +528,14 @@ func (s *Server) Close() error {
 	s.closeStreams()
 	s.wg.Wait()
 	var errs []error
-	if s.fwd != nil {
-		// The barrier orders the final drain after every job queued
-		// before it, so the drain forwards all they logged.
-		if err := errors.Join(s.commit(&ingestJob{op: opBarrier}), s.fwd.drain()); err != nil {
+	if len(s.fwds) > 0 {
+		// The barrier orders the final drains after every job queued
+		// before it, so each forwards all they logged.
+		err := s.commit(&ingestJob{op: opBarrier})
+		for _, f := range s.fwds {
+			err = errors.Join(err, f.drain())
+		}
+		if err != nil {
 			errs = append(errs, fmt.Errorf("final forward: %w", err))
 		}
 	}

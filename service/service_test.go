@@ -396,8 +396,8 @@ func crash(ts *httptest.Server, svc *Server) {
 		svc.closed = true
 		svc.closing.Store(true)
 		close(svc.done)
-		if svc.fwd != nil {
-			svc.fwd.drain()
+		for _, f := range svc.fwds {
+			f.drain()
 		}
 	}
 	svc.lifeMu.Unlock()

@@ -25,14 +25,14 @@ import (
 // The file is wrapped in a small header that records the WAL position
 // the snapshot covers (0 without a WAL), so startup knows exactly which
 // log suffix to replay, and ends with the forwarding sites' marks, which
-// are state like the images. A completed snapshot also commits a checkpoint
-// marker to the WAL, behind which every sealed segment the snapshot made
-// redundant is pruned.
+// are state like the images — a site's own among them, at the snapshot's
+// coverage, so a copy of the file bootstraps a new target (forward.go). A
+// completed snapshot also commits a checkpoint marker to the WAL, behind
+// which every sealed segment the snapshot made redundant is pruned.
 
-// snapshotMagic prefixes the one snapshot framing, on disk and in a
-// replica re-seed frame alike. The trailing digit versions it: corrdsn4
-// is the format of the storage version break of WAL segment version 4
-// (the marks table), and nothing older is read.
+// snapshotMagic prefixes the one snapshot framing. The trailing digit
+// versions it: corrdsn4 is the format of the storage version break of WAL
+// segment version 4 (the marks table), and nothing older is read.
 var snapshotMagic = []byte("corrdsn4")
 
 // ErrSnapshotFormat reports snapshot bytes that are not in the current
@@ -233,9 +233,9 @@ func (s *Server) Snapshot() error {
 
 // buildSnapshot marshals every tenant into an encoded snapshot file
 // and reports the WAL LSN the image covers, the tenant count, and the
-// total marshaled engine bytes (the metrics' measure). It is shared by
-// snapshotLocked (the disk path) and the primary's replica re-seed
-// (replication.go), which ships the same bytes over the wire.
+// total marshaled engine bytes (the metrics' measure). A site writes its
+// own mark beside its sites' marks: the coverage, which is where a target
+// started on a copy of the file follows from.
 func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dataLen int64, err error) {
 	// Deterministic tenant order: sorted by key, so equal state writes
 	// equal snapshot bytes regardless of creation order.
@@ -256,6 +256,9 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 	covered = s.appliedLSN.Load()
 	marks := maps.Clone(s.marks)
 	s.mu.Unlock()
+	if len(s.fwds) > 0 {
+		marks[s.fwds[0].site] = covered
+	}
 	if err != nil {
 		return 0, nil, 0, 0, err
 	}
@@ -267,7 +270,7 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 // in one driver-lock critical section, so the recorded LSN is exactly
 // the last record the image captures; once the file is durably renamed,
 // a checkpoint-marker job records that LSN and the WAL prunes — a site's
-// only as far as its coordinator has confirmed.
+// only as far as every target has confirmed.
 func (s *Server) snapshotLocked() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil
@@ -291,8 +294,8 @@ func (s *Server) snapshotLocked() error {
 		s.cfg.SnapshotPath, nTenants, dataLen, covered)
 	if w := s.walRef(); w != nil {
 		prune := covered
-		if s.fwd != nil {
-			prune = min(prune, s.fwd.acked.Load())
+		for _, f := range s.fwds {
+			prune = min(prune, f.acked.Load())
 		}
 		err := s.commit(&ingestJob{op: opCheckpoint, image: binary.AppendUvarint(nil, covered)})
 		if err == nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/streamagg/correlated/internal/tupleio"
-	"github.com/streamagg/correlated/internal/wal"
 )
 
 // Streaming ingest: the wire-speed alternative to POST /v1/ingest. A
@@ -166,39 +165,21 @@ func (s *Server) serveStreamConn(c net.Conn) {
 	}
 	version, format, err := tupleio.ParseHello(hello[:])
 	status := tupleio.HelloOK
-	replWAL := (*wal.WAL)(nil)
 	switch {
 	case err != nil:
 		s.metrics.streamFrameErrors.Inc()
 		return // not even our protocol; reply with nothing
 	case version != tupleio.StreamVersion:
 		status = tupleio.HelloBadVersion
-	case format == tupleio.StreamFormatReplica:
-		// A replication follower: it needs a log to follow. A replica
-		// being asked to replicate has none (until promoted), and
-		// neither does a WAL-less primary.
-		if replWAL = s.walRef(); replWAL == nil {
-			status = tupleio.HelloNoWAL
-		}
 	case format != tupleio.StreamFormatCounted && format != tupleio.StreamFormatKeyed:
 		status = tupleio.HelloBadFormat
 	}
 	keyed := format == tupleio.StreamFormatKeyed
-	maxFrame := s.streamMaxFrame()
-	if format == tupleio.StreamFormatReplica {
-		// Snapshot re-seed frames carry a whole state image, so the
-		// replication cap is the WAL's record bound, not the body cap.
-		maxFrame = replicaMaxFrame
-	}
-	reply := tupleio.AppendHelloReply(nil, status, maxFrame)
+	reply := tupleio.AppendHelloReply(nil, status, s.streamMaxFrame())
 	if _, err := c.Write(reply); err != nil || status != tupleio.HelloOK {
 		if status != tupleio.HelloOK {
 			s.metrics.streamFrameErrors.Inc()
 		}
-		return
-	}
-	if format == tupleio.StreamFormatReplica {
-		s.serveReplicaConn(c, replWAL)
 		return
 	}
 	c.SetReadDeadline(time.Time{})
@@ -250,10 +231,10 @@ func (s *Server) serveStreamConn(c net.Conn) {
 		expect = seq
 		d.streamSeq = seq
 		// A frame refused before it reaches the pipeline is nacked with
-		// its typed status and the connection kept: a replica promoted
+		// its typed status and the connection kept: a standby promoted
 		// mid-stream, a server that recovers, a queue that drains all
 		// resume on the same conn; the other frames are independent batches.
-		if kind, err := s.writeGate(); kind != ingestOK {
+		if kind, err := s.writeGate(false); kind != ingestOK {
 			nackFrame(inflight, d, kind, err)
 			continue
 		}

@@ -238,10 +238,9 @@ func TestStreamSeqGapClosesConn(t *testing.T) {
 }
 
 // TestStreamRejectsBadHello: an unsupported version or format is
-// refused in the hello reply — the replication format of before the
-// storage version break included, so an old replica is turned away
-// rather than shipped records it would misread — and garbage gets no
-// reply at all.
+// refused in the hello reply — every replication format included, the
+// last one too, so an old replica is turned away rather than taken for an
+// ingest client — and garbage gets no reply at all.
 func TestStreamRejectsBadHello(t *testing.T) {
 	svc, _, _ := newTestServer(t, Config{Options: testOptions(), WALDir: t.TempDir()})
 	addr := startStream(t, svc)
@@ -257,6 +256,7 @@ func TestStreamRejectsBadHello(t *testing.T) {
 		{"replication format of WAL version 2", 5, 4, tupleio.HelloBadFormat},
 		{"replication format of WAL version 3", 5, 5, tupleio.HelloBadFormat},
 		{"replication format of WAL version 4", 5, 6, tupleio.HelloBadFormat},
+		{"replication format of WAL version 5, retired", 5, 7, tupleio.HelloBadFormat},
 		{"unknown format", 5, 99, tupleio.HelloBadFormat},
 	} {
 		conn, err := net.Dial("tcp", addr)

@@ -300,7 +300,7 @@ func tenantBytes(t *testing.T, svc *Server, name string) []byte {
 // order and none for the refused member, each what core.SortByY makes of
 // that tenant's concatenation, and the payload is what the one encoder
 // makes of what the one decoder reads; and every other way to reach the
-// state — spill → restore, a replica applying the shipped record, a restart
+// state — spill → restore, a standby applying the forwarded record, a restart
 // replaying it — reproduces the same bytes.
 func TestCommitGroupOneBatchPerTenant(t *testing.T) {
 	s1, s2, s3, s4 := testStream(300, 1), testStream(200, 2), testStream(250, 3), testStream(150, 4)
@@ -407,7 +407,7 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 		if typ != wal.RecordIngest {
 			t.Fatalf("record %d has type %d, want RecordIngest", lsn, typ)
 		}
-		batches, err := newReplayState(0, true).decodeIngest(payload, nil)
+		batches, err := (&replayState{}).decodeIngest(payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,19 +446,19 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 			}
 			return svc
 		}},
-		{"replica apply", func() *Server {
-			replica, err := New(Config{Options: cfg.Options})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { replica.Close() })
-			replica.replState = newReplayState(0, false)
+		{"standby apply", func() *Server {
+			standby := mustNew(t, Config{Options: cfg.Options, Standby: true})
+			var body []byte
 			if err := svc.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
-				return replica.replicaApply(lsn, uint8(typ), payload)
+				body = client.AppendForwardRecord(body, lsn, uint8(typ), payload)
+				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
-			return replica
+			if err := standby.commit(&ingestJob{op: opForward, site: 1, image: body}); err != nil {
+				t.Fatal(err)
+			}
+			return standby
 		}},
 		{"restart", func() *Server {
 			svc.shutdownStorage()

@@ -190,7 +190,7 @@ func (s *Server) admitLocked(key []byte, made *[][]byte) (ingestErrKind, error) 
 
 // tenantForWriteLocked resolves the key of a logged write to its tenant,
 // engine materialized, and is the one place a request or a record makes a
-// tenant — live, on replay and on a replica alike. It enforces no cap:
+// tenant — live and on replay alike. It enforces no cap:
 // admitLocked did before the append, and what the log holds outranks a cap
 // lowered since. Callers hold s.mu, or run before any goroutine exists.
 func (s *Server) tenantForWriteLocked(key []byte) (*tenant, error) {
@@ -225,8 +225,8 @@ func (t *tenant) imageLocked() ([]byte, error) {
 // installImageLocked makes image the tenant's whole state, in the spilled
 // form: whatever engine it held is dropped, and the next touch
 // materializes the image (ensureEngineLocked). An empty image is the empty
-// summary. A spill, a startup restore and a replica re-seed all change a
-// tenant's form here, so the bookkeeping that follows the form — the memo
+// summary. A spill and a startup restore both change a tenant's form
+// here, so the bookkeeping that follows the form — the memo
 // (its answers describe the old state, and the point of a spill is the
 // memory), the epoch, the footprint sample, the live count — cannot drift
 // between them. image is retained. Callers hold s.mu, or run before any
@@ -351,7 +351,7 @@ func liveBytes(eng Engine) int64 { return eng.Footprint().Total() }
 // it touched: always where the figure is a field read, and where it is a walk
 // of the summary only when a cap is there for it to feed — the apply path of
 // an fk, count or sum daemon with no cap pays no walk, and its tenants' figures
-// then stand as of their last spill, restore or re-seed.
+// then stand as of their last spill or restore.
 func (s *Server) notesAtCommit() bool {
 	return s.cfg.countsBytes() || s.cfg.MaxTenantBytes > 0
 }
@@ -359,7 +359,7 @@ func (s *Server) notesAtCommit() bool {
 // noteFootprintLocked records what t costs now — liveBytes of its engine, the
 // length of its image while it is spilled — and moves the server-wide sum by
 // the difference, so the sum is never recounted. Every change of a registered
-// tenant's form ends here — a spill, a restore, a re-seed, each of which costs
+// tenant's form ends here — a spill or a restore, each of which costs
 // a pass over the summary anyway — and so does a commit that touched it, under
 // notesAtCommit. Enforcement against MaxTenantBytes reads the sum.
 // Callers hold s.mu, or run before any goroutine exists.

@@ -402,9 +402,10 @@ func TestTenantIdleSpillTicker(t *testing.T) {
 // TestSummaryServesSpilledImage: GET /v1/summary on a spilled tenant
 // serves the parked image as it stands — the pre-spill bytes — and a read
 // does not un-spill the tenant: corrd_tenants_live and
-// corrd_tenant_restores_total do not move. A tenant parked empty (what a
-// re-seed that dropped it leaves) has no bytes to serve — the empty
-// summary's image is not zero bytes — so that one materializes.
+// corrd_tenant_restores_total do not move, and corrd_tenant_bytes is the
+// recount, the image's length. A tenant parked empty (a snapshot entry of
+// no bytes) has no bytes to serve — the empty summary's image is not zero
+// bytes — so that one materializes.
 func TestSummaryServesSpilledImage(t *testing.T) {
 	svc, ts, _ := newTestServer(t, Config{Options: testOptions()})
 	ctx := context.Background()
@@ -426,6 +427,9 @@ func TestSummaryServesSpilledImage(t *testing.T) {
 	}
 	if l, r := gauges(); l != live || r != restores {
 		t.Fatalf("reading a spilled tenant's summary moved corrd_tenants_live %v → %v, corrd_tenant_restores_total %v → %v", live, l, restores, r)
+	}
+	if got := metricValue(t, scrape(t, ts.URL), "corrd_tenant_bytes"); int64(got) != recountTenantBytes(svc) {
+		t.Fatalf("corrd_tenant_bytes %v with a tenant spilled, recount says %d", got, recountTenantBytes(svc))
 	}
 
 	svc.mu.Lock()

@@ -40,11 +40,8 @@ import (
 // segment whose records the snapshot already captures — on a site, only
 // those its coordinator has confirmed too (forward.go).
 
-// openWAL opens the log — the one place its options are built, so the
-// log a replica opens at promotion carries every hook the primary's
-// does — and publishes it. firstLSN numbers the first record of a
-// brand-new log: the restored snapshot's coverage + 1 at start-up, a
-// promoted replica's sealed LSN + 1.
+// openWAL opens the log and publishes it. firstLSN numbers the first
+// record of a brand-new log: the restored snapshot's coverage + 1.
 func (s *Server) openWAL(firstLSN uint64) error {
 	w, err := wal.Open(s.cfg.WALDir, wal.Options{
 		SegmentBytes: s.cfg.WALSegmentBytes,
@@ -59,14 +56,12 @@ func (s *Server) openWAL(firstLSN uint64) error {
 	return nil
 }
 
-// walRef is the log: nil without Config.WALDir, and on a replica until
-// its promotion opens one.
+// walRef is the log: nil without Config.WALDir.
 func (s *Server) walRef() *wal.WAL { return s.wal.Load() }
 
 // replayWAL re-applies every record the snapshot does not cover, in log
-// order, through the applies the live commit uses — the shared
-// applyRecord switch (replication.go), which a live replica also
-// speaks. Any failure is fatal to startup: a daemon must not serve
+// order, through the applies the live commit uses (applyRecord,
+// replication.go). Any failure is fatal to startup: a daemon must not serve
 // state it knows is missing acknowledged data. Replay runs before any
 // goroutine is started, so calling the *Locked tenant helpers without
 // s.mu is safe; the apply makes each tenant the log names whatever the
@@ -75,8 +70,7 @@ func (s *Server) walRef() *wal.WAL { return s.wal.Load() }
 func (s *Server) replayWAL(covered uint64) error {
 	start := time.Now()
 	var records uint64
-	st := newReplayState(covered, true)
-	st.fallback = s.snapFellBack
+	st := &replayState{covered: covered, fallback: s.snapFellBack}
 	first := true
 	err := s.walRef().Replay(covered, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 		if first {
