@@ -74,8 +74,9 @@
 // forward in its own WAL, answers /v1/query, /v1/stats and /v1/summary
 // like any server, reports its role as replica and rejects client writes
 // with HTTP 503. POST /v1/promote (gated by -admin-token) — or
-// -primary-timeout with no forward, an idle primary sends an empty one
-// every second — promotes it in place: it starts taking writes, and
+// -primary-timeout with no forward from the primary, the first site it
+// hears from (an idle primary sends an empty one every second) — promotes
+// it in place: it starts taking writes, and
 // forwards onward through its own -push-to like any site.
 //
 // Endpoints: POST /v1/ingest (binary tuple stream or text/csv
@@ -185,7 +186,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&c.PushTo, "push-to", "", "comma-separated base URLs of coordinators and standbys; setting it makes this daemon a site that forwards its log to each (requires -wal-dir)")
 
 	fs.BoolVar(&c.Standby, "standby", false, "take the primary's forwards and serve reads, but refuse client writes until promoted")
-	fs.DurationVar(&c.PrimaryTimeout, "primary-timeout", 0, "a standby promotes itself after this long with no forward (0 = promote only on POST /v1/promote)")
+	fs.DurationVar(&c.PrimaryTimeout, "primary-timeout", 0, "a standby promotes itself after this long with no forward from its primary, the first site it hears from (0 = promote only on POST /v1/promote)")
 	fs.StringVar(&c.AdminToken, "admin-token", "", "X-Admin-Token required on POST /v1/promote (empty = promotion over HTTP disabled)")
 
 	fs.Int64Var(&c.MaxBodyBytes, "max-body", 64<<20, "request body cap in bytes")

@@ -16,7 +16,7 @@ func followCollect(w *WAL, from uint64) (<-chan replayed, func() error) {
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		errc <- w.Follow(from, stop, func(lsn uint64, typ RecordType, payload []byte) error {
+		errc <- w.Follow(from, stop, Idle{}, func(lsn uint64, typ RecordType, payload []byte) error {
 			out <- replayed{lsn, typ, append([]byte(nil), payload...)}
 			return nil
 		})
@@ -171,9 +171,38 @@ func TestFollowTruncatedHorizon(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	defer close(stop)
-	err = w.Follow(0, stop, func(lsn uint64, typ RecordType, payload []byte) error { return nil })
+	err = w.Follow(0, stop, Idle{}, func(lsn uint64, typ RecordType, payload []byte) error { return nil })
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("follow from pruned position: %v, want ErrTruncated", err)
+	}
+}
+
+// TestFollowIdle: a follower at the frontier runs Idle.Fn each time
+// Idle.After passes with nothing new, goes on waiting while Fn returns nil
+// and delivers what comes meanwhile, and ends with Fn's error.
+func TestFollowIdle(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	errEnough := errors.New("enough")
+	var idles, records int
+	idle := Idle{After: 5 * time.Millisecond, Fn: func() error {
+		switch idles++; idles {
+		case 2:
+			if _, err := w.AppendNoSync(RecordIngest, []byte("x")); err != nil {
+				return err
+			}
+			return w.Sync()
+		case 4:
+			return errEnough
+		}
+		return nil
+	}}
+	err = w.Follow(0, nil, idle, func(uint64, RecordType, []byte) error { records++; return nil })
+	if !errors.Is(err, errEnough) || idles != 4 || records != 1 {
+		t.Fatalf("follow: %v after %d idle calls and %d records; want errEnough after 4 and 1", err, idles, records)
 	}
 }
 
@@ -189,7 +218,7 @@ func TestFollowStopsOnClose(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
-		errc <- w.Follow(0, stop, func(uint64, RecordType, []byte) error { return nil })
+		errc <- w.Follow(0, stop, Idle{}, func(uint64, RecordType, []byte) error { return nil })
 	}()
 	time.Sleep(20 * time.Millisecond)
 	if err := w.Close(); err != nil {

@@ -867,19 +867,26 @@ func (w *WAL) oldestLocked() uint64 {
 }
 
 // waitFollowable blocks until the followable frontier reaches at least
-// next, the stop channel fires, or the log closes (ErrClosed). It returns
-// the frontier observed: short of next when it was stop that fired.
-func (w *WAL) waitFollowable(next uint64, stop <-chan struct{}) (uint64, error) {
+// next, the stop channel fires, idle passes (when positive; idled), or the
+// log closes (ErrClosed). It returns the frontier observed: short of next
+// when it was stop or idle.
+func (w *WAL) waitFollowable(next uint64, stop <-chan struct{}, idle time.Duration) (frontier uint64, idled bool, err error) {
+	var idleC <-chan time.Time
+	if idle > 0 {
+		t := time.NewTimer(idle)
+		defer t.Stop()
+		idleC = t.C
+	}
 	for {
 		w.mu.Lock()
 		if w.closed {
 			w.mu.Unlock()
-			return 0, ErrClosed
+			return 0, false, ErrClosed
 		}
-		frontier := w.durable
+		frontier = w.durable
 		if frontier >= next {
 			w.mu.Unlock()
-			return frontier, nil
+			return frontier, false, nil
 		}
 		if w.notify == nil {
 			w.notify = make(chan struct{})
@@ -889,9 +896,11 @@ func (w *WAL) waitFollowable(next uint64, stop <-chan struct{}) (uint64, error) 
 		select {
 		case <-ch:
 		case <-stop:
-			return frontier, nil
+			return frontier, false, nil
+		case <-idleC:
+			return frontier, true, nil
 		case <-w.done:
-			return 0, ErrClosed
+			return 0, false, ErrClosed
 		}
 	}
 }
@@ -919,11 +928,20 @@ func (w *WAL) locateLocked(next uint64) (segStart, sealedLast uint64, isSealed, 
 // transparently. Returns ErrTruncated if from (or a later position the
 // follower needs) has been pruned by a checkpoint — the caller should
 // resynchronize from a snapshot; returns nil when stop fires; returns
-// fn's error if it rejects a record. The payload slice passed to fn is
-// only valid for the duration of the call.
-func (w *WAL) Follow(from uint64, stop <-chan struct{}, fn func(lsn uint64, typ RecordType, payload []byte) error) error {
-	fl := follower{w: w, next: from + 1, wait: true, stop: stop, fn: fn}
+// fn's error if it rejects a record, or idle's. The payload slice passed
+// to fn is only valid for the duration of the call.
+func (w *WAL) Follow(from uint64, stop <-chan struct{}, idle Idle, fn func(lsn uint64, typ RecordType, payload []byte) error) error {
+	fl := follower{w: w, next: from + 1, wait: true, stop: stop, idle: idle, fn: fn}
 	return fl.run()
+}
+
+// Idle is what a Follow does while it waits at the frontier: Fn runs each
+// time After passes with nothing new to deliver, and the wait goes on
+// unless it returns an error, which ends the walk. The zero Idle only
+// waits.
+type Idle struct {
+	After time.Duration
+	Fn    func() error
 }
 
 // follower is one walk over the log's records in LSN order, segment by
@@ -935,6 +953,7 @@ type follower struct {
 	frontier uint64 // highest LSN the log has said may be read
 	wait     bool   // at the frontier: block for more (Follow), or finish (Replay)
 	stop     <-chan struct{}
+	idle     Idle
 	fn       func(lsn uint64, typ RecordType, payload []byte) error
 	r        segReader
 }
@@ -943,8 +962,14 @@ type follower struct {
 // frontier to reach it when the walk is a Follow: false without an error
 // is the walk's end — Replay's frontier, or Follow's stop.
 func (fl *follower) ready(lsn uint64) (ok bool, err error) {
-	if lsn > fl.frontier && fl.wait {
-		fl.frontier, err = fl.w.waitFollowable(lsn, fl.stop)
+	for lsn > fl.frontier && fl.wait {
+		var idled bool
+		if fl.frontier, idled, err = fl.w.waitFollowable(lsn, fl.stop, fl.idle.After); !idled || err != nil {
+			break
+		}
+		if err = fl.idle.Fn(); err != nil {
+			return false, err
+		}
 	}
 	return err == nil && lsn <= fl.frontier, err
 }

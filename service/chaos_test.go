@@ -804,8 +804,8 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 	if got := svc.fwds[0].acked.Load(); got != acked {
 		t.Fatalf("the standby confirmed LSN %d, want %d — it saw records the primary nacked", got, acked)
 	}
-	heard := standby.heardAt.Load()
-	waitUntil(t, 10*time.Second, "an empty forward from the degraded primary", func() bool { return standby.heardAt.Load() > heard })
+	heard := standby.heard.at.Load()
+	waitUntil(t, 10*time.Second, "an empty forward from the degraded primary", func() bool { return standby.heard.at.Load() > heard })
 
 	// Disk heals; recovery probes pass; acked traffic flows to the
 	// standby again.

@@ -254,12 +254,7 @@ func (s *Server) applySiteRecordLocked(site uint64, r siteRecord, st *replayStat
 // the mark. Records in another log format than this server's are refused
 // whole. Every 200 carries the site's mark.
 func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
-	s.heardAt.Store(time.Now().UnixNano())
 	errs := &s.metrics.forwardsRejected
-	if kind, err := s.writeGate(true); kind != ingestOK {
-		s.nack(w, errs, kind, err)
-		return
-	}
 	site, err := strconv.ParseUint(r.URL.Query().Get("site"), 16, 64)
 	if err != nil || site == 0 {
 		s.nack(w, errs, ingestErrValidate, fmt.Errorf("a forward names its site, a non-zero hex id: %v", err))
@@ -267,6 +262,11 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 	}
 	if format := r.URL.Query().Get("format"); format != strconv.Itoa(wal.Version) {
 		s.nack(w, errs, ingestErrValidate, fmt.Errorf("the site's records are in log format %q, this coordinator reads log format %d: run both on one release (README \"Storage format\")", format, wal.Version))
+		return
+	}
+	s.hear(site)
+	if kind, err := s.writeGate(true); kind != ingestOK {
+		s.nack(w, errs, kind, err)
 		return
 	}
 	d := s.dec.Get().(*decodeState)
@@ -319,11 +319,11 @@ var (
 
 // forwarder is a site's path to one target. acked is how far the target
 // has confirmed: every record at or below it is applied there or carries
-// no state. body gathers the next forward, one entry of ends a record,
-// within limit bytes unless one record is larger; sent says a request went
-// in this round of the follow. stalled is the target's last refusal, until
-// a forward is confirmed. err is the last failed attempt, read after
-// exited.
+// no state. sent is the last record of the follow's that carries state and
+// that the target has confirmed, or where the follow began. body gathers
+// the next forward, one entry of ends a record, within limit bytes unless
+// one record is larger. stalled is the target's last refusal, until a
+// forward is confirmed. err is the last failed attempt, read after exited.
 type forwarder struct {
 	s       *Server
 	w       *wal.WAL
@@ -331,10 +331,10 @@ type forwarder struct {
 	cl      *client.Client // one attempt a call: run pauses between
 	site    uint64
 	acked   atomic.Uint64
+	sent    uint64
 	body    []byte
 	ends    []recordEnd
 	limit   int
-	sent    bool
 	stalled atomic.Pointer[string]
 	ctx     context.Context // done once drain is called
 	stop    context.CancelFunc
@@ -350,14 +350,18 @@ type recordEnd struct {
 
 // newForwarders makes one forwarder for each comma-separated target of
 // Config.PushTo, under the site id kept beside the log — minted and kept
-// when there is none or the log holds no record yet. An id file that does
-// not parse is refused, not replaced: a new id would send the log again.
-// run starts a forwarder.
-func (s *Server) newForwarders() ([]*forwarder, error) {
+// when there is none or the log holds no record yet. An id is not minted
+// on state restored from a snapshot that covers LSN 0, one written with no
+// log: that state is in no record, so no target's mark could show it
+// lacks it. An id file that does not parse is refused, not replaced: a new
+// id would send the log again. run starts a forwarder.
+func (s *Server) newForwarders(covered uint64) ([]*forwarder, error) {
 	w, path := s.walRef(), filepath.Join(s.cfg.WALDir, siteIDFile)
 	var site uint64
 	b, err := s.fs.ReadFile(path)
 	switch {
+	case (w.LastLSN() == 0 || errors.Is(err, os.ErrNotExist)) && s.restored && covered == 0:
+		return nil, errors.New("service: no site id for this log, and the restored snapshot covers LSN 0: the state it holds is in no record of the log, so forwarding under a new id could never send it — start an empty coordinator on a copy of this server's snapshot, then this server as a site on empty state (README \"Replication & HA\")")
 	case w.LastLSN() == 0 || errors.Is(err, os.ErrNotExist):
 		for site == 0 {
 			var id [8]byte
@@ -394,37 +398,32 @@ func (s *Server) newForwarders() ([]*forwarder, error) {
 }
 
 // run follows the log from what the target has confirmed until drain
-// stops it. A round of following ends at the first frontier forwardPause
-// after it began, and one that sent nothing ends with an empty forward,
-// whose answer is the target's mark. A failed attempt pauses forwardPause.
-// Once drain is called, the round after it ends the run, or its first
-// failure does, and the log keeps the rest for the next start.
+// stops it: one follow, which waits at the frontier and, forwardPause into
+// a wait, sends an empty forward (idle). It follows again from the mark
+// when an answer moves it, and after a failed attempt, which pauses
+// forwardPause first. Once drain is called, the follow ends at the
+// frontier, or at its first failure, and the log keeps the rest for the
+// next start.
 func (f *forwarder) run() {
 	defer close(f.exited)
 	for {
 		stopping := f.ctx.Err() != nil
-		round, cancel := context.WithTimeout(f.ctx, forwardPause)
-		f.body, f.ends, f.sent = f.body[:0], f.ends[:0], false
-		err := f.w.Follow(f.acked.Load(), round.Done(), f.gather)
-		cancel()
+		f.body, f.ends, f.sent = f.body[:0], f.ends[:0], f.acked.Load()
+		err := f.w.Follow(f.sent, f.ctx.Done(), wal.Idle{After: forwardPause, Fn: f.idle}, f.gather)
 		switch {
-		case err == nil && !stopping && !f.sent && f.ctx.Err() == nil:
-			err = f.query()
 		case errors.Is(err, errSkipToMark):
 			continue
 		case errors.Is(err, wal.ErrTruncated):
 			// Behind the oldest record: where does the target stand?
-			err = f.query()
+			var mark uint64
+			if mark, err = f.query(); err == nil {
+				f.skipTo(mark)
+				continue
+			}
 		}
-		if f.err = err; errors.Is(err, wal.ErrClosed) {
+		if f.err = err; err == nil || errors.Is(err, wal.ErrClosed) {
 			f.err = nil
 			return
-		}
-		if err == nil {
-			if stopping {
-				return
-			}
-			continue
 		}
 		f.failed(err)
 		if stopping {
@@ -438,31 +437,52 @@ func (f *forwarder) run() {
 }
 
 // query sends an empty forward — to a standby, the heartbeat its silence
-// timer waits on — and follows from the mark it is answered with. A mark
-// behind the log's oldest record can never be sent what it lacks: the
-// target is stalled until it is started on a copy of this server's
-// snapshot, which carries this site's mark at its coverage.
-func (f *forwarder) query() error {
+// timer waits on — and returns the target's mark. A mark behind the log's
+// oldest record can never be sent what it lacks: the target is stalled,
+// and the follow starts from the mark, where it ends at once, until the
+// target is started on a copy of this server's snapshot, which carries
+// this site's mark at its coverage.
+func (f *forwarder) query() (uint64, error) {
 	mark, err := f.cl.Forward(context.Background(), f.site, wal.Version, nil)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if oldest := f.w.OldestLSN(); mark+1 < oldest {
 		msg := fmt.Sprintf("%s: mark %d is behind this log's oldest record %d: start it on a copy of this server's snapshot (README \"Replication & HA\")", f.to, mark, oldest)
 		f.stalled.Store(&msg)
-		return errBehindLog
+		f.acked.Store(mark)
+		return 0, errBehindLog
 	}
-	f.skipTo(mark)
 	f.stalled.Store(nil)
+	return mark, nil
+}
+
+// idle is the follow's wait at the frontier, forwardPause after its last
+// forward: an empty one. The follow goes on while the mark is where the
+// follow stands — at or past the last record it had confirmed, and short
+// of no record it has passed — and a failure is counted and asked again
+// at the next pause; a mark elsewhere (a target that lost records, or
+// holds some past this log's end) is followed from anew.
+func (f *forwarder) idle() error {
+	mark, err := f.query()
+	switch {
+	case errors.Is(err, errBehindLog):
+		return err
+	case err != nil:
+		f.failed(err)
+	case mark < f.sent || mark > f.acked.Load():
+		f.skipTo(mark)
+		return errSkipToMark
+	}
 	return nil
 }
 
-// skipTo follows from the target's mark.
+// skipTo follows from the target's mark; a mark past this log's end is
+// logged once, when the forwarder moves to it.
 func (f *forwarder) skipTo(mark uint64) {
-	if mark > f.w.LastLSN() {
+	if f.acked.Swap(mark) != mark && mark > f.w.LastLSN() {
 		f.s.logf("forward to %s: its mark %d is past this log's end: a log restored from a backup needs its %s moved aside", f.to, mark, siteIDFile)
 	}
-	f.acked.Store(mark)
 }
 
 // failed counts and logs a failed attempt. A refusal the target will
@@ -521,7 +541,6 @@ func (f *forwarder) send(upTo uint64) error {
 		f.acked.Store(upTo)
 		return nil
 	}
-	f.sent = true
 	n := len(ends)
 	var mark uint64
 	var err error
@@ -545,6 +564,7 @@ func (f *forwarder) send(upTo uint64) error {
 	}
 	f.stalled.Store(nil)
 	f.s.metrics.siteForwardsSent.Inc()
+	f.sent = last
 	if n < len(ends) { // only the first n went: follow again from there
 		f.acked.Store(mark)
 		return errSkipToMark

@@ -420,16 +420,32 @@ func TestForwardTupleCap(t *testing.T) {
 }
 
 // TestSiteRefusesUnsentState: a server with no site id yet whose state its
-// log does not hold — restored from a snapshot, on a log a checkpoint pruned
-// — would never send that state under a new id, so it forwards nothing:
-// /v1/stats names the coordinator's mark behind the log's oldest record and
-// the way out, until the coordinator is started on a copy of the site's
-// snapshot, which carries the new id's mark at its coverage. From there the
-// coordinator holds what the site does.
+// log does not hold would never send that state under a new id. On a
+// snapshot written with no log, New refuses by name. On a log a checkpoint
+// pruned, it forwards nothing: /v1/stats names the coordinator's mark
+// behind the log's oldest record and the way out, until the coordinator is
+// started on a copy of the site's snapshot, which carries the new id's mark
+// at its coverage. From there the coordinator holds what the site does.
 func TestSiteRefusesUnsentState(t *testing.T) {
 	was := forwardPause
 	forwardPause = 20 * time.Millisecond
 	t.Cleanup(func() { forwardPause = was })
+	// A snapshot written with no log covers LSN 0: its state is in no
+	// record, and a new log starts at LSN 1, so no mark could show it.
+	bare := walConfig(t)
+	bare.WALDir = ""
+	svc := mustNew(t, bare)
+	if err := cmp.Or(svc.commit(ingestOf("", testStream(100, 1))), svc.Close()); err != nil {
+		t.Fatal(err)
+	}
+	bare.WALDir, bare.PushTo = t.TempDir(), "http://127.0.0.1:1"
+	if svc, err := New(bare); err == nil {
+		svc.Close()
+		t.Fatal("a site minted an id on a snapshot written with no log")
+	} else if !strings.Contains(err.Error(), "the restored snapshot covers LSN 0") {
+		t.Fatal(err)
+	}
+
 	cfg := walConfig(t)
 	cfg.WALSegmentBytes = 1 << 10
 	svc, err := New(cfg)

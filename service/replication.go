@@ -177,14 +177,28 @@ func (s *Server) roleNow() string {
 	return s.cfg.role()
 }
 
-// promoteIfSilent promotes a standby that has heard no forward for
-// Config.PrimaryTimeout.
+// hear stamps a forward from site. A standby's primary is the first site
+// it hears from after New, and only that site's silence promotes it: a
+// second sender — a site that lists this standby too — keeps forwarding
+// while the primary is gone, so its forwards are not heard, only logged
+// once.
+func (s *Server) hear(site uint64) {
+	h := &s.heard
+	if h.site.CompareAndSwap(0, site) || h.site.Load() == site {
+		h.at.Store(time.Now().UnixNano())
+	} else if s.standby.Load() && s.cfg.PrimaryTimeout > 0 && h.other.CompareAndSwap(0, site) {
+		s.logf("standby: site %016x forwards here too; only the silence of site %016x, the first heard, promotes this standby", site, h.site.Load())
+	}
+}
+
+// promoteIfSilent promotes a standby that has heard no forward from its
+// primary for Config.PrimaryTimeout.
 func (s *Server) promoteIfSilent() {
-	silent := time.Since(time.Unix(0, s.heardAt.Load()))
+	silent := time.Since(time.Unix(0, s.heard.at.Load()))
 	if !s.standby.Load() || silent < s.cfg.PrimaryTimeout {
 		return
 	}
-	s.logf("standby: no forward for %s; promoting", silent.Round(time.Millisecond))
+	s.logf("standby: no forward from site %016x for %s; promoting", s.heard.site.Load(), silent.Round(time.Millisecond))
 	if err := s.Promote(); err != nil {
 		s.logf("standby: promote: %v", err)
 	}

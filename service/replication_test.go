@@ -11,11 +11,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
+	"github.com/streamagg/correlated/internal/fault"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
@@ -280,25 +282,40 @@ func TestPromoteAdminGate(t *testing.T) {
 	}
 }
 
-// TestReplicaAutoPromoteOnPrimaryLoss: with PrimaryTimeout set, an idle
-// primary's empty forwards keep its standby a standby; once no forward
-// arrives, the standby promotes itself and writes flow.
+// TestReplicaAutoPromoteOnPrimaryLoss: with PrimaryTimeout set, a busy and
+// then idle primary's forwards, empty ones included, keep its standby a
+// standby, and go from one follow of the log, which reopens no segment;
+// once no forward arrives from the primary — a second site forwarding to
+// the standby all along — the standby promotes itself and writes flow.
 func TestReplicaAutoPromoteOnPrimaryLoss(t *testing.T) {
 	was := forwardPause
 	forwardPause = 20 * time.Millisecond
 	t.Cleanup(func() { forwardPause = was })
 	o := testOptions()
-	standby, _ := newStandby(t, o, func(c *Config) { c.PrimaryTimeout = 250 * time.Millisecond })
+	standby, sts := newStandby(t, o, func(c *Config) { c.PrimaryTimeout = 250 * time.Millisecond })
 	toStandby := newTarget(t, standby)
-	primary, _, pcl := newTestServer(t, Config{Options: o, WALDir: t.TempDir(), PushTo: toStandby.proxy.URL})
+	fsys := &segmentOpens{FS: fault.OS()}
+	primary, _, pcl := newTestServer(t, Config{Options: o, WALDir: t.TempDir(), PushTo: toStandby.proxy.URL, FS: fsys})
 	ctx := context.Background()
 	if err := pcl.AddBatch(ctx, testStream(1_000, 5)); err != nil {
 		t.Fatal(err)
 	}
 	caughtUp(t, "the standby", primary)
+	second, _, scl := newTestServer(t, Config{Options: o, WALDir: t.TempDir(), PushTo: sts.URL})
+	if err := scl.AddBatch(ctx, testStream(500, 7)); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp(t, "the second site", second)
+	opens, n := fsys.n.Load(), 1_500
+	for busy := time.Now(); time.Since(busy) < 10*forwardPause; n += 10 {
+		if err := pcl.AddBatch(ctx, testStream(10, uint64(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	caughtUp(t, "the standby of a busy primary", primary)
 	time.Sleep(4 * standby.cfg.PrimaryTimeout)
-	if !standby.standby.Load() {
-		t.Fatal("a standby whose primary is idle, not gone, promoted itself")
+	if !standby.standby.Load() || fsys.n.Load() != opens {
+		t.Fatalf("a busy, then idle primary: its standby promoted itself %t, its forwarder opened a segment %d more times", !standby.standby.Load(), fsys.n.Load()-opens)
 	}
 
 	toStandby.down.Store(true)
@@ -307,7 +324,20 @@ func TestReplicaAutoPromoteOnPrimaryLoss(t *testing.T) {
 	if err := rcl.AddBatch(ctx, testStream(100, 6)); err != nil {
 		t.Fatalf("the auto-promoted standby refused a write: %v", err)
 	}
-	if st, err := rcl.Stats(ctx); err != nil || st.Role != "coordinator" || !st.Promoted {
-		t.Fatalf("auto-promoted stats: role %q, promoted %t (err %v)", st.Role, st.Promoted, err)
+	if st, err := rcl.Stats(ctx); err != nil || st.Role != "coordinator" || !st.Promoted || st.Count != uint64(n+100) {
+		t.Fatalf("auto-promoted stats: role %q, promoted %t, %d tuples (err %v)", st.Role, st.Promoted, st.Count, err)
 	}
+}
+
+// segmentOpens counts the log segments opened for reading.
+type segmentOpens struct {
+	fault.FS
+	n atomic.Int64
+}
+
+func (c *segmentOpens) Open(name string) (fault.File, error) {
+	if strings.HasSuffix(name, ".seg") {
+		c.n.Add(1)
+	}
+	return c.FS.Open(name)
 }

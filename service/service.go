@@ -145,8 +145,9 @@ type Config struct {
 	// see replication.go. With PushTo it forwards its own log onward.
 	Standby bool
 	// PrimaryTimeout, when positive, promotes a standby that has received
-	// no forward for that long: an idle primary sends an empty one every
-	// second. 0 leaves promotion to POST /v1/promote.
+	// no forward for that long from its primary, the first site it hears
+	// from: an idle primary sends an empty one every second. 0 leaves
+	// promotion to POST /v1/promote.
 	PrimaryTimeout time.Duration
 	// AdminToken gates POST /v1/promote (header X-Admin-Token). Empty
 	// disables the endpoint entirely — an unauthenticated promote would
@@ -334,12 +335,16 @@ type Server struct {
 	streamConns map[net.Conn]struct{}
 
 	// standby is true from a standby's New until Promote flips it; client
-	// writes are refused while it holds. heardAt stamps (unix nanos) the
-	// last forward this server received, the input of PrimaryTimeout.
-	// appliedLSN is the last WAL record the state holds, the one coverage
-	// a snapshot records, advanced under mu by the committer's apply.
-	standby    atomic.Bool
-	heardAt    atomic.Int64
+	// writes are refused while it holds. heard is the input of
+	// PrimaryTimeout (replication.go, hear). appliedLSN is the last WAL
+	// record the state holds, the one coverage a snapshot records,
+	// advanced under mu by the committer's apply.
+	standby atomic.Bool
+	heard   struct {
+		site  atomic.Uint64 // the primary: the first site a forward came from
+		at    atomic.Int64  // unix nanos of its last forward, or of New
+		other atomic.Uint64 // the first other site, logged when heard
+	}
 	appliedLSN atomic.Uint64
 
 	// done stops the background loops; wg counts them and the stream conns
@@ -421,7 +426,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.PushTo != "" {
-		if s.fwds, err = s.newForwarders(); err != nil {
+		if s.fwds, err = s.newForwarders(covered); err != nil {
 			s.shutdownStorage()
 			return nil, err
 		}
@@ -455,7 +460,7 @@ func New(cfg Config) (*Server, error) {
 		s.every(cfg.TenantIdleSpill, func() { s.spillIdle(cfg.TenantIdleSpill) })
 	}
 	if cfg.Standby && cfg.PrimaryTimeout > 0 {
-		s.heardAt.Store(time.Now().UnixNano())
+		s.heard.at.Store(time.Now().UnixNano())
 		s.every(max(cfg.PrimaryTimeout/4, time.Millisecond), s.promoteIfSilent)
 	}
 	return s, nil
