@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -115,13 +116,14 @@ func tenantStream(cfg *loadConfig, t int) (gen.Stream, error) {
 	return makeStream(cfg, share, cfg.seed+uint64(t)*1_000_003)
 }
 
-// percentile returns the p-th percentile (0 < p <= 100) of sorted
-// durations, in milliseconds.
+// percentileMs returns the nearest-rank p-th percentile (0 < p <= 100) of
+// sorted durations, in milliseconds: the smallest sample with at least p % of
+// the samples at or below it, so a tail is never read below its rank.
 func percentileMs(sorted []time.Duration, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(float64(len(sorted)-1) * p / 100)
+	idx := max(int(math.Ceil(p/100*float64(len(sorted))-1e-9))-1, 0)
 	return float64(sorted[idx]) / float64(time.Millisecond)
 }
 

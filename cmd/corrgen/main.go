@@ -56,29 +56,20 @@ func main() {
 	)
 	flag.Parse()
 
-	var s gen.Stream
-	switch *dataset {
-	case "uniform":
-		s = gen.Uniform(*n, *xdom, *ydom, *seed)
-	case "zipf1":
-		s = gen.Zipf(*n, *xdom, *ydom, 1.0, *seed)
-	case "zipf2":
-		s = gen.Zipf(*n, *xdom, *ydom, 2.0, *seed)
-	case "ethernet":
-		s = gen.Ethernet(*n, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "corrgen: unknown dataset %q\n", *dataset)
+	cfg := &loadConfig{
+		target: *target, streamAddr: *streamTo, dataset: *dataset, n: *n, seed: *seed,
+		xdom: *xdom, ydom: *ydom, chunk: max(*chunk, 1),
+		clients: max(*clients, 1), jsonPath: *loadJSON,
+		tenant: *tenant, tenants: max(*tenants, 1),
+	}
+	s, err := makeStream(cfg, *n, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "corrgen: %v\n", err)
 		os.Exit(2)
 	}
 
 	if *target != "" {
 		if *clients > 1 || *streamTo != "" || *tenants > 1 {
-			cfg := &loadConfig{
-				target: *target, streamAddr: *streamTo, dataset: *dataset, n: *n, seed: *seed,
-				xdom: *xdom, ydom: *ydom, chunk: max(*chunk, 1),
-				clients: max(*clients, 1), jsonPath: *loadJSON,
-				tenant: *tenant, tenants: max(*tenants, 1),
-			}
 			if err := runLoad(cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "corrgen: %v\n", err)
 				os.Exit(1)

@@ -9,16 +9,14 @@ import (
 )
 
 // The struct sizes Footprint's Headers are made of: a tree node is a 16-byte
-// slab record (TestBucketNodeSize), a CountSketch a 64-byte one, the array
-// headers of a dense sketch 56 in the allocator's 64-byte class, and those of
-// a dense sketch past one byte a counter 48 more (sketch.TestCountSketchStructSize
-// pins the sketch's). A singleton has no node: its sketch's handle sits in the
-// singleton level's map.
+// slab record (TestBucketNodeSize) and a CountSketch a 32-byte one, whatever
+// its form — a dense sketch's row sums and counters are one arena block
+// behind the struct's one pointer, off the collected heap
+// (sketch.TestCountSketchStructSize pins the size). A singleton has no node:
+// its sketch's handle sits in the singleton level's map.
 const (
 	wantBucketBytes = 16
-	wantSketchBytes = 64
-	wantDenseBytes  = 64
-	wantWideBytes   = 48
+	wantSketchBytes = 32
 )
 
 // TestBucketNodeSize: a summary holds tens of thousands of tree nodes, so a
@@ -100,19 +98,18 @@ func checkFootprint(t *testing.T, when string, s *Summary) books {
 	if live := s.nodes.Live(); live != nodes {
 		t.Fatalf("%s: the node slab holds %d nodes, the levels' trees %d", when, live, nodes)
 	}
-	wide := widened(s)
 	got := s.Footprint()
 	_, slab := s.maker.(pooler).PooledBytes()
 	spare := int64(slab) + s.spareNodeBytes()
 	want := Footprint{
 		Held:    held,
 		Pooled:  pooled - spare,
-		Headers: int64(sketches*wantSketchBytes+dense*wantDenseBytes+wide*wantWideBytes+nodes*wantBucketBytes+8*singles) + spare,
+		Headers: int64(sketches*wantSketchBytes+nodes*wantBucketBytes+8*singles) + spare,
 		Arena:   held + pooled - spare,
 	}
 	if got != want {
-		t.Fatalf("%s: Footprint %+v, the walk finds %+v (%d sketches, %d dense of which %d widened, %d nodes)",
-			when, got, want, sketches, dense, wide, nodes)
+		t.Fatalf("%s: Footprint %+v, the walk finds %+v (%d sketches, %d dense, %d nodes)",
+			when, got, want, sketches, dense, nodes)
 	}
 	return books{got, want.Headers - spare}
 }

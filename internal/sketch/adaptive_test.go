@@ -30,7 +30,7 @@ func counters(c *CountSketch) []int64 {
 		return out
 	}
 	for k := range c.slots() {
-		x, f := c.pairAt(k)
+		x, f := c.table().pairAt(k)
 		for i := 0; f != 0 && i < m.depth; i++ {
 			v := hash.Reduce61(m.rowH[i].Hash(x), uint64(2*m.width))
 			out[i*m.width+int(v>>1)] += (int64(v&1)*2 - 1) * f
@@ -145,7 +145,7 @@ func TestCountSketchItemsTableBounded(t *testing.T) {
 	if p.a.dense || p.a.Size() != 0 || p.a.Estimate() != 0 {
 		t.Fatalf("dense=%v size %d estimate %v after full cancellation", p.a.dense, p.a.Size(), p.a.Estimate())
 	}
-	for j, w := range p.a.tab {
+	for j, w := range p.a.table().tab {
 		if w != 0 {
 			t.Fatalf("word %d = %#x left behind", j, w)
 		}
@@ -171,8 +171,8 @@ func TestCountSketchMergeExactnessLimits(t *testing.T) {
 		p.merge(t, sk)
 		p.check(t, fmt.Sprintf("second merge of ±%d", w))
 	}
-	if p.a.dense || p.a.f2hi == 0 {
-		t.Fatalf("dense=%v Σf² high word %d: the test no longer leaves 64 bits", p.a.dense, p.a.f2hi)
+	if p.a.dense || p.a.f2hi() == 0 {
+		t.Fatalf("dense=%v Σf² high word %d: the test no longer leaves 64 bits", p.a.dense, p.a.f2hi())
 	}
 	for x := uint64(1000); !p.a.dense; x++ {
 		p.add(x, 1<<30)
@@ -247,7 +247,7 @@ func TestCountSketchCanonicalImage(t *testing.T) {
 	if forward.dense || backward.dense {
 		t.Fatal("promoted; the test is about the items form")
 	}
-	if len(forward.tab) == len(backward.tab) {
+	if forward.slots() == backward.slots() {
 		t.Fatal("both tables have the same size; the test lost its point")
 	}
 	a, _ := forward.MarshalBinary()

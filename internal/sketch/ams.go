@@ -59,18 +59,20 @@ import (
 //
 // The same rule says when a table is finished: a closed bucket splits on the
 // next arrival and ingest never writes to it again, so Compact rewrites a
-// table as exactly its n pairs in ascending x — a cut table, which a hashed
-// one (at most ¾ full) never looks like, so the slot count beside n is the
-// whole record of it (cut). Lookups binary-search a cut table, walks read it
-// like any other, and the first write to one (only a merge does that) hashes
-// it again first.
+// table as exactly its n pairs in ascending x — a cut table, which has no
+// hash shift, so n is the whole record of its size (cut). Lookups
+// binary-search a cut table, walks read it like any other, and the first
+// write to one (only a merge does that) hashes it again first.
 //
 // And it says what a sketch's life costs: born at eight slots, doubled as
 // pairs arrive up to the promotion point, then promoted, cut or evicted —
-// every step leaves a table behind. Tables, arrays and row sums are blocks of
-// the maker's arena (arena.go), off the collected heap, and one left behind
-// goes back to it (putTable, putArray), zeroed, for the next step of the next
-// sketch. The storage a sketch holds is its own until it hands it back and
+// every step leaves a table behind. A table, or a dense sketch's row sums and
+// counters, is one block of the maker's arena (arena.go), off the collected
+// heap, behind the struct's one pointer, and a block left behind goes back to
+// it (putTable, putZeroed), zeroed, for the next step of the next sketch. So
+// the struct is all of a sketch the collector sees — 32 bytes, a slab record,
+// whatever the form — and nothing beside it is allocated on a promotion or a
+// widening. The storage a sketch holds is its own until it hands it back and
 // nobody's view of it after; the one walk that could outlive its table, a
 // merge of a sketch into itself, reads a copy. No view of it may outlive
 // every struct that reaches the maker either: the arena is unmapped once the
@@ -79,42 +81,24 @@ import (
 type CountSketch struct {
 	maker *F2Maker
 
-	// Items form: the table's words and rung (see table), held as two fields
-	// rather than one table value so that the rung shares a word with n and
-	// the other one-byte fields. A slot with weight 0 is empty: a pair whose
-	// weight returns to zero is deleted by backward shift, so probe chains
-	// never cross a stale slot and the table never holds more than n entries.
-	tab   []uint64
+	// p is the sketch's one block of the maker's arena, nil for none: in the
+	// items form its table (see table), in the dense form its row sums then
+	// its counters (see rowF2 and countersOf). The fields below say how long
+	// it is — a hashed table from shift, a cut one from n, an array from cw
+	// and the maker's geometry — so no slice header is stored.
+	p unsafe.Pointer
+
+	// f2lo is the low word of Σf² over the pairs, a 128-bit integer. Its high
+	// word is 0 at the four-byte rung, whose pairs keep the sum under 2^45,
+	// and is the word past the slots of the table block at the eight- and
+	// sixteen-byte ones (f2hi).
+	f2lo uint64
+
 	n     int32 // items: pairs held, at most the maker's itemsMax
 	rung  uint8 // items: a slot is 4<<rung bytes
-	shift uint8 // items: 64 − log2(slots), the multiplicative-hash shift of a hashed table
+	shift uint8 // items: 64 − log2(slots), the multiplicative-hash shift of a hashed table; 0 for a cut one
 	cw    uint8 // dense: bytes per stored counter — 1, 2 or 8
 	dense bool
-
-	f2hi, f2lo uint64 // Σf² over the pairs, a 128-bit integer
-
-	// Dense form. Items-form sketches — most of a summary — hold no array at
-	// all, so the dense headers sit behind one pointer, set by the first
-	// promotion and kept across Reset: the struct is 64 bytes, not 112, and
-	// only a dense sketch may touch what the pointer leads to.
-	*denseState
-}
-
-// denseState is what only a dense sketch holds: d*w counters, row-major
-// (flat for locality), in the one array cw names. Nearly every dense sketch
-// stays at one byte, so only that array has its header here; the other two
-// sit behind a second pointer set by the first widening, which keeps this in
-// the 64-byte size class — three headers here would make it 96.
-type denseState struct {
-	c8    []int8
-	wide  *wideCounters
-	rowF2 []float64 // incrementally maintained sum of squares per row
-}
-
-// wideCounters holds the array of a dense sketch past int8; Reset drops it.
-type wideCounters struct {
-	c16 []int16
-	c64 []int64
 }
 
 // table is the storage of the items form: open addressed over power-of-two
@@ -122,25 +106,53 @@ type wideCounters struct {
 // identifier and its net weight. A slot is four bytes, eight or sixteen — the
 // rung — and always identifier above weight: 24 bits over 8, two slots a word,
 // the even slot in the low half; 32 over 32, one word; or two words,
-// identifier then weight. All three live in the one slice, so none costs the
-// sketch a second header, and a table value is a view: a copy reads and
-// writes the same slots, and is dead once the table has gone back to the
-// maker (putTable).
+// identifier then weight. All three live in one block of words, and a table
+// value is a view of its slots: a copy reads and writes the same slots, and
+// is dead once the table has gone back to the maker (putTable). At the eight-
+// and sixteen-byte rungs the block holds one word past the slots, Σf²'s high
+// word, which the view leaves out.
 type table struct {
-	tab  []uint64
-	rung uint8 // a slot is 4<<rung bytes
+	tab   []uint64
+	rung  uint8 // a slot is 4<<rung bytes
+	shift uint8 // a hashed table's hash shift (see home); 0 for a cut one
 }
 
 // table returns a view of the sketch's own table.
-func (c *CountSketch) table() table { return table{c.tab, c.rung} }
+func (c *CountSketch) table() table {
+	words := (uint(c.n)<<c.rung + 1) >> 1 // cut: slotWords(n, rung)
+	if c.shift != 0 {
+		words = 1 << (64 - c.shift + c.rung) >> 1 // hashed: slotWords(slots, rung)
+	}
+	return table{unsafe.Slice((*uint64)(c.p), words), c.rung, c.shift}
+}
 
-// setTable makes t the sketch's table.
-func (c *CountSketch) setTable(t table) { c.tab, c.rung = t.tab, t.rung }
+// slots returns the number of slots of the sketch's table: a hashed one's
+// from its shift, a cut one's from its pairs — with, for an odd count of
+// four-byte slots, the spare half of the last word.
+func (c *CountSketch) slots() int {
+	if c.shift == 0 {
+		return slotWords(int(c.n), c.rung) * 2 >> c.rung
+	}
+	return 1 << (64 - c.shift)
+}
 
-// slots, pairAt and setPair are the table's, read through the view.
-func (c *CountSketch) slots() int                            { return c.table().slots() }
-func (c *CountSketch) pairAt(j int) (uint64, int64)          { return c.table().pairAt(j) }
-func (c *CountSketch) setPair(j int, x uint64, f int64) bool { return c.table().setPair(j, x, f) }
+// hiWord returns Σf²'s high word in the table block, or nil where the sum
+// has none: at the four-byte rung (itemsMax < 2^31 pairs of |f| ≤ 2^7 sum
+// under 2^45) and without a table, which holds no pairs.
+func (c *CountSketch) hiWord() *uint64 {
+	if c.rung == slot4 || c.p == nil {
+		return nil
+	}
+	return (*uint64)(unsafe.Add(c.p, 8*slotWords(c.slots(), c.rung)))
+}
+
+// f2hi returns Σf²'s high word.
+func (c *CountSketch) f2hi() uint64 {
+	if h := c.hiWord(); h != nil {
+		return *h
+	}
+	return 0
+}
 
 // The rungs of the slot ladder.
 const (
@@ -185,8 +197,18 @@ func (t table) setPair(j int, x uint64, f int64) bool {
 	return true
 }
 
-// tableWords returns the words behind that many slots at a rung.
-func tableWords(slots int, rung uint8) int { return (slots<<rung + 1) / 2 }
+// slotWords returns the words behind that many slots at a rung.
+func slotWords(slots int, rung uint8) int { return (slots<<rung + 1) / 2 }
+
+// blockWords returns the words of a table block whose slots take that many:
+// at the eight- and sixteen-byte rungs one more, Σf²'s high word. No slots,
+// no block.
+func blockWords(words int, rung uint8) int {
+	if words == 0 || rung == slot4 {
+		return words
+	}
+	return words + 1
+}
 
 const (
 	// itemsDivisor sets the promotion point: a sketch goes dense when it
@@ -247,7 +269,7 @@ func NewF2Maker(width, depth int, rng *hash.RNG) *F2Maker {
 	m := &F2Maker{
 		width: width, depth: depth,
 		itemsMax:   min(array/itemsDivisor, math.MaxInt32), // n is an int32
-		arena:      newArena(array, 2*array, 8*array, 8*depth),
+		arena:      newArena(8*depth+array, 8*depth+2*array, 8*depth+8*array),
 		medScratch: make([]float64, depth),
 	}
 	for i := 0; i < depth; i++ {
@@ -297,12 +319,32 @@ func (m *F2Maker) Recycle(sk Sketch) {
 	}
 }
 
-// takeTable returns that many zeroed words from the arena for a sketch to hold.
-func (m *F2Maker) takeTable(words int) []uint64 { return takeArray[uint64](m.arena, words) }
+// putTable takes back the block of a table its sketch has left — its slots
+// and, past them, the high word the view leaves out — zeroed, for the next
+// block of its size class. Every view of the table is dead from here on.
+func (m *F2Maker) putTable(t table) {
+	if len(t.tab) > 0 {
+		m.arena.putZeroed(unsafe.Pointer(unsafe.SliceData(t.tab)), 8*blockWords(len(t.tab), t.rung))
+	}
+}
 
-// putTable takes back a table its sketch has left, zeroed, for the next block
-// of its size class. Every view of the table is dead from here on.
-func (m *F2Maker) putTable(tab []uint64) { putArray(m.arena, tab) }
+// denseBytes returns the bytes of a dense sketch's block at cw bytes a
+// counter: the row sums, then the counters.
+func (m *F2Maker) denseBytes(cw uint8) int { return 8*m.depth + int(cw)*m.depth*m.width }
+
+// countersAt returns the counters, stored as T, of the dense block at p.
+func countersAt[T ctr](m *F2Maker, p unsafe.Pointer) []T {
+	return unsafe.Slice((*T)(unsafe.Add(p, 8*m.depth)), m.depth*m.width)
+}
+
+// countersOf returns a dense sketch's counters, stored as T, which must be
+// what its cw names.
+func countersOf[T ctr](c *CountSketch) []T { return countersAt[T](c.maker, c.p) }
+
+// rowF2 returns a dense sketch's incrementally maintained sum of squares per
+// row, the head of its block. A widening moves the block: what rowF2 returned
+// before one is dead after it.
+func (c *CountSketch) rowF2() []float64 { return unsafe.Slice((*float64)(c.p), c.maker.depth) }
 
 // PooledBytes returns what waits for the next sketch: in the arena, the bytes
 // it maps beyond what the sketches hold — zeroed free blocks, the unused end
@@ -323,27 +365,22 @@ func (m *F2Maker) HeldBytes() int { return m.arena.asked }
 
 // HeaderBytes returns the memory of the sketch structs themselves, which no
 // sketch's Bytes counts: a CountSketch for each sketch handed out, by Alloc or
-// New, and not taken back, a denseState for each dense one and a wideCounters
-// for each past int8, each at its allocator size class; not the one sketch
-// Recycle keeps for the next New, nor the denseState a recycled sketch keeps
-// while it is back in the items form.
+// New, and not taken back, whatever its form — the struct is all a sketch
+// keeps on the collected heap; not the one sketch Recycle keeps for the next
+// New.
 func (m *F2Maker) HeaderBytes() int { return m.headers }
 
-// What the allocator hands out for the three structs: 64 bytes is a size
-// class of its own — and, a multiple of 16, exactly a slab slot — 56 rounds up
-// to it, and 48 is one too.
-const (
-	countSketchBytes  = (int(unsafe.Sizeof(CountSketch{})) + 15) &^ 15
-	denseStateBytes   = (int(unsafe.Sizeof(denseState{})) + 15) &^ 15
-	wideCountersBytes = (int(unsafe.Sizeof(wideCounters{})) + 15) &^ 15
-)
+// What the allocator hands out for a sketch struct: 32 bytes is a size class
+// of its own and, a multiple of 16, exactly a slab slot.
+const countSketchBytes = (int(unsafe.Sizeof(CountSketch{})) + 15) &^ 15
 
 // NewF2MakerError returns a Maker sized for relative error upsilon with
 // failure probability gamma. Following the paper's own experimental setup,
 // the sizing uses practical constants rather than the worst-case proof
-// constants: width 4/υ² (per-row standard deviation ≈ υ/√2) and a row
-// count that grows with log(1/γ) but is capped at 9, which in combination
-// with the median already gives sub-percent failure rates in practice.
+// constants: width ⌈2/υ²⌉, at least 16, so that a row's relative standard
+// deviation, √(2/w), is about υ; and ⌈log2(1/γ)/5⌉ rows, clamped to 3…4,
+// which with the median over rows already gives sub-percent failure rates in
+// practice.
 func NewF2MakerError(upsilon, gamma float64, rng *hash.RNG) *F2Maker {
 	if upsilon <= 0 || upsilon >= 1 {
 		panic("sketch: upsilon must be in (0,1)")
@@ -388,13 +425,10 @@ func (m *F2Maker) Alloc() uint32 {
 // At implements Maker.
 func (m *F2Maker) At(h uint32) Sketch { return m.slab.At(h) }
 
-// Free implements Maker. The sketch's table or array goes back to the lists,
-// and the slot keeps nothing but its maker: not even the dense headers a
-// sketch from New keeps across Reset, which no count would show.
+// Free implements Maker. The sketch's table or array goes back to the arena,
+// and the slot keeps nothing but its maker.
 func (m *F2Maker) Free(h uint32) {
-	c := m.slab.At(h)
-	c.Reset()
-	*c = CountSketch{maker: m}
+	m.slab.At(h).Reset()
 	m.headers -= countSketchBytes
 	m.slab.Free(h)
 }
@@ -427,16 +461,16 @@ func (c *CountSketch) AddSlots(slots Slots, w int64) {
 		return
 	}
 	// A counter that would leave the stored width stops the pass; the array
-	// is widened and the pass resumes at that row.
-	rows, rowF2, width := slots[:d], c.rowF2, c.maker.width
+	// is widened, which moves the block, and the pass resumes at that row.
+	rows, width := slots[:d], c.maker.width
 	for i := 0; ; c.widen() {
 		switch c.cw {
 		case 1:
-			i = addRows(c.c8, rowF2, rows, w, width, i)
+			i = addRows(countersOf[int8](c), c.rowF2(), rows, w, width, i)
 		case 2:
-			i = addRows(c.wide.c16, rowF2, rows, w, width, i)
+			i = addRows(countersOf[int16](c), c.rowF2(), rows, w, width, i)
 		default:
-			i = addRows(c.wide.c64, rowF2, rows, w, width, i)
+			i = addRows(countersOf[int64](c), c.rowF2(), rows, w, width, i)
 		}
 		if i == d {
 			return
@@ -454,46 +488,73 @@ func (c *CountSketch) addItem(x uint64, w int64) bool {
 	if c.cut() {
 		c.grow() // the first table, or a cut one hashed again
 	}
-	j, old := c.probe(x)
+	t := c.table()
+	j, old := t.probe(x)
 	f := old + w
 	switch {
 	case old != 0 && f != 0:
-		c.store(j, x, f)
+		c.store(t, j, x, f)
 	case old != 0:
-		c.remove(j)
+		t.remove(j)
+		c.n--
 	case int(c.n) >= c.maker.itemsMax:
 		c.promote()
 		return false
 	default:
-		if int(c.n+1)*4 > c.slots()*3 {
+		if int(c.n+1)*4 > t.slots()*3 {
 			c.grow()
-			j, _ = c.probe(x)
+			t = c.table()
+			j, _ = t.probe(x)
 		}
-		c.store(j, x, f)
+		c.store(t, j, x, f)
 		c.n++
 	}
 	c.moveF2(old, f)
 	return true
 }
 
-// store puts (x, f) in slot j, widening the table first if its slots cannot
-// hold the pair. Widening moves no pair, so j stays x's slot.
-func (c *CountSketch) store(j int, x uint64, f int64) {
-	for !c.setPair(j, x, f) {
+// store puts (x, f) in slot j of t, the sketch's table, widening the table
+// first if its slots cannot hold the pair, and returns the table then. A
+// widening moves no pair, so j stays x's slot.
+func (c *CountSketch) store(t table, j int, x uint64, f int64) table {
+	if t.setPair(j, x, f) {
+		return t
+	}
+	return c.storeWider(j, x, f)
+}
+
+// storeWider is store's way past a table too narrow for the pair.
+func (c *CountSketch) storeWider(j int, x uint64, f int64) table {
+	for {
 		c.widenTable()
+		if t := c.table(); t.setPair(j, x, f) {
+			return t
+		}
 	}
 }
 
-// moveF2 accounts in Σf² for one pair's weight going from old to f: the sum
-// moves by f² − old², taken modulo 2^128.
+// moveF2 accounts in Σf² for one pair's weight going from old to f, with f
+// already stored: the sum moves by f² − old², taken modulo 2^128. At the
+// four-byte rung both weights fit int8 and both sums are under 2^45, so the
+// low word alone is exact.
 func (c *CountSketch) moveF2(old, f int64) {
+	if c.rung == slot4 {
+		c.f2lo += uint64(f*f) - uint64(old*old)
+		return
+	}
+	c.moveF2Wide(old, f)
+}
+
+// moveF2Wide is moveF2 past the four-byte rung, in 128 bits.
+func (c *CountSketch) moveF2Wide(old, f int64) {
 	oh, ol := bits.Mul64(magnitude(old), magnitude(old))
 	nh, nl := bits.Mul64(magnitude(f), magnitude(f))
 	lo, carry := bits.Add64(c.f2lo, nl, 0)
-	hi, _ := bits.Add64(c.f2hi, nh, carry)
 	lo, borrow := bits.Sub64(lo, ol, 0)
-	c.f2hi, _ = bits.Sub64(hi, oh, borrow)
 	c.f2lo = lo
+	h := c.hiWord() // a pair was just stored or removed: there is a table
+	hi, _ := bits.Add64(*h, nh, carry)
+	*h, _ = bits.Sub64(hi, oh, borrow)
 }
 
 // magnitude returns |v| as a uint64 (2^63 for the minimum int64).
@@ -507,18 +568,19 @@ func magnitude(v int64) uint64 {
 // weightOf returns the weight of x's pair in the items form, 0 if there is
 // none: a binary search of a cut table, a probe of a hashed one.
 func (c *CountSketch) weightOf(x uint64) int64 {
+	t := c.table()
 	if !c.cut() {
-		_, f := c.probe(x)
+		_, f := t.probe(x)
 		return f
 	}
 	j, found := sort.Find(int(c.n), func(j int) int {
-		sx, _ := c.pairAt(j)
+		sx, _ := t.pairAt(j)
 		return cmp.Compare(x, sx)
 	})
 	if !found {
 		return 0
 	}
-	_, f := c.pairAt(j)
+	_, f := t.pairAt(j)
 	return f
 }
 
@@ -532,8 +594,9 @@ func (c *CountSketch) Compact() {
 	if c.cut() {
 		return
 	}
-	m, old := c.maker, c.table()
-	fit := table{m.takeTable(tableWords(int(c.n), old.rung)), old.rung}
+	m := c.maker
+	old := c.retable(int(c.n), c.rung, false)
+	fit := c.table()
 	if old.rung == slot16 {
 		j := 0
 		for k := range old.slots() {
@@ -558,8 +621,7 @@ func (c *CountSketch) Compact() {
 		}
 		m.keyScratch = keys
 	}
-	c.setTable(fit)
-	m.putTable(old.tab)
+	m.putTable(old)
 }
 
 // widePairs orders the two-word slots of a full wide table by identifier.
@@ -572,28 +634,28 @@ func (p widePairs) Swap(i, j int) {
 	p[2*i+1], p[2*j+1] = p[2*j+1], p[2*i+1]
 }
 
-// home returns the slot x hashes to: the top bits of a Fibonacci
-// multiplicative hash.
-func (c *CountSketch) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> c.shift) }
+// home returns the slot x hashes to in a hashed table: the top bits of a
+// Fibonacci multiplicative hash.
+func (t table) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> t.shift) }
 
-// probe returns the slot holding x and x's weight, or the empty slot where x
-// belongs and zero. The load cap of 3/4 guarantees an empty slot ends every
-// probe. The home slot is a function of the whole identifier and the slot
-// count, so a table is laid out the same at both widths.
-func (c *CountSketch) probe(x uint64) (int, int64) {
-	t := c.table()
+// probe returns the slot of a hashed table holding x and x's weight, or the
+// empty slot where x belongs and zero. The load cap of 3/4 guarantees an
+// empty slot ends every probe. The home slot is a function of the whole
+// identifier and the slot count, so a table is laid out the same at every
+// width.
+func (t table) probe(x uint64) (int, int64) {
 	mask := t.slots() - 1
-	for j := c.home(x); ; j = (j + 1) & mask {
+	for j := t.home(x); ; j = (j + 1) & mask {
 		if sx, f := t.pairAt(j); f == 0 || sx == x {
 			return j, f
 		}
 	}
 }
 
-// remove deletes the pair in slot j, shifting back every later entry of the
-// run that would otherwise be cut off from its home slot.
-func (c *CountSketch) remove(j int) {
-	t := c.table()
+// remove deletes the pair in slot j of a hashed table, shifting back every
+// later entry of the run that would otherwise be cut off from its home slot.
+// The sketch's n is the caller's to count down.
+func (t table) remove(j int) {
 	mask := t.slots() - 1
 	for k := (j + 1) & mask; ; k = (k + 1) & mask {
 		x, f := t.pairAt(k)
@@ -601,55 +663,64 @@ func (c *CountSketch) remove(j int) {
 			break
 		}
 		// Entry k may fill the hole unless its home lies cyclically in (j, k].
-		if (k-c.home(x))&mask >= (k-j)&mask {
+		if (k-t.home(x))&mask >= (k-j)&mask {
 			t.setPair(j, x, f)
 			j = k
 		}
 	}
 	t.setPair(j, 0, 0)
-	c.n--
 }
 
 // cut reports whether the table is exactly the pairs held, in ascending x —
-// what Compact leaves, and what an empty sketch without a table is. Its slots
-// are its pairs and, for an odd number of them at four bytes, the spare half
-// of the last word; a hashed table, at most ¾ full of at least eight slots,
-// always has two empty slots or more. Only a table that is not cut can be
-// probed.
-func (c *CountSketch) cut() bool { return c.slots()-int(c.n) < 2 }
+// what Compact leaves, and what an empty sketch without a table, or a dense
+// one, is. It has no hash shift: its slots are its pairs and, for an odd
+// number of them at four bytes, the spare half of the last word. Only a table
+// that is not cut can be probed.
+func (c *CountSketch) cut() bool { return c.shift == 0 }
 
 // grow moves the pairs to a hashed table with room for one more, at the
 // width they have: the first table, twice a full hashed one, or what a cut
 // one needs.
 func (c *CountSketch) grow() {
-	old := c.table()
-	c.retable(tableFor(int(c.n)+1), old.rung)
+	old := c.retable(tableFor(int(c.n)+1), c.rung, true)
+	t := c.table()
 	for k := range old.slots() {
 		if x, f := old.pairAt(k); f != 0 {
-			j, _ := c.probe(x)
-			c.setPair(j, x, f)
+			j, _ := t.probe(x)
+			t.setPair(j, x, f)
 		}
 	}
-	c.maker.putTable(old.tab)
+	c.maker.putTable(old)
 }
 
-// retable gives an items-form sketch an empty hashed table from the maker's
-// lists. The table it had is the caller's to hand back, once read.
-func (c *CountSketch) retable(slots int, rung uint8) {
-	c.setTable(table{c.maker.takeTable(tableWords(slots, rung)), rung})
-	c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
+// retable gives an items-form sketch an empty table from the arena at a rung,
+// with Σf²'s high word carried over: hashed over that many slots, or cut to
+// its n pairs (slots is then theirs). It returns the table the sketch had,
+// for the caller to hand back (putTable) once read.
+func (c *CountSketch) retable(slots int, rung uint8, hashed bool) (old table) {
+	old, hi := c.table(), c.f2hi()
+	c.rung, c.shift = rung, 0
+	if hashed {
+		c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
+	}
+	c.p = c.maker.arena.takeWords(blockWords(slotWords(c.slots(), rung), rung))
+	if h := c.hiWord(); h != nil {
+		*h = hi
+	}
+	return old
 }
 
 // widenTable rewrites the table slot for slot one rung up: a copy, not a
 // re-hash. A pair since cancelled does not narrow it again.
 func (c *CountSketch) widenTable() {
-	old := c.table()
-	c.retable(old.slots(), old.rung+1)
+	old := c.retable(c.slots(), c.rung+1, c.shift != 0)
+	t := c.table()
 	for k := range old.slots() {
-		x, f := old.pairAt(k)
-		c.setPair(k, x, f)
+		if x, f := old.pairAt(k); f != 0 {
+			t.setPair(k, x, f)
+		}
 	}
-	c.maker.putTable(old.tab)
+	c.maker.putTable(old)
 }
 
 // tableFor returns the table size that holds n pairs without growing.
@@ -669,7 +740,7 @@ func (c *CountSketch) promote() {
 	c.allocDense()
 	c.scatter(pairs)
 	c.sumSquares()
-	c.maker.putTable(pairs.tab)
+	c.maker.putTable(pairs)
 }
 
 // scatter adds the pairs of an items table to a dense sketch's counters,
@@ -679,11 +750,11 @@ func (c *CountSketch) scatter(tab table) {
 	for k, i := 0, 0; ; c.widen() {
 		switch c.cw {
 		case 1:
-			k, i = scatterPairs(m, c.c8, tab, k, i)
+			k, i = scatterPairs(m, countersOf[int8](c), tab, k, i)
 		case 2:
-			k, i = scatterPairs(m, c.wide.c16, tab, k, i)
+			k, i = scatterPairs(m, countersOf[int16](c), tab, k, i)
 		default:
-			k, i = scatterPairs(m, c.wide.c64, tab, k, i)
+			k, i = scatterPairs(m, countersOf[int64](c), tab, k, i)
 		}
 		if k == tab.slots() {
 			return
@@ -696,15 +767,7 @@ func (c *CountSketch) scatter(tab table) {
 // caller may still be reading it.
 func (c *CountSketch) allocDense() {
 	m := c.maker
-	c.setTable(table{})
-	c.n, c.f2hi, c.f2lo = 0, 0, 0
-	if c.denseState == nil {
-		c.denseState = new(denseState)
-	}
-	c.c8, c.cw = takeArray[int8](m.arena, m.depth*m.width), 1
-	c.rowF2 = takeArray[float64](m.arena, m.depth)
-	c.dense = true
-	m.headers += denseStateBytes
+	*c = CountSketch{maker: m, p: m.arena.take(m.denseBytes(1)), cw: 1, dense: true}
 }
 
 // sumSquares sets each rowF2 entry to the sum, in index order, of the
@@ -713,31 +776,26 @@ func (c *CountSketch) allocDense() {
 func (c *CountSketch) sumSquares() {
 	switch c.cw {
 	case 1:
-		sumRows(c.c8, c.rowF2)
+		sumRows(countersOf[int8](c), c.rowF2())
 	case 2:
-		sumRows(c.wide.c16, c.rowF2)
+		sumRows(countersOf[int16](c), c.rowF2())
 	default:
-		sumRows(c.wide.c64, c.rowF2)
+		sumRows(countersOf[int64](c), c.rowF2())
 	}
 }
 
-// Reset implements Resetter: back to the empty items form, holding nothing. A
-// dense array and its row sums, or a table, go back to the arena zeroed for
-// the next sketch that needs their size; the first update takes a table at
-// the bottom rung, so a recycled sketch starts as a new one does.
+// Reset implements Resetter: back to the empty items form, holding nothing but
+// its maker. A dense block, or a table, goes back to the arena zeroed for the
+// next sketch that needs its size; the first update takes a table at the
+// bottom rung, so a recycled sketch starts as a new one does.
 func (c *CountSketch) Reset() {
+	m := c.maker
 	if c.dense {
-		if c.cw > 1 {
-			c.maker.headers -= wideCountersBytes
-		}
-		c.release()
-		putArray(c.maker.arena, c.rowF2)
-		c.wide, c.rowF2, c.dense = nil, nil, false
-		c.maker.headers -= denseStateBytes
+		m.arena.putZeroed(c.p, m.denseBytes(c.cw))
+	} else {
+		m.putTable(c.table())
 	}
-	c.maker.putTable(c.tab)
-	c.setTable(table{})
-	c.n, c.f2hi, c.f2lo = 0, 0, 0
+	*c = CountSketch{maker: m}
 }
 
 // Estimate implements Sketch. In the items form it is F2 itself. Once
@@ -747,9 +805,9 @@ func (c *CountSketch) Reset() {
 // ever allocates.
 func (c *CountSketch) Estimate() float64 {
 	if !c.dense {
-		return math.Ldexp(float64(c.f2hi), 64) + float64(c.f2lo)
+		return math.Ldexp(float64(c.f2hi()), 64) + float64(c.f2lo)
 	}
-	r := c.rowF2
+	r := c.rowF2()
 	switch len(r) {
 	case 1:
 		return r[0]
@@ -785,7 +843,7 @@ func (c *CountSketch) ThresholdBudget(thresh float64) int64 {
 		return min(int64(math.Sqrt(thresh)-math.Sqrt(f2)), int64(c.maker.itemsMax-int(c.n)))
 	}
 	maxRow := 0.0
-	for _, v := range c.rowF2 {
+	for _, v := range c.rowF2() {
 		if v > maxRow {
 			maxRow = v
 		}
@@ -853,11 +911,11 @@ func (c *CountSketch) addCounters(o *CountSketch) {
 	for j, n := 0, c.maker.depth*c.maker.width; ; c.widen() {
 		switch c.cw {
 		case 1:
-			j = addFrom(c.c8, o, j)
+			j = addFrom(countersOf[int8](c), o, j)
 		case 2:
-			j = addFrom(c.wide.c16, o, j)
+			j = addFrom(countersOf[int16](c), o, j)
 		default:
-			j = addFrom(c.wide.c64, o, j)
+			j = addFrom(countersOf[int64](c), o, j)
 		}
 		if j == n {
 			return
@@ -904,10 +962,11 @@ func (c *CountSketch) Size() int {
 	return c.maker.width * c.maker.depth
 }
 
-// Bytes returns the memory behind the sketch's state: in the items form the
-// table's slots at 4, 8 or 16 bytes each — empty ones included, of which a cut
-// table has none but the spare half word of an odd count at four bytes — and
-// once dense, the counters at their stored width and the row sums. It is what
+// Bytes returns the memory behind the sketch's state, its arena block: in the
+// items form the table's slots at 4, 8 or 16 bytes each — empty ones included,
+// of which a cut table has none but the spare half word of an odd count at
+// four bytes — and, at 8 or 16, Σf²'s high word; once dense, the row sums and
+// the counters at their stored width. It is what
 // Size stopped showing when a pair stopped being two words and a counter one,
 // and unlike Size it belongs to the sketch in memory, not to its image: a
 // table grown or widened for pairs since cancelled, or an array widened for a
@@ -915,7 +974,7 @@ func (c *CountSketch) Size() int {
 // for its owner to cut again.
 func (c *CountSketch) Bytes() int {
 	if !c.dense {
-		return 8 * len(c.tab)
+		return 8 * blockWords(slotWords(c.slots(), c.rung), c.rung)
 	}
-	return int(c.cw)*c.maker.width*c.maker.depth + 8*len(c.rowF2)
+	return c.maker.denseBytes(c.cw)
 }

@@ -9,17 +9,17 @@ import (
 )
 
 // An arena is where an F2Maker's sketches keep their counters: every items
-// table, dense array and row-sum vector is a block of it. The blocks hold no
-// pointers the collector needs to follow, so they live outside the collected
-// heap — on unix in anonymous mappings taken from the kernel a chunk at a
-// time — and the collector neither traces them nor paces itself by them: its
-// headroom is charged on the tree nodes and sketch structs around the
-// counters, not on the counters.
+// table, and every dense sketch's row sums and counters, is a block of it.
+// The blocks hold no pointers the collector needs to follow, so they live
+// outside the collected heap — on unix in anonymous mappings taken from the
+// kernel a chunk at a time — and the collector neither traces them nor paces
+// itself by them: its headroom is charged on the tree nodes and sketch
+// structs around the counters, not on the counters.
 //
 // A block's size is rounded up to a size class: eight-byte steps up to 128
 // bytes, eight steps to each power of two above, and one class of its own
-// for each size the maker names (its dense arrays at each counter width and
-// its row sums), which the geometric steps would round by up to an eighth.
+// for each size the maker names (its dense blocks at each counter width),
+// which the geometric steps would round by up to an eighth.
 // A block handed back goes, zeroed, to its class's free list, linked through
 // its first word, and the next block of that class is taken from there; a
 // class no block is ever wanted in again keeps what it has. A block larger
@@ -165,21 +165,17 @@ func (a *arena) unmap() {
 	*a = arena{}
 }
 
-// takeArray returns n zeroed elements from the arena.
-func takeArray[T any](a *arena, n int) []T {
+// takeWords returns a zeroed block of n words, nil for none.
+func (a *arena) takeWords(n int) unsafe.Pointer {
 	if n == 0 {
 		return nil
 	}
-	var zero T
-	return unsafe.Slice((*T)(a.take(n*int(unsafe.Sizeof(zero)))), n)
+	return a.take(8 * n)
 }
 
-// putArray zeroes s and hands its block back to the arena. Every view of s is
-// dead from here on.
-func putArray[T any](a *arena, s []T) {
-	if len(s) == 0 {
-		return
-	}
-	clear(s)
-	a.put(unsafe.Pointer(unsafe.SliceData(s)), len(s)*int(unsafe.Sizeof(s[0])))
+// putZeroed zeroes the n-byte block at p and hands it back. Every view of it
+// is dead from here on.
+func (a *arena) putZeroed(p unsafe.Pointer, n int) {
+	clear(unsafe.Slice((*byte)(p), n))
+	a.put(p, n)
 }

@@ -252,8 +252,8 @@ func TestRecycleReturnsStorageToTheArena(t *testing.T) {
 			for x := 0; x <= m.itemsMax; x++ {
 				d.Add(uint64(x), int64(1+i%5))
 			}
-			if !d.dense || d.cw != 1 || c.dense || len(c.tab) != 4 {
-				t.Fatalf("sketch %d: dense=%v at %d bytes a counter, items dense=%v in %d words", i, d.dense, d.cw, c.dense, len(c.tab))
+			if !d.dense || d.cw != 1 || c.dense || c.Bytes() != 32 {
+				t.Fatalf("sketch %d: dense=%v at %d bytes a counter, items dense=%v in %d bytes", i, d.dense, d.cw, c.dense, c.Bytes())
 			}
 		}
 		for _, h := range handles {
@@ -265,7 +265,7 @@ func TestRecycleReturnsStorageToTheArena(t *testing.T) {
 		t.Fatalf("after the burst the slab holds %d sketches and %d spare slots, the sketches %d bytes", m.slab.Live(), m.slab.Spare(), m.HeldBytes())
 	}
 	free := checkArena(t, "after the burst", m)
-	array, _ := m.arena.class(m.width * m.depth)
+	array, _ := m.arena.class(m.denseBytes(1))
 	first, _ := m.arena.class(32)
 	if free[array] < 300 || free[first] < 300 {
 		t.Fatalf("the arena's lists hold %d int8 arrays and %d first tables, want at least 300 of each", free[array], free[first])

@@ -93,14 +93,14 @@ func BenchmarkCountSketchCompact(b *testing.B) {
 			for x := 0; x < pairs; x++ {
 				cs.Add(uint64(x)*0x9E3779&(1<<24-1), 1)
 			}
-			hashed, slots, before := slices.Clone(cs.tab), cs.slots(), cs.Bytes()
+			hashed, slots, before := slices.Clone(cs.table().tab), cs.slots(), cs.Bytes()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Compact hands the hashed table back zeroed: take it again as
 				// it was, which is a copy beside Compact's sort.
-				cs.retable(slots, cs.rung)
-				copy(cs.tab, hashed)
+				m.putTable(cs.retable(slots, cs.rung, true))
+				copy(cs.table().tab, hashed)
 				cs.Compact()
 			}
 			b.ReportMetric(float64(before), "B/hashed")

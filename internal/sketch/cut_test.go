@@ -83,13 +83,13 @@ func TestCountSketchCutFewPairs(t *testing.T) {
 			requireCut := func(step string, pairs int) {
 				t.Helper()
 				cut.Compact()
-				if !cut.cut() || int(cut.n) != pairs || int(cut.rung) != rung || cut.Bytes() != (pairs*4<<rung+7)&^7 {
+				if !cut.cut() || int(cut.n) != pairs || int(cut.rung) != rung || cut.Bytes() != (pairs*4<<rung+7)&^7+hiBytes(uint8(rung), pairs) {
 					t.Fatalf("%s, %s: cut=%v, %d pairs in %d slots of %d bytes, %d bytes",
 						at, step, cut.cut(), cut.n, cut.slots(), 4<<cut.rung, cut.Bytes())
 				}
 				sameSketch(t, at+", "+step, plain, cut)
 				for k := range cut.slots() {
-					x, f := cut.pairAt(k)
+					x, f := cut.table().pairAt(k)
 					if (k < pairs) != (f != 0) || cut.EstimateItem(x) != float64(f) || plain.EstimateItem(x) != float64(f) {
 						t.Fatalf("%s, %s: slot %d holds (%d,%d)", at, step, k, x, f)
 					}
@@ -153,7 +153,7 @@ func TestCountSketchResetDropsCutTable(t *testing.T) {
 				c.Add(uint64(x)<<24|1, 2)
 			}
 			c.Compact()
-			if !c.cut() || c.Bytes() != 8*pairs {
+			if !c.cut() || c.Bytes() != 8*pairs+hiBytes(c.rung, pairs) {
 				t.Fatalf("%s: %d pairs cut to %d bytes", name, pairs, c.Bytes())
 			}
 			h = reset(h)

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"math/big"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -164,8 +165,8 @@ func (p *register) check(t *testing.T, step string) {
 				rows[i] += float64(v) * float64(v)
 			}
 		}
-		if !slices.Equal(rows, a.rowF2) {
-			t.Fatalf("%s: row sums %v, the model's counters square to %v", step, a.rowF2, rows)
+		if !slices.Equal(rows, a.rowF2()) {
+			t.Fatalf("%s: row sums %v, the model's counters square to %v", step, a.rowF2(), rows)
 		}
 		return
 	}
@@ -176,7 +177,7 @@ func (p *register) check(t *testing.T, step string) {
 			t.Fatalf("%s: EstimateItem(%d) = %v, model %d", step, x, got, f)
 		}
 	}
-	got := new(big.Int).Lsh(new(big.Int).SetUint64(a.f2hi), 64)
+	got := new(big.Int).Lsh(new(big.Int).SetUint64(a.f2hi()), 64)
 	if got.Add(got, new(big.Int).SetUint64(a.f2lo)); got.Cmp(f2) != 0 {
 		t.Fatalf("%s: items Σf² = %v, model %v", step, got, f2)
 	}
@@ -191,8 +192,9 @@ func (p *register) check(t *testing.T, step string) {
 	if a.rung != p.rung {
 		t.Fatalf("%s: %d-byte slots, the history says %d", step, 4<<a.rung, 4<<p.rung)
 	}
+	hi := hiBytes(a.rung, a.slots())
 	if !a.cut() || a.n == 0 {
-		if s := a.slots(); (s != 0 && (s < itemsMinCap || s&(s-1) != 0)) || a.Bytes() != s*4<<a.rung {
+		if s := a.slots(); (s != 0 && (s < itemsMinCap || s&(s-1) != 0)) || a.Bytes() != s*4<<a.rung+hi {
 			t.Fatalf("%s: a hashed table of %d slots of %d bytes holds %d bytes", step, s, 4<<a.rung, a.Bytes())
 		}
 		return
@@ -200,11 +202,11 @@ func (p *register) check(t *testing.T, step string) {
 	// Cut: exactly the pairs in whole words — the image already showed them in
 	// ascending x — and an odd count of four-byte slots leaves the last word's
 	// upper half, which must read empty.
-	if want := (4<<a.rung*int(a.n) + 7) &^ 7; a.Bytes() != want {
+	if want := (4<<a.rung*int(a.n)+7)&^7 + hi; a.Bytes() != want {
 		t.Fatalf("%s: Bytes = %d cut to %d pairs of %d bytes, want %d", step, a.Bytes(), a.n, 4<<a.rung, want)
 	}
 	if a.slots() != int(a.n) {
-		if x, f := a.pairAt(int(a.n)); x != 0 || f != 0 {
+		if x, f := a.table().pairAt(int(a.n)); x != 0 || f != 0 {
 			t.Fatalf("%s: %d pairs cut into %d slots, the spare holding (%d,%d)", step, a.n, a.slots(), x, f)
 		}
 	}
@@ -247,25 +249,16 @@ func sameSketch(t *testing.T, step string, a, b *CountSketch) {
 // together ("tables"), hold.
 func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) (free map[string]int) {
 	held, headers, used := 0, 0, 0
-	if c := m.spare; c != nil {
-		if c.dense || c.tab != nil || c.n != 0 || c.maker != m {
-			t.Fatalf("%s: the maker keeps a sketch holding dense=%v, %d words, %d pairs", step, c.dense, len(c.tab), c.n)
-		}
+	if c := m.spare; c != nil && *c != (CountSketch{maker: m}) {
+		t.Fatalf("%s: the maker keeps a sketch holding %+v", step, *c)
 	}
 	for _, c := range out {
+		if (c.p == nil) != (c.Bytes() == 0) {
+			t.Fatalf("%s: a sketch holding %d bytes has block %p (dense=%v, %d pairs)", step, c.Bytes(), c.p, c.dense, c.n)
+		}
 		held += c.Bytes()
 		headers += countSketchBytes
 		used += blockBytes(m, c)
-		wide := c.dense && c.cw > 1
-		if wide != (c.denseState != nil && c.wide != nil) {
-			t.Fatalf("%s: dense=%v at %d bytes a counter with wide headers %v", step, c.dense, c.cw, !wide)
-		}
-		if c.dense {
-			headers += denseStateBytes
-		}
-		if wide {
-			headers += wideCountersBytes
-		}
 	}
 	if m.HeldBytes() != held || m.HeaderBytes() != headers {
 		t.Fatalf("%s: HeldBytes %d, HeaderBytes %d; the %d sketches out hold %d and %d", step, m.HeldBytes(), m.HeaderBytes(), len(out), held, headers)
@@ -280,7 +273,7 @@ func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) (free
 	for _, c := range []struct {
 		name string
 		n    int
-	}{{"int8", m.width * m.depth}, {"int16", 2 * m.width * m.depth}, {"int64", 8 * m.width * m.depth}} {
+	}{{"int8", m.denseBytes(1)}, {"int16", m.denseBytes(2)}, {"int64", m.denseBytes(8)}} {
 		if k, _ := m.arena.class(c.n); names[k] == "" {
 			names[k] = c.name
 		}
@@ -296,20 +289,14 @@ func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) (free
 	return free
 }
 
-// blockBytes is the arena's share of c: its table's or its array's and row
-// sums' blocks at their class sizes.
+// blockBytes is the arena's share of c: its one block — a table, or row sums
+// and counters — at its class size.
 func blockBytes(m *F2Maker, c *CountSketch) int {
-	size := func(n int) int {
-		_, s := m.arena.class(n)
-		return s
+	if c.p == nil {
+		return 0
 	}
-	switch {
-	case c.dense:
-		return size(int(c.cw)*m.width*m.depth) + size(8*len(c.rowF2))
-	case len(c.tab) > 0:
-		return size(8 * len(c.tab))
-	}
-	return 0
+	_, size := m.arena.class(c.Bytes())
+	return size
 }
 
 var zeros = make([]byte, 1<<16) // more than the largest table or array a test geometry has
@@ -386,242 +373,11 @@ func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to ui
 	seen := map[string]int{}
 	for _, g := range geometries {
 		for seed := from; seed <= to; seed++ {
-			m := NewF2Maker(g.width, g.depth, hash.New(5000+seed))
-			twin := twinOf(m)
-			primeTables(t, m)
-			primeTables(t, twin)
-			rng := hash.New(seed)
-			wTop := seed % 5 // the heaviest weights of the run
-			weight := func(tier uint64) int64 {
-				var w int64
-				switch k := rng.Uint64n(16); {
-				case k == 0 && tier >= 4:
-					w = 1 << 40
-				case k <= 1 && tier >= 3:
-					w = 1<<31 - 2 + int64(rng.Uint64n(5))
-				case k <= 3 && tier >= 2:
-					w = 1<<15 - 2 + int64(rng.Uint64n(5))
-				case k <= 5 && tier >= 1:
-					w = 1 + int64(rng.Uint64n(1<<13))
-				case k <= 7 && tier >= 1:
-					w = 1<<7 - 2 + int64(rng.Uint64n(5))
-				default:
-					w = 1 + int64(rng.Uint64n(3))
-				}
-				if rng.Uint64n(2) == 0 {
-					w = -w
-				}
-				return w
-			}
-			domain := uint64(m.itemsMax)/2 + 1 + rng.Uint64n(uint64(m.itemsMax)+4)
-			ident := func(tier uint64) uint64 {
-				return rng.Uint64n(domain) + []uint64{0, 1<<24 - domain/2, 1<<32 - domain/2}[tier]
-			}
-			fresh := func(i uint64) *register {
-				p := newRegister(m, twin)
-				p.huge, p.xTier, p.wTier = wTop >= 3, (seed+i)%3, min(wTop, (seed/3+i)%5)
-				return p
-			}
-			regs := []*register{fresh(0), fresh(1), fresh(2)}
-			var lastFree map[string]int
-			out := func(more ...*CountSketch) []*CountSketch {
-				return append(more, regs[0].a, regs[1].a, regs[2].a)
-			}
+			r := newFormsRun(t, g.width, g.depth, seed, hash.New(seed), seen)
 			for step := 0; step < 600; step++ {
-				i := rng.Uint64n(3)
-				p, q := regs[i], regs[(i+rng.Uint64n(3))%3] // q is p one time in three
-				at := func(what string, args ...any) string {
-					return fmt.Sprintf("%dx%d seed %d step %d %s", g.width, g.depth, seed, step, fmt.Sprintf(what, args...))
-				}
-				// acted is the sketch the step changed in place, if it did.
-				acted, before := p.a, shapeOf(p.a)
-				var what string
-				switch op := rng.Uint64n(40); {
-				case op < 8:
-					x, w := ident(p.xTier), weight(p.wTier)
-					what = at("Add(%d,%d)", x, w)
-					p.add(x, w)
-				case op < 14:
-					x, w := ident(p.xTier), weight(p.wTier)
-					what = at("AddSlots(%d,%d)", x, w)
-					p.addSlots(x, w)
-				case op < 16:
-					// Cancel a pair outright: it leaves the table by backward
-					// shift, and a cut table is hashed again first.
-					x := ident(p.xTier)
-					what = at("Add(%d,%d) to zero", x, -p.freq[x])
-					p.add(x, -p.freq[x])
-				case op < 17:
-					// A spike and straight back: the values return to where they
-					// were, the width does not.
-					x, w := ident(p.xTier), int64(1)<<(7+8*min(rng.Uint64n(4), p.wTier))
-					if p.wTier == 0 {
-						w = 1 << 5
-					}
-					what = at("Add(%d,±%d)", x, w)
-					p.add(x, w)
-					p.add(x, -w)
-				case op < 26:
-					// Either side may be a closed bucket's.
-					if rng.Uint64n(4) == 0 {
-						q.a.Compact()
-					}
-					if rng.Uint64n(4) == 0 {
-						p.a.Compact()
-						before = shapeOf(p.a)
-					}
-					forms := formOf(p.a) + " <- " + formOf(q.a)
-					seen["merge "+forms]++
-					if q == p && before.cut {
-						seen["merge a cut table into itself"]++
-					}
-					what = at("Merge(%s, itself=%v)", forms, p == q)
-					p.merge(t, q)
-				case op < 28:
-					what, acted = at("Compose"), nil
-					c := &register{
-						a:     Compose(m, []Sketch{regs[0].a, regs[1].a, regs[2].a}).(*CountSketch),
-						r:     Compose(twin, []Sketch{regs[0].r, regs[1].r, regs[2].r}).(*CountSketch),
-						model: newModel(m), huge: p.huge, xTier: p.xTier, wTier: p.wTier,
-					}
-					for _, o := range regs {
-						c.model.merge(m, &o.model)
-					}
-					m.Recycle(p.a)
-					twin.Recycle(p.r)
-					regs[i], p = c, c
-				case op < 33:
-					what = at("Compact")
-					p.a.Compact()
-				case op < 34:
-					what = at("Reset")
-					p.a.Reset()
-					p.r.Reset()
-					p.model = newModel(m)
-				case op < 35:
-					what = at("Recycle+New")
-					m.Recycle(p.a)
-					twin.Recycle(p.r)
-					regs[i] = fresh(i)
-					if c := regs[i].a; c.dense || c.cw != 0 || c.rung != slot4 || c.tab != nil {
-						t.Fatalf("%s: a recycled sketch came back dense=%v at %d bytes a counter, %d-byte slots, %d words",
-							what, c.dense, c.cw, 4<<c.rung, len(c.tab))
-					}
-					p = regs[i]
-				case op < 38:
-					// p's image into q's sketches, or into new ones that replace
-					// them: either way q becomes a copy of p, stored as narrow as
-					// the values allow.
-					used := rng.Uint64n(2) == 0
-					what, acted = at("image into %s (used=%v)", formOf(q.a), used), nil
-					imgA, _ := p.a.MarshalBinary()
-					imgR, _ := p.r.MarshalBinary()
-					if used {
-						seen["unmarshal over a used sketch"]++
-					} else {
-						m.Recycle(q.a)
-						twin.Recycle(q.r)
-						q.a, q.r = m.New().(*CountSketch), twin.New().(*CountSketch)
-					}
-					if err := q.a.UnmarshalBinary(imgA); err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					if err := q.r.UnmarshalBinary(imgR); err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					q.model = model{freq: maps.Clone(p.freq), ctr: slices.Clone(p.ctr), rung: slot4}
-					for x, f := range p.freq {
-						q.rung = max(q.rung, rungFor(x, f))
-					}
-					if q.a.dense && q.a.cw != widthFor(q.ctr) {
-						t.Fatalf("%s: decoded at %d bytes a counter, the counters need %d", what, q.a.cw, widthFor(q.ctr))
-					}
-					p = q
-				case op < 39:
-					// An image cut short fails part-way in; what was decoded before
-					// the cut stays with the sketch, and on the books, until q is
-					// recycled.
-					img, _ := p.a.MarshalBinary()
-					used := rng.Uint64n(2) == 0
-					what, acted = at("truncated image (used=%v)", used), nil
-					if len(img) <= 8 {
-						break
-					}
-					c, extra := q.a, []*CountSketch(nil)
-					if !used {
-						c = m.New().(*CountSketch)
-						extra = append(extra, c)
-					}
-					if err := c.UnmarshalBinary(img[:len(img)-1-int(rng.Uint64n(4))]); err == nil {
-						t.Fatalf("%s: decoded", what)
-					}
-					seen["failed unmarshal"]++
-					checkBooks(t, what, m, out(extra...))
-					m.Recycle(c)
-					if used {
-						twin.Recycle(q.r)
-						j := slices.Index(regs, q)
-						regs[j] = fresh(uint64(j))
-						p = regs[j]
-					}
-				default:
-					// A burst of copies of p in the maker's slab, freed at once:
-					// each slot goes back holding nothing but its maker, and
-					// waits, counted in PooledBytes, for the next Alloc, and
-					// each block to its class's free list in the arena.
-					what, acted = at("recycle burst"), nil
-					img, _ := p.a.MarshalBinary()
-					burst := make([]uint32, 300)
-					held := make([]*CountSketch, len(burst))
-					for k := range burst {
-						burst[k] = m.Alloc()
-						held[k] = m.At(burst[k]).(*CountSketch)
-						if err := held[k].UnmarshalBinary(img); err != nil {
-							t.Fatal(err)
-						}
-					}
-					checkBooks(t, what, m, out(held...))
-					for k, h := range burst {
-						m.Free(h)
-						if !reflect.DeepEqual(*held[k], CountSketch{maker: m}) {
-							t.Fatalf("%s: a freed slot holds %+v", what, *held[k])
-						}
-					}
-					seen["recycle burst"]++
-					if m.slab.Spare() >= len(burst) {
-						seen["spare slab slots"]++
-					}
-				}
-				if acted != nil {
-					after := shapeOf(acted)
-					for _, name := range moves(before, after) {
-						seen[name]++
-					}
-					if before.dense && after.dense && after.cw < before.cw {
-						t.Fatalf("%s: went from %d bytes a counter to %d without a Reset", what, before.cw, after.cw)
-					}
-				}
-				p.check(t, what)
-				free := checkBooks(t, what, m, out())
-				for name, n := range free {
-					if n < lastFree[name] {
-						seen["free "+name+" taken again"]++
-					}
-				}
-				lastFree = free
-				if p.a.dense && p.a.cw > widthFor(p.ctr) || !p.a.dense && p.a.rung > needsRung(p.a) {
-					seen["wider than its values need"]++
-				}
-				if p.a.slots() == int(p.a.n)+1 && p.a.cut() {
-					seen["cut table with a spare half word"]++
-				}
+				r.step(t, step)
 			}
-			for _, p := range regs {
-				m.Recycle(p.a)
-			}
-			if checkBooks(t, "all recycled", m, nil); m.HeldBytes() != 0 || m.HeaderBytes() != 0 {
-				t.Fatalf("with nothing out the books read %d held, %d headers", m.HeldBytes(), m.HeaderBytes())
-			}
+			r.finish(t)
 		}
 	}
 	for _, name := range floors {
@@ -630,6 +386,317 @@ func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to ui
 		}
 	}
 	t.Logf("seen: %v", seen)
+}
+
+// draws is where a run of the generator takes its choices from: a seeded
+// generator, or a fuzzer's bytes.
+type draws interface{ Uint64n(n uint64) uint64 }
+
+// formsRun is one run of the generator: a maker primed as runForms says, the
+// twins' maker, three registers, and the draws that choose every step.
+type formsRun struct {
+	m, twin  *F2Maker
+	rng      draws
+	seed     uint64 // the makers' and the registers' bands'
+	domain   uint64 // identifiers come from a band this wide
+	regs     []*register
+	seen     map[string]int // the floors met, by name
+	lastFree map[string]int // checkBooks' free blocks after the last step
+}
+
+func newFormsRun(t *testing.T, width, depth int, seed uint64, rng draws, seen map[string]int) *formsRun {
+	m := NewF2Maker(width, depth, hash.New(5000+seed))
+	r := &formsRun{m: m, twin: twinOf(m), rng: rng, seed: seed, seen: seen}
+	primeTables(t, r.m)
+	primeTables(t, r.twin)
+	r.domain = uint64(m.itemsMax)/2 + 1 + rng.Uint64n(uint64(m.itemsMax)+4)
+	r.regs = []*register{r.fresh(0), r.fresh(1), r.fresh(2)}
+	return r
+}
+
+// fresh returns register i's empty replacement; the run's heaviest weights are
+// its seed's tier.
+func (r *formsRun) fresh(i uint64) *register {
+	p := newRegister(r.m, r.twin)
+	wTop := r.seed % 5
+	p.huge, p.xTier, p.wTier = wTop >= 3, (r.seed+i)%3, min(wTop, (r.seed/3+i)%5)
+	return p
+}
+
+func (r *formsRun) weight(tier uint64) int64 {
+	var w int64
+	switch k := r.rng.Uint64n(16); {
+	case k == 0 && tier >= 4:
+		w = 1 << 40
+	case k <= 1 && tier >= 3:
+		w = 1<<31 - 2 + int64(r.rng.Uint64n(5))
+	case k <= 3 && tier >= 2:
+		w = 1<<15 - 2 + int64(r.rng.Uint64n(5))
+	case k <= 5 && tier >= 1:
+		w = 1 + int64(r.rng.Uint64n(1<<13))
+	case k <= 7 && tier >= 1:
+		w = 1<<7 - 2 + int64(r.rng.Uint64n(5))
+	default:
+		w = 1 + int64(r.rng.Uint64n(3))
+	}
+	if r.rng.Uint64n(2) == 0 {
+		w = -w
+	}
+	return w
+}
+
+func (r *formsRun) ident(tier uint64) uint64 {
+	return r.rng.Uint64n(r.domain) + []uint64{0, 1<<24 - r.domain/2, 1<<32 - r.domain/2}[tier]
+}
+
+// out is every sketch of the maker out: more, and the registers'.
+func (r *formsRun) out(more ...*CountSketch) []*CountSketch {
+	return append(more, r.regs[0].a, r.regs[1].a, r.regs[2].a)
+}
+
+// step draws one operation, applies it, and holds the register it leaves
+// to its twin and its model, and the maker's books to a walk.
+func (r *formsRun) step(t *testing.T, step int) {
+	m, twin, rng, seen, regs := r.m, r.twin, r.rng, r.seen, r.regs
+	i := rng.Uint64n(3)
+	p, q := regs[i], regs[(i+rng.Uint64n(3))%3] // q is p one time in three
+	at := func(what string, args ...any) string {
+		return fmt.Sprintf("%dx%d seed %d step %d %s", m.width, m.depth, r.seed, step, fmt.Sprintf(what, args...))
+	}
+	// acted is the sketch the step changed in place, if it did.
+	acted, before := p.a, shapeOf(p.a)
+	var what string
+	switch op := rng.Uint64n(40); {
+	case op < 8:
+		x, w := r.ident(p.xTier), r.weight(p.wTier)
+		what = at("Add(%d,%d)", x, w)
+		p.add(x, w)
+	case op < 14:
+		x, w := r.ident(p.xTier), r.weight(p.wTier)
+		what = at("AddSlots(%d,%d)", x, w)
+		p.addSlots(x, w)
+	case op < 16:
+		// Cancel a pair outright: it leaves the table by backward
+		// shift, and a cut table is hashed again first.
+		x := r.ident(p.xTier)
+		what = at("Add(%d,%d) to zero", x, -p.freq[x])
+		p.add(x, -p.freq[x])
+	case op < 17:
+		// A spike and straight back: the values return to where they
+		// were, the width does not.
+		x, w := r.ident(p.xTier), int64(1)<<(7+8*min(rng.Uint64n(4), p.wTier))
+		if p.wTier == 0 {
+			w = 1 << 5
+		}
+		what = at("Add(%d,±%d)", x, w)
+		p.add(x, w)
+		p.add(x, -w)
+	case op < 26:
+		// Either side may be a closed bucket's.
+		if rng.Uint64n(4) == 0 {
+			q.a.Compact()
+		}
+		if rng.Uint64n(4) == 0 {
+			p.a.Compact()
+			before = shapeOf(p.a)
+		}
+		forms := formOf(p.a) + " <- " + formOf(q.a)
+		seen["merge "+forms]++
+		if q == p && before.cut {
+			seen["merge a cut table into itself"]++
+		}
+		what = at("Merge(%s, itself=%v)", forms, p == q)
+		p.merge(t, q)
+	case op < 28:
+		what, acted = at("Compose"), nil
+		c := &register{
+			a:     Compose(m, []Sketch{regs[0].a, regs[1].a, regs[2].a}).(*CountSketch),
+			r:     Compose(twin, []Sketch{regs[0].r, regs[1].r, regs[2].r}).(*CountSketch),
+			model: newModel(m), huge: p.huge, xTier: p.xTier, wTier: p.wTier,
+		}
+		for _, o := range regs {
+			c.model.merge(m, &o.model)
+		}
+		m.Recycle(p.a)
+		twin.Recycle(p.r)
+		regs[i], p = c, c
+	case op < 33:
+		what = at("Compact")
+		p.a.Compact()
+	case op < 34:
+		what = at("Reset")
+		p.a.Reset()
+		p.r.Reset()
+		p.model = newModel(m)
+	case op < 35:
+		what = at("Recycle+New")
+		m.Recycle(p.a)
+		twin.Recycle(p.r)
+		regs[i] = r.fresh(i)
+		if c := regs[i].a; *c != (CountSketch{maker: m}) {
+			t.Fatalf("%s: a recycled sketch came back holding %+v", what, *c)
+		}
+		p = regs[i]
+	case op < 38:
+		// p's image into q's sketches, or into new ones that replace
+		// them: either way q becomes a copy of p, stored as narrow as
+		// the values allow.
+		used := rng.Uint64n(2) == 0
+		what, acted = at("image into %s (used=%v)", formOf(q.a), used), nil
+		imgA, _ := p.a.MarshalBinary()
+		imgR, _ := p.r.MarshalBinary()
+		if used {
+			seen["unmarshal over a used sketch"]++
+		} else {
+			m.Recycle(q.a)
+			twin.Recycle(q.r)
+			q.a, q.r = m.New().(*CountSketch), twin.New().(*CountSketch)
+		}
+		if err := q.a.UnmarshalBinary(imgA); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if err := q.r.UnmarshalBinary(imgR); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		q.model = model{freq: maps.Clone(p.freq), ctr: slices.Clone(p.ctr), rung: slot4}
+		for x, f := range p.freq {
+			q.rung = max(q.rung, rungFor(x, f))
+		}
+		if q.a.dense && q.a.cw != widthFor(q.ctr) {
+			t.Fatalf("%s: decoded at %d bytes a counter, the counters need %d", what, q.a.cw, widthFor(q.ctr))
+		}
+		p = q
+	case op < 39:
+		// An image cut short fails part-way in; what was decoded before
+		// the cut stays with the sketch, and on the books, until q is
+		// recycled.
+		img, _ := p.a.MarshalBinary()
+		used := rng.Uint64n(2) == 0
+		what, acted = at("truncated image (used=%v)", used), nil
+		if len(img) <= 8 {
+			break
+		}
+		c, extra := q.a, []*CountSketch(nil)
+		if !used {
+			c = m.New().(*CountSketch)
+			extra = append(extra, c)
+		}
+		if err := c.UnmarshalBinary(img[:len(img)-1-int(rng.Uint64n(4))]); err == nil {
+			t.Fatalf("%s: decoded", what)
+		}
+		seen["failed unmarshal"]++
+		checkBooks(t, what, m, r.out(extra...))
+		m.Recycle(c)
+		if used {
+			twin.Recycle(q.r)
+			j := slices.Index(regs, q)
+			regs[j] = r.fresh(uint64(j))
+			p = regs[j]
+		}
+	default:
+		// A burst of copies of p in the maker's slab, freed at once:
+		// each slot goes back holding nothing but its maker, and
+		// waits, counted in PooledBytes, for the next Alloc, and
+		// each block to its class's free list in the arena.
+		what, acted = at("recycle burst"), nil
+		img, _ := p.a.MarshalBinary()
+		burst := make([]uint32, 300)
+		held := make([]*CountSketch, len(burst))
+		for k := range burst {
+			burst[k] = m.Alloc()
+			held[k] = m.At(burst[k]).(*CountSketch)
+			if err := held[k].UnmarshalBinary(img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkBooks(t, what, m, r.out(held...))
+		for k, h := range burst {
+			m.Free(h)
+			if !reflect.DeepEqual(*held[k], CountSketch{maker: m}) {
+				t.Fatalf("%s: a freed slot holds %+v", what, *held[k])
+			}
+		}
+		seen["recycle burst"]++
+		if m.slab.Spare() >= len(burst) {
+			seen["spare slab slots"]++
+		}
+	}
+	if acted != nil {
+		after := shapeOf(acted)
+		for _, name := range moves(before, after) {
+			seen[name]++
+		}
+		if before.dense && after.dense && after.cw < before.cw {
+			t.Fatalf("%s: went from %d bytes a counter to %d without a Reset", what, before.cw, after.cw)
+		}
+	}
+	p.check(t, what)
+	free := checkBooks(t, what, m, r.out())
+	for name, n := range free {
+		if n < r.lastFree[name] {
+			seen["free "+name+" taken again"]++
+		}
+	}
+	r.lastFree = free
+	if p.a.dense && p.a.cw > widthFor(p.ctr) || !p.a.dense && p.a.rung > needsRung(p.a) {
+		seen["wider than its values need"]++
+	}
+	if p.a.slots() == int(p.a.n)+1 && p.a.cut() {
+		seen["cut table with a spare half word"]++
+	}
+}
+
+// finish recycles the registers and fails unless the books then read nothing
+// out.
+func (r *formsRun) finish(t *testing.T) {
+	for _, p := range r.regs {
+		r.m.Recycle(p.a)
+	}
+	if checkBooks(t, "all recycled", r.m, nil); r.m.HeldBytes() != 0 || r.m.HeaderBytes() != 0 {
+		t.Fatalf("with nothing out the books read %d held, %d headers", r.m.HeldBytes(), r.m.HeaderBytes())
+	}
+}
+
+// byteDraws draws from a fuzzer's bytes: each draw takes as many as its range
+// needs, big-endian, and a draw past the end reads zeros.
+type byteDraws struct{ data []byte }
+
+func (d *byteDraws) Uint64n(n uint64) uint64 {
+	var v uint64
+	for k := (bits.Len64(n-1) + 7) / 8; k > 0 && len(d.data) > 0; k-- {
+		v, d.data = v<<8|uint64(d.data[0]), d.data[1:]
+	}
+	return v % n
+}
+
+// FuzzCountSketchForms drives the generator from a fuzzer's bytes: the first
+// picks the geometry, the second seeds the makers and sets the registers'
+// bands, and the rest choose the steps — adds, slot adds, merges, cuts,
+// compositions, Reset, Recycle, images whole and cut short, recycle bursts —
+// until they run out. After every step the register acted on is held to its
+// twin and its model, image and estimates, and the maker's books to a walk.
+func FuzzCountSketchForms(f *testing.F) {
+	geometries := []struct{ width, depth int }{{16, 3}, {32, 3}, {64, 4}, {8, 1}}
+	for seed := range uint64(8) {
+		rng := hash.New(seed)
+		data := []byte{byte(seed), byte(seed * 37)}
+		for range 400 {
+			data = append(data, byte(rng.Uint64n(256)))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		g := geometries[int(data[0])%len(geometries)]
+		d := &byteDraws{data[2:]}
+		r := newFormsRun(t, g.width, g.depth, uint64(data[1]), d, map[string]int{})
+		for step := 0; len(d.data) > 0 && step < 300; step++ {
+			r.step(t, step)
+		}
+		r.finish(t)
+	})
 }
 
 // TestCountSketchFormsAgree runs the generator on five geometries and holds it
@@ -672,6 +739,6 @@ func TestCountSketchCutTableAgrees(t *testing.T) {
 }
 
 func TestMakerBooksAreTheWalk(t *testing.T) {
-	runForms(t, []struct{ width, depth int }{{8, 1}}, 13, 18, "unmarshal over a used sketch", "failed unmarshal",
+	runForms(t, []struct{ width, depth int }{{8, 1}}, 13, 20, "unmarshal over a used sketch", "failed unmarshal",
 		"recycle burst", "spare slab slots", "free tables taken again", "free int8 taken again", "free int16 taken again", "free int64 taken again")
 }

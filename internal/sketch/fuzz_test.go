@@ -55,15 +55,8 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 		if err := c.UnmarshalBinary(data); err != nil {
 			return
 		}
-		held := 0
-		if c.denseState != nil {
-			held = len(c.c8)
-			if c.wide != nil {
-				held += len(c.wide.c16) + len(c.wide.c64)
-			}
-		}
-		if c.slots() > tableFor(m.itemsMax) || int(c.n) > m.itemsMax || (c.dense && held != m.width*m.depth) {
-			t.Fatalf("decoded past the geometry: table %d slots, %d pairs, %d counters", c.slots(), c.n, held)
+		if c.slots() > tableFor(m.itemsMax) || int(c.n) > m.itemsMax {
+			t.Fatalf("decoded past the geometry: table %d slots, %d pairs", c.slots(), c.n)
 		}
 		if vs := counters(c); c.dense && c.cw != widthFor(vs) {
 			t.Fatalf("decoded at %d bytes a counter, the counters need %d", c.cw, widthFor(vs))

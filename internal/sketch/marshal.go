@@ -184,31 +184,32 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 		buf = append(buf, formDense)
 		switch c.cw {
 		case 1:
-			return appendCounters(buf, c.c8), nil
+			return appendCounters(buf, countersOf[int8](c)), nil
 		case 2:
-			return appendCounters(buf, c.wide.c16), nil
+			return appendCounters(buf, countersOf[int16](c)), nil
 		default:
-			return appendCounters(buf, c.wide.c64), nil
+			return appendCounters(buf, countersOf[int64](c)), nil
 		}
 	}
 	buf = append(buf, formItems)
 	buf = appendU64(buf, uint64(c.n))
+	t := c.table()
 	if c.cut() {
 		for k := range int(c.n) {
-			x, f := c.pairAt(k)
+			x, f := t.pairAt(k)
 			buf = appendI64(appendU64(buf, x), f)
 		}
 		return buf, nil
 	}
 	xs := m.keyScratch[:0]
-	for k := range c.slots() {
-		if x, f := c.pairAt(k); f != 0 {
+	for k := range t.slots() {
+		if x, f := t.pairAt(k); f != 0 {
 			xs = append(xs, x)
 		}
 	}
 	slices.Sort(xs)
 	for _, x := range xs {
-		_, f := c.probe(x)
+		_, f := t.probe(x)
 		buf = appendI64(appendU64(buf, x), f)
 	}
 	m.keyScratch = xs
@@ -277,8 +278,9 @@ func (c *CountSketch) readItems(rest []byte) ([]byte, error) {
 		return nil, ErrBadEncoding
 	}
 	if n > 0 {
-		c.retable(tableFor(int(n)), slot4)
+		c.retable(tableFor(int(n)), slot4, true) // from Reset: no table to hand back
 	}
+	t := c.table()
 	var prev uint64
 	for ; n > 0; n-- {
 		var x uint64
@@ -292,8 +294,8 @@ func (c *CountSketch) readItems(rest []byte) ([]byte, error) {
 		if f == 0 || (c.n > 0 && x <= prev) {
 			return nil, ErrBadEncoding
 		}
-		j, _ := c.probe(x)
-		c.store(j, x, f)
+		j, _ := t.probe(x)
+		t = c.store(t, j, x, f)
 		c.n++
 		c.moveF2(0, f)
 		prev = x

@@ -143,8 +143,8 @@ func TestCountSketchIncrementalEstimateMatchesRecompute(t *testing.T) {
 		for _, c := range counters(s)[i*m.width : (i+1)*m.width] {
 			f2 += float64(c) * float64(c)
 		}
-		if math.Abs(f2-s.rowF2[i]) > 1e-6*math.Abs(f2) {
-			t.Fatalf("row %d incremental F2 %v, recomputed %v", i, s.rowF2[i], f2)
+		if math.Abs(f2-s.rowF2()[i]) > 1e-6*math.Abs(f2) {
+			t.Fatalf("row %d incremental F2 %v, recomputed %v", i, s.rowF2()[i], f2)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package sketch
 
+import "unsafe"
+
 // The loops over a dense CountSketch's counters, written once over the three
 // widths a counter is stored at. Values cross these functions as int64: a
 // store checks that the value survives the narrowing (int64(T(v)) == v, which
@@ -83,11 +85,11 @@ func addInto[T, U ctr](dst []T, src []U, from int) int {
 func addFrom[T ctr](dst []T, o *CountSketch, from int) int {
 	switch o.cw {
 	case 1:
-		return addInto(dst, o.c8, from)
+		return addInto(dst, countersOf[int8](o), from)
 	case 2:
-		return addInto(dst, o.wide.c16, from)
+		return addInto(dst, countersOf[int16](o), from)
 	default:
-		return addInto(dst, o.wide.c64, from)
+		return addInto(dst, countersOf[int64](o), from)
 	}
 }
 
@@ -104,12 +106,11 @@ func sumRows[T ctr](data []T, rowF2 []float64) {
 	}
 }
 
-// widened copies src into the zeroed, wider dst and returns it.
-func widened[T, U ctr](dst []T, src []U) []T {
+// widened copies src into the zeroed, wider dst.
+func widened[T, U ctr](dst []T, src []U) {
 	for j, v := range src {
 		dst[j] = T(v)
 	}
-	return dst
 }
 
 // appendCounters appends every counter in index order as a varint.
@@ -120,52 +121,37 @@ func appendCounters[T ctr](buf []byte, data []T) []byte {
 	return buf
 }
 
-// release hands the array cw names back to the arena, zeroed, leaving the
-// sketch without one.
-func (c *CountSketch) release() {
-	a := c.maker.arena
-	switch c.cw {
-	case 1:
-		putArray(a, c.c8)
-		c.c8 = nil
-	case 2:
-		putArray(a, c.wide.c16)
-		c.wide.c16 = nil
-	case 8:
-		putArray(a, c.wide.c64)
-		c.wide.c64 = nil
-	}
-	c.cw = 0
-}
-
-// widen moves a dense sketch's counters to an array of the next stored
-// width, the first time into a new wideCounters, and hands back the one they
-// leave.
+// widen moves a dense sketch to a block of the next stored width — its row
+// sums copied, its counters widened — and hands back the one it leaves. At
+// int64 there is no next width, and nothing to do.
 func (c *CountSketch) widen() {
 	m := c.maker
+	var p unsafe.Pointer
+	var cw uint8
 	switch c.cw {
 	case 1:
-		c.wide = new(wideCounters)
-		m.headers += wideCountersBytes
-		wider := widened(takeArray[int16](m.arena, len(c.c8)), c.c8)
-		c.release()
-		c.wide.c16, c.cw = wider, 2
+		p, cw = m.arena.take(m.denseBytes(2)), 2
+		widened(countersAt[int16](m, p), countersOf[int8](c))
 	case 2:
-		wider := widened(takeArray[int64](m.arena, len(c.wide.c16)), c.wide.c16)
-		c.release()
-		c.wide.c64, c.cw = wider, 8
+		p, cw = m.arena.take(m.denseBytes(8)), 8
+		widened(countersAt[int64](m, p), countersOf[int16](c))
+	default:
+		return
 	}
+	copy(unsafe.Slice((*float64)(p), m.depth), c.rowF2())
+	m.arena.putZeroed(c.p, m.denseBytes(c.cw))
+	c.p, c.cw = p, cw
 }
 
 // at returns dense counter j.
 func (c *CountSketch) at(j int) int64 {
 	switch c.cw {
 	case 1:
-		return int64(c.c8[j])
+		return int64(countersOf[int8](c)[j])
 	case 2:
-		return int64(c.wide.c16[j])
+		return int64(countersOf[int16](c)[j])
 	default:
-		return c.wide.c64[j]
+		return countersOf[int64](c)[j]
 	}
 }
 
@@ -176,10 +162,10 @@ func (c *CountSketch) put(j int, v int64) {
 	}
 	switch c.cw {
 	case 1:
-		c.c8[j] = int8(v)
+		countersOf[int8](c)[j] = int8(v)
 	case 2:
-		c.wide.c16[j] = int16(v)
+		countersOf[int16](c)[j] = int16(v)
 	default:
-		c.wide.c64[j] = v
+		countersOf[int64](c)[j] = v
 	}
 }

@@ -44,11 +44,20 @@ func rungFor(x uint64, f int64) uint8 {
 func needsRung(c *CountSketch) uint8 {
 	rung := uint8(slot4)
 	for k := range c.slots() {
-		if x, f := c.pairAt(k); f != 0 {
+		if x, f := c.table().pairAt(k); f != 0 {
 			rung = max(rung, rungFor(x, f))
 		}
 	}
 	return rung
+}
+
+// hiBytes is what the block of a table of that many slots at a rung holds
+// beside them: Σf²'s high word, past the four-byte rung. No slots, no block.
+func hiBytes(rung uint8, slots int) int {
+	if rung > slot4 && slots > 0 {
+		return 8
+	}
+	return 0
 }
 
 // denseSketch returns an empty sketch of m already in the dense form.
@@ -146,9 +155,9 @@ func TestCountSketchRowSumsSurviveLargeWeights(t *testing.T) {
 				c.AddSlots(slots, w)
 			}
 		}
-		incremental := slices.Clone(c.rowF2)
+		incremental := slices.Clone(c.rowF2())
 		c.sumSquares()
-		for i, want := range c.rowF2 {
+		for i, want := range c.rowF2() {
 			if got := incremental[i]; math.Abs(got-want) > want*1e-12 {
 				t.Fatalf("weight %d: incremental rowF2[%d] = %g, the counters' squares sum to %g", w, i, got, want)
 			}
@@ -215,7 +224,7 @@ func TestCountSketchResetNarrows(t *testing.T) {
 				t.Fatalf("%s: a small pair left %d-byte slots, %d bytes", name, 4<<c.rung, c.Bytes())
 			}
 			c.Add(widener.x, widener.w)
-			if c.rung != widener.rung || c.Bytes() != itemsMinCap*4<<widener.rung {
+			if c.rung != widener.rung || c.Bytes() != itemsMinCap*4<<widener.rung+hiBytes(widener.rung, itemsMinCap) {
 				t.Fatalf("%s: Add(%d,%d) left %d-byte slots, %d bytes", name, widener.x, widener.w, 4<<c.rung, c.Bytes())
 			}
 			c.Add(widener.x, -widener.w) // cancelling the pair does not narrow the table
@@ -266,21 +275,13 @@ func TestCountSketchUnmarshalBoundaryPairs(t *testing.T) {
 
 // TestCountSketchStructSize: a summary holds tens of thousands of sketches,
 // most of them a struct and a small table, so the struct is pinned at the
-// 64-byte size class — its table's words and rung as two fields, n as an int32,
-// so that the four one-byte fields share n's word — and what a dense one adds
-// to it in the 64-byte one too. The headers of the arrays past int8 sit behind
-// a second pointer, in a 48-byte block only a widened sketch holds: the three
-// headers in denseState would make it 96 bytes, 32 more on each of the
-// ≈ 11 150 one-byte arrays of a stream-saturate tenant (≈ 0.36 MB) to save the
-// second pointer on the few that widen.
+// 32-byte size class, which is exactly a slab slot: the maker, one pointer to
+// its arena block — a table, or row sums then counters, whose length the
+// one-byte fields and n say — Σf²'s low word, and n as an int32 sharing a word
+// with the four one-byte fields. Nothing else of a sketch, dense or not, is on
+// the collected heap.
 func TestCountSketchStructSize(t *testing.T) {
-	if size := unsafe.Sizeof(CountSketch{}); size != 64 {
-		t.Fatalf("CountSketch is %d bytes, want 64: the next size class is 80", size)
-	}
-	if size := unsafe.Sizeof(denseState{}); size > 64 {
-		t.Fatalf("denseState is %d bytes; the next size class is 80", size)
-	}
-	if size := unsafe.Sizeof(wideCounters{}); size > 48 {
-		t.Fatalf("wideCounters is %d bytes; the next size class is 64", size)
+	if size := unsafe.Sizeof(CountSketch{}); size != 32 {
+		t.Fatalf("CountSketch is %d bytes, want 32: the next size class is 48", size)
 	}
 }

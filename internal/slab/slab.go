@@ -12,12 +12,12 @@
 package slab
 
 // chunkLen is the records a chunk holds: 255, which is 4 080 bytes of 16-byte
-// tree nodes and 16 320 of 64-byte sketches — at most that much spare in the
+// tree nodes and 8 160 of 32-byte sketches — at most that much spare in the
 // last chunk of a slab, beside the megabytes a tenant's summaries hold. Not
 // 256: a chunk of records holding pointers carries the allocator's 8-byte
-// header, so 256 sketches, 16 392 bytes, would take an 18 KiB size class and
-// leave 2 KiB of every chunk to nobody; 255 fill the 16 KiB class, and 255
-// tree nodes the 4 KiB one. Handles still count 256 to a chunk — the last of
+// header, so 256 sketches, 8 200 bytes, would take the 9 472-byte size class
+// and leave 1 272 bytes of every chunk to nobody; 255 fill the 8 KiB class,
+// and 255 tree nodes the 4 KiB one. Handles still count 256 to a chunk — the last of
 // every 256 is never handed out — so finding a record stays a shift and a
 // mask.
 const (

@@ -43,13 +43,13 @@ func TestSlabReusesAndNeverMoves(t *testing.T) {
 	}
 }
 
-// TestChunkFillsItsSizeClass: a chunk of 64-byte records holding pointers —
-// the bucket sketches' — with the allocator's header is one 16 KiB size class,
+// TestChunkFillsItsSizeClass: a chunk of 32-byte records holding pointers —
+// the bucket sketches' — with the allocator's header is one 8 KiB size class,
 // not the next one up.
 func TestChunkFillsItsSizeClass(t *testing.T) {
 	type record struct {
 		p    *int
-		rest [7]uint64
+		rest [3]uint64
 	}
 	heap := func() uint64 {
 		runtime.GC()
@@ -65,8 +65,8 @@ func TestChunkFillsItsSizeClass(t *testing.T) {
 	}
 	per := (heap() - before) / chunks
 	runtime.KeepAlive(&s)
-	if per < 15<<10 || per > 17<<10 { // 18 KiB with the next class up
-		t.Fatalf("a chunk of %d 64-byte records takes %d bytes of heap, want 16 KiB", chunkLen, per)
+	if per < 15<<9 || per > 17<<9 { // 9 472 bytes with the next class up
+		t.Fatalf("a chunk of %d 32-byte records takes %d bytes of heap, want 8 KiB", chunkLen, per)
 	}
 }
 

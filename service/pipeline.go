@@ -293,6 +293,10 @@ func (s *Server) committer() {
 		s.metrics.queueDepth.Set(int64(len(p.queue)))
 		p.mu.Unlock()
 		s.commitGroup(group)
+		// The jobs are answered: holding them to the next group would pin
+		// their request bodies, which their decode states alias, past the
+		// pool's reach.
+		clear(group)
 	}
 }
 
