@@ -86,8 +86,7 @@ type Stats struct {
 	LastSnapshot     int64   `json:"last_snapshot_unix"`
 	UptimeSeconds    float64 `json:"uptime_seconds"`
 
-	// WAL fields are present when the server runs with -wal-dir.
-	WALEnabled       bool    `json:"wal_enabled,omitempty"`
+	// The server's write-ahead log.
 	WALFsyncs        uint64  `json:"wal_fsyncs,omitempty"`
 	WALSegments      int64   `json:"wal_segments,omitempty"`
 	WALAppendedBytes uint64  `json:"wal_appended_bytes,omitempty"`

@@ -43,7 +43,7 @@ var ErrStreamClosed = errors.New("client: stream closed")
 const DefaultStreamWindow = 128
 
 // Ack is one per-frame outcome from the server: the frame's sequence
-// number, the WAL LSN of the commit group it rode in (0 without a WAL),
+// number, the WAL LSN of the commit group it rode in,
 // and a tupleio.Ack* status byte.
 type Ack struct {
 	Seq    uint64

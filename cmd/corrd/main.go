@@ -9,8 +9,8 @@
 //	      -snapshot /var/lib/corrd/f2.snapshot \
 //	      -wal-dir /var/lib/corrd/wal
 //
-// With -wal-dir set, every acknowledged ingest batch and forwarded site
-// record is appended to a write-ahead log before the HTTP 200; startup restores
+// -wal-dir is required: every acknowledged ingest batch and forwarded site
+// record is appended to the write-ahead log there before the HTTP 200; startup restores
 // the snapshot and replays the log suffix, so a kill -9 loses nothing
 // that was acknowledged: every acknowledgement waits for its group's
 // fsync. Snapshots checkpoint and prune the log. Concurrent ingest requests are group-committed:
@@ -52,8 +52,8 @@
 //	      -wal-dir /var/lib/corrd/site-wal -snapshot /var/lib/corrd/site.snapshot \
 //	      -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 -seed 42
 //
-// -push-to needs -wal-dir: the log is what is forwarded, and the site's
-// checkpoints prune it only as far as every target has confirmed. The
+// The log is what is forwarded, and the site's checkpoints prune it only
+// as far as every target has confirmed. The
 // site id that names the log's LSN space is kept in the WAL directory. A
 // record a target refuses (a tenant cap) holds back the records behind
 // it, and a target whose mark is behind the log's oldest record waits to
@@ -176,14 +176,13 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Int("shards", 1, "ignored: each tenant is one summary; parsed only because benchmarks/corrdbench still passes it, and goes when it stops")
 	fs.DurationVar(&c.QueryMaxStale, "query-max-stale", 0, "serve a memoized query answer up to this old even though the tenant's state moved (0 = only while it has not)")
 
-	fs.StringVar(&c.SnapshotPath, "snapshot", "", "snapshot file path (empty = no durability)")
+	fs.StringVar(&c.SnapshotPath, "snapshot", "", "snapshot file path, the log's checkpoint (empty = no snapshots, and the log is never pruned)")
 	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", 30*time.Second, "time between snapshots")
-	fs.IntVar(&c.SnapshotKeep, "snapshot-keep", 2, "snapshot retention slots (path, path.1, ...); restore falls back past a corrupt newest")
 
-	fs.StringVar(&c.WALDir, "wal-dir", "", "write-ahead log directory (empty = no WAL); with a WAL every acknowledged write survives kill -9")
+	fs.StringVar(&c.WALDir, "wal-dir", "", "write-ahead log directory (required); every acknowledged write is in it first and survives kill -9")
 	fs.Int64Var(&c.WALSegmentBytes, "wal-segment-bytes", 64<<20, "WAL segment rotation threshold")
 
-	fs.StringVar(&c.PushTo, "push-to", "", "comma-separated base URLs of coordinators and standbys; setting it makes this daemon a site that forwards its log to each (requires -wal-dir)")
+	fs.StringVar(&c.PushTo, "push-to", "", "comma-separated base URLs of coordinators and standbys; setting it makes this daemon a site that forwards its log to each")
 
 	fs.BoolVar(&c.Standby, "standby", false, "take the primary's forwards and serve reads, but refuse client writes until promoted")
 	fs.DurationVar(&c.PrimaryTimeout, "primary-timeout", 0, "a standby promotes itself after this long with no forward from its primary, the first site it hears from (0 = promote only on POST /v1/promote)")
@@ -218,8 +217,8 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	if *fsync != "always" {
 		return nil, fmt.Errorf("-wal-fsync %q: interval and off are retired, every acknowledgement waits for its group's fsync; pass always or drop the flag (README \"Upgrading\")", *fsync)
 	}
-	if c.PushTo != "" && c.WALDir == "" {
-		return nil, errors.New("-push-to requires -wal-dir: a site forwards its log")
+	if c.WALDir == "" {
+		return nil, errors.New("-wal-dir is required: every acknowledged write is in the log first")
 	}
 	return &o, nil
 }

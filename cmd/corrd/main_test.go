@@ -33,11 +33,12 @@ func TestParseFlags(t *testing.T) {
 	}{
 		{
 			name: "defaults", role: "coordinator",
+			args: []string{"-wal-dir", "/tmp/w"},
 			check: func(t *testing.T, o *options) {
 				c := o.svc
 				if c.Aggregate != "f2" || c.Options.Predicate != correlated.Both || c.Options.Eps != 0.15 ||
-					c.Options.YMax != 1<<20-1 ||
-					c.IngestQueueMax != 4096 || c.QueryMaxStale != 0 || c.WALDir != "" || c.FS != nil {
+					c.Options.YMax != 1<<20-1 || c.SnapshotPath != "" ||
+					c.IngestQueueMax != 4096 || c.QueryMaxStale != 0 || c.WALDir != "/tmp/w" || c.FS != nil {
 					t.Fatalf("default config: %+v", c)
 				}
 				if o.addr != ":7070" || o.streamAddr != "" || o.debugAddr != "" {
@@ -89,7 +90,9 @@ func TestParseFlags(t *testing.T) {
 		{name: "http timeouts are gone", args: []string{"-http-idle-timeout", "1m"}, wantErr: "flag provided but not defined: -http-idle-timeout"},
 		{name: "unknown predicate", args: []string{"-pred", "sideways"}, wantErr: `bad -pred "sideways"`},
 		{name: "unknown flag", args: []string{"-shard", "2"}, wantErr: "flag provided but not defined"},
-		{name: "site without a log", args: []string{"-push-to", "http://coordinator:7070"}, wantErr: "-push-to requires -wal-dir"},
+		{name: "no log", wantErr: "-wal-dir is required"},
+		{name: "site without a log", args: []string{"-push-to", "http://coordinator:7070"}, wantErr: "-wal-dir is required"},
+		{name: "snapshot keep is gone", args: []string{"-wal-dir", "/tmp/w", "-snapshot-keep", "3"}, wantErr: "flag provided but not defined: -snapshot-keep"},
 		{name: "push interval is gone", args: []string{"-push-to", "http://c:7070", "-wal-dir", "/tmp/site", "-push-interval", "1s"}, wantErr: "flag provided but not defined: -push-interval"},
 		{name: "bad duration", args: []string{"-query-max-stale", "soon"}, wantErr: "invalid value"},
 		{name: "interval fsync is retired", args: []string{"-wal-fsync", "interval"}, wantErr: `-wal-fsync "interval": interval and off are retired`},
@@ -132,7 +135,7 @@ func TestShardsAndMaxStaleMeaning(t *testing.T) {
 		}
 	}
 
-	args := []string{"-query-max-stale", "1h", "-ymax", "65535", "-maxn", "1048576", "-alpha", "512"}
+	args := []string{"-query-max-stale", "1h", "-ymax", "65535", "-maxn", "1048576", "-alpha", "512", "-wal-dir", t.TempDir()}
 	o, err := parseFlags(append([]string{"-shards", "4"}, args...), &usage)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +225,6 @@ var flagReaders = map[string]struct{ file, field string }{
 	"slow-request":      {"service/accesslog_test.go", "SlowRequest"},
 	"snapshot":          {"service/service_test.go", "SnapshotPath"},
 	"snapshot-interval": {"service/service_test.go", "SnapshotInterval"},
-	"snapshot-keep":     {"service/service_test.go", "SnapshotKeep"},
 	"standby":           {"service/replication_test.go", "Standby"},
 	"stream-addr":       {"benchmarks/corrdbench/server.go", ""},
 	"tenant-idle-spill": {"service/tenant_test.go", "TenantIdleSpill"},

@@ -121,8 +121,8 @@
 //	                                            under the daemon: log-before-ack,
 //	                                            one keyed record per commit group
 //	                                            (seven record types behind one
-//	                                            versioned segment header), fsync
-//	                                            policies, torn-tail recovery,
+//	                                            versioned segment header), one
+//	                                            fsync a group, torn-tail recovery,
 //	                                            checkpoint pruning — restart
 //	                                            replays to crash-exact state,
 //	                                            concurrent ingest included
@@ -138,7 +138,7 @@
 //	                                            AckBusy with EWMA-priced
 //	                                            Retry-After), snapshot retention
 //	                                            with corrupt-newest fallback
-//	                                            (-snapshot-keep), and the fault-
+//	                                            (two generations), and the fault-
 //	                                            injection harness behind it all:
 //	                                            an error-plan DSL over a swappable
 //	                                            filesystem (corrd -fault-plan,

@@ -55,7 +55,10 @@ func main() {
 	// ---- Coordinator ----------------------------------------------------
 	// The handler counts the bytes the sites forward to it.
 	snap := filepath.Join(dir, "coordinator.snapshot")
-	coord, err := service.New(service.Config{Options: opts, SnapshotPath: snap, SnapshotInterval: time.Hour})
+	coord, err := service.New(service.Config{
+		Options: opts, SnapshotPath: snap, SnapshotInterval: time.Hour,
+		WALDir: filepath.Join(dir, "coordinator"),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,11 +151,13 @@ func main() {
 	}
 
 	// ---- Durability: snapshot, restore into a fresh server ---------------
+	// The fresh server starts on the snapshot with an empty log of its own.
 	if err := coord.Snapshot(); err != nil {
 		log.Fatal(err)
 	}
 	restoredSvc, err := service.New(service.Config{
 		Options: opts, SnapshotPath: snap, SnapshotInterval: time.Hour,
+		WALDir: filepath.Join(dir, "restored"),
 	})
 	if err != nil {
 		log.Fatal(err)

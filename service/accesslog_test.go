@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/streamagg/correlated/internal/wal"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer for test log sinks.
@@ -97,7 +99,7 @@ func TestAccessLogOverflowAndOutput(t *testing.T) {
 		t.Fatalf("written %d + dropped %d != 200 records", written, dropped.Load())
 	}
 	var exp strings.Builder
-	m.write(&exp, tenantStats{}, nil, &health{})
+	m.write(&exp, tenantStats{}, wal.Stats{}, &health{})
 	if v := metricValue(t, exp.String(), "corrd_access_log_dropped_total"); v != float64(dropped.Load()) {
 		t.Fatalf("corrd_access_log_dropped_total %v, the ring dropped %d", v, dropped.Load())
 	}

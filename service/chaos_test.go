@@ -759,6 +759,53 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	}
 }
 
+// TestSnapshotFallbackAfterPrune: a checkpoint prunes the log only up to
+// the coverage of the snapshot its rotation moved to path.1, so when the
+// newest snapshot is corrupt the fallback still finds its whole log suffix
+// once the log has rotated — here every record seals its own segment — and
+// the restart holds every acknowledged write. Pruned to the newest's
+// coverage, the log started past what path.1 covers and startup failed.
+func TestSnapshotFallbackAfterPrune(t *testing.T) {
+	cfg := walConfig(t)
+	cfg.WALSegmentBytes = 1
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 6; i++ {
+		if err := svc.commit(ingestOf("", testStream(100, i))); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 || i == 3 {
+			if err := svc.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := tenantBytes(t, svc, "")
+	crash(nil, svc)
+	if oldest := svc.wal.OldestLSN(); oldest == 1 {
+		t.Fatal("the second checkpoint pruned nothing")
+	}
+	data, err := os.ReadFile(cfg.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0xff
+	if err := os.WriteFile(cfg.SnapshotPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart on the fallback snapshot: %v", err)
+	}
+	defer svc2.Close()
+	if got := tenantBytes(t, svc2, ""); !svc2.snapFellBack || svc2.Engine().Count() != 600 || !bytes.Equal(got, want) {
+		t.Fatalf("the fallback restart (fell back %t) holds %d of the 600 acknowledged tuples", svc2.snapFellBack, svc2.Engine().Count())
+	}
+}
+
 // TestChaosDegradedPrimaryReplication: a primary whose disk breaks
 // degrades without poisoning its standby. The nacked (rewound) records
 // never reach it — the followable frontier, all a forwarder reads, freezes
@@ -784,7 +831,7 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 	if err := acme.AddBatch(ctx, testStream(600, 2)); err != nil {
 		t.Fatal(err)
 	}
-	acked := svc.walRef().LastLSN()
+	acked := svc.wal.LastLSN()
 	caughtUp(t, "the standby before the fault", svc)
 
 	// Break every fsync: ingests fail until the primary trips degraded.
@@ -798,7 +845,7 @@ func TestChaosDegradedPrimaryReplication(t *testing.T) {
 	if !svc.healthDegraded() {
 		t.Fatalf("primary did not degrade after repeated wal failures (last: %v)", lastErr)
 	}
-	if got := svc.walRef().FollowableLSN(); got != acked {
+	if got := svc.wal.FollowableLSN(); got != acked {
 		t.Fatalf("degraded primary's followable frontier moved: %d, want %d (nacked records must not be forwarded)", got, acked)
 	}
 	if got := svc.fwds[0].acked.Load(); got != acked {
@@ -931,12 +978,12 @@ func TestChaosConcurrentWriters(t *testing.T) {
 		}
 		// What the log alone holds: every retained record, applied to an
 		// empty server (nothing is pruned — no segment ever seals here).
-		logOnly, err := New(Config{Options: o})
+		logOnly, err := New(Config{Options: o, WALDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := &replayState{fallback: true} // the markers are not this server's: no staleness witness
-		err = svc2.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+		err = svc2.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 			_, aerr := logOnly.applyRecord(lsn, typ, payload, st)
 			return aerr
 		})

@@ -351,12 +351,12 @@ type recordEnd struct {
 // newForwarders makes one forwarder for each comma-separated target of
 // Config.PushTo, under the site id kept beside the log — minted and kept
 // when there is none or the log holds no record yet. An id is not minted
-// on state restored from a snapshot that covers LSN 0, one written with no
-// log: that state is in no record, so no target's mark could show it
-// lacks it. An id file that does not parse is refused, not replaced: a new
+// on state restored from a snapshot that covers LSN 0, one an earlier
+// release wrote with no log: that state is in no record, so no target's
+// mark could show it lacks it. An id file that does not parse is refused, not replaced: a new
 // id would send the log again. run starts a forwarder.
 func (s *Server) newForwarders(covered uint64) ([]*forwarder, error) {
-	w, path := s.walRef(), filepath.Join(s.cfg.WALDir, siteIDFile)
+	w, path := s.wal, filepath.Join(s.cfg.WALDir, siteIDFile)
 	var site uint64
 	b, err := s.fs.ReadFile(path)
 	switch {

@@ -6,6 +6,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -163,10 +165,12 @@ func TestForwardExactlyOnce(t *testing.T) {
 	rig.down.Store(true)
 	rig.ingest("", 12, 100, 1)
 	rig.ingest("a", 4, 150, 10)
-	if err := rig.site.Snapshot(); err != nil {
+	// The second snapshot would prune to the first's coverage but for the
+	// mark.
+	if err := cmp.Or(rig.site.Snapshot(), rig.site.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if w := rig.site.walRef(); w.OldestLSN() != 1 {
+	if w := rig.site.wal; w.OldestLSN() != 1 {
 		t.Fatalf("with nothing forwarded the site pruned to LSN %d", w.OldestLSN())
 	}
 	rig.down.Store(false)
@@ -174,7 +178,7 @@ func TestForwardExactlyOnce(t *testing.T) {
 	if err := rig.site.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if w := rig.site.walRef(); w.OldestLSN() == 1 {
+	if w := rig.site.wal; w.OldestLSN() == 1 {
 		t.Fatal("the site pruned nothing its coordinator had confirmed")
 	}
 
@@ -236,7 +240,7 @@ func TestForwardExactlyOnce(t *testing.T) {
 	// site's records nested in the coordinator's, and their marks with them.
 	t.Cleanup(func() { coord.Close() })
 	rig.onNextForward(func() {
-		for deadline := time.Now().Add(10 * time.Second); coord.fwds[0].acked.Load() < coord.walRef().LastLSN() && time.Now().Before(deadline); {
+		for deadline := time.Now().Add(10 * time.Second); coord.fwds[0].acked.Load() < coord.wal.LastLSN() && time.Now().Before(deadline); {
 			time.Sleep(5 * time.Millisecond)
 		}
 		if err := standby.Promote(); err != nil {
@@ -258,12 +262,8 @@ func TestForwardExactlyOnce(t *testing.T) {
 // once; a forward is admitted up to the record the cap refuses, its answer's
 // mark says where to send from again, and from there the refusal names that
 // record and its tenant; a forward at or below the mark is answered with the
-// mark; a forward in another log format is refused by name. (And a site
-// needs a log.)
+// mark; a forward in another log format is refused by name.
 func TestForwardAdmissionAndDuplicates(t *testing.T) {
-	if _, err := New(Config{Options: testOptions(), PushTo: "http://127.0.0.1:1"}); err == nil {
-		t.Fatal("a site without a WALDir was built")
-	}
 	coord, ts, _ := newTestServer(t, Config{Options: testOptions(), MaxTenants: 2})
 	// body is a forward of records first, first+1, …, each writing 20
 	// tuples to each tenant its string names, one letter a tenant.
@@ -312,12 +312,13 @@ func TestForwardAdmissionAndDuplicates(t *testing.T) {
 // here one that would make a tenant past its MaxTenants, holds back the
 // records behind it, and the site says so: /v1/stats names the record, the
 // tenant and how far the coordinator has confirmed, the refused series counts
-// it, and the site's checkpoint keeps the log from there on.
+// it, and the site's checkpoint keeps the log from there on. It arrives
+// behind a record the coordinator takes, in one forward.
 func TestForwardRefusalIsReported(t *testing.T) {
 	was := forwardPause
 	forwardPause = 20 * time.Millisecond
 	t.Cleanup(func() { forwardPause = was })
-	coord, err := New(Config{Options: testOptions(), MaxTenants: 2})
+	coord, err := New(Config{Options: testOptions(), WALDir: t.TempDir(), MaxTenants: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,9 +327,14 @@ func TestForwardRefusalIsReported(t *testing.T) {
 	rig := newForwardRig(t, coord, siteCfg)
 	rig.ingest("a", 4, 100, 1)
 	rig.settle("below the cap")
-	rig.ingest("b", 1, 100, 5)
-	refused := rig.site.walRef().LastLSN()
-	rig.ingest("a", 4, 100, 6)
+	// One forward carries a record the coordinator takes ahead of the one
+	// it refuses: it admits that prefix, and the site follows from its mark.
+	rig.down.Store(true)
+	rig.ingest("a", 1, 100, 5)
+	rig.ingest("b", 1, 100, 6)
+	refused := rig.site.wal.LastLSN()
+	rig.ingest("a", 4, 100, 7)
+	rig.down.Store(false)
 	var st client.Stats
 	waitUntil(t, 10*time.Second, "the site to report the refusal", func() bool {
 		st, err = client.New(rig.siteTS.URL).Stats(context.Background())
@@ -337,10 +343,12 @@ func TestForwardRefusalIsReported(t *testing.T) {
 	if want := fmt.Sprintf(`record %d, tenant "b"`, refused); !strings.Contains(st.ForwardStalled, want) || st.ForwardAckedLSN != refused-1 || rig.site.metrics.siteForwardsRefused.Load() == 0 {
 		t.Fatalf("the site reports %q, confirmed to LSN %d, %d refusals; want %s, LSN %d, at least one", st.ForwardStalled, st.ForwardAckedLSN, rig.site.metrics.siteForwardsRefused.Load(), want, refused-1)
 	}
-	if err := rig.site.Snapshot(); err != nil {
+	// The second checkpoint would prune to the first's coverage but for
+	// the mark.
+	if err := cmp.Or(rig.site.Snapshot(), rig.site.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if oldest := rig.site.walRef().OldestLSN(); oldest > refused {
+	if oldest := rig.site.wal.OldestLSN(); oldest > refused {
 		t.Fatalf("the site pruned its log to LSN %d, past the refused record %d", oldest, refused)
 	}
 }
@@ -353,7 +361,7 @@ func TestForwardSplitsForASmallBodyCap(t *testing.T) {
 	was := forwardPause
 	forwardPause = 20 * time.Millisecond
 	t.Cleanup(func() { forwardPause = was })
-	coord, err := New(Config{Options: testOptions(), MaxBodyBytes: 64 << 10})
+	coord, err := New(Config{Options: testOptions(), WALDir: t.TempDir(), MaxBodyBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +429,8 @@ func TestForwardTupleCap(t *testing.T) {
 
 // TestSiteRefusesUnsentState: a server with no site id yet whose state its
 // log does not hold would never send that state under a new id. On a
-// snapshot written with no log, New refuses by name. On a log a checkpoint
+// snapshot that covers LSN 0 — one an earlier release wrote with no log —
+// New refuses by name. On a log a checkpoint
 // pruned, it forwards nothing: /v1/stats names the coordinator's mark
 // behind the log's oldest record and the way out, until the coordinator is
 // started on a copy of the site's snapshot, which carries the new id's mark
@@ -430,18 +439,27 @@ func TestSiteRefusesUnsentState(t *testing.T) {
 	was := forwardPause
 	forwardPause = 20 * time.Millisecond
 	t.Cleanup(func() { forwardPause = was })
-	// A snapshot written with no log covers LSN 0: its state is in no
-	// record, and a new log starts at LSN 1, so no mark could show it.
-	bare := walConfig(t)
-	bare.WALDir = ""
-	svc := mustNew(t, bare)
-	if err := cmp.Or(svc.commit(ingestOf("", testStream(100, 1))), svc.Close()); err != nil {
+	// A snapshot that covers LSN 0 holds state in no record, and a new log
+	// starts at LSN 1, so no mark could show it.
+	eng, err := newEngine(&Config{Options: testOptions()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	bare.WALDir, bare.PushTo = t.TempDir(), "http://127.0.0.1:1"
+	if err := eng.AddBatch(testStream(100, 1)); err != nil {
+		t.Fatal(err)
+	}
+	img, err := eng.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := walConfig(t)
+	bare.PushTo = "http://127.0.0.1:1"
+	if err := os.WriteFile(bare.SnapshotPath, encodeSnapshot(0, []tenantImage{{image: img}}, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if svc, err := New(bare); err == nil {
 		svc.Close()
-		t.Fatal("a site minted an id on a snapshot written with no log")
+		t.Fatal("a site minted an id on a snapshot that covers LSN 0")
 	} else if !strings.Contains(err.Error(), "the restored snapshot covers LSN 0") {
 		t.Fatal(err)
 	}
@@ -460,7 +478,7 @@ func TestSiteRefusesUnsentState(t *testing.T) {
 	if err := cmp.Or(svc.Snapshot(), svc.Close()); err != nil {
 		t.Fatal(err)
 	}
-	coord, err := New(Config{Options: testOptions()})
+	coord, err := New(Config{Options: testOptions(), WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +500,7 @@ func TestSiteRefusesUnsentState(t *testing.T) {
 	if err = cmp.Or(err, os.WriteFile(copied, data, 0o644)); err != nil {
 		t.Fatal(err)
 	}
-	boot, err := New(Config{Options: testOptions(), SnapshotPath: copied})
+	boot, err := New(Config{Options: testOptions(), SnapshotPath: copied, WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,6 +558,121 @@ func TestForwardTwoPathsApplyOnce(t *testing.T) {
 	rig.settle("after a restart replayed the log")
 }
 
+// TestForwardFollowsAMarkThatMoves: a coordinator restarted on an older
+// copy of its snapshot and log — with every server logging, the one way a
+// mark goes backwards — answers its site a mark short of what the site had
+// confirmed, and the site follows again from that mark: it sends what the
+// copy lacks, and the coordinator ends byte-identical to the site. The
+// coordinator forwards to a standby of its own, whose mark is now past the
+// copy's log: the coordinator follows from there and logs it once. Last, an
+// answer short of a forward's first record — a copy of it whose append
+// failed ahead of it — has the site send the records again.
+func TestForwardFollowsAMarkThatMoves(t *testing.T) {
+	was := forwardPause
+	forwardPause = 20 * time.Millisecond
+	t.Cleanup(func() { forwardPause = was })
+	_, standbyTS := newStandby(t, testOptions(), nil)
+	coordCfg := walConfig(t)
+	coordCfg.PushTo = standbyTS.URL
+	coord, err := New(coordCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newForwardRig(t, coord, walConfig(t))
+	rig.ingest("", 3, 100, 1)
+	rig.ingest("a", 2, 100, 10)
+	rig.settle("before the copy")
+	caughtUp(t, "the coordinator", coord)
+
+	// The copy: the coordinator's snapshot and log as a clean stop left them.
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	older := coordCfg
+	older.SnapshotPath, older.WALDir = copyState(t, coordCfg)
+	if coord, err = New(coordCfg); err != nil {
+		t.Fatal(err)
+	}
+	rig.coord.Store(coord)
+	rig.ingest("", 4, 100, 20)
+	rig.ingest("b", 2, 100, 30)
+	rig.settle("past the copy")
+	caughtUp(t, "the coordinator", coord)
+
+	// The site is idle at the frontier: its next empty forward reads the
+	// copy's mark.
+	crash(nil, coord)
+	var logged syncBuffer
+	older.Logger = log.New(&logged, "", 0)
+	if coord, err = New(older); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	rig.coord.Store(coord)
+	waitUntil(t, 10*time.Second, "the site to send the copy what it lacks", func() bool {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return coord.marks[rig.site.fwds[0].site] == rig.site.wal.LastLSN()
+	})
+	rig.settle("on the older copy")
+	const ahead = "past this log's end"
+	waitUntil(t, 10*time.Second, "the coordinator to follow from its standby's mark", func() bool {
+		return strings.Contains(logged.String(), ahead)
+	})
+
+	var stale func(http.ResponseWriter, *http.Request)
+	answered := make(chan struct{})
+	stale = func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength == 0 {
+			rig.fault.Store(&stale) // an empty forward: wait for one of records
+		} else {
+			io.Copy(io.Discard, r.Body)
+			r = r.Clone(r.Context())
+			r.Body, r.ContentLength = http.NoBody, 0 // the mark, nothing applied
+			defer close(answered)
+		}
+		rig.coord.Load().Handler().ServeHTTP(w, r)
+	}
+	rig.fault.Store(&stale)
+	failed := rig.site.metrics.siteForwardsFailed.Load()
+	rig.ingest("a", 2, 100, 40)
+	select {
+	case <-answered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no forward of records reached the target")
+	}
+	rig.settle("after an answer short of the forward")
+	if rig.site.metrics.siteForwardsFailed.Load() == failed {
+		t.Fatal("the site counted no failed forward for an answer short of its first record")
+	}
+	if n := strings.Count(logged.String(), ahead); n != 1 {
+		t.Fatalf("the coordinator logged a mark %s %d times, want once:\n%s", ahead, n, logged.String())
+	}
+}
+
+// copyState copies a server's snapshot and log directory and returns the
+// copies' paths.
+func copyState(t *testing.T, cfg Config) (snapshot, walDir string) {
+	t.Helper()
+	dir := t.TempDir()
+	snapshot, walDir = filepath.Join(dir, "corrd.snapshot"), filepath.Join(dir, "wal")
+	data, err := os.ReadFile(cfg.SnapshotPath)
+	if err = cmp.Or(err, os.WriteFile(snapshot, data, 0o644), os.Mkdir(walDir, 0o755)); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(cfg.WALDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(cfg.WALDir, e.Name()))
+		if err = cmp.Or(err, os.WriteFile(filepath.Join(walDir, e.Name()), data, 0o644)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return snapshot, walDir
+}
+
 // TestSiteFailsOverToItsStandby: a site forwards to its coordinator and to
 // its standby, which forwards onward to the coordinator as well. The site is
 // killed mid-ingest with the coordinator out of its reach, the standby is
@@ -561,7 +694,7 @@ func TestSiteFailsOverToItsStandby(t *testing.T) {
 	rig.settle("with every path up")
 
 	rig.down.Store(true)
-	last := rig.site.walRef().LastLSN()
+	last := rig.site.wal.LastLSN()
 	ingested := make(chan int)
 	go func() {
 		n, cl := 0, client.New(rig.siteTS.URL, client.WithRetries(0))
@@ -570,7 +703,7 @@ func TestSiteFailsOverToItsStandby(t *testing.T) {
 		}
 		ingested <- n
 	}()
-	waitUntil(t, 10*time.Second, "the site to acknowledge more", func() bool { return rig.site.walRef().LastLSN() >= last+5 })
+	waitUntil(t, 10*time.Second, "the site to acknowledge more", func() bool { return rig.site.wal.LastLSN() >= last+5 })
 	crash(rig.siteTS, rig.site)
 	rig.acked[""] += <-ingested
 	// The kill can cut the answer to a write it logged: the site's state,
@@ -606,7 +739,7 @@ func caughtUp(t *testing.T, when string, svc *Server) {
 	t.Helper()
 	waitUntil(t, 20*time.Second, when+": the forwarders catching up", func() bool {
 		for _, f := range svc.fwds {
-			if f.acked.Load() < svc.walRef().LastLSN() {
+			if f.acked.Load() < svc.wal.LastLSN() {
 				return false
 			}
 		}

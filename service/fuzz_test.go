@@ -88,7 +88,7 @@ func FuzzDecodeIngest(f *testing.F) {
 func FuzzDecodeSnapshot(f *testing.F) {
 	// A live three-tenant snapshot, one of them spilled, with two sites'
 	// marks: one from a forward, and one as large as a mark can be.
-	svc, err := New(Config{Options: testOptions()})
+	svc, err := New(Config{Options: testOptions(), WALDir: f.TempDir()})
 	if err != nil {
 		f.Fatal(err)
 	}

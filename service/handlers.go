@@ -14,7 +14,6 @@ import (
 	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/fault"
 	"github.com/streamagg/correlated/internal/tupleio"
-	"github.com/streamagg/correlated/internal/wal"
 )
 
 // routes wires the HTTP surface. Method-qualified patterns (Go 1.22
@@ -537,16 +536,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.TenantSpills = tn.spills.Load()
 		st.TenantRestores = tn.restores.Load()
 	}
-	if wl := s.walRef(); wl != nil {
-		ws := wl.Stats()
-		st.WALEnabled = true
-		st.WALFsyncs = ws.Fsyncs
-		st.WALSegments = ws.Segments
-		st.WALAppendedBytes = ws.AppendedBytes
-		st.WALLastLSN = ws.LastLSN
-		st.WALReplayRecords = s.walReplayed
-		st.WALReplaySeconds = s.metrics.walReplaySeconds.Load()
-	}
+	ws := s.wal.Stats()
+	st.WALFsyncs = ws.Fsyncs
+	st.WALSegments = ws.Segments
+	st.WALAppendedBytes = ws.AppendedBytes
+	st.WALLastLSN = ws.LastLSN
+	st.WALReplayRecords = s.walReplayed
+	st.WALReplaySeconds = s.metrics.walReplaySeconds.Load()
 	var stalled []string
 	for i, f := range s.fwds {
 		if acked := f.acked.Load(); i == 0 || acked < st.ForwardAckedLSN {
@@ -608,11 +604,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var ts tenantStats
 	ts.total, ts.live = s.tenantCounts()
 	ts.bytes = s.tenantBytes.Load()
-	var ws *wal.Stats
-	if wl := s.walRef(); wl != nil {
-		snap := wl.Stats()
-		ws = &snap
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, ts, ws, &s.health)
+	s.metrics.write(w, ts, s.wal.Stats(), &s.health)
 }

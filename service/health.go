@@ -180,7 +180,7 @@ func (s *Server) recoverNow() error {
 	if lsn := h.lost.Load(); lsn != 0 {
 		return fail(fmt.Errorf("the state lacks logged record %d: %w", lsn, errStateBehindLog))
 	}
-	if err := s.commit(&ingestJob{op: opProbe}); err != nil { // no-op without a WAL
+	if err := s.commit(&ingestJob{op: opProbe}); err != nil {
 		return fail(fmt.Errorf("wal probe: %w", err))
 	}
 	if h.snapBroken.Load() && s.cfg.SnapshotPath != "" {

@@ -253,10 +253,9 @@ func writeHistogram(w io.Writer, name, labels string, h *histogram) {
 	fmt.Fprintf(w, "%s_count%s %d\n", name, plain, h.count.Load())
 }
 
-// write renders the Prometheus text exposition format. ws is nil when
-// the server runs without a WAL; h is the server's health machine, read
-// as it stands.
-func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, h *health) {
+// write renders the Prometheus text exposition format. ws is the log's
+// counts; h is the server's health machine, read as it stands.
+func (m *metrics) write(w io.Writer, ts tenantStats, ws wal.Stats, h *health) {
 	c := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -303,22 +302,20 @@ func (m *metrics) write(w io.Writer, ts tenantStats, ws *wal.Stats, h *health) {
 
 	c("corrd_replica_promotions_total", "Standby promotions (POST /v1/promote, or on primary silence).", m.promotions.Load())
 
-	if ws != nil {
-		g("corrd_wal_segments", "WAL segment files on disk.", ws.Segments)
-		c("corrd_wal_appends_total", "Records appended to the WAL this process.", ws.Appends)
-		c("corrd_wal_appended_bytes_total", "Frame bytes appended to the WAL this process.", ws.AppendedBytes)
-		c("corrd_wal_checkpoints_total", "Checkpoint markers written after snapshots.", ws.Checkpoints)
-		c("corrd_wal_pruned_segments_total", "Sealed WAL segments deleted by checkpoints.", ws.PrunedSegments)
-		g("corrd_wal_last_lsn", "LSN of the most recently appended WAL record.", int64(ws.LastLSN))
-		c("corrd_wal_append_errors_total", "Writes refused because their WAL append or their group's fsync failed; none was applied.", m.walAppendErrors.Load())
-		g("corrd_wal_replay_records", "State records replayed from the WAL at the last startup.", m.walReplayRecords.Load())
-		fmt.Fprintf(w, "# HELP corrd_wal_replay_duration_seconds Wall-clock duration of the startup WAL replay.\n")
-		fmt.Fprintf(w, "# TYPE corrd_wal_replay_duration_seconds gauge\n")
-		fmt.Fprintf(w, "corrd_wal_replay_duration_seconds %g\n", m.walReplaySeconds.Load())
-		fmt.Fprintf(w, "# HELP corrd_wal_fsync_duration_seconds WAL fsync latency on the ack path.\n")
-		fmt.Fprintf(w, "# TYPE corrd_wal_fsync_duration_seconds histogram\n")
-		writeHistogram(w, "corrd_wal_fsync_duration_seconds", "", m.walFsync)
-	}
+	g("corrd_wal_segments", "WAL segment files on disk.", ws.Segments)
+	c("corrd_wal_appends_total", "Records appended to the WAL this process.", ws.Appends)
+	c("corrd_wal_appended_bytes_total", "Frame bytes appended to the WAL this process.", ws.AppendedBytes)
+	c("corrd_wal_checkpoints_total", "Checkpoint markers written after snapshots.", ws.Checkpoints)
+	c("corrd_wal_pruned_segments_total", "Sealed WAL segments deleted by checkpoints.", ws.PrunedSegments)
+	g("corrd_wal_last_lsn", "LSN of the most recently appended WAL record.", int64(ws.LastLSN))
+	c("corrd_wal_append_errors_total", "Writes refused because their WAL append or their group's fsync failed; none was applied.", m.walAppendErrors.Load())
+	g("corrd_wal_replay_records", "State records replayed from the WAL at the last startup.", m.walReplayRecords.Load())
+	fmt.Fprintf(w, "# HELP corrd_wal_replay_duration_seconds Wall-clock duration of the startup WAL replay.\n")
+	fmt.Fprintf(w, "# TYPE corrd_wal_replay_duration_seconds gauge\n")
+	fmt.Fprintf(w, "corrd_wal_replay_duration_seconds %g\n", m.walReplaySeconds.Load())
+	fmt.Fprintf(w, "# HELP corrd_wal_fsync_duration_seconds WAL fsync latency on the ack path.\n")
+	fmt.Fprintf(w, "# TYPE corrd_wal_fsync_duration_seconds histogram\n")
+	writeHistogram(w, "corrd_wal_fsync_duration_seconds", "", m.walFsync)
 
 	fmt.Fprintf(w, "# HELP corrd_http_request_duration_seconds Request latency by handler.\n")
 	fmt.Fprintf(w, "# TYPE corrd_http_request_duration_seconds histogram\n")

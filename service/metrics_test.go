@@ -106,8 +106,8 @@ func metricValue(t *testing.T, body, series string) float64 {
 }
 
 // TestMetricsExpositionInvariants scrapes a server that has done real
-// work (concurrent ingest through the commit pipeline with a
-// fsync=always WAL, queries, a snapshot) and checks the exposition is
+// work (concurrent ingest through the commit pipeline and its log,
+// queries, a snapshot) and checks the exposition is
 // well-formed Prometheus text: every histogram's buckets are cumulative
 // and non-decreasing with +Inf equal to _count, every corrd_* series
 // the README documents is present, and the pipeline-stage histograms
@@ -231,7 +231,7 @@ func TestMetricsExpositionInvariants(t *testing.T) {
 	}
 
 	// The pipeline stages all fired: concurrent ingest over a
-	// fsync=always WAL exercises enqueue, apply, append, fsync, and ack.
+	// log exercises enqueue, apply, append, fsync, and ack.
 	for _, stage := range stageNames {
 		series := `corrd_pipeline_stage_seconds_count{stage="` + stage + `"}`
 		if v := metricValue(t, body, series); v <= 0 {

@@ -120,7 +120,7 @@ var recordType = [...]wal.RecordType{
 // pipeline. The done channel (capacity 1, reused via the decodeState pool)
 // carries the happens-before edge from the committer's writes of
 // err/kind/lsn/image/tn to the waiter's reads. lsn is the LSN of the job's
-// record (0 without a WAL). key names the tenant an ingest
+// record. key names the tenant an ingest
 // addresses (empty: the default tenant); tn is that tenant once the commit
 // applied the job, and stays nil for a forward the commit dropped as a
 // duplicate. An ingest's member is its tuples as a counted batch
@@ -310,7 +310,7 @@ type tenantBatch struct {
 
 // groupRecord is one record of a commit group: a run of ingest jobs with a
 // batch per tenant they touch, in first-touch order, or one other job; lsn
-// is where its append put it (0: the append failed, or there is no log).
+// is where its append put it (0: the append failed).
 type groupRecord struct {
 	jobs    []*ingestJob
 	batches []tenantBatch
@@ -475,7 +475,6 @@ func nackJobs(jobs []*ingestJob, err error, kind ingestErrKind) {
 // whatever shares the queue.
 func (s *Server) commitGroup(group []*ingestJob) {
 	dequeued := time.Now()
-	w := s.walRef()
 	s.mu.Lock()
 	recs := s.decideLocked(group)
 	buf := s.applyBuf[:0]
@@ -494,25 +493,24 @@ func (s *Server) commitGroup(group []*ingestJob) {
 	var barrier bool
 	var walErr, syncErr error
 	enc := s.groupBuf
-	for i := 0; w != nil && i < len(recs); i++ {
+	for i := range recs {
 		var err error
-		if enc, recs[i].lsn, err = appendRecord(w, enc[:0], &recs[i]); err != nil {
+		if enc, recs[i].lsn, err = appendRecord(s.wal, enc[:0], &recs[i]); err != nil {
 			nackJobs(recs[i].jobs, err, ingestErrWAL)
 			walErr = cmp.Or(walErr, err)
 		}
 		barrier = barrier || err == nil
 	}
-	if w != nil && ingest {
+	if ingest {
 		s.metrics.stages[stageAppend].Observe(time.Since(dequeued).Seconds())
 	}
 	for _, j := range group {
 		barrier = barrier || j.op >= opCheckpoint
 	}
-	barrier = barrier && w != nil
 	if barrier {
 		// One fsync for every record of the group: the acks stand behind it.
 		fsyncStart := time.Now()
-		syncErr = w.Sync()
+		syncErr = s.wal.Sync()
 		if ingest && walErr == nil {
 			s.metrics.stages[stageFsync].Observe(time.Since(fsyncStart).Seconds())
 		}
@@ -532,7 +530,7 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		r := &recs[i]
 		var err error
 		switch {
-		case w != nil && r.lsn == 0:
+		case r.lsn == 0:
 			continue // its append failed
 		case syncErr != nil:
 			continue // the barrier rewound it; nacked below
@@ -548,19 +546,15 @@ func (s *Server) commitGroup(group []*ingestJob) {
 			// Admission let through only what the apply takes, so the log
 			// holds a record the state lacks: a bug, which replay refuses too.
 			// Nothing applies after it until a restart replays the log.
-			if r.lsn != 0 {
-				s.health.lost.Store(r.lsn)
-			}
+			s.health.lost.Store(r.lsn)
 			s.degrade(fmt.Sprintf("apply of logged record %d: %v", r.lsn, err))
 			nackJobs(r.jobs, err, ingestErrEngine)
 			continue
 		}
-		if r.lsn != 0 {
-			// The group's barrier returned nil, so appliedLSN never passes
-			// the log's durable frontier: a snapshot covers nothing a crash
-			// could take back.
-			s.appliedLSN.Store(r.lsn)
-		}
+		// The group's barrier returned nil, so appliedLSN never passes the
+		// log's durable frontier: a snapshot covers nothing a crash could
+		// take back.
+		s.appliedLSN.Store(r.lsn)
 		for _, j := range r.jobs {
 			if j.kind == ingestOK {
 				j.lsn, j.tn = r.lsn, s.tenants[string(j.key)]

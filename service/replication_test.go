@@ -75,8 +75,8 @@ func TestReplicaFollowsAndServesReads(t *testing.T) {
 	}
 	rcl := client.New(sts.URL, client.WithRetries(0))
 	st, err := rcl.Stats(ctx)
-	if err != nil || st.Role != "replica" || st.Promoted || standby.walRef().LastLSN() == 0 {
-		t.Fatalf("standby stats %+v (err %v), its log at LSN %d", st, err, standby.walRef().LastLSN())
+	if err != nil || st.Role != "replica" || st.Promoted || standby.wal.LastLSN() == 0 {
+		t.Fatalf("standby stats %+v (err %v), its log at LSN %d", st, err, standby.wal.LastLSN())
 	}
 	if err := rcl.AddBatch(ctx, testStream(10, 3)); !client.IsReadOnly(err) {
 		t.Fatalf("the standby accepted ingest: %v", err)
@@ -111,17 +111,24 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 		if err := pcl.AddBatch(ctx, testStream(2_000, 10+i)); err != nil {
 			t.Fatal(err)
 		}
+		if i == 3 {
+			// The log is kept from this snapshot's coverage on while it
+			// is the fallback one.
+			if err := primary.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if _, err := pcl.Forward(ctx, 0x5eed, wal.Version, client.AppendForwardRecord(nil, 7, uint8(wal.RecordIngest), ingestRecord(t, "", "s"))); err != nil {
 		t.Fatal(err)
 	}
 	caughtUp(t, "the first standby", primary)
-	if err := primary.Snapshot(); err != nil { // checkpoint + prune
+	if err := primary.Snapshot(); err != nil { // checkpoint + prune to the first's coverage
 		t.Fatal(err)
 	}
-	if body := scrape(t, pts.URL); primary.walRef().OldestLSN() == 1 || metricValue(t, body, "corrd_wal_checkpoints_total") != 1 ||
+	if body := scrape(t, pts.URL); primary.wal.OldestLSN() == 1 || metricValue(t, body, "corrd_wal_checkpoints_total") != 2 ||
 		metricValue(t, body, "corrd_wal_pruned_segments_total") < 1 {
-		t.Fatalf("a checkpoint every target confirmed did not prune: oldest LSN %d, series\n%s", primary.walRef().OldestLSN(), body)
+		t.Fatalf("a checkpoint every target confirmed did not prune: oldest LSN %d, series\n%s", primary.wal.OldestLSN(), body)
 	}
 
 	// A second standby joins: the primary restarts with both targets.
@@ -162,9 +169,13 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 	}
 }
 
-// mustNew builds a server the test closes.
+// mustNew builds a server the test closes; a Config with no log gets its
+// own t.TempDir().
 func mustNew(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	if cfg.WALDir == "" {
+		cfg.WALDir = t.TempDir()
+	}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,13 +217,13 @@ func TestFailoverByteIdentity(t *testing.T) {
 	standby.mu.Lock()
 	mark := standby.marks[primary.fwds[0].site]
 	standby.mu.Unlock()
-	if mark == 0 || mark >= primary.walRef().LastLSN() {
-		t.Fatalf("test did not fail over mid-stream: the standby's mark %d, the primary's log at %d", mark, primary.walRef().LastLSN())
+	if mark == 0 || mark >= primary.wal.LastLSN() {
+		t.Fatalf("test did not fail over mid-stream: the standby's mark %d, the primary's log at %d", mark, primary.wal.LastLSN())
 	}
 	oracle, ots, _ := newTestServer(t, Config{Options: o})
 	errPastMark := errors.New("past the mark")
 	oracle.mu.Lock()
-	err := primary.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+	err := primary.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 		if lsn > mark {
 			return errPastMark
 		}
@@ -231,9 +242,9 @@ func TestFailoverByteIdentity(t *testing.T) {
 
 	// The promoted standby takes writes into its own log and says so.
 	rcl := client.New(toStandby.proxy.URL)
-	last := standby.walRef().LastLSN()
-	if err := rcl.AddBatch(ctx, testStream(100, 77)); err != nil || standby.walRef().LastLSN() <= last {
-		t.Fatalf("the promoted standby took a write: %v; its log %d → %d", err, last, standby.walRef().LastLSN())
+	last := standby.wal.LastLSN()
+	if err := rcl.AddBatch(ctx, testStream(100, 77)); err != nil || standby.wal.LastLSN() <= last {
+		t.Fatalf("the promoted standby took a write: %v; its log %d → %d", err, last, standby.wal.LastLSN())
 	}
 	if st, err := rcl.Stats(ctx); err != nil || st.Role != "coordinator" || !st.Promoted {
 		t.Fatalf("promoted stats: role %q, promoted %t (err %v)", st.Role, st.Promoted, err)
@@ -273,7 +284,7 @@ func TestPromoteAdminGate(t *testing.T) {
 	if err := client.New(sts.URL).AddBatch(context.Background(), testStream(200, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if w := standby.walRef(); w.LastLSN() == 0 || w.FollowableLSN() != w.LastLSN() {
+	if w := standby.wal; w.LastLSN() == 0 || w.FollowableLSN() != w.LastLSN() {
 		t.Fatalf("an acknowledged batch past the promoted log's durable frontier: last %d, followable %d", w.LastLSN(), w.FollowableLSN())
 	}
 	// No token configured: the endpoint is disabled, not open.

@@ -13,7 +13,7 @@
 //     and answers GET /v1/query?op=le|ge&c=... from that state. Nothing
 //     is merged: state enters a tenant only as tuples, so its error is
 //     one summary's, never Lemma 4's k-fold merge bound.
-//   - site (Config.PushTo set, with a WALDir): ingests locally like a
+//   - site (Config.PushTo set): ingests locally like a
 //     coordinator and forwards every state record of its log to each of
 //     its targets, exactly once, so a coordinator's summary is the
 //     summary of the union stream with no merge at all.
@@ -22,12 +22,12 @@
 //     its primary does, and a promotion only lifts the refusal
 //     (replication.go).
 //
-// Durability is a periodic snapshot (snapshot.go) plus, with
-// Config.WALDir set, a write-ahead log every acknowledged write is in
-// first (wal.go, pipeline.go). Observability is a Prometheus-text
-// /metrics plus /healthz and /v1/stats, and shutdown is graceful: drain
-// HTTP and streams, final forward (site role), final snapshot, commit
-// what is queued.
+// Durability is a write-ahead log every acknowledged write is in first
+// (Config.WALDir; wal.go, pipeline.go), checkpointed by periodic
+// snapshots (snapshot.go) that let it prune. Observability is a
+// Prometheus-text /metrics plus /healthz and /v1/stats, and shutdown is
+// graceful: drain HTTP and streams, final forward (site role), final
+// snapshot, commit what is queued.
 //
 // The HTTP surface is deliberately small and wire-stable; see the
 // README's "Running the service" section for the endpoint catalogue and
@@ -92,31 +92,24 @@ type Config struct {
 	// bounded staleness window take the query side off the commit path.
 	QueryMaxStale time.Duration
 
-	// SnapshotPath enables durability: the engine state is persisted
-	// there on every SnapshotInterval tick and at shutdown, and
-	// restored from it at startup. Empty disables snapshots.
+	// SnapshotPath enables checkpoints: the engine state is persisted
+	// there on every SnapshotInterval tick and at shutdown, restored
+	// from it at startup, and the log pruned behind it. Empty disables
+	// snapshots, and the log is never pruned.
 	SnapshotPath string
 	// SnapshotInterval defaults to 30s when SnapshotPath is set.
 	SnapshotInterval time.Duration
 
-	// WALDir enables the write-ahead log: every accepted ingest batch
-	// and forwarded site record is appended and fsynced — one fsync per
-	// commit group — before the request is acknowledged, so an
-	// acknowledged request survives kill -9 and an OS crash, and startup
-	// replays the log suffix the snapshot does not cover. Empty disables
-	// the WAL and leaves the durability window at the snapshot interval.
-	// Pair it with SnapshotPath so checkpoints can prune the log.
+	// WALDir is the write-ahead log's directory, and required: every
+	// accepted ingest batch and forwarded site record is appended and
+	// fsynced — one fsync per commit group — before the request is
+	// acknowledged, so an acknowledged request survives kill -9 and an
+	// OS crash, and startup replays the log suffix the snapshot does not
+	// cover. Pair it with SnapshotPath so checkpoints can prune the log.
 	WALDir string
 	// WALSegmentBytes is the segment rotation threshold; <= 0 means
 	// 64 MiB.
 	WALSegmentBytes int64
-
-	// SnapshotKeep is how many snapshot generations to retain on disk
-	// (the live file plus rotated .1, .2, ... predecessors); <= 0 means
-	// 2. Startup falls back through the generations when the newest is
-	// corrupt or truncated, replaying the correspondingly longer WAL
-	// suffix.
-	SnapshotKeep int
 
 	// FS routes the WAL's and the snapshot writer's filesystem calls;
 	// nil means the real OS. A *fault.Injector here (cmd/corrd's
@@ -135,8 +128,8 @@ type Config struct {
 	// PushTo makes the server a site: a comma-separated list of base
 	// URLs — coordinators and standbys alike — to each of which it
 	// forwards its log, every tenant's records, exactly once
-	// (forward.go). It needs WALDir: the log is what is forwarded, and a
-	// checkpoint prunes only what every target has confirmed.
+	// (forward.go). A checkpoint prunes only what every target has
+	// confirmed.
 	PushTo string
 
 	// Standby makes the server a standby: a coordinator that serves reads
@@ -308,20 +301,24 @@ type Server struct {
 	health       health
 	groupLatency fgauge
 
-	// wal is the durable-ingest log (nil without Config.WALDir); only the
-	// committer writes it.
+	// wal is the durable-ingest log, opened in New; only the committer
+	// writes it.
 	// walReplayed counts state records replayed at the last startup.
 	// snapFellBack records that startup restored an older retention
 	// slot (the newest snapshot was corrupt), which relaxes the replay
 	// checkpoint-staleness check in favor of the LSN-continuity check.
-	wal          atomic.Pointer[wal.WAL]
+	wal          *wal.WAL
 	walReplayed  uint64
 	snapFellBack bool
 
 	// xferMu serializes snapshots, so two never rotate or write the
 	// snapshot files at once. Its holders wait on commit jobs: never taken
-	// holding mu, nor by the committer.
-	xferMu sync.Mutex
+	// holding mu, nor by the committer. keptCovered, guarded by it, is the
+	// coverage of the newest snapshot on disk (the restored one until a
+	// snapshot is written): the next rotation moves it to path.1, and the
+	// log is pruned no further than it.
+	xferMu      sync.Mutex
+	keptCovered uint64
 
 	dec  sync.Pool    // *decodeState
 	fwds []*forwarder // a site's, one per PushTo target (forward.go)
@@ -368,14 +365,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
 	}
-	if cfg.SnapshotKeep <= 0 {
-		cfg.SnapshotKeep = 2
-	}
 	if cfg.FS == nil {
 		cfg.FS = fault.OS()
 	}
-	if cfg.PushTo != "" && cfg.WALDir == "" {
-		return nil, errors.New("service: PushTo needs WALDir: a site forwards its log")
+	if cfg.WALDir == "" {
+		return nil, errors.New("service: WALDir is required: every acknowledged write is in the log first")
 	}
 	eng, err := newEngine(&cfg)
 	if err != nil {
@@ -410,20 +404,17 @@ func New(cfg Config) (*Server, error) {
 		if covered, err = s.restoreSnapshot(); err != nil {
 			return nil, err
 		}
+		s.keptCovered = covered
 	}
 	// A brand-new log continues the snapshot: numbered from 1, replay
 	// would skip its records up to the snapshot's coverage as already
 	// applied.
-	if cfg.WALDir != "" {
-		if err := s.openWAL(covered + 1); err != nil {
-			return nil, err
-		}
+	if err := s.openWAL(covered + 1); err != nil {
+		return nil, err
 	}
-	if s.walRef() != nil {
-		if err := s.replayWAL(covered); err != nil {
-			s.shutdownStorage()
-			return nil, err
-		}
+	if err := s.replayWAL(covered); err != nil {
+		s.shutdownStorage()
+		return nil, err
 	}
 	if cfg.PushTo != "" {
 		if s.fwds, err = s.newForwarders(covered); err != nil {
@@ -502,10 +493,8 @@ func (s *Server) logf(format string, args ...any) { s.logger.Printf("corrd: "+fo
 // shutdownStorage closes the WAL (used on construction failures and at
 // the tail of Close).
 func (s *Server) shutdownStorage() {
-	if w := s.walRef(); w != nil {
-		if err := w.Close(); err != nil {
-			s.logf("wal close: %v", err)
-		}
+	if err := s.wal.Close(); err != nil {
+		s.logf("wal close: %v", err)
 	}
 }
 
@@ -551,10 +540,8 @@ func (s *Server) Close() error {
 	// what is already queued before it exits, so nothing accepted into
 	// the pipeline goes unacknowledged and the log closes with no writer.
 	s.closePipeline()
-	if w := s.walRef(); w != nil {
-		if err := w.Close(); err != nil {
-			errs = append(errs, err)
-		}
+	if err := s.wal.Close(); err != nil {
+		errs = append(errs, err)
 	}
 	// Last: the handlers are done (callers stop their http.Server first,
 	// and the stream conns drained above), so the final flush captures

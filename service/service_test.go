@@ -54,8 +54,13 @@ func ingestOf(key string, tuples []correlated.Tuple) *ingestJob {
 	return &ingestJob{key: []byte(key), member: member, n: len(tuples), done: make(chan struct{}, 1)}
 }
 
+// newTestServer serves a New server over httptest and closes both at the
+// test's end; a Config with no log gets its own t.TempDir().
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *client.Client) {
 	t.Helper()
+	if cfg.WALDir == "" {
+		cfg.WALDir = t.TempDir()
+	}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -163,13 +168,16 @@ func TestIngestTextFormat(t *testing.T) {
 
 // TestSnapshotCrashRecovery is the durability contract: snapshot, keep
 // ingesting, crash without a graceful shutdown — the restarted server
-// resumes from the snapshot with a bit-identical marshaled state.
+// restores the snapshot and replays the log past it, to a marshaled state
+// bit-identical to the one the crash cut: every acknowledged tuple.
 func TestSnapshotCrashRecovery(t *testing.T) {
 	o := testOptions()
-	snap := filepath.Join(t.TempDir(), "corrd.snapshot")
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "corrd.snapshot")
 	cfg := Config{
 		Options:      o,
 		SnapshotPath: snap, SnapshotInterval: time.Hour, // only explicit snapshots
+		WALDir: filepath.Join(dir, "wal"),
 	}
 	svc, err := New(cfg)
 	if err != nil {
@@ -203,16 +211,17 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 		st.LastSnapshot == 0 || metricValue(t, body, "corrd_snapshot_last_unix_seconds") != float64(st.LastSnapshot) {
 		t.Fatalf("after one snapshot of a %d-byte image (stats last_snapshot %d):\n%s", len(snapBytes), st.LastSnapshot, body)
 	}
+	// Keep ingesting past the snapshot, then crash: no final snapshot
+	// is written — disk still holds the old image, exactly like a
+	// SIGKILL mid-ingest, and the log holds what came after it.
+	if err := cl.AddBatch(ctx, testStream(2_000, 6)); err != nil {
+		t.Fatal(err)
+	}
 	wantLE, err := cl.QueryLE(ctx, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep ingesting past the snapshot, then crash: no final snapshot
-	// is written — disk still holds the old image, exactly like a
-	// SIGKILL mid-ingest.
-	if err := cl.AddBatch(ctx, testStream(2_000, 6)); err != nil {
-		t.Fatal(err)
-	}
+	want := tenantBytes(t, svc, "")
 	crash(ts, svc)
 
 	svc2, err := New(cfg)
@@ -220,16 +229,16 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	if !svc2.Restored() {
-		t.Fatal("restart did not restore from snapshot")
+	if !svc2.Restored() || svc2.walReplayed == 0 {
+		t.Fatalf("restart restored a snapshot %t, replayed %d records past it", svc2.Restored(), svc2.walReplayed)
 	}
 	img, err := svc2.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(img, snapBytes) {
-		t.Fatalf("restored state is not bit-identical to the snapshot image (%d vs %d bytes)",
-			len(img), len(snapBytes))
+	if !bytes.Equal(img, want) {
+		t.Fatalf("recovered state is not bit-identical to the state the crash cut (%d vs %d bytes)",
+			len(img), len(want))
 	}
 	ts2 := httptest.NewServer(svc2.Handler())
 	defer ts2.Close()
@@ -245,7 +254,7 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Count != 6_000 || !st.Restored {
+	if st.Count != 8_000 || !st.Restored {
 		t.Fatalf("post-restore stats: %+v", st)
 	}
 }
@@ -253,12 +262,7 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 // TestGracefulShutdownFlush: Close commits what the pipeline holds and
 // writes a final snapshot, so a restart serves every accepted tuple.
 func TestGracefulShutdownFlush(t *testing.T) {
-	o := testOptions()
-	snap := filepath.Join(t.TempDir(), "corrd.snapshot")
-	cfg := Config{
-		Options:      o,
-		SnapshotPath: snap, SnapshotInterval: time.Hour,
-	}
+	cfg := walConfig(t)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -279,9 +283,9 @@ func TestGracefulShutdownFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	n := svc2.Engine().Count()
-	if n != 500 {
-		t.Fatalf("restart after graceful shutdown: count %d, want 500", n)
+	// The final snapshot covers every record: nothing is left to replay.
+	if n := svc2.Engine().Count(); n != 500 || !svc2.Restored() || svc2.walReplayed != 0 {
+		t.Fatalf("restart after graceful shutdown: count %d, want 500; restored %t, %d records replayed past the final snapshot", n, svc2.Restored(), svc2.walReplayed)
 	}
 }
 
@@ -365,9 +369,9 @@ func TestQueryErrorMapping(t *testing.T) {
 
 func asAPIError(err error, ae **client.APIError) bool { return errors.As(err, ae) }
 
-// walConfig is the standard durable-ingest test configuration: WAL with
-// fsync=always plus a snapshot path whose ticker never fires, so every
-// recovery path exercises the log.
+// walConfig is the standard durable-ingest test configuration: a log plus
+// a snapshot path whose ticker never fires, so every recovery path
+// exercises the log.
 func walConfig(t *testing.T) Config {
 	t.Helper()
 	dir := t.TempDir()
@@ -501,7 +505,7 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.WALEnabled || st.WALReplayRecords == 0 || st.WALLastLSN == 0 {
+	if st.WALReplayRecords == 0 || st.WALLastLSN == 0 {
 		t.Fatalf("wal stats after recovery: %+v", st)
 	}
 	if got := metricValue(t, scrape(t, ts2.URL), "corrd_wal_replay_duration_seconds"); st.WALReplaySeconds <= 0 || got != st.WALReplaySeconds {
@@ -629,21 +633,18 @@ func TestWALMetricsExposed(t *testing.T) {
 	if got := metricValue(t, body, "corrd_wal_appended_bytes_total"); st.WALAppendedBytes == 0 || got != float64(st.WALAppendedBytes) {
 		t.Fatalf("corrd_wal_appended_bytes_total %v, /v1/stats wal_appended_bytes %d", got, st.WALAppendedBytes)
 	}
-	_, ts2, _ := newTestServer(t, Config{Options: testOptions()})
-	resp2, err := http.Get(ts2.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw2, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if strings.Contains(string(raw2), "corrd_wal_") {
-		t.Fatal("WAL metrics exposed without a WAL")
+	// Every server has a log: New refuses a Config without one, by name.
+	if svc, err := New(Config{Options: testOptions()}); err == nil || !strings.Contains(err.Error(), "WALDir is required") {
+		if svc != nil {
+			svc.Close()
+		}
+		t.Fatalf("New without a WALDir: %v, want the refusal naming WALDir", err)
 	}
 }
 
 // TestWALRefusesStaleSnapshot: the log's checkpoint markers witness
 // that a snapshot covering LSN N existed; if the restored snapshot
-// covers less (deleted, replaced, or written during a WAL-less run),
+// covers less (deleted, or replaced by an older one),
 // startup must refuse instead of double-applying the retained log.
 func TestWALRefusesStaleSnapshot(t *testing.T) {
 	cfg := walConfig(t)
@@ -820,12 +821,12 @@ func TestPreBreakStateRefused(t *testing.T) {
 			slots []int
 		}{
 			{"slot 0", []int{0}},
-			{"every slot", []int{0, 1, 2}},
+			{"every slot", []int{0, 1}},
 			{"slot 1 behind an empty slot 0", []int{1}},
 		} {
 			t.Run(format.name+" in "+place.name, func(t *testing.T) {
 				dir := t.TempDir()
-				cfg := Config{Options: o, SnapshotPath: filepath.Join(dir, "corrd.snapshot"), SnapshotKeep: 3}
+				cfg := Config{Options: o, SnapshotPath: filepath.Join(dir, "corrd.snapshot"), WALDir: t.TempDir()}
 				for _, i := range place.slots {
 					path := cfg.SnapshotPath
 					if i > 0 {

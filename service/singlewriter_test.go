@@ -14,8 +14,9 @@ import (
 // trusting a comment: in this package's non-test files only pipeline.go —
 // the commit function — may call AppendNoSync, Sync or Probe on the log.
 // AppendNoSync and Probe are the log's names alone; a Sync is the log's
-// when its receiver is walRef() or wal.Load(), or a name declared as a
-// *wal.WAL or assigned from one of those calls (files have a Sync too).
+// when its receiver is the server's wal field, or a name declared as a
+// *wal.WAL or assigned from that field or wal.Open (files have a Sync
+// too).
 // And the log has no writer of its own to hide from that check: no
 // non-test file of internal/wal starts a goroutine or a ticker.
 func TestSingleLogWriter(t *testing.T) {
@@ -117,17 +118,15 @@ func parsePackage(t *testing.T, dir, name, witness string) (*token.FileSet, map[
 // server's *wal.WAL.
 func isLog(x ast.Expr) bool {
 	switch x := x.(type) {
-	case *ast.CallExpr: // s.walRef(), s.wal.Load(), wal.Open(...)
+	case *ast.SelectorExpr: // s.wal
+		return x.Sel.Name == "wal"
+	case *ast.CallExpr: // wal.Open(...)
 		sel, ok := x.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return false
 		}
-		switch on := sel.X.(type) {
-		case *ast.Ident:
-			return sel.Sel.Name == "walRef" || (on.Name == "wal" && sel.Sel.Name == "Open")
-		case *ast.SelectorExpr:
-			return on.Sel.Name == "wal" && sel.Sel.Name == "Load"
-		}
+		on, ok := sel.X.(*ast.Ident)
+		return ok && on.Name == "wal" && sel.Sel.Name == "Open"
 	case *ast.Ident:
 		if x.Obj == nil {
 			return false
@@ -135,7 +134,7 @@ func isLog(x ast.Expr) bool {
 		switch decl := x.Obj.Decl.(type) {
 		case *ast.Field: // a parameter: w *wal.WAL
 			return isWALType(decl.Type)
-		case *ast.ValueSpec: // var w *wal.WAL, var w = s.walRef()
+		case *ast.ValueSpec: // var w *wal.WAL, var w = s.wal
 			if isWALType(decl.Type) {
 				return true
 			}
@@ -144,7 +143,7 @@ func isLog(x ast.Expr) bool {
 					return isLog(decl.Values[i])
 				}
 			}
-		case *ast.AssignStmt: // w := s.walRef(); w, err := wal.Open(...)
+		case *ast.AssignStmt: // w := s.wal; w, err := wal.Open(...)
 			for i, lhs := range decl.Lhs {
 				if id, ok := lhs.(*ast.Ident); ok && id.Name == x.Name && i < len(decl.Rhs) {
 					return isLog(decl.Rhs[i])

@@ -23,7 +23,7 @@ import (
 // listener opens.
 //
 // The file is wrapped in a small header that records the WAL position
-// the snapshot covers (0 without a WAL), so startup knows exactly which
+// the snapshot covers, so startup knows exactly which
 // log suffix to replay, and ends with the forwarding sites' marks, which
 // are state like the images — a site's own among them, at the snapshot's
 // coverage, so a copy of the file bootstraps a new target (forward.go). A
@@ -200,6 +200,13 @@ func (s *Server) writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
+// snapshotKeep is how many snapshot generations stay on disk: the live
+// file and the one before it (path.1), which startup falls back to when
+// the newest is corrupt or truncated, replaying the longer log suffix —
+// which a checkpoint keeps by pruning only to path.1's coverage
+// (keptCovered).
+const snapshotKeep = 2
+
 // snapshotPathN is the retention slot path: slot 0 is the live
 // SnapshotPath, slot i>0 is SnapshotPath + ".<i>" (higher = older).
 func (s *Server) snapshotPathN(i int) string {
@@ -209,16 +216,13 @@ func (s *Server) snapshotPathN(i int) string {
 	return fmt.Sprintf("%s.%d", s.cfg.SnapshotPath, i)
 }
 
-// rotateSnapshots shifts the existing snapshots down one retention slot
-// (path → path.1 → … → path.(keep-1), oldest dropped by the rename) so
+// rotateSnapshots moves the live snapshot to path.1, over the old one, so
 // the upcoming write never destroys the last good restore point — a
 // snapshot that lands corrupt on disk still leaves path.1 restorable.
 func (s *Server) rotateSnapshots() {
-	for i := s.cfg.SnapshotKeep - 1; i >= 1; i-- {
-		err := s.fs.Rename(s.snapshotPathN(i-1), s.snapshotPathN(i))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			s.logf("snapshot: rotate %s: %v", s.snapshotPathN(i-1), err)
-		}
+	err := s.fs.Rename(s.snapshotPathN(0), s.snapshotPathN(1))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		s.logf("snapshot: rotate %s: %v", s.cfg.SnapshotPath, err)
 	}
 }
 
@@ -269,8 +273,10 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 // already hold it. The engine marshal and the covered-LSN read happen
 // in one driver-lock critical section, so the recorded LSN is exactly
 // the last record the image captures; once the file is durably renamed,
-// a checkpoint-marker job records that LSN and the WAL prunes — a site's
-// only as far as every target has confirmed.
+// a checkpoint-marker job records that LSN and the WAL prunes up to the
+// coverage of the snapshot the rotation moved to path.1, so a fallback to
+// it still finds its suffix — a site's only as far as every target has
+// confirmed, too.
 func (s *Server) snapshotLocked() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil
@@ -292,20 +298,19 @@ func (s *Server) snapshotLocked() error {
 	s.metrics.snapshotBytes.Set(dataLen)
 	s.logf("snapshot: wrote %s (%d tenants, %d bytes, covered LSN %d)",
 		s.cfg.SnapshotPath, nTenants, dataLen, covered)
-	if w := s.walRef(); w != nil {
-		prune := covered
-		for _, f := range s.fwds {
-			prune = min(prune, f.acked.Load())
-		}
-		err := s.commit(&ingestJob{op: opCheckpoint, image: binary.AppendUvarint(nil, covered)})
-		if err == nil {
-			err = w.Checkpoint(prune)
-		}
-		if err != nil {
-			// The snapshot is durable; a failed checkpoint only delays
-			// pruning, so log rather than fail the snapshot.
-			s.logf("wal checkpoint: %v", err)
-		}
+	prune := s.keptCovered
+	s.keptCovered = covered
+	for _, f := range s.fwds {
+		prune = min(prune, f.acked.Load())
+	}
+	err = s.commit(&ingestJob{op: opCheckpoint, image: binary.AppendUvarint(nil, covered)})
+	if err == nil {
+		err = s.wal.Checkpoint(prune)
+	}
+	if err != nil {
+		// The snapshot is durable; a failed checkpoint only delays
+		// pruning, so log rather than fail the snapshot.
+		s.logf("wal checkpoint: %v", err)
 	}
 	s.noteSnapshotResult(nil)
 	return nil
@@ -322,7 +327,7 @@ func (s *Server) snapshotLocked() error {
 // break are refused: each fails with ErrSnapshotFormat, none is written.
 func (s *Server) restoreSnapshot() (covered uint64, err error) {
 	var lastErr error
-	for i := 0; i < s.cfg.SnapshotKeep; i++ {
+	for i := range snapshotKeep {
 		path := s.snapshotPathN(i)
 		data, err := s.fs.ReadFile(path)
 		if errors.Is(err, os.ErrNotExist) {

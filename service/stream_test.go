@@ -432,7 +432,7 @@ func TestMixedHTTPStreamCrashRecoveryExact(t *testing.T) {
 // cleanly — the client's in-flight frames are acked (or refused with
 // AckShutdown), never left hanging.
 func TestStreamGracefulDrain(t *testing.T) {
-	svc, err := New(Config{Options: testOptions()})
+	svc, err := New(Config{Options: testOptions(), WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestStreamGracefulDrain(t *testing.T) {
 // the path the ≥3×-over-HTTP target rides. The contract is ~0 allocs/op
 // (asserted by TestStreamDecodeZeroAlloc).
 func BenchmarkStreamDecode(b *testing.B) {
-	svc, err := New(Config{Options: testOptions()})
+	svc, err := New(Config{Options: testOptions(), WALDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 // first frame grows the reused buffers, the per-frame decode allocates
 // nothing.
 func TestStreamDecodeZeroAlloc(t *testing.T) {
-	svc, err := New(Config{Options: testOptions()})
+	svc, err := New(Config{Options: testOptions(), WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestStreamDecodeZeroAlloc(t *testing.T) {
 // admission's check. Same pooled decodeState, same ~0 allocs/op contract
 // (TestHTTPIngestDecodeZeroAlloc).
 func BenchmarkHTTPIngestDecode(b *testing.B) {
-	svc, err := New(Config{Options: testOptions()})
+	svc, err := New(Config{Options: testOptions(), WALDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func BenchmarkHTTPIngestDecode(b *testing.B) {
 // state: buffers recycled through the shared pool mean zero allocations
 // per request once warm — the regression test for the pooling audit.
 func TestHTTPIngestDecodeZeroAlloc(t *testing.T) {
-	svc, err := New(Config{Options: testOptions()})
+	svc, err := New(Config{Options: testOptions(), WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestHTTPIngestDecodeZeroAlloc(t *testing.T) {
 // the per-request stream fields (seq, LSN) so a pooled state reused by
 // the other transport cannot leak a stale ack identity.
 func TestPutDecodeStateClearsStreamFields(t *testing.T) {
-	svc, err := New(Config{Options: testOptions()})
+	svc, err := New(Config{Options: testOptions(), WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -402,7 +402,7 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 	// its AddBatch was given, and the encoder the decoder's inverse.
 	var record []logged
 	var records int
-	if err := svc.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+	if err := svc.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 		records++
 		if typ != wal.RecordIngest {
 			t.Fatalf("record %d has type %d, want RecordIngest", lsn, typ)
@@ -449,7 +449,7 @@ func commitGroupCase(t *testing.T, maxTenants int, members []groupMember) {
 		{"standby apply", func() *Server {
 			standby := mustNew(t, Config{Options: cfg.Options, Standby: true})
 			var body []byte
-			if err := svc.walRef().Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+			if err := svc.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 				body = client.AppendForwardRecord(body, lsn, uint8(typ), payload)
 				return nil
 			}); err != nil {

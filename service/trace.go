@@ -24,9 +24,9 @@ import (
 //	         the driver lock (its wait included), the per-tenant sort
 //	         outside it, the records encoded and appended (per group)
 //	fsync    the group-wide durability barrier, wal.Sync outside the
-//	         driver lock — only under fsync=always, so its histogram
-//	         count matches corrd_wal_fsync_duration_seconds group for
-//	         group on the ack path (per group)
+//	         driver lock, for a group with ingest: the rest of
+//	         corrd_wal_fsync_duration_seconds' count is the barriers of
+//	         groups without (per group)
 //	apply    barrier → one AddBatch per touched tenant of what the log
 //	         holds, driver-lock wait included (per group)
 //	ack      the committer's wake of a member → that member's handler

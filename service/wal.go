@@ -7,12 +7,11 @@ import (
 	"github.com/streamagg/correlated/internal/wal"
 )
 
-// Durable ingest: with Config.WALDir set, every accepted ingest batch and
-// forwarded site record is appended to a write-ahead log *before* the HTTP
-// acknowledgement, and startup becomes restore-snapshot-then-replay-
-// suffix. The acknowledgement waits for its group's fsync, so an
-// acknowledged request survives kill -9 — the durability window shrinks
-// from the snapshot interval to zero.
+// Durable ingest: every accepted ingest batch and forwarded site record is
+// appended to the write-ahead log in Config.WALDir *before* the HTTP
+// acknowledgement, and startup is restore-snapshot-then-replay-suffix. The
+// acknowledgement waits for its group's fsync, so an acknowledged request
+// survives kill -9.
 //
 // Three invariants make recovery crash-exact. First, "one writer": while
 // the server runs only the committer (pipeline.go) appends to, syncs,
@@ -40,7 +39,7 @@ import (
 // segment whose records the snapshot already captures — on a site, only
 // those its coordinator has confirmed too (forward.go).
 
-// openWAL opens the log and publishes it. firstLSN numbers the first
+// openWAL opens the log. firstLSN numbers the first
 // record of a brand-new log: the restored snapshot's coverage + 1.
 func (s *Server) openWAL(firstLSN uint64) error {
 	w, err := wal.Open(s.cfg.WALDir, wal.Options{
@@ -52,12 +51,9 @@ func (s *Server) openWAL(firstLSN uint64) error {
 	if err != nil {
 		return fmt.Errorf("service: wal: %w", err)
 	}
-	s.wal.Store(w)
+	s.wal = w
 	return nil
 }
-
-// walRef is the log: nil without Config.WALDir.
-func (s *Server) walRef() *wal.WAL { return s.wal.Load() }
 
 // replayWAL re-applies every record the snapshot does not cover, in log
 // order, through the applies the live commit uses (applyRecord,
@@ -72,7 +68,7 @@ func (s *Server) replayWAL(covered uint64) error {
 	var records uint64
 	st := &replayState{covered: covered, fallback: s.snapFellBack}
 	first := true
-	err := s.walRef().Replay(covered, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+	err := s.wal.Replay(covered, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 		if first {
 			first = false
 			// Continuity: the suffix must begin exactly where the
@@ -96,7 +92,7 @@ func (s *Server) replayWAL(covered uint64) error {
 	if err != nil {
 		return err
 	}
-	s.appliedLSN.Store(s.walRef().LastLSN())
+	s.appliedLSN.Store(s.wal.LastLSN())
 	dur := time.Since(start)
 	s.walReplayed = records
 	s.metrics.walReplayRecords.Set(int64(records))
