@@ -6,14 +6,14 @@
 // forward, answer queries:
 //
 //	corrd -addr :7070 -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 \
-//	      -snapshot /var/lib/corrd/f2.snapshot \
 //	      -wal-dir /var/lib/corrd/wal
 //
-// -wal-dir is required: every acknowledged ingest batch and forwarded site
-// record is appended to the write-ahead log there before the HTTP 200; startup restores
-// the snapshot and replays the log suffix, so a kill -9 loses nothing
-// that was acknowledged: every acknowledgement waits for its group's
-// fsync. Snapshots checkpoint and prune the log. Concurrent ingest requests are group-committed:
+// -wal-dir, the state directory, is required: every acknowledged ingest
+// batch and forwarded site record is appended to the write-ahead log there
+// before the HTTP 200, and a snapshot beside it, <wal-dir>/snapshot,
+// written every -snapshot-interval and at shutdown, checkpoints and prunes
+// it. Startup restores the snapshot and replays the log suffix, so a kill
+// -9 loses nothing acknowledged. Concurrent ingest requests are group-committed:
 // everything queued while the previous group was fsyncing is applied
 // (one AddBatch per touched tenant) and made durable as one unit (one
 // fsync, up to 256 requests), so acknowledged throughput scales with the
@@ -49,7 +49,7 @@
 // (no merge of summaries, so no merge's error term):
 //
 //	corrd -addr :7071 -push-to http://coordinator:7070,http://standby:7072 \
-//	      -wal-dir /var/lib/corrd/site-wal -snapshot /var/lib/corrd/site.snapshot \
+//	      -wal-dir /var/lib/corrd/site-wal \
 //	      -agg f2 -eps 0.15 -delta 0.1 -ymax 1048575 -seed 42
 //
 // The log is what is forwarded, and the site's checkpoints prune it only
@@ -176,10 +176,9 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Int("shards", 1, "ignored: each tenant is one summary; parsed only because benchmarks/corrdbench still passes it, and goes when it stops")
 	fs.DurationVar(&c.QueryMaxStale, "query-max-stale", 0, "serve a memoized query answer up to this old even though the tenant's state moved (0 = only while it has not)")
 
-	fs.StringVar(&c.SnapshotPath, "snapshot", "", "snapshot file path, the log's checkpoint (empty = no snapshots, and the log is never pruned)")
-	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", 30*time.Second, "time between snapshots")
+	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", 30*time.Second, "time between snapshots, which checkpoint and prune the log")
 
-	fs.StringVar(&c.WALDir, "wal-dir", "", "write-ahead log directory (required); every acknowledged write is in it first and survives kill -9")
+	fs.StringVar(&c.WALDir, "wal-dir", "", "state directory (required): the write-ahead log every acknowledged write is in first, which survives kill -9, and its snapshots")
 	fs.Int64Var(&c.WALSegmentBytes, "wal-segment-bytes", 64<<20, "WAL segment rotation threshold")
 
 	fs.StringVar(&c.PushTo, "push-to", "", "comma-separated base URLs of coordinators and standbys; setting it makes this daemon a site that forwards its log to each")
@@ -297,7 +296,7 @@ func main() {
 		os.Exit(1)
 	}
 	if svc.Restored() {
-		logger.Printf("corrd: restored state from %s", o.svc.SnapshotPath)
+		logger.Printf("corrd: restored state from a snapshot in %s", o.svc.WALDir)
 	}
 
 	httpSrv := &http.Server{

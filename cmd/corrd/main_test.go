@@ -37,7 +37,7 @@ func TestParseFlags(t *testing.T) {
 			check: func(t *testing.T, o *options) {
 				c := o.svc
 				if c.Aggregate != "f2" || c.Options.Predicate != correlated.Both || c.Options.Eps != 0.15 ||
-					c.Options.YMax != 1<<20-1 || c.SnapshotPath != "" ||
+					c.Options.YMax != 1<<20-1 || c.SnapshotInterval != 30*time.Second ||
 					c.IngestQueueMax != 4096 || c.QueryMaxStale != 0 || c.WALDir != "/tmp/w" || c.FS != nil {
 					t.Fatalf("default config: %+v", c)
 				}
@@ -92,6 +92,7 @@ func TestParseFlags(t *testing.T) {
 		{name: "unknown flag", args: []string{"-shard", "2"}, wantErr: "flag provided but not defined"},
 		{name: "no log", wantErr: "-wal-dir is required"},
 		{name: "site without a log", args: []string{"-push-to", "http://coordinator:7070"}, wantErr: "-wal-dir is required"},
+		{name: "snapshot path is gone", args: []string{"-snapshot", "x", "-wal-dir", "d"}, wantErr: "flag provided but not defined: -snapshot"},
 		{name: "snapshot keep is gone", args: []string{"-wal-dir", "/tmp/w", "-snapshot-keep", "3"}, wantErr: "flag provided but not defined: -snapshot-keep"},
 		{name: "push interval is gone", args: []string{"-push-to", "http://c:7070", "-wal-dir", "/tmp/site", "-push-interval", "1s"}, wantErr: "flag provided but not defined: -push-interval"},
 		{name: "bad duration", args: []string{"-query-max-stale", "soon"}, wantErr: "invalid value"},
@@ -223,7 +224,6 @@ var flagReaders = map[string]struct{ file, field string }{
 	"seed":              {"service/service_test.go", "Seed"},
 	"shards":            {"benchmarks/corrdbench/server.go", ""},
 	"slow-request":      {"service/accesslog_test.go", "SlowRequest"},
-	"snapshot":          {"service/service_test.go", "SnapshotPath"},
 	"snapshot-interval": {"service/service_test.go", "SnapshotInterval"},
 	"standby":           {"service/replication_test.go", "Standby"},
 	"stream-addr":       {"benchmarks/corrdbench/server.go", ""},

@@ -53,7 +53,7 @@
 //	                          service, client   corrd, the site/coordinator network
 //	                                            daemon (cmd/corrd): HTTP ingest,
 //	                                            sites forwarding their logs,
-//	                                            snapshot durability, Prometheus
+//	                                            log+snapshot durability, Prometheus
 //	                                            metrics, and the Go client
 //	                                            driving it
 //	concurrent serving        service           group-commit ingest pipeline (one
@@ -223,8 +223,8 @@
 // (with cmd/corrd) serve the model over HTTP without that term: remote
 // sites forward their write-ahead logs, so the coordinator keeps one
 // summary per tenant and merges nothing, the coordinator daemon serves
-// queries from that state, and snapshots make the serving tier
-// restartable.
+// queries from that state, and its log, checkpointed by snapshots kept
+// beside it, makes the serving tier restartable.
 //
 // # Concurrency
 //

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
@@ -54,11 +55,8 @@ func main() {
 
 	// ---- Coordinator ----------------------------------------------------
 	// The handler counts the bytes the sites forward to it.
-	snap := filepath.Join(dir, "coordinator.snapshot")
-	coord, err := service.New(service.Config{
-		Options: opts, SnapshotPath: snap, SnapshotInterval: time.Hour,
-		WALDir: filepath.Join(dir, "coordinator"),
-	})
+	coordDir := filepath.Join(dir, "coordinator")
+	coord, err := service.New(service.Config{Options: opts, WALDir: coordDir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -151,14 +149,16 @@ func main() {
 	}
 
 	// ---- Durability: snapshot, restore into a fresh server ---------------
-	// The fresh server starts on the snapshot with an empty log of its own.
+	// The fresh server starts on a copy of the snapshot, alone in its WALDir.
 	if err := coord.Snapshot(); err != nil {
 		log.Fatal(err)
 	}
-	restoredSvc, err := service.New(service.Config{
-		Options: opts, SnapshotPath: snap, SnapshotInterval: time.Hour,
-		WALDir: filepath.Join(dir, "restored"),
-	})
+	restoredDir := filepath.Join(dir, "restored")
+	snap, err := os.ReadFile(filepath.Join(coordDir, "snapshot"))
+	if err = cmp.Or(err, os.Mkdir(restoredDir, 0o755), os.WriteFile(filepath.Join(restoredDir, "snapshot"), snap, 0o644)); err != nil {
+		log.Fatal(err)
+	}
+	restoredSvc, err := service.New(service.Config{Options: opts, WALDir: restoredDir})
 	if err != nil {
 		log.Fatal(err)
 	}

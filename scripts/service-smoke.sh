@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the corrd service subsystem (run by CI):
 #
-#   1. start corrd with a snapshot path and a log
+#   1. start corrd on its state directory (-wal-dir: the log, and the
+#      snapshots beside it)
 #   2. drive it with corrgen -target (chunked HTTP ingest)
 #   3. query, scrape /v1/stats and /metrics
 #   4. SIGTERM (graceful shutdown writes a final snapshot)
-#   5. restart from the snapshot and prove the answer is identical
+#   5. restart from the snapshot and prove the answer is identical, and
+#      bootstrap a second daemon from a copy of the snapshot alone
 #   6. site -> coordinator log forwarding: kill -9 the site, then the
 #      coordinator, mid-forward; the coordinator ends up holding every
 #      acknowledged tuple once, its /v1/summary byte-identical to the site's
@@ -32,7 +34,7 @@ cd "$(dirname "$0")/.."
 ADDR="127.0.0.1:17070"
 BASE="http://$ADDR"
 WORK="$(mktemp -d)"
-SNAP="$WORK/corrd.snapshot"
+SNAP="$WORK/corrd-wal/snapshot"
 LOG="$WORK/corrd.log"
 N=200000
 CUTOFF=500000
@@ -54,7 +56,7 @@ go build -o "$WORK/corrgen" ./cmd/corrgen
 start_corrd() {
   "$WORK/corrd" -addr "$ADDR" -agg f2 -eps 0.15 -delta 0.1 \
     -ymax 1000000 -maxn 1048576 -maxx 500001 -seed 42 -shards 2 \
-    -snapshot "$SNAP" -snapshot-interval 5s -wal-dir "$WORK/corrd-wal" >>"$LOG" 2>&1 &
+    -snapshot-interval 5s -wal-dir "$WORK/corrd-wal" >>"$LOG" 2>&1 &
   CORRD_PID=$!
   for _ in $(seq 1 50); do
     if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
@@ -124,6 +126,32 @@ fi
 kill -TERM "$CORRD_PID"; wait "$CORRD_PID" || true
 CORRD_PID=""
 
+echo "== bootstrap a daemon from a copy of the snapshot"
+# The snapshot alone, copied into an empty -wal-dir — never site-id,
+# which would make the copy forward under the original's id.
+mkdir "$WORK/boot-wal"
+cp "$SNAP" "$WORK/boot-wal/snapshot"
+if "$WORK/corrd" -addr "$ADDR" -snapshot "$SNAP" -wal-dir "$WORK/boot-wal" >"$WORK/snapshot-flag.txt" 2>&1; then
+  echo "FAIL: corrd started with the removed -snapshot flag" >&2; exit 1
+fi
+grep -q 'flag provided but not defined: -snapshot' "$WORK/snapshot-flag.txt" \
+  || { echo "FAIL: a -snapshot start did not name the unknown flag" >&2; cat "$WORK/snapshot-flag.txt" >&2; exit 1; }
+"$WORK/corrd" -addr "$ADDR" -agg f2 -eps 0.15 -delta 0.1 \
+  -ymax 1000000 -maxn 1048576 -maxx 500001 -seed 42 \
+  -wal-dir "$WORK/boot-wal" >>"$LOG" 2>&1 &
+CORRD_PID=$!
+for _ in $(seq 1 50); do
+  curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
+  sleep 0.2
+done
+Q3=$(curl -fsS "$BASE/v1/query?op=le&c=$CUTOFF")
+if [ "$(echo "$Q1" | grep -o '"estimate":[^}]*')" != "$(echo "$Q3" | grep -o '"estimate":[^}]*')" ]; then
+  echo "FAIL: the bootstrapped daemon answers differently: $Q1 vs $Q3" >&2; exit 1
+fi
+echo "bootstrapped from a copy of the snapshot: $Q3"
+kill -TERM "$CORRD_PID"; wait "$CORRD_PID" || true
+CORRD_PID=""
+
 echo "== site -> coordinator log forwarding (kill -9 the site, then the coordinator, mid-forward)"
 # A site forwards every record of its WAL to the coordinator, which applies
 # each exactly once: after either side is killed mid-forward and restarted,
@@ -142,13 +170,13 @@ wait_healthy() {
 }
 start_fcoord() {
   "$WORK/corrd" -addr "$FCOORD_ADDR" "${FWD_FLAGS[@]}" \
-    -wal-dir "$WORK/fcoord-wal" -snapshot "$WORK/fcoord.snapshot" >>"$LOG" 2>&1 &
+    -wal-dir "$WORK/fcoord-wal" >>"$LOG" 2>&1 &
   FCOORD_PID=$!
   wait_healthy "$FCOORD"
 }
 start_site() {
   "$WORK/corrd" -addr "$SITE_ADDR" "${FWD_FLAGS[@]}" -push-to "$FCOORD" \
-    -wal-dir "$WORK/site-wal" -snapshot "$WORK/site.snapshot" >>"$LOG" 2>&1 &
+    -wal-dir "$WORK/site-wal" >>"$LOG" 2>&1 &
   SITE_PID=$!
   wait_healthy "$SITE"
 }
@@ -225,7 +253,7 @@ SUMMARY_FLAGS=(-agg f2 -eps 0.15 -delta 0.1 -ymax 1000000 -maxn 1048576 \
 
 start_wal_corrd() { # $1 addr, $2 name (state dirs keyed off it), extra flags in "${@:3}"
   "$WORK/corrd" -addr "$1" "${SUMMARY_FLAGS[@]}" \
-    -snapshot "$WORK/$2.snapshot" -snapshot-interval 2s \
+    -snapshot-interval 2s \
     -wal-dir "$WORK/$2-wal" -wal-fsync always "${@:3}" >>"$LOG" 2>&1 &
   for _ in $(seq 1 50); do
     if curl -fsS "http://$1/healthz" >/dev/null 2>&1; then return 0; fi

@@ -26,8 +26,8 @@ import (
 // and a restart finds the tenant set the live server had. Each row writes
 // into a key of its own; after it the registry gauges have not moved and
 // the key reads as 404. Then a valid write to a new tenant fits under
-// MaxTenants, and crash + restart — from the log alone, and from a
-// snapshot plus the log — reproduces the tenant set and every tenant's
+// MaxTenants, and crash + restart — from the log alone (no snapshot is
+// written before the crash), and from a snapshot plus the log — reproduces the tenant set and every tenant's
 // bytes. (Before the commit made tenants, every row but the degraded one
 // and the four malformed-key ones left its tenant registered.)
 func TestRefusedWriteLeavesNoTenant(t *testing.T) {
@@ -39,9 +39,6 @@ func refusedWriteCase(t *testing.T, withSnapshot bool) {
 	cfg := walConfig(t)
 	cfg.MaxTenants = 3 // the default, "kept", and the one valid newcomer
 	cfg.IngestQueueMax = 1
-	if !withSnapshot {
-		cfg.SnapshotPath = ""
-	}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -241,7 +241,7 @@ func TestFkTieOrderThroughTheLog(t *testing.T) {
 
 	crash(ts, svc)
 	svc2, ts2, _ := newTestServer(t, cfg)
-	if svc2.walReplayed == 0 {
+	if svc2.metrics.walReplayRecords.Load() == 0 {
 		t.Fatal("the restart replayed nothing")
 	}
 	check(ts2.URL, "after crash and replay")

@@ -333,12 +333,12 @@ func TestChaosProbeHealsUnattended(t *testing.T) {
 // TestChaosFailedBarrierNacksItsDemanders: one commit group, an ingest
 // batch beside a barrier job, and the barrier's fsync fails. The failed
 // Sync rewound the batch's record, so both are nacked, the streak counts
-// the group once, and a restart does not see the batch. The next group's
+// the group once, and a restart — from the log alone, no snapshot written
+// — does not see the batch. The next group's
 // clean fsync resets the streak.
 func TestChaosFailedBarrierNacksItsDemanders(t *testing.T) {
 	t.Run("always", func(t *testing.T) {
 		cfg, inj := chaosConfig(t)
-		cfg.SnapshotPath = ""
 		svc, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -406,7 +406,7 @@ func TestChaosUnappliedRecordStopsTheApply(t *testing.T) {
 	if err := svc.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(cfg.SnapshotPath)
+	data, err := os.ReadFile(snapshotAt(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +668,7 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	}
 	// A snapshot whose file cannot be created fails, counted, and leaves
 	// no slot behind.
-	inj.SetPlan(mustPlan(t, "create/corrd.snapshot:err@1"))
+	inj.SetPlan(mustPlan(t, "create/snapshot.tmp:err@1"))
 	if err := svc.Snapshot(); err == nil {
 		t.Fatal("a snapshot whose file could not be created succeeded")
 	}
@@ -690,7 +690,7 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	}
 	crash(ts, svc)
 
-	if _, err := os.Stat(cfg.SnapshotPath + ".1"); err != nil {
+	if _, err := os.Stat(snapshotAt(cfg) + ".1"); err != nil {
 		t.Fatalf("retention slot 1 missing after two snapshots: %v", err)
 	}
 	// Bit-rot the newest snapshot: flip a magic byte so the decoder
@@ -705,7 +705,7 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flip(cfg.SnapshotPath)
+	flip(snapshotAt(cfg))
 
 	svc2, err := New(cfg)
 	if err != nil {
@@ -715,10 +715,10 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	if !svc2.Restored() {
 		t.Fatal("fallback restore did not report restored")
 	}
-	if !svc2.snapFellBack {
-		t.Fatal("restore did not record the retention fallback")
+	if !fellBack(t, svc2, cfg) {
+		t.Fatal("restore did not take the retention fallback")
 	}
-	if svc2.walReplayed == 0 {
+	if svc2.metrics.walReplayRecords.Load() == 0 {
 		t.Fatal("fallback restart replayed no WAL suffix")
 	}
 	got, err := svc2.Engine().MarshalBinary()
@@ -753,18 +753,18 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	crash(nil, svc2)
 
 	// Both slots corrupt: startup must fail loudly, not serve emptiness.
-	flip(cfg.SnapshotPath + ".1")
+	flip(snapshotAt(cfg) + ".1")
 	if _, err := New(cfg); err == nil {
 		t.Fatal("startup served an empty engine over two corrupt snapshots")
 	}
 }
 
 // TestSnapshotFallbackAfterPrune: a checkpoint prunes the log only up to
-// the coverage of the snapshot its rotation moved to path.1, so when the
+// the coverage of the snapshot its rotation moved to snapshot.1, so when the
 // newest snapshot is corrupt the fallback still finds its whole log suffix
 // once the log has rotated — here every record seals its own segment — and
 // the restart holds every acknowledged write. Pruned to the newest's
-// coverage, the log started past what path.1 covers and startup failed.
+// coverage, the log started past what snapshot.1 covers and startup failed.
 func TestSnapshotFallbackAfterPrune(t *testing.T) {
 	cfg := walConfig(t)
 	cfg.WALSegmentBytes = 1
@@ -787,12 +787,12 @@ func TestSnapshotFallbackAfterPrune(t *testing.T) {
 	if oldest := svc.wal.OldestLSN(); oldest == 1 {
 		t.Fatal("the second checkpoint pruned nothing")
 	}
-	data, err := os.ReadFile(cfg.SnapshotPath)
+	data, err := os.ReadFile(snapshotAt(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[0] ^= 0xff
-	if err := os.WriteFile(cfg.SnapshotPath, data, 0o644); err != nil {
+	if err := os.WriteFile(snapshotAt(cfg), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -801,8 +801,8 @@ func TestSnapshotFallbackAfterPrune(t *testing.T) {
 		t.Fatalf("restart on the fallback snapshot: %v", err)
 	}
 	defer svc2.Close()
-	if got := tenantBytes(t, svc2, ""); !svc2.snapFellBack || svc2.Engine().Count() != 600 || !bytes.Equal(got, want) {
-		t.Fatalf("the fallback restart (fell back %t) holds %d of the 600 acknowledged tuples", svc2.snapFellBack, svc2.Engine().Count())
+	if got, back := tenantBytes(t, svc2, ""), fellBack(t, svc2, cfg); !back || svc2.Engine().Count() != 600 || !bytes.Equal(got, want) {
+		t.Fatalf("the fallback restart (fell back %t) holds %d of the 600 acknowledged tuples", back, svc2.Engine().Count())
 	}
 }
 

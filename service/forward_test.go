@@ -454,9 +454,7 @@ func TestSiteRefusesUnsentState(t *testing.T) {
 	}
 	bare := walConfig(t)
 	bare.PushTo = "http://127.0.0.1:1"
-	if err := os.WriteFile(bare.SnapshotPath, encodeSnapshot(0, []tenantImage{{image: img}}, nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	bare.WALDir = stateWith(t, encodeSnapshot(0, []tenantImage{{image: img}}, nil))
 	if svc, err := New(bare); err == nil {
 		svc.Close()
 		t.Fatal("a site minted an id on a snapshot that covers LSN 0")
@@ -495,12 +493,11 @@ func TestSiteRefusesUnsentState(t *testing.T) {
 	if err := rig.site.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(cfg.SnapshotPath)
-	copied := filepath.Join(t.TempDir(), "copy.snapshot")
-	if err = cmp.Or(err, os.WriteFile(copied, data, 0o644)); err != nil {
+	data, err := os.ReadFile(snapshotAt(cfg))
+	if err != nil {
 		t.Fatal(err)
 	}
-	boot, err := New(Config{Options: testOptions(), SnapshotPath: copied, WALDir: t.TempDir()})
+	boot, err := New(Config{Options: testOptions(), WALDir: stateWith(t, data)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +586,7 @@ func TestForwardFollowsAMarkThatMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	older := coordCfg
-	older.SnapshotPath, older.WALDir = copyState(t, coordCfg)
+	older.WALDir = copyState(t, coordCfg)
 	if coord, err = New(coordCfg); err != nil {
 		t.Fatal(err)
 	}
@@ -650,27 +647,22 @@ func TestForwardFollowsAMarkThatMoves(t *testing.T) {
 	}
 }
 
-// copyState copies a server's snapshot and log directory and returns the
-// copies' paths.
-func copyState(t *testing.T, cfg Config) (snapshot, walDir string) {
+// copyState copies a server's state directory — its snapshots and its
+// log — and returns the copy's path.
+func copyState(t *testing.T, cfg Config) string {
 	t.Helper()
 	dir := t.TempDir()
-	snapshot, walDir = filepath.Join(dir, "corrd.snapshot"), filepath.Join(dir, "wal")
-	data, err := os.ReadFile(cfg.SnapshotPath)
-	if err = cmp.Or(err, os.WriteFile(snapshot, data, 0o644), os.Mkdir(walDir, 0o755)); err != nil {
-		t.Fatal(err)
-	}
 	entries, err := os.ReadDir(cfg.WALDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(cfg.WALDir, e.Name()))
-		if err = cmp.Or(err, os.WriteFile(filepath.Join(walDir, e.Name()), data, 0o644)); err != nil {
+		if err = cmp.Or(err, os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return snapshot, walDir
+	return dir
 }
 
 // TestSiteFailsOverToItsStandby: a site forwards to its coordinator and to

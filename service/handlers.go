@@ -541,7 +541,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.WALSegments = ws.Segments
 	st.WALAppendedBytes = ws.AppendedBytes
 	st.WALLastLSN = ws.LastLSN
-	st.WALReplayRecords = s.walReplayed
+	st.WALReplayRecords = uint64(s.metrics.walReplayRecords.Load())
 	st.WALReplaySeconds = s.metrics.walReplaySeconds.Load()
 	var stalled []string
 	for i, f := range s.fwds {

@@ -183,7 +183,7 @@ func (s *Server) recoverNow() error {
 	if err := s.commit(&ingestJob{op: opProbe}); err != nil {
 		return fail(fmt.Errorf("wal probe: %w", err))
 	}
-	if h.snapBroken.Load() && s.cfg.SnapshotPath != "" {
+	if h.snapBroken.Load() {
 		if err := s.Snapshot(); err != nil {
 			return fail(fmt.Errorf("snapshot probe: %w", err))
 		}

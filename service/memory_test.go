@@ -214,7 +214,7 @@ func TestSnapshotFallbackKeepsTenantBytes(t *testing.T) {
 	ingest(7) // a WAL suffix past both
 	crash(ts, svc)
 
-	data, err := os.ReadFile(cfg.SnapshotPath)
+	data, err := os.ReadFile(snapshotAt(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSnapshotFallbackKeepsTenantBytes(t *testing.T) {
 			images[i].image = images[i].image[:len(images[i].image)/2]
 		}
 	}
-	if err := os.WriteFile(cfg.SnapshotPath, encodeSnapshot(covered, images, marks), 0o644); err != nil {
+	if err := os.WriteFile(snapshotAt(cfg), encodeSnapshot(covered, images, marks), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -236,7 +236,7 @@ func TestSnapshotFallbackKeepsTenantBytes(t *testing.T) {
 		t.Fatalf("restart over a newest snapshot with a torn default image: %v", err)
 	}
 	t.Cleanup(func() { svc2.Close() })
-	if !svc2.snapFellBack {
+	if !fellBack(t, svc2, cfg) {
 		t.Fatal("restore did not fall back to the older slot")
 	}
 	if got, want := svc2.tenantBytes.Load(), recountTenantBytes(svc2); got != want || want == 0 {

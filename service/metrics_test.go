@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -113,12 +112,7 @@ func metricValue(t *testing.T, body, series string) float64 {
 // the README documents is present, and the pipeline-stage histograms
 // actually fired for all five stages.
 func TestMetricsExpositionInvariants(t *testing.T) {
-	dir := t.TempDir()
-	svc, ts, cl := newTestServer(t, Config{
-		Options:      testOptions(),
-		SnapshotPath: filepath.Join(dir, "snap"),
-		WALDir:       filepath.Join(dir, "wal"),
-	})
+	svc, ts, cl := newTestServer(t, Config{Options: testOptions()})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {

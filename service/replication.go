@@ -88,7 +88,7 @@ func (st *replayState) decodeIngest(payload []byte, left *uint64) ([]tenantBatch
 const pushRecord wal.RecordType = 2
 
 // errPushRecord names a push record and the way past it.
-var errPushRecord = errors.New(`a push record (type 2: a summary image merged into a tenant by the push endpoint, which this release no longer serves) is never applied — stop the release that logged it with SIGTERM, which writes a final snapshot, then start this release on that snapshot with an empty -wal-dir (README "Storage format")`)
+var errPushRecord = errors.New(`a push record (type 2: a summary image merged into a tenant by the push endpoint, which this release no longer serves) is never applied — stop the release that logged it with SIGTERM, which writes a final snapshot, then start this release with that snapshot copied into an empty -wal-dir as its snapshot file (README "Storage format")`)
 
 // applyRecord applies one WAL record on replay through the live commit's
 // own applies, which is what makes a restarted server's state
@@ -109,10 +109,10 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 		}
 		if c > st.covered && !st.fallback {
 			// A deliberate retention fallback restores an older snapshot
-			// on purpose; there the replay-gap check in replayWAL (first
-			// record must be covered+1) is the correctness guard instead.
-			return false, fmt.Errorf("service: wal replay: log has a checkpoint covering LSN %d but the restored snapshot covers only %d — snapshot at %q is stale or missing; refusing to double-apply (restore the matching snapshot, or move the WAL dir aside to start fresh)",
-				c, st.covered, s.cfg.SnapshotPath)
+			// on purpose; there the continuity check in replayWAL (the log
+			// starts by covered+1) is the correctness guard instead.
+			return false, fmt.Errorf("service: wal replay: log has a checkpoint covering LSN %d but the restored snapshot covers only %d — %s is stale or missing; refusing to double-apply (restore the matching snapshot, or move the WAL dir aside to start fresh)",
+				c, st.covered, s.snapshotPathN(0))
 		}
 		return false, nil
 	case wal.RecordProbe:

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -145,12 +144,11 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 		return strings.Contains(st.ForwardStalled, late.proxy.URL+": mark 0 is behind this log's oldest record")
 	})
 
-	data, err := os.ReadFile(cfg.SnapshotPath)
-	copied := filepath.Join(t.TempDir(), "copy.snapshot")
-	if err = cmp.Or(err, os.WriteFile(copied, data, 0o644)); err != nil {
+	data, err := os.ReadFile(snapshotAt(cfg))
+	if err != nil {
 		t.Fatal(err)
 	}
-	boot := mustNew(t, Config{Options: o, Standby: true, SnapshotPath: copied})
+	boot := mustNew(t, Config{Options: o, Standby: true, WALDir: stateWith(t, data)})
 	late.coord.Swap(boot).Close()
 	if err := pcl.AddBatch(ctx, testStream(1_000, 99)); err != nil {
 		t.Fatal(err)

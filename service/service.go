@@ -92,20 +92,20 @@ type Config struct {
 	// bounded staleness window take the query side off the commit path.
 	QueryMaxStale time.Duration
 
-	// SnapshotPath enables checkpoints: the engine state is persisted
-	// there on every SnapshotInterval tick and at shutdown, restored
-	// from it at startup, and the log pruned behind it. Empty disables
-	// snapshots, and the log is never pruned.
-	SnapshotPath string
-	// SnapshotInterval defaults to 30s when SnapshotPath is set.
+	// SnapshotInterval is the time between checkpoints; <= 0 means 30s.
+	// A checkpoint persists every tenant's state to <WALDir>/snapshot
+	// (the one before it kept as snapshot.1), and the log is pruned
+	// behind it. One is also written at Close, and startup restores the
+	// newest usable one.
 	SnapshotInterval time.Duration
 
-	// WALDir is the write-ahead log's directory, and required: every
-	// accepted ingest batch and forwarded site record is appended and
-	// fsynced — one fsync per commit group — before the request is
-	// acknowledged, so an acknowledged request survives kill -9 and an
-	// OS crash, and startup replays the log suffix the snapshot does not
-	// cover. Pair it with SnapshotPath so checkpoints can prune the log.
+	// WALDir is the server's state directory, and required: the
+	// write-ahead log's segments, the two snapshot generations and a
+	// site's id. Every accepted ingest batch and forwarded site record is
+	// appended and fsynced — one fsync per commit group — before the
+	// request is acknowledged, so an acknowledged request survives kill
+	// -9 and an OS crash, and startup replays the log suffix the
+	// snapshot does not cover.
 	WALDir string
 	// WALSegmentBytes is the segment rotation threshold; <= 0 means
 	// 64 MiB.
@@ -303,19 +303,13 @@ type Server struct {
 
 	// wal is the durable-ingest log, opened in New; only the committer
 	// writes it.
-	// walReplayed counts state records replayed at the last startup.
-	// snapFellBack records that startup restored an older retention
-	// slot (the newest snapshot was corrupt), which relaxes the replay
-	// checkpoint-staleness check in favor of the LSN-continuity check.
-	wal          *wal.WAL
-	walReplayed  uint64
-	snapFellBack bool
+	wal *wal.WAL
 
 	// xferMu serializes snapshots, so two never rotate or write the
 	// snapshot files at once. Its holders wait on commit jobs: never taken
 	// holding mu, nor by the committer. keptCovered, guarded by it, is the
 	// coverage of the newest snapshot on disk (the restored one until a
-	// snapshot is written): the next rotation moves it to path.1, and the
+	// snapshot is written): the next rotation moves it to snapshot.1, and the
 	// log is pruned no further than it.
 	xferMu      sync.Mutex
 	keptCovered uint64
@@ -345,17 +339,16 @@ type Server struct {
 	appliedLSN atomic.Uint64
 
 	// done stops the background loops; wg counts them and the stream conns
-	// (not the committer, which Close stops last). lifeMu is held by Close
-	// from start to finish, so a second Close waits for the first.
-	done     chan struct{}
-	wg       sync.WaitGroup
-	closing  atomic.Bool
-	lifeMu   sync.Mutex
-	closed   bool
-	closeErr error
+	// (not the committer, which Close stops last). closeOnce runs Close's
+	// body, so a second Close waits for the first and returns closeErr.
+	done      chan struct{}
+	wg        sync.WaitGroup
+	closing   atomic.Bool
+	closeOnce sync.Once
+	closeErr  error
 }
 
-// New builds a Server: engine, snapshot restore (if configured), HTTP
+// New builds a Server: engine, snapshot restore, log replay, HTTP
 // routes, and the background snapshot loop and forwarder. On error nothing
 // is left running.
 func New(cfg Config) (*Server, error) {
@@ -399,20 +392,18 @@ func New(cfg Config) (*Server, error) {
 	// covers), then replay the WAL suffix past it — the state that
 	// comes out is the same sequence of engine calls the crashed
 	// process made.
-	var covered uint64
-	if cfg.SnapshotPath != "" {
-		if covered, err = s.restoreSnapshot(); err != nil {
-			return nil, err
-		}
-		s.keptCovered = covered
+	covered, fellBack, err := s.restoreSnapshot()
+	if err != nil {
+		return nil, err
 	}
+	s.keptCovered = covered
 	// A brand-new log continues the snapshot: numbered from 1, replay
 	// would skip its records up to the snapshot's coverage as already
 	// applied.
 	if err := s.openWAL(covered + 1); err != nil {
 		return nil, err
 	}
-	if err := s.replayWAL(covered); err != nil {
+	if err := s.replayWAL(covered, fellBack); err != nil {
 		s.shutdownStorage()
 		return nil, err
 	}
@@ -428,22 +419,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.AccessLog != nil {
 		s.access = newAccessLog(cfg.AccessLog, accessLogRing, &s.metrics.accessDropped)
 	}
-	s.logf("configured: role=%s agg=%s snapshot=%q wal=%q access-log=%t slow-request=%s",
-		s.roleNow(), cfg.aggregate(), cfg.SnapshotPath, cfg.WALDir,
-		s.access != nil, cfg.SlowRequest)
+	s.logf("configured: role=%s agg=%s wal=%q access-log=%t slow-request=%s",
+		s.roleNow(), cfg.aggregate(), cfg.WALDir, s.access != nil, cfg.SlowRequest)
 	go s.committer()
 	s.every(healthProbeInterval, func() {
 		if s.health.state.Load() == healthDegraded {
 			s.recoverNow() // logs its own outcome
 		}
 	})
-	if cfg.SnapshotPath != "" {
-		s.every(cfg.SnapshotInterval, func() {
-			if err := s.Snapshot(); err != nil {
-				s.logf("snapshot: %v", err)
-			}
-		})
-	}
+	s.every(cfg.SnapshotInterval, func() {
+		if err := s.Snapshot(); err != nil {
+			s.logf("snapshot: %v", err)
+		}
+	})
 	for _, f := range s.fwds {
 		go f.run()
 	}
@@ -506,12 +494,12 @@ func (s *Server) shutdownStorage() {
 // more than once; later calls return the first result. Callers should
 // stop their http.Server first so no handler is mid-flight.
 func (s *Server) Close() error {
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	if s.closed {
-		return s.closeErr
-	}
-	s.closed = true
+	s.closeOnce.Do(s.close)
+	return s.closeErr
+}
+
+// close is Close's body, run once.
+func (s *Server) close() {
 	s.closing.Store(true)
 	s.logf("close: draining stream connections and the ingest pipeline")
 	close(s.done)
@@ -555,5 +543,4 @@ func (s *Server) Close() error {
 	} else {
 		s.logf("close: complete with errors: %v", s.closeErr)
 	}
-	return s.closeErr
 }

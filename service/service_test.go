@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -171,14 +172,7 @@ func TestIngestTextFormat(t *testing.T) {
 // restores the snapshot and replays the log past it, to a marshaled state
 // bit-identical to the one the crash cut: every acknowledged tuple.
 func TestSnapshotCrashRecovery(t *testing.T) {
-	o := testOptions()
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "corrd.snapshot")
-	cfg := Config{
-		Options:      o,
-		SnapshotPath: snap, SnapshotInterval: time.Hour, // only explicit snapshots
-		WALDir: filepath.Join(dir, "wal"),
-	}
+	cfg := walConfig(t) // only explicit snapshots
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +186,7 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	if err := svc.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	snapFile, err := os.ReadFile(snap)
+	snapFile, err := os.ReadFile(snapshotAt(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +223,8 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	if !svc2.Restored() || svc2.walReplayed == 0 {
-		t.Fatalf("restart restored a snapshot %t, replayed %d records past it", svc2.Restored(), svc2.walReplayed)
+	if n := svc2.metrics.walReplayRecords.Load(); !svc2.Restored() || n == 0 {
+		t.Fatalf("restart restored a snapshot %t, replayed %d records past it", svc2.Restored(), n)
 	}
 	img, err := svc2.Engine().MarshalBinary()
 	if err != nil {
@@ -272,8 +266,22 @@ func TestGracefulShutdownFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
+	// Close runs once: a concurrent call waits for the first, so each
+	// returns with the final snapshot on disk, and a later one is a no-op.
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() {
+			err := svc.Close()
+			if err == nil {
+				_, err = os.Stat(snapshotAt(cfg))
+			}
+			errs <- err
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := svc.Close(); err != nil { // idempotent
 		t.Fatal(err)
@@ -284,8 +292,8 @@ func TestGracefulShutdownFlush(t *testing.T) {
 	}
 	defer svc2.Close()
 	// The final snapshot covers every record: nothing is left to replay.
-	if n := svc2.Engine().Count(); n != 500 || !svc2.Restored() || svc2.walReplayed != 0 {
-		t.Fatalf("restart after graceful shutdown: count %d, want 500; restored %t, %d records replayed past the final snapshot", n, svc2.Restored(), svc2.walReplayed)
+	if n, replayed := svc2.Engine().Count(), svc2.metrics.walReplayRecords.Load(); n != 500 || !svc2.Restored() || replayed != 0 {
+		t.Fatalf("restart after graceful shutdown: count %d, want 500; restored %t, %d records replayed past the final snapshot", n, svc2.Restored(), replayed)
 	}
 }
 
@@ -369,42 +377,66 @@ func TestQueryErrorMapping(t *testing.T) {
 
 func asAPIError(err error, ae **client.APIError) bool { return errors.As(err, ae) }
 
-// walConfig is the standard durable-ingest test configuration: a log plus
-// a snapshot path whose ticker never fires, so every recovery path
-// exercises the log.
+// walConfig is the standard durable-ingest test configuration: a state
+// directory whose snapshot ticker never fires, so only an explicit
+// Snapshot or Close writes one and every recovery path exercises the log.
 func walConfig(t *testing.T) Config {
 	t.Helper()
+	return Config{Options: testOptions(), SnapshotInterval: time.Hour, WALDir: filepath.Join(t.TempDir(), "wal")}
+}
+
+// snapshotAt is the live snapshot's path in cfg's state directory.
+func snapshotAt(cfg Config) string { return filepath.Join(cfg.WALDir, snapshotFile) }
+
+// stateWith returns a new state directory holding snapshot as its live
+// snapshot and no log: where a server bootstraps from a copy of another's.
+func stateWith(t *testing.T, snapshot []byte) string {
+	t.Helper()
 	dir := t.TempDir()
-	return Config{
-		Options:      testOptions(),
-		SnapshotPath: filepath.Join(dir, "corrd.snapshot"), SnapshotInterval: time.Hour,
-		WALDir: filepath.Join(dir, "wal"),
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snapshot, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	return dir
+}
+
+// fellBack reports whether svc's start-up restored cfg's older snapshot
+// generation: its restore covers what snapshot.1 does.
+func fellBack(t *testing.T, svc *Server, cfg Config) bool {
+	t.Helper()
+	data, err := os.ReadFile(snapshotAt(cfg) + ".1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered, _, _, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.xferMu.Lock()
+	defer svc.xferMu.Unlock()
+	return svc.keptCovered == covered
 }
 
 // crash simulates kill -9 for an in-process server: drop the listener
 // (when there is one) and stop the background loops — a dead process
 // must not keep snapshotting, checkpointing or probing files the
 // restarted server now owns. No drain, no final snapshot, no WAL close:
-// the disk is left exactly as a SIGKILL would leave it. The transfer
-// lock is taken and never released, so no snapshot is in flight when
-// crash returns and none can start afterwards; a later Close is a no-op.
+// the disk is left exactly as a SIGKILL would leave it. crash takes
+// Close's once, so a later Close is a no-op, and the transfer lock, never
+// released, so no snapshot is in flight when crash returns and none can
+// start afterwards.
 // A site's forwarder makes one last attempt and stops: a test that wants
 // records left unforwarded takes the coordinator away first.
 func crash(ts *httptest.Server, svc *Server) {
 	if ts != nil {
 		ts.Close()
 	}
-	svc.lifeMu.Lock()
-	if !svc.closed {
-		svc.closed = true
+	svc.closeOnce.Do(func() {
 		svc.closing.Store(true)
 		close(svc.done)
 		for _, f := range svc.fwds {
 			f.drain()
 		}
-	}
-	svc.lifeMu.Unlock()
+	})
 	svc.xferMu.Lock()
 }
 
@@ -450,7 +482,7 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	if !svc2.Restored() {
 		t.Fatal("restart did not restore the snapshot")
 	}
-	if svc2.walReplayed == 0 {
+	if svc2.metrics.walReplayRecords.Load() == 0 {
 		t.Fatal("restart replayed no WAL records")
 	}
 	got, err := svc2.Engine().MarshalBinary()
@@ -665,7 +697,7 @@ func TestWALRefusesStaleSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	crash(ts, svc)
-	if err := os.Remove(cfg.SnapshotPath); err != nil { // lose the snapshot
+	if err := os.Remove(snapshotAt(cfg)); err != nil { // lose the snapshot
 		t.Fatal(err)
 	}
 	svc2, err := New(cfg)
@@ -676,6 +708,124 @@ func TestWALRefusesStaleSnapshot(t *testing.T) {
 	if !strings.Contains(err.Error(), "stale or missing") {
 		t.Fatalf("unexpected refusal error: %v", err)
 	}
+}
+
+// TestEmptyLogRefusesALostSnapshot: a server started on a copy of a
+// snapshot and no log opens its log at the snapshot's coverage + 1, so a
+// log that holds no record still says which snapshot it continues. Killed
+// before its first write and restarted without that snapshot, it refuses
+// by name instead of serving empty state over the snapshot's tuples. A
+// continuity check that looks only at the first record replay delivers
+// never runs on an empty log, and the restart came up holding nothing.
+func TestEmptyLogRefusesALostSnapshot(t *testing.T) {
+	src := walConfig(t)
+	svc, err := New(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.commit(ingestOf("", testStream(1_000, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil { // the final snapshot
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snapshotAt(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Options: testOptions(), WALDir: stateWith(t, data)}
+	boot, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := boot.Engine().Count(); n != 1_000 {
+		t.Fatalf("the server started on the copy holds %d of its 1000 tuples", n)
+	}
+	crash(nil, boot)
+	if err := os.Remove(snapshotAt(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if svc2, err := New(cfg); err == nil {
+		n := svc2.Engine().Count()
+		svc2.Close()
+		t.Fatalf("a restart without the snapshot its log continues came up holding %d tuples", n)
+	} else if !strings.Contains(err.Error(), "but the restored snapshot covers only 0") {
+		t.Fatalf("unexpected refusal error: %v", err)
+	}
+}
+
+// TestEveryServerCheckpoints: a server given only Options and a state
+// directory writes <WALDir>/snapshot at Close and on its ticker, restarts
+// from it with nothing to replay, and prunes its log's sealed segments
+// behind snapshot.1's coverage.
+func TestEveryServerCheckpoints(t *testing.T) {
+	cfg := Config{Options: testOptions(), WALDir: t.TempDir()}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svc.cfg.SnapshotInterval != 30*time.Second {
+		t.Fatalf("snapshot interval %s, want the 30s default", svc.cfg.SnapshotInterval)
+	}
+	if err := svc.commit(ingestOf("", testStream(500, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(snapshotAt(cfg)); err != nil {
+		t.Fatalf("no snapshot after Close: %v", err)
+	}
+	restart := func(want uint64) *Server {
+		t.Helper()
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, replayed := svc.Engine().Count(), svc.metrics.walReplayRecords.Load(); n != want || !svc.Restored() || replayed != 0 {
+			t.Fatalf("restart: count %d, want %d; restored %t, %d records replayed past the snapshot", n, want, svc.Restored(), replayed)
+		}
+		return svc
+	}
+	if err := restart(500).Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// On the ticker, with every commit group sealing a segment of its own.
+	cfg.SnapshotInterval, cfg.WALSegmentBytes = 10*time.Millisecond, 1
+	svc = restart(500)
+	for i := uint64(0); i < 6; i++ {
+		if err := svc.commit(ingestOf("", testStream(100, 10+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ticked := svc.metrics.snapshotsWritten.Load()
+	waitUntil(t, 10*time.Second, "two snapshots on the ticker", func() bool {
+		return svc.metrics.snapshotsWritten.Load() >= ticked+2
+	})
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snapshotAt(cfg) + ".1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, _, _, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firsts []uint64
+	for name := range dirBytes(t, cfg.WALDir) {
+		var first uint64
+		if _, err := fmt.Sscanf(name, "wal-%016x.seg", &first); err == nil {
+			firsts = append(firsts, first)
+		}
+	}
+	slices.Sort(firsts)
+	if len(firsts) == 0 || firsts[0] == 1 || firsts[0] > kept+1 || (len(firsts) > 1 && firsts[1] <= kept+1) {
+		t.Fatalf("segments from LSNs %v: want the log pruned to the segment holding LSN %d, just past snapshot.1's coverage", firsts, kept+1)
+	}
+	restart(1_100).Close()
 }
 
 // dirBytes reads every regular file under dir, keyed by name.
@@ -826,9 +976,9 @@ func TestPreBreakStateRefused(t *testing.T) {
 		} {
 			t.Run(format.name+" in "+place.name, func(t *testing.T) {
 				dir := t.TempDir()
-				cfg := Config{Options: o, SnapshotPath: filepath.Join(dir, "corrd.snapshot"), WALDir: t.TempDir()}
+				cfg := Config{Options: o, WALDir: dir}
 				for _, i := range place.slots {
-					path := cfg.SnapshotPath
+					path := snapshotAt(cfg)
 					if i > 0 {
 						path = fmt.Sprintf("%s.%d", path, i)
 					}
@@ -869,10 +1019,12 @@ func TestPreBreakStateRefused(t *testing.T) {
 		}
 		refused(t, cfg, cfg.WALDir, errPushRecord, "a push record (type 2", "SIGTERM", "an empty -wal-dir")
 
-		// The way out: the snapshot, on an empty log.
-		if err := os.RemoveAll(cfg.WALDir); err != nil {
+		// The way out: the snapshot, copied into an empty state directory.
+		data, err := os.ReadFile(snapshotAt(cfg))
+		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.WALDir = stateWith(t, data)
 		svc, err = New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -920,9 +1072,11 @@ func TestSnapshotOntoEmptyLogKeepsAckedWrites(t *testing.T) {
 	if err := cmp.Or(svc.Snapshot(), svc.Close()); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(cfg.WALDir); err != nil {
+	data, err := os.ReadFile(snapshotAt(cfg))
+	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.WALDir = stateWith(t, data)
 	svc, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)

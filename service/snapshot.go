@@ -16,7 +16,7 @@ import (
 )
 
 // Durability: every tenant's summary image (its MarshalBinary — the same
-// bytes /v1/summary serves) is written to disk on a
+// bytes /v1/summary serves) is written to <WALDir>/snapshot on a
 // ticker and again on graceful shutdown, via the classic
 // temp-file-then-rename dance so a crash mid-write can never corrupt the
 // previous snapshot. Restore happens once, at startup, before the
@@ -201,34 +201,38 @@ func (s *Server) writeFileAtomic(path string, data []byte) error {
 }
 
 // snapshotKeep is how many snapshot generations stay on disk: the live
-// file and the one before it (path.1), which startup falls back to when
-// the newest is corrupt or truncated, replaying the longer log suffix —
-// which a checkpoint keeps by pruning only to path.1's coverage
-// (keptCovered).
+// file and the one before it (snapshot.1), which startup falls back to
+// when the newest is corrupt or truncated, replaying the longer log
+// suffix — which a checkpoint keeps by pruning only to snapshot.1's
+// coverage (keptCovered).
 const snapshotKeep = 2
 
+// snapshotFile is the live snapshot's name in the WAL directory.
+const snapshotFile = "snapshot"
+
 // snapshotPathN is the retention slot path: slot 0 is the live
-// SnapshotPath, slot i>0 is SnapshotPath + ".<i>" (higher = older).
+// <WALDir>/snapshot, slot i>0 is <WALDir>/snapshot.<i> (higher = older).
 func (s *Server) snapshotPathN(i int) string {
+	path := filepath.Join(s.cfg.WALDir, snapshotFile)
 	if i == 0 {
-		return s.cfg.SnapshotPath
+		return path
 	}
-	return fmt.Sprintf("%s.%d", s.cfg.SnapshotPath, i)
+	return fmt.Sprintf("%s.%d", path, i)
 }
 
-// rotateSnapshots moves the live snapshot to path.1, over the old one, so
-// the upcoming write never destroys the last good restore point — a
-// snapshot that lands corrupt on disk still leaves path.1 restorable.
+// rotateSnapshots moves the live snapshot to snapshot.1, over the old
+// one, so the upcoming write never destroys the last good restore point —
+// a snapshot that lands corrupt on disk still leaves snapshot.1
+// restorable.
 func (s *Server) rotateSnapshots() {
 	err := s.fs.Rename(s.snapshotPathN(0), s.snapshotPathN(1))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		s.logf("snapshot: rotate %s: %v", s.cfg.SnapshotPath, err)
+		s.logf("snapshot: rotate %s: %v", s.snapshotPathN(0), err)
 	}
 }
 
 // Snapshot marshals the engine under the driver lock and persists it
-// atomically. It is a no-op when the server was built without a
-// snapshot path. The transfer lock serializes it against other snapshots.
+// atomically. The transfer lock serializes it against other snapshots.
 func (s *Server) Snapshot() error {
 	s.xferMu.Lock()
 	defer s.xferMu.Unlock()
@@ -274,13 +278,10 @@ func (s *Server) buildSnapshot() (covered uint64, file []byte, nTenants int, dat
 // in one driver-lock critical section, so the recorded LSN is exactly
 // the last record the image captures; once the file is durably renamed,
 // a checkpoint-marker job records that LSN and the WAL prunes up to the
-// coverage of the snapshot the rotation moved to path.1, so a fallback to
-// it still finds its suffix — a site's only as far as every target has
+// coverage of the snapshot the rotation moved to snapshot.1, so a fallback
+// to it still finds its suffix — a site's only as far as every target has
 // confirmed, too.
 func (s *Server) snapshotLocked() error {
-	if s.cfg.SnapshotPath == "" {
-		return nil
-	}
 	covered, file, nTenants, dataLen, err := s.buildSnapshot()
 	if err != nil {
 		s.metrics.snapshotErrors.Inc()
@@ -288,7 +289,8 @@ func (s *Server) snapshotLocked() error {
 		return fmt.Errorf("service: snapshot marshal: %w", err)
 	}
 	s.rotateSnapshots()
-	if err := s.writeFileAtomic(s.cfg.SnapshotPath, file); err != nil {
+	path := s.snapshotPathN(0)
+	if err := s.writeFileAtomic(path, file); err != nil {
 		s.metrics.snapshotErrors.Inc()
 		s.noteSnapshotResult(err)
 		return fmt.Errorf("service: snapshot write: %w", err)
@@ -297,7 +299,7 @@ func (s *Server) snapshotLocked() error {
 	s.metrics.lastSnapshotUnix.Set(time.Now().Unix())
 	s.metrics.snapshotBytes.Set(dataLen)
 	s.logf("snapshot: wrote %s (%d tenants, %d bytes, covered LSN %d)",
-		s.cfg.SnapshotPath, nTenants, dataLen, covered)
+		path, nTenants, dataLen, covered)
 	prune := s.keptCovered
 	s.keptCovered = covered
 	for _, f := range s.fwds {
@@ -319,13 +321,13 @@ func (s *Server) snapshotLocked() error {
 // restoreSnapshot loads a snapshot at startup and returns the WAL LSN
 // it covers. It walks the retention slots newest-first: a newest
 // snapshot that is corrupt (torn write, bit rot) falls back to the
-// previous good one — trading a longer WAL replay for a boot that still
-// serves every acknowledged record the log holds. No file in any slot
-// is a clean first boot; every slot present-but-unusable is fatal (a
+// previous good one (fellBack) — trading a longer WAL replay for a boot
+// that still serves every acknowledged record the log holds. No file in
+// any slot is a clean first boot; every slot present-but-unusable is fatal (a
 // daemon must not silently serve an empty state over data it was asked
 // to remember) — which is how files from before the storage version
 // break are refused: each fails with ErrSnapshotFormat, none is written.
-func (s *Server) restoreSnapshot() (covered uint64, err error) {
+func (s *Server) restoreSnapshot() (covered uint64, fellBack bool, err error) {
 	var lastErr error
 	for i := range snapshotKeep {
 		path := s.snapshotPathN(i)
@@ -344,19 +346,15 @@ func (s *Server) restoreSnapshot() (covered uint64, err error) {
 		covered, err := s.restoreSnapshotData(path, data)
 		if err == nil {
 			if i > 0 {
-				s.snapFellBack = true
 				s.logf("snapshot: newest snapshot unusable; restored fallback %s (covered LSN %d; the wal replay suffix grows accordingly)", path, covered)
 			}
-			return covered, nil
+			return covered, i > 0, nil
 		}
 		lastErr = err
 		s.logf("snapshot: %v", err)
 		s.resetRestoredState()
 	}
-	if lastErr != nil {
-		return 0, lastErr
-	}
-	return 0, nil
+	return 0, false, lastErr
 }
 
 // restoreSnapshotData applies one snapshot file's contents: every tenant

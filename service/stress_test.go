@@ -91,7 +91,7 @@ func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	if svc2.walReplayed == 0 {
+	if svc2.metrics.walReplayRecords.Load() == 0 {
 		t.Fatal("restart replayed no WAL records")
 	}
 	got, err := svc2.Engine().MarshalBinary()

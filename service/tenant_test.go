@@ -152,7 +152,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 		ts2.Close()
 		svc2.Close()
 	}()
-	if svc2.walReplayed == 0 {
+	if svc2.metrics.walReplayRecords.Load() == 0 {
 		t.Fatal("restart replayed no WAL records")
 	}
 	for name, want := range pre {

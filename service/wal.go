@@ -62,24 +62,22 @@ func (s *Server) openWAL(firstLSN uint64) error {
 // goroutine is started, so calling the *Locked tenant helpers without
 // s.mu is safe; the apply makes each tenant the log names whatever the
 // governance caps say — acknowledged data outranks a cap that may have
-// been lowered since.
-func (s *Server) replayWAL(covered uint64) error {
+// been lowered since. fellBack says the restore took an older retention
+// slot, which relaxes the checkpoint witness (applyRecord).
+func (s *Server) replayWAL(covered uint64, fellBack bool) error {
+	// Continuity: the log must begin no later than where the snapshot
+	// left off. A later oldest LSN means records between were pruned (a
+	// checkpoint for a newer snapshot this boot did not restore) or were
+	// never this log's (it was opened on a snapshot that is gone) —
+	// replaying around the hole, or serving over it, would silently drop
+	// acknowledged data. An empty log is held to it too.
+	if oldest := s.wal.OldestLSN(); oldest > covered+1 {
+		return fmt.Errorf("service: wal replay: log starts at LSN %d but the restored snapshot covers only %d — the records between were pruned; restore the snapshot the log was checkpointed against", oldest, covered)
+	}
 	start := time.Now()
 	var records uint64
-	st := &replayState{covered: covered, fallback: s.snapFellBack}
-	first := true
+	st := &replayState{covered: covered, fallback: fellBack}
 	err := s.wal.Replay(covered, func(lsn uint64, typ wal.RecordType, payload []byte) error {
-		if first {
-			first = false
-			// Continuity: the suffix must begin exactly where the
-			// snapshot left off. A later first LSN means records between
-			// were pruned (a checkpoint for a newer snapshot this boot
-			// did not restore) — replaying around the hole would silently
-			// drop acknowledged data.
-			if lsn > covered+1 {
-				return fmt.Errorf("service: wal replay: log starts at LSN %d but the restored snapshot covers only %d — the records between were pruned; restore the snapshot the log was checkpointed against", lsn, covered)
-			}
-		}
 		counted, err := s.applyRecord(lsn, typ, payload, st)
 		if err != nil {
 			return err
@@ -94,7 +92,6 @@ func (s *Server) replayWAL(covered uint64) error {
 	}
 	s.appliedLSN.Store(s.wal.LastLSN())
 	dur := time.Since(start)
-	s.walReplayed = records
 	s.metrics.walReplayRecords.Set(int64(records))
 	s.metrics.walReplaySeconds.Set(dur.Seconds())
 	if records > 0 {
