@@ -99,7 +99,7 @@ func TestArenaClasses(t *testing.T) {
 // table, then more as its sketches fill — chunk by chunk, everything it maps
 // on the process's count — and its books stay a walk of its blocks.
 func TestArenaMapsAsSketchesFill(t *testing.T) {
-	before := mappedBytes.Load()
+	before := settledMapped() // earlier tests' arenas go back before the loop, not inside it
 	m := NewF2Maker(356, 4, hash.New(3))
 	var out []*CountSketch
 	for i := 0; i < 4; i++ {

@@ -9,34 +9,51 @@ package tupleio
 //
 //	member   uvarint(len(tenant)) tenant
 //	         uvarint(count)
-//	         k_y k_x                                   one byte each
-//	         count × ( rice(y − previous y, k_y)  rice(x, k_x) )
+//	         p_y p_x                                   one byte each
+//	         count × ( code(y − previous y, p_y)  code(x, p_x) )
 //	                 one bitstream, least significant bit of each byte
 //	                 first, zero-padded to a byte; previous y starts at 0
-//	         flag    0: every weight is 1
-//	                 1: count × uvarint(weight) follow, in row order
+//	         count × uvarint(weight), in row order, when p_y's bit 7 is set
 //
-//	rice(v, k)  v>>k zero bits, a one bit, then the k low bits of v,
-//	            least significant first
+//	p        bits 0–5  k, the column's parameter, 0…63
+//	         bit 6     0: the column is rice(v, k), 1: expgolomb(v, k)
+//	         bit 7     p_y: 1 when weights follow (some weight is not 1);
+//	                   p_x: 0
 //
-// A Golomb–Rice code (Golomb 1966; Rice 1979) with each column's parameter
-// taken from its own mean: k_y = ⌊log2 mean(y gaps)⌋ and k_x = ⌊log2
-// mean(x)⌋, 0 where the mean is below 1 (or there are no rows), the sums
-// taken in 128 bits. Since 2^k ≤ mean, a column's quotients add up to at
-// most count·mean/2^k < 2·count: however skewed the column, its unary bits
-// stay under two a row.
+//	rice(v, k)       v>>k zero bits, a one bit, then the k low bits of v,
+//	                 least significant first
+//	expgolomb(v, k)  m zero bits, a one bit, then the m+k low bits of
+//	                 v + 2^k, least significant first, where m + k + 1 is
+//	                 the bit length of v + 2^k
+//
+// Each column takes the shorter of two codes, by the exact bit count of its
+// values: a Golomb–Rice code (Golomb 1966; Rice 1979) at k = ⌊log2 mean⌋,
+// 0 where the mean is below 1 (or there are no rows), the sums taken in 128
+// bits; or an Exp-Golomb code (Teuhola 1978) at k = max(0, ⌊mean bit
+// length⌋ − 1). A tie is Rice. Rice fits a column whose values crowd near
+// their mean — uniform x, the gaps of uniform y — and since 2^k ≤ mean its
+// quotients add up to at most count·mean/2^k < 2·count: however skewed the
+// column, its unary bits stay under two a row. But on a skewed column (zipf
+// x, the paper's packet sizes) the tail sets the mean, and every common
+// small value pays Rice's k bits for it; Exp-Golomb's prefix grows with the
+// logarithm of a value, so a small value costs little more than k bits and
+// a tail value about twice its length. Exp-Golomb never wins at k = 63:
+// that k needs every value 64 bits long, and each is then a bit shorter in
+// Rice.
 //
 // The rows keep the batch's order exactly, equal-y runs included: the order
 // inside a run is part of what a summary's state is a function of
 // (core.SortByY). The form is canonical — one byte string per batch — so the
-// decoder refuses what the encoder never writes: a k other than the one the
-// rows' means give, non-zero padding, a padded uvarint, a flag other than 0
-// or 1, flag 1 over weights that are all 1, a weight of 0. Hostile-input
-// discipline is the rest of the codec's: the count is checked against
-// MaxDecodeTuples and against what the bytes behind it could hold (a row
-// is at least 2+k_y+k_x bits) before anything is allocated, a value may
-// not overflow 64 bits, y may not wrap, a weight must fit int64, and the
-// tenant key aliases the input.
+// decoder refuses what the encoder never writes: a parameter byte other
+// than the one the rows give (the decoder recomputes both codes' costs, so
+// a dearer code, a tie written as Exp-Golomb or another k is refused), a
+// weights bit set over weights that are all 1, p_x's bit 7, non-zero
+// padding, a padded uvarint, a weight of 0. Hostile-input discipline is the
+// rest of the codec's: the count is checked against MaxDecodeTuples and
+// against what the bytes behind it could hold (a row is at least 2+k_y+k_x
+// bits in either code) before anything is allocated, a value may not
+// overflow 64 bits, y may not wrap, a weight must fit int64, and the tenant
+// key aliases the input.
 
 import (
 	"encoding/binary"
@@ -52,21 +69,86 @@ import (
 // non-decreasing in y: the gap to the previous row would have wrapped.
 var ErrUnsorted = errors.New("tupleio: batch is not sorted by y")
 
-// riceK is a column's parameter, ⌊log2 mean⌋ of n values summing to
-// hi·2^64 + lo, or 0 where the mean is below 1. hi < n holds for any n
-// values below 2^64.
-func riceK(hi, lo, n uint64) uint {
+// The bits of a parameter byte.
+const (
+	kBits        = 0x3f // the column's k
+	expGolombBit = 0x40 // the column is Exp-Golomb-coded, else Rice
+	weightsBit   = 0x80 // in p_y: weights follow the bitstream
+)
+
+// column sums what a column's parameters are set from: its values, in
+// 128 bits, and their bit lengths.
+type column struct{ hi, lo, lens uint64 }
+
+func (c *column) add(v uint64) {
+	var carry uint64
+	c.lo, carry = bits.Add64(c.lo, v, 0)
+	c.hi += carry
+	c.lens += uint64(bits.Len64(v))
+}
+
+// ks are the column's parameters over n values: Rice's ⌊log2 mean⌋, 0
+// where the mean is below 1, and Exp-Golomb's max(0, ⌊mean bit length⌋ −
+// 1). Both are below 64; hi < n holds for any n values below 2^64.
+func (c column) ks(n uint64) (rice, eg uint) {
 	if n == 0 {
-		return 0
+		return 0, 0
 	}
-	if mean, _ := bits.Div64(hi, lo, n); mean > 0 {
-		return uint(bits.Len64(mean) - 1)
+	if mean, _ := bits.Div64(c.hi, c.lo, n); mean > 0 {
+		rice = uint(bits.Len64(mean) - 1)
 	}
-	return 0
+	if l := c.lens / n; l > 1 {
+		eg = uint(l - 1)
+	}
+	return rice, eg
+}
+
+// params are the parameter bytes, less the weights bit, of a batch whose
+// y gaps and x values the first pass summed up as y and x: each column's
+// shorter code, priced exactly by a second pass over the rows. Beyond 1+k
+// bits a value, Rice spends the value's quotient by 2^k and Exp-Golomb
+// twice its prefix.
+func params(batch []core.Tuple, y, x column) (py, px byte) {
+	n := uint64(len(batch))
+	ry, ey := y.ks(n)
+	rx, ex := x.ks(n)
+	var qy, my, qx, mx, prev uint64
+	for i := range batch {
+		gap, v := batch[i].Y-prev, batch[i].X
+		prev = batch[i].Y
+		qy += gap >> (ry & 63) // the masks tell the compiler k < 64
+		my += egPrefix(gap >> (ey & 63))
+		qx += v >> (rx & 63)
+		mx += egPrefix(v >> (ex & 63))
+	}
+	return pick(n, ry, qy, ey, my), pick(n, rx, qx, ex, mx)
+}
+
+// pick is the parameter byte of the shorter code of a column of n values
+// whose quotients by 2^r sum to q and whose prefixes at e sum to m; a tie
+// is Rice. The quotients add up to under 2n (2^r ≤ mean) and the prefixes
+// to at most 64n: no sum overflows below 2^56 rows.
+func pick(n uint64, r uint, q uint64, e uint, m uint64) byte {
+	if n*uint64(e)+2*m < n*uint64(r)+q {
+		return byte(e) | expGolombBit
+	}
+	return byte(r)
+}
+
+// egPrefix is the length of the zero prefix of an Exp-Golomb code whose
+// value's quotient by 2^k is q: ⌊log2(q+1)⌋, without q+1 overflowing.
+func egPrefix(q uint64) uint64 { return uint64(bits.Len64(q>>1 + q&1)) }
+
+// describe names the code a parameter byte gives a column.
+func describe(p byte) string {
+	if p&expGolombBit != 0 {
+		return fmt.Sprintf("Exp-Golomb k=%d", p&kBits)
+	}
+	return fmt.Sprintf("Rice k=%d", p&kBits)
 }
 
 // maxRows is how many rows a bitstream within size bytes can hold at
-// parameters ky and kx.
+// parameters ky and kx: a code at k is at least 1+k bits long.
 func maxRows(size int, ky, kx uint) uint64 {
 	return 8 * uint64(size) / uint64(2+ky+kx)
 }
@@ -76,36 +158,37 @@ func maxRows(size int, ky, kx uint) uint64 {
 // refused with ErrUnsorted and buf comes back as it was given. A
 // non-positive weight is written as 1, as everywhere in the codec.
 func AppendSortedBatch(buf []byte, tenant string, batch []core.Tuple) ([]byte, error) {
-	var prev, xHi, xLo, c uint64
+	var y, x column
+	var prev uint64
 	unit := true
 	for i := range batch {
 		t := &batch[i]
 		if t.Y < prev {
 			return buf, fmt.Errorf("%w: y = %d follows y = %d at row %d", ErrUnsorted, t.Y, prev, i)
 		}
-		xLo, c = bits.Add64(xLo, t.X, 0)
-		xHi += c
+		y.add(t.Y - prev)
+		x.add(t.X)
 		prev = t.Y
 		unit = unit && t.W <= 1
 	}
 	n := uint64(len(batch))
-	ky, kx := riceK(0, prev, n), riceK(xHi, xLo, n) // the gaps add up to the last y
+	py, px := params(batch, y, x)
 	buf = AppendTenant(buf, tenant)
 	buf = binary.AppendUvarint(buf, n)
-	buf = append(buf, byte(ky), byte(kx))
-	w := bitWriter{buf: buf}
+	at := len(buf)
+	w := bitWriter{buf: append(buf, py, px)}
 	prev = 0
 	for i := range batch {
 		t := &batch[i]
-		w.rice(t.Y-prev, ky)
-		w.rice(t.X, kx)
+		w.code(t.Y-prev, py)
+		w.code(t.X, px)
 		prev = t.Y
 	}
 	buf = w.flush()
 	if unit {
-		return append(buf, 0), nil
+		return buf, nil
 	}
-	buf = append(buf, 1)
+	buf[at] |= weightsBit
 	for i := range batch {
 		w := batch[i].W
 		if w <= 0 {
@@ -133,20 +216,35 @@ func (w *bitWriter) write(v uint64, n uint) {
 	}
 }
 
-// rice appends v's Rice code at parameter k (k < 64), in one write when
-// the code fits 64 bits.
-func (w *bitWriter) rice(v uint64, k uint) {
-	q := v >> k
-	for ; q >= 63; q -= 63 {
-		w.write(0, 63)
-	}
-	low := v & (1<<k - 1)
-	if l := uint(q) + 1 + k; l <= 64 {
-		w.write(low<<(q+1)|1<<q, l)
+// code appends v in the code parameter byte p names (k < 64), in one
+// write when the code fits 64 bits. An Exp-Golomb code with prefix m has
+// for its tail v less (2^m − 1)·2^k, the first value with that prefix;
+// m + k ≤ 64.
+func (w *bitWriter) code(v uint64, p byte) {
+	k := uint(p & kBits)
+	if p&expGolombBit == 0 {
+		q := v >> k
+		for ; q >= 63; q -= 63 {
+			w.write(0, 63)
+		}
+		low := v & (1<<k - 1)
+		if l := uint(q) + 1 + k; l <= 64 {
+			w.write(low<<(q+1)|1<<q, l)
+			return
+		}
+		w.write(1<<q, uint(q)+1)
+		w.write(low, k)
 		return
 	}
-	w.write(1<<q, uint(q)+1)
-	w.write(low, k)
+	m := uint(egPrefix(v >> k))
+	tail := v - (1<<m-1)<<k
+	if l := 2*m + 1 + k; l <= 64 {
+		w.write(tail<<(m+1)|1<<m, l)
+		return
+	}
+	w.write(0, m)
+	w.write(1, 1)
+	w.write(tail, m+k)
 }
 
 // flush appends the bits pending, zero-padded to a byte, and returns the
@@ -184,28 +282,70 @@ func (r *bitReader) refill() {
 	}
 }
 
-// rice reads one Rice code at parameter k (k < 64); ok is false when the
-// stream ends inside it or its value overflows 64 bits.
-func (r *bitReader) rice(k uint) (v uint64, ok bool) {
+// code reads one value in the code parameter byte p names; ok is false
+// when the stream ends inside it or its value overflows 64 bits. A code
+// the bits loaded hold is read in place.
+func (r *bitReader) code(p byte) (v uint64, ok bool) {
+	k := uint(p & kBits)
 	r.refill()
-	var q uint64
+	if q := uint(bits.TrailingZeros64(r.acc)); q < r.n {
+		if p&expGolombBit == 0 {
+			if l := q + 1 + k; l <= r.n {
+				v = uint64(q)<<k | r.acc>>(q+1)&(1<<k-1)
+				r.acc >>= l
+				r.n -= l
+				return v, true
+			}
+		} else if l := 2*q + 1 + k; l <= r.n {
+			v = (r.acc>>(q+1)&(1<<(q+k)-1) | 1<<(q+k)) - 1<<k
+			r.acc >>= l
+			r.n -= l
+			return v, true
+		}
+	}
+	q, ok := r.unary()
+	if !ok {
+		return 0, false
+	}
+	if p&expGolombBit == 0 {
+		if q>>(64-k) != 0 {
+			return 0, false
+		}
+		v, ok = r.bits(k)
+		return q<<k | v, ok
+	}
+	if q > uint64(64-k) {
+		return 0, false
+	}
+	offset := (uint64(1)<<q - 1) << k
+	if v, ok = r.bits(uint(q) + k); !ok || v > math.MaxUint64-offset {
+		return 0, false
+	}
+	return v + offset, true
+}
+
+// unary reads zero bits up to a one bit and returns how many it read; ok
+// is false when the stream ends first.
+func (r *bitReader) unary() (q uint64, ok bool) {
+	r.refill()
 	for {
 		if tz := uint(bits.TrailingZeros64(r.acc)); tz < r.n {
-			q += uint64(tz)
 			r.acc >>= tz + 1
 			r.n -= tz + 1
-			break
+			return q + uint64(tz), true
 		}
 		if r.pos == len(r.data) {
-			return 0, false // an unterminated unary run
+			return 0, false
 		}
 		q += uint64(r.n)
 		r.acc, r.n = 0, 0
 		r.refill()
 	}
-	if q>>(64-k) != 0 {
-		return 0, false
-	}
+}
+
+// bits reads k bits (k ≤ 64), the first at bit 0 of v; ok is false when
+// the stream ends first.
+func (r *bitReader) bits(k uint) (v uint64, ok bool) {
 	for got := uint(0); got < k; {
 		if r.n == 0 {
 			if r.refill(); r.n == 0 {
@@ -218,7 +358,7 @@ func (r *bitReader) rice(k uint) (v uint64, ok bool) {
 		r.n -= take
 		got += take
 	}
-	return q<<k | v, true
+	return v, true
 }
 
 // uvarint reads one uvarint in its shortest form; n <= 0 reports a
@@ -259,14 +399,14 @@ func DecodeSortedBatch(dst []core.Tuple, data []byte) (tenant []byte, batch []co
 		return bad("count claims %d tuples, cap is %d", n, MaxDecodeTuples)
 	}
 	if len(data) < 2 {
-		return bad("no Rice parameters")
+		return bad("no parameter bytes")
 	}
-	ky, kx := uint(data[0]), uint(data[1])
+	py, px := data[0], data[1]
 	data = data[2:]
-	if ky > 63 || kx > 63 {
-		return bad("Rice parameters %d and %d, at most 63", ky, kx)
+	if px&weightsBit != 0 {
+		return bad("x's parameter byte %#02x sets the undefined bit 7", px)
 	}
-	if most := maxRows(len(data), ky, kx); n > most {
+	if most := maxRows(len(data), uint(py&kBits), uint(px&kBits)); n > most {
 		return bad("count claims %d tuples, body can hold at most %d", n, most)
 	}
 	if uint64(cap(dst)) < n {
@@ -274,13 +414,14 @@ func DecodeSortedBatch(dst []core.Tuple, data []byte) (tenant []byte, batch []co
 	}
 	dst = dst[:0]
 	r := bitReader{data: data}
-	var y, xHi, xLo, c uint64
+	var y uint64
+	var ys, xs column
 	for uint64(len(dst)) < n {
-		gap, ok := r.rice(ky)
+		gap, ok := r.code(py)
 		if !ok {
 			return bad("y gap at row %d runs past the bits or overflows 64 bits", len(dst))
 		}
-		x, ok := r.rice(kx)
+		x, ok := r.code(px)
 		if !ok {
 			return bad("x at row %d runs past the bits or overflows 64 bits", len(dst))
 		}
@@ -288,12 +429,12 @@ func DecodeSortedBatch(dst []core.Tuple, data []byte) (tenant []byte, batch []co
 			return bad("y wraps at row %d", len(dst))
 		}
 		y += gap
-		xLo, c = bits.Add64(xLo, x, 0)
-		xHi += c
+		ys.add(gap)
+		xs.add(x)
 		dst = append(dst, core.Tuple{X: x, Y: y, W: 1})
 	}
-	if wy, wx := riceK(0, y, n), riceK(xHi, xLo, n); wy != ky || wx != kx { // the gaps add up to y
-		return bad("Rice parameters %d and %d, the rows' means give %d and %d", ky, kx, wy, wx)
+	if wy, wx := params(dst, ys, xs); wy != py&^weightsBit || wx != px {
+		return bad("y and x coded %s and %s, the rows give %s and %s", describe(py), describe(px), describe(wy), describe(wx))
 	}
 	used := 8*uint64(r.pos) - uint64(r.n) // bits read
 	end := (used + 7) / 8
@@ -301,32 +442,24 @@ func DecodeSortedBatch(dst []core.Tuple, data []byte) (tenant []byte, batch []co
 		return bad("non-zero padding")
 	}
 	data = data[end:]
-	if len(data) == 0 {
-		return bad("no weight flag")
+	if py&weightsBit == 0 {
+		return tenant, dst, data, nil
 	}
-	flag := data[0]
-	data = data[1:]
-	switch flag {
-	case 0:
-	case 1:
-		unit := true
-		for i := range dst {
-			w, sz := uvarint(data)
-			if sz <= 0 {
-				return bad("bad weight at row %d", i)
-			}
-			data = data[sz:]
-			if w == 0 || w > math.MaxInt64 {
-				return bad("weight %d at row %d is outside 1…MaxInt64", w, i)
-			}
-			dst[i].W = int64(w)
-			unit = unit && w == 1
+	unit := true
+	for i := range dst {
+		w, sz := uvarint(data)
+		if sz <= 0 {
+			return bad("bad weight at row %d", i)
 		}
-		if unit {
-			return bad("weights listed though every one is 1")
+		data = data[sz:]
+		if w == 0 || w > math.MaxInt64 {
+			return bad("weight %d at row %d is outside 1…MaxInt64", w, i)
 		}
-	default:
-		return bad("unknown weight flag %d", flag)
+		dst[i].W = int64(w)
+		unit = unit && w == 1
+	}
+	if unit {
+		return bad("weights listed though every one is 1")
 	}
 	return tenant, dst, data, nil
 }

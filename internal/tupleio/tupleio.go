@@ -11,7 +11,8 @@
 // client wire — HTTP bodies and stream frames, in the client's order.
 // What corrd writes to its log and forwards to another server is the sorted batch
 // (sorted.go): each tenant's tuples as its one AddBatch took them, y as
-// gaps and unit weights elided.
+// gaps and unit weights elided, each column in the shorter of a Rice and
+// an Exp-Golomb code.
 package tupleio
 
 import (

@@ -19,8 +19,9 @@
 //
 // The log frames payloads it does not read, but their grammar is
 // versioned here: Version moves whenever a record's payload changes
-// meaning (version 5 Rice-codes an ingest record's rows), and a segment
-// of another version is refused by name (ErrVersion), never decoded.
+// meaning (version 6 codes each column of an ingest record's rows in
+// Rice or Exp-Golomb, whichever is shorter), and a segment of another
+// version is refused by name (ErrVersion), never decoded.
 //
 // Records are assigned consecutive LSNs in append order across
 // segments. There is one append, AppendNoSync, and one barrier, Sync: the
@@ -81,8 +82,9 @@ type RecordType uint8
 const (
 	// RecordIngest is one group-commit unit: one sorted batch per tenant
 	// the group touched (tupleio.AppendSortedBatch — tenant prefix, the
-	// empty key for the default tenant, a count, the rows Rice-coded with
-	// y as the gap to the row before, then the weights unless all are 1)
+	// empty key for the default tenant, a count, two parameter bytes, the
+	// rows with y as the gap to the row before, each column in the shorter
+	// of a Rice and an Exp-Golomb code, then the weights unless all are 1)
 	// back to back in first-touch order, delimited by the frame length. A member
 	// is the argument of the one AddBatch the service gave that tenant
 	// under the group's single critical section — its requests
@@ -157,13 +159,15 @@ const (
 // log grammar. Version 2 keyed every ingest and push record; version 3
 // made an ingest record's member a tenant's sorted batch where it was a
 // request's tuples in client order; version 4 dropped a site's push-round
-// records (reset, ack, fold-back) for RecordForward; version 5 Rice-codes
-// a sorted batch's rows where each value was a uvarint. A segment of an
+// records (reset, ack, fold-back) for RecordForward; version 5 Rice-coded
+// a sorted batch's rows where each value was a uvarint; version 6 codes
+// each column in Rice or Exp-Golomb, whichever is shorter, and moves the
+// weight flag into the first parameter byte. A segment of an
 // earlier version holds records this code no longer decodes, so it is
 // refused by name (ErrVersion) — never reinterpreted; a site's forward
 // names the version its records are in, so a coordinator refuses them the
 // same way.
-const Version = 5
+const Version = 6
 
 var (
 	magic = [8]byte{'c', 'o', 'r', 'r', 'd', 'w', 'a', 'l'}

@@ -422,6 +422,9 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 		{"version 2 with records", 2, func(raw []byte) { raw[8] = 2 }, ErrVersion},
 		{"version 2 header only", 0, func(raw []byte) { raw[8] = 2 }, ErrVersion},
 		{"version 3 with records", 2, func(raw []byte) { raw[8] = 3 }, ErrVersion},
+		{"version 4 with records", 2, func(raw []byte) { raw[8] = 4 }, ErrVersion},
+		{"version 5 with records", 2, func(raw []byte) { raw[8] = 5 }, ErrVersion},
+		{"version 5 header only", 0, func(raw []byte) { raw[8] = 5 }, ErrVersion},
 		{"later version", 1, func(raw []byte) { raw[8] = Version + 1 }, ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

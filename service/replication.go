@@ -49,7 +49,7 @@ type replayState struct {
 // live commit logged and applied (appendIngest's inverse): sorted batches
 // back to back until the payload is spent, each addressed by its key, which
 // aliases payload, and holding what that tenant's AddBatch was given. There
-// is no member count to trust — a member is at least five bytes, and each
+// is no member count to trust — a member is at least four bytes, and each
 // batch's own count is bounded by the bytes behind it — so what a hostile
 // payload can make this allocate is bounded by its length. Where left is
 // not nil, the members' counts are also taken from *left, each before its

@@ -847,7 +847,7 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestPreBreakStateRefused: durable state written before a storage
-// version break — a version-1, -2, -3 or -4 log holding records, or a
+// version break — a version-1, -2, -3, -4 or -5 log holding records, or a
 // corrdsn1, corrdsn2, corrdsn3 or bare-image snapshot wherever restore would reach
 // it — makes New fail with an error that wraps a sentinel, names the format
 // found and the one expected, and points at the README. The refused start
@@ -905,7 +905,9 @@ func TestPreBreakStateRefused(t *testing.T) {
 		// Version 1 logged under the retired group, keyed-group and
 		// keyed-push numbers; version 2's ingest record was keyed batches in
 		// client order; version 3 logged a site's push round (reset 3, ack
-		// 5, fold-back 6); version 4 wrote a sorted batch's rows as uvarints.
+		// 5, fold-back 6); version 4 wrote a sorted batch's rows as uvarints;
+		// version 5 Rice-coded every column and ended a member with a
+		// weight-flag byte.
 		{1, func(i int) (wal.RecordType, []byte) {
 			return wal.RecordType(7 + i), tupleio.AppendCountedBatch([]byte{1}, testStream(8, 92))
 		}},
@@ -917,6 +919,11 @@ func TestPreBreakStateRefused(t *testing.T) {
 		}},
 		{4, func(int) (wal.RecordType, []byte) {
 			return wal.RecordIngest, append(append([]byte{0, 16}, bytes.Repeat([]byte{1, 3}, 16)...), 0) // rows as uvarints: y gap 1, x 3
+		}},
+		{5, func(int) (wal.RecordType, []byte) {
+			// 32 rows Rice-coded at k_y = k_x = 0 (y gap 1, x 1), then the
+			// weight-flag byte.
+			return wal.RecordIngest, append(append([]byte{0, 32, 0, 0}, bytes.Repeat([]byte{0xaa}, 16)...), 0)
 		}},
 	} {
 		t.Run(fmt.Sprintf("version-%d log", old.version), func(t *testing.T) {
