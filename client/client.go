@@ -45,14 +45,22 @@ type APIError struct {
 	// honors it as a backoff floor.
 	RetryAfter time.Duration
 	// Code names a refusal a client may act on, when the server's error
-	// body names one (CodeTooLarge); "" otherwise.
+	// body names one (CodeTooLarge, CodeGap); "" otherwise.
 	Code string
+	// Mark is, on a forward refused as a gap (CodeGap), the coordinator's
+	// mark for the site: the records to send start after it.
+	Mark uint64
 }
 
 // CodeTooLarge is the Code of a 413 refusing a request larger than the
 // server takes: a body past its -max-body-bytes, or a forward that decodes
 // to more tuples than one decode may hold. A smaller request may go.
 const CodeTooLarge = "too_large"
+
+// CodeGap is the Code of a 409 refusing a forward whose records follow a
+// record the coordinator does not hold: its mark for the site is behind the
+// forward's prev. The site sends again from the mark.
+const CodeGap = "gap"
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("corrd: %s (HTTP %d)", e.Message, e.Status)
@@ -402,19 +410,26 @@ func (c *Client) AddBatch(ctx context.Context, batch []correlated.Tuple) error {
 // Forward sends records of a site's write-ahead log to POST /v1/forward:
 // site names the log's LSN space, format the log's format version (the
 // grammar its records are in; a coordinator on another refuses them with
-// a 400 naming both), and records are AppendForwardRecord's output, in
-// ascending LSN order. The coordinator commits them as one job,
+// a 400 naming both), prev the LSN of the site's last state-carrying record
+// before the first of them, and records are AppendForwardRecord's output,
+// in ascending LSN order. The coordinator commits them as one job,
 // applying each into its one summary per tenant exactly as the site did,
 // and answers with its mark for the site — the highest site LSN it holds.
 // Records at or below the mark are dropped, and a record it refuses (a
 // tenant cap) holds back the ones after it, so a mark short of the last
-// record sent says where to send from again. Forward is idempotent, so
+// record sent says where to send from again. A prev past the mark is a gap
+// — the coordinator lacks records before these — and is refused whole with
+// a 409 (IsGap), returning the mark to send from. Forward is idempotent, so
 // it retries an ambiguous timeout like any request. cmd/corrd's site role
 // forwards every state record of its log this way.
-func (c *Client) Forward(ctx context.Context, site uint64, format uint8, records []byte) (mark uint64, err error) {
+func (c *Client) Forward(ctx context.Context, site uint64, format uint8, prev uint64, records []byte) (mark uint64, err error) {
 	var res forwardResult
-	path := "/v1/forward?site=" + strconv.FormatUint(site, 16) + "&format=" + strconv.Itoa(int(format))
+	path := "/v1/forward?site=" + strconv.FormatUint(site, 16) + "&format=" + strconv.Itoa(int(format)) + "&prev=" + strconv.FormatUint(prev, 10)
 	err = c.post(ctx, path, "application/octet-stream", records, &res)
+	var ae *APIError
+	if errors.As(err, &ae) && ae.Code == CodeGap {
+		return ae.Mark, err
+	}
 	return res.Mark, err
 }
 
@@ -748,6 +763,7 @@ func apiError(resp *http.Response) error {
 	var payload struct {
 		Error string `json:"error"`
 		Code  string `json:"code"`
+		Mark  uint64 `json:"mark"`
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	if err := json.Unmarshal(body, &payload); err != nil || payload.Error == "" {
@@ -756,7 +772,7 @@ func apiError(resp *http.Response) error {
 	if payload.Error == "" {
 		payload.Error = http.StatusText(resp.StatusCode)
 	}
-	ae := &APIError{Status: resp.StatusCode, Message: payload.Error, Code: payload.Code}
+	ae := &APIError{Status: resp.StatusCode, Message: payload.Error, Code: payload.Code, Mark: payload.Mark}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
 			ae.RetryAfter = time.Duration(secs) * time.Second
@@ -779,6 +795,13 @@ func IsTenantRejected(err error) bool {
 func IsTooLarge(err error) bool {
 	var ae *APIError
 	return errors.As(err, &ae) && ae.Code == CodeTooLarge
+}
+
+// IsGap reports whether err is a coordinator refusing a forward across a
+// gap (CodeGap): Forward returned its mark, to send from.
+func IsGap(err error) bool {
+	var ae *APIError
+	return errors.As(err, &ae) && ae.Code == CodeGap
 }
 
 // IsReadOnly reports whether err is a read-only replica refusing a

@@ -252,9 +252,31 @@ func TestForwardRetriesAmbiguousTimeout(t *testing.T) {
 	cl := New(srv.URL,
 		WithHTTPClient(&http.Client{Timeout: 100 * time.Millisecond}),
 		WithRetries(5), WithRetryBackoff(time.Millisecond, 5*time.Millisecond))
-	mark, err := cl.Forward(context.Background(), 0xabc, 5, AppendForwardRecord(nil, 5, 1, []byte("rec")))
+	mark, err := cl.Forward(context.Background(), 0xabc, 5, 0, AppendForwardRecord(nil, 5, 1, []byte("rec")))
 	if err != nil || mark != 5 || attempts.Load() != 2 {
 		t.Fatalf("Forward: mark %d, err %v after %d attempts; want 5 after 2", mark, err, attempts.Load())
+	}
+}
+
+// TestForwardGapReturnsTheMark: Forward names prev in the query string, and
+// a coordinator's 409 refusing the forward as a gap is an IsGap error that
+// is not retried and carries the mark to send from.
+func TestForwardGapReturnsTheMark(t *testing.T) {
+	var attempts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		if got := r.URL.Query().Get("prev"); got != "7" {
+			t.Errorf("prev=%q, want 7", got)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusConflict)
+		io.WriteString(w, `{"error":"records follow LSN 7, held up to 3","code":"gap","mark":3}`)
+	}))
+	defer srv.Close()
+	cl := New(srv.URL, WithRetries(3), WithRetryBackoff(time.Millisecond, 5*time.Millisecond))
+	mark, err := cl.Forward(context.Background(), 0xabc, 6, 7, AppendForwardRecord(nil, 9, 1, []byte("rec")))
+	if !IsGap(err) || mark != 3 || attempts.Load() != 1 {
+		t.Fatalf("Forward: mark %d, err %v after %d attempts; want a gap at mark 3 after 1", mark, err, attempts.Load())
 	}
 }
 
@@ -270,7 +292,7 @@ func TestPushRetriesDefiniteFailures(t *testing.T) {
 	})
 	srv, attempts := flakyServer(t, 2, ok)
 	cl := New(srv.URL, WithRetries(3), WithRetryBackoff(time.Millisecond, 5*time.Millisecond))
-	mark, err := cl.Forward(context.Background(), 0xabc, 5, AppendForwardRecord(nil, 7, 1, []byte("rec")))
+	mark, err := cl.Forward(context.Background(), 0xabc, 5, 0, AppendForwardRecord(nil, 7, 1, []byte("rec")))
 	if err != nil || mark != 7 {
 		t.Fatalf("Forward through flaky transport: mark %d, err %v; want 7", mark, err)
 	}

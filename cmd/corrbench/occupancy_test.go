@@ -119,3 +119,31 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaBytesByShape pins what an F2 summary configured as corrd is maps
+// for its counters — Footprint().Arena — on three of corrdbench's stream
+// shapes, so a change to the arena or to the tables' sizes that maps more
+// fails here before it shows in a benchmark. Space and the image are pinned
+// beside it: no table layout or block placement may move them. With
+// power-of-two tables and a free list a size class the arena mapped
+// 6 471 680, 5 881 856 and 10 600 448 bytes.
+func TestArenaBytesByShape(t *testing.T) {
+	for _, c := range []struct {
+		shape              occupancyShape
+		arena, space, imgs int64
+	}{
+		{occupancyShape{"uniform/16", 150_000, 16, false}, 5_554_176, 3_233_138, 4_743_709},
+		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 5_619_712, 3_268_986, 4_796_870},
+		{occupancyShape{"zipf/256", 150_000, 256, true}, 9_486_336, 4_732_532, 6_047_329},
+	} {
+		s := occupancySummary(c.shape)
+		img, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := s.Footprint(); f.Arena != c.arena || s.Space() != c.space || int64(len(img)) != c.imgs {
+			t.Errorf("%s: arena %d bytes, space %d counters, image %d bytes; want %d, %d, %d",
+				c.shape.name, f.Arena, s.Space(), len(img), c.arena, c.space, c.imgs)
+		}
+	}
+}

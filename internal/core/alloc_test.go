@@ -11,7 +11,7 @@ import (
 // away: one summary configured as corrd configures a tenant's, 400 000
 // uniform then 400 000 zipf tuples in 256-tuple batches, may allocate at most
 // allocBudget times the bytes it ends up holding. A bucket's sketch is born at
-// eight slots and doubled up to the promotion point, and each of those steps
+// eight slots and grown up to the promotion point, and each of those steps
 // used to leave its table to the collector — 6.1 times the bytes kept on this
 // stream; handed back to the maker's free lists they read 2.0. The tables and
 // arrays are now blocks of the maker's arena, off the collected heap, so what

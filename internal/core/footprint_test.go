@@ -73,8 +73,8 @@ func widened(s *Summary) int {
 // checkFootprint compares s.Footprint — running counts — with what a walk of s
 // finds: Held is Occupancy's ItemsBytes and DenseBytes added up, and Arena
 // Held and Pooled together; Headers is the structs of each sketch and tree
-// node the walk meets, a word a singleton and the two slabs' spare slots,
-// which with Pooled make Occupancy's Pooled. And the node slab holds the nodes
+// node the walk meets, a word a singleton, the two slabs' spare slots and the
+// arena's lists of free runs, which with Pooled make Occupancy's Pooled. And the node slab holds the nodes
 // the walk meets and no more: a node freed anywhere but to the slab would be
 // held there, out of every tree, and out of Pooled.
 func checkFootprint(t *testing.T, when string, s *Summary) books {
@@ -99,8 +99,8 @@ func checkFootprint(t *testing.T, when string, s *Summary) books {
 		t.Fatalf("%s: the node slab holds %d nodes, the levels' trees %d", when, live, nodes)
 	}
 	got := s.Footprint()
-	_, slab := s.maker.(pooler).PooledBytes()
-	spare := int64(slab) + s.spareNodeBytes()
+	_, heap := s.maker.(pooler).PooledBytes()
+	spare := int64(heap) + s.spareNodeBytes()
 	want := Footprint{
 		Held:    held,
 		Pooled:  pooled - spare,
@@ -111,14 +111,26 @@ func checkFootprint(t *testing.T, when string, s *Summary) books {
 		t.Fatalf("%s: Footprint %+v, the walk finds %+v (%d sketches, %d dense, %d nodes)",
 			when, got, want, sketches, dense, nodes)
 	}
-	return books{got, want.Headers - spare}
+	lists := int64(s.maker.(interface{ ListBytes() int }).ListBytes())
+	return books{got, want.Headers - spare, lists}
 }
 
-// books is a Footprint and the share of its Headers that the summary's
-// buckets hold, its slabs' spare slots left out.
+// books is a Footprint, the share of its Headers that the summary's buckets
+// hold, its slabs' spare slots and its arena's lists left out, and the
+// arena's lists: the heap bytes behind its free runs' lists, which keep the
+// longest each has been.
 type books struct {
 	Footprint
-	structs int64
+	structs, lists int64
+}
+
+// sameBooks reports whether two books agree but for the arena's lists: the
+// slabs' spare slots among the Headers included.
+func sameBooks(a, b books) bool {
+	a.Headers -= a.lists
+	b.Headers -= b.lists
+	a.lists, b.lists = 0, 0
+	return a == b
 }
 
 // TestFootprintIsTheWalk: the running counts behind Footprint equal a walk of
@@ -183,7 +195,7 @@ func TestFootprintIsTheWalk(t *testing.T) {
 		if err := s.MergeMarshaled(img[:cut]); err == nil {
 			t.Fatalf("an image cut at %d of %d bytes merged", cut, len(img))
 		}
-		// What a failed parse decoded goes back to the free lists.
+		// What a failed parse decoded goes back to the arena.
 		if g := checkFootprint(t, "after a failed parse", s); g.Held != f.Held || g.structs != f.structs {
 			t.Fatalf("an image cut at %d of %d bytes moved the footprint from %+v to %+v", cut, len(img), f, g)
 		}
@@ -246,7 +258,8 @@ func feedStream(t *testing.T, s *Summary, st gen.Stream) {
 // arena, shows in Occupancy's Pooled, and is what its next nodes and sketches
 // take: a summary fed a stream, Reset and fed the same stream again ends
 // holding exactly what it held after the first pass, spare slots, free blocks
-// and the arena's mapped bytes included. A site that is Reset every round of a
+// and the arena's mapped bytes included, and after a second Reset and refeed
+// the arena's lists of free runs too. A site that is Reset every round of a
 // merge-rounds deployment does this.
 func TestSlabsDoNotLeak(t *testing.T) {
 	n := 200_000
@@ -270,11 +283,13 @@ func TestSlabsDoNotLeak(t *testing.T) {
 	reset := checkFootprint(t, "after Reset", s)
 	n0, s0 := held(s)
 	// Every slot the pass held and Reset gave back is spare now, and every
-	// block free in the arena, which maps what it mapped.
-	spare := func() int64 { return s.Occupancy()[0].Pooled }
-	if freed := int64(nodes-n0)*wantBucketBytes + int64(sketches-s0)*wantSketchBytes + first.Held - reset.Held; spare()-firstSpare < freed {
+	// block free in the arena, which maps what it mapped. The arena's lists
+	// are neither.
+	resetSpare := s.Occupancy()[0].Pooled - reset.lists
+	firstSpare -= first.lists
+	if freed := int64(nodes-n0)*wantBucketBytes + int64(sketches-s0)*wantSketchBytes + first.Held - reset.Held; resetSpare-firstSpare < freed {
 		t.Fatalf("Reset gave back %d nodes and %d sketches, %d bytes of slots and blocks, but the spare bytes went from %d to %d",
-			nodes-n0, sketches-s0, freed, firstSpare, spare())
+			nodes-n0, sketches-s0, freed, firstSpare, resetSpare)
 	}
 	if reset.Arena != first.Arena {
 		t.Fatalf("Reset moved the arena from %d to %d bytes", first.Arena, reset.Arena)
@@ -282,29 +297,49 @@ func TestSlabsDoNotLeak(t *testing.T) {
 
 	feedStream(t, s, stream())
 	second := checkFootprint(t, "after the second pass", s)
-	if second != first {
+	if !sameBooks(second, first) {
 		t.Fatalf("the same stream after a Reset ends at %+v, the first pass at %+v", second, first)
+	}
+	// The arena's lists are as long as the most runs a class has had free at
+	// once, which the first Reset's puts raise; a second leaves them there.
+	s.Reset()
+	feedStream(t, s, stream())
+	if third := checkFootprint(t, "after the third pass", s); third != second {
+		t.Fatalf("the same stream after a second Reset ends at %+v, after the first at %+v", third, second)
 	}
 
 	// A restore over the used summary gives its state back too. The image
 	// is decoded beside the state it replaces, so the first restore takes
-	// new slots for it; every later one takes the slots the one before gave
-	// back.
+	// new slots and blocks for it. The second takes the slots the first gave
+	// back, and lays its blocks out in the free runs the first left, which
+	// the first's blocks break up, so it may map a little more; every later
+	// one takes the slots and blocks the one before the last gave back.
 	img, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var once books
-	for i, when := range []string{"restored over itself", "restored over itself again", "and again"} {
+	spares := func(b books) int64 { return b.Headers - b.structs - b.lists }
+	var once, twice books
+	for i, when := range []string{"restored over itself", "restored over itself again", "and again", "and once more"} {
 		if err := s.UnmarshalBinary(img); err != nil {
 			t.Fatal(err)
 		}
 		got := checkFootprint(t, when, s)
-		if i == 0 {
-			once = got
+		if got.Held != second.Held || got.structs != second.structs {
+			t.Fatalf("%s: %+v; fed, %+v", when, got, second)
 		}
-		if got.Held != second.Held || got.structs != second.structs || got.Headers != once.Headers || got.Pooled != once.Pooled || got.Arena != once.Arena {
-			t.Fatalf("%s: %+v; fed, %+v, restored once, %+v", when, got, second, once)
+		switch i {
+		case 0:
+			once = got
+		case 1:
+			if spares(got) != spares(once) || got.Arena > once.Arena*51/50 {
+				t.Fatalf("%s: %+v; restored once, %+v", when, got, once)
+			}
+			twice = got
+		default:
+			if !sameBooks(got, twice) {
+				t.Fatalf("%s: %+v; restored twice, %+v", when, got, twice)
+			}
 		}
 	}
 }

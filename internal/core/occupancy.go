@@ -41,11 +41,12 @@ type LevelOccupancy struct {
 	ItemsBytes, DenseBytes int64
 	ClosedItemsBytes       int64
 	// Pooled is the bytes that wait for the next sketch or node: what the
-	// maker's arena maps beyond what the sketches hold — zeroed blocks that
-	// sketches have handed back and the next ones will take, the unused end
-	// of its last chunk, the rounding of held blocks to their size classes —
-	// and the slots of the two slabs — tree nodes, sketch structs — that hold
-	// no bucket's, freed by evictions or never yet used, for the next splits.
+	// maker's arena maps beyond what the sketches hold — zeroed free runs
+	// that sketches have handed back and the next ones will take, its
+	// chunks' guard words, the rounding of held blocks to whole words — and
+	// the heap behind the arena's lists of them, and the slots of the two
+	// slabs — tree nodes, sketch structs — that hold no bucket's, freed by
+	// evictions or never yet used, for the next splits.
 	// They stand behind no counter and belong to no level, so they are in no
 	// row's Bytes; the S0 row alone reports them, the others read zero.
 	// It is a property of the summary's past, not its state: a restored
@@ -71,16 +72,17 @@ func (s *Summary) Occupancy() []LevelOccupancy {
 	rows[min(s.virginFrom, s.lmax)].countSketch(s.sketch(s.shared))
 	rows[0].Pooled = s.spareNodeBytes()
 	if p, ok := s.maker.(pooler); ok {
-		arena, slab := p.PooledBytes()
-		rows[0].Pooled += int64(arena + slab)
+		arena, heap := p.PooledBytes()
+		rows[0].Pooled += int64(arena + heap)
 	}
 	return rows
 }
 
 // pooler is a maker that reports the bytes waiting for its next sketches: in
-// its arena, and in its slab's spare slots.
+// its arena, and on the heap — its slab's spare slots and the lists of its
+// arena's free runs.
 type pooler interface {
-	PooledBytes() (arena, slab int)
+	PooledBytes() (arena, heap int)
 }
 
 // Footprint is the memory behind a summary in bytes, from counts that are
@@ -95,16 +97,16 @@ type Footprint struct {
 	// that keeps no books has Held charge every counter, and every word
 	// Space charges a bucket, eight bytes: Occupancy's Bytes added up.
 	Held int64
-	// Pooled is what the arena maps beyond Held: zeroed free blocks, the
-	// unused end of its last chunk and the rounding of the blocks held to
-	// their size classes. For a maker that keeps no books it is the spare
-	// slots of the node slab.
+	// Pooled is what the arena maps beyond Held: zeroed free runs, two guard
+	// words a chunk and the rounding of the blocks held to whole words. For a
+	// maker that keeps no books it is the spare slots of the node slab.
 	Pooled int64
 	// Headers is what stands around the counters on the heap: the node slab
 	// whole — a 16-byte record a tree node, spare slots too — a word a
 	// singleton, for its y, as Space charges it (its sketch's handle sits in
-	// the singleton level's map under it), and the sketch structs with the
-	// maker slab's spare slots. The map's and heap's own overhead is not in it.
+	// the singleton level's map under it), the sketch structs with the
+	// maker slab's spare slots, and the lists of the arena's free runs. The
+	// map's and heap's own overhead is not in it.
 	Headers int64
 	// Arena is what the maker's arena maps: Held + Pooled, or 0.
 	Arena int64
@@ -146,11 +148,11 @@ func (s *Summary) Footprint() Footprint {
 	for i := 1; i <= s.lmax; i++ {
 		nodes += int64(s.levels[i].count)
 	}
-	arena, slab := bk.PooledBytes()
+	arena, heap := bk.PooledBytes()
 	return Footprint{
 		Held:    int64(bk.HeldBytes()),
 		Pooled:  int64(arena),
-		Headers: int64(bk.HeaderBytes()+slab) + 8*singles + bucketBytes*nodes + s.spareNodeBytes(),
+		Headers: int64(bk.HeaderBytes()+heap) + 8*singles + bucketBytes*nodes + s.spareNodeBytes(),
 		Arena:   int64(bk.ArenaBytes()),
 	}
 }

@@ -60,16 +60,17 @@ import (
 // The same rule says when a table is finished: a closed bucket splits on the
 // next arrival and ingest never writes to it again, so Compact rewrites a
 // table as exactly its n pairs in ascending x — a cut table, which has no
-// hash shift, so n is the whole record of its size (cut). Lookups
-// binary-search a cut table, walks read it like any other, and the first
-// write to one (only a merge does that) hashes it again first.
+// step on the slot ladder, so n is the whole record of its size (cut).
+// Lookups binary-search a cut table, walks read it like any other, and the
+// first write to one (only a merge does that) hashes it again first.
 //
-// And it says what a sketch's life costs: born at eight slots, doubled as
-// pairs arrive up to the promotion point, then promoted, cut or evicted —
-// every step leaves a table behind. A table, or a dense sketch's row sums and
-// counters, is one block of the maker's arena (arena.go), off the collected
-// heap, behind the struct's one pointer, and a block left behind goes back to
-// it (putTable, putZeroed), zeroed, for the next step of the next sketch. So
+// And it says what a sketch's life costs: born at eight slots, grown by half
+// (8, 12, 16, 24, …) as pairs arrive up to the promotion point, then
+// promoted, cut or evicted — every step leaves a table behind. A table, or a
+// dense sketch's row sums and counters, is one block of the maker's arena
+// (arena.go), off the collected heap, behind the struct's one pointer, and a
+// block left behind goes back to it (putTable, putZeroed), zeroed, for the
+// next step of the next sketch. So
 // the struct is all of a sketch the collector sees — 32 bytes, a slab record,
 // whatever the form — and nothing beside it is allocated on a promotion or a
 // widening. The storage a sketch holds is its own until it hands it back and
@@ -84,7 +85,7 @@ type CountSketch struct {
 	// p is the sketch's one block of the maker's arena, nil for none: in the
 	// items form its table (see table), in the dense form its row sums then
 	// its counters (see rowF2 and countersOf). The fields below say how long
-	// it is — a hashed table from shift, a cut one from n, an array from cw
+	// it is — a hashed table from step, a cut one from n, an array from cw
 	// and the maker's geometry — so no slice header is stored.
 	p unsafe.Pointer
 
@@ -96,13 +97,13 @@ type CountSketch struct {
 
 	n     int32 // items: pairs held, at most the maker's itemsMax
 	rung  uint8 // items: a slot is 4<<rung bytes
-	shift uint8 // items: 64 − log2(slots), the multiplicative-hash shift of a hashed table; 0 for a cut one
+	step  uint8 // items: a hashed table's step on the slot ladder (stepSlots); 0 for a cut one
 	cw    uint8 // dense: bytes per stored counter — 1, 2 or 8
 	dense bool
 }
 
-// table is the storage of the items form: open addressed over power-of-two
-// many slots, or cut to exactly the pairs held, each slot one distinct
+// table is the storage of the items form: open addressed over a ladder of
+// slot counts, or cut to exactly the pairs held, each slot one distinct
 // identifier and its net weight. A slot is four bytes, eight or sixteen — the
 // rung — and always identifier above weight: 24 bits over 8, two slots a word,
 // the even slot in the low half; 32 over 32, one word; or two words,
@@ -112,28 +113,23 @@ type CountSketch struct {
 // and sixteen-byte rungs the block holds one word past the slots, Σf²'s high
 // word, which the view leaves out.
 type table struct {
-	tab   []uint64
-	rung  uint8 // a slot is 4<<rung bytes
-	shift uint8 // a hashed table's hash shift (see home); 0 for a cut one
+	tab  []uint64
+	rung uint8 // a slot is 4<<rung bytes
 }
 
 // table returns a view of the sketch's own table.
 func (c *CountSketch) table() table {
-	words := (uint(c.n)<<c.rung + 1) >> 1 // cut: slotWords(n, rung)
-	if c.shift != 0 {
-		words = 1 << (64 - c.shift + c.rung) >> 1 // hashed: slotWords(slots, rung)
-	}
-	return table{unsafe.Slice((*uint64)(c.p), words), c.rung, c.shift}
+	return table{unsafe.Slice((*uint64)(c.p), slotWords(c.slots(), c.rung)), c.rung}
 }
 
 // slots returns the number of slots of the sketch's table: a hashed one's
-// from its shift, a cut one's from its pairs — with, for an odd count of
+// from its step, a cut one's from its pairs — with, for an odd count of
 // four-byte slots, the spare half of the last word.
 func (c *CountSketch) slots() int {
-	if c.shift == 0 {
+	if c.step == 0 {
 		return slotWords(int(c.n), c.rung) * 2 >> c.rung
 	}
-	return 1 << (64 - c.shift)
+	return stepSlots(c.step)
 }
 
 // hiWord returns Σf²'s high word in the table block, or nil where the sum
@@ -219,8 +215,24 @@ const (
 	// 2 048 bytes at four bytes a slot, 1 424 once cut, against the
 	// 1 456-byte one-byte array it promotes into.
 	itemsDivisor = 4
-	itemsMinCap  = 8 // initial table slots
+	itemsMinCap  = 8 // initial table slots: stepSlots(1)
 )
+
+// stepSlots returns the slots of a hashed table at a step of the ladder
+// 8, 12, 16, 24, 32, 48, …: 8·2^k at the odd steps and 12·2^k at the even
+// ones, so a table grows by half at a time and, at the load cap of 3/4, is
+// never under half full once it has grown. Every count is even, so a table
+// of four-byte slots fills whole words.
+func stepSlots(step uint8) int { return (itemsMinCap + 4*int(1-step&1)) << ((step - 1) >> 1) }
+
+// stepFor returns the first step whose table holds n pairs without growing.
+func stepFor(n int) uint8 {
+	step := uint8(1)
+	for n*4 > stepSlots(step)*3 {
+		step++
+	}
+	return step
+}
 
 // F2Maker creates CountSketch instances sharing one set of row hashes.
 // Each row uses a single 4-universal hash drawn into [0, 2w): the low bit
@@ -230,10 +242,11 @@ const (
 //
 // It is also where its sketches' storage waits between owners: the slab its
 // bucket sketches live in (Alloc), whose freed slots wait for the next one,
-// the arena every table and counter array is a block of, whose free blocks
-// wait by size class (PooledBytes), and one recycled sketch from New, which
-// the next New — a query's composition — takes back. A maker, its slab and
-// its arena belong to one goroutine at a time, the one driving its sketches.
+// the arena every table and counter array is a block of, whose free runs
+// wait for a block of any size that fits (PooledBytes), and one recycled
+// sketch from New, which the next New — a query's composition — takes back.
+// A maker, its slab and its arena belong to one goroutine at a time, the one
+// driving its sketches.
 //
 // And it keeps the books: every table and array a sketch holds came from the
 // arena and goes back to it, so HeldBytes — Σ Bytes over its sketches — is a
@@ -269,7 +282,7 @@ func NewF2Maker(width, depth int, rng *hash.RNG) *F2Maker {
 	m := &F2Maker{
 		width: width, depth: depth,
 		itemsMax:   min(array/itemsDivisor, math.MaxInt32), // n is an int32
-		arena:      newArena(8*depth+array, 8*depth+2*array, 8*depth+8*array),
+		arena:      newArena(),
 		medScratch: make([]float64, depth),
 	}
 	for i := 0; i < depth; i++ {
@@ -347,13 +360,17 @@ func countersOf[T ctr](c *CountSketch) []T { return countersAt[T](c.maker, c.p) 
 func (c *CountSketch) rowF2() []float64 { return unsafe.Slice((*float64)(c.p), c.maker.depth) }
 
 // PooledBytes returns what waits for the next sketch: in the arena, the bytes
-// it maps beyond what the sketches hold — zeroed free blocks, the unused end
-// of its last chunk, and the rounding of the blocks held up to their size
-// classes — and in the slab, the slots that hold no sketch. Neither is bounded
-// by a constant: each keeps the most it has held, the arena by size class.
-func (m *F2Maker) PooledBytes() (arena, slab int) {
-	return m.arena.pooled(), m.slab.Spare() * countSketchBytes
+// it maps beyond what the sketches hold — zeroed free runs, two guard words a
+// chunk, and the rounding of the blocks held up to whole words — and on the
+// heap, the slab's slots that hold no sketch and the arena's lists of its free
+// runs. Neither is bounded by a constant: each keeps the most it has held.
+func (m *F2Maker) PooledBytes() (arena, heap int) {
+	return m.arena.pooled(), m.slab.Spare()*countSketchBytes + m.arena.lists
 }
+
+// ListBytes returns the heap bytes behind the arena's lists of its free runs,
+// the share of PooledBytes' heap that is not the slab's spare slots.
+func (m *F2Maker) ListBytes() int { return m.arena.lists }
 
 // ArenaBytes returns the bytes the maker's arena maps: HeldBytes plus the
 // arena's half of PooledBytes, off the collected heap.
@@ -595,7 +612,7 @@ func (c *CountSketch) Compact() {
 		return
 	}
 	m := c.maker
-	old := c.retable(int(c.n), c.rung, false)
+	old := c.retable(0, c.rung)
 	fit := c.table()
 	if old.rung == slot16 {
 		j := 0
@@ -634,9 +651,13 @@ func (p widePairs) Swap(i, j int) {
 	p[2*i+1], p[2*j+1] = p[2*j+1], p[2*i+1]
 }
 
-// home returns the slot x hashes to in a hashed table: the top bits of a
-// Fibonacci multiplicative hash.
-func (t table) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> t.shift) }
+// home returns the slot x hashes to in a hashed table of that many slots: a
+// Fibonacci multiplicative hash scaled to the slot count by a multiply-high,
+// which at a power of two is the hash's top bits.
+func home(x uint64, slots int) int {
+	hi, _ := bits.Mul64(x*0x9E3779B97F4A7C15, uint64(slots))
+	return int(hi)
+}
 
 // probe returns the slot of a hashed table holding x and x's weight, or the
 // empty slot where x belongs and zero. The load cap of 3/4 guarantees an
@@ -644,10 +665,14 @@ func (t table) home(x uint64) int { return int(x * 0x9E3779B97F4A7C15 >> t.shift
 // identifier and the slot count, so a table is laid out the same at every
 // width.
 func (t table) probe(x uint64) (int, int64) {
-	mask := t.slots() - 1
-	for j := t.home(x); ; j = (j + 1) & mask {
+	n := t.slots()
+	j := home(x, n)
+	for {
 		if sx, f := t.pairAt(j); f == 0 || sx == x {
 			return j, f
+		}
+		if j++; j == n {
+			j = 0
 		}
 	}
 }
@@ -656,14 +681,24 @@ func (t table) probe(x uint64) (int, int64) {
 // later entry of the run that would otherwise be cut off from its home slot.
 // The sketch's n is the caller's to count down.
 func (t table) remove(j int) {
-	mask := t.slots() - 1
-	for k := (j + 1) & mask; ; k = (k + 1) & mask {
+	n := t.slots()
+	// behind returns how far slot k lies past slot i, going round the table.
+	behind := func(i, k int) int {
+		if k < i {
+			k += n
+		}
+		return k - i
+	}
+	for k := j + 1; ; k++ {
+		if k == n {
+			k = 0
+		}
 		x, f := t.pairAt(k)
 		if f == 0 {
 			break
 		}
 		// Entry k may fill the hole unless its home lies cyclically in (j, k].
-		if (k-t.home(x))&mask >= (k-j)&mask {
+		if behind(home(x, n), k) >= behind(j, k) {
 			t.setPair(j, x, f)
 			j = k
 		}
@@ -673,16 +708,16 @@ func (t table) remove(j int) {
 
 // cut reports whether the table is exactly the pairs held, in ascending x —
 // what Compact leaves, and what an empty sketch without a table, or a dense
-// one, is. It has no hash shift: its slots are its pairs and, for an odd
-// number of them at four bytes, the spare half of the last word. Only a table
-// that is not cut can be probed.
-func (c *CountSketch) cut() bool { return c.shift == 0 }
+// one, is. It has no step: its slots are its pairs and, for an odd number of
+// them at four bytes, the spare half of the last word. Only a table that is
+// not cut can be probed.
+func (c *CountSketch) cut() bool { return c.step == 0 }
 
 // grow moves the pairs to a hashed table with room for one more, at the
-// width they have: the first table, twice a full hashed one, or what a cut
-// one needs.
+// width they have: the first table, a full hashed one's next step, or what a
+// cut one needs.
 func (c *CountSketch) grow() {
-	old := c.retable(tableFor(int(c.n)+1), c.rung, true)
+	old := c.retable(stepFor(int(c.n)+1), c.rung)
 	t := c.table()
 	for k := range old.slots() {
 		if x, f := old.pairAt(k); f != 0 {
@@ -694,15 +729,12 @@ func (c *CountSketch) grow() {
 }
 
 // retable gives an items-form sketch an empty table from the arena at a rung,
-// with Σf²'s high word carried over: hashed over that many slots, or cut to
-// its n pairs (slots is then theirs). It returns the table the sketch had,
-// for the caller to hand back (putTable) once read.
-func (c *CountSketch) retable(slots int, rung uint8, hashed bool) (old table) {
+// with Σf²'s high word carried over: hashed over the slots of a step of the
+// ladder, or, at step 0, cut to its n pairs. It returns the table the sketch
+// had, for the caller to hand back (putTable) once read.
+func (c *CountSketch) retable(step, rung uint8) (old table) {
 	old, hi := c.table(), c.f2hi()
-	c.rung, c.shift = rung, 0
-	if hashed {
-		c.shift = uint8(64 - bits.TrailingZeros(uint(slots)))
-	}
+	c.rung, c.step = rung, step
 	c.p = c.maker.arena.takeWords(blockWords(slotWords(c.slots(), rung), rung))
 	if h := c.hiWord(); h != nil {
 		*h = hi
@@ -713,7 +745,7 @@ func (c *CountSketch) retable(slots int, rung uint8, hashed bool) (old table) {
 // widenTable rewrites the table slot for slot one rung up: a copy, not a
 // re-hash. A pair since cancelled does not narrow it again.
 func (c *CountSketch) widenTable() {
-	old := c.retable(c.slots(), c.rung+1, c.shift != 0)
+	old := c.retable(c.step, c.rung+1)
 	t := c.table()
 	for k := range old.slots() {
 		if x, f := old.pairAt(k); f != 0 {
@@ -721,15 +753,6 @@ func (c *CountSketch) widenTable() {
 		}
 	}
 	c.maker.putTable(old)
-}
-
-// tableFor returns the table size that holds n pairs without growing.
-func tableFor(n int) int {
-	size := itemsMinCap
-	for n*4 > size*3 {
-		size *= 2
-	}
-	return size
 }
 
 // promote moves an items-form sketch to the dense form: every pair is

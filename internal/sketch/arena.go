@@ -16,44 +16,49 @@ import (
 // itself by them: its headroom is charged on the tree nodes and sketch
 // structs around the counters, not on the counters.
 //
-// A block's size is rounded up to a size class: eight-byte steps up to 128
-// bytes, eight steps to each power of two above, and one class of its own
-// for each size the maker names (its dense blocks at each counter width),
-// which the geometric steps would round by up to an eighth.
-// A block handed back goes, zeroed, to its class's free list, linked through
-// its first word, and the next block of that class is taken from there; a
-// class no block is ever wanted in again keeps what it has. A block larger
-// than ownBlock is a mapping of its own. The arena belongs to its maker and
-// to one goroutine at a time, the one driving the maker's sketches, and its
-// mappings go back to the kernel when the collector finds the arena
-// unreachable: a finalizer on the arena, never on the maker, which its slab's
-// sketches point back to.
+// It is a good-fit allocator in the style of TLSF (Masmano et al. 2004),
+// over eight-byte words. What a chunk does not hold in blocks is free runs,
+// each on the list of its class: one class for each length up to 2 KiB, and
+// sixteen to each power of two above. A request takes a free run of the
+// first non-empty class, found in a bitmap, from the first class whose every
+// run fits it — its own up to 2 KiB, and past that the next one unless it is
+// its class's shortest length — and what it leaves of the run stays free.
+// Only when no such class holds a run does it look through its own class for
+// one long enough, before it maps a chunk. A block handed back joins the free
+// runs beside it in its chunk, so a chunk whose blocks have all come back is
+// one free run again and serves a request of any size. No block carries a
+// header: the caller names the size it asked for when it hands the block
+// back. A free run is zero but for its first and last words, which both hold
+// its length and its place on its class's list; a neighbour is known to be
+// free when the list entry that word names is that very run. Each chunk
+// starts and ends with a zero word that no run covers, so the word before a
+// block and the word after it can always be read.
+//
+// A block past ownBlock takes a chunk sized to it, and chunks are never
+// unmapped while the arena lives. The arena belongs to its maker and to one
+// goroutine at a time, the one driving the maker's sketches, and its mappings
+// go back to the kernel when the collector finds the arena unreachable: a
+// finalizer on the arena, never on the maker, which its slab's sketches point
+// back to.
 type arena struct {
 	chunks [][]byte // every mapping, for the finalizer
-	rest   []byte   // the unused end of the last chunk
 	next   int      // the size of the next chunk
 
-	exact []int      // the sizes with classes of their own, classes 0..len-1
-	free  []freeList // by class
+	runs  [][]unsafe.Pointer // the free runs, by class
+	holds []uint64           // bit k is set when runs[k] is not empty
 
-	mapped   int // Σ len(chunks)
-	asked    int // bytes the blocks held were asked for
-	used     int // the class sizes of the blocks held
-	idle     int // the class sizes of the free blocks
-	stranded int // chunk ends too short for the block that opened the next chunk
-}
-
-// freeList is the free blocks of one size class, linked through their first
-// word.
-type freeList struct {
-	head unsafe.Pointer
-	size int
+	mapped int // Σ len(chunks)
+	asked  int // bytes the blocks held were asked for
+	lists  int // the heap bytes behind runs and holds
 }
 
 const (
 	firstChunk = 8 << 10  // a maker's first chunk: a small summary maps little
 	lastChunk  = 64 << 10 // chunks double up to this
-	ownBlock   = 16 << 10 // a block past this is a mapping of its own
+	ownBlock   = 16 << 10 // a block past this takes a chunk sized to it
+
+	exactRuns = 256 // runs of up to this many words have a class of their own
+	guards    = 16  // the zero words at either end of a chunk
 )
 
 // mappedBytes is what every arena of the process has mapped and not yet
@@ -61,98 +66,180 @@ const (
 var mappedBytes atomic.Int64
 
 // newArena returns an empty arena that maps nothing until its first block.
-// The sizes, in bytes, get classes of their own.
-func newArena(sizes ...int) *arena {
+func newArena() *arena {
 	a := &arena{next: firstChunk}
-	for _, n := range sizes {
-		if n = roundUp(n, 8); n > 0 && !slices.Contains(a.exact, n) {
-			a.exact = append(a.exact, n)
-		}
-	}
 	runtime.SetFinalizer(a, (*arena).unmap)
 	return a
 }
 
 func roundUp(n, to int) int { return (n + to - 1) / to * to }
 
-// class returns the size class of an n-byte block and the bytes a block of
-// it takes.
-func (a *arena) class(n int) (k, size int) {
-	n = roundUp(n, 8)
-	for k, e := range a.exact {
-		if e == n {
-			return k, a.own(e)
-		}
+// runClass returns the class of a free run of g > 0 words: g − 1 up to
+// exactRuns, then sixteen classes to each power of two, in order of length.
+func runClass(g uint64) int {
+	if g <= exactRuns {
+		return int(g) - 1
 	}
-	k = len(a.exact)
-	if n <= 128 {
-		return k + n/8 - 1, n
-	}
-	e := bits.Len(uint(n - 1)) // 2^(e-1) < n <= 2^e
-	step := 1 << (e - 4)
-	size = roundUp(n, step)
-	return k + 16 + (e-8)*8 + (size-1<<(e-1))/step - 1, a.own(size)
-}
-
-// own rounds a block that is a mapping of its own up to whole pages.
-func (a *arena) own(size int) int {
-	if size > ownBlock {
-		return roundUp(size, pageSize)
-	}
-	return size
+	e := bits.Len64(g) - 1 // 2^e <= g < 2^(e+1), e >= 8
+	return exactRuns + (e-8)*16 + int((g-1<<e)>>(e-4))
 }
 
 // take returns a zeroed block of at least n > 0 bytes, eight-byte aligned.
 func (a *arena) take(n int) unsafe.Pointer {
-	k, size := a.class(n)
+	g := uint64(n+7) / 8
 	a.asked += n
-	a.used += size
-	if k < len(a.free) && a.free[k].head != nil {
-		p := a.free[k].head
-		a.free[k].head = *(*unsafe.Pointer)(p)
-		*(*unsafe.Pointer)(p) = nil
-		a.idle -= size
-		return p
+	p, size := a.fit(g)
+	if p == nil {
+		p, size = a.mapChunk(g)
 	}
-	if size > ownBlock {
-		return unsafe.Pointer(unsafe.SliceData(a.mapChunk(size)))
+	*(*uint64)(p) = 0
+	if size > g {
+		a.list(unsafe.Add(p, 8*g), size-g) // its last word is the run's last already
+	} else {
+		*(*uint64)(unsafe.Add(p, 8*g-8)) = 0
 	}
-	if size > len(a.rest) {
-		a.stranded += len(a.rest)
-		a.rest = a.mapChunk(max(a.next, roundUp(size, pageSize)))
-		a.next = min(2*a.next, lastChunk)
-	}
-	p := unsafe.Pointer(unsafe.SliceData(a.rest))
-	a.rest = a.rest[size:]
 	return p
 }
 
-// put takes back the block at p that take returned for n bytes. The caller
-// has zeroed its n bytes and drops every view of it.
-func (a *arena) put(p unsafe.Pointer, n int) {
-	k, size := a.class(n)
-	a.asked -= n
-	a.used -= size
-	a.idle += size
-	if k >= len(a.free) {
-		a.free = append(a.free, make([]freeList, k+1-len(a.free))...)
+// fit takes off its list a free run of at least g words, and returns it and
+// its length; nil when there is none. It searches from the first class whose
+// every run fits — g's own when g is its class's shortest length, else the
+// next — and takes the last run of the first class that holds one. Only when
+// there is none does it look in g's own class for a run long enough.
+func (a *arena) fit(g uint64) (unsafe.Pointer, uint64) {
+	own := runClass(g)
+	k := own
+	if g > exactRuns && runClass(g-1) == own {
+		k++
 	}
-	l := &a.free[k]
-	*(*unsafe.Pointer)(p) = l.head
-	l.head, l.size = p, size
+	i := -1
+	if k = a.firstRun(k); k >= 0 {
+		i = len(a.runs[k]) - 1
+	} else if k = own; k < len(a.runs) {
+		i = slices.IndexFunc(a.runs[k], func(p unsafe.Pointer) bool { return runLen(p) >= g })
+	}
+	if i < 0 {
+		return nil, 0
+	}
+	p := a.runs[k][i]
+	a.unlist(k, i)
+	return p, runLen(p)
 }
 
-// mapChunk maps n more bytes.
-func (a *arena) mapChunk(n int) []byte {
-	b := mapBytes(n)
+// firstRun returns the first class from k on that holds a free run, or −1.
+func (a *arena) firstRun(k int) int {
+	for w := k >> 6; w < len(a.holds); w++ {
+		b := a.holds[w]
+		if w == k>>6 {
+			b &= ^uint64(0) << (k & 63)
+		}
+		if b != 0 {
+			return w<<6 + bits.TrailingZeros64(b)
+		}
+	}
+	return -1
+}
+
+// runLen returns the length in words of the free run at p.
+func runLen(p unsafe.Pointer) uint64 { return *(*uint64)(p) >> 32 }
+
+// list puts the g-word run at p on its class's list and writes its first and
+// last words. The words between are zero.
+func (a *arena) list(p unsafe.Pointer, g uint64) {
+	k := runClass(g)
+	if k >= len(a.runs) {
+		a.lists -= 24*cap(a.runs) + 8*cap(a.holds)
+		a.runs = append(a.runs, make([][]unsafe.Pointer, k+1-len(a.runs))...)
+		a.holds = append(a.holds, make([]uint64, (k>>6)+1-len(a.holds))...)
+		a.lists += 24*cap(a.runs) + 8*cap(a.holds)
+	}
+	c := cap(a.runs[k])
+	a.runs[k] = append(a.runs[k], p)
+	a.lists += 8 * (cap(a.runs[k]) - c)
+	a.holds[k>>6] |= 1 << (k & 63)
+	a.mark(p, g, len(a.runs[k])-1)
+}
+
+// mark writes a free run's first and last words: its length and its place on
+// its class's list.
+func (a *arena) mark(p unsafe.Pointer, g uint64, i int) {
+	w := g<<32 | uint64(i)
+	*(*uint64)(p) = w
+	*(*uint64)(unsafe.Add(p, 8*g-8)) = w
+}
+
+// unlist takes the i-th run of class k off its list, moving the last one into
+// its place. The run's own words are the caller's to clear.
+func (a *arena) unlist(k, i int) {
+	l := a.runs[k]
+	if last := len(l) - 1; i != last {
+		l[i] = l[last]
+		a.mark(l[i], runLen(l[i]), i)
+	}
+	a.runs[k] = l[:len(l)-1]
+	if len(l) == 1 {
+		a.holds[k>>6] &^= 1 << (k & 63)
+	}
+}
+
+// freeAt reports whether the word at p is the first or the last word of a
+// free run: its length, that run's first word, and its class and place.
+// The word at p is read whatever it holds; it is believed only when the list
+// it names holds a run at the place it names that starts where it says.
+func (a *arena) freeAt(p unsafe.Pointer, last bool) (start unsafe.Pointer, g uint64, k, i int) {
+	w := *(*uint64)(p)
+	if g = w >> 32; g == 0 {
+		return nil, 0, 0, 0
+	}
+	k, i = runClass(g), int(uint32(w))
+	at := uintptr(p)
+	if last {
+		at -= uintptr(8*g - 8)
+	}
+	if k >= len(a.runs) || i >= len(a.runs[k]) || uintptr(a.runs[k][i]) != at || runLen(a.runs[k][i]) != g {
+		return nil, 0, 0, 0
+	}
+	return a.runs[k][i], g, k, i
+}
+
+// put takes back the block at p that take returned for n bytes. The caller
+// has zeroed its n bytes and drops every view of it. The block joins the free
+// runs on either side of it.
+func (a *arena) put(p unsafe.Pointer, n int) {
+	g := uint64(n+7) / 8
+	a.asked -= n
+	if q, r, k, i := a.freeAt(unsafe.Add(p, 8*g), false); q != nil {
+		a.unlist(k, i)
+		*(*uint64)(q) = 0
+		g += r
+	}
+	if q, r, k, i := a.freeAt(unsafe.Add(p, -8), true); q != nil {
+		a.unlist(k, i)
+		*(*uint64)(unsafe.Add(p, -8)) = 0
+		p, g = q, g+r
+	}
+	a.list(p, g)
+}
+
+// mapChunk maps a chunk for a block of g words — the next chunk of the
+// doubling, or one sized to the block past ownBlock — and returns its free
+// run, which take splits.
+func (a *arena) mapChunk(g uint64) (unsafe.Pointer, uint64) {
+	need := int(8*g) + guards
+	size := roundUp(need, pageSize)
+	if int(8*g) <= ownBlock {
+		size = max(a.next, size)
+		a.next = min(2*a.next, lastChunk)
+	}
+	b := mapBytes(size)
 	a.chunks = append(a.chunks, b)
 	a.mapped += len(b)
 	mappedBytes.Add(int64(len(b)))
-	return b
+	return unsafe.Pointer(&b[guards/2]), uint64(len(b)-guards) / 8
 }
 
 // pooled returns the bytes the arena maps beyond what its blocks were asked
-// for: free blocks, chunk ends and the rounding of held blocks to their class.
+// for: free runs, the guard words and the rounding of held blocks to words.
 func (a *arena) pooled() int { return a.mapped - a.asked }
 
 // unmap gives every mapping back. It is the arena's finalizer: nothing can

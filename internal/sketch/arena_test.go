@@ -2,7 +2,9 @@ package sketch
 
 import (
 	"bytes"
+	"cmp"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -10,89 +12,283 @@ import (
 	"github.com/streamagg/correlated/internal/hash"
 )
 
-// checkArena fails unless m's arena is what its chunks and free lists hold:
-// every free block lies in a chunk and is zero but for the word that links it,
-// the free blocks add up to idle, the chunks to mapped, and mapped is the
-// blocks out at their class sizes, the free ones, the end of the last chunk
-// and the ends stranded before it. PooledBytes' arena half is mapped less what
-// the blocks out were asked for. It returns the free blocks of each class.
-func checkArena(t *testing.T, step string, m *F2Maker) map[int]int {
+// span is a run of an arena's words: where it starts and how many bytes.
+type span struct {
+	at   uintptr
+	size int
+}
+
+// checkArena fails unless a's lists are what its chunks hold: every listed
+// run lies in a chunk between its guard words, is on the list of its class at
+// the place its first and last words name, and is zero between them; the
+// guard words are zero; and no two runs overlap or touch, since a block
+// handed back joins the free runs beside it. mapped is the chunks, and lists
+// the heap bytes behind the lists. It returns the free runs, ordered by
+// address, and their bytes.
+func checkArena(t testing.TB, step string, a *arena) (runs []span, free int) {
 	t.Helper()
-	a := m.arena
-	in := func(p unsafe.Pointer, size int) bool {
-		for _, c := range a.chunks {
-			lo := uintptr(unsafe.Pointer(unsafe.SliceData(c)))
-			if uintptr(p) >= lo && uintptr(p)+uintptr(size) <= lo+uintptr(len(c)) {
-				return true
-			}
-		}
-		return false
-	}
-	free, idle := map[int]int{}, 0
-	for k, l := range a.free {
-		for p := l.head; p != nil; p = *(*unsafe.Pointer)(p) {
-			if !in(p, l.size) || uintptr(p)%8 != 0 {
-				t.Fatalf("%s: a free block of class %d, %d bytes, at %p is not an aligned block of a chunk", step, k, l.size, p)
-			}
-			if b := unsafe.Slice((*byte)(p), l.size); !bytes.Equal(b[8:], zeros[:l.size-8]) {
-				t.Fatalf("%s: a free block of class %d, %d bytes, is dirty", step, k, l.size)
-			}
-			free[k]++
-			idle += l.size
-		}
-	}
 	mapped := 0
 	for _, c := range a.chunks {
 		mapped += len(c)
+		if w := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(c))), len(c)/8); w[0] != 0 || w[len(w)-1] != 0 {
+			t.Fatalf("%s: a chunk's guard words read %#x and %#x", step, w[0], w[len(w)-1])
+		}
 	}
-	if a.idle != idle || a.mapped != mapped || mapped != a.used+a.idle+len(a.rest)+a.stranded {
-		t.Fatalf("%s: the arena counts %d free and %d mapped bytes, %d out, %d at the end of its chunk, %d stranded; its lists hold %d and its chunks %d",
-			step, a.idle, a.mapped, a.used, len(a.rest), a.stranded, idle, mapped)
+	if a.mapped != mapped {
+		t.Fatalf("%s: the arena counts %d mapped bytes, its chunks are %d", step, a.mapped, mapped)
 	}
-	if pooled, _ := m.PooledBytes(); pooled != mapped-m.HeldBytes() || m.ArenaBytes() != mapped || a.used < a.asked {
-		t.Fatalf("%s: PooledBytes %d, ArenaBytes %d, HeldBytes %d over %d mapped, %d out at class sizes",
-			step, pooled, m.ArenaBytes(), m.HeldBytes(), mapped, a.used)
+	lists := 24*cap(a.runs) + 8*cap(a.holds)
+	for k, l := range a.runs {
+		lists += 8 * cap(l)
+		if (len(l) > 0) != (a.holds[k>>6]&(1<<(k&63)) != 0) {
+			t.Fatalf("%s: class %d holds %d runs, its bit reads otherwise", step, k, len(l))
+		}
+		for i, p := range l {
+			g := runLen(p)
+			if g == 0 || runClass(g) != k || !in(a.chunks, uintptr(p), int(8*g)) {
+				t.Fatalf("%s: run %d of class %d at %p is marked %d words long", step, i, k, p, g)
+			}
+			w := unsafe.Slice((*uint64)(p), g)
+			if w[0] != g<<32|uint64(i) || w[g-1] != w[0] {
+				t.Fatalf("%s: run %d of class %d at %p: %d words, marked %#x … %#x", step, i, k, p, g, w[0], w[g-1])
+			}
+			for j := 1; j+1 < len(w); j++ {
+				if w[j] != 0 {
+					t.Fatalf("%s: a free run of %d words is dirty", step, g)
+				}
+			}
+			runs = append(runs, span{uintptr(p), int(8 * g)})
+			free += int(8 * g)
+		}
 	}
-	return free
+	if a.lists != lists {
+		t.Fatalf("%s: the arena counts %d bytes of lists, they take %d", step, a.lists, lists)
+	}
+	slices.SortFunc(runs, func(x, y span) int { return cmp.Compare(x.at, y.at) })
+	for i := 1; i < len(runs); i++ {
+		if runs[i-1].at+uintptr(runs[i-1].size) >= runs[i].at {
+			t.Fatalf("%s: free runs at %#x (%d bytes) and %#x touch", step, runs[i-1].at, runs[i-1].size, runs[i].at)
+		}
+	}
+	return runs, free
 }
 
-// TestArenaClasses: a block's class is at least what was asked, at most an
-// eighth more past 128 bytes (and then whole pages once it is a mapping of its
-// own), always the same size for one class and one class for one size; the
-// sizes the maker names are classes of their own, rounded by nothing.
+// in reports whether size bytes at p lie in one of the chunks, between its
+// guard words.
+func in(chunks [][]byte, p uintptr, size int) bool {
+	for _, c := range chunks {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(c))) + guards/2
+		if p%8 == 0 && p >= lo && p+uintptr(size) <= lo+uintptr(len(c)-guards) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkHeld fails unless the held blocks — start and bytes asked — lie in
+// a's chunks, overlap no free run and no other block, and add up with the
+// free runs and the guard words to exactly what a maps: held and pooled
+// bytes are the arena. It returns the free runs, ordered by address.
+func checkHeld(t testing.TB, step string, a *arena, held []span) []span {
+	t.Helper()
+	runs, free := checkArena(t, step, a)
+	all, asked, words := slices.Clone(runs), 0, 0
+	for _, b := range held {
+		if !in(a.chunks, b.at, b.size) {
+			t.Fatalf("%s: a held block of %d bytes at %#x is not in a chunk", step, b.size, b.at)
+		}
+		all = append(all, span{b.at, roundUp(b.size, 8)})
+		asked += b.size
+		words += roundUp(b.size, 8)
+	}
+	slices.SortFunc(all, func(x, y span) int { return cmp.Compare(x.at, y.at) })
+	for i := 1; i < len(all); i++ {
+		if all[i-1].at+uintptr(all[i-1].size) > all[i].at {
+			t.Fatalf("%s: blocks or runs at %#x (%d bytes) and %#x overlap", step, all[i-1].at, all[i-1].size, all[i].at)
+		}
+	}
+	if a.asked != asked || a.mapped != words+free+guards*len(a.chunks) || a.pooled() != a.mapped-asked {
+		t.Fatalf("%s: the arena counts %d asked of %d mapped, %d pooled; the blocks held were asked %d and take %d, the free runs %d, the guards %d",
+			step, a.asked, a.mapped, a.pooled(), asked, words, free, guards*len(a.chunks))
+	}
+	return runs
+}
+
+// TestArenaClasses: a run's class is its length's own up to 2 KiB, and
+// above it one of sixteen to each power of two, in order of length, so the
+// runs of a class are within a sixteenth of one another.
 func TestArenaClasses(t *testing.T) {
-	a := newArena(1424, 2848, 11392, 32, 40000)
-	sizeOf, classOf := map[int]int{}, map[int]int{}
-	for n := 1; n <= 70_000; n++ {
-		k, size := a.class(n)
-		limit := max(roundUp(n, 8), roundUp(n, 8)*9/8)
-		if size > ownBlock {
-			limit = roundUp(limit, pageSize)
+	lo := map[int]uint64{}
+	prev := -1
+	for g := uint64(1); g <= 1<<16; g++ {
+		k := runClass(g)
+		if k < prev || k > prev+1 {
+			t.Fatalf("%d words are class %d, %d words class %d", g, k, g-1, prev)
 		}
-		if size < n || size > limit || size%8 != 0 {
-			t.Fatalf("%d bytes take a %d-byte block of class %d, want %d to %d", n, size, k, n, limit)
+		if g <= exactRuns && k != int(g)-1 {
+			t.Fatalf("%d words are class %d, want a class of their own", g, k)
 		}
-		if s, ok := sizeOf[k]; ok && s != size {
-			t.Fatalf("class %d holds %d-byte and %d-byte blocks", k, s, size)
+		if _, ok := lo[k]; !ok {
+			lo[k] = g
 		}
-		sizeOf[k] = size
-		if c, ok := classOf[size]; ok && c != k && k >= len(a.exact) && c >= len(a.exact) {
-			// Two classes past ownBlock can round to the same pages; below it
-			// one size is one class.
-			if size <= ownBlock {
-				t.Fatalf("%d-byte blocks are in classes %d and %d", size, c, k)
+		if g > exactRuns && (g-lo[k])*16 >= lo[k] {
+			t.Fatalf("class %d holds runs of %d and %d words", k, lo[k], g)
+		}
+		prev = k
+	}
+	if k := runClass(1<<32 - 1); k > 700 {
+		t.Fatalf("the longest run a word can name is class %d", k)
+	}
+}
+
+// TestArenaTakesTheSmallestRunThatFits: with runs of several lengths up to
+// 2 KiB free, a request takes the shortest one it fits, leaves the rest of it
+// free, and a block handed back joins the runs on both sides of it.
+func TestArenaTakesTheSmallestRunThatFits(t *testing.T) {
+	a := newArena()
+	// Blocks of 40, 16, 24, 8, 64 and 400 bytes, then the end of the chunk;
+	// freeing every other one leaves runs of 40, 24 and 64 bytes between
+	// held ones.
+	sizes := []int{40, 16, 24, 8, 64, 400}
+	var ps []unsafe.Pointer
+	for _, n := range sizes {
+		ps = append(ps, a.take(n))
+	}
+	for _, i := range []int{0, 2, 4} {
+		a.putZeroed(ps[i], sizes[i])
+	}
+	held := func(is ...int) (out []span) {
+		for _, i := range is {
+			out = append(out, span{uintptr(ps[i]), sizes[i]})
+		}
+		return out
+	}
+	checkHeld(t, "three freed", a, held(1, 3, 5))
+	for _, c := range []struct {
+		n    int
+		from int // the block whose run the request must take
+	}{{24, 2}, {41, 4}, {33, 0}} {
+		p := a.take(c.n)
+		if p != ps[c.from] {
+			t.Fatalf("%d bytes took %p, want the %d-byte run at %p", c.n, p, sizes[c.from], ps[c.from])
+		}
+		a.putZeroed(p, c.n)
+	}
+	// The 16-byte block between the 40- and 24-byte runs joins both.
+	a.putZeroed(ps[1], sizes[1])
+	runs, _ := checkArena(t, "joined", a)
+	if runs[0].at != uintptr(ps[0]) || runs[0].size != 80 {
+		t.Fatalf("the first run is %d bytes at %#x, want 80 at %p", runs[0].size, runs[0].at, ps[0])
+	}
+	for _, i := range []int{3, 5} {
+		a.putZeroed(ps[i], sizes[i])
+	}
+	if runs, free := checkArena(t, "all back", a); len(runs) != 1 || free != a.mapped-guards {
+		t.Fatalf("with every block back the chunk is %d runs of %d bytes", len(runs), free)
+	}
+}
+
+// TestArenaFitsPastTheExactClasses: past 2 KiB a request takes a run of the
+// first class whose every run fits it, and looks through its own class only
+// when no class above holds a run, before it maps a chunk.
+func TestArenaFitsPastTheExactClasses(t *testing.T) {
+	// In one chunk, runs of 280 (class exactRuns) and 300 words (the next)
+	// between held blocks, and the chunk's tail held, so nothing else is free.
+	a := newArena()
+	words := []int{280, 1, 300, 1}
+	var ps []unsafe.Pointer
+	for _, w := range words {
+		ps = append(ps, a.take(8*w))
+	}
+	a.take(a.mapped - guards - 8*582) // no class above its own holds a run: the fallback
+	if a.mapped != firstChunk {
+		t.Fatalf("the chunk's tail mapped %d bytes", a.mapped)
+	}
+	a.putZeroed(ps[0], 8*280)
+	a.putZeroed(ps[2], 8*300)
+	for _, c := range []struct {
+		words, from int // the block whose run the request must take
+	}{
+		{272, 0}, // its class's shortest length: any run of the class fits
+		{275, 2}, // not the shortest: the class above, though the 280 fits
+		{290, 2}, // nothing above its class: its own, looked through
+	} {
+		p := a.take(8 * c.words)
+		if p != ps[c.from] {
+			t.Fatalf("%d words took %p, want the %d-word run at %p", c.words, p, words[c.from], ps[c.from])
+		}
+		a.putZeroed(p, 8*c.words)
+	}
+	held := a.take(8 * 300)
+	if held != ps[2] {
+		t.Fatalf("300 words took %p, want the run at %p", held, ps[2])
+	}
+	if p := a.take(8 * 281); a.mapped == firstChunk || p == ps[0] {
+		t.Fatalf("281 words took %p with a 280-word run free and %d bytes mapped", p, a.mapped)
+	}
+}
+
+// FuzzArena drives an arena with takes and puts drawn from the fuzz bytes and
+// holds it to a model of the blocks out after every operation: no two blocks
+// held overlap, every take is zeroed, the blocks held, the free runs and the
+// guard words are exactly what it maps, and once every block is back each
+// chunk is one free run. The blocks held are filled with words that look like
+// a free run's first and last words, so a neighbour is believed free only
+// when its list says so.
+func FuzzArena(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 5, 0, 1, 1, 0, 0, 9, 1, 1})
+	f.Add([]byte{0, 200, 0, 200, 0, 200, 1, 1, 0, 40, 1, 0, 0, 255, 0, 255})
+	f.Add([]byte{2, 2, 0, 7, 0, 7, 0, 7, 0, 7, 1, 0, 1, 1, 1, 0, 0, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a := newArena()
+		type block struct {
+			p unsafe.Pointer
+			n int
+		}
+		var held []block
+		spans := func() (out []span) {
+			for _, b := range held {
+				out = append(out, span{uintptr(b.p), b.n})
 			}
+			return out
 		}
-		classOf[size] = k
-	}
-	for i, n := range []int{1424, 2848, 11392, 32} {
-		if k, size := a.class(n); k != i || size != n {
-			t.Fatalf("the named size %d is class %d of %d bytes, want class %d of its own size", n, k, size, i)
+		for len(data) >= 2 {
+			op, arg := data[0], int(data[1])
+			data = data[2:]
+			switch op % 3 {
+			case 0, 2: // take: up to 2 KiB in words and bytes, or past ownBlock
+				n := 1 + arg*8 + int(op>>2)%8
+				if op%3 == 2 {
+					n = ownBlock + 1 + arg*64
+				}
+				p := a.take(n)
+				b := unsafe.Slice((*byte)(p), n)
+				if !bytes.Equal(b, make([]byte, n)) {
+					t.Fatalf("a take of %d bytes is dirty", n)
+				}
+				w := unsafe.Slice((*uint64)(p), n/8)
+				for i := range w {
+					w[i] = uint64(1+i%3)<<32 | uint64(i%2) // a run's marks, as a neighbour might read them
+				}
+				held = append(held, block{p, n})
+			case 1: // put the arg-th block held
+				if len(held) == 0 {
+					continue
+				}
+				i := arg % len(held)
+				a.putZeroed(held[i].p, held[i].n)
+				held = slices.Delete(held, i, i+1)
+			}
+			checkHeld(t, "step", a, spans())
 		}
-	}
-	if _, size := a.class(40000); size != roundUp(40000, pageSize) {
-		t.Fatalf("a named size past ownBlock takes %d bytes, want whole pages", size)
-	}
+		for _, b := range held {
+			a.putZeroed(b.p, b.n)
+		}
+		if runs, _ := checkArena(t, "all back", a); len(runs) != len(a.chunks) {
+			t.Fatalf("with every block back %d chunks hold %d free runs", len(a.chunks), len(runs))
+		}
+		a.unmap()
+	})
 }
 
 // TestArenaMapsAsSketchesFill: a maker maps nothing until a sketch takes a
@@ -134,8 +330,8 @@ func TestArenaMapsAsSketchesFill(t *testing.T) {
 	if rose < 10 || m.HeldBytes() < last/2 {
 		t.Fatalf("the arena grew %d times to %d bytes for %d held", rose, last, m.HeldBytes())
 	}
-	t.Logf("%d sketches hold %d bytes in %d mapped (%d stranded, %d at the end of the last chunk)",
-		len(out), m.HeldBytes(), m.ArenaBytes(), m.arena.stranded, len(m.arena.rest))
+	_, free := checkArena(t, "filled", m.arena)
+	t.Logf("%d sketches hold %d bytes in %d mapped (%d in free runs)", len(out), m.HeldBytes(), m.ArenaBytes(), free)
 }
 
 // settledMapped collects until the process's mapped count stops moving: what
@@ -233,13 +429,14 @@ func TestSketchOutlivesItsMaker(t *testing.T) {
 	for _, c := range kept {
 		c.Add(1_000_000, 5)
 	}
-	checkArena(t, "after the collections", kept[0].maker)
+	checkBooks(t, "after the collections", kept[0].maker, kept)
 }
 
 // TestRecycleReturnsStorageToTheArena: a burst of freed sketches — one group
 // can evict hundreds of buckets — hands every array and table back to the
-// arena, zeroed, and every struct's slot back to the maker's slab; the same
-// burst again takes them back and maps nothing more.
+// arena, zeroed, where they join into one free run a chunk, and every
+// struct's slot back to the maker's slab; the same burst again takes them
+// back and maps nothing more.
 func TestRecycleReturnsStorageToTheArena(t *testing.T) {
 	m := NewF2Maker(64, 3, hash.New(5))
 	burst := func() {
@@ -264,15 +461,15 @@ func TestRecycleReturnsStorageToTheArena(t *testing.T) {
 	if m.slab.Live() != 0 || m.slab.Spare() < 600 || m.HeldBytes() != 0 {
 		t.Fatalf("after the burst the slab holds %d sketches and %d spare slots, the sketches %d bytes", m.slab.Live(), m.slab.Spare(), m.HeldBytes())
 	}
-	free := checkArena(t, "after the burst", m)
-	array, _ := m.arena.class(m.denseBytes(1))
-	first, _ := m.arena.class(32)
-	if free[array] < 300 || free[first] < 300 {
-		t.Fatalf("the arena's lists hold %d int8 arrays and %d first tables, want at least 300 of each", free[array], free[first])
+	// Every block came back, and joined its neighbours: each chunk is one
+	// free run again.
+	checkBooks(t, "after the burst", m, nil)
+	if runs, _ := checkArena(t, "after the burst", m.arena); len(runs) != len(m.arena.chunks) {
+		t.Fatalf("with every block back %d chunks hold %d free runs", len(m.arena.chunks), len(runs))
 	}
 	mapped := m.ArenaBytes()
 	burst()
-	checkArena(t, "after the second burst", m)
+	checkBooks(t, "after the second burst", m, nil)
 	if m.ArenaBytes() != mapped {
 		t.Fatalf("the same burst again mapped %d bytes more", m.ArenaBytes()-mapped)
 	}
@@ -297,5 +494,5 @@ func TestFkGivesItsLevelsBack(t *testing.T) {
 	if held, headers := m.csMaker.HeldBytes(), m.csMaker.HeaderBytes(); held != 0 || headers != 0 {
 		t.Fatalf("with no Fk out the CountSketch maker holds %d bytes and %d of headers", held, headers)
 	}
-	checkArena(t, "after Free and Recycle", m.csMaker)
+	checkBooks(t, "after Free and Recycle", m.csMaker, nil)
 }

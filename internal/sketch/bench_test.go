@@ -93,13 +93,13 @@ func BenchmarkCountSketchCompact(b *testing.B) {
 			for x := 0; x < pairs; x++ {
 				cs.Add(uint64(x)*0x9E3779&(1<<24-1), 1)
 			}
-			hashed, slots, before := slices.Clone(cs.table().tab), cs.slots(), cs.Bytes()
+			hashed, step, before := slices.Clone(cs.table().tab), cs.step, cs.Bytes()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Compact hands the hashed table back zeroed: take it again as
 				// it was, which is a copy beside Compact's sort.
-				m.putTable(cs.retable(slots, cs.rung, true))
+				m.putTable(cs.retable(step, cs.rung))
 				copy(cs.table().tab, hashed)
 				cs.Compact()
 			}

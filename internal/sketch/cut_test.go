@@ -12,7 +12,7 @@ import (
 // Bytes. The tests below pin the edges of a cut: the promotion point, the
 // fewest pairs, and a Reset.
 
-// primeTables leaves m's free lists holding tables of every size class that
+// primeTables leaves m's free runs holding the tables of every size that
 // sketches at every rung have filled and handed back, so that a step which
 // takes one finds out whether it came back zeroed.
 func primeTables(t *testing.T, m *F2Maker) {
@@ -29,10 +29,14 @@ func primeTables(t *testing.T, m *F2Maker) {
 			m.Recycle(c)
 			// A probe of a table that came back dirty may never end: say so
 			// before the next sketch takes one.
-			checkArena(t, "priming", m)
+			checkBooks(t, "priming", m, nil)
 		}
 	}
 }
+
+// tableFor returns the slots of the hashed table that holds n pairs without
+// growing: a step of the ladder 8, 12, 16, 24, ….
+func tableFor(n int) int { return stepSlots(stepFor(n)) }
 
 // TestCountSketchCutTableAtThePromotionPoint: a cut table holding itemsMax
 // pairs takes an update to one of them and stays in the items form, and takes
@@ -116,7 +120,7 @@ func TestCountSketchCutFewPairs(t *testing.T) {
 			}
 			requireCut("merged into itself", pairs)
 			both(wide.x+uint64(pairs)<<10, wide.f)
-			if cut.slots() != tableFor(pairs+2) {
+			if cut.slots() != tableFor(pairs+1) { // hashed again with room for the new pair
 				t.Fatalf("%s: a write left %d slots", at, cut.slots())
 			}
 			requireCut("one pair more", pairs+1)

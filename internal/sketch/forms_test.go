@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"github.com/streamagg/correlated/internal/hash"
@@ -194,7 +195,7 @@ func (p *register) check(t *testing.T, step string) {
 	}
 	hi := hiBytes(a.rung, a.slots())
 	if !a.cut() || a.n == 0 {
-		if s := a.slots(); (s != 0 && (s < itemsMinCap || s&(s-1) != 0)) || a.Bytes() != s*4<<a.rung+hi {
+		if s := a.slots(); (s != 0 && (s != tableFor(s*3/4) || s < tableFor(int(a.n)))) || a.Bytes() != s*4<<a.rung+hi {
 			t.Fatalf("%s: a hashed table of %d slots of %d bytes holds %d bytes", step, s, 4<<a.rung, a.Bytes())
 		}
 		return
@@ -244,62 +245,36 @@ func sameSketch(t *testing.T, step string, a, b *CountSketch) {
 
 // checkBooks fails unless m's running counts are a walk of the sketches it has
 // out — and of the one sketch it keeps for the next New, which must be empty —
-// and its arena's are a walk of its blocks (checkArena). It returns how many
-// free blocks each of the dense arrays' size classes, and the other classes
-// together ("tables"), hold.
-func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) (free map[string]int) {
-	held, headers, used := 0, 0, 0
+// and its arena's are a walk of its blocks and free runs (checkHeld). It
+// returns the arena's free runs, ordered by address.
+func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) []span {
+	t.Helper()
+	held, headers := 0, 0
 	if c := m.spare; c != nil && *c != (CountSketch{maker: m}) {
 		t.Fatalf("%s: the maker keeps a sketch holding %+v", step, *c)
 	}
+	var blocks []span
 	for _, c := range out {
 		if (c.p == nil) != (c.Bytes() == 0) {
 			t.Fatalf("%s: a sketch holding %d bytes has block %p (dense=%v, %d pairs)", step, c.Bytes(), c.p, c.dense, c.n)
 		}
+		if c.p != nil {
+			blocks = append(blocks, span{uintptr(c.p), c.Bytes()})
+		}
 		held += c.Bytes()
 		headers += countSketchBytes
-		used += blockBytes(m, c)
 	}
 	if m.HeldBytes() != held || m.HeaderBytes() != headers {
 		t.Fatalf("%s: HeldBytes %d, HeaderBytes %d; the %d sketches out hold %d and %d", step, m.HeldBytes(), m.HeaderBytes(), len(out), held, headers)
 	}
-	if m.arena.used != used {
-		t.Fatalf("%s: the arena has %d bytes of blocks out, the sketches' blocks are %d", step, m.arena.used, used)
+	if _, heap := m.PooledBytes(); heap != m.slab.Spare()*countSketchBytes+m.arena.lists {
+		t.Fatalf("%s: PooledBytes counts %d bytes on the heap, the slab has %d spare slots and the arena's lists take %d bytes", step, heap, m.slab.Spare(), m.arena.lists)
 	}
-	if _, slab := m.PooledBytes(); slab != m.slab.Spare()*countSketchBytes {
-		t.Fatalf("%s: PooledBytes counts %d bytes of slab slots, the slab has %d spare", step, slab, m.slab.Spare())
+	if pooled, _ := m.PooledBytes(); pooled+held != m.ArenaBytes() {
+		t.Fatalf("%s: PooledBytes %d and HeldBytes %d, ArenaBytes %d", step, pooled, held, m.ArenaBytes())
 	}
-	names := map[int]string{}
-	for _, c := range []struct {
-		name string
-		n    int
-	}{{"int8", m.denseBytes(1)}, {"int16", m.denseBytes(2)}, {"int64", m.denseBytes(8)}} {
-		if k, _ := m.arena.class(c.n); names[k] == "" {
-			names[k] = c.name
-		}
-	}
-	free = map[string]int{}
-	for k, n := range checkArena(t, step, m) {
-		name := names[k]
-		if name == "" {
-			name = "tables"
-		}
-		free[name] += n
-	}
-	return free
+	return checkHeld(t, step, m.arena, blocks)
 }
-
-// blockBytes is the arena's share of c: its one block — a table, or row sums
-// and counters — at its class size.
-func blockBytes(m *F2Maker, c *CountSketch) int {
-	if c.p == nil {
-		return 0
-	}
-	_, size := m.arena.class(c.Bytes())
-	return size
-}
-
-var zeros = make([]byte, 1<<16) // more than the largest table or array a test geometry has
 
 // shape is what a step can change about a sketch's storage.
 type shape struct {
@@ -360,15 +335,15 @@ func moves(before, after shape) (names []string) {
 
 // runForms runs seeded random operation sequences over three registers a run,
 // seeds from to to on each geometry, and fails unless each named floor — a
-// storage move, a merge of two forms, a free block taken again — was seen at least 50
-// times. Each register draws its identifiers from one band — under
-// 2^24, across it, across 2^32 — and its weights from units, or up to and
-// across 2^7, 2^15, 2^31 and 2^40, signed, over a domain on either side of the
-// promotion point, so tables and arrays climb every rung and come back under
-// it. Merges meet every pair of forms, a register with itself too; Compact
+// storage move, a merge of two forms, a new block over bytes an earlier one
+// held and handed back — was seen at least 50 times. Each register draws its
+// identifiers from one band — under 2^24, across it, across 2^32 — and its
+// weights from units, or up to and across 2^7, 2^15, 2^31 and 2^40, signed,
+// over a domain on either side of the promotion point, so tables and arrays
+// climb every rung and come back under it. Merges meet every pair of forms, a register with itself too; Compact
 // cuts tables that later writes hash again; and the makers start with their
-// arenas' free lists primed, so a table handed back unzeroed, or too early, shows as a
-// pair nobody added.
+// arenas' free runs primed, so a table handed back unzeroed, or too early,
+// shows as a pair nobody added.
 func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to uint64, floors ...string) {
 	seen := map[string]int{}
 	for _, g := range geometries {
@@ -395,13 +370,14 @@ type draws interface{ Uint64n(n uint64) uint64 }
 // formsRun is one run of the generator: a maker primed as runForms says, the
 // twins' maker, three registers, and the draws that choose every step.
 type formsRun struct {
-	m, twin  *F2Maker
-	rng      draws
-	seed     uint64 // the makers' and the registers' bands'
-	domain   uint64 // identifiers come from a band this wide
-	regs     []*register
-	seen     map[string]int // the floors met, by name
-	lastFree map[string]int // checkBooks' free blocks after the last step
+	m, twin *F2Maker
+	rng     draws
+	seed    uint64 // the makers' and the registers' bands'
+	domain  uint64 // identifiers come from a band this wide
+	regs    []*register
+	seen    map[string]int // the floors met, by name
+	held    []span         // the bytes blocks held at the checks of earlier steps, ordered, disjoint
+	checked []span         // the blocks held at this step's checks
 }
 
 func newFormsRun(t *testing.T, width, depth int, seed uint64, rng draws, seen map[string]int) *formsRun {
@@ -454,6 +430,40 @@ func (r *formsRun) out(more ...*CountSketch) []*CountSketch {
 	return append(more, r.regs[0].a, r.regs[1].a, r.regs[2].a)
 }
 
+// books checks the maker's books with more and the registers out
+// (checkBooks) and notes the blocks they hold.
+func (r *formsRun) books(t *testing.T, what string, more ...*CountSketch) {
+	t.Helper()
+	out := r.out(more...)
+	checkBooks(t, what, r.m, out)
+	for _, c := range out {
+		if c.p != nil {
+			r.checked = append(r.checked, span{uintptr(c.p), c.Bytes()})
+		}
+	}
+}
+
+// heldBefore reports whether any of size bytes at p was held by a block at
+// an earlier step's check.
+func (r *formsRun) heldBefore(p uintptr, size int) bool {
+	i := sort.Search(len(r.held), func(i int) bool { return r.held[i].at+uintptr(r.held[i].size) > p })
+	return i < len(r.held) && r.held[i].at < p+uintptr(size)
+}
+
+// noteHeld adds the blocks of this step's checks to held.
+func (r *formsRun) noteHeld() {
+	all := append(r.held, r.checked...)
+	slices.SortFunc(all, func(x, y span) int { return cmp.Compare(x.at, y.at) })
+	r.held, r.checked = all[:0], r.checked[:0]
+	for _, b := range all {
+		if n := len(r.held); n > 0 && b.at <= r.held[n-1].at+uintptr(r.held[n-1].size) {
+			r.held[n-1].size = max(r.held[n-1].size, int(b.at-r.held[n-1].at)+b.size)
+		} else {
+			r.held = append(r.held, b)
+		}
+	}
+}
+
 // step draws one operation, applies it, and holds the register it leaves
 // to its twin and its model, and the maker's books to a walk.
 func (r *formsRun) step(t *testing.T, step int) {
@@ -464,7 +474,7 @@ func (r *formsRun) step(t *testing.T, step int) {
 		return fmt.Sprintf("%dx%d seed %d step %d %s", m.width, m.depth, r.seed, step, fmt.Sprintf(what, args...))
 	}
 	// acted is the sketch the step changed in place, if it did.
-	acted, before := p.a, shapeOf(p.a)
+	acted, before, was, wasBytes := p.a, shapeOf(p.a), p.a.p, p.a.Bytes()
 	var what string
 	switch op := rng.Uint64n(40); {
 	case op < 8:
@@ -585,7 +595,7 @@ func (r *formsRun) step(t *testing.T, step int) {
 			t.Fatalf("%s: decoded", what)
 		}
 		seen["failed unmarshal"]++
-		checkBooks(t, what, m, r.out(extra...))
+		r.books(t, what, extra...)
 		m.Recycle(c)
 		if used {
 			twin.Recycle(q.r)
@@ -597,7 +607,7 @@ func (r *formsRun) step(t *testing.T, step int) {
 		// A burst of copies of p in the maker's slab, freed at once:
 		// each slot goes back holding nothing but its maker, and
 		// waits, counted in PooledBytes, for the next Alloc, and
-		// each block to its class's free list in the arena.
+		// each block to the free runs of the arena.
 		what, acted = at("recycle burst"), nil
 		img, _ := p.a.MarshalBinary()
 		burst := make([]uint32, 300)
@@ -609,7 +619,7 @@ func (r *formsRun) step(t *testing.T, step int) {
 				t.Fatal(err)
 			}
 		}
-		checkBooks(t, what, m, r.out(held...))
+		r.books(t, what, held...)
 		for k, h := range burst {
 			m.Free(h)
 			if !reflect.DeepEqual(*held[k], CountSketch{maker: m}) {
@@ -631,13 +641,17 @@ func (r *formsRun) step(t *testing.T, step int) {
 		}
 	}
 	p.check(t, what)
-	free := checkBooks(t, what, m, r.out())
-	for name, n := range free {
-		if n < r.lastFree[name] {
-			seen["free "+name+" taken again"]++
+	// A new block the step gave its register that overlaps bytes a block
+	// held at an earlier step holds what that block handed back.
+	r.books(t, what)
+	if acted != nil && acted.p != nil && (acted.p != was || acted.Bytes() != wasBytes) && r.heldBefore(uintptr(acted.p), acted.Bytes()) {
+		name := "a table"
+		if acted.dense {
+			name = fmt.Sprintf("an int%d array", 8*acted.cw)
 		}
+		seen["free runs taken again for "+name]++
 	}
-	r.lastFree = free
+	r.noteHeld()
 	if p.a.dense && p.a.cw > widthFor(p.ctr) || !p.a.dense && p.a.rung > needsRung(p.a) {
 		seen["wider than its values need"]++
 	}
@@ -707,7 +721,8 @@ func TestCountSketchFormsAgree(t *testing.T) {
 		"promote", "promote a cut table", "array to int16", "array to int64", "reset a table", "reset an array",
 		"wider than its values need", "cut table with a spare half word", "merge a cut table into itself",
 		"unmarshal over a used sketch", "failed unmarshal", "recycle burst",
-		"spare slab slots", "free tables taken again", "free int8 taken again", "free int16 taken again", "free int64 taken again",
+		"spare slab slots", "free runs taken again for a table", "free runs taken again for an int8 array",
+		"free runs taken again for an int16 array", "free runs taken again for an int64 array",
 	}
 	forms := []string{"4", "8", "16", "cut", "dense"}
 	for _, a := range forms {
@@ -739,6 +754,7 @@ func TestCountSketchCutTableAgrees(t *testing.T) {
 }
 
 func TestMakerBooksAreTheWalk(t *testing.T) {
-	runForms(t, []struct{ width, depth int }{{8, 1}}, 13, 20, "unmarshal over a used sketch", "failed unmarshal",
-		"recycle burst", "spare slab slots", "free tables taken again", "free int8 taken again", "free int16 taken again", "free int64 taken again")
+	runForms(t, []struct{ width, depth int }{{8, 1}}, 13, 26, "unmarshal over a used sketch", "failed unmarshal",
+		"recycle burst", "spare slab slots", "free runs taken again for a table", "free runs taken again for an int8 array",
+		"free runs taken again for an int16 array", "free runs taken again for an int64 array")
 }

@@ -278,7 +278,7 @@ func (c *CountSketch) readItems(rest []byte) ([]byte, error) {
 		return nil, ErrBadEncoding
 	}
 	if n > 0 {
-		c.retable(tableFor(int(n)), slot4, true) // from Reset: no table to hand back
+		c.retable(stepFor(int(n)), slot4) // from Reset: no table to hand back
 	}
 	t := c.table()
 	var prev uint64

@@ -199,7 +199,7 @@ func TestChaosDegradedModeHTTP(t *testing.T) {
 		t.Fatalf("degraded 503 carries no Retry-After: %v", err)
 	}
 	fwd := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, ""))
-	if _, err := cl.Forward(ctx, 0xabc, wal.Version, fwd); !client.IsDegraded(err) {
+	if _, err := cl.Forward(ctx, 0xabc, wal.Version, 0, fwd); !client.IsDegraded(err) {
 		t.Fatalf("degraded forward error not IsDegraded: %v", err)
 	}
 	if _, err := cl.QueryLE(ctx, 150); err != nil {
@@ -438,7 +438,7 @@ func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 	// forward sends site record lsn, an ingest record for the tenant.
 	forward := func(lsn uint64, tenant string) error {
 		body := client.AppendForwardRecord(nil, lsn, uint8(wal.RecordIngest), ingestRecord(t, tenant))
-		_, err := writer(ts.URL, "").Forward(ctx, 0xabc, wal.Version, body)
+		_, err := writer(ts.URL, "").Forward(ctx, 0xabc, wal.Version, 0, body)
 		return err
 	}
 	summaries := func(url string) map[string][]byte {
@@ -942,7 +942,7 @@ func TestChaosConcurrentWriters(t *testing.T) {
 					return
 				}
 				body := client.AppendForwardRecord(nil, lsn, uint8(wal.RecordIngest), payload)
-				if mark, err := cl.Forward(ctx, 0xfee, wal.Version, body); err == nil && mark == lsn {
+				if mark, err := cl.Forward(ctx, 0xfee, wal.Version, 0, body); err == nil && mark == lsn {
 					ackedForwards = append(ackedForwards, rows)
 					lsn++
 				}

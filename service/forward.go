@@ -36,13 +36,18 @@ import (
 // nesting — a site's records can reach a coordinator both directly and
 // inside another site's forwards (a promoted standby's, a re-pointed
 // site's) — so a site may always send again and, after a restart, skips
-// to the mark the first answer names. A record the target refuses stops
-// the records behind it, whose order the site's log fixes. An idle
-// forwarder sends an empty forward every forwardPause: a standby's
-// heartbeat, answered with the mark like any other. A site's checkpoint
-// prunes only what every target has confirmed, and a target whose mark is
-// behind the log's oldest record stalls until it is started on a copy of
-// the site's snapshot, which carries the site's own mark at its coverage.
+// to the mark the first answer names. A forward also names prev, the
+// site's last record with state before its first: a mark behind prev — a
+// target restarted on an older copy of its state — lacks the records
+// between, so the forward is refused with the mark (a 409,
+// client.CodeGap) and the site sends again from there. A record the
+// target refuses stops the records behind it, whose order the site's log
+// fixes. An idle forwarder sends an empty forward every forwardPause: a
+// standby's heartbeat, answered with the mark like any other. A site's
+// checkpoint prunes only what every target has confirmed, and a target
+// whose mark is behind the log's oldest record stalls until it is started
+// on a copy of the site's snapshot, which carries the site's own mark at
+// its coverage.
 // The site id names one LSN space: it is kept beside the log, and a log
 // that starts over gets a new one.
 
@@ -164,19 +169,24 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 	return nil, nil, fmt.Errorf("service: a forward carries ingest or forward records, not type %d", typ)
 }
 
-// decideForwardLocked is the decide step of a forward: it drops the records
-// at or below the site's mark — counting the group's records before it
-// (earlier) — and admits the rest in order until one names a tenant
-// admitLocked refuses. j.recs keeps what was admitted; a forward none of
-// whose new records is admitted is refused with the first one's error, and
-// one with no new record writes nothing and is answered with the mark.
-// Callers hold s.mu.
+// decideForwardLocked is the decide step of a forward: against the site's
+// mark — counting the group's records before it (earlier) — it refuses a
+// forward whose prev is past the mark, since the records between are not
+// here, drops the records at or below the mark, and admits the rest in order
+// until one names a tenant admitLocked refuses. j.recs keeps what was
+// admitted; a forward none of whose new records is admitted is refused with
+// the first one's error, and one with no new record writes nothing and is
+// answered with the mark. Callers hold s.mu.
 func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *[][]byte) bool {
 	mark := s.marks[j.site]
 	for _, r := range earlier {
 		if o := r.jobs[0]; o.op == opForward && o.site == j.site {
 			mark = max(mark, o.recs[len(o.recs)-1].lsn)
 		}
+	}
+	if j.prev > mark {
+		j.kind, j.err = ingestErrGap, gapError{mark, fmt.Errorf("site %016x: its records follow LSN %d, and this server holds its records up to LSN %d: send from there", j.site, j.prev, mark)}
+		return false
 	}
 	recs := j.recs
 	for len(recs) > 0 && recs[0].lsn <= mark {
@@ -248,11 +258,19 @@ func (s *Server) applySiteRecordLocked(site uint64, r siteRecord, st *replayStat
 	return nil
 }
 
-// handleForward is POST /v1/forward?site=ID&format=V (client.Forward):
-// records of a site's log, committed as one job — the one write a standby
-// takes — or, with no record, an idle site's heartbeat, which only reads
-// the mark. Records in another log format than this server's are refused
-// whole. Every 200 carries the site's mark.
+// gapError refuses a forward whose records follow a site record this server
+// does not hold; its 409 names client.CodeGap and the mark to send from.
+type gapError struct {
+	mark uint64
+	error
+}
+
+// handleForward is POST /v1/forward?site=ID&format=V&prev=LSN
+// (client.Forward): records of a site's log, committed as one job — the one
+// write a standby takes — or, with no record, an idle site's heartbeat,
+// which only reads the mark. Records in another log format than this
+// server's are refused whole, and records whose prev is past the mark are
+// refused with a 409 that carries it. Every 200 carries the site's mark.
 func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 	errs := &s.metrics.forwardsRejected
 	site, err := strconv.ParseUint(r.URL.Query().Get("site"), 16, 64)
@@ -262,6 +280,11 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 	}
 	if format := r.URL.Query().Get("format"); format != strconv.Itoa(wal.Version) {
 		s.nack(w, errs, ingestErrValidate, fmt.Errorf("the site's records are in log format %q, this coordinator reads log format %d: run both on one release (README \"Storage format\")", format, wal.Version))
+		return
+	}
+	prev, err := strconv.ParseUint(r.URL.Query().Get("prev"), 10, 64)
+	if err != nil {
+		s.nack(w, errs, ingestErrValidate, fmt.Errorf("a forward names prev, the LSN of the site's last state-carrying record before its records: run both ends on one release: %v", err))
 		return
 	}
 	s.hear(site)
@@ -278,7 +301,7 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(d.body) > 0 {
 		j := &d.job
-		j.op, j.image, j.site = opForward, d.body, site
+		j.op, j.image, j.site, j.prev = opForward, d.body, site, prev
 		if !s.commitRequest(w, r, errs, j) {
 			return
 		}
@@ -319,8 +342,9 @@ var (
 
 // forwarder is a site's path to one target. acked is how far the target
 // has confirmed: every record at or below it is applied there or carries
-// no state. sent is the last record of the follow's that carries state and
-// that the target has confirmed, or where the follow began. body gathers
+// no state. prev is the last record carrying state that the target has
+// confirmed, or the mark it answered with: what the next forward names as
+// prev, whatever record with no state acked stands on. body gathers
 // the next forward, one entry of ends a record, within limit bytes unless
 // one record is larger. stalled is the target's last refusal, until a
 // forward is confirmed. err is the last failed attempt, read after exited.
@@ -331,7 +355,7 @@ type forwarder struct {
 	cl      *client.Client // one attempt a call: run pauses between
 	site    uint64
 	acked   atomic.Uint64
-	sent    uint64
+	prev    uint64
 	body    []byte
 	ends    []recordEnd
 	limit   int
@@ -408,8 +432,8 @@ func (f *forwarder) run() {
 	defer close(f.exited)
 	for {
 		stopping := f.ctx.Err() != nil
-		f.body, f.ends, f.sent = f.body[:0], f.ends[:0], f.acked.Load()
-		err := f.w.Follow(f.sent, f.ctx.Done(), wal.Idle{After: forwardPause, Fn: f.idle}, f.gather)
+		f.body, f.ends = f.body[:0], f.ends[:0]
+		err := f.w.Follow(f.acked.Load(), f.ctx.Done(), wal.Idle{After: forwardPause, Fn: f.idle}, f.gather)
 		switch {
 		case errors.Is(err, errSkipToMark):
 			continue
@@ -443,7 +467,7 @@ func (f *forwarder) run() {
 // target is started on a copy of this server's snapshot, which carries
 // this site's mark at its coverage.
 func (f *forwarder) query() (uint64, error) {
-	mark, err := f.cl.Forward(context.Background(), f.site, wal.Version, nil)
+	mark, err := f.cl.Forward(context.Background(), f.site, wal.Version, f.prev, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -451,6 +475,7 @@ func (f *forwarder) query() (uint64, error) {
 		msg := fmt.Sprintf("%s: mark %d is behind this log's oldest record %d: start it on a copy of this server's snapshot (README \"Replication & HA\")", f.to, mark, oldest)
 		f.stalled.Store(&msg)
 		f.acked.Store(mark)
+		f.prev = mark
 		return 0, errBehindLog
 	}
 	f.stalled.Store(nil)
@@ -470,7 +495,7 @@ func (f *forwarder) idle() error {
 		return err
 	case err != nil:
 		f.failed(err)
-	case mark < f.sent || mark > f.acked.Load():
+	case mark < f.prev || mark > f.acked.Load():
 		f.skipTo(mark)
 		return errSkipToMark
 	}
@@ -480,6 +505,7 @@ func (f *forwarder) idle() error {
 // skipTo follows from the target's mark; a mark past this log's end is
 // logged once, when the forwarder moves to it.
 func (f *forwarder) skipTo(mark uint64) {
+	f.prev = mark
 	if f.acked.Swap(mark) != mark && mark > f.w.LastLSN() {
 		f.s.logf("forward to %s: its mark %d is past this log's end: a log restored from a backup needs its %s moved aside", f.to, mark, siteIDFile)
 	}
@@ -545,7 +571,7 @@ func (f *forwarder) send(upTo uint64) error {
 	var mark uint64
 	var err error
 	for {
-		mark, err = f.cl.Forward(context.Background(), f.site, wal.Version, body[:ends[n-1].end])
+		mark, err = f.cl.Forward(context.Background(), f.site, wal.Version, f.prev, body[:ends[n-1].end])
 		if n == 1 || !client.IsTooLarge(err) {
 			break
 		}
@@ -554,6 +580,9 @@ func (f *forwarder) send(upTo uint64) error {
 	}
 	first, last := ends[0].lsn, ends[n-1].lsn
 	switch {
+	case client.IsGap(err): // the target lacks records before these: send from its mark
+		f.skipTo(mark)
+		return errSkipToMark
 	case err != nil:
 		return fmt.Errorf("records %d–%d: %w", first, last, err)
 	case mark < first: // a copy of these records failed its append ahead of them
@@ -564,7 +593,7 @@ func (f *forwarder) send(upTo uint64) error {
 	}
 	f.stalled.Store(nil)
 	f.s.metrics.siteForwardsSent.Inc()
-	f.sent = last
+	f.prev = last
 	if n < len(ends) { // only the first n went: follow again from there
 		f.acked.Store(mark)
 		return errSkipToMark

@@ -289,19 +289,19 @@ func TestForwardAdmissionAndDuplicates(t *testing.T) {
 		t.Fatalf("two copies in one group: kinds %d, %d, applied %t, %t; want both acknowledged, one applied", a.kind, b.kind, a.tn != nil, b.tn != nil)
 	}
 	cl, ctx := client.New(ts.URL, client.WithRetries(0)), context.Background()
-	if mark, err := cl.Forward(ctx, 0xabc, wal.Version, body(3, "x", "z", "x")); err != nil || mark != 3 || count() != 40 {
+	if mark, err := cl.Forward(ctx, 0xabc, wal.Version, 0, body(3, "x", "z", "x")); err != nil || mark != 3 || count() != 40 {
 		t.Fatalf("a forward whose second record names a tenant past the cap: mark %d (err %v), tenant x holds %d tuples; want 3 and 40", mark, err, count())
 	}
-	if _, err := cl.Forward(ctx, 0xabc, wal.Version, body(4, "z", "x")); !client.IsTenantRejected(err) || !strings.Contains(err.Error(), `record 4, tenant "z"`) {
+	if _, err := cl.Forward(ctx, 0xabc, wal.Version, 0, body(4, "z", "x")); !client.IsTenantRejected(err) || !strings.Contains(err.Error(), `record 4, tenant "z"`) {
 		t.Fatalf("the forward from the refused record: %v; want a tenant refusal naming record 4 and tenant z", err)
 	}
-	if mark, err := cl.Forward(ctx, 0xabc, wal.Version, body(1, "x")); err != nil || mark != 3 || count() != 40 {
+	if mark, err := cl.Forward(ctx, 0xabc, wal.Version, 0, body(1, "x")); err != nil || mark != 3 || count() != 40 {
 		t.Fatalf("a forward below the mark: mark %d (err %v), tenant x holds %d tuples; want 3 and 40", mark, err, count())
 	}
 	// A site of another release: its records are in another log format,
 	// refused by name before anything is decoded.
 	var ae *client.APIError
-	_, err := cl.Forward(ctx, 0xabc, wal.Version-1, body(4, "x"))
+	_, err := cl.Forward(ctx, 0xabc, wal.Version-1, 0, body(4, "x"))
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || count() != 40 || coord.marks[0xabc] != 3 ||
 		!strings.Contains(err.Error(), fmt.Sprintf(`log format "%d"`, wal.Version-1)) || !strings.Contains(err.Error(), fmt.Sprintf("log format %d", wal.Version)) {
 		t.Fatalf("a forward in log format %d: %v; want a 400 naming both formats, nothing applied", wal.Version-1, err)
@@ -411,7 +411,7 @@ func TestForwardTupleCap(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err = cl.Forward(ctx, 0xabc, wal.Version, body)
+	_, err = cl.Forward(ctx, 0xabc, wal.Version, 0, body)
 	runtime.ReadMemStats(&after)
 	var ae *client.APIError
 	if !client.IsTooLarge(err) || !errors.As(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge || coord.tenantByName("z") != nil {
@@ -422,7 +422,7 @@ func TestForwardTupleCap(t *testing.T) {
 		t.Fatalf("refusing a %d-byte forward allocated %d bytes; the cap allows %d", len(body), got, most)
 	}
 	within := body[:len(body)/5] // the first two records
-	if mark, err := cl.Forward(ctx, 0xabc, wal.Version, within); err != nil || mark != 2 || coord.tenantByName("z").eng.Count() != 200000 {
+	if mark, err := cl.Forward(ctx, 0xabc, wal.Version, 0, within); err != nil || mark != 2 || coord.tenantByName("z").eng.Count() != 200000 {
 		t.Fatalf("a forward of 200 000 tuples: mark %d (err %v); want 2, applied", mark, err)
 	}
 }
@@ -644,6 +644,82 @@ func TestForwardFollowsAMarkThatMoves(t *testing.T) {
 	}
 	if n := strings.Count(logged.String(), ahead); n != 1 {
 		t.Fatalf("the coordinator logged a mark %s %d times, want once:\n%s", ahead, n, logged.String())
+	}
+}
+
+// TestForwardRefusesAGap: a coordinator restarted on an older copy of its
+// state holds a mark short of what its site had confirmed. The site's next
+// records reach it before an idle forward could read that mark, so they
+// follow records the coordinator does not hold: it refuses them as a gap,
+// with its mark, and the site sends again from there. The coordinator ends
+// holding every acknowledged tuple, byte-identical to the site.
+func TestForwardRefusesAGap(t *testing.T) {
+	was := forwardPause
+	forwardPause = 2 * time.Second // no idle forward reads the copy's mark first
+	t.Cleanup(func() { forwardPause = was })
+	coordCfg := walConfig(t)
+	coord, err := New(coordCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newForwardRig(t, coord, walConfig(t))
+	rig.ingest("", 4, 100, 1)
+	rig.settle("before the copy")
+
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	older := coordCfg
+	older.WALDir = copyState(t, coordCfg)
+	if coord, err = New(coordCfg); err != nil {
+		t.Fatal(err)
+	}
+	rig.coord.Store(coord)
+	rig.ingest("", 2, 100, 20)
+	rig.settle("past the copy")
+
+	crash(nil, coord)
+	if coord, err = New(older); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	rig.coord.Store(coord)
+	gaps := coord.metrics.forwardsRejected.Load()
+	rig.ingest("", 2, 100, 30)
+	rig.settle("on the older copy")
+	if rig.acked[""] != 800 || coord.metrics.forwardsRejected.Load() == gaps {
+		t.Fatalf("%d tuples acknowledged, and the copy refused no forward as a gap", rig.acked[""])
+	}
+}
+
+// TestForwardRetryNamesItsLastRecord: a site whose target has confirmed a
+// checkpoint record past the last record it forwarded sends a forward that
+// failed again naming that last record as prev, not the checkpoint: the
+// coordinator refuses nothing as a gap.
+func TestForwardRetryNamesItsLastRecord(t *testing.T) {
+	was := forwardPause
+	forwardPause = 20 * time.Millisecond
+	t.Cleanup(func() { forwardPause = was })
+	coord, err := New(walConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newForwardRig(t, coord, walConfig(t))
+	rig.ingest("", 2, 100, 1)
+	rig.settle("before the checkpoint")
+	if err := rig.site.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp(t, "past the checkpoint", rig.site)
+
+	rig.down.Store(true)
+	failed := rig.site.metrics.siteForwardsFailed.Load()
+	rig.ingest("", 2, 100, 10)
+	waitUntil(t, 10*time.Second, "a failed forward", func() bool { return rig.site.metrics.siteForwardsFailed.Load() > failed })
+	rig.down.Store(false)
+	rig.settle("after the failed forward")
+	if n := coord.metrics.forwardsRejected.Load(); rig.acked[""] != 400 || n != 0 {
+		t.Fatalf("%d tuples acknowledged; the coordinator refused %d forwards", rig.acked[""], n)
 	}
 }
 

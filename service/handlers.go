@@ -139,9 +139,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) httpError(w http.ResponseWriter, status int, err error) {
-	body := map[string]string{"error": err.Error()}
-	if errors.As(err, new(tooLargeError)) {
+	body := map[string]any{"error": err.Error()}
+	var gap gapError
+	switch {
+	case errors.As(err, new(tooLargeError)):
 		body["code"] = client.CodeTooLarge
+	case errors.As(err, &gap):
+		body["code"], body["mark"] = client.CodeGap, gap.mark
 	}
 	writeJSON(w, status, body)
 }

@@ -74,6 +74,7 @@ const (
 	ingestErrDegraded                  // degraded mode: durability broken, writes suspended
 	ingestErrBusy                      // commit queue at its bound; the job was shed
 	ingestErrTooLarge                  // a forward decodes to more than maxForwardTuples
+	ingestErrGap                       // a forward follows a site record this server does not hold
 )
 
 // outcomes maps a job's outcome to what each transport tells the client
@@ -94,6 +95,7 @@ var outcomes = [...]struct {
 	ingestErrDegraded:    {http.StatusServiceUnavailable, tupleio.AckDegraded, func(m *metrics) *counter { return &m.degradedRejects }},
 	ingestErrBusy:        {http.StatusTooManyRequests, tupleio.AckBusy, nil},
 	ingestErrTooLarge:    {http.StatusRequestEntityTooLarge, tupleio.AckInvalid, nil},
+	ingestErrGap:         {http.StatusConflict, tupleio.AckInvalid, nil},
 }
 
 // jobOp names the record a job will write; the zero value is an ingest
@@ -127,8 +129,9 @@ var recordType = [...]wal.RecordType{
 // (tupleio.AppendCountedBatch), the bytes it arrived in, and n the tuples
 // admission counted in it; the committer decodes it once, into the group's
 // buffer, and only reads it. A forward's image is the records of the site's
-// log it carries, and recs what admission decoded of them (aliasing image)
-// — after the decide, the ones it admitted.
+// log it carries, prev the site's last state-carrying LSN before them, and
+// recs what admission decoded of them (aliasing image) — after the decide,
+// the ones it admitted.
 type ingestJob struct {
 	op     jobOp
 	member []byte
@@ -136,6 +139,7 @@ type ingestJob struct {
 	image  []byte
 	key    []byte
 	site   uint64
+	prev   uint64
 	recs   []siteRecord
 	tn     *tenant
 	err    error

@@ -118,7 +118,7 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 			}
 		}
 	}
-	if _, err := pcl.Forward(ctx, 0x5eed, wal.Version, client.AppendForwardRecord(nil, 7, uint8(wal.RecordIngest), ingestRecord(t, "", "s"))); err != nil {
+	if _, err := pcl.Forward(ctx, 0x5eed, wal.Version, 0, client.AppendForwardRecord(nil, 7, uint8(wal.RecordIngest), ingestRecord(t, "", "s"))); err != nil {
 		t.Fatal(err)
 	}
 	caughtUp(t, "the first standby", primary)

@@ -468,7 +468,7 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	fwd := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, ""))
-	if _, err := cl.Forward(ctx, 0xabc, wal.Version, fwd); err != nil {
+	if _, err := cl.Forward(ctx, 0xabc, wal.Version, 0, fwd); err != nil {
 		t.Fatal(err)
 	}
 	crash(ts, svc)
@@ -506,7 +506,7 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	if err := ocl.AddBatch(ctx, s2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ocl.Forward(ctx, 0xabc, wal.Version, fwd); err != nil {
+	if _, err := ocl.Forward(ctx, 0xabc, wal.Version, 0, fwd); err != nil {
 		t.Fatal(err)
 	}
 	want, err := oracle.Engine().MarshalBinary()
@@ -1048,7 +1048,7 @@ func TestPreBreakStateRefused(t *testing.T) {
 		svc, _, cl := newTestServer(t, Config{Options: o})
 		body := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, "b"))
 		body = client.AppendForwardRecord(body, 2, 2, push)
-		_, err := cl.Forward(context.Background(), 0xabc, wal.Version, body)
+		_, err := cl.Forward(context.Background(), 0xabc, wal.Version, 0, body)
 		var ae *client.APIError
 		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(err.Error(), "site record 2: a push record (type 2") {
 			t.Fatalf("a forward carrying a push record: %v; want a 400 naming it", err)

@@ -130,7 +130,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 	// A site's forward into one keyed tenant: the site's ingest record
 	// rides a RecordForward behind the site id.
 	fwd := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, tenantKey(2)))
-	if _, err := client.New(ts.URL).Forward(ctx, 0xabc, wal.Version, fwd); err != nil {
+	if _, err := client.New(ts.URL).Forward(ctx, 0xabc, wal.Version, 0, fwd); err != nil {
 		t.Fatal(err)
 	}
 
@@ -191,7 +191,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 			}
 		}
 	}
-	if _, err := client.New(ots.URL).Forward(ctx, 0xabc, wal.Version, fwd); err != nil {
+	if _, err := client.New(ots.URL).Forward(ctx, 0xabc, wal.Version, 0, fwd); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < tenantsN; i++ {
