@@ -45,39 +45,31 @@ func occupancyTable(w io.Writer, n int) {
 		shapes = []occupancyShape{{"uniform", n, 256, false}, {"zipf1", n, 256, true}}
 	}
 	fmt.Fprintln(w, "# Occupancy: where an F2 summary's counters sit, per level (eps=0.15, delta=0.1, ymax=1e6, maxn=2^24, as corrdbench runs corrd)")
-	fmt.Fprintln(w, "shape\tn\tdir\tlevel\tstored\tclosed\tuntouched\titems\tdense\tcounters\tbytes\twatermark")
+	fmt.Fprintln(w, "# shared: buckets both directions keep; watermarks: LE's smallest discarded left endpoint, GE's largest discarded right one")
+	fmt.Fprintln(w, "shape\tn\tlevel\tstored\tshared\tclosed\tuntouched\titems\tdense\tcounters\tbytes\twatermark_le\twatermark_ge")
 	for _, sh := range shapes {
-		s := occupancySummary(sh)
-		le, ge := s.Occupancy()
+		s := occupancySummary(sh, correlated.Both)
+		le, ge := s.Occupancy() // one tree a level serves both: ge is nil
 		// Bytes behind the counters; of them, items tables (closed buckets' cut
 		// ones) and dense arrays; and, beside them, in the makers' arenas and slabs.
 		var held, tables, closed, arrays, pooled int64
 		stored := 0 // buckets: tree nodes and singletons
-		for _, dir := range []struct {
-			name string
-			rows []correlated.LevelOccupancy
-		}{{"LE", le}, {"GE", ge}} {
-			virgin := 0
-			for _, o := range dir.rows {
-				held += o.Bytes
-				tables += o.ItemsBytes
-				closed += o.ClosedItemsBytes
-				arrays += o.DenseBytes
-				pooled += o.Pooled
-				stored += o.Stored
-				if o.Virgin && o.Counters == 2 {
-					virgin++ // an untouched root and nothing else
-					continue
-				}
-				mark := "-"
-				if o.Watermark != math.MaxUint64 {
-					mark = fmt.Sprint(o.Watermark)
-				}
-				fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n", sh.name, sh.n, dir.name,
-					o.Level, o.Stored, o.Closed, o.Untouched, o.Items, o.Dense, o.Counters, o.Bytes, mark)
+		virgin := 0
+		for _, o := range append(le, ge...) {
+			held += o.Bytes
+			tables += o.ItemsBytes
+			closed += o.ClosedItemsBytes
+			arrays += o.DenseBytes
+			pooled += o.Pooled
+			stored += o.Stored
+			if o.Virgin && o.Counters == 2 {
+				virgin++ // an untouched root and nothing else
+				continue
 			}
-			fmt.Fprintf(w, "# %s %s: %d further levels are virgin, two counters each\n", sh.name, dir.name, virgin)
+			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n", sh.name, sh.n,
+				o.Level, o.Stored, o.Shared, o.Closed, o.Untouched, o.Items, o.Dense, o.Counters, o.Bytes, mark(o.Watermark), mark(o.WatermarkGE))
 		}
+		fmt.Fprintf(w, "# %s: %d further levels are virgin, two counters each\n", sh.name, virgin)
 		img, err := s.MarshalBinary()
 		die(err)
 		fmt.Fprintf(w, "# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), image %d bytes\n",
@@ -88,13 +80,22 @@ func occupancyTable(w io.Writer, n int) {
 	}
 }
 
+// mark prints a watermark, "-" for none.
+func mark(y uint64) string {
+	if y == math.MaxUint64 {
+		return "-"
+	}
+	return fmt.Sprint(y)
+}
+
 // occupancySummary feeds one shape's stream to an F2 summary configured as
-// corrd is under corrdbench: two seeded lanes taking turns a batch at a time.
-func occupancySummary(sh occupancyShape) *correlated.F2Summary {
+// corrd is under corrdbench — but for the query directions, pred — two
+// seeded lanes taking turns a batch at a time.
+func occupancySummary(sh occupancyShape, pred correlated.Predicate) *correlated.F2Summary {
 	s, err := correlated.NewF2Summary(correlated.Options{
 		Eps: 0.15, Delta: 0.1, YMax: ymaxPaper,
 		MaxStreamLen: 1 << 24, MaxX: xdomF2, Seed: 42,
-		Predicate: correlated.Both,
+		Predicate: pred,
 	})
 	die(err)
 	const xdom, seedStride = 100_001, 1_000_003 // corrdbench's identifier domain and lane seeds

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	correlated "github.com/streamagg/correlated"
 )
 
 // TestOccupancyTableAddsUp: at n = 20 000, each shape's level rows — with the
@@ -22,7 +25,7 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 
 	type shape struct {
 		counters, bytes       int64   // the printed rows, added up
-		virgin                int     // levels left out, over both directions
+		virgin                int     // levels left out
 		space, held           int64   // the summary line
 		tables, arrays        int64   // and its sketch storage
 		fpHeld, fpPooled, hdr int64   // the footprint line
@@ -39,13 +42,13 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 		return shapes[name]
 	}
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
-		var name, dir string
+		var name string
 		var a, b, c int64
 		var k int
 		switch {
-		case strings.HasPrefix(line, "shape\t"), strings.HasPrefix(line, "# Occupancy"):
+		case strings.HasPrefix(line, "shape\t"), strings.HasPrefix(line, "# Occupancy"), strings.HasPrefix(line, "# shared:"):
 		case strings.Contains(line, " further levels are virgin"):
-			if _, err := fmt.Sscanf(line, "# %s %s %d further", &name, &dir, &k); err != nil {
+			if _, err := fmt.Sscanf(line, "# %s %d further", &name, &k); err != nil {
 				t.Fatalf("%q: %v", line, err)
 			}
 			get(name).virgin += k
@@ -73,13 +76,15 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 			t.Fatalf("unexpected comment line %q", line)
 		default:
 			f := strings.Split(line, "\t")
-			if len(f) != 12 {
-				t.Fatalf("row %q has %d fields, want 12", line, len(f))
+			if len(f) != 13 {
+				t.Fatalf("row %q has %d fields, want 13", line, len(f))
 			}
-			counters, err1 := strconv.ParseInt(f[9], 10, 64)
-			held, err2 := strconv.ParseInt(f[10], 10, 64)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("row %q: %v %v", line, err1, err2)
+			stored, err1 := strconv.Atoi(f[3])
+			shared, err2 := strconv.Atoi(f[4])
+			counters, err3 := strconv.ParseInt(f[9], 10, 64)
+			held, err4 := strconv.ParseInt(f[10], 10, 64)
+			if err := errors.Join(err1, err2, err3, err4); err != nil || shared > stored {
+				t.Fatalf("row %q: %v, or more buckets shared than stored", line, err)
 			}
 			sh := get(f[0])
 			sh.counters += counters
@@ -100,7 +105,7 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 			t.Errorf("%s: rows add up to %d bytes, the summary line says %d, of them %d in tables and arrays, and the footprint holds %d",
 				preset.name, got, sh.held, sh.tables+sh.arrays, sh.fpHeld)
 		}
-		s := occupancySummary(preset)
+		s := occupancySummary(preset, correlated.Both)
 		f := s.Footprint()
 		if sh.hdr != f.Headers || sh.fpHeld != f.Held || sh.fpPooled != f.Pooled {
 			t.Errorf("%s: printed footprint held %d, pooled %d, headers %d; Footprint() is %+v", preset.name, sh.fpHeld, sh.fpPooled, sh.hdr, f)
@@ -126,17 +131,18 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 // fails here before it shows in a benchmark. Space and the image are pinned
 // beside it: no table layout or block placement may move them. With
 // power-of-two tables and a free list a size class the arena mapped
-// 6 471 680, 5 881 856 and 10 600 448 bytes.
+// 6 471 680, 5 881 856 and 10 600 448 bytes; with a tree a direction,
+// 5 554 176, 5 619 712 and 9 486 336.
 func TestArenaBytesByShape(t *testing.T) {
 	for _, c := range []struct {
 		shape              occupancyShape
 		arena, space, imgs int64
 	}{
-		{occupancyShape{"uniform/16", 150_000, 16, false}, 5_554_176, 3_233_138, 4_743_709},
-		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 5_619_712, 3_268_986, 4_796_870},
-		{occupancyShape{"zipf/256", 150_000, 256, true}, 9_486_336, 4_732_532, 6_047_329},
+		{occupancyShape{"uniform/16", 150_000, 16, false}, 3_465_216, 1_932_838, 3_026_393},
+		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 3_530_752, 1_955_680, 3_054_881},
+		{occupancyShape{"zipf/256", 150_000, 256, true}, 5_627_904, 2_726_496, 3_592_307},
 	} {
-		s := occupancySummary(c.shape)
+		s := occupancySummary(c.shape, correlated.Both)
 		img, err := s.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -145,5 +151,37 @@ func TestArenaBytesByShape(t *testing.T) {
 			t.Errorf("%s: arena %d bytes, space %d counters, image %d bytes; want %d, %d, %d",
 				c.shape.name, f.Arena, s.Space(), len(img), c.arena, c.space, c.imgs)
 		}
+	}
+}
+
+// TestBothSpaceByShape pins what one tree a level for both directions saves
+// against a summary for each: Space() and Footprint().Arena of a Both summary
+// beside those of an LE and a GE summary fed the same stream, on the shapes
+// TestArenaBytesByShape pins. The buckets both directions keep — every one of
+// the levels neither has discarded from — are stored once: 40–43 % fewer
+// counters, 37–41 % fewer arena bytes.
+func TestBothSpaceByShape(t *testing.T) {
+	for _, c := range []struct {
+		shape                occupancyShape
+		both, le, ge         int64 // Space()
+		bothArena, sideArena int64 // Footprint().Arena: Both, and LE's + GE's
+	}{
+		{occupancyShape{"uniform/16", 150_000, 16, false}, 1_932_838, 1_620_385, 1_615_373, 3_465_216, 5_554_176},
+		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 1_955_680, 1_641_333, 1_641_727, 3_530_752, 5_619_712},
+		{occupancyShape{"zipf/256", 150_000, 256, true}, 2_726_496, 2_375_357, 2_374_181, 5_627_904, 9_551_872},
+	} {
+		both := occupancySummary(c.shape, correlated.Both)
+		le := occupancySummary(c.shape, correlated.LE)
+		ge := occupancySummary(c.shape, correlated.GE)
+		sideArena := le.Footprint().Arena + ge.Footprint().Arena
+		if both.Space() != c.both || le.Space() != c.le || ge.Space() != c.ge ||
+			both.Footprint().Arena != c.bothArena || sideArena != c.sideArena {
+			t.Errorf("%s: space %d counters, LE %d and GE %d; arena %d bytes, LE's and GE's %d; want %d, %d, %d; %d, %d",
+				c.shape.name, both.Space(), le.Space(), ge.Space(), both.Footprint().Arena, sideArena,
+				c.both, c.le, c.ge, c.bothArena, c.sideArena)
+		}
+		t.Logf("%s: Both holds %.1f %% fewer counters and maps %.1f %% fewer arena bytes than LE and GE apart",
+			c.shape.name, 100*(1-float64(both.Space())/float64(le.Space()+ge.Space())),
+			100*(1-float64(both.Footprint().Arena)/float64(sideArena)))
 	}
 }

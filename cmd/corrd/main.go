@@ -118,6 +118,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/debug"
 	"syscall"
 	"time"
@@ -246,6 +247,19 @@ func paceCollector() {
 	}
 }
 
+// sampleHeap leaves the runtime's heap-profile sampling on only where its
+// profile can be read: /debug/pprof/heap is served on -debug-addr alone.
+// Sampling keeps a table of stack buckets, about 1.45 MB, that every run's
+// memory ledger reads as profiling_bytes; without a debug listener no one
+// reads it. (Measured as GODEBUG=memprofilerate=0, corrdbench's http-small
+// read rss_peak_mb 21.65 → 21.22 MB, lower in 3 of 3 pairs.) No flag:
+// -debug-addr is the switch.
+func sampleHeap(debugAddr string) {
+	if debugAddr == "" {
+		runtime.MemProfileRate = 0
+	}
+}
+
 func main() {
 	paceCollector()
 	o, err := parseFlags(os.Args[1:], os.Stderr)
@@ -256,6 +270,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "corrd: %v\n", err)
 		os.Exit(2)
 	}
+	sampleHeap(o.debugAddr)
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -191,6 +192,22 @@ func TestPaceCollector(t *testing.T) {
 		debug.SetGCPercent(77)
 		if paceCollector(); percent() != tc.want {
 			t.Errorf("GOGC=%q: the percent is %d after paceCollector, want %d", tc.gogc, percent(), tc.want)
+		}
+	}
+}
+
+// TestSampleHeap: without -debug-addr, where /debug/pprof/heap is served,
+// corrd samples no heap profile; with it, the runtime's rate stands.
+func TestSampleHeap(t *testing.T) {
+	was := runtime.MemProfileRate
+	t.Cleanup(func() { runtime.MemProfileRate = was })
+	for _, tc := range []struct {
+		debugAddr string
+		want      int
+	}{{"127.0.0.1:6060", 4096}, {"", 0}} {
+		runtime.MemProfileRate = 4096
+		if sampleHeap(tc.debugAddr); runtime.MemProfileRate != tc.want {
+			t.Errorf("-debug-addr %q: MemProfileRate %d, want %d", tc.debugAddr, runtime.MemProfileRate, tc.want)
 		}
 	}
 }

@@ -62,11 +62,10 @@
 //	                                            concurrent requests; the committer
 //	                                            sorts, the log holds the sorted
 //	                                            batch and AddBatch, finding it
-//	                                            sorted, skips its own; GE reads
-//	                                            that batch mirrored, beside LE on
-//	                                            a second goroutine; a queued
-//	                                            member is held as the bytes it
-//	                                            arrived in)
+//	                                            sorted, skips its own, applying
+//	                                            it once for LE and GE together;
+//	                                            a queued member is held as the
+//	                                            bytes it arrived in)
 //	                                            and the memoized
 //	                                            query path ((op, cutoff) answers
 //	                                            evaluated on the live summary under
@@ -231,16 +230,15 @@
 // Summaries are not safe for concurrent use. Both ingestion and queries
 // mutate internal state (slabs, sketch free lists and scratch buffers are
 // kept per summary so that steady-state ingest allocates little), so all
-// access — including read-only queries — must be serialized by the caller. One
-// summary already uses a second core on its own: with Predicate Both, an
-// AddBatch of 64 tuples or more applies the mirrored GE structure on a
-// goroutine of its own beside LE and returns when both are done. Both read
-// the one y-sorted batch, which neither writes — GE walks its equal-y runs
-// from last to first with each y read as YMax − y, so no mirrored copy is
-// made — and share no other state, so the result is bit-identical to
-// applying them in turn. That LE ‖ GE split is the multi-core ingest
-// path: a stream spread over P summaries merged at query time costs close
-// to P summaries and, by the k-site term above, answers no better than one.
+// access — including read-only queries — must be serialized by the caller.
+// With Predicate Both one summary serves both directions from one tree of
+// buckets a level, so an AddBatch is one pass on one goroutine: each
+// equal-y run of the sorted batch is hashed once and lands once a level, in
+// the bucket every direction that still wants it shares, where two
+// summaries — one over y, one over mirrored y — would each hash and store it.
+// There is no multi-core ingest path: a stream spread over P summaries
+// merged at query time costs close to P summaries and, by the k-site term
+// above, answers no better than one.
 //
 // # Quick example
 //

@@ -43,7 +43,7 @@ func NewF0Summary(o Options) (*F0Summary, error) {
 		}
 	}
 	if o.Predicate == GE || o.Predicate == Both {
-		cfg.Seed ^= 0x6d6972726f72
+		cfg.Seed ^= mirrorSeed
 		if s.ge, err = corrf0.New(cfg); err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func NewHeavyHittersSummary(o Options) (*HeavyHittersSummary, error) {
 		}
 	}
 	if o.Predicate == GE || o.Predicate == Both {
-		cfg.Seed ^= 0x6d6972726f72
+		cfg.Seed ^= mirrorSeed
 		if s.ge, err = heavy.New(cfg); err != nil {
 			return nil, err
 		}
@@ -132,7 +132,7 @@ func NewFkHeavyHittersSummary(k int, o Options) (*FkHeavyHittersSummary, error) 
 		}
 	}
 	if o.Predicate == GE || o.Predicate == Both {
-		cfg.Seed ^= 0x6d6972726f72
+		cfg.Seed ^= mirrorSeed
 		if s.ge, err = heavy.NewFk(k, cfg); err != nil {
 			return nil, err
 		}

@@ -63,7 +63,7 @@ func TestIngestAllocatesLittleBeyondWhatItKeeps(t *testing.T) {
 }
 
 // TestSplitAtAFullLevelAllocatesNoNode: once a level holds α buckets, a split
-// makes two nodes and the evictions it causes (discardMax) free two, which the
+// makes two nodes and the evictions it causes (discard) free two, which the
 // next split takes back from the node slab, so a split-and-evict cycle
 // allocates nothing: not a node, and not the leaf's counter, whose slot the
 // maker's slab takes back the same way. Level 1 of a COUNT summary over a
@@ -82,15 +82,15 @@ func TestSplitAtAFullLevelAllocatesNoNode(t *testing.T) {
 			h, iv = s.nodes.At(h).left, lc
 		}
 		b := s.nodes.At(h)
-		b.budget = closed
-		if leaf, _ := s.leafFor(lv, iv.L); leaf == nil || leaf == b {
+		b.setBudget(closed)
+		if leaf, _ := s.leafFor(lv, iv.L, LE); leaf == nil || leaf == b {
 			t.Fatalf("level 1 did not split its leftmost leaf %v", iv)
 		}
-		for lv.count > s.alpha {
-			s.discardMax(lv)
+		for lv.count[0] > s.alpha {
+			s.discard(lv, 0)
 		}
 	}
-	for lv.count < s.alpha || lv.y == noWatermark {
+	for lv.count[0] < s.alpha || lv.y[0] == noWatermark {
 		cycle()
 	}
 	live := s.nodes.Live()

@@ -48,6 +48,9 @@ type Config struct {
 	// Seed drives all randomness; equal seeds reproduce runs exactly.
 	Seed uint64
 
+	// Dirs is the query directions the summary serves. Zero means LE.
+	Dirs Dirs
+
 	// NoSlotFastPath disables the hash-once slot fan-out even when the
 	// aggregate's sketches support it, forcing every sketch update through
 	// plain Add. The two paths produce bit-identical summaries; this knob
@@ -80,6 +83,12 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.AlphaScale == 0 {
 		cfg.AlphaScale = 1
+	}
+	if cfg.Dirs == 0 {
+		cfg.Dirs = LE
+	}
+	if cfg.Dirs&^Both != 0 {
+		return errors.New("core: Dirs must be LE, GE or Both")
 	}
 	return nil
 }

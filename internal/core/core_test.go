@@ -213,8 +213,8 @@ func TestWatermarksDecrease(t *testing.T) {
 	}
 	// Counts must respect capacity.
 	for i := 1; i <= s.Levels(); i++ {
-		if s.levels[i].count > s.Alpha() {
-			t.Fatalf("level %d holds %d buckets, alpha %d", i, s.levels[i].count, s.Alpha())
+		if s.levels[i].count[0] > s.Alpha() {
+			t.Fatalf("level %d holds %d buckets, alpha %d", i, s.levels[i].count[0], s.Alpha())
 		}
 	}
 	// Queries below the top watermark still succeed, and large-c queries

@@ -84,7 +84,7 @@ func requireSummariesEqual(t *testing.T, a, b *Summary) {
 	}
 	for i := 1; i <= a.lmax; i++ {
 		la, lb := a.levels[i], b.levels[i]
-		if la.y != lb.y || la.count != lb.count {
+		if la.y != lb.y || la.count != lb.count || la.nodes != lb.nodes {
 			t.Fatalf("level %d: y %d/%d count %d/%d", i, la.y, lb.y, la.count, lb.count)
 		}
 		requireBucketsEqual(t, fmt.Sprintf("level%d:", i), a, la.root, b, lb.root)

@@ -20,9 +20,10 @@ const (
 )
 
 // TestBucketNodeSize: a summary holds tens of thousands of tree nodes, so a
-// node keeps only its sketch's handle, its two children's and its close
-// budget, which says whether it is closed — its interval is its position —
-// in a 16-byte record of the node slab.
+// node keeps only its sketch's handle, its two children's, and one word
+// holding its close budget, which says whether it is closed, and the
+// directions that keep it — its interval is its position — in a 16-byte
+// record of the node slab.
 func TestBucketNodeSize(t *testing.T) {
 	if size := unsafe.Sizeof(bucket{}); size != wantBucketBytes || bucketBytes != wantBucketBytes {
 		t.Fatalf("a tree node is %d bytes (%d as charged), want %d", size, bucketBytes, wantBucketBytes)
@@ -177,7 +178,7 @@ func TestFootprintIsTheWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= s.lmax; i++ {
-		evicted -= s.levels[i].count
+		evicted -= s.levels[i].nodes
 	}
 	checkFootprint(t, "after Merge", s)
 	t.Logf("the merge evicted %d buckets", evicted)

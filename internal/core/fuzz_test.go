@@ -162,7 +162,7 @@ func FuzzParseMergeImage(f *testing.F) {
 	}
 	f.Add(img)
 	f.Add(img[:len(img)-7])
-	f.Add([]byte{3}) // version byte alone
+	f.Add([]byte{coreMarshalVersion}) // version byte alone
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recv, err := NewSummary(F2Aggregate(), cfg)

@@ -22,10 +22,19 @@ import (
 // validated on decode, so a mismatched restore or merge fails with a
 // typed error instead of silently combining incompatible hash functions.
 
-// Version 3: a config-compatibility block follows the version byte.
-// (Version 2 changed the embedded sketch payloads' hash-to-bucket
-// mapping; see sketch.marshalVersion.)
-const coreMarshalVersion = 3
+// Version 4: the config block ends with the directions the summary serves,
+// the singleton level and every level carry a watermark for each of them,
+// each node's flags say which of them keep it, and the levels' bucket
+// counts are left to the decoder to count. Version 3 — a config-
+// compatibility block after the version byte, one direction — still loads
+// into a summary serving one direction: as LE, or as GE mirrored back from
+// the image's YMax − y (the root package's GE direction kept such a
+// mirrored LE summary). (Version 2 changed the embedded sketch payloads'
+// hash-to-bucket mapping; see sketch.marshalVersion.)
+const (
+	coreMarshalVersion = 4
+	oneSidedVersion    = 3
+)
 
 // ErrBadEncoding reports malformed or configuration-incompatible bytes.
 var ErrBadEncoding = errors.New("core: bad or incompatible encoding")
@@ -60,6 +69,7 @@ func (s *Summary) AppendBinary(buf []byte) ([]byte, error) {
 		strict = 1
 	}
 	buf = binary.AppendUvarint(buf, strict)
+	buf = binary.AppendUvarint(buf, uint64(s.cfg.Dirs))
 	buf = binary.AppendUvarint(buf, s.n)
 	buf = binary.AppendUvarint(buf, uint64(s.alpha))
 	buf = binary.AppendUvarint(buf, uint64(s.lmax))
@@ -70,8 +80,9 @@ func (s *Summary) AppendBinary(buf []byte) ([]byte, error) {
 	}
 	// Singleton level, in ascending y order: the encoding is canonical
 	// (a given state always marshals to the same bytes), which snapshot
-	// round-trip contracts rely on.
-	buf = binary.AppendUvarint(buf, s.s0.y)
+	// round-trip contracts rely on. Which directions keep a singleton is
+	// what their watermarks say.
+	buf = s.appendWatermarks(buf, s.s0.y)
 	buf = binary.AppendUvarint(buf, uint64(len(s.s0.buckets)))
 	ys := make([]uint64, 0, len(s.s0.buckets))
 	for y := range s.s0.buckets {
@@ -87,13 +98,22 @@ func (s *Summary) AppendBinary(buf []byte) ([]byte, error) {
 	// Bucket-tree levels.
 	for i := 1; i <= s.lmax; i++ {
 		lv := s.levels[i]
-		buf = binary.AppendUvarint(buf, lv.y)
-		buf = binary.AppendUvarint(buf, uint64(lv.count))
+		buf = s.appendWatermarks(buf, lv.y)
 		if buf, err = s.appendNode(buf, lv.root); err != nil {
 			return nil, err
 		}
 	}
 	return buf, nil
+}
+
+// appendWatermarks appends the watermarks of the directions served.
+func (s *Summary) appendWatermarks(buf []byte, y [2]uint64) []byte {
+	for d := range dirs {
+		if s.cfg.Dirs&(1<<d) != 0 {
+			buf = binary.AppendUvarint(buf, y[d])
+		}
+	}
+	return buf
 }
 
 // readSketch decodes one framed sketch into a new slot of the maker's slab
@@ -116,11 +136,12 @@ func (s *Summary) readSketch(data []byte) (uint32, []byte, error) {
 	return h, data[sz+int(n):], nil
 }
 
-// Node flags.
+// Node flags; above them, the directions that keep the node (version 4).
 const (
-	nodePresent = 1 << 0
-	nodeClosed  = 1 << 1
-	nodeHasSk   = 1 << 2
+	nodePresent   = 1 << 0
+	nodeClosed    = 1 << 1
+	nodeHasSk     = 1 << 2
+	nodeKeepShift = 3
 )
 
 func (s *Summary) appendNode(buf []byte, h uint32) ([]byte, error) {
@@ -128,7 +149,7 @@ func (s *Summary) appendNode(buf []byte, h uint32) ([]byte, error) {
 		return append(buf, 0), nil
 	}
 	b := s.nodes.At(h)
-	flags := byte(nodePresent)
+	flags := byte(nodePresent) | byte(b.keep())<<nodeKeepShift
 	if b.isClosed() {
 		flags |= nodeClosed
 	}
@@ -148,9 +169,21 @@ func (s *Summary) appendNode(buf []byte, h uint32) ([]byte, error) {
 	return s.appendNode(buf, b.right)
 }
 
-// readNode decodes the subtree spanning iv into the summary's slabs and
-// returns its root's handle, 0 for an absent node.
-func (s *Summary) readNode(data []byte, iv dyadic.Interval) (uint32, []byte, error) {
+// owed returns the directions that must keep a bucket spanning iv at level
+// lv: those whose watermark lies past its near endpoint, so that it takes
+// some y they still want. A split gives its children to the directions that
+// take the y it was made for, so none of these can be missing.
+func (s *Summary) owed(lv *level, iv dyadic.Interval) Dirs {
+	return s.keepers(&lv.y, iv.L)&LE | s.keepers(&lv.y, iv.R)&GE
+}
+
+// readNode decodes the subtree spanning iv into the summary's slabs,
+// counting its buckets into lv, and returns its root's handle, 0 for an
+// absent node. A node may be kept only by directions that keep its parent,
+// within. A version-3 node (oneSided) is kept by the summary's one
+// direction, and for GE its children come far one first: the image is of
+// the mirrored tree.
+func (s *Summary) readNode(data []byte, iv dyadic.Interval, lv *level, within Dirs, oneSided bool) (uint32, []byte, error) {
 	if len(data) < 1 {
 		return 0, nil, ErrBadEncoding
 	}
@@ -159,10 +192,18 @@ func (s *Summary) readNode(data []byte, iv dyadic.Interval) (uint32, []byte, err
 	if flags&nodePresent == 0 {
 		return 0, data, nil
 	}
+	keep := s.cfg.Dirs
+	if !oneSided {
+		if keep = Dirs(flags >> nodeKeepShift); keep == 0 || keep&^within != 0 || s.owed(lv, iv)&^keep != 0 {
+			return 0, nil, ErrBadEncoding
+		}
+	}
 	h := s.node()
 	b := s.nodes.At(h)
+	b.setKeep(keep)
+	lv.hold(keep, 1)
 	if flags&nodeClosed != 0 {
-		b.budget = closed
+		b.setBudget(closed)
 	}
 	var err error
 	if flags&nodeHasSk != 0 {
@@ -174,8 +215,12 @@ func (s *Summary) readNode(data []byte, iv dyadic.Interval) (uint32, []byte, err
 	}
 	if !iv.Single() {
 		lc, rc := iv.Children()
-		if b.left, data, err = s.readNode(data, lc); err == nil {
-			b.right, data, err = s.readNode(data, rc)
+		first, second, fiv, siv := &b.left, &b.right, lc, rc
+		if oneSided && s.cfg.Dirs == GE {
+			first, second, fiv, siv = second, first, siv, fiv
+		}
+		if *first, data, err = s.readNode(data, fiv, lv, keep, oneSided); err == nil {
+			*second, data, err = s.readNode(data, siv, lv, keep, oneSided)
 		}
 	} else {
 		// Single-point intervals are always leaves; consume their two

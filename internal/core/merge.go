@@ -95,6 +95,8 @@ func (s *Summary) Merge(other *Summary) error {
 		return compat.Mismatch("alpha", s.alpha, other.alpha)
 	case s.lmax != other.lmax:
 		return compat.Mismatch("levels", s.lmax, other.lmax)
+	case s.cfg.Dirs != other.cfg.Dirs:
+		return compat.Mismatch("directions", s.cfg.Dirs, other.cfg.Dirs)
 	}
 	// Probe that the sketch layers agree the makers are equivalent; with
 	// the field checks above this cannot fail, but a cheap probe beats a
@@ -189,20 +191,27 @@ func (img *MergeImage) Discard() {
 // parseInto is ParseMergeImage's decode, filling in as it goes so that a
 // failure leaves behind exactly what has to be discarded.
 func (s *Summary) parseInto(in *incoming, data []byte) error {
-	if len(data) < 1 || data[0] != coreMarshalVersion {
+	if len(data) < 1 || (data[0] != coreMarshalVersion && data[0] != oneSidedVersion) {
+		return ErrBadEncoding
+	}
+	oneSided := data[0] == oneSidedVersion
+	if oneSided && s.cfg.Dirs == Both {
 		return ErrBadEncoding
 	}
 	data = data[1:]
 	// Config-compatibility block: the image must come from a summary
 	// whose configuration matches the receiver's.
-	var cfgVals [5]uint64 // eps bits, delta bits, ymax, seed, stricttheory
-	for i := range cfgVals {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return ErrBadEncoding
+	var cfgVals [6]uint64 // eps bits, delta bits, ymax, seed, stricttheory, directions
+	cfgVals[5] = uint64(s.cfg.Dirs)
+	n := len(cfgVals)
+	if oneSided {
+		n--
+	}
+	var err error
+	for i := range n {
+		if cfgVals[i], data, err = uvarint(data); err != nil {
+			return err
 		}
-		cfgVals[i] = v
-		data = data[n:]
 	}
 	var strict uint64
 	if s.cfg.StrictTheory {
@@ -219,15 +228,14 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 		return compat.Mismatch("seed", s.cfg.Seed, cfgVals[3])
 	case cfgVals[4] != strict:
 		return compat.Mismatch("stricttheory", strict == 1, cfgVals[4] == 1)
+	case cfgVals[5] != uint64(s.cfg.Dirs):
+		return compat.Mismatch("directions", s.cfg.Dirs, cfgVals[5])
 	}
 	var vals [4]uint64 // n, alpha, lmax, virginFrom
 	for i := range vals {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return ErrBadEncoding
+		if vals[i], data, err = uvarint(data); err != nil {
+			return err
 		}
-		vals[i] = v
-		data = data[n:]
 	}
 	if int(vals[1]) != s.alpha {
 		return compat.Mismatch("alpha", s.alpha, vals[1])
@@ -239,35 +247,37 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 		return ErrBadEncoding
 	}
 	in.n, in.virginFrom = vals[0], int(vals[3])
-	var err error
 	if in.shared, data, err = s.readSketch(data); err != nil {
 		return err
 	}
 	// Singleton level.
-	y0, n := binary.Uvarint(data)
-	if n <= 0 {
-		return ErrBadEncoding
+	oz := levelZero{}
+	if oz.y, data, err = s.readWatermarks(data); err != nil {
+		return err
 	}
-	data = data[n:]
-	cnt, n := binary.Uvarint(data)
-	if n <= 0 {
-		return ErrBadEncoding
+	cnt, data, err := uvarint(data)
+	if err != nil {
+		return err
 	}
-	data = data[n:]
 	// Each singleton entry costs at least two bytes of payload, so a
 	// count beyond the remaining bytes is hostile; checking before the
 	// map pre-size keeps a forged count from forcing a giant allocation.
 	if cnt > uint64(len(data)) {
 		return ErrBadEncoding
 	}
-	oz := levelZero{buckets: make(map[uint64]uint32, cnt), y: y0}
+	oz.buckets = make(map[uint64]uint32, cnt)
 	in.s0 = &oz
 	for i := uint64(0); i < cnt; i++ {
-		y, n := binary.Uvarint(data)
-		if n <= 0 {
+		var y uint64
+		if y, data, err = uvarint(data); err != nil {
+			return err
+		}
+		if y > s.cfg.YMax {
 			return ErrBadEncoding
 		}
-		data = data[n:]
+		if oneSided && s.cfg.Dirs == GE {
+			y = s.cfg.YMax - y
+		}
 		var h uint32
 		if h, data, err = s.readSketch(data); err != nil {
 			return err
@@ -276,33 +286,58 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 			s.maker.Free(dup) // a forged image's duplicate; the later entry wins
 		}
 		oz.buckets[y] = h
+		if s.keepers(&oz.y, y) == 0 {
+			return ErrBadEncoding // a singleton no direction keeps
+		}
 	}
 	// Bucket-tree levels.
 	in.levels = make([]*level, s.lmax+1)
 	for i := 1; i <= s.lmax; i++ {
-		yv, n := binary.Uvarint(data)
-		if n <= 0 {
-			return ErrBadEncoding
-		}
-		data = data[n:]
-		cv, n := binary.Uvarint(data)
-		if n <= 0 {
-			return ErrBadEncoding
-		}
-		data = data[n:]
-		lv := &level{idx: i, y: yv, count: int(cv), thresh: s.levels[i].thresh}
-		if lv.root, data, err = s.readNode(data, s.span); err != nil {
+		lv := &level{idx: i, thresh: s.levels[i].thresh}
+		if lv.y, data, err = s.readWatermarks(data); err != nil {
 			return err
 		}
-		if lv.root == 0 {
-			return ErrBadEncoding
+		if oneSided { // the bucket count, which readNode counts
+			if _, data, err = uvarint(data); err != nil {
+				return err
+			}
+		}
+		if lv.root, data, err = s.readNode(data, s.span, lv, s.cfg.Dirs, oneSided); err != nil {
+			return err
 		}
 		in.levels[i] = lv
+		if lv.root == 0 || s.nodes.At(lv.root).keep() != s.cfg.Dirs {
+			return ErrBadEncoding
+		}
 	}
 	if len(data) != 0 {
 		return ErrBadEncoding
 	}
 	return nil
+}
+
+// uvarint decodes one uvarint off the front of data.
+func uvarint(data []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, nil, ErrBadEncoding
+	}
+	return v, data[n:], nil
+}
+
+// readWatermarks decodes the watermarks of the directions served; the
+// others' are 0, which takes nothing.
+func (s *Summary) readWatermarks(data []byte) ([2]uint64, []byte, error) {
+	var y [2]uint64
+	var err error
+	for d := range dirs {
+		if s.cfg.Dirs&(1<<d) != 0 {
+			if y[d], data, err = uvarint(data); err != nil {
+				return y, nil, err
+			}
+		}
+	}
+	return y, data, nil
 }
 
 // ApplyMergeImage folds a parsed image into the summary it was parsed
@@ -354,32 +389,30 @@ func (s *Summary) mergeIncoming(in incoming) {
 	}
 }
 
-// mergeLevel0 unions the singleton levels: the merged watermark is the
-// minimum of the two sides', singletons at or past it are dropped (they
-// could never serve a query, and sequential ingestion of the union would
-// not have stored them), per-y sketches are added, and the level is
-// evicted back to capacity.
+// mergeLevel0 unions the singleton levels: each direction's merged
+// watermark is the nearer of the two sides', singletons no direction keeps
+// past them are dropped (they could never serve a query, and sequential
+// ingestion of the union would not have stored them), per-y sketches are
+// added, and each direction's share is evicted back to capacity.
 func (s *Summary) mergeLevel0(in incoming) {
 	z, oz := &s.s0, in.s0
-	if oz.y < z.y {
-		z.y = oz.y
-		dropped := false
+	lowered := false
+	for d := range dirs {
+		if oz.y[d] < z.y[d] {
+			z.y[d] = oz.y[d]
+			lowered = true
+		}
+	}
+	if lowered {
 		for y, h := range z.buckets {
-			if y >= z.y {
+			if s.keepers(&z.y, y) == 0 {
 				s.maker.Free(h)
 				delete(z.buckets, y)
-				dropped = true
-			}
-		}
-		if dropped {
-			z.ys = z.ys[:0]
-			for y := range z.buckets {
-				heapPushU64(&z.ys, y)
 			}
 		}
 	}
 	for y, oh := range oz.buckets {
-		if y >= z.y {
+		if s.keepers(&z.y, y) == 0 {
 			if in.owned {
 				s.maker.Free(oh)
 			}
@@ -394,12 +427,11 @@ func (s *Summary) mergeLevel0(in incoming) {
 			}
 		case in.owned:
 			z.buckets[y] = oh
-			heapPushU64(&z.ys, y)
 		default:
 			z.buckets[y] = s.copyOf(in.maker.At(oh))
-			heapPushU64(&z.ys, y)
 		}
 	}
+	s.rebuildHeaps()
 	s.evict0()
 }
 
@@ -423,26 +455,30 @@ func (s *Summary) mergeTreeLevel(i int, in incoming) {
 	} else {
 		olv := in.levels[i]
 		s.mergeNode(lv.root, olv.root, &in)
-		if olv.y < lv.y {
-			lv.y = olv.y
+		for d := range dirs {
+			lv.y[d] = min(lv.y[d], olv.y[d])
 		}
 	}
-	lv.count = s.recloseAndCount(lv, lv.root, s.span)
+	lv.count, lv.nodes = [2]int{}, 0
+	s.recloseAndCount(lv, lv.root, s.span)
 	s.wm[i] = lv.y
 	s.cache[i] = leaf{}
-	for lv.count > s.alpha {
-		s.discardMax(lv)
+	for d := range dirs {
+		for lv.count[d] > s.alpha {
+			s.discard(lv, d)
+		}
 	}
 }
 
 // mergeNode folds the incoming node sh (same dyadic interval) into the
-// receiver's node dh. Children missing on one side are adopted (owned) or
-// deep-copied into the receiver's slabs; an owned node whose content went
-// into dh is freed. Internal nodes are closed by construction on whichever
-// side split them, so the merged tree keeps the "internal implies closed"
-// invariant.
+// receiver's node dh, which then is kept by every direction that keeps
+// either. Children missing on one side are adopted (owned) or deep-copied
+// into the receiver's slabs; an owned node whose content went into dh is
+// freed. Internal nodes are closed by construction on whichever side split
+// them, so the merged tree keeps the "internal implies closed" invariant.
 func (s *Summary) mergeNode(dh, sh uint32, in *incoming) {
 	dst, src := s.nodes.At(dh), in.nodes.At(sh)
+	dst.setKeep(dst.keep() | src.keep())
 	if src.sk != 0 {
 		if dst.sk == 0 {
 			dst.sk = s.maker.Alloc()
@@ -450,7 +486,7 @@ func (s *Summary) mergeNode(dh, sh uint32, in *incoming) {
 		_ = s.sketch(dst.sk).Merge(in.maker.At(src.sk))
 	}
 	if src.isClosed() {
-		dst.budget = closed
+		dst.setBudget(closed)
 	}
 	if src.left != 0 {
 		if dst.left != 0 {
@@ -481,8 +517,9 @@ func (s *Summary) importNode(sh uint32, in *incoming) uint32 {
 	src := in.nodes.At(sh)
 	h := s.node()
 	b := s.nodes.At(h)
+	b.setKeep(src.keep())
 	if src.isClosed() {
-		b.budget = closed
+		b.setBudget(closed)
 	}
 	if src.sk != 0 {
 		b.sk = s.copyOf(in.maker.At(src.sk))
@@ -496,25 +533,27 @@ func (s *Summary) importNode(sh uint32, in *incoming) uint32 {
 // an open bucket whose merged estimate now clears the level threshold
 // closes, exactly as Algorithm 2 would have closed it — compacts the closed
 // ones (a merge into one undid that), resets the optimization budgets, and
-// returns the number of stored buckets in b's subtree, b spanning iv.
-func (s *Summary) recloseAndCount(lv *level, h uint32, iv dyadic.Interval) int {
+// counts the buckets of h's subtree, which spans iv, into lv.
+func (s *Summary) recloseAndCount(lv *level, h uint32, iv dyadic.Interval) {
 	if h == 0 {
-		return 0
+		return
 	}
 	b := s.nodes.At(h)
 	switch {
 	case b.isClosed():
 	case !iv.Single() && b.sk != 0 && sketch.CheapEstimate(s.sketch(b.sk)) >= lv.thresh:
-		b.budget = closed
+		b.setBudget(closed)
 	default:
-		b.budget = 0
+		b.setBudget(0)
 	}
 	s.compactClosed(b, iv)
+	lv.hold(b.keep(), 1)
 	if b.isLeaf() {
-		return 1
+		return
 	}
 	lc, rc := iv.Children()
-	return 1 + s.recloseAndCount(lv, b.left, lc) + s.recloseAndCount(lv, b.right, rc)
+	s.recloseAndCount(lv, b.left, lc)
+	s.recloseAndCount(lv, b.right, rc)
 }
 
 // install replaces the summary's state with a decoded wire image (the
@@ -528,11 +567,10 @@ func (s *Summary) install(in incoming) {
 	s.sharedBudget = 0 // force a fresh materialization check
 	s.shared = in.shared
 	s.sharedSA = s.slotAdderOf(s.sketch(in.shared))
+	ys := s.s0.ys
 	s.s0 = *in.s0
-	s.s0.ys = s.s0.ys[:0]
-	for y := range s.s0.buckets {
-		heapPushU64(&s.s0.ys, y)
-	}
+	s.s0.ys = ys
+	s.rebuildHeaps()
 	for i := 1; i <= s.lmax; i++ {
 		s.levels[i] = in.levels[i]
 		s.wm[i] = in.levels[i].y

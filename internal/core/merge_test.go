@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -392,26 +393,133 @@ func TestResetReingest(t *testing.T) {
 // closed, watermark mirror in sync.
 func checkInvariants(t *testing.T, s *Summary) {
 	t.Helper()
-	if len(s.s0.buckets) > s.alpha {
-		t.Fatalf("singleton level over capacity: %d > %d", len(s.s0.buckets), s.alpha)
+	for d := range dirs {
+		if len(s.s0.ys[d]) > s.alpha {
+			t.Fatalf("singleton level over capacity for direction %d: %d > %d", d, len(s.s0.ys[d]), s.alpha)
+		}
 	}
 	for y := range s.s0.buckets {
-		if y >= s.s0.y {
-			t.Fatalf("singleton y=%d at or past watermark %d", y, s.s0.y)
+		if s.keepers(&s.s0.y, y) == 0 {
+			t.Fatalf("singleton y=%d at or past every watermark %d", y, s.s0.y)
 		}
 	}
 	for i := 1; i <= s.lmax; i++ {
 		lv := s.levels[i]
-		if lv.count > s.alpha {
-			t.Fatalf("level %d over capacity: %d > %d", i, lv.count, s.alpha)
+		for d := range dirs {
+			if lv.count[d] > s.alpha {
+				t.Fatalf("level %d over capacity for direction %d: %d > %d", i, d, lv.count[d], s.alpha)
+			}
 		}
-		if got := countNodes(s, lv.root); got != lv.count {
-			t.Fatalf("level %d count %d but tree has %d nodes", i, lv.count, got)
+		if got := countNodes(s, lv.root); got != lv.nodes {
+			t.Fatalf("level %d holds %d nodes but its tree has %d", i, lv.nodes, got)
 		}
 		if s.wm[i] != lv.y {
 			t.Fatalf("level %d watermark mirror %d != %d", i, s.wm[i], lv.y)
 		}
 		verifyClosedInternal(t, s, i, lv.root, s.span)
+		var kept [2]int
+		verifyKeep(t, s, lv, lv.root, s.span, s.cfg.Dirs, &kept)
+		if kept != lv.count {
+			t.Fatalf("level %d counts %v buckets a direction, its tree %v", i, lv.count, kept)
+		}
+	}
+}
+
+// verifyKeep checks the directions that keep each bucket of h's subtree,
+// which spans iv: never none, only directions that keep the parent (within),
+// and every direction whose watermark lies past the bucket's near endpoint.
+// It counts the buckets each direction keeps into kept.
+func verifyKeep(t *testing.T, s *Summary, lv *level, h uint32, iv dyadic.Interval, within Dirs, kept *[2]int) {
+	t.Helper()
+	if h == 0 {
+		return
+	}
+	b := s.nodes.At(h)
+	if k := b.keep(); k == 0 || k&^within != 0 || s.owed(lv, iv)&^k != 0 {
+		t.Fatalf("level %d: bucket [%d,%d] kept by %b: parent's %b, owed to %b", lv.idx, iv.L, iv.R, k, within, s.owed(lv, iv))
+	}
+	for d := range dirs {
+		if b.keep()&(1<<d) != 0 {
+			kept[d]++
+		}
+	}
+	if iv.Single() {
+		return
+	}
+	lc, rc := iv.Children()
+	verifyKeep(t, s, lv, b.left, lc, b.keep(), kept)
+	verifyKeep(t, s, lv, b.right, rc, b.keep(), kept)
+}
+
+// TestBothMergesAsEachSide: merging summaries that serve both directions —
+// live and from images, some sides past their watermarks in both directions
+// — answers each direction as merging the summaries serving it alone does,
+// bit for bit, and leaves the merged tree's keep marks consistent.
+func TestBothMergesAsEachSide(t *testing.T) {
+	base := Config{
+		Eps: 0.2, Delta: 0.1, YMax: 1<<14 - 1,
+		MaxStreamLen: 1 << 18, MaxX: 1 << 12, Alpha: 12, Seed: 5,
+	}
+	for _, name := range []string{"COUNT", "F2"} {
+		agg := mergeAggs()[name]
+		t.Run(name, func(t *testing.T) {
+			var sums [3][4]*Summary // Both, LE, GE; a receiver and three sites each
+			for k, d := range []Dirs{Both, LE, GE} {
+				cfg := base
+				cfg.Dirs = d
+				for i := range sums[k] {
+					sums[k][i] = mustSummary(t, agg, cfg)
+				}
+			}
+			rng := hash.New(17)
+			batch := make([]Tuple, 200)
+			for r := 0; r < 60; r++ {
+				site := r % 4
+				for i := range batch {
+					batch[i] = Tuple{X: rng.Uint64n(1 << 10), Y: rng.Uint64n(base.YMax+1) >> (rng.Uint64n(4) * 3), W: 1}
+				}
+				SortByY(batch)
+				for k := range sums {
+					sums[k][site].AddSorted(batch)
+				}
+			}
+			for i := 1; i < 4; i++ {
+				for k := range sums {
+					if i == 2 {
+						img, err := sums[k][i].MarshalBinary()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := sums[k][0].MergeMarshaled(img); err != nil {
+							t.Fatal(err)
+						}
+					} else if err := sums[k][0].Merge(sums[k][i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				both, le, ge := sums[0][0], sums[1][0], sums[2][0]
+				checkInvariants(t, both)
+				if name == "F2" {
+					checkFootprint(t, fmt.Sprintf("after merging site %d", i), both)
+				}
+				for c := uint64(0); c <= base.YMax+1; c += 1 << 9 {
+					for _, q := range []struct {
+						dir       string
+						got, want func(uint64) (float64, error)
+					}{{"LE", both.Query, le.Query}, {"GE", both.QueryGE, ge.QueryGE}} {
+						g, gerr := q.got(c)
+						w, werr := q.want(c)
+						if gerr != werr || math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("after merging site %d: Both %s(%d) = %v (%v), one-sided %v (%v)", i, q.dir, c, g, gerr, w, werr)
+						}
+					}
+				}
+			}
+			rows := sums[0][0].Occupancy()
+			if rows[1].Watermark == noWatermark || rows[1].WatermarkGE == noWatermark {
+				t.Fatalf("level 1 discarded nothing in some direction: %+v", rows[1])
+			}
+		})
 	}
 }
 

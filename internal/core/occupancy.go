@@ -14,6 +14,9 @@ type LevelOccupancy struct {
 	Level  int // 0 is the singleton level S0
 	Virgin bool
 	Stored int // buckets stored, as Buckets counts them
+	// Shared is the buckets, of those, that both directions keep: one node
+	// and one sketch serve LE and GE queries alike.
+	Shared int
 	Closed int // of those, buckets that have crossed the closing threshold
 	// Untouched buckets hold no sketch: split siblings no tuple has landed
 	// in, or the root of a virgin level, for which the shared sketch stands.
@@ -52,21 +55,31 @@ type LevelOccupancy struct {
 	// It is a property of the summary's past, not its state: a restored
 	// summary starts with an empty arena. Footprint reports the arena's share
 	// as its Pooled and the slabs' in its Headers, without the walk.
-	Pooled    int64
-	Watermark uint64 // Y_ℓ; math.MaxUint64 while nothing has been discarded
+	Pooled int64
+	// Watermark is the LE direction's Y_ℓ, the smallest left endpoint it has
+	// discarded: it serves cutoffs below it. WatermarkGE is the GE
+	// direction's, the largest right endpoint it has discarded: it serves
+	// cutoffs above it. Each is math.MaxUint64 while its direction has
+	// discarded nothing, or if the summary does not serve it.
+	Watermark, WatermarkGE uint64
 }
 
 // Occupancy returns one row per level, S0 first. It walks every bucket, like
 // Space.
 func (s *Summary) Occupancy() []LevelOccupancy {
 	rows := make([]LevelOccupancy, s.lmax+1)
-	rows[0] = LevelOccupancy{Stored: len(s.s0.buckets), Watermark: s.s0.y}
-	for _, h := range s.s0.buckets {
+	rows[0] = LevelOccupancy{Stored: len(s.s0.buckets)}
+	rows[0].Watermark, rows[0].WatermarkGE = s.watermarks(s.s0.y)
+	for y, h := range s.s0.buckets {
+		if s.keepers(&s.s0.y, y) == Both {
+			rows[0].Shared++
+		}
 		rows[0].count(1) // the singleton's y
 		rows[0].visit(s.sketch(h), false, false)
 	}
 	for i := 1; i <= s.lmax; i++ {
-		rows[i] = LevelOccupancy{Level: i, Virgin: i >= s.virginFrom, Watermark: s.levels[i].y}
+		rows[i] = LevelOccupancy{Level: i, Virgin: i >= s.virginFrom}
+		rows[i].Watermark, rows[i].WatermarkGE = s.watermarks(s.levels[i].y)
 		s.occupy(&rows[i], s.levels[i].root, s.span)
 	}
 	rows[min(s.virginFrom, s.lmax)].countSketch(s.sketch(s.shared))
@@ -76,6 +89,19 @@ func (s *Summary) Occupancy() []LevelOccupancy {
 		rows[0].Pooled += int64(arena + heap)
 	}
 	return rows
+}
+
+// watermarks turns a level's watermark distances into the endpoints
+// LevelOccupancy reports.
+func (s *Summary) watermarks(y [2]uint64) (le, ge uint64) {
+	le, ge = noWatermark, noWatermark
+	if s.cfg.Dirs&LE != 0 {
+		le = y[0]
+	}
+	if s.cfg.Dirs&GE != 0 && y[1] != noWatermark {
+		ge = s.cfg.YMax - y[1]
+	}
+	return le, ge
 }
 
 // pooler is a maker that reports the bytes waiting for its next sketches: in
@@ -146,7 +172,7 @@ func (s *Summary) Footprint() Footprint {
 	}
 	singles, nodes := int64(len(s.s0.buckets)), int64(0)
 	for i := 1; i <= s.lmax; i++ {
-		nodes += int64(s.levels[i].count)
+		nodes += int64(s.levels[i].nodes)
 	}
 	arena, heap := bk.PooledBytes()
 	return Footprint{
@@ -199,6 +225,9 @@ func (s *Summary) occupy(o *LevelOccupancy, h uint32, iv dyadic.Interval) {
 		sk = s.sketch(b.sk)
 	}
 	o.Stored++
+	if b.keep() == Both {
+		o.Shared++
+	}
 	o.count(2) // the bucket's interval
 	o.visit(sk, b.isClosed(), b.isClosed() && !iv.Single())
 	if !b.isLeaf() {

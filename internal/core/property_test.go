@@ -89,7 +89,7 @@ func TestPropertyBucketInvariants(t *testing.T) {
 		}
 		for i := 1; i <= s.lmax; i++ {
 			lv := s.levels[i]
-			if lv.count > alpha {
+			if lv.count[0] > alpha {
 				return false
 			}
 			if !checkTree(s, lv.root, s.span) {
@@ -101,7 +101,7 @@ func TestPropertyBucketInvariants(t *testing.T) {
 		}
 		// Every singleton below the S0 watermark.
 		for y := range s.s0.buckets {
-			if y >= s.s0.y {
+			if y >= s.s0.y[0] {
 				return false
 			}
 		}

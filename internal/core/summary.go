@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -17,7 +18,8 @@ const noWatermark = math.MaxUint64
 
 // Summary is the sketch for correlated aggregation of Section 2. It
 // supports Add (Algorithm 2) and Query (Algorithm 3) for selection
-// predicates of the form y <= c with c supplied at query time.
+// predicates of the form y <= c (LE) and y >= c (GE), with c supplied at
+// query time, for the directions its Config names.
 //
 // Levels ℓ = 1..ℓmax each hold a tree of buckets over dyadic intervals of
 // [0, ymax]. A bucket closes once its sketch estimate reaches 2^(ℓ+1) and
@@ -27,6 +29,21 @@ const noWatermark = math.MaxUint64
 // left endpoint. A query for cutoff c is answered from the smallest level
 // with Y_ℓ > c by composing the sketches of all buckets fully inside
 // [0, c]. Level 0 stores up to α exact singleton-y buckets.
+//
+// GE is the same algorithm from the other end: it discards the bucket with
+// the smallest right endpoint, and its watermark is the largest discarded
+// right endpoint. Every y, watermark and endpoint a direction compares is
+// its distance from the direction's own end of [0, ymax] — y for LE,
+// ymax − y for GE — so the two run one piece of code. A summary serving
+// both keeps one tree a level: each bucket records which directions keep
+// it, each direction counts and discards only its own, and a bucket goes
+// only once neither keeps it. Where neither direction has discarded
+// anything — most levels, on most streams — the two hold the very same
+// buckets over the very same tuples, which one tree stores once. A bucket
+// one direction keeps past its watermark may take tuples only the other
+// direction still wants, but it never enters the first direction's answers
+// again, so each direction answers exactly what a summary serving it alone
+// would, fed the same batches.
 type Summary struct {
 	cfg   Config
 	agg   Aggregate
@@ -78,8 +95,46 @@ type Summary struct {
 
 	// wm mirrors levels[i].y in one flat array, so the per-tuple level
 	// scan reads a few contiguous cache lines instead of chasing a
-	// pointer per level. Kept in sync by discardMax and UnmarshalBinary.
-	wm []uint64
+	// pointer per level. Kept in sync by discard and UnmarshalBinary.
+	wm [][2]uint64
+}
+
+// Dirs is a set of query directions.
+type Dirs uint8
+
+const (
+	LE   Dirs = 1 << iota // y <= c
+	GE                    // y >= c
+	Both = LE | GE
+)
+
+// dirs indexes per-direction state: 0 is LE, 1 is GE.
+const dirs = 2
+
+// ErrDirection is returned by a query in a direction the summary does not
+// serve.
+var ErrDirection = errors.New("core: query direction not served")
+
+// dist is y's distance from direction d's own end of [0, YMax]: the
+// coordinate every comparison of d's is made in.
+func (s *Summary) dist(d int, y uint64) uint64 {
+	if d == 0 {
+		return y
+	}
+	return s.cfg.YMax - y
+}
+
+// keepers returns the directions whose watermarks w leave y in play.
+// A direction the summary does not serve has watermark 0 and takes nothing.
+func (s *Summary) keepers(w *[2]uint64, y uint64) Dirs {
+	var k Dirs
+	if y < w[0] {
+		k = LE
+	}
+	if s.cfg.YMax-y < w[1] {
+		k |= GE
+	}
+	return k
 }
 
 // bucket is a node of a level's tree, a record in the summary's node slab.
@@ -93,20 +148,39 @@ type bucket struct {
 	sk          uint32 // the sketch's handle in the maker's slab; 0 while untouched
 	left, right uint32 // the children's handles in the node slab; 0 for none
 
-	// budget is the weight this bucket can still absorb before its estimate
-	// could possibly reach the level's closing threshold
-	// (sketch.ThresholdBudget), clamped to int32, or closed. While positive,
-	// the closing check is skipped — with decisions bit-identical to
-	// checking every insert; clamping only makes a check come sooner. Pure
-	// optimization state: not serialized; zero forces a check.
-	budget int32
+	// meta holds, above keepShift, the directions that keep the bucket, and
+	// below it the bucket's close budget: the weight it can still absorb
+	// before its estimate could possibly reach the level's closing
+	// threshold (sketch.ThresholdBudget), clamped to maxBudget, or closed.
+	// While positive, the closing check is skipped — with decisions
+	// bit-identical to checking every insert; clamping only makes a check
+	// come sooner. The budget is pure optimization state: not serialized;
+	// zero forces a check.
+	meta uint32
 }
 
-// closed is the budget of a bucket that has crossed its level's threshold.
-const closed = -1
+const (
+	keepShift  = 30
+	budgetMask = 1<<keepShift - 1
+	// closed is the budget of a bucket that has crossed its level's threshold.
+	closed    = budgetMask
+	maxBudget = closed - 1
+)
 
 // isClosed reports whether the bucket has crossed its level's threshold.
-func (b *bucket) isClosed() bool { return b.budget == closed }
+func (b *bucket) isClosed() bool { return b.meta&budgetMask == closed }
+
+// budget returns the bucket's close budget (closed once closed).
+func (b *bucket) budget() int64 { return int64(b.meta & budgetMask) }
+
+// setBudget sets the close budget, or closes the bucket with closed.
+func (b *bucket) setBudget(v uint32) { b.meta = b.meta&^budgetMask | v }
+
+// keep returns the directions that keep the bucket.
+func (b *bucket) keep() Dirs { return Dirs(b.meta >> keepShift) }
+
+// setKeep sets the directions that keep the bucket.
+func (b *bucket) setKeep(k Dirs) { b.meta = b.meta&budgetMask | uint32(k)<<keepShift }
 
 // isLeaf reports whether the bucket has no children.
 func (b *bucket) isLeaf() bool { return b.left == 0 && b.right == 0 }
@@ -115,7 +189,7 @@ func (b *bucket) isLeaf() bool { return b.left == 0 && b.right == 0 }
 // sketch's slot face, asserted once when the leaf is cached rather than once
 // per group (nil off the fast path). Slab records stay in place, so the
 // entry stays valid for as long as the leaf holds its sketch, which every
-// change of the leaf's sketch clears (discardMax, merges, restores, Reset).
+// change of the leaf's sketch clears (discard, merges, restores, Reset).
 type leaf struct {
 	b  *bucket
 	iv dyadic.Interval
@@ -132,18 +206,30 @@ func (c leaf) serves(y uint64) bool {
 
 type level struct {
 	idx    int
-	root   uint32 // the root's handle in the node slab
-	y      uint64 // watermark Y_ℓ
-	count  int    // stored buckets
+	root   uint32    // the root's handle in the node slab
+	y      [2]uint64 // each direction's watermark Y_ℓ, as a distance (dist)
+	count  [2]int    // the buckets each direction keeps
+	nodes  int       // stored buckets: those some direction keeps
 	thresh float64
+}
+
+// hold counts n more buckets, kept by k, into the level.
+func (lv *level) hold(k Dirs, n int) {
+	lv.nodes += n
+	for d := range dirs {
+		if k&(1<<d) != 0 {
+			lv.count[d] += n
+		}
+	}
 }
 
 // levelZero is the singleton level: each stored y maps straight to its
 // sketch's handle, the key being all a singleton bucket's interval would say.
+// A direction keeps exactly the singletons its watermark leaves in play.
 type levelZero struct {
 	buckets map[uint64]uint32
-	ys      []uint64 // max-heap of singleton y values
-	y       uint64   // watermark Y_0
+	ys      [2][]uint64 // per direction, a max-heap of its singletons' distances
+	y       [2]uint64   // each direction's watermark Y_0, as a distance
 }
 
 // NewSummary builds a correlated-aggregate summary for agg under cfg
@@ -178,7 +264,7 @@ func NewSummary(agg Aggregate, cfg Config) (*Summary, error) {
 	if sm, ok := s.maker.(sketch.SlotMaker); ok && !cfg.NoSlotFastPath {
 		s.slotMaker = sm
 	}
-	s.wm = make([]uint64, lmax+1)
+	s.wm = make([][2]uint64, lmax+1)
 	for i := 1; i <= lmax; i++ {
 		s.levels[i] = &level{idx: i, thresh: math.Ldexp(1, i+1)}
 	}
@@ -191,13 +277,21 @@ func NewSummary(agg Aggregate, cfg Config) (*Summary, error) {
 // thresholds and hash functions it has. What the summary held is the
 // caller's to free first.
 func (s *Summary) empty() {
-	s.s0 = levelZero{buckets: make(map[uint64]uint32), y: noWatermark}
+	var open [2]uint64 // watermarks: none for a direction served, 0 otherwise
+	var one [2]int
+	for d := range dirs {
+		if s.cfg.Dirs&(1<<d) != 0 {
+			open[d], one[d] = noWatermark, 1
+		}
+	}
+	s.s0 = levelZero{buckets: make(map[uint64]uint32), y: open}
 	for i := 1; i <= s.lmax; i++ {
-		*s.levels[i] = level{idx: i, root: s.node(), y: noWatermark, count: 1, thresh: s.levels[i].thresh}
+		*s.levels[i] = level{idx: i, root: s.node(), y: open, count: one, nodes: 1, thresh: s.levels[i].thresh}
+		s.nodes.At(s.levels[i].root).setKeep(s.cfg.Dirs)
 	}
 	clear(s.cache)
 	for i := range s.wm {
-		s.wm[i] = noWatermark
+		s.wm[i] = open
 	}
 	s.shared = s.maker.Alloc()
 	s.sharedSA = s.slotAdderOf(s.sketch(s.shared))
@@ -220,6 +314,9 @@ func (s *Summary) slotAdderOf(sk sketch.Sketch) sketch.SlotAdder {
 
 // Config returns the (normalized) configuration.
 func (s *Summary) Config() Config { return s.cfg }
+
+// Dirs returns the directions the summary serves.
+func (s *Summary) Dirs() Dirs { return s.cfg.Dirs }
 
 // Alpha returns the per-level bucket capacity in use.
 func (s *Summary) Alpha() int { return s.alpha }
@@ -274,7 +371,7 @@ func (s *Summary) materialize(lv *level) {
 	root := s.nodes.At(lv.root)
 	root.sk = s.copyOf(s.sketch(s.shared))
 	if !s.span.Single() {
-		root.budget = closed
+		root.setBudget(closed)
 		s.compactClosed(root, s.span)
 	}
 }
@@ -298,16 +395,37 @@ func (s *Summary) compactClosed(b *bucket, iv dyadic.Interval) {
 	}
 }
 
-// evict0 trims the singleton level back to capacity, freeing the evicted
-// buckets' sketches.
+// evict0 trims each direction's share of the singleton level back to
+// capacity, its farthest singletons first, freeing the sketches of those no
+// direction keeps any more.
 func (s *Summary) evict0() {
 	z := &s.s0
-	for len(z.buckets) > s.alpha {
-		top := heapPopU64(&z.ys)
-		s.maker.Free(z.buckets[top])
-		delete(z.buckets, top)
-		if top < z.y {
-			z.y = top
+	for d := range dirs {
+		for len(z.ys[d]) > s.alpha {
+			top := heapPopU64(&z.ys[d])
+			if top < z.y[d] {
+				z.y[d] = top
+			}
+			if y := s.dist(d, top); s.keepers(&z.y, y) == 0 {
+				s.maker.Free(z.buckets[y])
+				delete(z.buckets, y)
+			}
+		}
+	}
+}
+
+// rebuildHeaps refills each direction's heap from the singletons its
+// watermark keeps, after a restore or a merge replaced them.
+func (s *Summary) rebuildHeaps() {
+	z := &s.s0
+	for d := range dirs {
+		z.ys[d] = z.ys[d][:0]
+	}
+	for y := range z.buckets {
+		for d := range dirs {
+			if s.keepers(&z.y, y)&(1<<d) != 0 {
+				heapPushU64(&z.ys[d], s.dist(d, y))
+			}
 		}
 	}
 }
@@ -321,23 +439,25 @@ func (s *Summary) maybeClose(lv *level, c *leaf, w int64) {
 	if b.isClosed() || c.iv.Single() {
 		return
 	}
-	if left := int64(b.budget) - w; left > 0 {
-		b.budget = int32(left)
+	if left := b.budget() - w; left > 0 {
+		b.setBudget(uint32(left))
 		return
 	}
 	if sketch.CheapEstimate(c.sk) >= lv.thresh {
-		b.budget = closed
+		b.setBudget(closed)
 		s.compactClosed(b, c.iv)
 		return
 	}
-	b.budget = int32(min(sketch.ThresholdBudget(c.sk, lv.thresh), math.MaxInt32))
+	b.setBudget(uint32(max(0, min(sketch.ThresholdBudget(c.sk, lv.thresh), maxBudget))))
 }
 
 // leafFor descends level lv toward y, splitting closed leaves on the way
 // (Algorithm 2's lazy split), and returns the open-or-singleton leaf that
 // receives insertions at y with the interval it spans — or nil when y falls
-// in the discarded region.
-func (s *Summary) leafFor(lv *level, y uint64) (*bucket, dyadic.Interval) {
+// in the discarded region. keep is the directions that take y at the level:
+// a split's children are theirs, as a summary serving them alone would
+// have split the leaf, and no other direction's.
+func (s *Summary) leafFor(lv *level, y uint64, keep Dirs) (*bucket, dyadic.Interval) {
 	b, iv := s.nodes.At(lv.root), s.span
 	for {
 		if !b.isLeaf() {
@@ -368,7 +488,10 @@ func (s *Summary) leafFor(lv *level, y uint64) (*bucket, dyadic.Interval) {
 			// of the ingest path: two sketches a split, paid again by
 			// every summary a stream is spread over.
 			b.left, b.right = s.node(), s.node()
-			lv.count += 2
+			k := keep & b.keep()
+			s.nodes.At(b.left).setKeep(k)
+			s.nodes.At(b.right).setKeep(k)
+			lv.hold(k, 2)
 			continue
 		}
 		if b.sk == 0 {
@@ -380,23 +503,53 @@ func (s *Summary) leafFor(lv *level, y uint64) (*bucket, dyadic.Interval) {
 	}
 }
 
-// discardMax removes the stored bucket with the largest left endpoint
-// (always a childless bucket, found by walking right-then-left) and lowers
-// the level's watermark.
-func (s *Summary) discardMax(lv *level) {
+// discard takes from direction d the bucket it keeps farthest from its end
+// — for LE the one with the largest left endpoint, for GE the one with the
+// smallest right endpoint: always one of whose children d keeps neither,
+// found by walking toward the far end — and lowers d's watermark to the
+// bucket's near endpoint. The bucket goes once no direction keeps it; it
+// has no children then, for a direction that keeps a child keeps its
+// parent.
+func (s *Summary) discard(lv *level, d int) {
+	bit := Dirs(1) << d
 	var parent *bucket
 	h, iv := lv.root, s.span
-	for b := s.nodes.At(h); !b.isLeaf(); b = s.nodes.At(h) {
-		parent = b
-		lc, rc := iv.Children()
-		if b.right != 0 {
-			h, iv = b.right, rc
-		} else {
-			h, iv = b.left, lc
+	for {
+		b := s.nodes.At(h)
+		next, niv := uint32(0), iv
+		if !b.isLeaf() {
+			lc, rc := iv.Children()
+			far, near, farIv, nearIv := b.right, b.left, rc, lc
+			if d == 1 {
+				far, near, farIv, nearIv = near, far, nearIv, farIv
+			}
+			if far != 0 && s.nodes.At(far).keep()&bit != 0 {
+				next, niv = far, farIv
+			} else if near != 0 && s.nodes.At(near).keep()&bit != 0 {
+				next, niv = near, nearIv
+			}
 		}
+		if next == 0 {
+			break
+		}
+		parent, h, iv = b, next, niv
 	}
 	if parent == nil {
-		// The root itself is the only bucket; it is never discarded.
+		// The root itself is the only bucket d keeps; it is never discarded.
+		return
+	}
+	b := s.nodes.At(h)
+	b.setKeep(b.keep() &^ bit)
+	lv.count[d]--
+	edge := iv.L
+	if d == 1 {
+		edge = s.cfg.YMax - iv.R
+	}
+	if edge < lv.y[d] {
+		lv.y[d] = edge
+		s.wm[lv.idx][d] = edge
+	}
+	if b.keep() != 0 {
 		return
 	}
 	if parent.right == h {
@@ -405,15 +558,11 @@ func (s *Summary) discardMax(lv *level) {
 		parent.left = 0
 	}
 	// The leaf cache is the one other way to reach the bucket.
-	if s.cache[lv.idx].b == s.nodes.At(h) {
+	if s.cache[lv.idx].b == b {
 		s.cache[lv.idx] = leaf{}
 	}
 	s.drop(h)
-	lv.count--
-	if iv.L < lv.y {
-		lv.y = iv.L
-		s.wm[lv.idx] = lv.y
-	}
+	lv.nodes--
 }
 
 // node returns the handle of a new, untouched tree node. It and drop are the
@@ -447,7 +596,13 @@ func (s *Summary) RecycleSketch(sk sketch.Sketch) {
 // returns ErrNoLevel when even the top level cannot serve c, which under
 // the analysis's event G happens with probability at most δ.
 func (s *Summary) Query(c uint64) (float64, error) {
-	est, _, err := s.QueryWithLevel(c)
+	est, _, err := s.estimate(0, c)
+	return est, err
+}
+
+// QueryGE estimates AGG{x | (x, y) in stream, y >= c}, Query's mirror.
+func (s *Summary) QueryGE(c uint64) (float64, error) {
+	est, _, err := s.estimate(1, c)
 	return est, err
 }
 
@@ -456,8 +611,11 @@ func (s *Summary) Query(c uint64) (float64, error) {
 // the maker once estimated — its table or array to the arena, its struct to
 // be the next query's — so a steady-state query allocates nothing; callers
 // that need the sketch itself use QuerySketch.
-func (s *Summary) QueryWithLevel(c uint64) (float64, int, error) {
-	sk, lvl, err := s.QuerySketch(c)
+func (s *Summary) QueryWithLevel(c uint64) (float64, int, error) { return s.estimate(0, c) }
+
+// estimate is QueryWithLevel for direction d.
+func (s *Summary) estimate(d int, c uint64) (float64, int, error) {
+	sk, lvl, err := s.querySketch(d, c)
 	if err != nil {
 		return 0, lvl, err
 	}
@@ -467,31 +625,45 @@ func (s *Summary) QueryWithLevel(c uint64) (float64, int, error) {
 }
 
 // QuerySketch returns the composed sketch of the buckets serving cutoff c
-// (the composition K of Algorithm 3) together with the level used. The
-// correlated heavy-hitters structure of Section 3.3 consumes the sketch
+// of y <= c (the composition K of Algorithm 3) together with the level used.
+// The correlated heavy-hitters structure of Section 3.3 consumes the sketch
 // itself rather than just its estimate.
 func (s *Summary) QuerySketch(c uint64) (sketch.Sketch, int, error) {
+	return s.querySketch(0, c)
+}
+
+// querySketch is Algorithm 3 for direction d: the smallest level whose
+// watermark lies past c, seen from d's end, composes d's buckets wholly on
+// d's side of c.
+func (s *Summary) querySketch(d int, c uint64) (sketch.Sketch, int, error) {
+	if s.cfg.Dirs&(1<<d) == 0 {
+		return nil, -1, ErrDirection
+	}
 	if c > s.cfg.YMax {
+		if d == 1 {
+			return s.compose(s.parts[:0]), 0, nil // nothing has y >= c
+		}
 		c = s.cfg.YMax
 	}
-	if s.s0.y > c {
-		return s.query0(c), 0, nil
+	dc := s.dist(d, c)
+	if s.s0.y[d] > dc {
+		return s.query0(d, dc), 0, nil
 	}
 	for i := 1; i <= s.lmax; i++ {
-		if s.levels[i].y > c {
-			return s.queryLevel(s.levels[i], c), i, nil
+		if s.levels[i].y[d] > dc {
+			return s.queryLevel(s.levels[i], d, dc), i, nil
 		}
 	}
 	return nil, -1, ErrNoLevel
 }
 
-// query0 composes the singleton sketches with y <= c ("summing over
-// appropriate singletons": sketches here are linear, so composition and
-// summation coincide).
-func (s *Summary) query0(c uint64) sketch.Sketch {
+// query0 composes the singleton sketches within distance dc of direction
+// d's end ("summing over appropriate singletons": sketches here are linear,
+// so composition and summation coincide).
+func (s *Summary) query0(d int, dc uint64) sketch.Sketch {
 	parts := s.parts[:0]
 	for y, h := range s.s0.buckets {
-		if y <= c {
+		if s.dist(d, y) <= dc {
 			parts = append(parts, s.sketch(h))
 		}
 	}
@@ -507,41 +679,64 @@ func (s *Summary) compose(parts []sketch.Sketch) sketch.Sketch {
 	return out
 }
 
-// queryLevel composes the sketches of B1 — every stored bucket whose span
-// lies inside [0, c]. Buckets straddling c (the set B2 of the analysis)
-// are excluded; Lemma 4 bounds the mass they can hide.
-func (s *Summary) queryLevel(lv *level, c uint64) sketch.Sketch {
+// queryLevel composes the sketches of B1 — every bucket direction d keeps
+// whose span lies within distance dc of d's end: inside [0, c] for LE,
+// inside [c, YMax] for GE. Buckets straddling c (the set B2 of the
+// analysis) are excluded; Lemma 4 bounds the mass they can hide. GE walks
+// the tree as LE would walk its mirror image, far child last.
+func (s *Summary) queryLevel(lv *level, d int, dc uint64) sketch.Sketch {
 	parts := s.parts[:0]
+	bit := Dirs(1) << d
 	// On a virgin level a sketchless bucket is the root, standing in for
 	// the shared whole-stream sketch; on a materialized level it is an
 	// untouched split sibling holding nothing at all.
 	virgin := lv.idx >= s.virginFrom
+	// nearFar returns b's children nearest d's end first.
+	nearFar := func(b *bucket) (uint32, uint32) {
+		if d == 1 {
+			return b.right, b.left
+		}
+		return b.left, b.right
+	}
 	var inside func(h uint32)
 	inside = func(h uint32) {
 		if h == 0 {
 			return
 		}
 		b := s.nodes.At(h)
+		if b.keep()&bit == 0 {
+			return
+		}
 		if b.sk != 0 {
 			parts = append(parts, s.sketch(b.sk))
 		} else if virgin {
 			parts = append(parts, s.sketch(s.shared))
 		}
-		inside(b.left)
-		inside(b.right)
+		near, far := nearFar(b)
+		inside(near)
+		inside(far)
 	}
 	var walk func(h uint32, iv dyadic.Interval)
 	walk = func(h uint32, iv dyadic.Interval) {
-		if h == 0 || !iv.Intersects(c) {
+		nearEnd, farEnd := s.dist(d, iv.L), s.dist(d, iv.R)
+		if d == 1 {
+			nearEnd, farEnd = farEnd, nearEnd
+		}
+		if h == 0 || nearEnd > dc {
 			return
 		}
-		if iv.Within(c) {
+		if farEnd <= dc {
 			inside(h)
 			return
 		}
 		b := s.nodes.At(h)
 		// Straddling c, so not a single point: it has two halves.
 		lc, rc := iv.Children()
+		if d == 1 {
+			walk(b.right, rc)
+			walk(b.left, lc)
+			return
+		}
 		walk(b.left, lc)
 		walk(b.right, rc)
 	}
@@ -580,17 +775,18 @@ func (s *Summary) treeSpace(h uint32) int64 {
 func (s *Summary) Buckets() int {
 	n := len(s.s0.buckets)
 	for i := 1; i <= s.lmax; i++ {
-		n += s.levels[i].count
+		n += s.levels[i].nodes
 	}
 	return n
 }
 
-// Watermark returns Y_ℓ for diagnostics; level 0 is the singleton level.
+// Watermark returns the LE direction's Y_ℓ for diagnostics; level 0 is the
+// singleton level.
 func (s *Summary) Watermark(level int) uint64 {
 	if level == 0 {
-		return s.s0.y
+		return s.s0.y[0]
 	}
-	return s.levels[level].y
+	return s.levels[level].y[0]
 }
 
 // Tuple is one stream element for batched insertion.
@@ -636,7 +832,7 @@ func SortByY(batch []Tuple) {
 // SortBatch is AddBatch's first half: it validates the batch, normalizes
 // zero weights to 1 and sorts it by y in place (SortByY), leaving the
 // summary untouched. A caller that applies one sorted batch to two summaries
-// (the root package's LE and mirrored GE directions) calls the halves itself.
+// calls the halves itself.
 func (s *Summary) SortBatch(batch []Tuple) error {
 	for i := range batch {
 		if batch[i].Y > s.cfg.YMax {
@@ -666,31 +862,10 @@ func (s *Summary) AddSorted(batch []Tuple) {
 	}
 }
 
-// AddSortedMirrored inserts a batch that SortBatch accepted (against a
-// summary with this one's YMax) with every y read as YMax − y: the mirrored
-// structure the root package's GE direction keeps, fed from the LE batch
-// without a copy. The equal-y runs are applied from last to first, so the
-// mirrored y ascend, and each run in the order the batch holds it. A run's
-// closing checks happen once, after the whole run, so for every aggregate
-// whose sketch adds commute (F2, COUNT, SUM) the state equals what a
-// mirrored, re-sorted copy fed to AddSorted leaves; Fk's bounded candidate
-// sets follow the order inside a run.
-func (s *Summary) AddSortedMirrored(batch []Tuple) {
-	for end := len(batch); end > 0; {
-		start := end - 1
-		for start > 0 && batch[start-1].Y == batch[end-1].Y {
-			start--
-		}
-		s.addGroup(batch[start:end], s.cfg.YMax-batch[start].Y)
-		end = start
-	}
-}
-
 // addGroup is Algorithm 2, the one insertion routine: it inserts an equal-y
-// run of a sorted batch (AddWeighted passes a run of one) at y — the run's
-// own y, or its mirror (AddSortedMirrored) — hashing each tuple once into a
-// reused slot plan and routing to a leaf once per level. Only the tuples' X and W
-// are read.
+// run of a sorted batch (AddWeighted passes a run of one) at y, hashing each
+// tuple once into a reused slot plan and routing to a leaf once per level,
+// for every direction that takes y there. Only the tuples' X and W are read.
 func (s *Summary) addGroup(group []Tuple, y uint64) {
 	s.n += uint64(len(group))
 	stride := 0
@@ -714,15 +889,19 @@ func (s *Summary) addGroup(group []Tuple, y uint64) {
 	// bucket; the watermark check and eviction happen once. (Evicting after
 	// the whole group lands is state-identical to per-tuple eviction: it
 	// grows the level by at most one bucket, and the heap pops the same one
-	// either way.) No singleton is made at or past the watermark: Y_0 only
-	// decreases, so it could never serve a query.
+	// either way.) No singleton is made at or past every watermark: Y_0 only
+	// moves in, so it could never serve a query.
 	z := &s.s0
-	if y < z.y {
+	if keep := s.keepers(&z.y, y); keep != 0 {
 		h := z.buckets[y]
 		if h == 0 {
 			h = s.maker.Alloc()
 			z.buckets[y] = h
-			heapPushU64(&z.ys, y)
+			for d := range dirs {
+				if keep&(1<<d) != 0 {
+					heapPushU64(&z.ys[d], s.dist(d, y))
+				}
+			}
 		}
 		sk := s.sketch(h)
 		sa := s.slotAdderOf(sk)
@@ -744,15 +923,17 @@ func (s *Summary) addGroup(group []Tuple, y uint64) {
 		}
 	}
 	for i := 1; i < s.virginFrom; i++ {
-		// y is in the level's discarded region. The paper returns here;
-		// skipping only this level stays consistent whatever the Y_ℓ order.
-		if y >= s.wm[i] {
+		// y is in the level's discarded region for every direction. The
+		// paper returns here; skipping only this level stays consistent
+		// whatever the Y_ℓ order.
+		keep := s.keepers(&s.wm[i], y)
+		if keep == 0 {
 			continue
 		}
 		lv := s.levels[i]
 		c := &s.cache[i]
 		if !c.serves(y) {
-			b, iv := s.leafFor(lv, y)
+			b, iv := s.leafFor(lv, y, keep)
 			if b == nil {
 				continue
 			}
@@ -763,8 +944,10 @@ func (s *Summary) addGroup(group []Tuple, y uint64) {
 			groupAdd(c.sk, c.sa, gi)
 		}
 		s.maybeClose(lv, c, groupW)
-		for lv.count > s.alpha {
-			s.discardMax(lv)
+		for d := range dirs {
+			for lv.count[d] > s.alpha {
+				s.discard(lv, d)
+			}
 		}
 	}
 

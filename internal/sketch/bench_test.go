@@ -113,12 +113,19 @@ func BenchmarkCountSketchCompact(b *testing.B) {
 // reduction lead: one sketch taken from its first pair through every table
 // size to one pair past itemsMax, where it promotes, and recycled. Warm, every
 // table and the array come from the maker's lists and go back to them, so
-// B/op and allocs/op are what that life still costs the collector.
+// B/op and allocs/op are what that life still costs the collector. The
+// identifiers are distinct and drawn from a seeded generator over 2^24, as a
+// bucket's are: an arithmetic progression clusters under the tables' home
+// slots and makes every lookup probe a long run.
 func BenchmarkCountSketchGrowPromote(b *testing.B) {
 	m := NewF2Maker(356, 4, hash.New(1))
 	var slab Slots
-	for x := 0; x <= m.itemsMax; x++ {
-		slab = m.Slots(uint64(x)*0x9E3779&(1<<24-1), slab)
+	rng, seen := hash.New(2), make(map[uint64]bool)
+	for len(seen) <= m.itemsMax {
+		if x := rng.Uint64n(1 << 24); !seen[x] {
+			seen[x] = true
+			slab = m.Slots(x, slab)
+		}
 	}
 	d := m.SlotWidth()
 	life := func() {

@@ -1,8 +1,6 @@
 package correlated
 
 import (
-	"bytes"
-	"cmp"
 	"math"
 	"runtime"
 	"testing"
@@ -12,10 +10,10 @@ import (
 	"github.com/streamagg/correlated/internal/hash"
 )
 
-// TestMirrorIsSharedAcrossSummaries: the GE direction reads the LE
-// direction's sorted batch with each y mirrored, so no summary keeps a copy of
-// a batch: eight summaries that each took one large batch must not each keep
-// a buffer its size. COUNT summaries over sixteen y values keep their own
+// TestMirrorIsSharedAcrossSummaries: both directions read the one sorted
+// batch, so no summary keeps a copy of a batch, mirrored or not: eight
+// summaries that each took one large batch must not each keep a buffer its
+// size. COUNT summaries over sixteen y values keep their own
 // state to a few kilobytes, which leaves batch-sized scratch as the only thing
 // that could grow the heap.
 func TestMirrorIsSharedAcrossSummaries(t *testing.T) {
@@ -61,8 +59,8 @@ func TestMirrorIsSharedAcrossSummaries(t *testing.T) {
 }
 
 // tieHeavyBatches returns rounds × five batches of 16, 63, 64, 65 and 4 096
-// tuples — below, at and past parallelBatchMin, and large — each over at most
-// eight y values of its own, so equal-y runs are long, with weights 1 to 6.
+// tuples, each over at most eight y values of its own, so equal-y runs are
+// long, with weights 1 to 6.
 func tieHeavyBatches(rounds int, seed, ymax uint64) [][]Tuple {
 	rng := hash.New(seed)
 	var out [][]Tuple
@@ -83,64 +81,12 @@ func tieHeavyBatches(rounds int, seed, ymax uint64) [][]Tuple {
 	return out
 }
 
-// addBatchMirroredCopy is the GE direction as it was fed before it read the
-// LE batch: a mirrored copy of the sorted batch, sorted again with
-// core.SortByY (a reversed run order, so the sort reorders the copy), then
-// AddSorted.
-func addBatchMirroredCopy(d *dual, batch []Tuple) error {
-	if err := cmp.Or(d.le, d.ge).SortBatch(batch); err != nil {
-		return err
-	}
-	if d.ge != nil {
-		mir := make([]Tuple, len(batch))
-		for i, t := range batch {
-			mir[i] = Tuple{X: t.X, Y: d.ymax - t.Y, W: t.W}
-		}
-		core.SortByY(mir)
-		d.ge.AddSorted(mir)
-	}
-	if d.le != nil {
-		d.le.AddSorted(batch)
-	}
-	return nil
-}
-
-// addBatchRunsInLogOrder feeds the GE direction a mirrored copy built run by
-// run, the last equal-y run of the sorted batch first and each run in the
-// batch's order: already sorted, so AddSorted takes it as it is.
-func addBatchRunsInLogOrder(d *dual, batch []Tuple) error {
-	if err := cmp.Or(d.le, d.ge).SortBatch(batch); err != nil {
-		return err
-	}
-	if d.ge != nil {
-		mir := make([]Tuple, 0, len(batch))
-		for end := len(batch); end > 0; {
-			start := end - 1
-			for start > 0 && batch[start-1].Y == batch[end-1].Y {
-				start--
-			}
-			for _, t := range batch[start:end] {
-				mir = append(mir, Tuple{X: t.X, Y: d.ymax - t.Y, W: t.W})
-			}
-			end = start
-		}
-		d.ge.AddSorted(mir)
-	}
-	if d.le != nil {
-		d.le.AddSorted(batch)
-	}
-	return nil
-}
-
-// TestGEReadsTheLEBatch: the GE direction applies the sorted LE batch with
-// each y mirrored, the equal-y runs from last to first, and leaves the image
-// a reference fed a mirrored copy leaves. For F2, COUNT and SUM that is the
-// copy re-sorted with core.SortByY, as the GE direction once took it: their
-// closing checks run once a run, so the order inside a run moves no byte. For
-// Fk it is the copy with each run in the batch's order, the order corrd's log
-// holds. Tie-heavy batches, under GE alone and Both, the image compared after
-// every batch.
-func TestGEReadsTheLEBatch(t *testing.T) {
+// TestBothAnswersAsEachSide: a Both summary answers QueryLE as an LE-only
+// summary and QueryGE as a GE-only one with the same Options, bit for bit,
+// after every batch of tie-heavy batches, for every aggregate: its one tree a
+// level is each direction's tree, with the buckets both keep stored once.
+// Fk is the aggregate whose state depends on the order inside an equal-y run.
+func TestBothAnswersAsEachSide(t *testing.T) {
 	rounds := 12
 	if testing.Short() || raceEnabled {
 		rounds = 4
@@ -148,67 +94,57 @@ func TestGEReadsTheLEBatch(t *testing.T) {
 	o := Options{Eps: 0.2, Delta: 0.1, YMax: 1<<20 - 1, MaxStreamLen: 1 << 24, MaxX: 5000, Seed: 9, Alpha: 16}
 	for _, tc := range []struct {
 		name   string
-		make   func(Options) (*summary, error)
-		ref    func(*dual, []Tuple) error
+		agg    core.Aggregate
 		rounds int // Fk's sketches are slow to feed: a quarter of the others'
 	}{
-		{"f2", func(o Options) (*summary, error) {
-			d, err := newDual(core.F2Aggregate(), o)
-			return &summary{d}, err
-		}, addBatchMirroredCopy, rounds},
-		{"count", func(o Options) (*summary, error) {
-			d, err := newDual(core.CountAggregate(), o)
-			return &summary{d}, err
-		}, addBatchMirroredCopy, rounds},
-		{"sum", func(o Options) (*summary, error) {
-			d, err := newDual(core.SumAggregate(), o)
-			return &summary{d}, err
-		}, addBatchMirroredCopy, rounds},
-		{"fk", func(o Options) (*summary, error) {
-			d, err := newDual(core.FkAggregate(3), o)
-			return &summary{d}, err
-		}, addBatchRunsInLogOrder, rounds / 4},
+		{"f2", core.F2Aggregate(), rounds},
+		{"count", core.CountAggregate(), rounds},
+		{"sum", core.SumAggregate(), rounds},
+		{"fk", core.FkAggregate(3), rounds / 4},
 	} {
-		for _, pred := range []Predicate{GE, Both} {
+		var sides [3]*summary
+		for i, pred := range []Predicate{Both, LE, GE} {
 			o := o
 			o.Predicate = pred
-			got, err := tc.make(o)
+			d, err := newDual(tc.agg, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := tc.make(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, batch := range tieHeavyBatches(tc.rounds, 41, o.YMax) {
-				if err := got.AddBatch(cloneBatch(batch)); err != nil {
+			sides[i] = &summary{d}
+		}
+		both, le, ge := sides[0], sides[1], sides[2]
+		for i, batch := range tieHeavyBatches(tc.rounds, 41, o.YMax) {
+			for _, s := range sides {
+				if err := s.AddBatch(cloneBatch(batch)); err != nil {
 					t.Fatal(err)
-				}
-				if err := tc.ref(ref.d, cloneBatch(batch)); err != nil {
-					t.Fatal(err)
-				}
-				a, err := got.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := ref.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(a, b) {
-					t.Fatalf("%s, predicate %d: after batch %d (%d tuples) the image is %d bytes, the reference's %d, and they differ",
-						tc.name, pred, i, len(batch), len(a), len(b))
 				}
 			}
-			if got.d.ge.Watermark(1) == math.MaxUint64 {
-				t.Fatalf("%s, predicate %d: the GE direction evicted nothing at level 1; the batches should fill it", tc.name, pred)
+			for _, c := range []uint64{0, 1 << 10, 1 << 18, 1 << 19, 3 << 18, o.YMax} {
+				for _, q := range []struct {
+					name      string
+					got, want func(uint64) (float64, error)
+				}{{"LE", both.QueryLE, le.QueryLE}, {"GE", both.QueryGE, ge.QueryGE}} {
+					g, gerr := q.got(c)
+					w, werr := q.want(c)
+					if (gerr == nil) != (werr == nil) || math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s, after batch %d (%d tuples): Both %s(%d) = %v (%v), one-sided %v (%v)",
+							tc.name, i, len(batch), q.name, c, g, gerr, w, werr)
+					}
+				}
 			}
+		}
+		if both.Space() >= le.Space()+ge.Space() {
+			t.Fatalf("%s: Both holds %d counters, LE and GE apart %d and %d", tc.name, both.Space(), le.Space(), ge.Space())
+		}
+		rows, _ := both.Occupancy()
+		if rows[1].Watermark == math.MaxUint64 || rows[1].WatermarkGE == math.MaxUint64 {
+			t.Fatalf("%s: level 1 evicted nothing in some direction (%+v); the batches should fill it", tc.name, rows[1])
 		}
 	}
 }
 
 // BenchmarkAddBatchBoth feeds an F2 summary configured as corrd configures a
-// tenant's — both directions, so LE and GE each apply every batch —
+// tenant's — both directions, one tree a level for the two —
 // 32 768-tuple batches sorted by y, as corrd's committer hands them over,
 // after one pass over them has filled its levels. Beside ns/tuple it reports
 // B/tuple: the bytes the heap allocated a tuple, which is what the apply path

@@ -70,8 +70,10 @@ func (s *summary) Reset() { s.d.reset() }
 // Space reports stored counters/tuples (the paper's space metric).
 func (s *summary) Space() int64 { return s.d.space() }
 
-// Occupancy breaks Space down by level, per enabled direction; see
-// LevelOccupancy.
+// Occupancy breaks Space down by level; see LevelOccupancy. le holds the
+// rows of the structure serving LE; ge is nil unless a separate one serves
+// GE — a summary built with Both keeps one tree a level for the two, and
+// its rows carry both directions' watermarks.
 func (s *summary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
 
 // Footprint reports the bytes of memory behind the summary; see Footprint.

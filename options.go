@@ -1,22 +1,25 @@
 package correlated
 
 import (
-	"cmp"
 	"errors"
+	"fmt"
+	"slices"
 
 	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/dyadic"
 )
 
-// Predicate selects which query directions a summary supports. Supporting
-// a direction costs one underlying structure; Both doubles space.
+// Predicate selects which query directions a summary supports. Both keeps
+// one tree of buckets a level for the two directions, storing once every
+// bucket both keep — at every level where neither has discarded anything,
+// that is all of them — so it costs far less than two one-way summaries.
 type Predicate int
 
 const (
 	// LE supports queries of the form y <= c (the default).
 	LE Predicate = iota
-	// GE supports queries of the form y >= c, via a mirrored summary.
+	// GE supports queries of the form y >= c.
 	GE
 	// Both supports both directions.
 	Both
@@ -86,31 +89,72 @@ func (o Options) coreConfig() core.Config {
 	}
 }
 
-// dual wraps a forward (y <= c) and a mirrored (y >= c) core summary.
+// dual is the structure behind the four moment summaries: one core
+// summary serving the Predicate's directions (core.Summary keeps one tree a
+// level for LE and GE alike). A summary restored from a version-1 image —
+// written when the GE direction was a summary of its own over mirrored y,
+// seeded Seed ^ mirrorSeed — holds that image's two directions as two
+// one-sided parts instead, each answering as it did; nothing else keeps a
+// second part.
 type dual struct {
-	le   *core.Summary
-	ge   *core.Summary
-	ymax uint64 // rounded domain top, shared by both directions
-	pred Predicate
+	parts []*core.Summary
+	agg   core.Aggregate
+	cfg   core.Config // what a part is built from: Seed, Dirs aside
+	ymax  uint64      // rounded domain top
+	pred  Predicate
+}
+
+// mirrorSeed is XORed into the seed of a structure over mirrored y: the GE
+// direction of a version-1 image, and the GE copies the heavy-hitter and F0
+// summaries keep.
+const mirrorSeed = 0x6d6972726f72 // "mirror"
+
+// dirsOf returns the core directions a Predicate names.
+func dirsOf(p Predicate) (core.Dirs, error) {
+	switch p {
+	case LE:
+		return core.LE, nil
+	case GE:
+		return core.GE, nil
+	case Both:
+		return core.Both, nil
+	}
+	return 0, fmt.Errorf("correlated: unknown Predicate %d", p)
 }
 
 func newDual(agg core.Aggregate, o Options) (*dual, error) {
-	d := &dual{pred: o.Predicate, ymax: dyadic.RoundYMax(o.YMax)}
-	cfg := o.coreConfig()
-	var err error
-	if o.Predicate == LE || o.Predicate == Both {
-		if d.le, err = core.NewSummary(agg, cfg); err != nil {
-			return nil, err
-		}
+	dirs, err := dirsOf(o.Predicate)
+	if err != nil {
+		return nil, err
 	}
-	if o.Predicate == GE || o.Predicate == Both {
-		mirror := cfg
-		mirror.Seed = cfg.Seed ^ 0x6d6972726f72 // "mirror"
-		if d.ge, err = core.NewSummary(agg, mirror); err != nil {
-			return nil, err
-		}
+	d := &dual{agg: agg, cfg: o.coreConfig(), pred: o.Predicate, ymax: dyadic.RoundYMax(o.YMax)}
+	p, err := d.newPart(dirs, false)
+	if err != nil {
+		return nil, err
 	}
+	d.parts = []*core.Summary{p}
 	return d, nil
+}
+
+// newPart builds a core summary serving dirs, seeded Seed ^ mirrorSeed if
+// mirror says so.
+func (d *dual) newPart(dirs core.Dirs, mirror bool) (*core.Summary, error) {
+	cfg := d.cfg
+	cfg.Dirs = dirs
+	if mirror {
+		cfg.Seed ^= mirrorSeed
+	}
+	return core.NewSummary(d.agg, cfg)
+}
+
+// serving returns the part that answers direction dir, nil if none does.
+func (d *dual) serving(dir core.Dirs) *core.Summary {
+	for _, p := range d.parts {
+		if p.Dirs()&dir != 0 {
+			return p
+		}
+	}
+	return nil
 }
 
 // Tuple is one stream element for batched insertion. A zero W counts as
@@ -121,80 +165,56 @@ func (d *dual) add(x, y uint64, w int64) error {
 	if y > d.ymax {
 		return errors.New("correlated: y exceeds YMax")
 	}
-	if d.le != nil {
-		if err := d.le.AddWeighted(x, y, w); err != nil {
-			return err
-		}
-	}
-	if d.ge != nil {
-		if err := d.ge.AddWeighted(x, d.ymax-y, w); err != nil {
+	for _, p := range d.parts {
+		if err := p.AddWeighted(x, y, w); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// parallelBatchMin is the batch size from which addBatch applies the GE
-// direction on a second goroutine. An apply costs microseconds per tuple,
-// so the hand-off pays for itself early: on two cores, 32-tuple batches
-// and up measured 1.2–2× faster split, 16-tuple batches no different.
-const parallelBatchMin = 64
-
-// addBatch feeds a batch through the underlying summaries' amortized
-// batched path. The batch is sorted by y in place, and both directions read
-// that one sorted batch: GE walks its equal-y runs from last to first with
-// each y mirrored (core.Summary.AddSortedMirrored), so no copy is made.
+// addBatch feeds a batch through the core summary's amortized batched path.
+// The batch is sorted by y in place (SortBatch touches no summary), so the
+// state a batch leaves is a function of that sorted order under every
+// Predicate: a batch handed over already sorted — as corrd's log holds it —
+// leaves the bytes the original does. Every tuple is validated before any
+// part changes.
 func (d *dual) addBatch(batch []Tuple) error {
-	return d.addBatchDirs(batch, len(batch) >= parallelBatchMin)
-}
-
-// addBatchDirs is addBatch with the LE‖GE choice made by the caller.
-// The two directions share nothing but the sorted batch, which neither
-// writes — own core.Summary, own maker and seed — so the state parallel
-// leaves is the state the sequential order leaves, bit for bit. The batch
-// is sorted by y whichever directions are on (SortBatch touches no
-// summary), so the state a batch leaves is a function of that sorted order
-// under every Predicate: a batch handed over already sorted — as corrd's
-// log holds it — leaves the bytes the original does. Inside an equal-y run
-// GE applies the tuples in the batch's order, as LE does; only Fk's state
-// depends on that order. Every tuple is validated before either summary
-// changes.
-func (d *dual) addBatchDirs(batch []Tuple, parallel bool) error {
 	for i := range batch {
 		if batch[i].Y > d.ymax {
 			return errors.New("correlated: y exceeds YMax")
 		}
 	}
-	if sorter := cmp.Or(d.le, d.ge); sorter != nil {
-		if err := sorter.SortBatch(batch); err != nil {
-			return err
-		}
+	if err := d.parts[0].SortBatch(batch); err != nil {
+		return err
 	}
-	var geDone chan struct{}
-	if d.ge != nil {
-		if parallel && d.le != nil {
-			geDone = make(chan struct{})
-			go func() {
-				d.ge.AddSortedMirrored(batch)
-				close(geDone)
-			}()
-		} else {
-			d.ge.AddSortedMirrored(batch)
-		}
-	}
-	if d.le != nil {
-		d.le.AddSorted(batch)
-	}
-	if geDone != nil {
-		<-geDone
+	for _, p := range d.parts {
+		p.AddSorted(batch)
 	}
 	return nil
 }
 
+// shape is a part's place in a summary: the directions it serves, and
+// whether it is seeded Seed ^ mirrorSeed.
+type shape struct {
+	dirs   core.Dirs
+	mirror bool
+}
+
+// shapes returns the shapes of d's parts.
+func (d *dual) shapes() []shape {
+	out := make([]shape, len(d.parts))
+	for i, p := range d.parts {
+		out[i] = shape{p.Dirs(), p.Config().Seed != d.cfg.Seed}
+	}
+	return out
+}
+
 // merge folds another dual built from identical Options into d.
-// Mismatches are caught while validating the first direction, before any
-// state changes; the two directions share every configuration field, so a
-// merge that passes the first direction cannot be rejected on the second.
+// Mismatches are caught while validating the first part, before any state
+// changes; parts share every configuration field but the seed, which the
+// shape check settles, so a merge that passes the first part cannot be
+// rejected on a second.
 func (d *dual) merge(o *dual) error {
 	if o == nil {
 		return errors.New("correlated: cannot merge a nil summary")
@@ -205,71 +225,75 @@ func (d *dual) merge(o *dual) error {
 	if d.pred != o.pred {
 		return compat.Mismatch("predicate", d.pred, o.pred)
 	}
-	if d.le != nil {
-		if err := d.le.Merge(o.le); err != nil {
-			return err
-		}
+	if a, b := d.shapes(), o.shapes(); !slices.Equal(a, b) {
+		return compat.Mismatch("parts", a, b)
 	}
-	if d.ge != nil {
-		if err := d.ge.Merge(o.ge); err != nil {
+	for i, p := range d.parts {
+		if err := p.Merge(o.parts[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// reset clears both directions back to their freshly constructed state.
+// reset returns d to its freshly constructed state: one part, cleared.
 func (d *dual) reset() {
-	if d.le != nil {
-		d.le.Reset()
+	dirs, _ := dirsOf(d.pred)
+	if fresh := (shape{dirs, false}); slices.Equal(d.shapes(), []shape{fresh}) {
+		d.parts[0].Reset()
+		return
 	}
-	if d.ge != nil {
-		d.ge.Reset()
+	p, err := d.newPart(dirs, false)
+	if err != nil {
+		panic(err) // the configuration built this summary's parts before
 	}
+	d.parts = []*core.Summary{p}
 }
 
 func (d *dual) queryLE(c uint64) (float64, error) {
-	if d.le == nil {
+	p := d.serving(core.LE)
+	if p == nil {
 		return 0, ErrDirection
 	}
-	return d.le.Query(c)
+	return p.Query(c)
 }
 
 func (d *dual) queryGE(c uint64) (float64, error) {
-	if d.ge == nil {
+	p := d.serving(core.GE)
+	if p == nil {
 		return 0, ErrDirection
 	}
 	if c > d.ymax {
 		return 0, nil // nothing can satisfy y >= c
 	}
-	return d.ge.Query(d.ymax - c)
+	return p.QueryGE(c)
 }
 
 func (d *dual) space() int64 {
 	var s int64
-	if d.le != nil {
-		s += d.le.Space()
-	}
-	if d.ge != nil {
-		s += d.ge.Space()
+	for _, p := range d.parts {
+		s += p.Space()
 	}
 	return s
 }
 
 // LevelOccupancy is one level's row of a summary's Occupancy: buckets
-// stored, closed and untouched, sketches by form, the level's share of Space,
-// the bytes behind it and its watermark.
+// stored, shared by both directions, closed and untouched, sketches by form,
+// the level's share of Space, the bytes behind it and each direction's
+// watermark.
 type LevelOccupancy = core.LevelOccupancy
 
-// occupancy returns the per-level rows of each enabled direction (nil for a
-// disabled one). The GE rows describe the mirrored structure: a watermark w
-// there means queries with c > YMax − w are served from the level.
+// occupancy returns the per-level rows of the part that serves LE and, if
+// another part serves GE, of that one (nil for a direction not served, and
+// ge nil when one part serves both — every summary built with Both; its rows
+// carry both directions' watermarks and count the buckets they share).
 func (d *dual) occupancy() (le, ge []LevelOccupancy) {
-	if d.le != nil {
-		le = d.le.Occupancy()
+	lp, gp := d.serving(core.LE), d.serving(core.GE)
+	if lp != nil {
+		le = lp.Occupancy()
 	}
-	if d.ge != nil {
-		ge = d.ge.Occupancy()
+	if gp != nil && gp != lp {
+		ge = gp.Occupancy()
 	}
 	return le, ge
 }
@@ -283,20 +307,13 @@ func (d *dual) occupancy() (le, ge []LevelOccupancy) {
 // Space's walk, and their spare tree nodes as Pooled, with Arena 0.
 type Footprint = core.Footprint
 
-// footprint adds up the enabled directions.
+// footprint adds up the parts.
 func (d *dual) footprint() Footprint {
 	var f Footprint
-	for _, side := range []*core.Summary{d.le, d.ge} {
-		if side != nil {
-			f = f.Plus(side.Footprint())
-		}
+	for _, p := range d.parts {
+		f = f.Plus(p.Footprint())
 	}
 	return f
 }
 
-func (d *dual) count() uint64 {
-	if d.le != nil {
-		return d.le.Count()
-	}
-	return d.ge.Count()
-}
+func (d *dual) count() uint64 { return d.parts[0].Count() }

@@ -11,7 +11,7 @@ import (
 )
 
 // parallelTestOptions is corrd's benchmark configuration: both
-// directions, so the LE‖GE split in dual.addBatchDirs has two sides.
+// directions.
 func parallelTestOptions() Options {
 	return Options{
 		Eps: 0.15, Delta: 0.1, YMax: 1_000_000,
@@ -81,44 +81,6 @@ func requireSameState(t *testing.T, a, b *F2Summary) {
 	}
 }
 
-// TestAddBatchParallelGEBitIdentical: applying the GE direction on a
-// second goroutine leaves exactly the state the sequential order leaves,
-// at batch sizes below, at and above parallelBatchMin, zero weights
-// included. Run under -race it is also the proof that the two directions
-// share no memory.
-func TestAddBatchParallelGEBitIdentical(t *testing.T) {
-	seq, err := NewF2Summary(parallelTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewF2Summary(parallelTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := NewF2Summary(parallelTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 40_000
-	if testing.Short() {
-		n = 12_000
-	}
-	sizes := []int{16, parallelBatchMin - 1, parallelBatchMin, parallelBatchMin + 1, 4096}
-	for i, batch := range batchesOf(n, 11, sizes...) {
-		if err := seq.d.addBatchDirs(cloneBatch(batch), false); err != nil {
-			t.Fatalf("batch %d sequential: %v", i, err)
-		}
-		if err := par.d.addBatchDirs(cloneBatch(batch), true); err != nil {
-			t.Fatalf("batch %d parallel: %v", i, err)
-		}
-		if err := auto.AddBatch(cloneBatch(batch)); err != nil {
-			t.Fatalf("batch %d AddBatch: %v", i, err)
-		}
-	}
-	requireSameState(t, seq, par)
-	requireSameState(t, seq, auto)
-}
-
 // TestAddBatchOfSortedCopyBitIdentical: under every Predicate the state a
 // batch leaves is a function of what core.SortByY makes of it, so a batch
 // sorted ahead of AddBatch — what corrd's committer logs and its replay
@@ -166,8 +128,9 @@ func TestAddBatchOfSortedCopyBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAddBatchParallelRejectsWhole: an invalid tuple anywhere in a batch
-// large enough to split rejects the batch with both directions untouched.
+// TestAddBatchParallelRejectsWhole: an invalid tuple anywhere in a large
+// batch, near its start or its end, rejects the batch with the summary
+// untouched in both directions.
 func TestAddBatchParallelRejectsWhole(t *testing.T) {
 	o := parallelTestOptions()
 	ref, err := NewF2Summary(o)

@@ -140,7 +140,7 @@ func (rig *forwardRig) settle(when string) {
 // A site forwards its log to a coordinator; after each way forwarding can
 // be cut — the coordinator unreachable, a clean drain, an answer that times
 // out, the site killed, the coordinator killed, the coordinator replaced by
-// its promoted standby — the coordinator's /v1/summary for every tenant
+// its promoted standby, caught up or lagging — the coordinator's /v1/summary for every tenant
 // equals the site's and holds every acknowledged tuple once. Each cut but
 // the first two lands after the coordinator applied a record whose answer
 // the site never heard, so the mark — kept, restored from a snapshot and a
@@ -253,6 +253,45 @@ func TestForwardExactlyOnce(t *testing.T) {
 	rig.settle("after the standby was promoted")
 	if duplicates() == 0 {
 		t.Fatal("the promoted standby dropped no copy: the marks did not come nested in its primary's forwards")
+	}
+
+	// A lagging standby promoted: a second site's coordinator lost the link
+	// to its standby, went on confirming the site's records, and was lost
+	// itself; the standby, behind by those records, is promoted and the site
+	// re-pointed to it. The site's forwards name a record past the standby's
+	// mark, the standby refuses the gap with its mark, and the site, whose
+	// log still holds everything since, sends again from there.
+	sb, err := New(Config{Options: coordCfg.Options, Standby: true, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lagging := newTarget(t, sb)
+	primaryCfg := walConfig(t)
+	primaryCfg.PushTo = lagging.proxy.URL
+	primary, err := New(primaryCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig2 := newForwardRig(t, primary, walConfig(t))
+	rig2.ingest("", 3, 100, 90)
+	rig2.ingest("d", 2, 100, 95)
+	rig2.settle("before the standby lagged")
+	caughtUp(t, "before the standby lagged", primary)
+	lagging.down.Store(true)
+	rig2.ingest("", 4, 100, 100)
+	rig2.ingest("d", 3, 100, 105)
+	rig2.settle("with the standby cut off")
+	crash(nil, primary)
+	if err := sb.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	gaps := sb.metrics.forwardsRejected.Load()
+	lagging.down.Store(false)
+	rig2.coord.Store(sb)
+	rig2.ingest("d", 2, 100, 110)
+	rig2.settle("after a lagging standby was promoted")
+	if sb.metrics.forwardsRejected.Load() == gaps {
+		t.Fatal("the promoted standby refused no forward across the records it lacked")
 	}
 }
 
