@@ -10,10 +10,10 @@
 //
 // -wal-dir, the state directory, is required: every acknowledged ingest
 // batch and forwarded site record is appended to the write-ahead log there
-// before the HTTP 200, and a snapshot beside it, <wal-dir>/snapshot,
-// written every -snapshot-interval and at shutdown, checkpoints and prunes
-// it. Startup restores the snapshot and replays the log suffix, so a kill
-// -9 loses nothing acknowledged. Concurrent ingest requests are group-committed:
+// before the HTTP 200; a checkpoint, every -snapshot-interval and at
+// shutdown, appends every tenant's summary image to the same log and
+// prunes what came before. Startup restores the newest checkpoint and
+// replays the records after it, so a kill -9 loses nothing acknowledged. Concurrent ingest requests are group-committed:
 // everything queued while the previous group was fsyncing is applied
 // (one AddBatch per touched tenant) and made durable as one unit (one
 // fsync, up to 256 requests), so acknowledged throughput scales with the
@@ -24,9 +24,10 @@
 // so a repeated query does not block ingest. -shards is accepted and
 // ignored (the benchmark's command line still passes it): it selected
 // the worker count of a per-tenant sharded engine this daemon no longer
-// has. The log, the snapshot and the forward body are versioned
-// together; files or peers from before the break are refused by name
-// (README "Storage format").
+// has. The log and the forward body are versioned together; files or
+// peers from before the break are refused by name, and an earlier
+// release's snapshot file alone in -wal-dir is imported once (README
+// "Storage format", "Upgrading").
 //
 // With -stream-addr set, the daemon also serves the persistent
 // length-framed streaming-ingest transport on that address: clients
@@ -38,8 +39,8 @@
 //
 // Every ingest and query endpoint accepts a ?tenant=NAME key
 // selecting one of N independent summaries behind the same daemon (the
-// streaming transport carries the key per frame); the WAL and snapshot
-// keep each tenant's recovery byte-exact. -max-tenants and
+// streaming transport carries the key per frame); the WAL and its
+// checkpoints keep each tenant's recovery byte-exact. -max-tenants and
 // -max-tenant-bytes cap the namespace, and -tenant-idle-spill compacts
 // idle tenants to their marshaled images until their next touch.
 //
@@ -55,10 +56,10 @@
 // The log is what is forwarded, and the site's checkpoints prune it only
 // as far as every target has confirmed. The
 // site id that names the log's LSN space is kept in the WAL directory. A
-// record a target refuses (a tenant cap) holds back the records behind
-// it, and a target whose mark is behind the log's oldest record waits to
-// be started on a copy of the site's snapshot: /v1/stats reports either
-// as forward_stalled. A site forwards tuples, never a summary image, so a
+// target behind the log's oldest record is sent the newest checkpoint,
+// which bootstraps a standby on an empty -wal-dir. A record a target
+// refuses (a tenant cap; a checkpoint, anywhere but at a standby) holds
+// back the records behind it: /v1/stats reports it as forward_stalled. A site forwards tuples, never a summary image, so a
 // target applies them under its own summary flags (-agg, -k, -eps,
 // -delta, -ymax, -maxn, -maxx, -seed, -pred, and the alpha overrides); a
 // tuple past its -ymax is refused.
@@ -99,12 +100,12 @@
 // -slow-request promotes slow requests to the main logger; -debug-addr
 // serves net/http/pprof on a separate listener. /metrics carries the
 // commit pipeline's per-stage latency histograms
-// (corrd_pipeline_stage_seconds) alongside WAL, snapshot, tenant, and
+// (corrd_pipeline_stage_seconds) alongside WAL, checkpoint, tenant, and
 // Go runtime series, and takes no driver lock: a tenant's tuple count and
 // space, the memory ledger and the query-memo counts are /v1/stats'.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: drain HTTP, commit what
-// is queued, final forward (site role), final snapshot.
+// is queued, final forward (site role), final checkpoint.
 package main
 
 import (
@@ -177,9 +178,9 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Int("shards", 1, "ignored: each tenant is one summary; parsed only because benchmarks/corrdbench still passes it, and goes when it stops")
 	fs.DurationVar(&c.QueryMaxStale, "query-max-stale", 0, "serve a memoized query answer up to this old even though the tenant's state moved (0 = only while it has not)")
 
-	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", 30*time.Second, "time between snapshots, which checkpoint and prune the log")
+	fs.DurationVar(&c.SnapshotInterval, "snapshot-interval", 30*time.Second, "time between checkpoints, which append every tenant's image to the log and prune what came before")
 
-	fs.StringVar(&c.WALDir, "wal-dir", "", "state directory (required): the write-ahead log every acknowledged write is in first, which survives kill -9, and its snapshots")
+	fs.StringVar(&c.WALDir, "wal-dir", "", "state directory (required): the write-ahead log every acknowledged write is in first, which survives kill -9, and holds its checkpoints; a copy of it restores")
 	fs.Int64Var(&c.WALSegmentBytes, "wal-segment-bytes", 64<<20, "WAL segment rotation threshold")
 
 	fs.StringVar(&c.PushTo, "push-to", "", "comma-separated base URLs of coordinators and standbys; setting it makes this daemon a site that forwards its log to each")
@@ -199,7 +200,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&c.TenantIdleSpill, "tenant-idle-spill", 0, "spill tenants idle longer than this to compact in-memory images (0 = never)")
 
 	fs.IntVar(&c.IngestQueueMax, "ingest-queue-max", 4096, "commit-pipeline queue bound; requests past it are shed with HTTP 429 / AckBusy (0 = unbounded)")
-	fs.StringVar(&o.faultPlan, "fault-plan", "", `fault-injection plan for WAL/snapshot I/O, e.g. "sync:err@3+;write:enospc@4096" (testing only; empty = disabled, "off" = injector armed but idle, reconfigurable via POST /v1/fault)`)
+	fs.StringVar(&o.faultPlan, "fault-plan", "", `fault-injection plan for the state directory's I/O, e.g. "sync:err@3+;write:enospc@4096" (testing only; empty = disabled, "off" = injector armed but idle, reconfigurable via POST /v1/fault)`)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -311,7 +312,7 @@ func main() {
 		os.Exit(1)
 	}
 	if svc.Restored() {
-		logger.Printf("corrd: restored state from a snapshot in %s", o.svc.WALDir)
+		logger.Printf("corrd: restored state from a checkpoint in %s", o.svc.WALDir)
 	}
 
 	httpSrv := &http.Server{
@@ -369,7 +370,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Drain in-flight requests, then commit/forward/snapshot via Close.
+	// Drain in-flight requests, then commit/forward/checkpoint via Close.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {

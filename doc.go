@@ -53,7 +53,7 @@
 //	                          service, client   corrd, the site/coordinator network
 //	                                            daemon (cmd/corrd): HTTP ingest,
 //	                                            sites forwarding their logs,
-//	                                            log+snapshot durability, Prometheus
+//	                                            log durability, Prometheus
 //	                                            metrics, and the Go client
 //	                                            driving it
 //	concurrent serving        service           group-commit ingest pipeline (one
@@ -86,7 +86,7 @@
 //	                                            per tenant behind the shared WAL
 //	                                            and group-commit pipeline,
 //	                                            tenant-tagged log records and
-//	                                            snapshot framing for per-tenant
+//	                                            checkpoint images for per-tenant
 //	                                            crash-exact recovery, count and
 //	                                            memory governance caps (429/413),
 //	                                            idle-tenant spill to compact
@@ -135,9 +135,9 @@
 //	                                            unacked log suffix, overload
 //	                                            shedding (-ingest-queue-max → 429/
 //	                                            AckBusy with EWMA-priced
-//	                                            Retry-After), snapshot retention
-//	                                            with corrupt-newest fallback
-//	                                            (two generations), and the fault-
+//	                                            Retry-After), checkpoints in the
+//	                                            log that a torn tail falls back
+//	                                            past, and the fault-
 //	                                            injection harness behind it all:
 //	                                            an error-plan DSL over a swappable
 //	                                            filesystem (corrd -fault-plan,
@@ -222,8 +222,8 @@
 // (with cmd/corrd) serve the model over HTTP without that term: remote
 // sites forward their write-ahead logs, so the coordinator keeps one
 // summary per tenant and merges nothing, the coordinator daemon serves
-// queries from that state, and its log, checkpointed by snapshots kept
-// beside it, makes the serving tier restartable.
+// queries from that state, and its log, which holds its checkpoints
+// too, makes the serving tier restartable.
 //
 // # Concurrency
 //

@@ -12,9 +12,9 @@
 //
 // The coordinator's answers over the union stream are then compared
 // against exact brute-force aggregation, beside the bytes the sites
-// shipped per tuple, and the coordinator state is snapshotted and
-// restored into a second server to show the durability path producing
-// identical answers.
+// shipped per tuple, and the coordinator state is checkpointed and a copy
+// of its state directory restored into a second server to show the
+// durability path producing identical answers.
 package main
 
 import (
@@ -148,14 +148,20 @@ func main() {
 			c, got, want, got/want-1, perTuple)
 	}
 
-	// ---- Durability: snapshot, restore into a fresh server ---------------
-	// The fresh server starts on a copy of the snapshot, alone in its WALDir.
-	if err := coord.Snapshot(); err != nil {
+	// ---- Durability: checkpoint, restore into a fresh server -------------
+	// The fresh server starts on a copy of the state directory: its log,
+	// which holds its checkpoints, is all there is.
+	if err := coord.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
 	restoredDir := filepath.Join(dir, "restored")
-	snap, err := os.ReadFile(filepath.Join(coordDir, "snapshot"))
-	if err = cmp.Or(err, os.Mkdir(restoredDir, 0o755), os.WriteFile(filepath.Join(restoredDir, "snapshot"), snap, 0o644)); err != nil {
+	entries, err := os.ReadDir(coordDir)
+	err = cmp.Or(err, os.Mkdir(restoredDir, 0o755))
+	for _, e := range entries {
+		data, rerr := os.ReadFile(filepath.Join(coordDir, e.Name()))
+		err = cmp.Or(err, rerr, os.WriteFile(filepath.Join(restoredDir, e.Name()), data, 0o644))
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	restoredSvc, err := service.New(service.Config{Options: opts, WALDir: restoredDir})
@@ -176,7 +182,7 @@ func main() {
 			log.Fatalf("restored server diverged at c=%d: %v vs %v", c, a, b)
 		}
 	}
-	fmt.Printf("restored-from-snapshot server answers identically at %d cutoffs\n", len(cuts))
+	fmt.Printf("server restored from a copy of the state directory answers identically at %d cutoffs\n", len(cuts))
 	if err := coord.Close(); err != nil {
 		log.Fatal(err)
 	}

@@ -148,9 +148,9 @@ func TestFollowDurableFrontier(t *testing.T) {
 	}
 }
 
-// TestFollowTruncatedHorizon: a follower asking for records a
-// checkpoint has pruned gets ErrTruncated — the signal to catch up from
-// a snapshot instead.
+// TestFollowTruncatedHorizon: a follower asking for records a prune
+// behind a checkpoint deleted gets ErrTruncated — the signal to catch up
+// from the checkpoint instead.
 func TestFollowTruncatedHorizon(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{SegmentBytes: 64})
@@ -163,7 +163,10 @@ func TestFollowTruncatedHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := checkpoint(w, 20); err != nil {
+	if _, err := checkpoint(w, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Prune(^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
 	if st := w.Stats(); st.PrunedSegments == 0 {

@@ -87,13 +87,13 @@ func FuzzWALReplay(f *testing.F) {
 		appendSync(w, RecordCheckpoint, binary.AppendUvarint(nil, 1<<62))
 	}))
 	// A segment from before each version break: whole header, version 1,
-	// 2, 3, 4 or 5, records behind it. Open refuses it by name; mutations explore the
+	// 2, 3, 4, 5 or 6, records behind it. Open refuses it by name; mutations explore the
 	// boundary between "another version" and "torn or corrupt".
 	preBreak := seed(func(w *WAL) {
 		appendSync(w, RecordIngest, []byte{1, 2, 3, 1})
 		appendSync(w, 8, []byte{1, 0, 1, 2, 3, 1})
 	})
-	for _, version := range []byte{1, 2, 3, 4, 5} {
+	for _, version := range []byte{1, 2, 3, 4, 5, 6} {
 		preBreak[8] = version
 		f.Add(bytes.Clone(preBreak))
 	}

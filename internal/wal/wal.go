@@ -1,9 +1,10 @@
-// Package wal is the durable-ingest subsystem of the corrd service: a
-// segmented append-only write-ahead log with CRC32C-framed records, the
-// piece that closes the durability window left by periodic snapshots.
-// The service logs each accepted ingest batch and forwarded site record
-// before acknowledging it, so an acknowledged request survives a crash; on
-// restart the engine is rebuilt as snapshot + replayed log suffix.
+// Package wal is the durable state of the corrd service: a segmented
+// append-only write-ahead log with CRC32C-framed records, and the one
+// artefact a server keeps. The service logs each accepted ingest batch and
+// forwarded site record before acknowledging it, and checkpoints its state
+// into the log as records too, so an acknowledged request survives a crash;
+// on restart the engine is rebuilt as the newest checkpoint's images + the
+// records logged after it.
 //
 // # Log structure
 //
@@ -19,12 +20,12 @@
 //
 // The log frames payloads it does not read, but their grammar is
 // versioned here: Version moves whenever a record's payload changes
-// meaning (version 6 codes each column of an ingest record's rows in
-// Rice or Exp-Golomb, whichever is shorter), and a segment of another
-// version is refused by name (ErrVersion), never decoded.
+// meaning (version 7 made checkpoints records of the log), and a segment
+// of another version is refused by name (ErrVersion), never decoded.
 //
 // Records are assigned consecutive LSNs in append order across
-// segments. There is one append, AppendNoSync, and one barrier, Sync: the
+// segments, the first record of a log LSN 1. There is one append,
+// AppendNoSync, and one barrier, Sync: the
 // writer appends the records of a commit group and calls Sync once. When
 // it returns nil every one of them survives kill -9, and when it fails it
 // has already rewound all of them out of the log, under the same lock
@@ -36,7 +37,7 @@
 //
 // # Recovery
 //
-// Open validates the segment chain and scans the final segment. A
+// Open validates the segment chain and scans every segment. A
 // frame that fails its length or CRC check in the final segment is a
 // torn tail — the write that was in flight when the process died — and
 // the segment is truncated to the last whole frame. A torn frame can
@@ -49,14 +50,12 @@
 //
 // # Checkpoints
 //
-// A checkpoint is a RecordCheckpoint marker, appended and synced by the
-// writer like any other record, recording that some external snapshot
-// captures the effects of every record with LSN <= covered; once the
-// marker is durable, Checkpoint(covered) deletes the sealed segments
-// whose records are all covered. Replay starts from an LSN the caller
-// recovers from its snapshot, so pruned segments are never needed
-// again. The marker itself also lets an Open-time reader see where the
-// last snapshot cut the log.
+// A checkpoint is RecordImage records and the RecordCheckpoint that counts
+// them, one commit group: the images hold the state of every record before
+// them. Open's scan reads every frame, so it notes the newest durable
+// checkpoint for free (LastCheckpoint). One torn at the tail is the log's
+// torn tail, and the one before it is whole: Prune never deletes a record
+// from the newest durable checkpoint's first image on.
 package wal
 
 import (
@@ -91,17 +90,18 @@ const (
 	// concatenated and sorted by y — acknowledged behind this record's
 	// single fsync; replay hands each tenant the same argument.
 	RecordIngest RecordType = 1
-	// Type 2 was a push record: a summary image an earlier release of this
-	// format merged into a tenant. It stays reserved: the service refuses a
-	// record of it by name, wherever one would be applied.
-
-	// RecordCheckpoint carries uvarint(covered): a snapshot durable
-	// outside the log captures every record with LSN <= covered.
+	// RecordImage is one tenant's state inside a checkpoint: its tenant
+	// prefix (tupleio.AppendTenant), then the image /v1/summary serves.
+	RecordImage RecordType = 3
+	// RecordCheckpoint closes a checkpoint: uvarint(n), the count of the
+	// images right before it, then what the service keeps with them (its
+	// encodeCheckpoint: their tenants' keys and the sites' marks).
 	RecordCheckpoint RecordType = 4
 	// RecordForward is records a site forwarded from its own log:
 	// uvarint(site id), then per record uvarint(its LSN in the site's
-	// log), its type byte (RecordIngest or RecordForward),
-	// uvarint(len(payload)) and the site's payload verbatim. Applying it
+	// log), its type byte, uvarint(len(payload)) and the site's payload
+	// verbatim — or RecordProbe and no payload for one dropped at the
+	// mark. Applying it
 	// applies the inner records and advances the site's mark to the last,
 	// below which a forwarded record is a duplicate.
 	RecordForward RecordType = 5
@@ -131,12 +131,6 @@ type Options struct {
 	// OnFsync, when set, observes the wall-clock duration of every
 	// successful fsync of the active segment (for latency histograms).
 	OnFsync func(time.Duration)
-	// FirstLSN, when > 0, numbers the first record of a brand-new log
-	// (an empty directory) FirstLSN instead of 1. A server starting a
-	// new log beside a snapshot uses it to continue the snapshot's LSN
-	// space, so the LSNs in its snapshots and its log never collide.
-	// Ignored when the directory already holds segments.
-	FirstLSN uint64
 	// FS is the filesystem the log lives on; nil means the real OS.
 	// Tests and chaos harnesses hand a *fault.Injector here to make the
 	// disk fail on cue (internal/fault).
@@ -162,12 +156,13 @@ const (
 // records (reset, ack, fold-back) for RecordForward; version 5 Rice-coded
 // a sorted batch's rows where each value was a uvarint; version 6 codes
 // each column in Rice or Exp-Golomb, whichever is shorter, and moves the
-// weight flag into the first parameter byte. A segment of an
+// weight flag into the first parameter byte; version 7 logs checkpoints
+// where a snapshot file held them. A segment of an
 // earlier version holds records this code no longer decodes, so it is
 // refused by name (ErrVersion) — never reinterpreted; a site's forward
 // names the version its records are in, so a coordinator refuses them the
 // same way.
-const Version = 6
+const Version = 7
 
 var (
 	magic = [8]byte{'c', 'o', 'r', 'r', 'd', 'w', 'a', 'l'}
@@ -193,8 +188,8 @@ var (
 	// this sentinel.
 	ErrBroken = errors.New("wal: log is broken")
 	// ErrTruncated is returned by Follow when the requested start
-	// position has been pruned by a checkpoint: the records are gone and
-	// the caller must resynchronize from a snapshot instead.
+	// position has been pruned: the records are gone and the caller must
+	// resynchronize from a checkpoint instead.
 	ErrTruncated = errors.New("wal: follow position pruned by checkpoint")
 )
 
@@ -205,8 +200,8 @@ type Stats struct {
 	Appends        uint64 // records appended this process
 	AppendedBytes  uint64 // frame bytes appended this process
 	Fsyncs         uint64 // successful fsyncs of the active segment
-	Checkpoints    uint64 // checkpoints pruned behind
-	PrunedSegments uint64 // sealed segments deleted by checkpoints
+	Checkpoints    uint64 // checkpoints made durable this process
+	PrunedSegments uint64 // sealed segments deleted by Prune
 	LastLSN        uint64 // LSN of the most recently appended record
 }
 
@@ -248,8 +243,12 @@ type WAL struct {
 	notify chan struct{}
 
 	// sealed is every non-active segment: firstLSN -> lastLSN,
-	// maintained for checkpoint pruning.
+	// maintained for pruning.
 	sealed map[uint64]uint64
+
+	// ckpt is the newest durable checkpoint (zero: none); pending is one
+	// appended since the last barrier, which that barrier makes ckpt.
+	ckpt, pending Checkpoint
 
 	segments       atomic.Int64
 	appends        atomic.Uint64
@@ -307,6 +306,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	// Everything recover left on disk is the replay baseline: it is what
 	// a crash-restart would rebuild from, so followers may have it.
 	w.durable = w.lastLSN.Load()
+	w.ckpt, w.pending = w.pending, Checkpoint{}
 	return w, nil
 }
 
@@ -337,11 +337,7 @@ func (w *WAL) recover() error {
 		return err
 	}
 	if len(firsts) == 0 {
-		first := uint64(1)
-		if w.opts.FirstLSN > 0 {
-			first = w.opts.FirstLSN
-		}
-		return w.startSegment(first)
+		return w.startSegment(1)
 	}
 	next := firsts[0]
 	for i, first := range firsts {
@@ -421,7 +417,7 @@ func (w *WAL) scanSegment(path string, firstLSN uint64, final bool) (nextLSN uin
 	}
 	r := segReader{f: f, first: firstLSN, off: headerSize, lsn: firstLSN}
 	err = r.walk(func() (bool, error) { return r.off < fileSize, nil },
-		func(uint64, RecordType, []byte) error { return nil })
+		func(lsn uint64, typ RecordType, data []byte) error { w.note(lsn, typ, data); return nil })
 	if err != nil && !(final && errors.Is(err, ErrCorrupt)) {
 		return 0, 0, err
 	}
@@ -582,8 +578,7 @@ func (w *WAL) startSegment(firstLSN uint64) error {
 	if firstLSN > 1 {
 		// Keep LastLSN truthful on every path that starts a segment —
 		// rotation (where it is already firstLSN-1) and torn-creation
-		// reinit (where it would otherwise stay 0 and poison the next
-		// snapshot's covered LSN).
+		// reinit (where it would otherwise stay 0).
 		w.lastLSN.Store(firstLSN - 1)
 	}
 	w.dirty = true
@@ -654,6 +649,7 @@ func (w *WAL) appendLocked(typ RecordType, payload []byte) (uint64, error) {
 	w.dirty = true
 	lsn := w.nextLSN
 	w.nextLSN++
+	w.note(lsn, typ, payload)
 	w.appends.Add(1)
 	w.appendedBytes.Add(uint64(len(w.frame)))
 	w.lastLSN.Store(lsn)
@@ -661,6 +657,17 @@ func (w *WAL) appendLocked(typ RecordType, payload []byte) (uint64, error) {
 		w.frame = nil // do not pin a rare huge record
 	}
 	return lsn, nil
+}
+
+// Checkpoint names a checkpoint by the LSNs of its first image and record.
+type Checkpoint struct{ First, LSN uint64 }
+
+// note notes a checkpoint the log appends, or Open's scan reads.
+func (w *WAL) note(lsn uint64, typ RecordType, payload []byte) {
+	if typ == RecordCheckpoint {
+		n, _ := binary.Uvarint(payload)
+		w.pending = Checkpoint{lsn - min(n, lsn-1), lsn}
+	}
 }
 
 // truncateTailLocked cuts the active segment back to w.size, dropping
@@ -690,6 +697,7 @@ func (w *WAL) rewindUnsyncedLocked() {
 	w.size = w.syncedSize
 	w.nextLSN = w.durable + 1
 	w.lastLSN.Store(w.durable)
+	w.pending = Checkpoint{}
 	// The truncation is itself an unsynced change; leave the segment
 	// dirty so the next successful barrier persists it.
 	w.dirty = true
@@ -715,6 +723,10 @@ func (w *WAL) syncLocked() error {
 	if last := w.nextLSN - 1; last > w.durable {
 		w.durable = last
 		w.wakeFollowersLocked()
+	}
+	if w.pending.LSN != 0 {
+		w.ckpt, w.pending = w.pending, Checkpoint{}
+		w.checkpoints.Add(1)
 	}
 	return nil
 }
@@ -794,23 +806,30 @@ func (w *WAL) Probe() (uint64, error) {
 // writer holds across each apply + append pair.
 func (w *WAL) LastLSN() uint64 { return w.lastLSN.Load() }
 
-// Checkpoint prunes behind a checkpoint marker: the caller has appended
-// and synced a RecordCheckpoint carrying covered, so every sealed segment
-// whose records are all covered is deleted. The active segment never is.
-func (w *WAL) Checkpoint(covered uint64) error {
+// LastCheckpoint is the newest durable checkpoint (zero: the log has none).
+func (w *WAL) LastCheckpoint() Checkpoint {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.ckpt
+}
+
+// Prune deletes every sealed segment whose records all precede both keep
+// and the newest durable checkpoint's first image — a log with no
+// checkpoint keeps every record. The active segment never goes.
+func (w *WAL) Prune(keep uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
 	}
-	w.checkpoints.Add(1)
+	keep = min(keep, w.ckpt.First)
 	// Prune oldest-first, persisting each deletion before the next:
 	// whatever prefix of the deletions survives a crash or an I/O error,
 	// the remaining segments stay a contiguous chain — a gap in the
 	// middle would make the next Open refuse as corrupt.
 	var prunable []uint64
 	for first, last := range w.sealed {
-		if last <= covered {
+		if last < keep {
 			prunable = append(prunable, first)
 		}
 	}
@@ -832,11 +851,10 @@ func (w *WAL) Checkpoint(covered uint64) error {
 // Replay walks every retained record in LSN order and calls fn for each
 // with LSN > from, stopping at fn's first error: a barrier — so what it
 // reads matches the disk — and then Follow's own walk from from, or from
-// the oldest retained record when a checkpoint pruned past from, up to
+// the oldest retained record when Prune deleted past from, up to
 // the last record appended, without ever waiting. The payload slice is
-// only valid for the duration of the call. Checkpoint markers are
-// delivered like any other record; state-rebuilding callers skip them.
-// Replay is meant for startup, before traffic.
+// only valid for the duration of the call. Replay is meant for startup,
+// before traffic.
 func (w *WAL) Replay(from uint64, fn func(lsn uint64, typ RecordType, payload []byte) error) error {
 	w.mu.Lock()
 	if w.closed {
@@ -853,7 +871,7 @@ func (w *WAL) Replay(from uint64, fn func(lsn uint64, typ RecordType, payload []
 	return fl.run()
 }
 
-// OldestLSN is the first LSN no checkpoint has pruned: the oldest record
+// OldestLSN is the first LSN Prune has not deleted: the oldest record
 // the log holds, or the next one it will append when it holds none. A
 // Follow from below it returns ErrTruncated.
 func (w *WAL) OldestLSN() uint64 {
@@ -930,8 +948,8 @@ func (w *WAL) locateLocked(next uint64) (segStart, sealedLast uint64, isSealed, 
 // never hold a record that a crash plus torn-tail truncation would remove
 // from this log. Rotation is followed
 // transparently. Returns ErrTruncated if from (or a later position the
-// follower needs) has been pruned by a checkpoint — the caller should
-// resynchronize from a snapshot; returns nil when stop fires; returns
+// follower needs) has been pruned — the caller should
+// resynchronize from a checkpoint; returns nil when stop fires; returns
 // fn's error if it rejects a record, or idle's. The payload slice passed
 // to fn is only valid for the duration of the call.
 func (w *WAL) Follow(from uint64, stop <-chan struct{}, idle Idle, fn func(lsn uint64, typ RecordType, payload []byte) error) error {

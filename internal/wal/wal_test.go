@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,16 +29,20 @@ func appendSync(w *WAL, typ RecordType, payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// checkpoint does what the service does around a snapshot: the marker,
-// its barrier, then the prune behind it.
-func checkpoint(w *WAL, covered uint64) error {
-	if _, err := w.AppendNoSync(RecordCheckpoint, binary.AppendUvarint(nil, covered)); err != nil {
-		return err
+// checkpoint does what the service's checkpoint group does: images of
+// tenants tenants, the record that closes them, one barrier. It returns the
+// checkpoint's LSN.
+func checkpoint(w *WAL, tenants int) (uint64, error) {
+	for i := 0; i < tenants; i++ {
+		if _, err := w.AppendNoSync(RecordImage, []byte{1, byte('a' + i), 9, 9}); err != nil {
+			return 0, err
+		}
 	}
-	if err := w.Sync(); err != nil {
-		return err
+	lsn, err := w.AppendNoSync(RecordCheckpoint, []byte{byte(tenants)})
+	if err == nil {
+		err = w.Sync()
 	}
-	return w.Checkpoint(covered)
+	return lsn, err
 }
 
 type replayed struct {
@@ -220,27 +225,48 @@ func TestCorruptSealedSegmentFatal(t *testing.T) {
 	}
 }
 
-// TestCheckpointPrunes: a checkpoint deletes exactly the sealed
-// segments whose records are all covered, and replay from the covered
-// LSN sees only the suffix.
+// TestCheckpointPrunes: Prune deletes exactly the sealed segments whose
+// records all precede the newest durable checkpoint's first image (and the
+// caller's keep), Open's scan finds that checkpoint again, and a checkpoint
+// torn at the tail leaves the one before it the newest — whole, since it
+// was what the prune kept.
 func TestCheckpointPrunes(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	for i := 0; i < 30; i++ {
-		if _, err := appendSync(w, RecordIngest, bytes.Repeat([]byte{byte(i)}, 50)); err != nil {
-			t.Fatal(err)
+	ingest := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := appendSync(w, RecordIngest, bytes.Repeat([]byte{byte(i)}, 50)); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	ingest(30)
+	if err := w.Prune(^uint64(0)); err != nil || w.Stats().PrunedSegments != 0 {
+		t.Fatalf("a log with no checkpoint pruned %d segments (err %v)", w.Stats().PrunedSegments, err)
 	}
 	before := w.Stats()
 	if before.Segments < 3 {
 		t.Fatalf("want several segments, got %+v", before)
 	}
-	covered := w.LastLSN() - 5
-	if err := checkpoint(w, covered); err != nil {
+	lsn, err := checkpoint(w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Checkpoint{First: lsn - 3, LSN: lsn}
+	if got := w.LastCheckpoint(); got != want {
+		t.Fatalf("LastCheckpoint %+v, want %+v", got, want)
+	}
+	if err := w.Prune(want.First - 5); err != nil { // a target still lacks the five records before it
+		t.Fatal(err)
+	}
+	if oldest := w.OldestLSN(); oldest > want.First-5 {
+		t.Fatalf("the prune deleted records a keep of %d asked for: oldest %d", want.First-5, oldest)
+	}
+	if err := w.Prune(^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
 	after := w.Stats()
@@ -250,39 +276,44 @@ func TestCheckpointPrunes(t *testing.T) {
 	if after.Checkpoints != 1 {
 		t.Fatalf("checkpoint count: %+v", after)
 	}
-	var first uint64
-	var markers int
-	err = w.Replay(covered, func(lsn uint64, typ RecordType, payload []byte) error {
-		if first == 0 {
-			first = lsn
-		}
-		if typ == RecordCheckpoint {
-			markers++
-			got, n := binary.Uvarint(payload)
-			if n <= 0 || got != covered {
-				return fmt.Errorf("marker payload %d want %d", got, covered)
-			}
-		}
-		return nil
-	})
+	if oldest := w.OldestLSN(); oldest > want.First {
+		t.Fatalf("pruning discarded the checkpoint's images: oldest record %d, first image %d", oldest, want.First)
+	}
+	// A second checkpoint whose record is torn off the tail.
+	ingest(2)
+	next, err := checkpoint(w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != covered+1 {
-		t.Fatalf("suffix replay starts at %d, want %d", first, covered+1)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if markers != 1 {
-		t.Fatalf("replayed %d checkpoint markers, want 1", markers)
-	}
-	// Records after the covered LSN must all still be on disk: the
-	// segment holding them (or the active one) is never pruned.
 	files, err := listSegments(fault.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if files[0] > covered+1 {
-		t.Fatalf("pruning discarded uncovered records: oldest segment starts at %d, covered %d",
-			files[0], covered)
+	seg := filepath.Join(dir, segmentName(files[len(files)-1]))
+	info, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, info.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	w, err = Open(dir, Options{SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := w.LastCheckpoint(); got != want || w.LastLSN() != next-1 {
+		t.Fatalf("after a torn checkpoint: LastCheckpoint %+v (want %+v), last LSN %d (want %d)", got, want, w.LastLSN(), next-1)
+	}
+	var first uint64
+	if err := w.Replay(want.First-1, func(lsn uint64, _ RecordType, _ []byte) error {
+		first = cmp.Or(first, lsn)
+		return nil
+	}); err != nil || first != want.First {
+		t.Fatalf("replay from the checkpoint starts at %d (err %v), want %d", first, err, want.First)
 	}
 }
 
@@ -425,6 +456,7 @@ func TestBadHeaderWithDataRefuses(t *testing.T) {
 		{"version 4 with records", 2, func(raw []byte) { raw[8] = 4 }, ErrVersion},
 		{"version 5 with records", 2, func(raw []byte) { raw[8] = 5 }, ErrVersion},
 		{"version 5 header only", 0, func(raw []byte) { raw[8] = 5 }, ErrVersion},
+		{"version 6 with records", 2, func(raw []byte) { raw[8] = 6 }, ErrVersion},
 		{"later version", 1, func(raw []byte) { raw[8] = Version + 1 }, ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the corrd service subsystem (run by CI):
 #
-#   1. start corrd on its state directory (-wal-dir: the log, and the
-#      snapshots beside it)
+#   1. start corrd on its state directory (-wal-dir: the log, which holds
+#      its checkpoints)
 #   2. drive it with corrgen -target (chunked HTTP ingest)
 #   3. query, scrape /v1/stats and /metrics
-#   4. SIGTERM (graceful shutdown writes a final snapshot)
-#   5. restart from the snapshot and prove the answer is identical, and
-#      bootstrap a second daemon from a copy of the snapshot alone
+#   4. SIGTERM (graceful shutdown writes a final checkpoint)
+#   5. restart from the log and prove the answer is identical, and
+#      bootstrap a -standby daemon on an empty -wal-dir over the wire from
+#      the restarted one's pruned log, promote it, and prove it answers
+#      identically
 #   6. site -> coordinator log forwarding: kill -9 the site, then the
 #      coordinator, mid-forward; the coordinator ends up holding every
 #      acknowledged tuple once, its /v1/summary byte-identical to the site's
@@ -34,13 +36,13 @@ cd "$(dirname "$0")/.."
 ADDR="127.0.0.1:17070"
 BASE="http://$ADDR"
 WORK="$(mktemp -d)"
-SNAP="$WORK/corrd-wal/snapshot"
 LOG="$WORK/corrd.log"
 N=200000
 CUTOFF=500000
 
 cleanup() {
   [ -n "${CORRD_PID:-}" ] && kill "$CORRD_PID" 2>/dev/null || true
+  [ -n "${BOOT_PID:-}" ] && kill "$BOOT_PID" 2>/dev/null || true
   [ -n "${SITE_PID:-}" ] && kill "$SITE_PID" 2>/dev/null || true
   [ -n "${FCOORD_PID:-}" ] && kill "$FCOORD_PID" 2>/dev/null || true
   [ -n "${WAL_PID:-}" ] && kill -9 "$WAL_PID" 2>/dev/null || true
@@ -53,10 +55,12 @@ trap cleanup EXIT
 go build -o "$WORK/corrd" ./cmd/corrd
 go build -o "$WORK/corrgen" ./cmd/corrgen
 
+# start_corrd starts the daemon of steps 1-5; its small segments seal, so
+# its checkpoints prune. Extra flags follow the fixed ones.
 start_corrd() {
   "$WORK/corrd" -addr "$ADDR" -agg f2 -eps 0.15 -delta 0.1 \
     -ymax 1000000 -maxn 1048576 -maxx 500001 -seed 42 -shards 2 \
-    -snapshot-interval 5s -wal-dir "$WORK/corrd-wal" >>"$LOG" 2>&1 &
+    -snapshot-interval 5s -wal-segment-bytes 65536 -wal-dir "$WORK/corrd-wal" "$@" >>"$LOG" 2>&1 &
   CORRD_PID=$!
   for _ in $(seq 1 50); do
     if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
@@ -104,13 +108,18 @@ echo "$METRICS" | grep -E 'corrd_tuples_ingested_total|corrd_snapshot' | head -6
 echo "$METRICS" | grep -q "corrd_tuples_ingested_total $EXPECTED" \
   || { echo "FAIL: ingest metric missing" >&2; exit 1; }
 
-echo "== SIGTERM (graceful: flush + final snapshot)"
+echo "== SIGTERM (graceful: flush + final checkpoint)"
 kill -TERM "$CORRD_PID"
 wait "$CORRD_PID" || { echo "FAIL: corrd exited non-zero; log:" >&2; cat "$LOG" >&2; exit 1; }
 CORRD_PID=""
-[ -s "$SNAP" ] || { echo "FAIL: no snapshot written" >&2; exit 1; }
+CHECKPOINTS=$(grep -c 'corrd: checkpoint: ' "$LOG" || true)
+[ "$CHECKPOINTS" -ge 1 ] || { echo "FAIL: no checkpoint written" >&2; exit 1; }
+if ls "$WORK/corrd-wal" | grep -q '^snapshot'; then
+  echo "FAIL: a snapshot file was written beside the log" >&2; ls "$WORK/corrd-wal" >&2; exit 1
+fi
+echo "checkpoints written: $CHECKPOINTS"
 
-echo "== restart from snapshot, re-query"
+echo "== restart from the log, re-query"
 start_corrd
 grep -q "restored state" "$LOG" || { echo "FAIL: restart did not restore" >&2; exit 1; }
 Q2=$(curl -fsS "$BASE/v1/query?op=le&c=$CUTOFF")
@@ -126,31 +135,46 @@ fi
 kill -TERM "$CORRD_PID"; wait "$CORRD_PID" || true
 CORRD_PID=""
 
-echo "== bootstrap a daemon from a copy of the snapshot"
-# The snapshot alone, copied into an empty -wal-dir — never site-id,
-# which would make the copy forward under the original's id.
+echo "== bootstrap a standby over the wire from an empty -wal-dir, promote it"
+# The restarted daemon's checkpoints pruned its log, so the standby's mark
+# (0) is behind its oldest record: the daemon sends it its newest
+# checkpoint, then the log after it. Nothing is copied.
+BOOT_ADDR="127.0.0.1:17073"; BOOT="http://$BOOT_ADDR"
 mkdir "$WORK/boot-wal"
-cp "$SNAP" "$WORK/boot-wal/snapshot"
-if "$WORK/corrd" -addr "$ADDR" -snapshot "$SNAP" -wal-dir "$WORK/boot-wal" >"$WORK/snapshot-flag.txt" 2>&1; then
+if "$WORK/corrd" -addr "$BOOT_ADDR" -snapshot x -wal-dir "$WORK/boot-wal" >"$WORK/snapshot-flag.txt" 2>&1; then
   echo "FAIL: corrd started with the removed -snapshot flag" >&2; exit 1
 fi
 grep -q 'flag provided but not defined: -snapshot' "$WORK/snapshot-flag.txt" \
   || { echo "FAIL: a -snapshot start did not name the unknown flag" >&2; cat "$WORK/snapshot-flag.txt" >&2; exit 1; }
-"$WORK/corrd" -addr "$ADDR" -agg f2 -eps 0.15 -delta 0.1 \
+"$WORK/corrd" -addr "$BOOT_ADDR" -agg f2 -eps 0.15 -delta 0.1 \
   -ymax 1000000 -maxn 1048576 -maxx 500001 -seed 42 \
-  -wal-dir "$WORK/boot-wal" >>"$LOG" 2>&1 &
-CORRD_PID=$!
+  -standby -admin-token boot -wal-dir "$WORK/boot-wal" >>"$LOG" 2>&1 &
+BOOT_PID=$!
 for _ in $(seq 1 50); do
-  curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
+  curl -fsS "$BOOT/healthz" >/dev/null 2>&1 && break
   sleep 0.2
 done
-Q3=$(curl -fsS "$BASE/v1/query?op=le&c=$CUTOFF")
+start_corrd -push-to "$BOOT"
+BOOTED=""
+for _ in $(seq 1 150); do
+  BOOTED=$(curl -fsS "$BOOT/v1/stats" | grep -o '"count":[0-9]*' | cut -d: -f2)
+  [ "$BOOTED" = "$EXPECTED" ] && break
+  sleep 0.2
+done
+[ "$BOOTED" = "$EXPECTED" ] || { echo "FAIL: the standby holds $BOOTED of $EXPECTED tuples" >&2; cat "$LOG" >&2; exit 1; }
+grep -q "is behind this log's oldest record .*: sending it the checkpoint at LSN" "$LOG" \
+  || { echo "FAIL: the standby was not bootstrapped from a checkpoint" >&2; cat "$LOG" >&2; exit 1; }
+kill -TERM "$CORRD_PID"; wait "$CORRD_PID" || true
+CORRD_PID=""
+curl -fsS -X POST -H "X-Admin-Token: boot" "$BOOT/v1/promote" >/dev/null \
+  || { echo "FAIL: the bootstrapped standby did not promote" >&2; exit 1; }
+Q3=$(curl -fsS "$BOOT/v1/query?op=le&c=$CUTOFF")
 if [ "$(echo "$Q1" | grep -o '"estimate":[^}]*')" != "$(echo "$Q3" | grep -o '"estimate":[^}]*')" ]; then
   echo "FAIL: the bootstrapped daemon answers differently: $Q1 vs $Q3" >&2; exit 1
 fi
-echo "bootstrapped from a copy of the snapshot: $Q3"
-kill -TERM "$CORRD_PID"; wait "$CORRD_PID" || true
-CORRD_PID=""
+echo "standby bootstrapped over the wire and promoted: $Q3"
+kill -TERM "$BOOT_PID"; wait "$BOOT_PID" || true
+BOOT_PID=""
 
 echo "== site -> coordinator log forwarding (kill -9 the site, then the coordinator, mid-forward)"
 # A site forwards every record of its WAL to the coordinator, which applies
@@ -243,8 +267,8 @@ FCOORD_PID=""
 
 echo "== WAL crash-exact recovery (kill -9 mid-ingest, -wal-fsync=always)"
 # A daemon with a WAL (-shards 2 is passed on purpose: the flag is
-# accepted and ignored); the snapshot ticker runs so the restart
-# exercises restore-snapshot-then-replay-suffix.
+# accepted and ignored); the checkpoint ticker runs so the restart
+# exercises restore-checkpoint-then-replay-the-records-after-it.
 WAL_ADDR="127.0.0.1:17074"; WBASE="http://$WAL_ADDR"
 ORACLE_ADDR="127.0.0.1:17075"; OBASE="http://$ORACLE_ADDR"
 WAL_N=200000
@@ -266,7 +290,7 @@ start_wal_corrd "$WAL_ADDR" "walcrash"
 WAL_PID=$!
 
 # Drive ingest in the background and SIGKILL the daemon mid-stream: no
-# graceful shutdown, no final snapshot — durability rides on the WAL.
+# graceful shutdown, no final checkpoint — durability rides on the WAL.
 "$WORK/corrgen" -dataset uniform -n "$WAL_N" -seed 11 -xdom 100001 -ydom 1000001 \
   -target "$WBASE" -chunk 2048 >/dev/null 2>&1 &
 GEN_PID=$!
@@ -703,8 +727,8 @@ FORC_ADDR="127.0.0.1:17088"; FORCBASE="http://$FORC_ADDR"
 DRILL_TOKEN="drill-admin-$$"
 # ~128 KiB of WAL writes succeed, then every write to a wal- file hits
 # ENOSPC: run 1's 60 000 tuples log about 3.5 B each, so it dies partway.
-# Snapshots are pushed out of the window so recovery state is purely
-# snapshot-free log replay.
+# Checkpoints are pushed out of the window so recovery is purely a
+# replay of the log from its first record.
 start_wal_corrd "$FAULT_ADDR" "faultdrill" -snapshot-interval 1h \
   -admin-token "$DRILL_TOKEN" -fault-plan "write/wal-:enospc@131072"
 WAL_PID=$!

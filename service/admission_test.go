@@ -26,8 +26,8 @@ import (
 // and a restart finds the tenant set the live server had. Each row writes
 // into a key of its own; after it the registry gauges have not moved and
 // the key reads as 404. Then a valid write to a new tenant fits under
-// MaxTenants, and crash + restart — from the log alone (no snapshot is
-// written before the crash), and from a snapshot plus the log — reproduces the tenant set and every tenant's
+// MaxTenants, and crash + restart — from the log alone (no checkpoint is
+// written before the crash), and from a checkpoint and the records after it — reproduces the tenant set and every tenant's
 // bytes. (Before the commit made tenants, every row but the degraded one
 // and the four malformed-key ones left its tenant registered.)
 func TestRefusedWriteLeavesNoTenant(t *testing.T) {
@@ -35,7 +35,7 @@ func TestRefusedWriteLeavesNoTenant(t *testing.T) {
 	t.Run("wal + snapshot", func(t *testing.T) { refusedWriteCase(t, true) })
 }
 
-func refusedWriteCase(t *testing.T, withSnapshot bool) {
+func refusedWriteCase(t *testing.T, withCheckpoint bool) {
 	cfg := walConfig(t)
 	cfg.MaxTenants = 3 // the default, "kept", and the one valid newcomer
 	cfg.IngestQueueMax = 1
@@ -148,8 +148,8 @@ func refusedWriteCase(t *testing.T, withSnapshot bool) {
 			}
 			return forward(wal.RecordIngest, payload)
 		}, http.StatusBadRequest},
-		{"forward of a push record", "ghost-push", func(key string) int {
-			return forward(pushRecord, append(tupleio.AppendTenant(nil, key), "an image"...))
+		{"forward of a type-2 record", "ghost-push", func(key string) int {
+			return forward(wal.RecordType(2), append(tupleio.AppendTenant(nil, key), "an image"...))
 		}, http.StatusBadRequest},
 		{"ingest shed by IngestQueueMax", "ghost-shed", func(key string) int {
 			// Hold the driver lock so the committer stalls inside the first
@@ -205,8 +205,8 @@ func refusedWriteCase(t *testing.T, withSnapshot bool) {
 		}
 	}
 
-	if withSnapshot {
-		if err := svc.Snapshot(); err != nil {
+	if withCheckpoint {
+		if err := svc.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}

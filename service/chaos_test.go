@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/fault"
+	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
@@ -403,20 +406,13 @@ func TestChaosUnappliedRecordStopsTheApply(t *testing.T) {
 	if err := svc.recoverNow(); err == nil || !svc.healthDegraded() {
 		t.Fatalf("a probe recovered a state that lacks a logged record (err %v)", err)
 	}
-	if err := svc.Snapshot(); err != nil {
-		t.Fatal(err)
+	// No checkpoint holds a state the log is ahead of.
+	if err := svc.Checkpoint(); !errors.Is(err, errStateBehindLog) {
+		t.Fatalf("a checkpoint of a state that lacks a logged record: %v, want errStateBehindLog", err)
 	}
-	data, err := os.ReadFile(snapshotAt(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered, _, _, err := decodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if covered != before || svc.appliedLSN.Load() != before || svc.Engine().Count() != 100 {
-		t.Fatalf("snapshot covers %d, applied %d, count %d; want %d, %d and 100",
-			covered, svc.appliedLSN.Load(), svc.Engine().Count(), before, before)
+	if ck := svc.wal.LastCheckpoint(); ck.LSN != 0 || svc.appliedLSN.Load() != before || svc.Engine().Count() != 100 {
+		t.Fatalf("checkpoint %+v, applied %d, count %d; want none, %d and 100",
+			ck, svc.appliedLSN.Load(), svc.Engine().Count(), before)
 	}
 }
 
@@ -482,7 +478,7 @@ func TestChaosNackedWriteLeavesNoTrace(t *testing.T) {
 	if svc.tenantByName("fresh") != nil || svc.marks[0xabc] != 1 {
 		t.Fatalf("the nacked forwards made their tenant (%t) or moved the site's mark to %d", svc.tenantByName("fresh") != nil, svc.marks[0xabc])
 	}
-	if err := svc.Snapshot(); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	crash(ts, svc)
@@ -647,13 +643,19 @@ func TestChaosOverloadShedHTTP(t *testing.T) {
 	}
 }
 
-// TestChaosSnapshotRetentionFallback: a bit-flipped newest snapshot must
-// not take the daemon down — restore falls back to the previous
-// retention slot and the (longer) WAL replay suffix rebuilds the exact
-// state. With every slot corrupt, startup must refuse rather than serve
-// an empty engine over data it was asked to remember.
+// TestChaosSnapshotRetentionFallback: a checkpoint is a commit group, so
+// its disk faults are the log's. One whose barrier fails is counted and
+// rewound out of the log, the newest durable checkpoint stays the one
+// before it, and the failure counts toward the WAL streak; the next one
+// succeeds and resets the streak. A restart from the newest checkpoint and
+// the records after it is byte-identical to a crash-free oracle fed the
+// acknowledged batches. There is no older generation to fall back to: a
+// bit flipped in a sealed segment — here the newest checkpoint's — refuses
+// start-up as log corruption, rather than serve a state without what it
+// lost.
 func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	cfg, inj := chaosConfig(t)
+	cfg.WALSegmentBytes = 1 // every commit group seals a segment of its own
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -666,105 +668,89 @@ func TestChaosSnapshotRetentionFallback(t *testing.T) {
 	if err := cl.AddBatch(ctx, a); err != nil {
 		t.Fatal(err)
 	}
-	// A snapshot whose file cannot be created fails, counted, and leaves
-	// no slot behind.
-	inj.SetPlan(mustPlan(t, "create/snapshot.tmp:err@1"))
-	if err := svc.Snapshot(); err == nil {
-		t.Fatal("a snapshot whose file could not be created succeeded")
-	}
-	inj.SetPlan(nil)
-	if v := metricValue(t, scrape(t, ts.URL), "corrd_snapshot_errors_total"); v != 1 {
-		t.Fatalf("corrd_snapshot_errors_total %v after one failed snapshot, want 1", v)
-	}
-	if err := svc.Snapshot(); err != nil { // slot 0 covers batch A
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	first := svc.wal.LastCheckpoint()
 	if err := cl.AddBatch(ctx, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Snapshot(); err != nil { // rotates: slot 1 = A, slot 0 = A+B
+	last := svc.wal.LastLSN()
+	inj.SetPlan(mustPlan(t, "sync/wal-:err@1+"))
+	if err := svc.Checkpoint(); err == nil {
+		t.Fatal("a checkpoint whose barrier failed succeeded")
+	}
+	inj.SetPlan(nil)
+	if v := metricValue(t, scrape(t, ts.URL), "corrd_snapshot_errors_total"); v != 1 || svc.health.walErrs.Load() != 1 {
+		t.Fatalf("after one failed checkpoint: corrd_snapshot_errors_total %v, wal streak %d; want 1 and 1", v, svc.health.walErrs.Load())
+	}
+	if ck := svc.wal.LastCheckpoint(); ck != first || svc.wal.LastLSN() != last {
+		t.Fatalf("the failed checkpoint left checkpoint %+v and LSN %d, want %+v and %d", ck, svc.wal.LastLSN(), first, last)
+	}
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.AddBatch(ctx, c); err != nil { // WAL suffix past both
+	newest := svc.wal.LastCheckpoint()
+	if newest == first || svc.health.walErrs.Load() != 0 {
+		t.Fatalf("the next checkpoint %+v (the one before %+v), wal streak %d", newest, first, svc.health.walErrs.Load())
+	}
+	if err := cl.AddBatch(ctx, c); err != nil { // records past the checkpoint
 		t.Fatal(err)
 	}
 	crash(ts, svc)
 
-	if _, err := os.Stat(snapshotAt(cfg) + ".1"); err != nil {
-		t.Fatalf("retention slot 1 missing after two snapshots: %v", err)
-	}
-	// Bit-rot the newest snapshot: flip a magic byte so the decoder
-	// rejects it outright.
-	flip := func(path string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flip(snapshotAt(cfg))
-
 	svc2, err := New(cfg)
 	if err != nil {
-		t.Fatalf("restart with corrupt newest snapshot: %v", err)
+		t.Fatalf("restart: %v", err)
 	}
-	t.Cleanup(func() { svc2.Close() })
-	if !svc2.Restored() {
-		t.Fatal("fallback restore did not report restored")
-	}
-	if !fellBack(t, svc2, cfg) {
-		t.Fatal("restore did not take the retention fallback")
-	}
-	if svc2.metrics.walReplayRecords.Load() == 0 {
-		t.Fatal("fallback restart replayed no WAL suffix")
+	if !svc2.Restored() || svc2.metrics.walReplayRecords.Load() == 0 {
+		t.Fatalf("restart restored %t and replayed %d records past the checkpoint", svc2.Restored(), svc2.metrics.walReplayRecords.Load())
 	}
 	got, err := svc2.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	oracle, err := New(walConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { oracle.Close() })
-	ots := httptest.NewServer(oracle.Handler())
-	t.Cleanup(ots.Close)
+	oracle, ots, _ := newTestServer(t, walConfig(t))
 	ocl := client.New(ots.URL, client.WithChunkSize(512))
-	if err := ocl.AddBatch(ctx, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ocl.AddBatch(ctx, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := ocl.AddBatch(ctx, c); err != nil {
-		t.Fatal(err)
+	for _, batch := range [][]correlated.Tuple{a, b, c} {
+		if err := ocl.AddBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want, err := oracle.Engine().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("fallback-restored state differs from oracle (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("restored state differs from oracle (%d vs %d bytes)", len(got), len(want))
 	}
 	crash(nil, svc2)
 
-	// Both slots corrupt: startup must fail loudly, not serve emptiness.
-	flip(snapshotAt(cfg) + ".1")
-	if _, err := New(cfg); err == nil {
-		t.Fatal("startup served an empty engine over two corrupt snapshots")
+	// Bit rot in the newest checkpoint, which the next batch sealed.
+	seg := filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%016x.seg", newest.First))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if svc3, err := New(cfg); err == nil {
+		svc3.Close()
+		t.Fatal("startup served a state over a rotted checkpoint")
+	} else if !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("a rotted checkpoint: %v, want wal.ErrCorrupt", err)
 	}
 }
 
-// TestSnapshotFallbackAfterPrune: a checkpoint prunes the log only up to
-// the coverage of the snapshot its rotation moved to snapshot.1, so when the
-// newest snapshot is corrupt the fallback still finds its whole log suffix
-// once the log has rotated — here every record seals its own segment — and
-// the restart holds every acknowledged write. Pruned to the newest's
-// coverage, the log started past what snapshot.1 covers and startup failed.
+// TestSnapshotFallbackAfterPrune: a checkpoint prunes the log only behind
+// the newest durable checkpoint's first image, so one torn at the tail —
+// its barrier never returned, so the prune behind it never ran — leaves
+// the checkpoint before it whole, though that one pruned the log: the
+// restart falls back to it and replays every record after it. Here every
+// commit group seals its own segment, and the tear cuts into the third
+// checkpoint's first image.
 func TestSnapshotFallbackAfterPrune(t *testing.T) {
 	cfg := walConfig(t)
 	cfg.WALSegmentBytes = 1
@@ -777,32 +763,40 @@ func TestSnapshotFallbackAfterPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 1 || i == 3 {
-			if err := svc.Snapshot(); err != nil {
+			if err := svc.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	want := tenantBytes(t, svc, "")
+	second := svc.wal.LastCheckpoint()
 	crash(nil, svc)
-	if oldest := svc.wal.OldestLSN(); oldest == 1 {
-		t.Fatal("the second checkpoint pruned nothing")
+	if oldest := svc.wal.OldestLSN(); oldest != second.First {
+		t.Fatalf("the log starts at LSN %d, want the second checkpoint's first image %d", oldest, second.First)
 	}
-	data, err := os.ReadFile(snapshotAt(cfg))
+	// The third checkpoint as its group appends it, torn inside its image.
+	w, err := wal.Open(cfg.WALDir, wal.Options{SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[0] ^= 0xff
-	if err := os.WriteFile(snapshotAt(cfg), data, 0o644); err != nil {
+	lsn, err := w.AppendNoSync(wal.RecordImage, append(tupleio.AppendTenant(nil, ""), want...))
+	if err == nil {
+		_, err = w.AppendNoSync(wal.RecordCheckpoint, encodeCheckpoint([]string{""}, nil))
+	}
+	if err = cmp.Or(err, w.Sync(), w.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%016x.seg", lsn)), 40); err != nil {
 		t.Fatal(err)
 	}
 
 	svc2, err := New(cfg)
 	if err != nil {
-		t.Fatalf("restart on the fallback snapshot: %v", err)
+		t.Fatalf("restart behind the torn checkpoint: %v", err)
 	}
 	defer svc2.Close()
-	if got, back := tenantBytes(t, svc2, ""), fellBack(t, svc2, cfg); !back || svc2.Engine().Count() != 600 || !bytes.Equal(got, want) {
-		t.Fatalf("the fallback restart (fell back %t) holds %d of the 600 acknowledged tuples", back, svc2.Engine().Count())
+	if ck := svc2.wal.LastCheckpoint(); ck != second || svc2.Engine().Count() != 600 || !bytes.Equal(tenantBytes(t, svc2, ""), want) {
+		t.Fatalf("the restart (from checkpoint %+v, want %+v) holds %d of the 600 acknowledged tuples", ck, second, svc2.Engine().Count())
 	}
 }
 
@@ -955,7 +949,7 @@ func TestChaosConcurrentWriters(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					svc.Snapshot() // a failed marker only delays pruning
+					svc.Checkpoint() // a failed marker only delays pruning
 				}
 			}
 		}()
@@ -982,7 +976,7 @@ func TestChaosConcurrentWriters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := &replayState{fallback: true} // the markers are not this server's: no staleness witness
+		st := &replayState{}
 		err = svc2.wal.Replay(0, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 			_, aerr := logOnly.applyRecord(lsn, typ, payload, st)
 			return aerr

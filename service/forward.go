@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -32,7 +34,7 @@ import (
 // records through the applies the site used, so it keeps one summary per
 // tenant over every site's stream and nothing is merged. Its mark for the
 // site, the highest site LSN applied, advances. A mark is state (logged
-// and snapshotted): a record at or below it is dropped, at every depth of
+// and checkpointed): a record at or below it is dropped, at every depth of
 // nesting — a site's records can reach a coordinator both directly and
 // inside another site's forwards (a promoted standby's, a re-pointed
 // site's) — so a site may always send again and, after a restart, skips
@@ -44,17 +46,24 @@ import (
 // target refuses stops the records behind it, whose order the site's log
 // fixes. An idle forwarder sends an empty forward every forwardPause: a
 // standby's heartbeat, answered with the mark like any other. A site's
-// checkpoint prunes only what every target has confirmed, and a target
-// whose mark is behind the log's oldest record stalls until it is started
-// on a copy of the site's snapshot, which carries the site's own mark at
-// its coverage.
+// checkpoint prunes only what every target has confirmed.
+//
+// A checkpoint's records carry the whole state, so a site sends them only
+// to a target whose follow starts at or inside that checkpoint (gather) —
+// one behind the log's oldest record is skipped to the newest — and a
+// caught-up target is never sent images. A standby applies them
+// (checkpoint.go) and admits a forward that begins with an image across a
+// gap, so an empty one is bootstrapped over the wire. Anywhere else they
+// are dropped at the mark — logged as probes — and such a forward across a
+// gap is refused by name.
 // The site id names one LSN space: it is kept beside the log, and a log
 // that starts over gets a new one.
 
 // siteRecord is one record of a forward, as admission decoded it: its
 // LSN and type in the site's log, its payload, where it sits in the body
 // (start..end), the tenants it writes and, for an ingest record, the
-// batches its apply takes as they are.
+// batches its apply takes as they are. A record the decide drops at the
+// mark becomes a probe, which applies nothing.
 type siteRecord struct {
 	lsn        uint64
 	typ        wal.RecordType
@@ -115,8 +124,9 @@ var maxForwardTuples uint64 = tupleio.MaxDecodeTuples
 
 // validateForward is admission's decode of a forward's body, outside every
 // lock, into j.recs: each record must be an ingest record whose batches
-// decode with every y at most YMax, or a forward of those, and the records
-// must decode to at most maxForwardTuples tuples.
+// decode with every y at most YMax, a checkpoint's image or record, or a
+// forward of those, and the records must decode to at most
+// maxForwardTuples tuples.
 func (s *Server) validateForward(j *ingestJob) error {
 	if len(j.image) == 0 {
 		return errors.New("service: a forward carries at least one record")
@@ -149,8 +159,14 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 			keys = append(keys, b.key)
 		}
 		return keys, batches, err
-	case pushRecord:
-		return nil, nil, errPushRecord
+	case wal.RecordImage:
+		key, _, err := tupleio.DecodeTenantPrefix(payload)
+		return [][]byte{key}, nil, err
+	case wal.RecordCheckpoint:
+		_, _, err := decodeCheckpoint(payload)
+		return nil, nil, err
+	case wal.RecordProbe: // a record the server that logged the forward dropped at the mark
+		return nil, nil, nil
 	case wal.RecordForward:
 		_, records, err := splitForward(payload)
 		if depth == maxForwardDepth {
@@ -166,25 +182,42 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 		})
 		return keys, nil, err
 	}
-	return nil, nil, fmt.Errorf("service: a forward carries ingest or forward records, not type %d", typ)
+	return nil, nil, fmt.Errorf("service: a forward carries ingest, image, checkpoint or forward records, not type %d", typ)
 }
 
 // decideForwardLocked is the decide step of a forward: against the site's
 // mark — counting the group's records before it (earlier) — it refuses a
 // forward whose prev is past the mark, since the records between are not
-// here, drops the records at or below the mark, and admits the rest in order
-// until one names a tenant admitLocked refuses. j.recs keeps what was
-// admitted; a forward none of whose new records is admitted is refused with
-// the first one's error, and one with no new record writes nothing and is
-// answered with the mark. Callers hold s.mu.
+// here (but one that begins with an image at a standby), drops the records
+// at or below the mark — and a checkpoint's away from a standby — and
+// admits the rest in order until one names a tenant admitLocked refuses.
+// j.recs keeps what was admitted; a forward none of whose new records is
+// admitted is refused with the first one's error, and one with no new
+// record writes nothing and is answered with the mark. Callers hold s.mu.
 func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *[][]byte) bool {
 	mark := s.marks[j.site]
 	for _, r := range earlier {
-		if o := r.jobs[0]; o.op == opForward && o.site == j.site {
+		o := r.jobs[0]
+		if o.op != opForward {
+			continue
+		}
+		if o.site == j.site {
 			mark = max(mark, o.recs[len(o.recs)-1].lsn)
 		}
+		if slices.ContainsFunc(o.recs, func(r siteRecord) bool { return r.typ == wal.RecordCheckpoint }) {
+			// Its apply replaces the marks this decide reads: the next
+			// group decides against them.
+			j.kind, j.err = ingestErrBusy, errOverloaded
+			return false
+		}
 	}
-	if j.prev > mark {
+	standby := s.standby.Load()
+	switch image := j.recs[0].typ == wal.RecordImage; {
+	case j.prev <= mark, image && standby:
+	case image:
+		j.kind, j.err = ingestErrGap, fmt.Errorf("site %016x: its records follow LSN %d, and this server holds its records up to LSN %d, so it can take them only from the checkpoint they begin with, which would replace this server's state, and only a standby applies one: start the target with -standby on an empty -wal-dir, then promote it (README \"Replication & HA\")", j.site, j.prev, mark)
+		return false
+	default:
 		j.kind, j.err = ingestErrGap, gapError{mark, fmt.Errorf("site %016x: its records follow LSN %d, and this server holds its records up to LSN %d: send from there", j.site, j.prev, mark)}
 		return false
 	}
@@ -196,6 +229,10 @@ func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *
 	n := 0
 admit:
 	for ; n < len(recs); n++ {
+		if !standby && (recs[n].typ == wal.RecordImage || recs[n].typ == wal.RecordCheckpoint) {
+			recs[n].typ, recs[n].payload = wal.RecordProbe, nil
+			continue
+		}
 		before := len(*made)
 		for _, key := range recs[n].keys {
 			kind, err := s.admitLocked(key, made)
@@ -331,14 +368,9 @@ const forwardBatchBytes = 1 << 20
 // siteIDFile holds the site id, in hex, beside the log's segments.
 const siteIDFile = "site-id"
 
-var (
-	// errSkipToMark ends a Follow whose answer moved the forwarder to the
-	// target's mark: past what it sent, or short of it.
-	errSkipToMark = errors.New("service: follow again from the target's mark")
-	// errBehindLog ends an attempt to a target whose mark is behind the
-	// log's oldest record; forward_stalled names the bootstrap.
-	errBehindLog = errors.New("service: the target's mark is behind this log's oldest record")
-)
+// errSkipToMark ends a Follow whose answer moved the forwarder to the
+// target's mark: past what it sent, or short of it.
+var errSkipToMark = errors.New("service: follow again from the target's mark")
 
 // forwarder is a site's path to one target. acked is how far the target
 // has confirmed: every record at or below it is applied there or carries
@@ -346,8 +378,11 @@ var (
 // confirmed, or the mark it answered with: what the next forward names as
 // prev, whatever record with no state acked stands on. body gathers
 // the next forward, one entry of ends a record, within limit bytes unless
-// one record is larger. stalled is the target's last refusal, until a
-// forward is confirmed. err is the last failed attempt, read after exited.
+// one record is larger. boot says the follow sends the checkpoint records
+// it meets (gather); stand is the record the target stands on, which a
+// follow reads for its type alone (0: none). stalled is the target's last
+// refusal, until a forward is confirmed. err is the last failed attempt,
+// read after exited.
 type forwarder struct {
 	s       *Server
 	w       *wal.WAL
@@ -359,6 +394,8 @@ type forwarder struct {
 	body    []byte
 	ends    []recordEnd
 	limit   int
+	boot    bool
+	stand   uint64
 	stalled atomic.Pointer[string]
 	ctx     context.Context // done once drain is called
 	stop    context.CancelFunc
@@ -374,18 +411,14 @@ type recordEnd struct {
 
 // newForwarders makes one forwarder for each comma-separated target of
 // Config.PushTo, under the site id kept beside the log — minted and kept
-// when there is none or the log holds no record yet. An id is not minted
-// on state restored from a snapshot that covers LSN 0, one an earlier
-// release wrote with no log: that state is in no record, so no target's
-// mark could show it lacks it. An id file that does not parse is refused, not replaced: a new
-// id would send the log again. run starts a forwarder.
-func (s *Server) newForwarders(covered uint64) ([]*forwarder, error) {
+// when there is none or the log holds no record yet. An id file that does
+// not parse is refused, not replaced: a new id would send the log again.
+// run starts a forwarder.
+func (s *Server) newForwarders() ([]*forwarder, error) {
 	w, path := s.wal, filepath.Join(s.cfg.WALDir, siteIDFile)
 	var site uint64
 	b, err := s.fs.ReadFile(path)
 	switch {
-	case (w.LastLSN() == 0 || errors.Is(err, os.ErrNotExist)) && s.restored && covered == 0:
-		return nil, errors.New("service: no site id for this log, and the restored snapshot covers LSN 0: the state it holds is in no record of the log, so forwarding under a new id could never send it — start an empty coordinator on a copy of this server's snapshot, then this server as a site on empty state (README \"Replication & HA\")")
 	case w.LastLSN() == 0 || errors.Is(err, os.ErrNotExist):
 		for site == 0 {
 			var id [8]byte
@@ -421,10 +454,35 @@ func (s *Server) newForwarders(covered uint64) ([]*forwarder, error) {
 	return fwds, nil
 }
 
+// writeFileAtomic writes data to path through a synced sibling temp file
+// renamed over it, so a reader sees the old file or the new one, never a
+// prefix, and then syncs the directory (best effort). Every call goes
+// through s.fs, so the fault harness can break any step.
+func (s *Server) writeFileAtomic(path string, data []byte) error {
+	tmp, err := s.fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer s.fs.Remove(tmp.Name()) // no-op after a successful rename
+	_, err = tmp.Write(data)
+	if err = cmp.Or(err, tmp.Sync(), tmp.Close()); err != nil {
+		return err
+	}
+	if err := s.fs.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	if d, err := s.fs.Open(filepath.Dir(path)); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
+}
+
 // run follows the log from what the target has confirmed until drain
 // stops it: one follow, which waits at the frontier and, forwardPause into
 // a wait, sends an empty forward (idle). It follows again from the mark
-// when an answer moves it, and after a failed attempt, which pauses
+// when an answer moves it, from the newest checkpoint when the mark is
+// behind the log's oldest record, and after a failed attempt, which pauses
 // forwardPause first. Once drain is called, the follow ends at the
 // frontier, or at its first failure, and the log keeps the rest for the
 // next start.
@@ -433,15 +491,29 @@ func (f *forwarder) run() {
 	for {
 		stopping := f.ctx.Err() != nil
 		f.body, f.ends = f.body[:0], f.ends[:0]
-		err := f.w.Follow(f.acked.Load(), f.ctx.Done(), wal.Idle{After: forwardPause, Fn: f.idle}, f.gather)
+		from := f.acked.Load()
+		if f.stand = 0; !f.boot && from > 0 && from >= f.w.OldestLSN() {
+			f.stand, from = from, from-1
+		}
+		err := f.w.Follow(from, f.ctx.Done(), wal.Idle{After: forwardPause, Fn: f.idle}, f.gather)
 		switch {
 		case errors.Is(err, errSkipToMark):
 			continue
 		case errors.Is(err, wal.ErrTruncated):
 			// Behind the oldest record: where does the target stand?
 			var mark uint64
-			if mark, err = f.query(); err == nil {
-				f.skipTo(mark)
+			if mark, err = f.cl.Forward(context.Background(), f.site, wal.Version, f.prev, nil); err == nil {
+				if oldest := f.w.OldestLSN(); mark+1 < oldest {
+					// Behind the log: follow from the newest checkpoint, naming the
+					// record before its first image as prev, past the mark, so only
+					// a standby takes it (decideForwardLocked).
+					ck := f.w.LastCheckpoint()
+					f.skipTo(ck.First - 1)
+					f.boot = true
+					f.s.logf("forward to %s: its mark %d is behind this log's oldest record %d: sending it the checkpoint at LSN %d", f.to, mark, oldest, ck.LSN)
+				} else {
+					f.skipTo(mark)
+				}
 				continue
 			}
 		}
@@ -460,39 +532,17 @@ func (f *forwarder) run() {
 	}
 }
 
-// query sends an empty forward — to a standby, the heartbeat its silence
-// timer waits on — and returns the target's mark. A mark behind the log's
-// oldest record can never be sent what it lacks: the target is stalled,
-// and the follow starts from the mark, where it ends at once, until the
-// target is started on a copy of this server's snapshot, which carries
-// this site's mark at its coverage.
-func (f *forwarder) query() (uint64, error) {
-	mark, err := f.cl.Forward(context.Background(), f.site, wal.Version, f.prev, nil)
-	if err != nil {
-		return 0, err
-	}
-	if oldest := f.w.OldestLSN(); mark+1 < oldest {
-		msg := fmt.Sprintf("%s: mark %d is behind this log's oldest record %d: start it on a copy of this server's snapshot (README \"Replication & HA\")", f.to, mark, oldest)
-		f.stalled.Store(&msg)
-		f.acked.Store(mark)
-		f.prev = mark
-		return 0, errBehindLog
-	}
-	f.stalled.Store(nil)
-	return mark, nil
-}
-
 // idle is the follow's wait at the frontier, forwardPause after its last
-// forward: an empty one. The follow goes on while the mark is where the
-// follow stands — at or past the last record it had confirmed, and short
+// forward: an empty one — to a standby, the heartbeat its silence timer
+// waits on — which the target answers with its mark. The follow goes on
+// while the mark is where the follow stands — at or past the last record
+// it had confirmed, and short
 // of no record it has passed — and a failure is counted and asked again
 // at the next pause; a mark elsewhere (a target that lost records, or
 // holds some past this log's end) is followed from anew.
 func (f *forwarder) idle() error {
-	mark, err := f.query()
+	mark, err := f.cl.Forward(context.Background(), f.site, wal.Version, f.prev, nil)
 	switch {
-	case errors.Is(err, errBehindLog):
-		return err
 	case err != nil:
 		f.failed(err)
 	case mark < f.prev || mark > f.acked.Load():
@@ -505,7 +555,7 @@ func (f *forwarder) idle() error {
 // skipTo follows from the target's mark; a mark past this log's end is
 // logged once, when the forwarder moves to it.
 func (f *forwarder) skipTo(mark uint64) {
-	f.prev = mark
+	f.prev, f.boot = mark, false
 	if f.acked.Swap(mark) != mark && mark > f.w.LastLSN() {
 		f.s.logf("forward to %s: its mark %d is past this log's end: a log restored from a backup needs its %s moved aside", f.to, mark, siteIDFile)
 	}
@@ -513,14 +563,11 @@ func (f *forwarder) skipTo(mark uint64) {
 
 // failed counts and logs a failed attempt. A refusal the target will
 // repeat — a 4xx but an overload shed: a tenant cap, a record it does not
-// apply, a body too large — is kept for /v1/stats, as a mark behind the
-// log already is, since every record behind it waits, and the log with
-// them.
+// apply, a checkpoint only a standby takes, a body too large — is kept for
+// /v1/stats, since every record behind it waits, and the log with them.
 func (f *forwarder) failed(err error) {
 	var ae *client.APIError
 	switch {
-	case errors.Is(err, errBehindLog):
-		f.s.metrics.siteForwardsRefused.Inc()
 	case errors.As(err, &ae) && ae.Status < 500 && !client.IsBusy(err):
 		msg := fmt.Sprintf("%s refuses the records after LSN %d: %v", f.to, f.acked.Load(), err)
 		f.stalled.Store(&msg)
@@ -533,12 +580,25 @@ func (f *forwarder) failed(err error) {
 
 // gather adds one record of the log to the next forward, and sends the
 // forward once the log has no more followable or the record would take it
-// past limit (then without the record, which starts the next). A record
-// with no state (a checkpoint marker, a probe) is not sent, only passed;
-// every other is, so the target refuses one it does not apply by name
-// (a push record an earlier release logged) and the site stalls on it.
+// past limit (then without the record, which starts the next). A probe is
+// passed, not sent, and so is a checkpoint's record unless the follow
+// boots: run skipped it there, or the target stands on an image (it
+// stopped part-way through a checkpoint) or at a log that opens on one. A
+// booting follow sends at the checkpoint's closing record and stops
+// booting once that is confirmed, or at a record past an image run none
+// closed. Every other record is sent, so the target refuses one it does
+// not apply by name and the site stalls on it.
 func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error {
-	if typ != wal.RecordCheckpoint && typ != wal.RecordProbe {
+	ckpt := typ == wal.RecordImage || typ == wal.RecordCheckpoint
+	switch {
+	case lsn == f.stand:
+		f.boot = typ == wal.RecordImage // only its type is read
+	case lsn == 1 && typ == wal.RecordImage:
+		f.boot = true
+	case !ckpt:
+		f.boot = false
+	}
+	if lsn != f.stand && typ != wal.RecordProbe && (f.boot || !ckpt) {
 		f.body = client.AppendForwardRecord(f.body, lsn, uint8(typ), payload)
 		if n := len(f.ends); n > 0 && len(f.body) > f.limit {
 			f.body = f.body[:f.ends[n-1].end]
@@ -548,6 +608,11 @@ func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error
 			f.body = client.AppendForwardRecord(f.body, lsn, uint8(typ), payload)
 		}
 		f.ends = append(f.ends, recordEnd{lsn, len(f.body)})
+		if typ == wal.RecordCheckpoint {
+			err := f.send(lsn)
+			f.boot = f.boot && err != nil
+			return err
+		}
 	}
 	if lsn < f.w.FollowableLSN() {
 		return nil

@@ -165,9 +165,8 @@ func TestForwardExactlyOnce(t *testing.T) {
 	rig.down.Store(true)
 	rig.ingest("", 12, 100, 1)
 	rig.ingest("a", 4, 150, 10)
-	// The second snapshot would prune to the first's coverage but for the
-	// mark.
-	if err := cmp.Or(rig.site.Snapshot(), rig.site.Snapshot()); err != nil {
+	// Each checkpoint would prune behind itself but for the mark.
+	if err := cmp.Or(rig.site.Checkpoint(), rig.site.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
 	if w := rig.site.wal; w.OldestLSN() != 1 {
@@ -175,7 +174,7 @@ func TestForwardExactlyOnce(t *testing.T) {
 	}
 	rig.down.Store(false)
 	rig.settle("once the coordinator is reachable")
-	if err := rig.site.Snapshot(); err != nil {
+	if err := rig.site.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if w := rig.site.wal; w.OldestLSN() == 1 {
@@ -215,7 +214,7 @@ func TestForwardExactlyOnce(t *testing.T) {
 
 	// The coordinator killed while forwarding, restarted from its snapshot
 	// (which carries the marks) and its log.
-	if err := rig.coord.Load().Snapshot(); err != nil {
+	if err := rig.coord.Load().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	rig.onNextForward(func() {
@@ -384,7 +383,7 @@ func TestForwardRefusalIsReported(t *testing.T) {
 	}
 	// The second checkpoint would prune to the first's coverage but for
 	// the mark.
-	if err := cmp.Or(rig.site.Snapshot(), rig.site.Snapshot()); err != nil {
+	if err := cmp.Or(rig.site.Checkpoint(), rig.site.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
 	if oldest := rig.site.wal.OldestLSN(); oldest > refused {
@@ -466,41 +465,17 @@ func TestForwardTupleCap(t *testing.T) {
 	}
 }
 
-// TestSiteRefusesUnsentState: a server with no site id yet whose state its
-// log does not hold would never send that state under a new id. On a
-// snapshot that covers LSN 0 — one an earlier release wrote with no log —
-// New refuses by name. On a log a checkpoint
-// pruned, it forwards nothing: /v1/stats names the coordinator's mark
-// behind the log's oldest record and the way out, until the coordinator is
-// started on a copy of the site's snapshot, which carries the new id's mark
-// at its coverage. From there the coordinator holds what the site does.
+// TestSiteRefusesUnsentState: a site whose log a checkpoint pruned sends a
+// target whose mark is behind its oldest record the newest checkpoint,
+// which replaces a target's state, so only a standby applies it. A
+// coordinator that holds another site's tenants refuses it by name and
+// keeps its state, and the site's /v1/stats names the way out; an empty
+// standby put in its place is bootstrapped over the wire, is promoted, and
+// from there holds what the site does, every tenant byte for byte.
 func TestSiteRefusesUnsentState(t *testing.T) {
 	was := forwardPause
 	forwardPause = 20 * time.Millisecond
 	t.Cleanup(func() { forwardPause = was })
-	// A snapshot that covers LSN 0 holds state in no record, and a new log
-	// starts at LSN 1, so no mark could show it.
-	eng, err := newEngine(&Config{Options: testOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddBatch(testStream(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	img, err := eng.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := walConfig(t)
-	bare.PushTo = "http://127.0.0.1:1"
-	bare.WALDir = stateWith(t, encodeSnapshot(0, []tenantImage{{image: img}}, nil))
-	if svc, err := New(bare); err == nil {
-		svc.Close()
-		t.Fatal("a site minted an id on a snapshot that covers LSN 0")
-	} else if !strings.Contains(err.Error(), "the restored snapshot covers LSN 0") {
-		t.Fatal(err)
-	}
-
 	cfg := walConfig(t)
 	cfg.WALSegmentBytes = 1 << 10
 	svc, err := New(cfg)
@@ -512,39 +487,46 @@ func TestSiteRefusesUnsentState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cmp.Or(svc.Snapshot(), svc.Close()); err != nil {
+	if err := cmp.Or(svc.Checkpoint(), svc.Close()); err != nil {
 		t.Fatal(err)
+	}
+	if svc.wal.OldestLSN() == 1 {
+		t.Fatal("the checkpoint pruned nothing")
 	}
 	coord, err := New(Config{Options: testOptions(), WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	other := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, "other"))
+	if err := coord.commit(&ingestJob{op: opForward, site: 0xdef, image: other}); err != nil {
+		t.Fatal(err)
+	}
+	held := tenantBytes(t, coord, "other")
 	rig := newForwardRig(t, coord, cfg)
 	var st client.Stats
 	waitUntil(t, 10*time.Second, "the site to report its stall", func() bool {
 		st, err = client.New(rig.siteTS.URL).Stats(context.Background())
-		return err == nil && strings.Contains(st.ForwardStalled, `start it on a copy of this server's snapshot (README "Replication & HA")`)
+		return err == nil && strings.Contains(st.ForwardStalled, `start the target with -standby on an empty -wal-dir, then promote it (README "Replication & HA")`)
 	})
-	if rig.site.metrics.siteForwardsRefused.Load() == 0 || coord.Engine().Count() != 0 {
-		t.Fatalf("a stalled site: %d refusals counted, the coordinator holds %d tuples", rig.site.metrics.siteForwardsRefused.Load(), coord.Engine().Count())
+	if rig.site.metrics.siteForwardsRefused.Load() == 0 || coord.Engine().Count() != 0 || !bytes.Equal(tenantBytes(t, coord, "other"), held) {
+		t.Fatalf("a refused checkpoint: %d refusals counted, the coordinator holds %d tuples of the site's, tenant other changed %t",
+			rig.site.metrics.siteForwardsRefused.Load(), coord.Engine().Count(), !bytes.Equal(tenantBytes(t, coord, "other"), held))
 	}
 
-	if err := rig.site.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(snapshotAt(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot, err := New(Config{Options: testOptions(), WALDir: stateWith(t, data)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The way out: an empty standby, bootstrapped over the wire, promoted.
+	boot := mustNew(t, Config{Options: testOptions(), Standby: true, WALDir: t.TempDir()})
 	rig.coord.Store(boot)
 	coord.Close()
 	rig.acked[""] = 800
+	rig.settle("on the bootstrapped standby")
+	if err := boot.Promote(); err != nil {
+		t.Fatal(err)
+	}
 	rig.ingest("", 2, 100, 9)
-	rig.settle("on the bootstrapped coordinator")
+	rig.settle("on the promoted standby")
+	if st, err := client.New(rig.siteTS.URL).Stats(context.Background()); err != nil || st.ForwardStalled != "" {
+		t.Fatalf("the site still reports a stall (%v): %q", err, st.ForwardStalled)
+	}
 }
 
 // TestForwardTwoPathsApplyOnce: a site's records reach the top coordinator
@@ -746,7 +728,7 @@ func TestForwardRetryNamesItsLastRecord(t *testing.T) {
 	rig := newForwardRig(t, coord, walConfig(t))
 	rig.ingest("", 2, 100, 1)
 	rig.settle("before the checkpoint")
-	if err := rig.site.Snapshot(); err != nil {
+	if err := rig.site.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	caughtUp(t, "past the checkpoint", rig.site)
@@ -762,8 +744,8 @@ func TestForwardRetryNamesItsLastRecord(t *testing.T) {
 	}
 }
 
-// copyState copies a server's state directory — its snapshots and its
-// log — and returns the copy's path.
+// copyState copies a server's state directory — its log, checkpoints and
+// all — and returns the copy's path.
 func copyState(t *testing.T, cfg Config) string {
 	t.Helper()
 	dir := t.TempDir()

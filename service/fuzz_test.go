@@ -5,6 +5,8 @@ import (
 	"cmp"
 	"errors"
 	"maps"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -76,18 +78,19 @@ func FuzzDecodeIngest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSnapshot throws arbitrary bytes at the one snapshot decoder,
-// which reads disk files at startup, a copied one a standby is
-// bootstrapped from among them. Whatever the bytes it must not panic; the images it returns
-// alias the input, so what it allocates is one entry per tenant and one per
-// site's mark, and no tenant or site count is trusted past the bytes behind
-// it; bytes that do not open with the current magic are refused as
-// ErrSnapshotFormat; and on everything it accepts, decode ∘ encode is the
-// identity: re-encoding what was decoded and decoding that yields the same
-// LSN, the same tenants and the same marks.
+// FuzzDecodeSnapshot fuzzes the decoders of a checkpoint: the
+// RecordCheckpoint payload replay and a standby's forward apply read
+// (decodeCheckpoint, the log's snapshot), and the earlier release's
+// snapshot file the import reads (decodeSnapshot). Whatever the bytes
+// neither may panic, and neither trusts a tenant or site count past the
+// bytes behind it: what it allocates is one entry per tenant and one per
+// site's mark. A checkpoint record it accepts round-trips: decoding what
+// encodeCheckpoint makes of it yields the same tenants in the same order
+// and the same marks. A snapshot that does not open with the magic is
+// refused as ErrSnapshotFormat.
 func FuzzDecodeSnapshot(f *testing.F) {
-	// A live three-tenant snapshot, one of them spilled, with two sites'
-	// marks: one from a forward, and one as large as a mark can be.
+	// A live checkpoint of three tenants, one of them spilled, with two
+	// sites' marks: one from a forward, and one as large as a mark can be.
 	svc, err := New(Config{Options: testOptions(), WALDir: f.TempDir()})
 	if err != nil {
 		f.Fatal(err)
@@ -104,50 +107,59 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 	}
 	svc.spillTenant(svc.tenantByName("beta"))
-	_, live, _, _, err := svc.buildSnapshot()
+	if err := svc.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	var live []byte
+	ck := svc.wal.LastCheckpoint()
+	err = svc.wal.Replay(ck.LSN-1, func(_ uint64, _ wal.RecordType, payload []byte) error {
+		live = bytes.Clone(payload)
+		return nil
+	})
 	svc.Close()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(live)
-	for _, cut := range []int{0, 4, len(snapshotMagic), len(snapshotMagic) + 1, len(live) / 2, len(live) - 1} {
+	for _, cut := range []int{0, 1, 2, len(live) / 2, len(live) - 1} {
 		f.Add(live[:cut])
 	}
-	f.Add(append(bytes.Clone(live), 0))                                           // trailing byte
-	f.Add(append(bytes.Clone(snapshotMagic), 0, 0xff, 0xff, 0xff, 0xff, 0x0f))    // forged tenant count
-	f.Add(append(bytes.Clone(snapshotMagic), 7, 1, 1, 'a', 0xff, 0x7f))           // image longer than the input
-	f.Add(append(bytes.Clone(snapshotMagic), 7, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)) // forged site count
-	f.Add(append(bytes.Clone(snapshotMagic), 7, 0, 2, 1, 5, 1, 5))                // one site listed twice
-	f.Add(encodeSnapshot(9, nil, nil))
-	for _, old := range []string{"corrdsn1", "corrdsn2", "corrdsn3"} {
-		f.Add(append([]byte(old), live[len(snapshotMagic):]...))
+	f.Add(append(bytes.Clone(live), 0))                                            // trailing byte
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})                                    // forged tenant count
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f})                                 // forged site count
+	f.Add([]byte{0, 2, 1, 5, 1, 5})                                                // one site listed twice
+	f.Add([]byte{1, 2, 'a', 7, 0})                                                 // a tenant name with a control byte
+	f.Add([]byte{1, 0x7f, 'a', 0})                                                 // a tenant name longer than the input
+	f.Add(encodeCheckpoint(nil, nil))                                              // no tenant, no site
+	f.Add(encodeCheckpoint([]string{"", "z", "a"}, map[uint64]uint64{3: 1, 1: 3})) // names in any order
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent.corrdsn4"))
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Add(live[len(snapshotMagic):]) // a bare image, as before the WAL existed
+	f.Add(parent) // a snapshot file the import takes
+	f.Add(append([]byte("corrdsn3"), parent[len(snapshotMagic):]...))
+	f.Add(parent[len(snapshotMagic):]) // a bare image, as before the WAL existed
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		covered, images, marks, err := decodeSnapshot(data)
+		names, marks, err := decodeCheckpoint(data)
+		if cap(names) > len(data) || len(marks) > len(data)/2 {
+			t.Fatalf("%d-byte input allocated room for %d tenants and %d marks", len(data), cap(names), len(marks))
+		}
+		if err == nil {
+			names2, marks2, err := decodeCheckpoint(encodeCheckpoint(names, marks))
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+			}
+			if !slices.Equal(names2, names) || !maps.Equal(marks2, marks) {
+				t.Fatalf("round trip turned tenants %q, marks %v into %q, %v", names, marks, names2, marks2)
+			}
+		}
+		images, marks, err := decodeSnapshot(data)
 		if cap(images) > len(data) || len(marks) > len(data)/2 {
-			t.Fatalf("%d-byte input allocated room for %d tenants and %d marks", len(data), cap(images), len(marks))
+			t.Fatalf("%d-byte snapshot allocated room for %d tenants and %d marks", len(data), cap(images), len(marks))
 		}
-		if err != nil {
-			if !bytes.HasPrefix(data, snapshotMagic) && !errors.Is(err, ErrSnapshotFormat) {
-				t.Fatalf("input without the magic refused as %v, want ErrSnapshotFormat", err)
-			}
-			return
-		}
-		again := encodeSnapshot(covered, images, marks)
-		covered2, images2, marks2, err := decodeSnapshot(again)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot does not decode: %v", err)
-		}
-		if covered2 != covered || len(images2) != len(images) || !maps.Equal(marks2, marks) {
-			t.Fatalf("round trip turned LSN %d, %d tenants, marks %v into LSN %d, %d tenants, marks %v",
-				covered, len(images), marks, covered2, len(images2), marks2)
-		}
-		for i, ti := range images {
-			if images2[i].name != ti.name || !bytes.Equal(images2[i].image, ti.image) {
-				t.Fatalf("tenant %d (%q) changed across the round trip", i, ti.name)
-			}
+		if err != nil && !bytes.HasPrefix(data, snapshotMagic) && !errors.Is(err, ErrSnapshotFormat) {
+			t.Fatalf("input without the magic refused as %v, want ErrSnapshotFormat", err)
 		}
 	})
 }

@@ -561,12 +561,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleSummary serves a tenant's summary image — the bytes a snapshot
-// entry holds, for an offline tool (the library's UnmarshalBinary or
+// handleSummary serves a tenant's summary image — the bytes a checkpoint's
+// image record holds, for an offline tool (the library's UnmarshalBinary or
 // MergeMarshaled) to pull. ?tenant= selects the
 // namespace; unknown keys are 404. A spilled tenant is served its parked
-// image — a read does not un-spill it — unless it was installed empty (a
-// snapshot entry of no bytes): the empty summary's image is not zero
+// image — a read does not un-spill it — unless it was installed empty (an
+// image of no bytes): the empty summary's image is not zero
 // bytes, so an engine writes it.
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	tn := s.readTenant(w, r)

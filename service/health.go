@@ -13,19 +13,19 @@ import (
 )
 
 // Degraded-mode state machine. A corrd whose durability path breaks —
-// the WAL goes sticky-broken, its appends or fsyncs keep failing, snapshots
-// keep failing — must not keep acknowledging writes it cannot make
+// the WAL goes sticky-broken, its appends or fsyncs keep failing, a
+// checkpoint's among them — must not keep acknowledging writes it cannot make
 // durable, and it must not die either: committed state is still intact
 // and perfectly servable. So the server degrades instead: writes get
 // 503 + Retry-After (AckDegraded on the stream, keeping the
 // connection), while queries, stats, summaries, and log forwarding
 // keep serving from committed state. A background probe (a probe
-// job — the committer appends and fsyncs a RecordProbe — plus a snapshot
-// when that was the broken class) retries every healthProbeInterval; the operator can
+// job — the committer appends and fsyncs a RecordProbe) retries every
+// healthProbeInterval; the operator can
 // force the same probe with POST /v1/recover. /readyz reports the
 // machine's position for load balancers; /healthz stays pure liveness.
 //
-//	healthy ──(WAL broken | N consecutive wal or snapshot errors)──▶ degraded
+//	healthy ──(WAL broken | N consecutive wal errors)──▶ degraded
 //	degraded ──(probe starts)──▶ recovering ──(probe ok)──▶ healthy
 //	                                  └──(probe fails)──▶ degraded
 
@@ -36,9 +36,9 @@ const (
 	healthRecovering int32 = 2
 )
 
-// healthFailThreshold is how many consecutive failures of one class (a
-// commit group's WAL errors or snapshot errors) trip the degraded transition. A
-// sticky-broken WAL degrades immediately regardless.
+// healthFailThreshold is how many consecutive commit groups with a WAL
+// error — a checkpoint's group among them — trip the degraded transition.
+// A sticky-broken WAL degrades immediately regardless.
 const healthFailThreshold = 3
 
 // healthProbeInterval is the recovery loop's probe cadence — and
@@ -57,11 +57,9 @@ type health struct {
 	degradedSince time.Time     // zero when healthy
 	degradedAccum time.Duration // closed degraded intervals
 
-	walErrs    atomic.Int32 // consecutive commit groups with a WAL error
-	snapErrs   atomic.Int32 // consecutive snapshot failures
-	snapBroken atomic.Bool  // snapshots were the broken class: recovery must prove one
+	walErrs atomic.Int32 // consecutive commit groups with a WAL error
 	// A logged record the state failed to apply, or 0: nothing applies after
-	// it, so no snapshot covers it, and no probe recovers.
+	// it, so no checkpoint holds it, and no probe recovers.
 	lost atomic.Uint64
 }
 
@@ -134,24 +132,8 @@ func (s *Server) noteWALError(err error) {
 	}
 }
 
-// noteSnapshotResult tracks snapshot outcomes; repeated failures mean
-// the durability floor (restore point) is rotting even if the WAL still
-// works, so that too degrades the server.
-func (s *Server) noteSnapshotResult(err error) {
-	h := &s.health
-	if err == nil {
-		h.snapErrs.Store(0)
-		return
-	}
-	if n := h.snapErrs.Add(1); n >= healthFailThreshold {
-		h.snapBroken.Store(true)
-		s.degrade(fmt.Sprintf("%d consecutive snapshot failures, last: %v", n, err))
-	}
-}
-
 // recoverNow runs one synchronous recovery probe: repair-and-verify the
-// WAL tail (a probe job: append a probe record, fsync it), and — when
-// snapshots were the broken class — prove a full snapshot write. On success the
+// WAL tail (a probe job: append a probe record, fsync it). On success the
 // machine returns to healthy; on failure it falls back to degraded with
 // the original reason intact. Safe to call concurrently (the admin
 // endpoint racing the background loop): probes are idempotent.
@@ -183,11 +165,6 @@ func (s *Server) recoverNow() error {
 	if err := s.commit(&ingestJob{op: opProbe}); err != nil {
 		return fail(fmt.Errorf("wal probe: %w", err))
 	}
-	if h.snapBroken.Load() {
-		if err := s.Snapshot(); err != nil {
-			return fail(fmt.Errorf("snapshot probe: %w", err))
-		}
-	}
 
 	h.mu.Lock()
 	if !h.degradedSince.IsZero() {
@@ -198,8 +175,6 @@ func (s *Server) recoverNow() error {
 	h.state.Store(healthHealthy)
 	h.mu.Unlock()
 	h.walErrs.Store(0)
-	h.snapErrs.Store(0)
-	h.snapBroken.Store(false)
 	s.logf("health: degraded -> healthy (recovered from: %s)", reason)
 	return nil
 }

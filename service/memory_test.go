@@ -1,10 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"runtime"
@@ -15,6 +15,8 @@ import (
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/gen"
+	"github.com/streamagg/correlated/internal/tupleio"
+	"github.com/streamagg/correlated/internal/wal"
 )
 
 // benchOptions is the summary corrdbench's workloads run.
@@ -183,65 +185,64 @@ func recountTenantBytes(svc *Server) int64 {
 	return n
 }
 
-// TestSnapshotFallbackKeepsTenantBytes: a newest snapshot whose tenants
-// install and whose default image then fails to unmarshal is dropped for the
-// slot before it, and the tenants dropped with it leave the books — the sum is
-// kept by differences, so nothing later would take them off.
+// TestSnapshotFallbackKeepsTenantBytes: a checkpoint record drops the
+// tenants it does not name — at a standby its primary bootstraps, here one
+// that held a live and a spilled tenant its primary does not have — and
+// the tenants dropped leave the books: the sum is kept by differences, so
+// nothing later would take them off. The images take their tenants' place
+// byte for byte, and a restart from the standby's log keeps the books
+// exact too.
 func TestSnapshotFallbackKeepsTenantBytes(t *testing.T) {
 	cfg := walConfig(t)
+	cfg.Standby = true
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(svc.Handler())
-	ctx := context.Background()
-	ingest := func(seed uint64) {
+	for i, name := range []string{"", "a", "b", "c"} {
+		if err := svc.commit(ingestOf(name, testStream(1_000, uint64(i+1)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.spillTenant(svc.tenantByName("c"))
+	primary, err := New(walConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	var body []byte
+	for i, name := range []string{"", "a"} {
+		if err := primary.commit(ingestOf(name, testStream(1_000, uint64(i+10)))); err != nil {
+			t.Fatal(err)
+		}
+		body = client.AppendForwardRecord(body, uint64(10+i), uint8(wal.RecordImage), append(tupleio.AppendTenant(nil, name), tenantBytes(t, primary, name)...))
+	}
+	body = client.AppendForwardRecord(body, 12, uint8(wal.RecordCheckpoint), encodeCheckpoint([]string{"", "a"}, nil))
+	if err := svc.commit(&ingestJob{op: opForward, site: 0xabc, prev: 9, image: body}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, svc *Server) {
 		t.Helper()
-		for i, name := range []string{"", "a", "b"} {
-			if err := client.New(ts.URL, client.WithTenant(name)).AddBatch(ctx, testStream(1_000, seed+uint64(i))); err != nil {
-				t.Fatal(err)
+		if svc.tenantByName("b") != nil || svc.tenantByName("c") != nil || len(svc.tenantList()) != 2 {
+			t.Fatalf("%s: %d tenants, b %t, c %t; want the checkpoint's two", when, len(svc.tenantList()), svc.tenantByName("b") != nil, svc.tenantByName("c") != nil)
+		}
+		for _, name := range []string{"", "a"} {
+			if !bytes.Equal(tenantBytes(t, svc, name), tenantBytes(t, primary, name)) {
+				t.Fatalf("%s: tenant %q is not its primary's image", when, name)
 			}
 		}
-	}
-	ingest(1)
-	if err := svc.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	ingest(4)
-	if err := svc.Snapshot(); err != nil { // rotates the first to slot 1
-		t.Fatal(err)
-	}
-	ingest(7) // a WAL suffix past both
-	crash(ts, svc)
-
-	data, err := os.ReadFile(snapshotAt(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered, images, marks, err := decodeSnapshot(data)
-	if err != nil || len(images) != 3 {
-		t.Fatalf("newest snapshot: %d images, %v", len(images), err)
-	}
-	for i := range images {
-		if images[i].name == "" {
-			images[i].image = images[i].image[:len(images[i].image)/2]
+		if got, want := svc.tenantBytes.Load(), recountTenantBytes(svc); got != want || want == 0 {
+			t.Errorf("%s: tenant bytes %d, recount says %d", when, got, want)
 		}
 	}
-	if err := os.WriteFile(snapshotAt(cfg), encodeSnapshot(covered, images, marks), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	check("after the checkpoint", svc)
+	crash(nil, svc)
 	svc2, err := New(cfg)
 	if err != nil {
-		t.Fatalf("restart over a newest snapshot with a torn default image: %v", err)
+		t.Fatal(err)
 	}
-	t.Cleanup(func() { svc2.Close() })
-	if !fellBack(t, svc2, cfg) {
-		t.Fatal("restore did not fall back to the older slot")
-	}
-	if got, want := svc2.tenantBytes.Load(), recountTenantBytes(svc2); got != want || want == 0 {
-		t.Errorf("tenant bytes %d after a fallback restore, recount says %d", got, want)
-	}
+	defer svc2.Close()
+	check("after a restart", svc2)
 }
 
 // TestFootprintAtCommitIsFreeOrAskedFor: a commit notes the footprint of the

@@ -16,7 +16,7 @@ import (
 // Dependency-free Prometheus-text observability. The instrument set is
 // fixed at startup (no dynamic label cardinality): counters for the
 // three traffic classes, one latency histogram per handler, and gauges
-// for tenant and snapshot state. Everything is atomics — recording on
+// for tenant and checkpoint state. Everything is atomics — recording on
 // the hot path takes no lock, and a scrape takes no driver lock — and the
 // /metrics handler renders the text exposition format directly. A series
 // states one fact: what another series or /v1/stats already says is not
@@ -152,13 +152,12 @@ type metrics struct {
 	queriesGE   counter
 	queryErrors counter
 
-	snapshotsWritten counter
-	snapshotErrors   counter
-	lastSnapshotUnix gauge // 0 until the first snapshot
-	snapshotBytes    gauge
+	snapshotErrors   counter // checkpoints that failed: a marshal, an append or the barrier
+	lastSnapshotUnix gauge   // 0 until the first checkpoint
+	snapshotBytes    gauge   // image bytes of the last checkpoint written
 
 	walAppendErrors  counter    // writes nacked because their append or their group's fsync failed
-	walFsync         *histogram // fsync latency on the append/checkpoint path
+	walFsync         *histogram // fsync latency on the append path, a checkpoint's too
 	walReplayRecords gauge      // state records replayed at the last startup
 	walReplaySeconds fgauge     // wall-clock duration of that replay
 
@@ -279,10 +278,9 @@ func (m *metrics) write(w io.Writer, ts tenantStats, ws wal.Stats, h *health) {
 	fmt.Fprintf(w, "corrd_queries_served_total{op=\"le\"} %d\n", m.queriesLE.Load())
 	fmt.Fprintf(w, "corrd_queries_served_total{op=\"ge\"} %d\n", m.queriesGE.Load())
 	c("corrd_query_errors_total", "Failed /v1/query requests.", m.queryErrors.Load())
-	c("corrd_snapshots_written_total", "Snapshots persisted to disk.", m.snapshotsWritten.Load())
-	c("corrd_snapshot_errors_total", "Failed snapshot attempts.", m.snapshotErrors.Load())
-	g("corrd_snapshot_last_unix_seconds", "Unix time of the last successful snapshot (0 = never).", m.lastSnapshotUnix.Load())
-	g("corrd_snapshot_bytes", "Size of the last written snapshot.", m.snapshotBytes.Load())
+	c("corrd_snapshot_errors_total", "Failed checkpoints: a tenant's marshal, an append or the barrier.", m.snapshotErrors.Load())
+	g("corrd_snapshot_last_unix_seconds", "Unix time of the last checkpoint this process wrote (0 = never).", m.lastSnapshotUnix.Load())
+	g("corrd_snapshot_bytes", "Image bytes of the last checkpoint this process wrote.", m.snapshotBytes.Load())
 	fmt.Fprintf(w, "# HELP corrd_site_forwards_total Forwards of this site's log upstream: confirmed by the coordinator, failed (sent again), or refused (the records behind wait; see /v1/stats forward_stalled).\n")
 	fmt.Fprintf(w, "# TYPE corrd_site_forwards_total counter\n")
 	fmt.Fprintf(w, "corrd_site_forwards_total{result=\"sent\"} %d\n", m.siteForwardsSent.Load())
@@ -294,7 +292,7 @@ func (m *metrics) write(w io.Writer, ts tenantStats, ws wal.Stats, h *health) {
 	g("corrd_tenant_bytes", "Bytes the tenants keep (the MaxTenantBytes input): a live summary's sketch storage and what else its makers' arenas map, and its structs on the heap, as of its last change; a spilled one's image length.", ts.bytes)
 	c("corrd_tenant_created_total", "Tenants created over this process's lifetime.", m.tenantsCreated.Load())
 	c("corrd_tenant_spills_total", "Idle tenants spilled to an in-memory image.", m.tenantsSpilled.Load())
-	c("corrd_tenant_restores_total", "Tenants materialized from an image (a spilled one on touch; the default at a snapshot restore).", m.tenantsRestored.Load())
+	c("corrd_tenant_restores_total", "Tenants materialized from an image (a spilled one on touch; the default at a checkpoint restore).", m.tenantsRestored.Load())
 	fmt.Fprintf(w, "# HELP corrd_tenant_rejected_total Tenant creations refused by a governance cap, by reason.\n")
 	fmt.Fprintf(w, "# TYPE corrd_tenant_rejected_total counter\n")
 	fmt.Fprintf(w, "corrd_tenant_rejected_total{reason=\"limit\"} %d\n", m.tenantRejectedLimit.Load())
@@ -305,8 +303,8 @@ func (m *metrics) write(w io.Writer, ts tenantStats, ws wal.Stats, h *health) {
 	g("corrd_wal_segments", "WAL segment files on disk.", ws.Segments)
 	c("corrd_wal_appends_total", "Records appended to the WAL this process.", ws.Appends)
 	c("corrd_wal_appended_bytes_total", "Frame bytes appended to the WAL this process.", ws.AppendedBytes)
-	c("corrd_wal_checkpoints_total", "Checkpoint markers written after snapshots.", ws.Checkpoints)
-	c("corrd_wal_pruned_segments_total", "Sealed WAL segments deleted by checkpoints.", ws.PrunedSegments)
+	c("corrd_wal_checkpoints_total", "Checkpoints made durable in the log this process.", ws.Checkpoints)
+	c("corrd_wal_pruned_segments_total", "Sealed WAL segments deleted behind checkpoints.", ws.PrunedSegments)
 	g("corrd_wal_last_lsn", "LSN of the most recently appended WAL record.", int64(ws.LastLSN))
 	c("corrd_wal_append_errors_total", "Writes refused because their WAL append or their group's fsync failed; none was applied.", m.walAppendErrors.Load())
 	g("corrd_wal_replay_records", "State records replayed from the WAL at the last startup.", m.walReplayRecords.Load())

@@ -131,7 +131,7 @@ func TestMetricsExpositionInvariants(t *testing.T) {
 	if _, err := cl.QueryBatch(ctx, "le", []uint64{5, 50}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Snapshot(); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,7 +308,6 @@ var seriesReaders = map[string]string{
 	"corrd_forwards_total":                "../scripts/service-smoke.sh",
 	"corrd_queries_served_total":          "service_test.go",
 	"corrd_query_errors_total":            "service_test.go",
-	"corrd_snapshots_written_total":       "service_test.go",
 	"corrd_snapshot_errors_total":         "chaos_test.go",
 	"corrd_snapshot_last_unix_seconds":    "service_test.go",
 	"corrd_snapshot_bytes":                "service_test.go",

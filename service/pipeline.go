@@ -12,14 +12,15 @@ import (
 	"time"
 
 	correlated "github.com/streamagg/correlated"
+	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
 // Group commit: the one admission and the one log writer. Every durable
-// mutation — an ingest batch, a record a site forwarded, a checkpoint
-// marker, a recovery probe, a bare barrier — is a job: its source enqueues
+// mutation — an ingest batch, a record a site forwarded, a checkpoint, a
+// recovery probe, a bare barrier — is a job: its source enqueues
 // it and blocks, holding no lock, until the committer has committed the
 // group it rode in. enqueue admits or refuses a client's job on the caller's
 // goroutine, outside every lock, so nothing the committer takes can be
@@ -40,10 +41,10 @@ import (
 // them, the barrier every ack waits on, which when it fails has rewound
 // them all. Under the lock again it applies exactly the records the log still
 // holds, in LSN order, through the applies replay runs,
-// advancing appliedLSN, the coverage a snapshot records; then it wakes the
-// waiters.
-// So a nacked write is in neither the log, the live state, a snapshot nor
-// a standby, and a failed append or barrier leaves nothing to undo. Under K
+// advancing appliedLSN; then it wakes the waiters. A checkpoint is a group
+// of its own (commitCheckpoint).
+// So a nacked write is in neither the log, the live state, a checkpoint
+// nor a standby, and a failed append or barrier leaves nothing to undo. Under K
 // concurrent clients the fsync and the sort are paid once per group, and a
 // lone client keeps groups of one.
 
@@ -107,16 +108,14 @@ type jobOp uint8
 const (
 	opIngest     jobOp = iota // tuples for the tenant named key; adjacent ingest jobs share one RecordIngest
 	opForward                 // records of a site's log, image, applied as the site applied them (RecordForward, forward.go)
-	opCheckpoint              // image is uvarint(covered) of a snapshot already durable (RecordCheckpoint)
+	opCheckpoint              // a group of its own: every tenant's RecordImage and the RecordCheckpoint (commitCheckpoint)
 	opProbe                   // recovery probe: repair the tail, append a RecordProbe
 	opBarrier                 // no record: the group's Sync alone
 )
 
-// recordType is the record each op appends; a probe's is the log's own
-// (wal.Probe), and opBarrier writes none.
-var recordType = [...]wal.RecordType{
-	opIngest: wal.RecordIngest, opForward: wal.RecordForward, opCheckpoint: wal.RecordCheckpoint,
-}
+// recordType is the record each op of a commit group appends; a probe's is
+// the log's own (wal.Probe), and opBarrier writes none.
+var recordType = [...]wal.RecordType{opIngest: wal.RecordIngest, opForward: wal.RecordForward}
 
 // ingestJob is one durable mutation in flight through the commit
 // pipeline. The done channel (capacity 1, reused via the decodeState pool)
@@ -283,8 +282,13 @@ func (s *Server) committer() {
 		}
 		take, total := 0, 0
 		for ; take < n; take++ {
-			total += p.queue[take].n
-			if take > 0 && total > maxGroupTuples {
+			j := p.queue[take]
+			total += j.n
+			if take > 0 && (total > maxGroupTuples || j.op == opCheckpoint) {
+				break
+			}
+			if j.op == opCheckpoint {
+				take++ // a group of its own
 				break
 			}
 		}
@@ -296,7 +300,11 @@ func (s *Server) committer() {
 		p.queue = p.queue[:rest]
 		s.metrics.queueDepth.Set(int64(len(p.queue)))
 		p.mu.Unlock()
-		s.commitGroup(group)
+		if group[0].op == opCheckpoint {
+			s.commitCheckpoint(group[0])
+		} else {
+			s.commitGroup(group)
+		}
 		// The jobs are answered: holding them to the next group would pin
 		// their request bodies, which their decode states alias, past the
 		// pool's reach.
@@ -401,7 +409,7 @@ func gatherRun(r *groupRecord, buf []correlated.Tuple) []correlated.Tuple {
 // decideJobLocked decides a job that is not an ingest batch and reports
 // whether it writes a record: a forward with a record admitted
 // (decideForwardLocked; earlier are the group's records before it), every
-// marker and probe. Callers hold s.mu.
+// probe. Callers hold s.mu.
 func (s *Server) decideJobLocked(j *ingestJob, earlier []groupRecord, made *[][]byte) bool {
 	switch j.op {
 	case opForward:
@@ -427,7 +435,16 @@ func appendRecord(w *wal.WAL, buf []byte, r *groupRecord) ([]byte, uint64, error
 		buf, err = appendIngest(buf, r.batches)
 		payload = buf
 	case opForward:
-		buf = append(binary.AppendUvarint(buf, j.site), j.image[j.recs[0].start:j.recs[len(j.recs)-1].end]...)
+		// The site's records as they came, but one dropped at the mark:
+		// a probe at its LSN.
+		buf = binary.AppendUvarint(buf, j.site)
+		for _, r := range j.recs {
+			if r.typ == wal.RecordProbe {
+				buf = client.AppendForwardRecord(buf, r.lsn, uint8(wal.RecordProbe), nil)
+			} else {
+				buf = append(buf, j.image[r.start:r.end]...)
+			}
+		}
 		payload = buf
 	}
 	if err != nil {
@@ -556,7 +573,7 @@ func (s *Server) commitGroup(group []*ingestJob) {
 			continue
 		}
 		// The group's barrier returned nil, so appliedLSN never passes the
-		// log's durable frontier: a snapshot covers nothing a crash could
+		// log's durable frontier: a checkpoint holds nothing a crash could
 		// take back.
 		s.appliedLSN.Store(r.lsn)
 		for _, j := range r.jobs {
@@ -602,6 +619,72 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		j.wakeAt = wake
 		j.done <- struct{}{}
 	}
+}
+
+// commitCheckpoint commits a checkpoint, a group of its own: the committer
+// is the state's only writer, so with every earlier group applied the state
+// is that of the log's last record while this runs. Each tenant, in key
+// order, is marshaled under s.mu and appended outside it — one image in
+// memory at a time, queries running between — then the RecordCheckpoint,
+// behind one barrier. A failure is counted; a failed append or barrier
+// counts toward degrading like any other, and images no checkpoint record
+// closes hold the state of the log before them, so replay applies them to
+// no effect.
+func (s *Server) commitCheckpoint(j *ingestJob) {
+	if j.err = s.writeCheckpoint(); j.err != nil {
+		j.kind = ingestErrWAL
+		s.metrics.snapshotErrors.Inc()
+	}
+	j.wakeAt = time.Now()
+	j.done <- struct{}{}
+}
+
+// writeCheckpoint is commitCheckpoint's work. A log that ends with its
+// newest checkpoint is checkpointed already.
+func (s *Server) writeCheckpoint() error {
+	if lsn := s.health.lost.Load(); lsn != 0 {
+		return fmt.Errorf("the state lacks logged record %d: %w", lsn, errStateBehindLog)
+	}
+	if last := s.wal.LastLSN(); last > 0 && s.wal.LastCheckpoint().LSN == last {
+		s.metrics.lastSnapshotUnix.Set(time.Now().Unix())
+		return nil
+	}
+	tenants := s.tenantList()
+	slices.SortFunc(tenants, func(a, b *tenant) int { return cmp.Compare(a.name, b.name) })
+	names := make([]string, 0, len(tenants))
+	var imageBytes int64
+	for _, t := range tenants {
+		s.mu.Lock()
+		img, err := t.imageLocked()
+		s.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("marshal tenant %q: %w", t.name, err)
+		}
+		if _, err := s.wal.AppendNoSync(wal.RecordImage, append(tupleio.AppendTenant(nil, t.name), img...)); err != nil {
+			s.noteWALError(err)
+			return err
+		}
+		names, imageBytes = append(names, t.name), imageBytes+int64(len(img))
+	}
+	s.mu.Lock()
+	payload := encodeCheckpoint(names, s.marks)
+	s.mu.Unlock()
+	lsn, err := s.wal.AppendNoSync(wal.RecordCheckpoint, payload)
+	if err == nil {
+		err = s.wal.Sync()
+	}
+	if err != nil {
+		s.noteWALError(err)
+		return err
+	}
+	s.health.walErrs.Store(0)
+	s.mu.Lock()
+	s.appliedLSN.Store(lsn)
+	s.mu.Unlock()
+	s.metrics.lastSnapshotUnix.Set(time.Now().Unix())
+	s.metrics.snapshotBytes.Set(imageBytes)
+	s.logf("checkpoint: %d tenants, %d image bytes, at LSN %d", len(names), imageBytes, lsn)
+	return nil
 }
 
 // overloadRetryAfter prices a shed request's Retry-After hint: the

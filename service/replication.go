@@ -2,7 +2,6 @@ package service
 
 import (
 	"crypto/subtle"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -23,7 +22,9 @@ import (
 // no forward — an idle primary's empty one included — has arrived for
 // Config.PrimaryTimeout. Promotion only lifts the refusal: the log, the
 // marks and the standby's own forwarders go on as they were, so one
-// argument, the marks, covers every path a record travels.
+// argument, the marks, covers every path a record travels. A standby
+// behind its primary's oldest record is bootstrapped over the wire, from
+// the primary's newest checkpoint (forward.go).
 
 var (
 	// errReadOnlyReplica refuses a client write on a standby; the message
@@ -37,12 +38,9 @@ var (
 
 // replayState is the cross-record scratch of one pass over a log: the
 // startup replayer's (service/wal.go), and a forward's apply of the
-// records nested in it. covered and fallback arm the replayer's
-// checkpoint staleness witness.
+// records nested in it.
 type replayState struct {
-	batches  []tenantBatch // an ingest record's members: a tenant's key and its sorted batch
-	covered  uint64        // snapshot baseline (startup staleness check)
-	fallback bool          // restore fell back to an older retention slot
+	batches []tenantBatch // an ingest record's members: a tenant's key and its sorted batch
 }
 
 // decodeIngest turns an ingest record's payload back into the batches the
@@ -81,43 +79,16 @@ func (st *replayState) decodeIngest(payload []byte, left *uint64) ([]tenantBatch
 	return st.batches[:n], nil
 }
 
-// pushRecord is the type an earlier release gave a summary image its push
-// endpoint merged into a tenant. Nothing writes it now and the type stays
-// reserved: wherever one would be applied — replay, a forward's admission
-// — it is refused by name, never reinterpreted.
-const pushRecord wal.RecordType = 2
-
-// errPushRecord names a push record and the way past it.
-var errPushRecord = errors.New(`a push record (type 2: a summary image merged into a tenant by the push endpoint, which this release no longer serves) is never applied — stop the release that logged it with SIGTERM, which writes a final snapshot, then start this release with that snapshot copied into an empty -wal-dir as its snapshot file (README "Storage format")`)
-
 // applyRecord applies one WAL record on replay through the live commit's
 // own applies, which is what makes a restarted server's state
-// byte-identical to a crash-free one's at the same LSN. A state record
-// goes to applyStateLocked; a checkpoint marker and a probe change
-// nothing. counted reports whether the record carried state. Startup
-// replay calls it before any goroutine exists.
+// byte-identical to a crash-free one's at the same LSN. A probe changes
+// nothing; every other record goes to applyStateLocked. counted reports
+// whether the record carried state. Startup replay calls it before any
+// goroutine exists.
 func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st *replayState) (counted bool, err error) {
-	switch typ {
-	case wal.RecordCheckpoint:
-		// Not state, but a consistency witness: the marker says a
-		// snapshot covering LSN c was durably written. If the snapshot
-		// we restored claims less, we are about to re-apply records the
-		// log was already pruned against.
-		c, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return false, fmt.Errorf("service: wal replay: record %d: bad checkpoint marker", lsn)
-		}
-		if c > st.covered && !st.fallback {
-			// A deliberate retention fallback restores an older snapshot
-			// on purpose; there the continuity check in replayWAL (the log
-			// starts by covered+1) is the correctness guard instead.
-			return false, fmt.Errorf("service: wal replay: log has a checkpoint covering LSN %d but the restored snapshot covers only %d — %s is stale or missing; refusing to double-apply (restore the matching snapshot, or move the WAL dir aside to start fresh)",
-				c, st.covered, s.snapshotPathN(0))
-		}
-		return false, nil
-	case wal.RecordProbe:
+	if typ == wal.RecordProbe {
 		// A recovery probe: the record exists only to prove the log can
-		// append and fsync again. It carries no state.
+		// append and fsync again.
 		return false, nil
 	}
 	if err := s.applyStateLocked(typ, payload, st); err != nil {
@@ -130,8 +101,10 @@ func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st 
 // live commit applied: an ingest record into the sorted batch per tenant it
 // was given live (applyGroupLocked: the same one AddBatch, of the same
 // argument, nothing copied or re-encoded), a forward into its records,
-// each back through here. A tenant the log names is made whatever the caps
-// say today. A push record is refused by name (errPushRecord).
+// each back through here, an image or a checkpoint record as checkpoint.go
+// applies them. A probe nested in a forward is a site record the server
+// that logged the forward dropped at the mark: it applies nothing. A
+// tenant the log names is made whatever the caps say today.
 // Callers hold s.mu, or run before any goroutine exists.
 func (s *Server) applyStateLocked(typ wal.RecordType, payload []byte, st *replayState) error {
 	switch typ {
@@ -144,10 +117,14 @@ func (s *Server) applyStateLocked(typ wal.RecordType, payload []byte, st *replay
 			batches[i].tuples = pooledTuples(batches[i].tuples)
 		}
 		return err
-	case pushRecord:
-		return errPushRecord
 	case wal.RecordForward:
 		return s.applyForwardRecordLocked(payload, st)
+	case wal.RecordImage:
+		return s.applyImageLocked(payload)
+	case wal.RecordCheckpoint:
+		return s.applyCheckpointLocked(payload)
+	case wal.RecordProbe:
+		return nil
 	}
 	return fmt.Errorf("unknown record type %d", typ)
 }

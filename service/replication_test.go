@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,11 +88,12 @@ func TestReplicaFollowsAndServesReads(t *testing.T) {
 	}
 }
 
-// TestReplicaSnapshotCatchup: a standby added behind the primary's prune
-// horizon — its mark 0, the log's oldest record past 1 — is stalled by name
-// until it is started on a copy of the primary's snapshot, which carries
-// the primary's own mark at its coverage; from there it follows and is
-// byte-identical to the primary, the marks of the primary's own sites
+// TestReplicaSnapshotCatchup: a primary's checkpoint prunes its log only
+// behind what every target confirmed. A standby that joins later, empty,
+// behind the pruned log, is bootstrapped over the wire: the primary sends
+// it its newest checkpoint — images, then the record with the marks of the
+// primary's own sites — and the log after it, with no stall and no file
+// copied, and from there it is byte-identical to the primary, those marks
 // included.
 func TestReplicaSnapshotCatchup(t *testing.T) {
 	was := forwardPause
@@ -111,9 +111,7 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 3 {
-			// The log is kept from this snapshot's coverage on while it
-			// is the fallback one.
-			if err := primary.Snapshot(); err != nil {
+			if err := primary.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -122,7 +120,7 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 		t.Fatal(err)
 	}
 	caughtUp(t, "the first standby", primary)
-	if err := primary.Snapshot(); err != nil { // checkpoint + prune to the first's coverage
+	if err := primary.Checkpoint(); err != nil { // checkpoint + prune behind it
 		t.Fatal(err)
 	}
 	if body := scrape(t, pts.URL); primary.wal.OldestLSN() == 1 || metricValue(t, body, "corrd_wal_checkpoints_total") != 2 ||
@@ -130,7 +128,7 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 		t.Fatalf("a checkpoint every target confirmed did not prune: oldest LSN %d, series\n%s", primary.wal.OldestLSN(), body)
 	}
 
-	// A second standby joins: the primary restarts with both targets.
+	// A second standby joins, empty: the primary restarts with both targets.
 	late := newTarget(t, mustNew(t, Config{Options: o, Standby: true}))
 	pts.Close()
 	if err := primary.Close(); err != nil {
@@ -138,18 +136,7 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 	}
 	cfg.PushTo += "," + late.proxy.URL
 	primary, pts, pcl = newTestServer(t, cfg)
-	var st client.Stats
-	waitUntil(t, 10*time.Second, "the primary to report the stall", func() bool {
-		st, _ = pcl.Stats(ctx)
-		return strings.Contains(st.ForwardStalled, late.proxy.URL+": mark 0 is behind this log's oldest record")
-	})
-
-	data, err := os.ReadFile(snapshotAt(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot := mustNew(t, Config{Options: o, Standby: true, WALDir: stateWith(t, data)})
-	late.coord.Swap(boot).Close()
+	boot := late.coord.Load()
 	if err := pcl.AddBatch(ctx, testStream(1_000, 99)); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +149,7 @@ func TestReplicaSnapshotCatchup(t *testing.T) {
 	boot.mu.Lock()
 	mark := boot.marks[0x5eed]
 	boot.mu.Unlock()
-	if st, err = pcl.Stats(ctx); err != nil || st.ForwardStalled != "" || mark != 7 {
+	if st, err := pcl.Stats(ctx); err != nil || st.ForwardStalled != "" || mark != 7 {
 		t.Fatalf("after the bootstrap the primary reports %q (err %v), the standby's mark for the primary's site is %d, want 7", st.ForwardStalled, err, mark)
 	}
 }

@@ -23,11 +23,11 @@
 //     (replication.go).
 //
 // Durability is a write-ahead log every acknowledged write is in first
-// (Config.WALDir; wal.go, pipeline.go), checkpointed by periodic
-// snapshots (snapshot.go) that let it prune. Observability is a
-// Prometheus-text /metrics plus /healthz and /v1/stats, and shutdown is
-// graceful: drain HTTP and streams, final forward (site role), final
-// snapshot, commit what is queued.
+// (Config.WALDir; wal.go, pipeline.go), and the server's one artefact:
+// periodic checkpoints are records of it (checkpoint.go) that let it prune.
+// Observability is a Prometheus-text /metrics plus /healthz and /v1/stats,
+// and shutdown is graceful: drain HTTP and streams, final forward (site
+// role), final checkpoint, commit what is queued.
 //
 // The HTTP surface is deliberately small and wire-stable; see the
 // README's "Running the service" section for the endpoint catalogue and
@@ -52,7 +52,7 @@ import (
 
 // Engine is what the service needs from a tenant's summary: batched
 // ingest, dual-direction queries, and the one wire form that serves
-// snapshot, spill and /v1/summary alike. Every root
+// checkpoint, spill and /v1/summary alike. Every root
 // summary type (*F2Summary, *FkSummary, *CountSummary, *SumSummary)
 // satisfies it as is. An Engine is not safe for concurrent use; the
 // server drives each one under its driver lock.
@@ -76,7 +76,7 @@ type Config struct {
 	Aggregate string
 	// K is the moment order when Aggregate is "fk".
 	K int
-	// Options configures every tenant's summary. A snapshot restores
+	// Options configures every tenant's summary. A checkpoint restores
 	// only under the Options — Seed included — that wrote it.
 	Options correlated.Options
 	// QueryMaxStale bounds how old a memoized query answer may be. 0
@@ -93,26 +93,25 @@ type Config struct {
 	QueryMaxStale time.Duration
 
 	// SnapshotInterval is the time between checkpoints; <= 0 means 30s.
-	// A checkpoint persists every tenant's state to <WALDir>/snapshot
-	// (the one before it kept as snapshot.1), and the log is pruned
-	// behind it. One is also written at Close, and startup restores the
-	// newest usable one.
+	// A checkpoint appends every tenant's state to the log as records,
+	// and the log is pruned behind it. One is also written at Close, and
+	// startup restores the newest one the log holds.
 	SnapshotInterval time.Duration
 
 	// WALDir is the server's state directory, and required: the
-	// write-ahead log's segments, the two snapshot generations and a
+	// write-ahead log's segments, which hold its checkpoints too, and a
 	// site's id. Every accepted ingest batch and forwarded site record is
 	// appended and fsynced — one fsync per commit group — before the
 	// request is acknowledged, so an acknowledged request survives kill
-	// -9 and an OS crash, and startup replays the log suffix the
-	// snapshot does not cover.
+	// -9 and an OS crash, and startup replays the log from its newest
+	// checkpoint. A copy of the whole directory restores.
 	WALDir string
 	// WALSegmentBytes is the segment rotation threshold; <= 0 means
 	// 64 MiB.
 	WALSegmentBytes int64
 
-	// FS routes the WAL's and the snapshot writer's filesystem calls;
-	// nil means the real OS. A *fault.Injector here (cmd/corrd's
+	// FS routes the server's filesystem calls — the WAL's, and a site
+	// id's; nil means the real OS. A *fault.Injector here (cmd/corrd's
 	// -fault-plan) turns the daemon into its own chaos harness: disk
 	// faults are injected by plan, and POST /v1/fault swaps the plan
 	// live.
@@ -178,7 +177,7 @@ type Config struct {
 
 	// MaxBodyBytes caps request bodies; 0 means 64 MiB.
 	MaxBodyBytes int64
-	// Logger receives operational messages (snapshot failures, forward
+	// Logger receives operational messages (checkpoint failures, forward
 	// retries); nil discards them.
 	Logger *log.Logger
 	// AccessLog receives one JSON line per API request and per stream
@@ -249,7 +248,7 @@ type decodeState struct {
 }
 
 // Server is one corrd instance. Create it with New, serve its Handler,
-// and Close it to drain, final-forward, and final-snapshot.
+// and Close it to drain, final-forward, and final-checkpoint.
 type Server struct {
 	cfg     Config
 	metrics *metrics
@@ -259,7 +258,7 @@ type Server struct {
 
 	// mu is the engine driver lock: a summary is single-driver by
 	// contract, so every read or write of one — a commit group decided and
-	// applied by the committer, a snapshot marshal, a tenant spill or
+	// applied by the committer, a checkpoint's marshal, a tenant spill or
 	// restore, a query evaluation — happens under it, across all tenants.
 	// Every write is a job of the commit pipeline (pipe): the committer
 	// applies under mu, in LSN order, only the records its log holds after
@@ -275,7 +274,8 @@ type Server struct {
 	// Tenant registry (tenant.go): def is the default (empty-key)
 	// tenant, whose engine never spills; tenants maps every key
 	// (including "") to its namespace. Whoever writes the map — the commit
-	// that makes a tenant, a snapshot install — holds mu as well as regMu,
+	// that makes a tenant, an image or a checkpoint applied — holds mu as
+	// well as regMu,
 	// so a read under mu needs no regMu. regMu is the innermost lock —
 	// never acquire mu or a tenant's memoMu while holding it.
 	// tenantsLive counts tenants holding a materialized engine (the
@@ -293,7 +293,7 @@ type Server struct {
 	records  []groupRecord      // committer-owned: the records of the group in flight
 	applyBuf []correlated.Tuple // committer-owned sorted copy of a group's members, a span per tenant
 
-	// fs routes WAL and snapshot filesystem calls (fault.OS() unless
+	// fs routes the server's filesystem calls (fault.OS() unless
 	// Config.FS injects faults); health is the degraded-mode state
 	// machine (health.go); groupLatency is the EWMA of commit-group
 	// wall time, the Retry-After input for overload shedding.
@@ -304,15 +304,6 @@ type Server struct {
 	// wal is the durable-ingest log, opened in New; only the committer
 	// writes it.
 	wal *wal.WAL
-
-	// xferMu serializes snapshots, so two never rotate or write the
-	// snapshot files at once. Its holders wait on commit jobs: never taken
-	// holding mu, nor by the committer. keptCovered, guarded by it, is the
-	// coverage of the newest snapshot on disk (the restored one until a
-	// snapshot is written): the next rotation moves it to snapshot.1, and the
-	// log is pruned no further than it.
-	xferMu      sync.Mutex
-	keptCovered uint64
 
 	dec  sync.Pool    // *decodeState
 	fwds []*forwarder // a site's, one per PushTo target (forward.go)
@@ -328,8 +319,7 @@ type Server struct {
 	// standby is true from a standby's New until Promote flips it; client
 	// writes are refused while it holds. heard is the input of
 	// PrimaryTimeout (replication.go, hear). appliedLSN is the last WAL
-	// record the state holds, the one coverage a snapshot records,
-	// advanced under mu by the committer's apply.
+	// record the state holds, advanced under mu by the committer's apply.
 	standby atomic.Bool
 	heard   struct {
 		site  atomic.Uint64 // the primary: the first site a forward came from
@@ -348,9 +338,9 @@ type Server struct {
 	closeErr  error
 }
 
-// New builds a Server: engine, snapshot restore, log replay, HTTP
-// routes, and the background snapshot loop and forwarder. On error nothing
-// is left running.
+// New builds a Server: engine, log replay (or the import of an earlier
+// release's snapshot), HTTP routes, and the background checkpoint loop and
+// forwarders. On error nothing is left running.
 func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotInterval <= 0 {
 		cfg.SnapshotInterval = 30 * time.Second
@@ -388,27 +378,30 @@ func New(cfg Config) (*Server, error) {
 	s.pipe.done = make(chan struct{})
 	s.dec.New = func() any { return &decodeState{job: ingestJob{done: make(chan struct{}, 1)}} }
 	s.standby.Store(cfg.Standby)
-	// Recovery order: restore the snapshot (which records the LSN it
-	// covers), then replay the WAL suffix past it — the state that
-	// comes out is the same sequence of engine calls the crashed
-	// process made.
-	covered, fellBack, err := s.restoreSnapshot()
+	// Recovery: the newest checkpoint, then every record after it — the
+	// state that comes out is the same sequence of engine calls the
+	// crashed process made.
+	imported, err := s.importSnapshot()
 	if err != nil {
 		return nil, err
 	}
-	s.keptCovered = covered
-	// A brand-new log continues the snapshot: numbered from 1, replay
-	// would skip its records up to the snapshot's coverage as already
-	// applied.
-	if err := s.openWAL(covered + 1); err != nil {
+	if err := s.openWAL(); err != nil {
 		return nil, err
 	}
-	if err := s.replayWAL(covered, fellBack); err != nil {
+	if err := s.replayWAL(); err != nil {
 		s.shutdownStorage()
 		return nil, err
 	}
 	if cfg.PushTo != "" {
-		if s.fwds, err = s.newForwarders(covered); err != nil {
+		if s.fwds, err = s.newForwarders(); err != nil {
+			s.shutdownStorage()
+			return nil, err
+		}
+	}
+	go s.committer()
+	if imported != "" {
+		if err := s.finishImport(imported); err != nil {
+			s.closePipeline()
 			s.shutdownStorage()
 			return nil, err
 		}
@@ -421,15 +414,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.logf("configured: role=%s agg=%s wal=%q access-log=%t slow-request=%s",
 		s.roleNow(), cfg.aggregate(), cfg.WALDir, s.access != nil, cfg.SlowRequest)
-	go s.committer()
 	s.every(healthProbeInterval, func() {
 		if s.health.state.Load() == healthDegraded {
 			s.recoverNow() // logs its own outcome
 		}
 	})
 	s.every(cfg.SnapshotInterval, func() {
-		if err := s.Snapshot(); err != nil {
-			s.logf("snapshot: %v", err)
+		if err := s.Checkpoint(); err != nil {
+			s.logf("%v", err)
 		}
 	})
 	for _, f := range s.fwds {
@@ -468,7 +460,8 @@ func (s *Server) every(interval time.Duration, fn func()) {
 // http.Server, httptest, a mux of your own).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Restored reports whether startup state came from a snapshot.
+// Restored reports whether startup state came from a checkpoint, or from
+// an earlier release's snapshot it imported.
 func (s *Server) Restored() bool { return s.restored }
 
 // Engine exposes the default tenant's engine for in-process use
@@ -489,7 +482,7 @@ func (s *Server) shutdownStorage() {
 // Close shuts the server down gracefully: stop the background loops and
 // the stream transport, forward what the log holds upstream (site role;
 // the first failed attempt ends it, and the log keeps the rest for the
-// next start), write a final snapshot, and only then shut the commit pipeline —
+// next start), write a final checkpoint, and only then shut the commit pipeline —
 // the committer outlives everything that hands it a job. Safe to call
 // more than once; later calls return the first result. Callers should
 // stop their http.Server first so no handler is mid-flight.
@@ -521,7 +514,7 @@ func (s *Server) close() {
 			errs = append(errs, fmt.Errorf("final forward: %w", err))
 		}
 	}
-	if err := s.Snapshot(); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		errs = append(errs, err)
 	}
 	// Jobs are refused from here; the committer commits and acknowledges

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -167,12 +168,12 @@ func TestIngestTextFormat(t *testing.T) {
 	}
 }
 
-// TestSnapshotCrashRecovery is the durability contract: snapshot, keep
+// TestSnapshotCrashRecovery is the durability contract: checkpoint, keep
 // ingesting, crash without a graceful shutdown — the restarted server
-// restores the snapshot and replays the log past it, to a marshaled state
+// restores the checkpoint and replays the log past it, to a marshaled state
 // bit-identical to the one the crash cut: every acknowledged tuple.
 func TestSnapshotCrashRecovery(t *testing.T) {
-	cfg := walConfig(t) // only explicit snapshots
+	cfg := walConfig(t) // only explicit checkpoints
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -183,31 +184,27 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	if err := cl.AddBatch(ctx, testStream(6_000, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Snapshot(); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snapFile, err := os.ReadFile(snapshotAt(cfg))
-	if err != nil {
-		t.Fatal(err)
+	images := checkpointImages(t, svc)
+	if len(images) != 1 || !bytes.Equal(images[""], tenantBytes(t, svc, "")) {
+		t.Fatalf("the checkpoint holds %d images, want the default tenant's", len(images))
 	}
-	_, images, _, err := decodeSnapshot(snapFile)
-	if err != nil || len(images) != 1 || images[0].name != "" {
-		t.Fatalf("snapshot file holds %d images (err %v), want the default tenant's", len(images), err)
-	}
-	snapBytes := images[0].image
+	snapBytes := images[""]
 	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := scrape(t, ts.URL)
-	if metricValue(t, body, "corrd_snapshots_written_total") != 1 ||
+	if metricValue(t, body, "corrd_wal_checkpoints_total") != 1 ||
 		metricValue(t, body, "corrd_snapshot_bytes") != float64(len(snapBytes)) ||
 		st.LastSnapshot == 0 || metricValue(t, body, "corrd_snapshot_last_unix_seconds") != float64(st.LastSnapshot) {
-		t.Fatalf("after one snapshot of a %d-byte image (stats last_snapshot %d):\n%s", len(snapBytes), st.LastSnapshot, body)
+		t.Fatalf("after one checkpoint of a %d-byte image (stats last_snapshot %d):\n%s", len(snapBytes), st.LastSnapshot, body)
 	}
-	// Keep ingesting past the snapshot, then crash: no final snapshot
-	// is written — disk still holds the old image, exactly like a
-	// SIGKILL mid-ingest, and the log holds what came after it.
+	// Keep ingesting past the checkpoint, then crash: no final checkpoint
+	// is written — the log holds the checkpoint and what came after it,
+	// exactly like a SIGKILL mid-ingest.
 	if err := cl.AddBatch(ctx, testStream(2_000, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +221,7 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 	}
 	defer svc2.Close()
 	if n := svc2.metrics.walReplayRecords.Load(); !svc2.Restored() || n == 0 {
-		t.Fatalf("restart restored a snapshot %t, replayed %d records past it", svc2.Restored(), n)
+		t.Fatalf("restart restored a checkpoint %t, replayed %d records past it", svc2.Restored(), n)
 	}
 	img, err := svc2.Engine().MarshalBinary()
 	if err != nil {
@@ -254,7 +251,7 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 }
 
 // TestGracefulShutdownFlush: Close commits what the pipeline holds and
-// writes a final snapshot, so a restart serves every accepted tuple.
+// writes a final checkpoint, so a restart serves every accepted tuple.
 func TestGracefulShutdownFlush(t *testing.T) {
 	cfg := walConfig(t)
 	svc, err := New(cfg)
@@ -267,13 +264,14 @@ func TestGracefulShutdownFlush(t *testing.T) {
 	}
 	srv.Close()
 	// Close runs once: a concurrent call waits for the first, so each
-	// returns with the final snapshot on disk, and a later one is a no-op.
+	// returns with the final checkpoint in the log, and a later one is a
+	// no-op.
 	errs := make(chan error, 2)
 	for range 2 {
 		go func() {
 			err := svc.Close()
-			if err == nil {
-				_, err = os.Stat(snapshotAt(cfg))
+			if ck := svc.wal.LastCheckpoint(); err == nil && ck.LSN != svc.wal.LastLSN() {
+				err = fmt.Errorf("the log ends at LSN %d past its final checkpoint %+v", svc.wal.LastLSN(), ck)
 			}
 			errs <- err
 		}()
@@ -291,9 +289,9 @@ func TestGracefulShutdownFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	// The final snapshot covers every record: nothing is left to replay.
+	// The final checkpoint holds every record: nothing is left to replay.
 	if n, replayed := svc2.Engine().Count(), svc2.metrics.walReplayRecords.Load(); n != 500 || !svc2.Restored() || replayed != 0 {
-		t.Fatalf("restart after graceful shutdown: count %d, want 500; restored %t, %d records replayed past the final snapshot", n, svc2.Restored(), replayed)
+		t.Fatalf("restart after graceful shutdown: count %d, want 500; restored %t, %d records replayed past the final checkpoint", n, svc2.Restored(), replayed)
 	}
 }
 
@@ -378,52 +376,35 @@ func TestQueryErrorMapping(t *testing.T) {
 func asAPIError(err error, ae **client.APIError) bool { return errors.As(err, ae) }
 
 // walConfig is the standard durable-ingest test configuration: a state
-// directory whose snapshot ticker never fires, so only an explicit
-// Snapshot or Close writes one and every recovery path exercises the log.
+// directory whose checkpoint ticker never fires, so only an explicit
+// Checkpoint or Close writes one and every recovery path exercises the log.
 func walConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{Options: testOptions(), SnapshotInterval: time.Hour, WALDir: filepath.Join(t.TempDir(), "wal")}
 }
 
-// snapshotAt is the live snapshot's path in cfg's state directory.
-func snapshotAt(cfg Config) string { return filepath.Join(cfg.WALDir, snapshotFile) }
+// snapshotAt is where an earlier release kept its live snapshot in cfg's
+// state directory: the file the import reads.
+func snapshotAt(cfg Config) string { return filepath.Join(cfg.WALDir, snapshotFiles[0]) }
 
-// stateWith returns a new state directory holding snapshot as its live
-// snapshot and no log: where a server bootstraps from a copy of another's.
+// stateWith returns a new state directory holding snapshot as an earlier
+// release's live snapshot and no log: a directory the import takes.
 func stateWith(t *testing.T, snapshot []byte) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snapshot, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotFiles[0]), snapshot, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
 }
 
-// fellBack reports whether svc's start-up restored cfg's older snapshot
-// generation: its restore covers what snapshot.1 does.
-func fellBack(t *testing.T, svc *Server, cfg Config) bool {
-	t.Helper()
-	data, err := os.ReadFile(snapshotAt(cfg) + ".1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered, _, _, err := decodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.xferMu.Lock()
-	defer svc.xferMu.Unlock()
-	return svc.keptCovered == covered
-}
-
 // crash simulates kill -9 for an in-process server: drop the listener
-// (when there is one) and stop the background loops — a dead process
-// must not keep snapshotting, checkpointing or probing files the
-// restarted server now owns. No drain, no final snapshot, no WAL close:
-// the disk is left exactly as a SIGKILL would leave it. crash takes
-// Close's once, so a later Close is a no-op, and the transfer lock, never
-// released, so no snapshot is in flight when crash returns and none can
-// start afterwards.
+// (when there is one), stop the background loops and shut the commit
+// pipeline — a dead process must not keep checkpointing, pruning or
+// probing files the restarted server now owns. No drain, no final
+// checkpoint, no WAL close: the disk is left as a SIGKILL would leave it,
+// past the jobs already queued. crash takes Close's once, so a later Close
+// is a no-op.
 // A site's forwarder makes one last attempt and stops: a test that wants
 // records left unforwarded takes the coordinator away first.
 func crash(ts *httptest.Server, svc *Server) {
@@ -436,8 +417,8 @@ func crash(ts *httptest.Server, svc *Server) {
 		for _, f := range svc.fwds {
 			f.drain()
 		}
+		svc.closePipeline()
 	})
-	svc.xferMu.Lock()
 }
 
 // TestWALCrashRecoveryExact is the acceptance contract: a server killed
@@ -459,7 +440,7 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	if err := cl.AddBatch(ctx, s1); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Snapshot(); err != nil {
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Phase 2: more ingest plus a site's forward — the replay suffix.
@@ -674,49 +655,55 @@ func TestWALMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestWALRefusesStaleSnapshot: the log's checkpoint markers witness
-// that a snapshot covering LSN N existed; if the restored snapshot
-// covers less (deleted, or replaced by an older one),
-// startup must refuse instead of double-applying the retained log.
+// TestWALRefusesStaleSnapshot: a log whose oldest record is not its first
+// holds the records from a checkpoint on, so one whose oldest segments are
+// lost — here the one holding its only checkpoint, which pruned everything
+// before it — starts on records whose state before them is gone: startup
+// refuses by name instead of serving them over an empty state.
 func TestWALRefusesStaleSnapshot(t *testing.T) {
 	cfg := walConfig(t)
+	cfg.WALSegmentBytes = 1 // every commit group seals a segment of its own
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(svc.Handler())
-	cl := client.New(ts.URL)
-	ctx := context.Background()
-	if err := cl.AddBatch(ctx, testStream(500, 81)); err != nil {
+	for i := uint64(0); i < 5; i++ {
+		if err := svc.commit(ingestOf("", testStream(100, 81+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Snapshot(); err != nil { // writes the checkpoint marker
+	if err := svc.commit(ingestOf("", testStream(100, 90))); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.AddBatch(ctx, testStream(100, 82)); err != nil {
-		t.Fatal(err)
+	ck := svc.wal.LastCheckpoint()
+	crash(nil, svc)
+	if oldest := svc.wal.OldestLSN(); oldest != ck.First {
+		t.Fatalf("the log starts at LSN %d, want the checkpoint's first image %d", oldest, ck.First)
 	}
-	crash(ts, svc)
-	if err := os.Remove(snapshotAt(cfg)); err != nil { // lose the snapshot
+	// Lose the segment holding the checkpoint.
+	if err := os.Remove(filepath.Join(cfg.WALDir, fmt.Sprintf("wal-%016x.seg", ck.First))); err != nil {
 		t.Fatal(err)
 	}
 	svc2, err := New(cfg)
 	if err == nil {
 		svc2.Close()
-		t.Fatal("startup over a checkpointed WAL with no snapshot must refuse")
+		t.Fatal("startup over a log that lost its checkpoint must refuse")
 	}
-	if !strings.Contains(err.Error(), "stale or missing") {
+	if !strings.Contains(err.Error(), "holds no whole checkpoint") {
 		t.Fatalf("unexpected refusal error: %v", err)
 	}
 }
 
-// TestEmptyLogRefusesALostSnapshot: a server started on a copy of a
-// snapshot and no log opens its log at the snapshot's coverage + 1, so a
-// log that holds no record still says which snapshot it continues. Killed
-// before its first write and restarted without that snapshot, it refuses
-// by name instead of serving empty state over the snapshot's tuples. A
-// continuity check that looks only at the first record replay delivers
-// never runs on an empty log, and the restart came up holding nothing.
+// TestEmptyLogRefusesALostSnapshot: an earlier release let a server start
+// on a copy of a snapshot and no log, and such a log, holding no record
+// yet, was all that said which snapshot it continued. That state can no
+// longer arise: the import writes the snapshot into the new log as its
+// first checkpoint before the server serves, so a server killed before its
+// first write restarts holding every tuple from its log alone, the file
+// renamed out of the way.
 func TestEmptyLogRefusesALostSnapshot(t *testing.T) {
 	src := walConfig(t)
 	svc, err := New(src)
@@ -726,38 +713,36 @@ func TestEmptyLogRefusesALostSnapshot(t *testing.T) {
 	if err := svc.commit(ingestOf("", testStream(1_000, 1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Close(); err != nil { // the final snapshot
+	image := tenantBytes(t, svc, "")
+	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(snapshotAt(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Options: testOptions(), WALDir: stateWith(t, data)}
+	cfg := Config{Options: testOptions(), WALDir: stateWith(t, appendSnapshot(nil, []tenantImage{{image: image}}, nil))}
 	boot, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := boot.Engine().Count(); n != 1_000 {
-		t.Fatalf("the server started on the copy holds %d of its 1000 tuples", n)
+	if n := boot.Engine().Count(); n != 1_000 || boot.wal.LastCheckpoint().First != 1 {
+		t.Fatalf("the server started on the snapshot holds %d of its 1000 tuples, its log's first checkpoint %+v", n, boot.wal.LastCheckpoint())
 	}
 	crash(nil, boot)
-	if err := os.Remove(snapshotAt(cfg)); err != nil {
+	if _, err := os.Stat(snapshotAt(cfg)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the imported snapshot is still in place: %v", err)
+	}
+	svc2, err := New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if svc2, err := New(cfg); err == nil {
-		n := svc2.Engine().Count()
-		svc2.Close()
-		t.Fatalf("a restart without the snapshot its log continues came up holding %d tuples", n)
-	} else if !strings.Contains(err.Error(), "but the restored snapshot covers only 0") {
-		t.Fatalf("unexpected refusal error: %v", err)
+	defer svc2.Close()
+	if n := svc2.Engine().Count(); n != 1_000 || !bytes.Equal(tenantBytes(t, svc2, ""), image) {
+		t.Fatalf("a restart after the import holds %d of its 1000 tuples", n)
 	}
 }
 
 // TestEveryServerCheckpoints: a server given only Options and a state
-// directory writes <WALDir>/snapshot at Close and on its ticker, restarts
-// from it with nothing to replay, and prunes its log's sealed segments
-// behind snapshot.1's coverage.
+// directory checkpoints into its log at Close and on its ticker, restarts
+// from the newest checkpoint with nothing to replay, and prunes its log's
+// sealed segments behind that checkpoint's first image.
 func TestEveryServerCheckpoints(t *testing.T) {
 	cfg := Config{Options: testOptions(), WALDir: t.TempDir()}
 	svc, err := New(cfg)
@@ -765,7 +750,7 @@ func TestEveryServerCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if svc.cfg.SnapshotInterval != 30*time.Second {
-		t.Fatalf("snapshot interval %s, want the 30s default", svc.cfg.SnapshotInterval)
+		t.Fatalf("checkpoint interval %s, want the 30s default", svc.cfg.SnapshotInterval)
 	}
 	if err := svc.commit(ingestOf("", testStream(500, 1))); err != nil {
 		t.Fatal(err)
@@ -773,8 +758,8 @@ func TestEveryServerCheckpoints(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(snapshotAt(cfg)); err != nil {
-		t.Fatalf("no snapshot after Close: %v", err)
+	if ck := svc.wal.LastCheckpoint(); ck.LSN == 0 || ck.LSN != svc.wal.LastLSN() {
+		t.Fatalf("the log ends at LSN %d, its checkpoint after Close %+v", svc.wal.LastLSN(), ck)
 	}
 	restart := func(want uint64) *Server {
 		t.Helper()
@@ -783,7 +768,7 @@ func TestEveryServerCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n, replayed := svc.Engine().Count(), svc.metrics.walReplayRecords.Load(); n != want || !svc.Restored() || replayed != 0 {
-			t.Fatalf("restart: count %d, want %d; restored %t, %d records replayed past the snapshot", n, want, svc.Restored(), replayed)
+			t.Fatalf("restart: count %d, want %d; restored %t, %d records replayed past the checkpoint", n, want, svc.Restored(), replayed)
 		}
 		return svc
 	}
@@ -791,29 +776,25 @@ func TestEveryServerCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// On the ticker, with every commit group sealing a segment of its own.
+	// On the ticker, with every commit group sealing a segment of its own. A
+	// checkpoint follows new records: the log holds them since the last one.
 	cfg.SnapshotInterval, cfg.WALSegmentBytes = 10*time.Millisecond, 1
 	svc = restart(500)
-	for i := uint64(0); i < 6; i++ {
-		if err := svc.commit(ingestOf("", testStream(100, 10+i))); err != nil {
-			t.Fatal(err)
+	for round := uint64(0); round < 2; round++ {
+		ticked := svc.wal.Stats().Checkpoints
+		for i := uint64(0); i < 3; i++ {
+			if err := svc.commit(ingestOf("", testStream(100, 10+3*round+i))); err != nil {
+				t.Fatal(err)
+			}
 		}
+		waitUntil(t, 10*time.Second, "a checkpoint on the ticker", func() bool {
+			return svc.wal.Stats().Checkpoints > ticked
+		})
 	}
-	ticked := svc.metrics.snapshotsWritten.Load()
-	waitUntil(t, 10*time.Second, "two snapshots on the ticker", func() bool {
-		return svc.metrics.snapshotsWritten.Load() >= ticked+2
-	})
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(snapshotAt(cfg) + ".1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, _, _, err := decodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := svc.wal.LastCheckpoint()
 	var firsts []uint64
 	for name := range dirBytes(t, cfg.WALDir) {
 		var first uint64
@@ -822,8 +803,8 @@ func TestEveryServerCheckpoints(t *testing.T) {
 		}
 	}
 	slices.Sort(firsts)
-	if len(firsts) == 0 || firsts[0] == 1 || firsts[0] > kept+1 || (len(firsts) > 1 && firsts[1] <= kept+1) {
-		t.Fatalf("segments from LSNs %v: want the log pruned to the segment holding LSN %d, just past snapshot.1's coverage", firsts, kept+1)
+	if len(firsts) == 0 || firsts[0] == 1 || firsts[0] != ck.First {
+		t.Fatalf("segments from LSNs %v: want the log pruned to the segment holding LSN %d, the newest checkpoint's first image", firsts, ck.First)
 	}
 	restart(1_100).Close()
 }
@@ -847,15 +828,14 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestPreBreakStateRefused: durable state written before a storage
-// version break — a version-1, -2, -3, -4 or -5 log holding records, or a
-// corrdsn1, corrdsn2, corrdsn3 or bare-image snapshot wherever restore would reach
+// version break — a version-1 to -6 log holding records, or a corrdsn1,
+// corrdsn2, corrdsn3 or bare-image snapshot wherever the import would read
 // it — makes New fail with an error that wraps a sentinel, names the format
 // found and the one expected, and points at the README. The refused start
-// leaves every file exactly as it was and creates none beside them. So does
-// a push record (type 2, which POST /v1/push logged) the replay would
-// apply, and its way out — the snapshot, on an empty log — restores the
-// tenants byte for byte; a forward carrying one is refused whole, with a 400
-// naming it.
+// leaves every file exactly as it was and creates none beside them. A
+// version-7 log can hold no type-2 record (an earlier format's push
+// record): one is an unknown record type, which fails the start the same
+// way, and a forward carrying one is refused whole, with a 400 naming it.
 func TestPreBreakStateRefused(t *testing.T) {
 	o := testOptions()
 	eng, err := correlated.NewF2Summary(o)
@@ -925,6 +905,11 @@ func TestPreBreakStateRefused(t *testing.T) {
 			// weight-flag byte.
 			return wal.RecordIngest, append(append([]byte{0, 32, 0, 0}, bytes.Repeat([]byte{0xaa}, 16)...), 0)
 		}},
+		{6, func(int) (wal.RecordType, []byte) {
+			// Version 6's ingest record is version 7's; its checkpoints were
+			// uvarint(covered) of a snapshot file.
+			return wal.RecordIngest, ingestRecord(t, "a")
+		}},
 	} {
 		t.Run(fmt.Sprintf("version-%d log", old.version), func(t *testing.T) {
 			dir := t.TempDir()
@@ -959,7 +944,7 @@ func TestPreBreakStateRefused(t *testing.T) {
 
 	// corrdsn2 and corrdsn3 had today's layout under the older magic, less
 	// the marks table at the end.
-	sn3 := encodeSnapshot(7, []tenantImage{{name: "", image: image}, {name: "a", image: image}}, nil)
+	sn3 := appendSnapshot(nil, []tenantImage{{name: "", image: image}, {name: "a", image: image}}, nil)
 	sn3 = sn3[:len(sn3)-1]
 	sn3[len(snapshotMagic)-1] = '3'
 	sn2 := bytes.Clone(sn3)
@@ -1005,13 +990,10 @@ func TestPreBreakStateRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range []string{"", "a"} {
-			if err := svc.commit(ingestOf(key, testStream(300, 93))); err != nil {
-				t.Fatal(err)
-			}
+		if err := svc.commit(ingestOf("a", testStream(300, 93))); err != nil {
+			t.Fatal(err)
 		}
-		want := map[string][]byte{"": tenantBytes(t, svc, ""), "a": tenantBytes(t, svc, "a")}
-		if err := svc.Close(); err != nil { // the final snapshot covers both
+		if err := svc.Close(); err != nil { // the final checkpoint
 			t.Fatal(err)
 		}
 		w, err := wal.Open(cfg.WALDir, wal.Options{})
@@ -1024,23 +1006,15 @@ func TestPreBreakStateRefused(t *testing.T) {
 		if err := cmp.Or(w.Sync(), w.Close()); err != nil {
 			t.Fatal(err)
 		}
-		refused(t, cfg, cfg.WALDir, errPushRecord, "a push record (type 2", "SIGTERM", "an empty -wal-dir")
-
-		// The way out: the snapshot, copied into an empty state directory.
-		data, err := os.ReadFile(snapshotAt(cfg))
-		if err != nil {
-			t.Fatal(err)
+		before := dirBytes(t, cfg.WALDir)
+		if svc, err := New(cfg); err == nil {
+			svc.Close()
+			t.Fatal("a type-2 record was applied")
+		} else if !strings.Contains(err.Error(), "unknown record type 2") {
+			t.Fatalf("a type-2 record past the checkpoint: %v, want unknown record type 2", err)
 		}
-		cfg.WALDir = stateWith(t, data)
-		svc, err = New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		for name, b := range want {
-			if got := tenantBytes(t, svc, name); !bytes.Equal(got, b) {
-				t.Fatalf("tenant %q after the way out: %d bytes, the snapshot held %d", name, len(got), len(b))
-			}
+		if after := dirBytes(t, cfg.WALDir); !maps.EqualFunc(before, after, bytes.Equal) {
+			t.Fatal("the refused start modified the state directory")
 		}
 	})
 
@@ -1050,7 +1024,7 @@ func TestPreBreakStateRefused(t *testing.T) {
 		body = client.AppendForwardRecord(body, 2, 2, push)
 		_, err := cl.Forward(context.Background(), 0xabc, wal.Version, 0, body)
 		var ae *client.APIError
-		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(err.Error(), "site record 2: a push record (type 2") {
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(err.Error(), "site record 2: service: a forward carries ingest, image, checkpoint or forward records, not type 2") {
 			t.Fatalf("a forward carrying a push record: %v; want a 400 naming it", err)
 		}
 		if svc.tenantByName("b") != nil || svc.tenantByName("a") != nil || svc.marks[0xabc] != 0 || svc.Engine().Count() != 0 {
@@ -1059,12 +1033,12 @@ func TestPreBreakStateRefused(t *testing.T) {
 	})
 }
 
-// TestSnapshotOntoEmptyLogKeepsAckedWrites: a server started on a snapshot
-// with an empty WAL dir — the way across a log format break and past a
-// refused record — numbers its new log from the snapshot's coverage + 1,
-// so a crash replays every write acknowledged since. A new log numbered
-// from 1 lost them: replay skipped its records at or below the coverage
-// as already applied, with no error.
+// TestSnapshotOntoEmptyLogKeepsAckedWrites: a server started on an earlier
+// release's snapshot in an empty state directory — the way across the log
+// format break — imports it as its new log's first checkpoint, so a crash
+// replays every write acknowledged since on top of it. The log no longer
+// continues the snapshot's LSN space: the import leaves nothing outside
+// the log for its numbering to skip.
 func TestSnapshotOntoEmptyLogKeepsAckedWrites(t *testing.T) {
 	cfg := walConfig(t)
 	svc, err := New(cfg)
@@ -1076,14 +1050,11 @@ func TestSnapshotOntoEmptyLogKeepsAckedWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cmp.Or(svc.Snapshot(), svc.Close()); err != nil {
+	image := tenantBytes(t, svc, "")
+	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(snapshotAt(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.WALDir = stateWith(t, data)
+	cfg.WALDir = stateWith(t, appendSnapshot(nil, []tenantImage{{image: image}}, nil))
 	svc, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func TestWALCrashRecoveryExactConcurrent(t *testing.T) {
 	var snapOnce sync.Once
 	ingest(ts, func(i int) {
 		snapOnce.Do(func() {
-			if err := svc.Snapshot(); err != nil {
+			if err := svc.Checkpoint(); err != nil {
 				t.Error(err)
 			}
 		})

@@ -14,9 +14,9 @@ import (
 // user/flow/metric keys its own correlated-aggregate state. A tenant
 // key rides the request surface (?tenant= on the HTTP endpoints, the
 // keyed stream frame format) and the durability surface (every ingest
-// record in the WAL, every snapshot entry); the empty key is
+// record in the WAL, every checkpoint image); the empty key is
 // the default tenant, which is what a request naming no tenant addresses
-// and is logged and snapshotted like any other. A tenant comes into being
+// and is logged and checkpointed like any other. A tenant comes into being
 // with the apply of the first logged write to it (tenantForWriteLocked, the
 // one place a request or a record makes one); reads never make one.
 //
@@ -33,8 +33,8 @@ import (
 // TenantIdleSpill reclaims idle tenants' memory: the summary is marshaled
 // into an in-memory image and dropped, and the next touch lazily
 // unmarshals the same bytes into a fresh one. Spill is pure memory
-// reclamation, never durability: the snapshot and the WAL remain the only
-// recovery sources, and snapshots embed a spilled tenant's image verbatim
+// reclamation, never durability: the log remains the only recovery
+// source, and a checkpoint logs a spilled tenant's image verbatim
 // (consistent by construction — a spilled tenant is untouched since its
 // spill).
 
@@ -242,37 +242,6 @@ func (s *Server) installImageLocked(t *tenant, image []byte) {
 	t.memo = nil
 	t.memoMu.Unlock()
 	t.epoch.Add(1)
-}
-
-// installSnapshotLocked installs every image of a decoded snapshot,
-// registering tenants the registry lacks without an engine — a daemon
-// restoring ten thousand tenants pays engine construction only for the
-// ones traffic reaches — and bypassing the governance caps, as replay does:
-// acknowledged data outranks a cap lowered since. The default tenant is
-// materialized at once: its engine doubles as Engine(), and that
-// unmarshal is the check that lets a corrupt newest snapshot fall back to
-// an older slot.
-func (s *Server) installSnapshotLocked(images []tenantImage) error {
-	for _, ti := range images {
-		t := s.tenantByName(ti.name)
-		if t == nil {
-			t = &tenant{name: ti.name}
-			s.regMu.Lock()
-			s.tenants[ti.name] = t
-			s.regMu.Unlock()
-		}
-		image := ti.image
-		if t != s.def {
-			// Copy out of the caller's buffer: a pending image may outlive
-			// it by the tenant's whole idle life. (The default's is
-			// consumed below.)
-			image = bytes.Clone(image)
-		}
-		s.installImageLocked(t, image)
-		t.touch()
-	}
-	_, err := s.ensureEngineLocked(s.def)
-	return err
 }
 
 // ensureEngineLocked materializes a spilled tenant's engine from its

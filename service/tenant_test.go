@@ -122,7 +122,7 @@ func TestMultiTenantCrashRecoveryExact(t *testing.T) {
 	}
 
 	ingestPhase(1)
-	if err := svc.Snapshot(); err != nil { // every tenant in one file
+	if err := svc.Checkpoint(); err != nil { // every tenant in one file
 		t.Fatal(err)
 	}
 	ingestPhase(2)

@@ -9,7 +9,8 @@ import (
 
 // Durable ingest: every accepted ingest batch and forwarded site record is
 // appended to the write-ahead log in Config.WALDir *before* the HTTP
-// acknowledgement, and startup is restore-snapshot-then-replay-suffix. The
+// acknowledgement, and startup is the newest checkpoint, then the records
+// after it. The
 // acknowledgement waits for its group's fsync, so an acknowledged request
 // survives kill -9.
 //
@@ -33,18 +34,15 @@ import (
 // /v1/summary is byte-identical to a crash-free run over the same
 // acknowledged requests grouped the same way.
 //
-// Snapshots and the WAL compose rather than compete: the snapshot file
-// embeds the LSN it covers, a completed snapshot commits a checkpoint
-// marker, and behind the durable marker the WAL prunes every sealed
-// segment whose records the snapshot already captures — on a site, only
-// those its coordinator has confirmed too (forward.go).
+// The log is a server's one artefact: a checkpoint is a commit group of
+// its own in it (checkpoint.go), behind which it prunes every sealed
+// segment the checkpoint's images make redundant — on a site, only those
+// its targets have confirmed too (forward.go).
 
-// openWAL opens the log. firstLSN numbers the first
-// record of a brand-new log: the restored snapshot's coverage + 1.
-func (s *Server) openWAL(firstLSN uint64) error {
+// openWAL opens the log.
+func (s *Server) openWAL() error {
 	w, err := wal.Open(s.cfg.WALDir, wal.Options{
 		SegmentBytes: s.cfg.WALSegmentBytes,
-		FirstLSN:     firstLSN,
 		FS:           s.fs,
 		OnFsync:      func(d time.Duration) { s.metrics.walFsync.Observe(d.Seconds()) },
 	})
@@ -55,47 +53,44 @@ func (s *Server) openWAL(firstLSN uint64) error {
 	return nil
 }
 
-// replayWAL re-applies every record the snapshot does not cover, in log
-// order, through the applies the live commit uses (applyRecord,
-// replication.go). Any failure is fatal to startup: a daemon must not serve
-// state it knows is missing acknowledged data. Replay runs before any
-// goroutine is started, so calling the *Locked tenant helpers without
-// s.mu is safe; the apply makes each tenant the log names whatever the
-// governance caps say — acknowledged data outranks a cap that may have
-// been lowered since. fellBack says the restore took an older retention
-// slot, which relaxes the checkpoint witness (applyRecord).
-func (s *Server) replayWAL(covered uint64, fellBack bool) error {
-	// Continuity: the log must begin no later than where the snapshot
-	// left off. A later oldest LSN means records between were pruned (a
-	// checkpoint for a newer snapshot this boot did not restore) or were
-	// never this log's (it was opened on a snapshot that is gone) —
-	// replaying around the hole, or serving over it, would silently drop
-	// acknowledged data. An empty log is held to it too.
-	if oldest := s.wal.OldestLSN(); oldest > covered+1 {
-		return fmt.Errorf("service: wal replay: log starts at LSN %d but the restored snapshot covers only %d — the records between were pruned; restore the snapshot the log was checkpointed against", oldest, covered)
+// replayWAL rebuilds the state from the log: the newest checkpoint's images
+// and then every record after it, in log order, through the applies the
+// live commit uses (applyRecord, replication.go). Any failure is fatal to
+// startup: a daemon must not serve state it knows is missing acknowledged
+// data. Replay runs before any goroutine is started, so calling the
+// *Locked tenant helpers without s.mu is safe; the apply makes each tenant
+// the log names whatever the governance caps say — acknowledged data
+// outranks a cap that may have been lowered since.
+func (s *Server) replayWAL() error {
+	// Continuity: a log whose oldest record is not its first must hold a
+	// checkpoint whole, or the records before it are gone.
+	ck := s.wal.LastCheckpoint()
+	if oldest := s.wal.OldestLSN(); oldest > max(ck.First, 1) {
+		return fmt.Errorf("service: wal replay: the log starts at LSN %d and holds no whole checkpoint from there — the records before it are gone; start on the state directory the log was pruned in", oldest)
 	}
 	start := time.Now()
 	var records uint64
-	st := &replayState{covered: covered, fallback: fellBack}
-	err := s.wal.Replay(covered, func(lsn uint64, typ wal.RecordType, payload []byte) error {
+	st := &replayState{}
+	err := s.wal.Replay(max(ck.First, 1)-1, func(lsn uint64, typ wal.RecordType, payload []byte) error {
 		counted, err := s.applyRecord(lsn, typ, payload, st)
-		if err != nil {
-			return err
-		}
-		if counted {
+		if counted && lsn > ck.LSN {
 			records++
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	s.appliedLSN.Store(s.wal.LastLSN())
+	s.restored = s.restored || ck.LSN != 0
 	dur := time.Since(start)
 	s.metrics.walReplayRecords.Set(int64(records))
 	s.metrics.walReplaySeconds.Set(dur.Seconds())
-	if records > 0 {
-		s.logf("wal: replayed %d records in %s (log suffix past LSN %d)", records, dur, covered)
+	switch {
+	case ck.LSN != 0:
+		s.logf("wal: replayed %d records in %s after the checkpoint at LSN %d", records, dur, ck.LSN)
+	case records > 0:
+		s.logf("wal: replayed %d records in %s", records, dur)
 	}
 	return nil
 }
