@@ -100,10 +100,10 @@ const (
 	// RecordForward is records a site forwarded from its own log:
 	// uvarint(site id), then per record uvarint(its LSN in the site's
 	// log), its type byte, uvarint(len(payload)) and the site's payload
-	// verbatim — or RecordProbe and no payload for one dropped at the
-	// mark. Applying it
-	// applies the inner records and advances the site's mark to the last,
-	// below which a forwarded record is a duplicate.
+	// verbatim — or RecordProbe and no payload for a checkpoint's record
+	// the server did not apply. Applying it applies the inner records and
+	// advances the site's mark, below which a forwarded record is a
+	// duplicate.
 	RecordForward RecordType = 5
 	// RecordProbe is a no-op health probe with an empty payload: the
 	// record Probe appends to prove, behind the next Sync, that the log

@@ -30,7 +30,8 @@ func (s *Server) Checkpoint() error {
 	}
 	keep := uint64(math.MaxUint64)
 	for _, f := range s.fwds {
-		keep = min(keep, f.acked.Load()+1)
+		// What the target has not confirmed, or the checkpoint it is sent.
+		keep = min(keep, max(f.acked.Load()+1, f.boot.Load()))
 	}
 	if err := s.wal.Prune(keep); err != nil {
 		// The checkpoint is durable; a failed prune only delays pruning.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"maps"
@@ -24,9 +25,9 @@ import (
 // mark, every tenant and the marks of the primary's own sites included.
 // Here the standby's body cap takes one image a forward, and after the
 // first it is killed, and the primary with it: the standby restarts on the
-// part of the checkpoint it logged, the primary's new forwarder follows
-// from inside the checkpoint — the mark stands on an image — and the run
-// resumes where it stopped.
+// part of the checkpoint it logged, with its mark still behind the log —
+// an image does not move it — so the primary's new forwarder sends the
+// checkpoint again from its start, and the standby ends the same.
 func TestStandbyBootstrapsOverTheWire(t *testing.T) {
 	was := forwardPause
 	forwardPause = 20 * time.Millisecond
@@ -67,20 +68,14 @@ func TestStandbyBootstrapsOverTheWire(t *testing.T) {
 
 	standbyCfg := Config{Options: testOptions(), Standby: true, WALDir: t.TempDir(), MaxBodyBytes: int64(largest) * 3 / 2}
 	tg := newTarget(t, mustNew(t, standbyCfg))
-	// The first forward that leaves the standby inside the checkpoint is
-	// its last: it is killed, and takes no more.
+	// The first forward the standby logs — the checkpoint's first image —
+	// is its last: it is killed, and takes no more.
 	crashed := make(chan *Server, 1)
 	var cut func(http.ResponseWriter, *http.Request)
 	cut = func(w http.ResponseWriter, r *http.Request) {
 		sb := tg.coord.Load()
 		sb.Handler().ServeHTTP(w, r)
-		sb.mu.Lock()
-		inside := false
-		for _, mark := range sb.marks {
-			inside = inside || mark >= ck.First && mark < ck.LSN
-		}
-		sb.mu.Unlock()
-		if !inside {
+		if sb.appliedLSN.Load() == 0 {
 			tg.fault.Store(&cut)
 			return
 		}
@@ -99,22 +94,26 @@ func TestStandbyBootstrapsOverTheWire(t *testing.T) {
 	select {
 	case <-crashed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the bootstrap never stopped inside the checkpoint")
+		t.Fatal("the standby never logged a forward")
 	}
+	waitUntil(t, 10*time.Second, "the site to take the answer", func() bool { return rig.site.metrics.siteForwardsSent.Load() > 0 })
 	crash(rig.siteTS, rig.site)
+	// The site's acked is the mark the standby answered, not the images it
+	// was sent, and the log keeps the checkpoint for the next attempt.
+	if f := rig.site.fwds[0]; f.acked.Load() != 0 || f.boot.Load() != ck.First {
+		t.Fatalf("mid-bootstrap the site's forwarder has acked %d and boots from %d; want 0 and the checkpoint's first LSN %d", f.acked.Load(), f.boot.Load(), ck.First)
+	}
 
 	restarted, err := New(standbyCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restarted.mu.Lock()
-	var mark uint64
-	for _, m := range restarted.marks {
-		mark = m
-	}
+	marks := maps.Clone(restarted.marks)
 	restarted.mu.Unlock()
-	if mark < ck.First || mark >= ck.LSN {
-		t.Fatalf("the restarted standby's mark %d is not inside the checkpoint %+v", mark, ck)
+	if restarted.wal.LastLSN() == 0 || len(marks) != 0 || restarted.Engine().Count() != uint64(acked[""]) {
+		t.Fatalf("the restarted standby logged %d records, holds %d of the default tenant's %d tuples and marks %v; want the first image and no mark",
+			restarted.wal.LastLSN(), restarted.Engine().Count(), acked[""], marks)
 	}
 	tg.coord.Store(restarted)
 	tg.down.Store(false)
@@ -274,10 +273,11 @@ func TestCaughtUpStandbyGetsNoImages(t *testing.T) {
 
 // TestCheckpointRecordsApplyOnlyAtAStandby: a checkpoint's records that
 // reach a server with no gap before them — a log that opens on a
-// checkpoint, followed from its start — replace a standby's state, and
-// anywhere else are dropped at the mark: the mark passes them, no tenant
-// is made, and the server's log keeps probes in their place, so a restart
-// replays to the same state and mark.
+// checkpoint, followed from its start — replace a standby's state when they
+// come from the site it heard first, and anywhere else — a coordinator, a
+// standby's second sender — are dropped at the mark: the mark passes them,
+// no tenant is made, and the server's log keeps probes in their place, so
+// a restart replays to the same state and mark.
 func TestCheckpointRecordsApplyOnlyAtAStandby(t *testing.T) {
 	engine, err := newEngine(&Config{Options: testOptions()})
 	if err != nil {
@@ -292,25 +292,36 @@ func TestCheckpointRecordsApplyOnlyAtAStandby(t *testing.T) {
 	}
 	body := client.AppendForwardRecord(nil, 1, uint8(wal.RecordImage), append(tupleio.AppendTenant(nil, "x"), image...))
 	body = client.AppendForwardRecord(body, 2, uint8(wal.RecordCheckpoint), encodeCheckpoint([]string{"x"}, map[uint64]uint64{7: 3}))
-	for _, standby := range []bool{false, true} {
+	for _, tc := range []struct {
+		name    string
+		standby bool
+		heard   uint64 // the site the server heard first
+	}{
+		{"coordinator", false, 0xabc},
+		{"standby", true, 0xabc},
+		{"standby, second sender", true, 0x999},
+	} {
 		cfg := walConfig(t)
-		cfg.Standby = standby
+		cfg.Standby = tc.standby
 		svc, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		svc.hear(tc.heard)
+		svc.hear(0xabc)
 		if err := svc.commit(&ingestJob{op: opForward, site: 0xabc, image: body}); err != nil {
 			t.Fatal(err)
 		}
+		applies := tc.standby && tc.heard == 0xabc
 		for restart := range 2 {
 			x, marks := svc.tenantByName("x"), maps.Clone(svc.marks)
-			if want := map[uint64]uint64{0xabc: 2}; standby {
+			if want := map[uint64]uint64{0xabc: 2}; applies {
 				want[7] = 3
 				if x == nil || !bytes.Equal(tenantBytes(t, svc, "x"), image) || !maps.Equal(marks, want) {
-					t.Fatalf("standby, restart %d: tenant x made %t, marks %v; want the image and %v", restart, x != nil, marks, want)
+					t.Fatalf("%s, restart %d: tenant x made %t, marks %v; want the image and %v", tc.name, restart, x != nil, marks, want)
 				}
 			} else if x != nil || !maps.Equal(marks, want) {
-				t.Fatalf("coordinator, restart %d: tenant x made %t, marks %v; want none and %v", restart, x != nil, marks, want)
+				t.Fatalf("%s, restart %d: tenant x made %t, marks %v; want none and %v", tc.name, restart, x != nil, marks, want)
 			}
 			crash(nil, svc)
 			if svc, err = New(cfg); err != nil {
@@ -319,4 +330,96 @@ func TestCheckpointRecordsApplyOnlyAtAStandby(t *testing.T) {
 		}
 		svc.Close()
 	}
+}
+
+// TestCoordinatorDropsABootstrapForwardedOnward: a standby bootstrapped
+// over the wire logs its primary's checkpoint inside its forwards and, with
+// a PushTo of its own, forwards them onward. A coordinator that holds
+// another site's tenant and mark takes them nested, with no mark for the
+// primary at all, and drops them at every depth: that tenant and that mark
+// stay byte for byte, no image reaches a tenant, and the primary's record
+// after the checkpoint is applied once — live, and after a restart replays
+// the coordinator's log. A second standby the first one forwards to, its
+// primary, applies them nested as the first did, and mirrors it.
+func TestCoordinatorDropsABootstrapForwardedOnward(t *testing.T) {
+	was := forwardPause
+	forwardPause = 20 * time.Millisecond
+	t.Cleanup(func() { forwardPause = was })
+	siteCfg := walConfig(t)
+	siteCfg.WALSegmentBytes = 4 << 10
+	primary, err := New(siteCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(0); round < 3; round++ {
+		for i, name := range []string{"", "a"} {
+			if err := primary.commit(ingestOf(name, testStream(1_000, 10*round+uint64(i)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cmp.Or(primary.Checkpoint(), primary.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if primary.wal.OldestLSN() == 1 {
+		t.Fatal("the checkpoint pruned nothing")
+	}
+
+	coordCfg := walConfig(t)
+	coord, err := New(coordCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := client.AppendForwardRecord(nil, 1, uint8(wal.RecordIngest), ingestRecord(t, "other"))
+	if err := coord.commit(&ingestJob{op: opForward, site: 0xdef, image: other}); err != nil {
+		t.Fatal(err)
+	}
+	held := tenantBytes(t, coord, "other")
+	coordTS := httptest.NewServer(coord.Handler())
+	chained, chainedTS := newStandby(t, testOptions(), func(c *Config) { c.WALDir = t.TempDir() })
+	standby, standbyTS := newStandby(t, testOptions(), func(c *Config) { c.WALDir, c.PushTo = t.TempDir(), coordTS.URL+","+chainedTS.URL })
+	siteCfg.PushTo = standbyTS.URL
+	primary, err = New(siteCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	if err := primary.commit(ingestOf("a", testStream(500, 99))); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp(t, "the standby", primary)
+	caughtUp(t, "the coordinator", standby)
+	for _, name := range []string{"", "a"} {
+		if !bytes.Equal(tenantBytes(t, standby, name), tenantBytes(t, primary, name)) || !bytes.Equal(tenantBytes(t, chained, name), tenantBytes(t, primary, name)) {
+			t.Fatalf("tenant %q: the bootstrapped standby, or the standby it forwards to, differs from the primary", name)
+		}
+	}
+	count := func(svc *Server, name string) uint64 {
+		t.Helper()
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		eng, err := svc.ensureEngineLocked(svc.tenants[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng.Count()
+	}
+	for restart := range 2 {
+		coord.mu.Lock()
+		marks := maps.Clone(coord.marks)
+		coord.mu.Unlock()
+		if !bytes.Equal(tenantBytes(t, coord, "other"), held) || marks[0xdef] != 1 || len(marks) != 3 {
+			t.Fatalf("restart %d: tenant other changed %t, marks %v; want it as it was, and site def's mark 1", restart, !bytes.Equal(tenantBytes(t, coord, "other"), held), marks)
+		}
+		if a, def := count(coord, "a"), count(coord, ""); a != 500 || def != 0 {
+			t.Fatalf("restart %d: the coordinator holds %d tuples of tenant a and %d of the default tenant; want the 500 after the checkpoint, and none", restart, a, def)
+		}
+		if restart == 0 {
+			crash(coordTS, coord)
+			if coord, err = New(coordCfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	coord.Close()
 }

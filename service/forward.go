@@ -45,32 +45,28 @@ import (
 // client.CodeGap) and the site sends again from there. A record the
 // target refuses stops the records behind it, whose order the site's log
 // fixes. An idle forwarder sends an empty forward every forwardPause: a
-// standby's heartbeat, answered with the mark like any other. A site's
-// checkpoint prunes only what every target has confirmed.
+// standby's heartbeat, answered with the mark like any other.
 //
-// A checkpoint's records carry the whole state, so a site sends them only
-// to a target whose follow starts at or inside that checkpoint (gather) —
-// one behind the log's oldest record is skipped to the newest — and a
-// caught-up target is never sent images. A standby applies them
-// (checkpoint.go) and admits a forward that begins with an image across a
-// gap, so an empty one is bootstrapped over the wire. Anywhere else they
-// are dropped at the mark — logged as probes — and such a forward across a
-// gap is refused by name.
-// The site id names one LSN space: it is kept beside the log, and a log
-// that starts over gets a new one.
+// A checkpoint's records replace state, so a site sends them only to a
+// target behind its log (boot) or following a log that opens on one. Only
+// a standby applies them (checkpoint.go), from the site it heard first, at
+// any depth, and admits a forward that begins with one across a gap: an
+// empty standby is bootstrapped over the wire. Any other server drops them
+// at every depth, logging probes in their place, and refuses such a
+// forward across a gap by name. The site id names one LSN space: it is
+// kept beside the log, and a log that starts over gets a new one.
 
 // siteRecord is one record of a forward, as admission decoded it: its
-// LSN and type in the site's log, its payload, where it sits in the body
-// (start..end), the tenants it writes and, for an ingest record, the
-// batches its apply takes as they are. A record the decide drops at the
-// mark becomes a probe, which applies nothing.
+// LSN and type in the site's log, its payload, the tenants whose admission
+// it needs and, for an ingest record, the batches its apply takes as they
+// are. A checkpoint's record the decide drops becomes a probe, which
+// applies nothing.
 type siteRecord struct {
-	lsn        uint64
-	typ        wal.RecordType
-	payload    []byte
-	start, end int
-	keys       [][]byte
-	batches    []tenantBatch
+	lsn     uint64
+	typ     wal.RecordType
+	payload []byte
+	keys    [][]byte
+	batches []tenantBatch
 }
 
 // maxForwardDepth bounds how many coordinators a record may have passed
@@ -83,25 +79,57 @@ const maxForwardDepth = 4
 func walkSiteRecords(body []byte, fn func(r siteRecord) error) error {
 	var prev uint64
 	for off := 0; off < len(body); {
-		r := siteRecord{start: off}
 		lsn, n := binary.Uvarint(body[off:])
 		if n <= 0 || lsn <= prev || off+n >= len(body) {
 			return fmt.Errorf("forward: bad record header at byte %d", off)
 		}
 		off += n
-		r.lsn, r.typ = lsn, wal.RecordType(body[off])
+		r := siteRecord{lsn: lsn, typ: wal.RecordType(body[off])}
 		size, n := binary.Uvarint(body[off+1:])
 		if off++; n <= 0 || size > uint64(len(body)-off-n) {
 			return fmt.Errorf("forward: site record %d: bad length", lsn)
 		}
 		off += n
-		r.payload, r.end = body[off:off+int(size)], off+int(size)
+		r.payload = body[off : off+int(size)]
 		if err := fn(r); err != nil {
 			return fmt.Errorf("site record %d: %w", lsn, err)
 		}
-		off, prev = r.end, lsn
+		off, prev = off+int(size), lsn
 	}
 	return nil
+}
+
+// holds reports whether a site record is of one of types, or a forward
+// that holds one at any depth. Admission validated the record.
+func holds(typ wal.RecordType, payload []byte, types ...wal.RecordType) (found bool) {
+	if typ == wal.RecordForward {
+		_, records, _ := splitForward(payload)
+		walkSiteRecords(records, func(r siteRecord) error {
+			found = found || holds(r.typ, r.payload, types...)
+			return nil
+		})
+	}
+	return found || slices.Contains(types, typ)
+}
+
+// dropCheckpoints is a site record with every checkpoint's record in it,
+// at any depth, made a probe: what a server that does not apply them logs
+// and applies, so its replay drops them too.
+func dropCheckpoints(typ wal.RecordType, payload []byte) (wal.RecordType, []byte) {
+	switch typ {
+	case wal.RecordImage, wal.RecordCheckpoint:
+		return wal.RecordProbe, nil
+	case wal.RecordForward:
+		site, records, _ := splitForward(payload)
+		out := binary.AppendUvarint(nil, site)
+		walkSiteRecords(records, func(r siteRecord) error {
+			typ, payload := dropCheckpoints(r.typ, r.payload)
+			out = client.AppendForwardRecord(out, r.lsn, uint8(typ), payload)
+			return nil
+		})
+		return typ, out
+	}
+	return typ, payload
 }
 
 // splitForward splits a RecordForward payload into the site id and the
@@ -142,8 +170,10 @@ func (s *Server) validateForward(j *ingestJob) error {
 }
 
 // validateSiteRecord checks one record of a forward and lists the tenants
-// it writes, taking what its ingest records decode to from *left; an
-// ingest record's decoded batches come back for the apply.
+// whose admission it needs, taking what its ingest records decode to from
+// *left; an ingest record's decoded batches come back for the apply. An
+// image needs none: it makes its tenant whatever the caps say, as replay
+// does, since it carries state a log already holds.
 func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth int, left *uint64) (keys [][]byte, batches []tenantBatch, err error) {
 	switch typ {
 	case wal.RecordIngest:
@@ -160,8 +190,8 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 		}
 		return keys, batches, err
 	case wal.RecordImage:
-		key, _, err := tupleio.DecodeTenantPrefix(payload)
-		return [][]byte{key}, nil, err
+		_, _, err := tupleio.DecodeTenantPrefix(payload)
+		return nil, nil, err
 	case wal.RecordCheckpoint:
 		_, _, err := decodeCheckpoint(payload)
 		return nil, nil, err
@@ -187,13 +217,13 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 
 // decideForwardLocked is the decide step of a forward: against the site's
 // mark — counting the group's records before it (earlier) — it refuses a
-// forward whose prev is past the mark, since the records between are not
-// here (but one that begins with an image at a standby), drops the records
-// at or below the mark — and a checkpoint's away from a standby — and
-// admits the rest in order until one names a tenant admitLocked refuses.
-// j.recs keeps what was admitted; a forward none of whose new records is
-// admitted is refused with the first one's error, and one with no new
-// record writes nothing and is answered with the mark. Callers hold s.mu.
+// forward whose prev is past the mark (but one that begins with a
+// checkpoint's record, where those apply), drops the records at or below
+// the mark, makes probes of checkpoints' records where those do not apply,
+// and admits the rest in order until one names a tenant admitLocked
+// refuses. j.recs keeps what was admitted; a forward none of whose new
+// records is admitted is refused with the first one's error, and one with
+// no new record writes nothing. Callers hold s.mu.
 func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *[][]byte) bool {
 	mark := s.marks[j.site]
 	for _, r := range earlier {
@@ -204,18 +234,18 @@ func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *
 		if o.site == j.site {
 			mark = max(mark, o.recs[len(o.recs)-1].lsn)
 		}
-		if slices.ContainsFunc(o.recs, func(r siteRecord) bool { return r.typ == wal.RecordCheckpoint }) {
+		if slices.ContainsFunc(o.recs, func(r siteRecord) bool { return holds(r.typ, r.payload, wal.RecordCheckpoint) }) {
 			// Its apply replaces the marks this decide reads: the next
 			// group decides against them.
 			j.kind, j.err = ingestErrBusy, errOverloaded
 			return false
 		}
 	}
-	standby := s.standby.Load()
-	switch image := j.recs[0].typ == wal.RecordImage; {
-	case j.prev <= mark, image && standby:
-	case image:
-		j.kind, j.err = ingestErrGap, fmt.Errorf("site %016x: its records follow LSN %d, and this server holds its records up to LSN %d, so it can take them only from the checkpoint they begin with, which would replace this server's state, and only a standby applies one: start the target with -standby on an empty -wal-dir, then promote it (README \"Replication & HA\")", j.site, j.prev, mark)
+	applies := s.standby.Load() && s.heard.site.Load() == j.site
+	switch boot := j.recs[0].typ == wal.RecordImage || j.recs[0].typ == wal.RecordCheckpoint; {
+	case j.prev <= mark, boot && applies:
+	case boot:
+		j.kind, j.err = ingestErrGap, fmt.Errorf("site %016x: its records follow LSN %d, and this server holds its records up to LSN %d, so it can take them only from the checkpoint they begin with, which would replace this server's state, and only a standby applies one, from the site it heard first: start the target with -standby on an empty -wal-dir, then promote it (README \"Replication & HA\")", j.site, j.prev, mark)
 		return false
 	default:
 		j.kind, j.err = ingestErrGap, gapError{mark, fmt.Errorf("site %016x: its records follow LSN %d, and this server holds its records up to LSN %d: send from there", j.site, j.prev, mark)}
@@ -229,12 +259,12 @@ func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *
 	n := 0
 admit:
 	for ; n < len(recs); n++ {
-		if !standby && (recs[n].typ == wal.RecordImage || recs[n].typ == wal.RecordCheckpoint) {
-			recs[n].typ, recs[n].payload = wal.RecordProbe, nil
-			continue
+		r := &recs[n]
+		if !applies && holds(r.typ, r.payload, wal.RecordImage, wal.RecordCheckpoint) {
+			r.typ, r.payload = dropCheckpoints(r.typ, r.payload)
 		}
 		before := len(*made)
-		for _, key := range recs[n].keys {
+		for _, key := range r.keys {
 			kind, err := s.admitLocked(key, made)
 			if kind == ingestOK {
 				continue
@@ -277,7 +307,9 @@ func (s *Server) applyForwardRecordLocked(payload []byte, st *replayState) error
 // and on replay, outermost or nested: a record at or below the site's mark
 // is already applied and is dropped; any other is applied — an ingest
 // record from the batches admission decoded when it has them — and
-// becomes the mark. Callers hold s.mu, or run before any goroutine exists.
+// becomes the mark, but an image: a checkpoint moves the mark at its
+// closing record alone, so a mark never stands inside one. Callers hold
+// s.mu, or run before any goroutine exists.
 func (s *Server) applySiteRecordLocked(site uint64, r siteRecord, st *replayState) error {
 	if r.lsn <= s.marks[site] {
 		return nil
@@ -291,7 +323,9 @@ func (s *Server) applySiteRecordLocked(site uint64, r siteRecord, st *replayStat
 	if err != nil {
 		return err
 	}
-	s.marks[site] = r.lsn
+	if r.typ != wal.RecordImage {
+		s.marks[site] = r.lsn
+	}
 	return nil
 }
 
@@ -376,13 +410,12 @@ var errSkipToMark = errors.New("service: follow again from the target's mark")
 // has confirmed: every record at or below it is applied there or carries
 // no state. prev is the last record carrying state that the target has
 // confirmed, or the mark it answered with: what the next forward names as
-// prev, whatever record with no state acked stands on. body gathers
-// the next forward, one entry of ends a record, within limit bytes unless
-// one record is larger. boot says the follow sends the checkpoint records
-// it meets (gather); stand is the record the target stands on, which a
-// follow reads for its type alone (0: none). stalled is the target's last
-// refusal, until a forward is confirmed. err is the last failed attempt,
-// read after exited.
+// prev, whatever record with no state acked stands on. boot, while the
+// target is sent a checkpoint, is that checkpoint's first LSN: the follow
+// starts there, and the log keeps it. body gathers the next forward, one
+// entry of ends a record, within limit bytes unless one record is larger.
+// stalled is the target's last refusal, until a forward is confirmed. err
+// is the last failed attempt, read after exited.
 type forwarder struct {
 	s       *Server
 	w       *wal.WAL
@@ -390,12 +423,11 @@ type forwarder struct {
 	cl      *client.Client // one attempt a call: run pauses between
 	site    uint64
 	acked   atomic.Uint64
+	boot    atomic.Uint64
 	prev    uint64
 	body    []byte
 	ends    []recordEnd
 	limit   int
-	boot    bool
-	stand   uint64
 	stalled atomic.Pointer[string]
 	ctx     context.Context // done once drain is called
 	stop    context.CancelFunc
@@ -481,19 +513,21 @@ func (s *Server) writeFileAtomic(path string, data []byte) error {
 // run follows the log from what the target has confirmed until drain
 // stops it: one follow, which waits at the frontier and, forwardPause into
 // a wait, sends an empty forward (idle). It follows again from the mark
-// when an answer moves it, from the newest checkpoint when the mark is
-// behind the log's oldest record, and after a failed attempt, which pauses
-// forwardPause first. Once drain is called, the follow ends at the
-// frontier, or at its first failure, and the log keeps the rest for the
-// next start.
+// when an answer moves it, from the newest checkpoint's start (boot) when
+// the mark is behind the log's oldest record, until the target confirms
+// its closing record, and after a failed attempt, which pauses first.
+// Once drain is called, the follow ends at the frontier, or at its first
+// failure, and the log keeps the rest for the next start.
 func (f *forwarder) run() {
 	defer close(f.exited)
 	for {
 		stopping := f.ctx.Err() != nil
 		f.body, f.ends = f.body[:0], f.ends[:0]
 		from := f.acked.Load()
-		if f.stand = 0; !f.boot && from > 0 && from >= f.w.OldestLSN() {
-			f.stand, from = from, from-1
+		if first := f.boot.Load(); first != 0 {
+			// Named as prev, the record before the first image is past the
+			// mark, so only a standby takes the forward (decideForwardLocked).
+			from, f.prev = first-1, first-1
 		}
 		err := f.w.Follow(from, f.ctx.Done(), wal.Idle{After: forwardPause, Fn: f.idle}, f.gather)
 		switch {
@@ -503,16 +537,11 @@ func (f *forwarder) run() {
 			// Behind the oldest record: where does the target stand?
 			var mark uint64
 			if mark, err = f.cl.Forward(context.Background(), f.site, wal.Version, f.prev, nil); err == nil {
+				f.skipTo(mark)
 				if oldest := f.w.OldestLSN(); mark+1 < oldest {
-					// Behind the log: follow from the newest checkpoint, naming the
-					// record before its first image as prev, past the mark, so only
-					// a standby takes it (decideForwardLocked).
 					ck := f.w.LastCheckpoint()
-					f.skipTo(ck.First - 1)
-					f.boot = true
+					f.boot.Store(ck.First)
 					f.s.logf("forward to %s: its mark %d is behind this log's oldest record %d: sending it the checkpoint at LSN %d", f.to, mark, oldest, ck.LSN)
-				} else {
-					f.skipTo(mark)
 				}
 				continue
 			}
@@ -536,10 +565,9 @@ func (f *forwarder) run() {
 // forward: an empty one — to a standby, the heartbeat its silence timer
 // waits on — which the target answers with its mark. The follow goes on
 // while the mark is where the follow stands — at or past the last record
-// it had confirmed, and short
-// of no record it has passed — and a failure is counted and asked again
-// at the next pause; a mark elsewhere (a target that lost records, or
-// holds some past this log's end) is followed from anew.
+// it had confirmed, and short of no record it has passed — and a failure
+// is counted and asked again at the next pause; a mark elsewhere (a target
+// that lost records, or holds some past this log's end) is followed anew.
 func (f *forwarder) idle() error {
 	mark, err := f.cl.Forward(context.Background(), f.site, wal.Version, f.prev, nil)
 	switch {
@@ -555,7 +583,8 @@ func (f *forwarder) idle() error {
 // skipTo follows from the target's mark; a mark past this log's end is
 // logged once, when the forwarder moves to it.
 func (f *forwarder) skipTo(mark uint64) {
-	f.prev, f.boot = mark, false
+	f.prev = mark
+	f.boot.Store(0)
 	if f.acked.Swap(mark) != mark && mark > f.w.LastLSN() {
 		f.s.logf("forward to %s: its mark %d is past this log's end: a log restored from a backup needs its %s moved aside", f.to, mark, siteIDFile)
 	}
@@ -582,23 +611,16 @@ func (f *forwarder) failed(err error) {
 // forward once the log has no more followable or the record would take it
 // past limit (then without the record, which starts the next). A probe is
 // passed, not sent, and so is a checkpoint's record unless the follow
-// boots: run skipped it there, or the target stands on an image (it
-// stopped part-way through a checkpoint) or at a log that opens on one. A
-// booting follow sends at the checkpoint's closing record and stops
-// booting once that is confirmed, or at a record past an image run none
-// closed. Every other record is sent, so the target refuses one it does
-// not apply by name and the site stalls on it.
+// boots: run started it at the checkpoint, or the log opens on one (an
+// import). A booting follow sends at the closing record, and boots until
+// a forward moves the mark. Every other record is sent, so the target
+// refuses one it does not apply by name and the site stalls on it.
 func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error {
-	ckpt := typ == wal.RecordImage || typ == wal.RecordCheckpoint
-	switch {
-	case lsn == f.stand:
-		f.boot = typ == wal.RecordImage // only its type is read
-	case lsn == 1 && typ == wal.RecordImage:
-		f.boot = true
-	case !ckpt:
-		f.boot = false
+	if lsn == 1 && typ == wal.RecordImage {
+		f.boot.Store(1)
 	}
-	if lsn != f.stand && typ != wal.RecordProbe && (f.boot || !ckpt) {
+	boot := f.boot.Load() != 0
+	if typ != wal.RecordProbe && (boot || typ != wal.RecordImage && typ != wal.RecordCheckpoint) {
 		f.body = client.AppendForwardRecord(f.body, lsn, uint8(typ), payload)
 		if n := len(f.ends); n > 0 && len(f.body) > f.limit {
 			f.body = f.body[:f.ends[n-1].end]
@@ -608,10 +630,8 @@ func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error
 			f.body = client.AppendForwardRecord(f.body, lsn, uint8(typ), payload)
 		}
 		f.ends = append(f.ends, recordEnd{lsn, len(f.body)})
-		if typ == wal.RecordCheckpoint {
-			err := f.send(lsn)
-			f.boot = f.boot && err != nil
-			return err
+		if boot && typ == wal.RecordCheckpoint {
+			return f.send(lsn)
 		}
 	}
 	if lsn < f.w.FollowableLSN() {
@@ -644,26 +664,34 @@ func (f *forwarder) send(upTo uint64) error {
 		f.limit = ends[n-1].end
 	}
 	first, last := ends[0].lsn, ends[n-1].lsn
+	if n < len(ends) { // only the first n went
+		upTo = last
+	}
+	boot := f.boot.Load() != 0
 	switch {
 	case client.IsGap(err): // the target lacks records before these: send from its mark
 		f.skipTo(mark)
 		return errSkipToMark
+	case client.IsTooLarge(err):
+		return fmt.Errorf("record %d alone is %d bytes, and the target refuses it as too large: start the target with a larger -max-body: %w", first, ends[0].end, err)
 	case err != nil:
 		return fmt.Errorf("records %d–%d: %w", first, last, err)
-	case mark < first: // a copy of these records failed its append ahead of them
+	case mark < first && !boot: // a copy of these records failed its append ahead of them
 		return fmt.Errorf("records %d–%d: the target answered with mark %d", first, last, mark)
-	case mark < last || mark > upTo: // a prefix was admitted, or the target holds more
+	case mark >= first && (mark < last || mark > upTo): // a prefix was admitted, or the target holds more
 		f.skipTo(mark)
 		return errSkipToMark
 	}
 	f.stalled.Store(nil)
 	f.s.metrics.siteForwardsSent.Inc()
 	f.prev = last
-	if n < len(ends) { // only the first n went: follow again from there
-		f.acked.Store(mark)
+	if mark >= first { // else images a standby applied: its mark moves at the closing record
+		f.acked.Store(upTo)
+		f.boot.Store(0)
+	}
+	if n < len(ends) { // follow again from the rest
 		return errSkipToMark
 	}
-	f.acked.Store(upTo)
 	return nil
 }
 

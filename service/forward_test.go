@@ -394,7 +394,8 @@ func TestForwardRefusalIsReported(t *testing.T) {
 // TestForwardSplitsForASmallBodyCap: a coordinator whose body cap is below
 // what a site gathers answers a forward 413, and the site sends half as
 // many records until one fits, so the coordinator ends byte-equal to the
-// site. Only a record past the cap on its own is reported as a stall.
+// site. Only a record past the cap on its own is reported as a stall, and
+// the stall names -max-body.
 func TestForwardSplitsForASmallBodyCap(t *testing.T) {
 	was := forwardPause
 	forwardPause = 20 * time.Millisecond
@@ -421,8 +422,8 @@ func TestForwardSplitsForASmallBodyCap(t *testing.T) {
 		st, err = client.New(rig.siteTS.URL).Stats(context.Background())
 		return err == nil && st.ForwardStalled != ""
 	})
-	if !strings.Contains(st.ForwardStalled, "HTTP 413") {
-		t.Fatalf("the site reports %q; want the coordinator's 413", st.ForwardStalled)
+	if !strings.Contains(st.ForwardStalled, "HTTP 413") || !strings.Contains(st.ForwardStalled, "start the target with a larger -max-body") {
+		t.Fatalf("the site reports %q; want the coordinator's 413, and the flag that lifts the cap", st.ForwardStalled)
 	}
 }
 

@@ -218,6 +218,7 @@ func TestSnapshotFallbackKeepsTenantBytes(t *testing.T) {
 		body = client.AppendForwardRecord(body, uint64(10+i), uint8(wal.RecordImage), append(tupleio.AppendTenant(nil, name), tenantBytes(t, primary, name)...))
 	}
 	body = client.AppendForwardRecord(body, 12, uint8(wal.RecordCheckpoint), encodeCheckpoint([]string{"", "a"}, nil))
+	svc.hear(0xabc) // its primary
 	if err := svc.commit(&ingestJob{op: opForward, site: 0xabc, prev: 9, image: body}); err != nil {
 		t.Fatal(err)
 	}

@@ -435,15 +435,10 @@ func appendRecord(w *wal.WAL, buf []byte, r *groupRecord) ([]byte, uint64, error
 		buf, err = appendIngest(buf, r.batches)
 		payload = buf
 	case opForward:
-		// The site's records as they came, but one dropped at the mark:
-		// a probe at its LSN.
+		// The site's records the decide admitted, as it left them.
 		buf = binary.AppendUvarint(buf, j.site)
 		for _, r := range j.recs {
-			if r.typ == wal.RecordProbe {
-				buf = client.AppendForwardRecord(buf, r.lsn, uint8(wal.RecordProbe), nil)
-			} else {
-				buf = append(buf, j.image[r.start:r.end]...)
-			}
+			buf = client.AppendForwardRecord(buf, r.lsn, uint8(r.typ), r.payload)
 		}
 		payload = buf
 	}
