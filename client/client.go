@@ -173,10 +173,12 @@ type Memory struct {
 	ArenaBytes   int64 `json:"arena_bytes"`
 
 	// The commit pipeline, process-wide: the committer's buffer a group's
-	// members decode and sort in and its record-encode scratch (capacities,
-	// kept between groups up to 4 MiB each), and the buffers the ingest
-	// members waiting in the commit queue arrived in — a queued member is
-	// held as its bytes, a counted batch, not as tuples (capacities).
+	// members decode and sort in, and its record-encode scratch with the
+	// log's frame buffer, which frames the record (capacities, the
+	// committer's kept between groups up to 4 MiB each), and the buffers
+	// the ingest members waiting in the commit queue arrived in — a queued
+	// member is held as its bytes, a counted batch, not as tuples
+	// (capacities).
 	ApplyBufBytes     int64 `json:"apply_buf_bytes"`
 	GroupBufBytes     int64 `json:"group_buf_bytes"`
 	QueuedMemberBytes int64 `json:"queued_member_bytes"`
@@ -210,8 +212,9 @@ type Memory struct {
 	// HeapLive less what every tenant keeps on the heap (held + pooled +
 	// headers − arena) and its spilled bytes, and less the pipeline's: request
 	// and frame buffers the committer has taken or that wait in pools, answer
-	// memos, connection and log state — and whatever was allocated since the
-	// last collection, so it is exact only right after one. RSSUnaccounted is
+	// memos, connection state and what the log keeps beside its frame
+	// buffer — and whatever was allocated since the last collection, so it
+	// is exact only right after one. RSSUnaccounted is
 	// VmRSS less the file-backed part, less Total − HeapReleased and less
 	// every tenant's Arena: negative while the runtime or an arena holds pages
 	// mapped and not yet touched, positive by the arenas of summaries dropped

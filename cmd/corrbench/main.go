@@ -17,7 +17,7 @@
 //	corrbench -table greater-than
 //	corrbench -table multipass
 //	corrbench -table multipass-f1           # multipass, Cauchy L1 estimator: first moment of net weights, turnstile stream
-//	corrbench -table occupancy              # per-level buckets, forms, counters and bytes for corrdbench's four shapes
+//	corrbench -table occupancy              # per-level buckets, folds, forms, counters and bytes for corrdbench's four shapes
 //	corrbench -table occupancy -n 1000000   # ... for that stream length, uniform and zipf
 //	corrbench -all              # every figure and table but occupancy, at the default sizes
 //

@@ -33,7 +33,8 @@ var occupancyPresets = []occupancyShape{
 
 // occupancyTable writes Summary.Occupancy for the presets, or with -n for
 // that stream length under each distribution, to w. Per shape, the summary
-// lines say what the rows add up to and, beside it, the Footprint, from the
+// lines say what the rows add up to — with the sketches folded into their
+// chain heads — and, beside it, the Footprint, from the
 // counts the summary keeps: held and pooled, the sketches' tables and arrays
 // and what else their makers' arenas map, off the collected heap, and header
 // bytes, what the summary keeps on the heap — tree nodes, sketch structs, the
@@ -45,15 +46,15 @@ func occupancyTable(w io.Writer, n int) {
 		shapes = []occupancyShape{{"uniform", n, 256, false}, {"zipf1", n, 256, true}}
 	}
 	fmt.Fprintln(w, "# Occupancy: where an F2 summary's counters sit, per level (eps=0.15, delta=0.1, ymax=1e6, maxn=2^24, as corrdbench runs corrd)")
-	fmt.Fprintln(w, "# shared: buckets both directions keep; watermarks: LE's smallest discarded left endpoint, GE's largest discarded right one")
-	fmt.Fprintln(w, "shape\tn\tlevel\tstored\tshared\tclosed\tuntouched\titems\tdense\tcounters\tbytes\twatermark_le\twatermark_ge")
+	fmt.Fprintln(w, "# shared: buckets both directions keep; folded: closed buckets whose sketch went into their chain head; watermarks: LE's smallest discarded left endpoint, GE's largest discarded right one")
+	fmt.Fprintln(w, "shape\tn\tlevel\tstored\tshared\tclosed\tfolded\tuntouched\titems\tdense\tcounters\tbytes\twatermark_le\twatermark_ge")
 	for _, sh := range shapes {
 		s := occupancySummary(sh, correlated.Both)
 		le, ge := s.Occupancy() // one tree a level serves both: ge is nil
 		// Bytes behind the counters; of them, items tables (closed buckets' cut
 		// ones) and dense arrays; and, beside them, in the makers' arenas and slabs.
 		var held, tables, closed, arrays, pooled int64
-		stored := 0 // buckets: tree nodes and singletons
+		stored, folded := 0, 0 // buckets: tree nodes and singletons; sketches folded
 		virgin := 0
 		for _, o := range append(le, ge...) {
 			held += o.Bytes
@@ -62,18 +63,19 @@ func occupancyTable(w io.Writer, n int) {
 			arrays += o.DenseBytes
 			pooled += o.Pooled
 			stored += o.Stored
+			folded += o.Folded
 			if o.Virgin && o.Counters == 2 {
 				virgin++ // an untouched root and nothing else
 				continue
 			}
-			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n", sh.name, sh.n,
-				o.Level, o.Stored, o.Shared, o.Closed, o.Untouched, o.Items, o.Dense, o.Counters, o.Bytes, mark(o.Watermark), mark(o.WatermarkGE))
+			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n", sh.name, sh.n,
+				o.Level, o.Stored, o.Shared, o.Closed, o.Folded, o.Untouched, o.Items, o.Dense, o.Counters, o.Bytes, mark(o.Watermark), mark(o.WatermarkGE))
 		}
 		fmt.Fprintf(w, "# %s: %d further levels are virgin, two counters each\n", sh.name, virgin)
 		img, err := s.MarshalBinary()
 		die(err)
-		fmt.Fprintf(w, "# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), image %d bytes\n",
-			sh.name, s.Space(), held, tables, closed, arrays, pooled, len(img))
+		fmt.Fprintf(w, "# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), %d sketches folded, image %d bytes\n",
+			sh.name, s.Space(), held, tables, closed, arrays, pooled, folded, len(img))
 		f := s.Footprint()
 		fmt.Fprintf(w, "# %s: footprint held %d, pooled %d, headers %d bytes (headers %.1f %% of held, %.1f bytes a bucket over %d buckets)\n",
 			sh.name, f.Held, f.Pooled, f.Headers, 100*float64(f.Headers)/float64(f.Held), float64(f.Headers)/float64(stored), stored)

@@ -13,7 +13,8 @@ import (
 
 // TestOccupancyTableAddsUp: at n = 20 000, each shape's level rows — with the
 // virgin levels the table leaves out, two counters each — add up to its
-// summary line's space and bytes, the footprint line's held bytes are the
+// summary line's space and bytes, and their folded buckets, never more than
+// the closed ones, to its sketches folded; the footprint line's held bytes are the
 // summary line's items tables and dense arrays, the figures it prints are the
 // summary's Footprint(),
 // and the bytes a bucket it prints are those headers over the buckets
@@ -25,8 +26,10 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 
 	type shape struct {
 		counters, bytes       int64   // the printed rows, added up
+		folded                int     // and their folded buckets
 		virgin                int     // levels left out
 		space, held           int64   // the summary line
+		sketchesFolded        int     // and the sketches it says folded
 		tables, arrays        int64   // and its sketch storage
 		fpHeld, fpPooled, hdr int64   // the footprint line
 		perBucket             float64 // the footprint line's header bytes a bucket
@@ -54,12 +57,12 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 			get(name).virgin += k
 		case strings.Contains(line, ": space "):
 			var tables, closed, arrays, pooled, img int64
-			if _, err := fmt.Sscanf(line, "# %s space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), image %d bytes",
-				&name, &a, &b, &tables, &closed, &arrays, &pooled, &img); err != nil {
+			if _, err := fmt.Sscanf(line, "# %s space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), %d sketches folded, image %d bytes",
+				&name, &a, &b, &tables, &closed, &arrays, &pooled, &k, &img); err != nil {
 				t.Fatalf("%q: %v", line, err)
 			}
 			sh := get(name)
-			sh.space, sh.held, sh.tables, sh.arrays = a, b, tables, arrays
+			sh.space, sh.held, sh.tables, sh.arrays, sh.sketchesFolded = a, b, tables, arrays, k
 			sh.lines++
 		case strings.Contains(line, ": footprint "):
 			if _, err := fmt.Sscanf(line, "# %s footprint held %d, pooled %d, headers %d bytes", &name, &a, &b, &c); err != nil {
@@ -76,19 +79,22 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 			t.Fatalf("unexpected comment line %q", line)
 		default:
 			f := strings.Split(line, "\t")
-			if len(f) != 13 {
-				t.Fatalf("row %q has %d fields, want 13", line, len(f))
+			if len(f) != 14 {
+				t.Fatalf("row %q has %d fields, want 14", line, len(f))
 			}
 			stored, err1 := strconv.Atoi(f[3])
 			shared, err2 := strconv.Atoi(f[4])
-			counters, err3 := strconv.ParseInt(f[9], 10, 64)
-			held, err4 := strconv.ParseInt(f[10], 10, 64)
-			if err := errors.Join(err1, err2, err3, err4); err != nil || shared > stored {
-				t.Fatalf("row %q: %v, or more buckets shared than stored", line, err)
+			closed, err3 := strconv.Atoi(f[5])
+			folded, err4 := strconv.Atoi(f[6])
+			counters, err5 := strconv.ParseInt(f[10], 10, 64)
+			held, err6 := strconv.ParseInt(f[11], 10, 64)
+			if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil || shared > stored || folded > closed {
+				t.Fatalf("row %q: %v, or more buckets shared than stored, or folded than closed", line, err)
 			}
 			sh := get(f[0])
 			sh.counters += counters
 			sh.bytes += held
+			sh.folded += folded
 		}
 	}
 
@@ -100,6 +106,9 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 		// An untouched virgin root is two counters, a word each.
 		if got := sh.counters + 2*int64(sh.virgin); got != sh.space {
 			t.Errorf("%s: rows add up to %d counters, the summary line says %d", preset.name, got, sh.space)
+		}
+		if sh.folded != sh.sketchesFolded {
+			t.Errorf("%s: rows fold %d buckets, the summary line says %d sketches", preset.name, sh.folded, sh.sketchesFolded)
 		}
 		if got := sh.bytes + 16*int64(sh.virgin); got != sh.held || sh.fpHeld != sh.tables+sh.arrays {
 			t.Errorf("%s: rows add up to %d bytes, the summary line says %d, of them %d in tables and arrays, and the footprint holds %d",
@@ -158,17 +167,21 @@ func TestArenaBytesByShape(t *testing.T) {
 // against a summary for each: Space() and Footprint().Arena of a Both summary
 // beside those of an LE and a GE summary fed the same stream, on the shapes
 // TestArenaBytesByShape pins. The buckets both directions keep — every one of
-// the levels neither has discarded from — are stored once: 40–43 % fewer
-// counters, 37–41 % fewer arena bytes.
+// the levels neither has discarded from — are stored once: 24–30 % fewer
+// counters, 29–34 % fewer arena bytes. (It was 40–43 % and 37–41 % before a
+// summary serving one direction folded each closed bucket into the one above
+// it that its queries always take with it: at this length, the levels such
+// a summary holds dense are ones a Both summary keeps for both directions,
+// which fold nothing.)
 func TestBothSpaceByShape(t *testing.T) {
 	for _, c := range []struct {
 		shape                occupancyShape
 		both, le, ge         int64 // Space()
 		bothArena, sideArena int64 // Footprint().Arena: Both, and LE's + GE's
 	}{
-		{occupancyShape{"uniform/16", 150_000, 16, false}, 1_932_838, 1_620_385, 1_615_373, 3_465_216, 5_554_176},
-		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 1_955_680, 1_641_333, 1_641_727, 3_530_752, 5_619_712},
-		{occupancyShape{"zipf/256", 150_000, 256, true}, 2_726_496, 2_375_357, 2_374_181, 5_627_904, 9_551_872},
+		{occupancyShape{"uniform/16", 150_000, 16, false}, 1_932_838, 1_285_745, 1_273_613, 3_465_216, 5_226_496},
+		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 1_955_680, 1_316_661, 1_327_023, 3_530_752, 4_964_352},
+		{occupancyShape{"zipf/256", 150_000, 256, true}, 2_726_496, 1_930_731, 1_919_455, 5_627_904, 8_503_296},
 	} {
 		both := occupancySummary(c.shape, correlated.Both)
 		le := occupancySummary(c.shape, correlated.LE)

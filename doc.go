@@ -194,6 +194,29 @@
 // its sketch and its two children by four-byte handles, and a bucket's sketch
 // struct sits in its maker's slab, where an evicted bucket's slot waits for
 // the next one.
+//
+// An F2 summary also folds. A query for y <= c takes a bucket when its right
+// endpoint is at most c, and a closed bucket shares its right endpoint with
+// its right child and every bucket down that chain of right children, so the
+// query takes the chain whole or not at all; a query for y >= c does the same
+// with left endpoints and left children. A closed bucket is never written by
+// ingest again and CountSketch is linear, so once one direction alone keeps
+// a closed bucket — every bucket of a summary serving one direction, and a
+// Both summary's past the other direction's watermark — its counters are
+// added into its chain head, the nearest bucket up the chain that the same
+// direction alone keeps and that still holds a sketch, and its own sketch is
+// freed. The bucket stays in the tree, closed, at the two words Space
+// charges a node, and every answer is the same sum of the same integer
+// counters, bit for bit. Only a dense head or bucket folds: a query composes
+// its answer in the exact items form when its parts hold few enough pairs
+// between them, and two tables summed into one can hold fewer pairs than the
+// two did, which would turn a dense answer exact. Only F2 folds: Fk's
+// candidate sets make a merge depend on order, and COUNT and SUM compose by
+// merging one sketch at a time, so those summaries keep every sketch.
+// Occupancy's Folded column counts the folded buckets. Images carry folded
+// buckets as closed buckets without a sketch, which the image grammar
+// always allowed; decoding and merging fold nothing.
+//
 // Occupancy breaks Space down level by level and reports the bytes behind
 // each level's counters, by form, how many of the tables' are in closed
 // buckets, and — on the first row — the bytes waiting in the arena and the

@@ -132,6 +132,6 @@ func BenchmarkCoreQuery(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(len(s.s0.buckets)), "singletons")
+		b.ReportMetric(float64(s.s0.buckets.n), "singletons")
 	})
 }

@@ -34,9 +34,7 @@ func requireClosedCut(t *testing.T, when string, s *Summary) int {
 		}
 	}
 	check("shared", s.sketch(s.shared), false)
-	for _, h := range s.s0.buckets {
-		check("singleton", s.sketch(h), false)
-	}
+	s.s0.buckets.each(func(_ uint64, h uint32) { check("singleton", s.sketch(h), false) })
 	var walk func(h uint32, iv dyadic.Interval)
 	walk = func(h uint32, iv dyadic.Interval) {
 		if h == 0 {

@@ -70,12 +70,16 @@ func requireSummariesEqual(t *testing.T, a, b *Summary) {
 	if !bytes.Equal(sketchBytes(t, a.sketch(a.shared)), sketchBytes(t, b.sketch(b.shared))) {
 		t.Fatal("shared sketch state differs")
 	}
-	if a.s0.y != b.s0.y || len(a.s0.buckets) != len(b.s0.buckets) {
-		t.Fatalf("singleton level differs: y %d/%d size %d/%d", a.s0.y, b.s0.y, len(a.s0.buckets), len(b.s0.buckets))
+	if a.s0.y != b.s0.y || a.s0.buckets.n != b.s0.buckets.n {
+		t.Fatalf("singleton level differs: y %d/%d size %d/%d", a.s0.y, b.s0.y, a.s0.buckets.n, b.s0.buckets.n)
 	}
-	for y, ask := range a.s0.buckets {
-		bsk, ok := b.s0.buckets[y]
-		if !ok {
+	for j, ask := range a.s0.buckets.hs {
+		if ask == 0 {
+			continue
+		}
+		y := a.s0.buckets.ys[j]
+		bsk := b.s0.buckets.get(y)
+		if bsk == 0 {
 			t.Fatalf("singleton y=%d missing on one side", y)
 		}
 		if !bytes.Equal(sketchBytes(t, a.sketch(ask)), sketchBytes(t, b.sketch(bsk))) {
@@ -260,12 +264,14 @@ func TestBudgetedClosingMatchesEveryInsertCheck(t *testing.T) {
 	}
 }
 
-// unbudgeted hides everything but the Sketch methods of the sketch it
-// wraps: no ThresholdBudget, so the summary re-checks the closing threshold
-// after every insert, and no slots.
+// unbudgeted hides everything but the Sketch methods of the F2 sketch it
+// wraps, and its form, which decides where its bucket folds: no
+// ThresholdBudget, so the summary re-checks the closing threshold after every
+// insert, and no slots.
 type unbudgeted struct{ sketch.Sketch }
 
 func (u unbudgeted) Merge(o sketch.Sketch) error { return u.Sketch.Merge(o.(unbudgeted).Sketch) }
+func (u unbudgeted) Dense() bool                 { return u.Sketch.(denser).Dense() }
 func (u unbudgeted) MarshalBinary() ([]byte, error) {
 	return u.Sketch.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
 }

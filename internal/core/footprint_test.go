@@ -13,10 +13,15 @@ import (
 // its form — a dense sketch's row sums and counters are one arena block
 // behind the struct's one pointer, off the collected heap
 // (sketch.TestCountSketchStructSize pins the size). A singleton has no node:
-// its sketch's handle sits in the singleton level's map.
+// its sketch's handle sits in a slot of the singleton level's table, twelve
+// bytes with its y, and its distance from each direction's end that keeps it
+// in that direction's heap. A level is a 144-byte record: 64 of state, the
+// pointer to them, 56 of cached leaf and two watermarks.
 const (
 	wantBucketBytes = 16
 	wantSketchBytes = 32
+	wantSlotBytes   = 12
+	wantLevelBytes  = 144
 )
 
 // TestBucketNodeSize: a summary holds tens of thousands of tree nodes, so a
@@ -50,10 +55,15 @@ func walkSlabs(s *Summary, node func(*bucket), sk func(sketch.Sketch)) {
 	for i := 1; i <= s.lmax; i++ {
 		walk(s.levels[i].root)
 	}
-	for _, h := range s.s0.buckets {
-		sk(s.sketch(h))
-	}
+	s.s0.buckets.each(func(_ uint64, h uint32) { sk(s.sketch(h)) })
 	sk(s.sketch(s.shared))
+}
+
+// singletonBytes is what the singleton level keeps on the heap: its table's
+// slots and its heaps, at their capacities.
+func singletonBytes(s *Summary) int64 {
+	z := &s.s0
+	return int64(wantSlotBytes*len(z.buckets.hs) + 8*(cap(z.ys[0])+cap(z.ys[1])))
 }
 
 // widened counts the dense sketches of s past one byte a counter.
@@ -74,14 +84,15 @@ func widened(s *Summary) int {
 // checkFootprint compares s.Footprint — running counts — with what a walk of s
 // finds: Held is Occupancy's ItemsBytes and DenseBytes added up, and Arena
 // Held and Pooled together; Headers is the structs of each sketch and tree
-// node the walk meets, a word a singleton, the two slabs' spare slots and the
-// arena's lists of free runs, which with Pooled make Occupancy's Pooled. And the node slab holds the nodes
+// node the walk meets, the singleton level's table and heaps, a record a
+// level, the two slabs' spare slots and the arena's lists of free runs, which
+// with Pooled make Occupancy's Pooled. And the node slab holds the nodes
 // the walk meets and no more: a node freed anywhere but to the slab would be
 // held there, out of every tree, and out of Pooled.
 func checkFootprint(t *testing.T, when string, s *Summary) books {
 	t.Helper()
 	var held, pooled int64
-	sketches, dense, nodes, singles := 1, 0, 0, 0 // the shared sketch is on no row's Items or Dense
+	sketches, dense, nodes := 1, 0, 0 // the shared sketch is on no row's Items or Dense
 	if f, ok := s.sketch(s.shared).(formed); ok && f.Dense() {
 		dense++
 	}
@@ -92,8 +103,6 @@ func checkFootprint(t *testing.T, when string, s *Summary) books {
 		dense += o.Dense
 		if i > 0 { // the singletons of row 0 have no node
 			nodes += o.Stored
-		} else {
-			singles += o.Stored
 		}
 	}
 	if live := s.nodes.Live(); live != nodes {
@@ -105,7 +114,7 @@ func checkFootprint(t *testing.T, when string, s *Summary) books {
 	want := Footprint{
 		Held:    held,
 		Pooled:  pooled - spare,
-		Headers: int64(sketches*wantSketchBytes+nodes*wantBucketBytes+8*singles) + spare,
+		Headers: int64(sketches*wantSketchBytes+nodes*wantBucketBytes) + spare + singletonBytes(s) + int64(s.lmax+1)*wantLevelBytes,
 		Arena:   held + pooled - spare,
 	}
 	if got != want {

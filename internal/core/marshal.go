@@ -83,15 +83,13 @@ func (s *Summary) AppendBinary(buf []byte) ([]byte, error) {
 	// round-trip contracts rely on. Which directions keep a singleton is
 	// what their watermarks say.
 	buf = s.appendWatermarks(buf, s.s0.y)
-	buf = binary.AppendUvarint(buf, uint64(len(s.s0.buckets)))
-	ys := make([]uint64, 0, len(s.s0.buckets))
-	for y := range s.s0.buckets {
-		ys = append(ys, y)
-	}
+	buf = binary.AppendUvarint(buf, uint64(s.s0.buckets.n))
+	ys := make([]uint64, 0, s.s0.buckets.n)
+	s.s0.buckets.each(func(y uint64, _ uint32) { ys = append(ys, y) })
 	slices.Sort(ys)
 	for _, y := range ys {
 		buf = binary.AppendUvarint(buf, y)
-		if buf, err = sketch.AppendFramed(buf, s.sketch(s.s0.buckets[y])); err != nil {
+		if buf, err = sketch.AppendFramed(buf, s.sketch(s.s0.buckets.get(y))); err != nil {
 			return nil, err
 		}
 	}

@@ -177,9 +177,7 @@ func (img *MergeImage) Discard() {
 		s.maker.Free(in.shared)
 	}
 	if in.s0 != nil {
-		for _, h := range in.s0.buckets {
-			s.maker.Free(h)
-		}
+		in.s0.buckets.each(func(_ uint64, h uint32) { s.maker.Free(h) })
 	}
 	for _, lv := range in.levels {
 		if lv != nil {
@@ -265,7 +263,6 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 	if cnt > uint64(len(data)) {
 		return ErrBadEncoding
 	}
-	oz.buckets = make(map[uint64]uint32, cnt)
 	in.s0 = &oz
 	for i := uint64(0); i < cnt; i++ {
 		var y uint64
@@ -282,10 +279,10 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 		if h, data, err = s.readSketch(data); err != nil {
 			return err
 		}
-		if dup := oz.buckets[y]; dup != 0 {
+		if dup := oz.buckets.get(y); dup != 0 {
 			s.maker.Free(dup) // a forged image's duplicate; the later entry wins
 		}
-		oz.buckets[y] = h
+		oz.buckets.set(y, h)
 		if s.keepers(&oz.y, y) == 0 {
 			return ErrBadEncoding // a singleton no direction keeps
 		}
@@ -404,21 +401,25 @@ func (s *Summary) mergeLevel0(in incoming) {
 		}
 	}
 	if lowered {
-		for y, h := range z.buckets {
+		var gone []uint64
+		z.buckets.each(func(y uint64, h uint32) {
 			if s.keepers(&z.y, y) == 0 {
 				s.maker.Free(h)
-				delete(z.buckets, y)
+				gone = append(gone, y)
 			}
+		})
+		for _, y := range gone {
+			z.buckets.del(y)
 		}
 	}
-	for y, oh := range oz.buckets {
+	oz.buckets.each(func(y uint64, oh uint32) {
 		if s.keepers(&z.y, y) == 0 {
 			if in.owned {
 				s.maker.Free(oh)
 			}
-			continue
+			return
 		}
-		h := z.buckets[y]
+		h := z.buckets.get(y)
 		switch {
 		case h != 0:
 			_ = s.sketch(h).Merge(in.maker.At(oh))
@@ -426,11 +427,11 @@ func (s *Summary) mergeLevel0(in incoming) {
 				s.maker.Free(oh)
 			}
 		case in.owned:
-			z.buckets[y] = oh
+			z.buckets.set(y, oh)
 		default:
-			z.buckets[y] = s.copyOf(in.maker.At(oh))
+			z.buckets.set(y, s.copyOf(in.maker.At(oh)))
 		}
-	}
+	})
 	s.rebuildHeaps()
 	s.evict0()
 }
@@ -475,7 +476,11 @@ func (s *Summary) mergeTreeLevel(i int, in incoming) {
 // either. Children missing on one side are adopted (owned) or deep-copied
 // into the receiver's slabs; an owned node whose content went into dh is
 // freed. Internal nodes are closed by construction on whichever side split
-// them, so the merged tree keeps the "internal implies closed" invariant.
+// them, so the merged tree keeps the "internal implies closed" invariant. A
+// folded bucket (see Summary) stays closed, holding whatever sketch the
+// other side brings: its own counters are in its head's, which merges like
+// any other, and every query that takes it takes its head, so the merged
+// answers are those of the trees unfolded.
 func (s *Summary) mergeNode(dh, sh uint32, in *incoming) {
 	dst, src := s.nodes.At(dh), in.nodes.At(sh)
 	dst.setKeep(dst.keep() | src.keep())
@@ -581,18 +586,25 @@ func (s *Summary) install(in incoming) {
 // Reset returns the summary to its freshly constructed state, freeing
 // every node and sketch for the next ones. It is the cheap way to reuse a
 // summary as a merge accumulator (merge-then-query over site summaries)
-// or across stream epochs without rebuilding hash functions.
+// or across stream epochs without rebuilding hash functions. A maker that
+// keeps an arena lays it out afresh once every block is back (settler), so
+// what the next stream's sketches take does not depend on the last one's.
 func (s *Summary) Reset() {
 	s.free()
+	if st, ok := s.maker.(settler); ok {
+		st.Settle()
+	}
 	s.empty()
 }
+
+// settler is a maker that can lay its storage out afresh once no sketch
+// holds any of it.
+type settler interface{ Settle() }
 
 // free gives back every node and sketch the summary holds, leaving it
 // without state until empty or install gives it some.
 func (s *Summary) free() {
-	for _, h := range s.s0.buckets {
-		s.maker.Free(h)
-	}
+	s.s0.buckets.each(func(_ uint64, h uint32) { s.maker.Free(h) })
 	for i := 1; i <= s.lmax; i++ {
 		s.freeTree(s.levels[i].root)
 	}

@@ -398,7 +398,7 @@ func checkInvariants(t *testing.T, s *Summary) {
 			t.Fatalf("singleton level over capacity for direction %d: %d > %d", d, len(s.s0.ys[d]), s.alpha)
 		}
 	}
-	for y := range s.s0.buckets {
+	for y := range singletons(s) {
 		if s.keepers(&s.s0.y, y) == 0 {
 			t.Fatalf("singleton y=%d at or past every watermark %d", y, s.s0.y)
 		}
@@ -422,7 +422,74 @@ func checkInvariants(t *testing.T, s *Summary) {
 		if kept != lv.count {
 			t.Fatalf("level %d counts %v buckets a direction, its tree %v", i, lv.count, kept)
 		}
+		if folded, _ := verifyFolds(t, s, lv, lv.root, s.span, [2]*bucket{}); folded > 0 && !s.folds {
+			t.Fatalf("level %d: %d closed buckets without a sketch in a summary that does not fold", i, folded)
+		}
 	}
+}
+
+// farEnd is iv's endpoint farthest from direction d's end, as a distance:
+// d's queries take a bucket spanning iv for the cutoffs at or past it.
+func farEnd(s *Summary, d int, iv dyadic.Interval) uint64 {
+	if d == 0 {
+		return iv.R
+	}
+	return s.cfg.YMax - iv.L
+}
+
+// verifyFolds checks each bucket of h's subtree, which spans iv, that is
+// closed but holds no sketch: it has handed its counters to its head. The
+// queries of one direction at most can take it — every other direction that
+// keeps it has its watermark at or inside the bucket's far endpoint — and
+// that direction has a head for it, heads[d] here: the nearest bucket up an
+// unbroken run of its far steps that holds a sketch. It returns how many
+// such buckets there are and how many of them both directions keep. Where
+// ingest alone has shaped the tree, none is: each is kept by one direction
+// alone, the one with the head.
+func verifyFolds(t *testing.T, s *Summary, lv *level, h uint32, iv dyadic.Interval, heads [2]*bucket) (folded, shared int) {
+	t.Helper()
+	if h == 0 {
+		return 0, 0
+	}
+	b := s.nodes.At(h)
+	if b.isClosed() && b.sk == 0 {
+		folded++
+		if b.keep() == Both {
+			shared++
+		}
+		reach := 0
+		for d := range dirs {
+			if b.keep()&(1<<d) == 0 || farEnd(s, d, iv) >= lv.y[d] {
+				continue
+			}
+			if reach++; heads[d] == nil {
+				t.Fatalf("level %d: bucket [%d,%d] kept by %b holds no sketch and has no head for direction %d",
+					lv.idx, iv.L, iv.R, b.keep(), d)
+			}
+		}
+		if reach > 1 {
+			t.Fatalf("level %d: bucket [%d,%d] holds no sketch, and both directions' queries can take it", lv.idx, iv.L, iv.R)
+		}
+	}
+	if b.isLeaf() {
+		return folded, shared
+	}
+	lc, rc := iv.Children()
+	// A step to the right is LE's far step, to the left GE's.
+	for _, c := range []struct {
+		h   uint32
+		iv  dyadic.Interval
+		far int
+	}{{b.left, lc, 1}, {b.right, rc, 0}} {
+		next := heads
+		next[1-c.far] = nil
+		if b.sk != 0 {
+			next[c.far] = b
+		}
+		f, sh := verifyFolds(t, s, lv, c.h, c.iv, next)
+		folded, shared = folded+f, shared+sh
+	}
+	return folded, shared
 }
 
 // verifyKeep checks the directions that keep each bucket of h's subtree,
@@ -521,6 +588,13 @@ func TestBothMergesAsEachSide(t *testing.T) {
 			}
 		})
 	}
+}
+
+// singletons returns the singleton level's entries, y to its sketch's handle.
+func singletons(s *Summary) map[uint64]uint32 {
+	m := map[uint64]uint32{}
+	s.s0.buckets.each(func(y uint64, h uint32) { m[y] = h })
+	return m
 }
 
 func countNodes(s *Summary, h uint32) int {

@@ -18,8 +18,12 @@ type LevelOccupancy struct {
 	// and one sketch serve LE and GE queries alike.
 	Shared int
 	Closed int // of those, buckets that have crossed the closing threshold
-	// Untouched buckets hold no sketch: split siblings no tuple has landed
-	// in, or the root of a virgin level, for which the shared sketch stands.
+	// Folded is the closed buckets, of those, whose sketch went into their
+	// chain head (see Summary): they hold none.
+	Folded int
+	// Untouched buckets hold no sketch either: split siblings no tuple has
+	// landed in, or the root of a virgin level, for which the shared sketch
+	// stands.
 	Untouched int
 	// Items and Dense count the sketches that report a form (CountSketch):
 	// those still keeping their (x, weight) pairs, and those promoted to
@@ -68,15 +72,15 @@ type LevelOccupancy struct {
 // Space.
 func (s *Summary) Occupancy() []LevelOccupancy {
 	rows := make([]LevelOccupancy, s.lmax+1)
-	rows[0] = LevelOccupancy{Stored: len(s.s0.buckets)}
+	rows[0] = LevelOccupancy{Stored: s.s0.buckets.n}
 	rows[0].Watermark, rows[0].WatermarkGE = s.watermarks(s.s0.y)
-	for y, h := range s.s0.buckets {
+	s.s0.buckets.each(func(y uint64, h uint32) {
 		if s.keepers(&s.s0.y, y) == Both {
 			rows[0].Shared++
 		}
 		rows[0].count(1) // the singleton's y
 		rows[0].visit(s.sketch(h), false, false)
-	}
+	})
 	for i := 1; i <= s.lmax; i++ {
 		rows[i] = LevelOccupancy{Level: i, Virgin: i >= s.virginFrom}
 		rows[i].Watermark, rows[i].WatermarkGE = s.watermarks(s.levels[i].y)
@@ -128,11 +132,11 @@ type Footprint struct {
 	// maker that keeps no books it is the spare slots of the node slab.
 	Pooled int64
 	// Headers is what stands around the counters on the heap: the node slab
-	// whole — a 16-byte record a tree node, spare slots too — a word a
-	// singleton, for its y, as Space charges it (its sketch's handle sits in
-	// the singleton level's map under it), the sketch structs with the
-	// maker slab's spare slots, and the lists of the arena's free runs. The
-	// map's and heap's own overhead is not in it.
+	// whole — a 16-byte record a tree node, spare slots too — the singleton
+	// level's table, a y and a sketch's handle a slot, and its directions'
+	// heaps of distances (fixedBytes), a record a level, the sketch structs
+	// with the maker slab's spare slots, and the lists of the arena's free
+	// runs.
 	Headers int64
 	// Arena is what the maker's arena maps: Held + Pooled, or 0.
 	Arena int64
@@ -170,7 +174,7 @@ func (s *Summary) Footprint() Footprint {
 	if !ok {
 		return Footprint{Held: 8 * s.Space(), Pooled: s.spareNodeBytes()}
 	}
-	singles, nodes := int64(len(s.s0.buckets)), int64(0)
+	nodes := int64(0)
 	for i := 1; i <= s.lmax; i++ {
 		nodes += int64(s.levels[i].nodes)
 	}
@@ -178,9 +182,21 @@ func (s *Summary) Footprint() Footprint {
 	return Footprint{
 		Held:    int64(bk.HeldBytes()),
 		Pooled:  int64(arena),
-		Headers: int64(bk.HeaderBytes()+heap) + 8*singles + bucketBytes*nodes + s.spareNodeBytes(),
+		Headers: int64(bk.HeaderBytes()+heap) + s.fixedBytes() + bucketBytes*nodes + s.spareNodeBytes(),
 		Arena:   int64(bk.ArenaBytes()),
 	}
+}
+
+// levelBytes is a level's share of the summary's heap: its state, the
+// pointer to it, its cached leaf and its watermarks' mirror.
+const levelBytes = int64(unsafe.Sizeof(level{}) + unsafe.Sizeof(&level{}) + unsafe.Sizeof(leaf{}) + unsafe.Sizeof([2]uint64{}))
+
+// fixedBytes is what the summary keeps on the heap beside its tree nodes and
+// sketch structs: the singleton level's table and its directions' heaps, at
+// their capacities, and a record a level, the singleton one's included.
+func (s *Summary) fixedBytes() int64 {
+	z := &s.s0
+	return z.buckets.bytes() + 8*int64(cap(z.ys[0])+cap(z.ys[1])) + int64(s.lmax+1)*levelBytes
 }
 
 // count charges n one-word counters to the level.
@@ -237,14 +253,18 @@ func (s *Summary) occupy(o *LevelOccupancy, h uint32, iv dyadic.Interval) {
 	}
 }
 
-// visit charges one bucket's sketch to the level: sk is nil for an untouched
-// bucket, and splits says the bucket is closed and will split, which a
-// singleton never does.
+// visit charges one bucket's sketch to the level: sk is nil for a folded
+// bucket, which is closed, and for an untouched one, and splits says the
+// bucket is closed and will split, which a singleton never does.
 func (o *LevelOccupancy) visit(sk sketch.Sketch, closed, splits bool) {
 	if closed {
 		o.Closed++
 	}
-	if sk == nil {
+	switch {
+	case sk == nil && closed:
+		o.Folded++
+		return
+	case sk == nil:
 		o.Untouched++
 		return
 	}

@@ -31,9 +31,9 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 				counters += o.Counters
 				stored += o.Stored
 				formed := o.Items + o.Dense
-				if o.Level != i || o.Closed > o.Stored || formed+o.Untouched > o.Stored ||
+				if o.Level != i || o.Closed > o.Stored || o.Folded > o.Closed || formed+o.Untouched+o.Folded > o.Stored ||
 					o.ClosedItemsBytes > o.ItemsBytes || (o.Closed == 0 && o.ClosedItemsBytes != 0) ||
-					(name == "F2" && formed+o.Untouched != o.Stored) || (name == "COUNT" && formed != 0) {
+					(name == "F2" && formed+o.Untouched+o.Folded != o.Stored) || (name == "COUNT" && formed+o.Folded != 0) {
 					t.Fatalf("%s %s: inconsistent row %+v", name, when, o)
 				}
 				if i > 0 && o.Pooled != 0 {

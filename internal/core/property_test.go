@@ -96,11 +96,11 @@ func TestPropertyBucketInvariants(t *testing.T) {
 				return false
 			}
 		}
-		if len(s.s0.buckets) > alpha {
+		if s.s0.buckets.n > alpha {
 			return false
 		}
 		// Every singleton below the S0 watermark.
-		for y := range s.s0.buckets {
+		for y := range singletons(s) {
 			if y >= s.s0.y[0] {
 				return false
 			}

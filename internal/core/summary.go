@@ -44,6 +44,26 @@ const noWatermark = math.MaxUint64
 // direction still wants, but it never enters the first direction's answers
 // again, so each direction answers exactly what a summary serving it alone
 // would, fed the same batches.
+//
+// An F2 summary also folds. A direction's query takes a bucket exactly when
+// the bucket's far endpoint, seen from the direction's end, lies within the
+// cutoff, and a bucket shares that endpoint with its child on the
+// direction's far side — the right child for LE, the left for GE — and with
+// every bucket down that chain of far children. Such a chain is taken whole
+// or not at all. A closed bucket is never written by ingest again, and
+// CountSketch is linear, so a closed bucket that one direction alone keeps
+// — which no other direction's query can take, that direction's watermark
+// lying at or inside the bucket — adds its counters into its chain head and
+// lets its sketch go: it stays in the tree, closed, holding no sketch. The head is the nearest bucket up the chain that the same
+// direction alone keeps and that still holds a sketch. Every answer is the
+// same sum of the same counters. A fold is made only where the head or the
+// bucket is dense, because a query composes its answer in the items form
+// when its parts hold few enough pairs between them, and two tables summed
+// into one can hold fewer pairs than the two did. The other aggregates keep
+// every sketch: Fk's candidate sets make a merge depend on order, and COUNT
+// and SUM compose by merging one sketch at a time. Folds happen when a
+// bucket closes and when a discard leaves a subtree to one direction;
+// decoding an image and merging two trees fold nothing.
 type Summary struct {
 	cfg   Config
 	agg   Aggregate
@@ -97,6 +117,8 @@ type Summary struct {
 	// scan reads a few contiguous cache lines instead of chasing a
 	// pointer per level. Kept in sync by discard and UnmarshalBinary.
 	wm [][2]uint64
+
+	folds bool // the maker's sketches report a form (denser): F2's, which fold
 }
 
 // Dirs is a set of query directions.
@@ -189,7 +211,8 @@ func (b *bucket) isLeaf() bool { return b.left == 0 && b.right == 0 }
 // sketch's slot face, asserted once when the leaf is cached rather than once
 // per group (nil off the fast path). Slab records stay in place, so the
 // entry stays valid for as long as the leaf holds its sketch, which every
-// change of the leaf's sketch clears (discard, merges, restores, Reset).
+// change of the leaf's sketch clears (discard, a fold, merges, restores,
+// Reset).
 type leaf struct {
 	b  *bucket
 	iv dyadic.Interval
@@ -227,7 +250,7 @@ func (lv *level) hold(k Dirs, n int) {
 // sketch's handle, the key being all a singleton bucket's interval would say.
 // A direction keeps exactly the singletons its watermark leaves in play.
 type levelZero struct {
-	buckets map[uint64]uint32
+	buckets ymap
 	ys      [2][]uint64 // per direction, a max-heap of its singletons' distances
 	y       [2]uint64   // each direction's watermark Y_0, as a distance
 }
@@ -269,6 +292,7 @@ func NewSummary(agg Aggregate, cfg Config) (*Summary, error) {
 		s.levels[i] = &level{idx: i, thresh: math.Ldexp(1, i+1)}
 	}
 	s.empty()
+	_, s.folds = s.sketch(s.shared).(denser)
 	return s, nil
 }
 
@@ -284,7 +308,7 @@ func (s *Summary) empty() {
 			open[d], one[d] = noWatermark, 1
 		}
 	}
-	s.s0 = levelZero{buckets: make(map[uint64]uint32), y: open}
+	s.s0 = levelZero{y: open}
 	for i := 1; i <= s.lmax; i++ {
 		*s.levels[i] = level{idx: i, root: s.node(), y: open, count: one, nodes: 1, thresh: s.levels[i].thresh}
 		s.nodes.At(s.levels[i].root).setKeep(s.cfg.Dirs)
@@ -407,8 +431,8 @@ func (s *Summary) evict0() {
 				z.y[d] = top
 			}
 			if y := s.dist(d, top); s.keepers(&z.y, y) == 0 {
-				s.maker.Free(z.buckets[y])
-				delete(z.buckets, y)
+				s.maker.Free(z.buckets.get(y))
+				z.buckets.del(y)
 			}
 		}
 	}
@@ -421,13 +445,13 @@ func (s *Summary) rebuildHeaps() {
 	for d := range dirs {
 		z.ys[d] = z.ys[d][:0]
 	}
-	for y := range z.buckets {
+	z.buckets.each(func(y uint64, _ uint32) {
 		for d := range dirs {
 			if s.keepers(&z.y, y)&(1<<d) != 0 {
 				heapPushU64(&z.ys[d], s.dist(d, y))
 			}
 		}
-	}
+	})
 }
 
 // maybeClose re-checks b's closing threshold after w more weight landed in
@@ -445,7 +469,9 @@ func (s *Summary) maybeClose(lv *level, c *leaf, w int64) {
 	}
 	if sketch.CheapEstimate(c.sk) >= lv.thresh {
 		b.setBudget(closed)
-		s.compactClosed(b, c.iv)
+		iv := c.iv // a fold clears the cached leaf
+		s.foldClosed(lv, b, iv)
+		s.compactClosed(b, iv)
 		return
 	}
 	b.setBudget(uint32(max(0, min(sketch.ThresholdBudget(c.sk, lv.thresh), maxBudget))))
@@ -549,7 +575,9 @@ func (s *Summary) discard(lv *level, d int) {
 		lv.y[d] = edge
 		s.wm[lv.idx][d] = edge
 	}
-	if b.keep() != 0 {
+	if k := b.keep(); k != 0 {
+		// The other direction alone keeps the bucket's subtree now.
+		s.foldChain(lv, k, b, iv)
 		return
 	}
 	if parent.right == h {
@@ -563,6 +591,93 @@ func (s *Summary) discard(lv *level, d int) {
 	}
 	s.drop(h)
 	lv.nodes--
+}
+
+// folding returns the one direction that keeps b when b may fold into a
+// chain head of that direction's: b is closed and holds a sketch. No other
+// direction's query can take b, now or after any merge: a direction that
+// does not keep a bucket has its watermark at or inside the bucket's near
+// endpoint (owed), and a merge takes the nearer of two watermarks. It
+// returns 0 otherwise.
+func (s *Summary) folding(b *bucket) Dirs {
+	if k := b.keep(); s.folds && b.isClosed() && b.sk != 0 && (k == LE || k == GE) {
+		return k
+	}
+	return 0
+}
+
+// foldInto adds b's sketch into head's and frees it when either is dense,
+// and reports whether it did: b stays in the tree, closed, without a sketch.
+func (s *Summary) foldInto(lv *level, head, b *bucket) bool {
+	if !s.dense(head.sk) && !s.dense(b.sk) {
+		return false
+	}
+	_ = s.sketch(head.sk).Merge(s.sketch(b.sk))
+	s.maker.Free(b.sk)
+	b.sk = 0
+	if s.cache[lv.idx].b == b {
+		s.cache[lv.idx] = leaf{}
+	}
+	return true
+}
+
+// denser is a sketch that reports its form: F2's CountSketch, the one
+// sketch whose buckets fold.
+type denser interface{ Dense() bool }
+
+// dense reports whether the sketch behind h has promoted to its array.
+func (s *Summary) dense(h uint32) bool { return s.sketch(h).(denser).Dense() }
+
+// foldClosed folds b, which spans iv and has just closed at level lv, into
+// its chain head, found by a descent from the root: the nearest bucket above
+// b, along an unbroken run of far steps of the direction that alone keeps b,
+// that the same direction alone keeps and that holds a sketch.
+func (s *Summary) foldClosed(lv *level, b *bucket, iv dyadic.Interval) {
+	k := s.folding(b)
+	if k == 0 {
+		return
+	}
+	var head *bucket
+	a, aiv := s.nodes.At(lv.root), s.span
+	for a != b {
+		lc, rc := aiv.Children()
+		next, niv, far := a.left, lc, k == GE
+		if iv.L > lc.R {
+			next, niv, far = a.right, rc, k == LE
+		}
+		switch {
+		case !far || a.keep() != k:
+			head = nil
+		case a.sk != 0:
+			head = a
+		}
+		a, aiv = s.nodes.At(next), niv
+	}
+	if head != nil {
+		s.foldInto(lv, head, b)
+	}
+}
+
+// foldChain folds the chain down k's far side from b, which spans iv at
+// level lv and whose subtree k alone keeps since a discard of the other
+// direction's: greedily from the top, each closed bucket with a sketch goes
+// into the nearest one above it that kept its own.
+func (s *Summary) foldChain(lv *level, k Dirs, b *bucket, iv dyadic.Interval) {
+	var head *bucket
+	for b.isClosed() && b.keep() == k {
+		if s.folding(b) != 0 && (head == nil || !s.foldInto(lv, head, b)) {
+			head = b
+		}
+		lc, rc := iv.Children()
+		next, niv := b.right, rc
+		if k == GE {
+			next, niv = b.left, lc
+		}
+		if next == 0 {
+			return
+		}
+		b, iv = s.nodes.At(next), niv
+	}
 }
 
 // node returns the handle of a new, untouched tree node. It and drop are the
@@ -662,11 +777,11 @@ func (s *Summary) querySketch(d int, c uint64) (sketch.Sketch, int, error) {
 // so composition and summation coincide).
 func (s *Summary) query0(d int, dc uint64) sketch.Sketch {
 	parts := s.parts[:0]
-	for y, h := range s.s0.buckets {
+	s.s0.buckets.each(func(y uint64, h uint32) {
 		if s.dist(d, y) <= dc {
 			parts = append(parts, s.sketch(h))
 		}
-	}
+	})
 	return s.compose(parts)
 }
 
@@ -748,9 +863,9 @@ func (s *Summary) queryLevel(lv *level, d int, dc uint64) sketch.Sketch {
 // the paper's figures.
 func (s *Summary) Space() int64 {
 	total := int64(s.sketch(s.shared).Size()) // one shared sketch for virgin levels
-	for _, h := range s.s0.buckets {
+	s.s0.buckets.each(func(_ uint64, h uint32) {
 		total += int64(s.sketch(h).Size()) + 1
-	}
+	})
 	for i := 1; i <= s.lmax; i++ {
 		total += s.treeSpace(s.levels[i].root)
 	}
@@ -773,7 +888,7 @@ func (s *Summary) treeSpace(h uint32) int64 {
 
 // Buckets returns the number of stored buckets across all levels.
 func (s *Summary) Buckets() int {
-	n := len(s.s0.buckets)
+	n := s.s0.buckets.n
 	for i := 1; i <= s.lmax; i++ {
 		n += s.levels[i].nodes
 	}
@@ -893,10 +1008,10 @@ func (s *Summary) addGroup(group []Tuple, y uint64) {
 	// moves in, so it could never serve a query.
 	z := &s.s0
 	if keep := s.keepers(&z.y, y); keep != 0 {
-		h := z.buckets[y]
+		h := z.buckets.get(y)
 		if h == 0 {
 			h = s.maker.Alloc()
-			z.buckets[y] = h
+			z.buckets.set(y, h)
 			for d := range dirs {
 				if keep&(1<<d) != 0 {
 					heapPushU64(&z.ys[d], s.dist(d, y))

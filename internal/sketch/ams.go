@@ -368,6 +368,13 @@ func (m *F2Maker) PooledBytes() (arena, heap int) {
 	return m.arena.pooled(), m.slab.Spare()*countSketchBytes + m.arena.lists
 }
 
+// Settle lays the arena out afresh once no sketch holds a block of it: each
+// chunk one free run, on lists as long as that. A maker whose every sketch
+// has been freed, as a Reset frees them, then places the next ones as it
+// would after any other history ending there. It does nothing while a sketch
+// holds a block.
+func (m *F2Maker) Settle() { m.arena.settle() }
+
 // ListBytes returns the heap bytes behind the arena's lists of its free runs,
 // the share of PooledBytes' heap that is not the slab's spare slots.
 func (m *F2Maker) ListBytes() int { return m.arena.lists }

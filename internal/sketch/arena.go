@@ -238,6 +238,21 @@ func (a *arena) mapChunk(g uint64) (unsafe.Pointer, uint64) {
 	return unsafe.Pointer(&b[guards/2]), uint64(len(b)-guards) / 8
 }
 
+// settle lays the arena out as its chunks alone say, when no block is held:
+// each chunk one free run, listed in the order the chunks were mapped, on
+// lists no longer than that. What the lists kept of the most runs a class
+// ever had free at once goes with them, so an arena every block has come
+// back to places its next blocks as any other with those chunks would.
+func (a *arena) settle() {
+	if a.asked != 0 {
+		return
+	}
+	a.runs, a.holds, a.lists = nil, nil, 0
+	for _, b := range a.chunks {
+		a.list(unsafe.Pointer(&b[guards/2]), uint64(len(b)-guards)/8)
+	}
+}
+
 // pooled returns the bytes the arena maps beyond what its blocks were asked
 // for: free runs, the guard words and the rounding of held blocks to words.
 func (a *arena) pooled() int { return a.mapped - a.asked }

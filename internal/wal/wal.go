@@ -203,6 +203,7 @@ type Stats struct {
 	Checkpoints    uint64 // checkpoints made durable this process
 	PrunedSegments uint64 // sealed segments deleted by Prune
 	LastLSN        uint64 // LSN of the most recently appended record
+	FrameBytes     int64  // the frame-assembly buffer's capacity, the largest frame yet
 }
 
 // WAL is a segmented write-ahead log. Every method is safe to call
@@ -257,6 +258,7 @@ type WAL struct {
 	checkpoints    atomic.Uint64
 	prunedSegments atomic.Uint64
 	lastLSN        atomic.Uint64
+	frameBytes     atomic.Int64
 
 	done chan struct{} // closed by Close: wakes waiting followers
 }
@@ -636,6 +638,7 @@ func (w *WAL) appendLocked(typ RecordType, payload []byte) (uint64, error) {
 	w.frame = append(w.frame, 0, 0, 0, 0, byte(typ))
 	w.frame = append(w.frame, payload...)
 	binary.LittleEndian.PutUint32(w.frame[4:8], crc32.Checksum(w.frame[8:], castagnoli))
+	w.frameBytes.Store(int64(cap(w.frame)))
 	if _, err := w.f.Write(w.frame); err != nil {
 		// Rewind past any partially written frame bytes: a later
 		// successful, fsynced append must never sit behind garbage, or
@@ -1062,6 +1065,7 @@ func (w *WAL) Stats() Stats {
 		Checkpoints:    w.checkpoints.Load(),
 		PrunedSegments: w.prunedSegments.Load(),
 		LastLSN:        w.lastLSN.Load(),
+		FrameBytes:     w.frameBytes.Load(),
 	}
 }
 

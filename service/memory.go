@@ -125,7 +125,7 @@ func (s *Server) memoryLedgerLocked(named *tenant) (m *client.Memory, accounted,
 		HeldBytes: one.Held, PooledBytes: one.Pooled, HeaderBytes: one.Headers, SpilledBytes: spilledOne,
 		ArenaBytes:    one.Arena,
 		ApplyBufBytes: 24 * int64(cap(s.applyBuf)),
-		GroupBufBytes: int64(cap(s.groupBuf)),
+		GroupBufBytes: int64(cap(s.groupBuf)) + s.wal.Stats().FrameBytes,
 	}
 	return m, all.Total() - all.Arena + spilledAll + m.ApplyBufBytes + m.GroupBufBytes, all.Arena
 }
