@@ -25,9 +25,9 @@
 // ignored (the benchmark's command line still passes it): it selected
 // the worker count of a per-tenant sharded engine this daemon no longer
 // has. The log and the forward body are versioned together; files or
-// peers from before the break are refused by name, and an earlier
-// release's snapshot file alone in -wal-dir is imported once (README
-// "Storage format", "Upgrading").
+// peers from before the break are refused by name, an earlier release's
+// snapshot file in -wal-dir included (README "Storage format",
+// "Upgrading").
 //
 // With -stream-addr set, the daemon also serves the persistent
 // length-framed streaming-ingest transport on that address: clients

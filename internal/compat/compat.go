@@ -7,6 +7,10 @@
 // therefore validates its inputs field by field and reports the first
 // mismatch through this package, so callers can both test with
 // errors.Is(err, ErrIncompatible) and read exactly which field diverged.
+// It also owns the header of a moment summary's wire image: the one live
+// framing (AppendImageHeader, ImageHeader) and the framings no live
+// release writes (RetiredImage), which the root package and corrd both
+// refuse.
 package compat
 
 import (
@@ -40,4 +44,44 @@ func (e *Error) Unwrap() error { return ErrIncompatible }
 // Mismatch builds the incompatibility error for one field.
 func Mismatch(field string, want, got any) error {
 	return &Error{Field: field, Want: fmt.Sprint(want), Got: fmt.Sprint(got)}
+}
+
+// A moment summary's wire image opens with a header: its version byte, its
+// predicate byte, its count of parts and its first part's directions byte
+// (core.Dirs). Version 2 with one part, its core image behind its length,
+// is the framing a live release writes.
+const (
+	imageVersion = 2
+	mirrored     = 0x80 // a directions byte's bit for a part seeded for mirrored y
+)
+
+// AppendImageHeader appends the header of a live image of a summary for
+// predicate pred serving directions dirs.
+func AppendImageHeader(buf []byte, pred, dirs byte) []byte {
+	return append(buf, imageVersion, pred, 1, dirs)
+}
+
+// ImageHeader splits a live image into its predicate and directions bytes
+// and what follows its header; ok is false for bytes shorter than a header,
+// or of another version or part count.
+func ImageHeader(data []byte) (pred, dirs byte, rest []byte, ok bool) {
+	if len(data) < 4 || data[0] != imageVersion || data[2] != 1 {
+		return 0, 0, nil, false
+	}
+	return data[1], data[3], data[4:], true
+}
+
+// RetiredImage names the framing of a moment summary's wire image that no
+// live release writes, and returns "" for any other bytes. Version 1 held
+// an LE and a mirrored GE image; a summary restored from one kept them as
+// two parts, the GE one seeded for mirrored y, and wrote them as such a
+// version-2 image.
+func RetiredImage(data []byte) string {
+	switch {
+	case len(data) > 0 && data[0] == 1:
+		return "API image version 1 (an LE and a mirrored GE image)"
+	case len(data) >= 4 && data[0] == imageVersion && (data[2] == 2 || data[3]&mirrored != 0):
+		return fmt.Sprintf("the image of a summary restored from API image version 1 (%d parts, directions byte %#x)", data[2], data[3])
+	}
+	return ""
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/streamagg/correlated/internal/hash"
@@ -10,9 +10,8 @@ import (
 )
 
 // FuzzUnmarshalBinary hardens the core wire format against hostile
-// bytes: corrd's /v1/push endpoint feeds network-supplied images into
-// this decode path (via ParseMergeImage, which UnmarshalBinary shares),
-// so truncated, corrupt, or config-mismatched input must come back as a
+// bytes: images from outside the program reach this decode path (parse,
+// which MergeMarshaled shares), so truncated, corrupt, or config-mismatched input must come back as a
 // typed error — never a panic, never a partial mutation that breaks the
 // receiver.
 func FuzzUnmarshalBinary(f *testing.F) {
@@ -68,9 +67,7 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	// (the shared one) sits on either side of the promotion point — as
 	// many pairs as the items form holds, then one more and dense — each
 	// whole, cut inside that payload, and corrupted inside it; and the
-	// dense one re-framed as the version-2 payload it would have been
-	// before sketches kept their items (no form byte), which must still
-	// load.
+	// dense one with its payload marked version 2, which is refused.
 	fm := newSum(f).maker.(*sketch.F2Maker)
 	atLimit := fm.Width() * fm.Depth() / 4
 	for _, items := range []int{atLimit, atLimit + 1} {
@@ -100,20 +97,10 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		corrupt[at+len(payload)*3/4] ^= 0x81
 		f.Add(corrupt)
 		if items > atLimit {
-			// Version and kind, the two geometry varints, then the form.
-			form := 2
-			for k := 0; k < 2; k++ {
-				_, n := binary.Uvarint(payload[form:])
-				form += n
-			}
-			v2 := append([]byte{2}, payload[1:form]...)
-			v2 = append(v2, payload[form+1:]...)
-			prefix := len(binary.AppendUvarint(nil, uint64(len(payload))))
-			old := append([]byte(nil), img[:at-prefix]...)
-			old = append(binary.AppendUvarint(old, uint64(len(v2))), v2...)
-			old = append(old, img[at+len(payload):]...)
-			if err := newSum(f).UnmarshalBinary(old); err != nil {
-				f.Fatalf("image with a version-2 sketch payload: %v", err)
+			old := bytes.Clone(img)
+			old[at] = 2 // the payload's version byte
+			if err := newSum(f).UnmarshalBinary(old); !errors.Is(err, sketch.ErrBadEncoding) {
+				f.Fatalf("image with a version-2 sketch payload: %v, want sketch.ErrBadEncoding", err)
 			}
 			f.Add(old)
 		}
@@ -139,7 +126,7 @@ func FuzzUnmarshalBinary(f *testing.F) {
 }
 
 // FuzzParseMergeImage drives the same bytes through the merge-in path
-// (what MergeMarshaled uses) against a non-empty receiver: an accepted
+// (MergeMarshaled) against a non-empty receiver: an accepted
 // image must merge without panicking and keep the receiver usable.
 func FuzzParseMergeImage(f *testing.F) {
 	cfg := Config{
@@ -174,11 +161,7 @@ func FuzzParseMergeImage(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		mi, err := recv.ParseMergeImage(data)
-		if err != nil {
-			return
-		}
-		if err := recv.ApplyMergeImage(mi); err != nil {
+		if err := recv.MergeMarshaled(data); err != nil {
 			return
 		}
 		if err := recv.AddWeighted(1, 1, 1); err != nil {

@@ -25,16 +25,10 @@ import (
 // Version 4: the config block ends with the directions the summary serves,
 // the singleton level and every level carry a watermark for each of them,
 // each node's flags say which of them keep it, and the levels' bucket
-// counts are left to the decoder to count. Version 3 — a config-
-// compatibility block after the version byte, one direction — still loads
-// into a summary serving one direction: as LE, or as GE mirrored back from
-// the image's YMax − y (the root package's GE direction kept such a
-// mirrored LE summary). (Version 2 changed the embedded sketch payloads'
-// hash-to-bucket mapping; see sketch.marshalVersion.)
-const (
-	coreMarshalVersion = 4
-	oneSidedVersion    = 3
-)
+// counts are left to the decoder to count. Version 3 — one direction, the
+// root package's GE direction a summary over mirrored y — is refused by
+// name.
+const coreMarshalVersion = 4
 
 // ErrBadEncoding reports malformed or configuration-incompatible bytes.
 var ErrBadEncoding = errors.New("core: bad or incompatible encoding")
@@ -59,7 +53,7 @@ func (s *Summary) ImageSizeHint() int {
 // straight into buf, so nothing is allocated per bucket.
 func (s *Summary) AppendBinary(buf []byte) ([]byte, error) {
 	buf = append(buf, coreMarshalVersion)
-	// Config-compatibility block, validated by ParseMergeImage.
+	// Config-compatibility block, validated by parse.
 	buf = binary.AppendUvarint(buf, math.Float64bits(s.cfg.Eps))
 	buf = binary.AppendUvarint(buf, math.Float64bits(s.cfg.Delta))
 	buf = binary.AppendUvarint(buf, s.cfg.YMax)
@@ -178,10 +172,8 @@ func (s *Summary) owed(lv *level, iv dyadic.Interval) Dirs {
 // readNode decodes the subtree spanning iv into the summary's slabs,
 // counting its buckets into lv, and returns its root's handle, 0 for an
 // absent node. A node may be kept only by directions that keep its parent,
-// within. A version-3 node (oneSided) is kept by the summary's one
-// direction, and for GE its children come far one first: the image is of
-// the mirrored tree.
-func (s *Summary) readNode(data []byte, iv dyadic.Interval, lv *level, within Dirs, oneSided bool) (uint32, []byte, error) {
+// within.
+func (s *Summary) readNode(data []byte, iv dyadic.Interval, lv *level, within Dirs) (uint32, []byte, error) {
 	if len(data) < 1 {
 		return 0, nil, ErrBadEncoding
 	}
@@ -190,11 +182,9 @@ func (s *Summary) readNode(data []byte, iv dyadic.Interval, lv *level, within Di
 	if flags&nodePresent == 0 {
 		return 0, data, nil
 	}
-	keep := s.cfg.Dirs
-	if !oneSided {
-		if keep = Dirs(flags >> nodeKeepShift); keep == 0 || keep&^within != 0 || s.owed(lv, iv)&^keep != 0 {
-			return 0, nil, ErrBadEncoding
-		}
+	keep := Dirs(flags >> nodeKeepShift)
+	if keep == 0 || keep&^within != 0 || s.owed(lv, iv)&^keep != 0 {
+		return 0, nil, ErrBadEncoding
 	}
 	h := s.node()
 	b := s.nodes.At(h)
@@ -213,12 +203,8 @@ func (s *Summary) readNode(data []byte, iv dyadic.Interval, lv *level, within Di
 	}
 	if !iv.Single() {
 		lc, rc := iv.Children()
-		first, second, fiv, siv := &b.left, &b.right, lc, rc
-		if oneSided && s.cfg.Dirs == GE {
-			first, second, fiv, siv = second, first, siv, fiv
-		}
-		if *first, data, err = s.readNode(data, fiv, lv, keep, oneSided); err == nil {
-			*second, data, err = s.readNode(data, siv, lv, keep, oneSided)
+		if b.left, data, err = s.readNode(data, lc, lv, keep); err == nil {
+			b.right, data, err = s.readNode(data, rc, lv, keep)
 		}
 	} else {
 		// Single-point intervals are always leaves; consume their two
@@ -242,14 +228,13 @@ func (s *Summary) readNode(data []byte, iv dyadic.Interval, lv *level, within Di
 // have been created by NewSummary with the same aggregate and Config
 // (including Seed) that produced the bytes; the detectable mismatches
 // (alpha, level count) are reported as typed incompatibility errors. The
-// decode walk is shared with ParseMergeImage, and the receiver is left
+// decode walk is shared with MergeMarshaled, and the receiver is left
 // unchanged on error.
 func (s *Summary) UnmarshalBinary(data []byte) error {
-	img, err := s.ParseMergeImage(data)
+	in, err := s.parse(data)
 	if err != nil {
 		return err
 	}
-	img.applied = true
-	s.install(img.in)
+	s.install(in)
 	return nil
 }

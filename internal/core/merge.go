@@ -124,17 +124,6 @@ func (s *Summary) Merge(other *Summary) error {
 	return nil
 }
 
-// MergeImage is a serialized site summary decoded against a receiving
-// summary's configuration but not yet folded in. Splitting parse from
-// apply lets a caller decode several images (or the two directions of a
-// dual summary) up front and only then mutate, keeping multi-part merges
-// all-or-nothing.
-type MergeImage struct {
-	in      incoming
-	owner   *Summary
-	applied bool
-}
-
 // MergeMarshaled folds a summary serialized with MarshalBinary into the
 // receiver, without materializing a second Summary: decoded buckets are
 // built directly in the receiver's slabs and adopted into the
@@ -144,35 +133,24 @@ type MergeImage struct {
 // responsibility, exactly as with UnmarshalBinary. The receiver is
 // untouched when an error is returned.
 func (s *Summary) MergeMarshaled(data []byte) error {
-	img, err := s.ParseMergeImage(data)
+	in, err := s.parse(data)
 	if err != nil {
 		return err
 	}
-	return s.ApplyMergeImage(img)
+	s.mergeIncoming(in)
+	return nil
 }
 
-// ParseMergeImage decodes data (a MarshalBinary image of a compatible
-// summary) into a MergeImage without touching the receiver. Apply it with
-// ApplyMergeImage, or hand its sketches back with Discard.
-func (s *Summary) ParseMergeImage(data []byte) (*MergeImage, error) {
-	img := &MergeImage{in: incoming{nodes: &s.nodes, maker: s.maker, owned: true}, owner: s}
-	if err := s.parseInto(&img.in, data); err != nil {
-		img.Discard() // what was decoded before the bad byte
-		return nil, err
+// parse decodes data (a MarshalBinary image of a compatible summary) into
+// the receiver's slabs without touching its state. On error what was
+// decoded before the bad byte goes back to the slabs and the maker, whose
+// running byte count has it on the books.
+func (s *Summary) parse(data []byte) (incoming, error) {
+	in := incoming{nodes: &s.nodes, maker: s.maker, owned: true}
+	err := s.parseInto(&in, data)
+	if err == nil {
+		return in, nil
 	}
-	return img, nil
-}
-
-// Discard ends the life of an image that will not be applied: its sketches
-// came from the owner's maker — whose running byte count has them on the
-// books — and go back to it. Applying an image is the other way to end it;
-// after either, Discard does nothing.
-func (img *MergeImage) Discard() {
-	if img == nil || img.applied {
-		return
-	}
-	img.applied = true
-	s, in := img.owner, img.in
 	if in.shared != 0 {
 		s.maker.Free(in.shared)
 	}
@@ -184,29 +162,24 @@ func (img *MergeImage) Discard() {
 			s.freeTree(lv.root)
 		}
 	}
+	return incoming{}, err
 }
 
-// parseInto is ParseMergeImage's decode, filling in as it goes so that a
+// parseInto is parse's decode, filling in as it goes so that a
 // failure leaves behind exactly what has to be discarded.
 func (s *Summary) parseInto(in *incoming, data []byte) error {
-	if len(data) < 1 || (data[0] != coreMarshalVersion && data[0] != oneSidedVersion) {
-		return ErrBadEncoding
+	if len(data) >= 1 && data[0] == 3 {
+		return fmt.Errorf("%w: core image version 3 (one direction, GE over mirrored y), which this release does not read", ErrBadEncoding)
 	}
-	oneSided := data[0] == oneSidedVersion
-	if oneSided && s.cfg.Dirs == Both {
+	if len(data) < 1 || data[0] != coreMarshalVersion {
 		return ErrBadEncoding
 	}
 	data = data[1:]
 	// Config-compatibility block: the image must come from a summary
 	// whose configuration matches the receiver's.
 	var cfgVals [6]uint64 // eps bits, delta bits, ymax, seed, stricttheory, directions
-	cfgVals[5] = uint64(s.cfg.Dirs)
-	n := len(cfgVals)
-	if oneSided {
-		n--
-	}
 	var err error
-	for i := range n {
+	for i := range cfgVals {
 		if cfgVals[i], data, err = uvarint(data); err != nil {
 			return err
 		}
@@ -272,9 +245,6 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 		if y > s.cfg.YMax {
 			return ErrBadEncoding
 		}
-		if oneSided && s.cfg.Dirs == GE {
-			y = s.cfg.YMax - y
-		}
 		var h uint32
 		if h, data, err = s.readSketch(data); err != nil {
 			return err
@@ -294,12 +264,7 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 		if lv.y, data, err = s.readWatermarks(data); err != nil {
 			return err
 		}
-		if oneSided { // the bucket count, which readNode counts
-			if _, data, err = uvarint(data); err != nil {
-				return err
-			}
-		}
-		if lv.root, data, err = s.readNode(data, s.span, lv, s.cfg.Dirs, oneSided); err != nil {
+		if lv.root, data, err = s.readNode(data, s.span, lv, s.cfg.Dirs); err != nil {
 			return err
 		}
 		in.levels[i] = lv
@@ -335,21 +300,6 @@ func (s *Summary) readWatermarks(data []byte) ([2]uint64, []byte, error) {
 		}
 	}
 	return y, data, nil
-}
-
-// ApplyMergeImage folds a parsed image into the summary it was parsed
-// against. An image may be applied at most once (its buckets are adopted
-// into the receiver), and only by its owner.
-func (s *Summary) ApplyMergeImage(img *MergeImage) error {
-	if img == nil || img.owner != s {
-		return errors.New("core: merge image was parsed against a different summary")
-	}
-	if img.applied {
-		return errors.New("core: merge image already applied")
-	}
-	img.applied = true
-	s.mergeIncoming(img.in)
-	return nil
 }
 
 // mergeIncoming performs the actual merge; in has been validated.

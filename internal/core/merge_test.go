@@ -545,9 +545,10 @@ func TestBothMergesAsEachSide(t *testing.T) {
 				for i := range batch {
 					batch[i] = Tuple{X: rng.Uint64n(1 << 10), Y: rng.Uint64n(base.YMax+1) >> (rng.Uint64n(4) * 3), W: 1}
 				}
-				SortByY(batch)
 				for k := range sums {
-					sums[k][site].AddSorted(batch)
+					if err := sums[k][site].AddBatch(batch); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			for i := 1; i < 4; i++ {

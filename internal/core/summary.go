@@ -64,6 +64,19 @@ const noWatermark = math.MaxUint64
 // and SUM compose by merging one sketch at a time. Folds happen when a
 // bucket closes and when a discard leaves a subtree to one direction;
 // decoding an image and merging two trees fold nothing.
+//
+// A closed bucket both directions keep cannot fold and keep every answer:
+// LE answers its left child without it for cutoffs from the child's right
+// endpoint up to the bucket's, and GE answers its right child without it
+// for cutoffs from the bucket's left endpoint up to the child's, so the two
+// children and the three together are three different sums, three
+// sketches. The one exception is a bucket a direction keeps but can never
+// take — one holding that direction's watermark, on the one path from a
+// level's root to it. So a Both summary folds only the buckets one
+// direction alone keeps, past the other's watermark, and on small-batch
+// streams (corrdbench's http-small and tenants-restart) not even those: the
+// one-sided closed buckets of their low levels, and their heads, still hold
+// their items, where a fold would save only the pairs the two share.
 type Summary struct {
 	cfg   Config
 	agg   Aggregate
@@ -921,10 +934,26 @@ type Tuple struct {
 // sequential insertion while carrying the same guarantees. The batch is
 // rejected up front (summary untouched) if any tuple is invalid.
 func (s *Summary) AddBatch(batch []Tuple) error {
-	if err := s.SortBatch(batch); err != nil {
-		return err
+	for i := range batch {
+		if batch[i].Y > s.cfg.YMax {
+			return fmt.Errorf("core: y = %d exceeds YMax = %d", batch[i].Y, s.cfg.YMax)
+		}
+		if batch[i].W == 0 {
+			batch[i].W = 1
+		}
+		if batch[i].W < 0 {
+			return fmt.Errorf("core: weight must be positive, got %d", batch[i].W)
+		}
 	}
-	s.AddSorted(batch)
+	SortByY(batch)
+	for start := 0; start < len(batch); {
+		end := start + 1
+		for end < len(batch) && batch[end].Y == batch[start].Y {
+			end++
+		}
+		s.addGroup(batch[start:end], batch[start].Y)
+		start = end
+	}
 	return nil
 }
 
@@ -941,39 +970,6 @@ func SortByY(batch []Tuple) {
 	byY := func(a, b Tuple) int { return cmp.Compare(a.Y, b.Y) }
 	if !slices.IsSortedFunc(batch, byY) {
 		slices.SortFunc(batch, byY)
-	}
-}
-
-// SortBatch is AddBatch's first half: it validates the batch, normalizes
-// zero weights to 1 and sorts it by y in place (SortByY), leaving the
-// summary untouched. A caller that applies one sorted batch to two summaries
-// calls the halves itself.
-func (s *Summary) SortBatch(batch []Tuple) error {
-	for i := range batch {
-		if batch[i].Y > s.cfg.YMax {
-			return fmt.Errorf("core: y = %d exceeds YMax = %d", batch[i].Y, s.cfg.YMax)
-		}
-		if batch[i].W == 0 {
-			batch[i].W = 1
-		}
-		if batch[i].W < 0 {
-			return fmt.Errorf("core: weight must be positive, got %d", batch[i].W)
-		}
-	}
-	SortByY(batch)
-	return nil
-}
-
-// AddSorted is AddBatch's second half: it inserts a batch that SortBatch
-// accepted, one equal-y group at a time.
-func (s *Summary) AddSorted(batch []Tuple) {
-	for start := 0; start < len(batch); {
-		end := start + 1
-		for end < len(batch) && batch[end].Y == batch[start].Y {
-			end++
-		}
-		s.addGroup(batch[start:end], batch[start].Y)
-		start = end
 	}
 }
 

@@ -32,7 +32,7 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 		}
 		images = append(images, img)
 	}
-	// The version-2 rendition of the dense images: no form byte.
+	// The version-2 rendition of the dense images (no form byte), refused.
 	for _, img := range images[3:] {
 		images = append(images, append([]byte{2}, append(append([]byte(nil), img[1:4]...), img[5:]...)...))
 	}

@@ -24,12 +24,9 @@ import (
 //
 // Version 3: a CountSketch records its form — its (x, weight) pairs in
 // ascending x, or every counter in index order. No other kind's payload
-// changed, and a version-2 CountSketch payload (always every counter) still
-// decodes, as a dense sketch.
-const (
-	marshalVersion    = 3
-	minMarshalVersion = 2
-)
+// changed. A version-2 payload is refused by name: no summary image a live
+// release writes holds one (core image version 4 came after version 3).
+const marshalVersion = 3
 
 // ErrBadEncoding reports malformed or incompatible serialized bytes.
 var ErrBadEncoding = errors.New("sketch: bad or incompatible encoding")
@@ -38,12 +35,15 @@ func appendHeader(buf []byte, kind byte) []byte {
 	return append(buf, marshalVersion, kind)
 }
 
-// readHeader checks the frame and returns its version with the payload.
-func readHeader(data []byte, kind byte) (version byte, rest []byte, err error) {
-	if len(data) < 2 || data[0] < minMarshalVersion || data[0] > marshalVersion || data[1] != kind {
-		return 0, nil, ErrBadEncoding
+// readHeader checks the frame and returns the payload.
+func readHeader(data []byte, kind byte) ([]byte, error) {
+	if len(data) >= 2 && data[0] == 2 && data[1] == kind {
+		return nil, fmt.Errorf("%w: sketch payload version 2, which this release does not read", ErrBadEncoding)
 	}
-	return data[0], data[2:], nil
+	if len(data) < 2 || data[0] != marshalVersion || data[1] != kind {
+		return nil, ErrBadEncoding
+	}
+	return data[2:], nil
 }
 
 // binaryAppender is the append-style encoder every serializable sketch
@@ -141,7 +141,7 @@ func (c *counter) AppendBinary(buf []byte) ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (c *counter) UnmarshalBinary(data []byte) error {
-	_, rest, err := readHeader(data, kindCounter)
+	rest, err := readHeader(data, kindCounter)
 	if err != nil {
 		return err
 	}
@@ -218,10 +218,9 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The receiver must
 // come from a Maker with the same geometry and seed as the source; its
-// previous contents are replaced. A version-2 image, which predates the
-// items form, is every counter in index order and restores dense.
+// previous contents are replaced.
 func (c *CountSketch) UnmarshalBinary(data []byte) error {
-	version, rest, err := readHeader(data, kindCountSketch)
+	rest, err := readHeader(data, kindCountSketch)
 	if err != nil {
 		return err
 	}
@@ -237,13 +236,11 @@ func (c *CountSketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: geometry %dx%d vs %dx%d",
 			ErrBadEncoding, d, w, m.depth, m.width)
 	}
-	form := byte(formDense)
-	if version >= 3 {
-		if len(rest) < 1 {
-			return ErrBadEncoding
-		}
-		form, rest = rest[0], rest[1:]
+	if len(rest) < 1 {
+		return ErrBadEncoding
 	}
+	form := rest[0]
+	rest = rest[1:]
 	c.Reset()
 	switch form {
 	case formItems:
@@ -318,7 +315,7 @@ func (s *L1) AppendBinary(buf []byte) ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *L1) UnmarshalBinary(data []byte) error {
-	_, rest, err := readHeader(data, kindL1)
+	rest, err := readHeader(data, kindL1)
 	if err != nil {
 		return err
 	}
@@ -378,7 +375,7 @@ func (f *Fk) AppendBinary(buf []byte) ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (f *Fk) UnmarshalBinary(data []byte) error {
-	_, rest, err := readHeader(data, kindFk)
+	rest, err := readHeader(data, kindFk)
 	if err != nil {
 		return err
 	}

@@ -3,12 +3,15 @@ package correlated_test
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
+	"errors"
 	"io"
-	"math"
 	"os"
+	"strings"
 	"testing"
 
 	correlated "github.com/streamagg/correlated"
+	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/gen"
 )
 
@@ -211,19 +214,21 @@ func TestRoundTripPredicateMismatch(t *testing.T) {
 	}
 }
 
-// TestUnmarshalVersion2SketchImage loads an F2Summary image written by the
-// commit before sketches kept their items (PR 15; sketch payload version 2,
-// every sketch a full counter array) — what a snapshot whose WAL prefix is
-// gone still holds. It must load, every sketch dense, and answer with the
-// bits that commit answered with, since the counters are the same; then
-// keep ingesting and round-trip through today's image.
+// TestUnmarshalVersion2SketchImage reads testdata/f2_summary_v2.bin.gz, the
+// F2Summary image the commit before sketches kept their items wrote: API
+// image version 1 — an LE and a mirrored GE core image, each core image
+// version 3 with version-2 sketch payloads. No live release writes any of
+// them, and each is refused by name, wrapping ErrBadEncoding: the image,
+// and the images a summary restored from it wrote since — two parts, or a
+// GE summary's one part over mirrored y — by UnmarshalBinary and
+// MergeMarshaled, which leave the receiver as it was; its LE image by a core
+// summary.
 func TestUnmarshalVersion2SketchImage(t *testing.T) {
-	f, err := os.Open("testdata/f2_summary_v2.bin.gz")
+	raw, err := os.ReadFile("testdata/f2_summary_v2.bin.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,68 +236,56 @@ func TestUnmarshalVersion2SketchImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Version, predicate, then each direction's core image behind its
+	// length plus one.
+	rest := img[2:]
+	var parts [2][]byte
+	for i := range parts {
+		n, sz := binary.Uvarint(rest)
+		parts[i], rest = rest[sz:sz+int(n)-1], rest[sz+int(n)-1:]
+	}
+	part := func(head byte, img []byte) []byte {
+		return append(binary.AppendUvarint([]byte{head}, uint64(len(img))), img...)
+	}
 	// The options and stream FuzzMergeMarshaled seeds with.
 	o := correlated.Options{
 		Eps: 0.25, Delta: 0.1, YMax: 1<<10 - 1,
 		MaxStreamLen: 1 << 14, MaxX: 1 << 10,
 		Alpha: 8, Seed: 11, Predicate: correlated.Both,
 	}
-	s, err := correlated.NewF2Summary(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UnmarshalBinary(img); err != nil {
-		t.Fatalf("version-2 image: %v", err)
-	}
-	if s.Count() != 4000 {
-		t.Fatalf("restored Count %d, want 4000", s.Count())
-	}
-	le, ge := s.Occupancy()
-	dense := 0
-	for _, o := range append(le, ge...) {
-		dense += o.Dense
-		if o.Items != 0 {
-			t.Fatalf("level %d restored %d sketches in the items form from counters alone", o.Level, o.Items)
-		}
-	}
-	if dense == 0 {
-		t.Fatal("no sketch restored")
-	}
-	for _, q := range []struct{ c, le, ge uint64 }{
-		{5, 0x403b000000000000, 0x40bd8a0000000000},
-		{100, 0x4057800000000000, 0x40bd8a0000000000},
-		{300, 0x40a35c0000000000, 0x40b5f50000000000},
-		{512, 0x40c0648000000000, 0x40bb6f0000000000},
-		{900, 0x40c7bd8000000000, 0x4053c00000000000},
+	for _, c := range []struct {
+		name string
+		pred correlated.Predicate
+		data []byte
+		says string
+	}{
+		{"version 1", correlated.Both, img, "API image version 1"},
+		{"two parts", correlated.Both, append(append([]byte{2, byte(correlated.Both), 2}, part(1, parts[0])...), part(0x82, parts[1])...), "restored from API image version 1"},
+		{"mirrored part", correlated.GE, append([]byte{2, byte(correlated.GE), 1}, part(0x82, parts[1])...), "restored from API image version 1"},
 	} {
-		le, err := s.QueryLE(q.c)
+		o.Predicate = c.pred
+		s, err := correlated.NewF2Summary(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ge, err := s.QueryGE(q.c)
-		if err != nil {
+		if err := s.Add(7, 7); err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(le) != q.le || math.Float64bits(ge) != q.ge {
-			t.Errorf("cutoff %d: LE %#x GE %#x, the writer answered %#x and %#x",
-				q.c, math.Float64bits(le), math.Float64bits(ge), q.le, q.ge)
+		before, _ := s.MarshalBinary()
+		for _, apply := range []func([]byte) error{s.UnmarshalBinary, s.MergeMarshaled} {
+			if err := apply(c.data); !errors.Is(err, correlated.ErrBadEncoding) || !strings.Contains(err.Error(), c.says) {
+				t.Fatalf("%s: %v, want ErrBadEncoding saying %q", c.name, err, c.says)
+			}
+		}
+		if after, _ := s.MarshalBinary(); !bytes.Equal(after, before) {
+			t.Fatalf("%s: the refusal changed the receiver", c.name)
 		}
 	}
-	if err := s.Add(7, 7); err != nil {
-		t.Fatal(err)
-	}
-	now, err := s.MarshalBinary()
+	cs, err := core.NewSummary(core.F2Aggregate(), core.Config{Eps: o.Eps, Delta: o.Delta, YMax: o.YMax, MaxStreamLen: o.MaxStreamLen, MaxX: o.MaxX, Alpha: o.Alpha, Seed: o.Seed, Dirs: core.LE})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := correlated.NewF2Summary(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.UnmarshalBinary(now); err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := back.MarshalBinary(); !bytes.Equal(again, now) {
-		t.Fatal("restored version-2 summary does not round-trip through today's image")
+	if err := cs.UnmarshalBinary(parts[0]); !errors.Is(err, core.ErrBadEncoding) || !strings.Contains(err.Error(), "core image version 3") {
+		t.Fatalf("the LE core image: %v, want core.ErrBadEncoding naming version 3", err)
 	}
 }

@@ -65,23 +65,23 @@ func (s *summary) UnmarshalBinary(data []byte) error { return s.d.unmarshal(data
 // Reset returns the summary to its freshly constructed state, keeping
 // (and recycling into) its slabs and its sketch makers' arenas. Useful for reusing a summary as
 // a merge accumulator or across stream epochs.
-func (s *summary) Reset() { s.d.reset() }
+func (s *summary) Reset() { s.d.s.Reset() }
 
 // Space reports stored counters/tuples (the paper's space metric).
-func (s *summary) Space() int64 { return s.d.space() }
+func (s *summary) Space() int64 { return s.d.s.Space() }
 
 // Occupancy breaks Space down by level; see LevelOccupancy. le holds the
-// rows of the structure serving LE; ge is nil unless a separate one serves
-// GE — a summary built with Both keeps one tree a level for the two, and
-// its rows carry both directions' watermarks.
+// rows of a summary serving LE, ge those of one serving GE alone: a summary
+// built with Both keeps one tree a level for the two, and its rows, in le,
+// carry both directions' watermarks.
 func (s *summary) Occupancy() (le, ge []LevelOccupancy) { return s.d.occupancy() }
 
 // Footprint reports the bytes of memory behind the summary; see Footprint.
 // Space is the paper's metric, in counters; this is the heap's.
-func (s *summary) Footprint() Footprint { return s.d.footprint() }
+func (s *summary) Footprint() Footprint { return s.d.s.Footprint() }
 
 // Count reports tuples inserted.
-func (s *summary) Count() uint64 { return s.d.count() }
+func (s *summary) Count() uint64 { return s.d.s.Count() }
 
 // F2Summary estimates the correlated second frequency moment:
 // F2{ x : y <= c } = Σ_x f_x², over the substream selected by the cutoff.

@@ -3,7 +3,6 @@ package correlated
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/core"
@@ -91,22 +90,15 @@ func (o Options) coreConfig() core.Config {
 
 // dual is the structure behind the four moment summaries: one core
 // summary serving the Predicate's directions (core.Summary keeps one tree a
-// level for LE and GE alike). A summary restored from a version-1 image —
-// written when the GE direction was a summary of its own over mirrored y,
-// seeded Seed ^ mirrorSeed — holds that image's two directions as two
-// one-sided parts instead, each answering as it did; nothing else keeps a
-// second part.
+// level for LE and GE alike).
 type dual struct {
-	parts []*core.Summary
-	agg   core.Aggregate
-	cfg   core.Config // what a part is built from: Seed, Dirs aside
-	ymax  uint64      // rounded domain top
-	pred  Predicate
+	s    *core.Summary
+	ymax uint64 // rounded domain top
+	pred Predicate
 }
 
-// mirrorSeed is XORed into the seed of a structure over mirrored y: the GE
-// direction of a version-1 image, and the GE copies the heavy-hitter and F0
-// summaries keep.
+// mirrorSeed is XORed into the seed of the GE copies the heavy-hitter and
+// F0 summaries keep over mirrored y.
 const mirrorSeed = 0x6d6972726f72 // "mirror"
 
 // dirsOf returns the core directions a Predicate names.
@@ -123,38 +115,16 @@ func dirsOf(p Predicate) (core.Dirs, error) {
 }
 
 func newDual(agg core.Aggregate, o Options) (*dual, error) {
-	dirs, err := dirsOf(o.Predicate)
+	cfg := o.coreConfig()
+	var err error
+	if cfg.Dirs, err = dirsOf(o.Predicate); err != nil {
+		return nil, err
+	}
+	s, err := core.NewSummary(agg, cfg)
 	if err != nil {
 		return nil, err
 	}
-	d := &dual{agg: agg, cfg: o.coreConfig(), pred: o.Predicate, ymax: dyadic.RoundYMax(o.YMax)}
-	p, err := d.newPart(dirs, false)
-	if err != nil {
-		return nil, err
-	}
-	d.parts = []*core.Summary{p}
-	return d, nil
-}
-
-// newPart builds a core summary serving dirs, seeded Seed ^ mirrorSeed if
-// mirror says so.
-func (d *dual) newPart(dirs core.Dirs, mirror bool) (*core.Summary, error) {
-	cfg := d.cfg
-	cfg.Dirs = dirs
-	if mirror {
-		cfg.Seed ^= mirrorSeed
-	}
-	return core.NewSummary(d.agg, cfg)
-}
-
-// serving returns the part that answers direction dir, nil if none does.
-func (d *dual) serving(dir core.Dirs) *core.Summary {
-	for _, p := range d.parts {
-		if p.Dirs()&dir != 0 {
-			return p
-		}
-	}
-	return nil
+	return &dual{s: s, pred: o.Predicate, ymax: dyadic.RoundYMax(o.YMax)}, nil
 }
 
 // Tuple is one stream element for batched insertion. A zero W counts as
@@ -165,56 +135,25 @@ func (d *dual) add(x, y uint64, w int64) error {
 	if y > d.ymax {
 		return errors.New("correlated: y exceeds YMax")
 	}
-	for _, p := range d.parts {
-		if err := p.AddWeighted(x, y, w); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.s.AddWeighted(x, y, w)
 }
 
 // addBatch feeds a batch through the core summary's amortized batched path.
-// The batch is sorted by y in place (SortBatch touches no summary), so the
-// state a batch leaves is a function of that sorted order under every
-// Predicate: a batch handed over already sorted — as corrd's log holds it —
-// leaves the bytes the original does. Every tuple is validated before any
-// part changes.
+// The batch is sorted by y in place, so the state a batch leaves is a
+// function of that sorted order under every Predicate: a batch handed over
+// already sorted — as corrd's log holds it — leaves the bytes the original
+// does. Every tuple is validated before the summary changes.
 func (d *dual) addBatch(batch []Tuple) error {
 	for i := range batch {
 		if batch[i].Y > d.ymax {
 			return errors.New("correlated: y exceeds YMax")
 		}
 	}
-	if err := d.parts[0].SortBatch(batch); err != nil {
-		return err
-	}
-	for _, p := range d.parts {
-		p.AddSorted(batch)
-	}
-	return nil
+	return d.s.AddBatch(batch)
 }
 
-// shape is a part's place in a summary: the directions it serves, and
-// whether it is seeded Seed ^ mirrorSeed.
-type shape struct {
-	dirs   core.Dirs
-	mirror bool
-}
-
-// shapes returns the shapes of d's parts.
-func (d *dual) shapes() []shape {
-	out := make([]shape, len(d.parts))
-	for i, p := range d.parts {
-		out[i] = shape{p.Dirs(), p.Config().Seed != d.cfg.Seed}
-	}
-	return out
-}
-
-// merge folds another dual built from identical Options into d.
-// Mismatches are caught while validating the first part, before any state
-// changes; parts share every configuration field but the seed, which the
-// shape check settles, so a merge that passes the first part cannot be
-// rejected on a second.
+// merge folds another dual built from identical Options into d; a
+// mismatch is caught before any state changes.
 func (d *dual) merge(o *dual) error {
 	if o == nil {
 		return errors.New("correlated: cannot merge a nil summary")
@@ -225,56 +164,24 @@ func (d *dual) merge(o *dual) error {
 	if d.pred != o.pred {
 		return compat.Mismatch("predicate", d.pred, o.pred)
 	}
-	if a, b := d.shapes(), o.shapes(); !slices.Equal(a, b) {
-		return compat.Mismatch("parts", a, b)
-	}
-	for i, p := range d.parts {
-		if err := p.Merge(o.parts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reset returns d to its freshly constructed state: one part, cleared.
-func (d *dual) reset() {
-	dirs, _ := dirsOf(d.pred)
-	if fresh := (shape{dirs, false}); slices.Equal(d.shapes(), []shape{fresh}) {
-		d.parts[0].Reset()
-		return
-	}
-	p, err := d.newPart(dirs, false)
-	if err != nil {
-		panic(err) // the configuration built this summary's parts before
-	}
-	d.parts = []*core.Summary{p}
+	return d.s.Merge(o.s)
 }
 
 func (d *dual) queryLE(c uint64) (float64, error) {
-	p := d.serving(core.LE)
-	if p == nil {
+	if d.s.Dirs()&core.LE == 0 {
 		return 0, ErrDirection
 	}
-	return p.Query(c)
+	return d.s.Query(c)
 }
 
 func (d *dual) queryGE(c uint64) (float64, error) {
-	p := d.serving(core.GE)
-	if p == nil {
+	if d.s.Dirs()&core.GE == 0 {
 		return 0, ErrDirection
 	}
 	if c > d.ymax {
 		return 0, nil // nothing can satisfy y >= c
 	}
-	return p.QueryGE(c)
-}
-
-func (d *dual) space() int64 {
-	var s int64
-	for _, p := range d.parts {
-		s += p.Space()
-	}
-	return s
+	return d.s.QueryGE(c)
 }
 
 // LevelOccupancy is one level's row of a summary's Occupancy: buckets
@@ -283,19 +190,14 @@ func (d *dual) space() int64 {
 // watermark.
 type LevelOccupancy = core.LevelOccupancy
 
-// occupancy returns the per-level rows of the part that serves LE and, if
-// another part serves GE, of that one (nil for a direction not served, and
-// ge nil when one part serves both — every summary built with Both; its rows
-// carry both directions' watermarks and count the buckets they share).
+// occupancy returns the summary's per-level rows as le when it serves LE —
+// a Both summary's rows carry both directions' watermarks and count the
+// buckets they share — and as ge when it serves GE alone.
 func (d *dual) occupancy() (le, ge []LevelOccupancy) {
-	lp, gp := d.serving(core.LE), d.serving(core.GE)
-	if lp != nil {
-		le = lp.Occupancy()
+	if d.pred == GE {
+		return nil, d.s.Occupancy()
 	}
-	if gp != nil && gp != lp {
-		ge = gp.Occupancy()
-	}
-	return le, ge
+	return d.s.Occupancy(), nil
 }
 
 // Footprint is the memory behind a summary in bytes — what its sketches hold,
@@ -306,14 +208,3 @@ func (d *dual) occupancy() (le, ge []LevelOccupancy) {
 // only it has arenas; the other aggregates answer 8 × Space() as Held, by
 // Space's walk, and their spare tree nodes as Pooled, with Arena 0.
 type Footprint = core.Footprint
-
-// footprint adds up the parts.
-func (d *dual) footprint() Footprint {
-	var f Footprint
-	for _, p := range d.parts {
-		f = f.Plus(p.Footprint())
-	}
-	return f
-}
-
-func (d *dual) count() uint64 { return d.parts[0].Count() }

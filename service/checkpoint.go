@@ -6,9 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 
 	"github.com/streamagg/correlated/internal/tupleio"
+	"github.com/streamagg/correlated/internal/wal"
 )
 
 // Checkpoints: a server's state is in one artefact, its log. A checkpoint
@@ -87,9 +91,8 @@ func decodeCheckpoint(payload []byte) (names []string, marks map[uint64]uint64, 
 	return names, marks, nil
 }
 
-// decodeMarks parses the marks a checkpoint record — and an earlier
-// release's snapshot file — ends with: nothing may follow them, and no
-// site count is trusted past the bytes behind it.
+// decodeMarks parses the marks a checkpoint record ends with: nothing may
+// follow them, and no site count is trusted past the bytes behind it.
 func decodeMarks(rest []byte) (map[uint64]uint64, error) {
 	sites, n := binary.Uvarint(rest)
 	if n <= 0 || sites > uint64(len(rest)-n)/2 { // a mark takes two bytes at least
@@ -123,6 +126,9 @@ func (s *Server) applyImageLocked(payload []byte) error {
 	key, image, err := tupleio.DecodeTenantPrefix(payload)
 	if err != nil {
 		return fmt.Errorf("image: %w", err)
+	}
+	if err := refuseRetired(wal.RecordImage, payload); err != nil {
+		return err
 	}
 	t := s.tenants[string(key)]
 	if t == nil {
@@ -168,5 +174,52 @@ func (s *Server) applyCheckpointLocked(payload []byte) error {
 	}
 	s.regMu.Unlock()
 	s.marks = marks
+	return nil
+}
+
+// ErrSnapshotFormat reports state an earlier corrd wrote that this release
+// does not read: a snapshot file in the state directory (corrdsn1 to
+// corrdsn4, or a bare image from before the WAL existed), or a checkpoint
+// image of a tenant restored from an API version-1 summary image. Startup
+// fails on it by name without touching any file; the README's "Storage
+// format" and "Upgrading" sections have the way out.
+var ErrSnapshotFormat = errors.New("service: unsupported snapshot format")
+
+// snapshotFiles are the names an earlier release kept its snapshot under.
+// The release that imported one into the log renamed the first and left
+// the second beside the log.
+var snapshotFiles = [...]string{"snapshot", "snapshot.1"}
+
+// refuseSnapshots fails on an earlier release's snapshot file in the state
+// directory, naming its format, unless it is a second generation beside a
+// log. It runs before the log is opened, so a refusal touches no file.
+func (s *Server) refuseSnapshots() error {
+	entries, err := s.fs.ReadDir(s.cfg.WALDir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	segments := slices.ContainsFunc(entries, func(e os.DirEntry) bool {
+		return strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".seg")
+	})
+	for _, name := range snapshotFiles {
+		path := filepath.Join(s.cfg.WALDir, name)
+		data, err := s.fs.ReadFile(path)
+		switch {
+		case errors.Is(err, os.ErrNotExist):
+			continue
+		case err != nil:
+			return fmt.Errorf("service: snapshot read %s: %w", path, err)
+		case segments && name == snapshotFiles[1]:
+			continue // what the import left beside the log it began
+		}
+		found := "no corrdsn header (a bare summary image from a corrd that predates the WAL, or a damaged file)"
+		if len(data) >= 8 && bytes.HasPrefix(data, []byte("corrdsn")) {
+			found = fmt.Sprintf("format %q", data[:8])
+		}
+		return fmt.Errorf("%w: %s holds %s; this release keeps its state in the log alone and reads no snapshot file (README \"Storage format\")", ErrSnapshotFormat, path, found)
+	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/streamagg/correlated/client"
+	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
@@ -110,6 +111,23 @@ func holds(typ wal.RecordType, payload []byte, types ...wal.RecordType) (found b
 		})
 	}
 	return found || slices.Contains(types, typ)
+}
+
+// refuseRetired refuses a site record that holds, at any depth, an image
+// in a framing no live release writes (compat.RetiredImage), naming its
+// tenant: such an image fails its apply. Admission validated the record.
+func refuseRetired(typ wal.RecordType, payload []byte) error {
+	switch typ {
+	case wal.RecordImage:
+		key, image, _ := tupleio.DecodeTenantPrefix(payload)
+		if old := compat.RetiredImage(image); old != "" {
+			return fmt.Errorf("%w: tenant %q holds %s, which this release does not read; rebuild the tenant from its source, or stay on the previous release (README \"Upgrading\", \"Storage format\")", ErrSnapshotFormat, key, old)
+		}
+	case wal.RecordForward:
+		_, records, _ := splitForward(payload)
+		return walkSiteRecords(records, func(r siteRecord) error { return refuseRetired(r.typ, r.payload) })
+	}
+	return nil
 }
 
 // dropCheckpoints is a site record with every checkpoint's record in it,
@@ -219,11 +237,13 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 // mark — counting the group's records before it (earlier) — it refuses a
 // forward whose prev is past the mark (but one that begins with a
 // checkpoint's record, where those apply), drops the records at or below
-// the mark, makes probes of checkpoints' records where those do not apply,
-// and admits the rest in order until one names a tenant admitLocked
-// refuses. j.recs keeps what was admitted; a forward none of whose new
-// records is admitted is refused with the first one's error, and one with
-// no new record writes nothing. Callers hold s.mu.
+// the mark, refuses a forward whose checkpoint's records apply and hold an
+// image this release does not read (refuseRetired) before the log takes
+// it, makes probes of checkpoints' records where those do not apply, and
+// admits the rest in order until one names a tenant admitLocked refuses.
+// j.recs keeps what was admitted; a forward none of whose new records is
+// admitted is refused with the first one's error, and one with no new
+// record writes nothing. Callers hold s.mu.
 func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *[][]byte) bool {
 	mark := s.marks[j.site]
 	for _, r := range earlier {
@@ -256,6 +276,12 @@ func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *
 		recs = recs[1:]
 	}
 	s.metrics.forwardsDuplicate.Add(uint64(len(j.recs) - len(recs)))
+	for i := 0; applies && i < len(recs); i++ {
+		if err := refuseRetired(recs[i].typ, recs[i].payload); err != nil {
+			j.kind, j.err = ingestErrValidate, fmt.Errorf("site %016x record %d: %w", j.site, recs[i].lsn, err)
+			return false
+		}
+	}
 	n := 0
 admit:
 	for ; n < len(recs); n++ {
@@ -611,8 +637,8 @@ func (f *forwarder) failed(err error) {
 // forward once the log has no more followable or the record would take it
 // past limit (then without the record, which starts the next). A probe is
 // passed, not sent, and so is a checkpoint's record unless the follow
-// boots: run started it at the checkpoint, or the log opens on one (an
-// import). A booting follow sends at the closing record, and boots until
+// boots: run started it at the checkpoint, or the log opens on one (as
+// one an earlier release began by importing a snapshot does). A booting follow sends at the closing record, and boots until
 // a forward moves the mark. Every other record is sent, so the target
 // refuses one it does not apply by name and the site stalls on it.
 func (f *forwarder) gather(lsn uint64, typ wal.RecordType, payload []byte) error {

@@ -3,10 +3,7 @@ package service
 import (
 	"bytes"
 	"cmp"
-	"errors"
 	"maps"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -78,16 +75,13 @@ func FuzzDecodeIngest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSnapshot fuzzes the decoders of a checkpoint: the
+// FuzzDecodeSnapshot fuzzes the decoder of a checkpoint: the
 // RecordCheckpoint payload replay and a standby's forward apply read
-// (decodeCheckpoint, the log's snapshot), and the earlier release's
-// snapshot file the import reads (decodeSnapshot). Whatever the bytes
-// neither may panic, and neither trusts a tenant or site count past the
-// bytes behind it: what it allocates is one entry per tenant and one per
-// site's mark. A checkpoint record it accepts round-trips: decoding what
-// encodeCheckpoint makes of it yields the same tenants in the same order
-// and the same marks. A snapshot that does not open with the magic is
-// refused as ErrSnapshotFormat.
+// (decodeCheckpoint, the log's snapshot). Whatever the bytes it may not
+// panic, and it trusts no tenant or site count past the bytes behind it:
+// what it allocates is one entry per tenant and one per site's mark. A
+// checkpoint record it accepts round-trips: decoding what encodeCheckpoint
+// makes of it yields the same tenants in the same order and the same marks.
 func FuzzDecodeSnapshot(f *testing.F) {
 	// A live checkpoint of three tenants, one of them spilled, with two
 	// sites' marks: one from a forward, and one as large as a mark can be.
@@ -132,13 +126,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{1, 0x7f, 'a', 0})                                                 // a tenant name longer than the input
 	f.Add(encodeCheckpoint(nil, nil))                                              // no tenant, no site
 	f.Add(encodeCheckpoint([]string{"", "z", "a"}, map[uint64]uint64{3: 1, 1: 3})) // names in any order
-	parent, err := os.ReadFile(filepath.Join("testdata", "parent.corrdsn4"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(parent) // a snapshot file the import takes
-	f.Add(append([]byte("corrdsn3"), parent[len(snapshotMagic):]...))
-	f.Add(parent[len(snapshotMagic):]) // a bare image, as before the WAL existed
+	parent := parentSnapshot(f)
+	f.Add(parent) // earlier releases' snapshot files
+	f.Add(append([]byte("corrdsn3"), parent[8:]...))
+	f.Add(parent[8:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		names, marks, err := decodeCheckpoint(data)
@@ -153,13 +144,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if !slices.Equal(names2, names) || !maps.Equal(marks2, marks) {
 				t.Fatalf("round trip turned tenants %q, marks %v into %q, %v", names, marks, names2, marks2)
 			}
-		}
-		images, marks, err := decodeSnapshot(data)
-		if cap(images) > len(data) || len(marks) > len(data)/2 {
-			t.Fatalf("%d-byte snapshot allocated room for %d tenants and %d marks", len(data), cap(images), len(marks))
-		}
-		if err != nil && !bytes.HasPrefix(data, snapshotMagic) && !errors.Is(err, ErrSnapshotFormat) {
-			t.Fatalf("input without the magic refused as %v, want ErrSnapshotFormat", err)
 		}
 	})
 }

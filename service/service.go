@@ -338,9 +338,8 @@ type Server struct {
 	closeErr  error
 }
 
-// New builds a Server: engine, log replay (or the import of an earlier
-// release's snapshot), HTTP routes, and the background checkpoint loop and
-// forwarders. On error nothing is left running.
+// New builds a Server: engine, log replay, HTTP routes, and the background
+// checkpoint loop and forwarders. On error nothing is left running.
 func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotInterval <= 0 {
 		cfg.SnapshotInterval = 30 * time.Second
@@ -381,8 +380,7 @@ func New(cfg Config) (*Server, error) {
 	// Recovery: the newest checkpoint, then every record after it — the
 	// state that comes out is the same sequence of engine calls the
 	// crashed process made.
-	imported, err := s.importSnapshot()
-	if err != nil {
+	if err := s.refuseSnapshots(); err != nil {
 		return nil, err
 	}
 	if err := s.openWAL(); err != nil {
@@ -399,13 +397,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	go s.committer()
-	if imported != "" {
-		if err := s.finishImport(imported); err != nil {
-			s.closePipeline()
-			s.shutdownStorage()
-			return nil, err
-		}
-	}
 	s.routes()
 	// Started after recovery so the construction error paths above never
 	// leak the writer goroutine.
@@ -460,8 +451,7 @@ func (s *Server) every(interval time.Duration, fn func()) {
 // http.Server, httptest, a mux of your own).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Restored reports whether startup state came from a checkpoint, or from
-// an earlier release's snapshot it imported.
+// Restored reports whether startup state came from a checkpoint.
 func (s *Server) Restored() bool { return s.restored }
 
 // Engine exposes the default tenant's engine for in-process use

@@ -384,11 +384,11 @@ func walConfig(t *testing.T) Config {
 }
 
 // snapshotAt is where an earlier release kept its live snapshot in cfg's
-// state directory: the file the import reads.
+// state directory.
 func snapshotAt(cfg Config) string { return filepath.Join(cfg.WALDir, snapshotFiles[0]) }
 
 // stateWith returns a new state directory holding snapshot as an earlier
-// release's live snapshot and no log: a directory the import takes.
+// release's live snapshot and no log.
 func stateWith(t *testing.T, snapshot []byte) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -698,45 +698,14 @@ func TestWALRefusesStaleSnapshot(t *testing.T) {
 }
 
 // TestEmptyLogRefusesALostSnapshot: an earlier release let a server start
-// on a copy of a snapshot and no log, and such a log, holding no record
-// yet, was all that said which snapshot it continued. That state can no
-// longer arise: the import writes the snapshot into the new log as its
-// first checkpoint before the server serves, so a server killed before its
-// first write restarts holding every tuple from its log alone, the file
-// renamed out of the way.
+// on a copy of a snapshot and no log, and the release after it imported
+// such a snapshot as its new log's first checkpoint. This one reads no
+// snapshot: a state directory holding one and no log is refused by name
+// and left as it was, so no server starts empty on it and acknowledges
+// writes the snapshot's state is missing from.
 func TestEmptyLogRefusesALostSnapshot(t *testing.T) {
-	src := walConfig(t)
-	svc, err := New(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.commit(ingestOf("", testStream(1_000, 1))); err != nil {
-		t.Fatal(err)
-	}
-	image := tenantBytes(t, svc, "")
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Options: testOptions(), WALDir: stateWith(t, appendSnapshot(nil, []tenantImage{{image: image}}, nil))}
-	boot, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := boot.Engine().Count(); n != 1_000 || boot.wal.LastCheckpoint().First != 1 {
-		t.Fatalf("the server started on the snapshot holds %d of its 1000 tuples, its log's first checkpoint %+v", n, boot.wal.LastCheckpoint())
-	}
-	crash(nil, boot)
-	if _, err := os.Stat(snapshotAt(cfg)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("the imported snapshot is still in place: %v", err)
-	}
-	svc2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Close()
-	if n := svc2.Engine().Count(); n != 1_000 || !bytes.Equal(tenantBytes(t, svc2, ""), image) {
-		t.Fatalf("a restart after the import holds %d of its 1000 tuples", n)
-	}
+	cfg := Config{Options: testOptions(), WALDir: stateWith(t, parentSnapshot(t))}
+	refused(t, cfg, ErrSnapshotFormat, `"corrdsn4"`, "reads no snapshot file")
 }
 
 // TestEveryServerCheckpoints: a server given only Options and a state
@@ -827,12 +796,37 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
+// refused checks that New refuses cfg's state directory with an error
+// that wraps sentinel, says each of says and points at the README's
+// "Storage format", and that the refused start leaves every file in it
+// exactly as it was and creates none beside them.
+func refused(t *testing.T, cfg Config, sentinel error, says ...string) {
+	t.Helper()
+	before := dirBytes(t, cfg.WALDir)
+	svc, err := New(cfg)
+	if err == nil {
+		svc.Close()
+		t.Fatal("pre-break state was accepted")
+	}
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("refusal does not wrap %v: %v", sentinel, err)
+	}
+	for _, part := range append(says, "Storage format") {
+		if !strings.Contains(err.Error(), part) {
+			t.Fatalf("refusal does not say %q: %v", part, err)
+		}
+	}
+	if after := dirBytes(t, cfg.WALDir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatalf("the refused start left %d files where there were %d, or modified one", len(after), len(before))
+	}
+}
+
 // TestPreBreakStateRefused: durable state written before a storage
-// version break — a version-1 to -6 log holding records, or a corrdsn1,
-// corrdsn2, corrdsn3 or bare-image snapshot wherever the import would read
-// it — makes New fail with an error that wraps a sentinel, names the format
-// found and the one expected, and points at the README. The refused start
-// leaves every file exactly as it was and creates none beside them. A
+// version break — a version-1 to -6 log holding records, a snapshot file of
+// any format (corrdsn1 to corrdsn4, or a bare image) wherever an earlier
+// release kept one, or a checkpoint image of a tenant restored from an API
+// version-1 image — makes New fail with an error that wraps a sentinel,
+// names what it found, and points at the README (refused). A
 // version-7 log can hold no type-2 record (an earlier format's push
 // record): one is an unknown record type, which fails the start the same
 // way, and a forward carrying one is refused whole, with a 400 naming it.
@@ -848,32 +842,6 @@ func TestPreBreakStateRefused(t *testing.T) {
 	image, err := eng.MarshalBinary() // a valid image: only the framing is old
 	if err != nil {
 		t.Fatal(err)
-	}
-	refused := func(t *testing.T, cfg Config, stateDir string, sentinel error, says ...string) {
-		t.Helper()
-		before := dirBytes(t, stateDir)
-		svc, err := New(cfg)
-		if err == nil {
-			svc.Close()
-			t.Fatal("pre-break state was accepted")
-		}
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("refusal does not wrap %v: %v", sentinel, err)
-		}
-		for _, part := range append(says, "Storage format") {
-			if !strings.Contains(err.Error(), part) {
-				t.Fatalf("refusal does not say %q: %v", part, err)
-			}
-		}
-		after := dirBytes(t, stateDir)
-		if len(after) != len(before) {
-			t.Fatalf("the refused start left %d files where there were %d", len(after), len(before))
-		}
-		for name, data := range before {
-			if !bytes.Equal(after[name], data) {
-				t.Fatalf("the refused start modified %s", name)
-			}
-		}
 	}
 
 	for _, old := range []struct {
@@ -938,24 +906,22 @@ func TestPreBreakStateRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			refused(t, Config{Options: o, WALDir: dir}, dir, wal.ErrVersion, fmt.Sprintf("version %d,", old.version), fmt.Sprintf("version %d ", wal.Version))
+			refused(t, Config{Options: o, WALDir: dir}, wal.ErrVersion, fmt.Sprintf("version %d,", old.version), fmt.Sprintf("version %d ", wal.Version))
 		})
 	}
 
-	// corrdsn2 and corrdsn3 had today's layout under the older magic, less
-	// the marks table at the end.
-	sn3 := appendSnapshot(nil, []tenantImage{{name: "", image: image}, {name: "a", image: image}}, nil)
-	sn3 = sn3[:len(sn3)-1]
-	sn3[len(snapshotMagic)-1] = '3'
-	sn2 := bytes.Clone(sn3)
-	sn2[len(snapshotMagic)-1] = '2'
+	// Only the magic tells the snapshot files apart: corrdsn4 is the one the
+	// previous release imported; corrdsn2 and corrdsn3 had its layout.
+	parent := parentSnapshot(t)
+	older := func(digit byte) []byte { return append([]byte("corrdsn"+string(digit)), parent[8:]...) }
 	for _, format := range []struct {
 		name, found string
 		file        []byte
 	}{
 		{"corrdsn1", `"corrdsn1"`, append(binary.AppendUvarint([]byte("corrdsn1"), 7), image...)},
-		{"corrdsn2", `"corrdsn2"`, sn2},
-		{"corrdsn3", `"corrdsn3"`, sn3},
+		{"corrdsn2", `"corrdsn2"`, older('2')},
+		{"corrdsn3", `"corrdsn3"`, older('3')},
+		{"corrdsn4", `"corrdsn4"`, parent},
 		{"bare image", "no corrdsn header", image},
 	} {
 		for _, place := range []struct {
@@ -978,9 +944,56 @@ func TestPreBreakStateRefused(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				refused(t, cfg, dir, ErrSnapshotFormat, format.found, `"corrdsn4"`)
+				refused(t, cfg, ErrSnapshotFormat, format.found, "reads no snapshot file")
 			})
 		}
+	}
+
+	// A tenant restored from an API version-1 image kept that image while
+	// it stayed spilled, and wrote one of two parts once touched. A
+	// checkpoint holding either fails the start, naming the tenant, and a
+	// standby its previous-release primary bootstraps over the wire refuses
+	// the forward so, at any depth, before its log takes it. Only the
+	// framing is old: each part is a live core image.
+	_, sz := binary.Uvarint(image[4:])
+	core := image[4+sz:]
+	part := func(head byte, bias int) []byte {
+		return append(binary.AppendUvarint([]byte{head}, uint64(len(core)+bias)), core...)
+	}
+	for _, row := range []struct {
+		name  string
+		image []byte
+	}{
+		{"version-1 image in a checkpoint", append(append([]byte{1, byte(o.Predicate)}, part(0, 1)[1:]...), part(0, 1)[1:]...)},
+		{"two-part image in a checkpoint", append(append([]byte{2, byte(o.Predicate), 2}, part(1, 0)...), part(0x82, 0)...)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body []byte // the checkpoint, as its site forwards it
+			for i, payload := range [][]byte{append(tupleio.AppendTenant(nil, ""), image...), append(tupleio.AppendTenant(nil, "acme"), row.image...), encodeCheckpoint([]string{"", "acme"}, nil)} {
+				typ := []wal.RecordType{wal.RecordImage, wal.RecordImage, wal.RecordCheckpoint}[i]
+				if _, err := w.AppendNoSync(typ, payload); err != nil {
+					t.Fatal(err)
+				}
+				body = client.AppendForwardRecord(body, uint64(i+1), uint8(typ), payload)
+			}
+			if err := cmp.Or(w.Sync(), w.Close()); err != nil {
+				t.Fatal(err)
+			}
+			refused(t, Config{Options: o, WALDir: dir}, ErrSnapshotFormat, `tenant "acme"`, "API image version 1", "Upgrading")
+			standby, _ := newStandby(t, o, func(c *Config) { c.WALDir = t.TempDir() })
+			standby.hear(0xabc)
+			for _, forward := range [][]byte{body, client.AppendForwardRecord(nil, 1, uint8(wal.RecordForward), append(binary.AppendUvarint(nil, 0xabc), body...))} {
+				err := standby.commit(&ingestJob{op: opForward, site: 0xabc, image: forward})
+				if !errors.Is(err, ErrSnapshotFormat) || !strings.Contains(err.Error(), `tenant "acme"`) || standby.wal.LastLSN() != 0 || len(standby.marks) != 0 || standby.tenantByName("acme") != nil {
+					t.Fatalf("a standby took the forward of that checkpoint: %v; its log at LSN %d, marks %v", err, standby.wal.LastLSN(), standby.marks)
+				}
+			}
+		})
 	}
 
 	push := append(tupleio.AppendTenant(nil, "a"), image...) // a push record's payload
@@ -1033,44 +1046,32 @@ func TestPreBreakStateRefused(t *testing.T) {
 	})
 }
 
-// TestSnapshotOntoEmptyLogKeepsAckedWrites: a server started on an earlier
-// release's snapshot in an empty state directory — the way across the log
-// format break — imports it as its new log's first checkpoint, so a crash
-// replays every write acknowledged since on top of it. The log no longer
-// continues the snapshot's LSN space: the import leaves nothing outside
-// the log for its numbering to skip.
+// TestSnapshotOntoEmptyLogKeepsAckedWrites: the way across the log format
+// break was to start on an earlier release's snapshot in an empty state
+// directory, which the release after it imported. This release refuses
+// that directory before it writes a segment, so it acknowledges no write
+// on top of state it does not hold; with the snapshot moved aside the same
+// directory starts empty, and a crash replays every write acknowledged
+// since.
 func TestSnapshotOntoEmptyLogKeepsAckedWrites(t *testing.T) {
 	cfg := walConfig(t)
+	cfg.WALDir = stateWith(t, parentSnapshot(t))
+	refused(t, cfg, ErrSnapshotFormat, `"corrdsn4"`)
+	if err := os.Rename(snapshotAt(cfg), filepath.Join(t.TempDir(), "aside")); err != nil {
+		t.Fatal(err)
+	}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(0); i < 5; i++ {
-		if err := svc.commit(ingestOf("", testStream(100, i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	image := tenantBytes(t, svc, "")
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.WALDir = stateWith(t, appendSnapshot(nil, []tenantImage{{image: image}}, nil))
-	svc, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(5); i < 7; i++ {
+	for i := uint64(0); i < 7; i++ {
 		if err := svc.commit(ingestOf("", testStream(100, i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	acked := tenantBytes(t, svc, "")
 	crash(nil, svc)
-	svc, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	svc = mustNew(t, cfg)
 	if got := svc.Engine().Count(); got != 700 || !bytes.Equal(tenantBytes(t, svc, ""), acked) {
 		t.Fatalf("after the crash the server holds %d of the 700 acknowledged tuples", got)
 	}

@@ -82,7 +82,7 @@ func (s *Server) replayWAL() error {
 		return err
 	}
 	s.appliedLSN.Store(s.wal.LastLSN())
-	s.restored = s.restored || ck.LSN != 0
+	s.restored = ck.LSN != 0
 	dur := time.Since(start)
 	s.metrics.walReplayRecords.Set(int64(records))
 	s.metrics.walReplaySeconds.Set(dur.Seconds())
