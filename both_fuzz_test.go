@@ -35,12 +35,12 @@ func FuzzBothSides(f *testing.F) {
 			Alpha: 4 + int(seed%8), Seed: seed,
 		}
 		agg := aggs[seed/8%uint64(len(aggs))]
-		var sides [3]*dual
+		var sides [3]summary
 		for i, pred := range []Predicate{Both, LE, GE} {
 			o := o
 			o.Predicate = pred
 			var err error
-			if sides[i], err = newDual(agg, o); err != nil {
+			if sides[i], err = newSummary(agg, o); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -58,7 +58,7 @@ func FuzzBothSides(f *testing.F) {
 				batch[i] = Tuple{X: rng.Uint64n(64 << (cut % 5)), Y: y, W: int64(rng.Uint64n(4))}
 			}
 			for _, d := range sides {
-				if err := d.addBatch(cloneBatch(batch)); err != nil {
+				if err := d.AddBatch(cloneBatch(batch)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -67,7 +67,7 @@ func FuzzBothSides(f *testing.F) {
 				for _, q := range []struct {
 					name      string
 					got, want func(uint64) (float64, error)
-				}{{"LE", both.queryLE, le.queryLE}, {"GE", both.queryGE, ge.queryGE}} {
+				}{{"LE", both.QueryLE, le.QueryLE}, {"GE", both.QueryGE, ge.QueryGE}} {
 					g, gerr := q.got(c)
 					w, werr := q.want(c)
 					if gerr != werr || math.Float64bits(g) != math.Float64bits(w) {
@@ -79,19 +79,19 @@ func FuzzBothSides(f *testing.F) {
 				t.Fatalf("after batch %d: Both holds %d counters, LE and GE apart %d and %d", bi, sb, sl, sg)
 			}
 		}
-		img, err := both.marshal()
+		img, err := both.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
 		o.Predicate = Both
-		back, err := newDual(agg, o)
+		back, err := newSummary(agg, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := back.unmarshal(img); err != nil {
+		if err := back.UnmarshalBinary(img); err != nil {
 			t.Fatal(err)
 		}
-		if again, err := back.marshal(); err != nil || !bytes.Equal(again, img) {
+		if again, err := back.MarshalBinary(); err != nil || !bytes.Equal(again, img) {
 			t.Fatalf("the image does not round-trip byte for byte (%v)", err)
 		}
 	})

@@ -50,13 +50,12 @@ func occupancyTable(w io.Writer, n int) {
 	fmt.Fprintln(w, "shape\tn\tlevel\tstored\tshared\tclosed\tfolded\tuntouched\titems\tdense\tcounters\tbytes\twatermark_le\twatermark_ge")
 	for _, sh := range shapes {
 		s := occupancySummary(sh, correlated.Both)
-		le, ge := s.Occupancy() // one tree a level serves both: ge is nil
 		// Bytes behind the counters; of them, items tables (closed buckets' cut
 		// ones) and dense arrays; and, beside them, in the makers' arenas and slabs.
 		var held, tables, closed, arrays, pooled int64
 		stored, folded := 0, 0 // buckets: tree nodes and singletons; sketches folded
 		virgin := 0
-		for _, o := range append(le, ge...) {
+		for _, o := range s.Occupancy() {
 			held += o.Bytes
 			tables += o.ItemsBytes
 			closed += o.ClosedItemsBytes

@@ -119,9 +119,8 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 		if sh.hdr != f.Headers || sh.fpHeld != f.Held || sh.fpPooled != f.Pooled {
 			t.Errorf("%s: printed footprint held %d, pooled %d, headers %d; Footprint() is %+v", preset.name, sh.fpHeld, sh.fpPooled, sh.hdr, f)
 		}
-		le, ge := s.Occupancy()
 		stored := 0
-		for _, o := range append(le, ge...) {
+		for _, o := range s.Occupancy() {
 			stored += o.Stored
 		}
 		if want := fmt.Sprintf("%.1f", float64(f.Headers)/float64(stored)); sh.buckets != stored || fmt.Sprintf("%.1f", sh.perBucket) != want {

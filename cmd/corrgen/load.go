@@ -91,11 +91,13 @@ func makeStream(cfg *loadConfig, share int, seed uint64) (gen.Stream, error) {
 	}
 }
 
-// clientStream builds the i-th client's substream: the same dataset
-// family, a per-client seed, and an even share of the tuple budget.
-func clientStream(cfg *loadConfig, i int) (gen.Stream, error) {
-	share := cfg.n / cfg.clients
-	if i < cfg.n%cfg.clients {
+// substream builds the i-th of ways substreams — one a client's, or with
+// -tenants one a tenant's: the same dataset family, a per-index seed, and an
+// even share of the tuple budget. A single-stream oracle regenerates it with
+// -seed seed+i*1000003 -n share.
+func substream(cfg *loadConfig, i, ways int) (gen.Stream, error) {
+	share := cfg.n / ways
+	if i < cfg.n%ways {
 		share++
 	}
 	return makeStream(cfg, share, cfg.seed+uint64(i)*1_000_003)
@@ -103,18 +105,6 @@ func clientStream(cfg *loadConfig, i int) (gen.Stream, error) {
 
 // tenantName is the canonical load-mode key for tenant index t.
 func tenantName(t int) string { return fmt.Sprintf("t%03d", t) }
-
-// tenantStream builds tenant t's substream in -tenants mode: the same
-// per-index seed scheme as clientStream, an even share of the budget.
-// A single-tenant oracle regenerates tenant t's exact stream with
-// -seed seed+t*1000003 -n share.
-func tenantStream(cfg *loadConfig, t int) (gen.Stream, error) {
-	share := cfg.n / cfg.tenants
-	if t < cfg.n%cfg.tenants {
-		share++
-	}
-	return makeStream(cfg, share, cfg.seed+uint64(t)*1_000_003)
-}
 
 // percentileMs returns the nearest-rank p-th percentile (0 < p <= 100) of
 // sorted durations, in milliseconds: the smallest sample with at least p % of
@@ -127,16 +117,12 @@ func percentileMs(sorted []time.Duration, p float64) float64 {
 	return float64(sorted[idx]) / float64(time.Millisecond)
 }
 
-// loadClient builds one load goroutine's client: its own transport so
-// N concurrent clients really hold N connections (the default
-// transport's 2-idle-conns-per-host pruning would otherwise churn
-// connections and serialize what should be concurrent offered load).
-func loadClient(cfg *loadConfig) *client.Client {
-	return loadClientTenant(cfg, cfg.tenant)
-}
-
-// loadClientTenant is loadClient scoped to one tenant key.
-func loadClientTenant(cfg *loadConfig, tenant string) *client.Client {
+// loadClient builds one load goroutine's client, scoped to tenant when it
+// is non-empty: its own transport so N concurrent clients really hold N
+// connections (the default transport's 2-idle-conns-per-host pruning would
+// otherwise churn connections and serialize what should be concurrent
+// offered load).
+func loadClient(cfg *loadConfig, tenant string) *client.Client {
 	tr := &http.Transport{MaxIdleConns: 4, MaxIdleConnsPerHost: 4}
 	opts := []client.Option{
 		client.WithChunkSize(cfg.chunk),
@@ -153,25 +139,14 @@ func loadClientTenant(cfg *loadConfig, tenant string) *client.Client {
 // goroutine's latency bookkeeping.
 const streamAckBuffer = 512
 
-// streamIngest drives one client's substream over the streaming
-// transport: a single persistent connection, frames pipelined up to the
-// window, a drain goroutine consuming acks. Latency is measured per
-// Send (one chunk, normally one frame): the drain matches in-order acks
-// back to Send timestamps by covered tuple count, so the numbers mean
-// "time from handing the chunk to the transport until the server
-// acknowledged its commit" — the streaming analogue of the HTTP
-// request latency, with pipelining instead of lockstep.
-func streamIngest(ctx context.Context, cfg *loadConfig, i int) (lats []time.Duration, reqs, nAcked int, err error) {
-	s, err := clientStream(cfg, i)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return streamDrive(ctx, cfg, s, cfg.tenant)
-}
-
 // streamDrive pumps one substream over one streaming connection
-// (tenant-scoped when tenant is non-empty) and measures per-Send
-// commit latency.
+// (tenant-scoped when tenant is non-empty): frames pipelined up to the
+// window, a drain goroutine consuming acks. Latency is measured per Send
+// (one chunk, normally one frame): the drain matches in-order acks back to
+// Send timestamps by covered tuple count, so the numbers mean "time from
+// handing the chunk to the transport until the server acknowledged its
+// commit" — the streaming analogue of the HTTP request latency, with
+// pipelining instead of lockstep.
 func streamDrive(ctx context.Context, cfg *loadConfig, s gen.Stream, tenant string) (lats []time.Duration, reqs, nAcked int, err error) {
 	opts := []client.StreamOption{client.WithAckBuffer(streamAckBuffer)}
 	if tenant != "" {
@@ -256,24 +231,29 @@ func streamDrive(ctx context.Context, cfg *loadConfig, s gen.Stream, tenant stri
 	return lats, reqs, nAcked, err
 }
 
-// ingestTenants drives client i's share of the -tenants fan-out: the
-// tenants t ≡ i (mod clients), each as its own substream over its own
-// tenant-scoped transport, one after the other — so the daemon sees
-// cfg.clients different tenants ingesting at any moment, rotating
-// through all cfg.tenants over the run.
-func ingestTenants(ctx context.Context, cfg *loadConfig, i int) (lats []time.Duration, reqs, nAcked int, err error) {
+// ingest drives client i's work over the configured transport: its share
+// of the tuples under -tenant or, with -tenants, the tenants t ≡ i (mod
+// clients), each its own substream over its own tenant-scoped connection,
+// one after the other — so the daemon sees cfg.clients different tenants
+// ingesting at any moment, rotating through all cfg.tenants over the run.
+func ingest(ctx context.Context, cfg *loadConfig, i int) (lats []time.Duration, reqs, nAcked int, err error) {
+	drive := httpDrive
+	if cfg.streamAddr != "" {
+		drive = streamDrive
+	}
+	if cfg.tenants == 1 {
+		s, err := substream(cfg, i, cfg.clients)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return drive(ctx, cfg, s, cfg.tenant)
+	}
 	for t := i; t < cfg.tenants; t += cfg.clients {
-		s, serr := tenantStream(cfg, t)
-		if serr != nil {
-			return lats, reqs, nAcked, serr
+		s, err := substream(cfg, t, cfg.tenants)
+		if err != nil {
+			return lats, reqs, nAcked, err
 		}
-		var l []time.Duration
-		var r, a int
-		if cfg.streamAddr != "" {
-			l, r, a, err = streamDrive(ctx, cfg, s, tenantName(t))
-		} else {
-			l, r, a, err = httpDrive(ctx, cfg, s, tenantName(t))
-		}
+		l, r, a, err := drive(ctx, cfg, s, tenantName(t))
 		lats = append(lats, l...)
 		reqs += r
 		nAcked += a
@@ -287,7 +267,7 @@ func ingestTenants(ctx context.Context, cfg *loadConfig, i int) (lats []time.Dur
 // httpDrive is streamDrive's HTTP analogue: chunked AddBatch calls on a
 // tenant-scoped client, one request's latency per chunk.
 func httpDrive(ctx context.Context, cfg *loadConfig, s gen.Stream, tenant string) (lats []time.Duration, reqs, nAcked int, err error) {
-	cl := loadClientTenant(cfg, tenant)
+	cl := loadClient(cfg, tenant)
 	lats = make([]time.Duration, 0, s.Len()/cfg.chunk+1)
 	batch := make([]correlated.Tuple, 0, cfg.chunk)
 	flush := func() error {
@@ -325,7 +305,7 @@ func httpDrive(ctx context.Context, cfg *loadConfig, s gen.Stream, tenant string
 // the report. Any client error aborts the whole run.
 func runLoad(cfg *loadConfig) error {
 	ctx := context.Background()
-	if err := loadClient(cfg).Healthy(ctx); err != nil {
+	if err := loadClient(cfg, cfg.tenant).Healthy(ctx); err != nil {
 		return fmt.Errorf("target %s not healthy: %w", cfg.target, err)
 	}
 
@@ -349,61 +329,13 @@ func runLoad(cfg *loadConfig) error {
 		ingestWG.Add(1)
 		go func(i int) {
 			defer ingestWG.Done()
-			if cfg.tenants > 1 {
-				lats, reqs, nAcked, err := ingestTenants(ctx, cfg, i)
-				if err != nil {
-					fail(fmt.Errorf("client %d: %w", i, err))
-					return
-				}
-				requests.Add(int64(reqs))
-				acked.Add(int64(nAcked))
-				ingestLats[i] = lats
-				return
-			}
-			if cfg.streamAddr != "" {
-				lats, reqs, nAcked, err := streamIngest(ctx, cfg, i)
-				if err != nil {
-					fail(fmt.Errorf("stream client %d: %w", i, err))
-					return
-				}
-				requests.Add(int64(reqs))
-				acked.Add(int64(nAcked))
-				ingestLats[i] = lats
-				return
-			}
-			cl := loadClient(cfg)
-			s, err := clientStream(cfg, i)
+			lats, reqs, nAcked, err := ingest(ctx, cfg, i)
 			if err != nil {
-				fail(err)
+				fail(fmt.Errorf("client %d: %w", i, err))
 				return
 			}
-			lats := make([]time.Duration, 0, s.Len()/cfg.chunk+1)
-			batch := make([]correlated.Tuple, 0, cfg.chunk)
-			flush := func() bool {
-				t0 := time.Now()
-				if err := cl.AddBatch(ctx, batch); err != nil {
-					fail(fmt.Errorf("client %d: %w", i, err))
-					return false
-				}
-				lats = append(lats, time.Since(t0))
-				requests.Add(1)
-				acked.Add(int64(len(batch)))
-				batch = batch[:0]
-				return true
-			}
-			for {
-				t, ok := s.Next()
-				if !ok {
-					break
-				}
-				batch = append(batch, correlated.Tuple{X: t.X, Y: t.Y, W: 1})
-				if len(batch) == cfg.chunk && !flush() {
-					return
-				}
-			}
-			if len(batch) > 0 {
-				flush()
-			}
+			requests.Add(int64(reqs))
+			acked.Add(int64(nAcked))
 			ingestLats[i] = lats
 		}(i)
 	}
@@ -445,7 +377,7 @@ func runLoad(cfg *loadConfig) error {
 	// Attach the server's stage breakdown so the load report carries
 	// where the acknowledged latency went. Best-effort: a stats failure
 	// degrades the report, never the run.
-	if st, err := loadClient(cfg).Stats(ctx); err != nil {
+	if st, err := loadClient(cfg, cfg.tenant).Stats(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "corrgen load: stats fetch failed (no stage breakdown): %v\n", err)
 	} else {
 		rep.Stages = st.PipelineStages

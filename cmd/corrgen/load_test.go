@@ -57,10 +57,10 @@ func drain(s gen.Stream) []gen.Tuple {
 	}
 }
 
-// TestSharesSplitTheBudget: the clients' and the tenants' substreams share
-// the n tuples out exactly, no two shares more than one tuple apart, and each
-// share draws what the single-stream command draws at its documented oracle
-// flags, -seed seed+t·1000003 -n share, for every dataset.
+// TestSharesSplitTheBudget: the substreams share the n tuples out exactly,
+// no two shares more than one tuple apart, and each share draws what the
+// single-stream command draws at its documented oracle flags,
+// -seed seed+i·1000003 -n share, for every dataset.
 func TestSharesSplitTheBudget(t *testing.T) {
 	oracles := map[string]func(n int, xdom, ydom, seed uint64) gen.Stream{
 		"uniform":  func(n int, xdom, ydom, seed uint64) gen.Stream { return gen.Uniform(n, xdom, ydom, seed) },
@@ -71,32 +71,28 @@ func TestSharesSplitTheBudget(t *testing.T) {
 	for dataset, oracle := range oracles {
 		for _, n := range []int{0, 1, 7, 1000} {
 			for _, ways := range []int{1, 3, 4, 64} {
-				cfg := &loadConfig{dataset: dataset, n: n, seed: 11, xdom: 5001, ydom: 10001, clients: ways, tenants: ways}
-				for name, share := range map[string]func(*loadConfig, int) (gen.Stream, error){
-					"client": clientStream, "tenant": tenantStream,
-				} {
-					total, least, most := 0, n, 0
-					for i := 0; i < ways; i++ {
-						s, err := share(cfg, i)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := drain(s)
-						total += len(got)
-						least, most = min(least, len(got)), max(most, len(got))
-						want := drain(oracle(len(got), cfg.xdom, cfg.ydom, cfg.seed+uint64(i)*1_000_003))
-						if len(got) != len(want) {
-							t.Fatalf("%s n=%d %s %d of %d: %d tuples, the oracle %d", dataset, n, name, i, ways, len(got), len(want))
-						}
-						for k := range got {
-							if got[k] != want[k] {
-								t.Fatalf("%s n=%d %s %d of %d: tuple %d is %v, the oracle's %v", dataset, n, name, i, ways, k, got[k], want[k])
-							}
+				cfg := &loadConfig{dataset: dataset, n: n, seed: 11, xdom: 5001, ydom: 10001}
+				total, least, most := 0, n, 0
+				for i := 0; i < ways; i++ {
+					s, err := substream(cfg, i, ways)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := drain(s)
+					total += len(got)
+					least, most = min(least, len(got)), max(most, len(got))
+					want := drain(oracle(len(got), cfg.xdom, cfg.ydom, cfg.seed+uint64(i)*1_000_003))
+					if len(got) != len(want) {
+						t.Fatalf("%s n=%d substream %d of %d: %d tuples, the oracle %d", dataset, n, i, ways, len(got), len(want))
+					}
+					for k := range got {
+						if got[k] != want[k] {
+							t.Fatalf("%s n=%d substream %d of %d: tuple %d is %v, the oracle's %v", dataset, n, i, ways, k, got[k], want[k])
 						}
 					}
-					if total != n || most-least > 1 {
-						t.Fatalf("%s n=%d over %d %ss: %d tuples in shares of %d to %d", dataset, n, ways, name, total, least, most)
-					}
+				}
+				if total != n || most-least > 1 {
+					t.Fatalf("%s n=%d over %d substreams: %d tuples in shares of %d to %d", dataset, n, ways, total, least, most)
 				}
 			}
 		}
@@ -106,11 +102,10 @@ func TestSharesSplitTheBudget(t *testing.T) {
 // TestUnknownDatasetRefused: a dataset name the generator does not know is
 // refused, by name, on every path that builds a stream.
 func TestUnknownDatasetRefused(t *testing.T) {
-	cfg := &loadConfig{dataset: "zipf3", n: 10, seed: 1, clients: 2, tenants: 2}
+	cfg := &loadConfig{dataset: "zipf3", n: 10, seed: 1}
 	for name, build := range map[string]func() (gen.Stream, error){
-		"makeStream":   func() (gen.Stream, error) { return makeStream(cfg, cfg.n, cfg.seed) },
-		"clientStream": func() (gen.Stream, error) { return clientStream(cfg, 1) },
-		"tenantStream": func() (gen.Stream, error) { return tenantStream(cfg, 1) },
+		"makeStream": func() (gen.Stream, error) { return makeStream(cfg, cfg.n, cfg.seed) },
+		"substream":  func() (gen.Stream, error) { return substream(cfg, 1, 2) },
 	} {
 		if s, err := build(); err == nil || s != nil || !strings.Contains(err.Error(), `"zipf3"`) {
 			t.Errorf("%s: stream %v, error %v; want a refusal naming \"zipf3\"", name, s, err)

@@ -11,10 +11,11 @@
 //	        [-target http://localhost:7070] [-chunk 8192]
 //	        [-clients 8] [-tenants 64] [-load-json load.json]
 //
-// With -clients N (and -target) the tuples are split across N concurrent
-// ingest clients — the service-level load mode. The run reports req/s,
-// acked tuples/s, and ingest latency percentiles, optionally as JSON with
-// -load-json (see load.go). Queries beside ingest are measured by
+// With -target the run is the service-level load mode (see load.go): the
+// tuples are split across -clients concurrent ingest clients (one by
+// default, which sends the one stream in order), and the run reports
+// req/s, acked tuples/s, and ingest latency percentiles, optionally as
+// JSON with -load-json. Queries beside ingest are measured by
 // benchmarks/corrdbench's mixed-paced workload.
 //
 // With -stream host:port the ingest side switches to corrd's persistent
@@ -25,16 +26,10 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
-	"time"
-
-	correlated "github.com/streamagg/correlated"
-	"github.com/streamagg/correlated/client"
-	"github.com/streamagg/correlated/internal/gen"
 )
 
 func main() {
@@ -48,11 +43,11 @@ func main() {
 		streamTo = flag.String("stream", "", "corrd -stream-addr host:port; ingest over the persistent streaming transport instead of HTTP")
 		chunk    = flag.Int("chunk", 8192, "tuples per ingest request with -target")
 
-		clients  = flag.Int("clients", 1, "concurrent ingest clients with -target (load mode when > 1)")
+		clients  = flag.Int("clients", 1, "concurrent ingest clients with -target")
 		loadJSON = flag.String("load-json", "", "write the load-mode report as JSON to this file")
 
 		tenant  = flag.String("tenant", "", "tenant key scoping every request (with -target)")
-		tenants = flag.Int("tenants", 1, "load mode: fan the tuples out across this many tenants t000..tNNN (forces load mode when > 1)")
+		tenants = flag.Int("tenants", 1, "fan the tuples out across this many tenants t000..tNNN (with -target)")
 	)
 	flag.Parse()
 
@@ -69,14 +64,7 @@ func main() {
 	}
 
 	if *target != "" {
-		if *clients > 1 || *streamTo != "" || *tenants > 1 {
-			if err := runLoad(cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "corrgen: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := stream(s, *target, *chunk, *tenant); err != nil {
+		if err := runLoad(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "corrgen: %v\n", err)
 			os.Exit(1)
 		}
@@ -100,49 +88,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// stream drives the generated tuples into a corrd daemon in chunked
-// batches (scoped to tenant when non-empty), reporting throughput on
-// stderr.
-func stream(s gen.Stream, target string, chunk int, tenant string) error {
-	if chunk < 1 {
-		chunk = 1
-	}
-	opts := []client.Option{client.WithChunkSize(chunk)}
-	if tenant != "" {
-		opts = append(opts, client.WithTenant(tenant))
-	}
-	cl := client.New(target, opts...)
-	ctx := context.Background()
-	if err := cl.Healthy(ctx); err != nil {
-		return fmt.Errorf("target %s not healthy: %w", target, err)
-	}
-	batch := make([]correlated.Tuple, 0, chunk)
-	start := time.Now()
-	sent := 0
-	for {
-		t, ok := s.Next()
-		if !ok {
-			break
-		}
-		batch = append(batch, correlated.Tuple{X: t.X, Y: t.Y, W: 1})
-		if len(batch) == chunk {
-			if err := cl.AddBatch(ctx, batch); err != nil {
-				return fmt.Errorf("after %d tuples: %w", sent, err)
-			}
-			sent += len(batch)
-			batch = batch[:0]
-		}
-	}
-	if len(batch) > 0 {
-		if err := cl.AddBatch(ctx, batch); err != nil {
-			return fmt.Errorf("after %d tuples: %w", sent, err)
-		}
-		sent += len(batch)
-	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(os.Stderr, "corrgen: sent %d tuples to %s in %v (%.0f tuples/s)\n",
-		sent, target, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds())
-	return nil
 }

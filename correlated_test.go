@@ -1,6 +1,7 @@
 package correlated_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -239,6 +240,47 @@ func TestHeavyHittersSummaryAPI(t *testing.T) {
 	}
 	if _, err := s.QueryGE(0, 0.1); err != correlated.ErrDirection {
 		t.Fatalf("GE on LE-only: %v", err)
+	}
+}
+
+// TestHeavyHittersReproducibleFromSeed: two heavy-hitter summaries built
+// with the same Options and fed the same stream give the same answers in
+// both directions, to the last bit: which candidates a pruned bucket keeps
+// may not depend on a map's order.
+func TestHeavyHittersReproducibleFromSeed(t *testing.T) {
+	var twins [2]*correlated.HeavyHittersSummary
+	for i := range twins {
+		var err error
+		if twins[i], err = correlated.NewHeavyHittersSummary(opts(correlated.Both, 8)); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 20000; j++ {
+			if err := twins[i].Add(55, uint64(j)*7919%(1<<16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := gen.Zipf(40000, 5000, 1<<16, 1.1, 21)
+		for tp, ok := st.Next(); ok; tp, ok = st.Next() {
+			if err := twins[i].Add(tp.X+1000, tp.Y); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for c := uint64(0); c < 1<<16; c += 1 << 10 {
+		for _, q := range [2]string{"LE", "GE"} {
+			var got [2]string
+			for i, s := range twins {
+				query := s.QueryLE
+				if q == "GE" {
+					query = s.QueryGE
+				}
+				hh, err := query(c, 0.0002)
+				got[i] = fmt.Sprint(hh, err)
+			}
+			if got[0] != got[1] {
+				t.Fatalf("%s(%d): %s, then %s", q, c, got[0], got[1])
+			}
+		}
 	}
 }
 

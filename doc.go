@@ -22,10 +22,17 @@
 //     Indyk–Woodruff sketches.
 //   - SumSummary, CountSummary — correlated SUM and COUNT through the same
 //     reduction with exact counter "sketches".
+//   - HeavyHittersSummary, FkHeavyHittersSummary — correlated F2 and Fk
+//     heavy hitters (Section 3.3): the same reduction with a candidate set
+//     in every bucket.
 //   - F0Summary — correlated distinct counting (Section 3.2) by distinct
 //     sampling with y-priority eviction; also answers rarity queries
 //     (Section 3.3).
-//   - HeavyHittersSummary — correlated F2 heavy hitters (Section 3.3).
+//
+// Every summary of the reduction serves the directions its Predicate names
+// from one tree of buckets a level (see "Concurrency"). F0Summary, a
+// sampling structure rather than a tree, keeps a second summary over
+// mirrored y for GE.
 //   - Quantiles — a Greenwald–Khanna whole-stream quantile summary over
 //     the y dimension, the companion structure for drill-down queries.
 //   - CountWindow, F2Window, F0Window — sliding-window aggregation over

@@ -19,6 +19,11 @@ type F0Summary struct {
 	n    uint64
 }
 
+// mirrorSeed is XORed into the seed of the GE copy an F0 summary keeps over
+// mirrored y: corrf0 is a sampling structure, not a core summary, so it
+// serves GE as LE over ymax − y.
+const mirrorSeed = 0x6d6972726f72 // "mirror"
+
 // NewF0Summary builds an F0 summary. Options.MaxX bounds the identifier
 // domain (m in the paper); the summary's size scales with log MaxX, which
 // is why small-domain streams like packet-size traces are much cheaper

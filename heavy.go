@@ -1,11 +1,6 @@
 package correlated
 
-import (
-	"errors"
-
-	"github.com/streamagg/correlated/internal/dyadic"
-	"github.com/streamagg/correlated/internal/heavy"
-)
+import "github.com/streamagg/correlated/internal/heavy"
 
 // HeavyHitter is one reported correlated heavy hitter.
 type HeavyHitter struct {
@@ -15,178 +10,70 @@ type HeavyHitter struct {
 	Freq float64
 }
 
-// HeavyHittersSummary reports the correlated F2 heavy hitters of
-// Section 3.3: identifiers whose squared selected frequency is at least
-// phi·F2(c), with phi supplied at query time alongside the cutoff.
-type HeavyHittersSummary struct {
-	le   *heavy.Summary
-	ge   *heavy.Summary
-	ymax uint64
-}
+// hitters is what the two heavy-hitter summaries share: one heavy-hitters
+// summary serving the Predicate's directions — one tree a level, as for the
+// moment summaries — and every method that only forwards to it.
+type hitters struct{ hh *heavy.Summary }
 
-// NewHeavyHittersSummary builds a heavy-hitters summary.
-func NewHeavyHittersSummary(o Options) (*HeavyHittersSummary, error) {
-	if o.YMax == 0 {
-		return nil, errors.New("correlated: YMax must be positive")
+// newHitters builds the heavy-hitters summary of moment order k serving
+// o's Predicate.
+func newHitters(k int, o Options) (hitters, error) {
+	cfg, err := o.summaryConfig()
+	if err != nil {
+		return hitters{}, err
 	}
-	cfg := heavy.Config{
-		Eps: o.Eps, Delta: o.Delta, YMax: o.YMax,
-		MaxStreamLen: o.MaxStreamLen, Seed: o.Seed,
-	}
-	s := &HeavyHittersSummary{ymax: dyadic.RoundYMax(o.YMax)}
-	var err error
-	if o.Predicate == LE || o.Predicate == Both {
-		if s.le, err = heavy.New(cfg); err != nil {
-			return nil, err
-		}
-	}
-	if o.Predicate == GE || o.Predicate == Both {
-		cfg.Seed ^= mirrorSeed
-		if s.ge, err = heavy.New(cfg); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	hh, err := heavy.New(k, cfg)
+	return hitters{hh}, err
 }
 
 // Add inserts the tuple (x, y).
-func (s *HeavyHittersSummary) Add(x, y uint64) error {
-	if y > s.ymax {
-		return errors.New("correlated: y exceeds YMax")
-	}
-	if s.le != nil {
-		if err := s.le.Add(x, y); err != nil {
-			return err
-		}
-	}
-	if s.ge != nil {
-		if err := s.ge.Add(x, s.ymax-y); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (s *hitters) Add(x, y uint64) error { return s.hh.Add(x, y) }
 
 // QueryLE reports heavy hitters among tuples with y <= c.
-func (s *HeavyHittersSummary) QueryLE(c uint64, phi float64) ([]HeavyHitter, error) {
-	if s.le == nil {
-		return nil, ErrDirection
-	}
-	return convertHH(s.le.Query(c, phi))
+func (s *hitters) QueryLE(c uint64, phi float64) ([]HeavyHitter, error) {
+	return convertHH(s.hh.QueryLE(c, phi))
 }
 
 // QueryGE reports heavy hitters among tuples with y >= c.
-func (s *HeavyHittersSummary) QueryGE(c uint64, phi float64) ([]HeavyHitter, error) {
-	if s.ge == nil {
-		return nil, ErrDirection
+func (s *hitters) QueryGE(c uint64, phi float64) ([]HeavyHitter, error) {
+	return convertHH(s.hh.QueryGE(c, phi))
+}
+
+// Space reports stored counters/tuples.
+func (s *hitters) Space() int64 { return s.hh.Space() }
+
+// HeavyHittersSummary reports the correlated F2 heavy hitters of
+// Section 3.3: identifiers whose squared selected frequency is at least
+// phi·F2(c), with phi supplied at query time alongside the cutoff. Like
+// the moment summaries it keeps one tree a level for the directions its
+// Predicate names.
+type HeavyHittersSummary struct{ hitters }
+
+// NewHeavyHittersSummary builds a heavy-hitters summary.
+func NewHeavyHittersSummary(o Options) (*HeavyHittersSummary, error) {
+	h, err := newHitters(2, o)
+	if err != nil {
+		return nil, err
 	}
-	if c > s.ymax {
-		return nil, nil
-	}
-	return convertHH(s.ge.Query(s.ymax-c, phi))
+	return &HeavyHittersSummary{h}, nil
 }
 
 // F2LE estimates F2 over tuples with y <= c on the same structure.
-func (s *HeavyHittersSummary) F2LE(c uint64) (float64, error) {
-	if s.le == nil {
-		return 0, ErrDirection
-	}
-	return s.le.F2(c)
-}
-
-// Space reports stored counters/tuples.
-func (s *HeavyHittersSummary) Space() int64 {
-	var sp int64
-	if s.le != nil {
-		sp += s.le.Space()
-	}
-	if s.ge != nil {
-		sp += s.ge.Space()
-	}
-	return sp
-}
+func (s *HeavyHittersSummary) F2LE(c uint64) (float64, error) { return s.hh.Estimate(c) }
 
 // FkHeavyHittersSummary generalizes the correlated heavy hitters to any
 // moment order k >= 2: QueryLE reports identifiers whose selected
-// frequency to the k-th power reaches phi·Fk(c).
-type FkHeavyHittersSummary struct {
-	le   *heavy.FkSummary
-	ge   *heavy.FkSummary
-	ymax uint64
-}
+// frequency to the k-th power reaches phi·Fk(c). For k = 2 it is
+// HeavyHittersSummary's structure.
+type FkHeavyHittersSummary struct{ hitters }
 
 // NewFkHeavyHittersSummary builds an Fk heavy-hitters summary.
 func NewFkHeavyHittersSummary(k int, o Options) (*FkHeavyHittersSummary, error) {
-	if o.YMax == 0 {
-		return nil, errors.New("correlated: YMax must be positive")
+	h, err := newHitters(k, o)
+	if err != nil {
+		return nil, err
 	}
-	cfg := heavy.Config{
-		Eps: o.Eps, Delta: o.Delta, YMax: o.YMax,
-		MaxStreamLen: o.MaxStreamLen, Seed: o.Seed,
-	}
-	s := &FkHeavyHittersSummary{ymax: dyadic.RoundYMax(o.YMax)}
-	var err error
-	if o.Predicate == LE || o.Predicate == Both {
-		if s.le, err = heavy.NewFk(k, cfg); err != nil {
-			return nil, err
-		}
-	}
-	if o.Predicate == GE || o.Predicate == Both {
-		cfg.Seed ^= mirrorSeed
-		if s.ge, err = heavy.NewFk(k, cfg); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// Add inserts the tuple (x, y).
-func (s *FkHeavyHittersSummary) Add(x, y uint64) error {
-	if y > s.ymax {
-		return errors.New("correlated: y exceeds YMax")
-	}
-	if s.le != nil {
-		if err := s.le.Add(x, y); err != nil {
-			return err
-		}
-	}
-	if s.ge != nil {
-		if err := s.ge.Add(x, s.ymax-y); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// QueryLE reports Fk heavy hitters among tuples with y <= c.
-func (s *FkHeavyHittersSummary) QueryLE(c uint64, phi float64) ([]HeavyHitter, error) {
-	if s.le == nil {
-		return nil, ErrDirection
-	}
-	return convertHH(s.le.Query(c, phi))
-}
-
-// QueryGE reports Fk heavy hitters among tuples with y >= c.
-func (s *FkHeavyHittersSummary) QueryGE(c uint64, phi float64) ([]HeavyHitter, error) {
-	if s.ge == nil {
-		return nil, ErrDirection
-	}
-	if c > s.ymax {
-		return nil, nil
-	}
-	return convertHH(s.ge.Query(s.ymax-c, phi))
-}
-
-// Space reports stored counters/tuples.
-func (s *FkHeavyHittersSummary) Space() int64 {
-	var sp int64
-	if s.le != nil {
-		sp += s.le.Space()
-	}
-	if s.ge != nil {
-		sp += s.ge.Space()
-	}
-	return sp
+	return &FkHeavyHittersSummary{h}, nil
 }
 
 func convertHH(items []heavy.Item, err error) ([]HeavyHitter, error) {

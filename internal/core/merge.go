@@ -66,8 +66,9 @@ type incoming struct {
 // summary of the concatenated stream. The receiver is modified; other is
 // left unchanged and remains usable. Configuration mismatches are reported
 // as *compat.Error values wrapping compat.ErrIncompatible, naming the
-// first differing field (aggregate, eps, delta, ymax, seed, alpha,
-// levels).
+// first differing field (predicate — the directions served, named as the
+// public Options field that sets them —, aggregate, eps, delta, ymax,
+// seed, stricttheory, alpha, levels).
 func (s *Summary) Merge(other *Summary) error {
 	if other == nil {
 		return errors.New("core: cannot merge a nil summary")
@@ -76,6 +77,8 @@ func (s *Summary) Merge(other *Summary) error {
 		return errSelfMerge
 	}
 	switch {
+	case s.cfg.Dirs != other.cfg.Dirs:
+		return compat.Mismatch("predicate", s.cfg.Dirs, other.cfg.Dirs)
 	case s.agg.Name != other.agg.Name:
 		return compat.Mismatch("aggregate", s.agg.Name, other.agg.Name)
 	case s.cfg.Eps != other.cfg.Eps:
@@ -95,8 +98,6 @@ func (s *Summary) Merge(other *Summary) error {
 		return compat.Mismatch("alpha", s.alpha, other.alpha)
 	case s.lmax != other.lmax:
 		return compat.Mismatch("levels", s.lmax, other.lmax)
-	case s.cfg.Dirs != other.cfg.Dirs:
-		return compat.Mismatch("directions", s.cfg.Dirs, other.cfg.Dirs)
 	}
 	// Probe that the sketch layers agree the makers are equivalent; with
 	// the field checks above this cannot fail, but a cheap probe beats a
@@ -200,7 +201,7 @@ func (s *Summary) parseInto(in *incoming, data []byte) error {
 	case cfgVals[4] != strict:
 		return compat.Mismatch("stricttheory", strict == 1, cfgVals[4] == 1)
 	case cfgVals[5] != uint64(s.cfg.Dirs):
-		return compat.Mismatch("directions", s.cfg.Dirs, cfgVals[5])
+		return compat.Mismatch("predicate", s.cfg.Dirs, Dirs(cfgVals[5]))
 	}
 	var vals [4]uint64 // n, alpha, lmax, virginFrom
 	for i := range vals {

@@ -120,6 +120,7 @@ type Summary struct {
 	one       [1]Tuple         // AddWeighted's group of one (scratch, reused)
 
 	parts []sketch.Sketch // query composition's operands (scratch, reused)
+	ys    []uint64        // query0's singletons, sorted (scratch, reused)
 
 	// sharedBudget plays the bucket closeBudget role for the shared
 	// virgin-level sketch against the next virgin level's threshold.
@@ -142,6 +143,9 @@ const (
 	GE                    // y >= c
 	Both = LE | GE
 )
+
+// String names d as the public Predicate does: LE, GE or Both.
+func (d Dirs) String() string { return [...]string{"none", "LE", "GE", "Both"}[d&Both] }
 
 // dirs indexes per-direction state: 0 is LE, 1 is GE.
 const dirs = 2
@@ -760,6 +764,11 @@ func (s *Summary) QuerySketch(c uint64) (sketch.Sketch, int, error) {
 	return s.querySketch(0, c)
 }
 
+// QuerySketchGE is QuerySketch for y >= c, composed from the same tree.
+func (s *Summary) QuerySketchGE(c uint64) (sketch.Sketch, int, error) {
+	return s.querySketch(1, c)
+}
+
 // querySketch is Algorithm 3 for direction d: the smallest level whose
 // watermark lies past c, seen from d's end, composes d's buckets wholly on
 // d's side of c.
@@ -786,15 +795,23 @@ func (s *Summary) querySketch(d int, c uint64) (sketch.Sketch, int, error) {
 }
 
 // query0 composes the singleton sketches within distance dc of direction
-// d's end ("summing over appropriate singletons": sketches here are linear,
-// so composition and summation coincide).
+// d's end ("summing over appropriate singletons"), in y order. The table's
+// slot order depends on everything else it holds, and a merge that depends
+// on order (Fk's candidate sets, the heavy hitters') must compose alike in
+// a summary serving both directions and in one serving d alone.
 func (s *Summary) query0(d int, dc uint64) sketch.Sketch {
-	parts := s.parts[:0]
-	s.s0.buckets.each(func(y uint64, h uint32) {
+	ys := s.ys[:0]
+	s.s0.buckets.each(func(y uint64, _ uint32) {
 		if s.dist(d, y) <= dc {
-			parts = append(parts, s.sketch(h))
+			ys = append(ys, y)
 		}
 	})
+	slices.Sort(ys)
+	parts := s.parts[:0]
+	for _, y := range ys {
+		parts = append(parts, s.sketch(s.s0.buckets.get(y)))
+	}
+	s.ys = ys
 	return s.compose(parts)
 }
 

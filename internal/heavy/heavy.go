@@ -1,20 +1,24 @@
-// Package heavy implements the correlated F2 heavy hitters of the paper's
+// Package heavy implements the correlated heavy hitters of the paper's
 // Section 3.3: given a y-cutoff c and thresholds 0 < eps < phi < 1, report
-// every identifier x whose squared selected frequency is at least
-// phi·F2(c), and none below (phi−eps)·F2(c).
+// every identifier x whose selected frequency to the k-th power is at least
+// phi·Fk(c), and none below (phi−eps)·Fk(c).
 //
-// As in the paper, the structure is the F2 core structure of Section 2
-// where every bucket additionally carries a frequency-estimation sketch
-// (CountSketch, following [8]) — here the F2 sketch and the per-item
-// sketch are literally the same CountSketch table — plus a bounded set of
-// candidate identifiers per bucket. A query composes the sketches of the
-// buckets inside [0, c] exactly as Algorithm 3 does, unions their
-// candidate sets, and keeps the candidates whose point estimates clear the
-// threshold.
+// As in the paper, the structure is the core structure of Section 2 where
+// every bucket additionally carries a frequency-estimation sketch and a
+// bounded set of candidate identifiers. For k = 2 the F2 sketch and the
+// per-item sketch are literally the same CountSketch table (following
+// [8]); for k >= 3 the Indyk–Woodruff Fk sketch's per-level CountSketches
+// and candidate sets already give the point estimates. A query composes
+// the sketches of the buckets on the selected side of c exactly as
+// Algorithm 3 does, unions their candidate sets, and keeps the candidates
+// whose point estimates clear the threshold. One tree serves y <= c and
+// y >= c alike, as for every core summary.
 package heavy
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/hash"
@@ -28,34 +32,31 @@ type Item struct {
 	Freq float64 // estimated selected frequency
 }
 
-// Config parameterizes the heavy-hitters summary.
-type Config struct {
-	// Eps, Delta, YMax, MaxStreamLen, Seed: as in core.Config.
-	Eps          float64
-	Delta        float64
-	YMax         uint64
-	MaxStreamLen uint64
-	Seed         uint64
-	// CandCap bounds the candidate identifiers tracked per bucket;
-	// 0 derives ceil(8/Eps).
-	CandCap int
-}
-
-// Summary answers correlated F2 heavy-hitter queries.
+// Summary answers correlated Fk heavy-hitter queries in the directions its
+// core.Config names, from one core summary.
 type Summary struct {
-	cs  *core.Summary
-	cap int
+	cs *core.Summary
+	k  int
 }
 
-// New builds a Summary.
-func New(cfg Config) (*Summary, error) {
-	cap := cfg.CandCap
-	if cap == 0 {
-		cap = int(8 / cfg.Eps)
-		if cap < 16 {
-			cap = 16
-		}
+// New builds a Summary for moment order k >= 2 under cfg.
+func New(k int, cfg core.Config) (*Summary, error) {
+	var agg core.Aggregate
+	if k == 2 {
+		agg = f2Hitters(max(int(8/cfg.Eps), 16))
+	} else {
+		agg = core.FkAggregate(k)
 	}
+	cs, err := core.NewSummary(agg, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Summary{cs: cs, k: k}, nil
+}
+
+// f2Hitters is the F2 aggregate whose buckets each hold a CountSketch and
+// up to cap candidate identifiers (twice that between prunes).
+func f2Hitters(cap int) core.Aggregate {
 	agg := core.F2Aggregate()
 	base := agg.NewMaker
 	agg.NewMaker = func(upsilon, gamma float64, rng *hash.RNG) sketch.Maker {
@@ -64,14 +65,7 @@ func New(cfg Config) (*Summary, error) {
 			cap:   cap,
 		}
 	}
-	cs, err := core.NewSummary(agg, core.Config{
-		Eps: cfg.Eps, Delta: cfg.Delta, YMax: cfg.YMax,
-		MaxStreamLen: cfg.MaxStreamLen, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Summary{cs: cs, cap: cap}, nil
+	return agg
 }
 
 // Add inserts the tuple (x, y).
@@ -80,34 +74,43 @@ func (s *Summary) Add(x, y uint64) error { return s.cs.Add(x, y) }
 // Space reports stored counters/tuples.
 func (s *Summary) Space() int64 { return s.cs.Space() }
 
-// F2 estimates the correlated second moment F2(c).
-func (s *Summary) F2(c uint64) (float64, error) { return s.cs.Query(c) }
+// Estimate estimates the correlated moment Fk(c) over y <= c.
+func (s *Summary) Estimate(c uint64) (float64, error) { return s.cs.Query(c) }
 
-// Query returns the estimated heavy hitters for cutoff c and threshold
-// phi: identifiers whose estimated squared selected frequency is at least
-// phi times the estimated F2(c), sorted by decreasing frequency.
-func (s *Summary) Query(c uint64, phi float64) ([]Item, error) {
+// QueryLE returns the estimated heavy hitters among tuples with y <= c
+// for threshold phi: identifiers whose estimated selected frequency to
+// the k-th power is at least phi times the estimated Fk(c), sorted by
+// decreasing frequency.
+func (s *Summary) QueryLE(c uint64, phi float64) ([]Item, error) {
 	merged, _, err := s.cs.QuerySketch(c)
+	return s.hitters(merged, err, phi)
+}
+
+// QueryGE is QueryLE for tuples with y >= c.
+func (s *Summary) QueryGE(c uint64, phi float64) ([]Item, error) {
+	merged, _, err := s.cs.QuerySketchGE(c)
+	return s.hitters(merged, err, phi)
+}
+
+// hitters reads the heavy hitters off a composed sketch and recycles it.
+func (s *Summary) hitters(merged sketch.Sketch, err error, phi float64) ([]Item, error) {
 	if err != nil {
 		return nil, err
 	}
-	hh := merged.(*hhSketch)
-	f2 := hh.Estimate()
+	fk := merged.Estimate()
+	est := merged.(sketch.ItemEstimator)
 	var out []Item
-	for x := range hh.cand {
-		f := hh.cs.EstimateItem(x)
+	for _, x := range merged.(sketch.CandidateTracker).Candidates() {
+		f := est.EstimateItem(x)
 		if f <= 0 {
 			continue
 		}
-		if f*f >= phi*f2 {
+		if math.Pow(f, float64(s.k)) >= phi*fk {
 			out = append(out, Item{X: x, Freq: f})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
-		}
-		return out[i].X < out[j].X
+	slices.SortFunc(out, func(a, b Item) int {
+		return cmp.Or(cmp.Compare(b.Freq, a.Freq), cmp.Compare(a.X, b.X))
 	})
 	s.cs.RecycleSketch(merged)
 	return out, nil
@@ -215,7 +218,11 @@ func (h *hhSketch) prune() {
 	for x := range h.cand {
 		ents = append(ents, ce{x, h.cs.EstimateItem(x)})
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].est > ents[j].est })
+	// Ties go to the smaller x, so which candidates survive does not depend
+	// on the map's order and a Seed reproduces every answer.
+	slices.SortFunc(ents, func(a, b ce) int {
+		return cmp.Or(cmp.Compare(b.est, a.est), cmp.Compare(a.x, b.x))
+	})
 	for _, e := range ents[h.maker.cap:] {
 		delete(h.cand, e.x)
 	}

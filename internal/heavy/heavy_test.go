@@ -3,46 +3,65 @@ package heavy
 import (
 	"testing"
 
+	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/exact"
 	"github.com/streamagg/correlated/internal/hash"
 )
 
+// TestHeavyHittersEndToEnd: one summary serving both directions reports
+// every exact heavy hitter and nothing far below the threshold, for y <= c
+// against the stream and for y >= c against the stream over mirrored y,
+// where y >= c is ymax − y <= ymax − c.
 func TestHeavyHittersEndToEnd(t *testing.T) {
 	const ymax = 1<<16 - 1
-	s, err := New(Config{Eps: 0.1, Delta: 0.1, YMax: ymax, MaxStreamLen: 400000, Seed: 1})
+	s, err := New(2, core.Config{Eps: 0.1, Delta: 0.1, YMax: ymax, MaxStreamLen: 400000, Seed: 1, Dirs: core.Both})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := exact.New()
-	rng := hash.New(3)
-	// Background noise: 200k tuples over 10k identifiers.
-	for i := 0; i < 200000; i++ {
-		x, y := rng.Uint64n(10000)+100, rng.Uint64n(ymax+1)
+	base, mirror := exact.New(), exact.New()
+	add := func(x, y uint64) {
 		if err := s.Add(x, y); err != nil {
 			t.Fatal(err)
 		}
 		base.Add(x, y)
+		mirror.Add(x, ymax-y)
 	}
-	// Three genuinely heavy identifiers concentrated at low y.
+	rng := hash.New(3)
+	// Background noise: 200k tuples over 10k identifiers.
+	for i := 0; i < 200000; i++ {
+		add(rng.Uint64n(10000)+100, rng.Uint64n(ymax+1))
+	}
+	// Three genuinely heavy identifiers concentrated at low y, one at high y.
 	for _, h := range []struct {
 		x, n uint64
-	}{{1, 30000}, {2, 20000}, {3, 15000}} {
+	}{{1, 30000}, {2, 20000}, {3, 15000}, {4, 25000}} {
 		for i := uint64(0); i < h.n; i++ {
-			y := rng.Uint64n(1 << 14) // all at y < 2^14
-			if err := s.Add(h.x, y); err != nil {
-				t.Fatal(err)
+			y := rng.Uint64n(1 << 14) // y < 2^14, or for x = 4 ymax − y
+			if h.x == 4 {
+				y = ymax - y
 			}
-			base.Add(h.x, y)
+			add(h.x, y)
 		}
 	}
 
-	for _, c := range []uint64{1 << 14, ymax} {
+	for _, q := range []struct {
+		dir   string
+		query func(uint64, float64) ([]Item, error)
+		c     uint64
+		exact *exact.Baseline // its y <= c' selects what the query does
+		ec    uint64          // c'
+	}{
+		{"LE", s.QueryLE, 1 << 14, base, 1 << 14},
+		{"LE", s.QueryLE, ymax, base, ymax},
+		{"GE", s.QueryGE, ymax - 1<<14, mirror, 1 << 14},
+		{"GE", s.QueryGE, 0, mirror, ymax},
+	} {
 		const phi = 0.05
-		got, err := s.Query(c, phi)
+		got, err := q.query(q.c, phi)
 		if err != nil {
-			t.Fatalf("query c=%d: %v", c, err)
+			t.Fatalf("%s query c=%d: %v", q.dir, q.c, err)
 		}
-		want := base.HeavyHitters(c, phi)
+		want := q.exact.HeavyHitters(q.ec, phi)
 		gotSet := map[uint64]bool{}
 		for _, it := range got {
 			gotSet[it.X] = true
@@ -51,21 +70,16 @@ func TestHeavyHittersEndToEnd(t *testing.T) {
 		// the eps slack of the guarantee).
 		for x := range want {
 			if !gotSet[x] {
-				t.Errorf("c=%d: missed heavy hitter %d", c, x)
+				t.Errorf("%s c=%d: missed heavy hitter %d", q.dir, q.c, x)
 			}
 		}
 		// No identifier far below the threshold may be reported
 		// ((phi - eps) F2 is the guarantee; use phi/4 as "far below").
-		f2 := base.F2(c)
+		f2 := q.exact.F2(q.ec)
+		fr := q.exact.HeavyHitters(q.ec, 0)
 		for _, it := range got {
-			f := float64(want[it.X])
-			if want[it.X] == 0 {
-				// Recompute exactly for non-heavy reported items.
-				fr := base.HeavyHitters(c, 0)
-				f = float64(fr[it.X])
-			}
-			if f*f < (phi/4)*f2 {
-				t.Errorf("c=%d: spurious heavy hitter %d (freq %v)", c, it.X, f)
+			if f := float64(fr[it.X]); f*f < (phi/4)*f2 {
+				t.Errorf("%s c=%d: spurious heavy hitter %d (freq %v)", q.dir, q.c, it.X, f)
 			}
 		}
 	}
@@ -73,7 +87,7 @@ func TestHeavyHittersEndToEnd(t *testing.T) {
 
 func TestHeavyHittersFrequencyEstimates(t *testing.T) {
 	const ymax = 1<<12 - 1
-	s, err := New(Config{Eps: 0.1, Delta: 0.1, YMax: ymax, MaxStreamLen: 100000, Seed: 7})
+	s, err := New(2, core.Config{Eps: 0.1, Delta: 0.1, YMax: ymax, MaxStreamLen: 100000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +96,7 @@ func TestHeavyHittersFrequencyEstimates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Query(ymax, 0.5)
+	got, err := s.QueryLE(ymax, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +109,7 @@ func TestHeavyHittersFrequencyEstimates(t *testing.T) {
 }
 
 func TestF2QueryOnHHSummary(t *testing.T) {
-	s, err := New(Config{Eps: 0.2, Delta: 0.1, YMax: 1023, MaxStreamLen: 10000, Seed: 11})
+	s, err := New(2, core.Config{Eps: 0.2, Delta: 0.1, YMax: 1023, MaxStreamLen: 10000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +119,7 @@ func TestF2QueryOnHHSummary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f2, err := s.F2(1023)
+	f2, err := s.Estimate(1023)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +133,9 @@ func TestF2QueryOnHHSummary(t *testing.T) {
 
 func TestFkHeavyHitters(t *testing.T) {
 	const ymax = 1<<14 - 1
-	s, err := NewFk(3, Config{Eps: 0.2, Delta: 0.1, YMax: ymax, MaxStreamLen: 200000, Seed: 21})
+	s, err := New(3, core.Config{Eps: 0.2, Delta: 0.1, YMax: ymax, MaxStreamLen: 200000, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.K() != 3 {
-		t.Fatalf("K = %d", s.K())
 	}
 	rng := hash.New(23)
 	// Background: 100k tuples across 20k ids; two dominant ids at low y.
@@ -143,14 +154,14 @@ func TestFkHeavyHitters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Query(1<<12, 0.01)
+	got, err := s.QueryLE(1<<12, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) < 2 || got[0].X != 1 || got[1].X != 2 {
 		t.Fatalf("Fk heavy hitters = %+v, want ids 1 then 2 first", got)
 	}
-	fk, err := s.Fk(ymax)
+	fk, err := s.Estimate(ymax)
 	if err != nil || fk <= 0 {
 		t.Fatalf("Fk estimate %v err %v", fk, err)
 	}

@@ -1,6 +1,7 @@
 package correlated
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -81,11 +82,59 @@ func tieHeavyBatches(rounds int, seed, ymax uint64) [][]Tuple {
 	return out
 }
 
+// side is what TestBothAnswersAsEachSide asks of a summary: take a batch,
+// answer a cutoff in each direction — printed, which tells every float bit
+// apart — and report its Space and, for a moment summary, its Occupancy.
+type side struct {
+	add       func([]Tuple) error
+	le, ge    func(uint64) (string, error)
+	space     func() int64
+	occupancy func() []LevelOccupancy
+}
+
+func printed[T any](q func(uint64) (T, error)) func(uint64) (string, error) {
+	return func(c uint64) (string, error) {
+		a, err := q(c)
+		return fmt.Sprint(a), err
+	}
+}
+
+func momentSide(agg core.Aggregate) func(Options) (side, error) {
+	return func(o Options) (side, error) {
+		s, err := newSummary(agg, o)
+		return side{s.AddBatch, printed(s.QueryLE), printed(s.QueryGE), s.Space, s.Occupancy}, err
+	}
+}
+
+// hitterSide feeds a heavy-hitters summary each tuple of a batch once, in
+// the batch's order: it takes no weights and no batches.
+func hitterSide(k int) func(Options) (side, error) {
+	return func(o Options) (side, error) {
+		s, err := NewFkHeavyHittersSummary(k, o)
+		if err != nil {
+			return side{}, err
+		}
+		at := func(q func(uint64, float64) ([]HeavyHitter, error)) func(uint64) (string, error) {
+			return printed(func(c uint64) ([]HeavyHitter, error) { return q(c, 0.001) })
+		}
+		add := func(batch []Tuple) error {
+			for _, tu := range batch {
+				if err := s.Add(tu.X, tu.Y); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		return side{add, at(s.QueryLE), at(s.QueryGE), s.Space, nil}, nil
+	}
+}
+
 // TestBothAnswersAsEachSide: a Both summary answers QueryLE as an LE-only
 // summary and QueryGE as a GE-only one with the same Options, bit for bit,
-// after every batch of tie-heavy batches, for every aggregate: its one tree a
-// level is each direction's tree, with the buckets both keep stored once.
-// Fk is the aggregate whose state depends on the order inside an equal-y run.
+// after every batch of tie-heavy batches, for every aggregate and for the
+// F2 and Fk(3) heavy hitters: its one tree a level is each direction's
+// tree, with the buckets both keep stored once. Fk is the aggregate whose
+// state depends on the order inside an equal-y run.
 func TestBothAnswersAsEachSide(t *testing.T) {
 	rounds := 12
 	if testing.Short() || raceEnabled {
@@ -94,49 +143,53 @@ func TestBothAnswersAsEachSide(t *testing.T) {
 	o := Options{Eps: 0.2, Delta: 0.1, YMax: 1<<20 - 1, MaxStreamLen: 1 << 24, MaxX: 5000, Seed: 9, Alpha: 16}
 	for _, tc := range []struct {
 		name   string
-		agg    core.Aggregate
+		build  func(Options) (side, error)
 		rounds int // Fk's sketches are slow to feed: a quarter of the others'
 	}{
-		{"f2", core.F2Aggregate(), rounds},
-		{"count", core.CountAggregate(), rounds},
-		{"sum", core.SumAggregate(), rounds},
-		{"fk", core.FkAggregate(3), rounds / 4},
+		{"f2", momentSide(core.F2Aggregate()), rounds},
+		{"count", momentSide(core.CountAggregate()), rounds},
+		{"sum", momentSide(core.SumAggregate()), rounds},
+		{"fk", momentSide(core.FkAggregate(3)), rounds / 4},
+		{"f2 heavy hitters", hitterSide(2), rounds},
+		{"fk heavy hitters", hitterSide(3), rounds / 4},
 	} {
-		var sides [3]*summary
+		var sides [3]side
 		for i, pred := range []Predicate{Both, LE, GE} {
 			o := o
 			o.Predicate = pred
-			d, err := newDual(tc.agg, o)
-			if err != nil {
+			var err error
+			if sides[i], err = tc.build(o); err != nil {
 				t.Fatal(err)
 			}
-			sides[i] = &summary{d}
 		}
 		both, le, ge := sides[0], sides[1], sides[2]
 		for i, batch := range tieHeavyBatches(tc.rounds, 41, o.YMax) {
 			for _, s := range sides {
-				if err := s.AddBatch(cloneBatch(batch)); err != nil {
+				if err := s.add(cloneBatch(batch)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for _, c := range []uint64{0, 1 << 10, 1 << 18, 1 << 19, 3 << 18, o.YMax} {
 				for _, q := range []struct {
 					name      string
-					got, want func(uint64) (float64, error)
-				}{{"LE", both.QueryLE, le.QueryLE}, {"GE", both.QueryGE, ge.QueryGE}} {
+					got, want func(uint64) (string, error)
+				}{{"LE", both.le, le.le}, {"GE", both.ge, ge.ge}} {
 					g, gerr := q.got(c)
 					w, werr := q.want(c)
-					if (gerr == nil) != (werr == nil) || math.Float64bits(g) != math.Float64bits(w) {
+					if (gerr == nil) != (werr == nil) || g != w {
 						t.Fatalf("%s, after batch %d (%d tuples): Both %s(%d) = %v (%v), one-sided %v (%v)",
 							tc.name, i, len(batch), q.name, c, g, gerr, w, werr)
 					}
 				}
 			}
 		}
-		if both.Space() >= le.Space()+ge.Space() {
-			t.Fatalf("%s: Both holds %d counters, LE and GE apart %d and %d", tc.name, both.Space(), le.Space(), ge.Space())
+		if both.space() >= le.space()+ge.space() {
+			t.Fatalf("%s: Both holds %d counters, LE and GE apart %d and %d", tc.name, both.space(), le.space(), ge.space())
 		}
-		rows, _ := both.Occupancy()
+		if both.occupancy == nil {
+			continue
+		}
+		rows := both.occupancy()
 		if rows[1].Watermark == math.MaxUint64 || rows[1].WatermarkGE == math.MaxUint64 {
 			t.Fatalf("%s: level 1 evicted nothing in some direction (%+v); the batches should fill it", tc.name, rows[1])
 		}

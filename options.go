@@ -1,12 +1,10 @@
 package correlated
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/core"
-	"github.com/streamagg/correlated/internal/dyadic"
 )
 
 // Predicate selects which query directions a summary supports. Both keeps
@@ -25,8 +23,8 @@ const (
 )
 
 // ErrDirection is returned when a query direction was not enabled at
-// construction time.
-var ErrDirection = errors.New("correlated: query direction not enabled; set Options.Predicate")
+// construction time (set Options.Predicate).
+var ErrDirection = core.ErrDirection
 
 // ErrNoLevel mirrors the FAIL output of the paper's Algorithm 3: no level
 // of the structure can serve the cutoff. Under the analysis this has
@@ -88,117 +86,26 @@ func (o Options) coreConfig() core.Config {
 	}
 }
 
-// dual is the structure behind the four moment summaries: one core
-// summary serving the Predicate's directions (core.Summary keeps one tree a
-// level for LE and GE alike).
-type dual struct {
-	s    *core.Summary
-	ymax uint64 // rounded domain top
-	pred Predicate
-}
-
-// mirrorSeed is XORed into the seed of the GE copies the heavy-hitter and
-// F0 summaries keep over mirrored y.
-const mirrorSeed = 0x6d6972726f72 // "mirror"
-
-// dirsOf returns the core directions a Predicate names.
-func dirsOf(p Predicate) (core.Dirs, error) {
-	switch p {
-	case LE:
-		return core.LE, nil
-	case GE:
-		return core.GE, nil
-	case Both:
-		return core.Both, nil
-	}
-	return 0, fmt.Errorf("correlated: unknown Predicate %d", p)
-}
-
-func newDual(agg core.Aggregate, o Options) (*dual, error) {
+// summaryConfig is coreConfig serving o's Predicate: a Predicate's set of
+// core directions, LE = 1, GE = 2, Both = 3, is the Predicate plus one.
+func (o Options) summaryConfig() (core.Config, error) {
 	cfg := o.coreConfig()
-	var err error
-	if cfg.Dirs, err = dirsOf(o.Predicate); err != nil {
-		return nil, err
+	if o.Predicate < LE || o.Predicate > Both {
+		return cfg, fmt.Errorf("correlated: unknown Predicate %d", o.Predicate)
 	}
-	s, err := core.NewSummary(agg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &dual{s: s, pred: o.Predicate, ymax: dyadic.RoundYMax(o.YMax)}, nil
+	cfg.Dirs = core.Dirs(o.Predicate + 1)
+	return cfg, nil
 }
 
 // Tuple is one stream element for batched insertion. A zero W counts as
 // weight 1.
 type Tuple = core.Tuple
 
-func (d *dual) add(x, y uint64, w int64) error {
-	if y > d.ymax {
-		return errors.New("correlated: y exceeds YMax")
-	}
-	return d.s.AddWeighted(x, y, w)
-}
-
-// addBatch feeds a batch through the core summary's amortized batched path.
-// The batch is sorted by y in place, so the state a batch leaves is a
-// function of that sorted order under every Predicate: a batch handed over
-// already sorted — as corrd's log holds it — leaves the bytes the original
-// does. Every tuple is validated before the summary changes.
-func (d *dual) addBatch(batch []Tuple) error {
-	for i := range batch {
-		if batch[i].Y > d.ymax {
-			return errors.New("correlated: y exceeds YMax")
-		}
-	}
-	return d.s.AddBatch(batch)
-}
-
-// merge folds another dual built from identical Options into d; a
-// mismatch is caught before any state changes.
-func (d *dual) merge(o *dual) error {
-	if o == nil {
-		return errors.New("correlated: cannot merge a nil summary")
-	}
-	if o == d {
-		return errors.New("correlated: cannot merge a summary into itself")
-	}
-	if d.pred != o.pred {
-		return compat.Mismatch("predicate", d.pred, o.pred)
-	}
-	return d.s.Merge(o.s)
-}
-
-func (d *dual) queryLE(c uint64) (float64, error) {
-	if d.s.Dirs()&core.LE == 0 {
-		return 0, ErrDirection
-	}
-	return d.s.Query(c)
-}
-
-func (d *dual) queryGE(c uint64) (float64, error) {
-	if d.s.Dirs()&core.GE == 0 {
-		return 0, ErrDirection
-	}
-	if c > d.ymax {
-		return 0, nil // nothing can satisfy y >= c
-	}
-	return d.s.QueryGE(c)
-}
-
 // LevelOccupancy is one level's row of a summary's Occupancy: buckets
 // stored, shared by both directions, closed and untouched, sketches by form,
 // the level's share of Space, the bytes behind it and each direction's
 // watermark.
 type LevelOccupancy = core.LevelOccupancy
-
-// occupancy returns the summary's per-level rows as le when it serves LE —
-// a Both summary's rows carry both directions' watermarks and count the
-// buckets they share — and as ge when it serves GE alone.
-func (d *dual) occupancy() (le, ge []LevelOccupancy) {
-	if d.pred == GE {
-		return nil, d.s.Occupancy()
-	}
-	return d.s.Occupancy(), nil
-}
 
 // Footprint is the memory behind a summary in bytes — what its sketches hold,
 // what else their makers' arenas map (free blocks, chunk ends, size-class

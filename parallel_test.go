@@ -154,8 +154,8 @@ func TestAddBatchParallelRejectsWhole(t *testing.T) {
 		at   int
 		bad  Tuple
 	}{
-		{"y beyond YMax, first half", 3, Tuple{X: 1, Y: s.d.ymax + 1, W: 1}},
-		{"y beyond YMax, second half", len(good) - 2, Tuple{X: 1, Y: s.d.ymax + 1, W: 1}},
+		{"y beyond YMax, first half", 3, Tuple{X: 1, Y: s.s.Config().YMax + 1, W: 1}},
+		{"y beyond YMax, second half", len(good) - 2, Tuple{X: 1, Y: s.s.Config().YMax + 1, W: 1}},
 		{"negative weight, first half", 5, Tuple{X: 1, Y: 9, W: -1}},
 		{"negative weight, second half", len(good) - 4, Tuple{X: 1, Y: 9, W: -1}},
 	} {

@@ -28,7 +28,7 @@ type roundsSummary interface {
 	UnmarshalBinary(data []byte) error
 	MergeMarshaled(data []byte) error
 	Reset()
-	Occupancy() (le, ge []LevelOccupancy)
+	Occupancy() []LevelOccupancy
 	Footprint() Footprint
 }
 
@@ -89,10 +89,9 @@ func maxRelErr(t *testing.T, s roundsSummary, want func(c uint64) float64) float
 // bytes.
 func checkMergedState(t *testing.T, when string, s roundsSummary, fresh func() roundsSummary) {
 	t.Helper()
-	le, ge := s.Occupancy()
 	var walk Footprint
 	var sketches int64
-	for _, o := range append(le, ge...) {
+	for _, o := range s.Occupancy() {
 		walk.Held += o.Bytes
 		walk.Pooled += o.Pooled
 		sketches += o.ItemsBytes + o.DenseBytes

@@ -32,6 +32,7 @@ echo "health failure streaks: $(fields health service/health.go | grep -cE 'Errs
 echo "call sites of the tenant maker (service): $(count '[.](getOrCreateTenant|tenantForWriteLocked)\(' $svc)"
 echo "clock sites to inject (time.Now/NewTicker/NewTimer/Sleep/After/AfterFunc; non-test service, internal/wal): $(count '\btime\.(Now|NewTicker|NewTimer|Sleep|After|AfterFunc)\(' $svc $(nontest internal/wal))"
 echo "stream formats (StreamFormat… = in non-test internal/tupleio): $(count '^[[:space:]]*StreamFormat[A-Za-z]+ += ' $(nontest internal/tupleio))"
+echo "summaries kept over mirrored y (^= mirrorSeed sites, non-test root Go): $(count '\^= *mirrorSeed' $(nontest .))"
 echo "flags per command (cmd/*, flag. or fs. definitions):"
 for dir in cmd/*/; do
 	echo "  ${dir%/}: $(count '\b(flag|fs)\.(String|Int|Int64|Uint64|Float64|Bool|Duration)(Var)?\(' $(nontest "$dir"))"
