@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,7 +15,9 @@ import (
 // TestOccupancyTableAddsUp: at n = 20 000, each shape's level rows — with the
 // virgin levels the table leaves out, two counters each — add up to its
 // summary line's space and bytes, and their folded buckets, never more than
-// the closed ones, to its sketches folded; the footprint line's held bytes are the
+// the closed ones, to its sketches folded; its closed buckets' bytes are within
+// its items tables' and, over their pairs, the bytes a pair it prints; the
+// footprint line's held bytes are the
 // summary line's items tables and dense arrays, the figures it prints are the
 // summary's Footprint(),
 // and the bytes a bucket it prints are those headers over the buckets
@@ -56,10 +59,14 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 			}
 			get(name).virgin += k
 		case strings.Contains(line, ": space "):
-			var tables, closed, arrays, pooled, img int64
-			if _, err := fmt.Sscanf(line, "# %s space %d counters in %d bytes (items tables %d, of which closed buckets' %d, dense arrays %d, pooled beside them %d), %d sketches folded, image %d bytes",
-				&name, &a, &b, &tables, &closed, &arrays, &pooled, &k, &img); err != nil {
+			var tables, closed, pairs, arrays, pooled, img int64
+			var perPair float64
+			if _, err := fmt.Sscanf(line, "# %s space %d counters in %d bytes (items tables %d, of which closed buckets' %d for %d pairs, %g bytes a pair, dense arrays %d, pooled beside them %d), %d sketches folded, image %d bytes",
+				&name, &a, &b, &tables, &closed, &pairs, &perPair, &arrays, &pooled, &k, &img); err != nil {
 				t.Fatalf("%q: %v", line, err)
+			}
+			if closed > tables || pairs == 0 || math.Abs(perPair-float64(closed)/float64(pairs)) > 0.005 {
+				t.Fatalf("%q: closed buckets' %d bytes of %d in items tables, %d pairs, said to be %g bytes a pair", line, closed, tables, pairs, perPair)
 			}
 			sh := get(name)
 			sh.space, sh.held, sh.tables, sh.arrays, sh.sketchesFolded = a, b, tables, arrays, k
@@ -140,15 +147,17 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 // beside it: no table layout or block placement may move them. With
 // power-of-two tables and a free list a size class the arena mapped
 // 6 471 680, 5 881 856 and 10 600 448 bytes; with a tree a direction,
-// 5 554 176, 5 619 712 and 9 486 336.
+// 5 554 176, 5 619 712 and 9 486 336; with closed buckets' tables cut to
+// exactly their slots rather than packed into runs, 3 465 216, 3 530 752 and
+// 5 627 904.
 func TestArenaBytesByShape(t *testing.T) {
 	for _, c := range []struct {
 		shape              occupancyShape
 		arena, space, imgs int64
 	}{
-		{occupancyShape{"uniform/16", 150_000, 16, false}, 3_465_216, 1_932_838, 3_026_393},
-		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 3_530_752, 1_955_680, 3_054_881},
-		{occupancyShape{"zipf/256", 150_000, 256, true}, 5_627_904, 2_726_496, 3_592_307},
+		{occupancyShape{"uniform/16", 150_000, 16, false}, 2_809_856, 1_932_838, 3_026_393},
+		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 2_678_784, 1_955_680, 3_054_881},
+		{occupancyShape{"zipf/256", 150_000, 256, true}, 4_317_184, 2_726_496, 3_592_307},
 	} {
 		s := occupancySummary(c.shape, correlated.Both)
 		img, err := s.MarshalBinary()
@@ -167,7 +176,7 @@ func TestArenaBytesByShape(t *testing.T) {
 // beside those of an LE and a GE summary fed the same stream, on the shapes
 // TestArenaBytesByShape pins. The buckets both directions keep — every one of
 // the levels neither has discarded from — are stored once: 24–30 % fewer
-// counters, 29–34 % fewer arena bytes. (It was 40–43 % and 37–41 % before a
+// counters, 29–35 % fewer arena bytes. (It was 40–43 % and 37–41 % before a
 // summary serving one direction folded each closed bucket into the one above
 // it that its queries always take with it: at this length, the levels such
 // a summary holds dense are ones a Both summary keeps for both directions,
@@ -178,9 +187,9 @@ func TestBothSpaceByShape(t *testing.T) {
 		both, le, ge         int64 // Space()
 		bothArena, sideArena int64 // Footprint().Arena: Both, and LE's + GE's
 	}{
-		{occupancyShape{"uniform/16", 150_000, 16, false}, 1_932_838, 1_285_745, 1_273_613, 3_465_216, 5_226_496},
-		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 1_955_680, 1_316_661, 1_327_023, 3_530_752, 4_964_352},
-		{occupancyShape{"zipf/256", 150_000, 256, true}, 2_726_496, 1_930_731, 1_919_455, 5_627_904, 8_503_296},
+		{occupancyShape{"uniform/16", 150_000, 16, false}, 1_932_838, 1_285_745, 1_273_613, 2_809_856, 4_308_992},
+		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 1_955_680, 1_316_661, 1_327_023, 2_678_784, 3_784_704},
+		{occupancyShape{"zipf/256", 150_000, 256, true}, 2_726_496, 1_930_731, 1_919_455, 4_317_184, 6_537_216},
 	} {
 		both := occupancySummary(c.shape, correlated.Both)
 		le := occupancySummary(c.shape, correlated.LE)

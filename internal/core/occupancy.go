@@ -41,12 +41,15 @@ type LevelOccupancy struct {
 	// array; both are far narrower than Counters' words — and eight bytes a
 	// counter for everything else. ItemsBytes and DenseBytes are the two
 	// sketch shares of it. ClosedItemsBytes is the share of ItemsBytes in
-	// closed buckets that will split, whose tables are cut to the pairs they
-	// hold; the rest sits in tables still open to insertions, about half of
-	// it empty slots.
+	// closed buckets that will split, whose tables are packed into runs of
+	// the ClosedItemsPairs pairs they hold, under two bytes a pair on
+	// corrdbench's streams; the rest sits in hashed tables still open to
+	// insertions, which measure 6.5–7 bytes a pair there, empty slots
+	// included, against the 4 of a slot.
 	Bytes                  int64
 	ItemsBytes, DenseBytes int64
 	ClosedItemsBytes       int64
+	ClosedItemsPairs       int64
 	// Pooled is the bytes that wait for the next sketch or node: what the
 	// maker's arena maps beyond what the sketches hold — zeroed free runs
 	// that sketches have handed back and the next ones will take, its
@@ -276,6 +279,7 @@ func (o *LevelOccupancy) visit(sk sketch.Sketch, closed, splits bool) {
 		o.Items++
 		if splits {
 			o.ClosedItemsBytes += int64(f.Bytes())
+			o.ClosedItemsPairs += int64(sk.Size() / 2) // two words a pair
 		}
 	}
 }

@@ -101,11 +101,11 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 // TestOccupancyBytesPerCounter guards what a tenant of corrdbench's
 // tenants-restart workload holds — the daemon's configuration, 75 000 zipf
 // tuples in 256-tuple batches, nearly all of it items tables — at under 2.3
-// bytes behind each counter of Space; it reads 2.22. Identifiers and weights
-// there fit four-byte slots and closed buckets' tables are cut to fit; at
-// eight bytes a slot the ratio was 3.73, with every table hashed 5.3, and at
-// sixteen bytes a slot 9.7. It is a function of the summary's state, so it
-// repeats exactly.
+// bytes behind each counter of Space; it reads 1.76. Identifiers and weights
+// there fit four-byte slots and closed buckets' tables are packed into runs;
+// with those cut to exactly their slots instead it read 2.22, at eight bytes
+// a slot 3.73, with every table hashed 5.3, and at sixteen bytes a slot 9.7.
+// It is a function of the summary's state, so it repeats exactly.
 func TestOccupancyBytesPerCounter(t *testing.T) {
 	s := mustSummary(t, F2Aggregate(), Config{
 		Eps: 0.15, Delta: 0.1, YMax: 1_000_000, MaxStreamLen: 1 << 24, MaxX: 500_001, Seed: 42,

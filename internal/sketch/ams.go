@@ -1,13 +1,13 @@
 package sketch
 
 import (
-	"cmp"
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"unsafe"
 
+	"github.com/streamagg/correlated/internal/bitcode"
 	"github.com/streamagg/correlated/internal/hash"
 	"github.com/streamagg/correlated/internal/slab"
 )
@@ -53,23 +53,27 @@ import (
 // reads one: pairs are handled as (uint64, int64) values and counters as
 // int64, the image is varint-coded and Size counts two words a pair and one a
 // counter, so every estimate, budget and image byte is what 16-byte slots and
-// an all-int64 array give; Bytes reports what the widths change. The layer is
-// closed at one to two bytes a counter: further space has to come from fewer
-// counters (α and the sketch width, ROADMAP.md), not narrower ones.
+// an all-int64 array give; Bytes reports what the widths change. A dense
+// counter stays at one to two bytes: further space there has to come from
+// fewer counters (α and the sketch width, ROADMAP.md), not narrower ones.
 //
 // The same rule says when a table is finished: a closed bucket splits on the
-// next arrival and ingest never writes to it again, so Compact rewrites a
-// table as exactly its n pairs in ascending x — a cut table, which has no
-// step on the slot ladder, so n is the whole record of its size (cut).
-// Lookups binary-search a cut table, walks read it like any other, and the
-// first write to one (only a merge does that) hashes it again first.
+// next arrival and ingest never writes to it again, so Compact re-encodes its
+// table as a packed run — its n pairs in ascending x, each x the gap to the
+// one before and each weight by its magnitude and sign, every column in the
+// cheaper of a Rice and an Exp-Golomb code (package bitcode, the log's
+// coder) — 1.4–1.6 bytes a pair on corrbench's occupancy presets, where a
+// hashed table takes 6.5–7 and exactly its slots would take 4. A run has no step
+// on the slot ladder and is never probed: lookups and walks read it from
+// its start, and the first write to one (only a merge does that) unpacks it
+// into a hashed table first.
 //
 // And it says what a sketch's life costs: born at eight slots, grown by half
 // (8, 12, 16, 24, …) as pairs arrive up to the promotion point, then
-// promoted, cut or evicted — every step leaves a table behind. A table, or a
-// dense sketch's row sums and counters, is one block of the maker's arena
-// (arena.go), off the collected heap, behind the struct's one pointer, and a
-// block left behind goes back to it (putTable, putZeroed), zeroed, for the
+// promoted, packed or evicted — every step leaves a block behind. A table, a
+// run, or a dense sketch's row sums and counters, is one block of the maker's
+// arena (arena.go), off the collected heap, behind the struct's one pointer,
+// and a block left behind goes back to it (release), zeroed, for the
 // next step of the next sketch. So
 // the struct is all of a sketch the collector sees — 32 bytes, a slab record,
 // whatever the form — and nothing beside it is allocated on a promotion or a
@@ -83,63 +87,76 @@ type CountSketch struct {
 	maker *F2Maker
 
 	// p is the sketch's one block of the maker's arena, nil for none: in the
-	// items form its table (see table), in the dense form its row sums then
-	// its counters (see rowF2 and countersOf). The fields below say how long
-	// it is — a hashed table from step, a cut one from n, an array from cw
-	// and the maker's geometry — so no slice header is stored.
+	// items form a hashed table (see table) or a packed run (see run), in the
+	// dense form its row sums then its counters (see rowF2 and countersOf).
+	// The fields below say how long it is — a hashed table from step, an
+	// array from cw and the maker's geometry — or, for a run, its head does,
+	// so no slice header is stored.
 	p unsafe.Pointer
 
 	// f2lo is the low word of Σf² over the pairs, a 128-bit integer. Its high
 	// word is 0 at the four-byte rung, whose pairs keep the sum under 2^45,
-	// and is the word past the slots of the table block at the eight- and
-	// sixteen-byte ones (f2hi).
+	// and is the first word of the items block at the eight- and sixteen-byte
+	// ones (f2hi).
 	f2lo uint64
 
 	n     int32 // items: pairs held, at most the maker's itemsMax
-	rung  uint8 // items: a slot is 4<<rung bytes
-	step  uint8 // items: a hashed table's step on the slot ladder (stepSlots); 0 for a cut one
+	rung  uint8 // items: a slot is 4<<rung bytes, and a run unpacks to such slots
+	step  uint8 // items: a hashed table's step on the slot ladder (stepSlots); 0 for a run or no block
 	cw    uint8 // dense: bytes per stored counter — 1, 2 or 8
 	dense bool
 }
 
-// table is the storage of the items form: open addressed over a ladder of
-// slot counts, or cut to exactly the pairs held, each slot one distinct
-// identifier and its net weight. A slot is four bytes, eight or sixteen — the
-// rung — and always identifier above weight: 24 bits over 8, two slots a word,
-// the even slot in the low half; 32 over 32, one word; or two words,
-// identifier then weight. All three live in one block of words, and a table
-// value is a view of its slots: a copy reads and writes the same slots, and
-// is dead once the table has gone back to the maker (putTable). At the eight-
-// and sixteen-byte rungs the block holds one word past the slots, Σf²'s high
-// word, which the view leaves out.
+// table is the storage of the items form while it takes writes: open
+// addressed over a ladder of slot counts, each slot one distinct identifier
+// and its net weight. A slot is four bytes, eight or sixteen — the rung — and
+// always identifier above weight: 24 bits over 8, two slots a word, the even
+// slot in the low half; 32 over 32, one word; or two words, identifier then
+// weight. All three live in one block of words, and a table value is a view
+// of its slots: a copy reads and writes the same slots, and is dead once the
+// block has gone back to the maker (release). At the eight- and sixteen-byte
+// rungs the block starts with one word ahead of the slots, Σf²'s high word,
+// which the view leaves out.
 type table struct {
 	tab  []uint64
 	rung uint8 // a slot is 4<<rung bytes
 }
 
-// table returns a view of the sketch's own table.
+// table returns a view of the sketch's hashed table, empty without one.
 func (c *CountSketch) table() table {
-	return table{unsafe.Slice((*uint64)(c.p), slotWords(c.slots(), c.rung)), c.rung}
+	if c.step == 0 {
+		return table{rung: c.rung}
+	}
+	return table{unsafe.Slice((*uint64)(unsafe.Add(c.p, hiLen(c.rung))), slotWords(c.slots(), c.rung)), c.rung}
 }
 
-// slots returns the number of slots of the sketch's table: a hashed one's
-// from its step, a cut one's from its pairs — with, for an odd count of
-// four-byte slots, the spare half of the last word.
+// slots returns the number of slots of the sketch's hashed table, 0 without
+// one.
 func (c *CountSketch) slots() int {
 	if c.step == 0 {
-		return slotWords(int(c.n), c.rung) * 2 >> c.rung
+		return 0
 	}
 	return stepSlots(c.step)
 }
 
-// hiWord returns Σf²'s high word in the table block, or nil where the sum
-// has none: at the four-byte rung (itemsMax < 2^31 pairs of |f| ≤ 2^7 sum
-// under 2^45) and without a table, which holds no pairs.
+// hiLen returns the bytes of Σf²'s high word at the head of an items block
+// at a rung: none at four bytes a slot (itemsMax < 2^31 pairs of |f| ≤ 2^7
+// sum under 2^45), one word at eight and sixteen.
+func hiLen(rung uint8) int {
+	if rung == slot4 {
+		return 0
+	}
+	return 8
+}
+
+// hiWord returns Σf²'s high word in the items block, or nil where the sum
+// has none: at the four-byte rung and without a block, which holds no
+// pairs.
 func (c *CountSketch) hiWord() *uint64 {
 	if c.rung == slot4 || c.p == nil {
 		return nil
 	}
-	return (*uint64)(unsafe.Add(c.p, 8*slotWords(c.slots(), c.rung)))
+	return (*uint64)(c.p)
 }
 
 // f2hi returns Σf²'s high word.
@@ -196,24 +213,14 @@ func (t table) setPair(j int, x uint64, f int64) bool {
 // slotWords returns the words behind that many slots at a rung.
 func slotWords(slots int, rung uint8) int { return (slots<<rung + 1) / 2 }
 
-// blockWords returns the words of a table block whose slots take that many:
-// at the eight- and sixteen-byte rungs one more, Σf²'s high word. No slots,
-// no block.
-func blockWords(words int, rung uint8) int {
-	if words == 0 || rung == slot4 {
-		return words
-	}
-	return words + 1
-}
-
 const (
 	// itemsDivisor sets the promotion point: a sketch goes dense when it
 	// would hold more than width·depth/itemsDivisor pairs. What that buys is
 	// exact answers up to that many distinct identifiers, with Size — two
 	// words a pair — topping out at half the array's width·depth. Bytes no
 	// longer argue for a smaller one: at corrd's 356×4 a table that full is
-	// 2 048 bytes at four bytes a slot, 1 424 once cut, against the
-	// 1 456-byte one-byte array it promotes into.
+	// 2 048 bytes at four bytes a slot, against the 1 456-byte one-byte array
+	// it promotes into, and a closed one's packed run far less.
 	itemsDivisor = 4
 	itemsMinCap  = 8 // initial table slots: stepSlots(1)
 )
@@ -268,7 +275,9 @@ type F2Maker struct {
 
 	medScratch  []float64 // reused by Estimate/EstimateItem
 	slotScratch Slots     // reused by slotsOf
-	keyScratch  []uint64  // reused by AppendBinary to order the pairs
+	keyScratch  []uint64  // reused by ascending to order the pairs
+	codeScratch []uint64  // reused by pack for a run's weight column
+	runScratch  []byte    // reused by pack for a run's bitstream
 }
 
 // NewF2Maker returns a Maker for CountSketch/AMS sketches with d rows of w
@@ -332,12 +341,12 @@ func (m *F2Maker) Recycle(sk Sketch) {
 	}
 }
 
-// putTable takes back the block of a table its sketch has left — its slots
-// and, past them, the high word the view leaves out — zeroed, for the next
-// block of its size class. Every view of the table is dead from here on.
-func (m *F2Maker) putTable(t table) {
-	if len(t.tab) > 0 {
-		m.arena.putZeroed(unsafe.Pointer(unsafe.SliceData(t.tab)), 8*blockWords(len(t.tab), t.rung))
+// release takes back the n-byte block at p that a sketch has left, zeroed,
+// for the next block that fits it; nil is no block. Every view of it is dead
+// from here on.
+func (m *F2Maker) release(p unsafe.Pointer, n int) {
+	if p != nil {
+		m.arena.putZeroed(p, n)
 	}
 }
 
@@ -363,7 +372,8 @@ func (c *CountSketch) rowF2() []float64 { return unsafe.Slice((*float64)(c.p), c
 // it maps beyond what the sketches hold — zeroed free runs, two guard words a
 // chunk, and the rounding of the blocks held up to whole words — and on the
 // heap, the slab's slots that hold no sketch and the arena's lists of its free
-// runs. Neither is bounded by a constant: each keeps the most it has held.
+// runs. Neither is bounded by a constant: the slab keeps the most it has
+// held, and a list goes down to half once under a quarter full.
 func (m *F2Maker) PooledBytes() (arena, heap int) {
 	return m.arena.pooled(), m.slab.Spare()*countSketchBytes + m.arena.lists
 }
@@ -509,8 +519,8 @@ func (c *CountSketch) addItem(x uint64, w int64) bool {
 	if w == 0 {
 		return true
 	}
-	if c.cut() {
-		c.grow() // the first table, or a cut one hashed again
+	if c.step == 0 {
+		c.grow() // the first table, or a packed run unpacked
 	}
 	t := c.table()
 	j, old := t.probe(x)
@@ -590,72 +600,205 @@ func magnitude(v int64) uint64 {
 }
 
 // weightOf returns the weight of x's pair in the items form, 0 if there is
-// none: a binary search of a cut table, a probe of a hashed one.
+// none: a probe of a hashed table, a read of a packed run up to x.
 func (c *CountSketch) weightOf(x uint64) int64 {
-	t := c.table()
-	if !c.cut() {
-		_, f := t.probe(x)
+	if c.step != 0 {
+		_, f := c.table().probe(x)
 		return f
 	}
-	j, found := sort.Find(int(c.n), func(j int) int {
-		sx, _ := t.pairAt(j)
-		return cmp.Compare(x, sx)
-	})
-	if !found {
-		return 0
+	var w pairs
+	c.walk(&w)
+	for y, f, ok := w.next(); ok && y <= x; y, f, ok = w.next() {
+		if y == x {
+			return f
+		}
 	}
-	_, f := t.pairAt(j)
-	return f
+	return 0
 }
 
-// Compact implements Compacter: an items-form sketch's table is cut to fit —
-// rewritten as exactly its n pairs, every slot full, in ascending x — which
-// is half the bytes of the hashed table a bucket closes with. Nothing a
-// caller can see changes but Bytes, and the sketch stays fully usable: the
-// next write hashes the table again. A dense sketch has no slack to shed, and
-// no table: it reads as cut.
+// Compact implements Compacter: an items-form sketch's hashed table is packed
+// — re-encoded as a packed run of its n pairs in ascending x (see pack).
+// Nothing a caller can see changes but Bytes, and the sketch stays fully
+// usable: the next write unpacks the run. A table whose every pair has
+// cancelled goes back whole. A dense sketch has no slack to shed, and no
+// table; it is left as it is, as is a run.
 func (c *CountSketch) Compact() {
-	if c.cut() {
+	if c.step == 0 {
 		return
 	}
 	m := c.maker
-	old := c.retable(0, c.rung)
-	fit := c.table()
-	if old.rung == slot16 {
-		j := 0
-		for k := range old.slots() {
-			if x, f := old.pairAt(k); f != 0 {
-				fit.setPair(j, x, f)
+	t, old, size := c.table(), c.p, c.Bytes()
+	hi := c.f2hi()
+	c.p, c.step = nil, 0
+	if c.n > 0 {
+		c.p = m.pack(t, hi, c.rung)
+	}
+	m.release(old, size)
+}
+
+// pack returns a new block holding a hashed table's pairs, at least one, as
+// a packed run, with hi, Σf²'s high word, ahead of it at the wide rungs:
+//
+//	run   hi                             8 bytes, at the 8- and 16-byte rungs
+//	      p_x p_f                        one byte each: the columns' codes
+//	      uvarint(len(bits))
+//	      bits  n × ( code(x − previous x − 1, p_x)  code(w(f), p_f) )
+//
+// The pairs are in ascending x, previous x starting at −1 (2^64 − 1), so no
+// gap is negative; w(f) is 2(|f| − 1), plus one when f < 0, so the common ±1
+// is 0 or 1. Each column takes bitcode's parameter byte and codes, and the
+// bitstream is bitcode's. A run is in memory only — an image holds the pairs
+// as ever — and is read from its start (pairs): it is never probed and never
+// written to.
+func (m *F2Maker) pack(t table, hi uint64, rung uint8) unsafe.Pointer {
+	xs := m.ascending(t)
+	fs := m.codeScratch[:0]
+	prev := uint64(math.MaxUint64)
+	for i, x := range xs {
+		_, f := t.probe(x)
+		xs[i], prev = x-prev-1, x
+		fs = append(fs, weightCode(f))
+	}
+	px, pf := bitcode.Param(xs), bitcode.Param(fs)
+	w := bitcode.NewWriter(m.runScratch[:0])
+	for i := range xs {
+		w.Code(xs[i], px)
+		w.Code(fs[i], pf)
+	}
+	bits := w.Flush()
+	m.codeScratch, m.runScratch = fs, bits
+
+	var head [8 + 2 + binary.MaxVarintLen64]byte
+	k := hiLen(rung)
+	binary.NativeEndian.PutUint64(head[:], hi) // the word hiWord reads; 0 and left out at four bytes a slot
+	head[k], head[k+1] = px, pf
+	k += 2 + binary.PutUvarint(head[k+2:], uint64(len(bits)))
+	p := m.arena.take(k + len(bits))
+	block := unsafe.Slice((*byte)(p), k+len(bits))
+	copy(block[copy(block, head[:k]):], bits)
+	return p
+}
+
+// run returns a packed run's parameter bytes, its bitstream and the bytes of
+// its block (see pack).
+func (c *CountSketch) run() (px, pf byte, bits []byte, size int) {
+	at := unsafe.Add(c.p, hiLen(c.rung))
+	n, k := 0, 2
+	for shift := 0; ; shift += 7 {
+		b := *(*byte)(unsafe.Add(at, k))
+		k++
+		if n |= int(b&0x7f) << shift; b < 0x80 {
+			break
+		}
+	}
+	px, pf = *(*byte)(at), *(*byte)(unsafe.Add(at, 1))
+	return px, pf, unsafe.Slice((*byte)(unsafe.Add(at, k)), n), hiLen(c.rung) + k + n
+}
+
+// weightCode is w(f), how a packed run codes a weight f ≠ 0: 2(|f| − 1),
+// plus one when f < 0. weightOfCode undoes it.
+func weightCode(f int64) uint64 { return (magnitude(f)-1)<<1 | uint64(f)>>63 }
+
+func weightOfCode(v uint64) int64 {
+	f := int64(v>>1 + 1)
+	if v&1 != 0 {
+		return -f
+	}
+	return f
+}
+
+// ascending returns the identifiers of a hashed table's pairs in ascending
+// order, in the maker's scratch.
+func (m *F2Maker) ascending(t table) []uint64 {
+	xs := m.keyScratch[:0]
+	for k := range t.slots() {
+		if x, f := t.pairAt(k); f != 0 {
+			xs = append(xs, x)
+		}
+	}
+	slices.Sort(xs)
+	m.keyScratch = xs
+	return xs
+}
+
+// pairs is a walk of an items-form sketch's pairs: a hashed table's slot by
+// slot, a packed run's in ascending x, read walkChunk pairs at a time into
+// the walk's own buffer, so that a run's codes are read in one loop and a
+// scatter works a buffer at a time. It reads the sketch's block, and is dead
+// once that block has gone back to the maker, unless detached first. It is
+// set up in place (walk) and handed on by pointer: it is too large to copy
+// for each of a query's parts.
+type pairs struct {
+	xs, fs [walkChunk]uint64 // the pairs read and not yet handed out, [i:n]; a weight as its bits
+	i, n   int
+	left   int // pairs not yet read
+
+	t table // a hashed table, read from slot k
+	k int
+
+	packed bool
+	px, pf byte           // a packed run's codes,
+	run    bitcode.Reader // its bitstream from the next code,
+	x      uint64         // and the last x read
+}
+
+// walkChunk is how many pairs a walk reads at a time.
+const walkChunk = 16
+
+// walk sets w up to walk the sketch's pairs, none for a dense one.
+func (c *CountSketch) walk(w *pairs) {
+	w.i, w.n, w.left, w.t, w.k, w.packed = 0, 0, int(c.n), c.table(), 0, false
+	if !c.dense && c.step == 0 && c.n > 0 {
+		var bits []byte
+		w.px, w.pf, bits, _ = c.run()
+		w.packed, w.run, w.x = true, bitcode.NewReader(bits), math.MaxUint64
+	}
+}
+
+// detach points w, a walk of c not yet begun, at a copy of what it reads,
+// which outlives c's block.
+func (w *pairs) detach(c *CountSketch) {
+	w.t.tab = slices.Clone(w.t.tab)
+	if w.packed {
+		_, _, bits, _ := c.run()
+		w.run = bitcode.NewReader(slices.Clone(bits))
+	}
+}
+
+// next returns the walk's next pair; ok is false past the last one.
+func (w *pairs) next() (x uint64, f int64, ok bool) {
+	if w.i == w.n && !w.read() {
+		return 0, 0, false
+	}
+	w.i++
+	return w.xs[w.i-1], int64(w.fs[w.i-1]), true
+}
+
+// read fills the buffer with the next pairs, up to walkChunk of them, in
+// xs[:n] and fs[:n]; it reports false when there are none. A walk is read
+// either by next or, where a loop over each buffer is cheaper, by read.
+func (w *pairs) read() bool {
+	n := min(w.left, walkChunk)
+	if n == 0 {
+		return false
+	}
+	w.i, w.n, w.left = 0, n, w.left-n
+	if !w.packed {
+		for j := 0; j < n; w.k++ {
+			if x, f := w.t.pairAt(w.k); f != 0 {
+				w.xs[j], w.fs[j] = x, uint64(f)
 				j++
 			}
 		}
-		sort.Sort(widePairs(fit.tab))
-	} else {
-		// Identifier above weight: written as an eight-byte slot, whichever
-		// rung it came from, a pair orders by identifier.
-		keys := m.keyScratch[:0]
-		for k := range old.slots() {
-			if x, f := old.pairAt(k); f != 0 {
-				keys = append(keys, x<<32|uint64(uint32(f)))
-			}
-		}
-		slices.Sort(keys)
-		for j, w := range keys {
-			fit.setPair(j, w>>32, int64(int32(w)))
-		}
-		m.keyScratch = keys
+		return true
 	}
-	m.putTable(old)
-}
-
-// widePairs orders the two-word slots of a full wide table by identifier.
-type widePairs []uint64
-
-func (p widePairs) Len() int           { return len(p) / 2 }
-func (p widePairs) Less(i, j int) bool { return p[2*i] < p[2*j] }
-func (p widePairs) Swap(i, j int) {
-	p[2*i], p[2*j] = p[2*j], p[2*i]
-	p[2*i+1], p[2*j+1] = p[2*j+1], p[2*i+1]
+	// pack wrote every code, so none runs past the bits or overflows.
+	w.run.Pairs(w.px, w.pf, w.xs[:n], w.fs[:n])
+	for j := range n {
+		w.x += w.xs[j] + 1
+		w.xs[j], w.fs[j] = w.x, uint64(weightOfCode(w.fs[j]))
+	}
+	return true
 }
 
 // home returns the slot x hashes to in a hashed table of that many slots: a
@@ -713,88 +856,105 @@ func (t table) remove(j int) {
 	t.setPair(j, 0, 0)
 }
 
-// cut reports whether the table is exactly the pairs held, in ascending x —
-// what Compact leaves, and what an empty sketch without a table, or a dense
-// one, is. It has no step: its slots are its pairs and, for an odd number of
-// them at four bytes, the spare half of the last word. Only a table that is
-// not cut can be probed.
-func (c *CountSketch) cut() bool { return c.step == 0 }
-
 // grow moves the pairs to a hashed table with room for one more, at the
-// width they have: the first table, a full hashed one's next step, or what a
-// cut one needs.
+// width they have: the first table, a full hashed one's next step, or a
+// packed run unpacked.
 func (c *CountSketch) grow() {
-	old := c.retable(stepFor(int(c.n)+1), c.rung)
+	var w pairs
+	c.walk(&w)
+	old, size := c.retable(stepFor(int(c.n)+1), c.rung)
 	t := c.table()
-	for k := range old.slots() {
-		if x, f := old.pairAt(k); f != 0 {
-			j, _ := t.probe(x)
-			t.setPair(j, x, f)
-		}
+	for x, f, ok := w.next(); ok; x, f, ok = w.next() {
+		j, _ := t.probe(x)
+		t.setPair(j, x, f)
 	}
-	c.maker.putTable(old)
+	c.maker.release(old, size)
 }
 
-// retable gives an items-form sketch an empty table from the arena at a rung,
-// with Σf²'s high word carried over: hashed over the slots of a step of the
-// ladder, or, at step 0, cut to its n pairs. It returns the table the sketch
-// had, for the caller to hand back (putTable) once read.
-func (c *CountSketch) retable(step, rung uint8) (old table) {
-	old, hi := c.table(), c.f2hi()
+// retable gives an items-form sketch an empty hashed table from the arena,
+// at a step of the ladder and a rung, with Σf²'s high word carried over. It
+// returns the block the sketch had and its bytes, for the caller to hand
+// back (release) once read.
+func (c *CountSketch) retable(step, rung uint8) (old unsafe.Pointer, size int) {
+	old, size, hi := c.p, c.Bytes(), c.f2hi()
 	c.rung, c.step = rung, step
-	c.p = c.maker.arena.takeWords(blockWords(slotWords(c.slots(), rung), rung))
+	c.p = c.maker.arena.take(c.Bytes())
 	if h := c.hiWord(); h != nil {
 		*h = hi
 	}
-	return old
+	return old, size
 }
 
 // widenTable rewrites the table slot for slot one rung up: a copy, not a
 // re-hash. A pair since cancelled does not narrow it again.
 func (c *CountSketch) widenTable() {
-	old := c.retable(c.step, c.rung+1)
+	from := c.table()
+	old, size := c.retable(c.step, c.rung+1)
 	t := c.table()
-	for k := range old.slots() {
-		if x, f := old.pairAt(k); f != 0 {
+	for k := range from.slots() {
+		if x, f := from.pairAt(k); f != 0 {
 			t.setPair(k, x, f)
 		}
 	}
-	c.maker.putTable(old)
+	c.maker.release(old, size)
 }
 
 // promote moves an items-form sketch to the dense form: every pair is
 // hashed into a zeroed array with the maker's row hashes and the rows are
 // summed in index order, so the result does not depend on table layout.
 func (c *CountSketch) promote() {
-	pairs := c.table()
+	var w pairs
+	c.walk(&w)
+	old, size := c.p, c.Bytes()
 	c.allocDense()
-	c.scatter(pairs)
+	c.scatter(&w)
 	c.sumSquares()
-	c.maker.putTable(pairs)
+	c.maker.release(old, size)
 }
 
-// scatter adds the pairs of an items table to a dense sketch's counters,
-// leaving rowF2 for the caller to re-sum.
-func (c *CountSketch) scatter(tab table) {
+// scatter adds the pairs of a walk to a dense sketch's counters with the
+// maker's row hashes, leaving rowF2 for the caller to re-sum: a hashed
+// table's from its slots, a run's a buffer at a time. A counter that would
+// leave the stored width widens the array, and the pass resumes at that
+// pair and row.
+func (c *CountSketch) scatter(w *pairs) {
 	m := c.maker
-	for k, i := 0, 0; ; c.widen() {
-		switch c.cw {
-		case 1:
-			k, i = scatterPairs(m, countersOf[int8](c), tab, k, i)
-		case 2:
-			k, i = scatterPairs(m, countersOf[int16](c), tab, k, i)
-		default:
-			k, i = scatterPairs(m, countersOf[int64](c), tab, k, i)
+	if !w.packed {
+		for k, i := 0, 0; ; c.widen() {
+			switch c.cw {
+			case 1:
+				k, i = scatterTable(m, countersOf[int8](c), w.t, k, i)
+			case 2:
+				k, i = scatterTable(m, countersOf[int16](c), w.t, k, i)
+			default:
+				k, i = scatterTable(m, countersOf[int64](c), w.t, k, i)
+			}
+			if k == w.t.slots() {
+				return
+			}
 		}
-		if k == tab.slots() {
-			return
+	}
+	for w.read() {
+		xs, fs := w.xs[:w.n], w.fs[:w.n]
+		for j, i := 0, 0; ; c.widen() {
+			switch c.cw {
+			case 1:
+				j, i = scatterPairs(m, countersOf[int8](c), xs, fs, j, i)
+			case 2:
+				j, i = scatterPairs(m, countersOf[int16](c), xs, fs, j, i)
+			default:
+				j, i = scatterPairs(m, countersOf[int64](c), xs, fs, j, i)
+			}
+			if j == len(xs) {
+				break
+			}
 		}
 	}
 }
 
 // allocDense switches a sketch to the dense form with zero counters at the
-// narrowest width. It lets go of the table without handing it back: the
-// caller may still be reading it.
+// narrowest width. It lets go of the items block without handing it back:
+// the caller may still be reading it.
 func (c *CountSketch) allocDense() {
 	m := c.maker
 	*c = CountSketch{maker: m, p: m.arena.take(m.denseBytes(1)), cw: 1, dense: true}
@@ -815,16 +975,12 @@ func (c *CountSketch) sumSquares() {
 }
 
 // Reset implements Resetter: back to the empty items form, holding nothing but
-// its maker. A dense block, or a table, goes back to the arena zeroed for the
+// its maker. A dense block, a table or a run goes back to the arena zeroed for the
 // next sketch that needs its size; the first update takes a table at the
 // bottom rung, so a recycled sketch starts as a new one does.
 func (c *CountSketch) Reset() {
 	m := c.maker
-	if c.dense {
-		m.arena.putZeroed(c.p, m.denseBytes(c.cw))
-	} else {
-		m.putTable(c.table())
-	}
+	m.release(c.p, c.Bytes())
 	*c = CountSketch{maker: m}
 }
 
@@ -913,17 +1069,16 @@ func (c *CountSketch) Merge(other Sketch) error {
 		return ErrIncompatible
 	}
 	if !o.dense {
-		pairs := o.table()
+		var w pairs
+		o.walk(&w)
 		if o == c {
-			// Doubling every weight hashes a cut table again and widens one
-			// a weight no longer fits, either of which hands the table under
+			// Doubling every weight unpacks a run and widens a table a
+			// weight no longer fits, either of which hands the block under
 			// this walk back to the maker.
-			pairs.tab = slices.Clone(pairs.tab)
+			w.detach(c)
 		}
-		for k := range pairs.slots() {
-			if x, f := pairs.pairAt(k); f != 0 {
-				c.Add(x, f)
-			}
+		for x, f, ok := w.next(); ok; x, f, ok = w.next() {
+			c.Add(x, f)
 		}
 		return nil
 	}
@@ -959,24 +1114,26 @@ func (c *CountSketch) addCounters(o *CountSketch) {
 // integer arithmetic alone and the rows are summed once at the end.
 func (m *F2Maker) compose(parts []Sketch) Sketch {
 	out := m.New().(*CountSketch)
-	dense, pairs := false, 0
+	dense, total := false, 0
 	for _, p := range parts {
 		o := p.(*CountSketch)
 		dense = dense || o.dense
-		pairs += int(o.n)
+		total += int(o.n)
 	}
-	if !dense && pairs <= m.itemsMax {
+	if !dense && total <= m.itemsMax {
 		for _, p := range parts {
 			_ = out.Merge(p) // stays in the items form: the answer is exact
 		}
 		return out
 	}
 	out.allocDense()
+	var w pairs
 	for _, p := range parts {
 		if o := p.(*CountSketch); o.dense {
 			out.addCounters(o)
 		} else {
-			out.scatter(o.table())
+			o.walk(&w)
+			out.scatter(&w)
 		}
 	}
 	out.sumSquares()
@@ -993,18 +1150,23 @@ func (c *CountSketch) Size() int {
 }
 
 // Bytes returns the memory behind the sketch's state, its arena block: in the
-// items form the table's slots at 4, 8 or 16 bytes each — empty ones included,
-// of which a cut table has none but the spare half word of an odd count at
-// four bytes — and, at 8 or 16, Σf²'s high word; once dense, the row sums and
-// the counters at their stored width. It is what
-// Size stopped showing when a pair stopped being two words and a counter one,
-// and unlike Size it belongs to the sketch in memory, not to its image: a
-// table grown or widened for pairs since cancelled, or an array widened for a
-// counter since cancelled, restores smaller, and a cut table restores hashed,
-// for its owner to cut again.
+// items form a hashed table's slots at 4, 8 or 16 bytes each, empty ones
+// included, or a packed run's head and bits, and, at 8 or 16, Σf²'s high
+// word; once dense, the row sums and the counters at their stored width. It
+// is what Size stopped showing when a pair stopped being two words and a
+// counter one, and unlike Size it belongs to the sketch in memory, not to its
+// image: a table grown or widened for pairs since cancelled, or an array
+// widened for a counter since cancelled, restores smaller, and a run
+// restores hashed, for its owner to pack again.
 func (c *CountSketch) Bytes() int {
-	if !c.dense {
-		return 8 * blockWords(slotWords(c.slots(), c.rung), c.rung)
+	switch {
+	case c.dense:
+		return c.maker.denseBytes(c.cw)
+	case c.step != 0:
+		return hiLen(c.rung) + 8*slotWords(c.slots(), c.rung)
+	case c.p != nil:
+		_, _, _, size := c.run()
+		return size
 	}
-	return c.maker.denseBytes(c.cw)
+	return 0
 }

@@ -59,6 +59,7 @@ const (
 
 	exactRuns = 256 // runs of up to this many words have a class of their own
 	guards    = 16  // the zero words at either end of a chunk
+	listFloor = 16  // runs a list keeps room for whatever it falls to
 )
 
 // mappedBytes is what every arena of the process has mapped and not yet
@@ -169,15 +170,26 @@ func (a *arena) mark(p unsafe.Pointer, g uint64, i int) {
 }
 
 // unlist takes the i-th run of class k off its list, moving the last one into
-// its place. The run's own words are the caller's to clear.
+// its place. The run's own words are the caller's to clear. A list of more
+// than listFloor runs' capacity left under a quarter full goes down to half,
+// so what the lists hold follows the runs free now, not the most a class
+// ever had; a list that shrinks and grows again by a few runs, as a query's
+// composition makes it, allocates nothing, and neither does one that never
+// held more than listFloor runs, whatever ingest takes from it and gives
+// back.
 func (a *arena) unlist(k, i int) {
 	l := a.runs[k]
-	if last := len(l) - 1; i != last {
+	last := len(l) - 1
+	if i != last {
 		l[i] = l[last]
 		a.mark(l[i], runLen(l[i]), i)
 	}
-	a.runs[k] = l[:len(l)-1]
-	if len(l) == 1 {
+	if l = l[:last]; cap(l) > listFloor && len(l) < cap(l)/4 {
+		a.lists -= 8 * (cap(l) - cap(l)/2)
+		l = append(make([]unsafe.Pointer, 0, cap(l)/2), l...)
+	}
+	a.runs[k] = l
+	if len(l) == 0 {
 		a.holds[k>>6] &^= 1 << (k & 63)
 	}
 }
@@ -240,9 +252,9 @@ func (a *arena) mapChunk(g uint64) (unsafe.Pointer, uint64) {
 
 // settle lays the arena out as its chunks alone say, when no block is held:
 // each chunk one free run, listed in the order the chunks were mapped, on
-// lists no longer than that. What the lists kept of the most runs a class
-// ever had free at once goes with them, so an arena every block has come
-// back to places its next blocks as any other with those chunks would.
+// lists no longer than that. What the lists kept of the runs a class had
+// free before goes with them, so an arena every block has come back to
+// places its next blocks as any other with those chunks would.
 func (a *arena) settle() {
 	if a.asked != 0 {
 		return

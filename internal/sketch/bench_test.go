@@ -81,10 +81,10 @@ func BenchmarkCountSketchAdd(b *testing.B) { benchAddRegimes(b, false) }
 // regimes are the innermost loop of the ingest path at each stored width.
 func BenchmarkCountSketchAddSlots(b *testing.B) { benchAddRegimes(b, true) }
 
-// BenchmarkCountSketchCompact measures cutting a hashed table to fit, as the
-// core structure does once for each bucket that closes, at the table sizes
-// between the first and the promotion point. B/hashed is what the table held
-// before, B/sketch after.
+// BenchmarkCountSketchCompact measures packing a hashed table into a run, as
+// the core structure does once for each bucket that closes, at the table
+// sizes between the first and the promotion point. B/hashed is what the table
+// held before, B/sketch after.
 func BenchmarkCountSketchCompact(b *testing.B) {
 	for _, pairs := range []int{8, 64, 256, 356} {
 		b.Run(fmt.Sprint(pairs), func(b *testing.B) {
@@ -98,8 +98,8 @@ func BenchmarkCountSketchCompact(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Compact hands the hashed table back zeroed: take it again as
-				// it was, which is a copy beside Compact's sort.
-				m.putTable(cs.retable(step, cs.rung))
+				// it was, which is a copy beside Compact's sort and coding.
+				m.release(cs.retable(step, cs.rung))
 				copy(cs.table().tab, hashed)
 				cs.Compact()
 			}

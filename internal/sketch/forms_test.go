@@ -16,11 +16,11 @@ import (
 	"github.com/streamagg/correlated/internal/hash"
 )
 
-// A CountSketch is stored in one of many states — an items table hashed or cut
-// to fit, at four, eight or sixteen bytes a slot, or a dense array at one, two
-// or eight bytes a counter — and every one of them must answer as the state
+// A CountSketch is stored in one of many states — an items table hashed at
+// four, eight or sixteen bytes a slot or packed into a run, or a dense array at
+// one, two or eight bytes a counter — and every one of them must answer as the state
 // every image and Size describe: a hashed table of sixteen-byte slots that is
-// never cut, promoting to an all-int64 array. TestCountSketchFormsAgree drives
+// never packed, promoting to an all-int64 array. TestCountSketchFormsAgree drives
 // sketches through seeded random operation sequences beside a twin lifted to
 // that state after every step and beside a model of what both were fed, and
 // after every step also holds the maker's books to a walk of what it has out.
@@ -116,7 +116,7 @@ func (p *register) settle() {
 
 // merge folds q (which may be p) into p. A dense receiver adds an items-form
 // operand pair by pair in table order, and once huge its incremental row sums
-// round by that order, which a cut table and a hashed one do not share: there
+// round by that order, which a packed run and a hashed table do not share: there
 // both sides are re-summed, as a restart does.
 func (p *register) merge(t *testing.T, q *register) {
 	t.Helper()
@@ -144,7 +144,7 @@ func (p *register) check(t *testing.T, step string) {
 	for r.dense && r.cw < 8 {
 		r.widen()
 	}
-	for !r.dense && r.rung < slot16 {
+	for r.step != 0 && r.rung < slot16 {
 		r.widenTable()
 	}
 	sameSketch(t, step, a, r)
@@ -193,24 +193,15 @@ func (p *register) check(t *testing.T, step string) {
 	if a.rung != p.rung {
 		t.Fatalf("%s: %d-byte slots, the history says %d", step, 4<<a.rung, 4<<p.rung)
 	}
-	hi := hiBytes(a.rung, a.slots())
-	if !a.cut() || a.n == 0 {
-		if s := a.slots(); (s != 0 && (s != tableFor(s*3/4) || s < tableFor(int(a.n)))) || a.Bytes() != s*4<<a.rung+hi {
+	if !packed(a) {
+		if s := a.slots(); (s != 0 && (s != tableFor(s*3/4) || s < tableFor(int(a.n)))) || a.Bytes() != s*4<<a.rung+hiBytes(a.rung, s) {
 			t.Fatalf("%s: a hashed table of %d slots of %d bytes holds %d bytes", step, s, 4<<a.rung, a.Bytes())
 		}
 		return
 	}
-	// Cut: exactly the pairs in whole words — the image already showed them in
-	// ascending x — and an odd count of four-byte slots leaves the last word's
-	// upper half, which must read empty.
-	if want := (4<<a.rung*int(a.n)+7)&^7 + hi; a.Bytes() != want {
-		t.Fatalf("%s: Bytes = %d cut to %d pairs of %d bytes, want %d", step, a.Bytes(), a.n, 4<<a.rung, want)
-	}
-	if a.slots() != int(a.n) {
-		if x, f := a.table().pairAt(int(a.n)); x != 0 || f != 0 {
-			t.Fatalf("%s: %d pairs cut into %d slots, the spare holding (%d,%d)", step, a.n, a.slots(), x, f)
-		}
-	}
+	// Packed: the run of the model's pairs, which its walk reads back in
+	// ascending x.
+	checkRun(t, step, a, ascendingPairs(p.freq))
 }
 
 // sameSketch fails unless a and b — two sketches fed the same updates, stored
@@ -245,8 +236,10 @@ func sameSketch(t *testing.T, step string, a, b *CountSketch) {
 
 // checkBooks fails unless m's running counts are a walk of the sketches it has
 // out — and of the one sketch it keeps for the next New, which must be empty —
-// and its arena's are a walk of its blocks and free runs (checkHeld). It
-// returns the arena's free runs, ordered by address.
+// and its arena's are a walk of its blocks and free runs (checkHeld). Each
+// packed run out must be the run of what its walk reads, Σf²'s two words
+// theirs and Bytes its block (checkRun). It returns the arena's free runs,
+// ordered by address.
 func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) []span {
 	t.Helper()
 	held, headers := 0, 0
@@ -260,6 +253,9 @@ func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) []spa
 		}
 		if c.p != nil {
 			blocks = append(blocks, span{uintptr(c.p), c.Bytes()})
+		}
+		if packed(c) {
+			checkRun(t, step, c, pairsOf(c))
 		}
 		held += c.Bytes()
 		headers += countSketchBytes
@@ -281,11 +277,11 @@ type shape struct {
 	dense    bool
 	cw, rung uint8
 	slots    int
-	cut      bool
+	packed   bool
 }
 
 func shapeOf(c *CountSketch) shape {
-	return shape{c.dense, c.cw, c.rung, c.slots(), !c.dense && c.n > 0 && c.cut()}
+	return shape{c.dense, c.cw, c.rung, c.slots(), packed(c)}
 }
 
 // formOf names what a sketch is stored as, for the merge floors.
@@ -293,8 +289,8 @@ func formOf(c *CountSketch) string {
 	switch s := shapeOf(c); {
 	case s.dense:
 		return "dense"
-	case s.cut:
-		return "cut"
+	case s.packed:
+		return "run"
 	default:
 		return fmt.Sprint(4 << s.rung)
 	}
@@ -305,24 +301,24 @@ func moves(before, after shape) (names []string) {
 	switch {
 	case !before.dense && after.dense:
 		names = append(names, "promote")
-		if before.cut {
-			names = append(names, "promote a cut table")
+		if before.packed {
+			names = append(names, "promote a run")
 		}
 	case before.dense && !after.dense:
 		names = append(names, "reset an array")
 	case after.dense:
-	case before.slots > 0 && after.slots == 0:
+	case !before.packed && after.packed:
+		names = append(names, "pack")
+	case before.packed && after.slots > 0:
+		names = append(names, "unpack")
+	case before.slots > 0 && after.slots == 0, before.packed && !after.packed:
 		names = append(names, "reset a table")
 	case before.slots == 0 && after.slots > 0:
 		names = append(names, "first table")
-	case !before.cut && after.cut:
-		names = append(names, "cut")
-	case before.cut && !after.cut:
-		names = append(names, "hash a cut table again")
 	case after.slots > before.slots:
 		names = append(names, "grow")
 	}
-	for rung := before.rung + 1; !after.dense && before.slots > 0 && rung <= after.rung; rung++ {
+	for rung := before.rung + 1; !after.dense && (before.slots > 0 || before.packed) && rung <= after.rung; rung++ {
 		names = append(names, fmt.Sprintf("table to %d-byte slots", 4<<rung))
 	}
 	for _, cw := range []uint8{2, 8} {
@@ -341,7 +337,7 @@ func moves(before, after shape) (names []string) {
 // weights from units, or up to and across 2^7, 2^15, 2^31 and 2^40, signed,
 // over a domain on either side of the promotion point, so tables and arrays
 // climb every rung and come back under it. Merges meet every pair of forms, a register with itself too; Compact
-// cuts tables that later writes hash again; and the makers start with their
+// packs tables that later writes unpack; and the makers start with their
 // arenas' free runs primed, so a table handed back unzeroed, or too early,
 // shows as a pair nobody added.
 func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to uint64, floors ...string) {
@@ -487,20 +483,28 @@ func (r *formsRun) step(t *testing.T, step int) {
 		p.addSlots(x, w)
 	case op < 16:
 		// Cancel a pair outright: it leaves the table by backward
-		// shift, and a cut table is hashed again first.
+		// shift, and a run is unpacked first.
 		x := r.ident(p.xTier)
 		what = at("Add(%d,%d) to zero", x, -p.freq[x])
 		p.add(x, -p.freq[x])
 	case op < 17:
 		// A spike and straight back: the values return to where they
-		// were, the width does not.
+		// were, the width does not. A run unpacks to the same pairs and
+		// Σf²; only the form and Bytes move.
 		x, w := r.ident(p.xTier), int64(1)<<(7+8*min(rng.Uint64n(4), p.wTier))
 		if p.wTier == 0 {
 			w = 1 << 5
 		}
 		what = at("Add(%d,±%d)", x, w)
+		hi, lo := p.a.f2hi(), p.a.f2lo
 		p.add(x, w)
 		p.add(x, -w)
+		if before.packed && !p.a.dense {
+			if p.a.f2hi() != hi || p.a.f2lo != lo {
+				t.Fatalf("%s: Σf² went from %#x:%#x to %#x:%#x through an unpack", what, hi, lo, p.a.f2hi(), p.a.f2lo)
+			}
+			seen["Σf² through an unpack"]++
+		}
 	case op < 26:
 		// Either side may be a closed bucket's.
 		if rng.Uint64n(4) == 0 {
@@ -512,11 +516,15 @@ func (r *formsRun) step(t *testing.T, step int) {
 		}
 		forms := formOf(p.a) + " <- " + formOf(q.a)
 		seen["merge "+forms]++
-		if q == p && before.cut {
-			seen["merge a cut table into itself"]++
+		if q == p && before.packed {
+			seen["merge a run into itself"]++
 		}
+		writes := q.a.dense || q.a.n > 0
 		what = at("Merge(%s, itself=%v)", forms, p == q)
 		p.merge(t, q)
+		if before.packed && writes && packed(p.a) {
+			t.Fatalf("%s: a merge wrote into a run and left it packed", what)
+		}
 	case op < 28:
 		what, acted = at("Compose"), nil
 		c := &register{
@@ -532,7 +540,11 @@ func (r *formsRun) step(t *testing.T, step int) {
 		regs[i], p = c, c
 	case op < 33:
 		what = at("Compact")
+		hi, lo := p.a.f2hi(), p.a.f2lo
 		p.a.Compact()
+		if p.a.f2hi() != hi || p.a.f2lo != lo {
+			t.Fatalf("%s: Σf² went from %#x:%#x to %#x:%#x", what, hi, lo, p.a.f2hi(), p.a.f2lo)
+		}
 	case op < 34:
 		what = at("Reset")
 		p.a.Reset()
@@ -655,9 +667,6 @@ func (r *formsRun) step(t *testing.T, step int) {
 	if p.a.dense && p.a.cw > widthFor(p.ctr) || !p.a.dense && p.a.rung > needsRung(p.a) {
 		seen["wider than its values need"]++
 	}
-	if p.a.slots() == int(p.a.n)+1 && p.a.cut() {
-		seen["cut table with a spare half word"]++
-	}
 }
 
 // finish recycles the registers and fails unless the books then read nothing
@@ -685,7 +694,7 @@ func (d *byteDraws) Uint64n(n uint64) uint64 {
 
 // FuzzCountSketchForms drives the generator from a fuzzer's bytes: the first
 // picks the geometry, the second seeds the makers and sets the registers'
-// bands, and the rest choose the steps — adds, slot adds, merges, cuts,
+// bands, and the rest choose the steps — adds, slot adds, merges, packs,
 // compositions, Reset, Recycle, images whole and cut short, recycle bursts —
 // until they run out. After every step the register acted on is held to its
 // twin and its model, image and estimates, and the maker's books to a walk.
@@ -717,14 +726,14 @@ func FuzzCountSketchForms(f *testing.F) {
 // to every storage move and every pair of forms a merge can meet.
 func TestCountSketchFormsAgree(t *testing.T) {
 	floors := []string{
-		"first table", "grow", "table to 8-byte slots", "table to 16-byte slots", "cut", "hash a cut table again",
-		"promote", "promote a cut table", "array to int16", "array to int64", "reset a table", "reset an array",
-		"wider than its values need", "cut table with a spare half word", "merge a cut table into itself",
+		"first table", "grow", "table to 8-byte slots", "table to 16-byte slots", "pack", "unpack",
+		"promote", "promote a run", "array to int16", "array to int64", "reset a table", "reset an array",
+		"wider than its values need", "merge a run into itself", "Σf² through an unpack",
 		"unmarshal over a used sketch", "failed unmarshal", "recycle burst",
 		"spare slab slots", "free runs taken again for a table", "free runs taken again for an int8 array",
 		"free runs taken again for an int16 array", "free runs taken again for an int64 array",
 	}
-	forms := []string{"4", "8", "16", "cut", "dense"}
+	forms := []string{"4", "8", "16", "run", "dense"}
 	for _, a := range forms {
 		for _, b := range forms {
 			floors = append(floors, "merge "+a+" <- "+b)
@@ -735,7 +744,7 @@ func TestCountSketchFormsAgree(t *testing.T) {
 
 // The four below run the generator on seeds of their own, each where the
 // storage it names moves most: arrays on narrow geometries, which promote
-// soonest; slot widths on middling ones; cuts on the widest, whose tables are
+// soonest; slot widths on middling ones; runs on the widest, whose tables are
 // largest; and the maker's books on the one-row geometry that fills every list.
 
 func TestCountSketchWidthsAgree(t *testing.T) {
@@ -750,7 +759,7 @@ func TestCountSketchTableWidthsAgree(t *testing.T) {
 
 func TestCountSketchCutTableAgrees(t *testing.T) {
 	runForms(t, []struct{ width, depth int }{{356, 4}, {64, 4}}, 18, 20,
-		"cut", "hash a cut table again", "merge a cut table into itself", "merge cut <- cut")
+		"pack", "unpack", "merge a run into itself", "merge run <- run")
 }
 
 func TestMakerBooksAreTheWalk(t *testing.T) {

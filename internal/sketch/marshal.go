@@ -173,8 +173,8 @@ func (c *CountSketch) MarshalBinary() ([]byte, error) {
 // as it was. The image records the form, so the decoded copy has the live
 // sketch's Size, and it is canonical: a dense sketch writes every counter in
 // index order and an items-form one its pairs in ascending x, whatever the
-// table layout and the order they arrived in — which a cut table already lies
-// in, so it is written as it is, with no sort and no probe.
+// table layout and the order they arrived in — which a packed run already
+// lies in, so it is read out as it is, with no sort and no probe.
 func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 	m := c.maker
 	buf = appendHeader(buf, kindCountSketch)
@@ -193,26 +193,19 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 	}
 	buf = append(buf, formItems)
 	buf = appendU64(buf, uint64(c.n))
-	t := c.table()
-	if c.cut() {
-		for k := range int(c.n) {
-			x, f := t.pairAt(k)
+	if c.step == 0 {
+		var w pairs
+		c.walk(&w)
+		for x, f, ok := w.next(); ok; x, f, ok = w.next() {
 			buf = appendI64(appendU64(buf, x), f)
 		}
 		return buf, nil
 	}
-	xs := m.keyScratch[:0]
-	for k := range t.slots() {
-		if x, f := t.pairAt(k); f != 0 {
-			xs = append(xs, x)
-		}
-	}
-	slices.Sort(xs)
-	for _, x := range xs {
+	t := c.table()
+	for _, x := range m.ascending(t) {
 		_, f := t.probe(x)
 		buf = appendI64(appendU64(buf, x), f)
 	}
-	m.keyScratch = xs
 	return buf, nil
 }
 

@@ -28,9 +28,10 @@
 // identifier in 24 bits, weight in 8 — until a pair needs eight, then sixteen,
 // and the dense array's counters one byte each until one would overflow, then
 // two, then eight. And a sketch whose bucket has closed, which ingest never
-// writes to again, has its table cut to exactly the pairs it holds (Compact);
-// a later write hashes it again. Three table widths, three array widths, one
-// API: no answer, image or Size depends on a width or a cut, only Bytes.
+// writes to again, has its table packed into a run of the pairs it holds,
+// each column in the log's bit code (Compact); a later write unpacks it.
+// Three table widths, a run, three array widths, one API: no answer, image
+// or Size depends on a width or a run, only Bytes.
 // Tables and arrays are blocks of their maker's arena, off the collected heap
 // (arena.go): one a sketch grows out of, or is recycled with, goes back
 // zeroed to the arena for the next sketch that needs its size class, so the

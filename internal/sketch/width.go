@@ -45,27 +45,45 @@ func addRows[T ctr](data []T, rowF2 []float64, rows Slots, w int64, width, from 
 	return len(rows)
 }
 
-// scatterPairs hashes the pairs of an items table into a dense array with
+// scatterTable hashes the pairs of a hashed table into a dense array with
 // m's row hashes, starting at row i of slot k. It returns tab.slots(), or the
 // slot and row whose counter would not fit T, with everything before applied.
-func scatterPairs[T ctr](m *F2Maker, data []T, tab table, k, i int) (int, int) {
+func scatterTable[T ctr](m *F2Maker, data []T, tab table, k, i int) (int, int) {
 	for n := tab.slots(); k < n; k, i = k+1, 0 {
-		x, f := tab.pairAt(k)
-		if f == 0 {
-			continue
-		}
-		rows := m.slotsOf(x)[:m.depth]
-		for ; i < len(rows); i++ {
-			v := rows[i]
-			idx := i*m.width + int(v>>1)
-			nv := int64(data[idx]) + (int64(v&1)*2-1)*f
-			if int64(T(nv)) != nv {
+		if x, f := tab.pairAt(k); f != 0 {
+			if i = scatterRows(data, m.slotsOf(x)[:m.depth], f, m.width, i); i < m.depth {
 				return k, i
 			}
-			data[idx] = T(nv)
 		}
 	}
 	return k, 0
+}
+
+// scatterPairs is scatterTable over pairs xs[j], fs[j] (a weight as its
+// bits), from row i of pair j; it returns len(xs) when all are applied.
+func scatterPairs[T ctr](m *F2Maker, data []T, xs, fs []uint64, j, i int) (int, int) {
+	for ; j < len(xs); j, i = j+1, 0 {
+		if i = scatterRows(data, m.slotsOf(xs[j])[:m.depth], int64(fs[j]), m.width, i); i < m.depth {
+			return j, i
+		}
+	}
+	return j, 0
+}
+
+// scatterRows adds ±f (the sign is the slot's low bit) to one counter in
+// each of rows[from:] of a dense array. It returns len(rows), or the first
+// row whose counter would not fit T, with the rows before it applied.
+func scatterRows[T ctr](data []T, rows Slots, f int64, width, from int) int {
+	for i := from; i < len(rows); i++ {
+		v := rows[i]
+		idx := i*width + int(v>>1)
+		nv := int64(data[idx]) + (int64(v&1)*2-1)*f
+		if int64(T(nv)) != nv {
+			return i
+		}
+		data[idx] = T(nv)
+	}
+	return len(rows)
 }
 
 // addInto adds src[from:] to dst[from:] index by index. It returns len(dst),

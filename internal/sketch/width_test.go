@@ -43,10 +43,8 @@ func rungFor(x uint64, f int64) uint8 {
 // needsRung returns the lowest rung that holds every pair of c.
 func needsRung(c *CountSketch) uint8 {
 	rung := uint8(slot4)
-	for k := range c.slots() {
-		if x, f := c.table().pairAt(k); f != 0 {
-			rung = max(rung, rungFor(x, f))
-		}
+	for _, p := range pairsOf(c) {
+		rung = max(rung, rungFor(p.x, p.f))
 	}
 	return rung
 }

@@ -16,30 +16,13 @@ package tupleio
 //	         count × uvarint(weight), in row order, when p_y's bit 7 is set
 //
 //	p        bits 0–5  k, the column's parameter, 0…63
-//	         bit 6     0: the column is rice(v, k), 1: expgolomb(v, k)
+//	         bit 6     0: the column is Rice-coded, 1: Exp-Golomb-coded
 //	         bit 7     p_y: 1 when weights follow (some weight is not 1);
 //	                   p_x: 0
 //
-//	rice(v, k)       v>>k zero bits, a one bit, then the k low bits of v,
-//	                 least significant first
-//	expgolomb(v, k)  m zero bits, a one bit, then the m+k low bits of
-//	                 v + 2^k, least significant first, where m + k + 1 is
-//	                 the bit length of v + 2^k
-//
-// Each column takes the shorter of two codes, by the exact bit count of its
-// values: a Golomb–Rice code (Golomb 1966; Rice 1979) at k = ⌊log2 mean⌋,
-// 0 where the mean is below 1 (or there are no rows), the sums taken in 128
-// bits; or an Exp-Golomb code (Teuhola 1978) at k = max(0, ⌊mean bit
-// length⌋ − 1). A tie is Rice. Rice fits a column whose values crowd near
-// their mean — uniform x, the gaps of uniform y — and since 2^k ≤ mean its
-// quotients add up to at most count·mean/2^k < 2·count: however skewed the
-// column, its unary bits stay under two a row. But on a skewed column (zipf
-// x, the paper's packet sizes) the tail sets the mean, and every common
-// small value pays Rice's k bits for it; Exp-Golomb's prefix grows with the
-// logarithm of a value, so a small value costs little more than k bits and
-// a tail value about twice its length. Exp-Golomb never wins at k = 63:
-// that k needs every value 64 bits long, and each is then a bit shorter in
-// Rice.
+// Each column takes the shorter of a Golomb–Rice and an Exp-Golomb code,
+// by the exact bit count of its values (package bitcode, which defines both
+// codes, the bit order and the choice).
 //
 // The rows keep the batch's order exactly, equal-y runs included: the order
 // inside a run is part of what a summary's state is a function of
@@ -60,8 +43,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
+	"github.com/streamagg/correlated/internal/bitcode"
 	"github.com/streamagg/correlated/internal/core"
 )
 
@@ -69,82 +52,22 @@ import (
 // non-decreasing in y: the gap to the previous row would have wrapped.
 var ErrUnsorted = errors.New("tupleio: batch is not sorted by y")
 
-// The bits of a parameter byte.
-const (
-	kBits        = 0x3f // the column's k
-	expGolombBit = 0x40 // the column is Exp-Golomb-coded, else Rice
-	weightsBit   = 0x80 // in p_y: weights follow the bitstream
-)
-
-// column sums what a column's parameters are set from: its values, in
-// 128 bits, and their bit lengths.
-type column struct{ hi, lo, lens uint64 }
-
-func (c *column) add(v uint64) {
-	var carry uint64
-	c.lo, carry = bits.Add64(c.lo, v, 0)
-	c.hi += carry
-	c.lens += uint64(bits.Len64(v))
-}
-
-// ks are the column's parameters over n values: Rice's ⌊log2 mean⌋, 0
-// where the mean is below 1, and Exp-Golomb's max(0, ⌊mean bit length⌋ −
-// 1). Both are below 64; hi < n holds for any n values below 2^64.
-func (c column) ks(n uint64) (rice, eg uint) {
-	if n == 0 {
-		return 0, 0
-	}
-	if mean, _ := bits.Div64(c.hi, c.lo, n); mean > 0 {
-		rice = uint(bits.Len64(mean) - 1)
-	}
-	if l := c.lens / n; l > 1 {
-		eg = uint(l - 1)
-	}
-	return rice, eg
-}
+// weightsBit is the bit of p_y that says weights follow the bitstream.
+const weightsBit = 0x80
 
 // params are the parameter bytes, less the weights bit, of a batch whose
 // y gaps and x values the first pass summed up as y and x: each column's
-// shorter code, priced exactly by a second pass over the rows. Beyond 1+k
-// bits a value, Rice spends the value's quotient by 2^k and Exp-Golomb
-// twice its prefix.
-func params(batch []core.Tuple, y, x column) (py, px byte) {
+// shorter code, priced exactly by a second pass over the rows.
+func params(batch []core.Tuple, y, x bitcode.Column) (py, px byte) {
 	n := uint64(len(batch))
-	ry, ey := y.ks(n)
-	rx, ex := x.ks(n)
-	var qy, my, qx, mx, prev uint64
+	gy, gx := y.Pricer(n), x.Pricer(n)
+	var prev uint64
 	for i := range batch {
-		gap, v := batch[i].Y-prev, batch[i].X
+		gy.Add(batch[i].Y - prev)
+		gx.Add(batch[i].X)
 		prev = batch[i].Y
-		qy += gap >> (ry & 63) // the masks tell the compiler k < 64
-		my += egPrefix(gap >> (ey & 63))
-		qx += v >> (rx & 63)
-		mx += egPrefix(v >> (ex & 63))
 	}
-	return pick(n, ry, qy, ey, my), pick(n, rx, qx, ex, mx)
-}
-
-// pick is the parameter byte of the shorter code of a column of n values
-// whose quotients by 2^r sum to q and whose prefixes at e sum to m; a tie
-// is Rice. The quotients add up to under 2n (2^r ≤ mean) and the prefixes
-// to at most 64n: no sum overflows below 2^56 rows.
-func pick(n uint64, r uint, q uint64, e uint, m uint64) byte {
-	if n*uint64(e)+2*m < n*uint64(r)+q {
-		return byte(e) | expGolombBit
-	}
-	return byte(r)
-}
-
-// egPrefix is the length of the zero prefix of an Exp-Golomb code whose
-// value's quotient by 2^k is q: ⌊log2(q+1)⌋, without q+1 overflowing.
-func egPrefix(q uint64) uint64 { return uint64(bits.Len64(q>>1 + q&1)) }
-
-// describe names the code a parameter byte gives a column.
-func describe(p byte) string {
-	if p&expGolombBit != 0 {
-		return fmt.Sprintf("Exp-Golomb k=%d", p&kBits)
-	}
-	return fmt.Sprintf("Rice k=%d", p&kBits)
+	return gy.Param(), gx.Param()
 }
 
 // maxRows is how many rows a bitstream within size bytes can hold at
@@ -158,7 +81,7 @@ func maxRows(size int, ky, kx uint) uint64 {
 // refused with ErrUnsorted and buf comes back as it was given. A
 // non-positive weight is written as 1, as everywhere in the codec.
 func AppendSortedBatch(buf []byte, tenant string, batch []core.Tuple) ([]byte, error) {
-	var y, x column
+	var y, x bitcode.Column
 	var prev uint64
 	unit := true
 	for i := range batch {
@@ -166,8 +89,8 @@ func AppendSortedBatch(buf []byte, tenant string, batch []core.Tuple) ([]byte, e
 		if t.Y < prev {
 			return buf, fmt.Errorf("%w: y = %d follows y = %d at row %d", ErrUnsorted, t.Y, prev, i)
 		}
-		y.add(t.Y - prev)
-		x.add(t.X)
+		y.Add(t.Y - prev)
+		x.Add(t.X)
 		prev = t.Y
 		unit = unit && t.W <= 1
 	}
@@ -176,15 +99,15 @@ func AppendSortedBatch(buf []byte, tenant string, batch []core.Tuple) ([]byte, e
 	buf = AppendTenant(buf, tenant)
 	buf = binary.AppendUvarint(buf, n)
 	at := len(buf)
-	w := bitWriter{buf: append(buf, py, px)}
+	w := bitcode.NewWriter(append(buf, py, px))
 	prev = 0
 	for i := range batch {
 		t := &batch[i]
-		w.code(t.Y-prev, py)
-		w.code(t.X, px)
+		w.Code(t.Y-prev, py)
+		w.Code(t.X, px)
 		prev = t.Y
 	}
-	buf = w.flush()
+	buf = w.Flush()
 	if unit {
 		return buf, nil
 	}
@@ -197,168 +120,6 @@ func AppendSortedBatch(buf []byte, tenant string, batch []core.Tuple) ([]byte, e
 		buf = binary.AppendUvarint(buf, uint64(w))
 	}
 	return buf, nil
-}
-
-// bitWriter appends a bitstream to buf, least significant bit first.
-type bitWriter struct {
-	buf []byte
-	acc uint64 // bits not yet appended, the first at bit 0
-	n   uint   // how many, below 64
-}
-
-// write appends the n low bits of v (n ≤ 64, v < 2^n).
-func (w *bitWriter) write(v uint64, n uint) {
-	w.acc |= v << (w.n & 63)
-	if w.n += n; w.n >= 64 {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, w.acc)
-		w.n -= 64
-		w.acc = v >> (n - w.n) // what of v did not fit; 0 when all did
-	}
-}
-
-// code appends v in the code parameter byte p names (k < 64), in one
-// write when the code fits 64 bits. An Exp-Golomb code with prefix m has
-// for its tail v less (2^m − 1)·2^k, the first value with that prefix;
-// m + k ≤ 64.
-func (w *bitWriter) code(v uint64, p byte) {
-	k := uint(p & kBits)
-	if p&expGolombBit == 0 {
-		q := v >> k
-		for ; q >= 63; q -= 63 {
-			w.write(0, 63)
-		}
-		low := v & (1<<k - 1)
-		if l := uint(q) + 1 + k; l <= 64 {
-			w.write(low<<(q+1)|1<<q, l)
-			return
-		}
-		w.write(1<<q, uint(q)+1)
-		w.write(low, k)
-		return
-	}
-	m := uint(egPrefix(v >> k))
-	tail := v - (1<<m-1)<<k
-	if l := 2*m + 1 + k; l <= 64 {
-		w.write(tail<<(m+1)|1<<m, l)
-		return
-	}
-	w.write(0, m)
-	w.write(1, 1)
-	w.write(tail, m+k)
-}
-
-// flush appends the bits pending, zero-padded to a byte, and returns the
-// buffer.
-func (w *bitWriter) flush() []byte {
-	for ; w.n > 0; w.n -= min(w.n, 8) {
-		w.buf = append(w.buf, byte(w.acc))
-		w.acc >>= 8
-	}
-	return w.buf
-}
-
-// bitReader reads the bitstream bitWriter writes from the front of data.
-// Loading eight bytes at a time may put bits of the bytes from pos on into
-// acc at and above n; they are the stream's own bits, only not yet
-// counted, and a later load writes the same bits over them.
-type bitReader struct {
-	data []byte
-	pos  int    // the next byte to load
-	acc  uint64 // loaded bits not yet read, the next at bit 0
-	n    uint   // how many, below 64
-}
-
-// refill loads bytes until at least 56 bits are loaded or data ends.
-func (r *bitReader) refill() {
-	if r.pos+8 <= len(r.data) {
-		r.acc |= binary.LittleEndian.Uint64(r.data[r.pos:]) << (r.n & 63)
-		r.pos += int(63-r.n) >> 3
-		r.n |= 56
-		return
-	}
-	for ; r.n < 56 && r.pos < len(r.data); r.pos++ {
-		r.acc |= uint64(r.data[r.pos]) << r.n
-		r.n += 8
-	}
-}
-
-// code reads one value in the code parameter byte p names; ok is false
-// when the stream ends inside it or its value overflows 64 bits. A code
-// the bits loaded hold is read in place.
-func (r *bitReader) code(p byte) (v uint64, ok bool) {
-	k := uint(p & kBits)
-	r.refill()
-	if q := uint(bits.TrailingZeros64(r.acc)); q < r.n {
-		if p&expGolombBit == 0 {
-			if l := q + 1 + k; l <= r.n {
-				v = uint64(q)<<k | r.acc>>(q+1)&(1<<k-1)
-				r.acc >>= l
-				r.n -= l
-				return v, true
-			}
-		} else if l := 2*q + 1 + k; l <= r.n {
-			v = (r.acc>>(q+1)&(1<<(q+k)-1) | 1<<(q+k)) - 1<<k
-			r.acc >>= l
-			r.n -= l
-			return v, true
-		}
-	}
-	q, ok := r.unary()
-	if !ok {
-		return 0, false
-	}
-	if p&expGolombBit == 0 {
-		if q>>(64-k) != 0 {
-			return 0, false
-		}
-		v, ok = r.bits(k)
-		return q<<k | v, ok
-	}
-	if q > uint64(64-k) {
-		return 0, false
-	}
-	offset := (uint64(1)<<q - 1) << k
-	if v, ok = r.bits(uint(q) + k); !ok || v > math.MaxUint64-offset {
-		return 0, false
-	}
-	return v + offset, true
-}
-
-// unary reads zero bits up to a one bit and returns how many it read; ok
-// is false when the stream ends first.
-func (r *bitReader) unary() (q uint64, ok bool) {
-	r.refill()
-	for {
-		if tz := uint(bits.TrailingZeros64(r.acc)); tz < r.n {
-			r.acc >>= tz + 1
-			r.n -= tz + 1
-			return q + uint64(tz), true
-		}
-		if r.pos == len(r.data) {
-			return 0, false
-		}
-		q += uint64(r.n)
-		r.acc, r.n = 0, 0
-		r.refill()
-	}
-}
-
-// bits reads k bits (k ≤ 64), the first at bit 0 of v; ok is false when
-// the stream ends first.
-func (r *bitReader) bits(k uint) (v uint64, ok bool) {
-	for got := uint(0); got < k; {
-		if r.n == 0 {
-			if r.refill(); r.n == 0 {
-				return 0, false
-			}
-		}
-		take := min(k-got, r.n)
-		v |= (r.acc & (1<<take - 1)) << got
-		r.acc >>= take
-		r.n -= take
-		got += take
-	}
-	return v, true
 }
 
 // uvarint reads one uvarint in its shortest form; n <= 0 reports a
@@ -406,22 +167,22 @@ func DecodeSortedBatch(dst []core.Tuple, data []byte) (tenant []byte, batch []co
 	if px&weightsBit != 0 {
 		return bad("x's parameter byte %#02x sets the undefined bit 7", px)
 	}
-	if most := maxRows(len(data), uint(py&kBits), uint(px&kBits)); n > most {
+	if most := maxRows(len(data), uint(py&bitcode.KBits), uint(px&bitcode.KBits)); n > most {
 		return bad("count claims %d tuples, body can hold at most %d", n, most)
 	}
 	if uint64(cap(dst)) < n {
 		dst = make([]core.Tuple, 0, n)
 	}
 	dst = dst[:0]
-	r := bitReader{data: data}
+	r := bitcode.NewReader(data)
 	var y uint64
-	var ys, xs column
+	var ys, xs bitcode.Column
 	for uint64(len(dst)) < n {
-		gap, ok := r.code(py)
+		gap, ok := r.Code(py)
 		if !ok {
 			return bad("y gap at row %d runs past the bits or overflows 64 bits", len(dst))
 		}
-		x, ok := r.code(px)
+		x, ok := r.Code(px)
 		if !ok {
 			return bad("x at row %d runs past the bits or overflows 64 bits", len(dst))
 		}
@@ -429,14 +190,14 @@ func DecodeSortedBatch(dst []core.Tuple, data []byte) (tenant []byte, batch []co
 			return bad("y wraps at row %d", len(dst))
 		}
 		y += gap
-		ys.add(gap)
-		xs.add(x)
+		ys.Add(gap)
+		xs.Add(x)
 		dst = append(dst, core.Tuple{X: x, Y: y, W: 1})
 	}
 	if wy, wx := params(dst, ys, xs); wy != py&^weightsBit || wx != px {
-		return bad("y and x coded %s and %s, the rows give %s and %s", describe(py), describe(px), describe(wy), describe(wx))
+		return bad("y and x coded %s and %s, the rows give %s and %s", bitcode.Describe(py), bitcode.Describe(px), bitcode.Describe(wy), bitcode.Describe(wx))
 	}
-	used := 8*uint64(r.pos) - uint64(r.n) // bits read
+	used := r.Used()
 	end := (used + 7) / 8
 	if used%8 != 0 && data[end-1]>>(used%8) != 0 {
 		return bad("non-zero padding")

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/streamagg/correlated/internal/bitcode"
 	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/gen"
 )
@@ -44,7 +45,7 @@ func paramsOf(tb testing.TB, wire []byte) (py, px byte) {
 func pickedCodes(tb testing.TB, batch []core.Tuple) (y, x string) {
 	tb.Helper()
 	py, px := paramsOf(tb, mustSorted(tb, nil, "", batch))
-	return describe(py), describe(px)
+	return bitcode.Describe(py), bitcode.Describe(px)
 }
 
 // column shapes that pick a code at an edge of k, and the batches that
@@ -191,37 +192,37 @@ func TestParamsPickTheShorterCode(t *testing.T) {
 	}
 	// Bits a column takes in the code p names.
 	written := func(vs []uint64, p byte) int {
-		w := bitWriter{}
+		w := bitcode.NewWriter(nil)
 		for _, v := range vs {
-			w.code(v, p)
+			w.Code(v, p)
 		}
-		return 8*len(w.buf) + int(w.n)
+		return w.Bits()
 	}
 	for i, batch := range batches {
-		var y, x column
+		var y, x bitcode.Column
 		gaps, xs := make([]uint64, len(batch)), make([]uint64, len(batch))
 		var prev uint64
 		for j, tu := range batch {
 			gaps[j], xs[j], prev = tu.Y-prev, tu.X, tu.Y
-			y.add(gaps[j])
-			x.add(xs[j])
+			y.Add(gaps[j])
+			x.Add(xs[j])
 		}
 		n := uint64(len(batch))
 		py, px := params(batch, y, x)
 		for _, col := range []struct {
 			name   string
 			vs     []uint64
-			sums   column
+			sums   bitcode.Column
 			picked byte
 		}{{"y", gaps, y, py}, {"x", xs, x, px}} {
-			r, e := col.sums.ks(n)
-			rice, eg := written(col.vs, byte(r)), written(col.vs, byte(e)|expGolombBit)
+			r, e := col.sums.Ks(n)
+			rice, eg := written(col.vs, byte(r)), written(col.vs, byte(e)|bitcode.ExpGolomb)
 			want := byte(r)
 			if eg < rice {
-				want = byte(e) | expGolombBit
+				want = byte(e) | bitcode.ExpGolomb
 			}
 			if col.picked != want {
-				t.Errorf("batch %d, %s: picked %s; Rice k=%d takes %d bits, Exp-Golomb k=%d %d", i, col.name, describe(col.picked), r, rice, e, eg)
+				t.Errorf("batch %d, %s: picked %s; Rice k=%d takes %d bits, Exp-Golomb k=%d %d", i, col.name, bitcode.Describe(col.picked), r, rice, e, eg)
 			}
 		}
 	}
@@ -247,11 +248,11 @@ func TestSortedBatchRefusesUnsorted(t *testing.T) {
 // and tail after the bitstream.
 func rows(tenant string, count uint64, py, px byte, codes []uint64, tail ...byte) []byte {
 	b := appendUvarint(AppendTenant(nil, tenant), count)
-	w := bitWriter{buf: append(b, py, px)}
+	w := bitcode.NewWriter(append(b, py, px))
 	for i, v := range codes {
-		w.code(v, [2]byte{py, px}[i%2])
+		w.Code(v, [2]byte{py, px}[i%2])
 	}
-	return append(w.flush(), tail...)
+	return append(w.Flush(), tail...)
 }
 
 // overX interleaves zero y gaps with xs, as rows takes them.
@@ -306,14 +307,14 @@ func TestSortedBatchDecodeHostile(t *testing.T) {
 		{"undefined bit 7 of p_x, weights listed", append(rows("", 1, 0, 0x80, []uint64{1, 1}), 2)},
 		{"wrong k_y", rows("", 2, 3, 0, []uint64{5, 1, 6, 1})},
 		{"wrong k_x", rows("", 2, 2, 1, []uint64{5, 1, 6, 1})},
-		{"the dearer code: Exp-Golomb", rows("", 4, 0, expGolombBit, overX(1, 1, 1, 1))},
+		{"the dearer code: Exp-Golomb", rows("", 4, 0, bitcode.ExpGolomb, overX(1, 1, 1, 1))},
 		{"the dearer code: Rice", rows("", 8, 0, 3, overX(0, 0, 0, 0, 0, 0, 0, 100))},
-		{"the dearer code in y", rows("", 4, expGolombBit, 0, []uint64{1, 0, 1, 0, 1, 0, 1, 0})},
-		{"a tie written as Exp-Golomb", rows("", 4, 0, expGolombBit, overX(0, 0, 0, 4))},
-		{"Exp-Golomb at the wrong k", rows("", 8, 0, expGolombBit|1, overX(0, 0, 0, 0, 0, 0, 0, 100))},
-		{"Exp-Golomb code past the bytes", u(0, 1, expGolombBit, 0, 0x00, 0x04)},
-		{"Exp-Golomb prefix past 64 − k", append(append(u(0, 1, expGolombBit|1, 0), zeros...), 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)},
-		{"Exp-Golomb value past 2^64", append(append(append(u(0, 1, expGolombBit, 0), zeros...), 0x03), zeros...)},
+		{"the dearer code in y", rows("", 4, bitcode.ExpGolomb, 0, []uint64{1, 0, 1, 0, 1, 0, 1, 0})},
+		{"a tie written as Exp-Golomb", rows("", 4, 0, bitcode.ExpGolomb, overX(0, 0, 0, 4))},
+		{"Exp-Golomb at the wrong k", rows("", 8, 0, bitcode.ExpGolomb|1, overX(0, 0, 0, 0, 0, 0, 0, 100))},
+		{"Exp-Golomb code past the bytes", u(0, 1, bitcode.ExpGolomb, 0, 0x00, 0x04)},
+		{"Exp-Golomb prefix past 64 − k", append(append(u(0, 1, bitcode.ExpGolomb|1, 0), zeros...), 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)},
+		{"Exp-Golomb value past 2^64", append(append(append(u(0, 1, bitcode.ExpGolomb, 0), zeros...), 0x03), zeros...)},
 		{"non-zero padding", padded},
 		{"unterminated unary run", u(0, 1, 0, 0, 0, 0)},
 		{"unterminated unary run in x", append(u(0, 1, 0, 0), 0x01, 0, 0)},
@@ -406,10 +407,10 @@ func FuzzDecodeSortedBatch(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0x8a})                                                                                           // non-zero padding
 	f.Add([]byte{0, 1, 63, 0, 0b100, 0, 0, 0, 0, 0, 0, 0, 0, 0})                                                              // k = 63, quotient 2
 	f.Add(append(rows("", 1, 0, weightsBit, []uint64{1, 1}), 2))                                                              // undefined bit 7 of p_x
-	f.Add(rows("", 4, 0, expGolombBit, overX(1, 1, 1, 1)))                                                                    // the dearer code
-	f.Add(rows("", 4, 0, expGolombBit, overX(0, 0, 0, 4)))                                                                    // a tie written as Exp-Golomb
-	f.Add([]byte{0, 1, expGolombBit, 0, 0x00, 0x04})                                                                          // Exp-Golomb code past the bytes
-	f.Add([]byte{0, 1, expGolombBit, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x03, 0, 0, 0, 0, 0, 0, 0, 0})                                // Exp-Golomb value past 2^64
+	f.Add(rows("", 4, 0, bitcode.ExpGolomb, overX(1, 1, 1, 1)))                                                               // the dearer code
+	f.Add(rows("", 4, 0, bitcode.ExpGolomb, overX(0, 0, 0, 4)))                                                               // a tie written as Exp-Golomb
+	f.Add([]byte{0, 1, bitcode.ExpGolomb, 0, 0x00, 0x04})                                                                     // Exp-Golomb code past the bytes
+	f.Add([]byte{0, 1, bitcode.ExpGolomb, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x03, 0, 0, 0, 0, 0, 0, 0, 0})                           // Exp-Golomb value past 2^64
 	for _, c := range edgeColumns {
 		f.Add(mustSorted(f, nil, "", xColumn(c.xs)))
 	}
