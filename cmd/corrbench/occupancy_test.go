@@ -189,7 +189,7 @@ func TestBothSpaceByShape(t *testing.T) {
 	}{
 		{occupancyShape{"uniform/16", 150_000, 16, false}, 1_932_838, 1_285_745, 1_273_613, 2_809_856, 4_308_992},
 		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 1_955_680, 1_316_661, 1_327_023, 2_678_784, 3_784_704},
-		{occupancyShape{"zipf/256", 150_000, 256, true}, 2_726_496, 1_930_731, 1_919_455, 4_317_184, 6_537_216},
+		{occupancyShape{"zipf/256", 150_000, 256, true}, 2_726_496, 1_930_731, 1_919_455, 4_317_184, 6_602_752},
 	} {
 		both := occupancySummary(c.shape, correlated.Both)
 		le := occupancySummary(c.shape, correlated.LE)

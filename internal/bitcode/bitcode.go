@@ -227,47 +227,49 @@ func (r *Reader) refill() {
 	}
 }
 
-// Code reads one value in the code parameter byte p names; ok is false
-// when the stream ends inside it or its value overflows 64 bits. A code
-// the bits loaded hold is read in place.
-func (r *Reader) Code(p byte) (uint64, bool) {
-	r.refill()
-	if v, l := decode(r.acc, p); l <= r.n {
-		r.acc >>= l
-		r.n -= l
-		return v, true
-	}
-	return r.code(p)
-}
-
 // Pairs reads pairs of values, in the codes p and q name, into us and vs —
-// as many as us holds — as calls of Code taking turns do. A pair the bits
-// loaded hold, as two short codes of columns that crowd near their means
-// do, is read in place, the stream loaded at most once for it, and the
-// reader's state kept in registers across the pairs; any other goes
-// through Code. ok is false where a Code would be.
+// as many as us holds: the rows of the log's sorted batch, the pairs of a
+// sketch's packed run. ok is false when the stream ends inside a code or a
+// value overflows 64 bits. A pair the bits loaded hold, as two short codes
+// of columns that crowd near their means do, is read in place, the stream
+// loaded at most once for it and the reader's state kept in registers
+// across the pairs; any other is read a code at a time (code). A second
+// code that is Rice at k = 0 and starts with a one bit is 0, one bit long,
+// and is taken without decoding, so that the next pair's bits are known
+// before it is: a packed run's weights are nearly all that code.
 func (r *Reader) Pairs(p, q byte, us, vs []uint64) (ok bool) {
 	vs = vs[:len(us)]
 	data, pos, acc, n := r.data, r.pos, r.acc, r.n
 	for i := range us {
-		if n < 32 && pos+8 <= len(data) {
-			acc |= binary.LittleEndian.Uint64(data[pos:]) << (n & 63)
-			pos += int(63-n) >> 3
-			n |= 56
+		if n < 32 {
+			if pos+8 <= len(data) {
+				acc |= binary.LittleEndian.Uint64(data[pos:]) << (n & 63)
+				pos += int(63-n) >> 3
+				n |= 56
+			} else {
+				for ; n < 56 && pos < len(data); pos++ {
+					acc |= uint64(data[pos]) << (n & 63)
+					n += 8
+				}
+			}
 		}
 		u, l := decode(acc, p)
-		v, m := decode(acc>>(l&63), q)
+		t := acc >> (l & 63)
+		v, m := uint64(0), uint(1)
+		if q&(ExpGolomb|KBits) != 0 || t&1 == 0 {
+			v, m = decode(t, q)
+		}
 		if l+m <= n {
-			acc >>= l + m
+			acc >>= (l + m) & 63
 			n -= l + m
 			us[i], vs[i] = u, v
 			continue
 		}
 		r.pos, r.acc, r.n = pos, acc, n
-		if us[i], ok = r.Code(p); !ok {
+		if us[i], ok = r.code(p); !ok {
 			return false
 		}
-		if vs[i], ok = r.Code(q); !ok {
+		if vs[i], ok = r.code(q); !ok {
 			return false
 		}
 		pos, acc, n = r.pos, r.acc, r.n
@@ -277,7 +279,8 @@ func (r *Reader) Pairs(p, q byte, us, vs []uint64) (ok bool) {
 }
 
 // decode returns the value of the code p names at the bottom of acc, and
-// the code's length, for the caller to hold against the bits loaded. Past
+// the code's length, for the caller to hold against the bits loaded; past
+// them, or at 64 bits or more, the value is garbage. Past
 // its prefix of q zero bits and a one, a code has m more bits — k of
 // Rice's, q+k of Exp-Golomb's — and its value is those bits plus the first
 // value with its prefix, q·2^k for Rice and (2^q − 1)·2^k for Exp-Golomb.
@@ -286,15 +289,22 @@ func decode(acc uint64, p byte) (v uint64, l uint) {
 	m := uint(p & KBits)
 	first := uint64(q) << m
 	if p&ExpGolomb != 0 {
-		first = (1<<q - 1) << m
+		first = (1<<(q&63) - 1) << m
 		m += q
 	}
-	return acc>>(q+1)&(1<<m-1) + first, q + 1 + m
+	return acc>>((q+1)&63)&(1<<(m&63)-1) + first, q + 1 + m
 }
 
-// code is Code past the bits loaded: a code that runs beyond them, or one
-// longer than 64 bits.
+// code reads one value in the code p names, one the bits loaded may not
+// hold: a code that runs beyond them, or one longer than 64 bits; ok is
+// false when the stream ends inside it or its value overflows 64 bits.
 func (r *Reader) code(p byte) (v uint64, ok bool) {
+	r.refill()
+	if v, l := decode(r.acc, p); l <= r.n {
+		r.acc >>= l
+		r.n -= l
+		return v, true
+	}
 	k := uint(p & KBits)
 	q, ok := r.unary()
 	if !ok {

@@ -8,9 +8,10 @@ import (
 )
 
 // TestPairsReadAsCodes: pairs of values of every length, in codes drawn
-// from both kinds and every k, read back by Code and by Pairs alike,
-// whichever lengths meet across a load of the stream and however many pairs
-// a call asks for, and a stream cut anywhere fails both at the same pair.
+// from both kinds and every k, and a second column Rice at k = 0 that is
+// mostly 0, read back by Pairs as by code, a value at a time, whichever
+// lengths meet across a load of the stream and however many pairs a call
+// asks for, and a stream cut anywhere fails both at the same pair.
 func TestPairsReadAsCodes(t *testing.T) {
 	rng := hash.New(9)
 	code := func() byte { return byte(rng.Uint64n(64)) | byte(rng.Uint64n(2))*ExpGolomb }
@@ -31,8 +32,14 @@ func TestPairsReadAsCodes(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		if i%100 == 0 {
 			p, q = code(), code()
+			if i == 100 {
+				q = 0 // Rice at k = 0, a weight column: most values 0, one bit
+			}
 		}
 		u, v := value(p), value(q)
+		if q == 0 && i%3 != 0 {
+			v = 0
+		}
 		w.Code(u, p)
 		w.Code(v, q)
 		pairs = append(pairs, pair{u, v, p, q})
@@ -47,23 +54,23 @@ func TestPairsReadAsCodes(t *testing.T) {
 			ok := byPairs.Pairs(pairs[i].p, pairs[i].q, us, vs)
 			codeOK := true
 			for j, want := range pairs[i : i+n] {
-				u, okU := byCode.Code(want.p)
-				v, okV := byCode.Code(want.q)
+				u, okU := byCode.code(want.p)
+				v, okV := byCode.code(want.q)
 				if codeOK = okU && okV; !codeOK {
 					break
 				}
 				if u != want.u || v != want.v || ok && (us[j] != u || vs[j] != v) {
-					t.Fatalf("pair %d: wrote %d, %d; Code read %d, %d; Pairs %d, %d", i+j, want.u, want.v, u, v, us[j], vs[j])
+					t.Fatalf("pair %d: wrote %d, %d; code read %d, %d; Pairs %d, %d", i+j, want.u, want.v, u, v, us[j], vs[j])
 				}
 			}
 			if ok != codeOK {
-				t.Fatalf("cut at %d of %d bytes, pairs %d to %d: Pairs ok=%v, Code ok=%v", cut, len(stream), i, i+n, ok, codeOK)
+				t.Fatalf("cut at %d of %d bytes, pairs %d to %d: Pairs ok=%v, code ok=%v", cut, len(stream), i, i+n, ok, codeOK)
 			}
 			if !ok {
 				break
 			}
 			if byCode.Used() != byPairs.Used() {
-				t.Fatalf("pairs %d to %d: Code read %d bits, Pairs %d", i, i+n, byCode.Used(), byPairs.Used())
+				t.Fatalf("pairs %d to %d: code read %d bits, Pairs %d", i, i+n, byCode.Used(), byPairs.Used())
 			}
 			i += n
 		}

@@ -171,12 +171,7 @@ func TestFootprintIsTheWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A query's composition that no free run fits — the int64 array of a
-	// level's answer is 11 KiB — maps a chunk, which stays pooled for the
-	// next; everything the queries took they gave back.
-	// TestQueriesLeaveTheArenaAsTheyFoundIt holds the arena itself still from
-	// the first query on.
-	if g := checkFootprint(t, "after queries", s); g.Held != f.Held || g.Headers != f.Headers || g.structs != f.structs {
+	if g := checkFootprint(t, "after queries", s); g != f {
 		t.Fatalf("queries moved the footprint from %+v to %+v", f, g)
 	}
 

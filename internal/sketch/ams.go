@@ -275,8 +275,8 @@ type F2Maker struct {
 
 	medScratch  []float64 // reused by Estimate/EstimateItem
 	slotScratch Slots     // reused by slotsOf
-	keyScratch  []uint64  // reused by ascending to order the pairs
-	codeScratch []uint64  // reused by pack for a run's weight column
+	keyScratch  []uint64  // reused by ascending for the pairs' identifiers
+	codeScratch []uint64  // and their weights
 	runScratch  []byte    // reused by pack for a run's bitstream
 }
 
@@ -651,13 +651,10 @@ func (c *CountSketch) Compact() {
 // as ever — and is read from its start (pairs): it is never probed and never
 // written to.
 func (m *F2Maker) pack(t table, hi uint64, rung uint8) unsafe.Pointer {
-	xs := m.ascending(t)
-	fs := m.codeScratch[:0]
+	xs, fs := m.ascending(t)
 	prev := uint64(math.MaxUint64)
 	for i, x := range xs {
-		_, f := t.probe(x)
-		xs[i], prev = x-prev-1, x
-		fs = append(fs, weightCode(f))
+		xs[i], fs[i], prev = x-prev-1, weightCode(int64(fs[i])), x
 	}
 	px, pf := bitcode.Param(xs), bitcode.Param(fs)
 	w := bitcode.NewWriter(m.runScratch[:0])
@@ -666,7 +663,7 @@ func (m *F2Maker) pack(t table, hi uint64, rung uint8) unsafe.Pointer {
 		w.Code(fs[i], pf)
 	}
 	bits := w.Flush()
-	m.codeScratch, m.runScratch = fs, bits
+	m.runScratch = bits
 
 	var head [8 + 2 + binary.MaxVarintLen64]byte
 	k := hiLen(rung)
@@ -707,18 +704,22 @@ func weightOfCode(v uint64) int64 {
 	return f
 }
 
-// ascending returns the identifiers of a hashed table's pairs in ascending
-// order, in the maker's scratch.
-func (m *F2Maker) ascending(t table) []uint64 {
-	xs := m.keyScratch[:0]
+// ascending returns a hashed table's pairs in ascending x, weights as their
+// bits, in the maker's scratch.
+func (m *F2Maker) ascending(t table) (xs, fs []uint64) {
+	xs, fs = m.keyScratch[:0], m.codeScratch[:0]
 	for k := range t.slots() {
 		if x, f := t.pairAt(k); f != 0 {
 			xs = append(xs, x)
 		}
 	}
 	slices.Sort(xs)
-	m.keyScratch = xs
-	return xs
+	for _, x := range xs {
+		_, f := t.probe(x)
+		fs = append(fs, uint64(f))
+	}
+	m.keyScratch, m.codeScratch = xs, fs
+	return xs, fs
 }
 
 // pairs is a walk of an items-form sketch's pairs: a hashed table's slot by
@@ -784,20 +785,25 @@ func (w *pairs) read() bool {
 	}
 	w.i, w.n, w.left = 0, n, w.left-n
 	if !w.packed {
-		for j := 0; j < n; w.k++ {
-			if x, f := w.t.pairAt(w.k); f != 0 {
-				w.xs[j], w.fs[j] = x, uint64(f)
-				j++
-			}
+		// Every slot is copied in, and an empty one written over by the
+		// next: a branch on emptiness would be mispredicted at every load.
+		k := w.k
+		for j := 0; j < n; k++ {
+			x, f := w.t.pairAt(k)
+			w.xs[j], w.fs[j] = x, uint64(f)
+			j += int((uint64(f) | -uint64(f)) >> 63) // 1 unless f is 0
 		}
+		w.k = k
 		return true
 	}
 	// pack wrote every code, so none runs past the bits or overflows.
 	w.run.Pairs(w.px, w.pf, w.xs[:n], w.fs[:n])
+	x := w.x
 	for j := range n {
-		w.x += w.xs[j] + 1
-		w.xs[j], w.fs[j] = w.x, uint64(weightOfCode(w.fs[j]))
+		x += w.xs[j] + 1
+		w.xs[j], w.fs[j] = x, uint64(weightOfCode(w.fs[j]))
 	}
+	w.x = x
 	return true
 }
 
@@ -913,27 +919,11 @@ func (c *CountSketch) promote() {
 }
 
 // scatter adds the pairs of a walk to a dense sketch's counters with the
-// maker's row hashes, leaving rowF2 for the caller to re-sum: a hashed
-// table's from its slots, a run's a buffer at a time. A counter that would
-// leave the stored width widens the array, and the pass resumes at that
-// pair and row.
+// maker's row hashes, a buffer at a time, leaving rowF2 for the caller to
+// re-sum. A counter that would leave the stored width widens the array, and
+// the pass resumes at that pair and row.
 func (c *CountSketch) scatter(w *pairs) {
 	m := c.maker
-	if !w.packed {
-		for k, i := 0, 0; ; c.widen() {
-			switch c.cw {
-			case 1:
-				k, i = scatterTable(m, countersOf[int8](c), w.t, k, i)
-			case 2:
-				k, i = scatterTable(m, countersOf[int16](c), w.t, k, i)
-			default:
-				k, i = scatterTable(m, countersOf[int64](c), w.t, k, i)
-			}
-			if k == w.t.slots() {
-				return
-			}
-		}
-	}
 	for w.read() {
 		xs, fs := w.xs[:w.n], w.fs[:w.n]
 		for j, i := 0, 0; ; c.widen() {
@@ -954,9 +944,12 @@ func (c *CountSketch) scatter(w *pairs) {
 
 // allocDense switches a sketch to the dense form with zero counters at the
 // narrowest width. It lets go of the items block without handing it back:
-// the caller may still be reading it.
+// the caller may still be reading it. From the maker's first dense sketch
+// on, its arena keeps a free run for a query's composition: its array at
+// the three widths side by side, as widening from int8 to int64 lays them.
 func (c *CountSketch) allocDense() {
 	m := c.maker
+	m.arena.keep = uint64(m.denseBytes(1)+m.denseBytes(2)+m.denseBytes(8)) / 8
 	*c = CountSketch{maker: m, p: m.arena.take(m.denseBytes(1)), cw: 1, dense: true}
 }
 
@@ -1113,6 +1106,8 @@ func (c *CountSketch) addCounters(o *CountSketch) {
 // When the result has to be dense anyway, parts are added to it with
 // integer arithmetic alone and the rows are summed once at the end.
 func (m *F2Maker) compose(parts []Sketch) Sketch {
+	m.arena.query = true
+	defer func() { m.arena.query = false }()
 	out := m.New().(*CountSketch)
 	dense, total := false, 0
 	for _, p := range parts {

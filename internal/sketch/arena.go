@@ -24,7 +24,12 @@ import (
 // run fits it — its own up to 2 KiB, and past that the next one unless it is
 // its class's shortest length — and what it leaves of the run stays free.
 // Only when no such class holds a run does it look through its own class for
-// one long enough, before it maps a chunk. A block handed back joins the free
+// one long enough, before it maps a chunk. Once its owner names the bytes a
+// query's composition can hold at once (keep), a shorter request that is not
+// a composition's does not cut the last free run that holds them below that
+// length: it maps a chunk instead, so that a query finds room in the runs
+// ingest left, however finely ingest cut the rest, and gives back what it
+// took. A block handed back joins the free
 // runs beside it in its chunk, so a chunk whose blocks have all come back is
 // one free run again and serves a request of any size. No block carries a
 // header: the caller names the size it asked for when it hands the block
@@ -47,9 +52,11 @@ type arena struct {
 	runs  [][]unsafe.Pointer // the free runs, by class
 	holds []uint64           // bit k is set when runs[k] is not empty
 
-	mapped int // Σ len(chunks)
-	asked  int // bytes the blocks held were asked for
-	lists  int // the heap bytes behind runs and holds
+	mapped int    // Σ len(chunks)
+	asked  int    // bytes the blocks held were asked for
+	lists  int    // the heap bytes behind runs and holds
+	keep   uint64 // words a free run is kept for, 0 for none
+	query  bool   // a composition is taking blocks, and may cut the kept run
 }
 
 const (
@@ -123,6 +130,9 @@ func (a *arena) fit(g uint64) (unsafe.Pointer, uint64) {
 		return nil, 0
 	}
 	p := a.runs[k][i]
+	if !a.query && g < a.keep && runLen(p) >= a.keep && runLen(p)-g < a.keep && len(a.runs[k]) == 1 && a.firstRun(k+1) < 0 {
+		return nil, 0 // the last run that holds what a query needs, cut below it
+	}
 	a.unlist(k, i)
 	return p, runLen(p)
 }

@@ -228,6 +228,132 @@ func TestArenaFitsPastTheExactClasses(t *testing.T) {
 	}
 }
 
+// TestArenaListsShrink: a class's list keeps room for the most runs it has
+// held only until it falls under a quarter full, when it halves and the
+// arena's books fall by the bytes it lets go; one of listFloor runs' room or
+// less never shrinks, and a list that loses a run and gets it back, as a
+// query's composition makes it, allocates nothing.
+func TestArenaListsShrink(t *testing.T) {
+	a := newArena()
+	var runs []unsafe.Pointer
+	for range 200 {
+		runs = append(runs, a.take(16))
+		a.take(8) // held between, so that the runs stay apart
+	}
+	for _, p := range runs {
+		a.putZeroed(p, 16)
+	}
+	k := runClass(2)
+	checkArena(t, "200 runs of two words", a)
+	halved := 0
+	for len(a.runs[k]) > 0 {
+		c, lists := cap(a.runs[k]), a.lists
+		a.take(16)
+		want := c
+		if l := len(a.runs[k]); c > listFloor && l < c/4 {
+			want = c / 2
+			halved++
+		}
+		if got := cap(a.runs[k]); got != want || a.lists != lists-8*(c-want) {
+			t.Fatalf("%d runs left: the list's room went from %d to %d runs and the books from %d to %d bytes; want %d runs, %d bytes",
+				len(a.runs[k]), c, got, lists, a.lists, want, lists-8*(c-want))
+		}
+		if len(a.runs[k]) == 20 {
+			if allocs := testing.AllocsPerRun(100, func() { a.putZeroed(a.take(16), 16) }); allocs != 0 {
+				t.Fatalf("a run taken and given back allocates %.0f times", allocs)
+			}
+		}
+	}
+	if halved < 2 || cap(a.runs[k]) > listFloor {
+		t.Fatalf("the list halved %d times, to room for %d runs", halved, cap(a.runs[k]))
+	}
+	checkArena(t, "every run taken", a)
+}
+
+// TestArenaKeepsRoomForAQuery: once an arena keeps room for a query, a
+// shorter request does not cut the last free run that holds it below that
+// length, but maps a chunk, unless it is a composition's; one that leaves
+// the room, or asks for at least as much, takes the run as any other.
+func TestArenaKeepsRoomForAQuery(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		words int  // asked for from the first chunk's 1021-word run, keeping 900
+		query bool // asked by a composition
+		maps  bool
+	}{
+		{"cut below the room", 200, false, true},
+		{"cut below the room by a composition", 200, true, false},
+		{"cut and leave the room", 100, false, false},
+		{"ask for the room and more", 950, false, false},
+	} {
+		a := newArena()
+		a.keep = 900
+		a.take(8) // the first chunk, 1021 words free after it
+		a.query = c.query
+		if runs, _ := checkArena(t, c.name, a); len(runs) != 1 || runs[0].size != 8*1021 {
+			t.Fatalf("%s: free runs %v, want one of 1021 words", c.name, runs)
+		}
+		a.take(8 * c.words)
+		if mapped := a.mapped > firstChunk; mapped != c.maps {
+			t.Fatalf("%s: mapped %d bytes, a chunk more: %v", c.name, a.mapped, mapped)
+		}
+		runs, _ := checkArena(t, c.name, a)
+		if c.maps && runs[0].size != 8*1021 && runs[1].size != 8*1021 {
+			t.Fatalf("%s: the kept run went: free runs %v", c.name, runs)
+		}
+		a.unmap()
+	}
+}
+
+// TestComposeTakesTheKeptRun: a query's composition, widening to int64 over
+// parts that need it, takes its blocks from the run the arena keeps for it,
+// though ingest has left no other free run, and maps nothing.
+func TestComposeTakesTheKeptRun(t *testing.T) {
+	m := NewF2Maker(356, 4, hash.New(7))
+	var parts []Sketch
+	for i := range 3 {
+		c := m.New().(*CountSketch)
+		for x := range m.itemsMax + 1 {
+			c.Add(uint64(1000*i+x), 1<<20) // dense, at int64
+		}
+		parts = append(parts, c)
+	}
+	// Hold every free run, as take would, but the last keep words of the
+	// longest, which stay free.
+	a := m.arena
+	var longest unsafe.Pointer
+	for _, l := range a.runs {
+		for _, p := range l {
+			if longest == nil || runLen(p) > runLen(longest) {
+				longest = p
+			}
+		}
+	}
+	long := runLen(longest)
+	if long < a.keep {
+		t.Fatalf("the arena keeps %d words for a query, its longest run is %d", a.keep, long)
+	}
+	for k := range a.runs {
+		for len(a.runs[k]) > 0 {
+			p := a.runs[k][0]
+			g := runLen(p)
+			a.unlist(k, 0)
+			*(*uint64)(p), *(*uint64)(unsafe.Add(p, 8*g-8)) = 0, 0
+			a.asked += 8 * int(g)
+		}
+	}
+	a.asked -= 8 * int(a.keep)
+	a.list(unsafe.Add(longest, 8*(long-a.keep)), a.keep)
+	if runs, _ := checkArena(t, "one run kept", a); len(runs) != 1 {
+		t.Fatalf("%d free runs, want the one kept", len(runs))
+	}
+	mapped := m.ArenaBytes()
+	m.Recycle(Compose(m, parts))
+	if m.ArenaBytes() != mapped {
+		t.Fatalf("the composition mapped %d bytes beside the %d kept for it", m.ArenaBytes()-mapped, 8*a.keep)
+	}
+}
+
 // FuzzArena drives an arena with takes and puts drawn from the fuzz bytes and
 // holds it to a model of the blocks out after every operation: no two blocks
 // held overlap, every take is zeroed, the blocks held, the free runs and the

@@ -172,3 +172,41 @@ func BenchmarkCountSketchEstimate(b *testing.B) {
 	}
 	_ = v
 }
+
+// BenchmarkCountSketchWalk measures reading an items-form sketch's pairs a
+// buffer at a time, as a query's composition does, from a hashed table and
+// from the packed run Compact leaves, at table sizes between the first and
+// the promotion point. The identifiers are distinct and drawn from a seeded
+// generator over 2^24, as a bucket's are.
+func BenchmarkCountSketchWalk(b *testing.B) {
+	for _, n := range []int{8, 64, 356} {
+		for _, packed := range []bool{false, true} {
+			name := fmt.Sprintf("hashed/%d", n)
+			if packed {
+				name = fmt.Sprintf("packed/%d", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				m := NewF2Maker(356, 4, hash.New(1))
+				cs := m.New().(*CountSketch)
+				rng := hash.New(2)
+				for int(cs.n) < n {
+					cs.Add(rng.Uint64n(1<<24), 1)
+				}
+				if packed {
+					cs.Compact()
+				}
+				var w pairs
+				var sum uint64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cs.walk(&w)
+					for x, _, ok := w.next(); ok; x, _, ok = w.next() {
+						sum += x
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pair")
+				_ = sum
+			})
+		}
+	}
+}

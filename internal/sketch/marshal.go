@@ -201,10 +201,9 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 		}
 		return buf, nil
 	}
-	t := c.table()
-	for _, x := range m.ascending(t) {
-		_, f := t.probe(x)
-		buf = appendI64(appendU64(buf, x), f)
+	xs, fs := m.ascending(c.table())
+	for i, x := range xs {
+		buf = appendI64(appendU64(buf, x), int64(fs[i]))
 	}
 	return buf, nil
 }

@@ -45,22 +45,10 @@ func addRows[T ctr](data []T, rowF2 []float64, rows Slots, w int64, width, from 
 	return len(rows)
 }
 
-// scatterTable hashes the pairs of a hashed table into a dense array with
-// m's row hashes, starting at row i of slot k. It returns tab.slots(), or the
-// slot and row whose counter would not fit T, with everything before applied.
-func scatterTable[T ctr](m *F2Maker, data []T, tab table, k, i int) (int, int) {
-	for n := tab.slots(); k < n; k, i = k+1, 0 {
-		if x, f := tab.pairAt(k); f != 0 {
-			if i = scatterRows(data, m.slotsOf(x)[:m.depth], f, m.width, i); i < m.depth {
-				return k, i
-			}
-		}
-	}
-	return k, 0
-}
-
-// scatterPairs is scatterTable over pairs xs[j], fs[j] (a weight as its
-// bits), from row i of pair j; it returns len(xs) when all are applied.
+// scatterPairs hashes pairs xs[j], fs[j] (a weight as its bits) into a
+// dense array with m's row hashes, starting at row i of pair j. It returns
+// len(xs), or the pair and row whose counter would not fit T, with
+// everything before applied.
 func scatterPairs[T ctr](m *F2Maker, data []T, xs, fs []uint64, j, i int) (int, int) {
 	for ; j < len(xs); j, i = j+1, 0 {
 		if i = scatterRows(data, m.slotsOf(xs[j])[:m.depth], int64(fs[j]), m.width, i); i < m.depth {

@@ -122,6 +122,10 @@ func AppendSortedBatch(buf []byte, tenant string, batch []core.Tuple) ([]byte, e
 	return buf, nil
 }
 
+// rowChunk is how many rows DecodeSortedBatch reads from the bitstream at a
+// time.
+const rowChunk = 64
+
 // uvarint reads one uvarint in its shortest form; n <= 0 reports a
 // truncated, overlong or padded one.
 func uvarint(data []byte) (v uint64, n int) {
@@ -177,22 +181,21 @@ func DecodeSortedBatch(dst []core.Tuple, data []byte) (tenant []byte, batch []co
 	r := bitcode.NewReader(data)
 	var y uint64
 	var ys, xs bitcode.Column
+	var gaps, x [rowChunk]uint64
 	for uint64(len(dst)) < n {
-		gap, ok := r.Code(py)
-		if !ok {
-			return bad("y gap at row %d runs past the bits or overflows 64 bits", len(dst))
+		k := int(min(n-uint64(len(dst)), rowChunk))
+		if !r.Pairs(py, px, gaps[:k], x[:k]) {
+			return bad("rows %d to %d run past the bits or overflow 64 bits", len(dst), len(dst)+k-1)
 		}
-		x, ok := r.Code(px)
-		if !ok {
-			return bad("x at row %d runs past the bits or overflows 64 bits", len(dst))
+		for j, gap := range gaps[:k] {
+			if gap > math.MaxUint64-y {
+				return bad("y wraps at row %d", len(dst))
+			}
+			y += gap
+			ys.Add(gap)
+			xs.Add(x[j])
+			dst = append(dst, core.Tuple{X: x[j], Y: y, W: 1})
 		}
-		if gap > math.MaxUint64-y {
-			return bad("y wraps at row %d", len(dst))
-		}
-		y += gap
-		ys.Add(gap)
-		xs.Add(x)
-		dst = append(dst, core.Tuple{X: x, Y: y, W: 1})
 	}
 	if wy, wx := params(dst, ys, xs); wy != py&^weightsBit || wx != px {
 		return bad("y and x coded %s and %s, the rows give %s and %s", bitcode.Describe(py), bitcode.Describe(px), bitcode.Describe(wy), bitcode.Describe(wx))
