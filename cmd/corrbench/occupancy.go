@@ -51,9 +51,10 @@ func occupancyTable(w io.Writer, n int) {
 	for _, sh := range shapes {
 		s := occupancySummary(sh, correlated.Both)
 		// Bytes behind the counters; of them, items tables (closed buckets'
-		// packed runs, and the pairs in them) and dense arrays; and, beside
-		// them, in the makers' arenas and slabs.
-		var held, tables, closed, pairs, arrays, pooled int64
+		// packed runs, and the pairs in them) and dense arrays (closed
+		// buckets', packed where that shrinks them, and the counters in
+		// them); and, beside them, in the makers' arenas and slabs.
+		var held, tables, closed, pairs, arrays, closedArrays, counters, pooled int64
 		stored, folded := 0, 0 // buckets: tree nodes and singletons; sketches folded
 		virgin := 0
 		for _, o := range s.Occupancy() {
@@ -62,6 +63,8 @@ func occupancyTable(w io.Writer, n int) {
 			closed += o.ClosedItemsBytes
 			pairs += o.ClosedItemsPairs
 			arrays += o.DenseBytes
+			closedArrays += o.ClosedDenseBytes
+			counters += o.ClosedDenseCounters
 			pooled += o.Pooled
 			stored += o.Stored
 			folded += o.Folded
@@ -75,8 +78,8 @@ func occupancyTable(w io.Writer, n int) {
 		fmt.Fprintf(w, "# %s: %d further levels are virgin, two counters each\n", sh.name, virgin)
 		img, err := s.MarshalBinary()
 		die(err)
-		fmt.Fprintf(w, "# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d for %d pairs, %.2f bytes a pair, dense arrays %d, pooled beside them %d), %d sketches folded, image %d bytes\n",
-			sh.name, s.Space(), held, tables, closed, pairs, float64(closed)/float64(max(pairs, 1)), arrays, pooled, folded, len(img))
+		fmt.Fprintf(w, "# %s: space %d counters in %d bytes (items tables %d, of which closed buckets' %d for %d pairs, %.2f bytes a pair, dense arrays %d, closed buckets' dense arrays, packed where that shrinks them, %d bytes for %d counters, %.2f bytes a counter, pooled beside them %d), %d sketches folded, image %d bytes\n",
+			sh.name, s.Space(), held, tables, closed, pairs, float64(closed)/float64(max(pairs, 1)), arrays, closedArrays, counters, float64(closedArrays)/float64(max(counters, 1)), pooled, folded, len(img))
 		f := s.Footprint()
 		fmt.Fprintf(w, "# %s: footprint held %d, pooled %d, headers %d bytes (headers %.1f %% of held, %.1f bytes a bucket over %d buckets)\n",
 			sh.name, f.Held, f.Pooled, f.Headers, 100*float64(f.Headers)/float64(f.Held), float64(f.Headers)/float64(stored), stored)

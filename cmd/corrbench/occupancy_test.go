@@ -59,14 +59,17 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 			}
 			get(name).virgin += k
 		case strings.Contains(line, ": space "):
-			var tables, closed, pairs, arrays, pooled, img int64
-			var perPair float64
-			if _, err := fmt.Sscanf(line, "# %s space %d counters in %d bytes (items tables %d, of which closed buckets' %d for %d pairs, %g bytes a pair, dense arrays %d, pooled beside them %d), %d sketches folded, image %d bytes",
-				&name, &a, &b, &tables, &closed, &pairs, &perPair, &arrays, &pooled, &k, &img); err != nil {
+			var tables, closed, pairs, arrays, packed, counters, pooled, img int64
+			var perPair, perCounter float64
+			if _, err := fmt.Sscanf(line, "# %s space %d counters in %d bytes (items tables %d, of which closed buckets' %d for %d pairs, %g bytes a pair, dense arrays %d, closed buckets' dense arrays, packed where that shrinks them, %d bytes for %d counters, %g bytes a counter, pooled beside them %d), %d sketches folded, image %d bytes",
+				&name, &a, &b, &tables, &closed, &pairs, &perPair, &arrays, &packed, &counters, &perCounter, &pooled, &k, &img); err != nil {
 				t.Fatalf("%q: %v", line, err)
 			}
 			if closed > tables || pairs == 0 || math.Abs(perPair-float64(closed)/float64(pairs)) > 0.005 {
 				t.Fatalf("%q: closed buckets' %d bytes of %d in items tables, %d pairs, said to be %g bytes a pair", line, closed, tables, pairs, perPair)
+			}
+			if packed > arrays || counters == 0 || math.Abs(perCounter-float64(packed)/float64(counters)) > 0.005 {
+				t.Fatalf("%q: closed buckets' %d bytes of %d in dense arrays, %d counters, said to be %g bytes a counter", line, packed, arrays, counters, perCounter)
 			}
 			sh := get(name)
 			sh.space, sh.held, sh.tables, sh.arrays, sh.sketchesFolded = a, b, tables, arrays, k
@@ -149,15 +152,16 @@ func TestOccupancyTableAddsUp(t *testing.T) {
 // 6 471 680, 5 881 856 and 10 600 448 bytes; with a tree a direction,
 // 5 554 176, 5 619 712 and 9 486 336; with closed buckets' tables cut to
 // exactly their slots rather than packed into runs, 3 465 216, 3 530 752 and
-// 5 627 904.
+// 5 627 904; with closed buckets' arrays plain rather than packed into four
+// bits a counter, 2 809 856, 2 678 784 and 4 317 184.
 func TestArenaBytesByShape(t *testing.T) {
 	for _, c := range []struct {
 		shape              occupancyShape
 		arena, space, imgs int64
 	}{
-		{occupancyShape{"uniform/16", 150_000, 16, false}, 2_809_856, 1_932_838, 3_026_393},
-		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 2_678_784, 1_955_680, 3_054_881},
-		{occupancyShape{"zipf/256", 150_000, 256, true}, 4_317_184, 2_726_496, 3_592_307},
+		{occupancyShape{"uniform/16", 150_000, 16, false}, 2_613_248, 1_932_838, 3_026_393},
+		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 2_351_104, 1_955_680, 3_054_881},
+		{occupancyShape{"zipf/256", 150_000, 256, true}, 3_727_360, 2_726_496, 3_592_307},
 	} {
 		s := occupancySummary(c.shape, correlated.Both)
 		img, err := s.MarshalBinary()
@@ -176,7 +180,8 @@ func TestArenaBytesByShape(t *testing.T) {
 // beside those of an LE and a GE summary fed the same stream, on the shapes
 // TestArenaBytesByShape pins. The buckets both directions keep — every one of
 // the levels neither has discarded from — are stored once: 24–30 % fewer
-// counters, 29–35 % fewer arena bytes. (It was 40–43 % and 37–41 % before a
+// counters, 33–38 % fewer arena bytes (29–35 % while closed buckets' arrays
+// were plain). (It was 40–43 % and 37–41 % before a
 // summary serving one direction folded each closed bucket into the one above
 // it that its queries always take with it: at this length, the levels such
 // a summary holds dense are ones a Both summary keeps for both directions,
@@ -187,9 +192,9 @@ func TestBothSpaceByShape(t *testing.T) {
 		both, le, ge         int64 // Space()
 		bothArena, sideArena int64 // Footprint().Arena: Both, and LE's + GE's
 	}{
-		{occupancyShape{"uniform/16", 150_000, 16, false}, 1_932_838, 1_285_745, 1_273_613, 2_809_856, 4_308_992},
-		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 1_955_680, 1_316_661, 1_327_023, 2_678_784, 3_784_704},
-		{occupancyShape{"zipf/256", 150_000, 256, true}, 2_726_496, 1_930_731, 1_919_455, 4_317_184, 6_602_752},
+		{occupancyShape{"uniform/16", 150_000, 16, false}, 1_932_838, 1_285_745, 1_273_613, 2_613_248, 4_177_920},
+		{occupancyShape{"uniform/32768", 150_000, 32768, false}, 1_955_680, 1_316_661, 1_327_023, 2_351_104, 3_522_560},
+		{occupancyShape{"zipf/256", 150_000, 256, true}, 2_726_496, 1_930_731, 1_919_455, 3_727_360, 5_750_784},
 	} {
 		both := occupancySummary(c.shape, correlated.Both)
 		le := occupancySummary(c.shape, correlated.LE)

@@ -45,11 +45,18 @@ type LevelOccupancy struct {
 	// the ClosedItemsPairs pairs they hold, under two bytes a pair on
 	// corrdbench's streams; the rest sits in hashed tables still open to
 	// insertions, which measure 6.5–7 bytes a pair there, empty slots
-	// included, against the 4 of a slot.
+	// included, against the 4 of a slot. ClosedDenseBytes is the share of
+	// DenseBytes in closed buckets that will split, for the
+	// ClosedDenseCounters counters they hold: their arrays are packed into
+	// four bits a counter with their exceptions listed where that shrinks
+	// them, and plain where it would not; the rest sits in arrays still open
+	// to insertions, a byte or more a counter.
 	Bytes                  int64
 	ItemsBytes, DenseBytes int64
 	ClosedItemsBytes       int64
 	ClosedItemsPairs       int64
+	ClosedDenseBytes       int64
+	ClosedDenseCounters    int64
 	// Pooled is the bytes that wait for the next sketch or node: what the
 	// maker's arena maps beyond what the sketches hold — zeroed free runs
 	// that sketches have handed back and the next ones will take, its
@@ -275,6 +282,10 @@ func (o *LevelOccupancy) visit(sk sketch.Sketch, closed, splits bool) {
 	case f == nil:
 	case f.Dense():
 		o.Dense++
+		if splits {
+			o.ClosedDenseBytes += int64(f.Bytes())
+			o.ClosedDenseCounters += int64(sk.Size())
+		}
 	default:
 		o.Items++
 		if splits {

@@ -33,6 +33,7 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 				formed := o.Items + o.Dense
 				if o.Level != i || o.Closed > o.Stored || o.Folded > o.Closed || formed+o.Untouched+o.Folded > o.Stored ||
 					o.ClosedItemsBytes > o.ItemsBytes || (o.Closed == 0 && o.ClosedItemsBytes != 0) ||
+					o.ClosedDenseBytes > o.DenseBytes || (o.Closed == 0 && o.ClosedDenseCounters != 0) ||
 					(name == "F2" && formed+o.Untouched+o.Folded != o.Stored) || (name == "COUNT" && formed+o.Folded != 0) {
 					t.Fatalf("%s %s: inconsistent row %+v", name, when, o)
 				}
@@ -70,16 +71,24 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 		rows := check("full")
 		if name == "F2" {
 			items, dense := 0, 0
-			var tables, cut int64
+			var tables, cut, arrays, packed, counters int64
 			for _, o := range rows {
 				items += o.Items
 				dense += o.Dense
 				tables += o.ItemsBytes
 				cut += o.ClosedItemsBytes
+				arrays += o.DenseBytes
+				packed += o.ClosedDenseBytes
+				counters += o.ClosedDenseCounters
 			}
-			if items == 0 || dense == 0 || cut == 0 || cut == tables || rows[0].Pooled == 0 {
-				t.Fatalf("F2: %d items-form and %d dense buckets, %d of %d table bytes in closed buckets, %d bytes pooled; the stream should leave some of each",
-					items, dense, cut, tables, rows[0].Pooled)
+			if items == 0 || dense == 0 || cut == 0 || cut == tables || packed == 0 || packed == arrays || rows[0].Pooled == 0 {
+				t.Fatalf("F2: %d items-form and %d dense buckets, %d of %d table bytes and %d of %d array bytes in closed buckets, %d bytes pooled; the stream should leave some of each",
+					items, dense, cut, tables, packed, arrays, rows[0].Pooled)
+			}
+			// A packed array takes four bits a counter and its exceptions,
+			// under the byte a counter of the narrowest plain one.
+			if packed >= counters {
+				t.Fatalf("F2: closed buckets' arrays take %d bytes for %d counters", packed, counters)
 			}
 		}
 		img, err := s.MarshalBinary()
@@ -101,10 +110,12 @@ func TestOccupancyAddsUpToSpace(t *testing.T) {
 // TestOccupancyBytesPerCounter guards what a tenant of corrdbench's
 // tenants-restart workload holds — the daemon's configuration, 75 000 zipf
 // tuples in 256-tuple batches, nearly all of it items tables — at under 2.3
-// bytes behind each counter of Space; it reads 1.76. Identifiers and weights
-// there fit four-byte slots and closed buckets' tables are packed into runs;
-// with those cut to exactly their slots instead it read 2.22, at eight bytes
-// a slot 3.73, with every table hashed 5.3, and at sixteen bytes a slot 9.7.
+// bytes behind each counter of Space; it reads 1.57. Identifiers and weights
+// there fit four-byte slots, closed buckets' tables are packed into runs and
+// their arrays into four bits a counter; with those arrays plain it read
+// 1.76, with the tables cut to exactly their slots instead of packed 2.22, at
+// eight bytes a slot 3.73, with every table hashed 5.3, and at sixteen bytes
+// a slot 9.7.
 // It is a function of the summary's state, so it repeats exactly.
 func TestOccupancyBytesPerCounter(t *testing.T) {
 	s := mustSummary(t, F2Aggregate(), Config{

@@ -630,6 +630,7 @@ func (s *Summary) foldInto(lv *level, head, b *bucket) bool {
 		return false
 	}
 	_ = s.sketch(head.sk).Merge(s.sketch(b.sk))
+	sketch.Compact(s.sketch(head.sk)) // the merge unpacked the head, which is closed
 	s.maker.Free(b.sk)
 	b.sk = 0
 	if s.cache[lv.idx].b == b {

@@ -24,6 +24,14 @@ import (
 func counters(c *CountSketch) []int64 {
 	m := c.maker
 	out := make([]int64, m.depth*m.width)
+	if c.dense && c.cw == 0 {
+		nib, list, _ := c.frame() // in one pass: at seeks each escape from the start
+		e := escapes{list: list}
+		for j := range out {
+			out[j] = e.value(nib, j)
+		}
+		return out
+	}
 	if c.dense {
 		for j := range out {
 			out[j] = c.at(j)

@@ -53,20 +53,26 @@ import (
 // reads one: pairs are handled as (uint64, int64) values and counters as
 // int64, the image is varint-coded and Size counts two words a pair and one a
 // counter, so every estimate, budget and image byte is what 16-byte slots and
-// an all-int64 array give; Bytes reports what the widths change. A dense
-// counter stays at one to two bytes: further space there has to come from
-// fewer counters (α and the sketch width, ROADMAP.md), not narrower ones.
+// an all-int64 array give; Bytes reports what the widths change. A counter of
+// an array still open to insertions stays at one to two bytes: further space
+// there has to come from fewer counters (α and the sketch width, ROADMAP.md),
+// not narrower ones.
 //
-// The same rule says when a table is finished: a closed bucket splits on the
-// next arrival and ingest never writes to it again, so Compact re-encodes its
-// table as a packed run — its n pairs in ascending x, each x the gap to the
-// one before and each weight by its magnitude and sign, every column in the
-// cheaper of a Rice and an Exp-Golomb code (package bitcode, the log's
-// coder) — 1.4–1.6 bytes a pair on corrbench's occupancy presets, where a
-// hashed table takes 6.5–7 and exactly its slots would take 4. A run has no step
-// on the slot ladder and is never probed: lookups and walks read it from
-// its start, and the first write to one (only a merge does that) unpacks it
-// into a hashed table first.
+// The same rule says when a table or an array is finished: a closed bucket
+// splits on the next arrival and ingest never writes to it again, so Compact
+// re-encodes what it holds. A table becomes a packed run — its n pairs in
+// ascending x, each x the gap to the one before and each weight by its
+// magnitude and sign, every column in the cheaper of a Rice and an
+// Exp-Golomb code (package bitcode, the log's coder) — 1.4–1.6 bytes a pair
+// on corrbench's occupancy presets, where a hashed table takes 6.5–7 and
+// exactly its slots would take 4. A run has no step on the slot ladder and is
+// never probed: lookups and walks read it from its start. An array becomes a
+// packed one — four bits a counter, the few outside −7…7 in a list beside
+// them (packArray) — unless that would not shrink it (82–99 % of the closed
+// arrays there are packed): 0.54–0.70 bytes a counter, row sums included,
+// where its plain array takes at least one. A packed array is read a byte at
+// a time, as a composition adds it. The first write to either (only a merge
+// does that) unpacks it into a hashed table or a plain array first.
 //
 // And it says what a sketch's life costs: born at eight slots, grown by half
 // (8, 12, 16, 24, …) as pairs arrive up to the promotion point, then
@@ -88,10 +94,11 @@ type CountSketch struct {
 
 	// p is the sketch's one block of the maker's arena, nil for none: in the
 	// items form a hashed table (see table) or a packed run (see run), in the
-	// dense form its row sums then its counters (see rowF2 and countersOf).
-	// The fields below say how long it is — a hashed table from step, an
-	// array from cw and the maker's geometry — or, for a run, its head does,
-	// so no slice header is stored.
+	// dense form its row sums then its counters, plain (see rowF2 and
+	// countersOf) or packed (see packArray). The fields below say how long it
+	// is — a hashed table from step, a plain array from cw and the maker's
+	// geometry — or, for a run or a packed array, its head does, so no slice
+	// header is stored.
 	p unsafe.Pointer
 
 	// f2lo is the low word of Σf² over the pairs, a 128-bit integer. Its high
@@ -103,7 +110,7 @@ type CountSketch struct {
 	n     int32 // items: pairs held, at most the maker's itemsMax
 	rung  uint8 // items: a slot is 4<<rung bytes, and a run unpacks to such slots
 	step  uint8 // items: a hashed table's step on the slot ladder (stepSlots); 0 for a run or no block
-	cw    uint8 // dense: bytes per stored counter — 1, 2 or 8
+	cw    uint8 // dense: bytes per stored counter — 1, 2 or 8 — or 0, packed (see packArray)
 	dense bool
 }
 
@@ -494,6 +501,9 @@ func (c *CountSketch) AddSlots(slots Slots, w int64) {
 	if !c.dense && c.addItem(slots[d], w) {
 		return
 	}
+	if c.cw == 0 {
+		c.unpack() // only a merge writes to a closed bucket's array
+	}
 	// A counter that would leave the stored width stops the pass; the array
 	// is widened, which moves the block, and the pass resumes at that row.
 	rows, width := slots[:d], c.maker.width
@@ -617,12 +627,16 @@ func (c *CountSketch) weightOf(x uint64) int64 {
 }
 
 // Compact implements Compacter: an items-form sketch's hashed table is packed
-// — re-encoded as a packed run of its n pairs in ascending x (see pack).
-// Nothing a caller can see changes but Bytes, and the sketch stays fully
-// usable: the next write unpacks the run. A table whose every pair has
-// cancelled goes back whole. A dense sketch has no slack to shed, and no
-// table; it is left as it is, as is a run.
+// — re-encoded as a packed run of its n pairs in ascending x (see pack) — and
+// a dense sketch's array into four bits a counter with its exceptions listed
+// (see packArray), unless that would not shrink it. Nothing a caller can see
+// changes but Bytes, and the sketch stays fully usable: the next write
+// unpacks the run or the array. A table whose every pair has cancelled goes
+// back whole. A run, or a packed array, is left as it is.
 func (c *CountSketch) Compact() {
+	if c.dense && c.cw != 0 {
+		c.packArray()
+	}
 	if c.step == 0 {
 		return
 	}
@@ -680,14 +694,8 @@ func (m *F2Maker) pack(t table, hi uint64, rung uint8) unsafe.Pointer {
 // its block (see pack).
 func (c *CountSketch) run() (px, pf byte, bits []byte, size int) {
 	at := unsafe.Add(c.p, hiLen(c.rung))
-	n, k := 0, 2
-	for shift := 0; ; shift += 7 {
-		b := *(*byte)(unsafe.Add(at, k))
-		k++
-		if n |= int(b&0x7f) << shift; b < 0x80 {
-			break
-		}
-	}
+	n, k := uvarintAt(unsafe.Add(at, 2))
+	k += 2
 	px, pf = *(*byte)(at), *(*byte)(unsafe.Add(at, 1))
 	return px, pf, unsafe.Slice((*byte)(unsafe.Add(at, k)), n), hiLen(c.rung) + k + n
 }
@@ -1084,8 +1092,12 @@ func (c *CountSketch) Merge(other Sketch) error {
 }
 
 // addCounters adds dense o's counters to dense c's, index by index, widening
-// c's array when a sum would not fit it. o may be c.
+// c's array when a sum would not fit it, and unpacking it first if it is
+// packed. o may be c.
 func (c *CountSketch) addCounters(o *CountSketch) {
+	if c.cw == 0 {
+		c.unpack()
+	}
 	for j, n := 0, c.maker.depth*c.maker.width; ; c.widen() {
 		switch c.cw {
 		case 1:
@@ -1147,14 +1159,17 @@ func (c *CountSketch) Size() int {
 // Bytes returns the memory behind the sketch's state, its arena block: in the
 // items form a hashed table's slots at 4, 8 or 16 bytes each, empty ones
 // included, or a packed run's head and bits, and, at 8 or 16, Σf²'s high
-// word; once dense, the row sums and the counters at their stored width. It
-// is what Size stopped showing when a pair stopped being two words and a
-// counter one, and unlike Size it belongs to the sketch in memory, not to its
-// image: a table grown or widened for pairs since cancelled, or an array
-// widened for a counter since cancelled, restores smaller, and a run
-// restores hashed, for its owner to pack again.
+// word; once dense, the row sums and the counters at their stored width, or
+// packed. It is what Size stopped showing when a pair stopped being two words
+// and a counter one, and unlike Size it belongs to the sketch in memory, not
+// to its image: a table grown or widened for pairs since cancelled, or an array
+// widened for a counter since cancelled, restores smaller, and a run or a
+// packed array restores unpacked, for its owner to pack again.
 func (c *CountSketch) Bytes() int {
 	switch {
+	case c.dense && c.cw == 0:
+		_, _, size := c.frame()
+		return size
 	case c.dense:
 		return c.maker.denseBytes(c.cw)
 	case c.step != 0:

@@ -81,11 +81,42 @@ func BenchmarkCountSketchAdd(b *testing.B) { benchAddRegimes(b, false) }
 // regimes are the innermost loop of the ingest path at each stored width.
 func BenchmarkCountSketchAddSlots(b *testing.B) { benchAddRegimes(b, true) }
 
+// closedArray returns a dense sketch of m as a closed bucket holds one: n
+// distinct identifiers drawn from a seeded generator over 2^24, weight one
+// each, so its counters sit near ±√(n/w), most of them inside −7…7.
+func closedArray(m *F2Maker, n int) *CountSketch {
+	cs := m.New().(*CountSketch)
+	rng := hash.New(2)
+	for range n {
+		cs.Add(rng.Uint64n(1<<24), 1)
+	}
+	return cs
+}
+
 // BenchmarkCountSketchCompact measures packing a hashed table into a run, as
 // the core structure does once for each bucket that closes, at the table
-// sizes between the first and the promotion point. B/hashed is what the table
-// held before, B/sketch after.
+// sizes between the first and the promotion point, and a dense array into
+// four bits a counter (dense). B/hashed is what the table held before, B/plain
+// the array, and B/sketch what either holds after.
 func BenchmarkCountSketchCompact(b *testing.B) {
+	b.Run("dense", func(b *testing.B) {
+		m := NewF2Maker(356, 4, hash.New(1))
+		cs := closedArray(m, 4*356)
+		plain := slices.Clone(countersOf[int8](cs))
+		before := cs.Bytes()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Compact hands the plain array back zeroed: take it again as it
+			// was, which is a copy beside Compact's coding.
+			cs.Reset()
+			cs.allocDense()
+			copy(countersOf[int8](cs), plain)
+			cs.Compact()
+		}
+		b.ReportMetric(float64(before), "B/plain")
+		b.ReportMetric(float64(cs.Bytes()), "B/sketch")
+	})
 	for _, pairs := range []int{8, 64, 256, 356} {
 		b.Run(fmt.Sprint(pairs), func(b *testing.B) {
 			m := NewF2Maker(356, 4, hash.New(1))
@@ -104,6 +135,39 @@ func BenchmarkCountSketchCompact(b *testing.B) {
 				cs.Compact()
 			}
 			b.ReportMetric(float64(before), "B/hashed")
+			b.ReportMetric(float64(cs.Bytes()), "B/sketch")
+		})
+	}
+}
+
+// BenchmarkCountSketchAddCounters measures adding one closed bucket's array,
+// at corrd's geometry (356×4), into a query's composition held at int64, as
+// Compose does for each dense part: from the plain int8 array, and from the
+// packed one Compact leaves.
+func BenchmarkCountSketchAddCounters(b *testing.B) {
+	for _, packed := range []bool{false, true} {
+		name := "plain"
+		if packed {
+			name = "packed"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := NewF2Maker(356, 4, hash.New(1))
+			cs := closedArray(m, 4*356)
+			if packed {
+				if cs.Compact(); cs.cw != 0 {
+					b.Fatal("the array did not pack")
+				}
+			}
+			out := m.New().(*CountSketch)
+			out.allocDense()
+			for out.cw < 8 {
+				out.widen()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out.addCounters(cs)
+			}
 			b.ReportMetric(float64(cs.Bytes()), "B/sketch")
 		})
 	}

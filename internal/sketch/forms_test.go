@@ -18,7 +18,7 @@ import (
 
 // A CountSketch is stored in one of many states — an items table hashed at
 // four, eight or sixteen bytes a slot or packed into a run, or a dense array at
-// one, two or eight bytes a counter — and every one of them must answer as the state
+// one, two or eight bytes a counter or packed into four bits — and every one of them must answer as the state
 // every image and Size describe: a hashed table of sixteen-byte slots that is
 // never packed, promoting to an all-int64 array. TestCountSketchFormsAgree drives
 // sketches through seeded random operation sequences beside a twin lifted to
@@ -117,10 +117,11 @@ func (p *register) settle() {
 // merge folds q (which may be p) into p. A dense receiver adds an items-form
 // operand pair by pair in table order, and once huge its incremental row sums
 // round by that order, which a packed run and a hashed table do not share: there
-// both sides are re-summed, as a restart does.
+// both sides are re-summed, as a restart does — unless the operand holds no
+// pair, and the receiver, which may be packed, is as it was.
 func (p *register) merge(t *testing.T, q *register) {
 	t.Helper()
-	items := !q.a.dense
+	items := !q.a.dense && q.a.n > 0
 	if err := p.a.Merge(q.a); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,9 @@ func (p *register) check(t *testing.T, step string) {
 		t.Fatalf("%s: image differs from the model's (dense=%v, %d pairs, model %d)", step, a.dense, a.n, len(p.freq))
 	}
 	if a.dense {
-		if cw := widthFor(p.ctr); a.cw < cw || a.Bytes() != int(a.cw)*m.width*m.depth+8*m.depth {
+		if a.cw == 0 {
+			checkFrame(t, step, a, p.ctr)
+		} else if cw := widthFor(p.ctr); a.cw < cw || a.Bytes() != int(a.cw)*m.width*m.depth+8*m.depth {
 			t.Fatalf("%s: %d bytes a counter, the counters need %d; Bytes %d", step, a.cw, cw, a.Bytes())
 		}
 		if p.settle(); p.huge {
@@ -238,7 +241,8 @@ func sameSketch(t *testing.T, step string, a, b *CountSketch) {
 // out — and of the one sketch it keeps for the next New, which must be empty —
 // and its arena's are a walk of its blocks and free runs (checkHeld). Each
 // packed run out must be the run of what its walk reads, Σf²'s two words
-// theirs and Bytes its block (checkRun). It returns the arena's free runs,
+// theirs and Bytes its block (checkRun), and each packed array the frame of
+// the counters it reads (checkFrame). It returns the arena's free runs,
 // ordered by address.
 func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) []span {
 	t.Helper()
@@ -256,6 +260,9 @@ func checkBooks(t *testing.T, step string, m *F2Maker, out []*CountSketch) []spa
 		}
 		if packed(c) {
 			checkRun(t, step, c, pairsOf(c))
+		}
+		if packedArray(c) {
+			checkFrame(t, step, c, counters(c))
 		}
 		held += c.Bytes()
 		headers += countSketchBytes
@@ -287,6 +294,8 @@ func shapeOf(c *CountSketch) shape {
 // formOf names what a sketch is stored as, for the merge floors.
 func formOf(c *CountSketch) string {
 	switch s := shapeOf(c); {
+	case s.dense && s.cw == 0:
+		return "packed"
 	case s.dense:
 		return "dense"
 	case s.packed:
@@ -306,6 +315,10 @@ func moves(before, after shape) (names []string) {
 		}
 	case before.dense && !after.dense:
 		names = append(names, "reset an array")
+	case after.dense && before.cw != 0 && after.cw == 0:
+		names = append(names, "pack an array")
+	case after.dense && before.cw == 0 && after.cw != 0:
+		names = append(names, "unpack an array")
 	case after.dense:
 	case !before.packed && after.packed:
 		names = append(names, "pack")
@@ -339,7 +352,9 @@ func moves(before, after shape) (names []string) {
 // climb every rung and come back under it. Merges meet every pair of forms, a register with itself too; Compact
 // packs tables that later writes unpack; and the makers start with their
 // arenas' free runs primed, so a table handed back unzeroed, or too early,
-// shows as a pair nobody added.
+// shows as a pair nobody added. Compact packs arrays too, which merges unpack,
+// and a merge into a packed array is packed again one time in two, as a fold
+// into a closed chain head is.
 func runForms(t *testing.T, geometries []struct{ width, depth int }, from, to uint64, floors ...string) {
 	seen := map[string]int{}
 	for _, g := range geometries {
@@ -525,6 +540,18 @@ func (r *formsRun) step(t *testing.T, step int) {
 		if before.packed && writes && packed(p.a) {
 			t.Fatalf("%s: a merge wrote into a run and left it packed", what)
 		}
+		if before.dense && before.cw == 0 && writes {
+			if packedArray(p.a) {
+				t.Fatalf("%s: a merge wrote into a packed array and left it packed", what)
+			}
+			seen["merge into a packed array"]++
+			if rng.Uint64n(2) == 0 {
+				what += " and Compact"
+				if p.a.Compact(); packedArray(p.a) {
+					seen["fold into a packed head"]++
+				}
+			}
+		}
 	case op < 28:
 		what, acted = at("Compose"), nil
 		c := &register{
@@ -540,10 +567,18 @@ func (r *formsRun) step(t *testing.T, step int) {
 		regs[i], p = c, c
 	case op < 33:
 		what = at("Compact")
-		hi, lo := p.a.f2hi(), p.a.f2lo
+		hi, lo, plain := p.a.f2hi(), p.a.f2lo, p.a.dense && p.a.cw != 0
 		p.a.Compact()
 		if p.a.f2hi() != hi || p.a.f2lo != lo {
 			t.Fatalf("%s: Σf² went from %#x:%#x to %#x:%#x", what, hi, lo, p.a.f2hi(), p.a.f2lo)
+		}
+		// An array is packed exactly when its frame is smaller than the
+		// array its counters need.
+		if plain {
+			size := m.denseBytes(widthFor(p.ctr))
+			if framed := len(frameImage(p.a.rowF2(), p.ctr)); packedArray(p.a) != (framed < size) {
+				t.Fatalf("%s: a %d-byte array whose frame takes %d left packed=%v", what, size, framed, packedArray(p.a))
+			}
 		}
 	case op < 34:
 		what = at("Reset")
@@ -567,6 +602,10 @@ func (r *formsRun) step(t *testing.T, step int) {
 		what, acted = at("image into %s (used=%v)", formOf(q.a), used), nil
 		imgA, _ := p.a.MarshalBinary()
 		imgR, _ := p.r.MarshalBinary()
+		var frame []byte // a packed array's nibbles and list
+		if packedArray(p.a) {
+			frame = slices.Clone(block(p.a)[8*m.depth:])
+		}
 		if used {
 			seen["unmarshal over a used sketch"]++
 		} else {
@@ -586,6 +625,14 @@ func (r *formsRun) step(t *testing.T, step int) {
 		}
 		if q.a.dense && q.a.cw != widthFor(q.ctr) {
 			t.Fatalf("%s: decoded at %d bytes a counter, the counters need %d", what, q.a.cw, widthFor(q.ctr))
+		}
+		if frame != nil {
+			// The image of a packed array decodes to a plain one, which packs
+			// to the same nibbles and list.
+			if q.a.Compact(); !packedArray(q.a) || !bytes.Equal(block(q.a)[8*m.depth:], frame) {
+				t.Fatalf("%s: a packed array's image packs again to other bytes", what)
+			}
+			seen["image of a packed array"]++
 		}
 		p = q
 	case op < 39:
@@ -648,7 +695,7 @@ func (r *formsRun) step(t *testing.T, step int) {
 		for _, name := range moves(before, after) {
 			seen[name]++
 		}
-		if before.dense && after.dense && after.cw < before.cw {
+		if before.dense && after.dense && after.cw != 0 && after.cw < before.cw {
 			t.Fatalf("%s: went from %d bytes a counter to %d without a Reset", what, before.cw, after.cw)
 		}
 	}
@@ -658,7 +705,9 @@ func (r *formsRun) step(t *testing.T, step int) {
 	r.books(t, what)
 	if acted != nil && acted.p != nil && (acted.p != was || acted.Bytes() != wasBytes) && r.heldBefore(uintptr(acted.p), acted.Bytes()) {
 		name := "a table"
-		if acted.dense {
+		if packedArray(acted) {
+			name = "a packed array"
+		} else if acted.dense {
 			name = fmt.Sprintf("an int%d array", 8*acted.cw)
 		}
 		seen["free runs taken again for "+name]++
@@ -729,17 +778,18 @@ func TestCountSketchFormsAgree(t *testing.T) {
 		"first table", "grow", "table to 8-byte slots", "table to 16-byte slots", "pack", "unpack",
 		"promote", "promote a run", "array to int16", "array to int64", "reset a table", "reset an array",
 		"wider than its values need", "merge a run into itself", "Σf² through an unpack",
+		"pack an array", "unpack an array", "merge into a packed array", "fold into a packed head", "image of a packed array",
 		"unmarshal over a used sketch", "failed unmarshal", "recycle burst",
 		"spare slab slots", "free runs taken again for a table", "free runs taken again for an int8 array",
 		"free runs taken again for an int16 array", "free runs taken again for an int64 array",
 	}
-	forms := []string{"4", "8", "16", "run", "dense"}
+	forms := []string{"4", "8", "16", "run", "dense", "packed"}
 	for _, a := range forms {
 		for _, b := range forms {
 			floors = append(floors, "merge "+a+" <- "+b)
 		}
 	}
-	runForms(t, []struct{ width, depth int }{{16, 3}, {32, 3}, {64, 4}, {356, 4}, {8, 1}}, 1, 12, floors...)
+	runForms(t, []struct{ width, depth int }{{16, 3}, {32, 3}, {64, 4}, {356, 4}, {8, 1}}, 1, 24, floors...)
 }
 
 // The four below run the generator on seeds of their own, each where the

@@ -183,6 +183,8 @@ func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
 	if c.dense {
 		buf = append(buf, formDense)
 		switch c.cw {
+		case 0:
+			return appendPacked(buf, c), nil
 		case 1:
 			return appendCounters(buf, countersOf[int8](c)), nil
 		case 2:

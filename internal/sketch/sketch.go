@@ -29,9 +29,10 @@
 // and the dense array's counters one byte each until one would overflow, then
 // two, then eight. And a sketch whose bucket has closed, which ingest never
 // writes to again, has its table packed into a run of the pairs it holds,
-// each column in the log's bit code (Compact); a later write unpacks it.
-// Three table widths, a run, three array widths, one API: no answer, image
-// or Size depends on a width or a run, only Bytes.
+// each column in the log's bit code, or its array into four bits a counter
+// with the exceptions listed (Compact); a later write unpacks either. Three
+// table widths, a run, three array widths, a packed array, one API: no
+// answer, image or Size depends on a width or a packing, only Bytes.
 // Tables and arrays are blocks of their maker's arena, off the collected heap
 // (arena.go): one a sketch grows out of, or is recycled with, goes back
 // zeroed to the arena for the next sketch that needs its size class, so the
@@ -144,16 +145,17 @@ func Recycle(m Maker, sk Sketch) {
 	}
 }
 
-// Compacter is implemented by sketches that can shed memory they hold only
-// to absorb further updates. Compact changes no answer, Size or image, and
-// the sketch stays usable: a later update costs whatever rebuilding the
-// slack takes.
+// Compacter is implemented by sketches that can hold their state in less
+// memory once no update is expected: by shedding what they hold only to
+// absorb further updates, or by re-encoding what they hold in a form an
+// update must undo. Compact changes no answer, Size or image, and the sketch
+// stays usable: a later update costs whatever rebuilding or unpacking takes.
 type Compacter interface {
 	Compact()
 }
 
-// Compact sheds sk's slack when its type has any. The core structure calls
-// it on a bucket that has closed, which ingest never writes to again.
+// Compact compacts sk when its type can. The core structure calls it on a
+// bucket that has closed, which ingest never writes to again.
 func Compact(sk Sketch) {
 	if c, ok := sk.(Compacter); ok {
 		c.Compact()
