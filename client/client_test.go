@@ -30,7 +30,7 @@ func TestAddBatchChunking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tuples, err := tupleio.Decode(nil, body)
+		tuples, err := tupleio.DecodeCounted(nil, tupleio.Counted(body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,8 +123,6 @@ type hhMaker struct {
 	slab  slab.Slab[hhSketch] // the sketches Alloc hands out
 }
 
-func (m *hhMaker) Name() string { return "f2-heavy-hitters" }
-
 func (m *hhMaker) New() sketch.Sketch {
 	return &hhSketch{
 		maker: m,

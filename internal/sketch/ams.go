@@ -440,9 +440,6 @@ func NewF2MakerError(upsilon, gamma float64, rng *hash.RNG) *F2Maker {
 	return NewF2Maker(w, d, rng)
 }
 
-// Name implements Maker.
-func (m *F2Maker) Name() string { return "f2/countsketch" }
-
 // New implements Maker. The sketch is empty and in the items form: it takes
 // its table on the first update, and a dense array only if it promotes.
 func (m *F2Maker) New() Sketch {

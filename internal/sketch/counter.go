@@ -15,17 +15,11 @@ type CountMaker struct{ counterMaker }
 // NewCountMaker returns a Maker for exact F1/COUNT counters.
 func NewCountMaker() *CountMaker { return &CountMaker{} }
 
-// Name implements Maker.
-func (m *CountMaker) Name() string { return "count" }
-
 // SumMaker makes exact SUM counters: Add(x, w) contributes w*x.
 type SumMaker struct{ counterMaker }
 
 // NewSumMaker returns a Maker for exact SUM counters.
 func NewSumMaker() *SumMaker { return &SumMaker{counterMaker{sum: true}} }
-
-// Name implements Maker.
-func (m *SumMaker) Name() string { return "sum" }
 
 // counterMaker is what CountMaker and SumMaker share: every method of a Maker
 // but its name.

@@ -99,9 +99,6 @@ func NewFkMakerError(k int, upsilon, gamma float64, rng *hash.RNG) *FkMaker {
 	return NewFkMaker(k, 32, cap, w, d, rng)
 }
 
-// Name implements Maker.
-func (m *FkMaker) Name() string { return "fk/indyk-woodruff" }
-
 // K returns the moment order.
 func (m *FkMaker) K() int { return m.k }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/streamagg/correlated/internal/hash"
-	"github.com/streamagg/correlated/internal/slab"
 )
 
 // L1 is Indyk's stable-distribution sketch for the first moment of net
@@ -26,14 +25,12 @@ type L1 struct {
 
 // L1Maker creates L1 sketches sharing the Cauchy-generating hash.
 type L1Maker struct {
-	k int
-	h *hash.Tab64
-
-	slab       slab.Slab[L1] // the sketches Alloc hands out
-	medScratch []float64     // reused by Estimate
+	k          int
+	h          *hash.Tab64
+	medScratch []float64 // reused by Estimate
 }
 
-// NewL1Maker returns a Maker with k counters; the estimator's standard
+// NewL1Maker returns a maker of sketches with k counters; the estimator's standard
 // error is Θ(1/sqrt(k)).
 func NewL1Maker(k int, rng *hash.RNG) *L1Maker {
 	if k < 8 {
@@ -58,44 +55,10 @@ func NewL1MakerError(upsilon, gamma float64, rng *hash.RNG) *L1Maker {
 	return &L1Maker{k: k, h: hash.NewTab64(rng)}
 }
 
-// Name implements Maker.
-func (m *L1Maker) Name() string { return "f1/cauchy" }
-
-// New implements Maker.
+// New returns an empty sketch.
 func (m *L1Maker) New() Sketch {
 	return &L1{maker: m, cnt: make([]float64, m.k)}
 }
-
-// Alloc implements Maker. A slot keeps its counters across Free, zeroed.
-func (m *L1Maker) Alloc() uint32 {
-	h := m.slab.Alloc()
-	if s := m.slab.At(h); s.cnt == nil {
-		*s = L1{maker: m, cnt: make([]float64, m.k)}
-	}
-	return h
-}
-
-// At implements Maker.
-func (m *L1Maker) At(h uint32) Sketch { return m.slab.At(h) }
-
-// Free implements Maker.
-func (m *L1Maker) Free(h uint32) {
-	m.slab.At(h).Reset()
-	m.slab.Free(h)
-}
-
-// Slots implements SlotMaker: the k Cauchy variates of x, as float64 bits.
-// Generating a variate costs a tabulation hash plus a tangent, so the
-// hash-once fan-out saves far more here than for the integer sketches.
-func (m *L1Maker) Slots(x uint64, scratch Slots) Slots {
-	for j := 0; j < m.k; j++ {
-		scratch = append(scratch, math.Float64bits(m.cauchy(j, x)))
-	}
-	return scratch
-}
-
-// SlotWidth implements SlotMaker.
-func (m *L1Maker) SlotWidth() int { return m.k }
 
 // K returns the counter count.
 func (m *L1Maker) K() int { return m.k }
@@ -115,14 +78,6 @@ func (s *L1) Add(x uint64, w int64) {
 	wf := float64(w)
 	for j := range s.cnt {
 		s.cnt[j] += wf * s.maker.cauchy(j, x)
-	}
-}
-
-// AddSlots implements SlotAdder.
-func (s *L1) AddSlots(slots Slots, w int64) {
-	wf := float64(w)
-	for j, bits := range slots {
-		s.cnt[j] += wf * math.Float64frombits(bits)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestCounterRoundTrip(t *testing.T) {
 		src.Add(9, -1)
 		roundTrip(t, src, dst)
 		if dst.Estimate() != src.Estimate() {
-			t.Fatalf("%s: restored %v, want %v", m.Name(), dst.Estimate(), src.Estimate())
+			t.Fatalf("%T: restored %v, want %v", m, dst.Estimate(), src.Estimate())
 		}
 	}
 }

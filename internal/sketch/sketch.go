@@ -82,7 +82,6 @@ type Sketch interface {
 // place until Free empties it and takes the slot back for the next Alloc.
 type Maker interface {
 	New() Sketch
-	Name() string
 	Alloc() uint32
 	At(h uint32) Sketch
 	Free(h uint32)

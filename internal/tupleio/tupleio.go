@@ -167,12 +167,12 @@ func CheckCounted(data []byte, ymax uint64) (int, error) {
 	return n, nil
 }
 
-// Counted turns records — a run of them with no count, as Decode reads an
-// HTTP body — into the counted form: the count header, then the records,
-// in records' storage when its capacity allows. The count is read off the
-// bytes (every uvarint ends on a byte below 0x80, three to a record), so a
-// run that is not whole records becomes a counted batch that DecodeCounted
-// and CheckCounted refuse, exactly as Decode refuses the run.
+// Counted turns records — a run of them with no count, as an HTTP body
+// carries them — into the counted form: the count header, then the
+// records, in records' storage when its capacity allows. The count is read
+// off the bytes (every uvarint ends on a byte below 0x80, three to a
+// record), so a run that is not whole records becomes a counted batch that
+// DecodeCounted and CheckCounted refuse.
 func Counted(records []byte) []byte {
 	ends := 0
 	for _, c := range records {
@@ -186,9 +186,9 @@ func Counted(records []byte) []byte {
 
 // decodeRecord parses one x/y/w record — the single implementation of
 // the tuple wire grammar shared by every decode entry point, so the
-// HTTP-ingest path (Decode) and the stream-frame path
-// (DecodeCountedPrefix) can never diverge. idx is the record's position,
-// for error messages only.
+// HTTP-ingest path (Counted, then CheckCounted and AppendCounted) and the
+// stream-frame path (DecodeCountedPrefix) can never diverge. idx is the
+// record's position, for error messages only.
 func decodeRecord(data []byte, idx int) (t core.Tuple, rest []byte, err error) {
 	var w uint64
 	var n int
@@ -211,25 +211,4 @@ func decodeRecord(data []byte, idx int) (t core.Tuple, rest []byte, err error) {
 		t.W = 1
 	}
 	return t, data, nil
-}
-
-// Decode parses a complete binary tuple stream into dst (reusing its
-// capacity) and returns the filled slice. The stream must contain only
-// whole records; a trailing partial record, a weight that overflows
-// int64, or more than MaxDecodeTuples records is an error matching
-// ErrBadStream.
-func Decode(dst []core.Tuple, data []byte) ([]core.Tuple, error) {
-	dst = dst[:0]
-	for len(data) > 0 {
-		if len(dst) >= MaxDecodeTuples {
-			return dst[:0], fmt.Errorf("%w: more than %d tuples in one body", ErrBadStream, MaxDecodeTuples)
-		}
-		t, rest, err := decodeRecord(data, len(dst))
-		if err != nil {
-			return dst[:0], err
-		}
-		data = rest
-		dst = append(dst, t)
-	}
-	return dst, nil
 }

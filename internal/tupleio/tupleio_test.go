@@ -16,7 +16,7 @@ func TestRoundTrip(t *testing.T) {
 		{X: 1, Y: 2, W: -5},
 	}
 	buf := AppendBatch(nil, batch)
-	got, err := Decode(nil, buf)
+	got, err := DecodeCounted(nil, Counted(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip: got %v want %v", got, want)
 	}
-	// Decode reuses dst capacity.
-	reused, err := Decode(got, buf[:0])
+	// DecodeCounted reuses dst capacity.
+	reused, err := DecodeCounted(got, Counted(nil))
 	if err != nil || len(reused) != 0 {
 		t.Fatalf("empty stream: %v len=%d", err, len(reused))
 	}
@@ -39,13 +39,13 @@ func TestRoundTrip(t *testing.T) {
 func TestDecodeRejectsPartialRecords(t *testing.T) {
 	buf := AppendTuple(nil, 5, 6, 7)
 	for cut := 1; cut < len(buf); cut++ {
-		if _, err := Decode(nil, buf[:cut]); !errors.Is(err, ErrBadStream) {
+		if _, err := DecodeCounted(nil, Counted(buf[:cut:cut])); !errors.Is(err, ErrBadStream) {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
 	}
 	// Unterminated uvarint (ten continuation bytes).
 	bad := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}
-	if _, err := Decode(nil, bad); !errors.Is(err, ErrBadStream) {
+	if _, err := DecodeCounted(nil, Counted(bad)); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("unterminated uvarint: %v", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestDecodeRejectsOverflowWeight(t *testing.T) {
 	buf = appendRaw(buf, 1)
 	buf = appendRaw(buf, 2)
 	buf = appendRaw(buf, 1<<63) // does not fit int64
-	if _, err := Decode(nil, buf); !errors.Is(err, ErrBadStream) {
+	if _, err := DecodeCounted(nil, Counted(buf)); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("overflow weight: %v", err)
 	}
 }
@@ -198,8 +198,8 @@ func appendUvarint(buf []byte, v uint64) []byte {
 // DecodeCounted accepts with every y at most the bound, and counts it;
 // AppendCounted appends what DecodeCounted decodes and leaves dst as it was
 // when it refuses; and Counted makes of a headerless run a counted batch
-// that decodes to what Decode makes of the run, accepting and refusing the
-// same inputs.
+// that decodes to the run read record by record (decodeRun), accepting and
+// refusing the same inputs.
 func FuzzMemberForms(f *testing.F) {
 	batch := []core.Tuple{{X: 1, Y: 2, W: 3}, {X: 1 << 40, Y: 900, W: 1}, {X: 5, Y: 0}}
 	f.Add(AppendCountedBatch(nil, batch), uint64(1000))
@@ -224,12 +224,25 @@ func FuzzMemberForms(f *testing.F) {
 		if (aerr == nil) != (derr == nil) || !reflect.DeepEqual(got[1:], append([]core.Tuple{}, want...)) || got[0] != prefix[0] {
 			t.Fatalf("AppendCounted: %v, %v; DecodeCounted: %v, %v", got, aerr, want, derr)
 		}
-		run, rerr := Decode(nil, data)
+		run, rerr := decodeRun(data)
 		counted, err := DecodeCounted(nil, Counted(append([]byte(nil), data...)))
 		if (err == nil) != (rerr == nil) || (err == nil && !reflect.DeepEqual(counted, run)) {
-			t.Fatalf("Counted then DecodeCounted: %v, %v; Decode: %v, %v", counted, err, run, rerr)
+			t.Fatalf("Counted then DecodeCounted: %v, %v; the run record by record: %v, %v", counted, err, run, rerr)
 		}
 	})
+}
+
+// decodeRun decodes a run of records with no count, as an HTTP body
+// carries them, one record at a time: what Counted's batch decodes to.
+func decodeRun(data []byte) (run []core.Tuple, err error) {
+	for len(data) > 0 {
+		var t core.Tuple
+		if t, data, err = decodeRecord(data, len(run)); err != nil {
+			return nil, err
+		}
+		run = append(run, t)
+	}
+	return run, nil
 }
 
 // TestCheckCountedAllocatesNothing: admission reads a member without keeping

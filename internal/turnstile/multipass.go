@@ -82,7 +82,7 @@ func RunMultipass(tape *Tape, cfg MultipassConfig) (*MultipassResult, error) {
 	gamma := cfg.Delta / float64(ymax+1)
 	// skSize is the counters one probe sketch can grow to. It comes from
 	// the maker's geometry: an empty CountSketch stores nothing yet.
-	var maker sketch.Maker
+	var maker prober
 	var skSize int
 	switch cfg.F {
 	case MultipassF2:
@@ -154,12 +154,16 @@ func RunMultipass(tape *Tape, cfg MultipassConfig) (*MultipassResult, error) {
 	return res, nil
 }
 
+// prober is what a probe takes of a sketch maker: empty sketches that
+// share its seeds.
+type prober interface{ New() sketch.Sketch }
+
 // probePrefixes returns, for each position p[i], the sketch estimate of f
 // over records with y <= p[i], using a single scan: records are bucketed
 // into the segments between sorted positions, and prefix estimates are
 // recovered by cumulative merging (the sketches are linear and share
 // seeds, so merging segment sketches equals sketching the prefix).
-func probePrefixes(tape *Tape, maker sketch.Maker, ps []uint64) ([]float64, int) {
+func probePrefixes(tape *Tape, maker prober, ps []uint64) ([]float64, int) {
 	uniq := append([]uint64(nil), ps...)
 	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
 	n := 0

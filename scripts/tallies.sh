@@ -29,6 +29,7 @@ echo "WAL record types: $(count '^[[:space:]]Record[A-Za-z]+ +RecordType = ' int
 echo "wal.Options fields: $(fields Options internal/wal/wal.go | wc -l)"
 echo "readFrame call sites (frame-walking loops, internal/wal): $(count '[^c ]readFrame\(|= readFrame\(' $(nontest internal/wal))"
 echo "health failure streaks: $(fields health service/health.go | grep -cE 'Errs +atomic\.Int32')"
+echo "forward-body walks (walkSiteRecords( call sites, non-test service): $(cat $svc | grep -E 'walkSiteRecords\(' | grep -cv '^func ' || true)"
 echo "call sites of the tenant maker (service): $(count '[.](getOrCreateTenant|tenantForWriteLocked)\(' $svc)"
 echo "clock sites to inject (time.Now/NewTicker/NewTimer/Sleep/After/AfterFunc; non-test service, internal/wal): $(count '\btime\.(Now|NewTicker|NewTimer|Sleep|After|AfterFunc)\(' $svc $(nontest internal/wal))"
 echo "stream formats (StreamFormat… = in non-test internal/tupleio): $(count '^[[:space:]]*StreamFormat[A-Za-z]+ += ' $(nontest internal/tupleio))"

@@ -11,8 +11,8 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/tupleio"
-	"github.com/streamagg/correlated/internal/wal"
 )
 
 // Checkpoints: a server's state is in one artefact, its log. A checkpoint
@@ -127,7 +127,7 @@ func (s *Server) applyImageLocked(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("image: %w", err)
 	}
-	if err := refuseRetired(wal.RecordImage, payload); err != nil {
+	if err := retiredImage(key, image); err != nil {
 		return err
 	}
 	t := s.tenants[string(key)]
@@ -145,6 +145,15 @@ func (s *Server) applyImageLocked(payload []byte) error {
 		_, err = s.ensureEngineLocked(t)
 	}
 	return err
+}
+
+// retiredImage refuses tenant key's image, by name, if no live release
+// writes its framing (compat.RetiredImage).
+func retiredImage(key, image []byte) error {
+	if old := compat.RetiredImage(image); old != "" {
+		return fmt.Errorf("%w: tenant %q holds %s, which this release does not read; rebuild the tenant from its source, or stay on the previous release (README \"Upgrading\", \"Storage format\")", ErrSnapshotFormat, key, old)
+	}
+	return nil
 }
 
 // applyCheckpointLocked applies a RecordCheckpoint: the tenants it does not

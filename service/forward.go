@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/streamagg/correlated/client"
-	"github.com/streamagg/correlated/internal/compat"
 	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
@@ -29,11 +28,15 @@ import (
 // log has made followable since the last answer, up to forwardBatchBytes
 // (or what went after the target refused a forward as too large), in one
 // request tagged with the site id and the log's format
-// (client.AppendForwardRecord is the grammar). The target commits a
-// forward as one job — one RecordForward, uvarint(site) and then the
-// records it admitted verbatim, behind one barrier — and applies the
-// records through the applies the site used, so it keeps one summary per
-// tenant over every site's stream and nothing is merged. Its mark for the
+// (client.AppendForwardRecord is the grammar). The target decodes a
+// forward once, at admission, into a tree of siteRecords — a relay's
+// forward nests its sites' records, to maxForwardDepth — which the decide,
+// the log's encoder and the apply read; replay decodes a logged forward
+// into one and applies it alike. It commits a forward as one job — one
+// RecordForward, uvarint(site) and then the records it admitted as they
+// came, behind one barrier — and applies the records through the applies
+// the site used, so it keeps one summary per tenant over every site's
+// stream and nothing is merged. Its mark for the
 // site, the highest site LSN applied, advances. A mark is state (logged
 // and checkpointed): a record at or below it is dropped, at every depth of
 // nesting — a site's records can reach a coordinator both directly and
@@ -53,22 +56,35 @@ import (
 // a standby applies them (checkpoint.go), from the site it heard first, at
 // any depth, and admits a forward that begins with one across a gap: an
 // empty standby is bootstrapped over the wire. Any other server drops them
-// at every depth, logging probes in their place, and refuses such a
-// forward across a gap by name. The site id names one LSN space: it is
-// kept beside the log, and a log that starts over gets a new one.
+// at every depth (siteRecord.drop), logging probes in their place, and
+// refuses such a forward across a gap by name. The site id names one LSN
+// space: it is kept beside the log, and a log that starts over gets a new
+// one.
 
-// siteRecord is one record of a forward, as admission decoded it: its
-// LSN and type in the site's log, its payload, the tenants whose admission
-// it needs and, for an ingest record, the batches its apply takes as they
-// are. A checkpoint's record the decide drops becomes a probe, which
-// applies nothing.
+// siteRecord is one record of a forward, decoded once, at admission or on
+// replay (decodeSiteRecords): its LSN and type in its site's log, its
+// payload (aliasing the body), an ingest record's batches, a forward's
+// site and records. keys are the tenants whose admission it needs, types
+// the record types it is or holds (a bit a type) and retired the refusal
+// of an image no live release reads (retiredImage), all at any depth.
+// drop, which the decide sets, logs and applies every checkpoint's record
+// in it as a probe.
 type siteRecord struct {
 	lsn     uint64
 	typ     wal.RecordType
 	payload []byte
 	keys    [][]byte
 	batches []tenantBatch
+	site    uint64
+	recs    []siteRecord
+	types   uint8
+	retired error
+	drop    bool
 }
+
+// checkpointTypes is the set of a checkpoint's record types, as
+// siteRecord.types holds them.
+const checkpointTypes = 1<<wal.RecordImage | 1<<wal.RecordCheckpoint
 
 // maxForwardDepth bounds how many coordinators a record may have passed
 // through: a site that is itself some sites' coordinator forwards their
@@ -100,56 +116,6 @@ func walkSiteRecords(body []byte, fn func(r siteRecord) error) error {
 	return nil
 }
 
-// holds reports whether a site record is of one of types, or a forward
-// that holds one at any depth. Admission validated the record.
-func holds(typ wal.RecordType, payload []byte, types ...wal.RecordType) (found bool) {
-	if typ == wal.RecordForward {
-		_, records, _ := splitForward(payload)
-		walkSiteRecords(records, func(r siteRecord) error {
-			found = found || holds(r.typ, r.payload, types...)
-			return nil
-		})
-	}
-	return found || slices.Contains(types, typ)
-}
-
-// refuseRetired refuses a site record that holds, at any depth, an image
-// in a framing no live release writes (compat.RetiredImage), naming its
-// tenant: such an image fails its apply. Admission validated the record.
-func refuseRetired(typ wal.RecordType, payload []byte) error {
-	switch typ {
-	case wal.RecordImage:
-		key, image, _ := tupleio.DecodeTenantPrefix(payload)
-		if old := compat.RetiredImage(image); old != "" {
-			return fmt.Errorf("%w: tenant %q holds %s, which this release does not read; rebuild the tenant from its source, or stay on the previous release (README \"Upgrading\", \"Storage format\")", ErrSnapshotFormat, key, old)
-		}
-	case wal.RecordForward:
-		_, records, _ := splitForward(payload)
-		return walkSiteRecords(records, func(r siteRecord) error { return refuseRetired(r.typ, r.payload) })
-	}
-	return nil
-}
-
-// dropCheckpoints is a site record with every checkpoint's record in it,
-// at any depth, made a probe: what a server that does not apply them logs
-// and applies, so its replay drops them too.
-func dropCheckpoints(typ wal.RecordType, payload []byte) (wal.RecordType, []byte) {
-	switch typ {
-	case wal.RecordImage, wal.RecordCheckpoint:
-		return wal.RecordProbe, nil
-	case wal.RecordForward:
-		site, records, _ := splitForward(payload)
-		out := binary.AppendUvarint(nil, site)
-		walkSiteRecords(records, func(r siteRecord) error {
-			typ, payload := dropCheckpoints(r.typ, r.payload)
-			out = client.AppendForwardRecord(out, r.lsn, uint8(typ), payload)
-			return nil
-		})
-		return typ, out
-	}
-	return typ, payload
-}
-
 // splitForward splits a RecordForward payload into the site id and the
 // records behind it.
 func splitForward(payload []byte) (site uint64, records []byte, err error) {
@@ -168,69 +134,78 @@ func splitForward(payload []byte) (site uint64, records []byte, err error) {
 // records.
 var maxForwardTuples uint64 = tupleio.MaxDecodeTuples
 
-// validateForward is admission's decode of a forward's body, outside every
-// lock, into j.recs: each record must be an ingest record whose batches
-// decode with every y at most YMax, a checkpoint's image or record, or a
-// forward of those, and the records must decode to at most
-// maxForwardTuples tuples.
-func (s *Server) validateForward(j *ingestJob) error {
+// validateForward is admission's decode of a forward's body into j.recs,
+// outside every lock, with the records' tuples capped at maxForwardTuples.
+func (s *Server) validateForward(j *ingestJob) (err error) {
 	if len(j.image) == 0 {
 		return errors.New("service: a forward carries at least one record")
 	}
-	j.recs = j.recs[:0]
 	left := maxForwardTuples
-	return walkSiteRecords(j.image, func(r siteRecord) error {
-		var err error
-		r.keys, r.batches, err = s.validateSiteRecord(r.typ, r.payload, 0, &left)
-		j.recs = append(j.recs, r)
-		return err
-	})
+	j.recs, err = s.decodeSiteRecords(j.image, 0, &left, new(replayState))
+	return err
 }
 
-// validateSiteRecord checks one record of a forward and lists the tenants
-// whose admission it needs, taking what its ingest records decode to from
-// *left; an ingest record's decoded batches come back for the apply. An
-// image needs none: it makes its tenant whatever the caps say, as replay
-// does, since it carries state a log already holds.
-func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth int, left *uint64) (keys [][]byte, batches []tenantBatch, err error) {
-	switch typ {
-	case wal.RecordIngest:
-		var st replayState
-		batches, err = st.decodeIngest(payload, left)
-		ymax := s.cfg.Options.YMax
-		for _, b := range batches {
-			// A decoded batch is sorted by y and weighs each tuple at least
-			// 1, so its last y is all AddBatch would still check.
-			if n := len(b.tuples); n > 0 && b.tuples[n-1].Y > ymax {
-				err = errors.Join(err, fmt.Errorf("service: y = %d exceeds YMax = %d", b.tuples[n-1].Y, ymax))
-			}
-			keys = append(keys, b.key)
-		}
-		return keys, batches, err
-	case wal.RecordImage:
-		_, _, err := tupleio.DecodeTenantPrefix(payload)
-		return nil, nil, err
-	case wal.RecordCheckpoint:
-		_, _, err := decodeCheckpoint(payload)
-		return nil, nil, err
-	case wal.RecordProbe: // a record the server that logged the forward dropped at the mark
-		return nil, nil, nil
-	case wal.RecordForward:
-		_, records, err := splitForward(payload)
-		if depth == maxForwardDepth {
-			err = fmt.Errorf("forwarded through more than %d coordinators", maxForwardDepth)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		err = walkSiteRecords(records, func(r siteRecord) error {
-			inner, _, err := s.validateSiteRecord(r.typ, r.payload, depth+1, left)
-			keys = append(keys, inner...)
-			return err
-		})
-		return keys, nil, err
+// decodeForward decodes fwd's payload, a RecordForward's, into its site
+// and its records, which have passed through depth coordinators, and
+// gathers what they hold at any depth into fwd.
+func (s *Server) decodeForward(fwd *siteRecord, depth int, left *uint64, st *replayState) (err error) {
+	if depth > maxForwardDepth {
+		return fmt.Errorf("forwarded through more than %d coordinators", maxForwardDepth)
 	}
-	return nil, nil, fmt.Errorf("service: a forward carries ingest, image, checkpoint or forward records, not type %d", typ)
+	var body []byte
+	if fwd.site, body, err = splitForward(fwd.payload); err == nil {
+		fwd.recs, err = s.decodeSiteRecords(body, depth, left, st)
+	}
+	for _, in := range fwd.recs {
+		fwd.keys, fwd.types = append(fwd.keys, in.keys...), fwd.types|in.types
+		if fwd.retired == nil && in.retired != nil {
+			fwd.retired = fmt.Errorf("site record %d: %w", in.lsn, in.retired)
+		}
+	}
+	return err
+}
+
+// decodeSiteRecords decodes a forward's body, records that have passed
+// through depth coordinators: each must be an ingest record whose batches
+// decode with every y at most YMax, a checkpoint's image or record, a
+// probe (a record the server that logged the forward dropped at the mark),
+// or a forward of those. Where left is not nil, every ingest record at
+// every depth takes what it decodes to from *left; st holds the batches.
+// An image needs no admission: it makes its tenant whatever the caps say,
+// as replay does, since it carries state a log already holds.
+func (s *Server) decodeSiteRecords(body []byte, depth int, left *uint64, st *replayState) (recs []siteRecord, err error) {
+	err = walkSiteRecords(body, func(r siteRecord) error {
+		var err error
+		r.types = 1 << r.typ
+		switch r.typ {
+		case wal.RecordIngest:
+			r.batches, err = st.decodeIngest(r.payload, left)
+			ymax := s.cfg.Options.YMax
+			for _, b := range r.batches {
+				// A decoded batch is sorted by y and weighs each tuple at
+				// least 1, so its last y is all AddBatch would still check.
+				if n := len(b.tuples); n > 0 && b.tuples[n-1].Y > ymax {
+					err = errors.Join(err, fmt.Errorf("service: y = %d exceeds YMax = %d", b.tuples[n-1].Y, ymax))
+				}
+				r.keys = append(r.keys, b.key)
+			}
+		case wal.RecordImage:
+			var key, image []byte
+			if key, image, err = tupleio.DecodeTenantPrefix(r.payload); err == nil {
+				r.retired = retiredImage(key, image)
+			}
+		case wal.RecordCheckpoint:
+			_, _, err = decodeCheckpoint(r.payload)
+		case wal.RecordProbe:
+		case wal.RecordForward:
+			err = s.decodeForward(&r, depth+1, left, st)
+		default:
+			err = fmt.Errorf("service: a forward carries ingest, image, checkpoint or forward records, not type %d", r.typ)
+		}
+		recs = append(recs, r)
+		return err
+	})
+	return recs, err
 }
 
 // decideForwardLocked is the decide step of a forward: against the site's
@@ -238,12 +213,12 @@ func (s *Server) validateSiteRecord(typ wal.RecordType, payload []byte, depth in
 // forward whose prev is past the mark (but one that begins with a
 // checkpoint's record, where those apply), drops the records at or below
 // the mark, refuses a forward whose checkpoint's records apply and hold an
-// image this release does not read (refuseRetired) before the log takes
-// it, makes probes of checkpoints' records where those do not apply, and
-// admits the rest in order until one names a tenant admitLocked refuses.
-// j.recs keeps what was admitted; a forward none of whose new records is
-// admitted is refused with the first one's error, and one with no new
-// record writes nothing. Callers hold s.mu.
+// image this release does not read (retired) before the log takes it,
+// marks the records holding a checkpoint's records to drop where those do
+// not apply, and admits the rest in order until one names a tenant
+// admitLocked refuses. j.recs keeps what was admitted; a forward none of
+// whose new records is admitted is refused with the first one's error,
+// and one with no new record writes nothing. Callers hold s.mu.
 func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *[][]byte) bool {
 	mark := s.marks[j.site]
 	for _, r := range earlier {
@@ -254,7 +229,7 @@ func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *
 		if o.site == j.site {
 			mark = max(mark, o.recs[len(o.recs)-1].lsn)
 		}
-		if slices.ContainsFunc(o.recs, func(r siteRecord) bool { return holds(r.typ, r.payload, wal.RecordCheckpoint) }) {
+		if slices.ContainsFunc(o.recs, func(r siteRecord) bool { return r.types&(1<<wal.RecordCheckpoint) != 0 && !r.drop }) {
 			// Its apply replaces the marks this decide reads: the next
 			// group decides against them.
 			j.kind, j.err = ingestErrBusy, errOverloaded
@@ -277,7 +252,7 @@ func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *
 	}
 	s.metrics.forwardsDuplicate.Add(uint64(len(j.recs) - len(recs)))
 	for i := 0; applies && i < len(recs); i++ {
-		if err := refuseRetired(recs[i].typ, recs[i].payload); err != nil {
+		if err := recs[i].retired; err != nil {
 			j.kind, j.err = ingestErrValidate, fmt.Errorf("site %016x record %d: %w", j.site, recs[i].lsn, err)
 			return false
 		}
@@ -286,9 +261,7 @@ func (s *Server) decideForwardLocked(j *ingestJob, earlier []groupRecord, made *
 admit:
 	for ; n < len(recs); n++ {
 		r := &recs[n]
-		if !applies && holds(r.typ, r.payload, wal.RecordImage, wal.RecordCheckpoint) {
-			r.typ, r.payload = dropCheckpoints(r.typ, r.payload)
-		}
+		r.drop = !applies && r.types&checkpointTypes != 0
 		before := len(*made)
 		for _, key := range r.keys {
 			kind, err := s.admitLocked(key, made)
@@ -306,50 +279,69 @@ admit:
 	return n > 0
 }
 
-// applyForwardLocked applies the records a forward admitted, ingest records
-// from the batches admission decoded. Callers hold s.mu.
-func (s *Server) applyForwardLocked(j *ingestJob) error {
-	var st replayState
-	for _, r := range j.recs {
-		if err := s.applySiteRecordLocked(j.site, r, &st); err != nil {
+// appendSiteRecord appends r to a forward's body: as it came, or, where
+// drop, with every checkpoint's record in it a probe, a forward's records
+// appended one by one behind its site's id.
+func appendSiteRecord(buf []byte, r *siteRecord, drop bool) []byte {
+	typ, payload := r.typ, r.payload
+	switch {
+	case !drop:
+	case 1<<typ&checkpointTypes != 0:
+		typ, payload = wal.RecordProbe, nil
+	case typ == wal.RecordForward:
+		payload = binary.AppendUvarint(nil, r.site)
+		for i := range r.recs {
+			payload = appendSiteRecord(payload, &r.recs[i], true)
+		}
+	}
+	return client.AppendForwardRecord(buf, r.lsn, uint8(typ), payload)
+}
+
+// applyForwardLocked applies a site's decoded records in order, live and
+// on replay, outermost or nested; drop applies every checkpoint's record
+// in them as a probe, as does a record's own drop. Callers hold s.mu, or
+// run before any goroutine exists.
+func (s *Server) applyForwardLocked(site uint64, recs []siteRecord, drop bool) error {
+	for i := range recs {
+		r := &recs[i]
+		if err := s.applySiteRecordLocked(site, r, drop || r.drop); err != nil {
 			return fmt.Errorf("site record %d: %w", r.lsn, err)
 		}
 	}
 	return nil
 }
 
-// applyForwardRecordLocked is a RecordForward's apply on replay, and of
-// one nested in a forward: each record through applySiteRecordLocked.
-// Callers hold s.mu, or run before any goroutine exists.
-func (s *Server) applyForwardRecordLocked(payload []byte, st *replayState) error {
-	site, records, err := splitForward(payload)
-	if err != nil {
-		return err
-	}
-	return walkSiteRecords(records, func(r siteRecord) error { return s.applySiteRecordLocked(site, r, st) })
-}
-
-// applySiteRecordLocked is the one apply of a record of a site's log, live
-// and on replay, outermost or nested: a record at or below the site's mark
-// is already applied and is dropped; any other is applied — an ingest
-// record from the batches admission decoded when it has them — and
-// becomes the mark, but an image: a checkpoint moves the mark at its
-// closing record alone, so a mark never stands inside one. Callers hold
-// s.mu, or run before any goroutine exists.
-func (s *Server) applySiteRecordLocked(site uint64, r siteRecord, st *replayState) error {
+// applySiteRecordLocked is the one apply of a record of a site's log: a
+// record at or below the site's mark is already applied and is dropped;
+// any other is applied — an ingest record from its decoded batches, a
+// forward's records by their own site's mark, a probe (and, where drop, a
+// checkpoint's record) as nothing — and becomes the mark, but an image: a
+// checkpoint moves the mark at its closing record alone, so a mark never
+// stands inside one. Callers hold s.mu, or run before any goroutine
+// exists.
+func (s *Server) applySiteRecordLocked(site uint64, r *siteRecord, drop bool) error {
 	if r.lsn <= s.marks[site] {
 		return nil
 	}
+	typ := r.typ
+	if drop && 1<<typ&checkpointTypes != 0 {
+		typ = wal.RecordProbe
+	}
 	var err error
-	if r.batches != nil {
+	switch typ {
+	case wal.RecordIngest:
 		err = s.applyGroupLocked(r.batches)
-	} else {
-		err = s.applyStateLocked(r.typ, r.payload, st)
+	case wal.RecordImage:
+		err = s.applyImageLocked(r.payload)
+	case wal.RecordCheckpoint:
+		err = s.applyCheckpointLocked(r.payload)
+	case wal.RecordForward:
+		err = s.applyForwardLocked(r.site, r.recs, drop)
 	}
 	if err != nil {
 		return err
 	}
-	if r.typ != wal.RecordImage {
+	if typ != wal.RecordImage {
 		s.marks[site] = r.lsn
 	}
 	return nil

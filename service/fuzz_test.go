@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"maps"
 	"slices"
 	"testing"
 
 	correlated "github.com/streamagg/correlated"
 	"github.com/streamagg/correlated/client"
+	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
 )
 
@@ -146,4 +148,169 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeForward fuzzes the decoder of a forward's body, which comes
+// from the network (decodeSiteRecords). Whatever the bytes it must not
+// panic; what it allocates is bounded by the body's length and by the
+// tuple budget it is handed (1<<12 here; maxForwardTuples live); it refuses
+// a record nested past maxForwardDepth; and what it accepts re-encodes,
+// record for record, to bytes it decodes to again. The fuzz bytes also
+// drive a builder (forwardOf) that makes a body with
+// client.AppendForwardRecord and appendIngest, and that body must decode
+// and re-encode byte for byte, through the log's encoder (appendSiteRecord)
+// too: as it came, and with every checkpoint's record dropped to a probe
+// as the builder dropped it.
+func FuzzDecodeForward(f *testing.F) {
+	image := append(tupleio.AppendTenant(nil, "x"), "not an image, which the decode does not read"...)
+	ck := encodeCheckpoint([]string{"x"}, map[uint64]uint64{7: 3})
+	deep := client.AppendForwardRecord(nil, 8, uint8(wal.RecordImage), image)
+	deep = client.AppendForwardRecord(deep, 9, uint8(wal.RecordCheckpoint), ck)
+	deep = client.AppendForwardRecord(deep, 10, uint8(wal.RecordIngest), ingestRecord(f, "a", "b"))
+	mid := client.AppendForwardRecord(nil, 3, uint8(wal.RecordProbe), nil)
+	mid = client.AppendForwardRecord(mid, 4, uint8(wal.RecordForward), nested(0x333, deep))
+	body := client.AppendForwardRecord(nil, 1, uint8(wal.RecordImage), image)
+	body = client.AppendForwardRecord(body, 2, uint8(wal.RecordCheckpoint), ck)
+	body = client.AppendForwardRecord(body, 3, uint8(wal.RecordIngest), ingestRecord(f, ""))
+	body = client.AppendForwardRecord(body, 4, uint8(wal.RecordForward), nested(0x222, mid))
+	f.Add(body)
+	f.Add(deep)
+	f.Add(mid)
+	f.Add(body[:len(body)-1])
+	f.Add([]byte{1, byte(wal.RecordProbe), 0})
+	f.Add([]byte{1, byte(wal.RecordForward), 2, 0x7f, 0})                        // a nested forward whose record has no header
+	f.Add([]byte{2, byte(wal.RecordProbe), 0, 1, byte(wal.RecordProbe), 0})      // LSNs that descend
+	f.Add([]byte{1, byte(wal.RecordIngest), 6, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a count past the cap
+	nest := []byte{1, byte(wal.RecordProbe), 0}
+	for range maxForwardDepth + 1 {
+		nest = client.AppendForwardRecord(nil, 1, uint8(wal.RecordForward), nested(1, nest))
+	}
+	f.Add(nest)
+	f.Add([]byte{0x01, 0x12, 0x04, 0x03, 0x01, 0x02, 0x00, 0x03, 0x80})       // a program: image, checkpoint, a forward of those, ingest
+	f.Add([]byte{0x04, 0x07, 0x04, 0x05, 0x04, 0x03, 0x04, 0x01, 0x02, 0x00}) // a program: forwards nested four deep
+
+	svc := &Server{cfg: Config{Options: testOptions()}}
+	const budget = 1 << 12
+	f.Fuzz(func(t *testing.T, data []byte) {
+		left, st := uint64(budget), &replayState{}
+		recs, err := svc.decodeSiteRecords(data, 0, &left, st)
+		tuples := 0
+		for _, b := range st.batches {
+			tuples += cap(b.tuples)
+		}
+		if tuples > min(budget, 4*len(data)) || len(st.batches) > len(data)/4 {
+			t.Fatalf("%d-byte body allocated %d members holding room for %d tuples", len(data), len(st.batches), tuples)
+		}
+		if err == nil {
+			if d := forwardDepth(recs); d > maxForwardDepth {
+				t.Fatalf("accepted a record nested %d forwards deep", d)
+			}
+			again := reencode(t, recs)
+			recs2, err := svc.decodeSiteRecords(again, 0, nil, &replayState{})
+			if err != nil || !bytes.Equal(reencode(t, recs2), again) {
+				t.Fatalf("the re-encoded body does not decode to itself (err %v)", err)
+			}
+		}
+
+		body, dropped := forwardOf(t, data, 0)
+		if len(body) == 0 {
+			return
+		}
+		recs, err = svc.decodeSiteRecords(body, 0, nil, &replayState{})
+		if err != nil {
+			t.Fatalf("a built body does not decode: %v", err)
+		}
+		var logged, probes []byte
+		for i := range recs {
+			logged = appendSiteRecord(logged, &recs[i], false)
+			probes = appendSiteRecord(probes, &recs[i], true)
+		}
+		if !bytes.Equal(reencode(t, recs), body) || !bytes.Equal(logged, body) || !bytes.Equal(probes, dropped) {
+			t.Fatalf("a built body re-encodes to other bytes (rebuilt %t, logged %t, dropped %t)",
+				bytes.Equal(reencode(t, recs), body), bytes.Equal(logged, body), bytes.Equal(probes, dropped))
+		}
+	})
+}
+
+// forwardDepth is how many forwards the deepest of recs is nested in.
+func forwardDepth(recs []siteRecord) (d int) {
+	for _, r := range recs {
+		if r.typ == wal.RecordForward {
+			d = max(d, 1+forwardDepth(r.recs))
+		}
+	}
+	return d
+}
+
+// reencode is a decoded body made bytes again from what the decode kept:
+// an ingest record from its batches, a forward from its site and records.
+func reencode(t *testing.T, recs []siteRecord) (body []byte) {
+	for _, r := range recs {
+		payload := r.payload
+		switch r.typ {
+		case wal.RecordIngest:
+			var err error
+			if payload, err = appendIngest(nil, r.batches); err != nil {
+				t.Fatal(err)
+			}
+		case wal.RecordForward:
+			payload = append(binary.AppendUvarint(nil, r.site), reencode(t, r.recs)...)
+		}
+		body = client.AppendForwardRecord(body, r.lsn, uint8(r.typ), payload)
+	}
+	return body
+}
+
+// forwardOf builds a forward's body from program bytes, one record a byte
+// while they last: the byte's high nibble adds to the LSN, and its low
+// one picks an ingest record (of one or two tenants, its tuples from the
+// byte), an image, a checkpoint's record, a probe or, within
+// maxForwardDepth, a forward of the records the next byte's count of
+// bytes build. dropped is the body with every checkpoint's record a probe.
+func forwardOf(t *testing.T, prog []byte, depth int) (body, dropped []byte) {
+	var lsn uint64
+	for len(prog) > 0 {
+		op := prog[0]
+		prog = prog[1:]
+		lsn += 1 + uint64(op>>4)
+		typ, payload := wal.RecordProbe, []byte(nil)
+		dtyp, dpayload := typ, payload // the record as a dropping server logs it
+		switch op % 5 {
+		case 0:
+			var batches []tenantBatch
+			for k := range 1 + int(op>>7) {
+				rows := make([]correlated.Tuple, 1+int(op>>5)%4)
+				for i := range rows {
+					rows[i] = correlated.Tuple{X: uint64(op) << i, Y: uint64(i * int(op)), W: 1 + int64(i&int(op)&1)}
+				}
+				batches = append(batches, tenantBatch{key: []byte{'a' + byte(k)}, tuples: rows})
+			}
+			var err error
+			if payload, err = appendIngest(nil, batches); err != nil {
+				t.Fatal(err)
+			}
+			typ = wal.RecordIngest
+			dtyp, dpayload = typ, payload
+		case 1:
+			typ, payload = wal.RecordImage, append(tupleio.AppendTenant(nil, "i"), op)
+		case 2:
+			typ, payload = wal.RecordCheckpoint, encodeCheckpoint([]string{"i"}, map[uint64]uint64{uint64(op): lsn})
+		case 4:
+			if depth == maxForwardDepth || len(prog) == 0 {
+				break
+			}
+			n := min(int(prog[0]%8)+1, len(prog)-1)
+			inner, innerDropped := forwardOf(t, prog[1:1+n], depth+1)
+			prog = prog[1+n:]
+			if len(inner) == 0 {
+				break
+			}
+			site := binary.AppendUvarint(nil, uint64(op)+1)
+			typ, payload = wal.RecordForward, append(slices.Clip(site), inner...)
+			dtyp, dpayload = typ, append(site, innerDropped...)
+		}
+		body = client.AppendForwardRecord(body, lsn, uint8(typ), payload)
+		dropped = client.AppendForwardRecord(dropped, lsn, uint8(dtyp), dpayload)
+	}
+	return body, dropped
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	correlated "github.com/streamagg/correlated"
-	"github.com/streamagg/correlated/client"
 	"github.com/streamagg/correlated/internal/core"
 	"github.com/streamagg/correlated/internal/tupleio"
 	"github.com/streamagg/correlated/internal/wal"
@@ -129,8 +128,8 @@ var recordType = [...]wal.RecordType{opIngest: wal.RecordIngest, opForward: wal.
 // admission counted in it; the committer decodes it once, into the group's
 // buffer, and only reads it. A forward's image is the records of the site's
 // log it carries, prev the site's last state-carrying LSN before them, and
-// recs what admission decoded of them (aliasing image) — after the decide,
-// the ones it admitted.
+// recs what admission decoded of them, nested records and ingest batches
+// too (aliasing image) — after the decide, the ones it admitted.
 type ingestJob struct {
 	op     jobOp
 	member []byte
@@ -437,8 +436,8 @@ func appendRecord(w *wal.WAL, buf []byte, r *groupRecord) ([]byte, uint64, error
 	case opForward:
 		// The site's records the decide admitted, as it left them.
 		buf = binary.AppendUvarint(buf, j.site)
-		for _, r := range j.recs {
-			buf = client.AppendForwardRecord(buf, r.lsn, uint8(r.typ), r.payload)
+		for i := range j.recs {
+			buf = appendSiteRecord(buf, &j.recs[i], j.recs[i].drop)
 		}
 		payload = buf
 	}
@@ -454,7 +453,7 @@ func appendRecord(w *wal.WAL, buf []byte, r *groupRecord) ([]byte, uint64, error
 // batch is its tenant's one AddBatch of the record, already sorted by y, so
 // all three leave the same bytes. A batch naming a new tenant makes it.
 // Every batch was checked at admission (tupleio.CheckCounted, or
-// validateSiteRecord for a forward's), so an error here is a bug, fatal
+// decodeSiteRecords for a forward's), so an error here is a bug, fatal
 // to a replay. Callers hold s.mu, or run before any goroutine exists.
 func (s *Server) applyGroupLocked(batches []tenantBatch) error {
 	note := s.notesAtCommit()
@@ -556,7 +555,7 @@ func (s *Server) commitGroup(group []*ingestJob) {
 		case r.jobs[0].op == opIngest:
 			err = s.applyGroupLocked(r.batches)
 		case r.jobs[0].op == opForward:
-			err = s.applyForwardLocked(r.jobs[0])
+			err = s.applyForwardLocked(r.jobs[0].site, r.jobs[0].recs, false)
 		}
 		if err != nil {
 			// Admission let through only what the apply takes, so the log

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"github.com/streamagg/correlated/internal/tupleio"
@@ -36,30 +37,31 @@ var (
 	errNotStandby = errors.New("service: not a standby")
 )
 
-// replayState is the cross-record scratch of one pass over a log: the
-// startup replayer's (service/wal.go), and a forward's apply of the
-// records nested in it.
+// replayState holds the decoded ingest batches of one pass over a log (the
+// startup replayer's, service/wal.go) or of one forward's admission.
 type replayState struct {
 	batches []tenantBatch // an ingest record's members: a tenant's key and its sorted batch
 }
 
 // decodeIngest turns an ingest record's payload back into the batches the
-// live commit logged and applied (appendIngest's inverse): sorted batches
-// back to back until the payload is spent, each addressed by its key, which
-// aliases payload, and holding what that tenant's AddBatch was given. There
-// is no member count to trust — a member is at least four bytes, and each
-// batch's own count is bounded by the bytes behind it — so what a hostile
-// payload can make this allocate is bounded by its length. Where left is
-// not nil, the members' counts are also taken from *left, each before its
-// member is decoded, and one past what is left is refused as too large. An
-// empty payload is refused: the live commit never logs a run with no
-// admitted member. The tuple buffers are reused from record to record.
+// live commit logged and applied (appendIngest's inverse), behind those st
+// holds: sorted batches back to back until the payload is spent, each
+// addressed by its key, which aliases payload, and holding what that
+// tenant's AddBatch was given. There is no member count to trust — a
+// member is at least four bytes, and each batch's own count is bounded by
+// the bytes behind it — so what a hostile payload can make this allocate
+// is bounded by its length. Where left is not nil, the members' counts are
+// also taken from *left, each before its member is decoded, and one past
+// what is left is refused as too large. An empty payload is refused: the
+// live commit never logs a run with no admitted member. The tuple buffers
+// are reused from record to record (reset).
 func (st *replayState) decodeIngest(payload []byte, left *uint64) ([]tenantBatch, error) {
 	if len(payload) == 0 {
 		return nil, errors.New("empty ingest record")
 	}
-	n := 0
-	for rest := payload; len(rest) > 0; n++ {
+	lo := len(st.batches)
+	for rest := payload; len(rest) > 0; {
+		n := len(st.batches) - lo
 		if left != nil {
 			c := tupleio.SortedBatchLen(rest)
 			if c > *left {
@@ -67,66 +69,62 @@ func (st *replayState) decodeIngest(payload []byte, left *uint64) ([]tenantBatch
 			}
 			*left -= c
 		}
-		if n == len(st.batches) {
-			st.batches = append(st.batches, tenantBatch{})
-		}
-		b := &st.batches[n]
+		// The slot keeps its tuples' capacity from earlier records.
+		st.batches = slices.Grow(st.batches, 1)[:lo+n+1]
+		b := &st.batches[lo+n]
 		var err error
 		if b.key, b.tuples, rest, err = tupleio.DecodeSortedBatch(b.tuples, rest); err != nil {
 			return nil, fmt.Errorf("member %d: %w", n, err)
 		}
 	}
-	return st.batches[:n], nil
+	return st.batches[lo:len(st.batches):len(st.batches)], nil
+}
+
+// reset readies st for the next record, keeping what pooledTuples keeps.
+func (st *replayState) reset() {
+	for i := range st.batches {
+		st.batches[i].tuples = pooledTuples(st.batches[i].tuples)
+	}
+	st.batches = st.batches[:0]
 }
 
 // applyRecord applies one WAL record on replay through the live commit's
-// own applies, which is what makes a restarted server's state
-// byte-identical to a crash-free one's at the same LSN. A probe changes
-// nothing; every other record goes to applyStateLocked. counted reports
-// whether the record carried state. Startup replay calls it before any
-// goroutine exists.
+// own applies, so a restarted server's state is byte-identical to a
+// crash-free one's at the same LSN: an ingest record decoded back into the
+// sorted batch per tenant it was given live (applyGroupLocked), a forward
+// decoded as admission decodes one, with no cap on its tuples, an image or
+// a checkpoint record as checkpoint.go applies them. A probe changes
+// nothing; counted reports whether the record carried state. A tenant the
+// log names is made whatever the caps say today. Startup replay calls it
+// before any goroutine exists.
 func (s *Server) applyRecord(lsn uint64, typ wal.RecordType, payload []byte, st *replayState) (counted bool, err error) {
-	if typ == wal.RecordProbe {
+	defer st.reset()
+	switch typ {
+	case wal.RecordProbe:
 		// A recovery probe: the record exists only to prove the log can
 		// append and fsync again.
 		return false, nil
+	case wal.RecordIngest:
+		var batches []tenantBatch
+		if batches, err = st.decodeIngest(payload, nil); err == nil {
+			err = s.applyGroupLocked(batches)
+		}
+	case wal.RecordForward:
+		fwd := siteRecord{payload: payload}
+		if err = s.decodeForward(&fwd, 0, nil, st); err == nil {
+			err = s.applyForwardLocked(fwd.site, fwd.recs, false)
+		}
+	case wal.RecordImage:
+		err = s.applyImageLocked(payload)
+	case wal.RecordCheckpoint:
+		err = s.applyCheckpointLocked(payload)
+	default:
+		err = fmt.Errorf("unknown record type %d", typ)
 	}
-	if err := s.applyStateLocked(typ, payload, st); err != nil {
+	if err != nil {
 		return false, fmt.Errorf("service: wal replay: record %d: %w", lsn, err)
 	}
 	return true, nil
-}
-
-// applyStateLocked applies one state record, decoded back into what the
-// live commit applied: an ingest record into the sorted batch per tenant it
-// was given live (applyGroupLocked: the same one AddBatch, of the same
-// argument, nothing copied or re-encoded), a forward into its records,
-// each back through here, an image or a checkpoint record as checkpoint.go
-// applies them. A probe nested in a forward is a site record the server
-// that logged the forward dropped at the mark: it applies nothing. A
-// tenant the log names is made whatever the caps say today.
-// Callers hold s.mu, or run before any goroutine exists.
-func (s *Server) applyStateLocked(typ wal.RecordType, payload []byte, st *replayState) error {
-	switch typ {
-	case wal.RecordIngest:
-		batches, err := st.decodeIngest(payload, nil)
-		if err == nil {
-			err = s.applyGroupLocked(batches)
-		}
-		for i := range batches {
-			batches[i].tuples = pooledTuples(batches[i].tuples)
-		}
-		return err
-	case wal.RecordForward:
-		return s.applyForwardRecordLocked(payload, st)
-	case wal.RecordImage:
-		return s.applyImageLocked(payload)
-	case wal.RecordCheckpoint:
-		return s.applyCheckpointLocked(payload)
-	case wal.RecordProbe:
-		return nil
-	}
-	return fmt.Errorf("unknown record type %d", typ)
 }
 
 // Promote lifts a standby's refusal of client writes: from here it takes
